@@ -4,25 +4,73 @@
 // to the sequential pipeline while scaling with cores and, in streaming
 // mode, holding only a bounded window of the trace in memory.
 //
-// Shard-safe devices (the flash simulators) run shard-parallel with
-// time translation as described below; non-shard-safe devices that
-// support state handoff (device.Stateful — the HDD) run on the
-// epoch-pipelined executor instead (see pipeline.go); devices with
-// neither capability fall back to the sequential pipeline.
+// # The stage graph
 //
-// # Why sharding is exact
+// One executor (exec.go) runs every reconstruction, in memory or
+// streaming, as one graph:
 //
-// The emulation loop is synchronous: every instruction is submitted at
-// or after the previous completion, by which point a shard-safe device
-// (device.ShardSafe) has drained, so its servicing is invariant under
-// time translation. A shard emulated from virtual time zero therefore
-// equals the same span of the whole-trace emulation shifted by the
-// preceding shard's end time. The inference decomposition is local to
-// adjacent request pairs given the per-device sequentiality state, and
-// the post-processing shift only accumulates — so each shard needs just
-// a tiny carry (previous request + flag, next arrival, running seq
-// state) to reproduce its slice of the sequential result exactly. The
-// merge step chains the per-shard time bases and shifts in shard order.
+//	plan ──> decompose ──> [service] ──> emulate+post(+render) ──> merge
+//	(serial)   (pool)      (serial)        (pool)                  (serial)
+//
+//	plan       cut epochs at idle-gap boundaries, carry seq state
+//	decompose  infer per-request idle/async from the OLD trace —
+//	           device-independent
+//	service    optional; see below
+//	emulate    run the epoch on a per-worker device, post-process, and
+//	           render the output bytes when the graph pre-renders
+//	merge      hand epochs to the output in index order, chaining each
+//	           epoch's time base
+//
+// Which graph runs is read off the target device:
+//
+//   - device.ShardSafe (the flash simulators): no servicer. The
+//     emulation loop is synchronous — every instruction is submitted at
+//     or after the previous completion, by which point a shard-safe
+//     device has drained — so its servicing is invariant under time
+//     translation, and an epoch emulated from a drained device at
+//     virtual time zero equals the same span of the whole-trace
+//     emulation shifted by the preceding epochs' end times. decompose and
+//     emulate run fused in one worker, and the merge adds each epoch's
+//     offset: accumulated end times minus accumulated post-processing
+//     shift.
+//   - device.Stateful and not shard-safe (hdd, ftl, host): head
+//     position, rotational phase, mapping tables, page-cache contents
+//     and destage debt persist across idle periods, so epoch k's
+//     servicing depends on everything before it. What it does not depend
+//     on is anything expensive: given the device's entry state and the
+//     entry virtual time, the epoch's servicing is a pure function of
+//     the epoch itself. The servicer is the one device-ordered pass: it
+//     snapshots the entry state, advances a single continuously evolving
+//     device through the epoch's submissions (replay.ServiceShard —
+//     device arithmetic only, no output), and accumulates the
+//     post-processing shift. A worker then restores the snapshot into
+//     its own device and re-runs the epoch on the global timeline
+//     (replay.EmulateShardResume), so its arrivals are final and the
+//     merge's offset is zero. Servicer and workers run the same loop at
+//     the same absolute times against deterministic devices, so the
+//     output equals one sequential emulation.
+//   - neither: no graph applies; the entry points fall back to
+//     core.Reconstruct.
+//
+// Pre-render vs merge-encode: when the output encoder's records are
+// stateless (trace.ShardEncoder — csv, bin), workers on the stateful
+// graph render their epoch's bytes and the merge only splices buffers.
+// The shard-safe graph cannot: a relative-time epoch's arrivals are not
+// final until the merge chains its offset, so its records are encoded
+// there.
+//
+// Epochs are the handoff points because the planner already cuts them
+// at the workload's idle gaps: natural quiescent points where a
+// snapshot is small (the device has signalled every prior completion)
+// and load balance is decent. In-flight epochs are bounded by a token
+// pool, so streaming holds O(Workers · MaxShardRequests) requests no
+// matter how the stage throughputs differ.
+//
+// The inference decomposition is local to adjacent request pairs given
+// the per-device sequentiality state, and the post-processing shift
+// only accumulates — so each epoch needs just a tiny carry (previous
+// request + flag, next arrival, running seq state) to reproduce its
+// slice of the sequential result exactly.
 //
 // The model fit (infer.Estimate) is global, so it runs once up front —
 // incrementally via infer.StreamClassifier in streaming mode. Note the
@@ -76,8 +124,8 @@ type Config struct {
 	Device func() device.Device
 	// Metrics, when non-nil, receives per-stage wall time, queue
 	// occupancy, token-pool backpressure and cache traffic. nil (the
-	// default) disables instrumentation entirely: the executors take a
-	// per-shard nil check and the per-request paths are untouched.
+	// default) disables instrumentation entirely: the executor takes a
+	// per-epoch nil check and the per-request paths are untouched.
 	Metrics *obs.EngineMetrics
 	// Trace, when non-nil, records this run's span tree — plan span,
 	// sampled epoch spans with per-stage children — under the tracer's
@@ -146,78 +194,56 @@ type Report struct {
 
 // Reconstruct is the in-memory entry point: it reproduces
 // core.Reconstruct(old, target, cfg.Core) exactly — byte-identical
-// output and report — but executes the per-shard work on cfg.Workers
-// goroutines: shard-parallel for shard-safe devices, epoch-pipelined
-// (see pipeline.go) for stateful devices like the HDD. Devices with
-// neither capability fall back to the sequential pipeline.
+// output and report — but executes the per-epoch work on cfg.Workers
+// goroutines. A device with neither engine capability (shard-safe
+// emulation or state handoff) has no graph to run on and takes the
+// sequential pipeline; ReconstructStream reaches that fallback through
+// here too.
 func (e *Engine) Reconstruct(old *trace.Trace) (*trace.Trace, *core.Report, error) {
 	dev := e.cfg.Device()
-	shardSafe := device.IsShardSafe(dev)
-	if !shardSafe && !device.IsStateful(dev) {
+	if !device.IsShardSafe(dev) && !device.IsStateful(dev) {
 		return core.Reconstruct(old, dev, e.cfg.Core)
 	}
 
-	rep := &core.Report{}
 	m, useRecorded, err := core.PrepareModel(old, e.cfg.Core)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.Model = m
-
+	rep := &core.Report{Model: m}
 	out := &trace.Trace{
 		Name:       old.Name,
 		Workload:   old.Workload,
 		Set:        old.Set,
 		TsdevKnown: true,
 	}
-	n := old.Len()
-	if n > 0 {
+	if n := old.Len(); n > 0 {
 		out.Requests = make([]trace.Request, n)
 		rep.Idle = make([]time.Duration, n)
 		rep.Async = make([]bool, n)
 	}
 
-	// Planning overlaps with execution: shards are submitted as the
-	// scan cuts them, each pointing at its slot of the preallocated
-	// output, so the merge step only fixes up arrivals in place.
-	produce := func(submit func(shard) error) error {
+	// Planning overlaps with execution: epochs are submitted as the
+	// scan cuts them, each pointing at its slots of the preallocated
+	// output and report, so the merge only fixes up arrivals in place.
+	produce := func(submit func(epoch) error) error {
 		pos := 0
 		return planEach(e.cfg, old, func(s shard) error {
 			end := pos + len(s.reqs)
-			s.dst = out.Requests[pos:end]
-			s.dstIdle = rep.Idle[pos:end]
-			s.dstAsync = rep.Async[pos:end]
+			ep := epoch{
+				shard: s,
+				out:   out.Requests[pos:end],
+				idle:  rep.Idle[pos:end],
+				async: rep.Async[pos:end],
+			}
 			pos = end
-			return submit(s)
+			return submit(ep)
 		})
 	}
-	if !shardSafe {
-		err = e.executePipelined(produce, rep.Model, useRecorded, nil, func(res pipeResult) error {
-			rep.IdleCount += res.idleCount
-			rep.IdleTotal += res.idleTotal
-			rep.AsyncCount += res.asyncCount
-			rep.Shards++
-			return nil
-		}, nil, &rep.DeviceStats)
-		if err != nil {
-			return nil, nil, err
-		}
-		return out, rep, nil
-	}
-	err = e.execute(produce, rep.Model, useRecorded, func(res shardResult, offset time.Duration) error {
-		if offset != 0 {
-			for i := range res.reqs {
-				res.reqs[i].Arrival += offset
-			}
-		}
-		rep.IdleCount += res.idleCount
-		rep.IdleTotal += res.idleTotal
-		rep.AsyncCount += res.asyncCount
-		rep.Shards++
-		return nil
-	}, nil)
-	if err != nil {
+	r := &run{cfg: e.cfg, m: m, useRecorded: useRecorded}
+	if err := r.execute(dev, produce); err != nil {
 		return nil, nil, err
 	}
+	rep.IdleCount, rep.IdleTotal, rep.AsyncCount = r.rep.IdleCount, r.rep.IdleTotal, r.rep.AsyncCount
+	rep.Shards, rep.DeviceStats = r.rep.Shards, r.rep.DeviceStats
 	return out, rep, nil
 }

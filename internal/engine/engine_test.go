@@ -60,11 +60,125 @@ func testConfig(workers int, opts core.Options) Config {
 	}
 }
 
+// adversary is one generated input aimed at an edge of the scheduler,
+// with the options and config shape that reach it.
+type adversary struct {
+	name  string
+	old   *trace.Trace
+	opts  core.Options
+	shape func(*Config)
+}
+
+// synthTrace builds a recorded-latency trace of n requests, gap apart.
+func synthTrace(name string, n int, gap time.Duration) *trace.Trace {
+	t := &trace.Trace{Name: name, Workload: name, Set: "synth", TsdevKnown: true}
+	t.Requests = make([]trace.Request, n)
+	for i := range t.Requests {
+		t.Requests[i] = trace.Request{
+			Arrival: time.Millisecond + time.Duration(i)*gap,
+			Device:  uint32(i % 2),
+			LBA:     uint64(i*24) % (1 << 22),
+			Sectors: uint32(8 + (i%3)*8),
+			Op:      trace.Op(i % 2),
+			Latency: time.Duration(60+i%50) * time.Microsecond,
+		}
+	}
+	return t
+}
+
+func adversaries(t *testing.T) []adversary {
+	t.Helper()
+	return []adversary{
+		// Every gap is below MinIdleGap: only MaxShardRequests cuts fire.
+		{name: "gapless", old: synthTrace("gapless", 2000, 20*time.Microsecond)},
+		{name: "dup-timestamps", old: synthTrace("dup", 1500, 0)},
+		{name: "one-request-epochs", old: genOld(t, "MSNFS", 300, true),
+			shape: func(c *Config) { c.MinShardRequests, c.MaxShardRequests = 1, 1 }},
+		{name: "single-request", old: synthTrace("single", 1, 0)},
+		{name: "skip-post", old: genOld(t, "Exchange", 1500, true), opts: core.Options{SkipPostProcess: true}},
+	}
+}
+
+// adversaryIdentity runs every adversary on one device at workers 1, 4
+// and 8, in memory and streaming — csv (pre-rendered by the workers on
+// the stateful graph) and blktrace (always written record by record at
+// the merge) — and requires each result to match core.Reconstruct byte
+// for byte.
+func adversaryIdentity(t *testing.T, device string, mk func() device.Device) {
+	t.Helper()
+	encoders := map[string]func(*bytes.Buffer) trace.Encoder{
+		"csv":      func(w *bytes.Buffer) trace.Encoder { return trace.NewCSVEncoder(w) },
+		"blktrace": func(w *bytes.Buffer) trace.Encoder { return trace.NewBlktraceEncoder(w) },
+	}
+	for _, adv := range adversaries(t) {
+		label := device + "/" + adv.name
+		wantTrace, wantRep, err := core.Reconstruct(adv.old, mk(), adv.opts)
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", label, err)
+		}
+		want := traceBytes(t, wantTrace)
+		wantStream := map[string][]byte{}
+		for name, newEnc := range encoders {
+			var buf bytes.Buffer
+			if err := trace.EncodeTrace(newEnc(&buf), wantTrace); err != nil {
+				t.Fatal(err)
+			}
+			wantStream[name] = buf.Bytes()
+		}
+		input := traceBytes(t, adv.old)
+		for _, workers := range []int{1, 4, 8} {
+			cfg := testConfig(workers, adv.opts)
+			cfg.Device = mk
+			if adv.shape != nil {
+				adv.shape(&cfg)
+			}
+			e := New(cfg)
+			gotTrace, gotRep, err := e.Reconstruct(adv.old)
+			if err != nil {
+				t.Fatalf("%s w=%d: engine: %v", label, workers, err)
+			}
+			if !bytes.Equal(traceBytes(t, gotTrace), want) {
+				t.Fatalf("%s w=%d: in-memory output not byte-identical to sequential pipeline", label, workers)
+			}
+			if !reflect.DeepEqual(gotRep.Idle, wantRep.Idle) || !reflect.DeepEqual(gotRep.Async, wantRep.Async) ||
+				!reflect.DeepEqual(gotRep.DeviceStats, wantRep.DeviceStats) {
+				t.Fatalf("%s w=%d: in-memory report diverges", label, workers)
+			}
+			for name, newEnc := range encoders {
+				var got bytes.Buffer
+				rep, err := e.ReconstructStream(trace.NewBinaryDecoder(bytes.NewReader(input)), newEnc(&got), nil)
+				if err != nil {
+					t.Fatalf("%s %s w=%d: stream: %v", label, name, workers, err)
+				}
+				if !bytes.Equal(got.Bytes(), wantStream[name]) {
+					t.Fatalf("%s %s w=%d: streamed output diverges from the sequential pipeline", label, name, workers)
+				}
+				if rep.Requests != int64(adv.old.Len()) || rep.IdleCount != wantRep.IdleCount ||
+					rep.IdleTotal != wantRep.IdleTotal || rep.AsyncCount != wantRep.AsyncCount ||
+					!reflect.DeepEqual(rep.DeviceStats, wantRep.DeviceStats) {
+					t.Fatalf("%s %s w=%d: stream report diverges", label, name, workers)
+				}
+			}
+		}
+	}
+}
+
 // TestParallelByteIdentical is the engine's central guarantee: for
 // N=1,4,8 workers the parallel reconstruction is byte-identical to the
 // sequential core pipeline, across workload families, both latency
-// paths, and both post-processing settings.
+// paths, and both post-processing settings — and, on every shard-safe
+// registry device, across the generated adversaries.
 func TestParallelByteIdentical(t *testing.T) {
+	for _, name := range []string{"array", "ssd"} {
+		mk, err := DeviceFactory(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !device.IsShardSafe(mk()) {
+			t.Fatalf("registry device %s is no longer shard-safe", name)
+		}
+		adversaryIdentity(t, name, mk)
+	}
 	families := []string{"ikki", "MSNFS", "Exchange"}
 	for _, family := range families {
 		for _, tsdev := range []bool{true, false} {

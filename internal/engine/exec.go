@@ -18,19 +18,46 @@ import (
 // error is the root cause).
 var errAborted = errors.New("engine: run aborted by output error")
 
-// shardResult is the reconstruction of one shard in shard-relative
-// time, plus the chaining values the merger needs.
-type shardResult struct {
-	index int
-	reqs  []trace.Request
-	// span is the shard's epoch span, carried through so the merge
-	// loop can time its merge child and close the epoch.
+// epoch is one shard in flight through the stage graph (see the
+// package comment): the planner's shard plus everything the stages
+// attach to it on the way to the merge.
+type epoch struct {
+	shard
+	// n is len(reqs), kept because reqs is recycled before the merge
+	// when the output is pre-rendered.
+	n int
+	// span is the epoch span, attached at submission when tracing is on
+	// (the zero Span otherwise); the per-stage children hang off it and
+	// the merge ends it.
 	span obs.Span
-	// end is the completion time of the shard's last instruction,
-	// relative to the shard base: the next shard's base increment.
-	end time.Duration
-	// shiftDelta is the post-processing arrival reduction accumulated
-	// within the shard: the next shard's shift increment.
+
+	// idle and async receive the decomposition. The in-memory path
+	// points them at the report's slots; streaming leaves them nil and
+	// decompose borrows pooled scratch that emulate returns.
+	idle  []time.Duration
+	async []bool
+	// out receives the reconstructed records. The in-memory path points
+	// it at the epoch's slot of the output trace; streaming leaves it
+	// nil and emulate writes in place over reqs (decompose has consumed
+	// the original request data by then). nil again once rendered.
+	out []trace.Request
+	// enc holds the records pre-rendered to output bytes, when the
+	// graph pre-renders.
+	enc []byte
+
+	// h and shift are attached by the servicer (stateful graph): the
+	// device handoff at the epoch's entry and the post-processing
+	// arrival reduction accumulated by all earlier epochs. With them
+	// the worker's arrivals are final.
+	h     replay.Handoff
+	shift time.Duration
+	// end and shiftDelta are the chaining values of the shard-safe
+	// graph, whose epochs are emulated from time zero: the completion
+	// time of the last instruction and the arrival reduction accumulated
+	// within the epoch — the next epoch's base and shift increments.
+	// Both stay zero on the stateful graph, so the same merge arithmetic
+	// yields offset zero there.
+	end        time.Duration
 	shiftDelta time.Duration
 
 	idleCount  int
@@ -38,256 +65,174 @@ type shardResult struct {
 	asyncCount int
 }
 
-// workerScratch is the per-executor decomposition scratch reused
-// across shards on the streaming path, where nothing downstream of
-// runShard reads the idle/async slices (the result carries their
-// aggregates). The in-memory path writes into report-owned slots
-// instead and ignores this.
-type workerScratch struct {
-	idle  []time.Duration
-	async []bool
+// freeList recycles slices of one element type between goroutines.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free [][]T // guarded by mu
 }
 
-func (w *workerScratch) grow(n int) ([]time.Duration, []bool) {
-	if cap(w.idle) < n {
-		w.idle = make([]time.Duration, n)
-		w.async = make([]bool, n)
+// get returns a slice of length n with stale contents, reusing a free
+// buffer when one is large enough. get(0) suits append-grown buffers:
+// whatever capacity is free comes back empty.
+func (l *freeList[T]) get(n int) []T {
+	l.mu.Lock()
+	var b []T
+	if k := len(l.free); k > 0 {
+		b = l.free[k-1]
+		l.free = l.free[:k-1]
 	}
-	return w.idle[:n], w.async[:n]
+	l.mu.Unlock()
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
-// runShard executes the full per-shard pipeline: decomposition with
-// carry context, emulation on a drained device from time zero, and
-// local post-processing. On the streaming path (s.dst == nil) the
-// emulation writes in place over s.reqs — the original request data is
-// fully consumed by the decomposition first — so a shard costs no
-// output allocation at all.
-//
-//tracelint:hotpath
-func (e *Engine) runShard(s *shard, m *infer.Model, useRecorded bool, dev device.Device, scr *workerScratch) shardResult {
-	ctx := infer.ShardContext{
-		TsdevKnown:  useRecorded,
-		Seq:         s.seq,
-		HasNext:     s.hasNext,
-		NextArrival: s.nextArrival,
+func (l *freeList[T]) put(b []T) {
+	if b == nil {
+		return
 	}
-	if s.hasPrev {
-		ctx.Prev = &s.prev
-		ctx.PrevSeq = s.prevSeq
-	}
-	var (
-		idle  []time.Duration
-		async []bool
-		out   []trace.Request
-		end   time.Duration
-	)
-	if s.dst != nil {
-		idle, async, out = s.dstIdle, s.dstAsync, s.dst
-	} else {
-		idle, async = scr.grow(len(s.reqs))
-		out = s.reqs
-	}
-	mtr := e.cfg.Metrics
-	var t0 time.Time
-	if mtr != nil {
-		t0 = time.Now()
-	}
-	dsp := s.span.Child("decompose")
-	infer.DecomposeShardInto(idle, async, m, s.reqs, ctx)
-	dsp.End()
-	if mtr != nil {
-		t1 := time.Now()
-		mtr.StageAdd(obs.StageDecompose, t1.Sub(t0))
-		t0 = t1
-	}
-	esp := s.span.Child("emulate")
-	end = replay.EmulateShardInto(out, s.reqs, dev, idle)
-	esp.End()
-	if mtr != nil {
-		mtr.StageAdd(obs.StageEmulate, time.Since(t0))
-	}
-	res := shardResult{
-		index: s.index,
-		reqs:  out,
-		span:  s.span,
-		end:   end,
-	}
-	if !e.cfg.Core.SkipPostProcess {
-		res.shiftDelta = core.PostProcessShard(out, async, 0)
-	}
-	for _, d := range idle {
-		if d > 0 {
-			res.idleCount++
-			res.idleTotal += d
-		}
-	}
-	for _, a := range async {
-		if a {
-			res.asyncCount++
-		}
-	}
-	return res
+	l.mu.Lock()
+	l.free = append(l.free, b)
+	l.mu.Unlock()
 }
 
-// bufPool is a free list recycling shard buffers between the merge
-// loop (which finishes with a shard's requests) and the stream
-// planner (which opens the next shard). The in-flight token pool
-// bounds how many buffers circulate, so steady-state streaming
-// reconstruction allocates nothing per shard once the list warms up.
-// The pipelined executor additionally recycles its per-epoch
-// decomposition scratch (durs/flags) and pre-rendered output buffers
-// (bytes) through the same pool.
+// bufPool recycles a streaming run's per-epoch buffers: request and
+// seq-flag buffers between the merge (which finishes with an epoch)
+// and the stream planner (which opens the next), the decomposition
+// scratch between emulate and decompose, and the pre-rendered output
+// bytes between merge and emulate. The in-flight token pool bounds how
+// many buffers circulate, so steady-state streaming allocates nothing
+// per epoch once the lists warm up. The in-memory path runs without a
+// pool: its epochs are views into the preallocated output and report.
 type bufPool struct {
-	mu    sync.Mutex
-	reqs  [][]trace.Request // guarded by mu
-	seqs  [][]bool          // guarded by mu
-	durs  [][]time.Duration // guarded by mu
-	flags [][]bool          // guarded by mu
-	bytes [][]byte          // guarded by mu
+	reqs  freeList[trace.Request]
+	seqs  freeList[bool]
+	durs  freeList[time.Duration]
+	flags freeList[bool]
+	bytes freeList[byte]
 }
 
-func (p *bufPool) getReqs() []trace.Request {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.reqs); n > 0 {
-		b := p.reqs[n-1]
-		p.reqs = p.reqs[:n-1]
-		return b[:0]
-	}
-	return nil
+// run is one reconstruction on the stage graph: its fixed inputs, the
+// graph shape, and the merge-side output state.
+type run struct {
+	cfg         Config
+	m           *infer.Model
+	useRecorded bool
+	// enc and meta are the streaming output; enc is nil on the in-memory
+	// path, whose results land in the slots its epochs point at.
+	enc  trace.Encoder
+	meta trace.Meta
+	// pool is non-nil exactly when the epochs own their buffers
+	// (streaming).
+	pool *bufPool
+
+	// stateful selects the serviced graph; se, when non-nil, is the
+	// encoder workers pre-render with. Both are set by execute.
+	stateful bool
+	se       trace.ShardEncoder
+
+	begun bool
+	rep   Report
 }
 
-func (p *bufPool) putReqs(b []trace.Request) {
-	if b == nil {
-		return
-	}
-	p.mu.Lock()
-	p.reqs = append(p.reqs, b)
-	p.mu.Unlock()
+// stageTimer times one stage of one epoch: a child span under the
+// epoch's span, named from the one stage vocabulary, and the stage's
+// wall time when metrics are on.
+type stageTimer struct {
+	mtr   *obs.EngineMetrics
+	stage int
+	span  obs.Span
+	t0    time.Time
 }
 
-func (p *bufPool) getSeqs() []bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.seqs); n > 0 {
-		b := p.seqs[n-1]
-		p.seqs = p.seqs[:n-1]
-		return b[:0]
+func beginStage(mtr *obs.EngineMetrics, stage int, ep obs.Span) stageTimer {
+	st := stageTimer{mtr: mtr, stage: stage, span: ep.Child(obs.StageNames[stage])}
+	if mtr != nil {
+		st.t0 = time.Now()
 	}
-	return nil
+	return st
 }
 
-func (p *bufPool) putSeqs(b []bool) {
-	if b == nil {
-		return
+func (st stageTimer) end() {
+	st.span.End()
+	if st.mtr != nil {
+		st.mtr.StageAdd(st.stage, time.Since(st.t0))
 	}
-	p.mu.Lock()
-	p.seqs = append(p.seqs, b)
-	p.mu.Unlock()
 }
 
-// getDurs returns a duration scratch of length n (stale contents are
-// fine: DecomposeShardInto overwrites every slot it reads).
-func (p *bufPool) getDurs(n int) []time.Duration {
-	p.mu.Lock()
-	var b []time.Duration
-	if k := len(p.durs); k > 0 {
-		b = p.durs[k-1]
-		p.durs = p.durs[:k-1]
+// inOrder receives epochs from in, where they arrive in completion
+// order, and hands them to f in index order. window is the in-flight
+// budget: submission and merge both go in index order, so the indexes
+// in flight are consecutive and fewer than window, and a ring of that
+// size holds every early arrival (an empty slot has n == 0).
+func inOrder(in <-chan epoch, window int, mtr *obs.EngineMetrics, stage int, f func(epoch)) {
+	ring := make([]epoch, window)
+	next := 0
+	for ep := range in {
+		mtr.QueuePop(stage)
+		ring[ep.index%window] = ep
+		for slot := &ring[next%window]; slot.n != 0; slot = &ring[next%window] {
+			cur := *slot
+			*slot = epoch{}
+			f(cur)
+			next++
+		}
 	}
-	p.mu.Unlock()
-	if cap(b) < n {
-		return make([]time.Duration, n)
-	}
-	return b[:n]
 }
 
-func (p *bufPool) putDurs(b []time.Duration) {
-	if b == nil {
-		return
-	}
-	p.mu.Lock()
-	p.durs = append(p.durs, b)
-	p.mu.Unlock()
-}
-
-// getFlags returns a bool scratch of length n (see getDurs).
-func (p *bufPool) getFlags(n int) []bool {
-	p.mu.Lock()
-	var b []bool
-	if k := len(p.flags); k > 0 {
-		b = p.flags[k-1]
-		p.flags = p.flags[:k-1]
-	}
-	p.mu.Unlock()
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	return b[:n]
-}
-
-func (p *bufPool) putFlags(b []bool) {
-	if b == nil {
-		return
-	}
-	p.mu.Lock()
-	p.flags = append(p.flags, b)
-	p.mu.Unlock()
-}
-
-// getBytes returns an empty byte buffer for epoch encoding.
-func (p *bufPool) getBytes() []byte {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if k := len(p.bytes); k > 0 {
-		b := p.bytes[k-1]
-		p.bytes = p.bytes[:k-1]
-		return b[:0]
-	}
-	return nil
-}
-
-func (p *bufPool) putBytes(b []byte) {
-	if b == nil {
-		return
-	}
-	p.mu.Lock()
-	p.bytes = append(p.bytes, b)
-	p.mu.Unlock()
-}
-
-// execute runs the shard pipeline: produce is called on its own
-// goroutine and submits shards in index order via the callback it is
-// handed; cfg.Workers executors reconstruct them concurrently; emit
-// receives each result in shard order together with the offset to add
-// to every arrival to place it on the global timeline (shard base
-// minus accumulated post-processing shift).
+// execute runs the stage graph over the epochs produce submits. dev is
+// a fresh device of the run's configuration: its capabilities choose
+// the graph, and on the stateful graph it becomes the servicer's device.
 //
-// In-flight shards are bounded by a token pool, so streaming runs hold
+// produce is called on its own goroutine and submits epochs in index
+// order via the callback it is handed. cfg.Workers workers serve the
+// decompose and emulate stages; on the stateful graph a servicer
+// goroutine threads device state through the epochs in order between
+// the two; the merge (this goroutine) hands each epoch to emit in index
+// order together with the offset that places it on the global timeline
+// (accumulated base minus accumulated post-processing shift).
+//
+// In-flight epochs are bounded by a token pool, so streaming runs hold
 // only O(Workers · MaxShardRequests) requests in memory no matter how
-// unbalanced the shard durations are. A produce error ends submission
-// at that point; an emit error additionally signals the producer to
-// stop, so a failed output stream does not keep decoding and
-// reconstructing the rest of the input. Residual in-flight shards are
-// drained, not emitted.
+// unbalanced the epochs or the stage throughputs are. A produce error
+// ends submission at that point; an emit error additionally signals the
+// producer to stop, so a failed output stream does not keep decoding
+// and reconstructing the rest of the input. Residual in-flight epochs
+// are drained, not emitted.
 //
-// pool, when non-nil, receives each shard's buffers back once they are
-// dead (seq flags after the shard runs, requests after the merge emits
-// them); the planner that owns the same pool reuses them for new
-// shards. nil (the in-memory path, whose shards are views into the
-// preallocated output) disables recycling.
-func (e *Engine) execute(produce func(submit func(shard) error) error, m *infer.Model, useRecorded bool, emit func(res shardResult, offset time.Duration) error, pool *bufPool) error {
-	workers := e.cfg.Workers
-	mtr := e.cfg.Metrics
-	tra := e.cfg.Trace
-	shardCh := make(chan shard, workers)
-	results := make(chan shardResult, workers)
-	tokens := make(chan struct{}, 4*workers)
+// On the stateful graph r.rep.DeviceStats receives the servicer
+// device's accumulated statistics — it is the one instance that sees
+// every submission in order, so its stats equal a serial run's. The
+// write happens before the servicer closes its channel, which
+// happens-before the merge loop ends.
+func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) error) error {
+	workers := r.cfg.Workers
+	mtr := r.cfg.Metrics
+	tra := r.cfg.Trace
+	r.stateful = !device.IsShardSafe(dev)
+	if r.stateful {
+		// A relative-time epoch's arrivals are not final until the merge
+		// chains its offset, so only the stateful graph can render bytes
+		// in the workers.
+		r.se, _ = r.enc.(trace.ShardEncoder)
+	}
+	inflight := 4 * workers
+	// Every stage channel holds the full in-flight budget, so no stage
+	// send can block: the token pool is the only backpressure point.
+	decCh := make(chan epoch, inflight)
+	resCh := make(chan epoch, inflight)
+	var svcCh, emuCh chan epoch
+	if r.stateful {
+		svcCh = make(chan epoch, inflight)
+		emuCh = make(chan epoch, inflight)
+	}
+	tokens := make(chan struct{}, inflight)
 	stop := make(chan struct{})
 
 	var produceErr error
 	go func() {
-		defer close(shardCh)
+		defer close(decCh)
 		// Plan-stage accounting: the producer's wall time minus the time
 		// it spent stalled on the token pool (that is downstream
 		// backpressure, not planning).
@@ -297,8 +242,8 @@ func (e *Engine) execute(produce func(submit func(shard) error) error, m *infer.
 		if timed {
 			planStart = time.Now()
 		}
-		psp := tra.Start(tra.Root(), "plan")
-		produceErr = produce(func(s shard) error {
+		psp := tra.Start(tra.Root(), obs.StageNames[obs.StagePlan])
+		produceErr = produce(func(ep epoch) error {
 			var w0 time.Time
 			if timed {
 				w0 = time.Now()
@@ -316,13 +261,10 @@ func (e *Engine) execute(produce func(submit func(shard) error) error, m *infer.
 				mtr.StageEpochs[obs.StagePlan].Inc()
 				mtr.QueuePush(obs.StageDecompose)
 			}
-			s.span = tra.StartEpoch(tra.Root(), s.index)
-			s.span.SetAttr("requests", int64(len(s.reqs)))
-			select {
-			case shardCh <- s:
-			case <-stop:
-				return errAborted
-			}
+			ep.n = len(ep.reqs)
+			ep.span = tra.StartEpoch(tra.Root(), ep.index)
+			ep.span.SetAttr("requests", int64(ep.n))
+			decCh <- ep
 			return nil
 		})
 		psp.SetAttr("token_wait_ns", int64(tokenWait))
@@ -333,77 +275,240 @@ func (e *Engine) execute(produce func(submit func(shard) error) error, m *infer.
 		}
 	}()
 
-	var wg sync.WaitGroup
+	var wg, decDone sync.WaitGroup
+	wg.Add(workers)
+	decDone.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dev := e.cfg.Device()
-			var scr workerScratch
-			for s := range shardCh {
-				s := s
-				mtr.QueuePop(obs.StageDecompose)
-				res := e.runShard(&s, m, useRecorded, dev, &scr)
-				if pool != nil {
-					// The seq flags are dead once the shard ran.
-					pool.putSeqs(s.seq)
-				}
+			wdev := r.cfg.Device()
+			emulate := func(ep epoch) {
+				st := beginStage(mtr, obs.StageEmulate, ep.span)
+				r.emulate(&ep, wdev)
+				st.end()
 				mtr.QueuePush(obs.StageMerge)
-				results <- res
+				resCh <- ep
+			}
+			// emuCh is nil on the shard-safe graph, where that case never
+			// fires and emulate runs fused behind decompose.
+			dec, emu := decCh, emuCh
+			for dec != nil || emu != nil {
+				select {
+				case ep, ok := <-emu:
+					if !ok {
+						emu = nil
+						continue
+					}
+					mtr.QueuePop(obs.StageEmulate)
+					emulate(ep)
+				case ep, ok := <-dec:
+					if !ok {
+						dec = nil
+						decDone.Done()
+						continue
+					}
+					mtr.QueuePop(obs.StageDecompose)
+					st := beginStage(mtr, obs.StageDecompose, ep.span)
+					r.decompose(&ep)
+					st.end()
+					if r.stateful {
+						mtr.QueuePush(obs.StageService)
+						svcCh <- ep
+					} else {
+						emulate(ep)
+					}
+				}
 			}
 		}()
 	}
 	go func() {
 		wg.Wait()
-		close(results)
+		close(resCh)
 	}()
 
+	if r.stateful {
+		go func() {
+			decDone.Wait()
+			close(svcCh)
+		}()
+		// Servicer: the only device-ordered pass. It snapshots the entry
+		// state and advances one continuously evolving device through the
+		// epoch's submissions — device arithmetic only, no output.
+		go func() {
+			defer close(emuCh)
+			snap := dev.(device.Stateful)
+			var now, shift time.Duration
+			inOrder(svcCh, inflight, mtr, obs.StageService, func(ep epoch) {
+				st := beginStage(mtr, obs.StageService, ep.span)
+				ep.h = replay.Handoff{State: snap.Snapshot(), Now: now}
+				ep.shift = shift
+				var async []bool
+				if !r.cfg.Core.SkipPostProcess {
+					async = ep.async
+				}
+				var delta time.Duration
+				now, delta = replay.ServiceShard(ep.reqs, dev, ep.idle, async, now)
+				shift += delta
+				st.end()
+				mtr.QueuePush(obs.StageEmulate)
+				emuCh <- ep
+			})
+			if sr, ok := dev.(device.StatsReporter); ok {
+				r.rep.DeviceStats = sr.DeviceStats()
+			}
+		}()
+	}
+
 	var emitErr error
-	pending := make(map[int]shardResult)
-	next := 0
 	var base, shift time.Duration
-	for res := range results {
-		mtr.QueuePop(obs.StageMerge)
-		pending[res.index] = res
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
+	inOrder(resCh, inflight, mtr, obs.StageMerge, func(ep epoch) {
+		if emitErr == nil {
+			st := beginStage(mtr, obs.StageMerge, ep.span)
+			if err := r.emit(&ep, base-shift); err != nil {
+				emitErr = err
+				close(stop)
 			}
-			delete(pending, next)
-			if emitErr == nil {
-				var m0 time.Time
-				if mtr != nil {
-					m0 = time.Now()
-				}
-				msp := r.span.Child("merge")
-				if err := emit(r, base-shift); err != nil {
-					emitErr = err
-					close(stop)
-				}
-				msp.End()
-				if mtr != nil {
-					mtr.StageAdd(obs.StageMerge, time.Since(m0))
-					mtr.Epochs.Inc()
-					mtr.Requests.Add(int64(len(r.reqs)))
-				}
-			}
-			r.span.End()
-			if pool != nil && emitErr == nil {
-				// The requests are dead once emitted.
-				pool.putReqs(r.reqs)
-			}
-			base += r.end
-			shift += r.shiftDelta
-			next++
-			<-tokens
+			st.end()
 			if mtr != nil {
-				mtr.EpochsInFlight.Dec()
+				mtr.Epochs.Inc()
+				mtr.Requests.Add(int64(ep.n))
 			}
 		}
-	}
+		ep.span.End()
+		if r.pool != nil {
+			// Emitted (or abandoned): the epoch's buffers are dead.
+			r.pool.reqs.put(ep.out)
+			r.pool.bytes.put(ep.enc)
+		}
+		base += ep.end
+		shift += ep.shiftDelta
+		<-tokens
+		if mtr != nil {
+			mtr.EpochsInFlight.Dec()
+		}
+	})
 	if produceErr != nil && produceErr != errAborted {
 		return produceErr
 	}
 	return emitErr
+}
+
+// decompose is the first worker stage: per-request idle/async inference
+// from the OLD trace with the epoch's carry context. It is
+// device-independent, so it runs before any device state exists for the
+// epoch. The seq flags are dead afterwards and recycle immediately.
+//
+//tracelint:hotpath
+func (r *run) decompose(ep *epoch) {
+	ctx := infer.ShardContext{
+		TsdevKnown:  r.useRecorded,
+		Seq:         ep.seq,
+		HasNext:     ep.hasNext,
+		NextArrival: ep.nextArrival,
+	}
+	if ep.hasPrev {
+		ctx.Prev = &ep.prev
+		ctx.PrevSeq = ep.prevSeq
+	}
+	if r.pool != nil {
+		// Stale contents are fine: DecomposeShardInto overwrites every
+		// slot it reads.
+		ep.idle = r.pool.durs.get(ep.n)
+		ep.async = r.pool.flags.get(ep.n)
+	}
+	infer.DecomposeShardInto(ep.idle, ep.async, r.m, ep.reqs, ctx)
+	if r.pool != nil {
+		r.pool.seqs.put(ep.seq)
+		ep.seq = nil
+	}
+}
+
+// emulate is the second worker stage: run the epoch on this worker's
+// device — from the servicer's entry handoff on the global timeline
+// (stateful graph), or from a drained device at time zero (shard-safe
+// graph) — then post-process, aggregate, and pre-render the output
+// bytes when the graph allows it.
+//
+//tracelint:hotpath
+func (r *run) emulate(ep *epoch, dev device.Device) {
+	if r.pool != nil {
+		ep.out = ep.reqs
+	}
+	post := !r.cfg.Core.SkipPostProcess
+	if r.stateful {
+		replay.EmulateShardResume(ep.out, ep.reqs, dev, ep.idle, ep.h)
+		if post {
+			// The servicer accounted the same reductions when it computed
+			// the next epoch's entry shift; starting from ep.shift makes
+			// these arrivals final.
+			core.PostProcessShard(ep.out, ep.async, ep.shift)
+		}
+	} else {
+		ep.end = replay.EmulateShardInto(ep.out, ep.reqs, dev, ep.idle)
+		if post {
+			ep.shiftDelta = core.PostProcessShard(ep.out, ep.async, 0)
+		}
+	}
+	for _, d := range ep.idle {
+		if d > 0 {
+			ep.idleCount++
+			ep.idleTotal += d
+		}
+	}
+	for _, a := range ep.async {
+		if a {
+			ep.asyncCount++
+		}
+	}
+	if r.pool != nil {
+		r.pool.durs.put(ep.idle)
+		r.pool.flags.put(ep.async)
+	}
+	if r.se != nil {
+		buf := r.pool.bytes.get(0)
+		for i := range ep.out {
+			buf = r.se.AppendRecord(buf, ep.out[i])
+		}
+		ep.enc = buf
+		// Rendered: the request buffer is dead already.
+		r.pool.reqs.put(ep.out)
+		ep.out = nil
+	}
+}
+
+// emit is the merge stage's output step, shared by the in-memory and
+// streaming entry points: place the epoch on the global timeline, write
+// it to the output stream if there is one, and fold its aggregates into
+// the run's report.
+//
+//tracelint:hotpath
+func (r *run) emit(ep *epoch, offset time.Duration) error {
+	if r.enc != nil && !r.begun {
+		r.begun = true
+		if err := r.enc.Begin(r.meta); err != nil {
+			return err
+		}
+	}
+	if offset != 0 {
+		for i := range ep.out {
+			ep.out[i].Arrival += offset
+		}
+	}
+	if r.se != nil {
+		if err := r.se.WriteRaw(ep.enc); err != nil {
+			return err
+		}
+	} else if r.enc != nil {
+		for i := range ep.out {
+			if err := r.enc.Write(ep.out[i]); err != nil {
+				return err
+			}
+		}
+	}
+	r.rep.Requests += int64(ep.n)
+	r.rep.Shards++
+	r.rep.IdleCount += ep.idleCount
+	r.rep.IdleTotal += ep.idleTotal
+	r.rep.AsyncCount += ep.asyncCount
+	return nil
 }

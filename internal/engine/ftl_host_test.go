@@ -82,9 +82,11 @@ func statefulTargets(t *testing.T) map[string]struct {
 // pipelinedByteIdentical locks the epoch-pipelined path for one
 // stateful target: for workers 1, 4 and 8 the reconstruction — records,
 // per-instruction report and device stats — is byte-identical to the
-// sequential core pipeline.
+// sequential core pipeline, on workload families and on the generated
+// adversaries.
 func pipelinedByteIdentical(t *testing.T, target string) {
 	tc := statefulTargets(t)[target]
+	adversaryIdentity(t, target, tc.mk)
 	for _, family := range []string{"ikki", "MSNFS"} {
 		for _, tsdev := range []bool{true, false} {
 			for _, skipPost := range []bool{false, true} {

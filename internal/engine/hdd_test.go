@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -30,10 +32,12 @@ func hddConfigs() map[string]device.HDDConfig {
 // epoch-pipelined path: for workers 1, 4 and 8 the HDD reconstruction
 // is byte-identical to the sequential core pipeline (the pre-pipeline
 // serial fallback), across workload families, both latency paths, both
-// post-processing settings, and both cache configurations.
+// post-processing settings, and both cache configurations, plus the
+// generated adversaries.
 func TestPipelinedHDDByteIdentical(t *testing.T) {
 	for cfgName, hddCfg := range hddConfigs() {
 		mk := func() device.Device { return device.NewHDD(hddCfg) }
+		adversaryIdentity(t, "hdd-"+cfgName, mk)
 		for _, family := range []string{"ikki", "MSNFS", "Exchange"} {
 			for _, tsdev := range []bool{true, false} {
 				for _, skipPost := range []bool{false, true} {
@@ -151,6 +155,30 @@ func TestPipelinedHDDStream(t *testing.T) {
 	}
 }
 
+// failingShardEncoder is a csv ShardEncoder whose splices start
+// failing once left of them have succeeded.
+type failingShardEncoder struct {
+	*trace.CSVEncoder
+	left, failed int
+}
+
+func (f *failingShardEncoder) WriteRaw(p []byte) error {
+	if f.left == 0 {
+		f.failed++
+		return io.ErrShortWrite
+	}
+	f.left--
+	return f.CSVEncoder.WriteRaw(p)
+}
+
+// closeRecorder records trace.CloseDecoder reaching the decoder.
+type closeRecorder struct {
+	trace.Decoder
+	closed bool
+}
+
+func (c *closeRecorder) Close() { c.closed = true }
+
 // TestPipelinedHDDStreamErrors checks the pipelined path keeps the
 // streaming error contract: planner validation surfaces, and an
 // encoder failure aborts the run instead of draining the input.
@@ -173,6 +201,30 @@ func TestPipelinedHDDStreamErrors(t *testing.T) {
 	}
 	if enc.writes != 1 {
 		t.Fatalf("failing encoder written %d times, want 1", enc.writes)
+	}
+
+	// An output error mid-stream on the pre-rendering path: the third
+	// splice fails with epochs still in every stage. The error must
+	// surface, the input decoder must be closed, and no stage goroutine
+	// may be left behind.
+	base := runtime.NumGoroutine()
+	dec := &closeRecorder{Decoder: trace.NewBinaryDecoder(bytes.NewReader(input.Bytes()))}
+	senc := &failingShardEncoder{CSVEncoder: trace.NewCSVEncoder(io.Discard), left: 2}
+	if _, err := e.ReconstructStream(dec, senc, nil); err != io.ErrShortWrite {
+		t.Fatalf("mid-stream splice failure: want the encoder's error, got %v", err)
+	}
+	if senc.left != 0 || senc.failed != 1 {
+		t.Fatalf("splices after the failure: %d left, %d failed, want 0 and 1", senc.left, senc.failed)
+	}
+	if !dec.closed {
+		t.Fatal("decoder not closed after an emit error")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	// Planner validation (unsorted input) surfaces as the run error.

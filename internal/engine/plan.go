@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -23,20 +22,6 @@ type shard struct {
 
 	hasNext     bool
 	nextArrival time.Duration
-
-	// span is the shard's epoch span, attached by the executor's
-	// submit wrapper when tracing is on (the zero Span otherwise). The
-	// per-stage children hang off it as the shard moves through the
-	// pipeline; the merge loop ends it.
-	span obs.Span
-
-	// dst, when set, points at this shard's slot in the merged output
-	// (and dstIdle/dstAsync at the report slots): the executor writes
-	// results in place instead of allocating per-shard buffers, so the
-	// in-memory merge copies nothing.
-	dst      []trace.Request
-	dstIdle  []time.Duration
-	dstAsync []bool
 }
 
 // shouldCut reports whether the planner cuts before a request that
@@ -127,8 +112,8 @@ func newStreamPlanner(cfg Config, pool *bufPool) *streamPlanner {
 // enter the recycling loop once their shard retires.
 func (p *streamPlanner) refill() {
 	if p.pool != nil {
-		p.cur.reqs = p.pool.getReqs()
-		p.cur.seq = p.pool.getSeqs()
+		p.cur.reqs = p.pool.reqs.get(0)
+		p.cur.seq = p.pool.seqs.get(0)
 	}
 }
 

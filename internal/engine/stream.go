@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -50,10 +49,10 @@ func FitModel(dec trace.Decoder, opts infer.EstimateOptions) (*infer.Model, int,
 //
 // The input must be non-decreasing in arrival (wrap near-sorted
 // corpora in a trace.ReorderDecoder) with non-zero request sizes; the
-// planner rejects violations. Non-shard-safe devices that support
-// state handoff (device.Stateful — the HDD) run on the epoch pipeline
-// (pipeline.go) with the same bounded memory; devices with neither
-// capability fall back to materializing the stream and running
+// planner rejects violations. Stateful devices run the serviced graph
+// with the same bounded memory, pre-rendering output bytes in the
+// workers when enc is a trace.ShardEncoder; devices with neither
+// engine capability fall back to materializing the stream and running
 // sequentially.
 //
 // On any error the decoder is closed (trace.CloseDecoder), so an
@@ -69,12 +68,26 @@ func (e *Engine) ReconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 
 func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infer.Model) (*Report, error) {
 	dev := e.cfg.Device()
-	shardSafe := device.IsShardSafe(dev)
-	if !shardSafe && !device.IsStateful(dev) {
-		return e.streamFallback(dec, enc, dev)
+	if !device.IsShardSafe(dev) && !device.IsStateful(dev) {
+		// No graph can run this device: materialize the stream and take
+		// the in-memory entry point's sequential fallback.
+		old, err := trace.Drain(dec)
+		if err != nil {
+			return nil, err
+		}
+		if err := old.Validate(); err != nil {
+			return nil, err
+		}
+		out, rep, err := e.Reconstruct(old)
+		if err != nil {
+			return nil, err
+		}
+		if err := trace.EncodeTrace(enc, out); err != nil {
+			return nil, err
+		}
+		return reportFromCore(rep, int64(out.Len()), 1), nil
 	}
 
-	rep := &Report{Workers: e.cfg.Workers}
 	first, err := dec.Next()
 	if err == io.EOF {
 		// Consistent with the in-memory path's Validate: an empty
@@ -96,18 +109,17 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 	} else if m == nil {
 		return nil, ErrModelRequired
 	}
-	rep.Model = m
 
 	pool := &bufPool{}
 	planner := newStreamPlanner(e.cfg, pool)
-	produce := func(submit func(shard) error) error {
+	produce := func(submit func(epoch) error) error {
 		feed := func(r trace.Request) error {
 			done, err := planner.add(r)
 			if err != nil {
 				return err
 			}
 			if done != nil {
-				return submit(*done)
+				return submit(epoch{shard: *done})
 			}
 			return nil
 		}
@@ -116,7 +128,7 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 		}
 		// Fused parallel ingest: with a parallel decoder, its workers
 		// fill batches concurrently with this planner loop and with the
-		// shard executors downstream, so decode and emulation overlap
+		// epoch workers downstream, so decode and emulation overlap
 		// end-to-end and the planner consumes pre-decoded batches
 		// without copying them into its own buffer first.
 		err := trace.ForEachBatch(dec, func(batch []trace.Request) error {
@@ -131,99 +143,17 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 			return err
 		}
 		if last := planner.finish(); last != nil {
-			return submit(*last)
+			return submit(epoch{shard: *last})
 		}
 		return nil
 	}
 
-	if !shardSafe {
-		return e.streamPipelined(produce, enc, outMeta, m, useRecorded, pool, rep)
-	}
-
-	begun := false
-	emit := func(res shardResult, offset time.Duration) error {
-		if !begun {
-			begun = true
-			if err := enc.Begin(outMeta); err != nil {
-				return err
-			}
-		}
-		for i := range res.reqs {
-			res.reqs[i].Arrival += offset
-			if err := enc.Write(res.reqs[i]); err != nil {
-				return err
-			}
-		}
-		rep.Requests += int64(len(res.reqs))
-		rep.Shards++
-		rep.IdleCount += res.idleCount
-		rep.IdleTotal += res.idleTotal
-		rep.AsyncCount += res.asyncCount
-		return nil
-	}
-	if err := e.execute(produce, m, useRecorded, emit, pool); err != nil {
+	r := &run{cfg: e.cfg, m: m, useRecorded: useRecorded, enc: enc, meta: outMeta, pool: pool}
+	r.rep.Model, r.rep.Workers = m, e.cfg.Workers
+	if err := r.execute(dev, produce); err != nil {
 		return nil, err
 	}
-	return rep, enc.Close()
-}
-
-// streamPipelined finishes a streaming reconstruction on the epoch
-// pipeline: results arrive in order with final arrivals, pre-rendered
-// to bytes when the encoder's records are stateless (ShardEncoder —
-// csv/bin), written record-by-record otherwise.
-func (e *Engine) streamPipelined(produce func(submit func(shard) error) error, enc trace.Encoder, outMeta trace.Meta, m *infer.Model, useRecorded bool, pool *bufPool, rep *Report) (*Report, error) {
-	se, _ := enc.(trace.ShardEncoder)
-	begun := false
-	emit := func(res pipeResult) error {
-		if !begun {
-			begun = true
-			if err := enc.Begin(outMeta); err != nil {
-				return err
-			}
-		}
-		if res.enc != nil {
-			if err := se.WriteRaw(res.enc); err != nil {
-				return err
-			}
-		} else {
-			for i := range res.reqs {
-				if err := enc.Write(res.reqs[i]); err != nil {
-					return err
-				}
-			}
-		}
-		rep.Requests += int64(res.n)
-		rep.Shards++
-		rep.IdleCount += res.idleCount
-		rep.IdleTotal += res.idleTotal
-		rep.AsyncCount += res.asyncCount
-		return nil
-	}
-	if err := e.executePipelined(produce, m, useRecorded, se, emit, pool, &rep.DeviceStats); err != nil {
-		return nil, err
-	}
-	return rep, enc.Close()
-}
-
-// streamFallback materializes the stream and runs the sequential
-// pipeline, for devices with neither shard-safe emulation nor state
-// handoff.
-func (e *Engine) streamFallback(dec trace.Decoder, enc trace.Encoder, dev device.Device) (*Report, error) {
-	old, err := trace.Drain(dec)
-	if err != nil {
-		return nil, err
-	}
-	if err := old.Validate(); err != nil {
-		return nil, err
-	}
-	out, rep, err := core.Reconstruct(old, dev, e.cfg.Core)
-	if err != nil {
-		return nil, err
-	}
-	if err := trace.EncodeTrace(enc, out); err != nil {
-		return nil, err
-	}
-	return reportFromCore(rep, int64(out.Len()), 1), nil
+	return &r.rep, enc.Close()
 }
 
 // reportFromCore projects a core.Report onto the engine's aggregate

@@ -1,7 +1,7 @@
 package engine
 
 // Steady-state allocation lock for the streaming reconstruction: with
-// the zero-allocation codec, pooled shard buffers and worker-local
+// the zero-allocation codec and pooled epoch buffers and
 // decomposition scratch, a Tsdev-known run must cost (amortized)
 // near-zero allocations per request — the budget below allows only
 // the fixed per-run setup (decoder, channels, goroutines, pool warmup)
@@ -128,7 +128,7 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 // allocation bounds and the tracelint hotpath analyzer: every function
 // on the measured path (the codec record loops exercised through
 // ReconstructStream and locked by trace/zeroalloc_test.go, and the
-// engine's per-shard/per-epoch stages locked above) must carry
+// engine's per-epoch stages locked above) must carry
 // //tracelint:hotpath, so a regression is rejected at the allocating
 // line by `go vet -vettool`, not just caught after the fact by the
 // benchmark's amortized bound.
@@ -152,9 +152,9 @@ func TestMeasuredHotPathsAnnotated(t *testing.T) {
 		{"../trace/stream.go", "CSVEncoder", "AppendRecord"},
 		{"../trace/stream.go", "BinaryEncoder", "AppendRecord"},
 		{"../trace/summary.go", "Summarizer", "Add"},
-		{"exec.go", "Engine", "runShard"},
-		{"pipeline.go", "Engine", "decomposeEpoch"},
-		{"pipeline.go", "Engine", "runEpoch"},
+		{"exec.go", "run", "decompose"},
+		{"exec.go", "run", "emulate"},
+		{"exec.go", "run", "emit"},
 	}
 	fset := token.NewFileSet()
 	parsed := map[string]*ast.File{}

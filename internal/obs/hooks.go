@@ -9,10 +9,9 @@ package obs
 
 import "time"
 
-// Engine pipeline stages, in pipeline order. The epoch-pipelined HDD
-// executor exercises all five; the shard-parallel executor has no
-// service stage (shard-safe devices drain between epochs, so nothing
-// is serialized on device state).
+// Engine stages, in stage-graph order. Stateful targets exercise all
+// five; the shard-safe graph has no service stage (shard-safe devices
+// drain between epochs, so nothing is serialized on device state).
 const (
 	StagePlan = iota
 	StageDecompose

@@ -36,59 +36,69 @@ func handoffReqs(n int) ([]trace.Request, []time.Duration) {
 	return reqs, idle
 }
 
-// TestEmulateShardResumeChains is the handoff identity: splitting an
-// emulation into epochs and chaining EmulateShardResume through the
-// returned handoffs reproduces one continuous EmulateShardInto run
-// exactly, on both HDD cache configurations (write-back caching leaves
-// destage debt in the snapshot) and on the trivially-stateful SSD.
-func TestEmulateShardResumeChains(t *testing.T) {
-	const n = 1200
-	reqs, idle := handoffReqs(n)
+// writeCacheHDD is the HDD whose snapshot carries destage debt past the
+// last host-visible completion.
+func writeCacheHDD() device.Device {
 	wc := device.DefaultHDDConfig()
 	wc.WriteCache = true
-	devs := map[string]func() device.Device{
-		"hdd":            func() device.Device { return device.NewHDD(device.DefaultHDDConfig()) },
-		"hdd-writecache": func() device.Device { return device.NewHDD(wc) },
-		"ssd":            func() device.Device { return device.NewSSD(device.SSDConfig{}) },
-	}
-	for name, mk := range devs {
-		want := make([]trace.Request, n)
-		wantEnd := EmulateShardInto(want, reqs, mk(), idle)
+	return device.NewHDD(wc)
+}
 
-		got := make([]trace.Request, n)
-		h := Handoff{State: mk().(device.Stateful).Snapshot()}
-		// Uneven epoch cuts, including a one-request epoch.
-		cuts := []int{0, 1, 257, 600, 601, 999, n}
-		for c := 0; c+1 < len(cuts); c++ {
-			lo, hi := cuts[c], cuts[c+1]
-			// A fresh device per epoch: restoring the handoff must be
-			// all the continuity the epoch needs.
-			h = EmulateShardResume(got[lo:hi], reqs[lo:hi], mk(), idle[lo:hi], h)
-		}
-		if h.Now != wantEnd {
-			t.Fatalf("%s: chained end %v, continuous end %v", name, h.Now, wantEnd)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: request %d diverges:\n got %+v\nwant %+v", name, i, got[i], want[i])
-			}
+// checkResumeChain splits an emulation into uneven epochs (including a
+// one-request epoch), runs each on a fresh device restored from the
+// previous epoch's exit handoff — restoring the handoff must be all
+// the continuity an epoch needs — and requires the chain to reproduce
+// one continuous EmulateShardInto run exactly.
+func checkResumeChain(t *testing.T, name string, mk func() device.Device, reqs []trace.Request, idle []time.Duration) {
+	t.Helper()
+	n := len(reqs)
+	want := make([]trace.Request, n)
+	wantEnd := EmulateShardInto(want, reqs, mk(), idle)
+
+	got := make([]trace.Request, n)
+	h := Handoff{State: mk().(device.Stateful).Snapshot()}
+	cuts := []int{0, 1, 257, 600, 601, 999, n}
+	for c := 0; c+1 < len(cuts); c++ {
+		lo, hi := cuts[c], cuts[c+1]
+		dev := mk()
+		end := EmulateShardResume(got[lo:hi], reqs[lo:hi], dev, idle[lo:hi], h)
+		h = Handoff{State: dev.(device.Stateful).Snapshot(), Now: end}
+	}
+	if h.Now != wantEnd {
+		t.Fatalf("%s: chained end %v, continuous end %v", name, h.Now, wantEnd)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: request %d diverges:\n got %+v\nwant %+v", name, i, got[i], want[i])
 		}
 	}
 }
 
-// TestEmulateShardResumeChainsFTLHost mirrors
-// TestEmulateShardResumeChains for the two deep-state targets: the FTL
+// TestEmulateShardResumeChains is the handoff identity: splitting an
+// emulation into epochs and chaining EmulateShardResume through the
+// exit handoffs reproduces one continuous EmulateShardInto run
+// exactly, on both HDD cache configurations (write-back caching leaves
+// destage debt in the snapshot) and on the trivially-stateful SSD.
+func TestEmulateShardResumeChains(t *testing.T) {
+	reqs, idle := handoffReqs(1200)
+	devs := map[string]func() device.Device{
+		"hdd":            func() device.Device { return device.NewHDD(device.DefaultHDDConfig()) },
+		"hdd-writecache": writeCacheHDD,
+		"ssd":            func() device.Device { return device.NewSSD(device.SSDConfig{}) },
+	}
+	for name, mk := range devs {
+		checkResumeChain(t, name, mk, reqs, idle)
+	}
+}
+
+// deepStateDevices returns the two deep-state targets: the FTL
 // (snapshot = mapping table, wear, GC debt) and the host stack over a
 // write-caching HDD (snapshot = page-cache contents, dirty/writeback
 // debt, plus the inner device's destage debt). Geometries are sized so
-// the fixture actually crosses GC and eviction thresholds inside the
-// epoch cuts.
-func TestEmulateShardResumeChainsFTLHost(t *testing.T) {
-	const n = 1200
-	reqs, idle := handoffReqs(n)
+// the handoffReqs fixture actually crosses GC and eviction thresholds
+// inside the epoch cuts.
+func deepStateDevices() map[string]func() device.Device {
 	ftlCfg := ftl.Config{Blocks: 64, PagesPerBlock: 8, PageKB: 8}
-	wc := device.DefaultHDDConfig()
-	wc.WriteCache = true
 	hostCfg := hoststack.Config{
 		CachePages: 128,
 		PageKB:     4,
@@ -96,29 +106,55 @@ func TestEmulateShardResumeChainsFTLHost(t *testing.T) {
 		FlushBatch: 8,
 		NoBlockLog: true,
 	}
-	devs := map[string]func() device.Device{
-		"ftl": func() device.Device { return device.NewFTLDevice(ftlCfg) },
-		"host-hdd-writecache": func() device.Device {
-			return hoststack.New(hostCfg, device.NewHDD(wc))
-		},
+	return map[string]func() device.Device{
+		"ftl":                 func() device.Device { return device.NewFTLDevice(ftlCfg) },
+		"host-hdd-writecache": func() device.Device { return hoststack.New(hostCfg, writeCacheHDD()) },
 	}
+}
+
+// TestEmulateShardResumeChainsFTLHost mirrors
+// TestEmulateShardResumeChains for the two deep-state targets.
+func TestEmulateShardResumeChainsFTLHost(t *testing.T) {
+	reqs, idle := handoffReqs(1200)
+	for name, mk := range deepStateDevices() {
+		checkResumeChain(t, name, mk, reqs, idle)
+	}
+}
+
+// TestSnapshotDoesNotAliasSource guards the ownership rule the engine
+// leans on now that workers no longer re-snapshot at epoch exit: a
+// Snapshot is independent of the device that took it, and Restore may
+// adopt the snapshot's storage. Snapshot at a quiescent point, restore
+// into a fresh device and keep submitting there; the source device,
+// continued from the same point, must still produce the uninterrupted
+// run's results.
+func TestSnapshotDoesNotAliasSource(t *testing.T) {
+	const n, cut = 1200, 600
+	reqs, idle := handoffReqs(n)
+	devs := deepStateDevices()
+	devs["hdd-writecache"] = writeCacheHDD
 	for name, mk := range devs {
 		want := make([]trace.Request, n)
-		wantEnd := EmulateShardInto(want, reqs, mk(), idle)
+		EmulateShardInto(want, reqs, mk(), idle)
 
+		src := mk()
 		got := make([]trace.Request, n)
-		h := Handoff{State: mk().(device.Stateful).Snapshot()}
-		cuts := []int{0, 1, 257, 600, 601, 999, n}
-		for c := 0; c+1 < len(cuts); c++ {
-			lo, hi := cuts[c], cuts[c+1]
-			h = EmulateShardResume(got[lo:hi], reqs[lo:hi], mk(), idle[lo:hi], h)
-		}
-		if h.Now != wantEnd {
-			t.Fatalf("%s: chained end %v, continuous end %v", name, h.Now, wantEnd)
-		}
+		mid := EmulateShardInto(got[:cut], reqs[:cut], src, idle[:cut])
+		h := Handoff{State: src.(device.Stateful).Snapshot(), Now: mid}
+
+		// The restored device runs ahead first, mutating whatever
+		// storage it adopted from the snapshot.
+		ahead := make([]trace.Request, n-cut)
+		EmulateShardResume(ahead, reqs[cut:], mk(), idle[cut:], h)
+
+		emulate(got[cut:], reqs[cut:], src, idle[cut:], nil, mid)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s: request %d diverges:\n got %+v\nwant %+v", name, i, got[i], want[i])
+				t.Fatalf("%s: source device diverges at request %d after its snapshot was restored elsewhere:\n got %+v\nwant %+v",
+					name, i, got[i], want[i])
+			}
+			if i >= cut && ahead[i-cut] != want[i] {
+				t.Fatalf("%s: restored device diverges at request %d:\n got %+v\nwant %+v", name, i, ahead[i-cut], want[i])
 			}
 		}
 	}
@@ -138,11 +174,11 @@ func TestServiceShardLockstep(t *testing.T) {
 	mk := func() device.Device { return device.NewHDD(device.DefaultHDDConfig()) }
 
 	out := make([]trace.Request, n)
-	h := EmulateShardResume(out, reqs, mk(), idle, Handoff{State: mk().(device.Stateful).Snapshot()})
+	emuEnd := EmulateShardResume(out, reqs, mk(), idle, Handoff{State: mk().(device.Stateful).Snapshot()})
 
 	end, delta := ServiceShard(reqs, mk(), idle, async, 0)
-	if end != h.Now {
-		t.Fatalf("service end %v, emulate end %v", end, h.Now)
+	if end != emuEnd {
+		t.Fatalf("service end %v, emulate end %v", end, emuEnd)
 	}
 	var want time.Duration
 	for i, r := range out {

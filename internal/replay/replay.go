@@ -16,9 +16,9 @@
 //     target device, and collect the new trace underneath the block
 //     layer.
 //
-// All timing is virtual (see package clock's rationale): wall-clock
-// replay in Go would be distorted by GC pauses at exactly the
-// microsecond scale under study.
+// All timing is virtual: wall-clock replay in Go would be distorted by
+// GC pauses at exactly the microsecond scale under study (wallclock.go
+// keeps a real-time replayer for driving actual hardware).
 package replay
 
 import (
@@ -168,7 +168,21 @@ func EmulateShard(reqs []trace.Request, dev device.Device, idle []time.Duration)
 // shard results straight into the merged output without copying.
 func EmulateShardInto(dst, reqs []trace.Request, dev device.Device, idle []time.Duration) time.Duration {
 	dev.Reset()
-	now := time.Duration(0)
+	end, _ := emulate(dst, reqs, dev, idle, nil, 0)
+	return end
+}
+
+// emulate is the one emulation loop every entry point below runs, so
+// the serial servicing pass and the workers that re-run its epochs
+// cannot drift apart: starting at absolute time start, wait idle[i]
+// after the previous completion, submit synchronously, move on at the
+// completion. dst, when non-nil, collects the new trace
+// (len(dst) == len(reqs); in place over reqs is allowed). async, when
+// non-nil, accumulates the post-processing arrival reduction
+// core.PostProcessShard will apply: for each flagged instruction, the
+// emulated latency beyond SubmissionGap.
+func emulate(dst, reqs []trace.Request, dev device.Device, idle []time.Duration, async []bool, start time.Duration) (end, shiftDelta time.Duration) {
+	now := start
 	for i, r := range reqs {
 		if idle != nil {
 			now += idle[i]
@@ -176,12 +190,19 @@ func EmulateShardInto(dst, reqs []trace.Request, dev device.Device, idle []time.
 		req := r
 		req.Arrival = now
 		res := dev.Submit(now, req)
-		req.Latency = res.Complete - now
-		req.Async = false // sync loop; post-processing restores mode
-		dst[i] = req
+		if dst != nil {
+			req.Latency = res.Complete - now
+			req.Async = false // sync loop; post-processing restores mode
+			dst[i] = req
+		}
+		if async != nil && async[i] {
+			if reduction := (res.Complete - now) - SubmissionGap; reduction > 0 {
+				shiftDelta += reduction
+			}
+		}
 		now = res.Complete
 	}
-	return now
+	return now, shiftDelta
 }
 
 // Handoff is the carry between consecutive epochs of a pipelined
@@ -205,28 +226,19 @@ type Handoff struct {
 // from handoff h: dev (which must implement device.Stateful) is
 // restored to h.State and the loop continues at absolute time h.Now,
 // writing the collected trace into dst (len(dst) == len(reqs); in
-// place over reqs is allowed). The exit handoff is returned, so
+// place over reqs is allowed). The epoch's exit time is returned;
+// paired with a Snapshot of dev it is the next epoch's handoff, so
 // chaining epochs through their handoffs reproduces one continuous
 // EmulateShardInto run over the concatenation exactly — that is the
 // identity the pipelined engine relies on, with the serial servicing
 // pass (ServiceShard) producing the entry handoffs and workers
-// re-running the epochs from them.
-func EmulateShardResume(dst, reqs []trace.Request, dev device.Device, idle []time.Duration, h Handoff) Handoff {
+// re-running the epochs from them. The engine's workers never need the
+// exit snapshot (the servicer already took it), so it is not taken
+// here.
+func EmulateShardResume(dst, reqs []trace.Request, dev device.Device, idle []time.Duration, h Handoff) time.Duration {
 	dev.(device.Stateful).Restore(h.State)
-	now := h.Now
-	for i, r := range reqs {
-		if idle != nil {
-			now += idle[i]
-		}
-		req := r
-		req.Arrival = now
-		res := dev.Submit(now, req)
-		req.Latency = res.Complete - now
-		req.Async = false // sync loop; post-processing restores mode
-		dst[i] = req
-		now = res.Complete
-	}
-	return Handoff{State: dev.(device.Stateful).Snapshot(), Now: now}
+	end, _ := emulate(dst, reqs, dev, idle, nil, h.Now)
+	return end
 }
 
 // ServiceShard is the lightweight serial pass of the pipelined
@@ -234,34 +246,13 @@ func EmulateShardResume(dst, reqs []trace.Request, dev device.Device, idle []tim
 // submissions, at the same absolute times, as EmulateShardResume —
 // without collecting the output trace, and reports the epoch's exit
 // time plus the post-processing arrival reduction it accumulates
-// (shiftDelta): for each async-flagged instruction, the emulated
-// latency beyond SubmissionGap, the rule core.PostProcessShard
-// applies. Knowing shiftDelta at handoff time is what lets the
+// (shiftDelta). Knowing shiftDelta at handoff time is what lets the
 // parallel workers post-process and encode their epochs with final
 // absolute arrivals. dev's state must already be the epoch's entry
 // state (the servicer owns one continuously evolving device); async
 // may be nil when the caller skips post-processing.
-//
-// This loop and EmulateShardResume must stay in lockstep — any
-// divergence breaks the engine's byte-identity guarantee, which the
-// engine identity tests lock.
 func ServiceShard(reqs []trace.Request, dev device.Device, idle []time.Duration, async []bool, start time.Duration) (end time.Duration, shiftDelta time.Duration) {
-	now := start
-	for i, r := range reqs {
-		if idle != nil {
-			now += idle[i]
-		}
-		req := r
-		req.Arrival = now
-		res := dev.Submit(now, req)
-		if async != nil && async[i] {
-			if reduction := (res.Complete - now) - SubmissionGap; reduction > 0 {
-				shiftDelta += reduction
-			}
-		}
-		now = res.Complete
-	}
-	return now, shiftDelta
+	return emulate(nil, reqs, dev, idle, async, start)
 }
 
 // Accelerate reproduces the Acceleration baseline: it divides every

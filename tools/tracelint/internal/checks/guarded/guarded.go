@@ -133,6 +133,11 @@ func checkFunc(pass *lintkit.Pass, fn *ast.FuncDecl, fieldGuards map[types.Objec
 			return true
 		}
 		obj := pass.TypesInfo.Uses[sel.Sel]
+		if v, ok := obj.(*types.Var); ok {
+			// A generic struct's methods see an instantiated copy of the
+			// field; the annotation hangs off the declared one.
+			obj = v.Origin()
+		}
 		mu, ok := fieldGuards[obj]
 		if !ok {
 			return true

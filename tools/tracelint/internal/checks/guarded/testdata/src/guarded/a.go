@@ -71,3 +71,20 @@ func (s *server) suppressed() int {
 	//tracelint:ignore guarded single-writer startup path, documented in the fixture
 	return s.next
 }
+
+// list is a generic guarded type: its methods see instantiated field
+// objects, which must still resolve to the annotated declaration.
+type list[T any] struct {
+	mu   mutex
+	free []T // guarded by mu
+}
+
+func (l *list[T]) badGeneric() int {
+	return len(l.free) // want `access to l\.free \(guarded by mu\) outside l\.mu\.Lock\(\)`
+}
+
+func (l *list[T]) goodGeneric(v T) {
+	l.mu.Lock()
+	l.free = append(l.free, v)
+	l.mu.Unlock()
+}
