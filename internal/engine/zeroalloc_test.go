@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/device"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -54,7 +55,12 @@ func allocBenchTrace(n int) *trace.Trace {
 // on pre-registered metrics, and spans appended into the Tracer's
 // fixed preallocated buffer — so every configuration shares the same
 // 0.05 allocs/request bound (the fixed per-run setup amortized over
-// the request count).
+// the request count). The host target — the stateful graph over
+// hoststack's flat page cache, a snapshot per epoch and a restore per
+// worker epoch, with a cache small enough that evictions and
+// high-water flushes run throughout — is held to the same bound: what
+// it adds per epoch (the boxed State, the retired-storage holder, the
+// odd snapshot the pool could not serve) amortizes far below it.
 func TestStreamReconstructAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting at full trace size")
@@ -65,21 +71,28 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
+	host, err := deviceFactoryFor(JobSpec{Device: "host", HostConfig: &HostSpec{CachePages: 4096}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name    string
 		metrics *obs.EngineMetrics
 		tracer  *obs.Tracer
+		device  func() device.Device // nil = the default array
 	}{
-		{"hooks-disabled", nil, nil},
-		{"metrics-enabled", obs.NewEngineMetrics(obs.NewRegistry()), nil},
+		{"hooks-disabled", nil, nil, nil},
+		{"metrics-enabled", obs.NewEngineMetrics(obs.NewRegistry()), nil, nil},
 		{"metrics-and-tracer-enabled",
 			obs.NewEngineMetrics(obs.NewRegistry()),
-			obs.NewTracer("allocbound", 0, obs.TraceContext{})},
+			obs.NewTracer("allocbound", 0, obs.TraceContext{}), nil},
+		{"host-device", nil, nil, host},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := New(Config{Workers: 2, MaxShardRequests: 4096, Metrics: tc.metrics, Trace: tc.tracer})
+			eng := New(Config{Workers: 2, MaxShardRequests: 4096, Metrics: tc.metrics, Trace: tc.tracer, Device: tc.device})
+			var stats []device.Stat
 			run := func() {
 				dec := trace.NewBinaryDecoder(bytes.NewReader(data))
 				rep, err := eng.ReconstructStream(dec, trace.NewBinaryEncoder(io.Discard), nil)
@@ -89,6 +102,7 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 				if rep.Requests != n {
 					t.Fatalf("reconstructed %d of %d requests", rep.Requests, n)
 				}
+				stats = rep.DeviceStats
 			}
 			run() // warm up code paths
 
@@ -112,6 +126,11 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 					t.Fatalf("stage seconds not recorded: %v", secs)
 				}
 			}
+			for _, st := range stats {
+				if (st.Name == "cache_misses" || st.Name == "flushed_pages") && st.Value == 0 {
+					t.Fatalf("fixture created no cache/writeback pressure: %+v", stats)
+				}
+			}
 			if tc.tracer != nil {
 				// The bound must hold while spans are actually recorded,
 				// not because the buffer silently filled on warmup.
@@ -121,6 +140,44 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHostCacheBoundedByResidency guards the "grow on demand" half of
+// the flat cache: a spec may ask for the largest cache validation
+// allows (4 Mi pages — ~100 MB of slab and ~32 MB of index if sized up
+// front, per device, and the pipeline builds workers+1 devices), but a
+// job pays only for the pages it touches, in the device and in every
+// snapshot.
+func TestHostCacheBoundedByResidency(t *testing.T) {
+	spec := JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{CachePages: 1 << 22}}.Normalized()
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	mk, err := deviceFactoryFor(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := allocBenchTrace(1000).Requests
+
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	dev := mk()
+	now := time.Duration(0)
+	for _, r := range reqs {
+		now = dev.Submit(now, r).Complete
+	}
+	state := dev.(device.Stateful).Snapshot()
+	runtime.ReadMemStats(&m1)
+
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 1<<20 {
+		t.Fatalf("1k requests + snapshot on a %d-page cache allocated %d bytes, want < 1 MiB", 1<<22, got)
+	}
+	fresh := mk()
+	fresh.(device.Stateful).Restore(state)
+	if a, b := fresh.Submit(now, reqs[0]), dev.Submit(now, reqs[0]); a != b {
+		t.Fatalf("restored device diverges: %+v vs %+v", a, b)
 	}
 }
 
@@ -155,6 +212,21 @@ func TestMeasuredHotPathsAnnotated(t *testing.T) {
 		{"exec.go", "run", "decompose"},
 		{"exec.go", "run", "emulate"},
 		{"exec.go", "run", "emit"},
+		{"../hoststack/hoststack.go", "Stack", "Submit"},
+		{"../hoststack/hoststack.go", "Stack", "read"},
+		{"../hoststack/hoststack.go", "Stack", "write"},
+		{"../hoststack/hoststack.go", "Stack", "touch"},
+		{"../hoststack/hoststack.go", "Stack", "install"},
+		{"../hoststack/hoststack.go", "Stack", "evict"},
+		{"../hoststack/hoststack.go", "Stack", "maybeFlush"},
+		{"../hoststack/hoststack.go", "Stack", "writeBack"},
+		{"../hoststack/hoststack.go", "Stack", "issue"},
+		{"../hoststack/hoststack.go", "Stack", "find"},
+		{"../hoststack/hoststack.go", "Stack", "home"},
+		{"../hoststack/hoststack.go", "Stack", "indexAdd"},
+		{"../hoststack/hoststack.go", "Stack", "indexRemove"},
+		{"../hoststack/hoststack.go", "Stack", "unlink"},
+		{"../hoststack/hoststack.go", "Stack", "pushFront"},
 	}
 	fset := token.NewFileSet()
 	parsed := map[string]*ast.File{}

@@ -16,10 +16,17 @@
 // block traces are collected *underneath* the block layer: the
 // application-level behaviour and the block-level trace differ by
 // exactly the cache hits, write buffering and readahead modeled here.
+//
+// The page cache is flat, pointer-free storage: a slab of 24-byte
+// slots that carry their own LRU links as slot numbers, and an
+// open-addressed hash index of slot numbers. Steady-state Submit
+// allocates nothing, the garbage collector has nothing to scan, and —
+// because slices, unlike a map, can be copied and adopted wholesale —
+// Snapshot is two copies and Restore none (see stackState).
 package hoststack
 
 import (
-	"container/list"
+	"sync"
 	"time"
 
 	"repro/internal/device"
@@ -71,30 +78,43 @@ func DefaultConfig() Config {
 	}
 }
 
-// pageKey identifies a cached page.
-type pageKey struct {
-	dev  uint32
-	page uint64
+// cachePage is one slab slot: a resident page linked into the LRU by
+// slot number, or a free slot chained through next. Field order packs
+// it into 24 bytes; snapshot volume is this times the slots in use.
+type cachePage struct {
+	page       uint64
+	dev        uint32
+	prev, next int32 // toward the MRU and LRU ends; nilSlot terminates
+	dirty      bool
 }
 
-// cachePage is one resident page.
-type cachePage struct {
-	key   pageKey
-	dirty bool
-	elem  *list.Element
-}
+// nilSlot terminates the LRU list and the free chain.
+const nilSlot int32 = -1
+
+// Slab and index start this small and double with residency; they are
+// never sized from Config.CachePages up front (a spec may ask for 4 Mi
+// pages it will not touch).
+const (
+	minSlab  = 64
+	minIndex = 2 * minSlab
+)
 
 // Stack is the host storage stack; it implements device.Device.
 type Stack struct {
 	cfg   Config
 	inner device.Device
+	// Derived from cfg in New.
+	pageSectors uint64
+	dirtyLimit  int // dirty pages beyond this force synchronous flushing
 
-	pages map[pageKey]*cachePage
-	lru   *list.List // front = most recent
+	// The page cache; stackState documents the layout.
+	slab             []cachePage
+	index            []int32
+	head, tail, free int32
+	resident, dirty  int
 
 	log *trace.Trace
 
-	dirty                 int
 	hits, misses, flushed uint64
 }
 
@@ -119,7 +139,12 @@ func New(cfg Config, inner device.Device) *Stack {
 	if cfg.HitLatency == 0 {
 		cfg.HitLatency = def.HitLatency
 	}
-	s := &Stack{cfg: cfg, inner: inner}
+	s := &Stack{
+		cfg:         cfg,
+		inner:       inner,
+		pageSectors: uint64(cfg.PageKB) * 1024 / trace.SectorSize,
+		dirtyLimit:  int(cfg.DirtyHighWater * float64(cfg.CachePages)),
+	}
 	s.Reset()
 	return s
 }
@@ -127,13 +152,18 @@ func New(cfg Config, inner device.Device) *Stack {
 // Name implements device.Device.
 func (s *Stack) Name() string { return "hoststack(" + s.inner.Name() + ")" }
 
-// Reset implements device.Device.
+// Reset implements device.Device. The cache empties in place: slab and
+// index keep their storage.
 func (s *Stack) Reset() {
 	s.inner.Reset()
-	s.pages = make(map[pageKey]*cachePage)
-	s.lru = list.New()
+	s.slab = s.slab[:0]
+	if s.index == nil {
+		s.index = make([]int32, minIndex)
+	}
+	clear(s.index)
+	s.head, s.tail, s.free = nilSlot, nilSlot, nilSlot
+	s.resident, s.dirty = 0, 0
 	s.log = &trace.Trace{Name: "blocktrace", TsdevKnown: true}
-	s.dirty = 0
 	s.hits, s.misses, s.flushed = 0, 0, 0
 }
 
@@ -154,17 +184,14 @@ func (s *Stack) BlockTrace() *trace.Trace {
 	return s.log
 }
 
-func (s *Stack) pageSectors() uint64 {
-	return uint64(s.cfg.PageKB) * 1024 / trace.SectorSize
-}
-
 // Submit implements device.Device: the application-visible service of
 // one request through the cache.
+//
+//tracelint:hotpath
 func (s *Stack) Submit(at time.Duration, r trace.Request) device.Result {
 	now := at + s.cfg.SyscallOverhead
-	ps := s.pageSectors()
-	first := r.LBA / ps
-	last := (r.End() - 1) / ps
+	first := r.LBA / s.pageSectors
+	last := (r.End() - 1) / s.pageSectors
 
 	if r.Op == trace.Read {
 		return s.read(now, r, first, last)
@@ -172,13 +199,14 @@ func (s *Stack) Submit(at time.Duration, r trace.Request) device.Result {
 	return s.write(now, r, first, last)
 }
 
+//tracelint:hotpath
 func (s *Stack) read(now time.Duration, r trace.Request, first, last uint64) device.Result {
 	// Partition the span into hits and misses; misses fetch from the
 	// inner device synchronously (plus readahead beyond the span).
 	var missFrom, missTo uint64
 	haveMiss := false
 	for p := first; p <= last; p++ {
-		if s.touch(pageKey{r.Device, p}, false) {
+		if s.touch(r.Device, p, false) {
 			s.hits++
 			continue
 		}
@@ -194,26 +222,24 @@ func (s *Stack) read(now time.Duration, r trace.Request, first, last uint64) dev
 		fetchTo := missTo + ra
 		res := s.issue(now, r.Device, missFrom, fetchTo, trace.Read)
 		for p := missFrom; p <= fetchTo; p++ {
-			s.install(pageKey{r.Device, p}, false, now)
+			s.install(r.Device, p, false, now)
 		}
 		complete = res.Complete
 	}
 	return device.Result{Start: now, Complete: complete}
 }
 
+//tracelint:hotpath
 func (s *Stack) write(now time.Duration, r trace.Request, first, last uint64) device.Result {
 	if !s.cfg.WriteBack {
 		res := s.issue(now, r.Device, first, last, trace.Write)
 		for p := first; p <= last; p++ {
-			s.install(pageKey{r.Device, p}, false, now)
+			s.install(r.Device, p, false, now)
 		}
 		return device.Result{Start: now, Complete: res.Complete}
 	}
 	for p := first; p <= last; p++ {
-		k := pageKey{r.Device, p}
-		if !s.touch(k, true) {
-			s.install(k, true, now)
-		}
+		s.install(r.Device, p, true, now)
 	}
 	complete := now + s.cfg.HitLatency
 	// Dirty high-water: flush synchronously, charging this request —
@@ -226,68 +252,202 @@ func (s *Stack) write(now time.Duration, r trace.Request, first, last uint64) de
 
 // touch marks a resident page used (and dirty when dirty), reporting
 // residency.
-func (s *Stack) touch(k pageKey, dirty bool) bool {
-	pg, ok := s.pages[k]
-	if !ok {
+//
+//tracelint:hotpath
+func (s *Stack) touch(dev uint32, page uint64, dirty bool) bool {
+	slot := s.find(dev, page)
+	if slot == nilSlot {
 		return false
 	}
-	s.lru.MoveToFront(pg.elem)
-	if dirty && !pg.dirty {
+	if slot != s.head {
+		s.unlink(slot)
+		s.pushFront(slot)
+	}
+	if pg := &s.slab[slot]; dirty && !pg.dirty {
 		pg.dirty = true
 		s.dirty++
 	}
 	return true
 }
 
-// install inserts a page, evicting (and writing back) the LRU victim
-// when full.
-func (s *Stack) install(k pageKey, dirty bool, now time.Duration) {
-	if pg, ok := s.pages[k]; ok {
-		s.lru.MoveToFront(pg.elem)
-		if dirty && !pg.dirty {
-			pg.dirty = true
-			s.dirty++
-		}
+// install makes a page resident and most recent, evicting (and writing
+// back) the LRU victim when full.
+//
+//tracelint:hotpath
+func (s *Stack) install(dev uint32, page uint64, dirty bool, now time.Duration) {
+	if s.touch(dev, page, dirty) {
 		return
 	}
-	for len(s.pages) >= s.cfg.CachePages {
-		victimElem := s.lru.Back()
-		if victimElem == nil {
-			break
-		}
-		victim := victimElem.Value.(*cachePage)
-		if victim.dirty {
-			s.issue(now, victim.key.dev, victim.key.page, victim.key.page, trace.Write)
-			s.flushed++
-			s.dirty--
-		}
-		s.lru.Remove(victimElem)
-		delete(s.pages, victim.key)
+	for s.resident >= s.cfg.CachePages && s.tail != nilSlot {
+		s.evict(now)
 	}
-	pg := &cachePage{key: k, dirty: dirty}
-	pg.elem = s.lru.PushFront(pg)
-	s.pages[k] = pg
+	slot := s.free
+	if slot != nilSlot {
+		s.free = s.slab[slot].next
+	} else {
+		if len(s.slab) == cap(s.slab) {
+			s.growSlab()
+		}
+		slot = int32(len(s.slab))
+		s.slab = s.slab[:slot+1]
+	}
+	if 2*(s.resident+1) > len(s.index) {
+		s.growIndex()
+	}
+	s.slab[slot] = cachePage{page: page, dev: dev, dirty: dirty}
+	s.pushFront(slot)
+	s.indexAdd(slot)
+	s.resident++
 	if dirty {
 		s.dirty++
 	}
 }
 
-// maybeFlush writes back batches while the dirty fraction exceeds the
+// evict drops the LRU page, writing it back first when dirty, and
+// chains its slot onto the free list.
+//
+//tracelint:hotpath
+func (s *Stack) evict(now time.Duration) {
+	slot := s.tail
+	if pg := &s.slab[slot]; pg.dirty {
+		s.issue(now, pg.dev, pg.page, pg.page, trace.Write)
+		s.flushed++
+		s.dirty--
+	}
+	s.indexRemove(slot)
+	s.unlink(slot)
+	s.slab[slot].next = s.free
+	s.free = slot
+	s.resident--
+}
+
+// unlink takes a resident slot out of the LRU list.
+//
+//tracelint:hotpath
+func (s *Stack) unlink(slot int32) {
+	pg := &s.slab[slot]
+	if pg.prev == nilSlot {
+		s.head = pg.next
+	} else {
+		s.slab[pg.prev].next = pg.next
+	}
+	if pg.next == nilSlot {
+		s.tail = pg.prev
+	} else {
+		s.slab[pg.next].prev = pg.prev
+	}
+}
+
+// pushFront links an unlinked slot in as the most recent page.
+//
+//tracelint:hotpath
+func (s *Stack) pushFront(slot int32) {
+	pg := &s.slab[slot]
+	pg.prev, pg.next = nilSlot, s.head
+	if s.head == nilSlot {
+		s.tail = slot
+	} else {
+		s.slab[s.head].prev = slot
+	}
+	s.head = slot
+}
+
+// home is the index position a key probes from. len(index) is a power
+// of two; the multiplicative hash spreads the sequential page runs that
+// readahead and streaming I/O produce, which linear probing needs.
+//
+//tracelint:hotpath
+func (s *Stack) home(dev uint32, page uint64) uint32 {
+	h := (page + uint64(dev)*0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9
+	return uint32(h>>32) & uint32(len(s.index)-1)
+}
+
+// find returns the slot holding a page, nilSlot when not resident.
+// Index entries are slot+1 so the zero value is an empty position; the
+// load factor never exceeds 1/2, so a probe always ends.
+//
+//tracelint:hotpath
+func (s *Stack) find(dev uint32, page uint64) int32 {
+	mask := uint32(len(s.index) - 1)
+	for i := s.home(dev, page); ; i = (i + 1) & mask {
+		e := s.index[i]
+		if e == 0 {
+			return nilSlot
+		}
+		if pg := &s.slab[e-1]; pg.page == page && pg.dev == dev {
+			return e - 1
+		}
+	}
+}
+
+// indexAdd enters a slot whose key is not indexed yet.
+//
+//tracelint:hotpath
+func (s *Stack) indexAdd(slot int32) {
+	mask := uint32(len(s.index) - 1)
+	pg := &s.slab[slot]
+	i := s.home(pg.dev, pg.page)
+	for s.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.index[i] = slot + 1
+}
+
+// indexRemove deletes an indexed slot by backward shift: each later
+// entry of the probe run moves into the hole unless that would put it
+// before its home, so no tombstones accumulate under eviction churn.
+//
+//tracelint:hotpath
+func (s *Stack) indexRemove(slot int32) {
+	mask := uint32(len(s.index) - 1)
+	pg := &s.slab[slot]
+	hole := s.home(pg.dev, pg.page)
+	for s.index[hole] != slot+1 {
+		hole = (hole + 1) & mask
+	}
+	for i := (hole + 1) & mask; s.index[i] != 0; i = (i + 1) & mask {
+		pg := &s.slab[s.index[i]-1]
+		// Movable when the hole lies cyclically within [home, i).
+		if (i-s.home(pg.dev, pg.page))&mask >= (i-hole)&mask {
+			s.index[hole] = s.index[i]
+			hole = i
+		}
+	}
+	s.index[hole] = 0
+}
+
+// growSlab doubles the slab, up to the configured capacity.
+func (s *Stack) growSlab() {
+	n := max(2*cap(s.slab), minSlab)
+	if c := s.cfg.CachePages; c > 0 && n > c {
+		n = c
+	}
+	slab := make([]cachePage, len(s.slab), n)
+	copy(slab, s.slab)
+	s.slab = slab
+}
+
+// growIndex doubles the index and re-enters every resident page.
+func (s *Stack) growIndex() {
+	s.index = make([]int32, 2*len(s.index))
+	for slot := s.head; slot != nilSlot; slot = s.slab[slot].next {
+		s.indexAdd(slot)
+	}
+}
+
+// maybeFlush writes back batches while the dirty count exceeds the
 // high-water mark; returns the synchronous stall incurred.
+//
+//tracelint:hotpath
 func (s *Stack) maybeFlush(now time.Duration) time.Duration {
 	var stall time.Duration
-	for s.dirtyCount() > int(s.cfg.DirtyHighWater*float64(s.cfg.CachePages)) {
+	for s.dirty > s.dirtyLimit {
 		flushedInBatch := 0
-		for e := s.lru.Back(); e != nil && flushedInBatch < s.cfg.FlushBatch; e = e.Prev() {
-			pg := e.Value.(*cachePage)
-			if !pg.dirty {
+		for slot := s.tail; slot != nilSlot && flushedInBatch < s.cfg.FlushBatch; slot = s.slab[slot].prev {
+			if !s.slab[slot].dirty {
 				continue
 			}
-			res := s.issue(now+stall, pg.key.dev, pg.key.page, pg.key.page, trace.Write)
-			stall += res.Complete - (now + stall)
-			pg.dirty = false
-			s.dirty--
-			s.flushed++
+			stall += s.writeBack(now+stall, slot)
 			flushedInBatch++
 		}
 		if flushedInBatch == 0 {
@@ -300,18 +460,25 @@ func (s *Stack) maybeFlush(now time.Duration) time.Duration {
 // Flush synchronously writes back every dirty page (fsync/unmount).
 func (s *Stack) Flush(at time.Duration) time.Duration {
 	var stall time.Duration
-	for e := s.lru.Back(); e != nil; e = e.Prev() {
-		pg := e.Value.(*cachePage)
-		if !pg.dirty {
-			continue
+	for slot := s.tail; slot != nilSlot; slot = s.slab[slot].prev {
+		if s.slab[slot].dirty {
+			stall += s.writeBack(at+stall, slot)
 		}
-		res := s.issue(at+stall, pg.key.dev, pg.key.page, pg.key.page, trace.Write)
-		stall += res.Complete - (at + stall)
-		pg.dirty = false
-		s.dirty--
-		s.flushed++
 	}
 	return stall
+}
+
+// writeBack cleans one dirty resident page, returning how long the
+// inner device took.
+//
+//tracelint:hotpath
+func (s *Stack) writeBack(at time.Duration, slot int32) time.Duration {
+	pg := &s.slab[slot]
+	res := s.issue(at, pg.dev, pg.page, pg.page, trace.Write)
+	pg.dirty = false
+	s.dirty--
+	s.flushed++
+	return res.Complete - at
 }
 
 // dirtyCount returns the maintained dirty-page counter.
@@ -319,13 +486,14 @@ func (s *Stack) dirtyCount() int { return s.dirty }
 
 // issue sends a page span to the inner device and records it in the
 // block-layer log.
+//
+//tracelint:hotpath
 func (s *Stack) issue(at time.Duration, dev uint32, firstPage, lastPage uint64, op trace.Op) device.Result {
-	ps := s.pageSectors()
 	req := trace.Request{
 		Arrival: at,
 		Device:  dev,
-		LBA:     firstPage * ps,
-		Sectors: uint32((lastPage - firstPage + 1) * ps),
+		LBA:     firstPage * s.pageSectors,
+		Sectors: uint32((lastPage - firstPage + 1) * s.pageSectors),
 		Op:      op,
 	}
 	res := s.inner.Submit(at, req)
@@ -336,24 +504,45 @@ func (s *Stack) issue(at time.Duration, dev uint32, firstPage, lastPage uint64, 
 	return res
 }
 
-// savedPage is one page-cache entry in a snapshot, in LRU order.
-type savedPage struct {
-	key   pageKey
-	dirty bool
-}
-
-// stackState is the Stack's device.State: the page-cache contents in
-// recency order with their dirty flags (the writeback debt), the
+// stackState is the Stack's device.State: the page cache verbatim, the
 // accumulated cache counters, and the inner device's own snapshot
 // (which carries any destage debt the inner device still owes — e.g.
-// a write-back HDD's busyUntil). The block-layer log is deliberately
-// not part of the snapshot: it is a diagnostic of a serially-driven
-// stack, disabled via Config.NoBlockLog on engine targets.
+// a write-back HDD's busyUntil).
+//
+// The cache is two pointer-free slices plus five words. slab holds one
+// 24-byte slot per page ever resident at once; head and tail are the
+// MRU and LRU ends of the recency list threaded through the slots'
+// prev/next, free heads the chain of evicted slots (linked by next),
+// and resident and dirty count the listed pages and their writeback
+// debt. index is the open-addressed (linear probing, power-of-two,
+// load <= 1/2) table from (dev, page) to slot+1. Because nothing in it
+// is a pointer, Snapshot is a copy of each slice and Restore adopts
+// them as the device's own.
+//
+// The block-layer log is deliberately not part of the snapshot: it is
+// a diagnostic of a serially-driven stack, disabled via
+// Config.NoBlockLog on engine targets.
 type stackState struct {
-	pages                 []savedPage // front (MRU) to back (LRU)
+	slab                  []cachePage
+	index                 []int32
+	head, tail, free      int32
+	resident, dirty       int
 	hits, misses, flushed uint64
 	inner                 device.State
 }
+
+// cacheStorage is a retired slab/index pair awaiting reuse.
+type cacheStorage struct {
+	slab  []cachePage
+	index []int32
+}
+
+// storagePool recycles the storage a Restore displaces into the next
+// Snapshot, so an epoch pipeline's per-epoch copy lands in warm memory
+// instead of megabytes of freshly faulted pages. Only storage a Stack
+// owned exclusively enters it: a Snapshot never shares with its
+// source, and a State is restored at most once.
+var storagePool sync.Pool
 
 // SnapshotSupported implements device.ConditionalStateful: the stack
 // snapshots exactly when its inner device does.
@@ -362,37 +551,50 @@ func (s *Stack) SnapshotSupported() bool {
 	return ok
 }
 
-// Snapshot implements device.Stateful. The inner device must be
-// Stateful (see SnapshotSupported).
+// Snapshot implements device.Stateful: it copies slab and index, into
+// recycled storage when the pool has some of sufficient capacity. The
+// inner device must be Stateful (see SnapshotSupported).
 func (s *Stack) Snapshot() device.State {
-	st := stackState{hits: s.hits, misses: s.misses, flushed: s.flushed}
-	if n := s.lru.Len(); n > 0 {
-		st.pages = make([]savedPage, 0, n)
+	var buf cacheStorage
+	if p, ok := storagePool.Get().(*cacheStorage); ok {
+		buf = *p
 	}
-	for e := s.lru.Front(); e != nil; e = e.Next() {
-		pg := e.Value.(*cachePage)
-		st.pages = append(st.pages, savedPage{key: pg.key, dirty: pg.dirty})
+	if cap(buf.slab) < len(s.slab) {
+		// Full capacity, so the adopter can go on filling without
+		// reallocating.
+		buf.slab = make([]cachePage, len(s.slab), cap(s.slab))
 	}
-	st.inner = s.inner.(device.Stateful).Snapshot()
+	if cap(buf.index) < len(s.index) {
+		buf.index = make([]int32, len(s.index))
+	}
+	st := stackState{
+		slab:     buf.slab[:len(s.slab)],
+		index:    buf.index[:len(s.index)],
+		head:     s.head,
+		tail:     s.tail,
+		free:     s.free,
+		resident: s.resident,
+		dirty:    s.dirty,
+		hits:     s.hits,
+		misses:   s.misses,
+		flushed:  s.flushed,
+		inner:    s.inner.(device.Stateful).Snapshot(),
+	}
+	copy(st.slab, s.slab)
+	copy(st.index, s.index)
 	return st
 }
 
-// Restore implements device.Stateful, rebuilding the cache from a
-// snapshot taken on a same-configured stack. Like every State, the
-// snapshot may be adopted — restore a given State at most once.
+// Restore implements device.Stateful for a snapshot taken on a
+// same-configured stack. It adopts the snapshot's slab and index as
+// its own and retires the storage they displace to the pool — so, like
+// every State, restore a given State at most once.
 func (s *Stack) Restore(v device.State) {
 	st := v.(stackState)
-	s.pages = make(map[pageKey]*cachePage, len(st.pages))
-	s.lru = list.New()
-	s.dirty = 0
-	for _, sp := range st.pages {
-		pg := &cachePage{key: sp.key, dirty: sp.dirty}
-		pg.elem = s.lru.PushBack(pg)
-		s.pages[sp.key] = pg
-		if sp.dirty {
-			s.dirty++
-		}
-	}
+	storagePool.Put(&cacheStorage{slab: s.slab, index: s.index})
+	s.slab, s.index = st.slab, st.index
+	s.head, s.tail, s.free = st.head, st.tail, st.free
+	s.resident, s.dirty = st.resident, st.dirty
 	s.hits, s.misses, s.flushed = st.hits, st.misses, st.flushed
 	s.inner.(device.Stateful).Restore(st.inner)
 }

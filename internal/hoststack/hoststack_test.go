@@ -245,10 +245,10 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 		res := s.Submit(at, op)
 		at = res.Complete
 	}
-	if len(s.pages) > 64 {
-		t.Fatalf("cache holds %d pages, capacity 64", len(s.pages))
+	if s.resident > 64 {
+		t.Fatalf("cache holds %d pages, capacity 64", s.resident)
 	}
-	if s.lru.Len() != len(s.pages) {
-		t.Fatalf("LRU/map divergence: %d vs %d", s.lru.Len(), len(s.pages))
+	if n := len(lruKeys(s)); n != s.resident {
+		t.Fatalf("LRU/index divergence: %d vs %d", n, s.resident)
 	}
 }
