@@ -8,9 +8,9 @@
 // boundaries and reconstructed on -parallel workers (default
 // GOMAXPROCS), with output byte-identical to the sequential pipeline.
 // -device selects the target: the flash array (default) runs
-// shard-parallel, while the HDD target runs on the engine's
-// epoch-pipelined snapshot/handoff path — also at the full -parallel
-// worker count, no serial fallback. -stream additionally bounds memory
+// shard-parallel, while the hdd, ftl and host targets run on the
+// engine's serviced graph — one ordered device pass with the stages
+// around it on the full -parallel worker count, no serial fallback. -stream additionally bounds memory
 // by streaming the input through the engine instead of materializing
 // it (requires -in and -out; the output is written atomically and the
 // fio job file is not emitted in this mode).
@@ -50,7 +50,7 @@ func main() {
 	method := flag.String("method", "tracetracker",
 		`reconstruction method: "tracetracker", "dynamic", "fixed-th", "revision", "acceleration"`)
 	devName := flag.String("device", "new",
-		`reconstruction target: "new"/"array" (the paper's flash array), "ssd", "old"/"hdd", "ftl" (page-mapped flash translation layer with GC), or "host"/"hoststack" (page cache + write-back over an HDD); hdd/ftl/host run on the epoch-pipelined engine path at full -parallel`)
+		`reconstruction target: "new"/"array" (the paper's flash array), "ssd", "old"/"hdd", "ftl" (page-mapped flash translation layer with GC), or "host"/"hoststack" (page cache + write-back over an HDD); hdd/ftl/host run one ordered device pass with the stages around it at full -parallel`)
 	factor := flag.Float64("factor", baseline.DefaultAccelerationFactor, "acceleration factor")
 	threshold := flag.Duration("threshold", baseline.DefaultFixedThreshold, "fixed-th idle threshold")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),

@@ -85,7 +85,9 @@ type Result struct {
 	// Stages is the per-op engine stage wall-time breakdown in seconds
 	// (keys: obs.StageNames plus "token_wait"), present only for engine
 	// scenarios run with Options.Stages. Stage seconds sum past NsPerOp
-	// on multi-worker runs because stages overlap across goroutines.
+	// on multi-worker runs because stages overlap across goroutines. On
+	// the serviced graph (hdd/ftl/host) "service" is the one device pass
+	// including output collection and "emulate" is post-process + render.
 	Stages map[string]float64 `json:"stages,omitempty"`
 }
 
@@ -486,12 +488,12 @@ func Run(opts Options) (*Report, error) {
 				return nil, err
 			}
 
-			// HDD target: the epoch-pipelined snapshot/handoff path (the
-			// constrained device the paper's co-evaluation measures).
-			// workers=1 doubles as the pipelining-overhead floor against
-			// the old serial fallback; reconstruct-hdd times the
-			// in-memory engine, e2e-hdd the streaming decode → pipeline
-			// → parallel csv render chain.
+			// HDD target: the serviced graph (the constrained device the
+			// paper's co-evaluation measures). workers=1 doubles as the
+			// graph-overhead floor against the serial pipeline;
+			// reconstruct-hdd times the in-memory engine, e2e-hdd the
+			// streaming decode → device pass → parallel csv render
+			// chain.
 			var hddEM *obs.EngineMetrics
 			if opts.Stages {
 				hddEM = obs.NewEngineMetrics(obs.NewRegistry())
@@ -549,7 +551,7 @@ func Run(opts Options) (*Report, error) {
 			}
 
 			// FTL and host-stack targets: the deep-state devices on the
-			// same epoch-pipelined path. The factories come from the
+			// same serviced graph. The factories come from the
 			// engine's device registry so the bench times exactly what a
 			// `device: "ftl"` / `device: "host"` job runs.
 			mkFTL, err := engine.DeviceFactory("ftl")

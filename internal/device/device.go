@@ -72,12 +72,13 @@ type State any
 
 // Stateful is implemented by devices whose complete servicing state at
 // a quiescent point — a virtual time at or after the last completion
-// signalled to the host — can be captured and re-established. This is
-// the handoff contract of the pipelined emulation of non-shard-safe
-// devices (replay.EmulateShardResume): a serial pass snapshots the
-// state at each epoch boundary, and a worker restoring that snapshot
-// into its own device instance reproduces the epoch's servicing
-// exactly.
+// signalled to the host — can be captured and re-established: a fresh
+// same-configured device that restores the snapshot continues the
+// servicing exactly as the source would have. It is a checkpointing
+// contract only; no execution path depends on it (the engine services
+// non-shard-safe devices in one ordered pass over one device), and
+// what exercises it is the property tests and the benchmark's
+// snapshot/restore rows.
 //
 // "Quiescent" matters: the synchronous emulation loop never submits
 // before the previous completion, but completion is a host-side event
@@ -97,15 +98,15 @@ type Stateful interface {
 // ConditionalStateful is implemented by wrapper devices whose
 // snapshot support depends on what they wrap: a host stack over a
 // Stateful device snapshots, the same stack over an arbitrary Device
-// does not. IsStateful consults it so the engine never routes such a
-// wrapper onto the pipelined path it cannot serve.
+// does not. IsStateful consults it so callers never snapshot a wrapper
+// that cannot serve it.
 type ConditionalStateful interface {
 	// SnapshotSupported reports whether Snapshot/Restore are usable on
 	// this instance.
 	SnapshotSupported() bool
 }
 
-// IsStateful reports whether d supports snapshot/restore handoff.
+// IsStateful reports whether d supports Snapshot/Restore.
 func IsStateful(d Device) bool {
 	if _, ok := d.(Stateful); !ok {
 		return false
@@ -128,7 +129,7 @@ type Stat struct {
 // StatsReporter is implemented by devices that accumulate model
 // statistics. The engine reads the stats from the device that serviced
 // every request in submission order (the serial device or the
-// pipelined servicer's device), so reported stats are identical across
+// engine servicer's device), so reported stats are identical across
 // execution strategies — locked by the engine identity tests.
 type StatsReporter interface {
 	// DeviceStats returns the accumulated statistics in a fixed order.

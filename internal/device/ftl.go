@@ -11,10 +11,10 @@ package device
 // foreground-GC stall).
 //
 // The FTL is not shard-safe — the mapping table, wear and GC debt
-// persist across idle periods — but it is Stateful: a snapshot at a
-// quiescent point (everything the device owes the host is complete,
-// and GC runs only inside Submit) is the full translation state, so
-// the epoch-pipelined executor applies.
+// persist across idle periods — so the engine services it in one
+// ordered pass. It is Stateful: a snapshot at a quiescent point
+// (everything the device owes the host is complete, and GC runs only
+// inside Submit) is the full translation state.
 
 import (
 	"time"
@@ -24,11 +24,9 @@ import (
 )
 
 // DefaultFTLDeviceConfig is the engine target's FTL geometry: a 1 GiB
-// device rather than the experiments' 8 GiB (ftl.DefaultConfig). The
-// pipelined executor deep-copies the translation state at every epoch
-// boundary, so the engine default keeps snapshots around 2 MB while
-// still being small enough for corpus-scale traces to create GC
-// pressure.
+// device rather than the experiments' 8 GiB (ftl.DefaultConfig), small
+// enough for corpus-scale traces to create GC pressure. Results depend
+// on it; changing it moves every default ftl reconstruction.
 func DefaultFTLDeviceConfig() ftl.Config {
 	cfg := ftl.DefaultConfig()
 	cfg.Blocks = 1024

@@ -131,8 +131,7 @@ func (h *HDD) Reset() {
 // and the write-cache destage debt (busyUntil may exceed the last
 // host-visible completion when WriteCache is on). Rotational phase
 // needs no field — it is a pure function of absolute time, which the
-// pipelined emulation preserves by running every epoch on the global
-// timeline.
+// engine preserves by servicing every epoch on the global timeline.
 type hddState struct {
 	busyUntil time.Duration
 	headCyl   uint64

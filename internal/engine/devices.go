@@ -2,10 +2,10 @@ package engine
 
 // The device registry: one table describing every reconstruction
 // target — canonical name, aliases, config knobs and pipeline
-// capability — that drives JobSpec validation, per-worker device
-// construction, and the daemon's GET /v1/devices discovery endpoint.
-// Because all three read the same table, the API surface cannot drift
-// from what the engine actually accepts.
+// capability — that drives JobSpec validation, device construction,
+// and the daemon's GET /v1/devices discovery endpoint. Because all
+// three read the same table, the API surface cannot drift from what
+// the engine actually accepts.
 
 import (
 	"fmt"
@@ -23,8 +23,8 @@ const (
 	// shifts into place.
 	PipelineShardParallel = "shard-parallel"
 	// PipelineStateful marks devices whose state persists across idle
-	// periods (device.Stateful): they run on the epoch-pipelined
-	// executor via snapshot/handoff.
+	// periods: one serial device pass services the epochs in order, and
+	// the stages around it run in parallel.
 	PipelineStateful = "stateful-pipelined"
 )
 
@@ -58,11 +58,11 @@ type DeviceInfo struct {
 }
 
 // deviceEntry couples the published DeviceInfo with the spec-aware
-// per-worker constructor.
+// device constructor.
 type deviceEntry struct {
 	info DeviceInfo
-	// build returns the per-worker device constructor for a normalized,
-	// validated spec.
+	// build returns the device constructor for a normalized, validated
+	// spec.
 	build func(spec JobSpec) func() device.Device
 }
 
@@ -190,8 +190,7 @@ func deviceEntryFor(name string) *deviceEntry {
 	return nil
 }
 
-// deviceFactoryFor maps a normalized spec to its per-worker device
-// constructor.
+// deviceFactoryFor maps a normalized spec to its device constructor.
 func deviceFactoryFor(spec JobSpec) (func() device.Device, error) {
 	e := deviceEntryFor(normalizeDevice(spec.Device))
 	if e == nil {
@@ -202,7 +201,7 @@ func deviceFactoryFor(spec JobSpec) (func() device.Device, error) {
 }
 
 // DeviceFactory maps a JobSpec.Device name (aliases included, "" =
-// array) to a per-worker device constructor with default config, for
+// array) to a device constructor with default config, for
 // callers without a full spec (the CLIs).
 func DeviceFactory(name string) (func() device.Device, error) {
 	return deviceFactoryFor(JobSpec{Device: name})

@@ -7,21 +7,22 @@
 // # The stage graph
 //
 // One executor (exec.go) runs every reconstruction, in memory or
-// streaming, as one graph:
+// streaming, as one of two shapes of one graph:
 //
-//	plan ──> decompose ──> [service] ──> emulate+post(+render) ──> merge
-//	(serial)   (pool)      (serial)        (pool)                  (serial)
+//	shard-safe:  plan ──> decompose+emulate+post ─────────────────> merge
+//	             (serial)   (pool)                                  (serial)
+//	serviced:    plan ──> decompose ──> service ──> post+render ──> merge
+//	             (serial)   (pool)      (serial)      (pool)        (serial)
 //
 //	plan       cut epochs at idle-gap boundaries, carry seq state
 //	decompose  infer per-request idle/async from the OLD trace —
 //	           device-independent
-//	service    optional; see below
-//	emulate    run the epoch on a per-worker device, post-process, and
-//	           render the output bytes when the graph pre-renders
+//	service    serviced graph only: the run's one device pass
+//	emulate    the worker stage behind decompose or service; see below
 //	merge      hand epochs to the output in index order, chaining each
 //	           epoch's time base
 //
-// Which graph runs is read off the target device:
+// Which shape runs is read off the target device:
 //
 //   - device.ShardSafe (the flash simulators): no servicer. The
 //     emulation loop is synchronous — every instruction is submitted at
@@ -30,41 +31,36 @@
 //     translation, and an epoch emulated from a drained device at
 //     virtual time zero equals the same span of the whole-trace
 //     emulation shifted by the preceding epochs' end times. decompose and
-//     emulate run fused in one worker, and the merge adds each epoch's
-//     offset: accumulated end times minus accumulated post-processing
-//     shift.
-//   - device.Stateful and not shard-safe (hdd, ftl, host): head
-//     position, rotational phase, mapping tables, page-cache contents
-//     and destage debt persist across idle periods, so epoch k's
-//     servicing depends on everything before it. What it does not depend
-//     on is anything expensive: given the device's entry state and the
-//     entry virtual time, the epoch's servicing is a pure function of
-//     the epoch itself. The servicer is the one device-ordered pass: it
-//     snapshots the entry state, advances a single continuously evolving
-//     device through the epoch's submissions (replay.ServiceShard —
-//     device arithmetic only, no output), and accumulates the
-//     post-processing shift. A worker then restores the snapshot into
-//     its own device and re-runs the epoch on the global timeline
-//     (replay.EmulateShardResume), so its arrivals are final and the
-//     merge's offset is zero. Servicer and workers run the same loop at
-//     the same absolute times against deterministic devices, so the
-//     output equals one sequential emulation.
-//   - neither: no graph applies; the entry points fall back to
-//     core.Reconstruct.
+//     emulate run fused in one worker, on that worker's own device, and
+//     the merge adds each epoch's offset: accumulated end times minus
+//     accumulated post-processing shift.
+//   - everything else (hdd, ftl, host, wrapped devices): head position,
+//     rotational phase, mapping tables, page-cache contents and destage
+//     debt persist across idle periods, so epoch k's servicing depends
+//     on everything before it, and only one pass over one device, in
+//     order, can compute it. The servicer is that pass
+//     (replay.EmulateEpoch, the paper's emulation loop unchanged): it
+//     continues the run's single device through the epoch's submissions
+//     on the absolute timeline, collects the new records as it goes, and
+//     accumulates the post-processing shift. What is left for the
+//     workers behind it has no order in it: post-process the records
+//     from the shift all earlier epochs accumulated (which makes the
+//     arrivals final, so the merge's offset is zero), aggregate, render.
+//     The graph needs nothing from a device but Submit in order, so it
+//     is also where a device that declares no capability runs.
 //
 // Pre-render vs merge-encode: when the output encoder's records are
-// stateless (trace.ShardEncoder — csv, bin), workers on the stateful
+// stateless (trace.ShardEncoder — csv, bin), workers on the serviced
 // graph render their epoch's bytes and the merge only splices buffers.
 // The shard-safe graph cannot: a relative-time epoch's arrivals are not
 // final until the merge chains its offset, so its records are encoded
 // there.
 //
-// Epochs are the handoff points because the planner already cuts them
-// at the workload's idle gaps: natural quiescent points where a
-// snapshot is small (the device has signalled every prior completion)
-// and load balance is decent. In-flight epochs are bounded by a token
-// pool, so streaming holds O(Workers · MaxShardRequests) requests no
-// matter how the stage throughputs differ.
+// Epochs are cut where the planner finds the workload's idle gaps,
+// which balances the stages around the device pass decently. In-flight
+// epochs are bounded by a token pool, so streaming holds
+// O(Workers · MaxShardRequests) requests no matter how the stage
+// throughputs differ.
 //
 // The inference decomposition is local to adjacent request pairs given
 // the per-device sequentiality state, and the post-processing shift
@@ -119,8 +115,9 @@ type Config struct {
 	MaxShardRequests int
 	// Core configures the reconstruction pipeline itself.
 	Core core.Options
-	// Device builds one target device per worker (default: the paper's
-	// 4-SSD flash array).
+	// Device builds a fresh target device (default: the paper's 4-SSD
+	// flash array). A run calls it once, plus once per worker when the
+	// device is shard-safe.
 	Device func() device.Device
 	// Metrics, when non-nil, receives per-stage wall time, queue
 	// occupancy, token-pool backpressure and cache traffic. nil (the
@@ -195,16 +192,8 @@ type Report struct {
 // Reconstruct is the in-memory entry point: it reproduces
 // core.Reconstruct(old, target, cfg.Core) exactly — byte-identical
 // output and report — but executes the per-epoch work on cfg.Workers
-// goroutines. A device with neither engine capability (shard-safe
-// emulation or state handoff) has no graph to run on and takes the
-// sequential pipeline; ReconstructStream reaches that fallback through
-// here too.
+// goroutines.
 func (e *Engine) Reconstruct(old *trace.Trace) (*trace.Trace, *core.Report, error) {
-	dev := e.cfg.Device()
-	if !device.IsShardSafe(dev) && !device.IsStateful(dev) {
-		return core.Reconstruct(old, dev, e.cfg.Core)
-	}
-
 	m, useRecorded, err := core.PrepareModel(old, e.cfg.Core)
 	if err != nil {
 		return nil, nil, err
@@ -240,7 +229,7 @@ func (e *Engine) Reconstruct(old *trace.Trace) (*trace.Trace, *core.Report, erro
 		})
 	}
 	r := &run{cfg: e.cfg, m: m, useRecorded: useRecorded}
-	if err := r.execute(dev, produce); err != nil {
+	if err := r.execute(e.cfg.Device(), produce); err != nil {
 		return nil, nil, err
 	}
 	rep.IdleCount, rep.IdleTotal, rep.AsyncCount = r.rep.IdleCount, r.rep.IdleTotal, r.rep.AsyncCount

@@ -238,13 +238,15 @@ func TestForceInferenceParity(t *testing.T) {
 	}
 }
 
-// TestNonShardSafeFallback checks that a device with neither
-// shard-safe emulation nor state handoff (an Instrumented wrapper
-// hides both capabilities) routes through the sequential pipeline
-// (and still agrees with it, trivially). The raw HDD no longer lands
-// here — it is Stateful and runs the epoch pipeline (hdd_test.go).
+// TestNonShardSafeFallback checks there is no fallback any more: a
+// device with neither shard-safe emulation nor snapshot support (an
+// Instrumented wrapper hides both capabilities) runs the serviced
+// graph, which needs only in-order Submit — many epochs, at any worker
+// count, in memory and streamed through both encoder classes (csv
+// pre-rendered in the workers, blktrace encoded in the merge) —
+// byte-identical to the sequential pipeline.
 func TestNonShardSafeFallback(t *testing.T) {
-	old := genOld(t, "ikki", 600, true)
+	old := genOld(t, "ikki", 3000, true)
 	mk := func() device.Device { return device.NewInstrumented(device.NewHDD(device.DefaultHDDConfig())) }
 	if dev := mk(); device.IsShardSafe(dev) || device.IsStateful(dev) {
 		t.Fatal("fixture device must have neither engine capability")
@@ -253,14 +255,44 @@ func TestNonShardSafeFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(4, core.Options{})
-	cfg.Device = mk
-	got, _, err := New(cfg).Reconstruct(old)
-	if err != nil {
+	var input bytes.Buffer
+	if err := trace.WriteBinary(&input, old); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(traceBytes(t, got), traceBytes(t, want)) {
-		t.Fatal("fallback output diverges")
+	encoders := map[string]func(io.Writer) trace.Encoder{
+		"csv":      func(w io.Writer) trace.Encoder { return trace.NewCSVEncoder(w) },
+		"blktrace": func(w io.Writer) trace.Encoder { return trace.NewBlktraceEncoder(w) },
+	}
+	for _, workers := range []int{1, 4, 8} {
+		cfg := testConfig(workers, core.Options{})
+		cfg.Device = mk
+		e := New(cfg)
+		got, rep, err := e.Reconstruct(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(traceBytes(t, got), traceBytes(t, want)) {
+			t.Fatalf("w=%d: wrapped-device output diverges from the serial path", workers)
+		}
+		if rep.Shards < 2 {
+			t.Fatalf("w=%d: expected the graph to run multiple epochs, got %d", workers, rep.Shards)
+		}
+		for encName, mkEnc := range encoders {
+			var wantBytes, gotBytes bytes.Buffer
+			if err := trace.EncodeTrace(mkEnc(&wantBytes), want); err != nil {
+				t.Fatal(err)
+			}
+			srep, err := e.ReconstructStream(trace.NewBinaryDecoder(bytes.NewReader(input.Bytes())), mkEnc(&gotBytes), nil)
+			if err != nil {
+				t.Fatalf("%s w=%d: stream: %v", encName, workers, err)
+			}
+			if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
+				t.Fatalf("%s w=%d: streamed wrapped-device output diverges from the serial path", encName, workers)
+			}
+			if srep.Shards < 2 {
+				t.Fatalf("%s w=%d: expected the graph to run multiple epochs, got %d", encName, workers, srep.Shards)
+			}
+		}
 	}
 }
 

@@ -38,24 +38,24 @@ type epoch struct {
 	async []bool
 	// out receives the reconstructed records. The in-memory path points
 	// it at the epoch's slot of the output trace; streaming leaves it
-	// nil and emulate writes in place over reqs (decompose has consumed
-	// the original request data by then). nil again once rendered.
+	// nil until decompose has consumed the original request data, then
+	// points it at reqs so the device pass collects in place. nil again
+	// once rendered.
 	out []trace.Request
 	// enc holds the records pre-rendered to output bytes, when the
 	// graph pre-renders.
 	enc []byte
 
-	// h and shift are attached by the servicer (stateful graph): the
-	// device handoff at the epoch's entry and the post-processing
-	// arrival reduction accumulated by all earlier epochs. With them
-	// the worker's arrivals are final.
-	h     replay.Handoff
+	// shift is attached by the servicer (serviced graph): the
+	// post-processing arrival reduction accumulated by all earlier
+	// epochs. The servicer's records sit on the global timeline, so
+	// post-processing from shift makes the epoch's arrivals final.
 	shift time.Duration
 	// end and shiftDelta are the chaining values of the shard-safe
 	// graph, whose epochs are emulated from time zero: the completion
 	// time of the last instruction and the arrival reduction accumulated
 	// within the epoch — the next epoch's base and shift increments.
-	// Both stay zero on the stateful graph, so the same merge arithmetic
+	// Both stay zero on the serviced graph, so the same merge arithmetic
 	// yields offset zero there.
 	end        time.Duration
 	shiftDelta time.Duration
@@ -100,8 +100,8 @@ func (l *freeList[T]) put(b []T) {
 // bufPool recycles a streaming run's per-epoch buffers: request and
 // seq-flag buffers between the merge (which finishes with an epoch)
 // and the stream planner (which opens the next), the decomposition
-// scratch between emulate and decompose, and the pre-rendered output
-// bytes between merge and emulate. The in-flight token pool bounds how
+// scratch between finish and decompose, and the pre-rendered output
+// bytes between merge and finish. The in-flight token pool bounds how
 // many buffers circulate, so steady-state streaming allocates nothing
 // per epoch once the lists warm up. The in-memory path runs without a
 // pool: its epochs are views into the preallocated output and report.
@@ -127,9 +127,9 @@ type run struct {
 	// (streaming).
 	pool *bufPool
 
-	// stateful selects the serviced graph; se, when non-nil, is the
-	// encoder workers pre-render with. Both are set by execute.
-	stateful bool
+	// serviced selects the serviced graph; se, when non-nil, is the
+	// encoder its workers pre-render with. Both are set by execute.
+	serviced bool
 	se       trace.ShardEncoder
 
 	begun bool
@@ -182,16 +182,18 @@ func inOrder(in <-chan epoch, window int, mtr *obs.EngineMetrics, stage int, f f
 }
 
 // execute runs the stage graph over the epochs produce submits. dev is
-// a fresh device of the run's configuration: its capabilities choose
-// the graph, and on the stateful graph it becomes the servicer's device.
+// a fresh device of the run's configuration: whether it is shard-safe
+// chooses the graph, and on the serviced graph it is the run's one
+// device.
 //
 // produce is called on its own goroutine and submits epochs in index
 // order via the callback it is handed. cfg.Workers workers serve the
-// decompose and emulate stages; on the stateful graph a servicer
-// goroutine threads device state through the epochs in order between
-// the two; the merge (this goroutine) hands each epoch to emit in index
-// order together with the offset that places it on the global timeline
-// (accumulated base minus accumulated post-processing shift).
+// decompose stage and the stage behind the device pass; on the serviced
+// graph a servicer goroutine runs the device pass over the epochs in
+// order between the two; the merge (this goroutine) hands each epoch to
+// emit in index order together with the offset that places it on the
+// global timeline (accumulated base minus accumulated post-processing
+// shift).
 //
 // In-flight epochs are bounded by a token pool, so streaming runs hold
 // only O(Workers · MaxShardRequests) requests in memory no matter how
@@ -201,19 +203,18 @@ func inOrder(in <-chan epoch, window int, mtr *obs.EngineMetrics, stage int, f f
 // and reconstructing the rest of the input. Residual in-flight epochs
 // are drained, not emitted.
 //
-// On the stateful graph r.rep.DeviceStats receives the servicer
-// device's accumulated statistics — it is the one instance that sees
-// every submission in order, so its stats equal a serial run's. The
-// write happens before the servicer closes its channel, which
-// happens-before the merge loop ends.
+// On the serviced graph r.rep.DeviceStats receives the device's
+// accumulated statistics — it saw every submission in order, so its
+// stats equal a serial run's. The write happens before the servicer
+// closes its channel, which happens-before the merge loop ends.
 func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) error) error {
 	workers := r.cfg.Workers
 	mtr := r.cfg.Metrics
 	tra := r.cfg.Trace
-	r.stateful = !device.IsShardSafe(dev)
-	if r.stateful {
+	r.serviced = !device.IsShardSafe(dev)
+	if r.serviced {
 		// A relative-time epoch's arrivals are not final until the merge
-		// chains its offset, so only the stateful graph can render bytes
+		// chains its offset, so only the serviced graph can render bytes
 		// in the workers.
 		r.se, _ = r.enc.(trace.ShardEncoder)
 	}
@@ -223,7 +224,7 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 	decCh := make(chan epoch, inflight)
 	resCh := make(chan epoch, inflight)
 	var svcCh, emuCh chan epoch
-	if r.stateful {
+	if r.serviced {
 		svcCh = make(chan epoch, inflight)
 		emuCh = make(chan epoch, inflight)
 	}
@@ -281,16 +282,25 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			wdev := r.cfg.Device()
-			emulate := func(ep epoch) {
+			// Only the shard-safe graph emulates in the workers; the
+			// serviced graph's one device is the servicer's.
+			var wdev device.Device
+			if !r.serviced {
+				wdev = r.cfg.Device()
+			}
+			second := func(ep epoch) {
 				st := beginStage(mtr, obs.StageEmulate, ep.span)
-				r.emulate(&ep, wdev)
+				if r.serviced {
+					r.finish(&ep)
+				} else {
+					r.emulate(&ep, wdev)
+				}
 				st.end()
 				mtr.QueuePush(obs.StageMerge)
 				resCh <- ep
 			}
 			// emuCh is nil on the shard-safe graph, where that case never
-			// fires and emulate runs fused behind decompose.
+			// fires and the second stage runs fused behind decompose.
 			dec, emu := decCh, emuCh
 			for dec != nil || emu != nil {
 				select {
@@ -300,7 +310,7 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 						continue
 					}
 					mtr.QueuePop(obs.StageEmulate)
-					emulate(ep)
+					second(ep)
 				case ep, ok := <-dec:
 					if !ok {
 						dec = nil
@@ -311,11 +321,11 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 					st := beginStage(mtr, obs.StageDecompose, ep.span)
 					r.decompose(&ep)
 					st.end()
-					if r.stateful {
+					if r.serviced {
 						mtr.QueuePush(obs.StageService)
 						svcCh <- ep
 					} else {
-						emulate(ep)
+						second(ep)
 					}
 				}
 			}
@@ -326,28 +336,20 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 		close(resCh)
 	}()
 
-	if r.stateful {
+	if r.serviced {
 		go func() {
 			decDone.Wait()
 			close(svcCh)
 		}()
-		// Servicer: the only device-ordered pass. It snapshots the entry
-		// state and advances one continuously evolving device through the
-		// epoch's submissions — device arithmetic only, no output.
+		// Servicer: the run's one device pass, over the epochs in order.
 		go func() {
 			defer close(emuCh)
-			snap := dev.(device.Stateful)
 			var now, shift time.Duration
 			inOrder(svcCh, inflight, mtr, obs.StageService, func(ep epoch) {
 				st := beginStage(mtr, obs.StageService, ep.span)
-				ep.h = replay.Handoff{State: snap.Snapshot(), Now: now}
 				ep.shift = shift
-				var async []bool
-				if !r.cfg.Core.SkipPostProcess {
-					async = ep.async
-				}
 				var delta time.Duration
-				now, delta = replay.ServiceShard(ep.reqs, dev, ep.idle, async, now)
+				now, delta = r.service(&ep, dev, now)
 				shift += delta
 				st.end()
 				mtr.QueuePush(obs.StageEmulate)
@@ -420,34 +422,48 @@ func (r *run) decompose(ep *epoch) {
 	if r.pool != nil {
 		r.pool.seqs.put(ep.seq)
 		ep.seq = nil
+		// The request data is consumed: the device pass collects in
+		// place over it.
+		ep.out = ep.reqs
 	}
 }
 
-// emulate is the second worker stage: run the epoch on this worker's
-// device — from the servicer's entry handoff on the global timeline
-// (stateful graph), or from a drained device at time zero (shard-safe
-// graph) — then post-process, aggregate, and pre-render the output
-// bytes when the graph allows it.
+// service is the servicer's stage, the serviced graph's one device
+// pass: continue dev — which carries every earlier epoch's state — from
+// absolute time start through the epoch's submissions, collecting the
+// new records on the global timeline. It returns the epoch's exit time
+// and the post-processing shift it accumulates, the next epoch's start
+// and shift increment.
+//
+//tracelint:hotpath
+func (r *run) service(ep *epoch, dev device.Device, start time.Duration) (end, shiftDelta time.Duration) {
+	var async []bool
+	if !r.cfg.Core.SkipPostProcess {
+		async = ep.async
+	}
+	return replay.EmulateEpoch(ep.out, ep.reqs, dev, ep.idle, async, start)
+}
+
+// emulate is the shard-safe graph's second worker stage: run the epoch
+// on this worker's device, drained and from time zero, then finish it.
+// The end time and the shift finish accumulated chain at the merge.
 //
 //tracelint:hotpath
 func (r *run) emulate(ep *epoch, dev device.Device) {
-	if r.pool != nil {
-		ep.out = ep.reqs
-	}
-	post := !r.cfg.Core.SkipPostProcess
-	if r.stateful {
-		replay.EmulateShardResume(ep.out, ep.reqs, dev, ep.idle, ep.h)
-		if post {
-			// The servicer accounted the same reductions when it computed
-			// the next epoch's entry shift; starting from ep.shift makes
-			// these arrivals final.
-			core.PostProcessShard(ep.out, ep.async, ep.shift)
-		}
-	} else {
-		ep.end = replay.EmulateShardInto(ep.out, ep.reqs, dev, ep.idle)
-		if post {
-			ep.shiftDelta = core.PostProcessShard(ep.out, ep.async, 0)
-		}
+	ep.end = replay.EmulateShardInto(ep.out, ep.reqs, dev, ep.idle)
+	ep.shiftDelta = r.finish(ep)
+}
+
+// finish is everything an epoch needs after its device pass, none of it
+// order-dependent: post-process the collected records from the epoch's
+// entry shift, aggregate, and pre-render the output bytes when the
+// graph allows it. It returns the shift accumulated within the epoch.
+//
+//tracelint:hotpath
+func (r *run) finish(ep *epoch) time.Duration {
+	var shiftDelta time.Duration
+	if !r.cfg.Core.SkipPostProcess {
+		shiftDelta = core.PostProcessShard(ep.out, ep.async, ep.shift) - ep.shift
 	}
 	for _, d := range ep.idle {
 		if d > 0 {
@@ -474,6 +490,7 @@ func (r *run) emulate(ep *epoch, dev device.Device) {
 		r.pool.reqs.put(ep.out)
 		ep.out = nil
 	}
+	return shiftDelta
 }
 
 // emit is the merge stage's output step, shared by the in-memory and

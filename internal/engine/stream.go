@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/infer"
 	"repro/internal/trace"
 )
@@ -49,11 +48,9 @@ func FitModel(dec trace.Decoder, opts infer.EstimateOptions) (*infer.Model, int,
 //
 // The input must be non-decreasing in arrival (wrap near-sorted
 // corpora in a trace.ReorderDecoder) with non-zero request sizes; the
-// planner rejects violations. Stateful devices run the serviced graph
-// with the same bounded memory, pre-rendering output bytes in the
-// workers when enc is a trace.ShardEncoder; devices with neither
-// engine capability fall back to materializing the stream and running
-// sequentially.
+// planner rejects violations. Devices that are not shard-safe run the
+// serviced graph with the same bounded memory, pre-rendering output
+// bytes in the workers when enc is a trace.ShardEncoder.
 //
 // On any error the decoder is closed (trace.CloseDecoder), so an
 // abandoned parallel decode never leaks its worker goroutines.
@@ -67,27 +64,6 @@ func (e *Engine) ReconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 }
 
 func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infer.Model) (*Report, error) {
-	dev := e.cfg.Device()
-	if !device.IsShardSafe(dev) && !device.IsStateful(dev) {
-		// No graph can run this device: materialize the stream and take
-		// the in-memory entry point's sequential fallback.
-		old, err := trace.Drain(dec)
-		if err != nil {
-			return nil, err
-		}
-		if err := old.Validate(); err != nil {
-			return nil, err
-		}
-		out, rep, err := e.Reconstruct(old)
-		if err != nil {
-			return nil, err
-		}
-		if err := trace.EncodeTrace(enc, out); err != nil {
-			return nil, err
-		}
-		return reportFromCore(rep, int64(out.Len()), 1), nil
-	}
-
 	first, err := dec.Next()
 	if err == io.EOF {
 		// Consistent with the in-memory path's Validate: an empty
@@ -150,7 +126,7 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 
 	r := &run{cfg: e.cfg, m: m, useRecorded: useRecorded, enc: enc, meta: outMeta, pool: pool}
 	r.rep.Model, r.rep.Workers = m, e.cfg.Workers
-	if err := r.execute(dev, produce); err != nil {
+	if err := r.execute(e.cfg.Device(), produce); err != nil {
 		return nil, err
 	}
 	return &r.rep, enc.Close()

@@ -55,12 +55,12 @@ func allocBenchTrace(n int) *trace.Trace {
 // on pre-registered metrics, and spans appended into the Tracer's
 // fixed preallocated buffer — so every configuration shares the same
 // 0.05 allocs/request bound (the fixed per-run setup amortized over
-// the request count). The host target — the stateful graph over
-// hoststack's flat page cache, a snapshot per epoch and a restore per
-// worker epoch, with a cache small enough that evictions and
-// high-water flushes run throughout — is held to the same bound: what
-// it adds per epoch (the boxed State, the retired-storage holder, the
-// odd snapshot the pool could not serve) amortizes far below it.
+// the request count). The serviced graph is held to the same bound on
+// each of its targets — one device per run, so what they add is their
+// own construction: the host stack with a cache small enough that
+// evictions and high-water flushes run throughout, the FTL with a
+// geometry small enough that foreground and background GC erase blocks
+// throughout, and the HDD.
 func TestStreamReconstructAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting at full trace size")
@@ -71,10 +71,16 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	host, err := deviceFactoryFor(JobSpec{Device: "host", HostConfig: &HostSpec{CachePages: 4096}})
-	if err != nil {
-		t.Fatal(err)
+	factory := func(spec JobSpec) func() device.Device {
+		mk, err := deviceFactoryFor(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mk
 	}
+	host := factory(JobSpec{Device: "host", HostConfig: &HostSpec{CachePages: 4096}})
+	ftl := factory(JobSpec{Device: "ftl", FTLConfig: &FTLSpec{Blocks: 128, PagesPerBlock: 64, OverprovisionPct: 0.4}})
+	hdd := factory(JobSpec{Device: "hdd"})
 
 	cases := []struct {
 		name    string
@@ -88,6 +94,8 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 			obs.NewEngineMetrics(obs.NewRegistry()),
 			obs.NewTracer("allocbound", 0, obs.TraceContext{}), nil},
 		{"host-device", nil, nil, host},
+		{"ftl-device", nil, nil, ftl},
+		{"hdd-device", nil, nil, hdd},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,8 +135,11 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 				}
 			}
 			for _, st := range stats {
-				if (st.Name == "cache_misses" || st.Name == "flushed_pages") && st.Value == 0 {
-					t.Fatalf("fixture created no cache/writeback pressure: %+v", stats)
+				switch st.Name {
+				case "cache_misses", "flushed_pages", "foreground_gc", "background_gc":
+					if st.Value == 0 {
+						t.Fatalf("fixture created no cache/writeback/GC pressure: %+v", stats)
+					}
 				}
 			}
 			if tc.tracer != nil {
@@ -146,9 +157,8 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 // TestHostCacheBoundedByResidency guards the "grow on demand" half of
 // the flat cache: a spec may ask for the largest cache validation
 // allows (4 Mi pages — ~100 MB of slab and ~32 MB of index if sized up
-// front, per device, and the pipeline builds workers+1 devices), but a
-// job pays only for the pages it touches, in the device and in every
-// snapshot.
+// front), but a job pays only for the pages it touches, in the device
+// and in a snapshot of it.
 func TestHostCacheBoundedByResidency(t *testing.T) {
 	spec := JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{CachePages: 1 << 22}}.Normalized()
 	if err := spec.Validate(); err != nil {
@@ -210,8 +220,17 @@ func TestMeasuredHotPathsAnnotated(t *testing.T) {
 		{"../trace/stream.go", "BinaryEncoder", "AppendRecord"},
 		{"../trace/summary.go", "Summarizer", "Add"},
 		{"exec.go", "run", "decompose"},
+		{"exec.go", "run", "service"},
 		{"exec.go", "run", "emulate"},
+		{"exec.go", "run", "finish"},
 		{"exec.go", "run", "emit"},
+		{"../ftl/ftl.go", "FTL", "Write"},
+		{"../ftl/ftl.go", "FTL", "Read"},
+		{"../ftl/ftl.go", "FTL", "program"},
+		{"../ftl/ftl.go", "FTL", "collect"},
+		{"../ftl/ftl.go", "FTL", "victim"},
+		{"../ftl/ftl.go", "FTL", "popFree"},
+		{"../ftl/ftl.go", "FTL", "pushFree"},
 		{"../hoststack/hoststack.go", "Stack", "Submit"},
 		{"../hoststack/hoststack.go", "Stack", "read"},
 		{"../hoststack/hoststack.go", "Stack", "write"},

@@ -84,12 +84,17 @@ type block struct {
 type FTL struct {
 	cfg Config
 
-	blocks   []block
-	freeList []int
-	active   int     // block currently receiving host writes
-	gcActive int     // block receiving GC relocations (-1 = none)
-	l2p      []int64 // logical page -> packed (block<<32 | page); -1 unmapped
-	logical  int64   // addressable logical pages
+	blocks []block
+	// free is a FIFO ring of the free block numbers: freeCount entries
+	// starting at freeHead. It holds cfg.Blocks slots — the active block
+	// is never free, so it cannot overflow — and never reallocates.
+	free      []int
+	freeHead  int
+	freeCount int
+	active    int     // block currently receiving host writes
+	gcActive  int     // block receiving GC relocations (-1 = none)
+	l2p       []int64 // logical page -> packed (block<<32 | page); -1 unmapped
+	logical   int64   // addressable logical pages
 
 	stats Stats
 }
@@ -184,9 +189,10 @@ func (f *FTL) Reset() {
 	}
 	// Block 0 starts active; the rest are free.
 	f.active = 0
-	f.freeList = f.freeList[:0]
+	f.free = make([]int, f.cfg.Blocks)
+	f.freeHead, f.freeCount = 0, 0
 	for i := 1; i < f.cfg.Blocks; i++ {
-		f.freeList = append(f.freeList, i)
+		f.pushFree(i)
 	}
 	f.stats = Stats{}
 }
@@ -217,6 +223,8 @@ func (f *FTL) Stats() Stats {
 }
 
 // Read services a logical-page read and returns its device time.
+//
+//tracelint:hotpath
 func (f *FTL) Read(lpn int64) time.Duration {
 	if lpn < 0 || lpn >= f.logical {
 		return f.cfg.ReadLatency
@@ -228,6 +236,8 @@ func (f *FTL) Read(lpn int64) time.Duration {
 // program into the active block, and run foreground GC if free space
 // is exhausted. It returns the host-visible device time including any
 // GC stall.
+//
+//tracelint:hotpath
 func (f *FTL) Write(lpn int64) (time.Duration, error) {
 	if lpn < 0 {
 		return 0, fmt.Errorf("ftl: negative lpn %d", lpn)
@@ -253,10 +263,10 @@ func (f *FTL) Write(lpn int64) (time.Duration, error) {
 	// deadlock mid-rotation. A cold device with nothing invalid yet
 	// simply has nothing to reclaim — that is not an error as long as
 	// rotation is still possible.
-	for len(f.freeList) < f.cfg.GCTriggerFreeBlocks {
+	for f.freeCount < f.cfg.GCTriggerFreeBlocks {
 		d, err := f.collect(true)
 		if err != nil {
-			if len(f.freeList) > 0 {
+			if f.freeCount > 0 {
 				break
 			}
 			return stall, err
@@ -270,7 +280,7 @@ func (f *FTL) Write(lpn int64) (time.Duration, error) {
 // returns the portion of the budget actually used.
 func (f *FTL) Idle(budget time.Duration) time.Duration {
 	var used time.Duration
-	for len(f.freeList) < f.cfg.BackgroundGCTarget {
+	for f.freeCount < f.cfg.BackgroundGCTarget {
 		cost := f.peekCollectCost()
 		if cost <= 0 || used+cost > budget {
 			break
@@ -291,12 +301,36 @@ func (f *FTL) activeFull() bool {
 
 // rotateActive takes a fresh block from the free list.
 func (f *FTL) rotateActive() error {
-	if len(f.freeList) == 0 {
+	if f.freeCount == 0 {
 		return ErrFull
 	}
-	f.active = f.freeList[0]
-	f.freeList = f.freeList[1:]
+	f.active = f.popFree()
 	return nil
+}
+
+// popFree takes the oldest free block off the ring (freeCount > 0).
+//
+//tracelint:hotpath
+func (f *FTL) popFree() int {
+	b := f.free[f.freeHead]
+	f.freeHead++
+	if f.freeHead == len(f.free) {
+		f.freeHead = 0
+	}
+	f.freeCount--
+	return b
+}
+
+// pushFree appends an erased block to the ring.
+//
+//tracelint:hotpath
+func (f *FTL) pushFree(b int) {
+	i := f.freeHead + f.freeCount
+	if i >= len(f.free) {
+		i -= len(f.free)
+	}
+	f.free[i] = b
+	f.freeCount++
 }
 
 // invalidate clears lpn's current mapping.
@@ -314,6 +348,8 @@ func (f *FTL) invalidate(lpn int64) {
 }
 
 // program writes lpn into the next free page of block b.
+//
+//tracelint:hotpath
 func (f *FTL) program(b int, lpn int64, gc bool) {
 	blk := &f.blocks[b]
 	p := blk.writePtr
@@ -331,6 +367,8 @@ func (f *FTL) program(b int, lpn int64, gc bool) {
 
 // victim selects the fullest-invalid (greedy) block, excluding the
 // active and GC blocks. Returns -1 when nothing is reclaimable.
+//
+//tracelint:hotpath
 func (f *FTL) victim() int {
 	best, bestValid := -1, 1<<30
 	for i := range f.blocks {
@@ -364,6 +402,8 @@ func (f *FTL) peekCollectCost() time.Duration {
 
 // collect runs one GC round: relocate the victim's valid pages, erase
 // it, return it to the free list.
+//
+//tracelint:hotpath
 func (f *FTL) collect(foreground bool) (time.Duration, error) {
 	v := f.victim()
 	if v < 0 {
@@ -379,11 +419,10 @@ func (f *FTL) collect(foreground bool) (time.Duration, error) {
 		// Relocation target: a dedicated GC block so host and GC
 		// streams do not interleave (hot/cold separation).
 		if f.gcActive < 0 || f.blocks[f.gcActive].writePtr >= f.cfg.PagesPerBlock {
-			if len(f.freeList) == 0 {
+			if f.freeCount == 0 {
 				return cost, ErrFull
 			}
-			f.gcActive = f.freeList[0]
-			f.freeList = f.freeList[1:]
+			f.gcActive = f.popFree()
 		}
 		blk.pages[p] = pageInvalid
 		blk.validCount--
@@ -391,13 +430,13 @@ func (f *FTL) collect(foreground bool) (time.Duration, error) {
 		cost += f.cfg.ReadLatency + f.cfg.ProgramLatency
 	}
 	// Erase and reclaim.
-	blk.pages = make([]pageState, f.cfg.PagesPerBlock)
+	clear(blk.pages)
 	blk.validCount = 0
 	blk.writePtr = 0
 	blk.eraseCount++
 	f.stats.Erases++
 	cost += f.cfg.EraseLatency
-	f.freeList = append(f.freeList, v)
+	f.pushFree(v)
 	if foreground {
 		f.stats.ForegroundGC++
 		f.stats.ForegroundStall += cost

@@ -76,6 +76,42 @@ func TestGCReclaimsUnderPressure(t *testing.T) {
 	}
 }
 
+// TestWriteSteadyStateAllocs pins the hot path at zero allocations: a
+// device past its first fill, with foreground GC stalling writes and
+// background GC draining idle grants, erases blocks and cycles the free
+// ring without touching the heap.
+func TestWriteSteadyStateAllocs(t *testing.T) {
+	f := tiny()
+	lpn := int64(0)
+	write := func() {
+		if _, err := f.Write(lpn * 7 % 1500); err != nil {
+			t.Fatal(err)
+		}
+		lpn++
+	}
+	for i := 0; i < 64*32*2; i++ { // fill, and bring GC to steady state
+		write()
+	}
+	before := f.Stats()
+	// AllocsPerRun reports a whole-number average, so one run spans two
+	// blocks' worth of writes: every run erases at least one block.
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			write()
+			f.Read(lpn % 1500)
+		}
+		f.Idle(20 * time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Write/Read/Idle allocates %.0f objects per 64 writes, want 0", allocs)
+	}
+	after := f.Stats()
+	if after.ForegroundGC == before.ForegroundGC || after.BackgroundGC == before.BackgroundGC ||
+		after.ForegroundStall == before.ForegroundStall || after.Erases < before.Erases+64 {
+		t.Fatalf("fixture did not keep GC firing in both modes: before %+v, after %+v", before, after)
+	}
+}
+
 func TestColdSequentialFillDoesNotErrFull(t *testing.T) {
 	f := tiny()
 	// Write every logical page exactly once: nothing to reclaim, but

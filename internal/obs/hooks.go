@@ -9,9 +9,14 @@ package obs
 
 import "time"
 
-// Engine stages, in stage-graph order. Stateful targets exercise all
-// five; the shard-safe graph has no service stage (shard-safe devices
-// drain between epochs, so nothing is serialized on device state).
+// Engine stages, in stage-graph order; one vocabulary for both graphs.
+// The serviced graph (targets that are not shard-safe) exercises all
+// five: service times the run's one device pass, output collection
+// included, and emulate times what is left for the workers behind it —
+// post-processing, aggregation and rendering. The shard-safe graph has
+// no service stage (shard-safe devices drain between epochs, so nothing
+// is serialized on device state); its emulate times the per-worker
+// device emulation plus post-processing.
 const (
 	StagePlan = iota
 	StageDecompose

@@ -168,20 +168,34 @@ func EmulateShard(reqs []trace.Request, dev device.Device, idle []time.Duration)
 // shard results straight into the merged output without copying.
 func EmulateShardInto(dst, reqs []trace.Request, dev device.Device, idle []time.Duration) time.Duration {
 	dev.Reset()
-	end, _ := emulate(dst, reqs, dev, idle, nil, 0)
+	end, _ := EmulateEpoch(dst, reqs, dev, idle, nil, 0)
 	return end
 }
 
-// emulate is the one emulation loop every entry point below runs, so
-// the serial servicing pass and the workers that re-run its epochs
-// cannot drift apart: starting at absolute time start, wait idle[i]
-// after the previous completion, submit synchronously, move on at the
-// completion. dst, when non-nil, collects the new trace
+// EmulateEpoch is the one emulation loop behind every entry point in
+// this file, so a serviced epoch and a shard emulated from zero cannot
+// drift apart: starting at absolute time start, wait idle[i] after the
+// previous completion, submit synchronously, move on at the completion.
+// It runs one epoch of a longer run on the global timeline: dev carries
+// whatever state the preceding epochs left in it (it is not Reset), and
+// start is the completion of the last instruction before the epoch,
+// zero for the first. dst, when non-nil, collects the new trace
 // (len(dst) == len(reqs); in place over reqs is allowed). async, when
-// non-nil, accumulates the post-processing arrival reduction
-// core.PostProcessShard will apply: for each flagged instruction, the
-// emulated latency beyond SubmissionGap.
-func emulate(dst, reqs []trace.Request, dev device.Device, idle []time.Duration, async []bool, start time.Duration) (end, shiftDelta time.Duration) {
+// non-nil, accumulates shiftDelta, the post-processing arrival
+// reduction core.PostProcessShard will apply: for each flagged
+// instruction, the emulated latency beyond SubmissionGap.
+//
+// Threading (end, shiftDelta) through consecutive epochs on one device
+// reproduces a single EmulateShardInto run over the concatenation
+// exactly, and running core.PostProcessShard over each epoch from the
+// shift accumulated before it reproduces one post-processing pass — so
+// an epoch's arrivals are final as soon as the device pass has reached
+// it, and everything after that pass can run out of order. Unlike the
+// shard-safe path, which emulates every shard from a drained device at
+// time zero and shifts afterwards, this holds for devices whose state
+// is a function of absolute time (the HDD's rotational phase): it needs
+// nothing from dev but Submit, in order.
+func EmulateEpoch(dst, reqs []trace.Request, dev device.Device, idle []time.Duration, async []bool, start time.Duration) (end, shiftDelta time.Duration) {
 	now := start
 	for i, r := range reqs {
 		if idle != nil {
@@ -205,54 +219,12 @@ func emulate(dst, reqs []trace.Request, dev device.Device, idle []time.Duration,
 	return now, shiftDelta
 }
 
-// Handoff is the carry between consecutive epochs of a pipelined
-// emulation over a non-shard-safe device: the device's state snapshot
-// at the epoch boundary and the absolute virtual time of the last
-// prior completion. Unlike the shard-safe path — which emulates every
-// shard from a drained device at time zero and shifts afterwards —
-// the pipelined path keeps all epochs on one global timeline, because
-// positional device state (the HDD's rotational phase) is a function
-// of absolute time.
-type Handoff struct {
-	// State is the device snapshot at the epoch boundary (a value from
-	// device.Stateful.Snapshot on a same-configured device).
-	State device.State
-	// Now is the completion time of the last instruction before the
-	// epoch (zero for the first epoch).
-	Now time.Duration
-}
-
-// EmulateShardResume runs the emulation loop over one epoch starting
-// from handoff h: dev (which must implement device.Stateful) is
-// restored to h.State and the loop continues at absolute time h.Now,
-// writing the collected trace into dst (len(dst) == len(reqs); in
-// place over reqs is allowed). The epoch's exit time is returned;
-// paired with a Snapshot of dev it is the next epoch's handoff, so
-// chaining epochs through their handoffs reproduces one continuous
-// EmulateShardInto run over the concatenation exactly — that is the
-// identity the pipelined engine relies on, with the serial servicing
-// pass (ServiceShard) producing the entry handoffs and workers
-// re-running the epochs from them. The engine's workers never need the
-// exit snapshot (the servicer already took it), so it is not taken
-// here.
-func EmulateShardResume(dst, reqs []trace.Request, dev device.Device, idle []time.Duration, h Handoff) time.Duration {
-	dev.(device.Stateful).Restore(h.State)
-	end, _ := emulate(dst, reqs, dev, idle, nil, h.Now)
-	return end
-}
-
-// ServiceShard is the lightweight serial pass of the pipelined
-// emulation: it advances dev through one epoch's servicing — the same
-// submissions, at the same absolute times, as EmulateShardResume —
-// without collecting the output trace, and reports the epoch's exit
-// time plus the post-processing arrival reduction it accumulates
-// (shiftDelta). Knowing shiftDelta at handoff time is what lets the
-// parallel workers post-process and encode their epochs with final
-// absolute arrivals. dev's state must already be the epoch's entry
-// state (the servicer owns one continuously evolving device); async
-// may be nil when the caller skips post-processing.
+// ServiceShard is EmulateEpoch without the output: it advances dev
+// through one epoch's submissions, at the same absolute times, and
+// reports the same exit time and shiftDelta, for callers that want the
+// device pass alone (its cost, or the device state it leaves behind).
 func ServiceShard(reqs []trace.Request, dev device.Device, idle []time.Duration, async []bool, start time.Duration) (end time.Duration, shiftDelta time.Duration) {
-	return emulate(nil, reqs, dev, idle, async, start)
+	return EmulateEpoch(nil, reqs, dev, idle, async, start)
 }
 
 // Accelerate reproduces the Acceleration baseline: it divides every
