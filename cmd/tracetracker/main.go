@@ -126,9 +126,12 @@ func main() {
 
 // runStream drives the bounded-memory engine path by delegating to
 // the same engine.RunJob the daemon executes (two passes over the
-// input file: model fit, then sharded reconstruction; the output is
-// written atomically).
+// input file on the inference path: model fit, then sharded
+// reconstruction; the output is written atomically).
 func runStream(in, informat, out, outformat, fioDevice, method, devName string, parallel, reorderWindow int, showReport bool) error {
+	if method != "tracetracker" && method != "dynamic" {
+		return fmt.Errorf("-stream runs the tracetracker/dynamic methods, not %q (the baselines materialize the trace)", method)
+	}
 	if in == "" {
 		return fmt.Errorf("-stream needs -in (the model-fit pass re-reads the input)")
 	}
@@ -153,7 +156,6 @@ func runStream(in, informat, out, outformat, fioDevice, method, devName string, 
 		Method:        method,
 		Device:        devName,
 		Parallel:      parallel,
-		Stream:        true,
 		ReorderWindow: reorderWindow,
 	})
 	if err != nil {

@@ -186,7 +186,7 @@ func TestAddrGuard(t *testing.T) {
 // answer 401 with the envelope, both credential headers work, and
 // /healthz and /metrics stay open for probes and scrapers.
 func TestAuthOverHTTP(t *testing.T) {
-	srv := newServer(engine.Config{Workers: 2}, 1, 0)
+	srv := newServer(engine.Config{Workers: 2}, 1)
 	defer srv.Close()
 	srv.setAuth(authKeysFor(t, "alice:ka-111\nbob:kb-222"))
 	ts := httptest.NewServer(srv)
@@ -294,7 +294,7 @@ func TestCorpusBytesQuota(t *testing.T) {
 // TestConcurrentJobsQuota: a tenant with a live job is refused a
 // second one while another tenant's identical submit is accepted.
 func TestConcurrentJobsQuota(t *testing.T) {
-	srv := newServer(engine.Config{Workers: 2}, 1, 0)
+	srv := newServer(engine.Config{Workers: 2}, 1)
 	defer srv.Close()
 	srv.setAuth(authKeysFor(t, "alice:ka\nbob:kb"))
 	srv.adm.quota.ConcurrentJobs = 1
@@ -329,7 +329,7 @@ func TestConcurrentJobsQuota(t *testing.T) {
 // TestJobsPerMinQuota: the submission-rate quota refuses a tenant's
 // burst overflow with Retry-After while another tenant submits freely.
 func TestJobsPerMinQuota(t *testing.T) {
-	srv := newServer(engine.Config{Workers: 2}, 1, 0)
+	srv := newServer(engine.Config{Workers: 2}, 1)
 	defer srv.Close()
 	srv.setAuth(authKeysFor(t, "alice:ka\nbob:kb"))
 	srv.adm.quota.JobsPerMin = 2
@@ -363,7 +363,7 @@ func TestJobsPerMinQuota(t *testing.T) {
 // tenant draining its bucket does not affect another.
 func TestRateLimits(t *testing.T) {
 	t.Run("global", func(t *testing.T) {
-		srv := newServer(engine.Config{Workers: 2}, 1, 0)
+		srv := newServer(engine.Config{Workers: 2}, 1)
 		defer srv.Close()
 		srv.setRateLimits(1, 0) // burst 2
 		ts := httptest.NewServer(srv)
@@ -395,7 +395,7 @@ func TestRateLimits(t *testing.T) {
 		}
 	})
 	t.Run("per-tenant", func(t *testing.T) {
-		srv := newServer(engine.Config{Workers: 2}, 1, 0)
+		srv := newServer(engine.Config{Workers: 2}, 1)
 		defer srv.Close()
 		srv.setAuth(authKeysFor(t, "alice:ka\nbob:kb"))
 		srv.setRateLimits(0, 1) // burst 2 per tenant

@@ -216,7 +216,7 @@ func TestErrorEnvelopes(t *testing.T) {
 	}
 
 	// corpus_disabled needs a daemon without -data.
-	bare := newServer(engine.Config{}, 1, 0)
+	bare := newServer(engine.Config{}, 1)
 	defer bare.Close()
 	tsBare := httptest.NewServer(bare)
 	defer tsBare.Close()
@@ -233,7 +233,7 @@ func TestErrorEnvelopes(t *testing.T) {
 // serves every engine target with aliases, pipeline class and knobs,
 // so clients can discover ftl_config/host_config without trial 400s.
 func TestDevicesEndpoint(t *testing.T) {
-	srv := newServer(engine.Config{}, 1, 0)
+	srv := newServer(engine.Config{}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -286,7 +286,7 @@ func TestDevicesEndpoint(t *testing.T) {
 // the cursor orders by the job's monotonic sequence number rather
 // than page offset.
 func TestJobListPagination(t *testing.T) {
-	srv := newServer(engine.Config{}, 1, 0)
+	srv := newServer(engine.Config{}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -18,7 +18,6 @@ var stableCodes = []string{
 	"bad_json",
 	"bad_limit",
 	"bad_spec",
-	"bad_stream_spec",
 	"bad_trace",
 	"config_mismatch",
 	"corpus_disabled",
@@ -32,7 +31,6 @@ var stableCodes = []string{
 	"queue_full",
 	"quota_exceeded",
 	"rate_limited",
-	"result_evicted",
 	"shutting_down",
 	"trace_evicted",
 	"unauthorized",

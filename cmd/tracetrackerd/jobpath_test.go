@@ -1,0 +1,277 @@
+package main
+
+// Tests for the one job path through the daemon: whatever the target,
+// output format, method or input kind, a job streams into a file, the
+// result endpoint serves that file's bytes — the sequential pipeline's
+// bytes — and the file outlives the process.
+
+import (
+	"bytes"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/baseline"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/trace"
+)
+
+// encodeAs renders tr the way a job does: the streaming encoder of the
+// named format, with the defaulted fio replay device.
+func encodeAs(t *testing.T, format string, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc, err := trace.NewEncoder(format, &buf, "/dev/nvme0n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.EncodeTrace(enc, tr); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// reportOfCore is the job report the daemon published when jobs ran in
+// memory: the projection of the sequential pipeline's core.Report. The
+// stream report must not lose a field of it.
+func reportOfCore(rep *core.Report, requests int) jobReport {
+	jr := jobReport{
+		Requests:    int64(requests),
+		IdleCount:   rep.IdleCount,
+		IdleTotalUS: float64(rep.IdleTotal) / float64(time.Microsecond),
+		AsyncCount:  rep.AsyncCount,
+		DeviceStats: rep.DeviceStats,
+	}
+	if rep.Model != nil {
+		jr.BetaMicros, jr.EtaMicros = rep.Model.BetaMicros, rep.Model.EtaMicros
+	}
+	return jr
+}
+
+// TestDaemonIdentityTable runs every device × output format × engine
+// method as a corpus job, plus the three baselines as path jobs, and
+// holds the served bytes to the sequential reference encoded with
+// trace.EncodeTrace and the job report to the sequential report.
+func TestDaemonIdentityTable(t *testing.T) {
+	dir := t.TempDir()
+	inPath, _ := writeInput(t, dir)
+	raw, err := os.ReadFile(inPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The inference path: the same records with the latencies dropped.
+	known := decodeCSV(t, raw)
+	unknown := *known
+	unknown.TsdevKnown = false
+	unknown.Requests = append([]trace.Request(nil), known.Requests...)
+	for i := range unknown.Requests {
+		unknown.Requests[i].Latency = 0
+	}
+	var unknownCSV bytes.Buffer
+	if err := trace.WriteCSV(&unknownCSV, &unknown); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := dataServer(t, filepath.Join(dir, "data"))
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	inputs := []struct {
+		name   string
+		raw    []byte
+		digest string
+	}{
+		{"recorded", raw, uploadCorpus(t, ts, raw, "csv")},
+		{"inferred", unknownCSV.Bytes(), uploadCorpus(t, ts, unknownCSV.Bytes(), "csv")},
+	}
+
+	formats := []string{"csv", "bin", "blktrace", "fio"}
+	for _, in := range inputs {
+		old := decodeCSV(t, in.raw)
+		for _, dev := range []string{"array", "ssd", "hdd", "ftl", "host"} {
+			mk, err := engine.DeviceFactory(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, method := range []string{"tracetracker", "dynamic"} {
+				want, rep, err := core.Reconstruct(old, mk(), core.Options{SkipPostProcess: method == "dynamic"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if in.name == "inferred" && rep.Model == nil {
+					t.Fatal("fixture: the inferred input fitted no model")
+				}
+				for _, format := range formats {
+					label := fmt.Sprintf("%s/%s/%s/%s", in.name, dev, method, format)
+					id := postJob(t, ts, engine.JobSpec{
+						In: "corpus:" + in.digest, Device: dev, Method: method, OutFormat: format,
+					})
+					j := waitDone(t, ts, id)
+					if j.Cached {
+						t.Fatalf("%s: cache hit; every cell is a distinct key", label)
+					}
+					if got := getBody(t, ts.URL+j.ResultURL); !bytes.Equal(got, encodeAs(t, format, want)) {
+						t.Fatalf("%s: served bytes diverge from the sequential pipeline", label)
+					}
+					if j.Report == nil {
+						t.Fatalf("%s: no report", label)
+					}
+					got, wantRep := *j.Report, reportOfCore(rep, want.Len())
+					// Scheduling facts the sequential pipeline has no say in.
+					got.Shards, got.Workers = 0, 0
+					if !reflect.DeepEqual(got, wantRep) {
+						t.Fatalf("%s: job report diverges from the sequential report:\n got %+v\nwant %+v", label, got, wantRep)
+					}
+				}
+			}
+		}
+	}
+
+	// The baselines: in memory and sequential, but through the same sink
+	// (here the spool file of a path job without an out).
+	old := decodeCSV(t, raw)
+	mkArray, _ := engine.DeviceFactory("array")
+	baselines := map[string]*trace.Trace{
+		"fixed-th":     baseline.FixedTh(old, mkArray(), baseline.DefaultFixedThreshold),
+		"revision":     baseline.Revision(old, mkArray()),
+		"acceleration": baseline.Acceleration(old, baseline.DefaultAccelerationFactor),
+	}
+	for method, want := range baselines {
+		id := postJob(t, ts, engine.JobSpec{In: inPath, Method: method, OutFormat: "bin"})
+		j := waitDone(t, ts, id)
+		if got := getBody(t, ts.URL+j.ResultURL); !bytes.Equal(got, encodeAs(t, "bin", want)) {
+			t.Fatalf("%s: served bytes diverge from the baseline reference", method)
+		}
+		if j.Report != nil {
+			t.Fatalf("%s: a baseline job carries no engine report, got %+v", method, j.Report)
+		}
+		if want := filepath.Join(srv.store.Root(), "spool", id); j.OutPath != want {
+			t.Fatalf("%s: result at %q, want the spool file %q", method, j.OutPath, want)
+		}
+	}
+}
+
+func decodeCSV(t *testing.T, raw []byte) *trace.Trace {
+	t.Helper()
+	tr, err := trace.ReadCSV(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestSpoolLifecycle: a spool file goes when its job record is pruned
+// (an out-path result does not), and a daemon without -data spools to a
+// temp directory it removes at Close.
+func TestSpoolLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	inPath, _ := writeInput(t, dir)
+	srv := newServer(engine.Config{Workers: 1}, 1)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	spooled := waitDone(t, ts, postJob(t, ts, engine.JobSpec{In: inPath}))
+	kept := waitDone(t, ts, postJob(t, ts, engine.JobSpec{In: inPath, Out: filepath.Join(dir, "kept.csv")}))
+	srv.mu.Lock()
+	spoolDir := srv.spoolDir
+	srv.mu.Unlock()
+	if spoolDir == "" || filepath.Dir(spooled.OutPath) != spoolDir {
+		t.Fatalf("spooled result at %q, spool dir %q", spooled.OutPath, spoolDir)
+	}
+	getBody(t, ts.URL+spooled.ResultURL)
+
+	// Push both records past the retention bound.
+	srv.mu.Lock()
+	for i := 0; i < retainJobs; i++ {
+		id := fmt.Sprintf("filler-%d", i)
+		srv.jobs[id] = &job{ID: id, State: stateQueued}
+		srv.order = append(srv.order, id)
+	}
+	srv.prune()
+	_, spooledKnown := srv.jobs[spooled.ID]
+	_, keptKnown := srv.jobs[kept.ID]
+	srv.mu.Unlock()
+	if spooledKnown || keptKnown {
+		t.Fatal("prune kept finished jobs beyond the retention bound")
+	}
+	if _, err := os.Stat(spooled.OutPath); !os.IsNotExist(err) {
+		t.Fatalf("pruned job's spool file still there: %v", err)
+	}
+	if _, err := os.Stat(kept.OutPath); err != nil {
+		t.Fatalf("prune deleted a result at the user's out path: %v", err)
+	}
+	resp, err := http.Get(ts.URL + spooled.ResultURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("pruned job result: status %d, want 404 unknown_job", resp.StatusCode)
+	}
+
+	srv.mu.Lock()
+	for id := range srv.jobs {
+		if strings.HasPrefix(id, "filler-") {
+			delete(srv.jobs, id)
+		}
+	}
+	srv.order = nil
+	srv.mu.Unlock()
+	srv.Close()
+	if _, err := os.Stat(spoolDir); !os.IsNotExist(err) {
+		t.Fatalf("temp spool dir survives Close: %v", err)
+	}
+}
+
+// TestRacingIdenticalCorpusJobs submits the same corpus job to two
+// executors at once: both finish done with identical bytes, and the
+// result cache holds exactly one file for the key.
+func TestRacingIdenticalCorpusJobs(t *testing.T) {
+	dataDir := filepath.Join(t.TempDir(), "data")
+	srv := newServer(engine.Config{Workers: 2, MaxShardRequests: 256}, 2)
+	if err := srv.openData(dataDir); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	digest := uploadCorpus(t, ts, corpusBlob(t, "raced", 20_000), "")
+
+	spec := engine.JobSpec{In: "corpus:" + digest, OutFormat: "bin"}
+	id1, id2 := postJob(t, ts, spec), postJob(t, ts, spec)
+	j1, j2 := waitDone(t, ts, id1), waitDone(t, ts, id2)
+	b1, b2 := getBody(t, ts.URL+j1.ResultURL), getBody(t, ts.URL+j2.ResultURL)
+	if len(b1) == 0 || !bytes.Equal(b1, b2) {
+		t.Fatalf("racing jobs served %d and %d bytes that differ", len(b1), len(b2))
+	}
+	if j1.Report == nil || j2.Report == nil || j1.Report.Requests != 20_000 || j2.Report.Requests != 20_000 {
+		t.Fatalf("racing jobs' reports: %+v / %+v", j1.Report, j2.Report)
+	}
+	files, err := os.ReadDir(filepath.Join(dataDir, "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []string
+	for _, f := range files {
+		if !strings.HasSuffix(f.Name(), ".json") {
+			results = append(results, f.Name())
+		}
+	}
+	if len(results) != 1 {
+		t.Fatalf("result cache holds %v, want exactly one file", results)
+	}
+	if n := tmpEntryCount(t, dataDir); n != 0 {
+		t.Fatalf("%d staged files left behind by the losing writer", n)
+	}
+	h := health(t, ts)
+	if h["executed"].(float64)+h["cache_hits"].(float64) != 2 {
+		t.Fatalf("outcomes: executed=%v cache_hits=%v, want two in total", h["executed"], h["cache_hits"])
+	}
+}

@@ -4,9 +4,9 @@ package main
 // data directory: one "submit" record when a job is accepted, one
 // "done" or "fail" record when it finishes. On startup the journal is
 // replayed — finished jobs are restored (results resolve from the
-// user's output path or the result cache), and jobs with a submit but
-// no finish were interrupted by a crash and re-queue. A torn final
-// line (crash mid-append) is ignored.
+// recorded output path — the user's or the spool's — or the result
+// cache), and jobs with a submit but no finish were interrupted by a
+// crash and re-queue. A torn final line (crash mid-append) is ignored.
 
 import (
 	"bufio"

@@ -9,11 +9,14 @@
 // uploaded to POST /v1/corpus — plus the method, the reconstruction
 // target (array/ssd/hdd/ftl/host, with nested ftl_config/host_config
 // knobs discoverable from GET /v1/devices), and optionally an output
-// path and the streaming mode for larger-than-memory corpora. With
-// -data, results of corpus jobs are cached by (input digest, job
-// fingerprint): resubmitting an equivalent job serves the cached bytes
-// without reconstructing, and a journal replays finished and
-// interrupted jobs across restarts.
+// path. Every job streams its input through the engine's stage graph
+// straight into a file — the result cache's for corpus jobs, the
+// spec's out path or a daemon-assigned spool file for path jobs — in
+// memory bounded by the worker count, not the trace, and the result
+// endpoint serves that file. With -data, results of corpus jobs are
+// cached by (input digest, job fingerprint): resubmitting an
+// equivalent job serves the cached bytes without reconstructing, and a
+// journal replays finished and interrupted jobs across restarts.
 //
 // The daemon listens on loopback by default and runs anonymously
 // there; to expose it beyond the host, configure API-key
@@ -70,9 +73,8 @@ func main() {
 		"engine workers per job, and decode workers for corpus uploads (<2 = sequential ingest)")
 	minIdleGap := flag.Duration("min-idle-gap", time.Millisecond, "epoch cut threshold")
 	maxShard := flag.Int("max-shard", 0, "max requests per shard (0 = engine default)")
-	retain := flag.Int("retain", 0, "finished in-memory results kept before eviction (0 = default)")
 	dataDir := flag.String("data", "",
-		"corpus data directory: enables /corpus uploads, corpus:<digest> job inputs, result caching, and crash recovery via the job journal")
+		"corpus data directory: enables /corpus uploads, corpus:<digest> job inputs, result caching, and crash recovery via the job journal; results of path jobs without an out path spool under it (without -data they spool to a temp dir that ends with the process)")
 	drain := flag.Duration("drain", 30*time.Second,
 		"graceful-shutdown deadline for running jobs on SIGINT/SIGTERM")
 	traceRing := flag.Int("trace-ring", obs.DefaultFlightRecorderCapacity,
@@ -127,7 +129,7 @@ func main() {
 		MinIdleGap:       *minIdleGap,
 		MaxShardRequests: *maxShard,
 	}
-	srv := newServerCap(base, *jobs, *retain, *queueCap)
+	srv := newServerCap(base, *jobs, *queueCap)
 	srv.ingestParallel = *parallel
 	srv.flight.SetCapacity(*traceRing)
 	srv.slowJob = *slowJob

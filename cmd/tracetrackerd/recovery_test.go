@@ -24,7 +24,7 @@ func dataServer(t *testing.T, dataDir string) *server {
 	t.Helper()
 	srv := newServer(engine.Config{
 		Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond,
-	}, 1, 0)
+	}, 1)
 	if err := srv.openData(dataDir); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestCorpusEndpoints(t *testing.T) {
 	}
 
 	// A daemon without -data refuses corpus traffic and corpus jobs.
-	bare := newServer(engine.Config{Workers: 1}, 1, 0)
+	bare := newServer(engine.Config{Workers: 1}, 1)
 	defer bare.Close()
 	tsBare := httptest.NewServer(bare)
 	defer tsBare.Close()
@@ -328,26 +328,20 @@ func TestJournalReplayRecovery(t *testing.T) {
 	}
 
 	// The interrupted job re-queued and re-ran to byte-identical
-	// output against a direct engine run of the same spec.
+	// output against the sequential pipeline.
 	j77 := waitDone(t, ts2, "job-77")
 	if j77.Cached {
 		t.Fatal("interrupted bin job cannot be a cache hit: nothing produced bin output before")
 	}
 	got77 := getBody(t, ts2.URL+"/jobs/job-77/result")
-	directSpec := interrupted
-	directSpec.In = filepath.Join(dataDir, "objects", digest)
-	direct, err := engine.RunJob(srv2.base, directSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Encode via the streaming encoder — the form the result endpoint
-	// and the cache serve (sentinel count, not the counted header).
+	// Encode via the streaming encoder — the form the job writes and
+	// the cache serves (sentinel count, not the counted header).
 	var wantBin bytes.Buffer
-	if err := trace.EncodeTrace(trace.NewBinaryEncoder(&wantBin), direct.Trace); err != nil {
+	if err := trace.EncodeTrace(trace.NewBinaryEncoder(&wantBin), want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got77, wantBin.Bytes()) {
-		t.Fatal("re-run output diverges from a direct reconstruction")
+		t.Fatal("re-run output diverges from the sequential reconstruction")
 	}
 
 	// Replay restored executed/cache_hits counters only for this
@@ -368,6 +362,77 @@ func TestJournalReplayRecovery(t *testing.T) {
 		t.Fatalf("post-restart id %q does not continue the journal sequence", idNext)
 	}
 	waitDone(t, ts2, idNext)
+}
+
+// TestRecoveryServesEveryDoneJob kills the daemon (no clean-shutdown
+// compaction) after one job of each kind — corpus, path with an out,
+// path without one — and checks that after the replay every one of
+// them still answers 200 on /result with the bytes it served before.
+// A journal line written by an earlier version, whose spec still
+// carries "stream":true, replays and runs like any other.
+func TestRecoveryServesEveryDoneJob(t *testing.T) {
+	dir := t.TempDir()
+	dataDir := filepath.Join(dir, "data")
+	inPath, _ := writeInput(t, dir)
+	raw, err := os.ReadFile(inPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv1 := dataServer(t, dataDir)
+	ts1 := httptest.NewServer(srv1)
+	digest := uploadCorpus(t, ts1, raw, "csv")
+	specs := map[string]engine.JobSpec{
+		"corpus":       {In: "corpus:" + digest},
+		"path+out":     {In: inPath, Out: filepath.Join(dir, "kept.bin"), OutFormat: "bin"},
+		"path, no out": {In: inPath, Device: "hdd"},
+	}
+	ids, before := map[string]string{}, map[string][]byte{}
+	for kind, spec := range specs {
+		ids[kind] = postJob(t, ts1, spec)
+		j := waitDone(t, ts1, ids[kind])
+		before[kind] = getBody(t, ts1.URL+j.ResultURL)
+	}
+	// Kill: the journal keeps its append-only form.
+	srv1.jnl.close()
+	ts1.Close()
+	srv1.Close()
+
+	// What a pre-PR-16 daemon journaled for an interrupted streaming job.
+	oldLine := fmt.Sprintf(`{"op":"submit","id":"job-40","time":%q,"spec":{"name":"legacy","in":%q,"informat":"csv","out":%q,"outformat":"csv","fio_device":"/dev/nvme0n1","method":"tracetracker","device":"array","factor":100,"threshold_us":10000,"stream":true}}`+"\n",
+		time.Now().Format(time.RFC3339Nano), inPath, filepath.Join(dir, "legacy.csv"))
+	jf, err := os.OpenFile(filepath.Join(dataDir, "journal.jsonl"), os.O_WRONLY|os.O_APPEND, 0o666)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jf.WriteString(oldLine); err != nil {
+		t.Fatal(err)
+	}
+	jf.Close()
+
+	srv2 := dataServer(t, dataDir)
+	defer srv2.Close()
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	for kind, id := range ids {
+		var j job
+		if err := json.Unmarshal(getBody(t, ts2.URL+"/v1/jobs/"+id), &j); err != nil {
+			t.Fatal(err)
+		}
+		if j.State != stateDone || j.ResultURL == "" {
+			t.Fatalf("%s job %s after restart: state %s, result_url %q", kind, id, j.State, j.ResultURL)
+		}
+		if got := getBody(t, ts2.URL+j.ResultURL); !bytes.Equal(got, before[kind]) {
+			t.Fatalf("%s job %s serves different bytes after the restart", kind, id)
+		}
+	}
+	legacy := waitDone(t, ts2, "job-40")
+	if got := getBody(t, ts2.URL+legacy.ResultURL); !bytes.Equal(got, before["corpus"]) {
+		t.Fatal("legacy stream:true job diverges from the same reconstruction run today")
+	}
+	if h := health(t, ts2); h["executed"] != float64(1) {
+		t.Fatalf("restart executed %v jobs, want 1: the legacy line and none of the restored ones", h["executed"])
+	}
 }
 
 // TestJournalReplayInterruptedHDDJob checks the restart contract for
@@ -454,7 +519,7 @@ func TestJournalReplayInterruptedHDDJob(t *testing.T) {
 func TestGracefulCloseGrace(t *testing.T) {
 	dir := t.TempDir()
 	inPath, _ := writeInput(t, dir)
-	srv := newServer(engine.Config{Workers: 1}, 1, 0)
+	srv := newServer(engine.Config{Workers: 1}, 1)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	id := postJob(t, ts, engine.JobSpec{In: inPath})

@@ -55,7 +55,7 @@ func waitFailed(t *testing.T, ts *httptest.Server, id string) *job {
 func TestOverloadShedding(t *testing.T) {
 	srv := newServerCap(engine.Config{
 		Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond,
-	}, 1, 0, 1)
+	}, 1, 1)
 	if err := srv.openData(filepath.Join(t.TempDir(), "data")); err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +232,8 @@ func TestStorageFaultsSurfaceAs500(t *testing.T) {
 	spec := engine.JobSpec{In: "corpus:" + digest}
 	id := postJob(t, ts, spec)
 	j := waitFailed(t, ts, id)
-	if !strings.Contains(j.Error, "caching its result") {
-		t.Fatalf("faulted result job error = %q, want a result-caching failure", j.Error)
+	if !strings.Contains(j.Error, "storage fault") || !strings.Contains(j.Error, syscall.EIO.Error()) {
+		t.Fatalf("faulted result job error = %q, want a storage fault naming EIO", j.Error)
 	}
 	if n := tmpEntryCount(t, dataDir); n != 0 {
 		t.Fatalf("%d staged temp files left after the faulted result write", n)

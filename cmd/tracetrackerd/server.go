@@ -65,7 +65,6 @@ type job struct {
 	TraceID  string `json:"trace_id,omitempty"`
 	TraceURL string `json:"trace_url,omitempty"`
 
-	result *engine.JobResult
 	// traceParent is the submit request's trace position (parent of
 	// the job's root span). Zero for journal-restored jobs, which keep
 	// only the trace ID.
@@ -132,15 +131,13 @@ func newJobReport(r *engine.Report) *jobReport {
 //	GET  /metrics                  Prometheus text-format metrics (root: scrapers)
 //	GET  /debug/pprof/...          profiling endpoints (opt-in via -pprof)
 //
-// Retention bounds: a long-running daemon must not accumulate every
-// result it ever produced.
+// Every finished job is a file — the result-cache entry (corpus jobs),
+// the spec's out path, or a spool file the daemon assigns to path jobs
+// that name none — and the result endpoint serves that file. Nothing
+// of a result stays in memory.
 const (
-	// defaultRetainResults caps how many finished in-memory result
-	// traces stay resident; older ones are evicted (their metadata
-	// stays, the result endpoint then returns 410 Gone).
-	defaultRetainResults = 16
 	// retainJobs caps job metadata records; the oldest finished jobs
-	// beyond it are forgotten entirely.
+	// beyond it are forgotten entirely, their spool files with them.
 	retainJobs = 4096
 	// defaultQueueCap bounds the executor queue; submissions beyond it
 	// shed with 429 queue_full rather than blocking or growing without
@@ -149,9 +146,8 @@ const (
 )
 
 type server struct {
-	base          engine.Config
-	mux           *http.ServeMux
-	retainResults int
+	base engine.Config
+	mux  *http.ServeMux
 	// ingestParallel is the corpus-upload decode worker count, applied
 	// to the store when openData attaches it (uploads are streamed, so
 	// ingest uses the double-buffered parallel decoder).
@@ -189,6 +185,12 @@ type server struct {
 	// the daemon runs without -data); immutable afterwards.
 	store *corpus.Store
 	jnl   *journal
+	// spoolDir holds the results of path jobs submitted without an out
+	// path, one file per job ID: <data>/spool, so they survive a restart
+	// with the journal that names them, or — without -data (store is
+	// nil) — a process temp dir made on first use and removed at Close.
+	// guarded by mu
+	spoolDir string
 
 	// Admission control (see admission.go): identity, rate limits and
 	// quotas, configured before serving. maxUpload caps a corpus upload
@@ -222,20 +224,16 @@ type server struct {
 }
 
 // newServer builds a server executing up to concurrent jobs at once,
-// each on an engine derived from base, retaining at most
-// retainResults finished in-memory result traces (<=0 = default).
-func newServer(base engine.Config, concurrent, retainResults int) *server {
-	return newServerCap(base, concurrent, retainResults, defaultQueueCap)
+// each on an engine derived from base.
+func newServer(base engine.Config, concurrent int) *server {
+	return newServerCap(base, concurrent, defaultQueueCap)
 }
 
 // newServerCap is newServer with an explicit executor-queue capacity
 // (<=0 = default); overload tests shrink it to force shedding.
-func newServerCap(base engine.Config, concurrent, retainResults, queueCap int) *server {
+func newServerCap(base engine.Config, concurrent, queueCap int) *server {
 	if concurrent <= 0 {
 		concurrent = 2
-	}
-	if retainResults <= 0 {
-		retainResults = defaultRetainResults
 	}
 	if queueCap <= 0 {
 		queueCap = defaultQueueCap
@@ -243,18 +241,17 @@ func newServerCap(base engine.Config, concurrent, retainResults, queueCap int) *
 	requeueDone := make(chan struct{})
 	close(requeueDone) // no replay in progress until openData
 	s := &server{
-		base:          base,
-		mux:           http.NewServeMux(),
-		retainResults: retainResults,
-		jobs:          make(map[string]*job),
-		corpusUsed:    make(map[string]int64),
-		queue:         make(chan *job, queueCap),
-		queueCap:      queueCap,
-		executors:     concurrent,
-		stopRequeue:   make(chan struct{}),
-		requeueDone:   requeueDone,
-		started:       time.Now(),
-		revision:      buildRevision(),
+		base:        base,
+		mux:         http.NewServeMux(),
+		jobs:        make(map[string]*job),
+		corpusUsed:  make(map[string]int64),
+		queue:       make(chan *job, queueCap),
+		queueCap:    queueCap,
+		executors:   concurrent,
+		stopRequeue: make(chan struct{}),
+		requeueDone: requeueDone,
+		started:     time.Now(),
+		revision:    buildRevision(),
 	}
 	s.reg = obs.NewRegistry()
 	s.em = obs.NewEngineMetrics(s.reg)
@@ -507,10 +504,11 @@ func buildRevision() string {
 	return "dev"
 }
 
-// openData attaches the corpus store, result cache and job journal
-// rooted at dir, then replays the journal: finished jobs are restored
-// (their results resolve from the recorded output path or the result
-// cache), interrupted ones re-queue. Call before serving traffic.
+// openData attaches the corpus store, result cache, result spool and
+// job journal rooted at dir, then replays the journal: finished jobs
+// are restored (their results resolve from the recorded output path —
+// the spec's, or the spool's — or the result cache), interrupted ones
+// re-queue. Call before serving traffic.
 func (s *server) openData(dir string) error {
 	store, err := corpus.Open(dir)
 	if err != nil {
@@ -524,12 +522,17 @@ func (s *server) openData(dir string) error {
 	if err != nil {
 		return err
 	}
+	spool := filepath.Join(dir, "spool")
+	if err := os.MkdirAll(spool, 0o777); err != nil {
+		return err
+	}
 	s.store = store
 	s.jnl = jnl
 	// Rebuild the per-tenant corpus usage backing the corpus-bytes
 	// quota from the entry sidecars (entries older than tenant
 	// attribution count against the anonymous tenant).
 	s.mu.Lock()
+	s.spoolDir = spool
 	for _, e := range store.Entries() {
 		tenant := e.Tenant
 		if tenant == "" {
@@ -662,7 +665,8 @@ func (s *server) Close() { s.CloseGrace(0) }
 // waiting at most d (<=0 = forever). It reports whether the drain
 // completed; on false, still-running jobs keep only a submit record in
 // the journal and therefore re-run on the next start. The journal is
-// flushed and closed either way.
+// flushed and closed either way, and a daemon without -data removes
+// its temporary result spool: its results end with the process.
 func (s *server) CloseGrace(d time.Duration) bool {
 	s.mu.Lock()
 	if s.closed {
@@ -692,6 +696,14 @@ func (s *server) CloseGrace(d time.Duration) bool {
 		}
 	} else {
 		<-done
+	}
+	if s.store == nil {
+		s.mu.Lock()
+		tempSpool := s.spoolDir
+		s.mu.Unlock()
+		if tempSpool != "" {
+			os.RemoveAll(tempSpool)
+		}
 	}
 	if s.jnl != nil {
 		if drained {
@@ -787,7 +799,12 @@ func (s *server) worker() {
 				res, hit, err = engine.RunJobCached(cfg, runSpec, j.Digest, s.store)
 			}
 		} else {
-			res, err = engine.RunJob(cfg, runSpec)
+			if runSpec.Out == "" {
+				runSpec.Out, err = s.spoolPath(j.ID)
+			}
+			if err == nil {
+				res, err = engine.RunJob(cfg, runSpec)
+			}
 		}
 
 		fin := time.Now()
@@ -819,7 +836,6 @@ func (s *server) worker() {
 			}
 			j.State = stateDone
 			j.Cached = hit
-			j.result = res
 			j.Report = newJobReport(res.Report)
 			j.OutPath = res.OutPath
 			j.ResultURL = "/v1/jobs/" + j.ID + "/result"
@@ -865,41 +881,46 @@ func (s *server) queueRetryAfter() time.Duration {
 	return d
 }
 
-// prune enforces the retention bounds; the caller holds s.mu. Oldest
-// in-memory result traces beyond retainResults are evicted, and the
-// oldest finished job records beyond retainJobs are dropped.
+// spoolPath is where a path job submitted without an out path writes
+// its result: one file per job ID under the spool directory.
+func (s *server) spoolPath(id string) (string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.spoolDir == "" {
+		dir, err := os.MkdirTemp("", "tracetrackerd-spool-")
+		if err != nil {
+			return "", err
+		}
+		s.spoolDir = dir
+	}
+	return filepath.Join(s.spoolDir, id), nil
+}
+
+// prune enforces the retention bound; the caller holds s.mu. The
+// oldest finished job records beyond retainJobs are dropped, and a
+// dropped job's spool file goes with it (a result in the cache or at
+// the spec's out path is not the daemon's to delete).
 //
 //tracelint:holds mu
 func (s *server) prune() {
-	resident := 0
-	for _, id := range s.order {
-		if j := s.jobs[id]; j.result != nil && j.result.Trace != nil {
-			resident++
-		}
+	if len(s.order) <= retainJobs {
+		return
 	}
+	kept := s.order[:0]
+	drop := len(s.order) - retainJobs
 	for _, id := range s.order {
-		if resident <= s.retainResults {
-			break
-		}
-		if j := s.jobs[id]; j.result != nil && j.result.Trace != nil {
-			j.result = nil
-			resident--
-		}
-	}
-	if len(s.order) > retainJobs {
-		kept := s.order[:0]
-		drop := len(s.order) - retainJobs
-		for _, id := range s.order {
-			j := s.jobs[id]
-			if drop > 0 && (j.State == stateDone || j.State == stateFailed) {
-				delete(s.jobs, id)
-				drop--
-				continue
+		j := s.jobs[id]
+		if drop > 0 && (j.State == stateDone || j.State == stateFailed) {
+			if j.Spec.Out == "" && j.Digest == "" && j.OutPath != "" {
+				os.Remove(j.OutPath)
 			}
-			kept = append(kept, id)
+			delete(s.jobs, id)
+			drop--
+			continue
 		}
-		s.order = kept
+		kept = append(kept, id)
 	}
+	s.order = kept
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -1136,17 +1157,16 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
+// handleResult serves a finished job's result. Every finished job is
+// a file (the cache entry, the out path or the spool file), so this is
+// http.ServeFile and nothing else: ranges, conditional requests and
+// sendfile come with it.
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
 	var state, outPath string
-	var res *engine.JobResult
-	var spec engine.JobSpec
 	if ok {
-		state = j.State
-		res = j.result
-		spec = j.Spec
-		outPath = j.OutPath
+		state, outPath = j.State, j.OutPath
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -1157,30 +1177,14 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "job_not_finished", fmt.Errorf("job is %s", state))
 		return
 	}
-	if outPath != "" {
-		http.ServeFile(w, r, outPath)
+	if outPath == "" {
+		// Only a journal-restored job can be here: its recorded output
+		// file was gone at replay and the result cache had no copy.
+		httpError(w, http.StatusNotFound, "not_found",
+			fmt.Errorf("job %s finished in an earlier run and its result file is gone; resubmit it", r.PathValue("id")))
 		return
 	}
-	if res == nil || res.Trace == nil {
-		httpError(w, http.StatusGone, "result_evicted",
-			fmt.Errorf("in-memory result evicted (retention limit); rerun with an output path"))
-		return
-	}
-	format := spec.OutFormat
-	if format == "bin" {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	} else {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	}
-	enc, err := trace.NewEncoder(format, w, spec.FIODevice)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "internal", err)
-		return
-	}
-	if err := trace.EncodeTrace(enc, res.Trace); err != nil {
-		// Headers are gone; nothing better to do than log-by-status.
-		return
-	}
+	http.ServeFile(w, r, outPath)
 }
 
 // handleTrace serves a finished job's span timeline from the flight

@@ -115,7 +115,7 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) *job {
 func TestSubmitStatusResultRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	inPath, want := writeInput(t, dir)
-	srv := newServer(engine.Config{Workers: 4, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond}, 1, 0)
+	srv := newServer(engine.Config{Workers: 4, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -152,18 +152,18 @@ func TestSubmitStatusResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamingJobToFile runs a streaming job writing to a file and
+// TestStreamingJobToFile runs a path job writing to its out path and
 // fetches the result from disk via the result endpoint.
 func TestStreamingJobToFile(t *testing.T) {
 	dir := t.TempDir()
 	inPath, want := writeInput(t, dir)
 	outPath := filepath.Join(dir, "out.csv")
-	srv := newServer(engine.Config{Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond}, 1, 0)
+	srv := newServer(engine.Config{Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	id := postJob(t, ts, engine.JobSpec{In: inPath, Out: outPath, Stream: true})
+	id := postJob(t, ts, engine.JobSpec{In: inPath, Out: outPath})
 	j := waitDone(t, ts, id)
 	if j.OutPath != outPath {
 		t.Fatalf("out path: %q", j.OutPath)
@@ -191,7 +191,7 @@ func TestStreamingJobToFile(t *testing.T) {
 
 // TestJobValidationAndErrors covers the API's failure surface.
 func TestJobValidationAndErrors(t *testing.T) {
-	srv := newServer(engine.Config{}, 1, 0)
+	srv := newServer(engine.Config{}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -259,12 +259,13 @@ func TestJobValidationAndErrors(t *testing.T) {
 }
 
 // TestInMemoryFIOResultCarriesDevice checks that a fio-format job
-// without an output path serves an iolog embedding the defaulted
-// replay device (the spec is normalized at submit).
+// without an output path (spooled by the daemon) serves an iolog
+// embedding the defaulted replay device (the spec is normalized at
+// submit).
 func TestInMemoryFIOResultCarriesDevice(t *testing.T) {
 	dir := t.TempDir()
 	inPath, _ := writeInput(t, dir)
-	srv := newServer(engine.Config{Workers: 1}, 1, 0)
+	srv := newServer(engine.Config{Workers: 1}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -285,55 +286,12 @@ func TestInMemoryFIOResultCarriesDevice(t *testing.T) {
 	}
 }
 
-// TestResultEviction checks the retention bound: with retain=1, the
-// older in-memory result is evicted (410 Gone) while the newest stays
-// servable and metadata survives.
-func TestResultEviction(t *testing.T) {
-	dir := t.TempDir()
-	inPath, _ := writeInput(t, dir)
-	srv := newServer(engine.Config{Workers: 1}, 1, 1)
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	id1 := postJob(t, ts, engine.JobSpec{In: inPath})
-	waitDone(t, ts, id1)
-	id2 := postJob(t, ts, engine.JobSpec{In: inPath})
-	waitDone(t, ts, id2)
-
-	resp, err := http.Get(ts.URL + "/jobs/" + id1 + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("evicted result: status %d, want 410", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/jobs/" + id2 + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("retained result: status %d", resp.StatusCode)
-	}
-	// Metadata for the evicted job is still listed.
-	resp, err = http.Get(ts.URL + "/jobs/" + id1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("evicted job status: %d", resp.StatusCode)
-	}
-}
-
 // TestJobList checks listing order (most recent first) and that the
 // legacy alias serves the same paginated shape as /v1/jobs.
 func TestJobList(t *testing.T) {
 	dir := t.TempDir()
 	inPath, _ := writeInput(t, dir)
-	srv := newServer(engine.Config{Workers: 1}, 1, 0)
+	srv := newServer(engine.Config{Workers: 1}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -130,7 +130,9 @@ func TestTraceEndToEnd(t *testing.T) {
 			epochDur += s.Duration()
 		}
 	}
-	for _, want := range []string{"decode", "plan", "epoch", "decompose", "emulate", "merge", "cache-lookup", "cache-store"} {
+	// The job-level vocabulary (no fit span: the input records its
+	// latencies) plus the stage spans under the stream pass.
+	for _, want := range []string{"cache-lookup", "store", "stream", "plan", "epoch", "decompose", "emulate", "merge"} {
 		if names[want] == 0 {
 			t.Errorf("timeline missing %q span; spans: %v", want, names)
 		}

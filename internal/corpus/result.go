@@ -66,17 +66,30 @@ func (s *Store) lookupResult(key string) (string, []byte, bool) {
 }
 
 // StoreResult atomically stores the output produced by write under
-// key, recording inputDigest and the caller's note (which must be
-// valid JSON) in the sidecar. Storing an existing key is a no-op that
-// returns the existing path, so racing identical jobs converge on one
-// result. The blob lands before the sidecar; a crash between the two
-// leaves an invisible result that GC removes.
+// key with a note known up front; see StoreResultNoted.
 func (s *Store) StoreResult(key, inputDigest string, note []byte, write func(io.Writer) error) (string, error) {
+	if len(note) > 0 && !json.Valid(note) {
+		// Up front: a bad note must not cost a run of write.
+		return "", fmt.Errorf("corpus: result note must be valid JSON")
+	}
+	return s.StoreResultNoted(key, inputDigest, func(w io.Writer) ([]byte, error) {
+		return note, write(w)
+	})
+}
+
+// StoreResultNoted atomically stores the output produced by write
+// under key, recording inputDigest and the note write returns (valid
+// JSON, or empty) in the sidecar — the note-after-write form, for a
+// producer that only knows what to say about the bytes once they are
+// written (the engine's report). write streams straight into the
+// result's staging file, so the caller never holds the output.
+// Storing an existing key is a no-op that returns the existing path,
+// and racing writers of one key converge on whichever landed first.
+// The blob lands before the sidecar; a crash between the two leaves
+// an invisible result that GC removes.
+func (s *Store) StoreResultNoted(key, inputDigest string, write func(io.Writer) (note []byte, err error)) (string, error) {
 	if !isHex(key) {
 		return "", fmt.Errorf("corpus: result key %q is not a hex digest", key)
-	}
-	if len(note) > 0 && !json.Valid(note) {
-		return "", fmt.Errorf("corpus: result note must be valid JSON")
 	}
 	if p, _, ok := s.lookupResult(key); ok {
 		return p, nil
@@ -93,8 +106,12 @@ func (s *Store) StoreResult(key, inputDigest string, note []byte, write func(io.
 			os.Remove(tmpName)
 		}
 	}()
-	if err := write(s.sinkWriter(faultfs.SinkCorpusResult, tmpf)); err != nil {
+	note, err := write(s.sinkWriter(faultfs.SinkCorpusResult, tmpf))
+	if err != nil {
 		return "", err
+	}
+	if len(note) > 0 && !json.Valid(note) {
+		return "", fmt.Errorf("corpus: result note must be valid JSON")
 	}
 	if err := tmpf.Close(); err != nil {
 		return "", err

@@ -76,7 +76,8 @@ func (s *Store) sinkWriter(sink string, w io.Writer) io.Writer {
 // catalogue is always rebuilt from the object sidecars — the source of
 // truth — so a stale, clobbered or missing index.json (for example
 // after two processes ingested into the same root) can never hide
-// traces that are on disk. index.json is rewritten as a side effect.
+// traces that are on disk. index.json is rewritten as a side effect of
+// the rebuild (here, Rebuild and GC); an ingest does not touch it.
 func Open(root string) (*Store, error) {
 	s := &Store{root: root, entries: make(map[string]Entry)}
 	for _, d := range []string{root, s.objectsDir(), s.resultsDir(), s.tmpDir()} {
@@ -113,7 +114,10 @@ type index struct {
 
 // writeIndexLocked rewrites index.json from the catalogue; the caller
 // holds s.mu. The index is a convenience export (one file to read the
-// whole catalogue); the sidecars stay authoritative.
+// whole catalogue as of the last Open, Rebuild or GC) that nothing in
+// the store reads back; the sidecars stay authoritative. Ingest leaves
+// it alone — re-serialising the catalogue per upload made ingest
+// linear in store size.
 //
 //tracelint:holds mu
 func (s *Store) writeIndexLocked() error {
@@ -186,6 +190,13 @@ func (s *spoolWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// probePool recycles the ParallelMinBytes probe buffer of parallel
+// ingests, so a stream of uploads does not allocate one each.
+var probePool = sync.Pool{New: func() any {
+	b := make([]byte, trace.ParallelMinBytes)
+	return &b
+}}
+
 // Ingest streams one trace into the store: the blob is staged to tmp/
 // while a single pass computes the SHA-256 digest and the metadata
 // summary through the format decoder, then lands atomically. format
@@ -249,9 +260,12 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		// worker goroutines of the parallel pipeline. The probe bytes
 		// pass through the tee either way, so the digest and spooled
 		// blob are unaffected.
-		head := make([]byte, trace.ParallelMinBytes)
-		n, rerr := io.ReadFull(tee, head)
-		head = head[:n]
+		hp := probePool.Get().(*[]byte)
+		// Deferred ahead of the decoder's Close below, so it runs after
+		// it: nothing reads the probe any more when it is recycled.
+		defer probePool.Put(hp)
+		n, rerr := io.ReadFull(tee, *hp)
+		head := (*hp)[:n]
 		if rerr != nil && rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
 			return Entry{}, false, storageErr(rerr)
 		}
@@ -340,9 +354,6 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		return Entry{}, false, err
 	}
 	s.entries[digest] = entry
-	if err := s.writeIndexLocked(); err != nil {
-		return Entry{}, false, err
-	}
 	s.metrics.Load().IngestObserve(cw.n, int64(sum.Requests), true)
 	return entry, true, nil
 }

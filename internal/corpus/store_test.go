@@ -211,9 +211,49 @@ func TestIndexRebuild(t *testing.T) {
 	}
 }
 
+// TestIngestLeavesIndexAlone: index.json is an export written by Open,
+// Rebuild and GC; an ingest must not re-serialise the catalogue into it
+// (that made every upload linear in store size).
+func TestIngestLeavesIndexAlone(t *testing.T) {
+	s := openStore(t)
+	idx := filepath.Join(s.Root(), "index.json")
+	if _, err := os.Stat(idx); err != nil {
+		t.Fatalf("Open did not write the index: %v", err)
+	}
+	if err := os.Remove(idx); err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := s.Ingest(bytes.NewReader(csvBytes(t, sampleTrace())), "csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(idx); !os.IsNotExist(err) {
+		t.Fatalf("ingest rewrote index.json (stat: %v)", err)
+	}
+	if err := s.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(idx)
+	if err != nil {
+		t.Fatalf("Rebuild did not write the index: %v", err)
+	}
+	if !bytes.Contains(data, []byte(e.Digest)) {
+		t.Fatal("rebuilt index does not list the ingested trace")
+	}
+	if err := os.Remove(idx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GC(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(idx); err != nil {
+		t.Fatalf("GC did not write the index: %v", err)
+	}
+}
+
 // TestMultiProcessCatalogue simulates two processes ingesting into the
-// same root: a reopened store must see both traces even though each
-// writer clobbered the other's index.json (the sidecars are
+// same root: a reopened store must see both traces even though neither
+// writer's index.json ever listed the other's (the sidecars are
 // authoritative, the index a convenience export).
 func TestMultiProcessCatalogue(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "shared")

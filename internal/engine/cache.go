@@ -11,9 +11,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/obs"
 )
 
 // ResultCache stores reconstructed outputs keyed by CacheKey.
@@ -22,24 +23,28 @@ type ResultCache interface {
 	// LookupResult returns the on-disk path of the cached output for
 	// key and the note stored with it.
 	LookupResult(key string) (path string, note []byte, ok bool)
-	// StoreResult atomically stores the output produced by write under
-	// key, with a JSON note; storing an existing key is a no-op that
-	// returns the existing path.
-	StoreResult(key, inputDigest string, note []byte, write func(io.Writer) error) (string, error)
+	// StoreResultNoted atomically stores under key the output write
+	// produces — streamed straight into the cache's own staging file,
+	// nothing held in between — together with the JSON note write
+	// returns once the bytes are out (the job's report is only known
+	// then). Storing an existing key is a no-op that returns the
+	// existing path, so identical jobs racing on a key converge on one
+	// file.
+	StoreResultNoted(key, inputDigest string, write func(io.Writer) (note []byte, err error)) (string, error)
 }
 
 // Fingerprint digests the semantic content of the normalized spec:
 // every field that can change the output bytes, and none that cannot.
 // Name only labels the job; In/Out locate rather than shape the data;
-// Parallel and Stream select execution strategies whose outputs are
-// locked byte-identical to the sequential pipeline by the engine
-// tests; and baseline-only knobs are dropped unless their method is
-// selected. Two specs with equal fingerprints run against the same
-// input bytes therefore produce identical outputs.
+// Parallel selects a worker count whose output is locked
+// byte-identical to the sequential pipeline by the engine tests; and
+// baseline-only knobs are dropped unless their method is selected.
+// Two specs with equal fingerprints run against the same input bytes
+// therefore produce identical outputs.
 func (s JobSpec) Fingerprint() string {
 	n := s.Normalized()
 	n.Name, n.In, n.Out = "", "", ""
-	n.Parallel, n.Stream = 0, false
+	n.Parallel = 0
 	if n.Device == "array" {
 		// The default target digests as the empty string, so specs from
 		// before the Device field keep their fingerprints (and cached
@@ -94,13 +99,16 @@ type cacheNote struct {
 	Report *Report `json:"report,omitempty"`
 }
 
-// RunJobCached executes one job with result caching: a hit copies the
-// cached output into place (or points the result at the cache file
-// when the spec keeps no output path) without reconstructing anything;
-// a miss runs RunJob and stores the output under the job's key before
-// returning. inputDigest must be the content digest of the bytes at
-// spec.In — the caller (the corpus layer) owns that mapping. The
-// returned bool reports a hit.
+// RunJobCached executes one job with result caching. A miss runs the
+// job with the cache's staging file as its output sink — the stage
+// graph's encoder writes straight into it, so the cache entry is the
+// job's one and only copy of the output and the note (spec + report)
+// is recorded when the last byte is out. A hit runs nothing and
+// restores the report from the note. Either way the result is the
+// cache file, copied to spec.Out when the spec names one. inputDigest
+// must be the content digest of the bytes at spec.In — the caller (the
+// corpus layer) owns that mapping. The returned bool reports a hit:
+// the output came from the cache and no reconstruction ran.
 //
 // The engine Config deliberately does not enter the key: its fields
 // either shape scheduling (Workers, shard cuts — byte-identical by
@@ -112,62 +120,53 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 		return nil, false, err
 	}
 	key := CacheKey(inputDigest, spec)
-	lsp := cfg.Trace.Start(cfg.Trace.Root(), "cache-lookup")
+	lsp := cfg.Trace.Start(cfg.Trace.Root(), obs.JobSpanNames[obs.JobSpanCacheLookup])
 	path, note, ok := cache.LookupResult(key)
 	lsp.SetAttr("hit", boolAttr(ok))
 	lsp.End()
+	var rep *Report
+	ran := false
 	if ok {
 		if cfg.Metrics != nil {
 			cfg.Metrics.CacheHits.Inc()
 		}
+	} else {
+		if cfg.Metrics != nil {
+			cfg.Metrics.CacheMisses.Inc()
+		}
+		ssp := cfg.Trace.Start(cfg.Trace.Root(), obs.JobSpanNames[obs.JobSpanStore])
+		var err error
+		path, err = cache.StoreResultNoted(key, inputDigest, func(w io.Writer) ([]byte, error) {
+			ran = true
+			var err error
+			if rep, err = runJobTo(cfg, spec, w); err != nil {
+				return nil, err
+			}
+			return json.Marshal(cacheNote{Spec: spec, Report: rep})
+		})
+		ssp.End()
+		if err != nil {
+			return nil, false, err
+		}
+		if !ran {
+			// An identical job landed the key between the lookup and the
+			// store; its note carries the report.
+			_, note, _ = cache.LookupResult(key)
+		}
+	}
+	if !ran {
 		// A missing or unreadable note only loses the restored report.
 		var n cacheNote
 		json.Unmarshal(note, &n)
-		if spec.Out != "" {
-			if err := copyFileAtomic(spec.Out, path); err != nil {
-				return nil, false, err
-			}
-			return &JobResult{Report: n.Report, OutPath: spec.Out}, true, nil
+		rep = n.Report
+	}
+	if spec.Out != "" {
+		if err := copyFileAtomic(spec.Out, path); err != nil {
+			return nil, false, err
 		}
-		return &JobResult{Report: n.Report, OutPath: path}, true, nil
+		path = spec.Out
 	}
-
-	if cfg.Metrics != nil {
-		cfg.Metrics.CacheMisses.Inc()
-	}
-	res, err := RunJob(cfg, spec)
-	if err != nil {
-		return nil, false, err
-	}
-	note, err = json.Marshal(cacheNote{Spec: spec, Report: res.Report})
-	if err != nil {
-		return nil, false, err
-	}
-	fill := func(w io.Writer) error {
-		if res.Trace != nil {
-			return writeTraceTo(w, spec.OutFormat, spec.FIODevice, res.Trace)
-		}
-		f, err := os.Open(res.OutPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		_, err = io.Copy(w, f)
-		return err
-	}
-	ssp := cfg.Trace.Start(cfg.Trace.Root(), "cache-store")
-	path, err = cache.StoreResult(key, inputDigest, note, fill)
-	ssp.End()
-	if err != nil {
-		return nil, false, fmt.Errorf("engine: job succeeded but caching its result failed: %w", err)
-	}
-	if res.OutPath == "" {
-		// Point the result at the cached copy: a caller holding the
-		// trace only in memory can evict it and still serve the bytes
-		// from disk.
-		res.OutPath = path
-	}
-	return res, false, nil
+	return &JobResult{Report: rep, OutPath: path}, !ran, nil
 }
 
 func boolAttr(b bool) int64 {

@@ -8,8 +8,24 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/trace"
 )
+
+// readTraceFile materializes a whole trace from a file.
+func readTraceFile(t testing.TB, path, format string) *trace.Trace {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr, err := trace.ReadFormat(format, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
 
 // memCache is a minimal ResultCache over a temp directory.
 type memCache struct {
@@ -30,7 +46,7 @@ func (c *memCache) LookupResult(key string) (string, []byte, bool) {
 	return filepath.Join(c.dir, key), note, true
 }
 
-func (c *memCache) StoreResult(key, inputDigest string, note []byte, write func(io.Writer) error) (string, error) {
+func (c *memCache) StoreResultNoted(key, inputDigest string, write func(io.Writer) ([]byte, error)) (string, error) {
 	if _, ok := c.notes[key]; ok {
 		return filepath.Join(c.dir, key), nil
 	}
@@ -39,7 +55,8 @@ func (c *memCache) StoreResult(key, inputDigest string, note []byte, write func(
 		return "", err
 	}
 	defer f.Close()
-	if err := write(f); err != nil {
+	note, err := write(f)
+	if err != nil {
 		return "", err
 	}
 	c.notes[key] = note
@@ -59,7 +76,6 @@ func TestFingerprintSemantics(t *testing.T) {
 		{In: "/a/in.csv", Name: "labelled", Method: "tracetracker"},
 		{In: "/a/in.csv", Out: "/tmp/out.csv", Method: "tracetracker"},
 		{In: "/a/in.csv", Parallel: 8, Method: "tracetracker"},
-		{In: "/a/in.csv", Out: "/tmp/o", Stream: true, Method: "tracetracker"},
 		{In: "/a/in.csv"},                                    // method defaults to tracetracker
 		{In: "/a/in.csv", FIODevice: "/dev/sdz"},             // non-fio output ignores the device
 		{In: "/a/in.csv", ThresholdUS: 123},                  // fixed-th-only knob
@@ -124,15 +140,29 @@ func TestRunJobCached(t *testing.T) {
 	if hit1 {
 		t.Fatal("first run reported a hit")
 	}
-	if res1.Trace == nil || res1.Report == nil {
+	if res1.OutPath == "" || res1.Report == nil {
 		t.Fatalf("first run result: %+v", res1)
 	}
 	if cache.stores != 1 {
 		t.Fatalf("stores: %d", cache.stores)
 	}
-	var want bytes.Buffer
-	if err := trace.WriteCSV(&want, res1.Trace); err != nil {
+	// The job's one output is the cache file, and it holds the
+	// sequential pipeline's bytes.
+	first, err := os.ReadFile(res1.OutPath)
+	if err != nil {
 		t.Fatal(err)
+	}
+	decoded := readTraceFile(t, inPath, "csv") // the csv text quantizes to µs
+	ref, _, err := core.Reconstruct(decoded, device.NewArray(device.DefaultArrayConfig()), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := trace.WriteCSV(&want, ref); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, want.Bytes()) {
+		t.Fatal("first run's cache file diverges from the sequential pipeline")
 	}
 
 	res2, hit2, err := RunJobCached(cfg, spec, "digest-a", cache)
@@ -188,8 +218,8 @@ func TestRunJobCached(t *testing.T) {
 	}
 }
 
-// TestRunJobCachedStreaming checks the streaming path lands in the
-// cache too: a streamed job's cached bytes equal its output file.
+// TestRunJobCachedStreaming checks a job with an output path lands in
+// the cache too: the cached bytes equal its output file.
 func TestRunJobCachedStreaming(t *testing.T) {
 	dir := t.TempDir()
 	old := genOld(t, "ikki", 400, true)
@@ -205,13 +235,13 @@ func TestRunJobCachedStreaming(t *testing.T) {
 
 	cache := newMemCache(t)
 	outPath := filepath.Join(dir, "out.csv")
-	spec := JobSpec{In: inPath, Out: outPath, Stream: true}
+	spec := JobSpec{In: inPath, Out: outPath}
 	res, hit, err := RunJobCached(testConfig(2, core.Options{}), spec, "digest-s", cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
-		t.Fatal("first streamed run hit")
+		t.Fatal("first run hit")
 	}
 	outBytes, err := os.ReadFile(res.OutPath)
 	if err != nil {
@@ -220,24 +250,24 @@ func TestRunJobCachedStreaming(t *testing.T) {
 	key := CacheKey("digest-s", spec)
 	cached, _, ok := cache.LookupResult(key)
 	if !ok {
-		t.Fatal("streamed result not cached")
+		t.Fatal("result not cached")
 	}
 	cachedBytes, err := os.ReadFile(cached)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(outBytes, cachedBytes) {
-		t.Fatal("cached streamed bytes diverge from the output file")
+		t.Fatal("cached bytes diverge from the output file")
 	}
 
-	// An equivalent non-streamed spec hits the streamed result: the
-	// fingerprint folds execution strategy away.
+	// An equivalent spec without the output path hits that result: the
+	// fingerprint folds paths away.
 	plain := JobSpec{In: inPath}
 	_, hitPlain, err := RunJobCached(testConfig(2, core.Options{}), plain, "digest-s", cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hitPlain {
-		t.Fatal("in-memory spec missed the streamed cache entry")
+		t.Fatal("spec without an out path missed the cache entry")
 	}
 }

@@ -126,8 +126,9 @@ type Config struct {
 	Metrics *obs.EngineMetrics
 	// Trace, when non-nil, records this run's span tree — plan span,
 	// sampled epoch spans with per-stage children — under the tracer's
-	// root. nil (the default) disables tracing at nil-check cost, the
-	// same discipline as Metrics.
+	// root (an in-memory run) or under the stream span a streaming run
+	// opens there. nil (the default) disables tracing at nil-check
+	// cost, the same discipline as Metrics.
 	Trace *obs.Tracer
 }
 
@@ -228,7 +229,7 @@ func (e *Engine) Reconstruct(old *trace.Trace) (*trace.Trace, *core.Report, erro
 			return submit(ep)
 		})
 	}
-	r := &run{cfg: e.cfg, m: m, useRecorded: useRecorded}
+	r := &run{cfg: e.cfg, m: m, useRecorded: useRecorded, root: e.cfg.Trace.Root()}
 	if err := r.execute(e.cfg.Device(), produce); err != nil {
 		return nil, nil, err
 	}

@@ -126,6 +126,9 @@ type run struct {
 	// pool is non-nil exactly when the epochs own their buffers
 	// (streaming).
 	pool *bufPool
+	// root parents the run's plan and epoch spans: the stream span, or
+	// the tracer's root for an in-memory run.
+	root obs.Span
 
 	// serviced selects the serviced graph; se, when non-nil, is the
 	// encoder its workers pre-render with. Both are set by execute.
@@ -243,7 +246,7 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 		if timed {
 			planStart = time.Now()
 		}
-		psp := tra.Start(tra.Root(), obs.StageNames[obs.StagePlan])
+		psp := tra.Start(r.root, obs.StageNames[obs.StagePlan])
 		produceErr = produce(func(ep epoch) error {
 			var w0 time.Time
 			if timed {
@@ -263,7 +266,7 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 				mtr.QueuePush(obs.StageDecompose)
 			}
 			ep.n = len(ep.reqs)
-			ep.span = tra.StartEpoch(tra.Root(), ep.index)
+			ep.span = tra.StartEpoch(r.root, ep.index)
 			ep.span.SetAttr("requests", int64(ep.n))
 			decCh <- ep
 			return nil

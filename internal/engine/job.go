@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -8,24 +9,37 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// DefaultReorderWindow is the bounded arrival-sort window streaming
-// jobs apply to near-sorted corpora (msrc/spc inputs).
+// DefaultReorderWindow is the bounded arrival-sort window jobs apply
+// to near-sorted corpora (msrc/spc inputs).
 const DefaultReorderWindow = 1 << 16
 
 // JobSpec describes one batch reconstruction: the JSON body
 // tracetrackerd accepts and the unit of work RunJob executes.
+//
+// There is one way a job runs. A tracetracker/dynamic job streams the
+// input file through the engine's stage graph into its output file —
+// decoder → (model fit, inference-path inputs only) → sharded
+// reconstruction → encoder — holding O(Workers · MaxShardRequests)
+// requests, never the trace. The baseline methods materialize the
+// input and run sequentially (they exist for fidelity comparisons, not
+// throughput) and write through the same sink. Either way a finished
+// job is a file: Out, or the result-cache entry of a RunJobCached job.
+// (The JSON key "stream", a mode switch in earlier versions, is
+// ignored: every job streams.)
 type JobSpec struct {
 	// Name labels the job (defaults to the input path).
 	Name string `json:"name,omitempty"`
 	// In is the input trace path; InFormat one of csv, bin, msrc, spc.
 	In       string `json:"in"`
 	InFormat string `json:"informat,omitempty"`
-	// Out is the output path; empty keeps the result in memory for the
-	// result endpoint. OutFormat one of csv, bin, blktrace, fio.
+	// Out is the output path, written atomically (partial file +
+	// rename). RunJob requires it; RunJobCached lands the output in the
+	// result cache and copies it to Out only when Out is set; the daemon
+	// assigns a spool file to path jobs that leave it empty. OutFormat
+	// one of csv, bin, blktrace, fio.
 	Out       string `json:"out,omitempty"`
 	OutFormat string `json:"outformat,omitempty"`
 	// FIODevice is the replay target embedded in fio output.
@@ -54,18 +68,14 @@ type JobSpec struct {
 	ThresholdUS float64 `json:"threshold_us,omitempty"`
 	// Parallel overrides the engine worker count (0 = engine default).
 	Parallel int `json:"parallel,omitempty"`
-	// Stream selects the bounded-memory streaming path (requires In
-	// and Out paths; tracetracker/dynamic methods only).
-	Stream bool `json:"stream,omitempty"`
-	// ReorderWindow bounds the streaming arrival sort (0 = default for
-	// msrc/spc inputs, 1 = none).
+	// ReorderWindow bounds the arrival sort (0 = default for msrc/spc
+	// inputs, 1 = none).
 	ReorderWindow int `json:"reorder_window,omitempty"`
 }
 
 // Normalized returns the spec with all defaults applied — the form
-// RunJob executes and servers should persist, so later consumers (for
-// example a result endpoint re-encoding an in-memory trace) see the
-// same effective values RunJob used.
+// RunJob executes and servers should persist, so later consumers see
+// the same effective values RunJob used.
 func (s JobSpec) Normalized() JobSpec { return s.withDefaults() }
 
 func (s JobSpec) withDefaults() JobSpec {
@@ -175,36 +185,70 @@ func (s JobSpec) Validate() error {
 	if err := s.HostConfig.validate(); err != nil {
 		return err
 	}
-	if s.Stream {
-		if s.Method != "tracetracker" && s.Method != "dynamic" {
-			return &ValidationError{Field: "stream", Code: "bad_stream_spec",
-				msg: fmt.Sprintf("streaming supports the tracetracker/dynamic methods, not %q", s.Method)}
-		}
-		if s.Out == "" {
-			return &ValidationError{Field: "out", Code: "bad_stream_spec",
-				msg: "streaming jobs need an output path"}
-		}
-	}
 	return nil
 }
 
-// JobResult is the outcome of one job.
+// JobResult is the outcome of one job. Every finished job is a file.
 type JobResult struct {
 	// Report carries engine diagnostics (nil for baseline methods).
 	Report *Report
-	// OutPath is where the output was written ("" if held in memory).
+	// OutPath is where the output is: the spec's Out, or the
+	// result-cache file for a RunJobCached job without one.
 	OutPath string
-	// Trace is the in-memory result when no output path was given.
-	Trace *trace.Trace
 }
 
-// RunJob executes one batch reconstruction with cfg as the engine
-// base configuration (the spec's Parallel overrides its Workers).
+// ErrStorage marks a job that failed because its output could not be
+// written — a full or dying disk under the result cache, the spool or
+// the output path — rather than because of its input or spec. The
+// sink sits at the bottom of the stage graph, so its failure comes
+// back through the encoder and the merge as if the reconstruction had
+// gone wrong; jobWriter records it where it happens and runJobTo
+// reports that instead.
+var ErrStorage = errors.New("engine: storage fault writing the job's output")
+
+// jobWriter forwards to a job's output sink and remembers the first
+// write error.
+type jobWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (j *jobWriter) Write(p []byte) (int, error) {
+	n, err := j.w.Write(p)
+	if err != nil && j.err == nil {
+		j.err = err
+	}
+	return n, err
+}
+
+// RunJob executes one batch reconstruction into spec.Out with cfg as
+// the engine base configuration (the spec's Parallel overrides its
+// Workers). The output is written atomically: a failed job never
+// truncates or replaces an existing file.
 func RunJob(cfg Config, spec JobSpec) (*JobResult, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	if spec.Out == "" {
+		return nil, errors.New("engine: job needs an output path")
+	}
+	var rep *Report
+	err := writeAtomically(spec.Out, func(w io.Writer) (err error) {
+		rep, err = runJobTo(cfg, spec, w)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &JobResult{Report: rep, OutPath: spec.Out}, nil
+}
+
+// runJobTo is the one job path: it runs the normalized, validated spec
+// and writes the encoded output to sink — RunJob's partial file or the
+// result cache's staging file. A sink failure is returned as
+// ErrStorage, whatever the graph made of it.
+func runJobTo(cfg Config, spec JobSpec, sink io.Writer) (*Report, error) {
 	if spec.Parallel > 0 {
 		cfg.Workers = spec.Parallel
 	}
@@ -217,93 +261,52 @@ func RunJob(cfg Config, spec JobSpec) (*JobResult, error) {
 		return nil, err
 	}
 	cfg.Device = dev
+	out := &jobWriter{w: sink}
+	enc, err := trace.NewEncoder(spec.OutFormat, out, spec.FIODevice)
+	if err != nil {
+		return nil, err
+	}
+	var rep *Report
 	switch spec.Method {
-	case "dynamic":
-		cfg.Core.SkipPostProcess = true
-	case "tracetracker":
+	case "tracetracker", "dynamic":
+		cfg.Core.SkipPostProcess = spec.Method == "dynamic"
+		rep, err = New(cfg).ReconstructPath(spec.In, spec.InFormat, spec.ReorderWindow, enc)
 	default:
-		return runBaselineJob(cfg, spec)
+		err = runBaseline(cfg, spec, enc)
 	}
-	eng := New(cfg)
-
-	if spec.Stream {
-		// Probe the input before touching the output, so a job with a
-		// bad input path cannot clobber an existing file.
-		if _, err := os.Stat(spec.In); err != nil {
-			return nil, err
-		}
-		var rep *Report
-		err := writeAtomically(spec.Out, func(out io.Writer) error {
-			enc, err := trace.NewEncoder(spec.OutFormat, out, spec.FIODevice)
-			if err != nil {
-				return err
-			}
-			rep, err = eng.ReconstructPath(spec.In, spec.InFormat, spec.ReorderWindow, enc)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &JobResult{Report: rep, OutPath: spec.Out}, nil
+	if out.err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrStorage, out.err)
 	}
-
-	dsp := cfg.Trace.Start(cfg.Trace.Root(), "decode")
-	old, err := readTraceFile(spec.In, spec.InFormat)
-	dsp.End()
-	if err != nil {
-		return nil, err
-	}
-	if err := old.Validate(); err != nil {
-		return nil, fmt.Errorf("input: %w", err)
-	}
-	result, rep, err := eng.Reconstruct(old)
-	if err != nil {
-		return nil, err
-	}
-	return finishJob(cfg.Trace, spec, result, reportFromCore(rep, int64(result.Len()), eng.cfg.Workers))
+	return rep, err
 }
 
-// runBaselineJob executes the non-engine comparison methods (always
-// in memory and sequential — they exist for fidelity comparisons, not
-// throughput).
-func runBaselineJob(cfg Config, spec JobSpec) (*JobResult, error) {
-	dsp := cfg.Trace.Start(cfg.Trace.Root(), "decode")
-	old, err := readTraceFile(spec.In, spec.InFormat)
-	dsp.End()
+// runBaseline executes the non-engine comparison methods: always in
+// memory and sequential — they exist for fidelity comparisons, not
+// throughput — but written through the same encoder and sink as an
+// engine job.
+func runBaseline(cfg Config, spec JobSpec, enc trace.Encoder) error {
+	f, err := os.Open(spec.In)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	old, err := trace.ReadFormat(spec.InFormat, f)
+	f.Close()
+	if err != nil {
+		return err
 	}
 	if err := old.Validate(); err != nil {
-		return nil, fmt.Errorf("input: %w", err)
+		return fmt.Errorf("input: %w", err)
 	}
 	var result *trace.Trace
-	rsp := cfg.Trace.Start(cfg.Trace.Root(), "reconstruct")
 	switch spec.Method {
 	case "fixed-th":
-		result = baseline.FixedTh(old, cfg.withDefaults().Device(), time.Duration(spec.ThresholdUS*float64(time.Microsecond)))
+		result = baseline.FixedTh(old, cfg.Device(), time.Duration(spec.ThresholdUS*float64(time.Microsecond)))
 	case "revision":
-		result = baseline.Revision(old, cfg.withDefaults().Device())
+		result = baseline.Revision(old, cfg.Device())
 	case "acceleration":
 		result = baseline.Acceleration(old, spec.Factor)
 	}
-	rsp.End()
-	return finishJob(cfg.Trace, spec, result, nil)
-}
-
-// finishJob writes or retains the result per the spec.
-func finishJob(tr *obs.Tracer, spec JobSpec, result *trace.Trace, rep *Report) (*JobResult, error) {
-	if spec.Out == "" {
-		return &JobResult{Report: rep, Trace: result}, nil
-	}
-	esp := tr.Start(tr.Root(), "encode")
-	err := writeAtomically(spec.Out, func(w io.Writer) error {
-		return writeTraceTo(w, spec.OutFormat, spec.FIODevice, result)
-	})
-	esp.End()
-	if err != nil {
-		return nil, err
-	}
-	return &JobResult{Report: rep, OutPath: spec.Out}, nil
+	return trace.EncodeTrace(enc, result)
 }
 
 // partialSeq disambiguates concurrent partial files within this
@@ -343,23 +346,4 @@ func writeAtomically(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return nil
-}
-
-// readTraceFile materializes a whole trace from a file.
-func readTraceFile(path, format string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.ReadFormat(format, f)
-}
-
-// writeTraceTo renders a whole trace in the named format.
-func writeTraceTo(w io.Writer, format, fioDevice string, t *trace.Trace) error {
-	enc, err := trace.NewEncoder(format, w, fioDevice)
-	if err != nil {
-		return err
-	}
-	return trace.EncodeTrace(enc, t)
 }

@@ -1,0 +1,337 @@
+package engine
+
+// Tests that pin the shape of the one job path: a job is blob → stage
+// graph → result file, streamed. They hold the memory promise against a
+// real corpus store, the storage-fault classification, the stability of
+// the cache keys across the removal of the Stream spec field, and the
+// span vocabulary.
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
+	"syscall"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/corpus"
+	"repro/internal/faultfs"
+	"repro/internal/trace"
+)
+
+// writeBinInput writes tr as a bin file under dir and returns its path.
+func writeBinInput(t *testing.T, dir string, tr *trace.Trace) string {
+	t.Helper()
+	path := filepath.Join(dir, "in.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteBinary(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func openCorpus(t *testing.T) *corpus.Store {
+	t.Helper()
+	s, err := corpus.Open(filepath.Join(t.TempDir(), "data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// hexKey is a distinct well-formed input digest per i.
+func hexKey(i int) string { return fmt.Sprintf("%064x", i) }
+
+// TestRunJobCachedMissBoundedMemory holds a cache miss to the streaming
+// memory promise: a 200k-request bin job through RunJobCached against a
+// real corpus store allocates a small multiple of the in-flight window
+// (Workers · MaxShardRequests requests), not a multiple of the trace.
+// Materializing the input or the output alone would be 9.6 MB.
+func TestRunJobCachedMissBoundedMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting at full trace size")
+	}
+	const n = 200_000
+	const workers, maxShard = 2, 4096
+	inPath := writeBinInput(t, t.TempDir(), allocBenchTrace(n))
+	store := openCorpus(t)
+	cfg := Config{Workers: workers, MaxShardRequests: maxShard}
+	spec := JobSpec{In: inPath, InFormat: "bin", OutFormat: "bin"}
+	miss := 0
+	run := func() {
+		miss++
+		res, hit, err := RunJobCached(cfg, spec, hexKey(miss), store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit || res.Report.Requests != n {
+			t.Fatalf("run %d: hit=%v report=%+v", miss, hit, res.Report)
+		}
+	}
+	run() // warm up code paths
+
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	run()
+	runtime.ReadMemStats(&m1)
+
+	window := uint64(workers * maxShard * int(unsafe.Sizeof(trace.Request{})))
+	whole := uint64(n * int(unsafe.Sizeof(trace.Request{})))
+	got := m1.TotalAlloc - m0.TotalAlloc
+	// 16 windows (measured: 11): the token pool admits 4·Workers epochs,
+	// each with its request buffer and decomposition scratch, plus the
+	// segmented decoder's and the encoder's block buffers.
+	limit := 16 * window
+	t.Logf("miss allocated %d B (window %d B, limit %d B, whole trace %d B)", got, window, limit, whole)
+	if got > limit {
+		t.Fatalf("cache miss allocated %d B, want <= %d B (16 × the %d B in-flight window); the whole trace is %d B",
+			got, limit, window, whole)
+	}
+	if limit >= whole {
+		t.Fatalf("fixture: the bound (%d B) does not separate streaming from materializing (%d B)", limit, whole)
+	}
+}
+
+// TestRunJobCachedStorageFaultMidStream fails the result cache's disk
+// in the middle of a job's output — after at least one epoch is out —
+// on both graphs. The job must fail as a storage fault (not as whatever
+// the encoder or the merge made of the write error), leave neither a
+// cache entry nor a staged file nor a decoder goroutine behind, and run
+// clean once the disk recovers.
+func TestRunJobCachedStorageFaultMidStream(t *testing.T) {
+	const n = 40_000
+	const maxShard = 1024
+	inPath := writeBinInput(t, t.TempDir(), allocBenchTrace(n))
+	if st, err := os.Stat(inPath); err != nil || st.Size() < trace.ParallelMinBytes {
+		t.Fatalf("fixture too small for the parallel decoder: %v %v", st, err)
+	}
+	for _, dev := range []string{"array", "ftl"} { // shard-safe graph, serviced graph
+		t.Run(dev, func(t *testing.T) {
+			store := openCorpus(t)
+			fi := faultfs.New()
+			store.SetFaultInjector(fi)
+			cfg := Config{Workers: 2, MaxShardRequests: maxShard}
+			spec := JobSpec{In: inPath, InFormat: "bin", OutFormat: "csv", Device: dev}
+			digest := hexKey(1)
+			key := CacheKey(digest, spec)
+
+			base := runtime.NumGoroutine()
+			// Four epochs of csv records (>= 20 B each) pass before the
+			// disk dies; most of the output is still to come.
+			fi.Fail(faultfs.SinkCorpusResult, 4*maxShard*20, syscall.ENOSPC)
+			_, _, err := RunJobCached(cfg, spec, digest, store)
+			if !errors.Is(err, ErrStorage) || !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("faulted job: %v, want ErrStorage wrapping ENOSPC", err)
+			}
+			if fi.Hits(faultfs.SinkCorpusResult) == 0 {
+				t.Fatal("result fault never fired")
+			}
+			if _, _, ok := store.LookupResult(key); ok {
+				t.Fatal("failed job left a cache entry")
+			}
+			tmps, err := os.ReadDir(filepath.Join(store.Root(), "tmp"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tmps) != 0 {
+				t.Fatalf("failed job left %d staged files (%s, ...)", len(tmps), tmps[0].Name())
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+
+			fi.Clear(faultfs.SinkCorpusResult)
+			res, hit, err := RunJobCached(cfg, spec, digest, store)
+			if err != nil {
+				t.Fatalf("retry after the disk recovered: %v", err)
+			}
+			if hit || res.Report.Requests != n {
+				t.Fatalf("retry: hit=%v report=%+v; the failed attempt must not have cached anything", hit, res.Report)
+			}
+		})
+	}
+}
+
+// barrierCache makes concurrent RunJobCached calls all miss: each
+// LookupResult waits until every racer has looked.
+type barrierCache struct {
+	*corpus.Store
+	looked sync.WaitGroup
+}
+
+func (c *barrierCache) LookupResult(key string) (string, []byte, bool) {
+	p, note, ok := c.Store.LookupResult(key)
+	c.looked.Done()
+	c.looked.Wait()
+	return p, note, ok
+}
+
+// TestRunJobCachedRacingWriters runs one key from two goroutines that
+// both miss the lookup, so both stream a full result into their own
+// staging file: both succeed with the same report, the cache keeps
+// exactly one file, and the loser's staging file is gone.
+func TestRunJobCachedRacingWriters(t *testing.T) {
+	const n = 20_000
+	inPath := writeBinInput(t, t.TempDir(), allocBenchTrace(n))
+	store := openCorpus(t)
+	cache := &barrierCache{Store: store}
+	cache.looked.Add(2)
+	spec := JobSpec{In: inPath, InFormat: "bin", OutFormat: "bin"}
+	var wg sync.WaitGroup
+	var res [2]*JobResult
+	var errs [2]error
+	for i := range res {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], _, errs[i] = RunJobCached(Config{Workers: 2, MaxShardRequests: 1024}, spec, hexKey(7), cache)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("racer %d: %v", i, err)
+		}
+	}
+	if res[0].OutPath != res[1].OutPath || res[0].Report.Requests != n || res[1].Report.Requests != n {
+		t.Fatalf("racers disagree: %+v / %+v", res[0], res[1])
+	}
+	for dir, want := range map[string]int{"results": 2, "tmp": 0} { // result + sidecar
+		des, err := os.ReadDir(filepath.Join(store.Root(), dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(des) != want {
+			t.Fatalf("%s/ holds %d files after the race, want %d", dir, len(des), want)
+		}
+	}
+}
+
+// TestRunJobNeverClobbersOutput covers the sink RunJob owns: a failed
+// job neither replaces an existing output file nor leaves its partial
+// file behind, and a job without an output path is refused.
+func TestRunJobNeverClobbersOutput(t *testing.T) {
+	dir := t.TempDir()
+	outPath := filepath.Join(dir, "out.csv")
+	if err := os.WriteFile(outPath, []byte("precious"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunJob(Config{}, JobSpec{In: filepath.Join(dir, "missing.csv"), Out: outPath}); err == nil {
+		t.Fatal("job with a missing input succeeded")
+	}
+	if got, _ := os.ReadFile(outPath); string(got) != "precious" {
+		t.Fatalf("failed job replaced the existing output: %q", got)
+	}
+	if left, _ := filepath.Glob(outPath + ".partial-*"); len(left) != 0 {
+		t.Fatalf("failed job left partial files: %v", left)
+	}
+	if _, err := RunJob(Config{}, JobSpec{In: filepath.Join(dir, "missing.csv")}); err == nil {
+		t.Fatal("RunJob without an output path succeeded")
+	}
+}
+
+// TestFingerprintGolden pins the fingerprints (and through them every
+// stored result-cache key) to the values the tree produced while
+// JobSpec still had a Stream field: the field was zeroed before
+// digesting and omitted from the JSON when false, so deleting it must
+// not move a key. The specs arrive as JSON the way the daemon and its
+// journal hold them, including a line that still carries
+// "stream":true.
+func TestFingerprintGolden(t *testing.T) {
+	golden := []struct{ spec, want string }{
+		{`{"in":"/a/in.csv"}`, "9d2fd93318247f2fa1c5a0677468fba4f682bdb7ac7ca5d1523e97945697fecf"},
+		{`{"in":"/a/in.csv","out":"/tmp/o.csv","stream":true,"parallel":8,"name":"x"}`, "9d2fd93318247f2fa1c5a0677468fba4f682bdb7ac7ca5d1523e97945697fecf"},
+		{`{"in":"corpus:abc","informat":"bin","outformat":"bin"}`, "bf12cdf3e97bd5524d6a7617a5405285ed13b4fbbbde5520ae0a592e011c688f"},
+		{`{"in":"/a/in.csv","method":"dynamic"}`, "bd94fa14fd8c3aa0343a9944bd128f4e5b34b32424ff0b03f1ae83a0a489e93e"},
+		{`{"in":"/a/in.csv","device":"hdd"}`, "ef96381224d393ec5bdf899ae13d72653ce6bdfd7ff67fe2a004dea8205c2c50"},
+		{`{"in":"/a/in.csv","device":"ftl","ftl_config":{"blocks":128}}`, "5eb554a0ade47efe013ec4f7eb5dc4739fc3d9454bce1f1ac009c18aabcbb3cc"},
+		{`{"in":"/a/in.csv","device":"host","host_config":{"inner":"old"}}`, "d06be15403eff0c73f2a123935700103b092a1060330dfd2a600986a539cc7a3"},
+		{`{"in":"/a/in.msrc","informat":"msrc"}`, "71dcabc1466ace08aab11a99d37518ee43744f4a6a84b233e0ab4934635bad68"},
+		{`{"in":"/a/in.csv","outformat":"fio","fio_device":"/dev/sdz"}`, "7f809b204b3d87a26adb5f9b63efc29c3673e9e7a9c2bf0ebf03097a048ba298"},
+		{`{"in":"/a/in.csv","method":"fixed-th","threshold_us":250}`, "86ddf942c71862cfd1f674e4eaf0fca9517e8cd0516a91525910310d98dc3406"},
+		{`{"in":"/a/in.csv","method":"acceleration","factor":4}`, "ed2a2e6e587932b16090e3026562e0c8fcca3e0b324b03a98a2e10c064360539"},
+		{`{"in":"/a/in.csv","method":"revision","device":"ssd"}`, "8e05b2bb14f2bcfd45a5330ebbbdfc73806d208ec3b314d125632b57abc9b660"},
+	}
+	for _, g := range golden {
+		var s JobSpec
+		if err := json.Unmarshal([]byte(g.spec), &s); err != nil {
+			t.Fatalf("%s: %v", g.spec, err)
+		}
+		if got := s.Fingerprint(); got != g.want {
+			t.Errorf("%s: fingerprint moved\n got %s\nwant %s", g.spec, got, g.want)
+		}
+	}
+	var s JobSpec
+	if err := json.Unmarshal([]byte(golden[1].spec), &s); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := CacheKey("d1", s), "a2b7f4ff2fc9a92f5847f78995c5e7fbbfdcec8b643508253b85a06a3ca013a3"; got != want {
+		t.Errorf("cache key moved\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestNoLiteralSpanNames keeps the engine on one span vocabulary: every
+// span it opens is named from obs.StageNames or obs.JobSpanNames, never
+// from a string literal of its own (StartEpoch names its span itself).
+func TestNoLiteralSpanNames(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				var name ast.Expr
+				switch {
+				case sel.Sel.Name == "Start" && len(call.Args) == 2: // Tracer.Start(parent, name)
+					name = call.Args[1]
+				case sel.Sel.Name == "Child" && len(call.Args) == 1: // Span.Child(name)
+					name = call.Args[0]
+				default:
+					return true
+				}
+				calls++
+				if lit, ok := name.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					t.Errorf("%s: span named by the literal %s; use obs.StageNames / obs.JobSpanNames",
+						fset.Position(lit.Pos()), lit.Value)
+				}
+				return true
+			})
+		}
+	}
+	if calls < 4 {
+		t.Fatalf("found only %d span-opening calls in the engine; the scan is not seeing them", calls)
+	}
+}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/infer"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -124,27 +124,16 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 		return nil
 	}
 
-	r := &run{cfg: e.cfg, m: m, useRecorded: useRecorded, enc: enc, meta: outMeta, pool: pool}
+	// The stream span is the pass itself: the plan and epoch spans hang
+	// off it.
+	ssp := e.cfg.Trace.Start(e.cfg.Trace.Root(), obs.JobSpanNames[obs.JobSpanStream])
+	defer ssp.End()
+	r := &run{cfg: e.cfg, m: m, useRecorded: useRecorded, enc: enc, meta: outMeta, pool: pool, root: ssp}
 	r.rep.Model, r.rep.Workers = m, e.cfg.Workers
 	if err := r.execute(e.cfg.Device(), produce); err != nil {
 		return nil, err
 	}
 	return &r.rep, enc.Close()
-}
-
-// reportFromCore projects a core.Report onto the engine's aggregate
-// report.
-func reportFromCore(rep *core.Report, requests int64, workers int) *Report {
-	return &Report{
-		Model:       rep.Model,
-		Requests:    requests,
-		Shards:      rep.Shards,
-		Workers:     workers,
-		IdleCount:   rep.IdleCount,
-		IdleTotal:   rep.IdleTotal,
-		AsyncCount:  rep.AsyncCount,
-		DeviceStats: rep.DeviceStats,
-	}
 }
 
 // ReconstructPath orchestrates a whole streaming reconstruction from
@@ -155,9 +144,7 @@ func reportFromCore(rep *core.Report, requests int64, workers int) *Report {
 // the engine's worker count via the segmented parallel decoder when
 // the input file is large enough to split.
 func (e *Engine) ReconstructPath(inPath, informat string, reorderWindow int, enc trace.Encoder) (*Report, error) {
-	fsp := e.cfg.Trace.Start(e.cfg.Trace.Root(), "fit")
 	m, err := e.fitModelFromPath(inPath, informat, reorderWindow)
-	fsp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -198,6 +185,8 @@ func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*
 		return nil, err
 	}
 	defer closeDec()
+	fsp := e.cfg.Trace.Start(e.cfg.Trace.Root(), obs.JobSpanNames[obs.JobSpanFit])
+	defer fsp.End()
 	m, _, err := FitModel(dec, e.cfg.Core.Estimate)
 	return m, err
 }

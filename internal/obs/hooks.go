@@ -30,6 +30,25 @@ const (
 // above.
 var StageNames = [NumStages]string{"plan", "decompose", "service", "emulate", "merge"}
 
+// Job-level spans: what a job's timeline holds above the stage spans.
+// A cached job opens cache-lookup and, on a miss, store — the
+// result-cache write, which the rest of the job runs inside because the
+// graph encodes straight into the cache's file. fit is the model-fit
+// pass (inference-path inputs only) and stream the reconstruction pass;
+// stream is the parent of the plan and epoch spans. The engine names
+// its job-level spans from this list only.
+const (
+	JobSpanCacheLookup = iota
+	JobSpanFit
+	JobSpanStream
+	JobSpanStore
+	NumJobSpans
+)
+
+// JobSpanNames are the job-level span names, indexed by the constants
+// above.
+var JobSpanNames = [NumJobSpans]string{"cache-lookup", "fit", "stream", "store"}
+
 // EngineMetrics is the engine's instrumentation hook
 // (engine.Config.Metrics): per-stage wall time and queue occupancy,
 // token-pool wait, epochs in flight, and result-cache traffic. A nil

@@ -414,6 +414,9 @@ type StreamParallelDecoder struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
+	// blocks is the coordinator's double buffer; Close recycles it once
+	// the goroutines that read it are gone.
+	blocks blockBuffers
 
 	metaMu sync.Mutex
 	meta   Meta
@@ -627,10 +630,18 @@ func (d *StreamParallelDecoder) coordinate() {
 // from it are fully decoded, while the other half's tasks keep
 // running.
 type blockBuffers struct {
-	bufs  [2][]byte
+	bufs  [2]*[]byte
 	wgs   [2]sync.WaitGroup
 	which int
 }
+
+// streamBlockPool recycles block halves between decoders: a server
+// ingesting upload after upload would otherwise allocate (and the
+// collector sweep) two fresh streamBlockLen buffers per upload.
+var streamBlockPool = sync.Pool{New: func() any {
+	b := make([]byte, streamBlockLen)
+	return &b
+}}
 
 // next returns the buffer half to fill and its task group, waiting out
 // the half's previous tasks.
@@ -638,9 +649,20 @@ func (b *blockBuffers) next() ([]byte, *sync.WaitGroup) {
 	b.which ^= 1
 	b.wgs[b.which].Wait()
 	if b.bufs[b.which] == nil {
-		b.bufs[b.which] = make([]byte, streamBlockLen)
+		b.bufs[b.which] = streamBlockPool.Get().(*[]byte)
 	}
-	return b.bufs[b.which], &b.wgs[b.which]
+	return *b.bufs[b.which], &b.wgs[b.which]
+}
+
+// release returns the halves to the pool. Only safe once nothing reads
+// them any more: after the coordinator and every worker have exited.
+func (b *blockBuffers) release() {
+	for i, buf := range b.bufs {
+		if buf != nil {
+			streamBlockPool.Put(buf)
+			b.bufs[i] = nil
+		}
+	}
 }
 
 // readBlock fills buf after the carried prefix, reading in bounded
@@ -673,10 +695,8 @@ func (d *StreamParallelDecoder) readBlock(buf, carry []byte) (data []byte, eof b
 }
 
 func (d *StreamParallelDecoder) coordinateText() {
-	var (
-		blocks blockBuffers
-		carry  []byte
-	)
+	var carry []byte
+	blocks := &d.blocks
 	pre := preludeState{format: d.format, ctx: segCtx{meta: initialMeta(d.format), sawData: true}}
 	for {
 		select {
@@ -765,7 +785,7 @@ func (d *StreamParallelDecoder) coordinateBin() {
 		return
 	}
 	var (
-		blocks    blockBuffers
+		blocks    = &d.blocks
 		carry     []byte
 		idx       uint64
 		remaining = count
@@ -881,6 +901,7 @@ func (d *StreamParallelDecoder) shutdown() {
 func (d *StreamParallelDecoder) Close() {
 	d.shutdown()
 	d.wg.Wait()
+	d.blocks.release()
 }
 
 // --- construction helpers ---

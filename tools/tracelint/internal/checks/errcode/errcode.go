@@ -45,7 +45,6 @@ var StableCodes = []string{
 	"bad_json",
 	"bad_limit",
 	"bad_spec",
-	"bad_stream_spec",
 	"bad_trace",
 	"config_mismatch",
 	"corpus_disabled",
@@ -59,7 +58,6 @@ var StableCodes = []string{
 	"queue_full",
 	"quota_exceeded",
 	"rate_limited",
-	"result_evicted",
 	"shutting_down",
 	"trace_evicted",
 	"unauthorized",
