@@ -66,7 +66,7 @@ func run(args []string, stdout io.Writer) error {
 	loadSize := fs.Int("load-trace-requests", 20_000, "requests in each -load tenant's uploaded trace")
 	tolDrop := fs.Float64("tolerance", 0.15, "allowed fractional req/s drop before the gate fails")
 	stages := fs.Bool("stages", false,
-		"record each engine scenario's per-stage wall-time breakdown (plan/decompose/service/emulate/merge) in the report; on hdd/ftl/host scenarios service is the one device pass including output collection and emulate is post-process + render")
+		"record each engine scenario's per-stage wall-time breakdown (plan/decompose/service/emulate/merge) in the report; the device pass, output collection included, is in service on hdd/ftl/host scenarios and in decompose on shard-safe ones, and emulate is post-process + render everywhere")
 	repeat := fs.Int("repeat", 1,
 		"run the whole suite N times and report each scenario's median run by req/s (noise suppression)")
 	traceDir := fs.String("trace", "",

@@ -7,10 +7,11 @@
 // engine (internal/engine): the trace is cut into epochs at idle-period
 // boundaries and reconstructed on -parallel workers (default
 // GOMAXPROCS), with output byte-identical to the sequential pipeline.
-// -device selects the target: the flash array (default) runs
-// shard-parallel, while the hdd, ftl and host targets run on the
-// engine's serviced graph — one ordered device pass with the stages
-// around it on the full -parallel worker count, no serial fallback. -stream additionally bounds memory
+// -device selects the target: the flash array (default) is emulated in
+// the workers, epoch by epoch, while the hdd, ftl and host targets get
+// one ordered device pass in the engine's serial middle stage, with the
+// stages around it on the full -parallel worker count, no serial
+// fallback. -stream additionally bounds memory
 // by streaming the input through the engine instead of materializing
 // it (requires -in and -out; the output is written atomically and the
 // fio job file is not emitted in this mode).

@@ -85,9 +85,10 @@ type Result struct {
 	// Stages is the per-op engine stage wall-time breakdown in seconds
 	// (keys: obs.StageNames plus "token_wait"), present only for engine
 	// scenarios run with Options.Stages. Stage seconds sum past NsPerOp
-	// on multi-worker runs because stages overlap across goroutines. On
-	// the serviced graph (hdd/ftl/host) "service" is the one device pass
-	// including output collection and "emulate" is post-process + render.
+	// on multi-worker runs because stages overlap across goroutines. The
+	// device pass, output collection included, is in "service" on
+	// hdd/ftl/host and in "decompose" on shard-safe targets; "emulate" is
+	// post-process + render everywhere.
 	Stages map[string]float64 `json:"stages,omitempty"`
 }
 
@@ -488,7 +489,7 @@ func Run(opts Options) (*Report, error) {
 				return nil, err
 			}
 
-			// HDD target: the serviced graph (the constrained device the
+			// HDD target: a serviced device (the constrained one the
 			// paper's co-evaluation measures). workers=1 doubles as the
 			// graph-overhead floor against the serial pipeline;
 			// reconstruct-hdd times the in-memory engine, e2e-hdd the
@@ -550,8 +551,7 @@ func Run(opts Options) (*Report, error) {
 				return nil, err
 			}
 
-			// FTL and host-stack targets: the deep-state devices on the
-			// same serviced graph. The factories come from the
+			// FTL and host-stack targets: the deep-state serviced devices. The factories come from the
 			// engine's device registry so the bench times exactly what a
 			// `device: "ftl"` / `device: "host"` job runs.
 			mkFTL, err := engine.DeviceFactory("ftl")

@@ -7,54 +7,56 @@
 // # The stage graph
 //
 // One executor (exec.go) runs every reconstruction, in memory or
-// streaming, as one of two shapes of one graph:
+// streaming, on any target, as one graph:
 //
-//	shard-safe:  plan ──> decompose+emulate+post ─────────────────> merge
-//	             (serial)   (pool)                                  (serial)
-//	serviced:    plan ──> decompose ──> service ──> post+render ──> merge
-//	             (serial)   (pool)      (serial)      (pool)        (serial)
+//	plan ──> decompose ──> service ──> emulate ──> merge
+//	(serial)   (pool)      (serial)     (pool)     (serial)
 //
 //	plan       cut epochs at idle-gap boundaries, carry seq state
-//	decompose  infer per-request idle/async from the OLD trace —
-//	           device-independent
-//	service    serviced graph only: the run's one device pass
-//	emulate    the worker stage behind decompose or service; see below
-//	merge      hand epochs to the output in index order, chaining each
-//	           epoch's time base
+//	decompose  everything an epoch can compute before its predecessors
+//	           are known: per-request idle/async inference from the OLD
+//	           trace (device-independent) and, on a shard-safe target,
+//	           the device pass from time zero
+//	service    the one place epochs meet in order: the device pass on
+//	           every other target, otherwise only the chain below
+//	emulate    what is left once the epoch's place is known: post-process
+//	           (which makes the arrivals final), aggregate, render
+//	merge      in index order, splice the rendered bytes into the output
+//	           and fold the report
 //
-// Which shape runs is read off the target device:
+// There is one rule for when an epoch's bytes are final: when it leaves
+// the middle stage. What that stage has to do is read off the target
+// device:
 //
-//   - device.ShardSafe (the flash simulators): no servicer. The
-//     emulation loop is synchronous — every instruction is submitted at
-//     or after the previous completion, by which point a shard-safe
-//     device has drained — so its servicing is invariant under time
-//     translation, and an epoch emulated from a drained device at
-//     virtual time zero equals the same span of the whole-trace
-//     emulation shifted by the preceding epochs' end times. decompose and
-//     emulate run fused in one worker, on that worker's own device, and
-//     the merge adds each epoch's offset: accumulated end times minus
-//     accumulated post-processing shift.
+//   - device.ShardSafe (the flash simulators): the emulation loop is
+//     synchronous — every instruction is submitted at or after the
+//     previous completion, by which point a shard-safe device has
+//     drained — so its servicing is invariant under time translation,
+//     and an epoch emulated from a drained device at virtual time zero
+//     equals the same span of the whole-trace emulation shifted by the
+//     preceding epochs' end times. The workers therefore run the device
+//     pass too, each on its own device, and the middle stage is a chain:
+//     it folds each epoch's (end, shiftDelta) into running totals and
+//     hands the next epoch its entry shift, accumulated post-processing
+//     shift minus accumulated end times.
 //   - everything else (hdd, ftl, host, wrapped devices): head position,
 //     rotational phase, mapping tables, page-cache contents and destage
 //     debt persist across idle periods, so epoch k's servicing depends
 //     on everything before it, and only one pass over one device, in
-//     order, can compute it. The servicer is that pass
+//     order, can compute it. The middle stage is that pass
 //     (replay.EmulateEpoch, the paper's emulation loop unchanged): it
 //     continues the run's single device through the epoch's submissions
 //     on the absolute timeline, collects the new records as it goes, and
-//     accumulates the post-processing shift. What is left for the
-//     workers behind it has no order in it: post-process the records
-//     from the shift all earlier epochs accumulated (which makes the
-//     arrivals final, so the merge's offset is zero), aggregate, render.
-//     The graph needs nothing from a device but Submit in order, so it
-//     is also where a device that declares no capability runs.
+//     the entry shift is the accumulated post-processing shift alone.
+//     It needs nothing from a device but Submit in order, so it is also
+//     where a device that declares no capability runs.
 //
-// Pre-render vs merge-encode: when the output encoder's records are
-// stateless (trace.ShardEncoder — csv, bin), workers on the serviced
-// graph render their epoch's bytes and the merge only splices buffers.
-// The shard-safe graph cannot: a relative-time epoch's arrivals are not
-// final until the merge chains its offset, so its records are encoded
-// there.
+// Either way core.PostProcessShard from the entry shift turns the
+// collected records into their final form, and a stateless record
+// encoder (trace.ShardEncoder — csv, bin) renders them right there, so
+// the merge splices buffers and its cost does not grow with the record
+// count. The encoders whose records depend on the ones before (blktrace
+// sequence numbers, fio waits) are the one thing the merge still encodes.
 //
 // Epochs are cut where the planner finds the workload's idle gaps,
 // which balances the stages around the device pass decently. In-flight
@@ -214,7 +216,7 @@ func (e *Engine) Reconstruct(old *trace.Trace) (*trace.Trace, *core.Report, erro
 
 	// Planning overlaps with execution: epochs are submitted as the
 	// scan cuts them, each pointing at its slots of the preallocated
-	// output and report, so the merge only fixes up arrivals in place.
+	// output and report, so the workers leave final records in place.
 	produce := func(submit func(epoch) error) error {
 		pos := 0
 		return planEach(e.cfg, old, func(s shard) error {

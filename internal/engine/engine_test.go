@@ -343,6 +343,83 @@ func TestStreamMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestShardSafeRenderByteIdentical locks the graph on a shard-safe
+// target: epochs emulated from time zero, chained by the middle stage,
+// then offset, post-processed and rendered in the workers. On the array, for every output format — csv and bin spliced
+// from worker-rendered bytes, blktrace and fio encoded serially at the
+// merge — every worker count and both entry points, the bytes equal a
+// whole-trace encode of the sequential reconstruction, over enough small
+// epochs that the chained base and shift are non-zero almost everywhere.
+func TestShardSafeRenderByteIdentical(t *testing.T) {
+	for _, tsdev := range []bool{true, false} {
+		old := genOld(t, "MSNFS", 6000, tsdev)
+		array := func() device.Device { return device.NewArray(device.DefaultArrayConfig()) }
+		wantTrace, wantRep, err := core.Reconstruct(old, array(), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		unshifted, _, err := core.Reconstruct(old, array(), core.Options{SkipPostProcess: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := old.Len() - 1
+		if unshifted.Requests[last].Arrival == wantTrace.Requests[last].Arrival {
+			t.Fatal("fixture accumulates no post-processing shift to chain")
+		}
+		var input bytes.Buffer
+		if err := trace.WriteBinary(&input, old); err != nil {
+			t.Fatal(err)
+		}
+		encode := func(format string, tr *trace.Trace) []byte {
+			var buf bytes.Buffer
+			enc, err := trace.NewEncoder(format, &buf, "/dev/sdz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := trace.EncodeTrace(enc, tr); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		for _, format := range []string{"csv", "bin", "blktrace", "fio"} {
+			want := encode(format, wantTrace)
+			for _, workers := range []int{1, 2, 4, 8} {
+				cfg := testConfig(workers, core.Options{})
+				cfg.MinShardRequests, cfg.MaxShardRequests = 16, 96
+				e := New(cfg)
+
+				memTrace, memRep, err := e.Reconstruct(old)
+				if err != nil {
+					t.Fatalf("%s tsdev=%v w=%d: in-memory: %v", format, tsdev, workers, err)
+				}
+				if memRep.Shards < 50 {
+					t.Fatalf("%s w=%d: %d epochs, want >= 50", format, workers, memRep.Shards)
+				}
+				if !bytes.Equal(encode(format, memTrace), want) {
+					t.Fatalf("%s tsdev=%v w=%d: in-memory output diverges from the sequential pipeline", format, tsdev, workers)
+				}
+
+				var got bytes.Buffer
+				enc, err := trace.NewEncoder(format, &got, "/dev/sdz")
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := e.ReconstructStream(trace.NewBinaryDecoder(bytes.NewReader(input.Bytes())), enc, wantRep.Model)
+				if err != nil {
+					t.Fatalf("%s tsdev=%v w=%d: stream: %v", format, tsdev, workers, err)
+				}
+				if !bytes.Equal(got.Bytes(), want) {
+					t.Fatalf("%s tsdev=%v w=%d: streamed output diverges from the sequential pipeline", format, tsdev, workers)
+				}
+				if rep.Shards != memRep.Shards || rep.Requests != int64(old.Len()) ||
+					rep.IdleCount != wantRep.IdleCount || rep.IdleTotal != wantRep.IdleTotal || rep.AsyncCount != wantRep.AsyncCount {
+					t.Fatalf("%s tsdev=%v w=%d: stream report diverges: %+v", format, tsdev, workers, rep)
+				}
+			}
+		}
+	}
+}
+
 // TestFitModelMatchesEstimate checks pass-one streaming model fitting
 // equals the in-memory fit the engine/core use.
 func TestFitModelMatchesEstimate(t *testing.T) {
@@ -423,6 +500,9 @@ func TestStreamEmitErrorAborts(t *testing.T) {
 	if enc.writes != 1 {
 		t.Fatalf("encoder written %d times after failing, want 1", enc.writes)
 	}
+	// The same on the rendered path: the array's csv bytes are spliced,
+	// never written record by record.
+	spliceFailureAborts(t, e, input.Bytes())
 }
 
 // TestEmptyStream checks an empty input is rejected like the

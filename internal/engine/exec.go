@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,23 +43,22 @@ type epoch struct {
 	// points it at reqs so the device pass collects in place. nil again
 	// once rendered.
 	out []trace.Request
-	// enc holds the records pre-rendered to output bytes, when the
-	// graph pre-renders.
+	// enc holds the records rendered to output bytes, when the encoder
+	// is a trace.ShardEncoder.
 	enc []byte
 
-	// shift is attached by the servicer (serviced graph): the
-	// post-processing arrival reduction accumulated by all earlier
-	// epochs. The servicer's records sit on the global timeline, so
-	// post-processing from shift makes the epoch's arrivals final.
-	shift time.Duration
-	// end and shiftDelta are the chaining values of the shard-safe
-	// graph, whose epochs are emulated from time zero: the completion
-	// time of the last instruction and the arrival reduction accumulated
-	// within the epoch — the next epoch's base and shift increments.
-	// Both stay zero on the serviced graph, so the same merge arithmetic
-	// yields offset zero there.
+	// end and shiftDelta come out of the epoch's device pass: the
+	// completion time of its last instruction and the post-processing
+	// arrival reduction accumulated within it. A shard-safe epoch is
+	// emulated from time zero, so its end is a duration the middle stage
+	// chains; a serviced epoch's end is already absolute.
 	end        time.Duration
 	shiftDelta time.Duration
+	// shift is attached by the middle stage: what post-processing must
+	// subtract from the epoch's arrivals on entry to make them final —
+	// the reduction all earlier epochs accumulated, less (shard-safe
+	// target) the time base that places the epoch on the global timeline.
+	shift time.Duration
 
 	idleCount  int
 	idleTotal  time.Duration
@@ -97,14 +97,15 @@ func (l *freeList[T]) put(b []T) {
 	l.mu.Unlock()
 }
 
-// bufPool recycles a streaming run's per-epoch buffers: request and
-// seq-flag buffers between the merge (which finishes with an epoch)
-// and the stream planner (which opens the next), the decomposition
-// scratch between finish and decompose, and the pre-rendered output
-// bytes between merge and finish. The in-flight token pool bounds how
-// many buffers circulate, so steady-state streaming allocates nothing
-// per epoch once the lists warm up. The in-memory path runs without a
-// pool: its epochs are views into the preallocated output and report.
+// bufPool recycles a streaming run's per-epoch buffers: request buffers
+// between finish (or the merge, when the encoder is serial) and the
+// stream planner, seq-flag buffers between decompose and the planner,
+// the decomposition scratch between finish and decompose, and the
+// rendered output bytes between merge and finish. The in-flight token
+// pool bounds how many buffers circulate, so steady-state streaming
+// allocates nothing per epoch once the lists warm up. The in-memory path
+// runs without a pool: its epochs are views into the preallocated output
+// and report.
 type bufPool struct {
 	reqs  freeList[trace.Request]
 	seqs  freeList[bool]
@@ -113,8 +114,8 @@ type bufPool struct {
 	bytes freeList[byte]
 }
 
-// run is one reconstruction on the stage graph: its fixed inputs, the
-// graph shape, and the merge-side output state.
+// run is one reconstruction on the stage graph: its fixed inputs and the
+// merge-side output state.
 type run struct {
 	cfg         Config
 	m           *infer.Model
@@ -130,10 +131,9 @@ type run struct {
 	// the tracer's root for an in-memory run.
 	root obs.Span
 
-	// serviced selects the serviced graph; se, when non-nil, is the
-	// encoder its workers pre-render with. Both are set by execute.
-	serviced bool
-	se       trace.ShardEncoder
+	// se, when non-nil, is the encoder the workers render with; set by
+	// execute.
+	se trace.ShardEncoder
 
 	begun bool
 	rep   Report
@@ -186,17 +186,18 @@ func inOrder(in <-chan epoch, window int, mtr *obs.EngineMetrics, stage int, f f
 
 // execute runs the stage graph over the epochs produce submits. dev is
 // a fresh device of the run's configuration: whether it is shard-safe
-// chooses the graph, and on the serviced graph it is the run's one
-// device.
+// decides where the device pass runs, and when it is not, dev is the
+// run's one device.
 //
 // produce is called on its own goroutine and submits epochs in index
-// order via the callback it is handed. cfg.Workers workers serve the
-// decompose stage and the stage behind the device pass; on the serviced
-// graph a servicer goroutine runs the device pass over the epochs in
-// order between the two; the merge (this goroutine) hands each epoch to
-// emit in index order together with the offset that places it on the
-// global timeline (accumulated base minus accumulated post-processing
-// shift).
+// order via the callback it is handed. cfg.Workers workers serve the two
+// pooled stages; between them one middle goroutine takes the epochs in
+// order — the device pass on a serviced target, on a shard-safe one only
+// the chain that turns each epoch's (end, shiftDelta) into the next
+// one's entry shift. Everything order-bound ends there: an epoch leaves
+// finish with final arrivals and, for a trace.ShardEncoder, final bytes,
+// and the merge (this goroutine) hands the epochs to emit in index
+// order.
 //
 // In-flight epochs are bounded by a token pool, so streaming runs hold
 // only O(Workers · MaxShardRequests) requests in memory no matter how
@@ -206,31 +207,23 @@ func inOrder(in <-chan epoch, window int, mtr *obs.EngineMetrics, stage int, f f
 // and reconstructing the rest of the input. Residual in-flight epochs
 // are drained, not emitted.
 //
-// On the serviced graph r.rep.DeviceStats receives the device's
+// On a serviced target r.rep.DeviceStats receives the device's
 // accumulated statistics — it saw every submission in order, so its
-// stats equal a serial run's. The write happens before the servicer
+// stats equal a serial run's. The write happens before the middle stage
 // closes its channel, which happens-before the merge loop ends.
 func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) error) error {
 	workers := r.cfg.Workers
 	mtr := r.cfg.Metrics
 	tra := r.cfg.Trace
-	r.serviced = !device.IsShardSafe(dev)
-	if r.serviced {
-		// A relative-time epoch's arrivals are not final until the merge
-		// chains its offset, so only the serviced graph can render bytes
-		// in the workers.
-		r.se, _ = r.enc.(trace.ShardEncoder)
-	}
+	serviced := !device.IsShardSafe(dev)
+	r.se, _ = r.enc.(trace.ShardEncoder)
 	inflight := 4 * workers
 	// Every stage channel holds the full in-flight budget, so no stage
 	// send can block: the token pool is the only backpressure point.
 	decCh := make(chan epoch, inflight)
+	midCh := make(chan epoch, inflight)
+	finCh := make(chan epoch, inflight)
 	resCh := make(chan epoch, inflight)
-	var svcCh, emuCh chan epoch
-	if r.serviced {
-		svcCh = make(chan epoch, inflight)
-		emuCh = make(chan epoch, inflight)
-	}
 	tokens := make(chan struct{}, inflight)
 	stop := make(chan struct{})
 
@@ -285,35 +278,27 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			// Only the shard-safe graph emulates in the workers; the
-			// serviced graph's one device is the servicer's.
+			// A shard-safe target is emulated in the workers' first stage,
+			// each on its own device, drained and from time zero; a
+			// serviced run's one device is the middle stage's.
 			var wdev device.Device
-			if !r.serviced {
+			if !serviced {
 				wdev = r.cfg.Device()
 			}
-			second := func(ep epoch) {
-				st := beginStage(mtr, obs.StageEmulate, ep.span)
-				if r.serviced {
-					r.finish(&ep)
-				} else {
-					r.emulate(&ep, wdev)
-				}
-				st.end()
-				mtr.QueuePush(obs.StageMerge)
-				resCh <- ep
-			}
-			// emuCh is nil on the shard-safe graph, where that case never
-			// fires and the second stage runs fused behind decompose.
-			dec, emu := decCh, emuCh
-			for dec != nil || emu != nil {
+			dec, fin := decCh, finCh
+			for dec != nil || fin != nil {
 				select {
-				case ep, ok := <-emu:
+				case ep, ok := <-fin:
 					if !ok {
-						emu = nil
+						fin = nil
 						continue
 					}
 					mtr.QueuePop(obs.StageEmulate)
-					second(ep)
+					st := beginStage(mtr, obs.StageEmulate, ep.span)
+					r.finish(&ep)
+					st.end()
+					mtr.QueuePush(obs.StageMerge)
+					resCh <- ep
 				case ep, ok := <-dec:
 					if !ok {
 						dec = nil
@@ -323,53 +308,57 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 					mtr.QueuePop(obs.StageDecompose)
 					st := beginStage(mtr, obs.StageDecompose, ep.span)
 					r.decompose(&ep)
-					st.end()
-					if r.serviced {
-						mtr.QueuePush(obs.StageService)
-						svcCh <- ep
-					} else {
-						second(ep)
+					if wdev != nil {
+						wdev.Reset()
+						r.devicePass(&ep, wdev, 0)
 					}
+					st.end()
+					mtr.QueuePush(obs.StageService)
+					midCh <- ep
 				}
 			}
 		}()
 	}
 	go func() {
+		decDone.Wait()
+		close(midCh)
+	}()
+	go func() {
 		wg.Wait()
 		close(resCh)
 	}()
 
-	if r.serviced {
-		go func() {
-			decDone.Wait()
-			close(svcCh)
-		}()
-		// Servicer: the run's one device pass, over the epochs in order.
-		go func() {
-			defer close(emuCh)
-			var now, shift time.Duration
-			inOrder(svcCh, inflight, mtr, obs.StageService, func(ep epoch) {
-				st := beginStage(mtr, obs.StageService, ep.span)
+	// The middle stage: the one place epochs meet in order before the
+	// merge. now is the global completion time reached so far, shift the
+	// post-processing reduction accumulated so far.
+	go func() {
+		defer close(finCh)
+		var now, shift time.Duration
+		inOrder(midCh, inflight, mtr, obs.StageService, func(ep epoch) {
+			st := beginStage(mtr, obs.StageService, ep.span)
+			if serviced {
 				ep.shift = shift
-				var delta time.Duration
-				now, delta = r.service(&ep, dev, now)
-				shift += delta
-				st.end()
-				mtr.QueuePush(obs.StageEmulate)
-				emuCh <- ep
-			})
-			if sr, ok := dev.(device.StatsReporter); ok {
-				r.rep.DeviceStats = sr.DeviceStats()
+				r.devicePass(&ep, dev, now)
+				now = ep.end
+			} else {
+				ep.shift = shift - now
+				now += ep.end
 			}
-		}()
-	}
+			shift += ep.shiftDelta
+			st.end()
+			mtr.QueuePush(obs.StageEmulate)
+			finCh <- ep
+		})
+		if sr, ok := dev.(device.StatsReporter); ok && serviced {
+			r.rep.DeviceStats = sr.DeviceStats()
+		}
+	}()
 
 	var emitErr error
-	var base, shift time.Duration
 	inOrder(resCh, inflight, mtr, obs.StageMerge, func(ep epoch) {
 		if emitErr == nil {
 			st := beginStage(mtr, obs.StageMerge, ep.span)
-			if err := r.emit(&ep, base-shift); err != nil {
+			if err := r.emit(&ep); err != nil {
 				emitErr = err
 				close(stop)
 			}
@@ -385,8 +374,6 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 			r.pool.reqs.put(ep.out)
 			r.pool.bytes.put(ep.enc)
 		}
-		base += ep.end
-		shift += ep.shiftDelta
 		<-tokens
 		if mtr != nil {
 			mtr.EpochsInFlight.Dec()
@@ -398,10 +385,11 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 	return emitErr
 }
 
-// decompose is the first worker stage: per-request idle/async inference
-// from the OLD trace with the epoch's carry context. It is
-// device-independent, so it runs before any device state exists for the
-// epoch. The seq flags are dead afterwards and recycle immediately.
+// decompose is the inference half of the first worker stage:
+// per-request idle/async inference from the OLD trace with the epoch's
+// carry context. It is device-independent, so it runs before any device
+// state exists for the epoch. The seq flags are dead afterwards and
+// recycle immediately.
 //
 //tracelint:hotpath
 func (r *run) decompose(ep *epoch) {
@@ -431,43 +419,38 @@ func (r *run) decompose(ep *epoch) {
 	}
 }
 
-// service is the servicer's stage, the serviced graph's one device
-// pass: continue dev — which carries every earlier epoch's state — from
-// absolute time start through the epoch's submissions, collecting the
-// new records on the global timeline. It returns the epoch's exit time
-// and the post-processing shift it accumulates, the next epoch's start
-// and shift increment.
-//
-//tracelint:hotpath
-func (r *run) service(ep *epoch, dev device.Device, start time.Duration) (end, shiftDelta time.Duration) {
-	var async []bool
-	if !r.cfg.Core.SkipPostProcess {
-		async = ep.async
+// postAsync is the async decomposition as post-processing sees it: nil
+// when post-processing is off, so no reduction accumulates and no record
+// is flagged.
+func (r *run) postAsync(ep *epoch) []bool {
+	if r.cfg.Core.SkipPostProcess {
+		return nil
 	}
-	return replay.EmulateEpoch(ep.out, ep.reqs, dev, ep.idle, async, start)
+	return ep.async
 }
 
-// emulate is the shard-safe graph's second worker stage: run the epoch
-// on this worker's device, drained and from time zero, then finish it.
-// The end time and the shift finish accumulated chain at the merge.
+// devicePass runs the epoch's submissions through dev from time start,
+// collecting the new records and attaching the pass's exit time and the
+// post-processing shift it accumulates. The middle stage calls it on a
+// serviced target — dev carries every earlier epoch's state and start
+// is the previous epoch's end, so the records sit on the global
+// timeline; the workers call it on a shard-safe one, from a drained
+// device at time zero.
 //
 //tracelint:hotpath
-func (r *run) emulate(ep *epoch, dev device.Device) {
-	ep.end = replay.EmulateShardInto(ep.out, ep.reqs, dev, ep.idle)
-	ep.shiftDelta = r.finish(ep)
+func (r *run) devicePass(ep *epoch, dev device.Device, start time.Duration) {
+	ep.end, ep.shiftDelta = replay.EmulateEpoch(ep.out, ep.reqs, dev, ep.idle, r.postAsync(ep), start)
 }
 
-// finish is everything an epoch needs after its device pass, none of it
+// finish is the worker stage behind the middle stage, none of it
 // order-dependent: post-process the collected records from the epoch's
-// entry shift, aggregate, and pre-render the output bytes when the
-// graph allows it. It returns the shift accumulated within the epoch.
+// entry shift — which also places a time-zero epoch on the global
+// timeline, so the arrivals are final — aggregate, and render the output
+// bytes when the encoder's records are stateless.
 //
 //tracelint:hotpath
-func (r *run) finish(ep *epoch) time.Duration {
-	var shiftDelta time.Duration
-	if !r.cfg.Core.SkipPostProcess {
-		shiftDelta = core.PostProcessShard(ep.out, ep.async, ep.shift) - ep.shift
-	}
+func (r *run) finish(ep *epoch) {
+	core.PostProcessShard(ep.out, r.postAsync(ep), ep.shift)
 	for _, d := range ep.idle {
 		if d > 0 {
 			ep.idleCount++
@@ -484,8 +467,12 @@ func (r *run) finish(ep *epoch) time.Duration {
 		r.pool.flags.put(ep.async)
 	}
 	if r.se != nil {
-		buf := r.pool.bytes.get(0)
-		for i := range ep.out {
+		// The first record predicts the rest — exactly for fixed-width
+		// records, within the slack for text — so a buffer that must grow
+		// grows once, not by append's steps. (Epochs are never empty.)
+		buf := r.se.AppendRecord(r.pool.bytes.get(0), ep.out[0])
+		buf = slices.Grow(buf, ep.n*(len(buf)+len(buf)/8))
+		for i := 1; i < len(ep.out); i++ {
 			buf = r.se.AppendRecord(buf, ep.out[i])
 		}
 		ep.enc = buf
@@ -493,25 +480,20 @@ func (r *run) finish(ep *epoch) time.Duration {
 		r.pool.reqs.put(ep.out)
 		ep.out = nil
 	}
-	return shiftDelta
 }
 
 // emit is the merge stage's output step, shared by the in-memory and
-// streaming entry points: place the epoch on the global timeline, write
-// it to the output stream if there is one, and fold its aggregates into
-// the run's report.
+// streaming entry points: splice the epoch's rendered bytes into the
+// output stream — or, for the encoders whose records depend on the ones
+// before (blktrace, fio), encode its records here, in order — and fold
+// its aggregates into the run's report.
 //
 //tracelint:hotpath
-func (r *run) emit(ep *epoch, offset time.Duration) error {
+func (r *run) emit(ep *epoch) error {
 	if r.enc != nil && !r.begun {
 		r.begun = true
 		if err := r.enc.Begin(r.meta); err != nil {
 			return err
-		}
-	}
-	if offset != 0 {
-		for i := range ep.out {
-			ep.out[i].Arrival += offset
 		}
 	}
 	if r.se != nil {

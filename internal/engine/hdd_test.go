@@ -156,10 +156,15 @@ func TestPipelinedHDDStream(t *testing.T) {
 }
 
 // failingShardEncoder is a csv ShardEncoder whose splices start
-// failing once left of them have succeeded.
+// failing once left of them have succeeded, and whose per-record Write
+// must never be reached.
 type failingShardEncoder struct {
 	*trace.CSVEncoder
 	left, failed int
+}
+
+func (f *failingShardEncoder) Write(trace.Request) error {
+	panic("per-record Write on a ShardEncoder")
 }
 
 func (f *failingShardEncoder) WriteRaw(p []byte) error {
@@ -178,6 +183,33 @@ type closeRecorder struct {
 }
 
 func (c *closeRecorder) Close() { c.closed = true }
+
+// spliceFailureAborts fails an output splice mid-stream on the rendered
+// path — the third WriteRaw, with epochs still in every stage. The
+// error must surface, no later splice may be attempted, the input
+// decoder must be closed, and no stage goroutine may be left behind.
+func spliceFailureAborts(t *testing.T, e *Engine, input []byte) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	dec := &closeRecorder{Decoder: trace.NewBinaryDecoder(bytes.NewReader(input))}
+	senc := &failingShardEncoder{CSVEncoder: trace.NewCSVEncoder(io.Discard), left: 2}
+	if _, err := e.ReconstructStream(dec, senc, nil); err != io.ErrShortWrite {
+		t.Fatalf("mid-stream splice failure: want the encoder's error, got %v", err)
+	}
+	if senc.left != 0 || senc.failed != 1 {
+		t.Fatalf("splices after the failure: %d left, %d failed, want 0 and 1", senc.left, senc.failed)
+	}
+	if !dec.closed {
+		t.Fatal("decoder not closed after an emit error")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
 
 // TestPipelinedHDDStreamErrors checks the pipelined path keeps the
 // streaming error contract: planner validation surfaces, and an
@@ -203,29 +235,7 @@ func TestPipelinedHDDStreamErrors(t *testing.T) {
 		t.Fatalf("failing encoder written %d times, want 1", enc.writes)
 	}
 
-	// An output error mid-stream on the pre-rendering path: the third
-	// splice fails with epochs still in every stage. The error must
-	// surface, the input decoder must be closed, and no stage goroutine
-	// may be left behind.
-	base := runtime.NumGoroutine()
-	dec := &closeRecorder{Decoder: trace.NewBinaryDecoder(bytes.NewReader(input.Bytes()))}
-	senc := &failingShardEncoder{CSVEncoder: trace.NewCSVEncoder(io.Discard), left: 2}
-	if _, err := e.ReconstructStream(dec, senc, nil); err != io.ErrShortWrite {
-		t.Fatalf("mid-stream splice failure: want the encoder's error, got %v", err)
-	}
-	if senc.left != 0 || senc.failed != 1 {
-		t.Fatalf("splices after the failure: %d left, %d failed, want 0 and 1", senc.left, senc.failed)
-	}
-	if !dec.closed {
-		t.Fatal("decoder not closed after an emit error")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	spliceFailureAborts(t, e, input.Bytes())
 
 	// Planner validation (unsorted input) surfaces as the run error.
 	unsorted := "# tracetracker name=x workload=w set=S tsdev_known=true\n" +

@@ -53,9 +53,9 @@ type JobSpec struct {
 	// captured on), "ftl" (page-mapped flash translation layer with
 	// background GC in idle gaps), or "host" (alias "hoststack" — the
 	// syscall/page-cache/writeback stack over an inner device). The
-	// stateful targets (hdd, ftl, host) run on the engine's serviced
-	// graph, so Parallel applies to them like any other job. See the engine device registry (Devices) for the full
-	// capability table.
+	// stateful targets (hdd, ftl, host) run the same stage graph, so
+	// Parallel applies to them like any other job. See the engine device
+	// registry (Devices) for the full capability table.
 	Device string `json:"device,omitempty"`
 	// FTLConfig tunes the "ftl" target; it must be unset for other
 	// targets and enters the spec fingerprint only when selected.
@@ -253,9 +253,8 @@ func runJobTo(cfg Config, spec JobSpec, sink io.Writer) (*Report, error) {
 		cfg.Workers = spec.Parallel
 	}
 	// The spec's device selects the target for every method; stateful
-	// targets (hdd, ftl, host) run on the engine's serviced graph at
-	// the job's full worker count — they never imply a serial
-	// reconstruction.
+	// targets (hdd, ftl, host) run the same graph at the job's full
+	// worker count — they never imply a serial reconstruction.
 	dev, err := deviceFactoryFor(spec)
 	if err != nil {
 		return nil, err

@@ -94,9 +94,9 @@ func TestRunJobCachedMissBoundedMemory(t *testing.T) {
 	window := uint64(workers * maxShard * int(unsafe.Sizeof(trace.Request{})))
 	whole := uint64(n * int(unsafe.Sizeof(trace.Request{})))
 	got := m1.TotalAlloc - m0.TotalAlloc
-	// 16 windows (measured: 11): the token pool admits 4·Workers epochs,
-	// each with its request buffer and decomposition scratch, plus the
-	// segmented decoder's and the encoder's block buffers.
+	// 16 windows (measured: 13): the token pool admits 4·Workers epochs,
+	// each with its request buffer, decomposition scratch and rendered
+	// bytes, plus the segmented decoder's and the encoder's block buffers.
 	limit := 16 * window
 	t.Logf("miss allocated %d B (window %d B, limit %d B, whole trace %d B)", got, window, limit, whole)
 	if got > limit {
@@ -121,7 +121,7 @@ func TestRunJobCachedStorageFaultMidStream(t *testing.T) {
 	if st, err := os.Stat(inPath); err != nil || st.Size() < trace.ParallelMinBytes {
 		t.Fatalf("fixture too small for the parallel decoder: %v %v", st, err)
 	}
-	for _, dev := range []string{"array", "ftl"} { // shard-safe graph, serviced graph
+	for _, dev := range []string{"array", "ftl"} { // shard-safe target, serviced target
 		t.Run(dev, func(t *testing.T) {
 			store := openCorpus(t)
 			fi := faultfs.New()

@@ -48,9 +48,9 @@ func FitModel(dec trace.Decoder, opts infer.EstimateOptions) (*infer.Model, int,
 //
 // The input must be non-decreasing in arrival (wrap near-sorted
 // corpora in a trace.ReorderDecoder) with non-zero request sizes; the
-// planner rejects violations. Devices that are not shard-safe run the
-// serviced graph with the same bounded memory, pre-rendering output
-// bytes in the workers when enc is a trace.ShardEncoder.
+// planner rejects violations. When enc is a trace.ShardEncoder the
+// workers render the output bytes and only WriteRaw is called on it; any
+// other encoder is written record by record from the merge.
 //
 // On any error the decoder is closed (trace.CloseDecoder), so an
 // abandoned parallel decode never leaks its worker goroutines.

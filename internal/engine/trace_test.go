@@ -101,19 +101,23 @@ func verifySpanTree(t *testing.T, jt *obs.JobTrace, wantEpochChildren []string) 
 	}
 }
 
-// TestTraceSpanTreeShardSafe covers the shard-parallel executor:
-// decompose and emulate run fused in the worker, merge on the
-// collector.
+// Both kinds of target run the same graph, so their epochs carry the
+// same four stage children: the two worker stages around the serial
+// middle stage, then the merge.
+var epochStages = []string{"decompose", "service", "emulate", "merge"}
+
+// TestTraceSpanTreeShardSafe covers the array, where the middle stage
+// is only the chain.
 func TestTraceSpanTreeShardSafe(t *testing.T) {
 	jt := reconstructWithTracer(t, testConfig(4, core.Options{}))
-	verifySpanTree(t, jt, []string{"decompose", "emulate", "merge"})
+	verifySpanTree(t, jt, epochStages)
 }
 
-// TestTraceSpanTreePipelined covers the HDD epoch pipeline, which
-// adds the serialized device-state service stage.
+// TestTraceSpanTreePipelined covers the HDD, where the middle stage is
+// the device pass.
 func TestTraceSpanTreePipelined(t *testing.T) {
 	cfg := testConfig(4, core.Options{})
 	cfg.Device = func() device.Device { return device.NewHDD(device.DefaultHDDConfig()) }
 	jt := reconstructWithTracer(t, cfg)
-	verifySpanTree(t, jt, []string{"decompose", "service", "emulate", "merge"})
+	verifySpanTree(t, jt, epochStages)
 }

@@ -55,12 +55,13 @@ func allocBenchTrace(n int) *trace.Trace {
 // on pre-registered metrics, and spans appended into the Tracer's
 // fixed preallocated buffer — so every configuration shares the same
 // 0.05 allocs/request bound (the fixed per-run setup amortized over
-// the request count). The serviced graph is held to the same bound on
-// each of its targets — one device per run, so what they add is their
-// own construction: the host stack with a cache small enough that
-// evictions and high-water flushes run throughout, the FTL with a
-// geometry small enough that foreground and background GC erase blocks
-// throughout, and the HDD.
+// the request count). The serviced targets are each held to the same
+// bound — one device per run, so what they add is their own
+// construction: the host stack with a cache small enough that evictions
+// and high-water flushes run throughout, the FTL with a geometry small
+// enough that foreground and background GC erase blocks throughout, and
+// the HDD — and so is the array rendering csv, the text format's
+// per-epoch byte buffers recycling like the request buffers.
 func TestStreamReconstructAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting at full trace size")
@@ -87,15 +88,17 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 		metrics *obs.EngineMetrics
 		tracer  *obs.Tracer
 		device  func() device.Device // nil = the default array
+		csv     bool                 // render csv instead of bin
 	}{
-		{"hooks-disabled", nil, nil, nil},
-		{"metrics-enabled", obs.NewEngineMetrics(obs.NewRegistry()), nil, nil},
+		{"hooks-disabled", nil, nil, nil, false},
+		{"metrics-enabled", obs.NewEngineMetrics(obs.NewRegistry()), nil, nil, false},
 		{"metrics-and-tracer-enabled",
 			obs.NewEngineMetrics(obs.NewRegistry()),
-			obs.NewTracer("allocbound", 0, obs.TraceContext{}), nil},
-		{"host-device", nil, nil, host},
-		{"ftl-device", nil, nil, ftl},
-		{"hdd-device", nil, nil, hdd},
+			obs.NewTracer("allocbound", 0, obs.TraceContext{}), nil, false},
+		{"host-device", nil, nil, host, false},
+		{"ftl-device", nil, nil, ftl, false},
+		{"hdd-device", nil, nil, hdd, false},
+		{"array-csv", nil, nil, nil, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,7 +106,11 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 			var stats []device.Stat
 			run := func() {
 				dec := trace.NewBinaryDecoder(bytes.NewReader(data))
-				rep, err := eng.ReconstructStream(dec, trace.NewBinaryEncoder(io.Discard), nil)
+				var enc trace.Encoder = trace.NewBinaryEncoder(io.Discard)
+				if tc.csv {
+					enc = trace.NewCSVEncoder(io.Discard)
+				}
+				rep, err := eng.ReconstructStream(dec, enc, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,9 +226,11 @@ func TestMeasuredHotPathsAnnotated(t *testing.T) {
 		{"../trace/stream.go", "CSVEncoder", "AppendRecord"},
 		{"../trace/stream.go", "BinaryEncoder", "AppendRecord"},
 		{"../trace/summary.go", "Summarizer", "Add"},
+		{"../trace/scan.go", "", "appendMicros"},
+		{"../trace/scan.go", "", "appendSeconds"},
+		{"../trace/scan.go", "", "appendFixed"},
 		{"exec.go", "run", "decompose"},
-		{"exec.go", "run", "service"},
-		{"exec.go", "run", "emulate"},
+		{"exec.go", "run", "devicePass"},
 		{"exec.go", "run", "finish"},
 		{"exec.go", "run", "emit"},
 		{"../ftl/ftl.go", "FTL", "Write"},

@@ -9,14 +9,16 @@ package obs
 
 import "time"
 
-// Engine stages, in stage-graph order; one vocabulary for both graphs.
-// The serviced graph (targets that are not shard-safe) exercises all
-// five: service times the run's one device pass, output collection
-// included, and emulate times what is left for the workers behind it —
-// post-processing, aggregation and rendering. The shard-safe graph has
-// no service stage (shard-safe devices drain between epochs, so nothing
-// is serialized on device state); its emulate times the per-worker
-// device emulation plus post-processing.
+// Engine stages, in stage-graph order; every epoch passes through each
+// once, on any target. decompose and emulate are the two worker-pool
+// stages, ahead of and behind the serial service stage. On a target that
+// is not shard-safe, service times the run's one device pass, output
+// collection included, and decompose is the inference alone; on a
+// shard-safe target the device pass (from time zero, on the worker's own
+// device) is part of decompose, and service is only the chain that hands
+// each epoch its time base. emulate is the same on both: post-processing,
+// aggregation and rendering the output bytes — the render time of csv
+// and bin jobs is here, never in merge, which splices.
 const (
 	StagePlan = iota
 	StageDecompose

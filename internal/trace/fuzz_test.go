@@ -3,7 +3,11 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
+	"math/rand"
+	"strconv"
 	"testing"
+	"time"
 )
 
 // FuzzDecodeCSV drives the native CSV decoder over arbitrary bytes: it
@@ -133,5 +137,67 @@ func fuzzCompare(t *testing.T, path string, wantReqs []Request, wantMeta Meta, w
 	}
 	if wantErr == nil && gotMeta != wantMeta {
 		t.Fatalf("%s: meta differs: seq %+v par %+v", path, wantMeta, gotMeta)
+	}
+}
+
+// fixedSeeds are the durations every fixed-point formatter test starts
+// from: zero, the digit-boundary neighbours, both sides of each proven
+// bound, and the int64 extremes (the AppendFloat fallback).
+var fixedSeeds = []int64{
+	0, 1, 999, 1000, 999_999_999, 1_000_000_000,
+	1<<52 - 1, 1 << 52,
+	int64(maxFixedSeconds) - 1, int64(maxFixedSeconds),
+	math.MaxInt64, -1, math.MinInt64,
+}
+
+// diffMicros and diffSeconds are the two differentials: the integer
+// formatter against strconv.AppendFloat of the same float the encoder
+// used to print.
+func diffMicros(t *testing.T, ns int64) {
+	d := time.Duration(ns)
+	got, want := appendMicros(nil, d), strconv.AppendFloat(nil, micros(d), 'f', 3, 64)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("appendMicros(%d) = %q, AppendFloat gives %q", ns, got, want)
+	}
+}
+
+func diffSeconds(t *testing.T, ns int64) {
+	d := time.Duration(ns)
+	got, want := appendSeconds(nil, d), strconv.AppendFloat(nil, d.Seconds(), 'f', 9, 64)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("appendSeconds(%d) = %q, AppendFloat gives %q", ns, got, want)
+	}
+}
+
+// FuzzAppendMicros is the differential lock on the csv timestamp
+// formatter over the whole int64 range.
+func FuzzAppendMicros(f *testing.F) {
+	for _, d := range fixedSeeds {
+		f.Add(d)
+	}
+	f.Fuzz(diffMicros)
+}
+
+// FuzzAppendSeconds is the blktrace twin, against Duration.Seconds()'s
+// two-rounding value.
+func FuzzAppendSeconds(f *testing.F) {
+	for _, d := range fixedSeeds {
+		f.Add(d)
+	}
+	f.Fuzz(diffSeconds)
+}
+
+// TestAppendFixedSweep runs both differentials over a seeded random
+// sweep on every `go test`: uniformly random bit lengths, so every
+// magnitude up to and past both bounds is sampled, plus the values just
+// under each bound, where the float error is largest.
+func TestAppendFixedSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 200_000; i++ {
+		v := rng.Int63() >> uint(rng.Intn(63))
+		for _, ns := range []int64{v, -v, int64(maxFixedMicros) - 1 - v%(1<<40), int64(maxFixedSeconds) - 1 - v%(1<<40)} {
+			diffMicros(t, ns)
+			diffSeconds(t, ns)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"time"
 )
 
 // maxLineLen bounds a single text line, like the bufio.Scanner limit
@@ -241,6 +242,68 @@ func appendOp(b []byte, o Op) []byte {
 	b = append(b, "Op("...)
 	b = strconv.AppendUint(b, uint64(o), 10)
 	return append(b, ')')
+}
+
+// The timestamp fields of the text encoders are durations printed as a
+// decimal of a coarser unit: strconv.AppendFloat(float64 value, 'f',
+// digits, 64). For durations inside a proven bound the same bytes come
+// from integer arithmetic alone — d/unit, '.', d%unit zero-padded —
+// which is what appendMicros and appendSeconds do, falling back to
+// AppendFloat outside the bound (negatives included). The argument, for
+// a value printed to k decimals: the true quotient d/unit is a multiple
+// of 10^-k, and AppendFloat prints the multiple of 10^-k nearest the
+// float it is handed, so the two agree whenever that float lies within
+// half of 10^-k of the true quotient — FuzzAppendMicros and
+// FuzzAppendSeconds check it differentially over all of int64.
+const (
+	// maxFixedMicros bounds appendMicros' integer path. For
+	// 0 <= d < 2^52 ns, float64(d) is exact and micros(d) is one
+	// correctly rounded division, so it is within ulp/2 of d/1000; the
+	// quotient is below 2^43, where ulp <= 2^-10 < 0.001, so the error is
+	// below 0.0005 and rounding to 3 decimals recovers d/1000.
+	maxFixedMicros = time.Duration(1) << 52
+	// maxFixedSeconds bounds appendSeconds' integer path. Duration.Seconds
+	// rounds twice: float64(d/1e9) + float64(d%1e9)/1e9, both conversions
+	// exact. The division is within 2^-54 of its quotient (below 1) and,
+	// for d under 2^23 s, the sum is below 2^23, where ulp <= 2^-30, so
+	// the total error is at most 2^-31 + 2^-54 < 0.5e-9 and rounding to 9
+	// decimals recovers d/1e9. (One binade up, ulp/2 alone is 0.93e-9.)
+	maxFixedSeconds = time.Duration(1) << 23 * time.Second
+)
+
+// appendFixed renders whole '.' frac, frac zero-padded to digits places.
+//
+//tracelint:hotpath
+func appendFixed(b []byte, whole, frac uint64, digits int) []byte {
+	b = strconv.AppendUint(b, whole, 10)
+	b = append(b, ".000000000"[:1+digits]...)
+	for i := len(b) - 1; frac > 0; i-- {
+		b[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	return b
+}
+
+// appendMicros renders d as decimal microseconds with three decimals,
+// byte for byte strconv.AppendFloat(b, micros(d), 'f', 3, 64).
+//
+//tracelint:hotpath
+func appendMicros(b []byte, d time.Duration) []byte {
+	if d < 0 || d >= maxFixedMicros {
+		return strconv.AppendFloat(b, micros(d), 'f', 3, 64)
+	}
+	return appendFixed(b, uint64(d)/1e3, uint64(d)%1e3, 3)
+}
+
+// appendSeconds renders d as decimal seconds with nine decimals, byte
+// for byte strconv.AppendFloat(b, d.Seconds(), 'f', 9, 64).
+//
+//tracelint:hotpath
+func appendSeconds(b []byte, d time.Duration) []byte {
+	if d < 0 || d >= maxFixedSeconds {
+		return strconv.AppendFloat(b, d.Seconds(), 'f', 9, 64)
+	}
+	return appendFixed(b, uint64(d)/1e9, uint64(d)%1e9, 9)
 }
 
 // appendPadded right-aligns num in a field of the given width, padding

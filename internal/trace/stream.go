@@ -485,7 +485,7 @@ func (e *CSVEncoder) Begin(m Meta) error {
 //
 //tracelint:hotpath
 func appendCSVRecord(b []byte, r Request) []byte {
-	b = strconv.AppendFloat(b, micros(r.Arrival), 'f', 3, 64)
+	b = appendMicros(b, r.Arrival)
 	b = append(b, ',')
 	b = strconv.AppendUint(b, uint64(r.Device), 10)
 	b = append(b, ',')
@@ -495,7 +495,7 @@ func appendCSVRecord(b []byte, r Request) []byte {
 	b = append(b, ',')
 	b = appendOp(b, r.Op)
 	b = append(b, ',')
-	b = strconv.AppendFloat(b, micros(r.Latency), 'f', 3, 64)
+	b = appendMicros(b, r.Latency)
 	if r.Async {
 		b = append(b, ",1\n"...)
 	} else {
@@ -990,7 +990,7 @@ func (e *BlktraceEncoder) appendEvent(b []byte, dev uint32, seq int, at time.Dur
 	e.num = strconv.AppendInt(e.num[:0], int64(seq), 10)
 	b = appendPadded(b, e.num, 8)
 	b = append(b, ' ')
-	e.num = strconv.AppendFloat(e.num[:0], at.Seconds(), 'f', 9, 64)
+	e.num = appendSeconds(e.num[:0], at)
 	b = appendPadded(b, e.num, 14)
 	b = append(b, "  0  "...)
 	b = append(b, ev)
