@@ -19,10 +19,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
+	"repro/internal/device"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // authKeysFor parses an inline tenant:key table, failing the test on
@@ -36,14 +37,19 @@ func authKeysFor(t *testing.T, lines string) *authTable {
 	return tbl
 }
 
+// generateTrace synthesizes the fixed-seed Tsdev-known test input: an
+// MSNFS-profile application executed on the paper's OLD device.
+func generateTrace(requests int) *trace.Trace {
+	p, _ := workload.Lookup("MSNFS")
+	app := workload.Generate(p, workload.GenOptions{Ops: requests, Seed: workload.TraceSeed("tracebench", 0)})
+	return app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace
+}
+
 // corpusBlob synthesizes a small CSV trace blob; distinct names yield
 // distinct digests.
 func corpusBlob(t *testing.T, name string, requests int) []byte {
 	t.Helper()
-	tr, err := bench.GenerateTrace(requests)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := generateTrace(requests)
 	tr.Name = name
 	var buf bytes.Buffer
 	if err := trace.WriteCSV(&buf, tr); err != nil {

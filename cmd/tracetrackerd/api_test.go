@@ -1,7 +1,7 @@
 package main
 
 // v1 API contract tests: the route table mounts everything under /v1
-// with working legacy aliases, every non-2xx response carries the
+// and nothing unversioned, every non-2xx response carries the
 // structured error envelope with its stable code, the device
 // catalogue matches validation, and job listing paginates with a
 // cursor that stays stable while new jobs arrive.
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 )
 
 // errEnvelope decodes a response body as the error envelope, failing
@@ -70,10 +69,10 @@ func fillRoute(path string) string {
 
 // TestRouteContract is the CI route smoke (run by name, race-checked
 // in the workflow): it walks the daemon's own route table, so a route
-// cannot be added without being covered here. Every v1 route and
-// every legacy alias must be mounted (never falling through to the
-// catch-all 404), answer JSON, and on failure answer the structured
-// envelope; each legacy hit must count in daemon_legacy_requests_total.
+// cannot be added without being covered here. Every v1 route must be
+// mounted (never falling through to the catch-all 404), answer JSON,
+// and on failure answer the structured envelope; the same paths
+// without the /v1 prefix must not be mounted at all.
 func TestRouteContract(t *testing.T) {
 	srv := dataServer(t, filepath.Join(t.TempDir(), "data"))
 	defer srv.Close()
@@ -91,13 +90,8 @@ func TestRouteContract(t *testing.T) {
 			t.Fatalf("%s %s fell through to the fallback handler: %s %s", method, path, env.Code, env.Message)
 		}
 	}
-	legacyHits := 0
 	for _, rt := range srv.routes() {
 		check(rt.method, "/v1"+fillRoute(rt.path))
-		if rt.legacy {
-			check(rt.method, fillRoute(rt.path))
-			legacyHits++
-		}
 	}
 	// Root-level operational endpoints.
 	for _, path := range []string{"/healthz", "/metrics"} {
@@ -122,25 +116,18 @@ func TestRouteContract(t *testing.T) {
 	if env := errEnvelope(t, body); env.Code != "not_found" {
 		t.Fatalf("404 envelope code %q", env.Code)
 	}
-	// /v1/devices is v1-only: no unversioned alias.
-	if status, body = doReq(t, ts, http.MethodGet, "/devices", ""); status != http.StatusNotFound {
-		t.Fatalf("GET /devices: status %d: %s (the catalogue is v1-only)", status, body)
-	}
-
-	// Every legacy request above landed in the alias counter.
-	_, metrics := doReq(t, ts, http.MethodGet, "/metrics", "")
-	samples, err := obs.ParseExposition(metrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0.0
-	for _, s := range samples {
-		if s.Name == "daemon_legacy_requests_total" {
-			total += s.Value
+	// No unversioned API route: the pre-v1 paths answer the same
+	// enveloped 404, whose message points the client at /v1.
+	for _, rt := range []struct{ method, path string }{
+		{http.MethodGet, "/jobs"}, {http.MethodPost, "/corpus"}, {http.MethodGet, "/devices"},
+	} {
+		status, body = doReq(t, ts, rt.method, rt.path, "")
+		if status != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404: %s", rt.method, rt.path, status, body)
 		}
-	}
-	if total != float64(legacyHits) {
-		t.Fatalf("daemon_legacy_requests_total = %v, want %d (one per alias hit)", total, legacyHits)
+		if env := errEnvelope(t, body); env.Code != "not_found" || !strings.Contains(env.Message, "/v1") {
+			t.Fatalf("%s %s: envelope %+v, want not_found naming /v1", rt.method, rt.path, env)
+		}
 	}
 }
 

@@ -1,13 +1,12 @@
-package bench
+package main
 
-// Load generation against a live tracetrackerd: N tenant clients mix
-// corpus uploads and job submissions in closed loops until a deadline,
-// backing off with jittered exponential delays that honor the server's
-// Retry-After on shed (429) responses. The report turns "handles
-// overload gracefully" into numbers: accepted/shed/error rates,
-// accepted-request latency percentiles, and whether every accepted job
-// reached a terminal state. tracebench -load drives it from the CLI;
-// the daemon's overload-shedding test drives it in-process.
+// Load generation against a live tracetrackerd, the driver behind
+// TestOverloadShedding: N tenant clients mix corpus uploads and job
+// submissions in closed loops until a deadline, backing off with
+// jittered exponential delays that honor the server's Retry-After on
+// shed (429) responses. The report turns "handles overload gracefully"
+// into numbers: accepted/shed/error rates, accepted-request latency
+// percentiles, and whether every accepted job reached a terminal state.
 
 import (
 	"bytes"
@@ -19,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"testing"
 	"time"
 
 	"repro/internal/trace"
@@ -30,9 +30,6 @@ type LoadOptions struct {
 	BaseURL string
 	// Tenants is the number of concurrent client loops (default 4).
 	Tenants int
-	// Keys are API keys assigned to tenants round-robin; empty runs
-	// anonymously (loopback mode).
-	Keys []string
 	// Duration is how long the loops submit for (default 5s); waiting
 	// for accepted jobs to finish afterwards is not counted.
 	Duration time.Duration
@@ -43,41 +40,38 @@ type LoadOptions struct {
 	// UploadEvery re-uploads the tenant's blob every Nth operation
 	// (default 16); other operations submit jobs.
 	UploadEvery int
-	// Client overrides the HTTP client (default: 2-minute timeout).
-	Client *http.Client
 	// Log, when non-nil, receives progress lines.
 	Log func(string)
 }
 
 // LoadReport is RunLoad's outcome.
 type LoadReport struct {
-	Tenants  int     `json:"tenants"`
-	Duration float64 `json:"duration_seconds"`
+	Tenants  int
+	Duration float64
 	// Requests counts admission-relevant requests issued (uploads +
 	// submits); Accepted the 2xx among them; Shed the 429s (rate
 	// limits and queue-full); ClientErrors other 4xx (quotas, bad
 	// specs); ServerErrors 5xx and transport failures.
-	Requests     int64 `json:"requests"`
-	Accepted     int64 `json:"accepted"`
-	Shed         int64 `json:"shed"`
-	ClientErrors int64 `json:"client_errors"`
-	ServerErrors int64 `json:"server_errors"`
+	Requests     int64
+	Accepted     int64
+	Shed         int64
+	ClientErrors int64
+	ServerErrors int64
 	// JobsAccepted counts accepted submits; JobsCompleted/JobsFailed
 	// their terminal states after the post-deadline drain.
-	JobsAccepted  int64 `json:"jobs_accepted"`
-	JobsCompleted int64 `json:"jobs_completed"`
-	JobsFailed    int64 `json:"jobs_failed"`
+	JobsAccepted  int64
+	JobsCompleted int64
+	JobsFailed    int64
 	// AcceptedP50Ms / AcceptedP99Ms are latency percentiles over
 	// accepted requests.
-	AcceptedP50Ms float64 `json:"accepted_p50_ms"`
-	AcceptedP99Ms float64 `json:"accepted_p99_ms"`
+	AcceptedP50Ms float64
+	AcceptedP99Ms float64
 }
 
 // loadWorker is one tenant's loop state.
 type loadWorker struct {
 	opts   LoadOptions
 	client *http.Client
-	key    string
 	blob   []byte
 	digest string
 	rng    *rand.Rand
@@ -102,17 +96,11 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 	if opts.UploadEvery <= 0 {
 		opts.UploadEvery = 16
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Minute}
-	}
+	client := &http.Client{Timeout: 2 * time.Minute}
 
 	// One fixed-seed trace, re-encoded per tenant under a distinct
 	// name so each tenant's blob has its own digest.
-	tr, err := GenerateTrace(opts.TraceRequests)
-	if err != nil {
-		return nil, err
-	}
+	tr := generateTrace(opts.TraceRequests)
 	workers := make([]*loadWorker, opts.Tenants)
 	for i := range workers {
 		tr.Name = fmt.Sprintf("load-tenant-%d", i)
@@ -120,14 +108,9 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 		if err := trace.WriteBinary(&blob, tr); err != nil {
 			return nil, err
 		}
-		key := ""
-		if len(opts.Keys) > 0 {
-			key = opts.Keys[i%len(opts.Keys)]
-		}
 		workers[i] = &loadWorker{
 			opts:   opts,
 			client: client,
-			key:    key,
 			blob:   blob.Bytes(),
 			rng:    rand.New(rand.NewSource(int64(i) + 1)),
 		}
@@ -247,9 +230,6 @@ func (w *loadWorker) sleepUntil(deadline time.Time, d time.Duration) {
 // do issues one request and classifies the response, returning the
 // status, any Retry-After, and a transport error.
 func (w *loadWorker) do(req *http.Request) (int, time.Duration, []byte, error) {
-	if w.key != "" {
-		req.Header.Set("Authorization", "Bearer "+w.key)
-	}
 	start := time.Now()
 	resp, err := w.client.Do(req)
 	if err != nil {
@@ -284,7 +264,7 @@ func (w *loadWorker) doUpload() (int, time.Duration, error) {
 		} `json:"entry"`
 	}
 	if err := json.Unmarshal(body, &ingest); err != nil || ingest.Entry.Digest == "" {
-		return status, retryAfter, fmt.Errorf("bench: corpus upload response %q: %v", body, err)
+		return status, retryAfter, fmt.Errorf("load: corpus upload response %q: %v", body, err)
 	}
 	w.digest = ingest.Entry.Digest
 	return status, retryAfter, nil
@@ -306,7 +286,7 @@ func (w *loadWorker) doSubmit() (int, time.Duration, error) {
 		ID string `json:"id"`
 	}
 	if err := json.Unmarshal(body, &job); err != nil || job.ID == "" {
-		return status, retryAfter, fmt.Errorf("bench: submit response %q: %v", body, err)
+		return status, retryAfter, fmt.Errorf("load: submit response %q: %v", body, err)
 	}
 	w.report.JobsAccepted++
 	w.jobIDs = append(w.jobIDs, job.ID)
@@ -319,7 +299,7 @@ func (w *loadWorker) drainJobs(timeout time.Duration) (done, failed int64, err e
 	for _, id := range w.jobIDs {
 		for {
 			if time.Now().After(deadline) {
-				return done, failed, fmt.Errorf("bench: job %s not terminal after %s", id, timeout)
+				return done, failed, fmt.Errorf("load: job %s not terminal after %s", id, timeout)
 			}
 			req, err := http.NewRequest("GET", w.opts.BaseURL+"/v1/jobs/"+id, nil)
 			if err != nil {
@@ -338,13 +318,13 @@ func (w *loadWorker) drainJobs(timeout time.Duration) (done, failed int64, err e
 				continue
 			}
 			if status/100 != 2 {
-				return done, failed, fmt.Errorf("bench: job %s status: %d %s", id, status, body)
+				return done, failed, fmt.Errorf("load: job %s status: %d %s", id, status, body)
 			}
 			var job struct {
 				State string `json:"state"`
 			}
 			if err := json.Unmarshal(body, &job); err != nil {
-				return done, failed, fmt.Errorf("bench: job status response %q: %w", body, err)
+				return done, failed, fmt.Errorf("load: job status response %q: %w", body, err)
 			}
 			if job.State == "done" {
 				done++
@@ -367,4 +347,57 @@ func percentile(sorted []float64, p float64) float64 {
 	}
 	idx := int(p * float64(len(sorted)-1))
 	return sorted[idx]
+}
+
+// TestBackoff pins the client delay contract for every attempt the
+// loop can pass (attempt >= 1): at least the exponential step and at
+// least the server's Retry-After, at most 25% jitter on top, and the
+// step capped at 3.2s however long the shed streak.
+func TestBackoff(t *testing.T) {
+	cases := []struct {
+		attempt    int
+		retryAfter time.Duration
+		base       time.Duration // max(step, retryAfter)
+	}{
+		{1, 0, 50 * time.Millisecond},
+		{2, 0, 100 * time.Millisecond},
+		{7, 0, 3200 * time.Millisecond},
+		{8, 0, 3200 * time.Millisecond},
+		{1000, 0, 3200 * time.Millisecond},
+		{1, 2 * time.Second, 2 * time.Second},
+		{7, time.Second, 3200 * time.Millisecond},
+		{9, 5 * time.Second, 5 * time.Second},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range cases {
+		for i := 0; i < 200; i++ {
+			d := backoff(tc.attempt, tc.retryAfter, rng)
+			if d < tc.base || d > tc.base+tc.base/4 {
+				t.Fatalf("backoff(%d, %v) = %v, want within [%v, %v]",
+					tc.attempt, tc.retryAfter, d, tc.base, tc.base+tc.base/4)
+			}
+		}
+	}
+}
+
+func TestPercentile(t *testing.T) {
+	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	cases := []struct {
+		in   []float64
+		p    float64
+		want float64
+	}{
+		{nil, 0.50, 0},
+		{nil, 0.99, 0},
+		{[]float64{7}, 0.99, 7},
+		{sorted, 0, 1},
+		{sorted, 0.50, 5},
+		{sorted, 0.99, 9},
+		{sorted, 1, 10},
+	}
+	for _, tc := range cases {
+		if got := percentile(tc.in, tc.p); got != tc.want {
+			t.Errorf("percentile(%v, %v) = %v, want %v", tc.in, tc.p, got, tc.want)
+		}
+	}
 }

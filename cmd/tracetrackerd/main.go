@@ -28,9 +28,8 @@
 // of degrading. A non-loopback -addr without auth keys is refused
 // unless -insecure explicitly accepts anonymous remote access.
 //
-// The API is versioned under /v1 (the pre-v1 unversioned routes stay
-// mounted as aliases, counted by daemon_legacy_requests_total), and
-// every non-2xx response carries the structured envelope
+// The API lives under /v1 (only /healthz and /metrics sit at the
+// root), and every non-2xx response carries the structured envelope
 // {"error":{"code":"...","message":"..."}} with a stable code.
 //
 //	tracetrackerd -jobs 2 -parallel 8 -data /var/lib/tracetracker
@@ -78,7 +77,7 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second,
 		"graceful-shutdown deadline for running jobs on SIGINT/SIGTERM")
 	traceRing := flag.Int("trace-ring", obs.DefaultFlightRecorderCapacity,
-		"finished-job span timelines kept for GET /jobs/{id}/trace before eviction")
+		"finished-job span timelines kept for GET /v1/jobs/{id}/trace before eviction")
 	slowJob := flag.Duration("slow-job", time.Minute,
 		"log a job's slowest spans when its wall time crosses this threshold (0 disables)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")

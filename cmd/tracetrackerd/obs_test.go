@@ -169,8 +169,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Errorf("daemon_queue_depth = %v (found %v), want 0", v, ok)
 	}
 	if v, ok := metricValue(t, samples, "daemon_requests_total",
-		map[string]string{"route": "POST /jobs", "code": "202"}); !ok || v != 2 {
-		t.Errorf("daemon_requests_total{POST /jobs,202} = %v (found %v), want 2", v, ok)
+		map[string]string{"route": "POST /v1/jobs", "code": "202"}); !ok || v != 2 {
+		t.Errorf("daemon_requests_total{POST /v1/jobs,202} = %v (found %v), want 2", v, ok)
 	}
 	if v, ok := metricValue(t, samples, "daemon_uptime_seconds", nil); !ok || v < 0 {
 		t.Errorf("daemon_uptime_seconds = %v (found %v)", v, ok)

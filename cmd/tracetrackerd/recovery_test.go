@@ -31,10 +31,10 @@ func dataServer(t *testing.T, dataDir string) *server {
 	return srv
 }
 
-// uploadCorpus PUTs body to /corpus and returns the entry digest.
+// uploadCorpus PUTs body to /v1/corpus and returns the entry digest.
 func uploadCorpus(t *testing.T, ts *httptest.Server, body []byte, format string) string {
 	t.Helper()
-	url := ts.URL + "/corpus"
+	url := ts.URL + "/v1/corpus"
 	if format != "" {
 		url += "?format=" + format
 	}
@@ -128,7 +128,7 @@ func TestCorpusJobCacheHit(t *testing.T) {
 	if j1.OutPath == "" {
 		t.Fatal("corpus job result not backed by the cache file: eviction would lose it")
 	}
-	got1 := getBody(t, ts.URL+"/jobs/"+id1+"/result")
+	got1 := getBody(t, ts.URL+"/v1/jobs/"+id1+"/result")
 	if !bytes.Equal(got1, wantBuf.Bytes()) {
 		t.Fatal("first result diverges from sequential reconstruction")
 	}
@@ -142,7 +142,7 @@ func TestCorpusJobCacheHit(t *testing.T) {
 	if j2.Report == nil || j2.Report.Requests != int64(want.Len()) {
 		t.Fatalf("cache hit lost the report: %+v", j2.Report)
 	}
-	got2 := getBody(t, ts.URL+"/jobs/"+id2+"/result")
+	got2 := getBody(t, ts.URL+"/v1/jobs/"+id2+"/result")
 	if !bytes.Equal(got2, wantBuf.Bytes()) {
 		t.Fatal("cached result diverges")
 	}
@@ -182,7 +182,7 @@ func TestCorpusEndpoints(t *testing.T) {
 	}
 
 	var list []map[string]any
-	if err := json.Unmarshal(getBody(t, ts.URL+"/corpus"), &list); err != nil {
+	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/corpus"), &list); err != nil {
 		t.Fatal(err)
 	}
 	if len(list) != 1 || list[0]["digest"] != d1 {
@@ -190,19 +190,19 @@ func TestCorpusEndpoints(t *testing.T) {
 	}
 
 	var info map[string]any
-	if err := json.Unmarshal(getBody(t, ts.URL+"/corpus/"+d1[:10]), &info); err != nil {
+	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/corpus/"+d1[:10]), &info); err != nil {
 		t.Fatal(err)
 	}
 	if info["digest"] != d1 || info["format"] != "csv" {
 		t.Fatalf("info: %+v", info)
 	}
 
-	if data := getBody(t, ts.URL+"/corpus/"+d1+"/data"); !bytes.Equal(data, raw) {
+	if data := getBody(t, ts.URL+"/v1/corpus/"+d1+"/data"); !bytes.Equal(data, raw) {
 		t.Fatal("corpus data round-trip diverges")
 	}
 
 	// Bad upload rejected, unknown digest 404.
-	resp, err := http.Post(ts.URL+"/corpus", "text/plain", bytes.NewReader([]byte("garbage\n")))
+	resp, err := http.Post(ts.URL+"/v1/corpus", "text/plain", bytes.NewReader([]byte("garbage\n")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestCorpusEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage upload: status %d", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/corpus/ffffffffffff")
+	resp, err = http.Get(ts.URL + "/v1/corpus/ffffffffffff")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestCorpusEndpoints(t *testing.T) {
 	defer bare.Close()
 	tsBare := httptest.NewServer(bare)
 	defer tsBare.Close()
-	resp, err = http.Get(tsBare.URL + "/corpus")
+	resp, err = http.Get(tsBare.URL + "/v1/corpus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestCorpusEndpoints(t *testing.T) {
 		t.Fatalf("no-data corpus list: status %d", resp.StatusCode)
 	}
 	body, _ := json.Marshal(engine.JobSpec{In: "corpus:" + d1})
-	resp, err = http.Post(tsBare.URL+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err = http.Post(tsBare.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,13 +314,13 @@ func TestJournalReplayRecovery(t *testing.T) {
 	// The finished job survived the restart and serves its result from
 	// the cache without re-executing.
 	var j1 job
-	if err := json.Unmarshal(getBody(t, ts2.URL+"/jobs/"+id1), &j1); err != nil {
+	if err := json.Unmarshal(getBody(t, ts2.URL+"/v1/jobs/"+id1), &j1); err != nil {
 		t.Fatal(err)
 	}
 	if j1.State != stateDone {
 		t.Fatalf("replayed job state: %s", j1.State)
 	}
-	if got := getBody(t, ts2.URL+"/jobs/"+id1+"/result"); !bytes.Equal(got, wantCSV.Bytes()) {
+	if got := getBody(t, ts2.URL+"/v1/jobs/"+id1+"/result"); !bytes.Equal(got, wantCSV.Bytes()) {
 		t.Fatal("replayed result diverges from the original reconstruction")
 	}
 	if j1.Report == nil || j1.Report.Requests != int64(want.Len()) {
@@ -333,7 +333,7 @@ func TestJournalReplayRecovery(t *testing.T) {
 	if j77.Cached {
 		t.Fatal("interrupted bin job cannot be a cache hit: nothing produced bin output before")
 	}
-	got77 := getBody(t, ts2.URL+"/jobs/job-77/result")
+	got77 := getBody(t, ts2.URL+"/v1/jobs/job-77/result")
 	// Encode via the streaming encoder — the form the job writes and
 	// the cache serves (sentinel count, not the counted header).
 	var wantBin bytes.Buffer
@@ -493,7 +493,7 @@ func TestJournalReplayInterruptedHDDJob(t *testing.T) {
 	if j.Report.Shards < 2 {
 		t.Fatalf("HDD job ran %d epochs; the pipelined path should cut several", j.Report.Shards)
 	}
-	got := getBody(t, ts2.URL+"/jobs/job-9/result")
+	got := getBody(t, ts2.URL+"/v1/jobs/job-9/result")
 
 	// The expectation is the sequential HDD pipeline over the same
 	// decoded blob — the pre-pipeline serial path.
@@ -528,7 +528,7 @@ func TestGracefulCloseGrace(t *testing.T) {
 	}
 	// The submitted job finished during the drain.
 	var j job
-	if err := json.Unmarshal(getBody(t, ts.URL+"/jobs/"+id), &j); err != nil {
+	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/jobs/"+id), &j); err != nil {
 		t.Fatal(err)
 	}
 	if j.State != stateDone {
@@ -536,7 +536,7 @@ func TestGracefulCloseGrace(t *testing.T) {
 	}
 	// Submissions after close are refused.
 	body, _ := json.Marshal(engine.JobSpec{In: inPath})
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/faultfs"
 )
@@ -63,7 +62,7 @@ func TestOverloadShedding(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	rep, err := bench.RunLoad(bench.LoadOptions{
+	rep, err := RunLoad(LoadOptions{
 		BaseURL:       ts.URL,
 		Tenants:       6, // vs capacity 2 (1 executor + 1 queue slot)
 		Duration:      2 * time.Second,

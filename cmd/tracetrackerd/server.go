@@ -112,10 +112,9 @@ func newJobReport(r *engine.Report) *jobReport {
 // data directory is attached) by the content-addressed corpus store,
 // its result cache, and a crash-recovery journal.
 //
-// The API is versioned under /v1; the original unversioned routes
-// remain as thin aliases (counted by daemon_legacy_requests_total) so
-// existing clients keep working. Every non-2xx response carries the
-// structured envelope {"error":{"code":"...","message":"..."}}.
+// The API lives under /v1 and nowhere else; only /healthz and /metrics
+// sit at the root. Every non-2xx response carries the structured
+// envelope {"error":{"code":"...","message":"..."}}.
 //
 //	POST /v1/jobs                  submit a JobSpec, returns {"id": ...}
 //	GET  /v1/jobs                  list jobs (most recent first; ?limit=&after=)
@@ -172,7 +171,7 @@ type server struct {
 	jobsFailed   *obs.Counter
 	slowJobs     *obs.Counter
 
-	// flight holds recent job timelines for GET /jobs/{id}/trace;
+	// flight holds recent job timelines for GET /v1/jobs/{id}/trace;
 	// slowJob, when > 0, is the wall-time threshold past which a
 	// finished job logs its slowest spans (set before serving).
 	flight  *obs.FlightRecorder
@@ -299,14 +298,11 @@ func newServerCap(base engine.Config, concurrent, queueCap int) *server {
 	return s
 }
 
-// apiRoute is one entry in the daemon's route table: the canonical
-// path lives under /v1; legacy marks routes that predate versioning
-// and keep an unversioned alias for old clients.
+// apiRoute is one entry in the daemon's route table.
 type apiRoute struct {
 	method string
 	path   string // path relative to /v1, e.g. "/jobs/{id}"
 	h      http.HandlerFunc
-	legacy bool
 }
 
 // routes is the single source of the daemon's API surface — the
@@ -314,42 +310,30 @@ type apiRoute struct {
 // without being covered.
 func (s *server) routes() []apiRoute {
 	return []apiRoute{
-		{"POST", "/jobs", s.handleSubmit, true},
-		{"GET", "/jobs", s.handleList, true},
-		{"GET", "/jobs/{id}", s.handleStatus, true},
-		{"GET", "/jobs/{id}/result", s.handleResult, true},
-		{"GET", "/jobs/{id}/trace", s.handleTrace, true},
-		{"GET", "/devices", s.handleDevices, false},
-		{"POST", "/corpus", s.handleCorpusIngest, true},
-		{"PUT", "/corpus", s.handleCorpusIngest, true},
-		{"GET", "/corpus", s.handleCorpusList, true},
-		{"GET", "/corpus/{digest}", s.handleCorpusInfo, true},
-		{"GET", "/corpus/{digest}/data", s.handleCorpusData, true},
+		{"POST", "/jobs", s.handleSubmit},
+		{"GET", "/jobs", s.handleList},
+		{"GET", "/jobs/{id}", s.handleStatus},
+		{"GET", "/jobs/{id}/result", s.handleResult},
+		{"GET", "/jobs/{id}/trace", s.handleTrace},
+		{"GET", "/devices", s.handleDevices},
+		{"POST", "/corpus", s.handleCorpusIngest},
+		{"PUT", "/corpus", s.handleCorpusIngest},
+		{"GET", "/corpus", s.handleCorpusList},
+		{"GET", "/corpus/{digest}", s.handleCorpusInfo},
+		{"GET", "/corpus/{digest}/data", s.handleCorpusData},
 	}
 }
 
 // mountRoutes wires the route table into the mux: each route under
-// /v1, legacy aliases at their original unversioned paths (wrapped to
-// count daemon_legacy_requests_total per route), plus enveloped 405
-// fallbacks for known paths and an enveloped 404 for everything else.
-// /healthz and /metrics stay at the root — operational endpoints that
-// load balancers and Prometheus scrapers have configured by path.
+// /v1, plus enveloped 405 fallbacks for known paths and an enveloped
+// 404 for everything else. /healthz and /metrics stay at the root —
+// operational endpoints that load balancers and Prometheus scrapers
+// have configured by path.
 func (s *server) mountRoutes() {
 	allow := map[string][]string{}
 	for _, rt := range s.routes() {
 		s.mux.HandleFunc(rt.method+" /v1"+rt.path, rt.h)
 		allow["/v1"+rt.path] = append(allow["/v1"+rt.path], rt.method)
-		if rt.legacy {
-			c := s.reg.Counter("daemon_legacy_requests_total",
-				"Requests served through pre-v1 unversioned route aliases.",
-				obs.Labels{"route": rt.method + " " + rt.path})
-			h := rt.h
-			s.mux.HandleFunc(rt.method+" "+rt.path, func(w http.ResponseWriter, r *http.Request) {
-				c.Inc()
-				h(w, r)
-			})
-			allow[rt.path] = append(allow[rt.path], rt.method)
-		}
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.Handle("GET /metrics", s.reg.Handler())

@@ -62,7 +62,7 @@ func writeInput(t *testing.T, dir string) (string, *trace.Trace) {
 func postJob(t *testing.T, ts *httptest.Server, spec engine.JobSpec) string {
 	t.Helper()
 	body, _ := json.Marshal(spec)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) *job {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/jobs/" + id)
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestStreamingJobToFile(t *testing.T) {
 	if !bytes.Equal(data, wantBuf.Bytes()) {
 		t.Fatal("streaming job output diverges from sequential reconstruction")
 	}
-	resp, err := http.Get(ts.URL + "/jobs/" + id + "/result")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestJobValidationAndErrors(t *testing.T) {
 	defer ts.Close()
 
 	// Invalid spec.
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"method":"nope","in":"x"}`))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"method":"nope","in":"x"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestJobValidationAndErrors(t *testing.T) {
 		t.Fatalf("bad method: status %d", resp.StatusCode)
 	}
 	// Unknown job.
-	resp, err = http.Get(ts.URL + "/jobs/job-999")
+	resp, err = http.Get(ts.URL + "/v1/jobs/job-999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestJobValidationAndErrors(t *testing.T) {
 	id := postJob(t, ts, engine.JobSpec{In: "/nonexistent/trace.csv"})
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		r2, err := http.Get(ts.URL + "/jobs/" + id)
+		r2, err := http.Get(ts.URL + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestJobValidationAndErrors(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// Result of a failed job.
-	resp, err = http.Get(ts.URL + "/jobs/" + id + "/result")
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + id + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestInMemoryFIOResultCarriesDevice(t *testing.T) {
 
 	id := postJob(t, ts, engine.JobSpec{In: inPath, OutFormat: "fio"})
 	waitDone(t, ts, id)
-	resp, err := http.Get(ts.URL + "/jobs/" + id + "/result")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +286,8 @@ func TestInMemoryFIOResultCarriesDevice(t *testing.T) {
 	}
 }
 
-// TestJobList checks listing order (most recent first) and that the
-// legacy alias serves the same paginated shape as /v1/jobs.
+// TestJobList checks listing order (most recent first) and the
+// paginated shape.
 func TestJobList(t *testing.T) {
 	dir := t.TempDir()
 	inPath, _ := writeInput(t, dir)
@@ -301,26 +301,24 @@ func TestJobList(t *testing.T) {
 	waitDone(t, ts, id1)
 	waitDone(t, ts, id2)
 
-	for _, path := range []string{"/v1/jobs", "/jobs"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var page jobPage
-		err = json.NewDecoder(resp.Body).Decode(&page)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs := page.Jobs
-		if len(jobs) != 2 || jobs[0].Name != "second" || jobs[1].Name != "first" {
-			t.Fatalf("%s: list: %+v", path, jobs)
-		}
-		if jobs[0].ID != id2 {
-			t.Fatalf("%s: want %s first, got %s", path, id2, jobs[0].ID)
-		}
-		if page.NextAfter != "" {
-			t.Fatalf("%s: two jobs fit one page, next_after = %q", path, page.NextAfter)
-		}
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page jobPage
+	err = json.NewDecoder(resp.Body).Decode(&page)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := page.Jobs
+	if len(jobs) != 2 || jobs[0].Name != "second" || jobs[1].Name != "first" {
+		t.Fatalf("list: %+v", jobs)
+	}
+	if jobs[0].ID != id2 {
+		t.Fatalf("want %s first, got %s", id2, jobs[0].ID)
+	}
+	if page.NextAfter != "" {
+		t.Fatalf("two jobs fit one page, next_after = %q", page.NextAfter)
 	}
 }

@@ -29,7 +29,7 @@ import (
 func submitTraced(t *testing.T, ts *httptest.Server, spec engine.JobSpec, traceparent string) *job {
 	t.Helper()
 	body, _ := json.Marshal(spec)
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func submitTraced(t *testing.T, ts *httptest.Server, spec engine.JobSpec, tracep
 
 func getTrace(t *testing.T, ts *httptest.Server, id, query string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/jobs/" + id + "/trace" + query)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/trace" + query)
 	if err != nil {
 		t.Fatal(err)
 	}

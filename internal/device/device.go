@@ -50,7 +50,7 @@ type Device interface {
 // device has drained, a later submission is serviced exactly as on a
 // freshly Reset device, so a synchronous emulation over it is
 // invariant under time translation and may be partitioned into shards
-// (see replay.EmulateShard). The flash simulators qualify; the HDD
+// (see replay.EmulateEpoch). The flash simulators qualify; the HDD
 // does not — its head position and rotational phase persist across
 // idle periods.
 type ShardSafe interface {

@@ -397,6 +397,57 @@ func TestClaims(t *testing.T) {
 	}
 }
 
+// TestPaperHeadlineValues pins the inference results themselves, not
+// their shape: the generators are seeded (TestGenerateOldDeterministic),
+// so these are constants of the tree, recorded at PR 18. A change to
+// infer, core or the device models that moves one of them must change
+// the constant here on purpose. The tolerance only absorbs
+// fused-multiply-add differences between architectures.
+func TestPaperHeadlineValues(t *testing.T) {
+	near := func(what string, got, want float64) {
+		t.Helper()
+		if d := got - want; d > 1e-9*want || d < -1e-9*want {
+			t.Errorf("%s = %.17g, recorded %.17g", what, got, want)
+		}
+	}
+	type period struct{ detectionTP, lenTPRatio float64 }
+	r := Fig10(small)
+	for _, g := range []struct {
+		got  VerifyGroupResult
+		want [4]period // indexed like VerifyPeriods
+	}{
+		{r.Known, [4]period{
+			{124.0 / 154, 0.9847166129032259},
+			{151.0 / 183, 0.9974898807947021},
+			{141.0 / 165, 0.978218979432624},
+			{128.0 / 128, 0.951536266015625},
+		}},
+		{r.Unknown, [4]period{
+			{101.0 / 154, 38.39102316831684},
+			{95.0 / 183, 4.02373214736842},
+			{165.0 / 165, 0.9648972303030305},
+			{128.0 / 128, 1.0241496588281251},
+		}},
+	} {
+		if len(g.got.PerPeriod) != len(g.want) {
+			t.Fatalf("%s: %d periods, want %d", g.got.Group, len(g.got.PerPeriod), len(g.want))
+		}
+		for i, m := range g.got.PerPeriod {
+			what := g.got.Group + " @" + VerifyPeriods[i].String()
+			near(what+" Detection(TP)", m.DetectionTP(), g.want[i].detectionTP)
+			near(what+" Len(TP) ratio", m.LenTPRatio, g.want[i].lenTPRatio)
+		}
+	}
+	if got, want := Fig11(small).UnknownMean, 4870442*time.Nanosecond; got != want {
+		t.Errorf("Fig 11 unknown-group mean Len(FP) = %v, recorded %v", got, want)
+	}
+	c, err := Claims(Config{Ops: 800})
+	if err != nil {
+		t.Fatal(err)
+	}
+	near("idle-bearing request fraction", c.IdleBearingFrac, 0.40419354838709676)
+}
+
 func TestGenerateOldDeterministic(t *testing.T) {
 	ikki, ok := workload.Lookup("ikki")
 	if !ok {

@@ -60,7 +60,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestJobTraceGoldenJSON locks the JSON shape GET /jobs/{id}/trace
+// TestJobTraceGoldenJSON locks the JSON shape GET /v1/jobs/{id}/trace
 // serves.
 func TestJobTraceGoldenJSON(t *testing.T) {
 	got, err := json.MarshalIndent(exportFixture(), "", "  ")

@@ -130,7 +130,7 @@ func (m *EngineMetrics) QueuePop(stage int) {
 }
 
 // StageSeconds snapshots the cumulative per-stage wall time, keyed by
-// stage name — what tracebench -stages reports.
+// stage name.
 func (m *EngineMetrics) StageSeconds() map[string]float64 {
 	if m == nil {
 		return nil

@@ -378,7 +378,7 @@ func (t *Tracer) spanID(id uint64) string {
 }
 
 // JobTrace is one job's exported span tree: the JSON served by
-// GET /jobs/{id}/trace and the input to WriteChromeTrace.
+// GET /v1/jobs/{id}/trace and the input to WriteChromeTrace.
 type JobTrace struct {
 	TraceID       string    `json:"trace_id"`
 	ParentSpanID  string    `json:"parent_span_id,omitempty"`

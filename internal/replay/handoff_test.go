@@ -75,7 +75,7 @@ func epochDevices() map[string]func() device.Device {
 // relies on: an emulation cut into uneven epochs (including a
 // one-request epoch) and chained through (end, shiftDelta) on one
 // evolving device, each epoch post-processed from the shift accumulated
-// before it, reproduces one continuous EmulateShardInto +
+// before it, reproduces one continuous EmulateEpoch +
 // PostProcessShard run over the concatenation exactly — and
 // ServiceShard, the pass without the output, reports the same
 // (end, shiftDelta) for every epoch.
@@ -85,7 +85,7 @@ func TestEmulateEpochChains(t *testing.T) {
 	cuts := []int{0, 1, 257, 600, 601, 999, n}
 	for name, mk := range epochDevices() {
 		want := make([]trace.Request, n)
-		wantEnd := replay.EmulateShardInto(want, reqs, mk(), idle)
+		wantEnd, _ := replay.EmulateEpoch(want, reqs, mk(), idle, nil, 0)
 		wantShift := core.PostProcessShard(want, async, 0)
 
 		got := make([]trace.Request, n)
@@ -129,11 +129,11 @@ func TestSnapshotDoesNotAliasSource(t *testing.T) {
 	delete(devs, "hdd")
 	for name, mk := range devs {
 		want := make([]trace.Request, n)
-		replay.EmulateShardInto(want, reqs, mk(), idle)
+		replay.EmulateEpoch(want, reqs, mk(), idle, nil, 0)
 
 		src := mk()
 		got := make([]trace.Request, n)
-		mid := replay.EmulateShardInto(got[:cut], reqs[:cut], src, idle[:cut])
+		mid, _ := replay.EmulateEpoch(got[:cut], reqs[:cut], src, idle[:cut], nil, 0)
 		state := src.(device.Stateful).Snapshot()
 
 		// The restored device runs ahead first, mutating whatever

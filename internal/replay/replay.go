@@ -136,40 +136,12 @@ func Emulate(old *trace.Trace, dev device.Device, idle []time.Duration) *trace.T
 		Set:        old.Set,
 		TsdevKnown: true,
 	}
-	out.Requests, _ = EmulateShard(old.Requests, dev, idle)
-	return out
-}
-
-// EmulateShard runs the emulation loop over one shard of instructions
-// in shard-relative time: the first request is placed at idle[0] past
-// virtual time zero, and the returned end time is the completion of
-// the last request. dev is Reset first, so each shard sees a drained
-// device.
-//
-// Because the loop is synchronous — every submission happens at or
-// after the previous completion, by which time all device busy state
-// has passed — a drained device's servicing is invariant under time
-// translation, and a shard emulated from zero equals the same span of
-// the whole-trace emulation shifted by the preceding shard's end time.
-// That invariance is what lets the parallel engine reproduce the
-// sequential pipeline byte for byte. It does not hold for devices
-// with cross-request positional state (see device.ShardSafe).
-func EmulateShard(reqs []trace.Request, dev device.Device, idle []time.Duration) ([]trace.Request, time.Duration) {
-	var out []trace.Request
-	if len(reqs) > 0 {
-		out = make([]trace.Request, len(reqs))
+	if len(old.Requests) > 0 {
+		out.Requests = make([]trace.Request, len(old.Requests))
 	}
-	end := EmulateShardInto(out, reqs, dev, idle)
-	return out, end
-}
-
-// EmulateShardInto is EmulateShard writing into a caller-provided
-// destination (len(dst) == len(reqs)), so a parallel engine can place
-// shard results straight into the merged output without copying.
-func EmulateShardInto(dst, reqs []trace.Request, dev device.Device, idle []time.Duration) time.Duration {
 	dev.Reset()
-	end, _ := EmulateEpoch(dst, reqs, dev, idle, nil, 0)
-	return end
+	EmulateEpoch(out.Requests, old.Requests, dev, idle, nil, 0)
+	return out
 }
 
 // EmulateEpoch is the one emulation loop behind every entry point in
@@ -186,15 +158,24 @@ func EmulateShardInto(dst, reqs []trace.Request, dev device.Device, idle []time.
 // instruction, the emulated latency beyond SubmissionGap.
 //
 // Threading (end, shiftDelta) through consecutive epochs on one device
-// reproduces a single EmulateShardInto run over the concatenation
-// exactly, and running core.PostProcessShard over each epoch from the
-// shift accumulated before it reproduces one post-processing pass — so
-// an epoch's arrivals are final as soon as the device pass has reached
-// it, and everything after that pass can run out of order. Unlike the
-// shard-safe path, which emulates every shard from a drained device at
-// time zero and shifts afterwards, this holds for devices whose state
-// is a function of absolute time (the HDD's rotational phase): it needs
-// nothing from dev but Submit, in order.
+// reproduces a single run over the concatenation exactly, and running
+// core.PostProcessShard over each epoch from the shift accumulated
+// before it reproduces one post-processing pass — so an epoch's
+// arrivals are final as soon as the device pass has reached it, and
+// everything after that pass can run out of order. This holds for
+// devices whose state is a function of absolute time (the HDD's
+// rotational phase): it needs nothing from dev but Submit, in order.
+//
+// A device.ShardSafe target allows more. Because the loop is
+// synchronous — every submission happens at or after the previous
+// completion, by which time all device busy state has passed — a
+// drained device's servicing is invariant under time translation, and
+// an epoch emulated from a Reset device at start zero equals the same
+// span of the whole-trace emulation shifted by the preceding epoch's
+// end time. That invariance is what lets the engine emulate shard-safe
+// epochs in parallel and place them on the global timeline afterwards,
+// byte for byte; it does not hold for devices with cross-request
+// positional state.
 func EmulateEpoch(dst, reqs []trace.Request, dev device.Device, idle []time.Duration, async []bool, start time.Duration) (end, shiftDelta time.Duration) {
 	now := start
 	for i, r := range reqs {

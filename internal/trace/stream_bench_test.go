@@ -1,8 +1,9 @@
 package trace
 
 // Codec micro-benchmarks: per-format decode and encode throughput on
-// a synthetic in-memory trace. cmd/tracebench measures the same paths
-// end-to-end from files; these stay close to the codec for profiling.
+// a synthetic in-memory trace, close to the codec for profiling; the
+// trace.* layer rows of `go run ./benchmark` time the same paths on the
+// benchmark's own inputs.
 
 import (
 	"bytes"
