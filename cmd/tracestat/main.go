@@ -92,7 +92,7 @@ func main() {
 					res, ok := infer.ExamineSteepness(grp.InttMicros, infer.DefaultSteepnessOptions())
 					rise := "-"
 					if ok {
-						rise = report.FormatDuration(usDurD(res.RiseMicros))
+						rise = report.FormatDuration(usDur(res.RiseMicros))
 					}
 					gt.AddRow(seq, op, grp.Key.Sectors, grp.N(), shape.String(), rise)
 				}
@@ -105,9 +105,9 @@ func main() {
 		mt := &report.Table{Title: "fitted inference model", Headers: []string{"parameter", "value"}}
 		mt.AddRow("beta (us/sector)", m.BetaMicros)
 		mt.AddRow("eta (us/sector)", m.EtaMicros)
-		mt.AddRow("Tcdel read", usDurD(m.TcdelReadMicros))
-		mt.AddRow("Tcdel write", usDurD(m.TcdelWriteMicros))
-		mt.AddRow("Tmovd", usDurD(m.TmovdMicros))
+		mt.AddRow("Tcdel read", usDur(m.TcdelReadMicros))
+		mt.AddRow("Tcdel write", usDur(m.TcdelWriteMicros))
+		mt.AddRow("Tmovd", usDur(m.TmovdMicros))
 		idle, async := infer.Decompose(m, tr)
 		var idleTotal time.Duration
 		idleCount, asyncCount := 0, 0
@@ -131,8 +131,7 @@ func main() {
 	}
 }
 
-func usDur(v float64) time.Duration  { return time.Duration(v * float64(time.Microsecond)) }
-func usDurD(v float64) time.Duration { return time.Duration(v * float64(time.Microsecond)) }
+func usDur(v float64) time.Duration { return time.Duration(v * float64(time.Microsecond)) }
 
 // runStream prints the one-pass summary: the whole-trace metrics the
 // materializing path shows, computed over the streaming decoder (with

@@ -90,7 +90,14 @@ func TestRouteContract(t *testing.T) {
 			t.Fatalf("%s %s fell through to the fallback handler: %s %s", method, path, env.Code, env.Message)
 		}
 	}
+	// mountRoutes joins a path's methods into its Allow header as they
+	// come, so the table must not repeat a (method, path) pair.
+	mounted := map[string]bool{}
 	for _, rt := range srv.routes() {
+		if mounted[rt.method+" "+rt.path] {
+			t.Fatalf("route table lists %s %s twice", rt.method, rt.path)
+		}
+		mounted[rt.method+" "+rt.path] = true
 		check(rt.method, "/v1"+fillRoute(rt.path))
 	}
 	// Root-level operational endpoints.

@@ -342,15 +342,7 @@ func (s *server) mountRoutes() {
 	// Method-less fallbacks: a known path with the wrong method answers
 	// an enveloped 405 (ServeMux's own 405 is plain text).
 	for path, methods := range allow {
-		seen := map[string]bool{}
-		uniq := methods[:0]
-		for _, m := range methods {
-			if !seen[m] {
-				seen[m] = true
-				uniq = append(uniq, m)
-			}
-		}
-		ms := strings.Join(uniq, ", ")
+		ms := strings.Join(methods, ", ")
 		s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Allow", ms)
 			httpError(w, http.StatusMethodNotAllowed, "method_not_allowed",

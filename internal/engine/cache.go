@@ -139,7 +139,7 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 		path, err = cache.StoreResultNoted(key, inputDigest, func(w io.Writer) ([]byte, error) {
 			ran = true
 			var err error
-			if rep, err = runJobTo(cfg, spec, w); err != nil {
+			if rep, err = RunJobTo(cfg, spec, w); err != nil {
 				return nil, err
 			}
 			return json.Marshal(cacheNote{Spec: spec, Report: rep})

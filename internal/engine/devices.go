@@ -201,8 +201,8 @@ func deviceFactoryFor(spec JobSpec) (func() device.Device, error) {
 }
 
 // DeviceFactory maps a JobSpec.Device name (aliases included, "" =
-// array) to a device constructor with default config, for
-// callers without a full spec (the CLIs).
+// array) to a device constructor with default config, for callers
+// without a full spec (the benchmark, reference computations in tests).
 func DeviceFactory(name string) (func() device.Device, error) {
 	return deviceFactoryFor(JobSpec{Device: name})
 }

@@ -17,18 +17,20 @@ import (
 const DefaultReorderWindow = 1 << 16
 
 // JobSpec describes one batch reconstruction: the JSON body
-// tracetrackerd accepts and the unit of work RunJob executes.
+// tracetrackerd accepts, the value the tracetracker CLI fills from its
+// flags, and the unit of work RunJob executes.
 //
-// There is one way a job runs. A tracetracker/dynamic job streams the
-// input file through the engine's stage graph into its output file —
-// decoder → (model fit, inference-path inputs only) → sharded
-// reconstruction → encoder — holding O(Workers · MaxShardRequests)
-// requests, never the trace. The baseline methods materialize the
-// input and run sequentially (they exist for fidelity comparisons, not
-// throughput) and write through the same sink. Either way a finished
-// job is a file: Out, or the result-cache entry of a RunJobCached job.
-// (The JSON key "stream", a mode switch in earlier versions, is
-// ignored: every job streams.)
+// There is one way a job runs, whichever front end built the spec. A
+// tracetracker/dynamic job streams the input file through the engine's
+// stage graph into its output file — decoder → (model fit,
+// inference-path inputs only) → sharded reconstruction → encoder —
+// holding O(Workers · MaxShardRequests) requests, never the trace. The
+// baseline methods materialize the input and run sequentially (they
+// exist for fidelity comparisons, not throughput) and write through
+// the same sink. Either way a finished job is a file: Out, or the
+// result-cache entry of a RunJobCached job (the CLI without -out hands
+// RunJobTo its stdout instead). (The JSON key "stream", a mode switch
+// in earlier versions, is ignored: every job streams.)
 type JobSpec struct {
 	// Name labels the job (defaults to the input path).
 	Name string `json:"name,omitempty"`
@@ -38,8 +40,9 @@ type JobSpec struct {
 	// Out is the output path, written atomically (partial file +
 	// rename). RunJob requires it; RunJobCached lands the output in the
 	// result cache and copies it to Out only when Out is set; the daemon
-	// assigns a spool file to path jobs that leave it empty. OutFormat
-	// one of csv, bin, blktrace, fio.
+	// assigns a spool file to path jobs that leave it empty; RunJobTo
+	// writes to the sink it is given and ignores it. OutFormat one of
+	// csv, bin, blktrace, fio.
 	Out       string `json:"out,omitempty"`
 	OutFormat string `json:"outformat,omitempty"`
 	// FIODevice is the replay target embedded in fio output.
@@ -202,7 +205,7 @@ type JobResult struct {
 // the output path — rather than because of its input or spec. The
 // sink sits at the bottom of the stage graph, so its failure comes
 // back through the encoder and the merge as if the reconstruction had
-// gone wrong; jobWriter records it where it happens and runJobTo
+// gone wrong; jobWriter records it where it happens and RunJobTo
 // reports that instead.
 var ErrStorage = errors.New("engine: storage fault writing the job's output")
 
@@ -221,21 +224,19 @@ func (j *jobWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// RunJob executes one batch reconstruction into spec.Out with cfg as
-// the engine base configuration (the spec's Parallel overrides its
-// Workers). The output is written atomically: a failed job never
-// truncates or replaces an existing file.
+// RunJob executes one batch reconstruction into the file spec.Out with
+// cfg as the engine base configuration (the spec's Parallel overrides
+// its Workers): RunJobTo around an atomic write, so a failed job never
+// truncates or replaces an existing file. It is what a front end with
+// an output path calls — the tracetracker CLI builds its spec from
+// flags, the daemon from the request body.
 func RunJob(cfg Config, spec JobSpec) (*JobResult, error) {
-	spec = spec.Normalized()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	if spec.Out == "" {
 		return nil, errors.New("engine: job needs an output path")
 	}
 	var rep *Report
 	err := writeAtomically(spec.Out, func(w io.Writer) (err error) {
-		rep, err = runJobTo(cfg, spec, w)
+		rep, err = RunJobTo(cfg, spec, w)
 		return err
 	})
 	if err != nil {
@@ -244,11 +245,16 @@ func RunJob(cfg Config, spec JobSpec) (*JobResult, error) {
 	return &JobResult{Report: rep, OutPath: spec.Out}, nil
 }
 
-// runJobTo is the one job path: it runs the normalized, validated spec
-// and writes the encoded output to sink — RunJob's partial file or the
-// result cache's staging file. A sink failure is returned as
-// ErrStorage, whatever the graph made of it.
-func runJobTo(cfg Config, spec JobSpec, sink io.Writer) (*Report, error) {
+// RunJobTo is the one job path: it normalizes and validates spec, runs
+// it and writes the encoded output to sink — RunJob's partial file, the
+// result cache's staging file, or the CLI's stdout. spec.Out is not
+// consulted. A sink failure is returned as ErrStorage, whatever the
+// graph made of it.
+func RunJobTo(cfg Config, spec JobSpec, sink io.Writer) (*Report, error) {
+	spec = spec.Normalized()
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	if spec.Parallel > 0 {
 		cfg.Workers = spec.Parallel
 	}

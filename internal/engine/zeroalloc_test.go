@@ -136,9 +136,10 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 				if got := tc.metrics.Requests.Value(); got != 2*n {
 					t.Fatalf("engine_requests_total = %d, want %d", got, 2*n)
 				}
-				secs := tc.metrics.StageSeconds()
-				if secs["decompose"] <= 0 || secs["emulate"] <= 0 || secs["merge"] <= 0 {
-					t.Fatalf("stage seconds not recorded: %v", secs)
+				for _, stage := range []int{obs.StageDecompose, obs.StageEmulate, obs.StageMerge} {
+					if tc.metrics.StageNanos[stage].Value() <= 0 {
+						t.Fatalf("stage %s recorded no time", obs.StageNames[stage])
+					}
 				}
 			}
 			for _, st := range stats {

@@ -129,20 +129,6 @@ func (m *EngineMetrics) QueuePop(stage int) {
 	m.QueueDepth[stage].Dec()
 }
 
-// StageSeconds snapshots the cumulative per-stage wall time, keyed by
-// stage name.
-func (m *EngineMetrics) StageSeconds() map[string]float64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]float64, NumStages+1)
-	for i, name := range StageNames {
-		out[name] = float64(m.StageNanos[i].Value()) / 1e9
-	}
-	out["token_wait"] = float64(m.TokenWaitNanos.Value()) / 1e9
-	return out
-}
-
 // CorpusMetrics is the corpus store's instrumentation hook
 // (Store.SetMetrics): ingest volume, digest dedup, and result-cache
 // traffic. A nil *CorpusMetrics disables instrumentation.

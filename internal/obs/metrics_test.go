@@ -153,9 +153,6 @@ func TestEngineMetricsNilSafe(t *testing.T) {
 	m.StageAdd(StageEmulate, time.Second) // must not panic
 	m.QueuePush(StageMerge)
 	m.QueuePop(StageMerge)
-	if m.StageSeconds() != nil {
-		t.Fatal("nil metrics should snapshot to nil")
-	}
 	var cm *CorpusMetrics
 	cm.IngestObserve(1, 1, true)
 	cm.ResultHit()
@@ -183,8 +180,7 @@ func TestEngineMetricsRegistersAllStages(t *testing.T) {
 	if !strings.Contains(out, "engine_token_wait_seconds_total 0.5") {
 		t.Errorf("token wait scaling wrong:\n%s", out)
 	}
-	secs := m.StageSeconds()
-	if secs["service"] != 2 || secs["token_wait"] != 0.5 {
-		t.Fatalf("StageSeconds = %v", secs)
+	if got := m.StageNanos[StageService].Value(); got != int64(2*time.Second) {
+		t.Fatalf("StageNanos[service] = %d", got)
 	}
 }

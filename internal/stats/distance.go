@@ -83,32 +83,3 @@ func Wasserstein1(a, b []float64) float64 {
 	}
 	return sum
 }
-
-// TotalVariationBinned returns the total-variation distance between
-// two samples after binning both onto the same histogram. It is the
-// bucket-mass view of distribution difference: ½ Σ |p_a − p_b|.
-// Binning parameters follow the supplied histogram template (which is
-// not modified).
-func TotalVariationBinned(a, b []float64, binning Binning, lo, hi float64, buckets int) (float64, error) {
-	ha, err := NewHistogram(binning, lo, hi, buckets)
-	if err != nil {
-		return 0, err
-	}
-	hb, err := NewHistogram(binning, lo, hi, buckets)
-	if err != nil {
-		return 0, err
-	}
-	for _, v := range a {
-		ha.Observe(v)
-	}
-	for _, v := range b {
-		hb.Observe(v)
-	}
-	_, pa := ha.PDF()
-	_, pb := hb.PDF()
-	var sum float64
-	for i := range pa {
-		sum += math.Abs(pa[i] - pb[i])
-	}
-	return sum / 2, nil
-}

@@ -125,25 +125,3 @@ func TestWasserstein1SymmetricProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTotalVariationBinned(t *testing.T) {
-	a := []float64{1, 1, 1, 1}
-	b := []float64{9, 9, 9, 9}
-	tv, err := TotalVariationBinned(a, b, LinearBins, 0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(tv, 1, 1e-12) {
-		t.Fatalf("TV(disjoint) = %v, want 1", tv)
-	}
-	tv, err = TotalVariationBinned(a, a, LinearBins, 0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tv != 0 {
-		t.Fatalf("TV(a,a) = %v", tv)
-	}
-	if _, err := TotalVariationBinned(a, b, LinearBins, 5, 5, 10); err == nil {
-		t.Fatal("bad domain should error")
-	}
-}

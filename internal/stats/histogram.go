@@ -76,12 +76,6 @@ func (h *Histogram) Observe(x float64) {
 	h.total++
 }
 
-// ObserveN records the same sample n times.
-func (h *Histogram) ObserveN(x float64, n uint64) {
-	h.counts[h.bucketOf(x)] += n
-	h.total += n
-}
-
 func (h *Histogram) bucketOf(x float64) int {
 	var frac float64
 	switch h.binning {

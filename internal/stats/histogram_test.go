@@ -119,14 +119,6 @@ func TestCDFMonotoneReachesOne(t *testing.T) {
 	}
 }
 
-func TestObserveN(t *testing.T) {
-	h, _ := NewHistogram(LinearBins, 0, 10, 2)
-	h.ObserveN(1, 7)
-	if h.Count(0) != 7 || h.Total() != 7 {
-		t.Fatalf("ObserveN: count=%d total=%d", h.Count(0), h.Total())
-	}
-}
-
 // Property: every observation lands in exactly one bucket (total counts
 // always equal observations) for arbitrary values.
 func TestHistogramTotalProperty(t *testing.T) {

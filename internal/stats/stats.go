@@ -105,21 +105,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return quantileSorted(s, q)
 }
 
-// QuantileSorted is Quantile for data the caller has already sorted
-// ascending; it performs no allocation.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	return quantileSorted(sorted, q)
-}
-
 func quantileSorted(s []float64, q float64) float64 {
 	pos := q * float64(len(s)-1)
 	lo := int(math.Floor(pos))

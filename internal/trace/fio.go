@@ -37,11 +37,12 @@ func WriteFIOLog(w io.Writer, t *Trace, device string) error {
 	return EncodeTrace(NewFIOEncoder(w, device), t)
 }
 
-// WriteFIOJob writes the job file that replays the iolog produced by
-// WriteFIOLog.
-func WriteFIOJob(w io.Writer, t *Trace, logPath, device string) error {
+// WriteFIOJob writes the job file that replays the iolog at logPath
+// (produced by WriteFIOLog or the fio encoder); name labels the trace
+// in the file's leading comment.
+func WriteFIOJob(w io.Writer, name, logPath, device string) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "; generated by tracetracker-go for trace %q\n", t.Name)
+	fmt.Fprintf(bw, "; generated by tracetracker-go for trace %q\n", name)
 	fmt.Fprintln(bw, "[replay]")
 	fmt.Fprintf(bw, "filename=%s\n", device)
 	fmt.Fprintf(bw, "read_iolog=%s\n", logPath)

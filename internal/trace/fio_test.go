@@ -83,7 +83,7 @@ func TestFIOLogErrors(t *testing.T) {
 
 func TestWriteFIOJob(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFIOJob(&buf, &Trace{Name: "n"}, "trace.log", "/dev/nvme0n1"); err != nil {
+	if err := WriteFIOJob(&buf, "n", "trace.log", "/dev/nvme0n1"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

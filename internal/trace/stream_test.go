@@ -198,33 +198,6 @@ func TestSPCDecoderMatchesReader(t *testing.T) {
 	}
 }
 
-// TestBlktraceFIOEncodersMatchWriters checks streaming encoders for
-// the two replay output formats against the whole-trace writers.
-func TestBlktraceFIOEncodersMatchWriters(t *testing.T) {
-	orig := streamSample()
-	var whole, streamed bytes.Buffer
-	if err := WriteBlktrace(&whole, orig); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeTrace(NewBlktraceEncoder(&streamed), orig); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(whole.Bytes(), streamed.Bytes()) {
-		t.Fatal("blktrace: streaming encoder diverges")
-	}
-	whole.Reset()
-	streamed.Reset()
-	if err := WriteFIOLog(&whole, orig, "/dev/x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeTrace(NewFIOEncoder(&streamed, "/dev/x"), orig); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(whole.Bytes(), streamed.Bytes()) {
-		t.Fatal("fio: streaming encoder diverges")
-	}
-}
-
 // TestCSVLateHeaderRejected checks a metadata header behind data rows
 // (concatenated files) is an error on both the streaming and the
 // whole-trace path, so they cannot silently diverge.
