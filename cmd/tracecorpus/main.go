@@ -78,7 +78,7 @@ func cmdAdd(store *corpus.Store, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("add", flag.ContinueOnError)
 	format := fs.String("format", "auto", `input format: "auto", "csv", "bin", "msrc", "spc"`)
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
-		"ingest decode workers (digesting pipelines with the parallel parse; <2 = sequential)")
+		"workers for decoding the staged trace (<2 = sequential)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -69,7 +69,7 @@ func main() {
 		"listen address (loopback by default; non-loopback requires -auth-keys or -insecure: job specs name server-side file paths)")
 	jobs := flag.Int("jobs", 2, "concurrent job executors")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"engine workers per job, and decode workers for corpus uploads (<2 = sequential ingest)")
+		"engine workers per job, and workers for decoding a staged corpus upload (<2 = sequential)")
 	minIdleGap := flag.Duration("min-idle-gap", time.Millisecond, "epoch cut threshold")
 	maxShard := flag.Int("max-shard", 0, "max requests per shard (0 = engine default)")
 	dataDir := flag.String("data", "",

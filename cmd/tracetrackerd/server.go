@@ -147,9 +147,8 @@ const (
 type server struct {
 	base engine.Config
 	mux  *http.ServeMux
-	// ingestParallel is the corpus-upload decode worker count, applied
-	// to the store when openData attaches it (uploads are streamed, so
-	// ingest uses the double-buffered parallel decoder).
+	// ingestParallel is the worker count for decoding a staged corpus
+	// upload, applied to the store when openData attaches it.
 	ingestParallel int
 
 	// Observability: every handler runs behind the request-ID/metrics
@@ -1257,9 +1256,10 @@ func (s *server) handleCorpusIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // corpusIngestError classifies an ingest failure onto the error
-// contract. Cap and quota sentinels travel wrapped inside the decode
-// error chain (the reader fails mid-stream), so they are checked
-// before the ErrBadTrace chain they may share.
+// contract. Cap and quota sentinels come from the upload's reader,
+// which fails while the store stages the body; the store reports that
+// wrapped in ErrBadTrace, so they are checked before the chain they
+// share.
 func (s *server) corpusIngestError(w http.ResponseWriter, tenant string, err error) {
 	var mbe *http.MaxBytesError
 	switch {

@@ -10,7 +10,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -66,9 +68,8 @@ func TestIngestSpoolFaultIsStorageError(t *testing.T) {
 	}
 }
 
-// A parallel-ingest store hits the same classification: the fault
-// fires inside the probe/parallel pipeline rather than the sequential
-// decoder.
+// A store with decode workers hits the same classification: the fault
+// fires while the upload is staged, before any decoder exists.
 func TestIngestSpoolFaultParallel(t *testing.T) {
 	s := openStore(t)
 	s.SetParallel(4)
@@ -83,6 +84,43 @@ func TestIngestSpoolFaultParallel(t *testing.T) {
 	}
 	if names := tmpEntries(t, s); len(names) != 0 {
 		t.Fatalf("staging leftovers: %v", names)
+	}
+}
+
+// unstageAtEOF removes the store's staging files when the upload it
+// wraps reaches EOF: whatever Ingest does after the staging copy finds
+// its staged file gone, as if the disk under tmp/ had lost it.
+type unstageAtEOF struct {
+	r io.Reader
+	s *Store
+}
+
+func (u *unstageAtEOF) Read(p []byte) (int, error) {
+	n, err := u.r.Read(p)
+	if err == io.EOF {
+		des, _ := os.ReadDir(u.s.tmpDir())
+		for _, de := range des {
+			os.Remove(filepath.Join(u.s.tmpDir(), de.Name()))
+		}
+	}
+	return n, err
+}
+
+// Losing the staged file between the copy and the decode is the
+// store's disk failing, not a bad trace — even though the failure
+// surfaces from the decoder's side.
+func TestIngestStagedReadFaultIsStorageError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s := openStore(t)
+		s.SetParallel(workers)
+		_, _, err := s.Ingest(&unstageAtEOF{r: bytes.NewReader(bigCSV(t)), s: s}, "csv")
+		var pe *fs.PathError
+		if !errors.As(err, &pe) || errors.Is(err, ErrBadTrace) {
+			t.Fatalf("workers=%d: lost staging file: err %v, want a storage *fs.PathError", workers, err)
+		}
+		if s.Len() != 0 {
+			t.Fatalf("workers=%d: catalogue holds %d entries after a failed ingest", workers, s.Len())
+		}
 	}
 }
 

@@ -1,11 +1,12 @@
 package corpus
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,7 +27,7 @@ import (
 type Store struct {
 	root string
 
-	// parallel is the ingest decode worker count (1 = sequential).
+	// parallel is the worker count for decoding a staged upload.
 	parallel atomic.Int32
 
 	// metrics is the optional instrumentation hook (SetMetrics).
@@ -41,11 +42,9 @@ type Store struct {
 	entries map[string]Entry // guarded by mu
 }
 
-// SetParallel sets the number of decode workers Ingest uses (values
-// below 2 select the sequential path). With workers, ingest runs the
-// double-buffered parallel decoder over the upload tee, so the SHA-256
-// digest and blob spooling (reader side) pipeline with the parse
-// (worker side).
+// SetParallel sets the number of workers Ingest decodes the staged
+// upload with (trace.OpenFileDecoder: values below 2, and stagings
+// under trace.ParallelMinBytes, decode sequentially).
 func (s *Store) SetParallel(n int) {
 	s.parallel.Store(int32(n))
 }
@@ -164,19 +163,10 @@ func (s *Store) Rebuild() error {
 	return s.rebuildLocked()
 }
 
-// countingWriter counts bytes passed through.
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
 // spoolWriter forwards to the blob staging file and remembers the
-// first write error. The spool sits inside the ingest tee, so its
-// failures reach the decoder as read errors and would otherwise be
-// wrapped in ErrBadTrace — blaming the client for a dying disk. The
-// recorded error lets Ingest re-classify them as storage faults.
+// first write error, so a failed upload copy can be told apart: the
+// staging disk dying is a storage fault, the upload's reader failing
+// is the client's.
 type spoolWriter struct {
 	w   io.Writer
 	err error
@@ -190,19 +180,25 @@ func (s *spoolWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// probePool recycles the ParallelMinBytes probe buffer of parallel
-// ingests, so a stream of uploads does not allocate one each.
-var probePool = sync.Pool{New: func() any {
-	b := make([]byte, trace.ParallelMinBytes)
-	return &b
-}}
+// stagedDecodeErr classifies a failure to decode the staged upload: an
+// *fs.PathError is the store's own disk failing to open or read the
+// staging file (a storage fault); anything else is the trace's.
+func stagedDecodeErr(format string, err error) error {
+	var pe *fs.PathError
+	if errors.As(err, &pe) {
+		return fmt.Errorf("corpus: reading staged ingest: %w", err)
+	}
+	return fmt.Errorf("%w: as %s: %w", ErrBadTrace, format, err)
+}
 
-// Ingest streams one trace into the store: the blob is staged to tmp/
-// while a single pass computes the SHA-256 digest and the metadata
-// summary through the format decoder, then lands atomically. format
-// "" or "auto" selects content sniffing. The returned bool is false
-// when the blob was already present (dedup by digest): the existing
-// entry wins and the upload is discarded.
+// Ingest adds one trace to the store. The upload is staged to tmp/
+// while its SHA-256 digest is computed; a blob the store already holds
+// under the same format returns its entry there (dedup by digest: the
+// existing entry wins, the upload is discarded, nothing is decoded, and
+// the returned bool is false). A new blob is decoded from the staged
+// file like any job input for its metadata summary, then lands
+// atomically. format "" or "auto" selects content sniffing, before
+// anything is staged.
 //
 // A trace that fails to decode, or decodes to zero requests, is
 // rejected and nothing is stored — the corpus only holds traces the
@@ -239,94 +235,51 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		}
 	}()
 
+	// Stage every uploaded byte; the digest and size cover exactly what
+	// lands, whatever the decoder later stops at (a counted binary header
+	// ends the decode before trailing bytes).
 	h := sha256.New()
-	cw := &countingWriter{}
 	spool := &spoolWriter{w: s.sinkWriter(faultfs.SinkCorpusObject, tmpf)}
-	// storageErr substitutes the spool's own failure for err: a decode
-	// that died because the staging write died is a storage fault, not
-	// a bad trace.
-	storageErr := func(err error) error {
-		if spool.err != nil {
-			return fmt.Errorf("corpus: spooling ingest: %w", spool.err)
-		}
-		return err
-	}
-	tee := io.TeeReader(r, io.MultiWriter(h, cw, spool))
-	var dec trace.Decoder
-	if workers := int(s.parallel.Load()); workers > 1 {
-		// Probe the first ParallelMinBytes before fanning out: a small
-		// upload that ends inside the probe decodes sequentially from
-		// the buffered prefix, so it never pays the block buffers and
-		// worker goroutines of the parallel pipeline. The probe bytes
-		// pass through the tee either way, so the digest and spooled
-		// blob are unaffected.
-		hp := probePool.Get().(*[]byte)
-		// Deferred ahead of the decoder's Close below, so it runs after
-		// it: nothing reads the probe any more when it is recycled.
-		defer probePool.Put(hp)
-		n, rerr := io.ReadFull(tee, *hp)
-		head := (*hp)[:n]
-		if rerr != nil && rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
-			return Entry{}, false, storageErr(rerr)
-		}
-		if rerr != nil { // whole upload fits in the probe
-			sd, serr := trace.NewDecoder(format, bytes.NewReader(head))
-			if serr != nil {
-				// The format hint came from the caller.
-				return Entry{}, false, fmt.Errorf("%w: %w", ErrBadTrace, serr)
-			}
-			dec = sd
-		} else {
-			// The parallel decoder's coordinator goroutine owns all
-			// reads of its source (the replayed probe, then the tee),
-			// so digesting and spooling run concurrently with the
-			// worker-side parse; after Summarize returns (or Close, on
-			// the error path) the tee is ours again for the trailing
-			// drain.
-			pd, perr := trace.NewStreamParallelDecoder(io.MultiReader(bytes.NewReader(head), tee), format, workers)
-			if perr != nil {
-				if spool.err != nil {
-					return Entry{}, false, storageErr(perr)
-				}
-				return Entry{}, false, fmt.Errorf("%w: %w", ErrBadTrace, perr)
-			}
-			defer pd.Close()
-			dec = pd
-		}
-	} else {
-		sd, serr := trace.NewDecoder(format, tee)
-		if serr != nil {
-			if spool.err != nil {
-				return Entry{}, false, storageErr(serr)
-			}
-			return Entry{}, false, fmt.Errorf("%w: %w", ErrBadTrace, serr)
-		}
-		dec = sd
-	}
-	sum, err := trace.Summarize(dec)
+	size, err := io.Copy(io.MultiWriter(h, spool), r)
 	if err != nil {
 		if spool.err != nil {
-			return Entry{}, false, storageErr(err)
+			return Entry{}, false, fmt.Errorf("corpus: spooling ingest: %w", spool.err)
 		}
-		return Entry{}, false, fmt.Errorf("%w: as %s: %w", ErrBadTrace, format, err)
-	}
-	if sum.Requests == 0 {
-		return Entry{}, false, fmt.Errorf("%w: empty trace", ErrBadTrace)
-	}
-	// Counted binary headers let the decoder stop before EOF; drain the
-	// remainder so the digest and stored blob cover every input byte.
-	if _, err := io.Copy(io.Discard, tee); err != nil {
-		return Entry{}, false, storageErr(err)
+		return Entry{}, false, fmt.Errorf("%w: reading upload: %w", ErrBadTrace, err)
 	}
 	if err := tmpf.Close(); err != nil {
 		return Entry{}, false, err
 	}
-
 	digest := hex.EncodeToString(h.Sum(nil))
+
+	// A re-upload never decodes. Declared as another format than the one
+	// it is stored under, it must still answer for that format, so it
+	// takes the decode like a new blob.
+	s.mu.Lock()
+	existing, held := s.entries[digest]
+	s.mu.Unlock()
+	if held && existing.Format == format {
+		s.metrics.Load().IngestObserve(size, existing.Requests, false)
+		return existing, false, nil
+	}
+
+	dec, _, closeDec, err := trace.OpenFileDecoder(tmpName, format, int(s.parallel.Load()))
+	if err != nil {
+		return Entry{}, false, stagedDecodeErr(format, err)
+	}
+	defer closeDec()
+	sum, err := trace.Summarize(dec)
+	if err != nil {
+		return Entry{}, false, stagedDecodeErr(format, err)
+	}
+	if sum.Requests == 0 {
+		return Entry{}, false, fmt.Errorf("%w: empty trace", ErrBadTrace)
+	}
+
 	entry := Entry{
 		Digest:       digest,
 		Format:       format,
-		Size:         cw.n,
+		Size:         size,
 		Tenant:       tenant,
 		Name:         sum.Meta.Name,
 		Workload:     sum.Meta.Workload,
@@ -340,10 +293,12 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		Ingested:     time.Now().UTC(),
 	}
 
+	// Check again under the lock that also covers the rename: two racing
+	// first uploads of one blob both get here, and the loser dedups.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if existing, ok := s.entries[digest]; ok {
-		s.metrics.Load().IngestObserve(cw.n, int64(sum.Requests), false)
+		s.metrics.Load().IngestObserve(size, int64(sum.Requests), false)
 		return existing, false, nil
 	}
 	if err := os.Rename(tmpName, s.blobPath(digest)); err != nil {
@@ -354,7 +309,7 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		return Entry{}, false, err
 	}
 	s.entries[digest] = entry
-	s.metrics.Load().IngestObserve(cw.n, int64(sum.Requests), true)
+	s.metrics.Load().IngestObserve(size, int64(sum.Requests), true)
 	return entry, true, nil
 }
 

@@ -8,7 +8,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,6 +39,29 @@ func csvBytes(t *testing.T, tr *trace.Trace) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// bigCSV renders a trace past trace.ParallelMinBytes, so its staged
+// file takes the parallel decoder when the store has workers.
+func bigCSV(t *testing.T) []byte {
+	t.Helper()
+	big := &trace.Trace{Name: "corpus-big", Workload: "w", Set: "FIU", TsdevKnown: true}
+	big.Requests = make([]trace.Request, 40_000)
+	for i := range big.Requests {
+		big.Requests[i] = trace.Request{
+			Arrival: time.Duration(i) * 41 * time.Microsecond,
+			Device:  uint32(i % 3),
+			LBA:     uint64(i * 16),
+			Sectors: 8,
+			Op:      trace.Op(i % 2),
+			Latency: time.Duration(80+i%40) * time.Microsecond,
+		}
+	}
+	data := csvBytes(t, big)
+	if len(data) < trace.ParallelMinBytes {
+		t.Fatalf("big fixture only %d bytes; must exceed ParallelMinBytes", len(data))
+	}
+	return data
 }
 
 func openStore(t *testing.T) *Store {
@@ -95,23 +121,38 @@ func TestIngestSummaryAndDigest(t *testing.T) {
 	}
 }
 
-// TestIngestDedup checks identical bytes land once.
+// TestIngestDedup checks identical bytes land once: a re-upload under
+// the stored format (declared or sniffed) returns the original entry
+// from the digest lookup, without a decode; one declared as another
+// format is decoded as that format and answers for it.
 func TestIngestDedup(t *testing.T) {
 	s := openStore(t)
 	data := csvBytes(t, sampleTrace())
-	e1, created1, err := s.Ingest(bytes.NewReader(data), "csv")
+	e1, created1, err := s.IngestAs(bytes.NewReader(data), "csv", "alice")
 	if err != nil || !created1 {
 		t.Fatalf("first: %v created=%v", err, created1)
 	}
-	e2, created2, err := s.Ingest(bytes.NewReader(data), "")
-	if err != nil {
-		t.Fatal(err)
+	for _, format := range []string{"", "auto", "csv"} {
+		// The staged file is gone by the time the upload hits EOF, so a
+		// decode would fail: the answer must come from the digest alone.
+		e2, created2, err := s.IngestAs(&unstageAtEOF{r: bytes.NewReader(data), s: s}, format, "bob")
+		if err != nil {
+			t.Fatalf("re-upload as %q: %v", format, err)
+		}
+		if created2 {
+			t.Fatalf("re-upload as %q reported created", format)
+		}
+		if e2 != e1 {
+			t.Fatalf("re-upload as %q: got %+v, want the original entry %+v", format, e2, e1)
+		}
 	}
-	if created2 {
-		t.Fatal("duplicate ingest reported created")
+	// Same bytes declared as a format they do not decode as: rejected,
+	// and the stored entry stays as it was.
+	if _, _, err := s.IngestAs(bytes.NewReader(data), "bin", "bob"); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("re-upload as bin: err %v, want ErrBadTrace", err)
 	}
-	if e2.Digest != e1.Digest {
-		t.Fatalf("digests diverge: %s vs %s", e1.Digest, e2.Digest)
+	if got, err := s.Resolve(e1.Digest); err != nil || got != e1 {
+		t.Fatalf("entry after conflicting re-upload: %+v, %v", got, err)
 	}
 	if s.Len() != 1 {
 		t.Fatalf("catalogue size: %d", s.Len())
@@ -120,9 +161,70 @@ func TestIngestDedup(t *testing.T) {
 	if len(blobs) != 2 { // blob + sidecar
 		t.Fatalf("objects dir has %d files", len(blobs))
 	}
-	tmps, _ := os.ReadDir(filepath.Join(s.Root(), "tmp"))
-	if len(tmps) != 0 {
-		t.Fatalf("staging leftovers: %d", len(tmps))
+	if names := tmpEntries(t, s); len(names) != 0 {
+		t.Fatalf("staging leftovers: %v", names)
+	}
+}
+
+// TestIngestConcurrentSameBlob races first uploads of one new blob,
+// big enough for the parallel decoder: every racer decodes its own
+// staging, the locked check before the rename lets exactly one land,
+// and the rest answer with its entry.
+func TestIngestConcurrentSameBlob(t *testing.T) {
+	s := openStore(t)
+	s.SetParallel(4)
+	data := bigCSV(t)
+	base := runtime.NumGoroutine()
+
+	const racers = 8
+	var (
+		wg      sync.WaitGroup
+		created atomic.Int32
+		entries [racers]Entry
+		errs    [racers]error
+	)
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var c bool
+			entries[i], c, errs[i] = s.Ingest(bytes.NewReader(data), "csv")
+			if c {
+				created.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("racer %d: %v", i, err)
+		}
+		if entries[i] != entries[0] {
+			t.Fatalf("racer %d answered %+v, racer 0 %+v", i, entries[i], entries[0])
+		}
+	}
+	if n := created.Load(); n != 1 {
+		t.Fatalf("%d racers reported created, want exactly 1", n)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("catalogue size: %d", s.Len())
+	}
+	rc, _, err := s.OpenBlob(entries[0].Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if stored, err := io.ReadAll(rc); err != nil || !bytes.Equal(stored, data) {
+		t.Fatalf("stored blob diverges from the upload (err %v)", err)
+	}
+	if names := tmpEntries(t, s); len(names) != 0 {
+		t.Fatalf("staging leftovers: %v", names)
+	}
+	// Decode workers exit after their final unwind; give them a moment.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), base)
+		}
 	}
 }
 
@@ -381,12 +483,11 @@ func TestGC(t *testing.T) {
 	}
 }
 
-// TestIngestParallelMatchesSequential locks the parallel ingest
-// pipeline: with decode workers enabled, every format (including a
+// TestIngestParallelMatchesSequential locks ingest at any worker
+// count: with decode workers enabled, every format (including a
 // counted binary blob with trailing bytes, which the decoder stops
-// before) must land with the same digest, size and summary as the
-// sequential path — the digest must cover every uploaded byte either
-// way.
+// before) must land with the same digest, size and summary as with
+// none — the digest must cover every uploaded byte either way.
 func TestIngestParallelMatchesSequential(t *testing.T) {
 	tr := sampleTrace()
 	var binBuf bytes.Buffer
@@ -395,25 +496,9 @@ func TestIngestParallelMatchesSequential(t *testing.T) {
 	}
 	binTrailing := append(append([]byte{}, binBuf.Bytes()...), []byte("trailing-bytes-beyond-count")...)
 
-	// A trace past ParallelMinBytes, so ingest actually takes the
-	// stream-parallel pipeline (smaller uploads fall back to decoding
-	// the probe prefix sequentially).
-	big := &trace.Trace{Name: "corpus-big", Workload: "w", Set: "FIU", TsdevKnown: true}
-	big.Requests = make([]trace.Request, 40_000)
-	for i := range big.Requests {
-		big.Requests[i] = trace.Request{
-			Arrival: time.Duration(i) * 41 * time.Microsecond,
-			Device:  uint32(i % 3),
-			LBA:     uint64(i * 16),
-			Sectors: 8,
-			Op:      trace.Op(i % 2),
-			Latency: time.Duration(80+i%40) * time.Microsecond,
-		}
-	}
-	bigCSV := csvBytes(t, big)
-	if len(bigCSV) < trace.ParallelMinBytes {
-		t.Fatalf("big fixture only %d bytes; must exceed ParallelMinBytes", len(bigCSV))
-	}
+	// A trace past ParallelMinBytes, so its staged file is actually
+	// decoded by the parallel decoder (smaller ones decode sequentially).
+	bigCSV := bigCSV(t)
 
 	cases := []struct {
 		name   string
@@ -462,9 +547,9 @@ func TestIngestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestIngestParallelRejects keeps the rejection behaviour intact on
-// the parallel path: undecodable uploads are ErrBadTrace and leave
-// nothing behind.
+// TestIngestParallelRejects keeps the rejection behaviour intact with
+// decode workers enabled: undecodable uploads are ErrBadTrace and
+// leave nothing behind.
 func TestIngestParallelRejects(t *testing.T) {
 	s := openStore(t)
 	s.SetParallel(4)
@@ -504,6 +589,8 @@ func TestStoreMetrics(t *testing.T) {
 	if err != nil || !created {
 		t.Fatalf("first ingest: created=%v err=%v", created, err)
 	}
+	// The dedup answer is not decoded: it reports the upload's bytes and
+	// the stored entry's request count.
 	if _, created, err = s.Ingest(bytes.NewReader(data), "csv"); err != nil || created {
 		t.Fatalf("dedup ingest: created=%v err=%v", created, err)
 	}

@@ -57,12 +57,12 @@ func FuzzDetectFormat(f *testing.F) {
 }
 
 // FuzzSplitSegments is the differential lock on the parallel decode
-// pipeline: for arbitrary bytes, every format, and 1-4 workers, both
-// the file-backed and the streamed parallel decoders must deliver
-// exactly the records the sequential decoder delivers, agree on
-// success vs failure, and agree on the metadata of clean streams. The
-// seeds cover the boundary hazards: CRLF endings, comment runs, late
-// metadata headers, and truncated binary records.
+// pipeline: for arbitrary bytes, every format, and 1-4 workers, the
+// parallel decoder must deliver exactly the records the sequential
+// decoder delivers, agree on success vs failure, and agree on the
+// metadata of clean streams. The seeds cover the boundary hazards:
+// CRLF endings, comment runs, late metadata headers, and truncated
+// binary records.
 func FuzzSplitSegments(f *testing.F) {
 	var csvBuf, binBuf bytes.Buffer
 	_ = WriteCSV(&csvBuf, streamSample())
@@ -91,15 +91,7 @@ func FuzzSplitSegments(f *testing.F) {
 			pd := NewParallelDecoder(bytes.NewReader(data), int64(len(data)), format, w)
 			gotReqs, gotMeta, gotErr := fuzzCollect(pd)
 			pd.Close()
-			fuzzCompare(t, format+"/file", wantReqs, wantMeta, wantErr, gotReqs, gotMeta, gotErr)
-
-			sd, err := NewStreamParallelDecoder(bytes.NewReader(data), format, w)
-			if err != nil {
-				t.Fatalf("%s: stream constructor: %v", format, err)
-			}
-			gotReqs, gotMeta, gotErr = fuzzCollect(sd)
-			sd.Close()
-			fuzzCompare(t, format+"/stream", wantReqs, wantMeta, wantErr, gotReqs, gotMeta, gotErr)
+			fuzzCompare(t, format, wantReqs, wantMeta, wantErr, gotReqs, gotMeta, gotErr)
 		}
 	})
 }

@@ -1,7 +1,7 @@
 package trace
 
 // Locks for the parallel decode pipeline: for every input format and
-// worker count, both parallel decoders must produce exactly the
+// worker count, the parallel decoder must produce exactly the
 // sequential Decoder's request sequence (verified structurally and by
 // re-encoding both sides to identical bytes), stop at the same record
 // on malformed inputs, and stay allocation-free per record in steady
@@ -11,6 +11,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -116,9 +118,12 @@ func encodeCSVBytes(t testing.TB, m Meta, reqs []Request) []byte {
 	return buf.Bytes()
 }
 
-// TestParallelDecodeByteIdentical is the acceptance lock: both
-// parallel decoders, at workers 1/4/8, reproduce the sequential
-// decoder byte-for-byte on every format.
+// TestParallelDecodeByteIdentical is the acceptance lock: the parallel
+// decoder, at workers 1/4/8, reproduces the sequential decoder
+// byte-for-byte on every format — over an in-memory io.ReaderAt
+// ("file") and the way a non-seekable input reaches it ("stream":
+// staged to a file, then OpenFileDecoder, which also picks the
+// sequential decoder for stagings under ParallelMinBytes).
 func TestParallelDecodeByteIdentical(t *testing.T) {
 	for _, v := range parVariants(t, 30_000) {
 		seq, err := NewDecoder(v.format, bytes.NewReader(v.data))
@@ -147,21 +152,28 @@ func TestParallelDecodeByteIdentical(t *testing.T) {
 				}
 			})
 			t.Run(fmt.Sprintf("%s/stream/workers=%d", v.name, workers), func(t *testing.T) {
-				sd, err := NewStreamParallelDecoder(bytes.NewReader(v.data), v.format, workers)
+				staged := filepath.Join(t.TempDir(), "staged")
+				if err := os.WriteFile(staged, v.data, 0o666); err != nil {
+					t.Fatal(err)
+				}
+				dec, format, closeDec, err := OpenFileDecoder(staged, "auto", workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer sd.Close()
-				gotReqs, gotMeta, gotErr := collectSeq(sd)
+				defer closeDec()
+				if format != v.format {
+					t.Fatalf("staged file sniffed as %q, want %q", format, v.format)
+				}
+				gotReqs, gotMeta, gotErr := collectSeq(dec)
 				if gotErr != nil {
-					t.Fatalf("stream parallel decode failed: %v", gotErr)
+					t.Fatalf("staged decode failed: %v", gotErr)
 				}
 				if gotMeta != wantMeta {
 					t.Fatalf("meta mismatch: got %+v want %+v", gotMeta, wantMeta)
 				}
 				got := encodeCSVBytes(t, gotMeta, gotReqs)
 				if !bytes.Equal(got, want) {
-					t.Fatalf("stream parallel output differs from sequential (%d vs %d requests)", len(gotReqs), len(wantReqs))
+					t.Fatalf("staged output differs from sequential (%d vs %d requests)", len(gotReqs), len(wantReqs))
 				}
 			})
 		}
@@ -218,12 +230,9 @@ func TestParallelDecodeBatchPaths(t *testing.T) {
 		}
 	}
 
-	sd, err := NewStreamParallelDecoder(bytes.NewReader(data), "csv", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sd.Close()
-	got = viaRead(sd)
+	pd = NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "csv", 4)
+	defer pd.Close()
+	got = viaRead(pd)
 	if len(got) != tr.Len() {
 		t.Fatalf("ReadBatch path: %d of %d requests", len(got), tr.Len())
 	}
@@ -234,7 +243,7 @@ func TestParallelDecodeBatchPaths(t *testing.T) {
 	}
 }
 
-// TestParallelDecodeErrors locks error behaviour: the parallel paths
+// TestParallelDecodeErrors locks error behaviour: the parallel path
 // must deliver exactly the records the sequential decoder delivers
 // before failing, then fail with exactly the sequential decoder's
 // error text — absolute line numbers included (the merger's
@@ -314,21 +323,6 @@ func TestParallelDecodeErrors(t *testing.T) {
 				if len(gotReqs) != len(wantReqs) {
 					t.Fatalf("parallel delivered %d records before failing, sequential %d", len(gotReqs), len(wantReqs))
 				}
-				sd, err := NewStreamParallelDecoder(bytes.NewReader(tc.data), tc.format, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sd.Close()
-				gotReqs, _, gotErr = collectSeq(sd)
-				if gotErr == nil {
-					t.Fatalf("stream parallel decode succeeded, want error %q", wantErr)
-				}
-				if gotErr.Error() != wantErr.Error() {
-					t.Fatalf("stream parallel error text diverges:\n got %q\nwant %q", gotErr, wantErr)
-				}
-				if len(gotReqs) != len(wantReqs) {
-					t.Fatalf("stream parallel delivered %d records before failing, sequential %d", len(gotReqs), len(wantReqs))
-				}
 			})
 		}
 	}
@@ -364,23 +358,11 @@ func TestParallelDecodeEmptyText(t *testing.T) {
 			if gotMeta != wantMeta {
 				t.Fatalf("meta mismatch: got %+v want %+v", gotMeta, wantMeta)
 			}
-			sd, err := NewStreamParallelDecoder(bytes.NewReader([]byte(tc.data)), tc.format, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sd.Close()
-			gotReqs, gotMeta, gotErr = collectSeq(sd)
-			if gotErr != nil || len(gotReqs) != 0 {
-				t.Fatalf("stream parallel: %d reqs, err %v", len(gotReqs), gotErr)
-			}
-			if gotMeta != wantMeta {
-				t.Fatalf("stream meta mismatch: got %+v want %+v", gotMeta, wantMeta)
-			}
 		})
 	}
 }
 
-// TestParallelDecoderCloseEarly abandons parallel decoders mid-stream;
+// TestParallelDecoderCloseEarly abandons a parallel decoder mid-stream;
 // Close must join every goroutine without deadlocking (the -race run
 // doubles as a leak check for blocked sends).
 func TestParallelDecoderCloseEarly(t *testing.T) {
@@ -398,17 +380,6 @@ func TestParallelDecoderCloseEarly(t *testing.T) {
 		}
 	}
 	pd.Close()
-
-	sd, err := NewStreamParallelDecoder(bytes.NewReader(data), "csv", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := sd.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sd.Close()
 }
 
 // waitGoroutines retries until the runtime goroutine count returns to
@@ -453,11 +424,8 @@ func TestAbandonedDecodeReleasesGoroutines(t *testing.T) {
 		if _, err := Drain(pd); err == nil {
 			t.Fatal("Drain: want a decode error")
 		}
-		sd, err := NewStreamParallelDecoder(bytes.NewReader(data), "csv", 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Summarize(sd); err == nil {
+		pd = NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "csv", 4)
+		if _, err := Summarize(pd); err == nil {
 			t.Fatal("Summarize: want a decode error")
 		}
 		// A reorder wrapper must forward Close to its parallel inner.

@@ -255,13 +255,11 @@ func splitText(ra io.ReaderAt, size int64, format string, workers int) (*segment
 // preludeState walks the leading comment/blank region of a text
 // input, accumulating metadata exactly like the sequential decoders
 // do, and captures the per-stream state (MSRC arrival base, workload)
-// from the first data line. Shared by the file splitter and the
-// stream coordinator so the two parallel paths cannot drift.
+// from the first data line.
 type preludeState struct {
 	format  string
 	ctx     segCtx
 	lineno  int
-	done    bool // first data line seen; ctx is final
 	scratch Trace
 }
 
@@ -295,37 +293,7 @@ func (p *preludeState) feed(raw []byte) (bool, error) {
 		p.ctx.meta.Workload = string(f[1])
 		p.ctx.meta.Name = p.ctx.meta.Workload
 	}
-	p.done = true
 	return true, nil
-}
-
-// advance scans prelude lines inside an in-memory chunk and returns
-// the unconsumed remainder: the data region (starting at the first
-// data line) once found, or the trailing incomplete line to carry into
-// the next chunk.
-func (p *preludeState) advance(data []byte, eof bool) ([]byte, error) {
-	for !p.done {
-		if len(data) == 0 {
-			return nil, nil
-		}
-		i := bytes.IndexByte(data, '\n')
-		if i < 0 && !eof {
-			return data, nil // incomplete line: carry
-		}
-		line, adv := data, len(data)
-		if i >= 0 {
-			line, adv = data[:i], i+1
-		}
-		isData, err := p.feed(line)
-		if err != nil {
-			return nil, err
-		}
-		if isData {
-			return data, nil
-		}
-		data = data[adv:]
-	}
-	return data, nil
 }
 
 // scanPrelude runs the prelude over an io.ReaderAt and returns the
