@@ -405,8 +405,11 @@ func (s *HostSpec) validate() *ValidationError {
 	if s.ReadAheadPages < -1 || s.ReadAheadPages > 1024 {
 		return bad("readahead_pages", "readahead_pages must be in [-1, 1024]")
 	}
-	if s.SyscallOverheadUS < 0 || s.HitLatencyUS < 0 {
-		return bad("syscall_overhead_us", "latencies must be non-negative")
+	if s.SyscallOverheadUS < 0 {
+		return bad("syscall_overhead_us", "syscall_overhead_us must be non-negative")
+	}
+	if s.HitLatencyUS < 0 {
+		return bad("hit_latency_us", "hit_latency_us must be non-negative")
 	}
 	return nil
 }

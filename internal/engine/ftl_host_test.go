@@ -2,6 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -140,6 +144,38 @@ func TestPipelinedFTLByteIdentical(t *testing.T) { pipelinedByteIdentical(t, "ft
 // host-stack target on the epoch-pipelined path.
 func TestPipelinedHostByteIdentical(t *testing.T) { pipelinedByteIdentical(t, "host") }
 
+// TestHostOutputGolden pins the host target's output bytes across
+// commits. Every other identity check compares two runs of the same
+// hoststack code (the engine against core.Reconstruct, the benchmark
+// against the same reference), so none of them can see the model itself
+// drift; the digests are PR 20's, from before the cache's index and
+// flusher were rewritten, and may only move on purpose.
+func TestHostOutputGolden(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "old.bin")
+	if err := os.WriteFile(in, traceBytes(t, genOld(t, "MSNFS", 5000, true)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		spec *HostSpec
+		want string
+	}{
+		{"defaults", nil, "5e66b29c2e6658bb153ee4e207666bb8ab35ab0e0e52791c22ca29513ed47df7"},
+		{"write-through", &HostSpec{WriteThrough: true}, "2854d2e799a8ae100e22231bd53ce5183b2ae9bf1c353f29baf7f3f5b5e312f3"},
+		{"tiny-cache-always-flushing", &HostSpec{CachePages: 256, DirtyHighWater: 0.01, ReadAheadPages: -1}, "3925aee7d85ec90ae8676d2df071809f5ebe0e1571c05c2c4799b3ac40f10cb1"},
+	} {
+		var out bytes.Buffer
+		spec := JobSpec{In: in, InFormat: "bin", OutFormat: "bin", Device: "host", HostConfig: tc.spec}
+		if _, err := RunJobTo(testConfig(2, core.Options{}), spec, &out); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sum := sha256.Sum256(out.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: output digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestPipelinedFTLHostStream checks the streaming variant for both
 // targets: streamed bytes equal a direct whole-trace encode of the
 // sequential reconstruction, and the stream report carries the same
@@ -205,6 +241,8 @@ func TestJobSpecDeviceConfigs(t *testing.T) {
 		{"bad ftl blocks", JobSpec{In: "x", Device: "ftl", FTLConfig: &FTLSpec{Blocks: 4}}, "ftl_config.blocks", "bad_device_config"},
 		{"bad host inner", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{Inner: "ftl"}}, "host_config.device", "bad_device_config"},
 		{"bad host highwater", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{DirtyHighWater: 1.5}}, "host_config.dirty_high_water", "bad_device_config"},
+		{"bad host syscall overhead", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{SyscallOverheadUS: -1}}, "host_config.syscall_overhead_us", "bad_device_config"},
+		{"bad host hit latency", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{HitLatencyUS: -1}}, "host_config.hit_latency_us", "bad_device_config"},
 		{"unknown device", JobSpec{In: "x", Device: "floppy"}, "device", "unknown_device"},
 	}
 	for _, tc := range cases {

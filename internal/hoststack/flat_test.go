@@ -2,8 +2,9 @@ package hoststack
 
 // Tests for what the flat layout adds to the model's contract: index
 // and list consistency under churn, storage that is never shared
-// between a snapshot and its source or recycled while still in use,
-// and an allocation-free steady state.
+// between a snapshot and its source or recycled while still in use, a
+// flush cursor that does not outlive the cache it describes, and an
+// allocation-free steady state.
 
 import (
 	"sync"
@@ -104,6 +105,44 @@ func TestRestoreDoesNotAliasSource(t *testing.T) {
 	c.Restore(snap)
 	fromSnap, _ := run(c, end, suffix[1500:])
 	sameResults(t, "restored from the retained snapshot", fromSnap, want[1500:])
+}
+
+// TestRestoreForgetsFlushCursor restores into a stack whose flusher has
+// already worked its way up another cache's recency list. The cursor it
+// left describes that cache, not the adopted one: kept, it would name an
+// arbitrary slot of the new slab — here the most recent page — and hide
+// every dirty page below it from the flusher.
+func TestRestoreForgetsFlushCursor(t *testing.T) {
+	mk := func() *Stack {
+		cfg := Config{CachePages: 8, PageKB: 4, WriteBack: true, DirtyHighWater: 0.5, FlushBatch: 2, NoBlockLog: true}
+		return New(cfg, device.NewHDD(device.DefaultHDDConfig()))
+	}
+	span := func(op trace.Op, from, to uint64) []trace.Request {
+		var reqs []trace.Request
+		for p := from; p < to; p++ {
+			reqs = append(reqs, trace.Request{LBA: p * 8, Sectors: 8, Op: op})
+		}
+		return reqs
+	}
+	// Eight one-page writes cross the four-page limit twice; the second
+	// flush round stops on slot 3.
+	used := mk()
+	run(used, 0, span(trace.Write, 0, 8))
+	if used.flushFrom == nilSlot {
+		t.Fatalf("fixture left no flush cursor behind")
+	}
+	// Slots 0-3 clean, slots 4-7 dirty and exactly at the limit, then
+	// slot 3 read back to the head: all the writeback debt is below it.
+	src := mk()
+	_, now := run(src, 0, append(append(span(trace.Read, 10, 14), span(trace.Write, 20, 24)...), span(trace.Read, 13, 14)...))
+	used.Restore(src.Snapshot())
+	checkLayout(t, used)
+	fresh := mk()
+	fresh.Restore(src.Snapshot())
+	overLimit := span(trace.Write, 30, 31)
+	got, _ := run(used, now, overLimit)
+	want, _ := run(fresh, now, overLimit)
+	sameResults(t, "flush after a restore over a stale cursor", got, want)
 }
 
 // TestRecyclingChainConcurrent mirrors the engine's stateful graph —

@@ -18,11 +18,14 @@
 // exactly the cache hits, write buffering and readahead modeled here.
 //
 // The page cache is flat, pointer-free storage: a slab of 24-byte
-// slots that carry their own LRU links as slot numbers, and an
-// open-addressed hash index of slot numbers. Steady-state Submit
-// allocates nothing, the garbage collector has nothing to scan, and —
-// because slices, unlike a map, can be copied and adopted wholesale —
-// Snapshot is two copies and Restore none (see stackState).
+// slots that carry their own LRU and index-chain links as slot numbers
+// (and the dirty flag in a spare bit of one), and a hash index of
+// bucket heads whose chains run through the slots. A flush cursor
+// remembers how far up the LRU the flusher has already cleaned, so
+// lookup, insert, evict and flush are all O(1) per page. Steady-state
+// Submit allocates nothing, the garbage collector has nothing to scan,
+// and — because slices, unlike a map, can be copied and adopted
+// wholesale — Snapshot is two copies and Restore none (see stackState).
 package hoststack
 
 import (
@@ -78,17 +81,28 @@ func DefaultConfig() Config {
 	}
 }
 
-// cachePage is one slab slot: a resident page linked into the LRU by
-// slot number, or a free slot chained through next. Field order packs
-// it into 24 bytes; snapshot volume is this times the slots in use.
+// cachePage is one slab slot: a resident page linked into the LRU and
+// into its index bucket's chain by slot number, or a free slot chained
+// through next. The fields fill 24 bytes exactly, so the dirty flag
+// rides in hnext's sign bit; snapshot volume is this times the slots
+// in use.
 type cachePage struct {
 	page       uint64
 	dev        uint32
 	prev, next int32 // toward the MRU and LRU ends; nilSlot terminates
-	dirty      bool
+	hnext      int32 // rest of the bucket's chain as slot+1 (0 ends it) | dirtyBit
 }
 
-// nilSlot terminates the LRU list and the free chain.
+// dirtyBit marks a page that owes a writeback.
+const dirtyBit int32 = -1 << 31
+
+func (pg *cachePage) dirty() bool { return pg.hnext < 0 }
+
+// chain returns the next entry of the page's index bucket.
+func (pg *cachePage) chain() int32 { return pg.hnext &^ dirtyBit }
+
+// nilSlot terminates the LRU list and the free chain, and is the flush
+// cursor's "unknown".
 const nilSlot int32 = -1
 
 // Slab and index start this small and double with residency; they are
@@ -112,6 +126,12 @@ type Stack struct {
 	index            []int32
 	head, tail, free int32
 	resident, dirty  int
+	// flushFrom is the flush cursor: every resident page strictly on the
+	// LRU side of this slot is clean, so the flusher starts here instead
+	// of at tail (nilSlot: unknown, start at tail). It stays true because
+	// a page only ever becomes dirty at the head of the list. Derived
+	// state: a snapshot does not carry it.
+	flushFrom int32
 
 	log *trace.Trace
 
@@ -161,7 +181,7 @@ func (s *Stack) Reset() {
 		s.index = make([]int32, minIndex)
 	}
 	clear(s.index)
-	s.head, s.tail, s.free = nilSlot, nilSlot, nilSlot
+	s.head, s.tail, s.free, s.flushFrom = nilSlot, nilSlot, nilSlot, nilSlot
 	s.resident, s.dirty = 0, 0
 	s.log = &trace.Trace{Name: "blocktrace", TsdevKnown: true}
 	s.hits, s.misses, s.flushed = 0, 0, 0
@@ -263,8 +283,8 @@ func (s *Stack) touch(dev uint32, page uint64, dirty bool) bool {
 		s.unlink(slot)
 		s.pushFront(slot)
 	}
-	if pg := &s.slab[slot]; dirty && !pg.dirty {
-		pg.dirty = true
+	if pg := &s.slab[slot]; dirty && !pg.dirty() {
+		pg.hnext |= dirtyBit
 		s.dirty++
 	}
 	return true
@@ -294,11 +314,12 @@ func (s *Stack) install(dev uint32, page uint64, dirty bool, now time.Duration) 
 	if 2*(s.resident+1) > len(s.index) {
 		s.growIndex()
 	}
-	s.slab[slot] = cachePage{page: page, dev: dev, dirty: dirty}
+	s.slab[slot] = cachePage{page: page, dev: dev}
 	s.pushFront(slot)
 	s.indexAdd(slot)
 	s.resident++
 	if dirty {
+		s.slab[slot].hnext |= dirtyBit
 		s.dirty++
 	}
 }
@@ -309,7 +330,7 @@ func (s *Stack) install(dev uint32, page uint64, dirty bool, now time.Duration) 
 //tracelint:hotpath
 func (s *Stack) evict(now time.Duration) {
 	slot := s.tail
-	if pg := &s.slab[slot]; pg.dirty {
+	if pg := &s.slab[slot]; pg.dirty() {
 		s.issue(now, pg.dev, pg.page, pg.page, trace.Write)
 		s.flushed++
 		s.dirty--
@@ -321,11 +342,15 @@ func (s *Stack) evict(now time.Duration) {
 	s.resident--
 }
 
-// unlink takes a resident slot out of the LRU list.
+// unlink takes a resident slot out of the LRU list, stepping the flush
+// cursor toward the MRU end when it stood on that slot.
 //
 //tracelint:hotpath
 func (s *Stack) unlink(slot int32) {
 	pg := &s.slab[slot]
+	if s.flushFrom == slot {
+		s.flushFrom = pg.prev
+	}
 	if pg.prev == nilSlot {
 		s.head = pg.next
 	} else {
@@ -352,9 +377,9 @@ func (s *Stack) pushFront(slot int32) {
 	s.head = slot
 }
 
-// home is the index position a key probes from. len(index) is a power
-// of two; the multiplicative hash spreads the sequential page runs that
-// readahead and streaming I/O produce, which linear probing needs.
+// home is the index bucket a key hangs from. len(index) is a power of
+// two; the multiplicative hash spreads the sequential page runs that
+// readahead and streaming I/O produce over distinct buckets.
 //
 //tracelint:hotpath
 func (s *Stack) home(dev uint32, page uint64) uint32 {
@@ -363,57 +388,44 @@ func (s *Stack) home(dev uint32, page uint64) uint32 {
 }
 
 // find returns the slot holding a page, nilSlot when not resident.
-// Index entries are slot+1 so the zero value is an empty position; the
-// load factor never exceeds 1/2, so a probe always ends.
+// Index entries and chain links are slot+1 so the zero value is an
+// empty bucket or the end of a chain; with at least two buckets per
+// resident page a chain is rarely longer than one.
 //
 //tracelint:hotpath
 func (s *Stack) find(dev uint32, page uint64) int32 {
-	mask := uint32(len(s.index) - 1)
-	for i := s.home(dev, page); ; i = (i + 1) & mask {
-		e := s.index[i]
-		if e == 0 {
-			return nilSlot
-		}
-		if pg := &s.slab[e-1]; pg.page == page && pg.dev == dev {
+	for e := s.index[s.home(dev, page)]; e != 0; {
+		pg := &s.slab[e-1]
+		if pg.page == page && pg.dev == dev {
 			return e - 1
 		}
+		e = pg.chain()
 	}
+	return nilSlot
 }
 
-// indexAdd enters a slot whose key is not indexed yet.
+// indexAdd pushes a slot whose key is not indexed yet onto its bucket.
 //
 //tracelint:hotpath
 func (s *Stack) indexAdd(slot int32) {
-	mask := uint32(len(s.index) - 1)
 	pg := &s.slab[slot]
-	i := s.home(pg.dev, pg.page)
-	for s.index[i] != 0 {
-		i = (i + 1) & mask
-	}
-	s.index[i] = slot + 1
+	b := s.home(pg.dev, pg.page)
+	pg.hnext = pg.hnext&dirtyBit | s.index[b]
+	s.index[b] = slot + 1
 }
 
-// indexRemove deletes an indexed slot by backward shift: each later
-// entry of the probe run moves into the hole unless that would put it
-// before its home, so no tombstones accumulate under eviction churn.
+// indexRemove unlinks an indexed slot from its bucket's chain. link is
+// the word that names the slot: the bucket head, or the hnext of the
+// page chained before it, whose own dirty flag stays put.
 //
 //tracelint:hotpath
 func (s *Stack) indexRemove(slot int32) {
-	mask := uint32(len(s.index) - 1)
 	pg := &s.slab[slot]
-	hole := s.home(pg.dev, pg.page)
-	for s.index[hole] != slot+1 {
-		hole = (hole + 1) & mask
+	link := &s.index[s.home(pg.dev, pg.page)]
+	for *link&^dirtyBit != slot+1 {
+		link = &s.slab[*link&^dirtyBit-1].hnext
 	}
-	for i := (hole + 1) & mask; s.index[i] != 0; i = (i + 1) & mask {
-		pg := &s.slab[s.index[i]-1]
-		// Movable when the hole lies cyclically within [home, i).
-		if (i-s.home(pg.dev, pg.page))&mask >= (i-hole)&mask {
-			s.index[hole] = s.index[i]
-			hole = i
-		}
-	}
-	s.index[hole] = 0
+	*link = *link&dirtyBit | pg.chain()
 }
 
 // growSlab doubles the slab, up to the configured capacity.
@@ -427,7 +439,7 @@ func (s *Stack) growSlab() {
 	s.slab = slab
 }
 
-// growIndex doubles the index and re-enters every resident page.
+// growIndex doubles the index and re-chains every resident page.
 func (s *Stack) growIndex() {
 	s.index = make([]int32, 2*len(s.index))
 	for slot := s.head; slot != nilSlot; slot = s.slab[slot].next {
@@ -435,16 +447,23 @@ func (s *Stack) growIndex() {
 	}
 }
 
-// maybeFlush writes back batches while the dirty count exceeds the
-// high-water mark; returns the synchronous stall incurred.
+// maybeFlush writes back batches, oldest page first, while the dirty
+// count exceeds the high-water mark; returns the synchronous stall
+// incurred. Each batch resumes at the flush cursor and leaves it on the
+// last slot it examined.
 //
 //tracelint:hotpath
 func (s *Stack) maybeFlush(now time.Duration) time.Duration {
 	var stall time.Duration
 	for s.dirty > s.dirtyLimit {
+		slot := s.flushFrom
+		if slot == nilSlot {
+			slot = s.tail
+		}
 		flushedInBatch := 0
-		for slot := s.tail; slot != nilSlot && flushedInBatch < s.cfg.FlushBatch; slot = s.slab[slot].prev {
-			if !s.slab[slot].dirty {
+		for ; slot != nilSlot && flushedInBatch < s.cfg.FlushBatch; slot = s.slab[slot].prev {
+			s.flushFrom = slot
+			if !s.slab[slot].dirty() {
 				continue
 			}
 			stall += s.writeBack(now+stall, slot)
@@ -461,7 +480,7 @@ func (s *Stack) maybeFlush(now time.Duration) time.Duration {
 func (s *Stack) Flush(at time.Duration) time.Duration {
 	var stall time.Duration
 	for slot := s.tail; slot != nilSlot; slot = s.slab[slot].prev {
-		if s.slab[slot].dirty {
+		if s.slab[slot].dirty() {
 			stall += s.writeBack(at+stall, slot)
 		}
 	}
@@ -475,7 +494,7 @@ func (s *Stack) Flush(at time.Duration) time.Duration {
 func (s *Stack) writeBack(at time.Duration, slot int32) time.Duration {
 	pg := &s.slab[slot]
 	res := s.issue(at, pg.dev, pg.page, pg.page, trace.Write)
-	pg.dirty = false
+	pg.hnext &^= dirtyBit
 	s.dirty--
 	s.flushed++
 	return res.Complete - at
@@ -514,10 +533,16 @@ func (s *Stack) issue(at time.Duration, dev uint32, firstPage, lastPage uint64, 
 // MRU and LRU ends of the recency list threaded through the slots'
 // prev/next, free heads the chain of evicted slots (linked by next),
 // and resident and dirty count the listed pages and their writeback
-// debt. index is the open-addressed (linear probing, power-of-two,
-// load <= 1/2) table from (dev, page) to slot+1. Because nothing in it
-// is a pointer, Snapshot is a copy of each slice and Restore adopts
-// them as the device's own.
+// debt. index is the power-of-two table of bucket heads (slot+1, at
+// least two buckets per resident page) from a hash of (dev, page); the
+// pages of a bucket are chained through the slots' hnext, whose sign
+// bit is the page's dirty flag. Because nothing in it is a pointer,
+// Snapshot is a copy of each slice and Restore adopts them as the
+// device's own.
+//
+// The flush cursor is not part of the state: it only records work the
+// flusher need not repeat, so Restore forgets it on purpose and the
+// first flush after a hop scans up from the tail once.
 //
 // The block-layer log is deliberately not part of the snapshot: it is
 // a diagnostic of a serially-driven stack, disabled via
@@ -593,7 +618,7 @@ func (s *Stack) Restore(v device.State) {
 	st := v.(stackState)
 	storagePool.Put(&cacheStorage{slab: s.slab, index: s.index})
 	s.slab, s.index = st.slab, st.index
-	s.head, s.tail, s.free = st.head, st.tail, st.free
+	s.head, s.tail, s.free, s.flushFrom = st.head, st.tail, st.free, nilSlot
 	s.resident, s.dirty = st.resident, st.dirty
 	s.hits, s.misses, s.flushed = st.hits, st.misses, st.flushed
 	s.inner.(device.Stateful).Restore(st.inner)

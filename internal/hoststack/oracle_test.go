@@ -7,7 +7,8 @@ package hoststack
 // same device.Result stream and the same counters. adversary decodes
 // an arbitrary byte string into a config and an op sequence (with
 // snapshot → Restore-into-a-fresh-stack hops on both sides) so the
-// same driver serves the seeded property test and FuzzStackVsOracle.
+// same driver serves the seeded property test and FuzzStackVsOracle;
+// checkLayout audits the flat structures every 256 ops on the way.
 
 import (
 	"container/list"
@@ -277,6 +278,9 @@ func adversary(t testing.TB, data []byte) (*Stack, int) {
 		if s.resident > cfg.CachePages || s.resident != len(o.pages) {
 			t.Fatalf("op %d: %d pages resident, oracle holds %d, capacity %d", i, s.resident, len(o.pages), cfg.CachePages)
 		}
+		if i%256 == 255 {
+			checkLayout(t, s)
+		}
 	}
 	checkCounters := func(when string) {
 		t.Helper()
@@ -319,11 +323,16 @@ func lruKeys(s *Stack) []oracleKey {
 // checkLayout asserts the flat cache's structural invariants: the
 // recency list is a consistent doubly-linked chain of exactly resident
 // slots, every listed key resolves through the index to its own slot,
-// the index holds nothing else, and listed plus free slots account for
-// the whole slab.
+// the dirty flags add up to the dirty counter, every page on the LRU
+// side of the flush cursor is clean, listed plus free slots account for
+// the whole slab, and the index's bucket chains are acyclic, hold
+// exactly the listed slots — no free one — each under the bucket its key
+// hashes to.
 func checkLayout(t testing.TB, s *Stack) {
 	t.Helper()
-	listed, prev := 0, nilSlot
+	listed, dirty, prev := 0, 0, nilSlot
+	onList := make([]bool, len(s.slab))
+	pastCursor := false // walking MRU to LRU: the cursor's slot is behind us
 	for slot := s.head; slot != nilSlot; prev, slot = slot, s.slab[slot].next {
 		pg := s.slab[slot]
 		if pg.prev != prev {
@@ -335,6 +344,20 @@ func checkLayout(t testing.TB, s *Stack) {
 		if listed++; listed > len(s.slab) {
 			t.Fatalf("recency list cycles")
 		}
+		onList[slot] = true
+		if pg.dirty() {
+			dirty++
+			if pastCursor {
+				t.Fatalf("slot %d is dirty on the LRU side of the flush cursor (slot %d)", slot, s.flushFrom)
+			}
+		}
+		pastCursor = pastCursor || slot == s.flushFrom
+	}
+	if s.flushFrom != nilSlot && !pastCursor {
+		t.Fatalf("flush cursor %d is not on the recency list", s.flushFrom)
+	}
+	if dirty != s.dirty {
+		t.Fatalf("%d listed pages are dirty, dirty = %d", dirty, s.dirty)
 	}
 	if s.tail != prev {
 		t.Fatalf("tail = %d, list ends at %d", s.tail, prev)
@@ -352,9 +375,18 @@ func checkLayout(t testing.TB, s *Stack) {
 		t.Fatalf("%d listed + %d free slots != slab of %d", listed, free, len(s.slab))
 	}
 	indexed := 0
-	for _, e := range s.index {
-		if e != 0 {
-			indexed++
+	for b, e := range s.index {
+		for ; e != 0; e = s.slab[e-1].chain() {
+			pg := s.slab[e-1]
+			if !onList[e-1] {
+				t.Fatalf("bucket %d reaches slot %d, which is not on the recency list", b, e-1)
+			}
+			if home := s.home(pg.dev, pg.page); int(home) != b {
+				t.Fatalf("slot %d (%d,%d) hangs from bucket %d, hashes to %d", e-1, pg.dev, pg.page, b, home)
+			}
+			if indexed++; indexed > listed {
+				t.Fatalf("index chains hold more than the %d resident pages: a cycle or a slot chained twice", listed)
+			}
 		}
 	}
 	if indexed != listed || 2*indexed > len(s.index) || len(s.index)&(len(s.index)-1) != 0 {
@@ -392,7 +424,11 @@ func TestStackVsOracle(t *testing.T) {
 
 // FuzzStackVsOracle exposes the same driver to the fuzzer; the seed
 // corpus under testdata/fuzz covers one-page and 300-page caches,
-// write-through, both inner devices and spans wider than the cache.
+// write-through, both inner devices and spans wider than the cache,
+// and the flush cursor's edges: a dirty limit so low that every write
+// flushes while the next ones re-dirty pages the flusher has passed,
+// one- and two-page caches where the cursor's slot is the eviction
+// victim, and hops taken straight after a flush round.
 func FuzzStackVsOracle(f *testing.F) {
 	f.Add(adversaryBytes(99, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
