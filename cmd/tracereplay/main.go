@@ -8,9 +8,11 @@
 //
 //	tracereplay -in new.csv -device new
 //	tracereplay -in old.csv -device old -mode paced
+//	tracereplay -in old.bin -informat auto -device ftl -mode closed
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -18,37 +20,54 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/engine"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
 
 func main() {
-	in := flag.String("in", "", "input trace path (default stdin)")
-	informat := flag.String("informat", "csv", `input format: "csv", "bin", "msrc", "spc"`)
-	devName := flag.String("device", "new", `device: "old" (HDD), "new" (flash array), "ssd" (single SSD), "null"`)
-	mode := flag.String("mode", "paced", `replay mode: "paced" (issue at trace arrivals) or "closed" (issue on completion)`)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "tracereplay: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	tr, err := readTrace(*in, *informat)
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tracereplay", flag.ContinueOnError)
+	in := fs.String("in", "", "input trace path (default stdin)")
+	informat := fs.String("informat", "csv", `input format: "csv", "bin", "msrc", "spc", or "auto" (content sniffing)`)
+	devName := fs.String("device", "new",
+		`device: any reconstruction target — "new"/"array", "ssd", "old"/"hdd", "ftl", "host"/"hoststack" — or "null"`)
+	mode := fs.String("mode", "paced", `replay mode: "paced" (issue at trace arrivals) or "closed" (issue on completion)`)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	if *in != "" {
+		f, err := os.Open(*in)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		stdin = f
+	}
+	tr, err := trace.ReadAuto(*informat, stdin)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := tr.Validate(); err != nil {
-		fatal(fmt.Errorf("input: %w", err))
+		return fmt.Errorf("input: %w", err)
 	}
 
-	var inner device.Device
-	switch *devName {
-	case "old":
-		inner = device.NewHDD(device.DefaultHDDConfig())
-	case "new":
-		inner = device.NewArray(device.DefaultArrayConfig())
-	case "ssd":
-		inner = device.NewSSD(device.DefaultSSDConfig())
-	case "null":
-		inner = &device.Null{}
-	default:
-		fatal(fmt.Errorf("unknown device %q", *devName))
+	// The engine's registry names the devices; "null" is the one local
+	// addition (it is no reconstruction target).
+	var inner device.Device = &device.Null{}
+	if *devName != "null" {
+		mk, err := engine.DeviceFactory(*devName)
+		if err != nil {
+			return err
+		}
+		inner = mk()
 	}
 	dev := device.NewInstrumented(inner)
 
@@ -67,7 +86,7 @@ func main() {
 			now = res.Complete
 		}
 	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
 	wall := time.Since(start)
 
@@ -89,34 +108,6 @@ func main() {
 		t.AddRow("offered bandwidth GB/s", fmt.Sprintf("%.3f", gbps))
 	}
 	t.AddRow("simulation wall time", wall.Round(time.Millisecond))
-	t.Render(os.Stdout)
-}
-
-func readTrace(path, format string) (*trace.Trace, error) {
-	var r io.Reader = os.Stdin
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	switch format {
-	case "csv":
-		return trace.ReadCSV(r)
-	case "bin":
-		return trace.ReadBinary(r)
-	case "msrc":
-		return trace.ReadMSRC(r)
-	case "spc":
-		return trace.ReadSPC(r)
-	default:
-		return nil, fmt.Errorf("unknown input format %q", format)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "tracereplay: %v\n", err)
-	os.Exit(1)
+	t.Render(stdout)
+	return nil
 }

@@ -58,7 +58,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs.Float64Var(&spec.Factor, "factor", 0, "acceleration factor (0 = the paper's)")
 	threshold := fs.Duration("threshold", 0, "fixed-th idle threshold (0 = the paper's tuned value)")
 	fs.IntVar(&spec.Parallel, "parallel", 0,
-		"engine workers for the tracetracker/dynamic methods (0 = GOMAXPROCS; output stays byte-identical)")
+		"engine workers (0 = GOMAXPROCS; output stays byte-identical)")
 	fs.IntVar(&spec.ReorderWindow, "reorder-window", 0,
 		"arrival-sort window for near-sorted corpora (0 = auto per format)")
 	showReport := fs.Bool("report", false, "print the reconstruction report to stderr")

@@ -292,6 +292,9 @@ func TestCLINeverClobbersOutput(t *testing.T) {
 		{"unknown informat", []string{"-in", good, "-informat", "bogus"}},
 		{"unknown method", []string{"-in", good, "-method", "bogus"}},
 		{"unknown device", []string{"-in", good, "-device", "floppy"}},
+		{"negative factor", []string{"-in", good, "-method", "acceleration", "-factor", "-3"}},
+		{"NaN factor", []string{"-in", good, "-method", "acceleration", "-factor", "NaN"}},
+		{"negative threshold", []string{"-in", good, "-method", "fixed-th", "-threshold", "-1ms"}},
 		{"unreadable input", []string{"-in", filepath.Join(dir, "missing.csv")}},
 		{"unsniffable input", []string{"-in", empty, "-informat", "auto"}},
 		{"empty input", []string{"-in", empty}},

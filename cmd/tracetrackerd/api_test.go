@@ -180,6 +180,8 @@ func TestErrorEnvelopes(t *testing.T) {
 		{"config mismatch", "POST", "/v1/jobs", `{"in":"x","device":"array","ftl_config":{"blocks":128}}`, 400, "config_mismatch", "ftl_config"},
 		{"bad ftl knob", "POST", "/v1/jobs", `{"in":"x","device":"ftl","ftl_config":{"blocks":4}}`, 400, "bad_device_config", "ftl_config.blocks"},
 		{"bad host knob", "POST", "/v1/jobs", `{"in":"x","device":"host","host_config":{"dirty_high_water":2}}`, 400, "bad_device_config", "host_config.dirty_high_water"},
+		{"bad factor", "POST", "/v1/jobs", `{"in":"x","method":"acceleration","factor":-3}`, 400, "bad_spec", "factor"},
+		{"bad threshold", "POST", "/v1/jobs", `{"in":"x","method":"fixed-th","threshold_us":-10}`, 400, "bad_spec", "threshold_us"},
 		{"unknown corpus input", "POST", "/v1/jobs", `{"in":"corpus:ffffffffffff"}`, 404, "unknown_trace", ""},
 		{"unknown job status", "GET", "/v1/jobs/job-999999", "", 404, "unknown_job", "job-999999"},
 		{"unknown job result", "GET", "/v1/jobs/job-999999/result", "", 404, "unknown_job", ""},

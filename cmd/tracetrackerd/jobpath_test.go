@@ -58,7 +58,8 @@ func reportOfCore(rep *core.Report, requests int) jobReport {
 // TestDaemonIdentityTable runs every device × output format × engine
 // method as a corpus job, plus the three baselines as path jobs, and
 // holds the served bytes to the sequential reference encoded with
-// trace.EncodeTrace and the job report to the sequential report.
+// trace.EncodeTrace and the job report to the sequential report (the
+// baselines': to their idle rule).
 func TestDaemonIdentityTable(t *testing.T) {
 	dir := t.TempDir()
 	inPath, _ := writeInput(t, dir)
@@ -134,26 +135,52 @@ func TestDaemonIdentityTable(t *testing.T) {
 		}
 	}
 
-	// The baselines: in memory and sequential, but through the same sink
-	// (here the spool file of a path job without an out).
+	// The baselines: the same job path and sink (here the spool file of
+	// a path job without an out); fixed-th and revision return the
+	// graph's report under their own idle rule.
 	old := decodeCSV(t, raw)
 	mkArray, _ := engine.DeviceFactory("array")
-	baselines := map[string]*trace.Trace{
-		"fixed-th":     baseline.FixedTh(old, mkArray(), baseline.DefaultFixedThreshold),
-		"revision":     baseline.Revision(old, mkArray()),
-		"acceleration": baseline.Acceleration(old, baseline.DefaultAccelerationFactor),
-	}
-	for method, want := range baselines {
-		id := postJob(t, ts, engine.JobSpec{In: inPath, Method: method, OutFormat: "bin"})
+	mkFTL, _ := engine.DeviceFactory("ftl")
+	for _, tc := range []struct {
+		spec engine.JobSpec
+		want *trace.Trace
+	}{
+		{engine.JobSpec{Method: "fixed-th"}, baseline.FixedTh(old, mkArray(), baseline.DefaultFixedThreshold)},
+		{engine.JobSpec{Method: "revision"}, baseline.Revision(old, mkArray())},
+		{engine.JobSpec{Method: "revision", Device: "ftl"}, baseline.Revision(old, mkFTL())},
+		{engine.JobSpec{Method: "acceleration"}, baseline.Acceleration(old, baseline.DefaultAccelerationFactor)},
+	} {
+		label := tc.spec.Method + "/" + tc.spec.Device
+		tc.spec.In, tc.spec.OutFormat = inPath, "bin"
+		id := postJob(t, ts, tc.spec)
 		j := waitDone(t, ts, id)
-		if got := getBody(t, ts.URL+j.ResultURL); !bytes.Equal(got, encodeAs(t, "bin", want)) {
-			t.Fatalf("%s: served bytes diverge from the baseline reference", method)
+		if got := getBody(t, ts.URL+j.ResultURL); !bytes.Equal(got, encodeAs(t, "bin", tc.want)) {
+			t.Fatalf("%s: served bytes diverge from the baseline reference", label)
 		}
-		if j.Report != nil {
-			t.Fatalf("%s: a baseline job carries no engine report, got %+v", method, j.Report)
+		switch rep := j.Report; {
+		case tc.spec.Method == "acceleration":
+			if rep != nil {
+				t.Fatalf("%s: acceleration runs no graph, got report %+v", label, rep)
+			}
+		case rep == nil:
+			t.Fatalf("%s: no report", label)
+		default:
+			if rep.Requests != int64(old.Len()) || rep.AsyncCount != 0 || rep.BetaMicros != 0 || rep.EtaMicros != 0 {
+				t.Fatalf("%s: report %+v, want %d requests, nothing asynchronous, no model", label, rep, old.Len())
+			}
+			if (tc.spec.Method == "revision") != (rep.IdleCount == 0) {
+				t.Fatalf("%s: %d idles; revision finds none, this input has gaps above fixed-th's threshold", label, rep.IdleCount)
+			}
+			waf := false
+			for _, st := range rep.DeviceStats {
+				waf = waf || st.Name == "waf"
+			}
+			if waf != (tc.spec.Device == "ftl") {
+				t.Fatalf("%s: device_stats %+v, want waf exactly on ftl", label, rep.DeviceStats)
+			}
 		}
 		if want := filepath.Join(srv.store.Root(), "spool", id); j.OutPath != want {
-			t.Fatalf("%s: result at %q, want the spool file %q", method, j.OutPath, want)
+			t.Fatalf("%s: result at %q, want the spool file %q", label, j.OutPath, want)
 		}
 	}
 }

@@ -296,8 +296,12 @@ func TestJournalTornTailReplay(t *testing.T) {
 	fi.FailShort(faultfs.SinkJournal, 10, syscall.ENOSPC)
 	id2 := postJob(t, ts, engine.JobSpec{In: "corpus:" + digest, Device: "ssd"})
 	waitDone(t, ts, id2) // the daemon serves on despite the journal fault
-	if hits := fi.Hits(faultfs.SinkJournal); hits < 2 {
-		t.Fatalf("journal fault hits = %d, want >= 2 (submit + finish)", hits)
+	// The worker appends the finish record after it publishes the job's
+	// state, so "done" can be visible a moment before the second hit.
+	for deadline := time.Now().Add(5 * time.Second); fi.Hits(faultfs.SinkJournal) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("journal fault hits = %d, want >= 2 (submit + finish)", fi.Hits(faultfs.SinkJournal))
+		}
 	}
 
 	// Crash without the clean-shutdown compaction, leaving the torn

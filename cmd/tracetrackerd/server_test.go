@@ -196,17 +196,25 @@ func TestJobValidationAndErrors(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Invalid spec.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"method":"nope","in":"x"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad method: status %d", resp.StatusCode)
+	// Invalid specs: an unknown method, and baseline knobs that are not
+	// finite numbers above zero (a threshold must also fit a duration).
+	for _, spec := range []string{
+		`{"method":"nope","in":"x"}`,
+		`{"method":"acceleration","factor":-3,"in":"x"}`,
+		`{"method":"fixed-th","threshold_us":-10,"in":"x"}`,
+		`{"method":"fixed-th","threshold_us":1e16,"in":"x"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d", spec, resp.StatusCode)
+		}
 	}
 	// Unknown job.
-	resp, err = http.Get(ts.URL + "/v1/jobs/job-999")
+	resp, err := http.Get(ts.URL + "/v1/jobs/job-999")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,11 @@
 //     idle (the paper selects 10 ms).
 //   - Dynamic: TraceTracker's inference-driven emulation without the
 //     asynchronous post-processing pass.
+//
+// These are the reference implementations — whole trace in memory, one
+// core — that the identity tests and package experiments compare
+// against; jobs compute the same bytes on the engine's stage graph (see
+// the method table in package engine).
 package baseline
 
 import (

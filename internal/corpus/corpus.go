@@ -10,14 +10,11 @@
 //	objects/<sha256>.json   sidecar: format + one-pass summary (Entry)
 //	results/<key>           cached reconstruction output
 //	results/<key>.json      sidecar: input digest + caller note (ResultMeta)
-//	index.json              catalogue export as of the last Open/Rebuild/GC
 //	tmp/                    staging for atomic writes
 //
 // Every write lands via tmp/ + rename, so a crashed ingest or cache
 // fill never leaves a partial object visible. The sidecars are the
-// source of truth: Open always rebuilds the catalogue from them and
-// rewrites index.json, which is only a convenience export — nothing
-// reads it back, and ingests between rebuilds do not update it.
+// source of truth: Open always rebuilds the catalogue from them.
 package corpus
 
 import (

@@ -73,10 +73,8 @@ func (s *Store) sinkWriter(sink string, w io.Writer) io.Writer {
 
 // Open opens (creating if needed) the store rooted at root. The
 // catalogue is always rebuilt from the object sidecars — the source of
-// truth — so a stale, clobbered or missing index.json (for example
-// after two processes ingested into the same root) can never hide
-// traces that are on disk. index.json is rewritten as a side effect of
-// the rebuild (here, Rebuild and GC); an ingest does not touch it.
+// truth — so traces another process ingested into the same root are
+// never hidden.
 func Open(root string) (*Store, error) {
 	s := &Store{root: root, entries: make(map[string]Entry)}
 	for _, d := range []string{root, s.objectsDir(), s.resultsDir(), s.tmpDir()} {
@@ -96,7 +94,6 @@ func (s *Store) Root() string { return s.root }
 func (s *Store) objectsDir() string { return filepath.Join(s.root, "objects") }
 func (s *Store) resultsDir() string { return filepath.Join(s.root, "results") }
 func (s *Store) tmpDir() string     { return filepath.Join(s.root, "tmp") }
-func (s *Store) indexPath() string  { return filepath.Join(s.root, "index.json") }
 
 func (s *Store) blobPath(digest string) string {
 	return filepath.Join(s.objectsDir(), digest)
@@ -105,27 +102,9 @@ func (s *Store) sidecarPath(digest string) string {
 	return s.blobPath(digest) + ".json"
 }
 
-// index is the serialized catalogue.
-type index struct {
-	Version int              `json:"version"`
-	Entries map[string]Entry `json:"entries"`
-}
-
-// writeIndexLocked rewrites index.json from the catalogue; the caller
-// holds s.mu. The index is a convenience export (one file to read the
-// whole catalogue as of the last Open, Rebuild or GC) that nothing in
-// the store reads back; the sidecars stay authoritative. Ingest leaves
-// it alone — re-serialising the catalogue per upload made ingest
-// linear in store size.
-//
-//tracelint:holds mu
-func (s *Store) writeIndexLocked() error {
-	return writeJSONAtomic(s.tmpDir(), s.indexPath(), index{Version: 1, Entries: s.entries})
-}
-
 // rebuildLocked reconstructs the catalogue from the object sidecars
-// (the source of truth) and rewrites index.json. Sidecars without a
-// blob are skipped; blobs without a sidecar are left for GC.
+// (the source of truth). Sidecars without a blob are skipped; blobs
+// without a sidecar are left for GC.
 //
 //tracelint:holds mu
 func (s *Store) rebuildLocked() error {
@@ -152,11 +131,16 @@ func (s *Store) rebuildLocked() error {
 		entries[digest] = e
 	}
 	s.entries = entries
-	return s.writeIndexLocked()
+	// Stores written by earlier versions hold an index.json export that
+	// nothing reads or refreshes any more: drop it rather than leave it
+	// going stale (on any other store the file is absent and this fails,
+	// harmlessly).
+	os.Remove(filepath.Join(s.root, "index.json"))
+	return nil
 }
 
-// Rebuild re-derives the catalogue from the sidecars on disk —
-// recovery from a lost or stale index.json.
+// Rebuild re-derives the catalogue from the sidecars on disk, picking
+// up what other processes ingested into the same root.
 func (s *Store) Rebuild() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -412,9 +396,9 @@ type GCStats struct {
 }
 
 // GC removes abandoned staging files, half-written object pairs, and
-// cached results whose input trace is no longer in the corpus, then
-// rewrites the index. Run it while no ingest is in flight against the
-// same root (e.g. with the daemon stopped).
+// cached results whose input trace is no longer in the corpus. Run it
+// while no ingest is in flight against the same root (e.g. with the
+// daemon stopped).
 func (s *Store) GC() (GCStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

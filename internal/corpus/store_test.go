@@ -278,15 +278,21 @@ func TestIngestRejects(t *testing.T) {
 	}
 }
 
-// TestIndexRebuild deletes index.json and checks Open recovers the
-// catalogue from the sidecars, preserving every entry field.
+// TestIndexRebuild checks Open recovers the catalogue from the
+// sidecars, preserving every entry field, and that the store keeps no
+// index.json: one left by an earlier version (here a corrupt one) is
+// ignored and removed by Open and by GC.
 func TestIndexRebuild(t *testing.T) {
 	s := openStore(t)
 	want, _, err := s.Ingest(bytes.NewReader(csvBytes(t, sampleTrace())), "csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(s.Root(), "index.json")); err != nil {
+	idx := filepath.Join(s.Root(), "index.json")
+	if _, err := os.Stat(idx); !os.IsNotExist(err) {
+		t.Fatalf("the store wrote an index.json (stat: %v)", err)
+	}
+	if err := os.WriteFile(idx, []byte("{broken"), 0o666); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(s.Root())
@@ -300,63 +306,27 @@ func TestIndexRebuild(t *testing.T) {
 	if got != want {
 		t.Fatalf("rebuilt entry diverges:\n got %+v\nwant %+v", got, want)
 	}
-	// Corrupt index also recovers.
-	if err := os.WriteFile(filepath.Join(s.Root(), "index.json"), []byte("{broken"), 0o666); err != nil {
+	if _, err := os.Stat(idx); !os.IsNotExist(err) {
+		t.Fatalf("Open kept the leftover index.json (stat: %v)", err)
+	}
+	if err := os.WriteFile(idx, []byte("{broken"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := Open(s.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3.Len() != 1 {
-		t.Fatalf("recovered catalogue size: %d", s3.Len())
-	}
-}
-
-// TestIngestLeavesIndexAlone: index.json is an export written by Open,
-// Rebuild and GC; an ingest must not re-serialise the catalogue into it
-// (that made every upload linear in store size).
-func TestIngestLeavesIndexAlone(t *testing.T) {
-	s := openStore(t)
-	idx := filepath.Join(s.Root(), "index.json")
-	if _, err := os.Stat(idx); err != nil {
-		t.Fatalf("Open did not write the index: %v", err)
-	}
-	if err := os.Remove(idx); err != nil {
-		t.Fatal(err)
-	}
-	e, _, err := s.Ingest(bytes.NewReader(csvBytes(t, sampleTrace())), "csv")
-	if err != nil {
+	if _, err := s2.GC(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(idx); !os.IsNotExist(err) {
-		t.Fatalf("ingest rewrote index.json (stat: %v)", err)
+		t.Fatalf("GC kept the leftover index.json (stat: %v)", err)
 	}
-	if err := s.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(idx)
-	if err != nil {
-		t.Fatalf("Rebuild did not write the index: %v", err)
-	}
-	if !bytes.Contains(data, []byte(e.Digest)) {
-		t.Fatal("rebuilt index does not list the ingested trace")
-	}
-	if err := os.Remove(idx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.GC(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(idx); err != nil {
-		t.Fatalf("GC did not write the index: %v", err)
+	if s2.Len() != 1 {
+		t.Fatalf("catalogue size after GC: %d", s2.Len())
 	}
 }
 
 // TestMultiProcessCatalogue simulates two processes ingesting into the
 // same root: a reopened store must see both traces even though neither
-// writer's index.json ever listed the other's (the sidecars are
-// authoritative, the index a convenience export).
+// writer's catalogue ever listed the other's (the sidecars are
+// authoritative).
 func TestMultiProcessCatalogue(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "shared")
 	a, err := Open(root)

@@ -77,6 +77,24 @@
 // latencies) is O(n) in samples even though requests stay bounded;
 // only Tsdev-known corpora stream in fully bounded memory.
 //
+// # Methods
+//
+// The five methods of the paper's evaluation (JobSpec.Method) are this
+// one graph. infer.DecomposeShardInto computes idle = max(0, gap − Tslat)
+// and async = gap < Tsdev, so the four that replay on a device differ
+// only in where Tslat comes from and whether post-processing runs:
+//
+//	method        idle rule                                post-process
+//	tracetracker  gap − Tslat (fitted model or recorded)   yes
+//	dynamic       the same                                 no
+//	fixed-th      gap − threshold (a constant model)       no
+//	revision      none (that constant, beyond any gap)     no
+//
+// The constant model is all channel delay — Tslat is the threshold for
+// every request, Tsdev zero, so nothing is ever asynchronous — and
+// needs no fit pass. acceleration has no device pass and runs no graph:
+// the job's decoder feeds a record loop (gap ÷ factor) into its encoder.
+//
 // # Shard boundaries
 //
 // The planner prefers to cut where the inter-arrival gap is at least

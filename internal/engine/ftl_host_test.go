@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -244,6 +245,14 @@ func TestJobSpecDeviceConfigs(t *testing.T) {
 		{"bad host syscall overhead", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{SyscallOverheadUS: -1}}, "host_config.syscall_overhead_us", "bad_device_config"},
 		{"bad host hit latency", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{HitLatencyUS: -1}}, "host_config.hit_latency_us", "bad_device_config"},
 		{"unknown device", JobSpec{In: "x", Device: "floppy"}, "device", "unknown_device"},
+		// The baseline knobs: finite and above zero, whatever the method
+		// (JSON cannot carry NaN or Inf; the CLI's -factor flag can).
+		{"negative factor", JobSpec{In: "x", Method: "acceleration", Factor: -3}, "factor", "bad_spec"},
+		{"NaN factor", JobSpec{In: "x", Factor: math.NaN()}, "factor", "bad_spec"},
+		{"infinite factor", JobSpec{In: "x", Method: "acceleration", Factor: math.Inf(1)}, "factor", "bad_spec"},
+		{"negative threshold", JobSpec{In: "x", Method: "fixed-th", ThresholdUS: -10}, "threshold_us", "bad_spec"},
+		{"NaN threshold", JobSpec{In: "x", ThresholdUS: math.NaN()}, "threshold_us", "bad_spec"},
+		{"threshold beyond a duration", JobSpec{In: "x", Method: "fixed-th", ThresholdUS: 1e16}, "threshold_us", "bad_spec"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Normalized().Validate()

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/infer"
 	"repro/internal/trace"
 )
 
@@ -20,17 +22,16 @@ const DefaultReorderWindow = 1 << 16
 // tracetrackerd accepts, the value the tracetracker CLI fills from its
 // flags, and the unit of work RunJob executes.
 //
-// There is one way a job runs, whichever front end built the spec. A
-// tracetracker/dynamic job streams the input file through the engine's
-// stage graph into its output file — decoder → (model fit,
-// inference-path inputs only) → sharded reconstruction → encoder —
-// holding O(Workers · MaxShardRequests) requests, never the trace. The
-// baseline methods materialize the input and run sequentially (they
-// exist for fidelity comparisons, not throughput) and write through
-// the same sink. Either way a finished job is a file: Out, or the
-// result-cache entry of a RunJobCached job (the CLI without -out hands
-// RunJobTo its stdout instead). (The JSON key "stream", a mode switch
-// in earlier versions, is ignored: every job streams.)
+// There is one way a job runs, whichever front end built the spec and
+// whichever method it names: the input file streams through the
+// engine's stage graph into its output file — decoder → (model fit,
+// tracetracker/dynamic on inference-path inputs only) → sharded
+// reconstruction → encoder — holding O(Workers · MaxShardRequests)
+// requests, never the trace (acceleration, which has no device pass,
+// holds one). A finished job is a file: Out, or the result-cache entry
+// of a RunJobCached job (the CLI without -out hands RunJobTo its stdout
+// instead). (The JSON key "stream", a mode switch in earlier versions,
+// is ignored: every job streams.)
 type JobSpec struct {
 	// Name labels the job (defaults to the input path).
 	Name string `json:"name,omitempty"`
@@ -188,12 +189,22 @@ func (s JobSpec) Validate() error {
 	if err := s.HostConfig.validate(); err != nil {
 		return err
 	}
+	if !(s.Factor > 0) || math.IsInf(s.Factor, 0) {
+		return &ValidationError{Field: "factor", Code: "bad_spec",
+			msg: fmt.Sprintf("acceleration factor %v is not a finite number above 0", s.Factor)}
+	}
+	// The upper bound keeps threshold_us · 1000 inside a time.Duration.
+	if !(s.ThresholdUS > 0) || s.ThresholdUS*float64(time.Microsecond) >= math.MaxInt64 {
+		return &ValidationError{Field: "threshold_us", Code: "bad_spec",
+			msg: fmt.Sprintf("idle threshold %v us is not a finite number above 0 that fits a duration", s.ThresholdUS)}
+	}
 	return nil
 }
 
 // JobResult is the outcome of one job. Every finished job is a file.
 type JobResult struct {
-	// Report carries engine diagnostics (nil for baseline methods).
+	// Report carries the stage graph's diagnostics (nil for the
+	// acceleration method, which runs no device pass).
 	Report *Report
 	// OutPath is where the output is: the spec's Out, or the
 	// result-cache file for a RunJobCached job without one.
@@ -246,10 +257,10 @@ func RunJob(cfg Config, spec JobSpec) (*JobResult, error) {
 }
 
 // RunJobTo is the one job path: it normalizes and validates spec, runs
-// it and writes the encoded output to sink — RunJob's partial file, the
-// result cache's staging file, or the CLI's stdout. spec.Out is not
-// consulted. A sink failure is returned as ErrStorage, whatever the
-// graph made of it.
+// it — any method, on the job's worker count — and writes the encoded
+// output to sink: RunJob's partial file, the result cache's staging
+// file, or the CLI's stdout. spec.Out is not consulted. A sink failure
+// is returned as ErrStorage, whatever the graph made of it.
 func RunJobTo(cfg Config, spec JobSpec, sink io.Writer) (*Report, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
@@ -277,7 +288,7 @@ func RunJobTo(cfg Config, spec JobSpec, sink io.Writer) (*Report, error) {
 		cfg.Core.SkipPostProcess = spec.Method == "dynamic"
 		rep, err = New(cfg).ReconstructPath(spec.In, spec.InFormat, spec.ReorderWindow, enc)
 	default:
-		err = runBaseline(cfg, spec, enc)
+		rep, err = runComparison(cfg, spec, enc)
 	}
 	if out.err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrStorage, out.err)
@@ -285,33 +296,85 @@ func RunJobTo(cfg Config, spec JobSpec, sink io.Writer) (*Report, error) {
 	return rep, err
 }
 
-// runBaseline executes the non-engine comparison methods: always in
-// memory and sequential — they exist for fidelity comparisons, not
-// throughput — but written through the same encoder and sink as an
-// engine job.
-func runBaseline(cfg Config, spec JobSpec, enc trace.Encoder) error {
-	f, err := os.Open(spec.In)
+// revisionThresholdUS is the fixed-th threshold that makes revision: one
+// no inter-arrival gap reaches (2⁵² µs ≈ 143 years), so nothing is ever
+// idle. It stays well inside what infer.Model.Tslat can convert to a
+// time.Duration, which math.MaxInt64/1000 µs — rounded up as a float64 —
+// does not.
+const revisionThresholdUS = 1 << 52
+
+// runComparison executes the three comparison methods on the job's
+// decoder, reorder window and encoder. fixed-th and revision are the
+// stage graph under a constant model (see the package comment): all
+// channel delay, so Tslat is the threshold for every request and Tsdev
+// zero, with the recorded latencies kept out and post-processing off —
+// no fit pass, any target, any worker count. The report's Model stays
+// nil: the constant is an implementation device, not a fit.
+// acceleration has no device pass and runs no graph.
+func runComparison(cfg Config, spec JobSpec, enc trace.Encoder) (*Report, error) {
+	cfg.Core.ForceInference, cfg.Core.SkipPostProcess = true, true
+	e := New(cfg)
+	dec, closeDec, err := openDecoder(spec.In, spec.InFormat, spec.ReorderWindow, e.cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	defer closeDec()
+	if spec.Method == "acceleration" {
+		return nil, accelerate(dec, enc, spec.Factor)
+	}
+	threshold := spec.ThresholdUS
+	if spec.Method == "revision" {
+		threshold = revisionThresholdUS
+	}
+	rep, err := e.ReconstructStream(dec, enc, &infer.Model{
+		TcdelReadMicros: threshold, TcdelWriteMicros: threshold,
+		FlatReadMicros: -1, FlatWriteMicros: -1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep.Model = nil
+	return rep, nil
+}
+
+// accelerate is the acceleration method, replay.Accelerate record by
+// record: every inter-arrival gap divided by factor, no new device
+// times. It applies the stream planner's input rules as it goes.
+func accelerate(dec trace.Decoder, enc trace.Encoder, factor float64) error {
+	var n int64
+	var prev, now time.Duration
+	err := trace.ForEachBatch(dec, func(batch []trace.Request) error {
+		for _, r := range batch {
+			switch {
+			case r.Sectors == 0:
+				return fmt.Errorf("%w (index %d)", trace.ErrZeroSize, n)
+			case n == 0:
+				meta := dec.Meta()
+				meta.TsdevKnown = false
+				if err := enc.Begin(meta); err != nil {
+					return err
+				}
+				prev = r.Arrival
+			case r.Arrival < prev:
+				return fmt.Errorf("%w (index %d); widen the reorder window for near-sorted corpora", trace.ErrUnsorted, n)
+			}
+			now += time.Duration(float64(r.Arrival-prev) / factor)
+			prev = r.Arrival
+			r.Arrival, r.Latency = now, 0
+			if err := enc.Write(r); err != nil {
+				return err
+			}
+			n++
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	old, err := trace.ReadFormat(spec.InFormat, f)
-	f.Close()
-	if err != nil {
-		return err
+	if n == 0 {
+		return fmt.Errorf("input: %w", trace.ErrNoRequest)
 	}
-	if err := old.Validate(); err != nil {
-		return fmt.Errorf("input: %w", err)
-	}
-	var result *trace.Trace
-	switch spec.Method {
-	case "fixed-th":
-		result = baseline.FixedTh(old, cfg.Device(), time.Duration(spec.ThresholdUS*float64(time.Microsecond)))
-	case "revision":
-		result = baseline.Revision(old, cfg.Device())
-	case "acceleration":
-		result = baseline.Acceleration(old, spec.Factor)
-	}
-	return trace.EncodeTrace(enc, result)
+	return enc.Close()
 }
 
 // partialSeq disambiguates concurrent partial files within this

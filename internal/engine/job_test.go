@@ -58,10 +58,11 @@ func openCorpus(t *testing.T) *corpus.Store {
 func hexKey(i int) string { return fmt.Sprintf("%064x", i) }
 
 // TestRunJobCachedMissBoundedMemory holds a cache miss to the streaming
-// memory promise: a 200k-request bin job through RunJobCached against a
-// real corpus store allocates a small multiple of the in-flight window
-// (Workers · MaxShardRequests requests), not a multiple of the trace.
-// Materializing the input or the output alone would be 9.6 MB.
+// memory promise, whatever the method: a 200k-request bin job through
+// RunJobCached against a real corpus store allocates a small multiple of
+// the in-flight window (Workers · MaxShardRequests requests), not a
+// multiple of the trace. Materializing the input or the output alone
+// would be 9.6 MB.
 func TestRunJobCachedMissBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting at full trace size")
@@ -71,40 +72,45 @@ func TestRunJobCachedMissBoundedMemory(t *testing.T) {
 	inPath := writeBinInput(t, t.TempDir(), allocBenchTrace(n))
 	store := openCorpus(t)
 	cfg := Config{Workers: workers, MaxShardRequests: maxShard}
-	spec := JobSpec{In: inPath, InFormat: "bin", OutFormat: "bin"}
-	miss := 0
-	run := func() {
-		miss++
-		res, hit, err := RunJobCached(cfg, spec, hexKey(miss), store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hit || res.Report.Requests != n {
-			t.Fatalf("run %d: hit=%v report=%+v", miss, hit, res.Report)
-		}
-	}
-	run() // warm up code paths
-
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	run()
-	runtime.ReadMemStats(&m1)
-
 	window := uint64(workers * maxShard * int(unsafe.Sizeof(trace.Request{})))
 	whole := uint64(n * int(unsafe.Sizeof(trace.Request{})))
-	got := m1.TotalAlloc - m0.TotalAlloc
 	// 16 windows (measured: 13): the token pool admits 4·Workers epochs,
 	// each with its request buffer, decomposition scratch and rendered
 	// bytes, plus the segmented decoder's and the encoder's block buffers.
 	limit := 16 * window
-	t.Logf("miss allocated %d B (window %d B, limit %d B, whole trace %d B)", got, window, limit, whole)
-	if got > limit {
-		t.Fatalf("cache miss allocated %d B, want <= %d B (16 × the %d B in-flight window); the whole trace is %d B",
-			got, limit, window, whole)
-	}
 	if limit >= whole {
 		t.Fatalf("fixture: the bound (%d B) does not separate streaming from materializing (%d B)", limit, whole)
+	}
+	miss := 0
+	for _, method := range []string{"tracetracker", "fixed-th", "revision", "acceleration"} {
+		t.Run(method, func(t *testing.T) {
+			spec := JobSpec{In: inPath, InFormat: "bin", OutFormat: "bin", Method: method}
+			run := func() {
+				miss++
+				res, hit, err := RunJobCached(cfg, spec, hexKey(miss), store)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantReport := method != "acceleration" // which runs no graph
+				if hit || (res.Report != nil) != wantReport || (wantReport && res.Report.Requests != n) {
+					t.Fatalf("run %d: hit=%v report=%+v", miss, hit, res.Report)
+				}
+			}
+			run() // warm up code paths
+
+			runtime.GC()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			run()
+			runtime.ReadMemStats(&m1)
+
+			got := m1.TotalAlloc - m0.TotalAlloc
+			t.Logf("miss allocated %d B (window %d B, limit %d B, whole trace %d B)", got, window, limit, whole)
+			if got > limit {
+				t.Fatalf("cache miss allocated %d B, want <= %d B (16 × the %d B in-flight window); the whole trace is %d B",
+					got, limit, window, whole)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -15,7 +17,8 @@ import (
 // TestStreamAbandonClosesDecoder is the engine side of the PR 4 leak
 // delta: a planner validation error abandons the input decoder
 // mid-stream, and ReconstructStream must close it so a parallel
-// decoder's workers exit instead of leaking.
+// decoder's workers exit instead of leaking — and so must a failed job
+// of a comparison method.
 func TestStreamAbandonClosesDecoder(t *testing.T) {
 	old := genOld(t, "MSNFS", 40_000, true)
 	var buf bytes.Buffer
@@ -50,6 +53,15 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 		// close func is the caller's usual cleanup and must be a no-op
 		// join on top.
 		closeDec()
+	}
+	// The comparison methods take the same input path: a failed job of
+	// either kind — the graph, acceleration's record loop — joins the
+	// parallel decoder's workers on its way out.
+	for _, method := range []string{"revision", "acceleration"} {
+		spec := JobSpec{In: path, Method: method, Parallel: 4}
+		if _, err := RunJobTo(testConfig(2, core.Options{}), spec, io.Discard); !errors.Is(err, trace.ErrUnsorted) {
+			t.Fatalf("%s: %v, want an unsorted-input error", method, err)
+		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base {

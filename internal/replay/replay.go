@@ -17,8 +17,7 @@
 //     layer.
 //
 // All timing is virtual: wall-clock replay in Go would be distorted by
-// GC pauses at exactly the microsecond scale under study (wallclock.go
-// keeps a real-time replayer for driving actual hardware).
+// GC pauses at exactly the microsecond scale under study.
 package replay
 
 import (
