@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/device"
+	"repro/internal/infer"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // writeSample writes a small csv trace and returns its path and bytes.
@@ -105,6 +109,45 @@ func TestAddLsInfoGetGC(t *testing.T) {
 	out.Reset()
 	if err := run([]string{"-data", data, "info", digest}, &out); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAddFillsFittedModel: a corpus preloaded offline never fits in a
+// job — add runs the same ingest as an upload, so a Tsdev-unknown trace
+// lands with its model, and info shows it (a Tsdev-known one has none).
+func TestAddFillsFittedModel(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "store")
+	p, ok := workload.Lookup("webmail")
+	if !ok {
+		t.Fatal("webmail profile missing")
+	}
+	tr := workload.Generate(p, workload.GenOptions{Ops: 2000, Seed: 1}).Execute(device.NewHDD(device.DefaultHDDConfig())).Trace
+	tr.TsdevKnown = false
+	var buf bytes.Buffer
+	if err := trace.WriteCSV(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "webmail.csv")
+	if err := os.WriteFile(path, buf.Bytes(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	known, _ := writeSample(t, dir)
+
+	for path, wantModel := range map[string]bool{path: true, known: false} {
+		var out bytes.Buffer
+		if err := run([]string{"-data", data, "add", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		digest := strings.Fields(out.String())[1]
+		out.Reset()
+		if err := run([]string{"-data", data, "info", digest}, &out); err != nil {
+			t.Fatal(err)
+		}
+		var info struct{ Model *infer.Model }
+		if err := json.Unmarshal(out.Bytes(), &info); err != nil || (info.Model != nil) != wantModel {
+			t.Fatalf("info %s: model %+v (%v), want one: %v\n%s", path, info.Model, err, wantModel, out.String())
+		}
 	}
 }
 

@@ -18,6 +18,8 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/infer"
+	"repro/internal/trace"
 )
 
 // errEnvelope decodes a response body as the error envelope, failing
@@ -107,8 +109,38 @@ func TestRouteContract(t *testing.T) {
 		}
 	}
 
+	// The corpus entry on the wire: the upload reply and the info route
+	// carry the model fitted at ingest (Tsdev-unknown uploads only), and
+	// HEAD on the info route is the pre-upload dedup check — 200 for a
+	// held digest, 404 otherwise, no body sent either way.
+	status, body := doReq(t, ts, http.MethodPost, "/v1/corpus", string(webmailCSV(t, 2000, false)))
+	var ack struct {
+		Entry struct {
+			Digest string
+			Model  *infer.Model
+		}
+	}
+	if err := json.Unmarshal(body, &ack); status != http.StatusCreated || err != nil || ack.Entry.Model == nil {
+		t.Fatalf("upload reply: status %d, %s (%v); want 201 with entry.model", status, body, err)
+	}
+	var info struct{ Model *infer.Model }
+	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/corpus/"+ack.Entry.Digest), &info); err != nil || info.Model == nil ||
+		modelBits(info.Model) != modelBits(ack.Entry.Model) {
+		t.Fatalf("GET /v1/corpus/{digest}: model %+v (%v), want the upload reply's %+v", info.Model, err, ack.Entry.Model)
+	}
+	for digest, want := range map[string]int{ack.Entry.Digest: http.StatusOK, "ffffffffffff": http.StatusNotFound} {
+		resp, err := http.Head(ts.URL + "/v1/corpus/" + digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("HEAD /v1/corpus/%s: status %d, want %d", digest, resp.StatusCode, want)
+		}
+	}
+
 	// Wrong method on a known path: enveloped 405, not the mux default.
-	status, body := doReq(t, ts, http.MethodDelete, "/v1/jobs", "")
+	status, body = doReq(t, ts, http.MethodDelete, "/v1/jobs", "")
 	if status != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE /v1/jobs: status %d, want 405", status)
 	}
@@ -163,6 +195,20 @@ func TestErrorEnvelopes(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
+	// The fit ingest now runs never turns an upload away: a Tsdev-unknown
+	// trace too sparse to fit, and an unsorted one, are both accepted, and
+	// their jobs fail with the errors they always failed with.
+	sparseID := postJob(t, ts, engine.JobSpec{In: corpusScheme + uploadCorpus(t, ts, webmailCSV(t, 40, false), "csv")})
+	if j := waitFailed(t, ts, sparseID); !strings.Contains(j.Error, infer.ErrTooSparse.Error()) {
+		t.Fatalf("job on a 40-request inference input: %q, want %q", j.Error, infer.ErrTooSparse)
+	}
+	unsorted := decodeCSV(t, webmailCSV(t, 2000, false))
+	unsorted.Requests[500].Arrival = unsorted.Requests[1500].Arrival
+	unsortedID := postJob(t, ts, engine.JobSpec{In: corpusScheme + uploadCorpus(t, ts, encodeAs(t, "csv", unsorted), "csv")})
+	if j := waitFailed(t, ts, unsortedID); !strings.Contains(j.Error, trace.ErrUnsorted.Error()) {
+		t.Fatalf("job on an unsorted inference input: %q, want %q", j.Error, trace.ErrUnsorted)
+	}
+
 	cases := []struct {
 		name    string
 		method  string
@@ -187,6 +233,8 @@ func TestErrorEnvelopes(t *testing.T) {
 		{"unknown job result", "GET", "/v1/jobs/job-999999/result", "", 404, "unknown_job", ""},
 		{"unknown job trace", "GET", "/v1/jobs/job-999999/trace", "", 404, "unknown_job", ""},
 		{"result not finished", "GET", "/v1/jobs/" + failedID + "/result", "", 409, "job_not_finished", "failed"},
+		{"too sparse to fit", "GET", "/v1/jobs/" + sparseID + "/result", "", 409, "job_not_finished", "failed"},
+		{"unsorted inference input", "GET", "/v1/jobs/" + unsortedID + "/result", "", 409, "job_not_finished", "failed"},
 		{"bad limit", "GET", "/v1/jobs?limit=zero", "", 400, "bad_limit", "zero"},
 		{"bad cursor", "GET", "/v1/jobs?after=first", "", 400, "bad_cursor", "first"},
 		{"unknown corpus entry", "GET", "/v1/corpus/ffffffffffff", "", 404, "unknown_trace", ""},

@@ -1,0 +1,325 @@
+package main
+
+// "Fit once per trace", through the daemon: a Tsdev-unknown blob is
+// fitted in its upload's decode pass, every default job on it reads the
+// model from the sidecar — no fit span, no second decode — and serves
+// the sequential pipeline's bytes; every job outside the rule fits for
+// itself, to the same bytes.
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/device"
+	"repro/internal/engine"
+	"repro/internal/infer"
+	"repro/internal/obs"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+// webmailCSV renders the inference-path fixture (FIU webmail, captured
+// on the old disk) with its latencies kept or dropped.
+func webmailCSV(t *testing.T, ops int, tsdevKnown bool) []byte {
+	t.Helper()
+	p, ok := workload.Lookup("webmail")
+	if !ok {
+		t.Fatal("webmail profile missing")
+	}
+	app := workload.Generate(p, workload.GenOptions{Ops: ops, Seed: workload.TraceSeed("webmail", 0)})
+	tr := app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace
+	tr.Name, tr.Workload, tr.TsdevKnown = "webmail-000", "webmail", tsdevKnown
+	if !tsdevKnown {
+		for i := range tr.Requests {
+			tr.Requests[i].Latency = 0
+		}
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteCSV(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// modelBits renders a model for bit-for-bit comparison: %x prints
+// floats in exact hex.
+func modelBits(m *infer.Model) string { return fmt.Sprintf("%x", *m) }
+
+// jobSpans fetches a finished job's timeline: span name → count, and
+// the cache-lookup span's attrs (nil for a path job, which has none).
+func jobSpans(t *testing.T, ts *httptest.Server, id string) (map[string]int, map[string]int64) {
+	t.Helper()
+	resp, body := getTrace(t, ts, id, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace of %s: status %d: %s", id, resp.StatusCode, body)
+	}
+	var jt obs.JobTrace
+	if err := json.Unmarshal(body, &jt); err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]int{}
+	var lookup map[string]int64
+	for _, s := range jt.Spans {
+		names[s.Name]++
+		if s.Name == "cache-lookup" {
+			lookup = s.Attrs
+		}
+	}
+	return names, lookup
+}
+
+func modelFits(t *testing.T, ts *httptest.Server, source string) float64 {
+	t.Helper()
+	v, ok := metricValue(t, scrapeMetrics(t, ts), "engine_model_fits_total", map[string]string{"source": source})
+	if !ok {
+		t.Fatalf("engine_model_fits_total{source=%q} not exported", source)
+	}
+	return v
+}
+
+func TestStoredModelIdentity(t *testing.T) {
+	dir := t.TempDir()
+	dataDir := filepath.Join(dir, "data")
+	raw := webmailCSV(t, 5000, false)
+	old := decodeCSV(t, raw)
+	fresh, err := infer.Estimate(old, infer.EstimateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// want is the sequential pipeline's output for a spec, rendered.
+	want := func(in *trace.Trace, spec engine.JobSpec, opts core.Options) []byte {
+		mk, err := engine.DeviceFactory(spec.Device)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.SkipPostProcess = spec.Method == "dynamic"
+		out, _, err := core.Reconstruct(in, mk(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encodeAs(t, spec.Normalized().OutFormat, out)
+	}
+	// run submits spec, checks the served bytes against the sequential
+	// pipeline and the report's model against a fresh fit, and returns
+	// the job's span names and cache-lookup attrs.
+	run := func(srv *server, ts *httptest.Server, label string, in *trace.Trace, spec engine.JobSpec) (map[string]int, map[string]int64) {
+		t.Helper()
+		j := waitDone(t, ts, postJob(t, ts, spec))
+		if j.Cached {
+			t.Fatalf("%s: cache hit; every leg is a distinct key", label)
+		}
+		if got := getBody(t, ts.URL+j.ResultURL); !bytes.Equal(got, want(in, spec, srv.base.Core)) {
+			t.Fatalf("%s: served bytes diverge from the sequential pipeline", label)
+		}
+		wantModel, err := infer.Estimate(in, infer.EstimateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Report == nil || math.Float64bits(j.Report.BetaMicros) != math.Float64bits(wantModel.BetaMicros) ||
+			math.Float64bits(j.Report.EtaMicros) != math.Float64bits(wantModel.EtaMicros) {
+			t.Fatalf("%s: report %+v, want beta/eta of %+v", label, j.Report, wantModel)
+		}
+		names, lookup := jobSpans(t, ts, j.ID)
+		if names["stream"] != 1 {
+			t.Fatalf("%s: spans %v, want one stream span", label, names)
+		}
+		return names, lookup
+	}
+	// storedLeg is run for a job inside the rule: no fit span, the model
+	// found at the lookup, and the whole model — as the result cache's
+	// note records the engine report — equal to a fresh fit bit for bit.
+	storedLeg := func(srv *server, ts *httptest.Server, label string, spec engine.JobSpec, digest string) {
+		t.Helper()
+		names, lookup := run(srv, ts, label, old, spec)
+		if names["fit"] != 0 || lookup["model"] != 1 || lookup["hit"] != 0 {
+			t.Fatalf("%s: spans %v, cache-lookup %v; want no fit span and model=1", label, names, lookup)
+		}
+		runSpec := spec
+		runSpec.In, runSpec.InFormat = "", "csv"
+		_, note, ok := srv.store.LookupResult(engine.CacheKey(digest, runSpec))
+		if !ok {
+			t.Fatalf("%s: no cached result under the job's key", label)
+		}
+		var n struct {
+			Report struct{ Model *infer.Model }
+		}
+		if err := json.Unmarshal(note, &n); err != nil || n.Report.Model == nil {
+			t.Fatalf("%s: note %s: %v", label, note, err)
+		}
+		if modelBits(n.Report.Model) != modelBits(fresh) {
+			t.Fatalf("%s: report model %+v, want the fresh fit %+v", label, n.Report.Model, fresh)
+		}
+	}
+	// fitLeg is run for a job outside the rule: it fits for itself.
+	fitLeg := func(srv *server, ts *httptest.Server, label string, in *trace.Trace, spec engine.JobSpec) {
+		t.Helper()
+		names, lookup := run(srv, ts, label, in, spec)
+		if names["fit"] != 1 || lookup["model"] != 0 {
+			t.Fatalf("%s: spans %v, cache-lookup %v; want a fit span and model=0", label, names, lookup)
+		}
+	}
+
+	// Phase one: every registry device × {csv, bin}, one worker and four
+	// (as two methods: the worker count does not enter the cache key).
+	srv := dataServer(t, dataDir)
+	ts := httptest.NewServer(srv)
+	digest := uploadCorpus(t, ts, raw, "csv")
+	e, err := srv.store.Resolve(digest)
+	if err != nil || e.Model == nil || modelBits(e.Model) != modelBits(fresh) {
+		t.Fatalf("upload: entry model %+v (err %v), want the fresh fit %+v", e.Model, err, fresh)
+	}
+	stored := 0
+	for _, dev := range engine.Devices() {
+		for _, format := range []string{"csv", "bin"} {
+			for _, w := range []struct {
+				method   string
+				parallel int
+			}{{"tracetracker", 1}, {"dynamic", 4}} {
+				label := fmt.Sprintf("%s/%s/%s/w%d", dev.Name, format, w.method, w.parallel)
+				storedLeg(srv, ts, label, engine.JobSpec{
+					In: corpusScheme + digest, Device: dev.Name, OutFormat: format, Method: w.method, Parallel: w.parallel,
+				}, digest)
+				stored++
+			}
+		}
+	}
+	if job, st := modelFits(t, ts, "job"), modelFits(t, ts, "stored"); job != 0 || st != float64(stored) {
+		t.Fatalf("engine_model_fits_total job=%v stored=%v, want 0 and %d", job, st, stored)
+	}
+	if v, ok := metricValue(t, scrapeMetrics(t, ts), "corpus_models_fitted_total", nil); !ok || v != 1 {
+		t.Fatalf("corpus_models_fitted_total = %v (found %v), want 1", v, ok)
+	}
+	if v, ok := metricValue(t, scrapeMetrics(t, ts), "corpus_ingest_fit_seconds_total", nil); !ok || v <= 0 {
+		t.Fatalf("corpus_ingest_fit_seconds_total = %v (found %v), want > 0", v, ok)
+	}
+
+	// Outside the rule, same daemon: an explicit reorder window, and a
+	// path job on the same bytes (no corpus, no sidecar).
+	fitLeg(srv, ts, "reorder-window", old, engine.JobSpec{In: corpusScheme + digest, ReorderWindow: 4096})
+	inPath := filepath.Join(dir, "webmail.csv")
+	if err := os.WriteFile(inPath, raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	fitLeg(srv, ts, "path-job", old, engine.JobSpec{In: inPath})
+	if job := modelFits(t, ts, "job"); job != 2 {
+		t.Fatalf("engine_model_fits_total{source=job} = %v after two jobs outside the rule", job)
+	}
+	ts.Close()
+	srv.Close()
+
+	// Phase two: a restart. The model now comes back through the
+	// sidecar's JSON; keys not used before (the merge-rendered formats).
+	srv = dataServer(t, dataDir)
+	ts = httptest.NewServer(srv)
+	storedLeg(srv, ts, "restart/array/blktrace", engine.JobSpec{In: corpusScheme + digest, OutFormat: "blktrace", Parallel: 4}, digest)
+	storedLeg(srv, ts, "restart/hdd/fio", engine.JobSpec{In: corpusScheme + digest, Device: "hdd", OutFormat: "fio", Parallel: 1}, digest)
+	ts.Close()
+	srv.Close()
+
+	// Phase three: a store written before this field existed — the
+	// sidecar with its model key removed by hand. It opens and serves
+	// unchanged; its jobs fit for themselves.
+	sidecar := filepath.Join(dataDir, "objects", digest+".json")
+	side := map[string]json.RawMessage{}
+	sideRaw, err := os.ReadFile(sidecar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(sideRaw, &side); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := side["model"]; !ok {
+		t.Fatalf("sidecar has no model key: %s", sideRaw)
+	}
+	delete(side, "model")
+	if sideRaw, err = json.Marshal(side); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(sidecar, sideRaw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	srv = dataServer(t, dataDir)
+	ts = httptest.NewServer(srv)
+	fitLeg(srv, ts, "pre-model-sidecar", old, engine.JobSpec{In: corpusScheme + digest, Device: "ssd", OutFormat: "fio"})
+	// A re-upload of a held blob never decodes, so it never fits either:
+	// the old entry, still without a model, answers.
+	if again := uploadCorpus(t, ts, raw, "csv"); again != digest || srv.store.FittedModel(digest) != nil {
+		t.Fatalf("re-upload: digest %s, model %+v", again, srv.store.FittedModel(digest))
+	}
+	ts.Close()
+	srv.Close()
+
+	// Phase four: a Tsdev-known blob under an engine Config that forces
+	// inference. The store fitted nothing for it; the job does.
+	knownRaw := webmailCSV(t, 5000, true)
+	forced := newServer(engine.Config{
+		Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond,
+		Core: core.Options{ForceInference: true},
+	}, 1)
+	if err := forced.openData(filepath.Join(dir, "data-forced")); err != nil {
+		t.Fatal(err)
+	}
+	defer forced.Close()
+	tsForced := httptest.NewServer(forced)
+	defer tsForced.Close()
+	knownDigest := uploadCorpus(t, tsForced, knownRaw, "csv")
+	if forced.store.FittedModel(knownDigest) != nil {
+		t.Fatal("a Tsdev-known upload was fitted")
+	}
+	fitLeg(forced, tsForced, "force-inference", decodeCSV(t, knownRaw), engine.JobSpec{In: corpusScheme + knownDigest})
+}
+
+// TestStoredModelConcurrentJobs hands one catalogue entry's model to
+// several jobs at once (the executors each take their own copy) while
+// an upload lands: the -race row for the pointer ingest now publishes.
+func TestStoredModelConcurrentJobs(t *testing.T) {
+	srv := newServer(engine.Config{
+		Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond,
+	}, 3)
+	if err := srv.openData(filepath.Join(t.TempDir(), "data")); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	raw := webmailCSV(t, 3000, false)
+	digest := uploadCorpus(t, ts, raw, "csv")
+	old := decodeCSV(t, raw)
+
+	var ids []string
+	devs := []string{"array", "ssd", "hdd", "ftl", "host"}
+	for _, dev := range devs {
+		ids = append(ids, postJob(t, ts, engine.JobSpec{In: corpusScheme + digest, Device: dev, OutFormat: "bin"}))
+	}
+	uploadCorpus(t, ts, webmailCSV(t, 3100, false), "csv")
+	for i, id := range ids {
+		j := waitDone(t, ts, id)
+		mk, err := engine.DeviceFactory(devs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := core.Reconstruct(old, mk(), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := getBody(t, ts.URL+j.ResultURL); !bytes.Equal(got, encodeAs(t, "bin", out)) {
+			t.Fatalf("%s: served bytes diverge from the sequential pipeline", devs[i])
+		}
+		if names, _ := jobSpans(t, ts, id); names["fit"] != 0 {
+			t.Fatalf("%s: spans %v, want no fit span", devs[i], names)
+		}
+	}
+	if job := modelFits(t, ts, "job"); job != 0 {
+		t.Fatalf("engine_model_fits_total{source=job} = %v", job)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/infer"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -252,7 +253,7 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		return Entry{}, false, stagedDecodeErr(format, err)
 	}
 	defer closeDec()
-	sum, err := trace.Summarize(dec)
+	sum, model, err := s.summarizeAndFit(dec, format)
 	if err != nil {
 		return Entry{}, false, stagedDecodeErr(format, err)
 	}
@@ -274,6 +275,7 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		TotalBytes:   sum.TotalBytes,
 		ReadFraction: sum.ReadFraction(),
 		SeqFraction:  sum.SeqFraction(),
+		Model:        model,
 		Ingested:     time.Now().UTC(),
 	}
 
@@ -295,6 +297,66 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 	s.entries[digest] = entry
 	s.metrics.Load().IngestObserve(size, int64(sum.Requests), true)
 	return entry, true, nil
+}
+
+// summarizeAndFit drains the staged upload once into its summary and,
+// for a Tsdev-unknown trace in a format that needs no reorder window,
+// into the inference model every default job on the blob would fit for
+// itself: the classifier rides the summary's loop and sequentiality
+// flags. The fit can only add a model, never fail the ingest — a trace
+// too sparse to fit, or a fit that is not finite (which the sidecar's
+// JSON could not carry), lands without one and its jobs answer as they
+// always did. On a decode error the decoder is closed.
+func (s *Store) summarizeAndFit(dec trace.Decoder, format string) (trace.Summary, *infer.Model, error) {
+	acc := trace.NewSummarizer()
+	var cls *infer.StreamClassifier
+	first := true
+	err := trace.ForEachBatch(dec, func(batch []trace.Request) error {
+		if first {
+			// The header is parsed by the time the first batch arrives.
+			first = false
+			if !dec.Meta().TsdevKnown && !trace.NeedsSort(format) {
+				cls = infer.NewStreamClassifier()
+			}
+		}
+		for _, r := range batch {
+			seq := acc.Add(r)
+			if cls != nil {
+				cls.AddFlagged(r, seq)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		trace.CloseDecoder(dec)
+		return trace.Summary{}, nil, err
+	}
+	sum := acc.Summary(dec.Meta())
+	if cls == nil {
+		return sum, nil, nil
+	}
+	start := time.Now()
+	model, err := cls.Estimate(sum.Meta.Name, infer.EstimateOptions{})
+	if err != nil || !model.Finite() {
+		model = nil
+	}
+	s.metrics.Load().FitObserve(time.Since(start), model != nil)
+	return sum, model, nil
+}
+
+// FittedModel returns a copy of the inference model ingest fitted to
+// the blob with the given full digest, nil when the entry holds none
+// (see Entry.Model). It implements the read half of engine.ResultCache
+// that lets a job skip its fit pass.
+func (s *Store) FittedModel(digest string) *infer.Model {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m := s.entries[digest].Model
+	if m == nil {
+		return nil
+	}
+	c := *m
+	return &c
 }
 
 // IngestFile ingests the trace at path.

@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/infer"
 	"repro/internal/obs"
 )
 
@@ -31,6 +32,11 @@ type ResultCache interface {
 	// existing path, so identical jobs racing on a key converge on one
 	// file.
 	StoreResultNoted(key, inputDigest string, write func(io.Writer) (note []byte, err error)) (string, error)
+	// FittedModel returns the caller's own copy of the inference model
+	// stored with the input: the fit of exactly those bytes, in file
+	// order, under zero-value infer.EstimateOptions. nil when the cache
+	// keeps none for this input.
+	FittedModel(inputDigest string) *infer.Model
 }
 
 // Fingerprint digests the semantic content of the normalized spec:
@@ -122,7 +128,12 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 	key := CacheKey(inputDigest, spec)
 	lsp := cfg.Trace.Start(cfg.Trace.Root(), obs.JobSpanNames[obs.JobSpanCacheLookup])
 	path, note, ok := cache.LookupResult(key)
+	var fitted *infer.Model
+	if !ok && fitsAsStored(cfg, spec) {
+		fitted = cache.FittedModel(inputDigest)
+	}
 	lsp.SetAttr("hit", boolAttr(ok))
+	lsp.SetAttr("model", boolAttr(fitted != nil))
 	lsp.End()
 	var rep *Report
 	ran := false
@@ -139,7 +150,7 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 		path, err = cache.StoreResultNoted(key, inputDigest, func(w io.Writer) ([]byte, error) {
 			ran = true
 			var err error
-			if rep, err = RunJobTo(cfg, spec, w); err != nil {
+			if rep, err = runJobTo(cfg, spec, w, fitted); err != nil {
 				return nil, err
 			}
 			return json.Marshal(cacheNote{Spec: spec, Report: rep})
@@ -167,6 +178,21 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 		path = spec.Out
 	}
 	return &JobResult{Report: rep, OutPath: path}, !ran, nil
+}
+
+// fitsAsStored reports whether the model the job would fit for itself
+// is the one a cache stores with the input — the fit of the blob in file
+// order under default options: a method that fits at all, no reorder
+// window between the file and the classifier, and no estimator option
+// set. (That the input needs a model is the store's side of the rule:
+// it keeps one for Tsdev-unknown blobs only.) Every other job fits per
+// job.
+func fitsAsStored(cfg Config, spec JobSpec) bool {
+	switch spec.Method {
+	case "tracetracker", "dynamic":
+		return spec.ReorderWindow <= 1 && cfg.Core.Estimate == (infer.EstimateOptions{})
+	}
+	return false
 }
 
 func boolAttr(b bool) int64 {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/infer"
 	"repro/internal/trace"
 )
 
@@ -32,6 +33,10 @@ type memCache struct {
 	dir    string
 	notes  map[string][]byte
 	stores int
+	// models plays the corpus store's sidecars: input digest → the
+	// model fitted at ingest.
+	models       map[string]*infer.Model
+	modelLookups int
 }
 
 func newMemCache(t *testing.T) *memCache {
@@ -62,6 +67,16 @@ func (c *memCache) StoreResultNoted(key, inputDigest string, write func(io.Write
 	c.notes[key] = note
 	c.stores++
 	return f.Name(), nil
+}
+
+func (c *memCache) FittedModel(inputDigest string) *infer.Model {
+	c.modelLookups++
+	m := c.models[inputDigest]
+	if m == nil {
+		return nil
+	}
+	cp := *m
+	return &cp
 }
 
 // TestFingerprintSemantics locks which spec fields enter the job

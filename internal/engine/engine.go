@@ -75,7 +75,15 @@
 // fit itself retains one inter-arrival sample (~8 bytes) per request,
 // so a streaming run over an inference-path corpus (no recorded
 // latencies) is O(n) in samples even though requests stay bounded;
-// only Tsdev-known corpora stream in fully bounded memory.
+// only Tsdev-known corpora stream in fully bounded memory. The fit is
+// also a function of the old trace alone, never of the job's target, so
+// a job does not have to be the one to run it: a result cache that
+// fitted the input when it ingested it (ResultCache.FittedModel — the
+// fit of those bytes in file order under default options) hands
+// RunJobCached the model, and a job whose own fit would be exactly
+// that (fitsAsStored) skips the pass and its second decode of the
+// input. Every other job — no cache, a reorder window, estimator
+// options, forced inference on a Tsdev-known input — fits for itself.
 //
 // # Methods
 //

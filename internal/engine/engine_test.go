@@ -630,7 +630,7 @@ func TestReconstructPathParallelDecode(t *testing.T) {
 		run := func(workers int) []byte {
 			var out bytes.Buffer
 			e := New(testConfig(workers, core.Options{}))
-			rep, err := e.ReconstructPath(tc.path, tc.format, 0, trace.NewCSVEncoder(&out))
+			rep, err := e.ReconstructPath(tc.path, tc.format, 0, trace.NewCSVEncoder(&out), nil)
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", tc.format, workers, err)
 			}

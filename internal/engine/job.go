@@ -25,8 +25,9 @@ const DefaultReorderWindow = 1 << 16
 // There is one way a job runs, whichever front end built the spec and
 // whichever method it names: the input file streams through the
 // engine's stage graph into its output file — decoder → (model fit,
-// tracetracker/dynamic on inference-path inputs only) → sharded
-// reconstruction → encoder — holding O(Workers · MaxShardRequests)
+// tracetracker/dynamic on inference-path inputs only, and not when the
+// result cache holds the input's model) → sharded reconstruction →
+// encoder — holding O(Workers · MaxShardRequests)
 // requests, never the trace (acceleration, which has no device pass,
 // holds one). A finished job is a file: Out, or the result-cache entry
 // of a RunJobCached job (the CLI without -out hands RunJobTo its stdout
@@ -262,6 +263,12 @@ func RunJob(cfg Config, spec JobSpec) (*JobResult, error) {
 // file, or the CLI's stdout. spec.Out is not consulted. A sink failure
 // is returned as ErrStorage, whatever the graph made of it.
 func RunJobTo(cfg Config, spec JobSpec, sink io.Writer) (*Report, error) {
+	return runJobTo(cfg, spec, sink, nil)
+}
+
+// runJobTo is RunJobTo with the model RunJobCached found stored with
+// the input (nil: none, the job fits if its input needs one).
+func runJobTo(cfg Config, spec JobSpec, sink io.Writer, fitted *infer.Model) (*Report, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -286,7 +293,7 @@ func RunJobTo(cfg Config, spec JobSpec, sink io.Writer) (*Report, error) {
 	switch spec.Method {
 	case "tracetracker", "dynamic":
 		cfg.Core.SkipPostProcess = spec.Method == "dynamic"
-		rep, err = New(cfg).ReconstructPath(spec.In, spec.InFormat, spec.ReorderWindow, enc)
+		rep, err = New(cfg).ReconstructPath(spec.In, spec.InFormat, spec.ReorderWindow, enc, fitted)
 	default:
 		rep, err = runComparison(cfg, spec, enc)
 	}

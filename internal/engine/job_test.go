@@ -25,6 +25,8 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/faultfs"
+	"repro/internal/infer"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -62,7 +64,8 @@ func hexKey(i int) string { return fmt.Sprintf("%064x", i) }
 // RunJobCached against a real corpus store allocates a small multiple of
 // the in-flight window (Workers · MaxShardRequests requests), not a
 // multiple of the trace. Materializing the input or the output alone
-// would be 9.6 MB.
+// would be 9.6 MB. With its model stored beside the blob, the inference
+// path keeps the same promise.
 func TestRunJobCachedMissBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting at full trace size")
@@ -81,13 +84,38 @@ func TestRunJobCachedMissBoundedMemory(t *testing.T) {
 	if limit >= whole {
 		t.Fatalf("fixture: the bound (%d B) does not separate streaming from materializing (%d B)", limit, whole)
 	}
+	// The inference path under the same bound: the same records with no
+	// recorded latencies, their model stored with the blob. A job that
+	// fitted for itself would hold the classifier's 8 B per request (a
+	// quarter of the bound on its own) and a second decoder; this one
+	// never opens the fit pass.
+	unknown := allocBenchTrace(n)
+	unknown.TsdevKnown = false
+	inferPath := writeBinInput(t, t.TempDir(), unknown)
+	stored := &storedModelCache{Store: store, m: infer.Model{
+		BetaMicros: 0.01, EtaMicros: 0.02, TcdelReadMicros: 20, TcdelWriteMicros: 25,
+		FlatReadMicros: -1, FlatWriteMicros: -1,
+	}}
 	miss := 0
-	for _, method := range []string{"tracetracker", "fixed-th", "revision", "acceleration"} {
-		t.Run(method, func(t *testing.T) {
-			spec := JobSpec{In: inPath, InFormat: "bin", OutFormat: "bin", Method: method}
+	for _, tc := range []struct {
+		name, method, in string
+		cache            ResultCache
+	}{
+		{"tracetracker", "tracetracker", inPath, store},
+		{"fixed-th", "fixed-th", inPath, store},
+		{"revision", "revision", inPath, store},
+		{"acceleration", "acceleration", inPath, store},
+		{"tracetracker-stored-model", "tracetracker", inferPath, stored},
+	} {
+		method := tc.method
+		t.Run(tc.name, func(t *testing.T) {
+			spec := JobSpec{In: tc.in, InFormat: "bin", OutFormat: "bin", Method: method}
+			em := obs.NewEngineMetrics(obs.NewRegistry())
+			cfg := cfg
+			cfg.Metrics = em
 			run := func() {
 				miss++
-				res, hit, err := RunJobCached(cfg, spec, hexKey(miss), store)
+				res, hit, err := RunJobCached(cfg, spec, hexKey(miss), tc.cache)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,8 +138,28 @@ func TestRunJobCachedMissBoundedMemory(t *testing.T) {
 				t.Fatalf("cache miss allocated %d B, want <= %d B (16 × the %d B in-flight window); the whole trace is %d B",
 					got, limit, window, whole)
 			}
+			wantStored := int64(0)
+			if tc.cache == stored {
+				wantStored = 2
+			}
+			if job, st := em.ModelFitsJob.Value(), em.ModelFitsStored.Value(); job != 0 || st != wantStored {
+				t.Fatalf("engine_model_fits_total job=%d stored=%d, want 0 and %d", job, st, wantStored)
+			}
 		})
 	}
+}
+
+// storedModelCache is a corpus store that answers every input digest
+// with one model, as if ingest had fitted it — the tests above run
+// under made-up digests the store holds no entry for.
+type storedModelCache struct {
+	*corpus.Store
+	m infer.Model
+}
+
+func (c *storedModelCache) FittedModel(string) *infer.Model {
+	m := c.m
+	return &m
 }
 
 // TestRunJobCachedStorageFaultMidStream fails the result cache's disk

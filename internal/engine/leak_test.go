@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/infer"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -62,6 +64,24 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 		if _, err := RunJobTo(testConfig(2, core.Options{}), spec, io.Discard); !errors.Is(err, trace.ErrUnsorted) {
 			t.Fatalf("%s: %v, want an unsorted-input error", method, err)
 		}
+	}
+	// A cached job handed its model by the store opens that one decoder
+	// and no fit pass before it: the same join, nothing else to leak.
+	unknownPath := t.TempDir() + "/unsorted-unknown.csv"
+	unknown := bytes.Replace(data, []byte("tsdev_known=true"), []byte("tsdev_known=false"), 1)
+	if err := os.WriteFile(unknownPath, unknown, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	cache := newMemCache(t)
+	cache.models = map[string]*infer.Model{"d": {TcdelReadMicros: 50, TcdelWriteMicros: 50, FlatReadMicros: -1, FlatWriteMicros: -1}}
+	em := obs.NewEngineMetrics(obs.NewRegistry())
+	cfg := testConfig(2, core.Options{})
+	cfg.Metrics = em
+	if _, _, err := RunJobCached(cfg, JobSpec{In: unknownPath, Parallel: 4}, "d", cache); !errors.Is(err, trace.ErrUnsorted) {
+		t.Fatalf("stored-model job: %v, want an unsorted-input error", err)
+	}
+	if em.ModelFitsJob.Value() != 0 || em.ModelFitsStored.Value() != 1 {
+		t.Fatalf("stored-model job fitted for itself: job=%d stored=%d", em.ModelFitsJob.Value(), em.ModelFitsStored.Value())
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base {

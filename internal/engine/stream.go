@@ -19,10 +19,14 @@ var ErrModelRequired = errors.New("engine: input requires an inference model; fi
 // FitModel runs the global model fit over a request stream with the
 // incremental classifier, returning the fitted model and the number of
 // requests seen. This is pass one of a streaming reconstruction for
-// corpora without recorded latencies. The classifier retains one
-// inter-arrival sample (~8 bytes) per request — far below
-// materializing the trace, but still O(n); truly bounded streaming is
-// only possible for Tsdev-known corpora, which skip this pass.
+// corpora without recorded latencies — unless the job's input came from
+// a corpus store that fitted it at ingest (ResultCache.FittedModel) and
+// the job would fit exactly that, in which case ReconstructPath is
+// handed the stored model and this pass, with its second decode of the
+// input, does not run. The classifier retains one inter-arrival sample
+// (~8 bytes) per request — far below materializing the trace, but still
+// O(n); truly bounded streaming is only possible for Tsdev-known
+// corpora, which skip this pass.
 func FitModel(dec trace.Decoder, opts infer.EstimateOptions) (*infer.Model, int, error) {
 	c := infer.NewStreamClassifier()
 	err := trace.ForEachBatch(dec, func(batch []trace.Request) error {
@@ -33,7 +37,7 @@ func FitModel(dec trace.Decoder, opts infer.EstimateOptions) (*infer.Model, int,
 		trace.CloseDecoder(dec)
 		return nil, c.N(), err
 	}
-	m, err := infer.EstimateGrouping(c.Grouping(), dec.Meta().Name, opts)
+	m, err := c.Estimate(dec.Meta().Name, opts)
 	return m, c.N(), err
 }
 
@@ -142,11 +146,18 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 // (<= 1 = none) inserts a bounded arrival-sort window, which the
 // near-sorted event-traced corpora (msrc) need. Both passes decode on
 // the engine's worker count via the segmented parallel decoder when
-// the input file is large enough to split.
-func (e *Engine) ReconstructPath(inPath, informat string, reorderWindow int, enc trace.Encoder) (*Report, error) {
-	m, err := e.fitModelFromPath(inPath, informat, reorderWindow)
-	if err != nil {
-		return nil, err
+// the input file is large enough to split. A non-nil fitted is the
+// model pass one would produce, already in hand (RunJobCached read it
+// from the store): pass one and its decoder are skipped.
+func (e *Engine) ReconstructPath(inPath, informat string, reorderWindow int, enc trace.Encoder, fitted *infer.Model) (*Report, error) {
+	m := fitted
+	if m != nil {
+		e.cfg.Metrics.ModelFit(true)
+	} else {
+		var err error
+		if m, err = e.fitModelFromPath(inPath, informat, reorderWindow); err != nil {
+			return nil, err
+		}
 	}
 	dec, closeDec, err := openDecoder(inPath, informat, reorderWindow, e.cfg.Workers)
 	if err != nil {
@@ -187,6 +198,7 @@ func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*
 	defer closeDec()
 	fsp := e.cfg.Trace.Start(e.cfg.Trace.Root(), obs.JobSpanNames[obs.JobSpanFit])
 	defer fsp.End()
+	e.cfg.Metrics.ModelFit(false)
 	m, _, err := FitModel(dec, e.cfg.Core.Estimate)
 	return m, err
 }

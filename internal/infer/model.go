@@ -38,6 +38,21 @@ type Model struct {
 	WriteSizes [2]uint32
 }
 
+// Finite reports whether every coefficient is a finite number — what
+// encoding/json can carry, and carry back bit for bit. The corpus store
+// keeps a fitted model only when it is.
+func (m *Model) Finite() bool {
+	for _, v := range [...]float64{
+		m.BetaMicros, m.EtaMicros, m.TcdelReadMicros, m.TcdelWriteMicros,
+		m.TmovdMicros, m.FlatReadMicros, m.FlatWriteMicros,
+	} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // EstimateOptions tunes Estimate.
 type EstimateOptions struct {
 	Steepness SteepnessOptions

@@ -35,6 +35,14 @@ func NewStreamClassifier() *StreamClassifier {
 
 // Add presents the next request of the trace (in arrival order).
 func (c *StreamClassifier) Add(r trace.Request) {
+	c.AddFlagged(r, c.seq.Flag(r))
+}
+
+// AddFlagged is Add for a caller that already computed r's
+// sequentiality flag over the same stream (corpus ingest, whose summary
+// fold runs its own trace.SeqState): the classifier's tracker is left
+// out, so one classifier takes either Add or AddFlagged, never both.
+func (c *StreamClassifier) AddFlagged(r trace.Request, seq bool) {
 	if c.have {
 		k := GroupKey{Seq: c.prevSeq, Op: c.prev.Op, Sectors: c.prev.Sectors}
 		grp := c.lastGrp
@@ -49,7 +57,7 @@ func (c *StreamClassifier) Add(r trace.Request) {
 		intt := float64(r.Arrival-c.prev.Arrival) / float64(time.Microsecond)
 		grp.InttMicros = append(grp.InttMicros, intt)
 	}
-	c.prevSeq = c.seq.Flag(r)
+	c.prevSeq = seq
 	c.prev = r
 	c.have = true
 	c.n++
@@ -70,6 +78,13 @@ func (c *StreamClassifier) N() int { return c.n }
 // Grouping returns the classification accumulated so far.
 func (c *StreamClassifier) Grouping() *Grouping {
 	return &Grouping{Groups: c.groups}
+}
+
+// Estimate fits the model to everything added so far; name labels
+// errors. It is the second half of every streamed fit — the engine's
+// per-job pass (engine.FitModel) and the corpus store's ingest fold.
+func (c *StreamClassifier) Estimate(name string, opts EstimateOptions) (*Model, error) {
+	return EstimateGrouping(c.Grouping(), name, opts)
 }
 
 // ShardContext carries the cross-boundary state DecomposeShard needs

@@ -1,13 +1,17 @@
 package infer
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/device"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // streamTrace builds a mixed synthetic trace with enough group
@@ -83,6 +87,25 @@ func TestEstimateGroupingMatchesEstimate(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("models differ:\n got %+v\nwant %+v", got, want)
 	}
+	// The same fit from a caller that tracks sequentiality itself (corpus
+	// ingest: its summary fold owns the trace.SeqState).
+	flagged, seq := NewStreamClassifier(), trace.NewSeqState()
+	for _, r := range tr.Requests {
+		flagged.AddFlagged(r, seq.Flag(r))
+	}
+	if got, err = flagged.Estimate(tr.Name, EstimateOptions{}); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("flagged feed: %v\n got %+v\nwant %+v", err, got, want)
+	}
+	if !got.Finite() {
+		t.Fatalf("a fitted model reads as non-finite: %+v", got)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m := *got
+		m.TmovdMicros = bad
+		if m.Finite() {
+			t.Fatalf("Finite accepted %v", bad)
+		}
+	}
 }
 
 // TestDecomposeShardConcatenation checks that per-shard decomposition
@@ -132,6 +155,42 @@ func TestDecomposeShardConcatenation(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotAsync, wantAsync) {
 			t.Fatalf("tsdev=%v: async concatenation differs", tsdev)
+		}
+	}
+}
+
+var sinkModel *Model
+
+// BenchmarkEstimateGrouping prices the fit kernel on the benchmark's
+// cold-infer-csv shape — FIU webmail, 100k requests, latencies dropped,
+// csv-quantized arrivals, classified by the stream classifier. Since
+// corpus ingest fits a Tsdev-unknown upload in its own decode pass,
+// this is on every such upload's critical path; a change to the
+// estimator claims against this row.
+func BenchmarkEstimateGrouping(b *testing.B) {
+	p, ok := workload.Lookup("webmail")
+	if !ok {
+		b.Fatal("webmail profile missing")
+	}
+	app := workload.Generate(p, workload.GenOptions{Ops: 100_000, Seed: workload.TraceSeed("webmail", 0)})
+	gen := app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace
+	gen.TsdevKnown = false
+	var buf bytes.Buffer
+	if err := trace.WriteCSV(&buf, gen); err != nil {
+		b.Fatal(err)
+	}
+	tr, err := trace.ReadCSV(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewStreamClassifier()
+	c.AddBatch(tr.Requests)
+	g := c.Grouping()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sinkModel, err = EstimateGrouping(g, tr.Name, EstimateOptions{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -36,7 +36,10 @@ var StageNames = [NumStages]string{"plan", "decompose", "service", "emulate", "m
 // A cached job opens cache-lookup and, on a miss, store — the
 // result-cache write, which the rest of the job runs inside because the
 // graph encodes straight into the cache's file. fit is the model-fit
-// pass (inference-path inputs only) and stream the reconstruction pass;
+// pass (inference-path inputs whose model the job has to fit itself:
+// its absence means the model came stored with the input, which the
+// cache-lookup span's model attr records) and stream the reconstruction
+// pass;
 // stream is the parent of the plan and epoch spans. The engine names
 // its job-level spans from this list only.
 const (
@@ -77,6 +80,13 @@ type EngineMetrics struct {
 	// cached job runs.
 	CacheHits   *Counter
 	CacheMisses *Counter
+	// ModelFitsJob / ModelFitsStored count inference-path jobs by where
+	// their model came from (engine_model_fits_total{source}): fitted by
+	// the job in a pass over its input, or read from the store, fitted
+	// once at ingest. The share of "job" is the share of such jobs still
+	// decoding their input twice.
+	ModelFitsJob    *Counter
+	ModelFitsStored *Counter
 }
 
 // NewEngineMetrics registers the engine metric set on r.
@@ -101,7 +111,22 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 		"Cached jobs served from the result cache without reconstructing.", nil)
 	m.CacheMisses = r.Counter("engine_cache_misses_total",
 		"Cached jobs that missed the result cache and reconstructed.", nil)
+	const fitsHelp = "Inference-path jobs by the source of their model: fitted by the job, or stored with the blob at ingest."
+	m.ModelFitsJob = r.Counter("engine_model_fits_total", fitsHelp, Labels{"source": "job"})
+	m.ModelFitsStored = r.Counter("engine_model_fits_total", fitsHelp, Labels{"source": "stored"})
 	return m
+}
+
+// ModelFit records one inference-path job's model source.
+func (m *EngineMetrics) ModelFit(stored bool) {
+	if m == nil {
+		return
+	}
+	if stored {
+		m.ModelFitsStored.Inc()
+	} else {
+		m.ModelFitsJob.Inc()
+	}
 }
 
 // StageAdd records d of wall time (and one epoch) against a stage.
@@ -139,6 +164,12 @@ type CorpusMetrics struct {
 	DedupHits     *Counter
 	ResultHits    *Counter
 	ResultStores  *Counter
+	// ModelsFitted counts blobs that landed with a fitted inference
+	// model; FitNanos is the time ingest spent estimating (exposed as
+	// corpus_ingest_fit_seconds_total), kept or not — the price an
+	// upload pays so that no job on the blob fits again.
+	ModelsFitted *Counter
+	FitNanos     *Counter
 }
 
 // NewCorpusMetrics registers the corpus metric set on r.
@@ -156,6 +187,10 @@ func NewCorpusMetrics(r *Registry) *CorpusMetrics {
 			"Result-cache lookups that found a cached output.", nil),
 		ResultStores: r.Counter("corpus_result_cache_stores_total",
 			"New reconstructed outputs stored in the result cache.", nil),
+		ModelsFitted: r.Counter("corpus_models_fitted_total",
+			"Ingested traces that landed with a fitted inference model in their sidecar.", nil),
+		FitNanos: r.CounterScaled("corpus_ingest_fit_seconds_total",
+			"Cumulative wall time corpus ingest spent estimating inference models.", nil, 1e-9),
 	}
 }
 
@@ -170,6 +205,18 @@ func (m *CorpusMetrics) IngestObserve(bytes, records int64, created bool) {
 		m.IngestTraces.Inc()
 	} else {
 		m.DedupHits.Inc()
+	}
+}
+
+// FitObserve records one ingest-time model estimate: its wall time, and
+// whether the model was kept.
+func (m *CorpusMetrics) FitObserve(d time.Duration, kept bool) {
+	if m == nil {
+		return
+	}
+	m.FitNanos.Add(int64(d))
+	if kept {
+		m.ModelsFitted.Inc()
 	}
 }
 

@@ -153,8 +153,10 @@ func TestEngineMetricsNilSafe(t *testing.T) {
 	m.StageAdd(StageEmulate, time.Second) // must not panic
 	m.QueuePush(StageMerge)
 	m.QueuePop(StageMerge)
+	m.ModelFit(true)
 	var cm *CorpusMetrics
 	cm.IngestObserve(1, 1, true)
+	cm.FitObserve(time.Millisecond, true)
 	cm.ResultHit()
 	cm.ResultStore()
 }
@@ -182,5 +184,19 @@ func TestEngineMetricsRegistersAllStages(t *testing.T) {
 	}
 	if got := m.StageNanos[StageService].Value(); got != int64(2*time.Second) {
 		t.Fatalf("StageNanos[service] = %d", got)
+	}
+	// Model sources: one series per source, present at zero so "share of
+	// jobs that still fit per job" is readable before the first job.
+	m.ModelFit(false)
+	m.ModelFit(true)
+	m.ModelFit(true)
+	buf.Reset()
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`engine_model_fits_total{source="job"} 1`, `engine_model_fits_total{source="stored"} 2`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("missing %q:\n%s", want, buf.String())
+		}
 	}
 }

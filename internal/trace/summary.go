@@ -77,10 +77,12 @@ func NewSummarizer() *Summarizer {
 	return &Summarizer{seq: NewSeqState()}
 }
 
-// Add folds one request into the summary.
+// Add folds one request into the summary and returns its
+// sequentiality flag, so a consumer folding something else over the
+// same stream (corpus ingest's model fit) need not track it twice.
 //
 //tracelint:hotpath
-func (a *Summarizer) Add(r Request) {
+func (a *Summarizer) Add(r Request) bool {
 	s := &a.sum
 	if s.Requests == 0 {
 		s.MinArrival, s.MaxArrival = r.Arrival, r.Arrival
@@ -106,9 +108,11 @@ func (a *Summarizer) Add(r Request) {
 	if r.Op == Read {
 		s.Reads++
 	}
-	if a.seq.Flag(r) {
+	seq := a.seq.Flag(r)
+	if seq {
 		s.Seq++
 	}
+	return seq
 }
 
 // Summary finalizes the accumulated metrics under the stream metadata
