@@ -68,13 +68,6 @@ func (a *Array) Name() string {
 // members are shard-safe SSDs.
 func (a *Array) ShardSafe() bool { return true }
 
-// Snapshot implements Stateful trivially, like the member SSDs:
-// drained shard-safe state needs no capture.
-func (a *Array) Snapshot() State { return nil }
-
-// Restore implements Stateful: see Snapshot.
-func (a *Array) Restore(State) { a.Reset() }
-
 // Reset implements Device.
 func (a *Array) Reset() {
 	for _, m := range a.members {

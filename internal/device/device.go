@@ -65,56 +65,24 @@ func IsShardSafe(d Device) bool {
 	return ok && s.ShardSafe()
 }
 
-// State is an opaque device-state snapshot. Each Stateful device
-// returns its own concrete value type; a State is only meaningful to
-// a device built from the same configuration as the one that took it.
+// State exists only so the benchmark's snapshot/restore rows compile;
+// it goes with them (ROADMAP item 1(b)).
 type State any
 
-// Stateful is implemented by devices whose complete servicing state at
-// a quiescent point — a virtual time at or after the last completion
-// signalled to the host — can be captured and re-established: a fresh
-// same-configured device that restores the snapshot continues the
-// servicing exactly as the source would have. It is a checkpointing
-// contract only; no execution path depends on it (the engine services
-// non-shard-safe devices in one ordered pass over one device), and
-// what exercises it is the property tests and the benchmark's
-// snapshot/restore rows.
-//
-// "Quiescent" matters: the synchronous emulation loop never submits
-// before the previous completion, but completion is a host-side event
-// — a write-back cache may signal it while the mechanism still owes
-// destage work, so pending busy state past the completion must be part
-// of the snapshot (the HDD's busyUntil). State that cannot outlive the
-// last completion (the flash simulators') snapshots trivially.
+// Stateful exists only so the benchmark's snapshot/restore rows
+// compile; it goes with them (ROADMAP item 1(b)). No device implements
+// it: Reset is the one state contract.
 type Stateful interface {
-	// Snapshot captures the device's servicing state as a value
-	// independent of the device's future evolution.
 	Snapshot() State
-	// Restore replaces the device's state with a snapshot taken from a
-	// same-configured device.
 	Restore(State)
 }
 
-// ConditionalStateful is implemented by wrapper devices whose
-// snapshot support depends on what they wrap: a host stack over a
-// Stateful device snapshots, the same stack over an arbitrary Device
-// does not. IsStateful consults it so callers never snapshot a wrapper
-// that cannot serve it.
-type ConditionalStateful interface {
-	// SnapshotSupported reports whether Snapshot/Restore are usable on
-	// this instance.
-	SnapshotSupported() bool
-}
-
-// IsStateful reports whether d supports Snapshot/Restore.
+// IsStateful is always false, since no device implements Stateful. It
+// exists only so the benchmark compiles and goes with its
+// snapshot/restore rows (ROADMAP item 1(b)).
 func IsStateful(d Device) bool {
-	if _, ok := d.(Stateful); !ok {
-		return false
-	}
-	if c, ok := d.(ConditionalStateful); ok {
-		return c.SnapshotSupported()
-	}
-	return true
+	_, ok := d.(Stateful)
+	return ok
 }
 
 // Stat is one named statistic a device model accumulated during an

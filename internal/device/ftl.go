@@ -12,9 +12,8 @@ package device
 //
 // The FTL is not shard-safe — the mapping table, wear and GC debt
 // persist across idle periods — so the engine services it in one
-// ordered pass. It is Stateful: a snapshot at a quiescent point
-// (everything the device owes the host is complete, and GC runs only
-// inside Submit) is the full translation state.
+// ordered pass over one device. Reset returns it to a freshly built
+// device's state.
 
 import (
 	"time"
@@ -87,26 +86,6 @@ func (d *FTLDevice) Submit(at time.Duration, r trace.Request) Result {
 	complete := at + svc
 	d.lastComplete = complete
 	return Result{Start: at, Complete: complete}
-}
-
-// ftlDeviceState is the adapter's snapshot: the full translation state
-// plus the completion clock the idle budget is measured from.
-type ftlDeviceState struct {
-	f    ftl.State
-	last time.Duration
-}
-
-// Snapshot implements Stateful.
-func (d *FTLDevice) Snapshot() State {
-	return ftlDeviceState{f: d.f.Snapshot(), last: d.lastComplete}
-}
-
-// Restore implements Stateful. The state is adopted (see ftl.Restore):
-// restore a given State at most once.
-func (d *FTLDevice) Restore(s State) {
-	st := s.(ftlDeviceState)
-	d.f.Restore(st.f)
-	d.lastComplete = st.last
 }
 
 // DeviceStats implements StatsReporter with the lifetime-study numbers

@@ -126,33 +126,6 @@ func (h *HDD) Reset() {
 	h.hasPos = false
 }
 
-// hddState is the HDD's Stateful snapshot: the positional state (head
-// cylinder, last access end, whether the head has a position at all)
-// and the write-cache destage debt (busyUntil may exceed the last
-// host-visible completion when WriteCache is on). Rotational phase
-// needs no field — it is a pure function of absolute time, which the
-// engine preserves by servicing every epoch on the global timeline.
-type hddState struct {
-	busyUntil time.Duration
-	headCyl   uint64
-	lastEnd   uint64
-	hasPos    bool
-}
-
-// Snapshot implements Stateful.
-func (h *HDD) Snapshot() State {
-	return hddState{busyUntil: h.busyUntil, headCyl: h.headCyl, lastEnd: h.lastEnd, hasPos: h.hasPos}
-}
-
-// Restore implements Stateful.
-func (h *HDD) Restore(s State) {
-	st := s.(hddState)
-	h.busyUntil = st.busyUntil
-	h.headCyl = st.headCyl
-	h.lastEnd = st.lastEnd
-	h.hasPos = st.hasPos
-}
-
 // cylinderOf maps an LBA to its cylinder.
 func (h *HDD) cylinderOf(lba uint64) uint64 {
 	c := lba / (h.cfg.SectorsPerTrack * h.cfg.TracksPerCyl)

@@ -114,15 +114,6 @@ func (s *SSD) Name() string { return "nvme-ssd" }
 // tracking bounded by the last completion.
 func (s *SSD) ShardSafe() bool { return true }
 
-// Snapshot implements Stateful. The SSD is shard-safe — every busy
-// tracker is bounded by the last completion, so at a quiescent point
-// the state is indistinguishable from a fresh device and the snapshot
-// is trivial.
-func (s *SSD) Snapshot() State { return nil }
-
-// Restore implements Stateful: see Snapshot.
-func (s *SSD) Restore(State) { s.Reset() }
-
 // Reset implements Device. The busy arrays are cleared in place, so a
 // per-shard Reset in the parallel engine costs no allocation.
 func (s *SSD) Reset() {

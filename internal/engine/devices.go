@@ -333,7 +333,7 @@ func (s *HostSpec) hostInner() string {
 // hostConfig converts the spec (nil = all defaults) to a stack config
 // plus the inner-device constructor. The block-layer log is always
 // disabled on engine targets: it grows without bound over a trace and
-// is excluded from snapshots.
+// nothing reads it.
 func (s *HostSpec) hostConfig() (hoststack.Config, func() device.Device) {
 	cfg := hoststack.DefaultConfig()
 	cfg.NoBlockLog = true

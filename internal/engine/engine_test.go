@@ -239,17 +239,17 @@ func TestForceInferenceParity(t *testing.T) {
 }
 
 // TestNonShardSafeFallback checks there is no fallback any more: a
-// device with neither shard-safe emulation nor snapshot support (an
-// Instrumented wrapper hides both capabilities) runs the serviced
-// graph, which needs only in-order Submit — many epochs, at any worker
-// count, in memory and streamed through both encoder classes (csv
-// pre-rendered in the workers, blktrace encoded in the merge) —
-// byte-identical to the sequential pipeline.
+// device that does not declare shard-safe emulation (an Instrumented
+// wrapper hides it) runs the serviced graph, which needs only in-order
+// Submit — many epochs, at any worker count, in memory and streamed
+// through both encoder classes (csv pre-rendered in the workers,
+// blktrace encoded in the merge) — byte-identical to the sequential
+// pipeline.
 func TestNonShardSafeFallback(t *testing.T) {
 	old := genOld(t, "ikki", 3000, true)
 	mk := func() device.Device { return device.NewInstrumented(device.NewHDD(device.DefaultHDDConfig())) }
-	if dev := mk(); device.IsShardSafe(dev) || device.IsStateful(dev) {
-		t.Fatal("fixture device must have neither engine capability")
+	if device.IsShardSafe(mk()) {
+		t.Fatal("fixture device must not be shard-safe")
 	}
 	want, _, err := core.Reconstruct(old, mk(), core.Options{})
 	if err != nil {

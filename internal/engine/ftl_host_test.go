@@ -19,7 +19,7 @@ import (
 
 // testFTLConfig is a deliberately small geometry so corpus-scale test
 // traces lap the device and force both foreground and background GC —
-// the state the snapshot handoff must carry across epochs.
+// state the one device pass must carry across epoch boundaries.
 func testFTLConfig() ftl.Config {
 	cfg := device.DefaultFTLDeviceConfig()
 	cfg.Blocks = 64
@@ -287,15 +287,20 @@ func TestJobSpecDeviceConfigs(t *testing.T) {
 		t.Fatalf("hoststack alias fingerprints differently from host")
 	}
 
-	// Registry-driven discovery matches validation.
+	// Registry-driven discovery matches validation, and the published
+	// pipeline is shard-parallel exactly when the device is shard-safe.
 	names := map[string]bool{}
 	for _, d := range Devices() {
 		names[d.Name] = true
 		if d.Pipeline != PipelineShardParallel && d.Pipeline != PipelineStateful {
 			t.Fatalf("device %s: unknown pipeline %q", d.Name, d.Pipeline)
 		}
-		if _, err := DeviceFactory(d.Name); err != nil {
+		mk, err := DeviceFactory(d.Name)
+		if err != nil {
 			t.Fatalf("registry device %s fails DeviceFactory: %v", d.Name, err)
+		}
+		if shardSafe := device.IsShardSafe(mk()); (d.Pipeline == PipelineShardParallel) != shardSafe {
+			t.Fatalf("device %s: published pipeline %q, but IsShardSafe = %v", d.Name, d.Pipeline, shardSafe)
 		}
 		for _, a := range d.Aliases {
 			if normalizeDevice(a) != d.Name {

@@ -17,8 +17,8 @@ import (
 // hddConfigs returns the device variants the pipelined path must
 // reproduce: the default 7200rpm profile and a write-back-cache
 // variant, whose busyUntil can exceed the last host-visible completion
-// at an epoch boundary — exactly the state the snapshot handoff must
-// carry.
+// at an epoch boundary — state the one device pass must carry across
+// the cut.
 func hddConfigs() map[string]device.HDDConfig {
 	wc := device.DefaultHDDConfig()
 	wc.WriteCache = true

@@ -352,18 +352,16 @@ func accelerate(dec trace.Decoder, enc trace.Encoder, factor float64) error {
 	var prev, now time.Duration
 	err := trace.ForEachBatch(dec, func(batch []trace.Request) error {
 		for _, r := range batch {
-			switch {
-			case r.Sectors == 0:
-				return fmt.Errorf("%w (index %d)", trace.ErrZeroSize, n)
-			case n == 0:
+			if err := checkInput(r, n, n > 0, prev); err != nil {
+				return err
+			}
+			if n == 0 {
 				meta := dec.Meta()
 				meta.TsdevKnown = false
 				if err := enc.Begin(meta); err != nil {
 					return err
 				}
 				prev = r.Arrival
-			case r.Arrival < prev:
-				return fmt.Errorf("%w (index %d); widen the reorder window for near-sorted corpora", trace.ErrUnsorted, n)
 			}
 			now += time.Duration(float64(r.Arrival-prev) / factor)
 			prev = r.Arrival

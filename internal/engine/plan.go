@@ -117,33 +117,44 @@ func (p *streamPlanner) refill() {
 	}
 }
 
+// checkInput applies the planner's input rules to the request at index
+// i of the stream: it has a size, and it does not arrive before prev,
+// its predecessor's arrival (hasPrev is false for the first request).
+func checkInput(r trace.Request, i int64, hasPrev bool, prev time.Duration) error {
+	if r.Sectors == 0 {
+		return fmt.Errorf("%w (index %d)", trace.ErrZeroSize, i)
+	}
+	if hasPrev && r.Arrival < prev {
+		return fmt.Errorf("%w (index %d); widen the reorder window for near-sorted corpora", trace.ErrUnsorted, i)
+	}
+	return nil
+}
+
 // add consumes the next request. When it opens a new epoch, the
 // completed previous shard is returned.
 func (p *streamPlanner) add(r trace.Request) (*shard, error) {
-	if r.Sectors == 0 {
-		return nil, fmt.Errorf("%w (index %d)", trace.ErrZeroSize, p.count)
+	n := len(p.cur.reqs)
+	var last trace.Request
+	if n > 0 {
+		last = p.cur.reqs[n-1]
+	}
+	if err := checkInput(r, p.count, n > 0, last.Arrival); err != nil {
+		return nil, err
 	}
 	var done *shard
-	if n := len(p.cur.reqs); n > 0 {
-		last := p.cur.reqs[n-1]
-		gap := r.Arrival - last.Arrival
-		if gap < 0 {
-			return nil, fmt.Errorf("%w (index %d); widen the reorder window for near-sorted corpora", trace.ErrUnsorted, p.count)
+	if n > 0 && shouldCut(p.cfg, n, r.Arrival-last.Arrival) {
+		finished := p.cur
+		finished.hasNext = true
+		finished.nextArrival = r.Arrival
+		done = &finished
+		p.index++
+		p.cur = shard{
+			index:   p.index,
+			hasPrev: true,
+			prev:    last,
+			prevSeq: finished.seq[n-1],
 		}
-		if shouldCut(p.cfg, n, gap) {
-			finished := p.cur
-			finished.hasNext = true
-			finished.nextArrival = r.Arrival
-			done = &finished
-			p.index++
-			p.cur = shard{
-				index:   p.index,
-				hasPrev: true,
-				prev:    last,
-				prevSeq: finished.seq[n-1],
-			}
-			p.refill()
-		}
+		p.refill()
 	}
 	p.cur.reqs = append(p.cur.reqs, r)
 	p.cur.seq = append(p.cur.seq, p.seq.Flag(r))

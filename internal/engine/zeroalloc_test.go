@@ -165,8 +165,7 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 // TestHostCacheBoundedByResidency guards the "grow on demand" half of
 // the flat cache: a spec may ask for the largest cache validation
 // allows (4 Mi pages — ~100 MB of slab and ~32 MB of index if sized up
-// front), but a job pays only for the pages it touches, in the device
-// and in a snapshot of it.
+// front), but a job pays only for the pages it touches.
 func TestHostCacheBoundedByResidency(t *testing.T) {
 	spec := JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{CachePages: 1 << 22}}.Normalized()
 	if err := spec.Validate(); err != nil {
@@ -186,16 +185,10 @@ func TestHostCacheBoundedByResidency(t *testing.T) {
 	for _, r := range reqs {
 		now = dev.Submit(now, r).Complete
 	}
-	state := dev.(device.Stateful).Snapshot()
 	runtime.ReadMemStats(&m1)
 
 	if got := m1.TotalAlloc - m0.TotalAlloc; got > 1<<20 {
-		t.Fatalf("1k requests + snapshot on a %d-page cache allocated %d bytes, want < 1 MiB", 1<<22, got)
-	}
-	fresh := mk()
-	fresh.(device.Stateful).Restore(state)
-	if a, b := fresh.Submit(now, reqs[0]), dev.Submit(now, reqs[0]); a != b {
-		t.Fatalf("restored device diverges: %+v vs %+v", a, b)
+		t.Fatalf("1k requests on a %d-page cache allocated %d bytes, want < 1 MiB", 1<<22, got)
 	}
 }
 

@@ -1,13 +1,11 @@
 package hoststack
 
 // Tests for what the flat layout adds to the model's contract: index
-// and list consistency under churn, storage that is never shared
-// between a snapshot and its source or recycled while still in use, a
-// flush cursor that does not outlive the cache it describes, and an
-// allocation-free steady state.
+// and list consistency under churn, an allocation-free steady state,
+// and a Reset that empties the cache in place. That Reset forgets the
+// flush cursor is pinned by FuzzStackVsOracle's hop seeds.
 
 import (
-	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -72,129 +70,6 @@ func TestIndexInvariantsUnderChurn(t *testing.T) {
 	}
 }
 
-// TestRestoreDoesNotAliasSource: a snapshot restored into B, and B then
-// driven somewhere else entirely, must not disturb the source — A
-// continued from the snapshot point still matches an uninterrupted
-// run. B's second Restore retires the storage it adopted from the
-// first snapshot to the pool, and A's next Snapshot may draw it, so
-// the pool is in the loop too.
-func TestRestoreDoesNotAliasSource(t *testing.T) {
-	prefix := stackWorkload(3000, 400, 3)
-	suffix := stackWorkload(3000, 400, 4)
-	noise := stackWorkload(3000, 400, 9)
-
-	ref := churnStack(128)
-	_, mid := run(ref, 0, prefix)
-	want, _ := run(ref, mid, suffix)
-
-	a, b := churnStack(128), churnStack(128)
-	run(a, 0, prefix)
-	b.Restore(a.Snapshot())
-	run(b, mid, noise)
-	got, end := run(a, mid, suffix[:1500])
-	b.Restore(a.Snapshot()) // retires what B adopted; A snapshots again below
-	run(b, end, noise)
-	snap := a.Snapshot()
-	run(b, end, noise)
-	rest, _ := run(a, end, suffix[1500:])
-	sameResults(t, "source continued past two snapshots", append(got, rest...), want)
-	checkLayout(t, a)
-
-	// The last snapshot is still intact after all of the above.
-	c := churnStack(128)
-	c.Restore(snap)
-	fromSnap, _ := run(c, end, suffix[1500:])
-	sameResults(t, "restored from the retained snapshot", fromSnap, want[1500:])
-}
-
-// TestRestoreForgetsFlushCursor restores into a stack whose flusher has
-// already worked its way up another cache's recency list. The cursor it
-// left describes that cache, not the adopted one: kept, it would name an
-// arbitrary slot of the new slab — here the most recent page — and hide
-// every dirty page below it from the flusher.
-func TestRestoreForgetsFlushCursor(t *testing.T) {
-	mk := func() *Stack {
-		cfg := Config{CachePages: 8, PageKB: 4, WriteBack: true, DirtyHighWater: 0.5, FlushBatch: 2, NoBlockLog: true}
-		return New(cfg, device.NewHDD(device.DefaultHDDConfig()))
-	}
-	span := func(op trace.Op, from, to uint64) []trace.Request {
-		var reqs []trace.Request
-		for p := from; p < to; p++ {
-			reqs = append(reqs, trace.Request{LBA: p * 8, Sectors: 8, Op: op})
-		}
-		return reqs
-	}
-	// Eight one-page writes cross the four-page limit twice; the second
-	// flush round stops on slot 3.
-	used := mk()
-	run(used, 0, span(trace.Write, 0, 8))
-	if used.flushFrom == nilSlot {
-		t.Fatalf("fixture left no flush cursor behind")
-	}
-	// Slots 0-3 clean, slots 4-7 dirty and exactly at the limit, then
-	// slot 3 read back to the head: all the writeback debt is below it.
-	src := mk()
-	_, now := run(src, 0, append(append(span(trace.Read, 10, 14), span(trace.Write, 20, 24)...), span(trace.Read, 13, 14)...))
-	used.Restore(src.Snapshot())
-	checkLayout(t, used)
-	fresh := mk()
-	fresh.Restore(src.Snapshot())
-	overLimit := span(trace.Write, 30, 31)
-	got, _ := run(used, now, overLimit)
-	want, _ := run(fresh, now, overLimit)
-	sameResults(t, "flush after a restore over a stale cursor", got, want)
-}
-
-// TestRecyclingChainConcurrent mirrors the engine's stateful graph —
-// one servicer stack snapshotting at every epoch boundary and running
-// ahead, two worker stacks restoring those snapshots and replaying the
-// epochs concurrently — and requires the workers' results to equal the
-// serial run. Every Restore retires a worker's storage to the pool and
-// every Snapshot may draw from it while the other goroutines are
-// mid-epoch, so under -race this proves a pooled buffer is never one a
-// live State or device still references.
-func TestRecyclingChainConcurrent(t *testing.T) {
-	const epochs, perEpoch = 12, 500
-	reqs := stackWorkload(epochs*perEpoch, 600, 17)
-
-	serial := churnStack(256)
-	want, _ := run(serial, 0, reqs)
-
-	type handoff struct {
-		epoch int
-		state device.State
-		now   time.Duration
-	}
-	work := make(chan handoff)
-	got := make([]device.Result, len(reqs))
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dev := churnStack(256)
-			for h := range work {
-				dev.Restore(h.state)
-				lo := h.epoch * perEpoch
-				res, _ := run(dev, h.now, reqs[lo:lo+perEpoch])
-				copy(got[lo:], res)
-			}
-		}()
-	}
-	servicer := churnStack(256)
-	now := time.Duration(0)
-	for e := 0; e < epochs; e++ {
-		work <- handoff{epoch: e, state: servicer.Snapshot(), now: now}
-		_, now = run(servicer, now, reqs[e*perEpoch:(e+1)*perEpoch])
-	}
-	close(work)
-	wg.Wait()
-	sameResults(t, "pipelined epochs", got, want)
-	if servicer.hits != serial.hits || servicer.misses != serial.misses || servicer.flushed != serial.flushed {
-		t.Fatalf("servicer counters diverge from the serial run")
-	}
-}
-
 // TestSubmitSteadyStateAllocs pins the hot path at zero allocations:
 // a full cache with evictions and high-water flushes firing, block log
 // off (the engine-target mode).
@@ -218,7 +93,7 @@ func TestSubmitSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSlotSize pins the slab slot at 24 bytes: a full default cache
-// snapshots 65,536 of them per epoch.
+// holds 65,536 of them.
 func TestSlotSize(t *testing.T) {
 	if n := unsafe.Sizeof(cachePage{}); n > 24 {
 		t.Fatalf("cachePage is %d bytes, want <= 24", n)

@@ -23,13 +23,11 @@
 // bucket heads whose chains run through the slots. A flush cursor
 // remembers how far up the LRU the flusher has already cleaned, so
 // lookup, insert, evict and flush are all O(1) per page. Steady-state
-// Submit allocates nothing, the garbage collector has nothing to scan,
-// and — because slices, unlike a map, can be copied and adopted
-// wholesale — Snapshot is two copies and Restore none (see stackState).
+// Submit allocates nothing and the garbage collector has nothing to
+// scan (Stack documents the layout).
 package hoststack
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/device"
@@ -61,8 +59,7 @@ type Config struct {
 	HitLatency time.Duration
 	// NoBlockLog disables the block-layer request log. The engine sets
 	// it for reconstruction targets: the log grows without bound over a
-	// whole trace, is excluded from snapshots anyway, and is only
-	// meaningful on a serially-driven stack.
+	// whole trace and is only a diagnostic of a serially-driven stack.
 	NoBlockLog bool
 }
 
@@ -84,8 +81,7 @@ func DefaultConfig() Config {
 // cachePage is one slab slot: a resident page linked into the LRU and
 // into its index bucket's chain by slot number, or a free slot chained
 // through next. The fields fill 24 bytes exactly, so the dirty flag
-// rides in hnext's sign bit; snapshot volume is this times the slots
-// in use.
+// rides in hnext's sign bit.
 type cachePage struct {
 	page       uint64
 	dev        uint32
@@ -114,6 +110,16 @@ const (
 )
 
 // Stack is the host storage stack; it implements device.Device.
+//
+// The page cache is two pointer-free slices plus five words. slab holds
+// one 24-byte slot per page ever resident at once; head and tail are the
+// MRU and LRU ends of the recency list threaded through the slots'
+// prev/next, free heads the chain of evicted slots (linked by next), and
+// resident and dirty count the listed pages and their writeback debt.
+// index is the power-of-two table of bucket heads (slot+1, at least two
+// buckets per resident page) from a hash of (dev, page); the pages of a
+// bucket are chained through the slots' hnext, whose sign bit is the
+// page's dirty flag.
 type Stack struct {
 	cfg   Config
 	inner device.Device
@@ -121,7 +127,6 @@ type Stack struct {
 	pageSectors uint64
 	dirtyLimit  int // dirty pages beyond this force synchronous flushing
 
-	// The page cache; stackState documents the layout.
 	slab             []cachePage
 	index            []int32
 	head, tail, free int32
@@ -129,8 +134,8 @@ type Stack struct {
 	// flushFrom is the flush cursor: every resident page strictly on the
 	// LRU side of this slot is clean, so the flusher starts here instead
 	// of at tail (nilSlot: unknown, start at tail). It stays true because
-	// a page only ever becomes dirty at the head of the list. Derived
-	// state: a snapshot does not carry it.
+	// a page only ever becomes dirty at the head of the list. It only
+	// records work the flusher need not repeat, so Reset forgets it.
 	flushFrom int32
 
 	log *trace.Trace
@@ -500,9 +505,6 @@ func (s *Stack) writeBack(at time.Duration, slot int32) time.Duration {
 	return res.Complete - at
 }
 
-// dirtyCount returns the maintained dirty-page counter.
-func (s *Stack) dirtyCount() int { return s.dirty }
-
 // issue sends a page span to the inner device and records it in the
 // block-layer log.
 //
@@ -521,107 +523,6 @@ func (s *Stack) issue(at time.Duration, dev uint32, firstPage, lastPage uint64, 
 		s.log.Requests = append(s.log.Requests, req)
 	}
 	return res
-}
-
-// stackState is the Stack's device.State: the page cache verbatim, the
-// accumulated cache counters, and the inner device's own snapshot
-// (which carries any destage debt the inner device still owes — e.g.
-// a write-back HDD's busyUntil).
-//
-// The cache is two pointer-free slices plus five words. slab holds one
-// 24-byte slot per page ever resident at once; head and tail are the
-// MRU and LRU ends of the recency list threaded through the slots'
-// prev/next, free heads the chain of evicted slots (linked by next),
-// and resident and dirty count the listed pages and their writeback
-// debt. index is the power-of-two table of bucket heads (slot+1, at
-// least two buckets per resident page) from a hash of (dev, page); the
-// pages of a bucket are chained through the slots' hnext, whose sign
-// bit is the page's dirty flag. Because nothing in it is a pointer,
-// Snapshot is a copy of each slice and Restore adopts them as the
-// device's own.
-//
-// The flush cursor is not part of the state: it only records work the
-// flusher need not repeat, so Restore forgets it on purpose and the
-// first flush after a hop scans up from the tail once.
-//
-// The block-layer log is deliberately not part of the snapshot: it is
-// a diagnostic of a serially-driven stack, disabled via
-// Config.NoBlockLog on engine targets.
-type stackState struct {
-	slab                  []cachePage
-	index                 []int32
-	head, tail, free      int32
-	resident, dirty       int
-	hits, misses, flushed uint64
-	inner                 device.State
-}
-
-// cacheStorage is a retired slab/index pair awaiting reuse.
-type cacheStorage struct {
-	slab  []cachePage
-	index []int32
-}
-
-// storagePool recycles the storage a Restore displaces into the next
-// Snapshot, so an epoch pipeline's per-epoch copy lands in warm memory
-// instead of megabytes of freshly faulted pages. Only storage a Stack
-// owned exclusively enters it: a Snapshot never shares with its
-// source, and a State is restored at most once.
-var storagePool sync.Pool
-
-// SnapshotSupported implements device.ConditionalStateful: the stack
-// snapshots exactly when its inner device does.
-func (s *Stack) SnapshotSupported() bool {
-	_, ok := s.inner.(device.Stateful)
-	return ok
-}
-
-// Snapshot implements device.Stateful: it copies slab and index, into
-// recycled storage when the pool has some of sufficient capacity. The
-// inner device must be Stateful (see SnapshotSupported).
-func (s *Stack) Snapshot() device.State {
-	var buf cacheStorage
-	if p, ok := storagePool.Get().(*cacheStorage); ok {
-		buf = *p
-	}
-	if cap(buf.slab) < len(s.slab) {
-		// Full capacity, so the adopter can go on filling without
-		// reallocating.
-		buf.slab = make([]cachePage, len(s.slab), cap(s.slab))
-	}
-	if cap(buf.index) < len(s.index) {
-		buf.index = make([]int32, len(s.index))
-	}
-	st := stackState{
-		slab:     buf.slab[:len(s.slab)],
-		index:    buf.index[:len(s.index)],
-		head:     s.head,
-		tail:     s.tail,
-		free:     s.free,
-		resident: s.resident,
-		dirty:    s.dirty,
-		hits:     s.hits,
-		misses:   s.misses,
-		flushed:  s.flushed,
-		inner:    s.inner.(device.Stateful).Snapshot(),
-	}
-	copy(st.slab, s.slab)
-	copy(st.index, s.index)
-	return st
-}
-
-// Restore implements device.Stateful for a snapshot taken on a
-// same-configured stack. It adopts the snapshot's slab and index as
-// its own and retires the storage they displace to the pool — so, like
-// every State, restore a given State at most once.
-func (s *Stack) Restore(v device.State) {
-	st := v.(stackState)
-	storagePool.Put(&cacheStorage{slab: s.slab, index: s.index})
-	s.slab, s.index = st.slab, st.index
-	s.head, s.tail, s.free, s.flushFrom = st.head, st.tail, st.free, nilSlot
-	s.resident, s.dirty = st.resident, st.dirty
-	s.hits, s.misses, s.flushed = st.hits, st.misses, st.flushed
-	s.inner.(device.Stateful).Restore(st.inner)
 }
 
 // DeviceStats implements device.StatsReporter with the cache-level

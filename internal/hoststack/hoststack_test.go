@@ -105,8 +105,8 @@ func TestDirtyHighWaterFlushes(t *testing.T) {
 	if dev.n == 0 {
 		t.Fatal("flusher never ran despite exceeding high water")
 	}
-	if s.dirtyCount() > 32 {
-		t.Fatalf("dirty pages %d above high water after flush", s.dirtyCount())
+	if s.dirty > 32 {
+		t.Fatalf("dirty pages %d above high water after flush", s.dirty)
 	}
 }
 
@@ -152,8 +152,8 @@ func TestFlushDrainsAllDirty(t *testing.T) {
 	if stall == 0 {
 		t.Fatal("flush of dirty cache should cost time")
 	}
-	if s.dirtyCount() != 0 {
-		t.Fatalf("dirty after flush: %d", s.dirtyCount())
+	if s.dirty != 0 {
+		t.Fatalf("dirty after flush: %d", s.dirty)
 	}
 	if s.Flush(at+stall) != 0 {
 		t.Fatal("second flush should be free")
@@ -221,7 +221,7 @@ func TestResetClears(t *testing.T) {
 	s := small(dev)
 	s.Submit(0, wr(0, 8))
 	s.Reset()
-	if s.dirtyCount() != 0 || s.HitRate() != 0 || s.BlockTrace().Len() != 0 {
+	if s.dirty != 0 || s.HitRate() != 0 || s.BlockTrace().Len() != 0 {
 		t.Fatal("reset did not clear state")
 	}
 }

@@ -6,9 +6,9 @@ package hoststack
 // flat cache is only ever allowed to be a faster way of computing the
 // same device.Result stream and the same counters. adversary decodes
 // an arbitrary byte string into a config and an op sequence (with
-// snapshot → Restore-into-a-fresh-stack hops on both sides) so the
-// same driver serves the seeded property test and FuzzStackVsOracle;
-// checkLayout audits the flat structures every 256 ops on the way.
+// reset hops: Stack.Reset against a fresh oracle) so the same driver
+// serves the seeded property test and FuzzStackVsOracle; checkLayout
+// audits the flat structures every 256 ops on the way.
 
 import (
 	"container/list"
@@ -160,38 +160,6 @@ func (o *oracle) issue(at time.Duration, dev uint32, first, last uint64, op trac
 		Sectors: uint32((last - first + 1) * ps), Op: op})
 }
 
-// oracleState is the pre-rewrite snapshot: keys and dirty flags in
-// recency order, rebuilt page by page on restore.
-type oracleState struct {
-	pages                 []oraclePage // MRU first
-	hits, misses, flushed uint64
-	inner                 device.State
-}
-
-func (o *oracle) snapshot() oracleState {
-	st := oracleState{hits: o.hits, misses: o.misses, flushed: o.flushed}
-	for e := o.lru.Front(); e != nil; e = e.Next() {
-		pg := e.Value.(*oraclePage)
-		st.pages = append(st.pages, oraclePage{key: pg.key, dirty: pg.dirty})
-	}
-	st.inner = o.inner.(device.Stateful).Snapshot()
-	return st
-}
-
-func (o *oracle) restore(st oracleState) {
-	o.pages, o.lru, o.dirty = make(map[oracleKey]*oraclePage, len(st.pages)), list.New(), 0
-	for _, sp := range st.pages {
-		pg := &oraclePage{key: sp.key, dirty: sp.dirty}
-		pg.elem = o.lru.PushBack(pg)
-		o.pages[sp.key] = pg
-		if sp.dirty {
-			o.dirty++
-		}
-	}
-	o.hits, o.misses, o.flushed = st.hits, st.misses, st.flushed
-	o.inner.(device.Stateful).Restore(st.inner)
-}
-
 // byteSource deals out a byte string, then zeros.
 type byteSource struct{ b []byte }
 
@@ -222,8 +190,9 @@ const (
 // working set falls on both sides of the cache size); each op picks
 // read or write, one of two device ids, a start sector that need not
 // be page-aligned, 1…6 pages — or a span of 250+ pages, wider than any
-// cache here — an idle gap, and whether to hop first. It returns the
-// flat stack and the number of hops taken, for fixture assertions.
+// cache here — an idle gap, and whether to hop first (Reset the stack,
+// start a fresh oracle). It returns the flat stack and the number of
+// hops taken, for fixture assertions.
 func adversary(t testing.TB, data []byte) (*Stack, int) {
 	src := &byteSource{data}
 	cfg := Config{
@@ -239,22 +208,17 @@ func adversary(t testing.TB, data []byte) (*Stack, int) {
 	hdd := device.DefaultHDDConfig()
 	hdd.WriteCache = flags&2 != 0
 	universe := uint64(1 + src.u16()%1024)
-	mk := func() (*Stack, *oracle) {
-		s := New(cfg, device.NewHDD(hdd))
-		return s, newOracle(s.cfg, device.NewHDD(hdd))
-	}
 
-	s, o := mk()
+	s := New(cfg, device.NewHDD(hdd))
+	o := newOracle(s.cfg, device.NewHDD(hdd))
 	ps := s.pageSectors
 	hops := 0
 	var at time.Duration
 	for i := 0; len(src.b) >= adversaryOp; i++ {
 		kind, where, off, size, gap := src.u8(), uint64(src.u16()), uint64(src.u8()), src.u8(), src.u8()
-		if kind>>2 == 0 { // 1 op in 64: hand both sides off to fresh instances
-			s2, o2 := mk()
-			s2.Restore(s.Snapshot())
-			o2.restore(o.snapshot())
-			s, o = s2, o2
+		if kind>>2 == 0 { // 1 op in 64: Reset the stack, start a fresh oracle
+			s.Reset()
+			o = newOracle(s.cfg, device.NewHDD(hdd))
 			hops++
 		}
 		pages := uint64(1 + size%6)
@@ -305,7 +269,7 @@ func adversary(t testing.TB, data []byte) (*Stack, int) {
 		t.Fatalf("final Flush stalled %v, oracle %v (cfg %+v)", got, want, cfg)
 	}
 	checkCounters("after Flush")
-	if got, want := s.inner.(device.Stateful).Snapshot(), o.inner.(device.Stateful).Snapshot(); got != want {
+	if got, want := *s.inner.(*device.HDD), *o.inner.(*device.HDD); got != want {
 		t.Fatalf("inner devices diverge (cfg %+v):\n got %+v\nwant %+v", cfg, got, want)
 	}
 	return s, hops
@@ -419,7 +383,7 @@ func TestStackVsOracle(t *testing.T) {
 	if hits == 0 || misses == 0 || flushed == 0 || hops < cases {
 		t.Fatalf("fixture too tame: %d hits, %d misses, %d flushed pages, %d hops", hits, misses, flushed, hops)
 	}
-	t.Logf("%d cases x %d ops: %d hits, %d misses, %d flushed pages, %d snapshot hops", cases, ops, hits, misses, flushed, hops)
+	t.Logf("%d cases x %d ops: %d hits, %d misses, %d flushed pages, %d reset hops", cases, ops, hits, misses, flushed, hops)
 }
 
 // FuzzStackVsOracle exposes the same driver to the fuzzer; the seed
@@ -428,7 +392,7 @@ func TestStackVsOracle(t *testing.T) {
 // and the flush cursor's edges: a dirty limit so low that every write
 // flushes while the next ones re-dirty pages the flusher has passed,
 // one- and two-page caches where the cursor's slot is the eviction
-// victim, and hops taken straight after a flush round.
+// victim, and reset hops taken straight after a flush round.
 func FuzzStackVsOracle(f *testing.F) {
 	f.Add(adversaryBytes(99, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -9,28 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TestStackCapabilities pins the engine routing: a stack over a
-// Stateful inner device is stateful (pipelined), never shard-safe; a
-// stack over a non-Stateful inner device reports no snapshot support,
-// so the engine falls back to the sequential path instead of panicking
-// mid-pipeline.
-func TestStackCapabilities(t *testing.T) {
-	over := func(inner device.Device) *Stack {
-		return New(Config{CachePages: 16, NoBlockLog: true}, inner)
-	}
-	statefulInner := over(device.NewHDD(device.DefaultHDDConfig()))
-	if device.IsShardSafe(statefulInner) {
-		t.Fatalf("stack over hdd must not be shard-safe")
-	}
-	if !device.IsStateful(statefulInner) {
-		t.Fatalf("stack over hdd must be stateful")
-	}
-	opaque := over(&device.Null{})
-	if device.IsStateful(opaque) {
-		t.Fatalf("stack over a non-stateful device must not claim statefulness")
-	}
-}
-
 // stackWorkload drives a deterministic mix of reads and writes that
 // fills the cache, dirties pages and crosses the flush threshold.
 func stackWorkload(n, span int, seed uint64) []trace.Request {
@@ -48,62 +26,44 @@ func stackWorkload(n, span int, seed uint64) []trace.Request {
 	return reqs
 }
 
-// TestStackSnapshotRestore checks the host-stack handoff contract: a
-// snapshot carries the page-cache contents in recency order, the dirty
-// (writeback-debt) flags, the cache counters and the inner device's
-// own state, so a restored fresh stack reproduces the original's
-// future servicing and statistics exactly — while a fresh stack
-// without the restore does not.
-func TestStackSnapshotRestore(t *testing.T) {
+// TestResetMatchesFresh pins Reset as the stack's state contract: a
+// stack driven through a prefix and then Reset holds nothing the prefix
+// built and services the suffix — results and counters — exactly as a
+// new stack does from the same time. The prefix leaves cached pages in
+// recency order, dirty pages and the inner HDD's destage debt behind,
+// so the same stack continued without the Reset must service the
+// suffix differently.
+func TestResetMatchesFresh(t *testing.T) {
 	wc := device.DefaultHDDConfig()
 	wc.WriteCache = true
 	cfg := Config{CachePages: 64, PageKB: 4, WriteBack: true, FlushBatch: 8, NoBlockLog: true}
 	mk := func() *Stack { return New(cfg, device.NewHDD(wc)) }
+	prefix, suffix := stackWorkload(500, 200, 11), stackWorkload(120, 200, 23)
 
-	prefix := stackWorkload(500, 200, 11)
-	suffix := stackWorkload(120, 200, 23)
-
-	orig := mk()
-	now := time.Duration(0)
-	for _, r := range prefix {
-		now = orig.Submit(now, r).Complete
+	used := mk()
+	_, now := run(used, 0, prefix)
+	used.Reset()
+	// Reset keeps the slab and index storage, so the stack is not a new
+	// one field for field; what it holds must be: no pages, no flush
+	// cursor, no counters, and an inner device equal to a new one.
+	checkLayout(t, used)
+	if used.resident != 0 || used.flushFrom != nilSlot || used.hits+used.misses+used.flushed != 0 ||
+		*used.inner.(*device.HDD) != *device.NewHDD(wc) {
+		t.Fatalf("Reset left %d pages, flush cursor %d, counters %d/%d/%d, inner device %+v",
+			used.resident, used.flushFrom, used.hits, used.misses, used.flushed, used.inner)
 	}
-	snap := orig.Snapshot()
-
-	replayFrom := func(s *Stack) []device.Result {
-		at := now
-		var out []device.Result
-		for _, r := range suffix {
-			res := s.Submit(at, r)
-			out = append(out, res)
-			at = res.Complete
-		}
-		return out
-	}
-	want := replayFrom(orig)
-
-	restored := mk()
-	restored.Restore(snap)
-	got := replayFrom(restored)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("suffix result %d diverges after restore: got %+v want %+v", i, got[i], want[i])
-		}
-	}
-	if !reflect.DeepEqual(orig.DeviceStats(), restored.DeviceStats()) {
-		t.Fatalf("device stats diverge after restore:\n got %+v\nwant %+v", restored.DeviceStats(), orig.DeviceStats())
-	}
-
+	got, _ := run(used, now, suffix)
 	fresh := mk()
-	diverged := false
-	for i, res := range replayFrom(fresh) {
-		if res != want[i] {
-			diverged = true
-			break
-		}
+	want, _ := run(fresh, now, suffix)
+	sameResults(t, "suffix after Reset", got, want)
+	if !reflect.DeepEqual(used.DeviceStats(), fresh.DeviceStats()) {
+		t.Fatalf("device stats after Reset:\n got %+v\nwant %+v", used.DeviceStats(), fresh.DeviceStats())
 	}
-	if !diverged {
-		t.Fatalf("fresh stack reproduced the stateful suffix; fixture does not exercise cache state")
+
+	continued := mk()
+	run(continued, 0, prefix)
+	if skipped, _ := run(continued, now, suffix); reflect.DeepEqual(skipped, want) {
+		t.Fatalf("a stack continued without Reset serviced the suffix like a new one; the prefix built no state")
 	}
 }
 

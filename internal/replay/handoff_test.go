@@ -115,43 +115,3 @@ func TestEmulateEpochChains(t *testing.T) {
 		}
 	}
 }
-
-// TestSnapshotDoesNotAliasSource guards the ownership rule of
-// device.Stateful: a Snapshot is independent of the device that took
-// it, and Restore may adopt the snapshot's storage. Snapshot at a
-// quiescent point, restore into a fresh device and keep submitting
-// there; the source device, continued from the same point, must still
-// produce the uninterrupted run's results.
-func TestSnapshotDoesNotAliasSource(t *testing.T) {
-	const n, cut = 1200, 600
-	reqs, idle, _ := epochReqs(n)
-	devs := epochDevices()
-	delete(devs, "hdd")
-	for name, mk := range devs {
-		want := make([]trace.Request, n)
-		replay.EmulateEpoch(want, reqs, mk(), idle, nil, 0)
-
-		src := mk()
-		got := make([]trace.Request, n)
-		mid, _ := replay.EmulateEpoch(got[:cut], reqs[:cut], src, idle[:cut], nil, 0)
-		state := src.(device.Stateful).Snapshot()
-
-		// The restored device runs ahead first, mutating whatever
-		// storage it adopted from the snapshot.
-		restored := mk()
-		restored.(device.Stateful).Restore(state)
-		ahead := make([]trace.Request, n-cut)
-		replay.EmulateEpoch(ahead, reqs[cut:], restored, idle[cut:], nil, mid)
-
-		replay.EmulateEpoch(got[cut:], reqs[cut:], src, idle[cut:], nil, mid)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: source device diverges at request %d after its snapshot was restored elsewhere:\n got %+v\nwant %+v",
-					name, i, got[i], want[i])
-			}
-			if i >= cut && ahead[i-cut] != want[i] {
-				t.Fatalf("%s: restored device diverges at request %d:\n got %+v\nwant %+v", name, i, ahead[i-cut], want[i])
-			}
-		}
-	}
-}

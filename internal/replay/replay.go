@@ -199,10 +199,9 @@ func EmulateEpoch(dst, reqs []trace.Request, dev device.Device, idle []time.Dura
 	return now, shiftDelta
 }
 
-// ServiceShard is EmulateEpoch without the output: it advances dev
-// through one epoch's submissions, at the same absolute times, and
-// reports the same exit time and shiftDelta, for callers that want the
-// device pass alone (its cost, or the device state it leaves behind).
+// ServiceShard is EmulateEpoch without the output. It exists only so
+// the benchmark's replay.service row compiles, and goes with that row
+// (ROADMAP item 1(b)).
 func ServiceShard(reqs []trace.Request, dev device.Device, idle []time.Duration, async []bool, start time.Duration) (end time.Duration, shiftDelta time.Duration) {
 	return EmulateEpoch(nil, reqs, dev, idle, async, start)
 }

@@ -1,9 +1,8 @@
 // Command tracelint is the repo's project-specific static-analysis
-// suite: five analyzers enforcing the load-bearing invariants the
+// suite: four analyzers enforcing the load-bearing invariants the
 // test suite can only sample (nil-guarded observability hooks,
-// complete Snapshot/Restore field coverage, allocation-free annotated
-// hot paths, registered error-envelope codes, mutex-guarded field
-// access).
+// allocation-free annotated hot paths, registered error-envelope
+// codes, mutex-guarded field access).
 //
 // It speaks the `go vet -vettool` unit-checking protocol, so the
 // canonical repo-wide run is, from the module root:
@@ -32,14 +31,12 @@ import (
 	"repro/tools/tracelint/internal/checks/guarded"
 	"repro/tools/tracelint/internal/checks/hotpath"
 	"repro/tools/tracelint/internal/checks/nilhook"
-	"repro/tools/tracelint/internal/checks/snapfields"
 	"repro/tools/tracelint/internal/lintkit"
 )
 
 // analyzers is the suite, in README inventory order.
 var analyzers = []*lintkit.Analyzer{
 	nilhook.Analyzer,
-	snapfields.Analyzer,
 	hotpath.Analyzer,
 	errcode.Analyzer,
 	guarded.Analyzer,
