@@ -14,6 +14,8 @@ package main
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -308,12 +310,27 @@ func engineBenchTrace(b *testing.B) *tracePkg.Trace {
 	return engineBenchOld
 }
 
-// BenchmarkEngineReconstruct measures sharded reconstruction
-// throughput over the 1M-request trace at 1, 4 and GOMAXPROCS
-// workers. SetBytes uses the 34-byte binary record size, so the
-// ns/op column converts to on-disk MB/s of trace processed.
+// BenchmarkEngineReconstruct measures the product path — a job from a
+// bin file through engine.RunJobTo to a bin sink — over the 1M-request
+// trace at 1, 4 and GOMAXPROCS workers. SetBytes is the input file's
+// size, so the MB/s column is on-disk trace processed.
 func BenchmarkEngineReconstruct(b *testing.B) {
 	old := engineBenchTrace(b)
+	path := filepath.Join(b.TempDir(), old.Name+".bin")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tracePkg.WriteBinary(f, old); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
 	workerSet := []int{1, 4, runtime.GOMAXPROCS(0)}
 	seen := map[int]bool{}
 	for _, w := range workerSet {
@@ -322,16 +339,16 @@ func BenchmarkEngineReconstruct(b *testing.B) {
 		}
 		seen[w] = true
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			eng := enginePkg.New(enginePkg.Config{Workers: w})
-			b.SetBytes(int64(old.Len()) * 34)
+			spec := enginePkg.JobSpec{In: path, InFormat: "bin", OutFormat: "bin", Parallel: w}
+			b.SetBytes(st.Size())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, _, err := eng.Reconstruct(old)
+				rep, err := enginePkg.RunJobTo(enginePkg.Config{}, spec, io.Discard)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if out.Len() != old.Len() {
-					b.Fatalf("lost requests: %d != %d", out.Len(), old.Len())
+				if rep.Requests != int64(old.Len()) {
+					b.Fatalf("lost requests: %d != %d", rep.Requests, old.Len())
 				}
 			}
 		})

@@ -230,7 +230,7 @@ func TestAuthOverHTTP(t *testing.T) {
 	// Probes and scrapers carry no credentials.
 	health(t, ts)
 	samples := scrapeMetrics(t, ts)
-	if v, ok := metricValue(t, samples, "daemon_rejected_total",
+	if v, ok := obs.SampleValue(samples, "daemon_rejected_total",
 		map[string]string{"reason": "unauthorized", "tenant": anonTenant}); !ok || v < 2 {
 		t.Fatalf("unauthorized rejections counter = %v, %v; want >= 2", v, ok)
 	}
@@ -290,7 +290,7 @@ func TestCorpusBytesQuota(t *testing.T) {
 	}
 	samples := scrapeMetrics(t, ts)
 	for _, tenant := range []string{"alice", "carol"} {
-		if v, ok := metricValue(t, samples, "daemon_rejected_total",
+		if v, ok := obs.SampleValue(samples, "daemon_rejected_total",
 			map[string]string{"reason": "quota_corpus_bytes", "tenant": tenant}); !ok || v != 1 {
 			t.Errorf("quota_corpus_bytes rejections for %s = %v, %v; want 1", tenant, v, ok)
 		}
@@ -392,11 +392,11 @@ func TestRateLimits(t *testing.T) {
 		}
 		health(t, ts) // probes bypass the limiter
 		samples := scrapeMetrics(t, ts)
-		if v, ok := metricValue(t, samples, "daemon_rejected_total",
+		if v, ok := obs.SampleValue(samples, "daemon_rejected_total",
 			map[string]string{"reason": "rate_limited", "tenant": anonTenant}); !ok || v < 1 {
 			t.Fatalf("rate_limited rejections = %v, %v; want >= 1", v, ok)
 		}
-		if _, ok := metricValue(t, samples, "daemon_rate_tokens", map[string]string{"scope": "global"}); !ok {
+		if _, ok := obs.SampleValue(samples, "daemon_rate_tokens", map[string]string{"scope": "global"}); !ok {
 			t.Fatal("daemon_rate_tokens gauge missing")
 		}
 	})
@@ -450,7 +450,7 @@ func TestUploadTooLarge(t *testing.T) {
 	if n := srv.store.Len(); n != 0 {
 		t.Fatalf("store holds %d entries, want 0", n)
 	}
-	if v, ok := metricValue(t, scrapeMetrics(t, ts), "daemon_rejected_total",
+	if v, ok := obs.SampleValue(scrapeMetrics(t, ts), "daemon_rejected_total",
 		map[string]string{"reason": "payload_too_large", "tenant": anonTenant}); !ok || v != 1 {
 		t.Fatalf("payload_too_large rejections = %v, %v; want 1", v, ok)
 	}

@@ -94,8 +94,7 @@ func TestFittedModelAtIngest(t *testing.T) {
 			s := openStore(t)
 			s.SetParallel(tc.parallel)
 			reg := obs.NewRegistry()
-			cm := obs.NewCorpusMetrics(reg)
-			s.SetMetrics(cm)
+			s.SetMetrics(obs.NewCorpusMetrics(reg))
 			e, created, err := s.Ingest(bytes.NewReader(tc.data), tc.format)
 			if err != nil || !created {
 				t.Fatalf("ingest: created=%v err=%v", created, err)
@@ -104,9 +103,8 @@ func TestFittedModelAtIngest(t *testing.T) {
 			if e.Model == nil || modelBits(e.Model) != want {
 				t.Fatalf("entry model %+v diverges from a fresh fit", e.Model)
 			}
-			if cm.ModelsFitted.Value() != 1 || cm.FitNanos.Value() <= 0 {
-				t.Fatalf("models fitted=%d fit ns=%d, want 1 and a positive time",
-					cm.ModelsFitted.Value(), cm.FitNanos.Value())
+			if fitted, secs := metricOf(t, reg, "corpus_models_fitted_total"), metricOf(t, reg, "corpus_ingest_fit_seconds_total"); fitted != 1 || secs <= 0 {
+				t.Fatalf("models fitted=%v fit seconds=%v, want 1 and a positive time", fitted, secs)
 			}
 			// The summary rode the same loop and flags: unchanged.
 			if e.Requests != int64(old.Len()) || e.SeqFraction != old.SeqFraction() || e.TsdevKnown {
@@ -127,8 +125,8 @@ func TestFittedModelAtIngest(t *testing.T) {
 			if e2, created, err := s.Ingest(bytes.NewReader(tc.data), tc.format); err != nil || created || modelBits(e2.Model) != want {
 				t.Fatalf("re-upload: created=%v err=%v model=%+v", created, err, e2.Model)
 			}
-			if cm.ModelsFitted.Value() != 1 {
-				t.Fatalf("re-upload fitted again: %d", cm.ModelsFitted.Value())
+			if fitted := metricOf(t, reg, "corpus_models_fitted_total"); fitted != 1 {
+				t.Fatalf("re-upload fitted again: %v", fitted)
 			}
 
 			// Back through the sidecar's JSON.
@@ -172,8 +170,8 @@ func TestFittedModelAbsent(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := openStore(t)
-			cm := obs.NewCorpusMetrics(obs.NewRegistry())
-			s.SetMetrics(cm)
+			reg := obs.NewRegistry()
+			s.SetMetrics(obs.NewCorpusMetrics(reg))
 			e, created, err := s.Ingest(bytes.NewReader(tc.data), tc.format)
 			if err != nil || !created {
 				t.Fatalf("ingest: created=%v err=%v", created, err)
@@ -181,8 +179,8 @@ func TestFittedModelAbsent(t *testing.T) {
 			if (e.Model != nil) != tc.wantModel || (s.FittedModel(e.Digest) != nil) != tc.wantModel {
 				t.Fatalf("model %+v, want one: %v", e.Model, tc.wantModel)
 			}
-			if got := cm.ModelsFitted.Value() == 1; got != tc.wantModel {
-				t.Fatalf("corpus_models_fitted_total = %d", cm.ModelsFitted.Value())
+			if fitted := metricOf(t, reg, "corpus_models_fitted_total"); (fitted == 1) != tc.wantModel {
+				t.Fatalf("corpus_models_fitted_total = %v", fitted)
 			}
 			side, err := os.ReadFile(filepath.Join(s.Root(), "objects", e.Digest+".json"))
 			if err != nil {

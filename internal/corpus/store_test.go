@@ -545,14 +545,33 @@ func TestIngestParallelRejects(t *testing.T) {
 	}
 }
 
+// metricOf scrapes reg and returns the value of the unlabelled series
+// name, read the way /metrics serves it.
+func metricOf(t *testing.T, reg *obs.Registry, name string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseExposition(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := obs.SampleValue(samples, name, nil)
+	if !ok {
+		t.Fatalf("no series %s", name)
+	}
+	return v
+}
+
 // TestStoreMetrics checks the instrumentation hook: ingest volume and
 // dedup on the store side, hit/store traffic on the result cache, and
 // that StoreResult's internal existence probe is not counted as a hit.
 func TestStoreMetrics(t *testing.T) {
 	s := openStore(t)
 	reg := obs.NewRegistry()
-	cm := obs.NewCorpusMetrics(reg)
-	s.SetMetrics(cm)
+	s.SetMetrics(obs.NewCorpusMetrics(reg))
+	metric := func(name string) float64 { return metricOf(t, reg, name) }
 
 	data := csvBytes(t, sampleTrace())
 	e, created, err := s.Ingest(bytes.NewReader(data), "csv")
@@ -564,44 +583,44 @@ func TestStoreMetrics(t *testing.T) {
 	if _, created, err = s.Ingest(bytes.NewReader(data), "csv"); err != nil || created {
 		t.Fatalf("dedup ingest: created=%v err=%v", created, err)
 	}
-	if got := cm.IngestBytes.Value(); got != 2*int64(len(data)) {
-		t.Fatalf("ingest bytes = %d, want %d", got, 2*len(data))
+	if got := metric("corpus_ingest_bytes_total"); got != float64(2*len(data)) {
+		t.Fatalf("ingest bytes = %v, want %d", got, 2*len(data))
 	}
-	if cm.IngestRecords.Value() != 2*int64(sampleTrace().Len()) {
-		t.Fatalf("ingest records = %d", cm.IngestRecords.Value())
+	if got := metric("corpus_ingest_records_total"); got != float64(2*sampleTrace().Len()) {
+		t.Fatalf("ingest records = %v", got)
 	}
-	if cm.IngestTraces.Value() != 1 || cm.DedupHits.Value() != 1 {
-		t.Fatalf("traces=%d dedup=%d, want 1/1", cm.IngestTraces.Value(), cm.DedupHits.Value())
+	if traces, dedup := metric("corpus_ingest_traces_total"), metric("corpus_dedup_hits_total"); traces != 1 || dedup != 1 {
+		t.Fatalf("traces=%v dedup=%v, want 1/1", traces, dedup)
 	}
 
 	key := strings.Repeat("ab", 32)
 	if _, _, ok := s.LookupResult(key); ok {
 		t.Fatal("lookup hit on empty cache")
 	}
-	if cm.ResultHits.Value() != 0 {
-		t.Fatalf("miss counted as hit: %d", cm.ResultHits.Value())
+	if got := metric("corpus_result_cache_hits_total"); got != 0 {
+		t.Fatalf("miss counted as hit: %v", got)
 	}
 	write := func(w io.Writer) error { _, err := w.Write([]byte("out")); return err }
 	if _, err := s.StoreResult(key, e.Digest, nil, write); err != nil {
 		t.Fatal(err)
 	}
-	if cm.ResultStores.Value() != 1 {
-		t.Fatalf("result stores = %d, want 1", cm.ResultStores.Value())
+	if got := metric("corpus_result_cache_stores_total"); got != 1 {
+		t.Fatalf("result stores = %v, want 1", got)
 	}
-	if cm.ResultHits.Value() != 0 {
-		t.Fatalf("StoreResult's internal probe counted as a hit: %d", cm.ResultHits.Value())
+	if got := metric("corpus_result_cache_hits_total"); got != 0 {
+		t.Fatalf("StoreResult's internal probe counted as a hit: %v", got)
 	}
 	// Re-storing an existing key is a no-op, not a new store.
 	if _, err := s.StoreResult(key, e.Digest, nil, write); err != nil {
 		t.Fatal(err)
 	}
-	if cm.ResultStores.Value() != 1 {
-		t.Fatalf("no-op store counted: %d", cm.ResultStores.Value())
+	if got := metric("corpus_result_cache_stores_total"); got != 1 {
+		t.Fatalf("no-op store counted: %v", got)
 	}
 	if _, _, ok := s.LookupResult(key); !ok {
 		t.Fatal("lookup missed stored result")
 	}
-	if cm.ResultHits.Value() != 1 {
-		t.Fatalf("result hits = %d, want 1", cm.ResultHits.Value())
+	if got := metric("corpus_result_cache_hits_total"); got != 1 {
+		t.Fatalf("result hits = %v, want 1", got)
 	}
 }

@@ -135,16 +135,10 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 	lsp.SetAttr("hit", boolAttr(ok))
 	lsp.SetAttr("model", boolAttr(fitted != nil))
 	lsp.End()
+	cfg.Metrics.CacheLookup(ok)
 	var rep *Report
 	ran := false
-	if ok {
-		if cfg.Metrics != nil {
-			cfg.Metrics.CacheHits.Inc()
-		}
-	} else {
-		if cfg.Metrics != nil {
-			cfg.Metrics.CacheMisses.Inc()
-		}
+	if !ok {
 		ssp := cfg.Trace.Start(cfg.Trace.Root(), obs.JobSpanNames[obs.JobSpanStore])
 		var err error
 		path, err = cache.StoreResultNoted(key, inputDigest, func(w io.Writer) ([]byte, error) {

@@ -149,8 +149,10 @@ type Config struct {
 	Device func() device.Device
 	// Metrics, when non-nil, receives per-stage wall time, queue
 	// occupancy, token-pool backpressure and cache traffic. nil (the
-	// default) disables instrumentation entirely: the executor takes a
-	// per-epoch nil check and the per-request paths are untouched.
+	// default) disables instrumentation entirely: the hook's methods
+	// are its only surface and each returns at once on nil, so the
+	// executor pays a few nil checks per epoch and the per-request
+	// paths are untouched.
 	Metrics *obs.EngineMetrics
 	// Trace, when non-nil, records this run's span tree — plan span,
 	// sampled epoch spans with per-stage children — under the tracer's

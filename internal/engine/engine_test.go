@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -58,6 +59,32 @@ func testConfig(workers int, opts core.Options) Config {
 		MaxShardRequests: 512,
 		Core:             opts,
 	}
+}
+
+// metricOf scrapes reg and returns the value of the series name{labels},
+// read the way /metrics serves it.
+func metricOf(t *testing.T, reg *obs.Registry, name string, labels obs.Labels) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseExposition(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := obs.SampleValue(samples, name, labels)
+	if !ok {
+		t.Fatalf("no series %s%v", name, labels)
+	}
+	return v
+}
+
+// modelFits reads engine_model_fits_total by source.
+func modelFits(t *testing.T, reg *obs.Registry) (job, stored float64) {
+	t.Helper()
+	return metricOf(t, reg, "engine_model_fits_total", obs.Labels{"source": "job"}),
+		metricOf(t, reg, "engine_model_fits_total", obs.Labels{"source": "stored"})
 }
 
 // adversary is one generated input aimed at an edge of the scheduler,
@@ -491,7 +518,10 @@ func TestStreamEmitErrorAborts(t *testing.T) {
 	if err := trace.WriteBinary(&input, old); err != nil {
 		t.Fatal(err)
 	}
-	e := New(testConfig(4, core.Options{}))
+	cfg := testConfig(4, core.Options{})
+	reg := obs.NewRegistry()
+	cfg.Metrics = obs.NewEngineMetrics(reg)
+	e := New(cfg)
 	enc := &failingEncoder{}
 	_, err := e.ReconstructStream(trace.NewBinaryDecoder(bytes.NewReader(input.Bytes())), enc, nil)
 	if err != io.ErrShortWrite {
@@ -499,6 +529,15 @@ func TestStreamEmitErrorAborts(t *testing.T) {
 	}
 	if enc.writes != 1 {
 		t.Fatalf("encoder written %d times after failing, want 1", enc.writes)
+	}
+	// The epochs drained behind the error are not output, but each one
+	// still hands back its in-flight token.
+	if v := metricOf(t, reg, "engine_epochs_in_flight", nil); v != 0 {
+		t.Fatalf("engine_epochs_in_flight = %v after the abort, want 0", v)
+	}
+	admitted := metricOf(t, reg, "engine_stage_epochs_total", obs.Labels{"stage": "plan"})
+	if merged := metricOf(t, reg, "engine_epochs_total", nil); merged >= admitted {
+		t.Fatalf("engine_epochs_total = %v after the abort, want below the %v admitted", merged, admitted)
 	}
 	// The same on the rendered path: the array's csv bytes are spliced,
 	// never written record by record.

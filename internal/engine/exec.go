@@ -253,11 +253,7 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 			if timed {
 				tokenWait += time.Since(w0)
 			}
-			if mtr != nil {
-				mtr.EpochsInFlight.Inc()
-				mtr.StageEpochs[obs.StagePlan].Inc()
-				mtr.QueuePush(obs.StageDecompose)
-			}
+			mtr.EpochAdmitted()
 			ep.n = len(ep.reqs)
 			ep.span = tra.StartEpoch(r.root, ep.index)
 			ep.span.SetAttr("requests", int64(ep.n))
@@ -266,9 +262,8 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 		})
 		psp.SetAttr("token_wait_ns", int64(tokenWait))
 		psp.End()
-		if mtr != nil {
-			mtr.TokenWaitNanos.Add(int64(tokenWait))
-			mtr.StageNanos[obs.StagePlan].Add(int64(time.Since(planStart) - tokenWait))
+		if timed {
+			mtr.PlanDone(time.Since(planStart), tokenWait)
 		}
 	}()
 
@@ -356,17 +351,15 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 
 	var emitErr error
 	inOrder(resCh, inflight, mtr, obs.StageMerge, func(ep epoch) {
-		if emitErr == nil {
+		// After an emit error the rest are drained, not merged.
+		merged := emitErr == nil
+		if merged {
 			st := beginStage(mtr, obs.StageMerge, ep.span)
 			if err := r.emit(&ep); err != nil {
 				emitErr = err
 				close(stop)
 			}
 			st.end()
-			if mtr != nil {
-				mtr.Epochs.Inc()
-				mtr.Requests.Add(int64(ep.n))
-			}
 		}
 		ep.span.End()
 		if r.pool != nil {
@@ -375,9 +368,7 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 			r.pool.bytes.put(ep.enc)
 		}
 		<-tokens
-		if mtr != nil {
-			mtr.EpochsInFlight.Dec()
-		}
+		mtr.EpochRetired(ep.n, merged)
 	})
 	if produceErr != nil && produceErr != errAborted {
 		return produceErr

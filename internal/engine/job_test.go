@@ -110,9 +110,9 @@ func TestRunJobCachedMissBoundedMemory(t *testing.T) {
 		method := tc.method
 		t.Run(tc.name, func(t *testing.T) {
 			spec := JobSpec{In: tc.in, InFormat: "bin", OutFormat: "bin", Method: method}
-			em := obs.NewEngineMetrics(obs.NewRegistry())
+			reg := obs.NewRegistry()
 			cfg := cfg
-			cfg.Metrics = em
+			cfg.Metrics = obs.NewEngineMetrics(reg)
 			run := func() {
 				miss++
 				res, hit, err := RunJobCached(cfg, spec, hexKey(miss), tc.cache)
@@ -138,12 +138,12 @@ func TestRunJobCachedMissBoundedMemory(t *testing.T) {
 				t.Fatalf("cache miss allocated %d B, want <= %d B (16 × the %d B in-flight window); the whole trace is %d B",
 					got, limit, window, whole)
 			}
-			wantStored := int64(0)
+			wantStored := 0.0
 			if tc.cache == stored {
 				wantStored = 2
 			}
-			if job, st := em.ModelFitsJob.Value(), em.ModelFitsStored.Value(); job != 0 || st != wantStored {
-				t.Fatalf("engine_model_fits_total job=%d stored=%d, want 0 and %d", job, st, wantStored)
+			if job, st := modelFits(t, reg); job != 0 || st != wantStored {
+				t.Fatalf("engine_model_fits_total job=%v stored=%v, want 0 and %v", job, st, wantStored)
 			}
 		})
 	}

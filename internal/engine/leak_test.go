@@ -74,14 +74,14 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 	}
 	cache := newMemCache(t)
 	cache.models = map[string]*infer.Model{"d": {TcdelReadMicros: 50, TcdelWriteMicros: 50, FlatReadMicros: -1, FlatWriteMicros: -1}}
-	em := obs.NewEngineMetrics(obs.NewRegistry())
+	reg := obs.NewRegistry()
 	cfg := testConfig(2, core.Options{})
-	cfg.Metrics = em
+	cfg.Metrics = obs.NewEngineMetrics(reg)
 	if _, _, err := RunJobCached(cfg, JobSpec{In: unknownPath, Parallel: 4}, "d", cache); !errors.Is(err, trace.ErrUnsorted) {
 		t.Fatalf("stored-model job: %v, want an unsorted-input error", err)
 	}
-	if em.ModelFitsJob.Value() != 0 || em.ModelFitsStored.Value() != 1 {
-		t.Fatalf("stored-model job fitted for itself: job=%d stored=%d", em.ModelFitsJob.Value(), em.ModelFitsStored.Value())
+	if job, stored := modelFits(t, reg); job != 0 || stored != 1 {
+		t.Fatalf("stored-model job fitted for itself: job=%v stored=%v", job, stored)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base {

@@ -107,9 +107,9 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 				cache.models = map[string]*infer.Model{digest: tc.stored}
 			}
 			tracer := obs.NewTracer(tc.name, 0, obs.TraceContext{})
-			em := obs.NewEngineMetrics(obs.NewRegistry())
+			reg := obs.NewRegistry()
 			cfg := testConfig(2, tc.opts)
-			cfg.Trace, cfg.Metrics = tracer, em
+			cfg.Trace, cfg.Metrics = tracer, obs.NewEngineMetrics(reg)
 			spec := tc.spec
 			spec.In = inPath
 
@@ -143,9 +143,9 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 			if lookup["hit"] != 0 || (lookup["model"] == 1) != tc.wantStored {
 				t.Fatalf("cache-lookup attrs %v, want hit=0 and model=%v", lookup, tc.wantStored)
 			}
-			job, stored := em.ModelFitsJob.Value(), em.ModelFitsStored.Value()
+			job, stored := modelFits(t, reg)
 			if tc.wantStored && (job != 0 || stored != 1) || !tc.wantStored && (job != 1 || stored != 0) {
-				t.Fatalf("engine_model_fits_total job=%d stored=%d", job, stored)
+				t.Fatalf("engine_model_fits_total job=%v stored=%v", job, stored)
 			}
 
 			// A resubmission is a hit: nothing runs, nothing is looked up.

@@ -85,15 +85,15 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		metrics *obs.EngineMetrics
+		metrics *obs.Registry // nil = no metrics hook
 		tracer  *obs.Tracer
 		device  func() device.Device // nil = the default array
 		csv     bool                 // render csv instead of bin
 	}{
 		{"hooks-disabled", nil, nil, nil, false},
-		{"metrics-enabled", obs.NewEngineMetrics(obs.NewRegistry()), nil, nil, false},
+		{"metrics-enabled", obs.NewRegistry(), nil, nil, false},
 		{"metrics-and-tracer-enabled",
-			obs.NewEngineMetrics(obs.NewRegistry()),
+			obs.NewRegistry(),
 			obs.NewTracer("allocbound", 0, obs.TraceContext{}), nil, false},
 		{"host-device", nil, nil, host, false},
 		{"ftl-device", nil, nil, ftl, false},
@@ -102,7 +102,11 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := New(Config{Workers: 2, MaxShardRequests: 4096, Metrics: tc.metrics, Trace: tc.tracer, Device: tc.device})
+			var hook *obs.EngineMetrics
+			if tc.metrics != nil {
+				hook = obs.NewEngineMetrics(tc.metrics)
+			}
+			eng := New(Config{Workers: 2, MaxShardRequests: 4096, Metrics: hook, Trace: tc.tracer, Device: tc.device})
 			var stats []device.Stat
 			run := func() {
 				dec := trace.NewBinaryDecoder(bytes.NewReader(data))
@@ -133,11 +137,12 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 					perReq, m1.Mallocs-m0.Mallocs)
 			}
 			if tc.metrics != nil {
-				if got := tc.metrics.Requests.Value(); got != 2*n {
-					t.Fatalf("engine_requests_total = %d, want %d", got, 2*n)
+				if got := metricOf(t, tc.metrics, "engine_requests_total", nil); got != 2*n {
+					t.Fatalf("engine_requests_total = %v, want %d", got, 2*n)
 				}
 				for _, stage := range []int{obs.StageDecompose, obs.StageEmulate, obs.StageMerge} {
-					if tc.metrics.StageNanos[stage].Value() <= 0 {
+					l := obs.Labels{"stage": obs.StageNames[stage]}
+					if metricOf(t, tc.metrics, "engine_stage_seconds_total", l) <= 0 {
 						t.Fatalf("stage %s recorded no time", obs.StageNames[stage])
 					}
 				}

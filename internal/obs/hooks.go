@@ -1,11 +1,13 @@
 package obs
 
 // Domain metric bundles: pre-registered metric sets the engine and
-// the corpus store accept as nil-checked hooks, so instrumentation
-// costs nothing when disabled and only atomic updates when enabled.
-// All methods tolerate a nil receiver, which keeps the call sites
-// free of guards for the pure-counter updates; call sites that would
-// otherwise pay a time.Now() still guard explicitly.
+// the corpus store accept as hooks, so instrumentation costs nothing
+// when disabled and only atomic updates when enabled. A hook's fields
+// are private, so code outside this package reaches a hook only
+// through its methods, and every method tolerates a nil receiver (a
+// nil hook is "instrumentation off"; TestHookMethodsNilSafe calls each
+// one on nil). Call sites that would otherwise pay a time.Now() still
+// guard explicitly.
 
 import "time"
 
@@ -59,34 +61,34 @@ var JobSpanNames = [NumJobSpans]string{"cache-lookup", "fit", "stream", "store"}
 // token-pool wait, epochs in flight, and result-cache traffic. A nil
 // *EngineMetrics disables instrumentation entirely.
 type EngineMetrics struct {
-	// StageNanos accumulates wall nanoseconds spent per stage (exposed
-	// as engine_stage_seconds_total); StageEpochs counts epochs that
+	// stageNanos accumulates wall nanoseconds spent per stage (exposed
+	// as engine_stage_seconds_total); stageEpochs counts epochs that
 	// passed through each stage.
-	StageNanos  [NumStages]*Counter
-	StageEpochs [NumStages]*Counter
-	// QueueDepth is the occupancy of each stage's input queue
+	stageNanos  [NumStages]*Counter
+	stageEpochs [NumStages]*Counter
+	// queueDepth is the occupancy of each stage's input queue
 	// (StagePlan has none and stays zero).
-	QueueDepth [NumStages]*Gauge
-	// TokenWaitNanos accumulates producer stalls on the in-flight
+	queueDepth [NumStages]*Gauge
+	// tokenWaitNanos accumulates producer stalls on the in-flight
 	// token pool — backpressure from slow downstream stages.
-	TokenWaitNanos *Counter
-	// EpochsInFlight is the number of epochs holding an in-flight
+	tokenWaitNanos *Counter
+	// epochsInFlight is the number of epochs holding an in-flight
 	// token (admitted by the planner, not yet merged).
-	EpochsInFlight *Gauge
-	// Epochs and Requests count merged work.
-	Epochs   *Counter
-	Requests *Counter
-	// CacheHits / CacheMisses count result-cache consultations by
+	epochsInFlight *Gauge
+	// epochs and requests count merged work.
+	epochs   *Counter
+	requests *Counter
+	// cacheHits / cacheMisses count result-cache consultations by
 	// cached job runs.
-	CacheHits   *Counter
-	CacheMisses *Counter
-	// ModelFitsJob / ModelFitsStored count inference-path jobs by where
+	cacheHits   *Counter
+	cacheMisses *Counter
+	// modelFitsJob / modelFitsStored count inference-path jobs by where
 	// their model came from (engine_model_fits_total{source}): fitted by
 	// the job in a pass over its input, or read from the store, fitted
 	// once at ingest. The share of "job" is the share of such jobs still
 	// decoding their input twice.
-	ModelFitsJob    *Counter
-	ModelFitsStored *Counter
+	modelFitsJob    *Counter
+	modelFitsStored *Counter
 }
 
 // NewEngineMetrics registers the engine metric set on r.
@@ -94,26 +96,26 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 	m := &EngineMetrics{}
 	for i, name := range StageNames {
 		l := Labels{"stage": name}
-		m.StageNanos[i] = r.CounterScaled("engine_stage_seconds_total",
+		m.stageNanos[i] = r.CounterScaled("engine_stage_seconds_total",
 			"Cumulative wall time per engine pipeline stage.", l, 1e-9)
-		m.StageEpochs[i] = r.Counter("engine_stage_epochs_total",
+		m.stageEpochs[i] = r.Counter("engine_stage_epochs_total",
 			"Epochs processed per engine pipeline stage.", l)
-		m.QueueDepth[i] = r.Gauge("engine_stage_queue_depth",
+		m.queueDepth[i] = r.Gauge("engine_stage_queue_depth",
 			"Occupancy of each pipeline stage's input queue.", l)
 	}
-	m.TokenWaitNanos = r.CounterScaled("engine_token_wait_seconds_total",
+	m.tokenWaitNanos = r.CounterScaled("engine_token_wait_seconds_total",
 		"Cumulative producer wall time stalled on the in-flight epoch token pool.", nil, 1e-9)
-	m.EpochsInFlight = r.Gauge("engine_epochs_in_flight",
+	m.epochsInFlight = r.Gauge("engine_epochs_in_flight",
 		"Epochs admitted by the planner and not yet merged.", nil)
-	m.Epochs = r.Counter("engine_epochs_total", "Epochs merged into output.", nil)
-	m.Requests = r.Counter("engine_requests_total", "Trace requests reconstructed.", nil)
-	m.CacheHits = r.Counter("engine_cache_hits_total",
+	m.epochs = r.Counter("engine_epochs_total", "Epochs merged into output.", nil)
+	m.requests = r.Counter("engine_requests_total", "Trace requests reconstructed.", nil)
+	m.cacheHits = r.Counter("engine_cache_hits_total",
 		"Cached jobs served from the result cache without reconstructing.", nil)
-	m.CacheMisses = r.Counter("engine_cache_misses_total",
+	m.cacheMisses = r.Counter("engine_cache_misses_total",
 		"Cached jobs that missed the result cache and reconstructed.", nil)
 	const fitsHelp = "Inference-path jobs by the source of their model: fitted by the job, or stored with the blob at ingest."
-	m.ModelFitsJob = r.Counter("engine_model_fits_total", fitsHelp, Labels{"source": "job"})
-	m.ModelFitsStored = r.Counter("engine_model_fits_total", fitsHelp, Labels{"source": "stored"})
+	m.modelFitsJob = r.Counter("engine_model_fits_total", fitsHelp, Labels{"source": "job"})
+	m.modelFitsStored = r.Counter("engine_model_fits_total", fitsHelp, Labels{"source": "stored"})
 	return m
 }
 
@@ -123,10 +125,59 @@ func (m *EngineMetrics) ModelFit(stored bool) {
 		return
 	}
 	if stored {
-		m.ModelFitsStored.Inc()
+		m.modelFitsStored.Inc()
 	} else {
-		m.ModelFitsJob.Inc()
+		m.modelFitsJob.Inc()
 	}
+}
+
+// CacheLookup records one cached job run's result-cache consultation.
+func (m *EngineMetrics) CacheLookup(hit bool) {
+	if m == nil {
+		return
+	}
+	if hit {
+		m.cacheHits.Inc()
+	} else {
+		m.cacheMisses.Inc()
+	}
+}
+
+// EpochAdmitted records the planner admitting one epoch: it takes an
+// in-flight token, has passed the plan stage, and waits in the
+// decompose stage's queue.
+func (m *EngineMetrics) EpochAdmitted() {
+	if m == nil {
+		return
+	}
+	m.epochsInFlight.Inc()
+	m.stageEpochs[StagePlan].Inc()
+	m.queueDepth[StageDecompose].Inc()
+}
+
+// PlanDone records a run's planner: wall is its whole wall time,
+// tokenWait the part of it stalled on the token pool, which counts as
+// backpressure rather than planning.
+func (m *EngineMetrics) PlanDone(wall, tokenWait time.Duration) {
+	if m == nil {
+		return
+	}
+	m.tokenWaitNanos.Add(int64(tokenWait))
+	m.stageNanos[StagePlan].Add(int64(wall - tokenWait))
+}
+
+// EpochRetired records an epoch leaving the merge stage and handing
+// back its token. Only a merged epoch counts as output; one drained
+// after an emit error still leaves the in-flight gauge.
+func (m *EngineMetrics) EpochRetired(requests int, merged bool) {
+	if m == nil {
+		return
+	}
+	if merged {
+		m.epochs.Inc()
+		m.requests.Add(int64(requests))
+	}
+	m.epochsInFlight.Dec()
 }
 
 // StageAdd records d of wall time (and one epoch) against a stage.
@@ -134,8 +185,8 @@ func (m *EngineMetrics) StageAdd(stage int, d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.StageNanos[stage].Add(int64(d))
-	m.StageEpochs[stage].Inc()
+	m.stageNanos[stage].Add(int64(d))
+	m.stageEpochs[stage].Inc()
 }
 
 // QueuePush/QueuePop track a stage input queue's occupancy around
@@ -144,52 +195,52 @@ func (m *EngineMetrics) QueuePush(stage int) {
 	if m == nil {
 		return
 	}
-	m.QueueDepth[stage].Inc()
+	m.queueDepth[stage].Inc()
 }
 
 func (m *EngineMetrics) QueuePop(stage int) {
 	if m == nil {
 		return
 	}
-	m.QueueDepth[stage].Dec()
+	m.queueDepth[stage].Dec()
 }
 
 // CorpusMetrics is the corpus store's instrumentation hook
 // (Store.SetMetrics): ingest volume, digest dedup, and result-cache
 // traffic. A nil *CorpusMetrics disables instrumentation.
 type CorpusMetrics struct {
-	IngestBytes   *Counter
-	IngestRecords *Counter
-	IngestTraces  *Counter
-	DedupHits     *Counter
-	ResultHits    *Counter
-	ResultStores  *Counter
-	// ModelsFitted counts blobs that landed with a fitted inference
-	// model; FitNanos is the time ingest spent estimating (exposed as
+	ingestBytes   *Counter
+	ingestRecords *Counter
+	ingestTraces  *Counter
+	dedupHits     *Counter
+	resultHits    *Counter
+	resultStores  *Counter
+	// modelsFitted counts blobs that landed with a fitted inference
+	// model; fitNanos is the time ingest spent estimating (exposed as
 	// corpus_ingest_fit_seconds_total), kept or not — the price an
 	// upload pays so that no job on the blob fits again.
-	ModelsFitted *Counter
-	FitNanos     *Counter
+	modelsFitted *Counter
+	fitNanos     *Counter
 }
 
 // NewCorpusMetrics registers the corpus metric set on r.
 func NewCorpusMetrics(r *Registry) *CorpusMetrics {
 	return &CorpusMetrics{
-		IngestBytes: r.Counter("corpus_ingest_bytes_total",
+		ingestBytes: r.Counter("corpus_ingest_bytes_total",
 			"Bytes accepted by corpus ingest (including deduplicated uploads).", nil),
-		IngestRecords: r.Counter("corpus_ingest_records_total",
+		ingestRecords: r.Counter("corpus_ingest_records_total",
 			"Trace records decoded during corpus ingest.", nil),
-		IngestTraces: r.Counter("corpus_ingest_traces_total",
+		ingestTraces: r.Counter("corpus_ingest_traces_total",
 			"New traces landed in the corpus.", nil),
-		DedupHits: r.Counter("corpus_dedup_hits_total",
+		dedupHits: r.Counter("corpus_dedup_hits_total",
 			"Uploads discarded because their digest was already stored.", nil),
-		ResultHits: r.Counter("corpus_result_cache_hits_total",
+		resultHits: r.Counter("corpus_result_cache_hits_total",
 			"Result-cache lookups that found a cached output.", nil),
-		ResultStores: r.Counter("corpus_result_cache_stores_total",
+		resultStores: r.Counter("corpus_result_cache_stores_total",
 			"New reconstructed outputs stored in the result cache.", nil),
-		ModelsFitted: r.Counter("corpus_models_fitted_total",
+		modelsFitted: r.Counter("corpus_models_fitted_total",
 			"Ingested traces that landed with a fitted inference model in their sidecar.", nil),
-		FitNanos: r.CounterScaled("corpus_ingest_fit_seconds_total",
+		fitNanos: r.CounterScaled("corpus_ingest_fit_seconds_total",
 			"Cumulative wall time corpus ingest spent estimating inference models.", nil, 1e-9),
 	}
 }
@@ -199,12 +250,12 @@ func (m *CorpusMetrics) IngestObserve(bytes, records int64, created bool) {
 	if m == nil {
 		return
 	}
-	m.IngestBytes.Add(bytes)
-	m.IngestRecords.Add(records)
+	m.ingestBytes.Add(bytes)
+	m.ingestRecords.Add(records)
 	if created {
-		m.IngestTraces.Inc()
+		m.ingestTraces.Inc()
 	} else {
-		m.DedupHits.Inc()
+		m.dedupHits.Inc()
 	}
 }
 
@@ -214,21 +265,21 @@ func (m *CorpusMetrics) FitObserve(d time.Duration, kept bool) {
 	if m == nil {
 		return
 	}
-	m.FitNanos.Add(int64(d))
+	m.fitNanos.Add(int64(d))
 	if kept {
-		m.ModelsFitted.Inc()
+		m.modelsFitted.Inc()
 	}
 }
 
 // ResultHit / ResultStore record result-cache traffic.
 func (m *CorpusMetrics) ResultHit() {
 	if m != nil {
-		m.ResultHits.Inc()
+		m.resultHits.Inc()
 	}
 }
 
 func (m *CorpusMetrics) ResultStore() {
 	if m != nil {
-		m.ResultStores.Inc()
+		m.resultStores.Inc()
 	}
 }

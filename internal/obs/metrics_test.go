@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -148,24 +149,40 @@ func TestGaugeFuncAndLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestEngineMetricsNilSafe(t *testing.T) {
-	var m *EngineMetrics
-	m.StageAdd(StageEmulate, time.Second) // must not panic
-	m.QueuePush(StageMerge)
-	m.QueuePop(StageMerge)
-	m.ModelFit(true)
-	var cm *CorpusMetrics
-	cm.IngestObserve(1, 1, true)
-	cm.FitObserve(time.Millisecond, true)
-	cm.ResultHit()
-	cm.ResultStore()
+// TestHookMethodsNilSafe calls every exported method of a nil
+// *EngineMetrics and a nil *CorpusMetrics with zero-valued arguments. A
+// nil hook means "instrumentation off", and the methods are a hook's
+// only surface outside this package, so none may panic on one; a
+// method added later is covered without being listed here.
+func TestHookMethodsNilSafe(t *testing.T) {
+	for _, hook := range []any{(*EngineMetrics)(nil), (*CorpusMetrics)(nil)} {
+		v := reflect.ValueOf(hook)
+		if v.NumMethod() == 0 {
+			t.Fatalf("%T has no exported methods", hook)
+		}
+		for i := 0; i < v.NumMethod(); i++ {
+			m := v.Method(i)
+			args := make([]reflect.Value, m.Type().NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(m.Type().In(j))
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%T.%s panics on a nil receiver: %v", hook, v.Type().Method(i).Name, p)
+					}
+				}()
+				m.Call(args)
+			}()
+		}
+	}
 }
 
 func TestEngineMetricsRegistersAllStages(t *testing.T) {
 	r := NewRegistry()
 	m := NewEngineMetrics(r)
 	m.StageAdd(StageService, 2*time.Second)
-	m.TokenWaitNanos.Add(int64(time.Second / 2))
+	m.tokenWaitNanos.Add(int64(time.Second / 2))
 	var buf strings.Builder
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -182,8 +199,8 @@ func TestEngineMetricsRegistersAllStages(t *testing.T) {
 	if !strings.Contains(out, "engine_token_wait_seconds_total 0.5") {
 		t.Errorf("token wait scaling wrong:\n%s", out)
 	}
-	if got := m.StageNanos[StageService].Value(); got != int64(2*time.Second) {
-		t.Fatalf("StageNanos[service] = %d", got)
+	if got := m.stageNanos[StageService].Value(); got != int64(2*time.Second) {
+		t.Fatalf("stageNanos[service] = %d", got)
 	}
 	// Model sources: one series per source, present at zero so "share of
 	// jobs that still fit per job" is readable before the first job.

@@ -3,7 +3,7 @@ package obs
 // A strict-enough parser for the Prometheus text exposition format,
 // used by the tests and the daemon metrics smoke to validate that
 // what /metrics serves actually parses — a gate on the writer, not a
-// general scrape client.
+// general scrape client — and to read series back by name.
 
 import (
 	"fmt"
@@ -76,6 +76,24 @@ func ParseExposition(data []byte) ([]Sample, error) {
 		samples = append(samples, s)
 	}
 	return samples, nil
+}
+
+// SampleValue returns the value of the first sample named name whose
+// labels include every pair in labels (nil matches any series).
+func SampleValue(samples []Sample, name string, labels Labels) (float64, bool) {
+next:
+	for _, s := range samples {
+		if s.Name != name {
+			continue
+		}
+		for k, v := range labels {
+			if s.Labels[k] != v {
+				continue next
+			}
+		}
+		return s.Value, true
+	}
+	return 0, false
 }
 
 // familyOf strips the histogram/summary sample suffixes so TYPE

@@ -4,20 +4,16 @@
 // and checks reported diagnostics against `// want "regexp"`
 // expectations in the fixture source.
 //
-// Fixture packages may import sibling fixture packages (resolved from
-// the same testdata/src tree, so project types like the obs hooks are
-// stubbed locally) and standard-library packages (type-checked from
-// GOROOT source, since the offline build environment installs no
-// export data for a fixture toolchain to read).
+// Fixture packages import only the standard library, type-checked
+// from GOROOT source, since the offline build environment installs no
+// export data for a fixture toolchain to read.
 package lintest
 
 import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -35,9 +31,21 @@ import (
 // against the fixtures' // want expectations as test errors.
 func Run(t *testing.T, dir string, a *lintkit.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	ld := newLoader(dir)
+	std := importer.ForCompiler(token.NewFileSet(), "source", nil)
 	for _, path := range pkgPaths {
-		pass, err := ld.load(path)
+		pkgDir := filepath.Join(dir, "src", path)
+		entries, err := os.ReadDir(pkgDir)
+		if err != nil {
+			t.Errorf("loading fixture %s: %v", path, err)
+			continue
+		}
+		var files []string
+		for _, e := range entries {
+			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+				files = append(files, filepath.Join(pkgDir, e.Name()))
+			}
+		}
+		pass, err := lintkit.Typecheck(path, files, "", std)
 		if err != nil {
 			t.Errorf("loading fixture %s: %v", path, err)
 			continue
@@ -49,85 +57,6 @@ func Run(t *testing.T, dir string, a *lintkit.Analyzer, pkgPaths ...string) {
 		}
 		checkWants(t, pass.Fset, pass.Files, diags)
 	}
-}
-
-// loader type-checks fixture packages with memoization so sibling
-// imports share one types universe.
-type loader struct {
-	dir  string // testdata root (containing src/)
-	fset *token.FileSet
-	pkgs map[string]*loadedPkg
-	std  types.Importer
-}
-
-type loadedPkg struct {
-	pass *lintkit.Pass
-	err  error
-}
-
-func newLoader(dir string) *loader {
-	ld := &loader{dir: dir, fset: token.NewFileSet(), pkgs: make(map[string]*loadedPkg)}
-	ld.std = importer.ForCompiler(ld.fset, "source", nil)
-	return ld
-}
-
-// Import implements types.Importer over the fixture tree with a
-// GOROOT-source fallback for std imports.
-func (ld *loader) Import(path string) (*types.Package, error) {
-	if _, err := os.Stat(filepath.Join(ld.dir, "src", path)); err == nil {
-		p, err := ld.load(path)
-		if err != nil {
-			return nil, err
-		}
-		return p.Pkg, nil
-	}
-	return ld.std.Import(path)
-}
-
-func (ld *loader) load(path string) (*lintkit.Pass, error) {
-	if p, ok := ld.pkgs[path]; ok {
-		return p.pass, p.err
-	}
-	// Mark in-progress to fail fast on fixture import cycles.
-	ld.pkgs[path] = &loadedPkg{err: fmt.Errorf("import cycle through %s", path)}
-	pass, err := ld.check(path)
-	ld.pkgs[path] = &loadedPkg{pass: pass, err: err}
-	return pass, err
-}
-
-func (ld *loader) check(path string) (*lintkit.Pass, error) {
-	pkgDir := filepath.Join(ld.dir, "src", path)
-	entries, err := os.ReadDir(pkgDir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(ld.fset, filepath.Join(pkgDir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", pkgDir)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	cfg := &types.Config{Importer: ld, Error: func(error) {}}
-	pkg, err := cfg.Check(path, ld.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("%s: typecheck: %v", path, err)
-	}
-	return &lintkit.Pass{Fset: ld.fset, Files: files, Pkg: pkg, TypesInfo: info}, nil
 }
 
 // want is one expectation: a diagnostic matching re on line.

@@ -73,7 +73,7 @@ func RunVetConfig(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if cfg.VetxOnly {
 		return nil, nil
 	}
-	pass, err := typecheck(cfg.ImportPath, cfg.GoFiles, cfg.GoVersion, newVetImporter(&cfg))
+	pass, err := Typecheck(cfg.ImportPath, cfg.GoFiles, cfg.GoVersion, newVetImporter(&cfg))
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return nil, nil
@@ -83,8 +83,10 @@ func RunVetConfig(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return Run(pass, analyzers)
 }
 
-// typecheck parses and type-checks one package from source files.
-func typecheck(importPath string, goFiles []string, goVersion string, imp types.Importer) (*Pass, error) {
+// Typecheck parses and type-checks one package from source files,
+// resolving its imports through imp. Both drivers and the fixture
+// runner (lintest) build their passes with it.
+func Typecheck(importPath string, goFiles []string, goVersion string, imp types.Importer) (*Pass, error) {
 	fset := token.NewFileSet()
 	var files []*ast.File
 	for _, name := range goFiles {
@@ -98,22 +100,19 @@ func typecheck(importPath string, goFiles []string, goVersion string, imp types.
 		return nil, fmt.Errorf("%s: no Go files", importPath)
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	tcfg := &types.Config{
 		Importer:  imp,
 		GoVersion: goVersion,
 		Error:     func(error) {}, // keep going; first error is returned below
 	}
-	pkg, err := tcfg.Check(importPath, fset, files, info)
-	if err != nil {
+	if _, err := tcfg.Check(importPath, fset, files, info); err != nil {
 		return nil, fmt.Errorf("%s: typecheck: %v", importPath, err)
 	}
-	return &Pass{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}, nil
+	return &Pass{Fset: fset, Files: files, TypesInfo: info}, nil
 }
 
 // newVetImporter builds a gc-export-data importer over the config's
@@ -212,7 +211,7 @@ func LoadPackages(dir string, patterns []string) ([]*LoadedPackage, error) {
 		if p.Module != nil && p.Module.GoVersion != "" {
 			goVersion = "go" + p.Module.GoVersion
 		}
-		pass, err := typecheck(p.ImportPath, files, goVersion, imp)
+		pass, err := Typecheck(p.ImportPath, files, goVersion, imp)
 		if err != nil {
 			return nil, err
 		}

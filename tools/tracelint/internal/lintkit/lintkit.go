@@ -35,7 +35,6 @@ type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
 
 	diags []Diagnostic
@@ -62,9 +61,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // IsTestFile reports whether the file at pos is a _test.go file.
-// Analyzers whose invariant protects production hot paths (nilhook,
-// hotpath) skip test files: tests construct hooks they know are
-// non-nil and allocate freely.
+// Analyzers whose invariant protects production code (hotpath,
+// guarded) skip test files: tests allocate freely and poke at state
+// they own.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
@@ -82,7 +81,6 @@ func Run(pass *Pass, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Analyzer:  a,
 			Fset:      pass.Fset,
 			Files:     pass.Files,
-			Pkg:       pass.Pkg,
 			TypesInfo: pass.TypesInfo,
 		}
 		if err := a.Run(p); err != nil {
@@ -163,14 +161,10 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) (ignoreSet, []Diagno
 // FuncDirective reports whether fn's doc comment carries the
 // `//tracelint:<name>` directive and returns its arguments.
 func FuncDirective(fn *ast.FuncDecl, name string) ([]string, bool) {
-	return directive(fn.Doc, name)
-}
-
-func directive(doc *ast.CommentGroup, name string) ([]string, bool) {
-	if doc == nil {
+	if fn.Doc == nil {
 		return nil, false
 	}
-	for _, c := range doc.List {
+	for _, c := range fn.Doc.List {
 		if rest, ok := strings.CutPrefix(c.Text, "//tracelint:"+name); ok {
 			if rest == "" || rest[0] == ' ' || rest[0] == '\t' {
 				return strings.Fields(rest), true
@@ -180,17 +174,10 @@ func directive(doc *ast.CommentGroup, name string) ([]string, bool) {
 	return nil, false
 }
 
-// CommentDirective scans an arbitrary comment group (e.g. a struct
-// field's trailing comment) for `//tracelint:<name>` or the prose
-// form used by field guards.
-func CommentDirective(doc *ast.CommentGroup, name string) ([]string, bool) {
-	return directive(doc, name)
-}
-
 // ExprString renders a (small) expression as normalized source text —
 // the currency guard tracking uses to compare "the same expression"
-// across a function body. Only the shapes that plausibly name a hook
-// or mutex are rendered; anything else returns "" (never matches).
+// across a function body. Only the shapes that plausibly name a mutex
+// are rendered; anything else returns "" (never matches).
 func ExprString(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:

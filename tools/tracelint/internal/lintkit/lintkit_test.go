@@ -26,9 +26,9 @@ func TestMalformedIgnoreIsDiagnostic(t *testing.T) {
 func f() {
 	//tracelint:ignore
 	_ = 1
-	//tracelint:ignore nilhook
+	//tracelint:ignore guarded
 	_ = 2
-	//tracelint:ignore nilhook a documented reason
+	//tracelint:ignore guarded a documented reason
 	_ = 3
 }
 `)
@@ -42,13 +42,13 @@ func f() {
 		}
 	}
 	// The well-formed directive suppresses its own line and the next.
-	if !ign.matches("nilhook", token.Position{Filename: "a.go", Line: 8}) {
+	if !ign.matches("guarded", token.Position{Filename: "a.go", Line: 8}) {
 		t.Error("directive line not suppressed")
 	}
-	if !ign.matches("nilhook", token.Position{Filename: "a.go", Line: 9}) {
+	if !ign.matches("guarded", token.Position{Filename: "a.go", Line: 9}) {
 		t.Error("line after directive not suppressed")
 	}
-	if ign.matches("nilhook", token.Position{Filename: "a.go", Line: 10}) {
+	if ign.matches("guarded", token.Position{Filename: "a.go", Line: 10}) {
 		t.Error("suppression leaked past the following line")
 	}
 	if ign.matches("hotpath", token.Position{Filename: "a.go", Line: 9}) {

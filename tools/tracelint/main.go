@@ -1,8 +1,7 @@
 // Command tracelint is the repo's project-specific static-analysis
-// suite: four analyzers enforcing the load-bearing invariants the
-// test suite can only sample (nil-guarded observability hooks,
-// allocation-free annotated hot paths, registered error-envelope
-// codes, mutex-guarded field access).
+// suite: three analyzers enforcing the load-bearing invariants the
+// test suite can only sample (allocation-free annotated hot paths,
+// registered error-envelope codes, mutex-guarded field access).
 //
 // It speaks the `go vet -vettool` unit-checking protocol, so the
 // canonical repo-wide run is, from the module root:
@@ -30,13 +29,11 @@ import (
 	"repro/tools/tracelint/internal/checks/errcode"
 	"repro/tools/tracelint/internal/checks/guarded"
 	"repro/tools/tracelint/internal/checks/hotpath"
-	"repro/tools/tracelint/internal/checks/nilhook"
 	"repro/tools/tracelint/internal/lintkit"
 )
 
 // analyzers is the suite, in README inventory order.
 var analyzers = []*lintkit.Analyzer{
-	nilhook.Analyzer,
 	hotpath.Analyzer,
 	errcode.Analyzer,
 	guarded.Analyzer,
