@@ -1,13 +1,13 @@
 // Package engine is the streaming, sharded reconstruction engine: it
 // runs the TraceTracker co-evaluation pipeline (package core) over
 // epoch shards of a trace concurrently, producing output byte-identical
-// to the sequential pipeline while scaling with cores and, in streaming
-// mode, holding only a bounded window of the trace in memory.
+// to the sequential pipeline while scaling with cores and holding only
+// a bounded window of the trace in memory.
 //
 // # The stage graph
 //
-// One executor (exec.go) runs every reconstruction, in memory or
-// streaming, on any target, as one graph:
+// One executor (exec.go) runs every reconstruction, on any target, as
+// one graph:
 //
 //	plan ──> decompose ──> service ──> emulate ──> merge
 //	(serial)   (pool)      (serial)     (pool)     (serial)
@@ -60,7 +60,7 @@
 //
 // Epochs are cut where the planner finds the workload's idle gaps,
 // which balances the stages around the device pass decently. In-flight
-// epochs are bounded by a token pool, so streaming holds
+// epochs are bounded by a token pool, so a run holds
 // O(Workers · MaxShardRequests) requests no matter how the stage
 // throughputs differ.
 //
@@ -71,7 +71,7 @@
 // slice of the sequential result exactly.
 //
 // The model fit (infer.Estimate) is global, so it runs once up front —
-// incrementally via infer.StreamClassifier in streaming mode. Note the
+// incrementally via infer.StreamClassifier on a job's input. Note the
 // fit itself retains one inter-arrival sample (~8 bytes) per request,
 // so a streaming run over an inference-path corpus (no recorded
 // latencies) is O(n) in samples even though requests stay bounded;
@@ -115,6 +115,7 @@
 package engine
 
 import (
+	"io"
 	"runtime"
 	"time"
 
@@ -155,10 +156,9 @@ type Config struct {
 	// paths are untouched.
 	Metrics *obs.EngineMetrics
 	// Trace, when non-nil, records this run's span tree — plan span,
-	// sampled epoch spans with per-stage children — under the tracer's
-	// root (an in-memory run) or under the stream span a streaming run
-	// opens there. nil (the default) disables tracing at nil-check
-	// cost, the same discipline as Metrics.
+	// sampled epoch spans with per-stage children — under the stream
+	// span the run opens at the tracer's root. nil (the default)
+	// disables tracing at nil-check cost, the same discipline as Metrics.
 	Trace *obs.Tracer
 }
 
@@ -196,11 +196,8 @@ func New(cfg Config) *Engine {
 	return &Engine{cfg: cfg.withDefaults()}
 }
 
-// Config returns the engine's effective (defaulted) configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Report aggregates reconstruction diagnostics across shards; it is
-// the streaming counterpart of core.Report (which additionally carries
+// the aggregate counterpart of core.Report (which additionally carries
 // per-instruction slices).
 type Report struct {
 	// Model is the fitted inference model (nil on the Tsdev-known path).
@@ -220,50 +217,74 @@ type Report struct {
 	DeviceStats []device.Stat
 }
 
-// Reconstruct is the in-memory entry point: it reproduces
-// core.Reconstruct(old, target, cfg.Core) exactly — byte-identical
-// output and report — but executes the per-epoch work on cfg.Workers
-// goroutines.
+// Reconstruct runs a materialised trace through ReconstructStream: the
+// output equals core.Reconstruct(old, target, cfg.Core) byte for byte,
+// computed on cfg.Workers goroutines. The report carries the model,
+// the epoch count, the idle/async aggregates and the device stats;
+// Idle and Async stay nil, because per-instruction data is
+// core.Reconstruct's, which remains the specification. The input must
+// meet the planner's rules, as every job's does: at least one request,
+// arrivals non-decreasing, no zero-size request.
 func (e *Engine) Reconstruct(old *trace.Trace) (*trace.Trace, *core.Report, error) {
-	m, useRecorded, err := core.PrepareModel(old, e.cfg.Core)
+	m, _, err := core.PrepareModel(old, e.cfg.Core)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &core.Report{Model: m}
-	out := &trace.Trace{
-		Name:       old.Name,
-		Workload:   old.Workload,
-		Set:        old.Set,
-		TsdevKnown: true,
-	}
-	if n := old.Len(); n > 0 {
-		out.Requests = make([]trace.Request, n)
-		rep.Idle = make([]time.Duration, n)
-		rep.Async = make([]bool, n)
-	}
-
-	// Planning overlaps with execution: epochs are submitted as the
-	// scan cuts them, each pointing at its slots of the preallocated
-	// output and report, so the workers leave final records in place.
-	produce := func(submit func(epoch) error) error {
-		pos := 0
-		return planEach(e.cfg, old, func(s shard) error {
-			end := pos + len(s.reqs)
-			ep := epoch{
-				shard: s,
-				out:   out.Requests[pos:end],
-				idle:  rep.Idle[pos:end],
-				async: rep.Async[pos:end],
-			}
-			pos = end
-			return submit(ep)
-		})
-	}
-	r := &run{cfg: e.cfg, m: m, useRecorded: useRecorded, root: e.cfg.Trace.Root()}
-	if err := r.execute(e.cfg.Device(), produce); err != nil {
+	col := &collector{}
+	col.Requests = make([]trace.Request, 0, old.Len())
+	rep, err := e.ReconstructStream(&sliceDecoder{reqs: old.Requests, meta: old.Meta()}, col, m)
+	if err != nil {
 		return nil, nil, err
 	}
-	rep.IdleCount, rep.IdleTotal, rep.AsyncCount = r.rep.IdleCount, r.rep.IdleTotal, r.rep.AsyncCount
-	rep.Shards, rep.DeviceStats = r.rep.Shards, r.rep.DeviceStats
-	return out, rep, nil
+	return &col.Trace, &core.Report{
+		Model:       rep.Model,
+		Shards:      rep.Shards,
+		IdleCount:   rep.IdleCount,
+		IdleTotal:   rep.IdleTotal,
+		AsyncCount:  rep.AsyncCount,
+		DeviceStats: rep.DeviceStats,
+	}, nil
 }
+
+// sliceDecoder streams a materialised trace. ReadBatch hands the
+// planner a view of the remaining requests, so nothing is copied.
+type sliceDecoder struct {
+	reqs []trace.Request
+	meta trace.Meta
+}
+
+func (d *sliceDecoder) Meta() trace.Meta { return d.meta }
+
+func (d *sliceDecoder) Next() (trace.Request, error) {
+	if len(d.reqs) == 0 {
+		return trace.Request{}, io.EOF
+	}
+	r := d.reqs[0]
+	d.reqs = d.reqs[1:]
+	return r, nil
+}
+
+func (d *sliceDecoder) ReadBatch() ([]trace.Request, error) {
+	if len(d.reqs) == 0 {
+		return nil, io.EOF
+	}
+	b := d.reqs
+	d.reqs = nil
+	return b, nil
+}
+
+// collector is the serial encoder Reconstruct streams into: the merge
+// appends every record to a slice presized to the input.
+type collector struct{ trace.Trace }
+
+func (c *collector) Begin(m trace.Meta) error {
+	c.Name, c.Workload, c.Set, c.TsdevKnown = m.Name, m.Workload, m.Set, m.TsdevKnown
+	return nil
+}
+
+func (c *collector) Write(r trace.Request) error {
+	c.Requests = append(c.Requests, r)
+	return nil
+}
+
+func (c *collector) Close() error { return nil }

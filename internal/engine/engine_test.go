@@ -127,10 +127,11 @@ func adversaries(t *testing.T) []adversary {
 }
 
 // adversaryIdentity runs every adversary on one device at workers 1, 4
-// and 8, in memory and streaming — csv (pre-rendered by the workers on
-// the stateful graph) and blktrace (always written record by record at
-// the merge) — and requires each result to match core.Reconstruct byte
-// for byte.
+// and 8, through Engine.Reconstruct's collector and streamed — csv
+// (pre-rendered by the workers) and blktrace (always written record by
+// record at the merge) — and requires each result to match
+// core.Reconstruct byte for byte, with the same aggregates and device
+// stats.
 func adversaryIdentity(t *testing.T, device string, mk func() device.Device) {
 	t.Helper()
 	encoders := map[string]func(*bytes.Buffer) trace.Encoder{
@@ -165,11 +166,11 @@ func adversaryIdentity(t *testing.T, device string, mk func() device.Device) {
 				t.Fatalf("%s w=%d: engine: %v", label, workers, err)
 			}
 			if !bytes.Equal(traceBytes(t, gotTrace), want) {
-				t.Fatalf("%s w=%d: in-memory output not byte-identical to sequential pipeline", label, workers)
+				t.Fatalf("%s w=%d: collected output not byte-identical to sequential pipeline", label, workers)
 			}
-			if !reflect.DeepEqual(gotRep.Idle, wantRep.Idle) || !reflect.DeepEqual(gotRep.Async, wantRep.Async) ||
-				!reflect.DeepEqual(gotRep.DeviceStats, wantRep.DeviceStats) {
-				t.Fatalf("%s w=%d: in-memory report diverges", label, workers)
+			if gotRep.IdleCount != wantRep.IdleCount || gotRep.IdleTotal != wantRep.IdleTotal ||
+				gotRep.AsyncCount != wantRep.AsyncCount || !reflect.DeepEqual(gotRep.DeviceStats, wantRep.DeviceStats) {
+				t.Fatalf("%s w=%d: collected report diverges", label, workers)
 			}
 			for name, newEnc := range encoders {
 				var got bytes.Buffer
@@ -234,9 +235,6 @@ func TestParallelByteIdentical(t *testing.T) {
 							gotRep.IdleCount, gotRep.IdleTotal, gotRep.AsyncCount,
 							wantRep.IdleCount, wantRep.IdleTotal, wantRep.AsyncCount)
 					}
-					if !reflect.DeepEqual(gotRep.Idle, wantRep.Idle) || !reflect.DeepEqual(gotRep.Async, wantRep.Async) {
-						t.Fatalf("%s tsdev=%v w=%d: per-instruction report diverges", family, tsdev, workers)
-					}
 					if !reflect.DeepEqual(gotRep.Model, wantRep.Model) {
 						t.Fatalf("%s tsdev=%v w=%d: model diverges", family, tsdev, workers)
 					}
@@ -268,19 +266,23 @@ func TestForceInferenceParity(t *testing.T) {
 // TestNonShardSafeFallback checks there is no fallback any more: a
 // device that does not declare shard-safe emulation (an Instrumented
 // wrapper hides it) runs the serviced graph, which needs only in-order
-// Submit — many epochs, at any worker count, in memory and streamed
-// through both encoder classes (csv pre-rendered in the workers,
-// blktrace encoded in the merge) — byte-identical to the sequential
-// pipeline.
+// Submit — many epochs, at any worker count, collected by
+// Engine.Reconstruct and streamed through both encoder classes (csv
+// pre-rendered in the workers, blktrace encoded in the merge) —
+// byte-identical to the sequential pipeline.
 func TestNonShardSafeFallback(t *testing.T) {
 	old := genOld(t, "ikki", 3000, true)
 	mk := func() device.Device { return device.NewInstrumented(device.NewHDD(device.DefaultHDDConfig())) }
 	if device.IsShardSafe(mk()) {
 		t.Fatal("fixture device must not be shard-safe")
 	}
-	want, _, err := core.Reconstruct(old, mk(), core.Options{})
+	want, wantRep, err := core.Reconstruct(old, mk(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	sameReport := func(idleCount int, idleTotal time.Duration, asyncCount int, stats []device.Stat) bool {
+		return idleCount == wantRep.IdleCount && idleTotal == wantRep.IdleTotal &&
+			asyncCount == wantRep.AsyncCount && reflect.DeepEqual(stats, wantRep.DeviceStats)
 	}
 	var input bytes.Buffer
 	if err := trace.WriteBinary(&input, old); err != nil {
@@ -304,6 +306,9 @@ func TestNonShardSafeFallback(t *testing.T) {
 		if rep.Shards < 2 {
 			t.Fatalf("w=%d: expected the graph to run multiple epochs, got %d", workers, rep.Shards)
 		}
+		if !sameReport(rep.IdleCount, rep.IdleTotal, rep.AsyncCount, rep.DeviceStats) {
+			t.Fatalf("w=%d: wrapped-device report diverges from the serial path", workers)
+		}
 		for encName, mkEnc := range encoders {
 			var wantBytes, gotBytes bytes.Buffer
 			if err := trace.EncodeTrace(mkEnc(&wantBytes), want); err != nil {
@@ -319,64 +324,22 @@ func TestNonShardSafeFallback(t *testing.T) {
 			if srep.Shards < 2 {
 				t.Fatalf("%s w=%d: expected the graph to run multiple epochs, got %d", encName, workers, srep.Shards)
 			}
-		}
-	}
-}
-
-// TestStreamMatchesInMemory checks the streaming path (decode →
-// shard → encode) produces the same CSV bytes as encoding the
-// in-memory engine result, on both latency paths.
-func TestStreamMatchesInMemory(t *testing.T) {
-	for _, tsdev := range []bool{true, false} {
-		old := genOld(t, "MSNFS", 3000, tsdev)
-		e := New(testConfig(4, core.Options{}))
-		outTrace, rep, err := e.Reconstruct(old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want bytes.Buffer
-		if err := trace.WriteCSV(&want, outTrace); err != nil {
-			t.Fatal(err)
-		}
-
-		// Binary input preserves exact nanosecond timestamps (CSV would
-		// quantize to the µs-fraction text form and legitimately change
-		// the reconstruction).
-		var input bytes.Buffer
-		if err := trace.WriteBinary(&input, old); err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		srep, err := e.ReconstructStream(
-			trace.NewBinaryDecoder(bytes.NewReader(input.Bytes())),
-			trace.NewCSVEncoder(&got),
-			rep.Model,
-		)
-		if err != nil {
-			t.Fatalf("tsdev=%v: stream: %v", tsdev, err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("tsdev=%v: streaming output diverges from in-memory engine", tsdev)
-		}
-		if srep.Requests != int64(old.Len()) {
-			t.Fatalf("tsdev=%v: stream report requests %d want %d", tsdev, srep.Requests, old.Len())
-		}
-		if srep.Shards < 2 {
-			t.Fatalf("tsdev=%v: expected multiple shards, got %d", tsdev, srep.Shards)
-		}
-		if srep.IdleCount == 0 {
-			t.Fatalf("tsdev=%v: stream report lost idle aggregates", tsdev)
+			if !sameReport(srep.IdleCount, srep.IdleTotal, srep.AsyncCount, srep.DeviceStats) {
+				t.Fatalf("%s w=%d: streamed wrapped-device report diverges from the serial path", encName, workers)
+			}
 		}
 	}
 }
 
 // TestShardSafeRenderByteIdentical locks the graph on a shard-safe
 // target: epochs emulated from time zero, chained by the middle stage,
-// then offset, post-processed and rendered in the workers. On the array, for every output format — csv and bin spliced
+// then offset, post-processed and rendered in the workers. On the array,
+// on both latency paths, for every output format — csv and bin spliced
 // from worker-rendered bytes, blktrace and fio encoded serially at the
 // merge — every worker count and both entry points, the bytes equal a
 // whole-trace encode of the sequential reconstruction, over enough small
-// epochs that the chained base and shift are non-zero almost everywhere.
+// epochs that the chained base and shift are non-zero almost everywhere,
+// and the reports carry the sequential idle/async aggregates.
 func TestShardSafeRenderByteIdentical(t *testing.T) {
 	for _, tsdev := range []bool{true, false} {
 		old := genOld(t, "MSNFS", 6000, tsdev)
@@ -384,6 +347,9 @@ func TestShardSafeRenderByteIdentical(t *testing.T) {
 		wantTrace, wantRep, err := core.Reconstruct(old, array(), core.Options{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if wantRep.IdleCount == 0 || wantRep.AsyncCount == 0 {
+			t.Fatalf("tsdev=%v: fixture infers no idle or async requests to aggregate", tsdev)
 		}
 		unshifted, _, err := core.Reconstruct(old, array(), core.Options{SkipPostProcess: true})
 		if err != nil {
@@ -415,15 +381,18 @@ func TestShardSafeRenderByteIdentical(t *testing.T) {
 				cfg.MinShardRequests, cfg.MaxShardRequests = 16, 96
 				e := New(cfg)
 
-				memTrace, memRep, err := e.Reconstruct(old)
+				colTrace, colRep, err := e.Reconstruct(old)
 				if err != nil {
-					t.Fatalf("%s tsdev=%v w=%d: in-memory: %v", format, tsdev, workers, err)
+					t.Fatalf("%s tsdev=%v w=%d: collected: %v", format, tsdev, workers, err)
 				}
-				if memRep.Shards < 50 {
-					t.Fatalf("%s w=%d: %d epochs, want >= 50", format, workers, memRep.Shards)
+				if colRep.Shards < 50 {
+					t.Fatalf("%s w=%d: %d epochs, want >= 50", format, workers, colRep.Shards)
 				}
-				if !bytes.Equal(encode(format, memTrace), want) {
-					t.Fatalf("%s tsdev=%v w=%d: in-memory output diverges from the sequential pipeline", format, tsdev, workers)
+				if !bytes.Equal(encode(format, colTrace), want) {
+					t.Fatalf("%s tsdev=%v w=%d: collected output diverges from the sequential pipeline", format, tsdev, workers)
+				}
+				if colRep.IdleCount != wantRep.IdleCount || colRep.IdleTotal != wantRep.IdleTotal || colRep.AsyncCount != wantRep.AsyncCount {
+					t.Fatalf("%s tsdev=%v w=%d: collected report diverges: %+v", format, tsdev, workers, colRep)
 				}
 
 				var got bytes.Buffer
@@ -438,7 +407,7 @@ func TestShardSafeRenderByteIdentical(t *testing.T) {
 				if !bytes.Equal(got.Bytes(), want) {
 					t.Fatalf("%s tsdev=%v w=%d: streamed output diverges from the sequential pipeline", format, tsdev, workers)
 				}
-				if rep.Shards != memRep.Shards || rep.Requests != int64(old.Len()) ||
+				if rep.Shards != colRep.Shards || rep.Requests != int64(old.Len()) ||
 					rep.IdleCount != wantRep.IdleCount || rep.IdleTotal != wantRep.IdleTotal || rep.AsyncCount != wantRep.AsyncCount {
 					t.Fatalf("%s tsdev=%v w=%d: stream report diverges: %+v", format, tsdev, workers, rep)
 				}
@@ -448,7 +417,7 @@ func TestShardSafeRenderByteIdentical(t *testing.T) {
 }
 
 // TestFitModelMatchesEstimate checks pass-one streaming model fitting
-// equals the in-memory fit the engine/core use.
+// equals the whole-trace fit Engine.Reconstruct and core use.
 func TestFitModelMatchesEstimate(t *testing.T) {
 	old := genOld(t, "ikki", 3000, false)
 	_, rep, err := New(testConfig(2, core.Options{})).Reconstruct(old)
@@ -497,6 +466,25 @@ func TestStreamErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "zero sectors") {
 		t.Fatalf("zero sectors: got %v", err)
 	}
+
+	// Engine.Reconstruct streams its trace through the same planner, so
+	// the same rules reject a materialised trace.
+	for _, tc := range []struct {
+		name string
+		csv  string
+		want error
+	}{
+		{"unsorted", unsorted, trace.ErrUnsorted},
+		{"zero sectors", zero, trace.ErrZeroSize},
+	} {
+		old, err := trace.Drain(trace.NewCSVDecoder(strings.NewReader(tc.csv)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e.Reconstruct(old); !errors.Is(err, tc.want) {
+			t.Fatalf("Reconstruct, %s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
 }
 
 // failingEncoder errors on the first Write, simulating a full disk.
@@ -544,9 +532,9 @@ func TestStreamEmitErrorAborts(t *testing.T) {
 	spliceFailureAborts(t, e, input.Bytes())
 }
 
-// TestEmptyStream checks an empty input is rejected like the
-// in-memory path's Validate (a broken corpus must not record as a
-// successful reconstruction).
+// TestEmptyStream checks an empty input is rejected as trace.Validate
+// rejects it (a broken corpus must not record as a successful
+// reconstruction), streamed or handed to Engine.Reconstruct.
 func TestEmptyStream(t *testing.T) {
 	e := New(testConfig(2, core.Options{}))
 	var out bytes.Buffer
@@ -557,18 +545,36 @@ func TestEmptyStream(t *testing.T) {
 	if out.Len() != 0 {
 		t.Fatal("rejected empty stream still wrote output")
 	}
+	if _, _, err := e.Reconstruct(&trace.Trace{Name: "empty", TsdevKnown: true}); !errors.Is(err, trace.ErrNoRequest) {
+		t.Fatalf("Reconstruct of an empty trace: want ErrNoRequest, got %v", err)
+	}
 }
 
-// TestPlanSliceCoverage checks shards partition the trace exactly and
-// carries line up.
+// TestPlanSliceCoverage checks the planner's shards partition the trace
+// exactly, in order, with the whole-trace sequentiality flags, and that
+// the carries line up.
 func TestPlanSliceCoverage(t *testing.T) {
 	old := genOld(t, "ikki", 2000, true)
 	cfg := testConfig(4, core.Options{}).withDefaults()
-	shards := planSlice(cfg, old)
+	p := newStreamPlanner(cfg, &bufPool{})
+	var shards []shard
+	for _, r := range old.Requests {
+		done, err := p.add(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done != nil {
+			shards = append(shards, *done)
+		}
+	}
+	if last := p.finish(); last != nil {
+		shards = append(shards, *last)
+	}
 	if len(shards) < 2 {
 		t.Fatalf("want multiple shards, got %d", len(shards))
 	}
-	total := 0
+	var reqs []trace.Request
+	var seq []bool
 	for i, s := range shards {
 		if s.index != i {
 			t.Fatalf("shard %d has index %d", i, s.index)
@@ -581,59 +587,24 @@ func TestPlanSliceCoverage(t *testing.T) {
 				t.Fatalf("shard %d missing prev carry", i)
 			}
 			prevShard := shards[i-1]
-			if s.prev != prevShard.reqs[len(prevShard.reqs)-1] {
+			if s.prev != prevShard.reqs[len(prevShard.reqs)-1] || s.prevSeq != prevShard.seq[len(prevShard.seq)-1] {
 				t.Fatalf("shard %d prev carry mismatch", i)
 			}
 			if !prevShard.hasNext || prevShard.nextArrival != s.reqs[0].Arrival {
 				t.Fatalf("shard %d next carry mismatch", i)
 			}
 		}
-		total += len(s.reqs)
+		reqs = append(reqs, s.reqs...)
+		seq = append(seq, s.seq...)
 	}
-	if total != old.Len() {
-		t.Fatalf("shards cover %d requests, want %d", total, old.Len())
+	if !reflect.DeepEqual(reqs, old.Requests) {
+		t.Fatalf("shards do not partition the trace: %d requests, want %d", len(reqs), old.Len())
+	}
+	if !reflect.DeepEqual(seq, old.SeqFlags()) {
+		t.Fatal("shard seq flags differ from the whole-trace flags")
 	}
 	if shards[len(shards)-1].hasNext {
 		t.Fatal("final shard claims a next arrival")
-	}
-}
-
-// TestStreamPlannerMatchesPlanSlice checks both planners cut at the
-// same points.
-func TestStreamPlannerMatchesPlanSlice(t *testing.T) {
-	old := genOld(t, "Exchange", 1500, true)
-	cfg := testConfig(4, core.Options{}).withDefaults()
-	want := planSlice(cfg, old)
-	p := newStreamPlanner(cfg, nil)
-	var got []shard
-	for _, r := range old.Requests {
-		done, err := p.add(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done != nil {
-			got = append(got, *done)
-		}
-	}
-	if last := p.finish(); last != nil {
-		got = append(got, *last)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("shard count: got %d want %d", len(got), len(want))
-	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i].reqs, want[i].reqs) {
-			t.Fatalf("shard %d requests differ", i)
-		}
-		if !reflect.DeepEqual(got[i].seq, want[i].seq) {
-			t.Fatalf("shard %d seq flags differ", i)
-		}
-		if got[i].hasPrev != want[i].hasPrev || got[i].prev != want[i].prev || got[i].prevSeq != want[i].prevSeq {
-			t.Fatalf("shard %d prev carry differs", i)
-		}
-		if got[i].hasNext != want[i].hasNext || got[i].nextArrival != want[i].nextArrival {
-			t.Fatalf("shard %d next carry differs", i)
-		}
 	}
 }
 

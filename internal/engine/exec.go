@@ -32,16 +32,13 @@ type epoch struct {
 	// the merge ends it.
 	span obs.Span
 
-	// idle and async receive the decomposition. The in-memory path
-	// points them at the report's slots; streaming leaves them nil and
-	// decompose borrows pooled scratch that emulate returns.
+	// idle and async receive the decomposition: pooled scratch that
+	// decompose borrows and finish returns.
 	idle  []time.Duration
 	async []bool
-	// out receives the reconstructed records. The in-memory path points
-	// it at the epoch's slot of the output trace; streaming leaves it
-	// nil until decompose has consumed the original request data, then
-	// points it at reqs so the device pass collects in place. nil again
-	// once rendered.
+	// out receives the reconstructed records: nil until decompose has
+	// consumed the original request data, then reqs, so the device pass
+	// collects in place. nil again once rendered.
 	out []trace.Request
 	// enc holds the records rendered to output bytes, when the encoder
 	// is a trace.ShardEncoder.
@@ -97,15 +94,13 @@ func (l *freeList[T]) put(b []T) {
 	l.mu.Unlock()
 }
 
-// bufPool recycles a streaming run's per-epoch buffers: request buffers
-// between finish (or the merge, when the encoder is serial) and the
-// stream planner, seq-flag buffers between decompose and the planner,
-// the decomposition scratch between finish and decompose, and the
-// rendered output bytes between merge and finish. The in-flight token
-// pool bounds how many buffers circulate, so steady-state streaming
-// allocates nothing per epoch once the lists warm up. The in-memory path
-// runs without a pool: its epochs are views into the preallocated output
-// and report.
+// bufPool recycles a run's per-epoch buffers: request buffers between
+// finish (or the merge, when the encoder is serial) and the stream
+// planner, seq-flag buffers between decompose and the planner, the
+// decomposition scratch between finish and decompose, and the rendered
+// output bytes between merge and finish. The in-flight token pool
+// bounds how many buffers circulate, so a steady-state run allocates
+// nothing per epoch once the lists warm up.
 type bufPool struct {
 	reqs  freeList[trace.Request]
 	seqs  freeList[bool]
@@ -120,15 +115,12 @@ type run struct {
 	cfg         Config
 	m           *infer.Model
 	useRecorded bool
-	// enc and meta are the streaming output; enc is nil on the in-memory
-	// path, whose results land in the slots its epochs point at.
+	// enc receives the reconstructed trace, headed by meta.
 	enc  trace.Encoder
 	meta trace.Meta
-	// pool is non-nil exactly when the epochs own their buffers
-	// (streaming).
+	// pool recycles the epochs' buffers; the planner draws from it.
 	pool *bufPool
-	// root parents the run's plan and epoch spans: the stream span, or
-	// the tracer's root for an in-memory run.
+	// root parents the run's plan and epoch spans: the stream span.
 	root obs.Span
 
 	// se, when non-nil, is the encoder the workers render with; set by
@@ -199,8 +191,8 @@ func inOrder(in <-chan epoch, window int, mtr *obs.EngineMetrics, stage int, f f
 // and the merge (this goroutine) hands the epochs to emit in index
 // order.
 //
-// In-flight epochs are bounded by a token pool, so streaming runs hold
-// only O(Workers · MaxShardRequests) requests in memory no matter how
+// In-flight epochs are bounded by a token pool, so a run holds only
+// O(Workers · MaxShardRequests) requests in memory no matter how
 // unbalanced the epochs or the stage throughputs are. A produce error
 // ends submission at that point; an emit error additionally signals the
 // producer to stop, so a failed output stream does not keep decoding
@@ -362,11 +354,9 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 			st.end()
 		}
 		ep.span.End()
-		if r.pool != nil {
-			// Emitted (or abandoned): the epoch's buffers are dead.
-			r.pool.reqs.put(ep.out)
-			r.pool.bytes.put(ep.enc)
-		}
+		// Emitted (or abandoned): the epoch's buffers are dead.
+		r.pool.reqs.put(ep.out)
+		r.pool.bytes.put(ep.enc)
 		<-tokens
 		mtr.EpochRetired(ep.n, merged)
 	})
@@ -394,20 +384,16 @@ func (r *run) decompose(ep *epoch) {
 		ctx.Prev = &ep.prev
 		ctx.PrevSeq = ep.prevSeq
 	}
-	if r.pool != nil {
-		// Stale contents are fine: DecomposeShardInto overwrites every
-		// slot it reads.
-		ep.idle = r.pool.durs.get(ep.n)
-		ep.async = r.pool.flags.get(ep.n)
-	}
+	// Stale contents are fine: DecomposeShardInto overwrites every slot
+	// it reads.
+	ep.idle = r.pool.durs.get(ep.n)
+	ep.async = r.pool.flags.get(ep.n)
 	infer.DecomposeShardInto(ep.idle, ep.async, r.m, ep.reqs, ctx)
-	if r.pool != nil {
-		r.pool.seqs.put(ep.seq)
-		ep.seq = nil
-		// The request data is consumed: the device pass collects in
-		// place over it.
-		ep.out = ep.reqs
-	}
+	r.pool.seqs.put(ep.seq)
+	ep.seq = nil
+	// The request data is consumed: the device pass collects in place
+	// over it.
+	ep.out = ep.reqs
 }
 
 // postAsync is the async decomposition as post-processing sees it: nil
@@ -453,10 +439,8 @@ func (r *run) finish(ep *epoch) {
 			ep.asyncCount++
 		}
 	}
-	if r.pool != nil {
-		r.pool.durs.put(ep.idle)
-		r.pool.flags.put(ep.async)
-	}
+	r.pool.durs.put(ep.idle)
+	r.pool.flags.put(ep.async)
 	if r.se != nil {
 		// The first record predicts the rest — exactly for fixed-width
 		// records, within the slack for text — so a buffer that must grow
@@ -473,15 +457,14 @@ func (r *run) finish(ep *epoch) {
 	}
 }
 
-// emit is the merge stage's output step, shared by the in-memory and
-// streaming entry points: splice the epoch's rendered bytes into the
-// output stream — or, for the encoders whose records depend on the ones
-// before (blktrace, fio), encode its records here, in order — and fold
-// its aggregates into the run's report.
+// emit is the merge stage's output step: splice the epoch's rendered
+// bytes into the output stream — or, for the encoders whose records
+// depend on the ones before (blktrace, fio), encode its records here,
+// in order — and fold its aggregates into the run's report.
 //
 //tracelint:hotpath
 func (r *run) emit(ep *epoch) error {
-	if r.enc != nil && !r.begun {
+	if !r.begun {
 		r.begun = true
 		if err := r.enc.Begin(r.meta); err != nil {
 			return err
@@ -491,7 +474,7 @@ func (r *run) emit(ep *epoch) error {
 		if err := r.se.WriteRaw(ep.enc); err != nil {
 			return err
 		}
-	} else if r.enc != nil {
+	} else {
 		for i := range ep.out {
 			if err := r.enc.Write(ep.out[i]); err != nil {
 				return err

@@ -86,7 +86,7 @@ func statefulTargets(t *testing.T) map[string]struct {
 
 // pipelinedByteIdentical locks the epoch-pipelined path for one
 // stateful target: for workers 1, 4 and 8 the reconstruction — records,
-// per-instruction report and device stats — is byte-identical to the
+// report aggregates and device stats — is byte-identical to the
 // sequential core pipeline, on workload families and on the generated
 // adversaries.
 func pipelinedByteIdentical(t *testing.T, target string) {
@@ -120,9 +120,6 @@ func pipelinedByteIdentical(t *testing.T, target string) {
 					if gotRep.IdleCount != wantRep.IdleCount || gotRep.IdleTotal != wantRep.IdleTotal ||
 						gotRep.AsyncCount != wantRep.AsyncCount {
 						t.Fatalf("%s tsdev=%v w=%d: report aggregates diverge", family, tsdev, workers)
-					}
-					if !reflect.DeepEqual(gotRep.Idle, wantRep.Idle) || !reflect.DeepEqual(gotRep.Async, wantRep.Async) {
-						t.Fatalf("%s tsdev=%v w=%d: per-instruction report diverges", family, tsdev, workers)
 					}
 					if !reflect.DeepEqual(gotRep.Model, wantRep.Model) {
 						t.Fatalf("%s tsdev=%v w=%d: model diverges", family, tsdev, workers)

@@ -33,67 +33,12 @@ func shouldCut(cfg Config, curLen int, gap time.Duration) bool {
 	return curLen >= cfg.MinShardRequests && gap >= cfg.MinIdleGap
 }
 
-// planEach partitions a materialized trace into shards of slice views
-// (no request copying), handing each to emit as soon as it is cut so
-// planning overlaps with execution. Sequentiality flags are computed
-// incrementally along the scan.
-func planEach(cfg Config, t *trace.Trace, emit func(shard) error) error {
-	n := t.Len()
-	if n == 0 {
-		return nil
-	}
-	flags := make([]bool, n)
-	st := trace.NewSeqState()
-	flags[0] = st.Flag(t.Requests[0])
-	index := 0
-	lo := 0
-	for i := 1; i <= n; i++ {
-		atEnd := i == n
-		if !atEnd {
-			flags[i] = st.Flag(t.Requests[i])
-			if !shouldCut(cfg, i-lo, t.Requests[i].Arrival-t.Requests[i-1].Arrival) {
-				continue
-			}
-		}
-		s := shard{
-			index: index,
-			reqs:  t.Requests[lo:i],
-			seq:   flags[lo:i],
-		}
-		if lo > 0 {
-			s.hasPrev = true
-			s.prev = t.Requests[lo-1]
-			s.prevSeq = flags[lo-1]
-		}
-		if !atEnd {
-			s.hasNext = true
-			s.nextArrival = t.Requests[i].Arrival
-		}
-		if err := emit(s); err != nil {
-			return err
-		}
-		index++
-		lo = i
-	}
-	return nil
-}
-
-// planSlice collects planEach's shards (test and inspection helper).
-func planSlice(cfg Config, t *trace.Trace) []shard {
-	var shards []shard
-	planEach(cfg, t, func(s shard) error {
-		shards = append(shards, s)
-		return nil
-	})
-	return shards
-}
-
 // streamPlanner builds shards incrementally from a request stream,
 // owning each shard's buffer. It also validates the invariants the
-// pipeline relies on (trace.Validate equivalents) as it goes. When a
-// pool is attached, new shard buffers come from it (the executor
-// returns them there once a shard is merged), so a long run reuses a
-// bounded set of buffers instead of allocating per shard.
+// pipeline relies on (trace.Validate equivalents) as it goes. New shard
+// buffers come from the run's pool (the executor returns them there
+// once a shard is merged), so a long run reuses a bounded set of
+// buffers instead of allocating per shard.
 type streamPlanner struct {
 	cfg   Config
 	pool  *bufPool
@@ -105,16 +50,6 @@ type streamPlanner struct {
 
 func newStreamPlanner(cfg Config, pool *bufPool) *streamPlanner {
 	return &streamPlanner{cfg: cfg, pool: pool, seq: trace.NewSeqState()}
-}
-
-// refill points the open shard at recycled buffers, if any are free;
-// append grows nil slices naturally otherwise, and those buffers
-// enter the recycling loop once their shard retires.
-func (p *streamPlanner) refill() {
-	if p.pool != nil {
-		p.cur.reqs = p.pool.reqs.get(0)
-		p.cur.seq = p.pool.seqs.get(0)
-	}
 }
 
 // checkInput applies the planner's input rules to the request at index
@@ -148,13 +83,17 @@ func (p *streamPlanner) add(r trace.Request) (*shard, error) {
 		finished.nextArrival = r.Arrival
 		done = &finished
 		p.index++
+		// The new shard appends into recycled buffers when any are free;
+		// otherwise append grows them, and they join the recycling loop
+		// once their shard retires.
 		p.cur = shard{
 			index:   p.index,
+			reqs:    p.pool.reqs.get(0),
+			seq:     p.pool.seqs.get(0),
 			hasPrev: true,
 			prev:    last,
 			prevSeq: finished.seq[n-1],
 		}
-		p.refill()
 	}
 	p.cur.reqs = append(p.cur.reqs, r)
 	p.cur.seq = append(p.cur.seq, p.seq.Flag(r))

@@ -70,8 +70,8 @@ func (e *Engine) ReconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infer.Model) (*Report, error) {
 	first, err := dec.Next()
 	if err == io.EOF {
-		// Consistent with the in-memory path's Validate: an empty
-		// input is a broken corpus, not a successful reconstruction.
+		// As trace.Validate has it: an empty input is a broken corpus,
+		// not a successful reconstruction.
 		return nil, fmt.Errorf("input: %w", trace.ErrNoRequest)
 	}
 	if err != nil {

@@ -26,10 +26,11 @@ func reconstructWithTracer(t *testing.T, cfg Config) *obs.JobTrace {
 	return tracer.Finish()
 }
 
-// verifySpanTree checks the invariants both executors must produce:
-// the root span covers every other span, a plan span hangs off the
-// root, and the sampled epoch spans carry their index plus the
-// executor's per-stage children.
+// verifySpanTree checks the invariants every run must produce: the
+// root span covers every other span, exactly one stream span hangs off
+// the root, the plan span hangs off the stream span, and the sampled
+// epoch spans beside it carry their index plus the executor's
+// per-stage children.
 func verifySpanTree(t *testing.T, jt *obs.JobTrace, wantEpochChildren []string) {
 	t.Helper()
 	if len(jt.Spans) == 0 {
@@ -48,8 +49,17 @@ func verifySpanTree(t *testing.T, jt *obs.JobTrace, wantEpochChildren []string) 
 		children[s.Parent] = append(children[s.Parent], s)
 	}
 
-	var plan, epochs []obs.SpanOut
+	var streams []obs.SpanOut
 	for _, s := range children[root.ID] {
+		if s.Name == "stream" {
+			streams = append(streams, s)
+		}
+	}
+	if len(streams) != 1 {
+		t.Fatalf("found %d stream spans under the root, want 1", len(streams))
+	}
+	var plan, epochs []obs.SpanOut
+	for _, s := range children[streams[0].ID] {
 		switch s.Name {
 		case "plan":
 			plan = append(plan, s)
@@ -58,7 +68,7 @@ func verifySpanTree(t *testing.T, jt *obs.JobTrace, wantEpochChildren []string) 
 		}
 	}
 	if len(plan) != 1 {
-		t.Fatalf("found %d plan spans, want 1", len(plan))
+		t.Fatalf("found %d plan spans under the stream span, want 1", len(plan))
 	}
 	if _, ok := plan[0].Attrs["token_wait_ns"]; !ok {
 		t.Fatalf("plan span missing token_wait_ns attr: %+v", plan[0])
