@@ -177,20 +177,30 @@ func main() {
 		names = order
 	}
 	for _, name := range names {
-		run, ok := registry[name]
-		if !ok {
+		if _, ok := registry[name]; !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			usage()
 			os.Exit(2)
 		}
-		start := time.Now()
-		fmt.Printf("--- %s ---\n", name)
-		if err := run(cfg, os.Stdout); err != nil {
+		if err := runOne(name, cfg, os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("(%s in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// runOne renders a registered experiment under its header to out, and
+// its wall time to timing: out stays deterministic for a given config,
+// which is what the golden of `experiments all` compares.
+func runOne(name string, cfg experiments.Config, out, timing io.Writer) error {
+	start := time.Now()
+	fmt.Fprintf(out, "--- %s ---\n", name)
+	if err := registry[name](cfg, out); err != nil {
+		return err
+	}
+	fmt.Fprintln(out)
+	fmt.Fprintf(timing, "(%s in %v)\n", name, time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 func usage() {

@@ -2,10 +2,55 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/experiments"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/all-ops800.txt")
+
+// TestAllGolden pins every figure and table: the stdout of
+// `experiments -ops 800 all` must equal the committed golden byte for
+// byte. A change that moves a figure on purpose regenerates it with
+//
+//	go test ./cmd/experiments -run TestAllGolden -update
+//
+// and the diff shows in review.
+func TestAllGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, name := range order {
+		if err := runOne(name, experiments.Config{Ops: 800}, &got, io.Discard); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	path := filepath.Join("testdata", "golden", "all-ops800.txt")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./cmd/experiments -run TestAllGolden -update` to create it)", err)
+	}
+	gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("experiments output drifted from %s at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Fatalf("experiments output drifted from %s: %d lines, want %d", path, len(gl), len(wl))
+	}
+}
 
 // TestOrderCoversRegistry keeps the "all" sequence and the registry in
 // sync: every registered experiment appears exactly once in the order.

@@ -4,6 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/trace"
@@ -90,9 +94,10 @@ func Estimate(t *trace.Trace, opts EstimateOptions) (*Model, error) {
 func EstimateGrouping(g *Grouping, name string, opts EstimateOptions) (*Model, error) {
 	opts = opts.withDefaults()
 	m := &Model{FlatReadMicros: -1, FlatWriteMicros: -1}
+	ex := examineGroups(g, opts)
 
-	okRead := estimateOp(m, g, trace.Read, opts)
-	okWrite := estimateOp(m, g, trace.Write, opts)
+	okRead := estimateOp(m, g, ex, trace.Read, opts)
+	okWrite := estimateOp(m, g, ex, trace.Write, opts)
 	if !okRead && !okWrite {
 		return nil, fmt.Errorf("%w: %q", ErrTooSparse, name)
 	}
@@ -111,13 +116,54 @@ func EstimateGrouping(g *Grouping, name string, opts EstimateOptions) (*Model, e
 		m.WriteSizes = m.ReadSizes
 	}
 
-	estimateTmovd(m, g, opts)
+	estimateTmovd(m, g, ex, opts)
 	return m, nil
 }
 
+// examineGroups runs the steepness analysis once over every group with
+// at least MinGroupSamples samples — every group a pass below can
+// select — largest first, on min(GOMAXPROCS, groups) goroutines, each
+// with its own examiner scratch. A goroutine writes only the slots of
+// the groups it takes, and nothing reads a slot before the join. An
+// examination is a pure function of its group's samples, so the
+// schedule cannot change a bit of the model.
+func examineGroups(g *Grouping, opts EstimateOptions) map[*Group]*examination {
+	var groups []*Group
+	for _, grp := range g.Groups {
+		if grp.N() >= opts.MinGroupSamples {
+			groups = append(groups, grp)
+		}
+	}
+	sort.Slice(groups, func(i, j int) bool { return groups[i].N() > groups[j].N() })
+	out := make([]examination, len(groups))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(groups)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var x examiner
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(groups) {
+					return
+				}
+				out[i] = x.examine(groups[i].InttMicros, opts.Steepness)
+			}
+		}()
+	}
+	wg.Wait()
+	ex := make(map[*Group]*examination, len(groups))
+	for i, grp := range groups {
+		ex[grp] = &out[i]
+	}
+	return ex
+}
+
 // estimateOp fits β (or η) and Tcdel for one operation type from the
-// sequential groups. Returns false when no group is usable.
-func estimateOp(m *Model, g *Grouping, op trace.Op, opts EstimateOptions) bool {
+// sequential groups, reading their examinations from ex. Returns false
+// when no group is usable.
+func estimateOp(m *Model, g *Grouping, ex map[*Group]*examination, op trace.Op, opts EstimateOptions) bool {
 	groups := g.Select(true, op, opts.MinGroupSamples)
 	if len(groups) == 0 {
 		// No sequential traffic: fall back to random groups of the op
@@ -131,12 +177,12 @@ func estimateOp(m *Model, g *Grouping, op trace.Op, opts EstimateOptions) bool {
 	}
 	type scored struct {
 		grp *Group
-		res SteepnessResult
+		*examination
 	}
 	var sc []scored
 	for _, grp := range groups {
-		if res, ok := ExamineSteepness(grp.InttMicros, opts.Steepness); ok {
-			sc = append(sc, scored{grp, res})
+		if e := ex[grp]; e.ok {
+			sc = append(sc, scored{grp, e})
 		}
 	}
 	if len(sc) == 0 {
@@ -176,7 +222,7 @@ func estimateOp(m *Model, g *Grouping, op trace.Op, opts EstimateOptions) bool {
 	}
 	steep2 := sc[second]
 
-	delta := estimateDelta(steep1.res, steep2.res, steep1.grp.InttMicros, steep2.grp.InttMicros, opts)
+	delta := estimateDelta(steep1.examination, steep2.examination, opts)
 	sizeDiff := math.Abs(float64(steep1.grp.Key.Sectors) - float64(steep2.grp.Key.Sectors))
 	coef := delta / sizeDiff
 	if coef < 0 {
@@ -211,15 +257,17 @@ func estimateOp(m *Model, g *Grouping, op trace.Op, opts EstimateOptions) bool {
 // CDF(diff) = CDF1 − CDF2 and take the Tintt at max CDF(diff)′ — is
 // available behind DeltaFromCDFDiff for the fidelity ablation; on
 // well-separated rises both land within a bin width of each other.
-func estimateDelta(r1, r2 SteepnessResult, s1, s2 []float64, opts EstimateOptions) float64 {
+func estimateDelta(e1, e2 *examination, opts EstimateOptions) float64 {
+	r1, r2 := e1.res, e2.res
 	if !opts.DeltaFromCDFDiff {
 		return math.Abs(r1.RiseMicros - r2.RiseMicros)
 	}
 	// Literal construction: evaluate both interpolated CDFs on the
 	// merged support, interpolate the difference, take argmax of its
-	// derivative, then measure separation from steep1's rise.
-	x1, y1 := dedupePoints(NewCDFPoints(s1))
-	x2, y2 := dedupePoints(NewCDFPoints(s2))
+	// derivative, then measure separation from steep1's rise. The CDFs
+	// are the knots each group's examination already built.
+	x1, y1 := e1.cx, e1.cy
+	x2, y2 := e2.cx, e2.cy
 	if len(x1) < 2 || len(x2) < 2 {
 		return math.Abs(r1.RiseMicros - r2.RiseMicros)
 	}
@@ -246,18 +294,19 @@ func estimateDelta(r1, r2 SteepnessResult, s1, s2 []float64, opts EstimateOption
 }
 
 // estimateTmovd fits the representative random-access positioning
-// delay from the steepest random-access CDF.
-func estimateTmovd(m *Model, g *Grouping, opts EstimateOptions) {
+// delay from the steepest random-access CDF, reading the groups'
+// examinations from ex.
+func estimateTmovd(m *Model, g *Grouping, ex map[*Group]*examination, opts EstimateOptions) {
 	var bestGrp *Group
 	var bestRes SteepnessResult
 	found := false
 	for _, grp := range g.SelectAllRandom(opts.MinGroupSamples) {
-		res, ok := ExamineSteepness(grp.InttMicros, opts.Steepness)
-		if !ok {
+		e := ex[grp]
+		if !e.ok {
 			continue
 		}
-		if !found || res.Score > bestRes.Score {
-			bestGrp, bestRes, found = grp, res, true
+		if !found || e.res.Score > bestRes.Score {
+			bestGrp, bestRes, found = grp, e.res, true
 		}
 	}
 	if !found {

@@ -75,14 +75,41 @@ type SteepnessResult struct {
 // ExamineSteepness runs Algorithm 1 on the inter-arrival samples (µs)
 // and locates the CDF's maximum-derivative point. It returns ok=false
 // when the sample is too small or degenerate (fewer than two distinct
-// values) for the analysis to mean anything.
+// values) for the analysis to mean anything, or holds a NaN.
 func ExamineSteepness(inttMicros []float64, o SteepnessOptions) (SteepnessResult, bool) {
+	var x examiner
+	e := x.examine(inttMicros, o)
+	return e.res, e.ok
+}
+
+// examination is one group's ExamineSteepness outcome, with the CDF
+// knots its step 4 interpolated: the DeltaFromCDFDiff estimator reads
+// the same knots instead of rebuilding them from the samples.
+type examination struct {
+	res    SteepnessResult
+	ok     bool
+	cx, cy []float64
+}
+
+// examiner is the scratch one goroutine reuses across the groups it
+// examines: the sorted copy of a group's samples and the radix sort's
+// key space. No examination result points into either.
+type examiner struct {
+	sorted []float64
+	keys   []uint64
+}
+
+func (x *examiner) examine(inttMicros []float64, o SteepnessOptions) (out examination) {
 	o = o.withDefaults()
-	var res SteepnessResult
+	res := &out.res
 	if len(inttMicros) < 2 {
-		return res, false
+		return out
 	}
-	lo, hi := stats.Min(inttMicros), stats.Max(inttMicros)
+	// One sorted view feeds the histogram, the ECDF and the knots.
+	s := append(x.sorted[:0], inttMicros...)
+	x.keys = stats.SortFloat64s(s, x.keys)
+	x.sorted = s
+	lo, hi := s[0], s[len(s)-1]
 	if lo == hi {
 		// All samples identical: infinitely steep CDF. Report the
 		// degenerate point directly; Score uses the full mass.
@@ -90,26 +117,26 @@ func ExamineSteepness(inttMicros []float64, o SteepnessOptions) (SteepnessResult
 		res.UtmostMicros = lo
 		res.RiseMicros = lo
 		res.MaxDeriv = math.Inf(1)
-		return res, true
+		out.ok = true
+		return out
 	}
 	if lo <= 0 {
 		lo = 1e-3 // clamp to 1ns in µs units for log binning
 	}
 
-	// Step 1: PDF of Tintt over the histogram support.
+	// Step 1: PDF of Tintt over the histogram support. A NaN sample
+	// sorts first, so lo is NaN and the histogram refuses the domain.
 	h, err := stats.NewHistogram(o.Binning, lo, hi, o.Bins)
 	if err != nil {
-		return res, false
+		return out
 	}
-	for _, v := range inttMicros {
-		h.Observe(v)
-	}
+	h.Observe(s...)
 	xs, ps := h.PDF()
 
 	// Step 2: least-squares straight line through (Tintt, PDF).
 	fit, err := stats.LeastSquares(xs, ps)
 	if err != nil {
-		return res, false
+		return out
 	}
 
 	// Step 3: outliers — PDF points above the line by more than the
@@ -140,21 +167,22 @@ func ExamineSteepness(inttMicros []float64, o SteepnessOptions) (SteepnessResult
 
 	// Step 4 (Section IV "steepness analysis"): interpolate the CDF
 	// and find the maximum of its derivative.
-	cx, cy := dedupePoints(NewCDFPoints(inttMicros))
+	e := stats.NewSortedECDF(s)
+	cx, cy := dedupePoints(cdfKnots(e))
+	out.cx, out.cy = cx, cy
+	out.ok = true
 	if len(cx) < 2 {
 		res.RiseMicros = bestX
 		res.MaxDeriv = math.Inf(1)
-		return res, true
+		return out
 	}
 	if len(cx) < 8 {
 		// Too few distinct values for curve fitting to be meaningful
 		// (a 2-knot PCHIP has a constant derivative, which would make
 		// the argmax the leftmost point). The empirical CDF's largest
 		// probability jump is the rise.
-		x, gap := stats.NewECDF(inttMicros).MaxGapBelow()
-		res.RiseMicros = x
-		res.MaxDeriv = gap
-		return res, true
+		res.RiseMicros, res.MaxDeriv = e.MaxGapBelow()
+		return out
 	}
 	var f interp.Interpolant
 	switch o.Interp {
@@ -166,18 +194,25 @@ func ExamineSteepness(inttMicros []float64, o SteepnessOptions) (SteepnessResult
 		f, err = interp.PCHIP(cx, cy)
 	}
 	if err != nil {
-		return res, false
+		out.ok = false
+		return out
 	}
 	res.RiseMicros, res.MaxDeriv = interp.MaxDeriv(f, o.SamplesPerSegment)
-	return res, true
+	return out
 }
 
 // NewCDFPoints builds empirical CDF step points from samples (µs),
 // thinned to at most 512 knots so interpolation cost stays bounded on
 // million-request groups while preserving the distribution shape.
 func NewCDFPoints(samples []float64) ([]float64, []float64) {
-	e := stats.NewECDF(samples)
-	xs, cs := e.Points()
+	return cdfKnots(stats.NewECDF(samples))
+}
+
+// cdfKnots thins e's step points to at most 512 knots, evenly spaced
+// over the support, reading the support in place. Up to 512 distinct
+// values it returns e's own support and probabilities.
+func cdfKnots(e *stats.ECDF) ([]float64, []float64) {
+	xs, cs := e.Support(), e.Probs()
 	const maxKnots = 512
 	if len(xs) <= maxKnots {
 		return xs, cs

@@ -19,10 +19,24 @@ type StreamClassifier struct {
 	prevSeq bool
 	have    bool
 	n       int
-	// lastKey/lastGrp cache the previously hit group: workloads issue
-	// runs of same-shaped requests, so most Adds skip the map lookup.
-	lastKey GroupKey
-	lastGrp *Group
+	// cache is a direct-mapped cache in front of groups, checked for key
+	// equality. Workloads interleave their groups (webmail cycles
+	// through 12), so a one-entry cache of the last group rarely hits;
+	// with a slot per hashed key nearly every Add skips the map lookup.
+	cache [64]struct {
+		key GroupKey
+		grp *Group
+	}
+}
+
+// cacheSlot hashes k onto one of the StreamClassifier's cache slots
+// (Fibonacci hashing; the top 6 bits of the product).
+func cacheSlot(k GroupKey) uint32 {
+	h := k.Sectors<<2 ^ uint32(k.Op)<<1
+	if k.Seq {
+		h ^= 1
+	}
+	return h * 0x9E3779B9 >> 26
 }
 
 // NewStreamClassifier returns an empty incremental classifier.
@@ -45,14 +59,15 @@ func (c *StreamClassifier) Add(r trace.Request) {
 func (c *StreamClassifier) AddFlagged(r trace.Request, seq bool) {
 	if c.have {
 		k := GroupKey{Seq: c.prevSeq, Op: c.prev.Op, Sectors: c.prev.Sectors}
-		grp := c.lastGrp
-		if grp == nil || k != c.lastKey {
+		slot := &c.cache[cacheSlot(k)]
+		grp := slot.grp
+		if grp == nil || slot.key != k {
 			grp = c.groups[k]
 			if grp == nil {
 				grp = &Group{Key: k}
 				c.groups[k] = grp
 			}
-			c.lastKey, c.lastGrp = k, grp
+			slot.key, slot.grp = k, grp
 		}
 		intt := float64(r.Arrival-c.prev.Arrival) / float64(time.Microsecond)
 		grp.InttMicros = append(grp.InttMicros, intt)

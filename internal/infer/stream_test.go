@@ -166,7 +166,12 @@ var sinkModel *Model
 // csv-quantized arrivals, classified by the stream classifier. Since
 // corpus ingest fits a Tsdev-unknown upload in its own decode pass,
 // this is on every such upload's critical path; a change to the
-// estimator claims against this row.
+// estimator claims against this row. The groups are examined on
+// GOMAXPROCS goroutines, so it has two rows: `-cpu 1` is the serial
+// cost (≈ 5.8 ms/op on a 2-CPU Xeon VM), `-cpu 2` what an upload waits
+// for on that VM (≈ 3.0 ms/op, the largest group being the floor).
+//
+//	go test -run '^$' -bench BenchmarkEstimateGrouping -benchmem -cpu 1,2 ./internal/infer
 func BenchmarkEstimateGrouping(b *testing.B) {
 	p, ok := workload.Lookup("webmail")
 	if !ok {

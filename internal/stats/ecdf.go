@@ -20,15 +20,30 @@ type ECDF struct {
 func NewECDF(sample []float64) *ECDF {
 	s := make([]float64, len(sample))
 	copy(s, sample)
-	sort.Float64s(s)
+	SortFloat64s(s, nil)
+	return NewSortedECDF(s)
+}
+
+// NewSortedECDF is NewECDF over a sample already in increasing order,
+// as SortFloat64s leaves it, without NewECDF's sorted copy. The support
+// and probabilities it keeps are its own, so a caller may reuse s once
+// it returns.
+func NewSortedECDF(s []float64) *ECDF {
 	e := &ECDF{n: len(s)}
 	if len(s) == 0 {
 		return e
 	}
 	// Collapse duplicates so the step function has strictly increasing
-	// support — required by the PCHIP interpolator downstream.
-	xs := make([]float64, 0, len(s))
-	cum := make([]float64, 0, len(s))
+	// support — required by the PCHIP interpolator downstream. Counting
+	// the distinct values first sizes both slices exactly, in one block.
+	d := 1
+	for i := 1; i < len(s); i++ {
+		if s[i] != s[i-1] {
+			d++
+		}
+	}
+	buf := make([]float64, 2*d)
+	xs, cum := buf[:0:d], buf[d:d]
 	count := 0
 	for i := 0; i < len(s); i++ {
 		count++
@@ -84,15 +99,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 		i = len(e.cum) - 1
 	}
 	return e.xs[i]
-}
-
-// Points returns copies of the (x, F(x)) step points. Safe to mutate.
-func (e *ECDF) Points() (xs, cs []float64) {
-	xs = make([]float64, len(e.xs))
-	cs = make([]float64, len(e.cum))
-	copy(xs, e.xs)
-	copy(cs, e.cum)
-	return xs, cs
 }
 
 // MaxGapBelow returns, for plotting convenience, the largest probability

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -68,12 +69,20 @@ func TestECDFSupportStrictlyIncreasing(t *testing.T) {
 	}
 }
 
-func TestECDFPointsAreCopies(t *testing.T) {
-	e := NewECDF([]float64{1, 2})
-	xs, cs := e.Points()
-	xs[0], cs[0] = -99, -99
-	if e.Support()[0] == -99 || e.Probs()[0] == -99 {
-		t.Fatal("Points must return copies")
+// NewSortedECDF over a sorted slice is NewECDF over the same values,
+// and owns its support: the caller may reuse the slice afterwards.
+func TestSortedECDFOwnsItsSupport(t *testing.T) {
+	s := []float64{1, 2, 2, 5}
+	e := NewSortedECDF(s)
+	want := NewECDF([]float64{5, 2, 1, 2})
+	if !reflect.DeepEqual(e, want) {
+		t.Fatalf("NewSortedECDF = %+v, NewECDF = %+v", e, want)
+	}
+	for i := range s {
+		s[i] = -99
+	}
+	if !reflect.DeepEqual(e, want) {
+		t.Fatal("NewSortedECDF kept a reference to its input")
 	}
 }
 

@@ -67,13 +67,22 @@ func (h *Histogram) Buckets() int { return len(h.counts) }
 // out-of-range ones.
 func (h *Histogram) Total() uint64 { return h.total }
 
-// Observe records one sample. Values outside [lo, hi] are clamped into
-// the first/last bucket: for inter-arrival analysis losing the exact
-// magnitude of an extreme outlier is preferable to dropping it, because
-// the CDF tail mass matters for idle-period accounting.
-func (h *Histogram) Observe(x float64) {
-	h.counts[h.bucketOf(x)]++
-	h.total++
+// Observe records each sample of xs. Values outside [lo, hi] are
+// clamped into the first/last bucket: for inter-arrival analysis losing
+// the exact magnitude of an extreme outlier is preferable to dropping
+// it, because the CDF tail mass matters for idle-period accounting. A
+// run of equal values costs one bucket computation, so a sorted sample
+// pays one per distinct value.
+func (h *Histogram) Observe(xs ...float64) {
+	for i := 0; i < len(xs); {
+		j := i + 1
+		for j < len(xs) && xs[j] == xs[i] {
+			j++
+		}
+		h.counts[h.bucketOf(xs[i])] += uint64(j - i)
+		i = j
+	}
+	h.total += uint64(len(xs))
 }
 
 func (h *Histogram) bucketOf(x float64) int {

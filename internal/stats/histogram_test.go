@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -120,24 +121,34 @@ func TestCDFMonotoneReachesOne(t *testing.T) {
 }
 
 // Property: every observation lands in exactly one bucket (total counts
-// always equal observations) for arbitrary values.
+// always equal observations) for arbitrary values, and one Observe of
+// the sorted sample, which counts runs of equal values at once, fills
+// the same buckets as one Observe per value.
 func TestHistogramTotalProperty(t *testing.T) {
 	h, _ := NewHistogram(LogBins, 0.1, 1e7, 80)
 	f := func(vals []float64) bool {
 		before := h.Total()
-		n := 0
+		var kept []float64
 		for _, v := range vals {
 			if math.IsNaN(v) {
 				continue
 			}
 			h.Observe(v)
-			n++
+			kept = append(kept, v, v) // a duplicate makes a run
 		}
 		var sum uint64
 		for i := 0; i < h.Buckets(); i++ {
 			sum += h.Count(i)
 		}
-		return h.Total() == before+uint64(n) && sum == h.Total()
+		one, _ := NewHistogram(LogBins, 0.1, 1e7, 80)
+		for _, v := range kept {
+			one.Observe(v)
+		}
+		sorted, _ := NewHistogram(LogBins, 0.1, 1e7, 80)
+		SortFloat64s(kept, nil)
+		sorted.Observe(kept...)
+		return h.Total() == before+uint64(len(kept)/2) && sum == h.Total() &&
+			reflect.DeepEqual(one, sorted)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,10 @@
 // cumulative distribution functions, and ordinary least-squares linear
 // regression.
 //
-// All functions operate on float64 slices and never mutate their inputs
-// unless documented otherwise. NaN and Inf values are rejected by the
+// All functions operate on float64 slices and never mutate their inputs,
+// with one documented exception: SortFloat64s, the exact radix sort the
+// ECDF constructors and the inference fit sort their samples with, sorts
+// its argument in place. NaN and Inf values are rejected by the
 // constructors that can meaningfully reject them; plain reducers follow
 // IEEE-754 semantics.
 package stats
