@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/report"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -76,7 +77,7 @@ func run(args []string, stdout io.Writer) error {
 
 func cmdAdd(store *corpus.Store, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("add", flag.ContinueOnError)
-	format := fs.String("format", "auto", `input format: "auto", "csv", "bin", "msrc", "spc"`)
+	format := fs.String("format", "auto", trace.Usage(trace.Input))
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"workers for decoding the staged trace (<2 = sequential)")
 	if err := fs.Parse(args); err != nil {

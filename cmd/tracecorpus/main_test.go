@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -169,5 +172,26 @@ func TestCLIErrors(t *testing.T) {
 		if err := run(args, &out); err == nil {
 			t.Errorf("%s: no error", name)
 		}
+	}
+}
+
+// TestFormatFlagFromTable: add's -format lists exactly the codec
+// table's input formats. The subcommand's usage goes to os.Stderr.
+func TestFormatFlagFromTable(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	err = run([]string{"-data", t.TempDir(), "add", "-h"}, io.Discard)
+	os.Stderr = stderr
+	w.Close()
+	help, _ := io.ReadAll(r)
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("add -h: %v", err)
+	}
+	if !strings.Contains(string(help), trace.Usage(trace.Input)) {
+		t.Fatalf("help lacks %q:\n%s", trace.Usage(trace.Input), help)
 	}
 }

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/device"
@@ -20,28 +22,38 @@ import (
 )
 
 func main() {
-	name := flag.String("workload", "", "workload family (see -list)")
-	ops := flag.Int("ops", 50000, "number of I/O instructions")
-	seed := flag.Int64("seed", 1, "generation seed")
-	idx := flag.Int("index", 0, "trace index within the family (derives the seed with -seed as offset)")
-	dev := flag.String("device", "old", `collection device: "old" (HDD) or "new" (all-flash array)`)
-	format := flag.String("format", "csv", `output format: "csv" or "bin"`)
-	out := flag.String("out", "", "output path (default stdout)")
-	list := flag.Bool("list", false, "list workload families and exit")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("workload", "", "workload family (see -list)")
+	ops := fs.Int("ops", 50000, "number of I/O instructions")
+	seed := fs.Int64("seed", 1, "generation seed")
+	idx := fs.Int("index", 0, "trace index within the family (derives the seed with -seed as offset)")
+	dev := fs.String("device", "old", `collection device: "old" (HDD) or "new" (all-flash array)`)
+	format := fs.String("format", "csv", trace.Usage(trace.Generated))
+	out := fs.String("out", "", "output path (default stdout)")
+	list := fs.Bool("list", false, "list workload families and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
-		fmt.Printf("%-14s %-5s %8s %8s %8s\n", "workload", "set", "#traces", "avgKB", "totalGB")
+		fmt.Fprintf(stdout, "%-14s %-5s %8s %8s %8s\n", "workload", "set", "#traces", "avgKB", "totalGB")
 		for _, p := range workload.Profiles() {
-			fmt.Printf("%-14s %-5s %8d %8.2f %8.1f\n", p.Name, p.Set, p.NumTraces, p.AvgKB, p.TotalGB)
+			fmt.Fprintf(stdout, "%-14s %-5s %8d %8.2f %8.1f\n", p.Name, p.Set, p.NumTraces, p.AvgKB, p.TotalGB)
 		}
-		fmt.Printf("%-14s %-5s %8s %8.2f %8.1f (extra, Figs 1/3)\n", "Exchange", "MSPS", "-", 12.5, 600.0)
-		return
+		fmt.Fprintf(stdout, "%-14s %-5s %8s %8.2f %8.1f (extra, Figs 1/3)\n", "Exchange", "MSPS", "-", 12.5, 600.0)
+		return nil
 	}
 	p, ok := workload.Lookup(*name)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "tracegen: unknown workload %q (try -list)\n", *name)
-		os.Exit(2)
+		return fmt.Errorf("unknown workload %q (try -list)", *name)
 	}
 	var d device.Device
 	switch *dev {
@@ -50,8 +62,7 @@ func main() {
 	case "new":
 		d = device.NewArray(device.DefaultArrayConfig())
 	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown device %q\n", *dev)
-		os.Exit(2)
+		return fmt.Errorf("unknown device %q", *dev)
 	}
 
 	app := workload.Generate(p, workload.GenOptions{
@@ -70,30 +81,19 @@ func main() {
 		}
 	}
 
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		w = f
 	}
-	var err error
-	switch *format {
-	case "csv":
-		err = trace.WriteCSV(w, tr)
-	case "bin":
-		err = trace.WriteBinary(w, tr)
-	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown format %q\n", *format)
-		os.Exit(2)
+	if err := trace.WriteFormat(*format, w, tr); err != nil {
+		return err
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "tracegen: wrote %d requests (%s, %s) spanning %v\n",
+	fmt.Fprintf(stderr, "tracegen: wrote %d requests (%s, %s) spanning %v\n",
 		tr.Len(), p.Name, d.Name(), tr.Duration())
+	return nil
 }

@@ -26,37 +26,25 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "tracereplay: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdin io.Reader, stdout io.Writer) error {
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("tracereplay", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	in := fs.String("in", "", "input trace path (default stdin)")
-	informat := fs.String("informat", "csv", `input format: "csv", "bin", "msrc", "spc", or "auto" (content sniffing)`)
+	informat := fs.String("informat", "csv", trace.Usage(trace.Input))
 	devName := fs.String("device", "new",
 		`device: any reconstruction target — "new"/"array", "ssd", "old"/"hdd", "ftl", "host"/"hoststack" — or "null"`)
 	mode := fs.String("mode", "paced", `replay mode: "paced" (issue at trace arrivals) or "closed" (issue on completion)`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		stdin = f
-	}
-	tr, err := trace.ReadAuto(*informat, stdin)
-	if err != nil {
-		return err
-	}
-	if err := tr.Validate(); err != nil {
-		return fmt.Errorf("input: %w", err)
+	if *mode != "paced" && *mode != "closed" {
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
 
 	// The engine's registry names the devices; "null" is the one local
@@ -71,28 +59,61 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	dev := device.NewInstrumented(inner)
 
-	start := time.Now()
-	switch *mode {
-	case "paced":
-		// Issue each request at its trace arrival; the device's busy
-		// state produces queue waits when the trace outpaces it.
-		for _, r := range tr.Requests {
-			dev.Submit(r.Arrival, r)
+	if *in != "" {
+		f, err := os.Open(*in)
+		if err != nil {
+			return err
 		}
-	case "closed":
-		now := time.Duration(0)
-		for _, r := range tr.Requests {
-			res := dev.Submit(now, r)
-			now = res.Complete
-		}
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+		defer f.Close()
+		stdin = f
 	}
-	wall := time.Since(start)
+	format, r, err := trace.ResolveFormat(*informat, stdin)
+	if err != nil {
+		return err
+	}
+	dec, err := trace.NewDecoder(format, r)
+	if err != nil {
+		return err
+	}
+	if trace.NeedsSort(format) {
+		dec = trace.NewReorderDecoder(dec, engine.DefaultReorderWindow)
+	}
+	// Each decoded batch is checked as trace.Validate checks a whole
+	// trace before any of it reaches the device.
+	acc := trace.NewSummarizer()
+	var now, wall time.Duration
+	err = trace.ForEachBatch(dec, func(batch []trace.Request) error {
+		for _, r := range batch {
+			acc.Add(r)
+		}
+		if err := acc.Summary(trace.Meta{}).Validate(); err != nil {
+			return fmt.Errorf("input: %w", err)
+		}
+		start := time.Now()
+		for _, r := range batch {
+			if *mode == "paced" {
+				// Issue each request at its trace arrival; the device's
+				// busy state produces queue waits when the trace outpaces
+				// it.
+				dev.Submit(r.Arrival, r)
+			} else {
+				now = dev.Submit(now, r).Complete
+			}
+		}
+		wall += time.Since(start)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	sum := acc.Summary(dec.Meta())
+	if err := sum.Validate(); err != nil {
+		return fmt.Errorf("input: %w", err)
+	}
 
 	s := dev.Snapshot()
 	t := &report.Table{
-		Title:   fmt.Sprintf("replay of %s (%d requests) on %s, %s mode", tr.Name, tr.Len(), inner.Name(), *mode),
+		Title:   fmt.Sprintf("replay of %s (%d requests) on %s, %s mode", sum.Meta.Name, sum.Requests, inner.Name(), *mode),
 		Headers: []string{"metric", "value"},
 	}
 	t.AddRow("reads", s.Reads)
@@ -103,7 +124,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	t.AddRow("max latency", s.MaxLatency)
 	t.AddRow("mean queue wait", s.MeanQueueWait)
 	t.AddRow("utilization", fmt.Sprintf("%.2f", s.Utilization))
-	if span := tr.Duration(); span > 0 {
+	if span := sum.Duration(); span > 0 {
 		gbps := float64(s.ReadBytes+s.WriteBytes) / span.Seconds() / 1e9
 		t.AddRow("offered bandwidth GB/s", fmt.Sprintf("%.3f", gbps))
 	}

@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -51,11 +56,11 @@ func TestCLIDeviceNames(t *testing.T) {
 	}
 	for _, name := range names {
 		var out bytes.Buffer
-		if err := run([]string{"-in", path, "-informat", "auto", "-device", name}, nil, &out); err != nil {
+		if err := run([]string{"-in", path, "-informat", "auto", "-device", name}, nil, &out, io.Discard); err != nil {
 			t.Errorf("-device %s: %v", name, err)
 		}
 	}
-	err := run([]string{"-in", path, "-informat", "bin", "-device", "floppy"}, nil, &bytes.Buffer{})
+	err := run([]string{"-in", path, "-informat", "bin", "-device", "floppy"}, nil, &bytes.Buffer{}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "floppy") {
 		t.Fatalf("-device floppy: %v, want an unknown-device error", err)
 	}
@@ -70,7 +75,7 @@ func TestCLIModes(t *testing.T) {
 	}
 	for _, mode := range []string{"paced", "closed"} {
 		var out bytes.Buffer
-		if err := run([]string{"-informat", "auto", "-device", "hdd", "-mode", mode}, bytes.NewReader(raw), &out); err != nil {
+		if err := run([]string{"-informat", "auto", "-device", "hdd", "-mode", mode}, bytes.NewReader(raw), &out, io.Discard); err != nil {
 			t.Fatalf("-mode %s: %v", mode, err)
 		}
 		for _, want := range []string{"MSNFS-00 (2000 requests)", mode + " mode", "mean latency"} {
@@ -90,8 +95,62 @@ func TestCLIModes(t *testing.T) {
 			t.Fatalf("-mode %s: %d reads + %d writes, want 2000 requests of both kinds", mode, reads, writes)
 		}
 	}
-	err = run([]string{"-informat", "auto", "-mode", "warp"}, bytes.NewReader(raw), &bytes.Buffer{})
+	err = run([]string{"-informat", "auto", "-mode", "warp"}, bytes.NewReader(raw), &bytes.Buffer{}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "warp") {
 		t.Fatalf("-mode warp: %v, want an unknown-mode error", err)
+	}
+}
+
+// TestInputRules: tracereplay reads its input as a job does — the
+// near-sorted corpora through a job's reorder window — and refuses what
+// trace.Validate refuses before replaying it. An msrc record displaced
+// beyond engine.DefaultReorderWindow is refused with the ErrUnsorted,
+// at the index, a job reports for the same file.
+func TestInputRules(t *testing.T) {
+	var b strings.Builder
+	const base = 128166372003061629
+	n := engine.DefaultReorderWindow + 100
+	for i := 0; i < n-1; i++ {
+		fmt.Fprintf(&b, "%d,hm,0,Read,%d,4096,100\n", base+10*int64(i), 4096*i)
+	}
+	fmt.Fprintf(&b, "%d,hm,0,Write,0,4096,100\n", base+5) // belongs second
+	path := filepath.Join(t.TempDir(), "displaced.msrc")
+	if err := os.WriteFile(path, []byte(b.String()), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	_, jobErr := engine.RunJobTo(engine.Config{}, engine.JobSpec{In: path, InFormat: "msrc"}, io.Discard)
+	var out bytes.Buffer
+	err := run([]string{"-in", path, "-informat", "msrc", "-device", "null"}, nil, &out, io.Discard)
+	if !errors.Is(err, trace.ErrUnsorted) || !errors.Is(jobErr, trace.ErrUnsorted) {
+		t.Fatalf("tracereplay: %v; job: %v; want ErrUnsorted from both", err, jobErr)
+	}
+	index := regexp.MustCompile(`\(index \d+\)`)
+	if got, want := index.FindString(err.Error()), index.FindString(jobErr.Error()); got == "" || got != want {
+		t.Fatalf("tracereplay refuses at %q, the job at %q", got, want)
+	}
+
+	for in, want := range map[string]string{
+		"": "input: trace: empty trace",
+		"2.000,0,100,8,R,0,0\n1.000,0,200,8,R,0,0\n": "input: trace: requests not sorted by arrival (index 1)",
+		"1.000,0,100,0,R,0,0\n":                      "input: trace: request with zero sectors (index 0)",
+	} {
+		if err := run(nil, strings.NewReader(in), &out, io.Discard); err == nil || err.Error() != want {
+			t.Errorf("input %q: got %v, want %q", in, err, want)
+		}
+	}
+	if out.Len() != 0 {
+		t.Fatalf("refused inputs printed:\n%s", out.String())
+	}
+}
+
+// TestFormatFlagFromTable: -informat's help lists exactly the codec
+// table's input formats.
+func TestFormatFlagFromTable(t *testing.T) {
+	var stderr bytes.Buffer
+	if err := run([]string{"-h"}, nil, io.Discard, &stderr); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v", err)
+	}
+	if !strings.Contains(stderr.String(), trace.Usage(trace.Input)) {
+		t.Fatalf("help lacks %q:\n%s", trace.Usage(trace.Input), stderr.String())
 	}
 }

@@ -3,24 +3,31 @@
 // inference model — the paper's software-evaluation stage as a
 // standalone analysis tool.
 //
-// -stream computes the summary in one pass over the streaming decoder
-// with bounded memory, so corpora larger than RAM can be characterized
-// (per-group classification and the model fit need the materialized
-// trace and are skipped in this mode).
+// It streams the input twice and never holds the trace, only the
+// groups' inter-arrival samples. Pass one folds the summary and the
+// instruction groups — the pass corpus ingest runs — and the quantiles,
+// group shapes and model come from it; pass two decomposes every
+// request under the model for the idle and async counts. The input is
+// read as a job reads it: big files on -parallel decode workers, and
+// the near-sorted corpora (msrc, spc) through a job's reorder window, so
+// a file a job rejects as unsorted is rejected here too. Stdin is
+// spooled to a temporary file for the second pass.
 //
 // Usage:
 //
 //	tracestat -in trace.csv
-//	tracestat -in week.bin -informat auto -stream
+//	tracestat -in week.bin -informat auto
 //	tracegen -workload ikki | tracestat
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -31,44 +38,79 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "input trace path (default stdin)")
-	informat := flag.String("informat", "csv", `input format: "csv", "bin", "msrc", "spc", or "auto" (content sniffing)`)
-	groups := flag.Bool("groups", true, "print per-group classification")
-	stream := flag.Bool("stream", false,
-		"one-pass streaming summary with bounded memory (skips groups and the model fit)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"decode workers for -stream file inputs (stdin always decodes sequentially)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "tracestat: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	if *stream {
-		if err := runStream(*in, *informat, *parallel); err != nil {
-			fatal(err)
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tracestat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "", "input trace path (default stdin)")
+	informat := fs.String("informat", "csv", trace.Usage(trace.Input))
+	groups := fs.Bool("groups", true, "print per-group classification")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "decode workers (the report is the same at any count)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	path := *in
+	if path == "" {
+		spool, err := trace.SpoolTemp(stdin, "tracestat-stdin-*")
+		if err != nil {
+			return err
 		}
-		return
+		defer os.Remove(spool)
+		path = spool
+	}
+	format := *informat
+	open := func() (trace.Decoder, func(), error) {
+		dec, resolved, closeDec, err := trace.OpenFileDecoder(path, format, *parallel)
+		if err != nil {
+			return nil, nil, err
+		}
+		format = resolved
+		if trace.NeedsSort(format) {
+			dec = trace.NewReorderDecoder(dec, engine.DefaultReorderWindow)
+		}
+		return dec, closeDec, nil
 	}
 
-	tr, err := readTrace(*in, *informat)
+	dec, closeDec, err := open()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := tr.Validate(); err != nil {
-		fatal(fmt.Errorf("input: %w", err))
+	sum, cls, err := infer.SummarizeAndClassify(dec, func(trace.Meta) bool { return true })
+	closeDec()
+	if err != nil {
+		return err
+	}
+	if err := sum.Validate(); err != nil {
+		return fmt.Errorf("input: %w", err)
 	}
 
 	t := &report.Table{Title: "trace summary", Headers: []string{"metric", "value"}}
-	t.AddRow("name", tr.Name)
-	t.AddRow("workload", tr.Workload)
-	t.AddRow("set", tr.Set)
-	t.AddRow("requests", tr.Len())
-	t.AddRow("duration", tr.Duration())
-	t.AddRow("total MB", fmt.Sprintf("%.1f", float64(tr.TotalBytes())/1e6))
-	t.AddRow("avg request KB", fmt.Sprintf("%.2f", tr.AvgRequestBytes()/1024))
-	t.AddRow("read fraction", report.Percent(tr.ReadFraction()))
-	t.AddRow("sequential fraction", report.Percent(tr.SeqFraction()))
-	t.AddRow("tsdev known", tr.TsdevKnown)
-	t.Render(os.Stdout)
+	t.AddRow("name", sum.Meta.Name)
+	t.AddRow("workload", sum.Meta.Workload)
+	t.AddRow("set", sum.Meta.Set)
+	t.AddRow("requests", sum.Requests)
+	t.AddRow("duration", sum.Duration())
+	t.AddRow("total MB", fmt.Sprintf("%.1f", float64(sum.TotalBytes)/1e6))
+	t.AddRow("avg request KB", fmt.Sprintf("%.2f", sum.AvgRequestBytes()/1024))
+	t.AddRow("read fraction", report.Percent(sum.ReadFraction()))
+	t.AddRow("sequential fraction", report.Percent(sum.SeqFraction()))
+	t.AddRow("tsdev known", sum.Meta.TsdevKnown)
+	t.Render(stdout)
 
-	ia := tr.InterArrivalMicros()
+	// The groups partition the inter-arrival gaps, and Summarize sorts
+	// before it sums, so their union gives the whole trace's quantiles
+	// exactly.
+	g := cls.Grouping()
+	ia := make([]float64, 0, sum.Requests-1)
+	for _, grp := range g.Groups {
+		ia = append(ia, grp.InttMicros...)
+	}
 	if s, err := stats.Summarize(ia); err == nil {
 		it := &report.Table{Title: "inter-arrival times", Headers: []string{"metric", "value"}}
 		it.AddRow("mean", usDur(s.Mean))
@@ -76,11 +118,10 @@ func main() {
 		it.AddRow("p90", usDur(s.P90))
 		it.AddRow("p99", usDur(s.P99))
 		it.AddRow("max", usDur(s.Max))
-		it.Render(os.Stdout)
+		it.Render(stdout)
 	}
 
 	if *groups {
-		g := infer.Classify(tr)
 		gt := &report.Table{
 			Title:   "instruction groups (seq/op/size)",
 			Headers: []string{"seq", "op", "sectors", "n", "shape", "rise"},
@@ -98,129 +139,94 @@ func main() {
 				}
 			}
 		}
-		gt.Render(os.Stdout)
+		gt.Render(stdout)
 	}
 
-	if m, err := infer.Estimate(tr, infer.EstimateOptions{}); err == nil {
-		mt := &report.Table{Title: "fitted inference model", Headers: []string{"parameter", "value"}}
-		mt.AddRow("beta (us/sector)", m.BetaMicros)
-		mt.AddRow("eta (us/sector)", m.EtaMicros)
-		mt.AddRow("Tcdel read", usDur(m.TcdelReadMicros))
-		mt.AddRow("Tcdel write", usDur(m.TcdelWriteMicros))
-		mt.AddRow("Tmovd", usDur(m.TmovdMicros))
-		idle, async := infer.Decompose(m, tr)
-		var idleTotal time.Duration
-		idleCount, asyncCount := 0, 0
-		for _, d := range idle {
-			if d > 0 {
-				idleCount++
-				idleTotal += d
-			}
-		}
-		for _, a := range async {
-			if a {
-				asyncCount++
-			}
-		}
-		mt.AddRow("idle instructions", idleCount)
-		mt.AddRow("total idle", idleTotal)
-		mt.AddRow("async instructions", asyncCount)
-		mt.Render(os.Stdout)
-	} else {
-		fmt.Fprintf(os.Stderr, "tracestat: model fit skipped: %v\n", err)
+	m, err := cls.Estimate(sum.Meta.Name, infer.EstimateOptions{})
+	if err != nil {
+		fmt.Fprintf(stderr, "tracestat: model fit skipped: %v\n", err)
+		return nil
 	}
+	if dec, closeDec, err = open(); err != nil {
+		return err
+	}
+	d, err := decompose(dec, m, sum.Meta.TsdevKnown)
+	closeDec()
+	if err != nil {
+		return err
+	}
+	mt := &report.Table{Title: "fitted inference model", Headers: []string{"parameter", "value"}}
+	mt.AddRow("beta (us/sector)", m.BetaMicros)
+	mt.AddRow("eta (us/sector)", m.EtaMicros)
+	mt.AddRow("Tcdel read", usDur(m.TcdelReadMicros))
+	mt.AddRow("Tcdel write", usDur(m.TcdelWriteMicros))
+	mt.AddRow("Tmovd", usDur(m.TmovdMicros))
+	mt.AddRow("idle instructions", d.idleCount)
+	mt.AddRow("total idle", d.idleTotal)
+	mt.AddRow("async instructions", d.asyncCount)
+	mt.Render(stdout)
+	return nil
 }
 
 func usDur(v float64) time.Duration { return time.Duration(v * float64(time.Microsecond)) }
 
-// runStream prints the one-pass summary: the whole-trace metrics the
-// materializing path shows, computed over the streaming decoder (with
-// a bounded reorder window for the near-sorted corpora) so memory
-// stays constant regardless of trace size. File inputs big enough to
-// split decode on parallel workers; stdin falls back to the
-// sequential decoder (no ReaderAt to segment).
-func runStream(path, format string, parallel int) error {
+// decomposition counts what infer.Decompose infers over a whole trace.
+type decomposition struct {
+	idleCount, asyncCount int
+	idleTotal             time.Duration
+}
+
+// decompose is pass two: infer.Decompose's per-request decomposition,
+// streamed. Each decoded batch is one shard, held back by its last
+// request so that every shard knows the arrival after it, and carried
+// into the next through a ShardContext, so the counts are the
+// whole-trace ones.
+func decompose(dec trace.Decoder, m *infer.Model, tsdevKnown bool) (decomposition, error) {
 	var (
-		dec     trace.Decoder
-		closeIn func()
+		d     decomposition
+		st    = trace.NewSeqState()
+		ctx   = infer.ShardContext{TsdevKnown: tsdevKnown}
+		prev  trace.Request
+		reqs  []trace.Request // the held-back request, then the batch
+		seq   []bool
+		idle  []time.Duration
+		async []bool
 	)
-	if path != "" {
-		d, resolved, closeDec, err := trace.OpenFileDecoder(path, format, parallel)
-		if err != nil {
-			return err
-		}
-		dec, format, closeIn = d, resolved, closeDec
-	} else {
-		r, closeStdin, err := openInput(path)
-		if err != nil {
-			return err
-		}
-		closeIn = closeStdin
-		if format == "auto" {
-			if format, r, err = trace.SniffFormat(r); err != nil {
-				return err
+	shard := func(n int) {
+		ctx.Seq = seq[:n]
+		idle, async = slices.Grow(idle[:0], n)[:n], slices.Grow(async[:0], n)[:n]
+		infer.DecomposeShardInto(idle, async, m, reqs[:n], ctx)
+		for i := range n {
+			if idle[i] > 0 {
+				d.idleCount++
+				d.idleTotal += idle[i]
+			}
+			if async[i] {
+				d.asyncCount++
 			}
 		}
-		if dec, err = trace.NewDecoder(format, r); err != nil {
-			return err
+	}
+	err := trace.ForEachBatch(dec, func(batch []trace.Request) error {
+		for _, r := range batch {
+			reqs = append(reqs, r)
+			seq = append(seq, st.Flag(r))
 		}
-	}
-	defer closeIn()
-	if trace.NeedsSort(format) {
-		dec = trace.NewReorderDecoder(dec, engine.DefaultReorderWindow)
-	}
-	sum, err := trace.Summarize(dec)
+		n := len(reqs) - 1
+		ctx.HasNext, ctx.NextArrival = true, reqs[n].Arrival
+		shard(n)
+		if n > 0 {
+			prev = reqs[n-1]
+			ctx.Prev, ctx.PrevSeq = &prev, seq[n-1]
+		}
+		reqs, seq = append(reqs[:0], reqs[n]), append(seq[:0], seq[n])
+		return nil
+	})
 	if err != nil {
-		return err
+		return d, err
 	}
-	if sum.Requests == 0 {
-		return fmt.Errorf("input: empty trace")
+	if len(reqs) > 0 {
+		ctx.HasNext = false
+		shard(len(reqs))
 	}
-
-	t := &report.Table{Title: "trace summary (streamed)", Headers: []string{"metric", "value"}}
-	t.AddRow("name", sum.Meta.Name)
-	t.AddRow("workload", sum.Meta.Workload)
-	t.AddRow("set", sum.Meta.Set)
-	t.AddRow("format", format)
-	t.AddRow("requests", sum.Requests)
-	t.AddRow("duration", sum.Duration())
-	t.AddRow("total MB", fmt.Sprintf("%.1f", float64(sum.TotalBytes)/1e6))
-	t.AddRow("avg request KB", fmt.Sprintf("%.2f", sum.AvgRequestBytes()/1024))
-	t.AddRow("read fraction", report.Percent(sum.ReadFraction()))
-	t.AddRow("sequential fraction", report.Percent(sum.SeqFraction()))
-	t.AddRow("tsdev known", sum.Meta.TsdevKnown)
-	t.Render(os.Stdout)
-
-	it := &report.Table{Title: "inter-arrival times (one-pass moments)", Headers: []string{"metric", "value"}}
-	it.AddRow("mean", usDur(sum.IntervalMeanUS))
-	it.AddRow("stddev", usDur(sum.IntervalStdUS))
-	it.AddRow("max", usDur(sum.IntervalMaxUS))
-	it.Render(os.Stdout)
-	return nil
-}
-
-// openInput opens path (or stdin for "").
-func openInput(path string) (io.Reader, func(), error) {
-	if path == "" {
-		return os.Stdin, func() {}, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() { f.Close() }, nil
-}
-
-func readTrace(path, format string) (*trace.Trace, error) {
-	r, closeIn, err := openInput(path)
-	if err != nil {
-		return nil, err
-	}
-	defer closeIn()
-	return trace.ReadAuto(format, r)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "tracestat: %v\n", err)
-	os.Exit(1)
+	return d, nil
 }

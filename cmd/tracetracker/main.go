@@ -47,9 +47,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("tracetracker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.StringVar(&spec.In, "in", "", "input trace path (default stdin)")
-	fs.StringVar(&spec.InFormat, "informat", "csv", `input format: "csv", "bin", "msrc", "spc", or "auto" (content sniffing)`)
+	fs.StringVar(&spec.InFormat, "informat", "csv", trace.Usage(trace.Input))
 	fs.StringVar(&spec.Out, "out", "", "output trace path, written atomically (default stdout)")
-	fs.StringVar(&spec.OutFormat, "outformat", "csv", `output format: "csv", "bin", "blktrace", or "fio"`)
+	fs.StringVar(&spec.OutFormat, "outformat", "csv", trace.Usage(trace.Output))
 	fs.StringVar(&spec.FIODevice, "fio-device", "/dev/nvme0n1", "target device path for fio output")
 	fs.StringVar(&spec.Method, "method", "tracetracker",
 		`reconstruction method: "tracetracker", "dynamic", "fixed-th", "revision", "acceleration"`)
@@ -71,20 +71,17 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if spec.In == "" {
 		// The engine opens its input by path, twice on the inference
 		// path (model fit, then reconstruction): spool the pipe.
-		spool, err := spoolToTemp(stdin)
+		spool, err := trace.SpoolTemp(stdin, "tracetracker-stdin-*")
 		if err != nil {
 			return err
 		}
 		defer os.Remove(spool)
 		spec.Name, spec.In = "stdin", spool
 	}
-	if spec.InFormat == "auto" {
-		// A spec carries a concrete format, so resolve the sniff here.
-		detected, err := trace.DetectFile(spec.In)
-		if err != nil {
-			return err
-		}
-		spec.InFormat = detected
+	// A spec carries a concrete format, so resolve "auto" here.
+	var err error
+	if spec.InFormat, err = trace.ResolveFile(spec.In, spec.InFormat); err != nil {
+		return err
 	}
 
 	var rep *engine.Report
@@ -94,11 +91,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			return err
 		}
 		rep = res.Report
-	} else {
-		var err error
-		if rep, err = engine.RunJobTo(engine.Config{}, spec, stdout); err != nil {
-			return err
-		}
+	} else if rep, err = engine.RunJobTo(engine.Config{}, spec, stdout); err != nil {
+		return err
 	}
 
 	if *showReport && rep != nil {
@@ -127,22 +121,4 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return trace.WriteFIOJob(stderr, spec.Name, spec.Out, spec.FIODevice)
 	}
 	return nil
-}
-
-// spoolToTemp copies r into a new temporary file and returns its path;
-// the caller removes it.
-func spoolToTemp(r io.Reader) (string, error) {
-	f, err := os.CreateTemp("", "tracetracker-stdin-*")
-	if err != nil {
-		return "", err
-	}
-	_, err = io.Copy(f, r)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(f.Name())
-		return "", fmt.Errorf("spooling stdin: %w", err)
-	}
-	return f.Name(), nil
 }

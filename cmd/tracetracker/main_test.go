@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -320,5 +322,19 @@ func TestCLINeverClobbersOutput(t *testing.T) {
 				t.Fatalf("failed run with -out wrote %d bytes to stdout", stdout.Len())
 			}
 		})
+	}
+}
+
+// TestFormatFlagsFromTable: -informat and -outformat list exactly the
+// codec table's input and output formats — the sets a job accepts.
+func TestFormatFlagsFromTable(t *testing.T) {
+	var stderr bytes.Buffer
+	if err := run([]string{"-h"}, nil, io.Discard, &stderr); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v", err)
+	}
+	for _, usage := range []string{trace.Usage(trace.Input), trace.Usage(trace.Output)} {
+		if !strings.Contains(stderr.String(), usage) {
+			t.Fatalf("help lacks %q:\n%s", usage, stderr.String())
+		}
 	}
 }

@@ -187,7 +187,7 @@ func TestDaemonIdentityTable(t *testing.T) {
 
 func decodeCSV(t *testing.T, raw []byte) *trace.Trace {
 	t.Helper()
-	tr, err := trace.ReadCSV(bytes.NewReader(raw))
+	tr, err := trace.ReadFormat("csv", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -497,7 +497,7 @@ func TestJournalReplayInterruptedHDDJob(t *testing.T) {
 
 	// The expectation is the sequential HDD pipeline over the same
 	// decoded blob — the pre-pipeline serial path.
-	oldRT, err := trace.ReadCSV(bytes.NewReader(raw))
+	oldRT, err := trace.ReadFormat("csv", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

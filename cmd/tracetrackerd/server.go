@@ -928,15 +928,15 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// self-describing and replay-stable.
 		spec.In = corpusScheme + e.Digest
 		digest = e.Digest
-	} else if spec.InFormat == "auto" && spec.In != "" {
-		// Server-side path input: resolve the sniff at submit so the
-		// persisted spec carries a concrete format.
-		detected, err := trace.DetectFile(spec.In)
-		if err != nil {
+	} else if spec.InFormat != "" && spec.In != "" {
+		// Server-side path input: resolve "auto" at submit so the
+		// persisted spec carries a concrete format. (An absent informat
+		// is the spec's csv default, not a sniff.)
+		var err error
+		if spec.InFormat, err = trace.ResolveFile(spec.In, spec.InFormat); err != nil {
 			httpError(w, http.StatusBadRequest, "bad_format", err)
 			return
 		}
-		spec.InFormat = detected
 	}
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {

@@ -47,7 +47,7 @@ func writeInput(t *testing.T, dir string) (string, *trace.Trace) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	oldRT, err := trace.ReadCSV(rt)
+	oldRT, err := trace.ReadFormat("csv", rt)
 	if err != nil {
 		t.Fatal(err)
 	}

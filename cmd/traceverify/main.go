@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -25,18 +27,29 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "input trace path (omit to self-generate)")
-	informat := flag.String("informat", "csv", `input format: "csv", "bin", "msrc", "spc", or "auto" (content sniffing)`)
-	wl := flag.String("workload", "ikki", "workload family for self-generation")
-	ops := flag.Int("ops", 20000, "instructions for self-generation")
-	period := flag.Duration("period", 0, "single injected idle period (0 = paper's 100us..100ms sweep)")
-	frac := flag.Float64("frac", 0.10, "fraction of instructions receiving an injection")
-	seed := flag.Int64("seed", 42, "injection placement seed")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "traceverify: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("traceverify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "", "input trace path (omit to self-generate)")
+	informat := fs.String("informat", "csv", trace.Usage(trace.Input))
+	wl := fs.String("workload", "ikki", "workload family for self-generation")
+	ops := fs.Int("ops", 20000, "instructions for self-generation")
+	period := fs.Duration("period", 0, "single injected idle period (0 = paper's 100us..100ms sweep)")
+	frac := fs.Float64("frac", 0.10, "fraction of instructions receiving an injection")
+	seed := fs.Int64("seed", 42, "injection placement seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	tr, err := loadOrGenerate(*in, *informat, *wl, *ops)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	periods := []time.Duration{
@@ -60,7 +73,7 @@ func main() {
 		} else {
 			m, err := infer.Estimate(injected, infer.EstimateOptions{})
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			est, _ = infer.Decompose(m, injected)
 		}
@@ -69,7 +82,8 @@ func main() {
 			report.Percent(met.DetectionTP()), report.Percent(met.DetectionFP()),
 			report.Percent(met.LenTPSecured()), met.LenFPMean())
 	}
-	t.Render(os.Stdout)
+	t.Render(stdout)
+	return nil
 }
 
 func loadOrGenerate(path, format, wl string, ops int) (*trace.Trace, error) {
@@ -79,7 +93,14 @@ func loadOrGenerate(path, format, wl string, ops int) (*trace.Trace, error) {
 			return nil, err
 		}
 		defer f.Close()
-		return trace.ReadAuto(format, f)
+		tr, err := trace.ReadFormat(format, f)
+		if err != nil {
+			return nil, err
+		}
+		if err := tr.Validate(); err != nil {
+			return nil, fmt.Errorf("input: %w", err)
+		}
+		return tr, nil
 	}
 	p, ok := workload.Lookup(wl)
 	if !ok {
@@ -99,9 +120,4 @@ func loadOrGenerate(path, format, wl string, ops int) (*trace.Trace, error) {
 		}
 	}
 	return tr, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "traceverify: %v\n", err)
-	os.Exit(1)
 }

@@ -19,9 +19,10 @@ import (
 
 func main() {
 	// 1. Obtain an "old" block trace. Real deployments would load one
-	// with trace.ReadCSV / ReadMSRC / ReadSPC; here we synthesize an
-	// FIU-style workload and collect it on the simulated 2007-era HDD
-	// node, which is exactly how the public corpora were captured.
+	// with trace.ReadFormat (any of trace.Formats(trace.Input), or
+	// "auto" to sniff it); here we synthesize an FIU-style workload and
+	// collect it on the simulated 2007-era HDD node, which is exactly
+	// how the public corpora were captured.
 	profile, _ := workload.Lookup("homes")
 	app := workload.Generate(profile, workload.GenOptions{Ops: 20000, Seed: 1})
 	old := app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace

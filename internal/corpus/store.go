@@ -199,13 +199,9 @@ func (s *Store) Ingest(r io.Reader, format string) (Entry, bool, error) {
 // for per-tenant accounting. On dedup the existing entry (and its
 // original tenant) wins.
 func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error) {
-	switch format {
-	case "", "auto":
-		var err error
-		format, r, err = trace.SniffFormat(r)
-		if err != nil {
-			return Entry{}, false, fmt.Errorf("%w: %w", ErrBadTrace, err)
-		}
+	format, r, err := trace.ResolveFormat(format, r)
+	if err != nil {
+		return Entry{}, false, fmt.Errorf("%w: %w", ErrBadTrace, err)
 	}
 	tmpf, err := os.CreateTemp(s.tmpDir(), "ingest-*")
 	if err != nil {
@@ -303,37 +299,17 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 // for a Tsdev-unknown trace in a format that needs no reorder window,
 // into the inference model every default job on the blob would fit for
 // itself: the classifier rides the summary's loop and sequentiality
-// flags. The fit can only add a model, never fail the ingest — a trace
-// too sparse to fit, or a fit that is not finite (which the sidecar's
-// JSON could not carry), lands without one and its jobs answer as they
-// always did. On a decode error the decoder is closed.
+// flags (infer.SummarizeAndClassify, tracestat's first pass). The fit
+// can only add a model, never fail the ingest — a trace too sparse to
+// fit, or a fit that is not finite (which the sidecar's JSON could not
+// carry), lands without one and its jobs answer as they always did. On
+// a decode error the decoder is closed.
 func (s *Store) summarizeAndFit(dec trace.Decoder, format string) (trace.Summary, *infer.Model, error) {
-	acc := trace.NewSummarizer()
-	var cls *infer.StreamClassifier
-	first := true
-	err := trace.ForEachBatch(dec, func(batch []trace.Request) error {
-		if first {
-			// The header is parsed by the time the first batch arrives.
-			first = false
-			if !dec.Meta().TsdevKnown && !trace.NeedsSort(format) {
-				cls = infer.NewStreamClassifier()
-			}
-		}
-		for _, r := range batch {
-			seq := acc.Add(r)
-			if cls != nil {
-				cls.AddFlagged(r, seq)
-			}
-		}
-		return nil
+	sum, cls, err := infer.SummarizeAndClassify(dec, func(m trace.Meta) bool {
+		return !m.TsdevKnown && !trace.NeedsSort(format)
 	})
-	if err != nil {
-		trace.CloseDecoder(dec)
-		return trace.Summary{}, nil, err
-	}
-	sum := acc.Summary(dec.Meta())
-	if cls == nil {
-		return sum, nil, nil
+	if err != nil || cls == nil {
+		return sum, nil, err
 	}
 	start := time.Now()
 	model, err := cls.Estimate(sum.Meta.Name, infer.EstimateOptions{})

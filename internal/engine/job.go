@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -36,7 +37,8 @@ const DefaultReorderWindow = 1 << 16
 type JobSpec struct {
 	// Name labels the job (defaults to the input path).
 	Name string `json:"name,omitempty"`
-	// In is the input trace path; InFormat one of csv, bin, msrc, spc.
+	// In is the input trace path; InFormat one of trace.Formats(Input):
+	// csv, bin, msrc, spc.
 	In       string `json:"in"`
 	InFormat string `json:"informat,omitempty"`
 	// Out is the output path, written atomically (partial file +
@@ -44,7 +46,7 @@ type JobSpec struct {
 	// result cache and copies it to Out only when Out is set; the daemon
 	// assigns a spool file to path jobs that leave it empty; RunJobTo
 	// writes to the sink it is given and ignores it. OutFormat one of
-	// csv, bin, blktrace, fio.
+	// trace.Formats(Output): csv, bin, blktrace, fio.
 	Out       string `json:"out,omitempty"`
 	OutFormat string `json:"outformat,omitempty"`
 	// FIODevice is the replay target embedded in fio output.
@@ -153,15 +155,11 @@ func (s JobSpec) Validate() error {
 		return &ValidationError{Field: "in", Code: "missing_input",
 			msg: "job needs an input path"}
 	}
-	switch s.InFormat {
-	case "csv", "bin", "msrc", "spc":
-	default:
+	if !slices.Contains(trace.Formats(trace.Input), s.InFormat) {
 		return &ValidationError{Field: "informat", Code: "unknown_format",
 			msg: fmt.Sprintf("unknown input format %q", s.InFormat)}
 	}
-	switch s.OutFormat {
-	case "csv", "bin", "blktrace", "fio":
-	default:
+	if !slices.Contains(trace.Formats(trace.Output), s.OutFormat) {
 		return &ValidationError{Field: "outformat", Code: "unknown_format",
 			msg: fmt.Sprintf("unknown output format %q", s.OutFormat)}
 	}

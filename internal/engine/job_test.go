@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -387,5 +388,66 @@ func TestNoLiteralSpanNames(t *testing.T) {
 	}
 	if calls < 4 {
 		t.Fatalf("found only %d span-opening calls in the engine; the scan is not seeing them", calls)
+	}
+}
+
+// TestJobSpecFormats holds JobSpec.Validate to the codec table: an
+// informat is accepted exactly when the table lists it as an input, an
+// outformat exactly when it lists it as an output.
+func TestJobSpecFormats(t *testing.T) {
+	in, out := trace.Formats(trace.Input), trace.Formats(trace.Output)
+	names := append(append([]string{"auto", "bogus", "CSV"}, in...), out...)
+	for _, name := range names {
+		for _, tc := range []struct {
+			field  string
+			spec   JobSpec
+			accept bool
+		}{
+			{"informat", JobSpec{In: "x", InFormat: name}, slices.Contains(in, name)},
+			{"outformat", JobSpec{In: "x", OutFormat: name}, slices.Contains(out, name)},
+		} {
+			err := tc.spec.Normalized().Validate()
+			var ve *ValidationError
+			switch {
+			case tc.accept && err != nil:
+				t.Errorf("%s %q rejected: %v", tc.field, name, err)
+			case !tc.accept && (!errors.As(err, &ve) || ve.Field != tc.field || ve.Code != "unknown_format"):
+				t.Errorf("%s %q: got %v, want an unknown_format error on %s", tc.field, name, err, tc.field)
+			}
+		}
+	}
+}
+
+// TestJobRefusesLongBinMeta: a csv input whose header name is longer
+// than the binary header holds must fail a bin job — written to a path
+// or into the result cache — and leave no output, no partial file and
+// no stored result; the same input still reconstructs to csv.
+func TestJobRefusesLongBinMeta(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "long.csv")
+	header := "# tracetracker name=" + strings.Repeat("n", 70_000) + " workload=w set=S tsdev_known=true\n"
+	if err := os.WriteFile(in, []byte(header+"0,0,0,8,R,100,0\n500,0,8,8,W,120,0\n"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{In: in, OutFormat: "bin", Out: filepath.Join(dir, "out.bin")}
+	if _, err := RunJob(Config{}, spec); err == nil {
+		t.Fatal("bin job with a 70,000-byte name succeeded")
+	}
+	if left, _ := filepath.Glob(spec.Out + "*"); len(left) != 0 {
+		t.Fatalf("failed job left %v", left)
+	}
+	store := openCorpus(t)
+	if _, _, err := RunJobCached(Config{}, spec, hexKey(3), store); err == nil {
+		t.Fatal("cached bin job with a 70,000-byte name succeeded")
+	}
+	if _, _, ok := store.LookupResult(CacheKey(hexKey(3), spec)); ok {
+		t.Fatal("failed job stored a result")
+	}
+	if tmps, _ := os.ReadDir(filepath.Join(store.Root(), "tmp")); len(tmps) != 0 {
+		t.Fatalf("failed job left %d staged files", len(tmps))
+	}
+	spec.OutFormat, spec.Out = "csv", filepath.Join(dir, "out.csv")
+	if _, err := RunJob(Config{}, spec); err != nil {
+		t.Fatalf("csv job on the same input: %v", err)
 	}
 }

@@ -213,7 +213,7 @@ func TestMethodsReorderWindow(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	old, err := trace.ReadMSRC(bytes.NewReader(raw))
+	old, err := trace.ReadFormat("msrc", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestMethodsReorderWindow(t *testing.T) {
 			t.Fatalf("%s: default reorder window: %v", mc.name, err)
 		}
 		if !bytes.Equal(got.Bytes(), encodeBin(t, mc.ref(old, mk()))) {
-			t.Fatalf("%s: output diverges from ReadMSRC + the baseline reference", mc.name)
+			t.Fatalf("%s: output diverges from ReadFormat(msrc) + the baseline reference", mc.name)
 		}
 
 		if err := os.WriteFile(outPath, []byte("precious"), 0o666); err != nil {

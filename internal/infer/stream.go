@@ -102,6 +102,37 @@ func (c *StreamClassifier) Estimate(name string, opts EstimateOptions) (*Model, 
 	return EstimateGrouping(c.Grouping(), name, opts)
 }
 
+// SummarizeAndClassify drains dec in the one streamed pass corpus
+// ingest and tracestat share: the summary fold (trace.Summarizer) and,
+// when classify accepts the stream's metadata (complete by the first
+// batch), a classifier riding the summary's sequentiality flags, ready
+// for Estimate. On a decode error the decoder is closed.
+func SummarizeAndClassify(dec trace.Decoder, classify func(trace.Meta) bool) (trace.Summary, *StreamClassifier, error) {
+	acc := trace.NewSummarizer()
+	var cls *StreamClassifier
+	first := true
+	err := trace.ForEachBatch(dec, func(batch []trace.Request) error {
+		if first {
+			first = false
+			if classify(dec.Meta()) {
+				cls = NewStreamClassifier()
+			}
+		}
+		for _, r := range batch {
+			seq := acc.Add(r)
+			if cls != nil {
+				cls.AddFlagged(r, seq)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		trace.CloseDecoder(dec)
+		return trace.Summary{}, nil, err
+	}
+	return acc.Summary(dec.Meta()), cls, nil
+}
+
 // ShardContext carries the cross-boundary state DecomposeShard needs
 // to reproduce the whole-trace decomposition on a sub-range: the
 // request immediately before the shard (with its sequentiality flag),

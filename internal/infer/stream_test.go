@@ -184,7 +184,7 @@ func BenchmarkEstimateGrouping(b *testing.B) {
 	if err := trace.WriteCSV(&buf, gen); err != nil {
 		b.Fatal(err)
 	}
-	tr, err := trace.ReadCSV(&buf)
+	tr, err := trace.ReadFormat("csv", &buf)
 	if err != nil {
 		b.Fatal(err)
 	}

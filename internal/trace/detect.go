@@ -4,7 +4,8 @@ package trace
 // its leading bytes — the binary format by its magic, the text formats
 // by the field layout of the first data record — so tools can accept
 // "-informat auto" and the corpus store can ingest uploads without a
-// format hint.
+// format hint. ResolveFormat and ResolveFile are the only places the
+// name "auto" is interpreted.
 
 import (
 	"bytes"
@@ -22,13 +23,13 @@ const SniffLen = 64 << 10
 
 // DetectFormat inspects the leading bytes of a trace (the first
 // SniffLen bytes, or the whole input when shorter) and returns the
-// input format name: "csv", "bin", "msrc" or "spc".
+// name of the input format they are in.
 //
 // The binary magic and the native header comment are unambiguous; bare
 // data records are decided by the first line that parses under exactly
 // the field layout one decoder expects. Degenerate all-numeric lines
-// that would parse under more than one layout resolve in the fixed
-// order native CSV, then MSRC, then SPC.
+// that would parse under more than one layout resolve in the codec
+// table's order: native CSV, then MSRC, then SPC.
 func DetectFormat(head []byte) (string, error) {
 	if len(head) >= len(binaryMagic) && bytes.Equal(head[:len(binaryMagic)], binaryMagic[:]) {
 		return "bin", nil
@@ -55,62 +56,52 @@ func DetectFormat(head []byte) (string, error) {
 			break
 		}
 		f := strings.Split(s, ",")
-		switch {
-		case isNativeLine(f):
-			return "csv", nil
-		case isMSRCLine(f):
-			return "msrc", nil
-		case isSPCLine(f):
-			return "spc", nil
+		for i := range codecs {
+			if c := &codecs[i]; c.sniff != nil && c.sniff(f) {
+				return c.name, nil
+			}
 		}
 		return "", fmt.Errorf("trace: unrecognized trace data %q", clip(s, 80))
 	}
 	return "", fmt.Errorf("trace: cannot detect format: no data record in the first %d bytes", SniffLen)
 }
 
-// SniffFormat detects the format of r without losing bytes: it reads
-// at most SniffLen bytes, detects, and returns a reader that replays
-// the consumed prefix followed by the remainder of r.
-func SniffFormat(r io.Reader) (string, io.Reader, error) {
+// sniffs reports whether a format name asks for content sniffing.
+func sniffs(format string) bool { return format == "auto" || format == "" }
+
+// ResolveFormat is the one resolver of the format name "auto" (or "")
+// over a stream: any other name comes back unchanged with r. For
+// "auto" it reads at most SniffLen bytes, detects, and returns a reader
+// that replays the consumed prefix followed by the rest of r.
+func ResolveFormat(format string, r io.Reader) (string, io.Reader, error) {
+	if !sniffs(format) {
+		return format, r, nil
+	}
 	head := make([]byte, SniffLen)
 	n, err := io.ReadFull(r, head)
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 		return "", nil, err
 	}
 	head = head[:n]
-	format, derr := DetectFormat(head)
-	if derr != nil {
-		return "", nil, derr
+	if format, err = DetectFormat(head); err != nil {
+		return "", nil, err
 	}
 	return format, io.MultiReader(bytes.NewReader(head), r), nil
 }
 
-// ReadAuto materializes a whole trace of the named input format,
-// resolving "auto" (or "") by content sniffing first — the shared
-// implementation behind every tool's -informat auto.
-func ReadAuto(format string, r io.Reader) (*Trace, error) {
-	if format == "auto" || format == "" {
-		var err error
-		if format, r, err = SniffFormat(r); err != nil {
-			return nil, err
-		}
+// ResolveFile is ResolveFormat for the file at path, which it opens
+// only to sniff.
+func ResolveFile(path, format string) (string, error) {
+	if !sniffs(format) {
+		return format, nil
 	}
-	return ReadFormat(format, r)
-}
-
-// DetectFile detects the format of a trace file from its head.
-func DetectFile(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return "", err
 	}
 	defer f.Close()
-	head := make([]byte, SniffLen)
-	n, err := io.ReadFull(f, head)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return "", err
-	}
-	return DetectFormat(head[:n])
+	format, _, err = ResolveFormat(format, f)
+	return format, err
 }
 
 // cutLine splits off the first line of b; complete reports whether the

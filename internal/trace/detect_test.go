@@ -85,7 +85,7 @@ func TestSniffFormatReplaysBytes(t *testing.T) {
 	pad := strings.Repeat("# padding comment line to push the file past the sniff window\n", SniffLen/60+1)
 	data := append(buf.Bytes(), []byte(pad)...)
 
-	format, rd, err := SniffFormat(bytes.NewReader(data))
+	format, rd, err := ResolveFormat("auto", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSniffFormatReplaysBytes(t *testing.T) {
 	}
 }
 
-// TestDetectFile detects from a file head.
+// TestDetectFile detects from a file head (ResolveFile).
 func TestDetectFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.bin")
@@ -116,14 +116,14 @@ func TestDetectFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	got, err := DetectFile(path)
+	got, err := ResolveFile(path, "auto")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != "bin" {
 		t.Fatalf("got %q", got)
 	}
-	if _, err := DetectFile(filepath.Join(dir, "missing")); err == nil {
+	if _, err := ResolveFile(filepath.Join(dir, "missing"), "auto"); err == nil {
 		t.Fatal("missing file: want error")
 	}
 }

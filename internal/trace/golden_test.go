@@ -62,12 +62,12 @@ func TestCodecGoldenEncode(t *testing.T) {
 		}},
 		{"sample.blktrace", func() ([]byte, error) {
 			var b bytes.Buffer
-			err := WriteBlktrace(&b, tr)
+			err := EncodeTrace(NewBlktraceEncoder(&b), tr)
 			return b.Bytes(), err
 		}},
 		{"sample.fio", func() ([]byte, error) {
 			var b bytes.Buffer
-			err := WriteFIOLog(&b, tr, "/dev/golden")
+			err := EncodeTrace(NewFIOEncoder(&b, "/dev/golden"), tr)
 			return b.Bytes(), err
 		}},
 	}

@@ -22,11 +22,6 @@ func WriteCSV(w io.Writer, t *Trace) error {
 	return EncodeTrace(NewCSVEncoder(w), t)
 }
 
-// ReadCSV reads a trace in the native CSV format.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	return Drain(NewCSVDecoder(r))
-}
-
 func parseHeaderComment(t *Trace, line string) {
 	if !strings.HasPrefix(line, "# tracetracker ") {
 		return
@@ -234,46 +229,14 @@ func fromMicros(us float64) time.Duration {
 	return time.Duration(us * float64(time.Microsecond))
 }
 
-// ReadMSRC reads the Microsoft Research Cambridge CSV format:
-//
-//	Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
-//
-// Timestamp and ResponseTime are Windows filetime ticks (100 ns units);
-// Offset and Size are bytes. Arrivals are rebased so the first request
-// is at zero. Response times populate Latency and mark the trace
-// TsdevKnown.
-func ReadMSRC(r io.Reader) (*Trace, error) {
-	t, err := Drain(NewMSRCDecoder(r))
-	if err != nil {
-		return nil, err
-	}
-	t.Sort()
-	return t, nil
-}
-
-// ReadSPC reads the SPC-1 ASCII trace format used by several public
-// repositories (including parts of the UMass corpus):
-//
-//	ASU,LBA,Size,Opcode,Timestamp
-//
-// LBA is in sectors, Size in bytes, Opcode R/W, Timestamp fractional
-// seconds. No completion information is available (TsdevKnown=false).
-func ReadSPC(r io.Reader) (*Trace, error) {
-	t, err := Drain(NewSPCDecoder(r))
-	if err != nil {
-		return nil, err
-	}
-	t.Sort()
-	return t, nil
-}
-
 // binaryMagic identifies the compact binary trace format.
 var binaryMagic = [4]byte{'T', 'T', 'R', '1'}
 
 // WriteBinary writes t in the compact binary format: a magic header,
 // metadata strings, the request count, then fixed-width little-endian
 // request records. The format is ~3x smaller than CSV and much faster
-// to parse, which matters for the 577-trace corpus sweeps.
+// to parse, which matters for the 577-trace corpus sweeps. A metadata
+// string over 65,535 bytes does not fit the header and is an error.
 func WriteBinary(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
 	if err := writeBinaryHeader(bw, t.Meta(), uint64(len(t.Requests))); err != nil {
@@ -286,10 +249,4 @@ func WriteBinary(w io.Writer, t *Trace) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadBinary reads a trace written by WriteBinary or streamed by a
-// BinaryEncoder.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	return Drain(NewBinaryDecoder(r))
 }

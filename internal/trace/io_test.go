@@ -30,7 +30,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := ReadFormat("csv", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestCSVSubMicrosecondPrecision(t *testing.T) {
 	if err := WriteCSV(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := ReadFormat("csv", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,15 +72,15 @@ func TestReadCSVErrors(t *testing.T) {
 		"0,0,0,8,R,0,7\n", // bad async
 	}
 	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
-			t.Errorf("ReadCSV(%q) accepted bad input", c)
+		if _, err := ReadFormat("csv", strings.NewReader(c)); err == nil {
+			t.Errorf("ReadFormat(csv, %q) accepted bad input", c)
 		}
 	}
 }
 
 func TestReadCSVSkipsBlanksAndComments(t *testing.T) {
 	in := "# comment\n\n0,0,0,8,R,0,0\n"
-	tr, err := ReadCSV(strings.NewReader(in))
+	tr, err := ReadFormat("csv", strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestReadMSRC(t *testing.T) {
 		"128166372003061629,hm,0,Read,383496192,32768,113736",
 		"128166372013061629,hm,0,Write,383528960,4096,23736",
 	}, "\n")
-	tr, err := ReadMSRC(strings.NewReader(in))
+	tr, err := ReadFormat("msrc", strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +131,15 @@ func TestReadMSRCErrors(t *testing.T) {
 		"1,hm,0,Read,0,512,x",
 	}
 	for _, c := range bad {
-		if _, err := ReadMSRC(strings.NewReader(c)); err == nil {
-			t.Errorf("ReadMSRC(%q) accepted bad input", c)
+		if _, err := ReadFormat("msrc", strings.NewReader(c)); err == nil {
+			t.Errorf("ReadFormat(msrc, %q) accepted bad input", c)
 		}
 	}
 }
 
 func TestReadSPC(t *testing.T) {
 	in := "0,12345,4096,R,0.000000\n1,999,512,W,1.500000\n"
-	tr, err := ReadSPC(strings.NewReader(in))
+	tr, err := ReadFormat("spc", strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestReadSPC(t *testing.T) {
 }
 
 func TestReadSPCZeroSizeClampsToOneSector(t *testing.T) {
-	tr, err := ReadSPC(strings.NewReader("0,1,0,R,0.0\n"))
+	tr, err := ReadFormat("spc", strings.NewReader("0,1,0,R,0.0\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := ReadFormat("bin", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryRejectsBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("NOPE....."))); err == nil {
+	if _, err := ReadFormat("bin", bytes.NewReader([]byte("NOPE....."))); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
@@ -194,7 +194,7 @@ func TestBinaryTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	if _, err := ReadBinary(bytes.NewReader(b[:len(b)-5])); err == nil {
+	if _, err := ReadFormat("bin", bytes.NewReader(b[:len(b)-5])); err == nil {
 		t.Fatal("truncated input accepted")
 	}
 }
@@ -221,7 +221,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if err := WriteBinary(&buf, tr); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		got, err := ReadFormat("bin", &buf)
 		if err != nil {
 			return false
 		}
@@ -256,7 +256,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		if err := WriteCSV(&buf, tr); err != nil {
 			return false
 		}
-		got, err := ReadCSV(&buf)
+		got, err := ReadFormat("csv", &buf)
 		if err != nil {
 			return false
 		}

@@ -17,6 +17,7 @@ package trace
 // terminal error; after either, the goroutines have already drained.
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -180,7 +181,7 @@ func (d *ParallelDecoder) worker() {
 func (d *ParallelDecoder) runSegment(i int) bool {
 	s, ch := d.plan.segs[i], d.chans[i]
 	defer close(ch)
-	dec := newSegmentDecoder(io.NewSectionReader(d.ra, s.start, s.end-s.start), d.plan.format, s.ctx)
+	dec := d.plan.codec.segment(io.NewSectionReader(d.ra, s.start, s.end-s.start), s.ctx)
 	for {
 		buf := d.free.get()
 		n, err := DecodeBatch(dec, buf)
@@ -339,19 +340,17 @@ func (d *ParallelDecoder) Close() {
 // OpenFileDecoder opens path and builds the fastest decoder for it:
 // the segmented parallel decoder when workers > 1 and the file is
 // large enough to split profitably, the sequential decoder otherwise.
-// format "auto" (or "") is resolved by content sniffing; the concrete
-// format is returned. The returned close function stops any decode
-// workers and closes the file.
+// format "auto" (or "") is resolved by content sniffing (ResolveFile);
+// the concrete format is returned. The returned close function stops
+// any decode workers and closes the file.
 func OpenFileDecoder(path, format string, workers int) (Decoder, string, func(), error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, "", nil, err
 	}
-	if format == "auto" || format == "" {
-		if format, err = DetectFile(path); err != nil {
-			f.Close()
-			return nil, "", nil, err
-		}
+	if format, err = ResolveFile(path, format); err != nil {
+		f.Close()
+		return nil, "", nil, err
 	}
 	st, err := f.Stat()
 	if err != nil {
@@ -368,4 +367,24 @@ func OpenFileDecoder(path, format string, workers int) (Decoder, string, func(),
 		return nil, "", nil, err
 	}
 	return dec, format, func() { f.Close() }, nil
+}
+
+// SpoolTemp copies r into a new temporary file named after pattern (as
+// os.CreateTemp takes it) and returns its path; the caller removes it.
+// It is how a command reads stdin as a file: OpenFileDecoder splits
+// only a file, and a two-pass consumer reads its input twice.
+func SpoolTemp(r io.Reader, pattern string) (string, error) {
+	f, err := os.CreateTemp("", pattern)
+	if err != nil {
+		return "", err
+	}
+	_, err = io.Copy(f, r)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", fmt.Errorf("spooling stdin: %w", err)
+	}
+	return f.Name(), nil
 }

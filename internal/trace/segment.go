@@ -52,7 +52,7 @@ type segmentRange struct {
 
 // segmentPlan is the result of splitting one input.
 type segmentPlan struct {
-	format   string
+	codec    *codec
 	meta     Meta
 	segs     []segmentRange
 	sizeHint int
@@ -60,32 +60,6 @@ type segmentPlan struct {
 	// of a text input — the line base of segment 0, so parse errors can
 	// report absolute line numbers.
 	preludeLines int
-}
-
-// newSegmentDecoder constructs the per-format decoder for one segment,
-// preset with the segment's carry context. Same parse loops as the
-// sequential decoders — the parallel path cannot drift from them.
-func newSegmentDecoder(r io.Reader, format string, ctx segCtx) Decoder {
-	switch format {
-	case "csv":
-		d := &CSVDecoder{ls: newLineScanner(r), meta: ctx.meta, sawData: ctx.sawData}
-		d.t.applyMeta(ctx.meta)
-		return d
-	case "bin":
-		return &BinaryDecoder{
-			br:        newBinReader(r),
-			meta:      ctx.meta,
-			counted:   ctx.binCounted,
-			remaining: ctx.binRemaining,
-			idx:       ctx.binStart,
-		}
-	case "msrc":
-		return &MSRCDecoder{ls: newLineScanner(r), meta: ctx.meta, base: ctx.msrcBase}
-	case "spc":
-		return NewSPCDecoder(r)
-	default:
-		panic("trace: newSegmentDecoder: unknown format " + format)
-	}
 }
 
 // raLineScanner yields lines (without terminators) from an io.ReaderAt
@@ -198,25 +172,25 @@ func targetSegmentCount(dataLen int64, workers int) int {
 
 // splitSegments plans the parallel decode of input[0:size).
 func splitSegments(ra io.ReaderAt, size int64, format string, workers int) (*segmentPlan, error) {
-	switch format {
-	case "bin":
-		return splitBin(ra, size, workers)
-	case "csv", "msrc", "spc":
-		return splitText(ra, size, format, workers)
-	default:
-		return nil, fmt.Errorf("trace: unknown input format %q", format)
+	c, err := input(format)
+	if err != nil {
+		return nil, err
 	}
+	if c.text {
+		return splitText(ra, size, c, workers)
+	}
+	return splitBin(ra, size, c, workers)
 }
 
 // splitText plans a line-oriented input: the prelude scan establishes
 // the metadata context and the start of the data region, then the data
 // region is cut at line boundaries.
-func splitText(ra io.ReaderAt, size int64, format string, workers int) (*segmentPlan, error) {
-	ctx, dataStart, preludeLines, err := scanPrelude(ra, size, format)
+func splitText(ra io.ReaderAt, size int64, c *codec, workers int) (*segmentPlan, error) {
+	ctx, dataStart, preludeLines, err := scanPrelude(ra, size, c)
 	if err != nil {
 		return nil, err
 	}
-	plan := &segmentPlan{format: format, meta: ctx.meta, preludeLines: preludeLines}
+	plan := &segmentPlan{codec: c, meta: ctx.meta, preludeLines: preludeLines}
 	dataLen := size - dataStart
 	n := targetSegmentCount(dataLen, workers)
 	if n == 0 {
@@ -257,7 +231,7 @@ func splitText(ra io.ReaderAt, size int64, format string, workers int) (*segment
 // do, and captures the per-stream state (MSRC arrival base, workload)
 // from the first data line.
 type preludeState struct {
-	format  string
+	codec   *codec
 	ctx     segCtx
 	lineno  int
 	scratch Trace
@@ -273,14 +247,14 @@ func (p *preludeState) feed(raw []byte) (bool, error) {
 		return false, nil
 	}
 	if line[0] == '#' {
-		if p.format == "csv" && bytes.HasPrefix(line, csvHeaderPrefix) {
+		if p.codec.name == "csv" && bytes.HasPrefix(line, csvHeaderPrefix) {
 			p.scratch.applyMeta(p.ctx.meta)
 			parseHeaderComment(&p.scratch, string(line))
 			p.ctx.meta = p.scratch.Meta()
 		}
 		return false, nil
 	}
-	if p.format == "msrc" {
+	if p.codec.name == "msrc" {
 		var f [8][]byte
 		if n := splitComma(f[:], line); n != 7 {
 			return false, fmt.Errorf("trace: msrc line %d: want 7 fields, got %d", p.lineno, n)
@@ -300,8 +274,8 @@ func (p *preludeState) feed(raw []byte) (bool, error) {
 // final segment context, the offset of the first data line, and the
 // number of lines before it (segment 0's line base). dataStart == size
 // means the input holds no data records.
-func scanPrelude(ra io.ReaderAt, size int64, format string) (segCtx, int64, int, error) {
-	p := preludeState{format: format, ctx: segCtx{meta: initialMeta(format), sawData: true}}
+func scanPrelude(ra io.ReaderAt, size int64, c *codec) (segCtx, int64, int, error) {
+	p := preludeState{codec: c, ctx: segCtx{meta: c.meta, sawData: true}}
 	ls := &raLineScanner{ra: ra, size: size}
 	for {
 		raw, start, err := ls.next()
@@ -322,20 +296,9 @@ func scanPrelude(ra io.ReaderAt, size int64, format string) (segCtx, int64, int,
 	}
 }
 
-// initialMeta is the metadata a format's decoder reports before any
-// header or record is seen.
-func initialMeta(format string) Meta {
-	switch format {
-	case "msrc":
-		return Meta{Set: "MSRC", TsdevKnown: true}
-	default:
-		return Meta{}
-	}
-}
-
 // splitBin plans the fixed-stride binary format: the header is parsed
 // once, then the record region is cut at multiples of binRecordLen.
-func splitBin(ra io.ReaderAt, size int64, workers int) (*segmentPlan, error) {
+func splitBin(ra io.ReaderAt, size int64, c *codec, workers int) (*segmentPlan, error) {
 	meta, counted, count, hdrLen, err := readBinHeader(io.NewSectionReader(ra, 0, size))
 	if err != nil {
 		if err == io.EOF {
@@ -345,7 +308,7 @@ func splitBin(ra io.ReaderAt, size int64, workers int) (*segmentPlan, error) {
 		}
 		return nil, err
 	}
-	plan := &segmentPlan{format: "bin", meta: meta}
+	plan := &segmentPlan{codec: c, meta: meta}
 	avail := size - hdrLen
 	if avail < 0 {
 		avail = 0

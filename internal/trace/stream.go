@@ -2,9 +2,9 @@ package trace
 
 // Streaming layer: Decoder yields requests one at a time and Encoder
 // consumes them one at a time, so pipelines can process traces far
-// larger than memory. Every on-disk format gets a streaming
-// counterpart here, and the whole-trace Read*/Write* functions in
-// io.go, blktrace.go and fio.go delegate to these, so the two paths
+// larger than memory. Every on-disk format's codec lives here; the
+// codec table (format.go) says which formats exist, and the whole-trace
+// readers and writers drain or feed these same codecs, so the two paths
 // cannot drift apart.
 //
 // The codecs are allocation-free in steady state: text decoders scan
@@ -25,8 +25,10 @@ import (
 	"bytes"
 	"container/heap"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"time"
@@ -270,64 +272,6 @@ func EncodeTrace(enc Encoder, t *Trace) error {
 	return enc.Close()
 }
 
-// NewDecoder returns a streaming decoder for the named input format:
-// "csv", "bin", "msrc" or "spc".
-func NewDecoder(format string, r io.Reader) (Decoder, error) {
-	switch format {
-	case "csv":
-		return NewCSVDecoder(r), nil
-	case "bin":
-		return NewBinaryDecoder(r), nil
-	case "msrc":
-		return NewMSRCDecoder(r), nil
-	case "spc":
-		return NewSPCDecoder(r), nil
-	default:
-		return nil, fmt.Errorf("trace: unknown input format %q", format)
-	}
-}
-
-// NeedsSort reports whether the named input format is only
-// near-sorted in file order (event-traced corpora), so materializing
-// readers must sort after draining and streaming consumers need a
-// reorder window.
-func NeedsSort(format string) bool { return format == "msrc" || format == "spc" }
-
-// ReadFormat materializes a whole trace of the named input format,
-// applying the arrival sort the near-sorted corpora need.
-func ReadFormat(format string, r io.Reader) (*Trace, error) {
-	dec, err := NewDecoder(format, r)
-	if err != nil {
-		return nil, err
-	}
-	t, err := Drain(dec)
-	if err != nil {
-		return nil, err
-	}
-	if NeedsSort(format) {
-		t.Sort()
-	}
-	return t, nil
-}
-
-// NewEncoder returns a streaming encoder for the named output format:
-// "csv", "bin", "blktrace" or "fio". fioDevice is the replay target
-// path the fio format embeds (ignored by the others).
-func NewEncoder(format string, w io.Writer, fioDevice string) (Encoder, error) {
-	switch format {
-	case "csv":
-		return NewCSVEncoder(w), nil
-	case "bin":
-		return NewBinaryEncoder(w), nil
-	case "blktrace":
-		return NewBlktraceEncoder(w), nil
-	case "fio":
-		return NewFIOEncoder(w, fioDevice), nil
-	default:
-		return nil, fmt.Errorf("trace: unknown output format %q", format)
-	}
-}
-
 // SeqState tracks per-device end positions so sequentiality flags can
 // be computed incrementally. Flag returns the classification of each
 // request presented in trace order; trace.SeqFlags delegates here, so
@@ -532,7 +476,7 @@ func (e *CSVEncoder) Close() error { return e.bw.Flush() }
 
 // streamingCount is the request-count sentinel a BinaryEncoder writes:
 // it cannot know the count up front, so records simply run to EOF.
-// BinaryDecoder (and therefore ReadBinary) accepts both forms.
+// BinaryDecoder (and therefore ReadFormat) accepts both forms.
 const streamingCount = ^uint64(0)
 
 // binRecordLen is the fixed width of one binary request record.
@@ -687,8 +631,8 @@ func decodeBinRecord(rec []byte) Request {
 
 // BinaryEncoder streams the compact binary format. Because the count
 // is unknown up front it writes the streamingCount sentinel; files it
-// produces are readable by ReadBinary/BinaryDecoder but differ in that
-// one header field from WriteBinary output.
+// produces are readable by BinaryDecoder but differ in that one header
+// field from WriteBinary output.
 type BinaryEncoder struct {
 	bw  *bufio.Writer
 	rec [binRecordLen]byte
@@ -741,9 +685,20 @@ func (e *BinaryEncoder) WriteRaw(p []byte) error {
 // Close implements Encoder.
 func (e *BinaryEncoder) Close() error { return e.bw.Flush() }
 
+// errLongMeta refuses a metadata string the binary header's 16-bit
+// length prefix cannot hold: writing it truncated would make the whole
+// file unreadable.
+var errLongMeta = errors.New("trace: metadata string too long for the binary header")
+
 // writeBinaryHeader emits the magic, metadata strings, flags and the
-// request count (or streamingCount).
+// request count (or streamingCount). It writes nothing when a metadata
+// string is over math.MaxUint16 bytes.
 func writeBinaryHeader(bw *bufio.Writer, m Meta, count uint64) error {
+	for _, f := range [...]struct{ field, s string }{{"name", m.Name}, {"workload", m.Workload}, {"set", m.Set}} {
+		if len(f.s) > math.MaxUint16 {
+			return fmt.Errorf("%w: %s is %d bytes, at most %d fit", errLongMeta, f.field, len(f.s), math.MaxUint16)
+		}
+	}
 	if _, err := bw.Write(binaryMagic[:]); err != nil {
 		return err
 	}
@@ -789,9 +744,15 @@ func writeBinaryRecord(bw *bufio.Writer, rec *[binRecordLen]byte, r Request) err
 // --- MSRC CSV ---
 
 // MSRCDecoder streams the Microsoft Research Cambridge CSV format in
-// file order, rebasing arrivals so the first record is at zero. MSRC
-// files are only nearly sorted; wrap in a ReorderDecoder when monotone
-// arrivals are required.
+// file order:
+//
+//	Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
+//
+// Timestamp and ResponseTime are Windows filetime ticks (100 ns units);
+// Offset and Size are bytes. Arrivals are rebased so the first record
+// is at zero; response times populate Latency, so the stream is Tsdev
+// known. MSRC files are only nearly sorted; wrap in a ReorderDecoder
+// when monotone arrivals are required.
 type MSRCDecoder struct {
 	ls     *lineScanner
 	lineno int
@@ -800,9 +761,13 @@ type MSRCDecoder struct {
 	first  bool
 }
 
+// msrcMeta is the metadata of every MSRC stream before its first
+// record names the workload: event-traced, so Tsdev is known.
+var msrcMeta = Meta{Set: "MSRC", TsdevKnown: true}
+
 // NewMSRCDecoder wraps r in an MSRC request stream.
 func NewMSRCDecoder(r io.Reader) *MSRCDecoder {
-	return &MSRCDecoder{ls: newLineScanner(r), meta: Meta{Set: "MSRC", TsdevKnown: true}, first: true}
+	return &MSRCDecoder{ls: newLineScanner(r), meta: msrcMeta, first: true}
 }
 
 // Meta implements Decoder.
@@ -883,7 +848,13 @@ func (d *MSRCDecoder) lines() int { return d.lineno }
 
 // --- SPC-1 ASCII ---
 
-// SPCDecoder streams the SPC-1 ASCII format in file order.
+// SPCDecoder streams the SPC-1 ASCII format used by several public
+// repositories (including parts of the UMass corpus) in file order:
+//
+//	ASU,LBA,Size,Opcode,Timestamp
+//
+// LBA is in sectors, Size in bytes, Opcode R/W, Timestamp fractional
+// seconds. No completion information is available (TsdevKnown=false).
 type SPCDecoder struct {
 	ls     *lineScanner
 	lineno int
@@ -960,7 +931,21 @@ func (d *SPCDecoder) lines() int { return d.lineno }
 
 // --- blktrace text (encoder) ---
 
-// BlktraceEncoder streams the blkparse-style D/C event text format.
+// BlktraceEncoder streams the blktrace text format (the output of
+// `blkparse`), which the paper's hardware emulation collects on the
+// target node: a D (dispatch) event per request and a C
+// (completion) event per request with a recorded Latency, exactly like
+// a capture that missed no completions. Each line follows blkparse's
+// default layout,
+//
+//	major,minor cpu seq timestamp pid action rwbs sector + count [info]
+//
+// e.g.
+//
+//	8,0    0        1     0.000000000  1234  D   R 383496192 + 64 [fio]
+//	8,0    0        2     0.000150000  1234  C   R 383496192 + 64 [0]
+//
+// with timestamps in seconds at nanosecond resolution.
 type BlktraceEncoder struct {
 	bw   *bufio.Writer
 	name string
@@ -1029,7 +1014,18 @@ func (e *BlktraceEncoder) Close() error { return e.bw.Flush() }
 
 // --- fio iolog v2 (encoder) ---
 
-// FIOEncoder streams the fio iolog v2 replay format.
+// FIOEncoder streams the fio iolog v2 replay format, so a
+// reconstructed trace can drive a real device through
+// `fio --read_iolog=...` (WriteFIOJob writes the matching job file):
+//
+//	fio version 2 iolog
+//	<filename> add
+//	<filename> open
+//	<filename> <action> <offset> <length>
+//	<filename> close
+//
+// fio replays entries back to back; inter-arrival gaps are emitted as
+// "wait" lines in microseconds, so idle periods survive the export.
 type FIOEncoder struct {
 	bw     *bufio.Writer
 	device string

@@ -50,14 +50,14 @@ func TestStreamMatchesWholeTrace(t *testing.T) {
 }
 
 // TestBinaryStreamingSentinel checks that a BinaryEncoder stream (no
-// up-front count) is readable by ReadBinary.
+// up-front count) is readable by ReadFormat.
 func TestBinaryStreamingSentinel(t *testing.T) {
 	orig := streamSample()
 	var buf bytes.Buffer
 	if err := EncodeTrace(NewBinaryEncoder(&buf), orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	got, err := ReadFormat("bin", bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestBinaryStreamingSentinel(t *testing.T) {
 // binary stream is an error, not a silently empty trace.
 func TestBinaryTruncatedHeader(t *testing.T) {
 	for _, in := range []string{"", "TTR1", "TTR1\x02\x00a"} {
-		if _, err := ReadBinary(strings.NewReader(in)); err == nil {
+		if _, err := ReadFormat("bin", strings.NewReader(in)); err == nil {
 			t.Fatalf("truncated header %q accepted as empty trace", in)
 		}
 		dec := NewBinaryDecoder(strings.NewReader(in))
@@ -155,13 +155,13 @@ func TestReorderDecoderExactWindow(t *testing.T) {
 }
 
 // TestMSRCDecoderMatchesReader checks the streaming MSRC decoder plus
-// a reorder window reproduces ReadMSRC on near-sorted input.
+// a reorder window reproduces ReadFormat("msrc") on near-sorted input.
 func TestMSRCDecoderMatchesReader(t *testing.T) {
 	const msrc = `128166372003061629,web,0,Write,8192,4096,501
 128166372002869395,web,0,Read,0,4096,1003
 128166372013321843,web,1,Write,12288,8192,702
 `
-	want, err := ReadMSRC(strings.NewReader(msrc))
+	want, err := ReadFormat("msrc", strings.NewReader(msrc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +179,13 @@ func TestMSRCDecoderMatchesReader(t *testing.T) {
 }
 
 // TestSPCDecoderMatchesReader checks the SPC streaming decoder against
-// ReadSPC.
+// ReadFormat("spc").
 func TestSPCDecoderMatchesReader(t *testing.T) {
 	const spc = `0,20941264,8192,W,0.000000
 0,20939840,8192,W,0.001020
 1,3072,1024,R,0.000511
 `
-	want, err := ReadSPC(strings.NewReader(spc))
+	want, err := ReadFormat("spc", strings.NewReader(spc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +205,8 @@ func TestCSVLateHeaderRejected(t *testing.T) {
 	const in = "1.000,0,100,8,R,5.000,0\n" +
 		"# tracetracker name=x workload=w set=S tsdev_known=true\n" +
 		"2.000,0,200,8,R,5.000,0\n"
-	if _, err := ReadCSV(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "metadata header after data") {
-		t.Fatalf("ReadCSV late header: got %v", err)
+	if _, err := ReadFormat("csv", strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "metadata header after data") {
+		t.Fatalf("ReadFormat late header: got %v", err)
 	}
 	dec := NewCSVDecoder(strings.NewReader(in))
 	if _, err := dec.Next(); err != nil {
@@ -220,7 +220,7 @@ func TestCSVLateHeaderRejected(t *testing.T) {
 		"1.000,0,100,8,R,5.000,0\n" +
 		"# just a note\n" +
 		"2.000,0,200,8,R,5.000,0\n"
-	tr, err := ReadCSV(strings.NewReader(ok))
+	tr, err := ReadFormat("csv", strings.NewReader(ok))
 	if err != nil || tr.Len() != 2 {
 		t.Fatalf("plain comment: %v, %d requests", err, tr.Len())
 	}

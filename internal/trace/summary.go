@@ -6,6 +6,7 @@ package trace
 // bounded-memory counterpart of the Trace accessor methods.
 
 import (
+	"fmt"
 	"math"
 	"time"
 )
@@ -28,6 +29,25 @@ type Summary struct {
 	// IntervalMeanUS/IntervalStdUS/IntervalMaxUS are moments of the
 	// successive inter-arrival gaps in microseconds.
 	IntervalMeanUS, IntervalStdUS, IntervalMaxUS float64
+
+	// invalid is the first invariant the stream broke (ErrZeroSize or
+	// ErrUnsorted), at request index invalidAt.
+	invalid   error
+	invalidAt int64
+}
+
+// Validate checks the invariants the pipeline relies on over the
+// stream as folded: at least one request, non-zero sizes,
+// non-decreasing arrivals in stream order. The error names the first
+// offending index.
+func (s Summary) Validate() error {
+	if s.Requests == 0 {
+		return ErrNoRequest
+	}
+	if s.invalid != nil {
+		return fmt.Errorf("%w (index %d)", s.invalid, s.invalidAt)
+	}
+	return nil
 }
 
 // Duration returns the arrival span, zero below two requests —
@@ -84,9 +104,15 @@ func NewSummarizer() *Summarizer {
 //tracelint:hotpath
 func (a *Summarizer) Add(r Request) bool {
 	s := &a.sum
+	if r.Sectors == 0 && s.invalid == nil {
+		s.invalid, s.invalidAt = ErrZeroSize, s.Requests
+	}
 	if s.Requests == 0 {
 		s.MinArrival, s.MaxArrival = r.Arrival, r.Arrival
 	} else {
+		if r.Arrival < a.prev && s.invalid == nil {
+			s.invalid, s.invalidAt = ErrUnsorted, s.Requests
+		}
 		if r.Arrival < s.MinArrival {
 			s.MinArrival = r.Arrival
 		}
@@ -129,8 +155,7 @@ func (a *Summarizer) Summary(m Meta) Summary {
 // Summarize drains dec and returns its one-pass summary. It reads
 // through the batched decode path — or straight out of a parallel
 // decoder's internal batches — so the per-record cost is the Add
-// fold, not interface dispatch — this is what tracestat -stream and
-// corpus ingest run over whole corpora. On a decode error the decoder
+// fold, not interface dispatch. On a decode error the decoder
 // is closed (CloseDecoder), so abandoned parallel decodes never leak
 // workers.
 func Summarize(dec Decoder) (Summary, error) {

@@ -109,20 +109,15 @@ var (
 )
 
 // Validate checks the invariants the pipeline relies on: at least one
-// request, non-decreasing arrivals, non-zero sizes.
+// request, non-decreasing arrivals, non-zero sizes. It is
+// Summary.Validate over the trace, so a streamed input is held to the
+// same rules.
 func (t *Trace) Validate() error {
-	if len(t.Requests) == 0 {
-		return ErrNoRequest
+	acc := NewSummarizer()
+	for _, r := range t.Requests {
+		acc.Add(r)
 	}
-	for i, r := range t.Requests {
-		if r.Sectors == 0 {
-			return fmt.Errorf("%w (index %d)", ErrZeroSize, i)
-		}
-		if i > 0 && r.Arrival < t.Requests[i-1].Arrival {
-			return fmt.Errorf("%w (index %d)", ErrUnsorted, i)
-		}
-	}
-	return nil
+	return acc.Summary(t.Meta()).Validate()
 }
 
 // Sort orders requests by arrival time (stable, preserving issue order

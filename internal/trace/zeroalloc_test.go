@@ -128,7 +128,7 @@ func TestEncoderWriteZeroAlloc(t *testing.T) {
 }
 
 // TestSummarizerZeroAlloc locks the one-pass summarizer fold: ingest
-// and tracestat -stream run it per record over whole corpora.
+// and tracestat run it per record over whole corpora.
 func TestSummarizerZeroAlloc(t *testing.T) {
 	reqs := benchTrace(64).Requests
 	acc := NewSummarizer()
