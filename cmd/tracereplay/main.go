@@ -83,9 +83,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	acc := trace.NewSummarizer()
 	var now, wall time.Duration
 	err = trace.ForEachBatch(dec, func(batch []trace.Request) error {
-		for _, r := range batch {
-			acc.Add(r)
-		}
+		acc.AddBatch(batch)
 		if err := acc.Summary(trace.Meta{}).Validate(); err != nil {
 			return fmt.Errorf("input: %w", err)
 		}

@@ -207,10 +207,8 @@ func decompose(dec trace.Decoder, m *infer.Model, tsdevKnown bool) (decompositio
 		}
 	}
 	err := trace.ForEachBatch(dec, func(batch []trace.Request) error {
-		for _, r := range batch {
-			reqs = append(reqs, r)
-			seq = append(seq, st.Flag(r))
-		}
+		reqs = append(reqs, batch...)
+		seq = st.AppendFlags(seq, batch)
 		n := len(reqs) - 1
 		ctx.HasNext, ctx.NextArrival = true, reqs[n].Arrival
 		shard(n)

@@ -3,9 +3,12 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -550,52 +553,109 @@ func TestEmptyStream(t *testing.T) {
 	}
 }
 
-// TestPlanSliceCoverage checks the planner's shards partition the trace
-// exactly, in order, with the whole-trace sequentiality flags, and that
-// the carries line up.
-func TestPlanSliceCoverage(t *testing.T) {
-	old := genOld(t, "ikki", 2000, true)
-	cfg := testConfig(4, core.Options{}).withDefaults()
+// planSplits are the ways TestPlanSliceCoverage cuts one stream into
+// addBatch calls: fixed sizes, the whole stream at once, and a seeded
+// random split.
+func planSplits(n int) map[string][]int {
+	splits := map[string][]int{"whole": {n}}
+	for _, size := range []int{1, 7, 1024} {
+		var s []int
+		for i := 0; i < n; i += size {
+			s = append(s, min(size, n-i))
+		}
+		splits[fmt.Sprintf("size-%d", size)] = s
+	}
+	rng := rand.New(rand.NewSource(9))
+	var s []int
+	for i := 0; i < n; {
+		k := min(1+rng.Intn(300), n-i)
+		s = append(s, k)
+		i += k
+	}
+	splits["random"] = s
+	return splits
+}
+
+// planBatches runs a fresh planner over reqs cut into batches of the
+// given sizes and returns the shards it completes, the trailing one
+// included.
+func planBatches(cfg Config, reqs []trace.Request, sizes []int) ([]shard, error) {
 	p := newStreamPlanner(cfg, &bufPool{})
 	var shards []shard
-	for _, r := range old.Requests {
-		done, err := p.add(r)
-		if err != nil {
-			t.Fatal(err)
+	submit := func(s shard) error {
+		shards = append(shards, s)
+		return nil
+	}
+	for _, k := range sizes {
+		if err := p.addBatch(reqs[:k], submit); err != nil {
+			return shards, err
 		}
-		if done != nil {
-			shards = append(shards, *done)
-		}
+		reqs = reqs[k:]
 	}
 	if last := p.finish(); last != nil {
 		shards = append(shards, *last)
 	}
-	if len(shards) < 2 {
-		t.Fatalf("want multiple shards, got %d", len(shards))
+	return shards, nil
+}
+
+// TestPlanSliceCoverage checks the planner's shards partition the trace
+// exactly, in order, with the whole-trace sequentiality flags, that the
+// carries line up, that every cut and only a cut satisfies the cut
+// rule — and that none of it depends on how the stream is split into
+// batches. A zero-size or unsorted request fails with the same error at
+// the same index wherever it falls, at a batch boundary or inside one.
+func TestPlanSliceCoverage(t *testing.T) {
+	old := genOld(t, "ikki", 2000, true)
+	cfg := testConfig(4, core.Options{}).withDefaults()
+	cfg.MaxShardRequests = 65 // just over MinShardRequests: both cut kinds fire
+	splits := planSplits(old.Len())
+	want, err := planBatches(cfg, old.Requests, splits["size-1"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 2 {
+		t.Fatalf("want multiple shards, got %d", len(want))
 	}
 	var reqs []trace.Request
 	var seq []bool
-	for i, s := range shards {
+	forced, idle := 0, 0
+	for i, s := range want {
 		if s.index != i {
 			t.Fatalf("shard %d has index %d", i, s.index)
 		}
 		if len(s.reqs) == 0 || len(s.seq) != len(s.reqs) {
 			t.Fatalf("shard %d malformed", i)
 		}
+		for j := 1; j < len(s.reqs); j++ {
+			if shouldCut(cfg, j, s.reqs[j].Arrival-s.reqs[j-1].Arrival) {
+				t.Fatalf("shard %d runs past a cut before its request %d", i, j)
+			}
+		}
 		if i > 0 {
 			if !s.hasPrev {
 				t.Fatalf("shard %d missing prev carry", i)
 			}
-			prevShard := shards[i-1]
+			prevShard := want[i-1]
 			if s.prev != prevShard.reqs[len(prevShard.reqs)-1] || s.prevSeq != prevShard.seq[len(prevShard.seq)-1] {
 				t.Fatalf("shard %d prev carry mismatch", i)
 			}
 			if !prevShard.hasNext || prevShard.nextArrival != s.reqs[0].Arrival {
 				t.Fatalf("shard %d next carry mismatch", i)
 			}
+			if !shouldCut(cfg, len(prevShard.reqs), s.reqs[0].Arrival-s.prev.Arrival) {
+				t.Fatalf("shard %d starts where the cut rule does not cut", i)
+			}
+			if len(prevShard.reqs) == cfg.MaxShardRequests {
+				forced++
+			} else {
+				idle++
+			}
 		}
 		reqs = append(reqs, s.reqs...)
 		seq = append(seq, s.seq...)
+	}
+	if forced == 0 || idle == 0 {
+		t.Fatalf("fixture cuts %d shards at the size bound and %d at idle gaps, want both", forced, idle)
 	}
 	if !reflect.DeepEqual(reqs, old.Requests) {
 		t.Fatalf("shards do not partition the trace: %d requests, want %d", len(reqs), old.Len())
@@ -603,9 +663,75 @@ func TestPlanSliceCoverage(t *testing.T) {
 	if !reflect.DeepEqual(seq, old.SeqFlags()) {
 		t.Fatal("shard seq flags differ from the whole-trace flags")
 	}
-	if shards[len(shards)-1].hasNext {
+	if want[len(want)-1].hasNext {
 		t.Fatal("final shard claims a next arrival")
 	}
+	for name, sizes := range splits {
+		got, err := planBatches(cfg, old.Requests, sizes)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: shards differ from the one-request-per-batch plan", name)
+		}
+	}
+
+	// 1024 opens the second batch of the size-1024 split; 1500 is inside
+	// it, and inside a batch of size-7 (7 × 214 + 2).
+	for _, at := range []int{1024, 1500} {
+		zero := slices.Clone(old.Requests)
+		zero[at].Sectors = 0
+		unsorted := slices.Clone(old.Requests)
+		unsorted[at].Arrival = unsorted[at-1].Arrival - 1
+		for _, bad := range []struct {
+			reqs []trace.Request
+			want string
+		}{
+			{zero, fmt.Sprintf("%v (index %d)", trace.ErrZeroSize, at)},
+			{unsorted, fmt.Sprintf("%v (index %d); widen the reorder window for near-sorted corpora", trace.ErrUnsorted, at)},
+		} {
+			for name, sizes := range splits {
+				_, err := planBatches(cfg, bad.reqs, sizes)
+				if err == nil || err.Error() != bad.want {
+					t.Fatalf("%s, bad request %d: err %v, want %q", name, at, err, bad.want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPlanAddBatch prices the planner's per-request loop (input
+// rules, cut rule, bulk appends, sequentiality flags) on the
+// cold-array-bin shape: a 200k-request MSNFS stream in the sequential
+// decoder's 1024-request batches, under the default shard sizes, with
+// every shard handed back to the pool as the executor recycles it.
+//
+//	go test -run '^$' -bench BenchmarkPlanAddBatch -benchmem ./internal/engine
+func BenchmarkPlanAddBatch(b *testing.B) {
+	p, _ := workload.Lookup("MSNFS")
+	app := workload.Generate(p, workload.GenOptions{Ops: 200_000, Seed: workload.TraceSeed("MSNFS", 0)})
+	reqs := app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace.Requests
+	cfg := Config{}.withDefaults()
+	pool := &bufPool{}
+	submit := func(s shard) error {
+		pool.reqs.put(s.reqs)
+		pool.seqs.put(s.seq)
+		return nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pl := newStreamPlanner(cfg, pool)
+		for j := 0; j < len(reqs); j += 1024 {
+			if err := pl.addBatch(reqs[j:min(j+1024, len(reqs))], submit); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if last := pl.finish(); last != nil {
+			submit(*last)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/req")
 }
 
 // TestReconstructPathParallelDecode locks the fused ingest: when the

@@ -350,7 +350,7 @@ func accelerate(dec trace.Decoder, enc trace.Encoder, factor float64) error {
 	var prev, now time.Duration
 	err := trace.ForEachBatch(dec, func(batch []trace.Request) error {
 		for _, r := range batch {
-			if err := checkInput(r, n, n > 0, prev); err != nil {
+			if err := checkInput(&r, n, n > 0, prev); err != nil {
 				return err
 			}
 			if n == 0 {

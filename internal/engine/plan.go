@@ -55,50 +55,83 @@ func newStreamPlanner(cfg Config, pool *bufPool) *streamPlanner {
 // checkInput applies the planner's input rules to the request at index
 // i of the stream: it has a size, and it does not arrive before prev,
 // its predecessor's arrival (hasPrev is false for the first request).
-func checkInput(r trace.Request, i int64, hasPrev bool, prev time.Duration) error {
-	if r.Sectors == 0 {
-		return fmt.Errorf("%w (index %d)", trace.ErrZeroSize, i)
-	}
-	if hasPrev && r.Arrival < prev {
-		return fmt.Errorf("%w (index %d); widen the reorder window for near-sorted corpora", trace.ErrUnsorted, i)
+func checkInput(r *trace.Request, i int64, hasPrev bool, prev time.Duration) error {
+	if r.Sectors == 0 || hasPrev && r.Arrival < prev {
+		return inputError(r, i)
 	}
 	return nil
 }
 
-// add consumes the next request. When it opens a new epoch, the
-// completed previous shard is returned.
-func (p *streamPlanner) add(r trace.Request) (*shard, error) {
-	n := len(p.cur.reqs)
-	var last trace.Request
-	if n > 0 {
-		last = p.cur.reqs[n-1]
+// inputError is checkInput's error for the request r at index i, built
+// out of line so that checkInput inlines into per-request loops.
+func inputError(r *trace.Request, i int64) error {
+	if r.Sectors == 0 {
+		return fmt.Errorf("%w (index %d)", trace.ErrZeroSize, i)
 	}
-	if err := checkInput(r, p.count, n > 0, last.Arrival); err != nil {
-		return nil, err
-	}
-	var done *shard
-	if n > 0 && shouldCut(p.cfg, n, r.Arrival-last.Arrival) {
-		finished := p.cur
-		finished.hasNext = true
-		finished.nextArrival = r.Arrival
-		done = &finished
-		p.index++
-		// The new shard appends into recycled buffers when any are free;
-		// otherwise append grows them, and they join the recycling loop
-		// once their shard retires.
-		p.cur = shard{
-			index:   p.index,
-			reqs:    p.pool.reqs.get(0),
-			seq:     p.pool.seqs.get(0),
-			hasPrev: true,
-			prev:    last,
-			prevSeq: finished.seq[n-1],
+	return fmt.Errorf("%w (index %d); widen the reorder window for near-sorted corpora", trace.ErrUnsorted, i)
+}
+
+// addBatch consumes the next run of requests in stream order, handing
+// each shard it completes to submit. The input rules and the cut rule
+// are applied per request, in order; every stretch between two cuts
+// joins the current shard in one bulk append, its flags in one run of
+// the sequentiality tracker.
+//
+//tracelint:hotpath
+func (p *streamPlanner) addBatch(batch []trace.Request, submit func(shard) error) error {
+	start := 0 // batch[start:i] is the stretch not yet in p.cur
+	for i := range batch {
+		r := &batch[i]
+		n := len(p.cur.reqs) + i - start // the shard's length before r
+		var prev time.Duration
+		if i > 0 {
+			prev = batch[i-1].Arrival
+		} else if n > 0 {
+			prev = p.cur.reqs[n-1].Arrival
+		}
+		if err := checkInput(r, p.count+int64(i-start), n > 0, prev); err != nil {
+			return err
+		}
+		if n > 0 && shouldCut(p.cfg, n, r.Arrival-prev) {
+			p.extend(batch[start:i])
+			start = i
+			if err := submit(p.cut(r.Arrival)); err != nil {
+				return err
+			}
 		}
 	}
-	p.cur.reqs = append(p.cur.reqs, r)
-	p.cur.seq = append(p.cur.seq, p.seq.Flag(r))
-	p.count++
-	return done, nil
+	p.extend(batch[start:])
+	return nil
+}
+
+// extend appends a stretch with no cut to the current shard.
+func (p *streamPlanner) extend(run []trace.Request) {
+	p.cur.reqs = append(p.cur.reqs, run...)
+	p.cur.seq = p.seq.AppendFlags(p.cur.seq, run)
+	p.count += int64(len(run))
+}
+
+// cut completes the current shard before a request arriving at next and
+// opens the one that request starts, carrying the completed shard's
+// last request and flag into it.
+func (p *streamPlanner) cut(next time.Duration) shard {
+	done := p.cur
+	done.hasNext = true
+	done.nextArrival = next
+	n := len(done.reqs)
+	p.index++
+	// The new shard appends into recycled buffers when any are free;
+	// otherwise append grows them, and they join the recycling loop once
+	// their shard retires.
+	p.cur = shard{
+		index:   p.index,
+		reqs:    p.pool.reqs.get(0),
+		seq:     p.pool.seqs.get(0),
+		hasPrev: true,
+		prev:    done.reqs[n-1],
+		prevSeq: done.seq[n-1],
+	}
+	return done
 }
 
 // finish returns the trailing shard, if any.

@@ -93,17 +93,8 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 	pool := &bufPool{}
 	planner := newStreamPlanner(e.cfg, pool)
 	produce := func(submit func(epoch) error) error {
-		feed := func(r trace.Request) error {
-			done, err := planner.add(r)
-			if err != nil {
-				return err
-			}
-			if done != nil {
-				return submit(epoch{shard: *done})
-			}
-			return nil
-		}
-		if err := feed(first); err != nil {
+		submitShard := func(s shard) error { return submit(epoch{shard: s}) }
+		if err := planner.addBatch([]trace.Request{first}, submitShard); err != nil {
 			return err
 		}
 		// Fused parallel ingest: with a parallel decoder, its workers
@@ -112,18 +103,13 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 		// end-to-end and the planner consumes pre-decoded batches
 		// without copying them into its own buffer first.
 		err := trace.ForEachBatch(dec, func(batch []trace.Request) error {
-			for _, r := range batch {
-				if err := feed(r); err != nil {
-					return err
-				}
-			}
-			return nil
+			return planner.addBatch(batch, submitShard)
 		})
 		if err != nil {
 			return err
 		}
 		if last := planner.finish(); last != nil {
-			return submit(epoch{shard: *last})
+			return submitShard(*last)
 		}
 		return nil
 	}

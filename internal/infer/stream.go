@@ -15,6 +15,7 @@ import (
 type StreamClassifier struct {
 	groups  map[GroupKey]*Group
 	seq     *trace.SeqState
+	flags   []bool // AddBatch's flag scratch
 	prev    trace.Request
 	prevSeq bool
 	have    bool
@@ -47,44 +48,42 @@ func NewStreamClassifier() *StreamClassifier {
 	}
 }
 
-// Add presents the next request of the trace (in arrival order).
-func (c *StreamClassifier) Add(r trace.Request) {
-	c.AddFlagged(r, c.seq.Flag(r))
-}
-
-// AddFlagged is Add for a caller that already computed r's
-// sequentiality flag over the same stream (corpus ingest, whose summary
-// fold runs its own trace.SeqState): the classifier's tracker is left
-// out, so one classifier takes either Add or AddFlagged, never both.
-func (c *StreamClassifier) AddFlagged(r trace.Request, seq bool) {
-	if c.have {
-		k := GroupKey{Seq: c.prevSeq, Op: c.prev.Op, Sectors: c.prev.Sectors}
-		slot := &c.cache[cacheSlot(k)]
-		grp := slot.grp
-		if grp == nil || slot.key != k {
-			grp = c.groups[k]
-			if grp == nil {
-				grp = &Group{Key: k}
-				c.groups[k] = grp
-			}
-			slot.key, slot.grp = k, grp
-		}
-		intt := float64(r.Arrival-c.prev.Arrival) / float64(time.Microsecond)
-		grp.InttMicros = append(grp.InttMicros, intt)
-	}
-	c.prevSeq = seq
-	c.prev = r
-	c.have = true
-	c.n++
-}
-
-// AddBatch presents a run of consecutive requests — the fold the
-// engine's model-fit pass runs over pre-decoded batches from the
-// parallel decoders.
+// AddBatch presents the next run of consecutive requests of the trace
+// (in arrival order) — the fold the engine's model-fit pass runs over
+// pre-decoded batches from the parallel decoders.
 func (c *StreamClassifier) AddBatch(rs []trace.Request) {
-	for _, r := range rs {
-		c.Add(r)
+	c.flags = c.seq.AppendFlags(c.flags[:0], rs)
+	c.AddFlagged(rs, c.flags)
+}
+
+// AddFlagged is AddBatch for a caller that already computed the
+// sequentiality flags of rs over the same stream (corpus ingest, whose
+// summary fold runs its own trace.SeqState): seq[i] is rs[i]'s flag.
+// The classifier's tracker is left out, so one classifier takes either
+// AddBatch or AddFlagged, never both.
+func (c *StreamClassifier) AddFlagged(rs []trace.Request, seq []bool) {
+	for i := range rs {
+		r := &rs[i]
+		if c.have {
+			k := GroupKey{Seq: c.prevSeq, Op: c.prev.Op, Sectors: c.prev.Sectors}
+			slot := &c.cache[cacheSlot(k)]
+			grp := slot.grp
+			if grp == nil || slot.key != k {
+				grp = c.groups[k]
+				if grp == nil {
+					grp = &Group{Key: k}
+					c.groups[k] = grp
+				}
+				slot.key, slot.grp = k, grp
+			}
+			intt := float64(r.Arrival-c.prev.Arrival) / float64(time.Microsecond)
+			grp.InttMicros = append(grp.InttMicros, intt)
+		}
+		c.prevSeq = seq[i]
+		c.prev = *r
+		c.have = true
 	}
+	c.n += len(rs)
 }
 
 // N returns the number of requests seen.
@@ -118,11 +117,9 @@ func SummarizeAndClassify(dec trace.Decoder, classify func(trace.Meta) bool) (tr
 				cls = NewStreamClassifier()
 			}
 		}
-		for _, r := range batch {
-			seq := acc.Add(r)
-			if cls != nil {
-				cls.AddFlagged(r, seq)
-			}
+		seq := acc.AddBatch(batch)
+		if cls != nil {
+			cls.AddFlagged(batch, seq)
 		}
 		return nil
 	})

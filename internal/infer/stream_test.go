@@ -48,8 +48,8 @@ func TestStreamClassifierMatchesClassify(t *testing.T) {
 	tr := streamTrace(2000)
 	want := Classify(tr)
 	c := NewStreamClassifier()
-	for _, r := range tr.Requests {
-		c.Add(r)
+	for i := 0; i < tr.Len(); i += 7 {
+		c.AddBatch(tr.Requests[i:min(i+7, tr.Len())])
 	}
 	got := c.Grouping()
 	if len(got.Groups) != len(want.Groups) {
@@ -77,9 +77,7 @@ func TestEstimateGroupingMatchesEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewStreamClassifier()
-	for _, r := range tr.Requests {
-		c.Add(r)
-	}
+	c.AddBatch(tr.Requests)
 	got, err := EstimateGrouping(c.Grouping(), tr.Name, EstimateOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +89,7 @@ func TestEstimateGroupingMatchesEstimate(t *testing.T) {
 	// ingest: its summary fold owns the trace.SeqState).
 	flagged, seq := NewStreamClassifier(), trace.NewSeqState()
 	for _, r := range tr.Requests {
-		flagged.AddFlagged(r, seq.Flag(r))
+		flagged.AddFlagged([]trace.Request{r}, []bool{seq.Flag(r)})
 	}
 	if got, err = flagged.Estimate(tr.Name, EstimateOptions{}); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("flagged feed: %v\n got %+v\nwant %+v", err, got, want)
@@ -128,11 +126,7 @@ func TestDecomposeShardConcatenation(t *testing.T) {
 
 		cuts := []int{0, 137, 138, 500, 999, 1200}
 		sort.Ints(cuts)
-		seq := trace.NewSeqState()
-		flags := make([]bool, tr.Len())
-		for i, r := range tr.Requests {
-			flags[i] = seq.Flag(r)
-		}
+		flags := tr.SeqFlags()
 		var gotIdle []time.Duration
 		var gotAsync []bool
 		for ci := 0; ci+1 < len(cuts); ci++ {

@@ -60,16 +60,20 @@ func FuzzDetectFormat(f *testing.F) {
 // pipeline: for arbitrary bytes, every format, and 1-4 workers, the
 // parallel decoder must deliver exactly the records the sequential
 // decoder delivers, agree on success vs failure, and agree on the
-// metadata of clean streams. The seeds cover the boundary hazards:
-// CRLF endings, comment runs, late metadata headers, and truncated
-// binary records.
+// metadata of clean streams, and fail with the same message after the
+// same records (the ParallelDecoder's contract). The seeds cover the
+// boundary hazards: CRLF endings, comment runs, late metadata headers,
+// truncated binary records, and a bin file longer than the decoder's
+// 128 KB read buffer, so its batch loop meets a refill mid-stream.
 func FuzzSplitSegments(f *testing.F) {
-	var csvBuf, binBuf bytes.Buffer
+	var csvBuf, binBuf, bigBin bytes.Buffer
 	_ = WriteCSV(&csvBuf, streamSample())
 	_ = WriteBinary(&binBuf, streamSample())
+	_ = WriteBinary(&bigBin, benchTrace(4000))
 	f.Add(csvBuf.Bytes(), uint8(4))
 	f.Add(binBuf.Bytes(), uint8(3))
 	f.Add(binBuf.Bytes()[:binBuf.Len()-5], uint8(2)) // truncated bin record
+	f.Add(bigBin.Bytes()[:bigBin.Len()-5], uint8(1)) // ≈ 136 KB, truncated
 	f.Add([]byte("12.5,0,100,8,R,90.0,0\r\n13.5,0,108,8,W,80.0,1\r\n"), uint8(2))
 	f.Add([]byte("# c1\n# c2\n\n# tracetracker name=a workload=b set=c tsdev_known=true\n1,0,1,1,R,1,0\n"), uint8(3))
 	f.Add([]byte("1,0,1,1,R,1,0\n# tracetracker name=late workload=b set=c tsdev_known=true\n2,0,2,1,W,1,0\n"), uint8(2))
@@ -115,7 +119,7 @@ func fuzzCollect(dec Decoder) ([]Request, Meta, error) {
 
 func fuzzCompare(t *testing.T, path string, wantReqs []Request, wantMeta Meta, wantErr error, gotReqs []Request, gotMeta Meta, gotErr error) {
 	t.Helper()
-	if (wantErr == nil) != (gotErr == nil) {
+	if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
 		t.Fatalf("%s: sequential err %v, parallel err %v", path, wantErr, gotErr)
 	}
 	if len(gotReqs) != len(wantReqs) {

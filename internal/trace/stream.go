@@ -154,10 +154,11 @@ func ForEachBatch(dec Decoder, fn func([]Request) error) error {
 	}
 }
 
-// decodeBatch is the shared DecodeBatch body. Each concrete decoder
+// decodeBatch is the shared DecodeBatch body of the text decoders, and
+// DecodeBatch's fallback for a decoder without one. Each text decoder
 // instantiates it with its own type, so the inner Next calls are
 // direct (devirtualized), which is where the batch speedup comes
-// from.
+// from. The binary decoder has its own loop over whole buffered runs.
 //
 //tracelint:hotpath
 func decodeBatch[D interface{ Next() (Request, error) }](d D, dst []Request) (int, error) {
@@ -274,15 +275,15 @@ func EncodeTrace(enc Encoder, t *Trace) error {
 
 // SeqState tracks per-device end positions so sequentiality flags can
 // be computed incrementally. Flag returns the classification of each
-// request presented in trace order; trace.SeqFlags delegates here, so
-// a SeqState snapshot at a shard boundary reproduces the whole-trace
-// flags exactly.
+// request presented in trace order, and AppendFlags the flags of a
+// whole run; trace.SeqFlags delegates here, so a SeqState snapshot at a
+// shard boundary reproduces the whole-trace flags exactly.
 //
 // The public corpora use a handful of small device numbers, so the
-// first smallDevices devices live in a flat array — Flag on them costs
-// two array accesses instead of two map operations, which matters in
-// the per-request planner loop. Larger device IDs fall back to a
-// lazily-built map.
+// first smallDevices devices live in a flat array — a flag on them
+// costs two array accesses instead of two map operations, which
+// matters in the per-batch runs of the planner and the ingest fold.
+// Larger device IDs fall back to a lazily-built map.
 type SeqState struct {
 	smallEnd  [smallDevices]uint64
 	smallSeen uint32 // bitmask over smallEnd
@@ -301,13 +302,44 @@ func NewSeqState() *SeqState {
 // Flag classifies r (true = sequential) and advances the state.
 func (s *SeqState) Flag(r Request) bool {
 	if r.Device < smallDevices {
-		bit := uint32(1) << r.Device
-		end := s.smallEnd[r.Device]
-		seen := s.smallSeen&bit != 0
-		s.smallEnd[r.Device] = r.End()
-		s.smallSeen |= bit
-		return seen && r.LBA == end
+		return s.flagSmall(&r)
 	}
+	return s.flagMapped(&r)
+}
+
+// AppendFlags is the run form of Flag: it classifies rs in order,
+// appends their flags to dst and returns the extended slice.
+//
+//tracelint:hotpath
+func (s *SeqState) AppendFlags(dst []bool, rs []Request) []bool {
+	n := len(dst)
+	dst = slices.Grow(dst, len(rs))[:n+len(rs)]
+	out := dst[n:]
+	for i := range rs {
+		if r := &rs[i]; r.Device < smallDevices {
+			out[i] = s.flagSmall(r)
+		} else {
+			out[i] = s.flagMapped(r)
+		}
+	}
+	return dst
+}
+
+// flagSmall is the sequentiality rule for a device in the array fast
+// path, small enough to inline into Flag and AppendFlags: r is
+// sequential when it starts where the previous request on its device
+// ended.
+func (s *SeqState) flagSmall(r *Request) bool {
+	d := r.Device & (smallDevices - 1)
+	end, seen := s.smallEnd[d], s.smallSeen>>d&1 != 0
+	s.smallEnd[d] = r.End()
+	s.smallSeen |= 1 << d
+	return seen && r.LBA == end
+}
+
+// flagMapped is flagSmall for a device number outside the array fast
+// path.
+func (s *SeqState) flagMapped(r *Request) bool {
 	if s.lastEnd == nil {
 		s.lastEnd = make(map[uint32]uint64, 4)
 	}
@@ -579,9 +611,9 @@ func (d *BinaryDecoder) SizeHint() int {
 	return int(d.remaining)
 }
 
-// Next implements Decoder. Records are decoded in place from the read
-// buffer (Peek/Discard), so steady-state decoding never copies or
-// allocates.
+// Next implements Decoder. Records are decoded from the read buffer
+// (Peek/Discard): bufio copies the file through that buffer once, and
+// nothing past it is copied or allocated per record.
 //
 //tracelint:hotpath
 func (d *BinaryDecoder) Next() (Request, error) {
@@ -610,8 +642,44 @@ func (d *BinaryDecoder) Next() (Request, error) {
 	return r, nil
 }
 
-// DecodeBatch implements BatchDecoder.
-func (d *BinaryDecoder) DecodeBatch(dst []Request) (int, error) { return decodeBatch(d, dst) }
+// DecodeBatch implements BatchDecoder. Every whole record already in
+// the read buffer (up to the declared count, for a counted file) is
+// decoded in one loop, with one Peek and one Discard per run. Only when
+// no whole record is buffered — a refill, EOF, a truncated record, the
+// counted end, or a header error — does it fall back to Next for one
+// record, so every error keeps Next's text and record index.
+//
+//tracelint:hotpath
+func (d *BinaryDecoder) DecodeBatch(dst []Request) (int, error) {
+	n := 0
+	for n < len(dst) {
+		k := min(len(dst)-n, d.br.Buffered()/binRecordLen)
+		if d.counted && uint64(k) > d.remaining {
+			k = int(d.remaining)
+		}
+		if k == 0 || d.headerErr != nil {
+			r, err := d.Next()
+			if err != nil {
+				return n, err
+			}
+			dst[n] = r
+			n++
+			continue
+		}
+		buf, _ := d.br.Peek(k * binRecordLen)
+		out := dst[n : n+k]
+		for i := range out {
+			out[i] = decodeBinRecord(buf[i*binRecordLen : (i+1)*binRecordLen])
+		}
+		d.br.Discard(k * binRecordLen)
+		if d.counted {
+			d.remaining -= uint64(k)
+		}
+		d.idx += uint64(k)
+		n += k
+	}
+	return n, nil
+}
 
 // decodeBinRecord unpacks one fixed-width record.
 //
@@ -655,25 +723,30 @@ func (e *BinaryEncoder) Write(r Request) error {
 	return writeBinaryRecord(e.bw, &e.rec, r)
 }
 
-// AppendRecord implements ShardEncoder. The packing stores duplicate
-// writeBinaryRecord's rather than share a helper: an out-of-line pack
-// function makes the inliner spill the Request through the stack per
-// record, which costs the binary encoder ~40% of its throughput. The
-// golden and shard-splice identity tests lock the two bodies together.
+// AppendRecord implements ShardEncoder: it grows dst by one record and
+// packs r straight into it.
 //
 //tracelint:hotpath
 func (e *BinaryEncoder) AppendRecord(dst []byte, r Request) []byte {
-	var rec [binRecordLen]byte
+	n := len(dst)
+	dst = slices.Grow(dst, binRecordLen)[:n+binRecordLen]
+	packBinRecord((*[binRecordLen]byte)(dst[n:]), &r)
+	return dst
+}
+
+// packBinRecord stores one fixed-width request record, the layout
+// decodeBinRecord reads.
+func packBinRecord(rec *[binRecordLen]byte, r *Request) {
 	binary.LittleEndian.PutUint64(rec[0:], uint64(r.Arrival))
 	binary.LittleEndian.PutUint32(rec[8:], r.Device)
 	binary.LittleEndian.PutUint64(rec[12:], r.LBA)
 	binary.LittleEndian.PutUint32(rec[20:], r.Sectors)
 	rec[24] = byte(r.Op)
 	binary.LittleEndian.PutUint64(rec[25:], uint64(r.Latency))
+	rec[33] = 0
 	if r.Async {
 		rec[33] = 1
 	}
-	return append(dst, rec[:]...)
 }
 
 // WriteRaw implements ShardEncoder.
@@ -722,21 +795,10 @@ func writeBinaryHeader(bw *bufio.Writer, m Meta, count uint64) error {
 	return err
 }
 
-// writeBinaryRecord emits one fixed-width request record into rec
-// (caller-owned scratch, so nothing escapes per record). The stores
-// stay in this body — see AppendRecord for why they are not shared.
+// writeBinaryRecord emits one fixed-width request record through rec
+// (caller-owned scratch, so nothing escapes per record).
 func writeBinaryRecord(bw *bufio.Writer, rec *[binRecordLen]byte, r Request) error {
-	binary.LittleEndian.PutUint64(rec[0:], uint64(r.Arrival))
-	binary.LittleEndian.PutUint32(rec[8:], r.Device)
-	binary.LittleEndian.PutUint64(rec[12:], r.LBA)
-	binary.LittleEndian.PutUint32(rec[20:], r.Sectors)
-	rec[24] = byte(r.Op)
-	binary.LittleEndian.PutUint64(rec[25:], uint64(r.Latency))
-	if r.Async {
-		rec[33] = 1
-	} else {
-		rec[33] = 0
-	}
+	packBinRecord(rec, &r)
 	_, err := bw.Write(rec[:])
 	return err
 }

@@ -126,3 +126,28 @@ func BenchmarkEncodeCSV(b *testing.B)      { benchEncode(b, "csv") }
 func BenchmarkEncodeBin(b *testing.B)      { benchEncode(b, "bin") }
 func BenchmarkEncodeBlktrace(b *testing.B) { benchEncode(b, "blktrace") }
 func BenchmarkEncodeFIO(b *testing.B)      { benchEncode(b, "fio") }
+
+// benchAppendRecord times the render form the engine's workers use
+// (exec.go's finish): AppendRecord through the ShardEncoder interface
+// into one reused buffer, where benchEncode times Write.
+func benchAppendRecord(b *testing.B, format string) {
+	tr := benchTrace(200_000)
+	enc, err := NewEncoder(format, io.Discard, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	se := enc.(ShardEncoder)
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = buf[:0]
+		for _, r := range tr.Requests {
+			buf = se.AppendRecord(buf, r)
+		}
+	}
+	b.SetBytes(int64(len(buf)))
+}
+
+func BenchmarkAppendRecordCSV(b *testing.B) { benchAppendRecord(b, "csv") }
+func BenchmarkAppendRecordBin(b *testing.B) { benchAppendRecord(b, "bin") }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"reflect"
@@ -89,6 +90,122 @@ func TestBinaryTruncatedHeader(t *testing.T) {
 		dec := NewBinaryDecoder(strings.NewReader(in))
 		if _, err := dec.Next(); err == nil || err == io.EOF {
 			t.Fatalf("decoder on %q: got %v, want a truncation error", in, err)
+		}
+	}
+}
+
+// drainBy decodes dec to its terminal condition, one Next at a time
+// when size is 0 and through DecodeBatch with a size-long dst
+// otherwise, returning what it delivered and the terminal error (nil
+// for a clean EOF).
+func drainBy(dec *BinaryDecoder, size int) ([]Request, error) {
+	var out []Request
+	if size == 0 {
+		for {
+			r, err := dec.Next()
+			if err != nil {
+				return out, noEOF(err)
+			}
+			out = append(out, r)
+		}
+	}
+	dst := make([]Request, size)
+	for {
+		n, err := dec.DecodeBatch(dst)
+		out = append(out, dst[:n]...)
+		if err != nil {
+			return out, noEOF(err)
+		}
+	}
+}
+
+func noEOF(err error) error {
+	if err == io.EOF {
+		return nil
+	}
+	return err
+}
+
+// TestBinaryDecodeBatchMatchesNext holds the binary decoder's batch
+// loop, which decodes whole runs out of the read buffer, to its Next
+// loop: the same requests, and the same error text after the same
+// number of records. The inputs span several 128 KB buffer refills
+// and end every way a bin stream can; each is read with dst lengths
+// that divide a buffer's records unevenly, and through segment decoders
+// that start at a non-zero record index.
+func TestBinaryDecodeBatchMatchesNext(t *testing.T) {
+	const n = 10_000 // ≈ 340 KB of records
+	tr := benchTrace(n)
+	var counted, streamed, empty bytes.Buffer
+	if err := WriteBinary(&counted, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := EncodeTrace(NewBinaryEncoder(&streamed), tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBinary(&empty, &Trace{Name: tr.Name, Workload: tr.Workload, Set: tr.Set, TsdevKnown: tr.TsdevKnown}); err != nil {
+		t.Fatal(err)
+	}
+	hdr := empty.Len()
+	withCount := func(b []byte, count uint64) []byte {
+		b = bytes.Clone(b)
+		binary.LittleEndian.PutUint64(b[hdr-8:], count)
+		return b
+	}
+	rec := func(i int) int { return hdr + i*binRecordLen }
+	inputs := map[string][]byte{
+		"counted":               counted.Bytes(),
+		"streamed":              streamed.Bytes(),
+		"counted-short":         counted.Bytes()[:rec(n-500)],
+		"counted-partial":       counted.Bytes()[:rec(n-500)+5],
+		"streamed-partial":      streamed.Bytes()[:rec(n-1)+20],
+		"bytes-past-count":      withCount(append(counted.Bytes(), counted.Bytes()[hdr:rec(7)+3]...), n),
+		"count-inside-records":  withCount(counted.Bytes(), n-4321),
+		"truncated-header":      counted.Bytes()[:hdr-3],
+		"bad-magic-then-record": append([]byte("XXXX"), counted.Bytes()[4:]...),
+	}
+	sizes := []int{1, 3, 1024, 5000}
+	for name, data := range inputs {
+		newDec := func() *BinaryDecoder { return NewBinaryDecoder(bytes.NewReader(data)) }
+		compareDrains(t, name, newDec, sizes)
+	}
+
+	// Segment decoders, as the parallel decoder opens them: a counted
+	// middle segment and an uncounted tail ending inside a record.
+	data := streamed.Bytes()
+	bin := lookup("bin")
+	segments := []struct {
+		name       string
+		start, end int
+		ctx        segCtx
+	}{
+		{"segment-counted", 4000, 9000, segCtx{binCounted: true, binRemaining: 5000, binStart: 4000}},
+		{"segment-tail-partial", 5000, n, segCtx{binStart: 5000}},
+	}
+	for _, s := range segments {
+		body := data[rec(s.start):rec(s.end)]
+		if !s.ctx.binCounted {
+			body = body[:len(body)-binRecordLen/2]
+		}
+		newDec := func() *BinaryDecoder {
+			return bin.segment(bytes.NewReader(body), s.ctx).(*BinaryDecoder)
+		}
+		compareDrains(t, s.name, newDec, sizes)
+	}
+}
+
+// compareDrains reads fresh decoders from newDec with Next and with
+// DecodeBatch at each size, and requires identical outcomes.
+func compareDrains(t *testing.T, name string, newDec func() *BinaryDecoder, sizes []int) {
+	t.Helper()
+	want, wantErr := drainBy(newDec(), 0)
+	for _, size := range sizes {
+		got, gotErr := drainBy(newDec(), size)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, dst %d: DecodeBatch delivered %d records, Next %d (or they differ)", name, size, len(got), len(want))
+		}
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s, dst %d: DecodeBatch ends with %v, Next with %v", name, size, gotErr, wantErr)
 		}
 	}
 }
@@ -226,16 +343,44 @@ func TestCSVLateHeaderRejected(t *testing.T) {
 	}
 }
 
-// TestSeqState checks the incremental sequentiality tracker matches
-// SeqFlags and that clones are independent.
+// TestSeqState checks the incremental sequentiality tracker — one
+// request at a time and in runs of any length — against a direct
+// per-device map over devices on both sides of the array fast path,
+// and that clones are independent.
 func TestSeqState(t *testing.T) {
-	tr := streamSample()
-	want := tr.SeqFlags()
-	st := NewSeqState()
-	for i, r := range tr.Requests {
-		if got := st.Flag(r); got != want[i] {
-			t.Fatalf("flag %d: got %v want %v", i, got, want[i])
+	rng := rand.New(rand.NewSource(5))
+	devices := []uint32{0, 1, 15, 16, 40, 1 << 31}
+	reqs := make([]Request, 5000)
+	ends := map[uint32]uint64{}
+	want := make([]bool, len(reqs))
+	for i := range reqs {
+		d := devices[rng.Intn(len(devices))]
+		lba := uint64(rng.Intn(64))
+		if end, ok := ends[d]; ok && rng.Intn(3) > 0 {
+			lba = end
 		}
+		reqs[i] = Request{Device: d, LBA: lba, Sectors: uint32(1 + rng.Intn(8))}
+		end, seen := ends[d]
+		want[i] = seen && lba == end
+		ends[d] = reqs[i].End()
+	}
+	st := NewSeqState()
+	for i, r := range reqs {
+		if got := st.Flag(r); got != want[i] {
+			t.Fatalf("Flag %d: got %v want %v", i, got, want[i])
+		}
+	}
+	for _, size := range []int{1, 7, 1024, len(reqs)} {
+		st, got := NewSeqState(), []bool{}
+		for i := 0; i < len(reqs); i += size {
+			got = st.AppendFlags(got, reqs[i:min(i+size, len(reqs))])
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("AppendFlags in runs of %d differs from the per-device rule", size)
+		}
+	}
+	if !reflect.DeepEqual((&Trace{Requests: reqs}).SeqFlags(), want) {
+		t.Fatal("SeqFlags differs from the per-device rule")
 	}
 	a := NewSeqState()
 	a.Flag(Request{LBA: 0, Sectors: 8})

@@ -86,10 +86,11 @@ func (s Summary) AvgRequestBytes() float64 {
 // Summarizer accumulates a Summary incrementally (O(1) memory beyond
 // the per-device sequentiality map).
 type Summarizer struct {
-	sum  Summary
-	seq  *SeqState
-	prev time.Duration
-	m2   float64 // Welford sum of squared deviations of the gaps
+	sum   Summary
+	seq   *SeqState
+	prev  time.Duration
+	m2    float64 // Welford sum of squared deviations of the gaps
+	flags []bool  // AddBatch's result, reused across calls
 }
 
 // NewSummarizer returns an empty accumulator.
@@ -97,48 +98,54 @@ func NewSummarizer() *Summarizer {
 	return &Summarizer{seq: NewSeqState()}
 }
 
-// Add folds one request into the summary and returns its
-// sequentiality flag, so a consumer folding something else over the
-// same stream (corpus ingest's model fit) need not track it twice.
+// AddBatch folds a run of consecutive requests into the summary and
+// returns their sequentiality flags, so a consumer folding something
+// else over the same stream (corpus ingest's model fit) need not track
+// them twice. The flags are valid until the next call.
 //
 //tracelint:hotpath
-func (a *Summarizer) Add(r Request) bool {
+func (a *Summarizer) AddBatch(rs []Request) []bool {
 	s := &a.sum
-	if r.Sectors == 0 && s.invalid == nil {
-		s.invalid, s.invalidAt = ErrZeroSize, s.Requests
-	}
-	if s.Requests == 0 {
-		s.MinArrival, s.MaxArrival = r.Arrival, r.Arrival
-	} else {
-		if r.Arrival < a.prev && s.invalid == nil {
-			s.invalid, s.invalidAt = ErrUnsorted, s.Requests
+	a.flags = a.seq.AppendFlags(a.flags[:0], rs)
+	for i := range rs {
+		r := &rs[i]
+		if r.Sectors == 0 && s.invalid == nil {
+			s.invalid, s.invalidAt = ErrZeroSize, s.Requests
 		}
-		if r.Arrival < s.MinArrival {
-			s.MinArrival = r.Arrival
+		if s.Requests == 0 {
+			s.MinArrival, s.MaxArrival = r.Arrival, r.Arrival
+		} else {
+			if r.Arrival < a.prev && s.invalid == nil {
+				s.invalid, s.invalidAt = ErrUnsorted, s.Requests
+			}
+			if r.Arrival < s.MinArrival {
+				s.MinArrival = r.Arrival
+			}
+			if r.Arrival > s.MaxArrival {
+				s.MaxArrival = r.Arrival
+			}
+			gap := float64(r.Arrival-a.prev) / float64(time.Microsecond)
+			n := float64(s.Requests) // gap count including this one
+			delta := gap - s.IntervalMeanUS
+			s.IntervalMeanUS += delta / n
+			a.m2 += delta * (gap - s.IntervalMeanUS)
+			if gap > s.IntervalMaxUS {
+				s.IntervalMaxUS = gap
+			}
 		}
-		if r.Arrival > s.MaxArrival {
-			s.MaxArrival = r.Arrival
-		}
-		gap := float64(r.Arrival-a.prev) / float64(time.Microsecond)
-		n := float64(s.Requests) // gap count including this one
-		delta := gap - s.IntervalMeanUS
-		s.IntervalMeanUS += delta / n
-		a.m2 += delta * (gap - s.IntervalMeanUS)
-		if gap > s.IntervalMaxUS {
-			s.IntervalMaxUS = gap
+		a.prev = r.Arrival
+		s.Requests++
+		s.TotalBytes += r.Bytes()
+		if r.Op == Read {
+			s.Reads++
 		}
 	}
-	a.prev = r.Arrival
-	s.Requests++
-	s.TotalBytes += r.Bytes()
-	if r.Op == Read {
-		s.Reads++
+	for _, seq := range a.flags {
+		if seq {
+			s.Seq++
+		}
 	}
-	seq := a.seq.Flag(r)
-	if seq {
-		s.Seq++
-	}
-	return seq
+	return a.flags
 }
 
 // Summary finalizes the accumulated metrics under the stream metadata
@@ -154,16 +161,14 @@ func (a *Summarizer) Summary(m Meta) Summary {
 
 // Summarize drains dec and returns its one-pass summary. It reads
 // through the batched decode path — or straight out of a parallel
-// decoder's internal batches — so the per-record cost is the Add
+// decoder's internal batches — so the per-record cost is the AddBatch
 // fold, not interface dispatch. On a decode error the decoder
 // is closed (CloseDecoder), so abandoned parallel decodes never leak
 // workers.
 func Summarize(dec Decoder) (Summary, error) {
 	acc := NewSummarizer()
 	err := ForEachBatch(dec, func(batch []Request) error {
-		for _, r := range batch {
-			acc.Add(r)
-		}
+		acc.AddBatch(batch)
 		return nil
 	})
 	if err != nil {

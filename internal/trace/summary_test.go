@@ -88,7 +88,7 @@ func TestSummarizerSmall(t *testing.T) {
 		t.Fatalf("empty summary: %+v", empty)
 	}
 	one := NewSummarizer()
-	one.Add(Request{Arrival: time.Second, LBA: 1, Sectors: 4, Op: Write})
+	one.AddBatch([]Request{{Arrival: time.Second, LBA: 1, Sectors: 4, Op: Write}})
 	s := one.Summary(Meta{})
 	if s.Requests != 1 || s.Duration() != 0 || s.IntervalMeanUS != 0 || s.TotalBytes != 4*SectorSize {
 		t.Fatalf("single summary: %+v", s)

@@ -114,9 +114,7 @@ var (
 // same rules.
 func (t *Trace) Validate() error {
 	acc := NewSummarizer()
-	for _, r := range t.Requests {
-		acc.Add(r)
-	}
+	acc.AddBatch(t.Requests)
 	return acc.Summary(t.Meta()).Validate()
 }
 
@@ -209,12 +207,7 @@ func (t *Trace) InterArrivalMicros() []float64 {
 // a device is random by convention. This matches the block-level
 // definition the paper's grouping step uses.
 func (t *Trace) SeqFlags() []bool {
-	out := make([]bool, len(t.Requests))
-	st := NewSeqState()
-	for i, r := range t.Requests {
-		out[i] = st.Flag(r)
-	}
-	return out
+	return NewSeqState().AppendFlags(make([]bool, 0, len(t.Requests)), t.Requests)
 }
 
 // SeqFraction returns the fraction of sequential requests.

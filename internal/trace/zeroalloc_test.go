@@ -128,19 +128,18 @@ func TestEncoderWriteZeroAlloc(t *testing.T) {
 }
 
 // TestSummarizerZeroAlloc locks the one-pass summarizer fold: ingest
-// and tracestat run it per record over whole corpora.
+// and tracestat run it over every batch of whole corpora. Batches of
+// every length up to the first one's reuse its flag scratch.
 func TestSummarizerZeroAlloc(t *testing.T) {
 	reqs := benchTrace(64).Requests
 	acc := NewSummarizer()
-	for _, r := range reqs {
-		acc.Add(r)
-	}
+	acc.AddBatch(reqs)
 	i := 0
 	avg := testing.AllocsPerRun(2000, func() {
-		acc.Add(reqs[i%len(reqs)])
+		acc.AddBatch(reqs[:1+i%len(reqs)])
 		i++
 	})
 	if avg != 0 {
-		t.Fatalf("Summarizer.Add allocates %.3f per record, want 0", avg)
+		t.Fatalf("Summarizer.AddBatch allocates %.3f per batch, want 0", avg)
 	}
 }
