@@ -198,7 +198,8 @@ func TestErrorEnvelopes(t *testing.T) {
 	// The fit ingest now runs never turns an upload away: a Tsdev-unknown
 	// trace too sparse to fit, and an unsorted one, are both accepted, and
 	// their jobs fail with the errors they always failed with.
-	sparseID := postJob(t, ts, engine.JobSpec{In: corpusScheme + uploadCorpus(t, ts, webmailCSV(t, 40, false), "csv")})
+	sparseDigest := uploadCorpus(t, ts, webmailCSV(t, 40, false), "csv")
+	sparseID := postJob(t, ts, engine.JobSpec{In: corpusScheme + sparseDigest})
 	if j := waitFailed(t, ts, sparseID); !strings.Contains(j.Error, infer.ErrTooSparse.Error()) {
 		t.Fatalf("job on a 40-request inference input: %q, want %q", j.Error, infer.ErrTooSparse)
 	}
@@ -229,6 +230,7 @@ func TestErrorEnvelopes(t *testing.T) {
 		{"bad factor", "POST", "/v1/jobs", `{"in":"x","method":"acceleration","factor":-3}`, 400, "bad_spec", "factor"},
 		{"bad threshold", "POST", "/v1/jobs", `{"in":"x","method":"fixed-th","threshold_us":-10}`, 400, "bad_spec", "threshold_us"},
 		{"unknown corpus input", "POST", "/v1/jobs", `{"in":"corpus:ffffffffffff"}`, 404, "unknown_trace", ""},
+		{"format conflict", "POST", "/v1/jobs", `{"in":"corpus:` + sparseDigest + `","informat":"bin"}`, 400, "format_conflict", `"bin"`},
 		{"unknown job status", "GET", "/v1/jobs/job-999999", "", 404, "unknown_job", "job-999999"},
 		{"unknown job result", "GET", "/v1/jobs/job-999999/result", "", 404, "unknown_job", ""},
 		{"unknown job trace", "GET", "/v1/jobs/job-999999/trace", "", 404, "unknown_job", ""},
@@ -270,6 +272,16 @@ func TestErrorEnvelopes(t *testing.T) {
 	}
 	if env := errEnvelope(t, body); env.Code != "corpus_disabled" {
 		t.Fatalf("corpus without -data: code %q", env.Code)
+	}
+
+	// A valid submit after Close: the daemon is draining.
+	bare.Close()
+	status, body = doReq(t, tsBare, http.MethodPost, "/v1/jobs", `{"in":"x"}`)
+	if status != http.StatusServiceUnavailable {
+		t.Fatalf("submit after Close: status %d: %s", status, body)
+	}
+	if env := errEnvelope(t, body); env.Code != "shutting_down" {
+		t.Fatalf("submit after Close: code %q", env.Code)
 	}
 }
 

@@ -1,82 +1,28 @@
 package main
 
-// TestStableCodeSync locks the three copies of the stable error-code
-// vocabulary together: codes.go (the daemon's truth), the README's
-// "stable codes" paragraph (the client contract), and the tracelint
-// errcode analyzer's StableCodes (the compile-time gate). Each copy
-// exists for a different consumer; this test is what makes them one
-// vocabulary.
+// TestStableCodeSync locks the README's "stable codes" paragraph (the
+// client contract) to apicode's table (the one the envelope writers
+// take their codes from). The compiler keeps every other copy out:
+// httpError, reject and engine.ValidationError accept only an
+// apicode.Code.
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/apicode"
 )
-
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return root
-}
-
-// analyzerCodes extracts the StableCodes slice literal from the
-// tracelint errcode analyzer's source. Parsed, not imported: the tool
-// is a separate module precisely so the daemon build does not depend
-// on it.
-func analyzerCodes(t *testing.T) []string {
-	t.Helper()
-	path := filepath.Join(repoRoot(t), "tools", "tracelint", "internal", "checks", "errcode", "errcode.go")
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatalf("parsing %s: %v", path, err)
-	}
-	var codes []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		vs, ok := n.(*ast.ValueSpec)
-		if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "StableCodes" || len(vs.Values) != 1 {
-			return true
-		}
-		lit, ok := vs.Values[0].(*ast.CompositeLit)
-		if !ok {
-			t.Fatalf("%s: StableCodes is not a composite literal", path)
-		}
-		for _, el := range lit.Elts {
-			bl, ok := el.(*ast.BasicLit)
-			if !ok || bl.Kind != token.STRING {
-				t.Fatalf("%s: StableCodes element at %s is not a string literal", path, fset.Position(el.Pos()))
-			}
-			s, err := strconv.Unquote(bl.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			codes = append(codes, s)
-		}
-		return false
-	})
-	if len(codes) == 0 {
-		t.Fatalf("no StableCodes slice found in %s", path)
-	}
-	return codes
-}
 
 // readmeCodes extracts every `code` mentioned in the README's stable
 // codes paragraph (the text between "Codes are part of the contract"
 // and the following blank line).
 func readmeCodes(t *testing.T) []string {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(repoRoot(t), "README.md"))
+	data, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,100 +42,14 @@ func readmeCodes(t *testing.T) []string {
 	return codes
 }
 
-// emittedCodes scans the daemon's non-test sources for string
-// literals in the code position of httpError and reject calls — the
-// same sink sites the tracelint errcode analyzer checks.
-func emittedCodes(t *testing.T) []string {
-	t.Helper()
-	fset := token.NewFileSet()
-	entries, err := os.ReadDir(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, e.Name(), nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			var idx int
-			switch callee(call) {
-			case "httpError":
-				idx = 2
-			case "reject":
-				idx = 4
-			default:
-				return true
-			}
-			if idx >= len(call.Args) {
-				return true
-			}
-			if bl, ok := call.Args[idx].(*ast.BasicLit); ok && bl.Kind == token.STRING {
-				s, err := strconv.Unquote(bl.Value)
-				if err == nil {
-					seen[s] = true
-				}
-			}
-			return true
-		})
-	}
-	codes := make([]string, 0, len(seen))
-	for c := range seen {
-		codes = append(codes, c)
-	}
-	sort.Strings(codes)
-	return codes
-}
-
-func callee(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
-}
-
-func sorted(s []string) []string {
-	out := slices.Clone(s)
-	sort.Strings(out)
-	return out
-}
-
 func TestStableCodeSync(t *testing.T) {
-	daemon := sorted(stableCodes)
-	if d := slices.Compact(slices.Clone(daemon)); len(d) != len(daemon) {
-		t.Errorf("codes.go stableCodes has duplicates")
+	names := apicode.Names()
+	table := slices.Sorted(slices.Values(names[:]))
+	if slices.Contains(table, "") || len(slices.Compact(slices.Clone(table))) != len(table) {
+		t.Fatalf("apicode table has an empty or duplicate name: %v", table)
 	}
-
-	if analyzer := sorted(analyzerCodes(t)); !slices.Equal(daemon, analyzer) {
-		t.Errorf("codes.go and tracelint errcode.StableCodes disagree:\n daemon:   %v\n analyzer: %v",
-			daemon, analyzer)
-	}
-	if readme := sorted(readmeCodes(t)); !slices.Equal(daemon, readme) {
-		t.Errorf("codes.go and the README stable-codes paragraph disagree:\n daemon: %v\n README: %v",
-			daemon, readme)
-	}
-
-	// Every literal the daemon's sink call sites hand to httpError /
-	// reject must be declared. (Subset, not equality: some codes reach
-	// the envelope through variables, e.g. ValidationError.Code.)
-	declared := map[string]bool{}
-	for _, c := range daemon {
-		declared[c] = true
-	}
-	for _, c := range emittedCodes(t) {
-		if !declared[c] {
-			t.Errorf("daemon emits code %q that codes.go does not declare", c)
-		}
+	if readme := slices.Sorted(slices.Values(readmeCodes(t))); !slices.Equal(table, readme) {
+		t.Errorf("apicode and the README stable-codes paragraph disagree:\n apicode: %v\n README:  %v",
+			table, readme)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/apicode"
 	"repro/internal/corpus"
 	"repro/internal/device"
 	"repro/internal/engine"
@@ -344,12 +345,12 @@ func (s *server) mountRoutes() {
 		ms := strings.Join(methods, ", ")
 		s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Allow", ms)
-			httpError(w, http.StatusMethodNotAllowed, "method_not_allowed",
+			httpError(w, http.StatusMethodNotAllowed, apicode.MethodNotAllowed,
 				fmt.Errorf("method %s not allowed (allow: %s)", r.Method, ms))
 		})
 	}
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		httpError(w, http.StatusNotFound, "not_found",
+		httpError(w, http.StatusNotFound, apicode.NotFound,
 			fmt.Errorf("no route %s %s; the API lives under /v1", r.Method, r.URL.Path))
 	})
 }
@@ -400,7 +401,7 @@ func (s *server) serveAdmitted(w http.ResponseWriter, r *http.Request) {
 	if s.adm.auth != nil {
 		t, ok := s.adm.auth.lookup(apiKeyFrom(r))
 		if !ok {
-			s.reject(w, "unauthorized", tenant, http.StatusUnauthorized, "unauthorized",
+			s.reject(w, "unauthorized", tenant, http.StatusUnauthorized, apicode.Unauthorized,
 				fmt.Errorf("missing or unknown API key (send Authorization: Bearer <key> or X-API-Key)"))
 			return
 		}
@@ -409,7 +410,7 @@ func (s *server) serveAdmitted(w http.ResponseWriter, r *http.Request) {
 	if b := s.adm.global; b != nil {
 		if ok, wait := b.take(); !ok {
 			w.Header().Set("Retry-After", retryAfterSeconds(wait))
-			s.reject(w, "rate_limited", tenant, http.StatusTooManyRequests, "rate_limited",
+			s.reject(w, "rate_limited", tenant, http.StatusTooManyRequests, apicode.RateLimited,
 				fmt.Errorf("global request rate limit exceeded"))
 			return
 		}
@@ -417,7 +418,7 @@ func (s *server) serveAdmitted(w http.ResponseWriter, r *http.Request) {
 	if b := s.adm.tenantBucket(tenant); b != nil {
 		if ok, wait := b.take(); !ok {
 			w.Header().Set("Retry-After", retryAfterSeconds(wait))
-			s.reject(w, "rate_limited", tenant, http.StatusTooManyRequests, "rate_limited",
+			s.reject(w, "rate_limited", tenant, http.StatusTooManyRequests, apicode.RateLimited,
 				fmt.Errorf("tenant %q request rate limit exceeded", tenant))
 			return
 		}
@@ -431,9 +432,7 @@ func (s *server) serveAdmitted(w http.ResponseWriter, r *http.Request) {
 
 // reject answers an admission rejection: counts it under
 // daemon_rejected_total{reason,tenant} and writes the error envelope.
-//
-//tracelint:errcode-sink 4
-func (s *server) reject(w http.ResponseWriter, reason, tenant string, status int, code string, err error) {
+func (s *server) reject(w http.ResponseWriter, reason, tenant string, status int, code apicode.Code, err error) {
 	s.rejected(reason, tenant).Inc()
 	httpError(w, status, code, err)
 }
@@ -901,25 +900,25 @@ func (s *server) prune() {
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec engine.JobSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad_json", fmt.Errorf("bad job spec: %w", err))
+		httpError(w, http.StatusBadRequest, apicode.BadJSON, fmt.Errorf("bad job spec: %w", err))
 		return
 	}
 	digest := ""
 	if rest, ok := strings.CutPrefix(spec.In, corpusScheme); ok {
 		if s.store == nil {
-			httpError(w, http.StatusServiceUnavailable, "corpus_disabled",
+			httpError(w, http.StatusServiceUnavailable, apicode.CorpusDisabled,
 				fmt.Errorf("corpus inputs need the daemon started with -data"))
 			return
 		}
 		e, err := s.store.Resolve(rest)
 		if err != nil {
-			httpError(w, http.StatusNotFound, "unknown_trace", err)
+			httpError(w, http.StatusNotFound, apicode.UnknownTrace, err)
 			return
 		}
-		// "auto" means "infer it" — for corpus inputs the ingested
-		// format is authoritative, same as an empty informat.
-		if spec.InFormat != "" && spec.InFormat != "auto" && spec.InFormat != e.Format {
-			httpError(w, http.StatusBadRequest, "format_conflict",
+		// A sniffing informat means "infer it" — for corpus inputs the
+		// ingested format is authoritative.
+		if !trace.Sniffs(spec.InFormat) && spec.InFormat != e.Format {
+			httpError(w, http.StatusBadRequest, apicode.FormatConflict,
 				fmt.Errorf("informat %q conflicts with ingested format %q", spec.InFormat, e.Format))
 			return
 		}
@@ -934,7 +933,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// is the spec's csv default, not a sniff.)
 		var err error
 		if spec.InFormat, err = trace.ResolveFile(spec.In, spec.InFormat); err != nil {
-			httpError(w, http.StatusBadRequest, "bad_format", err)
+			httpError(w, http.StatusBadRequest, apicode.BadFormat, err)
 			return
 		}
 	}
@@ -949,7 +948,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if q := s.adm.quota.JobsPerMin; q > 0 {
 		if ok, wait := s.adm.jobBucket(tenant).take(); !ok {
 			w.Header().Set("Retry-After", retryAfterSeconds(wait))
-			s.reject(w, "quota_jobs_per_min", tenant, http.StatusForbidden, "quota_exceeded",
+			s.reject(w, "quota_jobs_per_min", tenant, http.StatusForbidden, apicode.QuotaExceeded,
 				fmt.Errorf("tenant %q exceeded its %d jobs/min quota", tenant, q))
 			return
 		}
@@ -957,7 +956,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "shutting_down", fmt.Errorf("server shutting down"))
+		httpError(w, http.StatusServiceUnavailable, apicode.ShuttingDown, fmt.Errorf("server shutting down"))
 		return
 	}
 	// Concurrent-jobs quota, atomically with the enqueue below so
@@ -971,7 +970,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		if active >= q {
 			s.mu.Unlock()
-			s.reject(w, "quota_concurrent_jobs", tenant, http.StatusForbidden, "quota_exceeded",
+			s.reject(w, "quota_concurrent_jobs", tenant, http.StatusForbidden, apicode.QuotaExceeded,
 				fmt.Errorf("tenant %q already has %d jobs queued or running (concurrent-jobs quota %d)", tenant, active, q))
 			return
 		}
@@ -1020,7 +1019,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// (time for the executors to work off the backlog), so a
 		// well-behaved client backs off proportionally to the overload.
 		w.Header().Set("Retry-After", retryAfterSeconds(s.queueRetryAfter()))
-		s.reject(w, "queue_full", tenant, http.StatusTooManyRequests, "queue_full",
+		s.reject(w, "queue_full", tenant, http.StatusTooManyRequests, apicode.QueueFull,
 			fmt.Errorf("job queue full (%d queued); retry after the backlog drains", s.queueCap))
 		return
 	}
@@ -1059,7 +1058,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "bad_limit",
+			httpError(w, http.StatusBadRequest, apicode.BadLimit,
 				fmt.Errorf("limit must be a positive integer, got %q", v))
 			return
 		}
@@ -1077,7 +1076,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	if after := q.Get("after"); after != "" {
 		n, ok := jobSeq(after)
 		if !ok {
-			httpError(w, http.StatusBadRequest, "bad_cursor",
+			httpError(w, http.StatusBadRequest, apicode.BadCursor,
 				fmt.Errorf("after must be a job ID like job-42, got %q", after))
 			return
 		}
@@ -1104,7 +1103,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	data, err := json.Marshal(page)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "internal", err)
+		httpError(w, http.StatusInternalServerError, apicode.Internal, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -1121,11 +1120,11 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown_job", fmt.Errorf("unknown job %q", r.PathValue("id")))
+		httpError(w, http.StatusNotFound, apicode.UnknownJob, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "internal", err)
+		httpError(w, http.StatusInternalServerError, apicode.Internal, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -1145,17 +1144,17 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown_job", fmt.Errorf("unknown job %q", r.PathValue("id")))
+		httpError(w, http.StatusNotFound, apicode.UnknownJob, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	if state != stateDone {
-		httpError(w, http.StatusConflict, "job_not_finished", fmt.Errorf("job is %s", state))
+		httpError(w, http.StatusConflict, apicode.JobNotFinished, fmt.Errorf("job is %s", state))
 		return
 	}
 	if outPath == "" {
 		// Only a journal-restored job can be here: its recorded output
 		// file was gone at replay and the result cache had no copy.
-		httpError(w, http.StatusNotFound, "not_found",
+		httpError(w, http.StatusNotFound, apicode.NotFound,
 			fmt.Errorf("job %s finished in an earlier run and its result file is gone; resubmit it", r.PathValue("id")))
 		return
 	}
@@ -1177,17 +1176,17 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown_job", fmt.Errorf("unknown job %q", id))
+		httpError(w, http.StatusNotFound, apicode.UnknownJob, fmt.Errorf("unknown job %q", id))
 		return
 	}
 	if state != stateDone && state != stateFailed {
-		httpError(w, http.StatusConflict, "job_not_finished",
+		httpError(w, http.StatusConflict, apicode.JobNotFinished,
 			fmt.Errorf("job is %s; its timeline lands when it finishes", state))
 		return
 	}
 	jt, ok := s.flight.Get(id)
 	if !ok {
-		httpError(w, http.StatusGone, "trace_evicted",
+		httpError(w, http.StatusGone, apicode.TraceEvicted,
 			fmt.Errorf("trace evicted from the flight recorder (raise -trace-ring)"))
 		return
 	}
@@ -1199,7 +1198,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.trace.json", id))
 		obs.WriteChromeTrace(w, jt)
 	default:
-		httpError(w, http.StatusBadRequest, "bad_format",
+		httpError(w, http.StatusBadRequest, apicode.BadFormat,
 			fmt.Errorf("unknown trace format %q (json, perfetto)", format))
 	}
 }
@@ -1208,7 +1207,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // attached.
 func (s *server) requireStore(w http.ResponseWriter) *corpus.Store {
 	if s.store == nil {
-		httpError(w, http.StatusServiceUnavailable, "corpus_disabled",
+		httpError(w, http.StatusServiceUnavailable, apicode.CorpusDisabled,
 			fmt.Errorf("corpus store disabled; start the daemon with -data"))
 		return nil
 	}
@@ -1232,7 +1231,7 @@ func (s *server) handleCorpusIngest(w http.ResponseWriter, r *http.Request) {
 		used := s.corpusUsed[tenant]
 		s.mu.Unlock()
 		if used >= q {
-			s.reject(w, "quota_corpus_bytes", tenant, http.StatusForbidden, "quota_exceeded",
+			s.reject(w, "quota_corpus_bytes", tenant, http.StatusForbidden, apicode.QuotaExceeded,
 				fmt.Errorf("tenant %q has %d corpus bytes stored (quota %d)", tenant, used, q))
 			return
 		}
@@ -1264,17 +1263,17 @@ func (s *server) corpusIngestError(w http.ResponseWriter, tenant string, err err
 	var mbe *http.MaxBytesError
 	switch {
 	case errors.As(err, &mbe):
-		s.reject(w, "payload_too_large", tenant, http.StatusRequestEntityTooLarge, "payload_too_large",
+		s.reject(w, "payload_too_large", tenant, http.StatusRequestEntityTooLarge, apicode.PayloadTooLarge,
 			fmt.Errorf("upload exceeds the %d-byte cap", s.maxUpload))
 	case errors.Is(err, errCorpusQuota):
-		s.reject(w, "quota_corpus_bytes", tenant, http.StatusForbidden, "quota_exceeded",
+		s.reject(w, "quota_corpus_bytes", tenant, http.StatusForbidden, apicode.QuotaExceeded,
 			fmt.Errorf("upload would take tenant %q past its corpus-bytes quota (%d)", tenant, s.adm.quota.CorpusBytes))
 	case errors.Is(err, corpus.ErrBadTrace):
 		// Undecodable uploads are the client's fault; anything else
 		// (disk full, unwritable store) is ours.
-		httpError(w, http.StatusBadRequest, "bad_trace", err)
+		httpError(w, http.StatusBadRequest, apicode.BadTrace, err)
 	default:
-		httpError(w, http.StatusInternalServerError, "internal", err)
+		httpError(w, http.StatusInternalServerError, apicode.Internal, err)
 	}
 }
 
@@ -1293,7 +1292,7 @@ func (s *server) handleCorpusInfo(w http.ResponseWriter, r *http.Request) {
 	}
 	e, err := store.Resolve(r.PathValue("digest"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, "unknown_trace", err)
+		httpError(w, http.StatusNotFound, apicode.UnknownTrace, err)
 		return
 	}
 	writeJSON(w, e)
@@ -1306,7 +1305,7 @@ func (s *server) handleCorpusData(w http.ResponseWriter, r *http.Request) {
 	}
 	rc, e, err := store.OpenBlob(r.PathValue("digest"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, "unknown_trace", err)
+		httpError(w, http.StatusNotFound, apicode.UnknownTrace, err)
 		return
 	}
 	defer rc.Close()
@@ -1362,12 +1361,10 @@ type apiError struct {
 
 // httpError writes the structured error envelope: a stable
 // machine-readable code plus a human-readable message.
-//
-//tracelint:errcode-sink 2
-func httpError(w http.ResponseWriter, status int, code string, err error) {
+func httpError(w http.ResponseWriter, status int, code apicode.Code, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]apiError{"error": {Code: code, Message: err.Error()}})
+	json.NewEncoder(w).Encode(map[string]apiError{"error": {Code: code.String(), Message: err.Error()}})
 }
 
 // specError maps a JobSpec rejection to its envelope: typed engine
@@ -1379,5 +1376,5 @@ func specError(w http.ResponseWriter, err error) {
 		httpError(w, http.StatusBadRequest, ve.Code, ve)
 		return
 	}
-	httpError(w, http.StatusBadRequest, "bad_spec", err)
+	httpError(w, http.StatusBadRequest, apicode.BadSpec, err)
 }

@@ -211,8 +211,12 @@ func TestTraceEndToEnd(t *testing.T) {
 		obs.NewTraceContext().Traceparent())
 	waitDone(t, ts, sub2.ID)
 	srv.flight.SetCapacity(1)
-	if resp, body := getTrace(t, ts, sub.ID, ""); resp.StatusCode != http.StatusGone {
+	resp, body = getTrace(t, ts, sub.ID, "")
+	if resp.StatusCode != http.StatusGone {
 		t.Fatalf("evicted trace: status %d: %s", resp.StatusCode, body)
+	}
+	if env := errEnvelope(t, body); env.Code != "trace_evicted" {
+		t.Fatalf("evicted trace: code %q", env.Code)
 	}
 	if srv.flight.Evictions() < 1 {
 		t.Fatal("eviction not counted")

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/apicode"
 	"repro/internal/device"
 	"repro/internal/ftl"
 	"repro/internal/hoststack"
@@ -194,7 +195,7 @@ func deviceEntryFor(name string) *deviceEntry {
 func deviceFactoryFor(spec JobSpec) (func() device.Device, error) {
 	e := deviceEntryFor(normalizeDevice(spec.Device))
 	if e == nil {
-		return nil, &ValidationError{Field: "device", Code: "unknown_device",
+		return nil, &ValidationError{Field: "device", Code: apicode.UnknownDevice,
 			msg: fmt.Sprintf("unknown device %q", spec.Device)}
 	}
 	return e.build(spec), nil
@@ -262,7 +263,7 @@ func (s *FTLSpec) ftlConfig() ftl.Config {
 // unbounded simulator, and keeps GC schedulable (ErrFull unreachable).
 func (s *FTLSpec) validate() *ValidationError {
 	bad := func(knob, msg string) *ValidationError {
-		return &ValidationError{Field: "ftl_config." + knob, Code: "bad_device_config", msg: msg}
+		return &ValidationError{Field: "ftl_config." + knob, Code: apicode.BadDeviceConfig, msg: msg}
 	}
 	if s == nil {
 		return nil
@@ -380,7 +381,7 @@ func (s *HostSpec) hostConfig() (hoststack.Config, func() device.Device) {
 // validate bounds the cache geometry and checks the inner device.
 func (s *HostSpec) validate() *ValidationError {
 	bad := func(knob, msg string) *ValidationError {
-		return &ValidationError{Field: "host_config." + knob, Code: "bad_device_config", msg: msg}
+		return &ValidationError{Field: "host_config." + knob, Code: apicode.BadDeviceConfig, msg: msg}
 	}
 	if s == nil {
 		return nil

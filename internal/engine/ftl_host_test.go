@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/apicode"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/ftl"
@@ -232,24 +233,24 @@ func TestJobSpecDeviceConfigs(t *testing.T) {
 		name  string
 		spec  JobSpec
 		field string
-		code  string
+		code  apicode.Code
 	}{
-		{"mismatched ftl_config", JobSpec{In: "x", Device: "array", FTLConfig: &FTLSpec{Blocks: 128}}, "ftl_config", "config_mismatch"},
-		{"mismatched host_config", JobSpec{In: "x", Device: "ssd", HostConfig: &HostSpec{CachePages: 64}}, "host_config", "config_mismatch"},
-		{"bad ftl blocks", JobSpec{In: "x", Device: "ftl", FTLConfig: &FTLSpec{Blocks: 4}}, "ftl_config.blocks", "bad_device_config"},
-		{"bad host inner", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{Inner: "ftl"}}, "host_config.device", "bad_device_config"},
-		{"bad host highwater", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{DirtyHighWater: 1.5}}, "host_config.dirty_high_water", "bad_device_config"},
-		{"bad host syscall overhead", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{SyscallOverheadUS: -1}}, "host_config.syscall_overhead_us", "bad_device_config"},
-		{"bad host hit latency", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{HitLatencyUS: -1}}, "host_config.hit_latency_us", "bad_device_config"},
-		{"unknown device", JobSpec{In: "x", Device: "floppy"}, "device", "unknown_device"},
+		{"mismatched ftl_config", JobSpec{In: "x", Device: "array", FTLConfig: &FTLSpec{Blocks: 128}}, "ftl_config", apicode.ConfigMismatch},
+		{"mismatched host_config", JobSpec{In: "x", Device: "ssd", HostConfig: &HostSpec{CachePages: 64}}, "host_config", apicode.ConfigMismatch},
+		{"bad ftl blocks", JobSpec{In: "x", Device: "ftl", FTLConfig: &FTLSpec{Blocks: 4}}, "ftl_config.blocks", apicode.BadDeviceConfig},
+		{"bad host inner", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{Inner: "ftl"}}, "host_config.device", apicode.BadDeviceConfig},
+		{"bad host highwater", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{DirtyHighWater: 1.5}}, "host_config.dirty_high_water", apicode.BadDeviceConfig},
+		{"bad host syscall overhead", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{SyscallOverheadUS: -1}}, "host_config.syscall_overhead_us", apicode.BadDeviceConfig},
+		{"bad host hit latency", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{HitLatencyUS: -1}}, "host_config.hit_latency_us", apicode.BadDeviceConfig},
+		{"unknown device", JobSpec{In: "x", Device: "floppy"}, "device", apicode.UnknownDevice},
 		// The baseline knobs: finite and above zero, whatever the method
 		// (JSON cannot carry NaN or Inf; the CLI's -factor flag can).
-		{"negative factor", JobSpec{In: "x", Method: "acceleration", Factor: -3}, "factor", "bad_spec"},
-		{"NaN factor", JobSpec{In: "x", Factor: math.NaN()}, "factor", "bad_spec"},
-		{"infinite factor", JobSpec{In: "x", Method: "acceleration", Factor: math.Inf(1)}, "factor", "bad_spec"},
-		{"negative threshold", JobSpec{In: "x", Method: "fixed-th", ThresholdUS: -10}, "threshold_us", "bad_spec"},
-		{"NaN threshold", JobSpec{In: "x", ThresholdUS: math.NaN()}, "threshold_us", "bad_spec"},
-		{"threshold beyond a duration", JobSpec{In: "x", Method: "fixed-th", ThresholdUS: 1e16}, "threshold_us", "bad_spec"},
+		{"negative factor", JobSpec{In: "x", Method: "acceleration", Factor: -3}, "factor", apicode.BadSpec},
+		{"NaN factor", JobSpec{In: "x", Factor: math.NaN()}, "factor", apicode.BadSpec},
+		{"infinite factor", JobSpec{In: "x", Method: "acceleration", Factor: math.Inf(1)}, "factor", apicode.BadSpec},
+		{"negative threshold", JobSpec{In: "x", Method: "fixed-th", ThresholdUS: -10}, "threshold_us", apicode.BadSpec},
+		{"NaN threshold", JobSpec{In: "x", ThresholdUS: math.NaN()}, "threshold_us", apicode.BadSpec},
+		{"threshold beyond a duration", JobSpec{In: "x", Method: "fixed-th", ThresholdUS: 1e16}, "threshold_us", apicode.BadSpec},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Normalized().Validate()

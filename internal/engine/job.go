@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/apicode"
 	"repro/internal/baseline"
 	"repro/internal/infer"
 	"repro/internal/trace"
@@ -138,8 +139,8 @@ func (s JobSpec) withDefaults() JobSpec {
 type ValidationError struct {
 	// Field is the JSON field path, e.g. "device" or "ftl_config.blocks".
 	Field string
-	// Code is the stable cause, e.g. "unknown_device".
-	Code string //tracelint:errcode-field
+	// Code is the stable cause, e.g. apicode.UnknownDevice.
+	Code apicode.Code
 	msg  string
 }
 
@@ -152,34 +153,34 @@ func (e *ValidationError) Error() string {
 // applied.
 func (s JobSpec) Validate() error {
 	if s.In == "" {
-		return &ValidationError{Field: "in", Code: "missing_input",
+		return &ValidationError{Field: "in", Code: apicode.MissingInput,
 			msg: "job needs an input path"}
 	}
 	if !slices.Contains(trace.Formats(trace.Input), s.InFormat) {
-		return &ValidationError{Field: "informat", Code: "unknown_format",
+		return &ValidationError{Field: "informat", Code: apicode.UnknownFormat,
 			msg: fmt.Sprintf("unknown input format %q", s.InFormat)}
 	}
 	if !slices.Contains(trace.Formats(trace.Output), s.OutFormat) {
-		return &ValidationError{Field: "outformat", Code: "unknown_format",
+		return &ValidationError{Field: "outformat", Code: apicode.UnknownFormat,
 			msg: fmt.Sprintf("unknown output format %q", s.OutFormat)}
 	}
 	switch s.Method {
 	case "tracetracker", "dynamic", "fixed-th", "revision", "acceleration":
 	default:
-		return &ValidationError{Field: "method", Code: "unknown_method",
+		return &ValidationError{Field: "method", Code: apicode.UnknownMethod,
 			msg: fmt.Sprintf("unknown method %q", s.Method)}
 	}
 	dev := normalizeDevice(s.Device)
 	if deviceEntryFor(dev) == nil {
-		return &ValidationError{Field: "device", Code: "unknown_device",
+		return &ValidationError{Field: "device", Code: apicode.UnknownDevice,
 			msg: fmt.Sprintf("unknown device %q", s.Device)}
 	}
 	if s.FTLConfig != nil && dev != "ftl" {
-		return &ValidationError{Field: "ftl_config", Code: "config_mismatch",
+		return &ValidationError{Field: "ftl_config", Code: apicode.ConfigMismatch,
 			msg: fmt.Sprintf("ftl_config is only valid for the ftl device, not %q", dev)}
 	}
 	if s.HostConfig != nil && dev != "host" {
-		return &ValidationError{Field: "host_config", Code: "config_mismatch",
+		return &ValidationError{Field: "host_config", Code: apicode.ConfigMismatch,
 			msg: fmt.Sprintf("host_config is only valid for the host device, not %q", dev)}
 	}
 	if err := s.FTLConfig.validate(); err != nil {
@@ -189,12 +190,12 @@ func (s JobSpec) Validate() error {
 		return err
 	}
 	if !(s.Factor > 0) || math.IsInf(s.Factor, 0) {
-		return &ValidationError{Field: "factor", Code: "bad_spec",
+		return &ValidationError{Field: "factor", Code: apicode.BadSpec,
 			msg: fmt.Sprintf("acceleration factor %v is not a finite number above 0", s.Factor)}
 	}
 	// The upper bound keeps threshold_us · 1000 inside a time.Duration.
 	if !(s.ThresholdUS > 0) || s.ThresholdUS*float64(time.Microsecond) >= math.MaxInt64 {
-		return &ValidationError{Field: "threshold_us", Code: "bad_spec",
+		return &ValidationError{Field: "threshold_us", Code: apicode.BadSpec,
 			msg: fmt.Sprintf("idle threshold %v us is not a finite number above 0 that fits a duration", s.ThresholdUS)}
 	}
 	return nil

@@ -24,6 +24,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/apicode"
 	"repro/internal/corpus"
 	"repro/internal/faultfs"
 	"repro/internal/infer"
@@ -411,7 +412,7 @@ func TestJobSpecFormats(t *testing.T) {
 			switch {
 			case tc.accept && err != nil:
 				t.Errorf("%s %q rejected: %v", tc.field, name, err)
-			case !tc.accept && (!errors.As(err, &ve) || ve.Field != tc.field || ve.Code != "unknown_format"):
+			case !tc.accept && (!errors.As(err, &ve) || ve.Field != tc.field || ve.Code != apicode.UnknownFormat):
 				t.Errorf("%s %q: got %v, want an unknown_format error on %s", tc.field, name, err, tc.field)
 			}
 		}

@@ -4,8 +4,8 @@ package trace
 // its leading bytes — the binary format by its magic, the text formats
 // by the field layout of the first data record — so tools can accept
 // "-informat auto" and the corpus store can ingest uploads without a
-// format hint. ResolveFormat and ResolveFile are the only places the
-// name "auto" is interpreted.
+// format hint. Sniffs is the only place the name "auto" is spelled;
+// ResolveFormat and ResolveFile are the only places it is resolved.
 
 import (
 	"bytes"
@@ -66,15 +66,15 @@ func DetectFormat(head []byte) (string, error) {
 	return "", fmt.Errorf("trace: cannot detect format: no data record in the first %d bytes", SniffLen)
 }
 
-// sniffs reports whether a format name asks for content sniffing.
-func sniffs(format string) bool { return format == "auto" || format == "" }
+// Sniffs reports whether a format name asks for content sniffing.
+func Sniffs(format string) bool { return format == "auto" || format == "" }
 
 // ResolveFormat is the one resolver of the format name "auto" (or "")
 // over a stream: any other name comes back unchanged with r. For
 // "auto" it reads at most SniffLen bytes, detects, and returns a reader
 // that replays the consumed prefix followed by the rest of r.
 func ResolveFormat(format string, r io.Reader) (string, io.Reader, error) {
-	if !sniffs(format) {
+	if !Sniffs(format) {
 		return format, r, nil
 	}
 	head := make([]byte, SniffLen)
@@ -92,7 +92,7 @@ func ResolveFormat(format string, r io.Reader) (string, io.Reader, error) {
 // ResolveFile is ResolveFormat for the file at path, which it opens
 // only to sniff.
 func ResolveFile(path, format string) (string, error) {
-	if !sniffs(format) {
+	if !Sniffs(format) {
 		return format, nil
 	}
 	f, err := os.Open(path)

@@ -1,17 +1,13 @@
 // Command tracelint is the repo's project-specific static-analysis
-// suite: three analyzers enforcing the load-bearing invariants the
-// test suite can only sample (allocation-free annotated hot paths,
-// registered error-envelope codes, mutex-guarded field access).
+// suite: two analyzers enforcing the load-bearing invariants the test
+// suite can only sample (allocation-free annotated hot paths,
+// mutex-guarded field access).
 //
-// It speaks the `go vet -vettool` unit-checking protocol, so the
-// canonical repo-wide run is, from the module root:
+// It has one driver, the `go vet -vettool` unit-checking protocol, so
+// the repo-wide run is, from the module root:
 //
-//	go build -o /tmp/tracelint ./tools/tracelint   (from tools/tracelint)
+//	go build -o /tmp/tracelint .   (from tools/tracelint)
 //	go vet -vettool=/tmp/tracelint ./...
-//
-// and also runs standalone over package patterns:
-//
-//	tracelint ./...
 //
 // Suppressions: `//tracelint:ignore <analyzer> <reason>` on (or on
 // the line above) the offending line. The reason is mandatory.
@@ -26,7 +22,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/tools/tracelint/internal/checks/errcode"
 	"repro/tools/tracelint/internal/checks/guarded"
 	"repro/tools/tracelint/internal/checks/hotpath"
 	"repro/tools/tracelint/internal/lintkit"
@@ -35,7 +30,6 @@ import (
 // analyzers is the suite, in README inventory order.
 var analyzers = []*lintkit.Analyzer{
 	hotpath.Analyzer,
-	errcode.Analyzer,
 	guarded.Analyzer,
 }
 
@@ -46,7 +40,7 @@ func main() {
 	versionFlag := flag.String("V", "", "print version and exit (go command protocol)")
 	flagsFlag := flag.Bool("flags", false, "print tool flags as JSON and exit (go command protocol)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: tracelint [package pattern ...] | tracelint <vet-config>.cfg\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: go vet -vettool=/path/to/tracelint [packages]\n\nanalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
 		}
@@ -63,45 +57,21 @@ func main() {
 	}
 
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		diags, err := lintkit.RunVetConfig(args[0], analyzers)
-		exit(diags, "", err)
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
+		flag.Usage()
+		os.Exit(2)
 	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	wd, _ := os.Getwd()
-	pkgs, err := lintkit.LoadPackages(wd, args)
+	diags, err := lintkit.RunVetConfig(args[0], analyzers)
 	if err != nil {
-		fatal(err)
-	}
-	var all []lintkit.Diagnostic
-	for _, p := range pkgs {
-		diags, err := lintkit.Run(p.Pass, analyzers)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %v", p.ImportPath, err))
-		}
-		all = append(all, diags...)
-	}
-	exit(all, wd, err)
-}
-
-func exit(diags []lintkit.Diagnostic, trimDir string, err error) {
-	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "tracelint:", err)
+		os.Exit(1)
 	}
 	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, lintkit.TrimPos(d, trimDir))
+		fmt.Fprintln(os.Stderr, d)
 	}
 	if len(diags) > 0 {
 		os.Exit(2)
 	}
-	os.Exit(0)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracelint:", err)
-	os.Exit(1)
 }
 
 // printVersion emits the `name version build-id` line the go command
