@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"slices"
 	"sync"
 	"time"
 
@@ -442,15 +441,7 @@ func (r *run) finish(ep *epoch) {
 	r.pool.durs.put(ep.idle)
 	r.pool.flags.put(ep.async)
 	if r.se != nil {
-		// The first record predicts the rest — exactly for fixed-width
-		// records, within the slack for text — so a buffer that must grow
-		// grows once, not by append's steps. (Epochs are never empty.)
-		buf := r.se.AppendRecord(r.pool.bytes.get(0), ep.out[0])
-		buf = slices.Grow(buf, ep.n*(len(buf)+len(buf)/8))
-		for i := 1; i < len(ep.out); i++ {
-			buf = r.se.AppendRecord(buf, ep.out[i])
-		}
-		ep.enc = buf
+		ep.enc = r.se.AppendRecords(r.pool.bytes.get(0), ep.out)
 		// Rendered: the request buffer is dead already.
 		r.pool.reqs.put(ep.out)
 		ep.out = nil

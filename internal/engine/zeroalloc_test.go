@@ -218,18 +218,21 @@ func TestMeasuredHotPathsAnnotated(t *testing.T) {
 		{"../trace/stream.go", "MSRCDecoder", "Next"},
 		{"../trace/stream.go", "SPCDecoder", "Next"},
 		{"../trace/stream.go", "", "decodeBatch"},
+		{"../trace/stream.go", "CSVDecoder", "DecodeBatch"},
 		{"../trace/stream.go", "BinaryDecoder", "DecodeBatch"},
 		{"../trace/stream.go", "SeqState", "AppendFlags"},
 		{"../trace/stream.go", "CSVEncoder", "Write"},
 		{"../trace/stream.go", "BinaryEncoder", "Write"},
 		{"../trace/stream.go", "BlktraceEncoder", "Write"},
 		{"../trace/stream.go", "FIOEncoder", "Write"},
-		{"../trace/stream.go", "CSVEncoder", "AppendRecord"},
-		{"../trace/stream.go", "BinaryEncoder", "AppendRecord"},
+		{"../trace/stream.go", "CSVEncoder", "AppendRecords"},
+		{"../trace/stream.go", "BinaryEncoder", "AppendRecords"},
 		{"../trace/summary.go", "Summarizer", "AddBatch"},
-		{"../trace/scan.go", "", "appendMicros"},
+		{"../trace/scan.go", "", "appendUint"},
+		{"../trace/scan.go", "", "putUint"},
+		{"../trace/scan.go", "", "putMicros"},
 		{"../trace/scan.go", "", "appendSeconds"},
-		{"../trace/scan.go", "", "appendFixed"},
+		{"../trace/scan.go", "", "putSeconds"},
 		{"plan.go", "streamPlanner", "addBatch"},
 		{"exec.go", "run", "decompose"},
 		{"exec.go", "run", "devicePass"},

@@ -26,6 +26,11 @@ type codec struct {
 	// text formats are split at line boundaries after a prelude scan;
 	// the others at fixed-width record strides.
 	text bool
+	// prelude folds one non-blank line of a text input's prelude — a
+	// comment, or the first data line (data) — into the context the
+	// parallel decoder's segments start from; nil when the format
+	// carries no per-stream state (segment.go).
+	prelude func(p *preludeState, line []byte, data bool) error
 	// needsSort marks the corpora that are only near-sorted in file
 	// order (event tracing reorders completions): whole-trace readers
 	// sort after draining, streaming consumers need a reorder window.
@@ -55,10 +60,11 @@ var codecs = [...]codec{
 			d.t.applyMeta(ctx.meta)
 			return d
 		},
-		text:   true,
-		sniff:  isNativeLine,
-		encode: func(w io.Writer, _ string) Encoder { return NewCSVEncoder(w) },
-		write:  WriteCSV,
+		text:    true,
+		prelude: (*preludeState).csvPrelude,
+		sniff:   isNativeLine,
+		encode:  func(w io.Writer, _ string) Encoder { return NewCSVEncoder(w) },
+		write:   WriteCSV,
 	},
 	{
 		name:   "bin",
@@ -77,6 +83,7 @@ var codecs = [...]codec{
 			return &MSRCDecoder{ls: newLineScanner(r), meta: ctx.meta, base: ctx.msrcBase}
 		},
 		text:      true,
+		prelude:   (*preludeState).msrcPrelude,
 		needsSort: true,
 		meta:      msrcMeta,
 		sniff:     isMSRCLine,

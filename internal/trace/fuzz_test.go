@@ -11,7 +11,9 @@ import (
 )
 
 // FuzzDecodeCSV drives the native CSV decoder over arbitrary bytes: it
-// must terminate with a clean EOF or a parse error, never panic.
+// must terminate with a clean EOF or a parse error, never panic, and
+// its batch loop — at a dst length taken from the input — must deliver
+// the records and the error text its Next loop does.
 func FuzzDecodeCSV(f *testing.F) {
 	var buf bytes.Buffer
 	_ = WriteCSV(&buf, streamSample())
@@ -21,16 +23,11 @@ func FuzzDecodeCSV(f *testing.F) {
 	f.Add([]byte("1,2,3\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewCSVDecoder(bytes.NewReader(data))
-		for {
-			_, err := dec.Next()
-			if err != nil {
-				if err != io.EOF && err.Error() == "" {
-					t.Fatal("empty error message")
-				}
-				return
-			}
+		newDec := func() *CSVDecoder { return NewCSVDecoder(bytes.NewReader(data)) }
+		if _, err := drainBy(newDec(), 0); err != nil && err.Error() == "" {
+			t.Fatal("empty error message")
 		}
+		compareDrains(t, "fuzz", newDec, []int{1 + len(data)%8})
 	})
 }
 
@@ -136,6 +133,24 @@ func fuzzCompare(t *testing.T, path string, wantReqs []Request, wantMeta Meta, w
 	}
 }
 
+// FuzzAppendUint is the differential lock on the integer writer every
+// text encoder renders its counts and addresses with: over all of
+// uint64, appendUint must append exactly strconv.AppendUint's bytes.
+func FuzzAppendUint(f *testing.F) {
+	for _, p := range pow10u64 {
+		f.Add(p - 1)
+		f.Add(p)
+	}
+	f.Add(uint64(math.MaxUint64))
+	f.Fuzz(func(t *testing.T, v uint64) {
+		prefix := []byte("x,")
+		got, want := appendUint(prefix, v), strconv.AppendUint(prefix, v, 10)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendUint(%d) = %q, strconv gives %q", v, got, want)
+		}
+	})
+}
+
 // fixedSeeds are the durations every fixed-point formatter test starts
 // from: zero, the digit-boundary neighbours, both sides of each proven
 // bound, and the int64 extremes (the AppendFloat fallback).
@@ -151,9 +166,10 @@ var fixedSeeds = []int64{
 // used to print.
 func diffMicros(t *testing.T, ns int64) {
 	d := time.Duration(ns)
-	got, want := appendMicros(nil, d), strconv.AppendFloat(nil, micros(d), 'f', 3, 64)
+	var buf [maxFixedLen]byte
+	got, want := buf[:putMicros(buf[:], d)], strconv.AppendFloat(nil, micros(d), 'f', 3, 64)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("appendMicros(%d) = %q, AppendFloat gives %q", ns, got, want)
+		t.Fatalf("putMicros(%d) = %q, AppendFloat gives %q", ns, got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 )
@@ -44,140 +45,79 @@ func parseHeaderComment(t *Trace, line string) {
 	}
 }
 
-// parseNativeFast parses one native CSV record in a single pass over
-// the line, with no field slicing: the overwhelmingly common shape
-// (plain decimal numbers, single-letter op, 0/1 async). ok=false
-// means "not this shape" — the caller re-parses via splitComma +
-// parseNativeLine, which accepts every form the format ever accepted
-// (exponent floats, word ops) and produces the canonical error
-// otherwise. The numeric conversions are bit-identical to the slow
-// path: both funnel through floatFromDecimal under the same cutoffs.
-func parseNativeFast(line []byte) (Request, bool) {
-	var r Request
-	p := 0
-	arr, ok := scanMicrosField(line, &p)
-	if !ok {
-		return r, false
+// parseNativeFast parses the native CSV record at the start of b into
+// *r in a single pass, with no field slicing: the overwhelmingly common
+// shape (plain decimal numbers, single-letter op, 0/1 async). It
+// returns the length of the record text, through the async flag, and
+// 0 when b does not start with this shape; the caller checks what
+// follows — the end of the line, or its '\n' in a read buffer. A line
+// it does not take is re-parsed via splitComma + parseNativeLine, which
+// accepts every form the format ever accepted (exponent floats, word
+// ops) and produces the canonical error otherwise. The numeric
+// conversions are bit-identical to the slow path: both funnel through
+// floatFromDecimal under the same cutoffs. A record it takes starts
+// with a digit, sign or '.' and ends in '0' or '1', so trimming its
+// line first would change nothing. *r is written only when it returns
+// non-zero.
+func parseNativeFast(b []byte, r *Request) int {
+	arr, p, ok := scanFloat(b, 0)
+	if !ok || p >= len(b) || b[p] != ',' {
+		return 0
 	}
-	dev, ok := scanUintField(line, &p, 1<<32-1)
-	if !ok {
-		return r, false
-	}
-	lba, ok := scanUintField(line, &p, ^uint64(0))
-	if !ok {
-		return r, false
-	}
-	sec, ok := scanUintField(line, &p, 1<<32-1)
-	if !ok {
-		return r, false
-	}
-	if p+2 > len(line) || line[p+1] != ',' {
-		return r, false
-	}
-	switch line[p] {
-	case 'R', 'r':
-		r.Op = Read
-	case 'W', 'w':
-		r.Op = Write
-	default:
-		// "0"/"1" op spellings collide with digits; let the slow path
-		// disambiguate the rare traces that use them.
-		return r, false
-	}
-	p += 2
-	lat, ok := scanMicrosField(line, &p)
-	if !ok {
-		return r, false
-	}
-	if p+1 != len(line) {
-		return r, false
-	}
-	switch line[p] {
-	case '0':
-	case '1':
-		r.Async = true
-	default:
-		return r, false
-	}
-	r.Arrival = fromMicros(arr)
-	r.Device = uint32(dev)
-	r.LBA = lba
-	r.Sectors = uint32(sec)
-	r.Latency = fromMicros(lat)
-	return r, true
-}
-
-// scanMicrosField scans a plain decimal float at *p terminated by ','
-// and advances *p past the comma. ok=false leaves the caller to the
-// slow path.
-func scanMicrosField(line []byte, p *int) (float64, bool) {
-	i := *p
-	neg := false
-	if i < len(line) && (line[i] == '-' || line[i] == '+') {
-		neg = line[i] == '-'
-		i++
-	}
-	var (
-		mant   uint64
-		exp    int
-		digits int
-	)
-	for ; i < len(line); i++ {
-		d := uint64(line[i] - '0')
-		if d > 9 {
-			break
-		}
-		if mant >= mantCutoff {
-			return 0, false
-		}
-		mant = mant*10 + d
-		digits++
-	}
-	if i < len(line) && line[i] == '.' {
-		for i++; i < len(line); i++ {
-			d := uint64(line[i] - '0')
+	p++
+	// Device, LBA and sectors: plain decimal runs of at most 19 digits,
+	// which the accumulator holds without wrapping (10^19 < 2^64), so
+	// the digit loop carries no overflow check. A longer run (leading
+	// zeros, or an overflow) is the slow path's.
+	var u [3]uint64
+	for f := range u {
+		i := p
+		var v uint64
+		for ; i < len(b); i++ {
+			d := uint64(b[i] - '0')
 			if d > 9 {
 				break
 			}
-			if mant >= mantCutoff {
-				return 0, false
-			}
-			mant = mant*10 + d
-			digits++
-			exp--
+			v = v*10 + d
 		}
-	}
-	if digits == 0 || exp < -22 || i >= len(line) || line[i] != ',' {
-		return 0, false
-	}
-	*p = i + 1
-	return floatFromDecimal(mant, exp, neg), true
-}
-
-// scanUintField scans a decimal unsigned integer at *p terminated by
-// ',' and advances *p past the comma.
-func scanUintField(line []byte, p *int, maxVal uint64) (uint64, bool) {
-	i := *p
-	var v uint64
-	digits := 0
-	for ; i < len(line); i++ {
-		d := uint64(line[i] - '0')
-		if d > 9 {
-			break
+		if i == p || i-p > 19 || i >= len(b) || b[i] != ',' {
+			return 0
 		}
-		if v > maxVal/10 {
-			return 0, false
-		}
-		if v = v*10 + d; v > maxVal {
-			return 0, false
-		}
-		digits++
+		u[f] = v
+		p = i + 1
 	}
-	if digits == 0 || i >= len(line) || line[i] != ',' {
-		return 0, false
+	dev, lba, sec := u[0], u[1], u[2]
+	if dev > math.MaxUint32 || sec > math.MaxUint32 {
+		return 0
 	}
-	*p = i + 1
-	return v, true
+	if p+2 > len(b) || b[p+1] != ',' {
+		return 0
+	}
+	var op Op
+	switch b[p] {
+	case 'R', 'r':
+		op = Read
+	case 'W', 'w':
+		op = Write
+	default:
+		// "0"/"1" op spellings collide with digits; let the slow path
+		// disambiguate the rare traces that use them.
+		return 0
+	}
+	lat, p, ok := scanFloat(b, p+2)
+	if !ok || p+1 >= len(b) || b[p] != ',' || b[p+1] != '0' && b[p+1] != '1' {
+		return 0
+	}
+	*r = Request{
+		Arrival: fromMicros(arr),
+		Device:  uint32(dev),
+		LBA:     lba,
+		Sectors: uint32(sec),
+		Op:      op,
+		Latency: fromMicros(lat),
+		Async:   b[p+1] == '1',
+	}
+	return p + 2
 }
 
 // parseNativeLine parses the 7 comma-split fields of one native CSV

@@ -440,19 +440,14 @@ func TestAbandonedDecodeReleasesGoroutines(t *testing.T) {
 
 // TestParallelDecodeAllocs bounds the per-record allocation cost of
 // the parallel path: amortized over a full decode it must stay under
-// 0.01 allocs/record — the free-list recycling at work.
+// 0.01 allocs/record — the free-list recycling at work — for bin and
+// for csv, the upload's decode.
 func TestParallelDecodeAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const n = 120_000
 	tr := benchTrace(n)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
 	drain := func(br BatchReader) {
 		got := 0
 		for {
@@ -469,12 +464,19 @@ func TestParallelDecodeAllocs(t *testing.T) {
 			t.Fatalf("decoded %d of %d", got, n)
 		}
 	}
-	avg := testing.AllocsPerRun(3, func() {
-		pd := NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "bin", 4)
-		drain(pd)
-		pd.Close()
-	})
-	if perRec := avg / n; perRec > 0.01 {
-		t.Fatalf("parallel decode allocates %.4f/record (%.0f/run), want <= 0.01", perRec, avg)
+	for _, format := range []string{"bin", "csv"} {
+		var buf bytes.Buffer
+		if err := WriteFormat(format, &buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		avg := testing.AllocsPerRun(3, func() {
+			pd := NewParallelDecoder(bytes.NewReader(data), int64(len(data)), format, 4)
+			drain(pd)
+			pd.Close()
+		})
+		if perRec := avg / n; perRec > 0.01 {
+			t.Fatalf("%s parallel decode allocates %.4f/record (%.0f/run), want <= 0.01", format, perRec, avg)
+		}
 	}
 }

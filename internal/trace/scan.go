@@ -11,6 +11,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -134,12 +136,50 @@ var pow10tab = [...]float64{
 	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// mantCutoff is the largest mantissa accumulator value that can take
-// one more decimal digit and stay exactly representable in float64.
-const mantCutoff = (1<<53 - 9) / 10
+// scanFloat scans a plain decimal float — an optional sign, digits,
+// then an optional '.' and fraction digits — at b[i:] and returns its
+// value and the index after it. ok is false when floatFromDecimal would
+// not convert it exactly: no digits, more than 19 (the accumulator may
+// have wrapped, as 10^19 < 2^64 bounds it — which is why the digit
+// loops carry no overflow check), a mantissa over 2^53, or more than 22
+// fraction digits.
+func scanFloat(b []byte, i int) (f float64, end int, ok bool) {
+	neg := false
+	if i < len(b) && (b[i] == '-' || b[i] == '+') {
+		neg = b[i] == '-'
+		i++
+	}
+	start := i
+	var mant uint64
+	for ; i < len(b); i++ {
+		d := uint64(b[i] - '0')
+		if d > 9 {
+			break
+		}
+		mant = mant*10 + d
+	}
+	digits, exp := i-start, 0
+	if i < len(b) && b[i] == '.' {
+		i++
+		frac := i
+		for ; i < len(b); i++ {
+			d := uint64(b[i] - '0')
+			if d > 9 {
+				break
+			}
+			mant = mant*10 + d
+		}
+		exp = frac - i
+		digits -= exp
+	}
+	if digits == 0 || digits > 19 || mant > 1<<53 || exp < -22 {
+		return 0, i, false
+	}
+	return floatFromDecimal(mant, exp, neg), i, true
+}
 
 // floatFromDecimal converts a scanned decimal (mant · 10^exp, exp in
-// [-22, 0], mant < 2^53) to float64. This is the classic
+// [-22, 0], mant <= 2^53) to float64. This is the classic
 // exact-arithmetic shortcut: both operands are exactly representable,
 // so the single division rounds once and the result is identical to
 // strconv's correctly-rounded parse.
@@ -159,47 +199,10 @@ func floatFromDecimal(mant uint64, exp int, neg bool) float64 {
 // exact fast path (exponent notation, hex floats, Inf/NaN, huge
 // mantissas, deep fractions, malformed input) falls back to strconv.
 func parseFloatBytes(b []byte) (float64, error) {
-	s := b
-	neg := false
-	if len(s) > 0 && (s[0] == '-' || s[0] == '+') {
-		neg = s[0] == '-'
-		s = s[1:]
+	if f, end, ok := scanFloat(b, 0); ok && end == len(b) {
+		return f, nil
 	}
-	var (
-		mant   uint64
-		exp    int
-		digits int
-	)
-	i := 0
-	for ; i < len(s); i++ {
-		d := uint64(s[i] - '0')
-		if d > 9 {
-			break
-		}
-		if mant >= mantCutoff {
-			return fallbackFloat(b)
-		}
-		mant = mant*10 + d
-		digits++
-	}
-	if i < len(s) && s[i] == '.' {
-		for i++; i < len(s); i++ {
-			d := uint64(s[i] - '0')
-			if d > 9 {
-				break
-			}
-			if mant >= mantCutoff {
-				return fallbackFloat(b)
-			}
-			mant = mant*10 + d
-			digits++
-			exp--
-		}
-	}
-	if i != len(s) || digits == 0 || exp < -22 {
-		return fallbackFloat(b)
-	}
-	return floatFromDecimal(mant, exp, neg), nil
+	return fallbackFloat(b)
 }
 
 func fallbackFloat(b []byte) (float64, error) {
@@ -231,7 +234,77 @@ func parseOpBytes(b []byte) (Op, error) {
 	return ParseOp(string(b))
 }
 
-// appendOp renders an Op exactly like fmt's %s of Op.String().
+// pow10u64 holds the powers of ten that fit in a uint64.
+var pow10u64 = [...]uint64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// digitPairs is "00" through "99": putDecimal writes two digits a step.
+var digitPairs = func() (t [100][2]byte) {
+	for i := range t {
+		t[i] = [2]byte{'0' + byte(i/10), '0' + byte(i%10)}
+	}
+	return t
+}()
+
+// decimalLen returns the number of decimal digits of v. The bit length
+// gives it to within one — bits·1233/4096 is floor(bits·log10 2), at
+// most one short of the count — which one table compare settles; v|1
+// has v's digit count, and one digit for zero.
+func decimalLen(v uint64) int {
+	x := v | 1
+	n := bits.Len64(x) * 1233 >> 12
+	if x >= pow10u64[n] {
+		n++
+	}
+	return n
+}
+
+// putDecimal writes the low len(b) decimal digits of v into b, zero
+// padded on the left, two digits per division.
+func putDecimal(b []byte, v uint64) {
+	i := len(b)
+	for ; i >= 2; i -= 2 {
+		p := &digitPairs[v%100]
+		v /= 100
+		b[i-2], b[i-1] = p[0], p[1]
+	}
+	if i == 1 {
+		b[0] = byte('0' + v%10)
+	}
+}
+
+// maxUintLen is the most digits a uint64 has.
+const maxUintLen = 20
+
+// putUint writes v in decimal at the start of b, which must have room
+// for its digits, and returns the digit count: the one integer writer
+// of the text encoders, byte for byte strconv.AppendUint(nil, v, 10).
+//
+//tracelint:hotpath
+func putUint(b []byte, v uint64) int {
+	if v < 10 {
+		// Mostly device numbers: no length lookup for one digit.
+		b[0] = byte('0' + v)
+		return 1
+	}
+	n := decimalLen(v)
+	putDecimal(b[:n], v)
+	return n
+}
+
+// appendUint appends v as putUint renders it.
+//
+//tracelint:hotpath
+func appendUint(b []byte, v uint64) []byte {
+	n := len(b)
+	b = slices.Grow(b, maxUintLen)
+	return b[:n+putUint(b[n:n+maxUintLen], v)]
+}
+
+// appendOp renders an Op exactly like fmt's %s of Op.String(). It is
+// small enough to inline into the record writers.
 func appendOp(b []byte, o Op) []byte {
 	switch o {
 	case Read:
@@ -239,6 +312,14 @@ func appendOp(b []byte, o Op) []byte {
 	case Write:
 		return append(b, 'W')
 	}
+	return appendOpNumber(b, o)
+}
+
+// appendOpNumber is appendOp's Op(n) spelling of an unknown op, kept
+// out of line so that appendOp inlines.
+//
+//go:noinline
+func appendOpNumber(b []byte, o Op) []byte {
 	b = append(b, "Op("...)
 	b = strconv.AppendUint(b, uint64(o), 10)
 	return append(b, ')')
@@ -248,7 +329,7 @@ func appendOp(b []byte, o Op) []byte {
 // decimal of a coarser unit: strconv.AppendFloat(float64 value, 'f',
 // digits, 64). For durations inside a proven bound the same bytes come
 // from integer arithmetic alone — d/unit, '.', d%unit zero-padded —
-// which is what appendMicros and appendSeconds do, falling back to
+// which is what putMicros and putSeconds do, falling back to
 // AppendFloat outside the bound (negatives included). The argument, for
 // a value printed to k decimals: the true quotient d/unit is a multiple
 // of 10^-k, and AppendFloat prints the multiple of 10^-k nearest the
@@ -256,13 +337,13 @@ func appendOp(b []byte, o Op) []byte {
 // half of 10^-k of the true quotient — FuzzAppendMicros and
 // FuzzAppendSeconds check it differentially over all of int64.
 const (
-	// maxFixedMicros bounds appendMicros' integer path. For
+	// maxFixedMicros bounds putMicros' integer path. For
 	// 0 <= d < 2^52 ns, float64(d) is exact and micros(d) is one
 	// correctly rounded division, so it is within ulp/2 of d/1000; the
 	// quotient is below 2^43, where ulp <= 2^-10 < 0.001, so the error is
 	// below 0.0005 and rounding to 3 decimals recovers d/1000.
 	maxFixedMicros = time.Duration(1) << 52
-	// maxFixedSeconds bounds appendSeconds' integer path. Duration.Seconds
+	// maxFixedSeconds bounds putSeconds' integer path. Duration.Seconds
 	// rounds twice: float64(d/1e9) + float64(d%1e9)/1e9, both conversions
 	// exact. The division is within 2^-54 of its quotient (below 1) and,
 	// for d under 2^23 s, the sum is below 2^23, where ulp <= 2^-30, so
@@ -271,39 +352,51 @@ const (
 	maxFixedSeconds = time.Duration(1) << 23 * time.Second
 )
 
-// appendFixed renders whole '.' frac, frac zero-padded to digits places.
-//
-//tracelint:hotpath
-func appendFixed(b []byte, whole, frac uint64, digits int) []byte {
-	b = strconv.AppendUint(b, whole, 10)
-	b = append(b, ".000000000"[:1+digits]...)
-	for i := len(b) - 1; frac > 0; i-- {
-		b[i] = byte('0' + frac%10)
-		frac /= 10
-	}
-	return b
-}
+// maxFixedLen bounds what putMicros and putSeconds write: the
+// AppendFloat fallback at the int64 extremes, "-9223372036854776.000"
+// and "-9223372036.854775808", both 21 bytes.
+const maxFixedLen = 21
 
-// appendMicros renders d as decimal microseconds with three decimals,
-// byte for byte strconv.AppendFloat(b, micros(d), 'f', 3, 64).
+// putMicros writes d as decimal microseconds with three decimals at the
+// start of b, which must have room for maxFixedLen bytes, and returns
+// the length: byte for byte strconv.AppendFloat(nil, micros(d), 'f', 3,
+// 64). The fallback appends into b's own room, so it never reallocates.
 //
 //tracelint:hotpath
-func appendMicros(b []byte, d time.Duration) []byte {
+func putMicros(b []byte, d time.Duration) int {
 	if d < 0 || d >= maxFixedMicros {
-		return strconv.AppendFloat(b, micros(d), 'f', 3, 64)
+		return len(strconv.AppendFloat(b[:0:maxFixedLen], micros(d), 'f', 3, 64))
 	}
-	return appendFixed(b, uint64(d)/1e3, uint64(d)%1e3, 3)
+	u := uint64(d)
+	n := putUint(b, u/1e3)
+	frac := u % 1e3
+	p := &digitPairs[frac%100]
+	b[n], b[n+1], b[n+2], b[n+3] = '.', byte('0'+frac/100), p[0], p[1]
+	return n + 4
 }
 
-// appendSeconds renders d as decimal seconds with nine decimals, byte
-// for byte strconv.AppendFloat(b, d.Seconds(), 'f', 9, 64).
+// putSeconds is putMicros for decimal seconds with nine decimals, byte
+// for byte strconv.AppendFloat(nil, d.Seconds(), 'f', 9, 64).
+//
+//tracelint:hotpath
+func putSeconds(b []byte, d time.Duration) int {
+	if d < 0 || d >= maxFixedSeconds {
+		return len(strconv.AppendFloat(b[:0:maxFixedLen], d.Seconds(), 'f', 9, 64))
+	}
+	u := uint64(d)
+	n := putUint(b, u/1e9)
+	b[n] = '.'
+	putDecimal(b[n+1:n+10], u%1e9)
+	return n + 10
+}
+
+// appendSeconds appends d as putSeconds renders it.
 //
 //tracelint:hotpath
 func appendSeconds(b []byte, d time.Duration) []byte {
-	if d < 0 || d >= maxFixedSeconds {
-		return strconv.AppendFloat(b, d.Seconds(), 'f', 9, 64)
-	}
-	return appendFixed(b, uint64(d)/1e9, uint64(d)%1e9, 9)
+	n := len(b)
+	b = slices.Grow(b, maxFixedLen)
+	return b[:n+putSeconds(b[n:n+maxFixedLen], d)]
 }
 
 // appendPadded right-aligns num in a field of the given width, padding

@@ -239,35 +239,52 @@ type preludeState struct {
 
 // feed consumes one prelude line (without its terminator) and reports
 // whether it is the first data line — which still belongs to the data
-// region: segment 0 re-parses and emits it.
+// region: segment 0 re-parses and emits it. Every non-blank line goes
+// through the codec's prelude hook.
 func (p *preludeState) feed(raw []byte) (bool, error) {
 	p.lineno++
 	line := bytes.TrimSpace(raw)
 	if len(line) == 0 {
 		return false, nil
 	}
-	if line[0] == '#' {
-		if p.codec.name == "csv" && bytes.HasPrefix(line, csvHeaderPrefix) {
-			p.scratch.applyMeta(p.ctx.meta)
-			parseHeaderComment(&p.scratch, string(line))
-			p.ctx.meta = p.scratch.Meta()
+	data := line[0] != '#'
+	if p.codec.prelude != nil {
+		if err := p.codec.prelude(p, line, data); err != nil {
+			return false, err
 		}
-		return false, nil
 	}
-	if p.codec.name == "msrc" {
-		var f [8][]byte
-		if n := splitComma(f[:], line); n != 7 {
-			return false, fmt.Errorf("trace: msrc line %d: want 7 fields, got %d", p.lineno, n)
-		}
-		ts, err := parseIntBytes(f[0], 64)
-		if err != nil {
-			return false, fmt.Errorf("trace: msrc line %d timestamp: %w", p.lineno, err)
-		}
-		p.ctx.msrcBase = ts
-		p.ctx.meta.Workload = string(f[1])
-		p.ctx.meta.Name = p.ctx.meta.Workload
+	return data, nil
+}
+
+// csvPrelude is the csv row's prelude hook: a metadata header comment
+// sets the stream metadata, as it does in the sequential decoder.
+func (p *preludeState) csvPrelude(line []byte, data bool) error {
+	if !data && bytes.HasPrefix(line, csvHeaderPrefix) {
+		p.scratch.applyMeta(p.ctx.meta)
+		parseHeaderComment(&p.scratch, string(line))
+		p.ctx.meta = p.scratch.Meta()
 	}
-	return true, nil
+	return nil
+}
+
+// msrcPrelude is the msrc row's prelude hook: the first data record
+// fixes the arrival base and names the workload.
+func (p *preludeState) msrcPrelude(line []byte, data bool) error {
+	if !data {
+		return nil
+	}
+	var f [8][]byte
+	if n := splitComma(f[:], line); n != 7 {
+		return fmt.Errorf("trace: msrc line %d: want 7 fields, got %d", p.lineno, n)
+	}
+	ts, err := parseIntBytes(f[0], 64)
+	if err != nil {
+		return fmt.Errorf("trace: msrc line %d timestamp: %w", p.lineno, err)
+	}
+	p.ctx.msrcBase = ts
+	p.ctx.meta.Workload = string(f[1])
+	p.ctx.meta.Name = p.ctx.meta.Workload
+	return nil
 }
 
 // scanPrelude runs the prelude over an io.ReaderAt and returns the

@@ -154,11 +154,12 @@ func ForEachBatch(dec Decoder, fn func([]Request) error) error {
 	}
 }
 
-// decodeBatch is the shared DecodeBatch body of the text decoders, and
-// DecodeBatch's fallback for a decoder without one. Each text decoder
-// instantiates it with its own type, so the inner Next calls are
-// direct (devirtualized), which is where the batch speedup comes
-// from. The binary decoder has its own loop over whole buffered runs.
+// decodeBatch is the shared DecodeBatch body of the msrc and spc
+// decoders, and DecodeBatch's fallback for a decoder without one. Each
+// decoder instantiates it with its own type, so the inner Next calls
+// are direct (devirtualized), which is where the batch speedup comes
+// from. The csv and binary decoders have their own loops over whole
+// buffered runs.
 //
 //tracelint:hotpath
 func decodeBatch[D interface{ Next() (Request, error) }](d D, dst []Request) (int, error) {
@@ -188,14 +189,15 @@ type Encoder interface {
 // pure function of the request — no cross-record state — so parallel
 // shard workers can render runs of records into private buffers
 // concurrently and an ordered merger can splice them into the output
-// verbatim. csv and bin qualify; blktrace (event sequence numbers) and
-// fio (inter-arrival waits, open/close bracketing) do not and take the
-// serial Write path.
+// verbatim. The engine's workers render a whole epoch per call, one
+// AppendRecords over its records into one pooled buffer. csv and bin
+// qualify; blktrace (event sequence numbers) and fio (inter-arrival
+// waits, open/close bracketing) do not and take the serial Write path.
 type ShardEncoder interface {
 	Encoder
-	// AppendRecord appends to dst exactly the bytes Write would emit
-	// for r. It must be safe for concurrent use.
-	AppendRecord(dst []byte, r Request) []byte
+	// AppendRecords appends to dst exactly the bytes Write would emit
+	// for each of rs in turn. It must be safe for concurrent use.
+	AppendRecords(dst []byte, rs []Request) []byte
 	// WriteRaw splices pre-rendered record bytes into the stream, as
 	// if each rendered record had been passed to Write in order.
 	WriteRaw(p []byte) error
@@ -386,53 +388,114 @@ func (d *CSVDecoder) Meta() Meta { return d.meta }
 //
 //tracelint:hotpath
 func (d *CSVDecoder) Next() (Request, error) {
+	var req Request
 	for {
 		line, err := d.ls.next()
-		if err == io.EOF {
-			return Request{}, io.EOF
-		}
 		if err != nil {
 			return Request{}, err
 		}
 		d.lineno++
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
+		if ok, err := d.line(line, &req); ok || err != nil {
+			return req, err
 		}
-		if line[0] == '#' {
-			if bytes.HasPrefix(line, csvHeaderPrefix) && d.sawData {
-				// A metadata header behind data rows (concatenated
-				// files) cannot be honoured by a streaming consumer
-				// that already acted on the old metadata — reject it
-				// rather than let streaming and whole-trace paths
-				// silently diverge.
-				return Request{}, lineErrf("line", d.lineno, nil, ": metadata header after data rows")
-			}
-			d.t.applyMeta(d.meta)
-			//tracelint:ignore hotpath header-comment path: runs once per header line, not per record
-			parseHeaderComment(&d.t, string(line))
-			d.meta = d.t.Meta()
-			continue
-		}
-		if req, ok := parseNativeFast(line); ok {
-			d.sawData = true
-			return req, nil
-		}
-		var f [8][]byte
-		if n := splitComma(f[:], line); n != 7 {
-			return Request{}, lineErrf("line", d.lineno, nil, ": want 7 fields, got %d", n)
-		}
-		req, err := parseNativeLine(f[:7])
-		if err != nil {
-			return Request{}, lineErrf("line", d.lineno, err, ": %v", err)
-		}
-		d.sawData = true
-		return req, nil
 	}
 }
 
-// DecodeBatch implements BatchDecoder.
-func (d *CSVDecoder) DecodeBatch(dst []Request) (int, error) { return decodeBatch(d, dst) }
+// line decodes input line d.lineno (without its '\n') into *r, the
+// per-line body Next and DecodeBatch share: ok reports a record, and a
+// blank line, a comment or a metadata header yields neither a record
+// nor an error. *r is written only when ok.
+//
+//tracelint:hotpath
+func (d *CSVDecoder) line(line []byte, r *Request) (bool, error) {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 {
+		return false, nil
+	}
+	if line[0] == '#' {
+		if bytes.HasPrefix(line, csvHeaderPrefix) && d.sawData {
+			// A metadata header behind data rows (concatenated files)
+			// cannot be honoured by a streaming consumer that already
+			// acted on the old metadata — reject it rather than let
+			// streaming and whole-trace paths silently diverge.
+			return false, lineErrf("line", d.lineno, nil, ": metadata header after data rows")
+		}
+		d.t.applyMeta(d.meta)
+		//tracelint:ignore hotpath header-comment path: runs once per header line, not per record
+		parseHeaderComment(&d.t, string(line))
+		d.meta = d.t.Meta()
+		return false, nil
+	}
+	// line is not empty, so a whole-line fast parse is a non-zero length.
+	if parseNativeFast(line, r) != len(line) {
+		var f [8][]byte
+		if n := splitComma(f[:], line); n != 7 {
+			return false, lineErrf("line", d.lineno, nil, ": want 7 fields, got %d", n)
+		}
+		req, err := parseNativeLine(f[:7])
+		if err != nil {
+			return false, lineErrf("line", d.lineno, err, ": %v", err)
+		}
+		*r = req
+	}
+	d.sawData = true
+	return true, nil
+}
+
+// DecodeBatch implements BatchDecoder. It decodes the whole lines
+// already in the read buffer in one loop, parsing each record in place
+// straight into dst, with one Discard per run. A record of the fast
+// shape (parseNativeFast) is parsed up to its '\n' with no separate
+// search for the line end; any other line is found with IndexByte and
+// handed to line, the per-line body Next runs too. Only when no whole
+// line is buffered (a refill, a line longer than the buffer, an
+// unterminated last line, EOF) does it fall back to Next for one line,
+// so every error keeps Next's text and line number.
+//
+//tracelint:hotpath
+func (d *CSVDecoder) DecodeBatch(dst []Request) (int, error) {
+	br := d.ls.br
+	n := 0
+	for n < len(dst) {
+		buf, _ := br.Peek(br.Buffered())
+		used := 0
+		for n < len(dst) {
+			rest := buf[used:]
+			if k := parseNativeFast(rest, &dst[n]); k > 0 && k < len(rest) && rest[k] == '\n' {
+				used += k + 1
+				d.lineno++
+				d.sawData = true
+				n++
+				continue
+			}
+			i := bytes.IndexByte(rest, '\n')
+			if i < 0 {
+				break
+			}
+			used += i + 1
+			d.lineno++
+			ok, err := d.line(rest[:i], &dst[n])
+			if err != nil {
+				br.Discard(used)
+				return n, err
+			}
+			if ok {
+				n++
+			}
+		}
+		br.Discard(used)
+		if n == len(dst) || used > 0 {
+			continue
+		}
+		req, err := d.Next()
+		if err != nil {
+			return n, err
+		}
+		dst[n] = req
+		n++
+	}
+	return n, nil
+}
 
 // lines implements lineCounter.
 func (d *CSVDecoder) lines() int { return d.lineno }
@@ -456,44 +519,86 @@ func (e *CSVEncoder) Begin(m Meta) error {
 	return err
 }
 
+// maxCSVRecordLen bounds one rendered native-CSV record: two
+// timestamps of at most maxFixedLen bytes, a 10-digit device and sector
+// count, a 20-digit LBA, an op of at most 7 ("Op(255)"), five commas
+// and ",1\n".
+const maxCSVRecordLen = 2*maxFixedLen + 10 + 10 + 20 + 7 + 5 + 3
+
 // appendCSVRecord renders one native-CSV record line, the pure
-// function behind both Write and AppendRecord.
+// function behind both Write and AppendRecords. It reserves room for
+// the worst case once and writes the fields at running offsets, so no
+// field writer checks capacity.
 //
 //tracelint:hotpath
-func appendCSVRecord(b []byte, r Request) []byte {
-	b = appendMicros(b, r.Arrival)
-	b = append(b, ',')
-	b = strconv.AppendUint(b, uint64(r.Device), 10)
-	b = append(b, ',')
-	b = strconv.AppendUint(b, r.LBA, 10)
-	b = append(b, ',')
-	b = strconv.AppendUint(b, uint64(r.Sectors), 10)
-	b = append(b, ',')
-	b = appendOp(b, r.Op)
-	b = append(b, ',')
-	b = appendMicros(b, r.Latency)
+func appendCSVRecord(b []byte, r *Request) []byte {
+	n := len(b)
+	b = slices.Grow(b, maxCSVRecordLen)
+	w := b[n : n+maxCSVRecordLen]
+	i := putMicros(w, r.Arrival)
+	w[i] = ','
+	i++
+	i += putUint(w[i:], uint64(r.Device))
+	w[i] = ','
+	i++
+	i += putUint(w[i:], r.LBA)
+	w[i] = ','
+	i++
+	i += putUint(w[i:], uint64(r.Sectors))
+	w[i] = ','
+	i++
+	i += len(appendOp(w[i:i], r.Op))
+	w[i] = ','
+	i++
+	i += putMicros(w[i:], r.Latency)
+	w[i], w[i+1], w[i+2] = ',', '0', '\n'
 	if r.Async {
-		b = append(b, ",1\n"...)
-	} else {
-		b = append(b, ",0\n"...)
+		w[i+1] = '1'
 	}
-	return b
+	return b[:n+i+3]
 }
 
 // Write implements Encoder.
 //
 //tracelint:hotpath
 func (e *CSVEncoder) Write(r Request) error {
-	b := appendCSVRecord(e.buf[:0], r)
+	b := appendCSVRecord(e.buf[:0], &r)
 	e.buf = b
 	_, err := e.bw.Write(b)
 	return err
 }
 
-// AppendRecord implements ShardEncoder.
+// AppendRecords implements ShardEncoder. Each record is rendered after
+// one capacity check against maxCSVRecordLen, so the field writers
+// never grow dst; when the room runs out it is grown once for all the
+// records still to come (growCSV).
 //
 //tracelint:hotpath
-func (e *CSVEncoder) AppendRecord(dst []byte, r Request) []byte { return appendCSVRecord(dst, r) }
+func (e *CSVEncoder) AppendRecords(dst []byte, rs []Request) []byte {
+	start := len(dst)
+	for i := range rs {
+		if cap(dst)-len(dst) < maxCSVRecordLen {
+			dst = growCSV(dst, len(dst)-start, i, len(rs)-i)
+		}
+		dst = appendCSVRecord(dst, &rs[i])
+	}
+	return dst
+}
+
+// growCSV makes room in b for the rest records still to render, after
+// done records took rendered bytes: at their mean length plus an eighth
+// of slack — the records so far predict the rest, within the slack for
+// text — and never less than one worst-case record. Sized on the
+// records actually seen, a rendered epoch stays close to its true size
+// where a worst-case reservation would be about 2.5 times it.
+func growCSV(b []byte, rendered, done, rest int) []byte {
+	need := maxCSVRecordLen
+	if done > 0 {
+		mean := rendered / done
+		need = max(need, rest*(mean+mean/8))
+	}
+	return slices.Grow(b, need)
+}
 
 // WriteRaw implements ShardEncoder.
 func (e *CSVEncoder) WriteRaw(p []byte) error {
@@ -723,14 +828,16 @@ func (e *BinaryEncoder) Write(r Request) error {
 	return writeBinaryRecord(e.bw, &e.rec, r)
 }
 
-// AppendRecord implements ShardEncoder: it grows dst by one record and
-// packs r straight into it.
+// AppendRecords implements ShardEncoder: it grows dst once by
+// len(rs) records and packs them straight into it.
 //
 //tracelint:hotpath
-func (e *BinaryEncoder) AppendRecord(dst []byte, r Request) []byte {
+func (e *BinaryEncoder) AppendRecords(dst []byte, rs []Request) []byte {
 	n := len(dst)
-	dst = slices.Grow(dst, binRecordLen)[:n+binRecordLen]
-	packBinRecord((*[binRecordLen]byte)(dst[n:]), &r)
+	dst = slices.Grow(dst, len(rs)*binRecordLen)[:n+len(rs)*binRecordLen]
+	for i := range rs {
+		packBinRecord((*[binRecordLen]byte)(dst[n+i*binRecordLen:]), &rs[i])
+	}
 	return dst
 }
 
@@ -1032,9 +1139,9 @@ func (e *BlktraceEncoder) Begin(m Meta) error {
 // byte for byte.
 func (e *BlktraceEncoder) appendEvent(b []byte, dev uint32, seq int, at time.Duration, ev, rwbs byte, lba uint64, sectors uint32, tag string) []byte {
 	b = append(b, "8,"...)
-	b = strconv.AppendUint(b, uint64(dev), 10)
+	b = appendUint(b, uint64(dev))
 	b = append(b, "    0 "...)
-	e.num = strconv.AppendInt(e.num[:0], int64(seq), 10)
+	e.num = appendUint(e.num[:0], uint64(seq))
 	b = appendPadded(b, e.num, 8)
 	b = append(b, ' ')
 	e.num = appendSeconds(e.num[:0], at)
@@ -1043,9 +1150,9 @@ func (e *BlktraceEncoder) appendEvent(b []byte, dev uint32, seq int, at time.Dur
 	b = append(b, ev)
 	b = append(b, "   "...)
 	b = append(b, rwbs, ' ')
-	b = strconv.AppendUint(b, lba, 10)
+	b = appendUint(b, lba)
 	b = append(b, " + "...)
-	b = strconv.AppendUint(b, uint64(sectors), 10)
+	b = appendUint(b, uint64(sectors))
 	b = append(b, " ["...)
 	b = append(b, tag...)
 	b = append(b, "]\n"...)

@@ -63,6 +63,7 @@ func benchDecode(b *testing.B, format string, encode func(io.Writer, *Trace) err
 			b.Fatalf("decoded %d of %d records", n, tr.Len())
 		}
 	}
+	reportPerRecord(b, tr.Len())
 }
 
 func BenchmarkDecodeCSV(b *testing.B) { benchDecode(b, "csv", WriteCSV) }
@@ -128,8 +129,8 @@ func BenchmarkEncodeBlktrace(b *testing.B) { benchEncode(b, "blktrace") }
 func BenchmarkEncodeFIO(b *testing.B)      { benchEncode(b, "fio") }
 
 // benchAppendRecord times the render form the engine's workers use
-// (exec.go's finish): AppendRecord through the ShardEncoder interface
-// into one reused buffer, where benchEncode times Write.
+// (exec.go's finish): one AppendRecords call through the ShardEncoder
+// interface into one reused buffer, where benchEncode times Write.
 func benchAppendRecord(b *testing.B, format string) {
 	tr := benchTrace(200_000)
 	enc, err := NewEncoder(format, io.Discard, "")
@@ -141,12 +142,15 @@ func benchAppendRecord(b *testing.B, format string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = buf[:0]
-		for _, r := range tr.Requests {
-			buf = se.AppendRecord(buf, r)
-		}
+		buf = se.AppendRecords(buf[:0], tr.Requests)
 	}
 	b.SetBytes(int64(len(buf)))
+	reportPerRecord(b, tr.Len())
+}
+
+// reportPerRecord adds the ns/record metric the kernel tables cite.
+func reportPerRecord(b *testing.B, records int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
 }
 
 func BenchmarkAppendRecordCSV(b *testing.B) { benchAppendRecord(b, "csv") }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -98,7 +99,7 @@ func TestBinaryTruncatedHeader(t *testing.T) {
 // when size is 0 and through DecodeBatch with a size-long dst
 // otherwise, returning what it delivered and the terminal error (nil
 // for a clean EOF).
-func drainBy(dec *BinaryDecoder, size int) ([]Request, error) {
+func drainBy[D BatchDecoder](dec D, size int) ([]Request, error) {
 	var out []Request
 	if size == 0 {
 		for {
@@ -196,7 +197,7 @@ func TestBinaryDecodeBatchMatchesNext(t *testing.T) {
 
 // compareDrains reads fresh decoders from newDec with Next and with
 // DecodeBatch at each size, and requires identical outcomes.
-func compareDrains(t *testing.T, name string, newDec func() *BinaryDecoder, sizes []int) {
+func compareDrains[D BatchDecoder](t *testing.T, name string, newDec func() D, sizes []int) {
 	t.Helper()
 	want, wantErr := drainBy(newDec(), 0)
 	for _, size := range sizes {
@@ -206,6 +207,150 @@ func compareDrains(t *testing.T, name string, newDec func() *BinaryDecoder, size
 		}
 		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 			t.Fatalf("%s, dst %d: DecodeBatch ends with %v, Next with %v", name, size, gotErr, wantErr)
+		}
+	}
+}
+
+// TestCSVDecodeBatchMatchesNext holds the csv decoder's batch loop,
+// which decodes the whole lines already in the read buffer, to its Next
+// loop: the same requests, and the same error text (line number
+// included) after the same number of records. Each input spans several
+// 128 KB buffer refills and carries one hazard of the batch loop: lines
+// it must hand to the shared per-line body (CRLF, comments, blank
+// lines, slow-path records, a late header), bad records on and off a
+// dst boundary, a line longer than the buffer, an unterminated or
+// over-long last line, and segment decoders as the parallel decoder
+// opens them.
+func TestCSVDecodeBatchMatchesNext(t *testing.T) {
+	const n = 10_000 // ≈ 400 KB of records
+	tr := benchTrace(n)
+	var plain bytes.Buffer
+	if err := WriteCSV(&plain, tr); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(plain.String(), "\n")
+	lines = lines[:len(lines)-1] // the empty tail after the last '\n'
+	const hdr = 2                // the metadata header and the column comment
+	// edit returns the input with fn applied to every record line (its
+	// index among the records, and its text with the '\n').
+	edit := func(fn func(i int, line string) string) []byte {
+		var b strings.Builder
+		b.WriteString(strings.Join(lines[:hdr], ""))
+		for i, l := range lines[hdr:] {
+			b.WriteString(fn(i, l))
+		}
+		return []byte(b.String())
+	}
+	replaceAt := func(at int, with string) func(int, string) string {
+		return func(i int, l string) string {
+			if i == at {
+				return with
+			}
+			return l
+		}
+	}
+	long := strings.Repeat(" ", 150<<10)
+	late := "# tracetracker name=late workload=w set=FIU tsdev_known=false\n"
+	inputs := map[string][]byte{
+		"plain": plain.Bytes(),
+		"crlf-comments": edit(func(i int, l string) string {
+			l = strings.TrimSuffix(l, "\n") + "\r\n"
+			if i%97 == 0 {
+				l = "# note\n#\n\n  \t\n" + l
+			}
+			return l
+		}),
+		"late-header": edit(replaceAt(5000, late)),
+		"slow-path": edit(func(i int, l string) string {
+			switch i % 13 {
+			case 1:
+				return "1.25e3" + l[strings.IndexByte(l, ','):] // exponent float
+			case 2:
+				return strings.Replace(l, ",R,", ",Read,", 1) // word op
+			case 3:
+				return strings.Replace(strings.Replace(l, ",R,", ",0,", 1), ",W,", ",1,", 1)
+			}
+			return l
+		}),
+		"bad-at-boundary":      edit(replaceAt(3072, "1,2,3\n")),
+		"bad-mid-batch":        edit(replaceAt(1500, "12.5,0,x,8,R,90.0,0\n")),
+		"long-lines":           edit(replaceAt(100, "# "+long+"\n")),
+		"long-record":          edit(replaceAt(4000, long+lines[hdr+4000])),
+		"unterminated":         plain.Bytes()[:plain.Len()-1],
+		"unterminated-partial": plain.Bytes()[:plain.Len()-9],
+		"line-too-long":        append(bytes.Clone(plain.Bytes()), bytes.Repeat([]byte("7"), maxLineLen+10)...),
+	}
+	// The inputs whose decode must end in an error; the rest decode.
+	fails := map[string]bool{
+		"late-header": true, "bad-at-boundary": true, "bad-mid-batch": true,
+		"unterminated-partial": true, "line-too-long": true, "segment-late-header": true,
+	}
+	sizes := []int{1, 3, 1024, 5000}
+	for name, data := range inputs {
+		newDec := func() *CSVDecoder { return NewCSVDecoder(bytes.NewReader(data)) }
+		if _, err := drainBy(newDec(), 0); (err != nil) != fails[name] {
+			t.Fatalf("%s: Next loop ends with %v", name, err)
+		}
+		compareDrains(t, name, newDec, sizes)
+	}
+
+	// Segment decoders, as the parallel decoder opens them: a data-region
+	// body under the prelude's metadata, and one a late header ends.
+	csv := lookup("csv")
+	ctx := segCtx{meta: tr.Meta(), sawData: true}
+	bodies := map[string]string{
+		"segment":             strings.Join(lines[hdr+2000:hdr+8000], ""),
+		"segment-late-header": strings.Join(lines[hdr+2000:hdr+6000], "") + late + lines[hdr+6000],
+	}
+	for name, body := range bodies {
+		newDec := func() *CSVDecoder {
+			return csv.segment(strings.NewReader(body), ctx).(*CSVDecoder)
+		}
+		if _, err := drainBy(newDec(), 0); (err != nil) != fails[name] {
+			t.Fatalf("%s: Next loop ends with %v", name, err)
+		}
+		compareDrains(t, name, newDec, sizes)
+	}
+}
+
+// TestAppendRecordsMatchesWrite holds the shard render form to the
+// serial one: for csv and bin, AppendRecords over runs of 1, of 7 and
+// of the whole input must equal, byte for byte, what Write emits for
+// the same records — including the records that take the AppendFloat
+// fallback (a negative latency, an arrival of 2^52 ns and more), an op
+// outside Read/Write, and every integer field at its maximum.
+func TestAppendRecordsMatchesWrite(t *testing.T) {
+	reqs := benchTrace(1000).Requests
+	reqs = append(reqs,
+		Request{Arrival: 5 * time.Second, LBA: 8, Sectors: 8, Op: Read, Latency: -3 * time.Microsecond},
+		Request{Arrival: 1 << 52, Device: 1, LBA: 16, Sectors: 8, Op: Write},
+		Request{Arrival: math.MaxInt64, Latency: math.MinInt64, Op: Op(7), Async: true},
+		Request{Arrival: 7, Device: math.MaxUint32, LBA: math.MaxUint64, Sectors: math.MaxUint32, Op: Op(255)},
+		Request{Device: math.MaxUint32, LBA: math.MaxUint32, Sectors: 1, Op: Write, Latency: 1},
+	)
+	for _, format := range []string{"csv", "bin"} {
+		var want bytes.Buffer
+		enc, err := NewEncoder(format, &want, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range reqs {
+			if err := enc.Write(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := enc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		se := enc.(ShardEncoder)
+		for _, run := range []int{1, 7, len(reqs)} {
+			var got []byte
+			for i := 0; i < len(reqs); i += run {
+				got = se.AppendRecords(got, reqs[i:min(i+run, len(reqs))])
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("%s, runs of %d: AppendRecords renders %d bytes that differ from Write's %d", format, run, len(got), want.Len())
+			}
 		}
 	}
 }

@@ -1,10 +1,11 @@
 // Package hotpath enforces the zero-allocation discipline on
 // functions annotated `//tracelint:hotpath` — the per-record codec
-// loops (Decoder.Next, Encoder.Write/AppendRecord) and the engine's
-// per-epoch decompose/emulate/merge bodies whose ≤0.05 allocs/request
-// bound `zeroalloc_test.go` locks. The benchmark catches a regression
-// after the fact on the paths it happens to drive; the annotation
-// makes the property reviewable at the line that breaks it.
+// loops (Decoder.Next/DecodeBatch, Encoder.Write/AppendRecords) and
+// the engine's per-epoch decompose/emulate/merge bodies whose ≤0.05
+// allocs/request bound `zeroalloc_test.go` locks. The benchmark
+// catches a regression after the fact on the paths it happens to
+// drive; the annotation makes the property reviewable at the line that
+// breaks it.
 //
 // Inside an annotated function the analyzer rejects the constructs
 // that allocate on every execution:
