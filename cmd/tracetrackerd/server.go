@@ -1133,8 +1133,9 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleResult serves a finished job's result. Every finished job is
 // a file (the cache entry, the out path or the spool file), so this is
-// http.ServeFile and nothing else: ranges, conditional requests and
-// sendfile come with it.
+// http.ServeFile and nothing else: ranges and conditional requests come
+// with it, and the body goes out by sendfile, because the obs
+// middleware's writer forwards ReadFrom to the connection.
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
@@ -1315,7 +1316,10 @@ func (s *server) handleCorpusData(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	}
 	w.Header().Set("Content-Length", strconv.FormatInt(e.Size, 10))
-	io.Copy(w, rc)
+	// CopyN hands the writer a LimitedReader over the *os.File, which
+	// the connection sends by sendfile; io.Copy(w, rc) would take the
+	// file's WriteTo and copy through a user-space buffer instead.
+	io.CopyN(w, rc, e.Size)
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -189,6 +189,57 @@ func TestStreamingJobToFile(t *testing.T) {
 	}
 }
 
+// TestResultRanges checks the README's promise that /result honours
+// byte ranges: a Range request answers 206 with exactly that slice of
+// the result file, a plain GET the whole file, both through the
+// daemon's middleware over a real connection.
+func TestResultRanges(t *testing.T) {
+	dir := t.TempDir()
+	inPath, _ := writeInput(t, dir)
+	outPath := filepath.Join(dir, "out.csv")
+	srv := newServer(engine.Config{Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond}, 1)
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	id := postJob(t, ts, engine.JobSpec{In: inPath, Out: outPath})
+	waitDone(t, ts, id)
+	want, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 200 {
+		t.Fatalf("result only %d bytes; the range needs 200", len(want))
+	}
+
+	get := func(rangeHdr string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest("GET", ts.URL+"/v1/jobs/"+id+"/result", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rangeHdr != "" {
+			req.Header.Set("Range", rangeHdr)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	if code, body := get("bytes=100-199"); code != http.StatusPartialContent || !bytes.Equal(body, want[100:200]) {
+		t.Fatalf("range 100-199: status %d, body %q, want 206 and %q", code, body, want[100:200])
+	}
+	if code, body := get(""); code != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("plain GET: status %d, %d bytes, want 200 and the %d-byte file", code, len(body), len(want))
+	}
+}
+
 // TestJobValidationAndErrors covers the API's failure surface.
 func TestJobValidationAndErrors(t *testing.T) {
 	srv := newServer(engine.Config{}, 1)

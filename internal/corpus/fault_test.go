@@ -34,37 +34,47 @@ func tmpEntries(t *testing.T, s *Store) []string {
 	return names
 }
 
+// The fault fires in the first spooled chunk, and past it: in the
+// second, while the hasher still holds chunks of the upload.
 func TestIngestSpoolFaultIsStorageError(t *testing.T) {
-	s := openStore(t)
-	fi := faultfs.New()
-	s.SetFaultInjector(fi)
-	data := csvBytes(t, sampleTrace())
+	for _, c := range []struct {
+		data []byte
+		at   int64
+	}{
+		{csvBytes(t, sampleTrace()), 16},
+		{paddedCSV(t, 3*ingestChunk), ingestChunk + 16},
+	} {
+		s := openStore(t)
+		fi := faultfs.New()
+		s.SetFaultInjector(fi)
+		data := c.data
 
-	fi.Fail(faultfs.SinkCorpusObject, 16, syscall.ENOSPC)
-	_, _, err := s.Ingest(bytes.NewReader(data), "csv")
-	if err == nil {
-		t.Fatal("ingest succeeded under an ENOSPC spool fault")
-	}
-	if errors.Is(err, ErrBadTrace) {
-		t.Fatalf("spool fault classified as a bad trace (client fault): %v", err)
-	}
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("ENOSPC lost from the chain: %v", err)
-	}
-	if fi.Hits(faultfs.SinkCorpusObject) == 0 {
-		t.Fatal("fault rule never fired")
-	}
-	if s.Len() != 0 {
-		t.Fatalf("catalogue holds %d entries after a failed ingest", s.Len())
-	}
-	if names := tmpEntries(t, s); len(names) != 0 {
-		t.Fatalf("staging leftovers after failed ingest: %v", names)
-	}
+		fi.Fail(faultfs.SinkCorpusObject, c.at, syscall.ENOSPC)
+		_, _, err := s.Ingest(bytes.NewReader(data), "csv")
+		if err == nil {
+			t.Fatalf("at %d: ingest succeeded under an ENOSPC spool fault", c.at)
+		}
+		if errors.Is(err, ErrBadTrace) {
+			t.Fatalf("at %d: spool fault classified as a bad trace (client fault): %v", c.at, err)
+		}
+		if !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("at %d: ENOSPC lost from the chain: %v", c.at, err)
+		}
+		if fi.Hits(faultfs.SinkCorpusObject) == 0 {
+			t.Fatalf("at %d: fault rule never fired", c.at)
+		}
+		if s.Len() != 0 {
+			t.Fatalf("at %d: catalogue holds %d entries after a failed ingest", c.at, s.Len())
+		}
+		if names := tmpEntries(t, s); len(names) != 0 {
+			t.Fatalf("at %d: staging leftovers after failed ingest: %v", c.at, names)
+		}
 
-	// Same bytes land cleanly once the disk recovers.
-	fi.Clear(faultfs.SinkCorpusObject)
-	if _, created, err := s.Ingest(bytes.NewReader(data), "csv"); err != nil || !created {
-		t.Fatalf("retry after clearing the fault: created=%v err=%v", created, err)
+		// Same bytes land cleanly once the disk recovers.
+		fi.Clear(faultfs.SinkCorpusObject)
+		if _, created, err := s.Ingest(bytes.NewReader(data), "csv"); err != nil || !created {
+			t.Fatalf("at %d: retry after clearing the fault: created=%v err=%v", c.at, created, err)
+		}
 	}
 }
 
@@ -128,18 +138,25 @@ func TestIngestStagedReadFaultIsStorageError(t *testing.T) {
 // the failing write lands, the error still surfaces, nothing is
 // catalogued.
 func TestIngestSpoolShortWrite(t *testing.T) {
-	s := openStore(t)
-	fi := faultfs.New()
-	s.SetFaultInjector(fi)
-	data := csvBytes(t, sampleTrace())
+	for _, c := range []struct {
+		data []byte
+		at   int64
+	}{
+		{csvBytes(t, sampleTrace()), 10},
+		{paddedCSV(t, 3*ingestChunk), ingestChunk + 10},
+	} {
+		s := openStore(t)
+		fi := faultfs.New()
+		s.SetFaultInjector(fi)
 
-	fi.FailShort(faultfs.SinkCorpusObject, 10, syscall.ENOSPC)
-	_, _, err := s.Ingest(bytes.NewReader(data), "csv")
-	if err == nil || errors.Is(err, ErrBadTrace) || !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("short-write ingest: %v", err)
-	}
-	if s.Len() != 0 {
-		t.Fatal("torn spool was catalogued")
+		fi.FailShort(faultfs.SinkCorpusObject, c.at, syscall.ENOSPC)
+		_, _, err := s.Ingest(bytes.NewReader(c.data), "csv")
+		if err == nil || errors.Is(err, ErrBadTrace) || !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("at %d: short-write ingest: %v", c.at, err)
+		}
+		if s.Len() != 0 {
+			t.Fatalf("at %d: torn spool was catalogued", c.at)
+		}
 	}
 }
 

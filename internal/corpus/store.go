@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"io/fs"
 	"os"
@@ -148,21 +149,89 @@ func (s *Store) Rebuild() error {
 	return s.rebuildLocked()
 }
 
-// spoolWriter forwards to the blob staging file and remembers the
-// first write error, so a failed upload copy can be told apart: the
-// staging disk dying is a storage fault, the upload's reader failing
-// is the client's.
-type spoolWriter struct {
-	w   io.Writer
-	err error
+// The ingest copy stages an upload through a ring of ingestRing reused
+// chunks of ingestChunk bytes, so one upload in flight holds at most
+// ingestRing·ingestChunk (512 KiB) of copy buffer whatever its size.
+const (
+	ingestChunk = 128 << 10
+	ingestRing  = 4
+)
+
+type ingestBuf = [ingestChunk]byte
+
+var ingestBufs = sync.Pool{New: func() any { return new(ingestBuf) }}
+
+// spoolHashed copies src to dst and digests the same bytes into h, the
+// hash beside the write rather than in front of it: the calling
+// goroutine fills each chunk from src and writes it to dst while one
+// hasher goroutine digests it. The hasher is joined before spoolHashed
+// returns on every path, so h is complete (or abandoned) and the ring
+// is back in the pool. The failing side is reported apart: readErr is
+// src's own error, chain intact (a client fault); writeErr is dst's (a
+// storage fault).
+func spoolHashed(dst io.Writer, h hash.Hash, src io.Reader) (n int64, readErr, writeErr error) {
+	// Each channel can hold the whole ring, so no send ever blocks: the
+	// reader waits only on free, for the hasher to give a chunk back.
+	free := make(chan *ingestBuf, ingestRing)
+	for range ingestRing {
+		free <- ingestBufs.Get().(*ingestBuf)
+	}
+	full := make(chan []byte, ingestRing)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := range full {
+			h.Write(b)
+			free <- (*ingestBuf)(b[:ingestChunk])
+		}
+	}()
+	defer func() {
+		close(full)
+		<-done
+		close(free)
+		for b := range free {
+			ingestBufs.Put(b)
+		}
+	}()
+	for {
+		buf := <-free
+		m, err := fill(src, buf[:])
+		if m == 0 {
+			free <- buf
+		} else {
+			full <- buf[:m]
+			w, werr := dst.Write(buf[:m])
+			n += int64(w)
+			if werr == nil && w < m {
+				werr = io.ErrShortWrite
+			}
+			if werr != nil {
+				return n, nil, werr
+			}
+		}
+		if err == io.EOF {
+			return n, nil, nil
+		}
+		if err != nil {
+			return n, err, nil
+		}
+	}
 }
 
-func (s *spoolWriter) Write(p []byte) (int, error) {
-	n, err := s.w.Write(p)
-	if err != nil && s.err == nil {
-		s.err = err
+// fill reads src into b until b is full or src returns an error (io.EOF
+// included), which it passes on unchanged. io.ReadFull would turn an
+// EOF inside the chunk into io.ErrUnexpectedEOF, the error a truncated
+// upload body reports, so a clean end and a cut one would look alike.
+func fill(src io.Reader, b []byte) (int, error) {
+	n := 0
+	for n < len(b) {
+		k, err := src.Read(b[n:])
+		n += k
+		if err != nil {
+			return n, err
+		}
 	}
-	return n, err
+	return n, nil
 }
 
 // stagedDecodeErr classifies a failure to decode the staged upload: an
@@ -220,13 +289,12 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 	// lands, whatever the decoder later stops at (a counted binary header
 	// ends the decode before trailing bytes).
 	h := sha256.New()
-	spool := &spoolWriter{w: s.sinkWriter(faultfs.SinkCorpusObject, tmpf)}
-	size, err := io.Copy(io.MultiWriter(h, spool), r)
-	if err != nil {
-		if spool.err != nil {
-			return Entry{}, false, fmt.Errorf("corpus: spooling ingest: %w", spool.err)
-		}
-		return Entry{}, false, fmt.Errorf("%w: reading upload: %w", ErrBadTrace, err)
+	size, readErr, writeErr := spoolHashed(s.sinkWriter(faultfs.SinkCorpusObject, tmpf), h, r)
+	if writeErr != nil {
+		return Entry{}, false, fmt.Errorf("corpus: spooling ingest: %w", writeErr)
+	}
+	if readErr != nil {
+		return Entry{}, false, fmt.Errorf("%w: reading upload: %w", ErrBadTrace, readErr)
 	}
 	if err := tmpf.Close(); err != nil {
 		return Entry{}, false, err

@@ -103,7 +103,10 @@ func LoggerFrom(ctx context.Context) *slog.Logger {
 	return slog.Default()
 }
 
-// statusWriter captures the response status and size.
+// statusWriter captures the response status and size. It forwards
+// ReadFrom, so a file the handler copies out (http.ServeFile, io.CopyN
+// of an *os.File) still reaches the connection's sendfile, and Unwrap,
+// so http.NewResponseController finds the writer underneath.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -125,6 +128,23 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	w.bytes += int64(n)
 	return n, err
 }
+
+func (w *statusWriter) ReadFrom(src io.Reader) (int64, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	var n int64
+	var err error
+	if rf, ok := w.ResponseWriter.(io.ReaderFrom); ok {
+		n, err = rf.ReadFrom(src)
+	} else {
+		n, err = io.Copy(w.ResponseWriter, src)
+	}
+	w.bytes += n
+	return n, err
+}
+
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {

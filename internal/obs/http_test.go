@@ -3,12 +3,14 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestNewLogger(t *testing.T) {
@@ -172,5 +174,61 @@ func TestMiddlewareTraceparent(t *testing.T) {
 	}
 	if minted.TraceID == "0af7651916cd43dd8448eb211c80319c" {
 		t.Fatal("malformed traceparent adopted instead of replaced")
+	}
+}
+
+// readFromRecorder is a response writer with the connection's fast
+// paths: ReadFrom (sendfile, on a real connection) and a write
+// deadline, each recording that it was reached.
+type readFromRecorder struct {
+	*httptest.ResponseRecorder
+	readFroms int
+	deadline  time.Time
+}
+
+func (w *readFromRecorder) ReadFrom(src io.Reader) (int64, error) {
+	w.readFroms++
+	return io.Copy(w.ResponseRecorder, src)
+}
+
+func (w *readFromRecorder) SetWriteDeadline(d time.Time) error {
+	w.deadline = d
+	return nil
+}
+
+// TestMiddlewareForwardsReadFrom checks that the middleware's writer
+// hides neither the inner writer's ReadFrom (io.Copy from a file must
+// reach the connection's sendfile) nor the writer itself from
+// http.NewResponseController, and that a body sent by ReadFrom is
+// logged with its status and size like one sent by Write.
+func TestMiddlewareForwardsReadFrom(t *testing.T) {
+	var logBuf bytes.Buffer
+	log := slog.New(slog.NewTextHandler(&logBuf, nil))
+	body := strings.Repeat("0123456789", 1000)
+	deadline := time.Unix(1700000000, 0)
+	var deadlineErr error
+	h := Middleware(log, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		deadlineErr = http.NewResponseController(w).SetWriteDeadline(deadline)
+		// A LimitedReader has no WriteTo, so io.Copy takes the writer's
+		// ReadFrom, as http.ServeFile's io.CopyN does.
+		io.Copy(w, io.LimitReader(strings.NewReader(body), int64(len(body))))
+	}))
+
+	inner := &readFromRecorder{ResponseRecorder: httptest.NewRecorder()}
+	h.ServeHTTP(inner, httptest.NewRequest("GET", "/blob", nil))
+	if inner.readFroms != 1 {
+		t.Fatalf("inner ReadFrom reached %d times, want 1", inner.readFroms)
+	}
+	if inner.Code != http.StatusOK || inner.Body.String() != body {
+		t.Fatalf("response: status %d, %d bytes", inner.Code, inner.Body.Len())
+	}
+	if deadlineErr != nil || !inner.deadline.Equal(deadline) {
+		t.Fatalf("ResponseController did not reach the inner writer: err %v, deadline %v", deadlineErr, inner.deadline)
+	}
+	logs := logBuf.String()
+	for _, want := range []string{"status=200", fmt.Sprintf("bytes=%d", len(body))} {
+		if !strings.Contains(logs, want) {
+			t.Errorf("completion log missing %q:\n%s", want, logs)
+		}
 	}
 }

@@ -105,11 +105,14 @@ func parseUintBytes(b []byte, bits int) (uint64, error) {
 	var v uint64
 	for _, c := range b {
 		d := uint64(c - '0')
-		if d > 9 || v > maxVal/10 {
-			// Non-digit, sign, or overflow: strconv produces the
-			// canonical NumError (syntax or range).
+		if d > 9 || v > (maxVal-d)/10 {
+			// Non-digit, sign, or v*10 + d past maxVal: strconv
+			// produces the canonical NumError (syntax or range).
 			return strconv.ParseUint(string(b), 10, bits)
 		}
+		// The test above is exact, and v*10 + d cannot wrap, whenever
+		// d <= maxVal; below 4 bits a digit can exceed maxVal, so
+		// maxVal-d wraps and this check catches it instead.
 		if v = v*10 + d; v > maxVal {
 			return strconv.ParseUint(string(b), 10, bits)
 		}
