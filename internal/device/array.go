@@ -64,9 +64,47 @@ func (a *Array) Name() string {
 	return fmt.Sprintf("flash-array-%dx%s", a.cfg.Members, a.members[0].Name())
 }
 
-// ShardSafe implements ShardSafe: striping is stateless and the
-// members are shard-safe SSDs.
-func (a *Array) ShardSafe() bool { return true }
+// DrainedLatency implements ShardSafe: striping is stateless and the
+// members are shard-safe SSDs. A request of at most Members fragments
+// puts each fragment on its own drained member, so its latency is the
+// controller overhead plus the slowest fragment's drained latency. Any
+// other request runs Submit at time zero on Reset members, which are
+// Reset again afterwards.
+//
+//tracelint:hotpath
+func (a *Array) DrainedLatency(r trace.Request) time.Duration {
+	chunk := r.LBA / a.sectorsPerChunk
+	offsetInChunk := r.LBA - chunk*a.sectorsPerChunk
+	members := uint64(a.cfg.Members)
+	if offsetInChunk+uint64(r.Sectors) > members*a.sectorsPerChunk {
+		a.Reset()
+		lat := a.Submit(0, r).Complete
+		a.Reset()
+		return lat
+	}
+	// The fragments Submit would issue, walked chunk by chunk: after the
+	// first, each starts a chunk on the next member, wrapping to the
+	// next member-local chunk after the last member.
+	localChunk := chunk / members
+	member := chunk - localChunk*members
+	var slowest time.Duration
+	for remaining := uint64(r.Sectors); remaining > 0; {
+		n := min(a.sectorsPerChunk-offsetInChunk, remaining)
+		m := a.members[member]
+		localLBA := localChunk*a.sectorsPerChunk + offsetInChunk
+		lat, ok := m.closedForm(localLBA, uint32(n), r.Op)
+		if !ok {
+			lat = m.drainedSubmit(trace.Request{Device: r.Device, LBA: localLBA, Sectors: uint32(n), Op: r.Op})
+		}
+		slowest = max(slowest, lat)
+		remaining -= n
+		offsetInChunk = 0
+		if member++; member == members {
+			member, localChunk = 0, localChunk+1
+		}
+	}
+	return a.cfg.CtrlOverhead + slowest
+}
 
 // Reset implements Device.
 func (a *Array) Reset() {
@@ -78,6 +116,8 @@ func (a *Array) Reset() {
 // Submit implements Device. The request is split at chunk boundaries;
 // each fragment goes to its stripe member with the member-local LBA,
 // and the request completes when the slowest fragment does.
+//
+//tracelint:hotpath
 func (a *Array) Submit(at time.Duration, r trace.Request) Result {
 	start := at
 	issue := start + a.cfg.CtrlOverhead

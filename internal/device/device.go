@@ -48,21 +48,29 @@ type Device interface {
 // ShardSafe is implemented by devices whose servicing depends only on
 // busy state that never outlives the last completion: once such a
 // device has drained, a later submission is serviced exactly as on a
-// freshly Reset device, so a synchronous emulation over it is
-// invariant under time translation and may be partitioned into shards
-// (see replay.EmulateEpoch). The flash simulators qualify; the HDD
-// does not — its head position and rotational phase persist across
-// idle periods.
+// freshly Reset device. The flash simulators qualify; the HDD does not
+// — its head position and rotational phase persist across idle
+// periods.
+//
+// A synchronous emulation (replay.EmulateEpoch) submits every request
+// at or after the previous completion, so over such a device each
+// latency depends on the request alone. DrainedLatency is that
+// function, and it is what the emulation loop calls instead of Submit:
+// the run is invariant under time translation and may be partitioned
+// into shards.
 type ShardSafe interface {
-	// ShardSafe reports whether shard-parallel emulation reproduces
-	// the sequential emulation exactly.
-	ShardSafe() bool
+	Device
+	// DrainedLatency returns Submit(at, r).Complete - at for a device
+	// with no busy unit past at. A Submit after it is serviced as it
+	// would have been without the call, as long as that Submit is at or
+	// after the point the device drained.
+	DrainedLatency(r trace.Request) time.Duration
 }
 
 // IsShardSafe reports whether d declares shard-safe emulation.
 func IsShardSafe(d Device) bool {
-	s, ok := d.(ShardSafe)
-	return ok && s.ShardSafe()
+	_, ok := d.(ShardSafe)
+	return ok
 }
 
 // State exists only so the benchmark's snapshot/restore rows compile;

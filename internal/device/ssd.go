@@ -58,12 +58,10 @@ type SSD struct {
 	pageXfer   time.Duration
 	linkNsPerB float64
 
-	// busy-until trackers, indexed [channel] and [channel*dies+die]
-	chanBusy []time.Duration
-	dieBusy  []time.Duration
-	// plane pipelining: a die with multiple planes overlaps array time
-	// of consecutive pages mapped to different planes; modeled as an
-	// effective service divisor when planes>1 via per-plane busy.
+	// busy-until trackers, indexed [channel] and
+	// [(channel*dies+die)*planes+plane]: a die with multiple planes
+	// overlaps the array time of pages mapped to different planes.
+	chanBusy  []time.Duration
 	planeBusy []time.Duration
 }
 
@@ -110,21 +108,50 @@ func NewSSD(cfg SSDConfig) *SSD {
 // Name implements Device.
 func (s *SSD) Name() string { return "nvme-ssd" }
 
-// ShardSafe implements ShardSafe: all SSD state is busy-until
+// DrainedLatency implements ShardSafe: all SSD state is busy-until
 // tracking bounded by the last completion.
-func (s *SSD) ShardSafe() bool { return true }
+//
+//tracelint:hotpath
+func (s *SSD) DrainedLatency(r trace.Request) time.Duration {
+	if lat, ok := s.closedForm(r.LBA, r.Sectors, r.Op); ok {
+		return lat
+	}
+	return s.drainedSubmit(r)
+}
+
+// closedForm is DrainedLatency of a request of sectors at lba, when its
+// pages span at most Channels. Every page then lands on its own
+// channel, die and plane, so on a drained device the pages run side by
+// side and the latency is one page's path behind the host link.
+func (s *SSD) closedForm(lba uint64, sectors uint32, op trace.Op) (time.Duration, bool) {
+	if sectors == 0 || lba%s.sectorsPerPage+uint64(sectors) > uint64(s.cfg.Channels)*s.sectorsPerPage {
+		return 0, false
+	}
+	tcdel := s.cfg.CmdOverhead + time.Duration(float64(int64(sectors)*trace.SectorSize)*s.linkNsPerB)
+	if op == trace.Read {
+		return tcdel + s.cfg.ReadLatency + s.pageXfer, true
+	}
+	return tcdel + s.pageXfer + s.cfg.ProgramLatency, true
+}
+
+// drainedSubmit is DrainedLatency of any request: Submit at time zero
+// on cleared busy arrays, which are cleared again afterwards.
+func (s *SSD) drainedSubmit(r trace.Request) time.Duration {
+	s.Reset()
+	lat := s.Submit(0, r).Complete
+	s.Reset()
+	return lat
+}
 
 // Reset implements Device. The busy arrays are cleared in place, so a
 // per-shard Reset in the parallel engine costs no allocation.
 func (s *SSD) Reset() {
 	if s.chanBusy == nil {
 		s.chanBusy = make([]time.Duration, s.cfg.Channels)
-		s.dieBusy = make([]time.Duration, s.cfg.Channels*s.cfg.DiesPerChan)
 		s.planeBusy = make([]time.Duration, s.cfg.Channels*s.cfg.DiesPerChan*s.cfg.PlanesPerDie)
 		return
 	}
 	clear(s.chanBusy)
-	clear(s.dieBusy)
 	clear(s.planeBusy)
 }
 
@@ -138,6 +165,8 @@ func (s *SSD) geometryOf(page uint64) (ch, die, plane int) {
 }
 
 // Submit implements Device.
+//
+//tracelint:hotpath
 func (s *SSD) Submit(at time.Duration, r trace.Request) Result {
 	start := at
 	// Host link: command processing + payload on the PCIe link. NVMe
@@ -152,8 +181,7 @@ func (s *SSD) Submit(at time.Duration, r trace.Request) Result {
 	complete := dataAt
 	for p := firstPage; p <= lastPage; p++ {
 		ch, die, plane := s.geometryOf(p)
-		di := ch*s.cfg.DiesPerChan + die
-		pi := di*s.cfg.PlanesPerDie + plane
+		pi := (ch*s.cfg.DiesPerChan+die)*s.cfg.PlanesPerDie + plane
 		var done time.Duration
 		if r.Op == trace.Read {
 			// Array read on the plane, then page out over the channel.
@@ -163,7 +191,6 @@ func (s *SSD) Submit(at time.Duration, r trace.Request) Result {
 			done = xferStart + pageXfer
 			s.planeBusy[pi] = cellDone
 			s.chanBusy[ch] = done
-			s.dieBusy[di] = maxDur(s.dieBusy[di], cellDone)
 		} else {
 			// Page in over the channel, then program on the plane.
 			xferStart := maxDur(dataAt, s.chanBusy[ch])
@@ -172,7 +199,6 @@ func (s *SSD) Submit(at time.Duration, r trace.Request) Result {
 			done = progStart + s.cfg.ProgramLatency
 			s.chanBusy[ch] = xferDone
 			s.planeBusy[pi] = done
-			s.dieBusy[di] = maxDur(s.dieBusy[di], done)
 		}
 		if done > complete {
 			complete = done

@@ -20,8 +20,8 @@ import (
 // Pipeline capabilities, as reported by device discovery.
 const (
 	// PipelineShardParallel marks devices that drain between epochs
-	// (device.ShardSafe): every epoch emulates from a fresh device and
-	// shifts into place.
+	// (device.ShardSafe): every epoch emulates from time zero in a
+	// worker, each latency in closed form, and shifts into place.
 	PipelineShardParallel = "shard-parallel"
 	// PipelineStateful marks devices whose state persists across idle
 	// periods: one serial device pass services the epochs in order, and

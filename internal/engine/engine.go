@@ -31,14 +31,16 @@
 //   - device.ShardSafe (the flash simulators): the emulation loop is
 //     synchronous — every instruction is submitted at or after the
 //     previous completion, by which point a shard-safe device has
-//     drained — so its servicing is invariant under time translation,
-//     and an epoch emulated from a drained device at virtual time zero
-//     equals the same span of the whole-trace emulation shifted by the
-//     preceding epochs' end times. The workers therefore run the device
-//     pass too, each on its own device, and the middle stage is a chain:
-//     it folds each epoch's (end, shiftDelta) into running totals and
-//     hands the next epoch its entry shift, accumulated post-processing
-//     shift minus accumulated end times.
+//     drained — so each latency is the device's DrainedLatency of the
+//     request alone, which the loop computes in closed form instead of
+//     submitting. The servicing is invariant under time translation,
+//     and an epoch emulated at virtual time zero equals the same span
+//     of the whole-trace emulation shifted by the preceding epochs' end
+//     times. The workers therefore run the device pass too, each on its
+//     own device and with no Reset between epochs, and the middle stage
+//     is a chain: it folds each epoch's (end, shiftDelta) into running
+//     totals and hands the next epoch its entry shift, accumulated
+//     post-processing shift minus accumulated end times.
 //   - everything else (hdd, ftl, host, wrapped devices): head position,
 //     rotational phase, mapping tables, page-cache contents and destage
 //     debt persist across idle periods, so epoch k's servicing depends

@@ -265,7 +265,9 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 		go func() {
 			defer wg.Done()
 			// A shard-safe target is emulated in the workers' first stage,
-			// each on its own device, drained and from time zero; a
+			// each on its own device from time zero: the emulation loop
+			// takes its latencies from DrainedLatency, which leaves the
+			// device drained, so no Reset is due between epochs. A
 			// serviced run's one device is the middle stage's.
 			var wdev device.Device
 			if !serviced {
@@ -295,7 +297,6 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 					st := beginStage(mtr, obs.StageDecompose, ep.span)
 					r.decompose(&ep)
 					if wdev != nil {
-						wdev.Reset()
 						r.devicePass(&ep, wdev, 0)
 					}
 					st.end()
@@ -410,8 +411,8 @@ func (r *run) postAsync(ep *epoch) []bool {
 // post-processing shift it accumulates. The middle stage calls it on a
 // serviced target — dev carries every earlier epoch's state and start
 // is the previous epoch's end, so the records sit on the global
-// timeline; the workers call it on a shard-safe one, from a drained
-// device at time zero.
+// timeline; the workers call it on a shard-safe one at time zero, where
+// the pass is closed form (device.ShardSafe) and dev stays drained.
 //
 //tracelint:hotpath
 func (r *run) devicePass(ep *epoch, dev device.Device, start time.Duration) {

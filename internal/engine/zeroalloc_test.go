@@ -200,8 +200,9 @@ func TestHostCacheBoundedByResidency(t *testing.T) {
 // TestMeasuredHotPathsAnnotated closes the loop between this file's
 // allocation bounds and the tracelint hotpath analyzer: every function
 // on the measured path (the codec record loops exercised through
-// ReconstructStream and locked by trace/zeroalloc_test.go, and the
-// engine's per-epoch stages locked above) must carry
+// ReconstructStream and locked by trace/zeroalloc_test.go, the
+// engine's per-epoch stages locked above, and the emulation loop with
+// the flash models it runs) must carry
 // //tracelint:hotpath, so a regression is rejected at the allocating
 // line by `go vet -vettool`, not just caught after the fact by the
 // benchmark's amortized bound.
@@ -238,6 +239,11 @@ func TestMeasuredHotPathsAnnotated(t *testing.T) {
 		{"exec.go", "run", "devicePass"},
 		{"exec.go", "run", "finish"},
 		{"exec.go", "run", "emit"},
+		{"../replay/replay.go", "", "EmulateEpoch"},
+		{"../device/ssd.go", "SSD", "Submit"},
+		{"../device/ssd.go", "SSD", "DrainedLatency"},
+		{"../device/array.go", "Array", "Submit"},
+		{"../device/array.go", "Array", "DrainedLatency"},
 		{"../ftl/ftl.go", "FTL", "Write"},
 		{"../ftl/ftl.go", "FTL", "Read"},
 		{"../ftl/ftl.go", "FTL", "program"},

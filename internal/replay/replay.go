@@ -150,11 +150,15 @@ func Emulate(old *trace.Trace, dev device.Device, idle []time.Duration) *trace.T
 // It runs one epoch of a longer run on the global timeline: dev carries
 // whatever state the preceding epochs left in it (it is not Reset), and
 // start is the completion of the last instruction before the epoch,
-// zero for the first. dst, when non-nil, collects the new trace
-// (len(dst) == len(reqs); in place over reqs is allowed). async, when
-// non-nil, accumulates shiftDelta, the post-processing arrival
-// reduction core.PostProcessShard will apply: for each flagged
-// instruction, the emulated latency beyond SubmissionGap.
+// zero for the first. A device.ShardSafe dev must also be drained by
+// start — no busy unit past it — which holds for a fresh or Reset
+// device at start zero and for a device continued from the epoch that
+// ended at start; the loop takes it on trust. dst, when non-nil,
+// collects the new trace (len(dst) == len(reqs); in place over reqs is
+// allowed). async, when non-nil, accumulates shiftDelta, the
+// post-processing arrival reduction core.PostProcessShard will apply:
+// for each flagged instruction, the emulated latency beyond
+// SubmissionGap.
 //
 // Threading (end, shiftDelta) through consecutive epochs on one device
 // reproduces a single run over the concatenation exactly, and running
@@ -166,16 +170,21 @@ func Emulate(old *trace.Trace, dev device.Device, idle []time.Duration) *trace.T
 // rotational phase): it needs nothing from dev but Submit, in order.
 //
 // A device.ShardSafe target allows more. Because the loop is
-// synchronous — every submission happens at or after the previous
-// completion, by which time all device busy state has passed — a
-// drained device's servicing is invariant under time translation, and
-// an epoch emulated from a Reset device at start zero equals the same
-// span of the whole-trace emulation shifted by the preceding epoch's
-// end time. That invariance is what lets the engine emulate shard-safe
-// epochs in parallel and place them on the global timeline afterwards,
-// byte for byte; it does not hold for devices with cross-request
-// positional state.
+// synchronous, every submission happens at or after the previous
+// completion, by which time such a device has drained (given the
+// precondition above for the first one). Each latency is then the
+// device's DrainedLatency of the request alone, and the loop takes it
+// from there instead of from Submit: no busy state is walked or stored,
+// and an epoch emulated at start zero equals the same span of the
+// whole-trace emulation shifted by the preceding epoch's end time. That
+// invariance is what lets the engine emulate shard-safe epochs in
+// parallel and place them on the global timeline afterwards, byte for
+// byte; it does not hold for devices with cross-request positional
+// state.
+//
+//tracelint:hotpath
 func EmulateEpoch(dst, reqs []trace.Request, dev device.Device, idle []time.Duration, async []bool, start time.Duration) (end, shiftDelta time.Duration) {
+	drained, _ := dev.(device.ShardSafe)
 	now := start
 	for i, r := range reqs {
 		if idle != nil {
@@ -183,18 +192,21 @@ func EmulateEpoch(dst, reqs []trace.Request, dev device.Device, idle []time.Dura
 		}
 		req := r
 		req.Arrival = now
-		res := dev.Submit(now, req)
+		var lat time.Duration
+		if drained != nil {
+			lat = drained.DrainedLatency(req)
+		} else {
+			lat = dev.Submit(now, req).Complete - now
+		}
 		if dst != nil {
-			req.Latency = res.Complete - now
+			req.Latency = lat
 			req.Async = false // sync loop; post-processing restores mode
 			dst[i] = req
 		}
-		if async != nil && async[i] {
-			if reduction := (res.Complete - now) - SubmissionGap; reduction > 0 {
-				shiftDelta += reduction
-			}
+		if async != nil && async[i] && lat > SubmissionGap {
+			shiftDelta += lat - SubmissionGap
 		}
-		now = res.Complete
+		now += lat
 	}
 	return now, shiftDelta
 }
