@@ -307,14 +307,10 @@ func TestConcurrentJobsQuota(t *testing.T) {
 	// Park a live job owned by alice: quota counting is over job
 	// states, so a synthetic running job pins her at the limit without
 	// a timing-dependent long reconstruction.
-	srv.mu.Lock()
-	srv.nextID = 1
-	srv.jobs["job-1"] = &job{
+	srv.jobs.park(job{
 		ID: "job-1", State: stateRunning, Tenant: "alice",
 		Submitted: time.Now(), Spec: engine.JobSpec{In: "parked.csv"},
-	}
-	srv.order = append(srv.order, "job-1")
-	srv.mu.Unlock()
+	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

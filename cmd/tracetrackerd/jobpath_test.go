@@ -206,25 +206,21 @@ func TestSpoolLifecycle(t *testing.T) {
 
 	spooled := waitDone(t, ts, postJob(t, ts, engine.JobSpec{In: inPath}))
 	kept := waitDone(t, ts, postJob(t, ts, engine.JobSpec{In: inPath, Out: filepath.Join(dir, "kept.csv")}))
-	srv.mu.Lock()
-	spoolDir := srv.spoolDir
-	srv.mu.Unlock()
+	spoolDir, err := srv.jobs.spoolPath("")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if spoolDir == "" || filepath.Dir(spooled.OutPath) != spoolDir {
 		t.Fatalf("spooled result at %q, spool dir %q", spooled.OutPath, spoolDir)
 	}
 	getBody(t, ts.URL+spooled.ResultURL)
 
 	// Push both records past the retention bound.
-	srv.mu.Lock()
 	for i := 0; i < retainJobs; i++ {
-		id := fmt.Sprintf("filler-%d", i)
-		srv.jobs[id] = &job{ID: id, State: stateQueued}
-		srv.order = append(srv.order, id)
+		srv.jobs.park(job{ID: fmt.Sprintf("filler-%d", i), State: stateQueued})
 	}
-	srv.prune()
-	_, spooledKnown := srv.jobs[spooled.ID]
-	_, keptKnown := srv.jobs[kept.ID]
-	srv.mu.Unlock()
+	_, spooledKnown := srv.jobs.Get(spooled.ID)
+	_, keptKnown := srv.jobs.Get(kept.ID)
 	if spooledKnown || keptKnown {
 		t.Fatal("prune kept finished jobs beyond the retention bound")
 	}
@@ -243,14 +239,6 @@ func TestSpoolLifecycle(t *testing.T) {
 		t.Fatalf("pruned job result: status %d, want 404 unknown_job", resp.StatusCode)
 	}
 
-	srv.mu.Lock()
-	for id := range srv.jobs {
-		if strings.HasPrefix(id, "filler-") {
-			delete(srv.jobs, id)
-		}
-	}
-	srv.order = nil
-	srv.mu.Unlock()
 	srv.Close()
 	if _, err := os.Stat(spoolDir); !os.IsNotExist(err) {
 		t.Fatalf("temp spool dir survives Close: %v", err)

@@ -1,0 +1,115 @@
+package main
+
+import (
+	"encoding/json"
+	"testing"
+	"time"
+
+	"repro/internal/engine"
+	"repro/internal/obs"
+)
+
+// park puts a synthetic job straight into the table, bypassing the
+// queue, and applies retention as a finish would. A test pins a state
+// with it — a running job holding a quota slot, a queued one with no
+// timeline — without a timing-dependent reconstruction.
+func (t *jobs) park(j job) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n, ok := jobSeq(j.ID); ok && n > t.nextID {
+		t.nextID = n
+	}
+	t.table[j.ID] = &j
+	t.order = append(t.order, j.ID)
+	t.prune()
+}
+
+// TestJobTransitions walks every (from, to) pair of states through the
+// transition function, live and in replay, then replays a journal with
+// two finish records for one ID in both orders: the last one sets the
+// state, and fields only the earlier one wrote survive it.
+func TestJobTransitions(t *testing.T) {
+	legal := map[bool]map[string]bool{
+		false: {"queued>running": true, "running>done": true, "running>failed": true},
+		true: {
+			"queued>done": true, "queued>failed": true, "done>done": true,
+			"done>failed": true, "failed>done": true, "failed>failed": true,
+		},
+	}
+	states := []string{stateQueued, stateRunning, stateDone, stateFailed}
+	for _, replay := range []bool{false, true} {
+		for _, from := range states {
+			for _, to := range states {
+				j := &job{ID: "job-1", State: from}
+				panicked := func() (p bool) {
+					defer func() { p = recover() != nil }()
+					transition(j, to, replay)
+					return false
+				}()
+				want := legal[replay][from+">"+to]
+				switch {
+				case want && (panicked || j.State != to):
+					t.Errorf("replay=%v %s -> %s: legal edge not applied (panic %v, state %s)", replay, from, to, panicked, j.State)
+				case !want && (!panicked || j.State != from):
+					t.Errorf("replay=%v %s -> %s: illegal edge did not panic (state %s)", replay, from, to, j.State)
+				}
+			}
+		}
+	}
+
+	t0 := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	at := func(s int) time.Time { return t0.Add(time.Duration(s) * time.Second) }
+	sub := func(id string, s int) journalRecord {
+		return journalRecord{Op: journalSubmit, ID: id, Time: at(s), Spec: &engine.JobSpec{Name: id, In: id + ".csv"},
+			Tenant: "alice", TraceID: "trace-" + id}
+	}
+	recs := []journalRecord{
+		sub("job-1", 1), sub("job-2", 2), sub("job-3", 3), sub("job-4", 4), sub("job-5", 5),
+		{Op: journalDone, ID: "job-1", Time: at(11), OutPath: "jobs.go", Report: &jobReport{Requests: 10}, TraceID: "trace-run-1"},
+		{Op: journalFail, ID: "job-2", Time: at(12), Error: "boom", TraceID: "trace-run-2"},
+		// Done, then fail: the fail wins and keeps the done fields.
+		{Op: journalDone, ID: "job-3", Time: at(13), OutPath: "jobs.go", Cached: true, Report: &jobReport{Requests: 3}},
+		{Op: journalFail, ID: "job-3", Time: at(14), Error: "late"},
+		// Fail, then done with its result file gone: the done wins.
+		{Op: journalFail, ID: "job-4", Time: at(15), Error: "early"},
+		{Op: journalDone, ID: "job-4", Time: at(16), OutPath: "no-such-result.csv", Report: &jobReport{Requests: 4}},
+		{Op: journalDone, ID: "job-9", Time: at(17), OutPath: "jobs.go"},
+		{Op: "bogus", ID: "job-1", Time: at(18)},
+		sub("job-1", 19),
+		{Op: journalSubmit, ID: "job-8", Time: at(20)},
+	}
+	// No executors: the re-queued job-5 stays queued.
+	tbl := newJobs(obs.NewRegistry(), 0, 8, nil)
+	if restored, requeued := tbl.Replay(recs, nil, "", nil); restored != 5 || requeued != 1 {
+		t.Fatalf("Replay = %d restored, %d requeued; want 5, 1", restored, requeued)
+	}
+	want := map[string]string{
+		"job-1": `{"id":"job-1","name":"job-1","state":"done","submitted":"2026-01-02T03:04:06Z","finished":"2026-01-02T03:04:16Z","spec":{"name":"job-1","in":"job-1.csv"},"tenant":"alice",` +
+			`"report":{"requests":10,"workers":0,"idle_count":0,"idle_total_us":0,"async_count":0},"out_path":"jobs.go","result_url":"/v1/jobs/job-1/result","trace_id":"trace-run-1"}`,
+		"job-2": `{"id":"job-2","name":"job-2","state":"failed","error":"boom","submitted":"2026-01-02T03:04:07Z","finished":"2026-01-02T03:04:17Z","spec":{"name":"job-2","in":"job-2.csv"},"tenant":"alice","trace_id":"trace-job-2"}`,
+		"job-3": `{"id":"job-3","name":"job-3","state":"failed","error":"late","submitted":"2026-01-02T03:04:08Z","finished":"2026-01-02T03:04:19Z","spec":{"name":"job-3","in":"job-3.csv"},"tenant":"alice","cached":true,` +
+			`"report":{"requests":3,"workers":0,"idle_count":0,"idle_total_us":0,"async_count":0},"out_path":"jobs.go","result_url":"/v1/jobs/job-3/result","trace_id":"trace-job-3"}`,
+		"job-4": `{"id":"job-4","name":"job-4","state":"done","error":"early","submitted":"2026-01-02T03:04:09Z","finished":"2026-01-02T03:04:21Z","spec":{"name":"job-4","in":"job-4.csv"},"tenant":"alice",` +
+			`"report":{"requests":4,"workers":0,"idle_count":0,"idle_total_us":0,"async_count":0},"trace_id":"trace-job-4"}`,
+		"job-5": `{"id":"job-5","name":"job-5","state":"queued","submitted":"2026-01-02T03:04:10Z","spec":{"name":"job-5","in":"job-5.csv"},"tenant":"alice","trace_id":"trace-job-5"}`,
+	}
+	page := tbl.List(-1, 100)
+	if len(page.Jobs) != len(want) {
+		t.Fatalf("replayed %d jobs, want %d", len(page.Jobs), len(want))
+	}
+	for _, j := range page.Jobs {
+		got, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want[j.ID] {
+			t.Errorf("%s replayed to\n%s\nwant\n%s", j.ID, got, want[j.ID])
+		}
+	}
+	// The highest submitted sequence number seeds the next ID.
+	next, err := tbl.Submit(engine.JobSpec{In: "next.csv"}, "", anonTenant, obs.TraceContext{}, 0)
+	if err != nil || next.ID != "job-6" {
+		t.Fatalf("Submit after replay = %q, %v; want job-6", next.ID, err)
+	}
+	tbl.Close(0)
+}

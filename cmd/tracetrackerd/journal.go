@@ -127,16 +127,18 @@ func (j *journal) append(rec journalRecord) {
 	}
 }
 
-// close flushes and closes the journal; later appends are dropped.
-func (j *journal) close() {
+// close flushes and closes the journal, reporting whether this call did;
+// later appends are dropped.
+func (j *journal) close() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		return
+		return false
 	}
 	j.closed = true
 	j.f.Sync()
 	j.f.Close()
+	return true
 }
 
 // compactAndClose atomically rewrites the journal to exactly recs and
@@ -144,17 +146,11 @@ func (j *journal) close() {
 // records, so the journal stays bounded by the retention caps instead
 // of growing with the daemon's whole history. On any failure the
 // existing journal is left as it was — replay tolerates the longer
-// form.
+// form. A closed journal takes no appends, so the rewrite needs no lock.
 func (j *journal) compactAndClose(recs []journalRecord) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
+	if !j.close() {
 		return
 	}
-	j.closed = true
-	j.f.Sync()
-	j.f.Close()
-
 	var buf []byte
 	for _, rec := range recs {
 		data, err := json.Marshal(rec)

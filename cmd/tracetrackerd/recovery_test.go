@@ -394,7 +394,7 @@ func TestRecoveryServesEveryDoneJob(t *testing.T) {
 		before[kind] = getBody(t, ts1.URL+j.ResultURL)
 	}
 	// Kill: the journal keeps its append-only form.
-	srv1.jnl.close()
+	srv1.jobs.jnl.close()
 	ts1.Close()
 	srv1.Close()
 

@@ -173,7 +173,7 @@ func TestSlowLorisDisconnected(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if queued, running := srv.countStates(); queued != 0 || running != 0 {
+	if _, queued, running := srv.jobs.counts(); queued != 0 || running != 0 {
 		t.Fatalf("slow loris consumed executor slots: %d queued, %d running", queued, running)
 	}
 	if n := srv.store.Len(); n != 0 {
@@ -293,7 +293,7 @@ func TestJournalTornTailReplay(t *testing.T) {
 	// The disk fills: the next submit's journal append tears after 10
 	// bytes, and the finish append fails outright.
 	fi := faultfs.New()
-	srv.jnl.setFaults(fi)
+	srv.jobs.jnl.setFaults(fi)
 	fi.FailShort(faultfs.SinkJournal, 10, syscall.ENOSPC)
 	id2 := postJob(t, ts, engine.JobSpec{In: "corpus:" + digest, Device: "ssd"})
 	waitDone(t, ts, id2) // the daemon serves on despite the journal fault
@@ -307,7 +307,7 @@ func TestJournalTornTailReplay(t *testing.T) {
 
 	// Crash without the clean-shutdown compaction, leaving the torn
 	// tail in place.
-	srv.jnl.close()
+	srv.jobs.jnl.close()
 	ts.Close()
 	srv.Close()
 	raw, err := os.ReadFile(filepath.Join(dataDir, "journal.jsonl"))

@@ -14,104 +14,22 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/apicode"
 	"repro/internal/corpus"
-	"repro/internal/device"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/trace"
-)
-
-// Job states.
-const (
-	stateQueued  = "queued"
-	stateRunning = "running"
-	stateDone    = "done"
-	stateFailed  = "failed"
 )
 
 // corpusScheme prefixes job inputs that name an ingested trace by
 // digest instead of a server-side path.
 const corpusScheme = "corpus:"
 
-// job is one queued batch reconstruction and its lifecycle record.
-type job struct {
-	ID        string         `json:"id"`
-	Name      string         `json:"name"`
-	State     string         `json:"state"`
-	Error     string         `json:"error,omitempty"`
-	Submitted time.Time      `json:"submitted"`
-	Started   *time.Time     `json:"started,omitempty"`
-	Finished  *time.Time     `json:"finished,omitempty"`
-	Spec      engine.JobSpec `json:"spec"`
-	// Digest is the corpus input digest for corpus: jobs ("" for
-	// server-side path inputs).
-	Digest string `json:"digest,omitempty"`
-	// Tenant is the submitting identity (anonTenant in anonymous
-	// mode); concurrent-jobs quotas count a tenant's live jobs by it.
-	Tenant string `json:"tenant,omitempty"`
-	// Cached reports the result came from the result cache without a
-	// reconstruction.
-	Cached    bool       `json:"cached,omitempty"`
-	Report    *jobReport `json:"report,omitempty"`
-	OutPath   string     `json:"out_path,omitempty"`
-	ResultURL string     `json:"result_url,omitempty"`
-	// TraceID is the W3C trace the job's span timeline files under —
-	// the submitting request's trace, so a client propagating
-	// traceparent finds its job in its own distributed trace. TraceURL
-	// appears once a timeline is in the flight recorder.
-	TraceID  string `json:"trace_id,omitempty"`
-	TraceURL string `json:"trace_url,omitempty"`
-
-	// traceParent is the submit request's trace position (parent of
-	// the job's root span). Zero for journal-restored jobs, which keep
-	// only the trace ID.
-	traceParent obs.TraceContext
-}
-
-// jobReport is the JSON projection of an engine report.
-type jobReport struct {
-	Requests    int64   `json:"requests"`
-	Shards      int     `json:"shards,omitempty"`
-	Workers     int     `json:"workers"`
-	IdleCount   int     `json:"idle_count"`
-	IdleTotalUS float64 `json:"idle_total_us"`
-	AsyncCount  int     `json:"async_count"`
-	BetaMicros  float64 `json:"beta_us_per_sector,omitempty"`
-	EtaMicros   float64 `json:"eta_us_per_sector,omitempty"`
-	// DeviceStats are the replay target's own end-of-run counters
-	// (FTL write amplification, host-stack cache hit rate, ...); empty
-	// for targets that report none.
-	DeviceStats []device.Stat `json:"device_stats,omitempty"`
-}
-
-func newJobReport(r *engine.Report) *jobReport {
-	if r == nil {
-		return nil
-	}
-	jr := &jobReport{
-		Requests:    r.Requests,
-		Shards:      r.Shards,
-		Workers:     r.Workers,
-		IdleCount:   r.IdleCount,
-		IdleTotalUS: float64(r.IdleTotal) / float64(time.Microsecond),
-		AsyncCount:  r.AsyncCount,
-		DeviceStats: r.DeviceStats,
-	}
-	if r.Model != nil {
-		jr.BetaMicros = r.Model.BetaMicros
-		jr.EtaMicros = r.Model.EtaMicros
-	}
-	return jr
-}
-
-// server is the tracetrackerd HTTP API: a bounded pool of job
-// executors over the sharded reconstruction engine, backed (when a
-// data directory is attached) by the content-addressed corpus store,
-// its result cache, and a crash-recovery journal.
+// server is the tracetrackerd HTTP API over the job lifecycle (jobs)
+// and, when a data directory is attached, the content-addressed corpus
+// store and its result cache; execute runs each job on the engine.
 //
 // The API lives under /v1 and nowhere else; only /healthz and /metrics
 // sit at the root. Every non-2xx response carries the structured
@@ -135,16 +53,6 @@ func newJobReport(r *engine.Report) *jobReport {
 // the spec's out path, or a spool file the daemon assigns to path jobs
 // that name none — and the result endpoint serves that file. Nothing
 // of a result stays in memory.
-const (
-	// retainJobs caps job metadata records; the oldest finished jobs
-	// beyond it are forgotten entirely, their spool files with them.
-	retainJobs = 4096
-	// defaultQueueCap bounds the executor queue; submissions beyond it
-	// shed with 429 queue_full rather than blocking or growing without
-	// bound (-queue overrides).
-	defaultQueueCap = 1024
-)
-
 type server struct {
 	base engine.Config
 	mux  *http.ServeMux
@@ -164,32 +72,19 @@ type server struct {
 	started  time.Time
 	revision string
 
-	// Job outcome counters; /healthz reads these, so its executed and
-	// cache_hits fields are views of the same registry series.
-	jobsExecuted *obs.Counter
-	jobsCached   *obs.Counter
-	jobsFailed   *obs.Counter
-	slowJobs     *obs.Counter
-
 	// flight holds recent job timelines for GET /v1/jobs/{id}/trace;
 	// slowJob, when > 0, is the wall-time threshold past which a
-	// finished job logs its slowest spans (set before serving).
-	flight  *obs.FlightRecorder
-	slowJob time.Duration
-	// Journal replay counters (set during openData).
-	replayedJobs *obs.Counter
-	requeuedJobs *obs.Counter
+	// finished job logs its slowest spans (set before serving), and
+	// slowJobs counts those jobs.
+	flight   *obs.FlightRecorder
+	slowJob  time.Duration
+	slowJobs *obs.Counter
 
-	// store and jnl are attached by openData before serving (nil when
-	// the daemon runs without -data); immutable afterwards.
+	// jobs is the job lifecycle; its executors run execute.
+	jobs *jobs
+	// store is attached by openData before serving (nil when the
+	// daemon runs without -data); immutable afterwards.
 	store *corpus.Store
-	jnl   *journal
-	// spoolDir holds the results of path jobs submitted without an out
-	// path, one file per job ID: <data>/spool, so they survive a restart
-	// with the journal that names them, or — without -data (store is
-	// nil) — a process temp dir made on first use and removed at Close.
-	// guarded by mu
-	spoolDir string
 
 	// Admission control (see admission.go): identity, rate limits and
 	// quotas, configured before serving. maxUpload caps a corpus upload
@@ -198,28 +93,12 @@ type server struct {
 	adm       admission
 	maxUpload int64
 	rejected  func(reason, tenant string) *obs.Counter
-	// avgJobNs is an EWMA of recent job wall times; queue-full
-	// Retry-After derives from it and the backlog.
-	avgJobNs  atomic.Int64
-	queueCap  int
-	executors int
 
-	mu     sync.Mutex
-	jobs   map[string]*job // guarded by mu
-	order  []string        // guarded by mu
-	nextID int             // guarded by mu
-	closed bool            // guarded by mu
+	mu sync.Mutex
 	// corpusUsed is the per-tenant ingested corpus bytes (rebuilt from
 	// entry sidecars by openData, maintained on upload) backing the
 	// corpus-bytes quota. guarded by mu
 	corpusUsed map[string]int64
-
-	queue chan *job
-	wg    sync.WaitGroup
-	// stopRequeue aborts a journal-replay enqueue still in progress at
-	// shutdown; requeueDone is closed when that enqueue has stopped.
-	stopRequeue chan struct{}
-	requeueDone chan struct{}
 }
 
 // newServer builds a server executing up to concurrent jobs at once,
@@ -237,35 +116,18 @@ func newServerCap(base engine.Config, concurrent, queueCap int) *server {
 	if queueCap <= 0 {
 		queueCap = defaultQueueCap
 	}
-	requeueDone := make(chan struct{})
-	close(requeueDone) // no replay in progress until openData
 	s := &server{
-		base:        base,
-		mux:         http.NewServeMux(),
-		jobs:        make(map[string]*job),
-		corpusUsed:  make(map[string]int64),
-		queue:       make(chan *job, queueCap),
-		queueCap:    queueCap,
-		executors:   concurrent,
-		stopRequeue: make(chan struct{}),
-		requeueDone: requeueDone,
-		started:     time.Now(),
-		revision:    buildRevision(),
+		base:       base,
+		mux:        http.NewServeMux(),
+		corpusUsed: make(map[string]int64),
+		started:    time.Now(),
+		revision:   buildRevision(),
 	}
 	s.reg = obs.NewRegistry()
 	s.em = obs.NewEngineMetrics(s.reg)
 	s.base.Metrics = s.em // every job engine derives from base and shares the hook
 	s.hm = obs.NewHTTPMetrics(s.reg, "daemon")
-	s.jobsExecuted = s.reg.Counter("daemon_jobs_total",
-		"Finished jobs by outcome.", obs.Labels{"outcome": "executed"})
-	s.jobsCached = s.reg.Counter("daemon_jobs_total",
-		"Finished jobs by outcome.", obs.Labels{"outcome": "cached"})
-	s.jobsFailed = s.reg.Counter("daemon_jobs_total",
-		"Finished jobs by outcome.", obs.Labels{"outcome": "failed"})
-	s.replayedJobs = s.reg.Counter("daemon_journal_replayed_jobs_total",
-		"Jobs restored from the journal at startup.", nil)
-	s.requeuedJobs = s.reg.Counter("daemon_journal_requeued_jobs_total",
-		"Interrupted jobs re-queued from the journal at startup.", nil)
+	s.jobs = newJobs(s.reg, concurrent, queueCap, s.execute)
 	s.slowJobs = s.reg.Counter("daemon_slow_jobs_total",
 		"Jobs whose wall time crossed the slow-job threshold.", nil)
 	s.flight = obs.NewFlightRecorder(obs.DefaultFlightRecorderCapacity)
@@ -280,21 +142,17 @@ func newServerCap(base engine.Config, concurrent, queueCap int) *server {
 	}
 	obs.RegisterRuntimeMetrics(s.reg)
 	s.reg.GaugeFunc("daemon_queue_depth", "Jobs waiting in the executor queue.", nil,
-		func() float64 { return float64(len(s.queue)) })
+		func() float64 { return float64(len(s.jobs.queue)) })
 	s.reg.GaugeFunc("daemon_queue_capacity", "Executor queue capacity; submissions beyond it shed with 429.", nil,
-		func() float64 { return float64(s.queueCap) })
+		func() float64 { return float64(queueCap) })
 	s.reg.GaugeFunc("daemon_rate_tenants", "Tenants with live rate-limit or jobs/min bucket state.", nil,
 		func() float64 { return float64(s.adm.trackedTenants()) })
 	s.reg.GaugeFunc("daemon_jobs_running", "Jobs currently executing.", nil,
-		func() float64 { _, running := s.countStates(); return float64(running) })
+		func() float64 { _, _, running := s.jobs.counts(); return float64(running) })
 	s.reg.GaugeFunc("daemon_uptime_seconds", "Seconds since the daemon started.", nil,
 		func() float64 { return time.Since(s.started).Seconds() })
 	s.setLogger(obs.NopLogger())
 	s.mountRoutes()
-	for i := 0; i < concurrent; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
@@ -449,21 +307,6 @@ func (s *server) enablePprof() {
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// countStates scans job states under the lock (queued, running).
-func (s *server) countStates() (queued, running int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range s.jobs {
-		switch j.State {
-		case stateQueued:
-			queued++
-		case stateRunning:
-			running++
-		}
-	}
-	return queued, running
-}
-
 // buildRevision is the VCS revision stamped into the binary ("dev"
 // outside a git build) — surfaced in /healthz so an operator can tell
 // which build answered.
@@ -479,10 +322,8 @@ func buildRevision() string {
 }
 
 // openData attaches the corpus store, result cache, result spool and
-// job journal rooted at dir, then replays the journal: finished jobs
-// are restored (their results resolve from the recorded output path —
-// the spec's, or the spool's — or the result cache), interrupted ones
-// re-queue. Call before serving traffic.
+// job journal rooted at dir, then replays the journal. Call before
+// serving traffic.
 func (s *server) openData(dir string) error {
 	store, err := corpus.Open(dir)
 	if err != nil {
@@ -501,12 +342,10 @@ func (s *server) openData(dir string) error {
 		return err
 	}
 	s.store = store
-	s.jnl = jnl
 	// Rebuild the per-tenant corpus usage backing the corpus-bytes
 	// quota from the entry sidecars (entries older than tenant
 	// attribution count against the anonymous tenant).
 	s.mu.Lock()
-	s.spoolDir = spool
 	for _, e := range store.Entries() {
 		tenant := e.Tenant
 		if tenant == "" {
@@ -515,114 +354,10 @@ func (s *server) openData(dir string) error {
 		s.corpusUsed[tenant] += e.Size
 	}
 	s.mu.Unlock()
-	s.replay(recs)
+	if restored, requeued := s.jobs.Replay(recs, jnl, spool, store); restored > 0 {
+		s.log.Info("journal replayed", "jobs", restored, "requeued", requeued)
+	}
 	return nil
-}
-
-// replay rebuilds job state from journal records.
-func (s *server) replay(recs []journalRecord) {
-	var requeue []*job
-	s.mu.Lock()
-	for _, rec := range recs {
-		switch rec.Op {
-		case journalSubmit:
-			if rec.Spec == nil || rec.ID == "" {
-				continue
-			}
-			if suffix, ok := strings.CutPrefix(rec.ID, "job-"); ok {
-				if n, err := strconv.Atoi(suffix); err == nil && n > s.nextID {
-					s.nextID = n
-				}
-			}
-			if _, dup := s.jobs[rec.ID]; dup {
-				continue
-			}
-			j := &job{
-				ID:        rec.ID,
-				Name:      rec.Spec.Name,
-				State:     stateQueued,
-				Submitted: rec.Time,
-				Spec:      *rec.Spec,
-				Digest:    rec.Digest,
-				Tenant:    rec.Tenant,
-				TraceID:   rec.TraceID,
-			}
-			s.jobs[j.ID] = j
-			s.order = append(s.order, j.ID)
-		case journalDone:
-			j, ok := s.jobs[rec.ID]
-			if !ok {
-				continue
-			}
-			t := rec.Time
-			j.State = stateDone
-			j.Finished = &t
-			j.Report = rec.Report
-			j.Cached = rec.Cached
-			if rec.TraceID != "" {
-				// The timeline itself lived in the old process's flight
-				// recorder; the trace ID still names the distributed
-				// trace the job ran under.
-				j.TraceID = rec.TraceID
-			}
-			j.OutPath = ""
-			if rec.OutPath != "" {
-				if _, err := os.Stat(rec.OutPath); err == nil {
-					j.OutPath = rec.OutPath
-				}
-			}
-			if j.OutPath == "" && rec.Key != "" && s.store != nil {
-				if p, _, ok := s.store.LookupResult(rec.Key); ok {
-					j.OutPath = p
-					j.Cached = true
-				}
-			}
-			if j.OutPath != "" {
-				j.ResultURL = "/v1/jobs/" + j.ID + "/result"
-			}
-		case journalFail:
-			j, ok := s.jobs[rec.ID]
-			if !ok {
-				continue
-			}
-			t := rec.Time
-			j.State = stateFailed
-			j.Finished = &t
-			j.Error = rec.Error
-		}
-	}
-	for _, id := range s.order {
-		if j := s.jobs[id]; j.State == stateQueued {
-			requeue = append(requeue, j)
-		}
-	}
-	restored := len(s.order)
-	s.mu.Unlock()
-	s.replayedJobs.Add(int64(restored))
-	s.requeuedJobs.Add(int64(len(requeue)))
-	if restored > 0 {
-		s.log.Info("journal replayed", "jobs", restored, "requeued", len(requeue))
-	}
-	if len(requeue) == 0 {
-		return
-	}
-	// Enqueue in the background: a backlog larger than the queue
-	// buffer must not block startup (the listener comes up after
-	// replay). Shutdown aborts the enqueue via stopRequeue; jobs not
-	// yet enqueued stay submit-only in the journal and re-run on the
-	// next start.
-	done := make(chan struct{})
-	s.requeueDone = done
-	go func() {
-		defer close(done)
-		for _, j := range requeue {
-			select {
-			case s.queue <- j:
-			case <-s.stopRequeue:
-				return
-			}
-		}
-	}()
 }
 
 // ServeHTTP implements http.Handler: every request passes through the
@@ -631,270 +366,60 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
 }
 
-// Close stops accepting submissions and waits for the executors to
-// finish every queued and running job.
+// Close is CloseGrace without a deadline.
 func (s *server) Close() { s.CloseGrace(0) }
 
-// CloseGrace stops accepting submissions and drains the executors,
-// waiting at most d (<=0 = forever). It reports whether the drain
-// completed; on false, still-running jobs keep only a submit record in
-// the journal and therefore re-run on the next start. The journal is
-// flushed and closed either way, and a daemon without -data removes
-// its temporary result spool: its results end with the process.
-func (s *server) CloseGrace(d time.Duration) bool {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return true
-	}
-	s.closed = true
-	s.mu.Unlock()
-	// Stop a replay enqueue before closing the queue — its sends are
-	// the only ones outside s.mu. handleSubmit sends under s.mu after
-	// checking closed, so no other send can race the close.
-	close(s.stopRequeue)
-	<-s.requeueDone
-	close(s.queue)
+// CloseGrace is jobs.Close: a drain bounded by d (<=0 = forever).
+func (s *server) CloseGrace(d time.Duration) bool { return s.jobs.Close(d) }
 
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	drained := true
-	if d > 0 {
-		select {
-		case <-done:
-		case <-time.After(d):
-			drained = false
+// execute runs one job on the engine and returns its finish record.
+// A corpus job whose result is in the result cache short-circuits; the
+// job's timeline parks in the flight recorder however it ends.
+func (s *server) execute(j job) journalRecord {
+	s.log.Info("job started", "job", j.ID, "name", j.Name, "method", j.Spec.Method)
+	// Each job records into its own tracer on an engine config derived
+	// from the shared base.
+	tracer := obs.NewTracer(j.ID+" "+j.Name, 0, j.traceParent)
+	cfg := s.base
+	cfg.Trace = tracer
+	var res *engine.JobResult
+	var err error
+	hit := false
+	spec := j.Spec
+	if j.Digest != "" {
+		if s.store == nil {
+			err = fmt.Errorf("job %s has corpus input but the daemon runs without -data", j.ID)
+		} else if spec.In, err = s.store.BlobPath(j.Digest); err == nil {
+			res, hit, err = engine.RunJobCached(cfg, spec, j.Digest, s.store)
 		}
 	} else {
-		<-done
-	}
-	if s.store == nil {
-		s.mu.Lock()
-		tempSpool := s.spoolDir
-		s.mu.Unlock()
-		if tempSpool != "" {
-			os.RemoveAll(tempSpool)
+		if spec.Out == "" {
+			spec.Out, err = s.jobs.spoolPath(j.ID)
+		}
+		if err == nil {
+			res, err = engine.RunJob(cfg, spec)
 		}
 	}
-	if s.jnl != nil {
-		if drained {
-			// Clean shutdown: rewrite the journal to just the retained
-			// jobs so it stays bounded across the daemon's lifetime.
-			s.jnl.compactAndClose(s.journalSnapshot())
-		} else {
-			// Executors may still be running; leave the append-only
-			// form so their interrupted jobs re-run on the next start.
-			s.jnl.close()
-		}
-	}
-	return drained
-}
 
-// journalSnapshot rebuilds the minimal journal for the retained jobs:
-// one submit record each, plus a finish record for completed ones. The
-// caller must have drained the executors.
-func (s *server) journalSnapshot() []journalRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	recs := make([]journalRecord, 0, 2*len(s.order))
-	for _, id := range s.order {
-		j := s.jobs[id]
-		recs = append(recs, journalRecord{
-			Op: journalSubmit, ID: j.ID, Time: j.Submitted, Spec: &j.Spec, Digest: j.Digest,
-			Tenant: j.Tenant, TraceID: j.TraceID,
-		})
-		fin := j.Submitted
-		if j.Finished != nil {
-			fin = *j.Finished
-		}
-		switch j.State {
-		case stateDone:
-			key := ""
-			if j.Digest != "" {
-				// Same key the executor used: the fingerprint ignores
-				// the In form, so the corpus: spec digests identically.
-				key = engine.CacheKey(j.Digest, j.Spec)
-			}
-			recs = append(recs, journalRecord{
-				Op: journalDone, ID: j.ID, Time: fin,
-				Key: key, OutPath: j.OutPath, Cached: j.Cached, Report: j.Report,
-				TraceID: j.TraceID,
-			})
-		case stateFailed:
-			recs = append(recs, journalRecord{
-				Op: journalFail, ID: j.ID, Time: fin, Error: j.Error,
-			})
-		}
+	fin := time.Now()
+	wall := fin.Sub(*j.Started)
+	jt := tracer.Finish()
+	s.flight.Add(j.ID, jt)
+	rec := journalRecord{Op: journalDone, ID: j.ID, Time: fin, TraceID: jt.TraceID}
+	if err != nil {
+		rec.Op, rec.Error = journalFail, err.Error()
+		s.log.Warn("job failed", "job", j.ID, "error", err, "duration", wall)
+	} else {
+		rec.OutPath, rec.Cached, rec.Report = res.OutPath, hit, newJobReport(res.Report)
+		s.log.Info("job finished", "job", j.ID, "cached", hit, "duration", wall)
 	}
-	return recs
-}
-
-// worker executes queued jobs one at a time, short-circuiting corpus
-// jobs whose (input digest, spec fingerprint) key is already in the
-// result cache.
-func (s *server) worker() {
-	defer s.wg.Done()
-	for j := range s.queue {
-		now := time.Now()
-		s.mu.Lock()
-		j.State = stateRunning
-		j.Started = &now
-		parent := j.traceParent
-		if !parent.Valid() && j.TraceID != "" {
-			// Journal-restored job: keep its trace ID, no parent span.
-			parent = obs.TraceContext{TraceID: j.TraceID}
-		}
-		s.mu.Unlock()
-		s.log.Info("job started", "job", j.ID, "name", j.Name, "method", j.Spec.Method)
-
-		// Each job records into its own tracer on an engine config
-		// derived from the shared base; the timeline parks in the
-		// flight recorder however the job ends.
-		tracer := obs.NewTracer(j.ID+" "+j.Name, 0, parent)
-		cfg := s.base
-		cfg.Trace = tracer
-
-		var res *engine.JobResult
-		var err error
-		hit := false
-		key := ""
-		runSpec := j.Spec
-		if j.Digest != "" {
-			if s.store == nil {
-				err = fmt.Errorf("job %s has corpus input but the daemon runs without -data", j.ID)
-			} else if p, perr := s.store.BlobPath(j.Digest); perr != nil {
-				err = perr
-			} else {
-				runSpec.In = p
-				key = engine.CacheKey(j.Digest, runSpec)
-				res, hit, err = engine.RunJobCached(cfg, runSpec, j.Digest, s.store)
-			}
-		} else {
-			if runSpec.Out == "" {
-				runSpec.Out, err = s.spoolPath(j.ID)
-			}
-			if err == nil {
-				res, err = engine.RunJob(cfg, runSpec)
-			}
-		}
-
-		fin := time.Now()
-		// Fold the wall time into the EWMA feeding queue-full
-		// Retry-After (racy read-modify-write is fine: it is a hint).
-		wall := fin.Sub(now).Nanoseconds()
-		if old := s.avgJobNs.Load(); old > 0 {
-			wall = (3*old + wall) / 4
-		}
-		s.avgJobNs.Store(wall)
-		jt := tracer.Finish()
-		s.flight.Add(j.ID, jt)
-		rec := journalRecord{ID: j.ID, Time: fin, Key: key, Cached: hit, TraceID: jt.TraceID}
-		s.mu.Lock()
-		j.Finished = &fin
-		j.TraceID = jt.TraceID
-		j.TraceURL = "/v1/jobs/" + j.ID + "/trace"
-		if err != nil {
-			s.jobsFailed.Inc()
-			j.State = stateFailed
-			j.Error = err.Error()
-			rec.Op = journalFail
-			rec.Error = j.Error
-		} else {
-			if hit {
-				s.jobsCached.Inc()
-			} else {
-				s.jobsExecuted.Inc()
-			}
-			j.State = stateDone
-			j.Cached = hit
-			j.Report = newJobReport(res.Report)
-			j.OutPath = res.OutPath
-			j.ResultURL = "/v1/jobs/" + j.ID + "/result"
-			rec.Op = journalDone
-			rec.OutPath = res.OutPath
-			rec.Report = j.Report
-		}
-		s.prune()
-		s.mu.Unlock()
-		if err != nil {
-			s.log.Warn("job failed", "job", j.ID, "error", err, "duration", fin.Sub(now))
-		} else {
-			s.log.Info("job finished", "job", j.ID, "cached", hit, "duration", fin.Sub(now))
-		}
-		if wall := fin.Sub(now); s.slowJob > 0 && wall >= s.slowJob {
-			s.slowJobs.Inc()
-			s.log.Warn("slow job", "job", j.ID, "duration", wall,
-				"threshold", s.slowJob, "trace_id", jt.TraceID,
-				"slowest_spans", obs.SummarizeSpans(jt.SlowestSpans(5)))
-		}
-		if s.jnl != nil {
-			s.jnl.append(rec)
-		}
+	if s.slowJob > 0 && wall >= s.slowJob {
+		s.slowJobs.Inc()
+		s.log.Warn("slow job", "job", j.ID, "duration", wall,
+			"threshold", s.slowJob, "trace_id", jt.TraceID,
+			"slowest_spans", obs.SummarizeSpans(jt.SlowestSpans(5)))
 	}
-}
-
-// queueRetryAfter derives the queue-full Retry-After from load: the
-// time the executors need to work off the current backlog at the
-// recent average job duration, clamped to [1s, 2m]. Before any job
-// has finished, a conservative half-second average applies.
-func (s *server) queueRetryAfter() time.Duration {
-	avg := time.Duration(s.avgJobNs.Load())
-	if avg <= 0 {
-		avg = 500 * time.Millisecond
-	}
-	d := time.Duration(float64(avg) * float64(len(s.queue)+1) / float64(s.executors))
-	if d < time.Second {
-		d = time.Second
-	}
-	if d > 2*time.Minute {
-		d = 2 * time.Minute
-	}
-	return d
-}
-
-// spoolPath is where a path job submitted without an out path writes
-// its result: one file per job ID under the spool directory.
-func (s *server) spoolPath(id string) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.spoolDir == "" {
-		dir, err := os.MkdirTemp("", "tracetrackerd-spool-")
-		if err != nil {
-			return "", err
-		}
-		s.spoolDir = dir
-	}
-	return filepath.Join(s.spoolDir, id), nil
-}
-
-// prune enforces the retention bound; the caller holds s.mu. The
-// oldest finished job records beyond retainJobs are dropped, and a
-// dropped job's spool file goes with it (a result in the cache or at
-// the spec's out path is not the daemon's to delete).
-//
-//tracelint:holds mu
-func (s *server) prune() {
-	if len(s.order) <= retainJobs {
-		return
-	}
-	kept := s.order[:0]
-	drop := len(s.order) - retainJobs
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if drop > 0 && (j.State == stateDone || j.State == stateFailed) {
-			if j.Spec.Out == "" && j.Digest == "" && j.OutPath != "" {
-				os.Remove(j.OutPath)
-			}
-			delete(s.jobs, id)
-			drop--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.order = kept
+	return rec
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -953,79 +478,31 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, apicode.ShuttingDown, fmt.Errorf("server shutting down"))
-		return
-	}
-	// Concurrent-jobs quota, atomically with the enqueue below so
-	// parallel submits cannot slip past the count.
-	if q := s.adm.quota.ConcurrentJobs; q > 0 {
-		active := 0
-		for _, j := range s.jobs {
-			if j.Tenant == tenant && (j.State == stateQueued || j.State == stateRunning) {
-				active++
-			}
-		}
-		if active >= q {
-			s.mu.Unlock()
-			s.reject(w, "quota_concurrent_jobs", tenant, http.StatusForbidden, apicode.QuotaExceeded,
-				fmt.Errorf("tenant %q already has %d jobs queued or running (concurrent-jobs quota %d)", tenant, active, q))
-			return
-		}
-	}
-	s.nextID++
-	tc := obs.TraceContextFrom(r.Context())
-	j := &job{
-		ID:          fmt.Sprintf("job-%d", s.nextID),
-		Name:        spec.Name,
-		State:       stateQueued,
-		Submitted:   time.Now(),
-		Spec:        spec,
-		Digest:      digest,
-		Tenant:      tenant,
-		TraceID:     tc.TraceID,
-		traceParent: tc,
-	}
-	// The non-blocking send happens under s.mu so it is atomic with
-	// the closed check above (Close sets closed before closing the
-	// channel, under the same lock).
-	queued := false
-	select {
-	case s.queue <- j:
-		queued = true
-		s.jobs[j.ID] = j
-		s.order = append(s.order, j.ID)
-	default:
-	}
-	if queued && s.jnl != nil {
-		// Still under s.mu: a worker cannot pass its state-update lock
-		// (and so cannot journal this job's finish) until we release,
-		// which keeps the submit record strictly before its finish
-		// record — replay depends on that order.
-		s.jnl.append(journalRecord{
-			Op: journalSubmit, ID: j.ID, Time: j.Submitted, Spec: &j.Spec, Digest: j.Digest,
-			Tenant: j.Tenant, TraceID: j.TraceID,
-		})
-	}
-	// Captured under the lock: a fast job can finish (and the worker
-	// rewrite j's fields under s.mu) before this handler writes its
-	// response.
-	id, traceID := j.ID, j.TraceID
-	s.mu.Unlock()
-	if !queued {
-		// Shed rather than block: 429 with a load-derived Retry-After
-		// (time for the executors to work off the backlog), so a
-		// well-behaved client backs off proportionally to the overload.
-		w.Header().Set("Retry-After", retryAfterSeconds(s.queueRetryAfter()))
-		s.reject(w, "queue_full", tenant, http.StatusTooManyRequests, apicode.QueueFull,
-			fmt.Errorf("job queue full (%d queued); retry after the backlog drains", s.queueCap))
+	j, err := s.jobs.Submit(spec, digest, tenant, obs.TraceContextFrom(r.Context()), s.adm.quota.ConcurrentJobs)
+	if err != nil {
+		s.submitError(w, tenant, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(map[string]string{"id": id, "status_url": "/v1/jobs/" + id, "trace_id": traceID})
+	json.NewEncoder(w).Encode(map[string]string{"id": j.ID, "status_url": "/v1/jobs/" + j.ID, "trace_id": j.TraceID})
+}
+
+// submitError maps a Submit refusal onto the error contract.
+func (s *server) submitError(w http.ResponseWriter, tenant string, err error) {
+	switch {
+	case errors.Is(err, errClosed):
+		httpError(w, http.StatusServiceUnavailable, apicode.ShuttingDown, err)
+	case errors.Is(err, errQuota):
+		s.reject(w, "quota_concurrent_jobs", tenant, http.StatusForbidden, apicode.QuotaExceeded, err)
+	case errors.Is(err, errQueueFull):
+		// Shed rather than block: 429 with a load-derived Retry-After
+		// (time for the executors to work off the backlog), so a
+		// well-behaved client backs off proportionally to the overload.
+		w.Header().Set("Retry-After", retryAfterSeconds(s.jobs.retryAfter()))
+		s.reject(w, "queue_full", tenant, http.StatusTooManyRequests, apicode.QueueFull,
+			fmt.Errorf("job queue full (%d queued); retry after the backlog drains", cap(s.jobs.queue)))
+	}
 }
 
 // List pagination bounds: pages default to defaultListLimit jobs and
@@ -1034,23 +511,6 @@ const (
 	defaultListLimit = 100
 	maxListLimit     = 1000
 )
-
-// jobPage is the GET /v1/jobs response: one page of jobs, newest
-// first, plus the cursor for the next page when more remain.
-type jobPage struct {
-	Jobs      []job  `json:"jobs"`
-	NextAfter string `json:"next_after,omitempty"`
-}
-
-// jobSeq extracts the monotonic sequence number from a job ID.
-func jobSeq(id string) (int, bool) {
-	suffix, ok := strings.CutPrefix(id, "job-")
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.Atoi(suffix)
-	return n, err == nil && n > 0
-}
 
 func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
@@ -1067,11 +527,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	// The cursor is the ID of the last job on the previous page. Jobs
-	// are compared by their monotonic sequence number, so the walk is
-	// stable under concurrent submissions: new jobs only ever appear
-	// before the cursor (on page one), never shifted into later pages —
-	// and a pruned cursor job still orders the remainder correctly.
+	// The cursor is the ID of the last job on the previous page.
 	afterSeq := -1
 	if after := q.Get("after"); after != "" {
 		n, ok := jobSeq(after)
@@ -1082,53 +538,26 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		afterSeq = n
 	}
-	// Snapshot under the lock, marshal outside it: serializing
-	// hundreds of retained records must not stall workers flipping
-	// job states.
-	s.mu.Lock()
-	page := jobPage{Jobs: []job{}}
-	for i := len(s.order) - 1; i >= 0; i-- {
-		id := s.order[i]
-		if afterSeq >= 0 {
-			if n, ok := jobSeq(id); !ok || n >= afterSeq {
-				continue
-			}
-		}
-		if len(page.Jobs) == limit {
-			page.NextAfter = page.Jobs[len(page.Jobs)-1].ID
-			break
-		}
-		page.Jobs = append(page.Jobs, *s.jobs[id])
+	// List copies under the lock and the page marshals outside it:
+	// serializing hundreds of retained records must not stall workers
+	// flipping job states.
+	writeMarshaled(w, s.jobs.List(afterSeq, limit))
+}
+
+// lookupJob copies the job the path names, or answers 404 unknown_job.
+func (s *server) lookupJob(w http.ResponseWriter, r *http.Request) (job, bool) {
+	id := r.PathValue("id")
+	j, ok := s.jobs.Get(id)
+	if !ok {
+		httpError(w, http.StatusNotFound, apicode.UnknownJob, fmt.Errorf("unknown job %q", id))
 	}
-	s.mu.Unlock()
-	data, err := json.Marshal(page)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, apicode.Internal, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	return j, ok
 }
 
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	var data []byte
-	var err error
-	if ok {
-		data, err = json.Marshal(j)
+	if j, ok := s.lookupJob(w, r); ok {
+		writeMarshaled(w, j)
 	}
-	s.mu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, apicode.UnknownJob, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
-	}
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, apicode.Internal, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
 }
 
 // handleResult serves a finished job's result. Every finished job is
@@ -1137,29 +566,19 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // with it, and the body goes out by sendfile, because the obs
 // middleware's writer forwards ReadFrom to the connection.
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	var state, outPath string
-	if ok {
-		state, outPath = j.State, j.OutPath
-	}
-	s.mu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, apicode.UnknownJob, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
-	}
-	if state != stateDone {
-		httpError(w, http.StatusConflict, apicode.JobNotFinished, fmt.Errorf("job is %s", state))
-		return
-	}
-	if outPath == "" {
+	j, ok := s.lookupJob(w, r)
+	switch {
+	case !ok:
+	case j.State != stateDone:
+		httpError(w, http.StatusConflict, apicode.JobNotFinished, fmt.Errorf("job is %s", j.State))
+	case j.OutPath == "":
 		// Only a journal-restored job can be here: its recorded output
 		// file was gone at replay and the result cache had no copy.
 		httpError(w, http.StatusNotFound, apicode.NotFound,
-			fmt.Errorf("job %s finished in an earlier run and its result file is gone; resubmit it", r.PathValue("id")))
-		return
+			fmt.Errorf("job %s finished in an earlier run and its result file is gone; resubmit it", j.ID))
+	default:
+		http.ServeFile(w, r, j.OutPath)
 	}
-	http.ServeFile(w, r, outPath)
 }
 
 // handleTrace serves a finished job's span timeline from the flight
@@ -1168,24 +587,16 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 // running jobs answer 409; jobs whose timeline the recorder has
 // evicted (or that finished in an earlier process) answer 410.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var state string
-	if ok {
-		state = j.State
-	}
-	s.mu.Unlock()
+	j, ok := s.lookupJob(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, apicode.UnknownJob, fmt.Errorf("unknown job %q", id))
 		return
 	}
-	if state != stateDone && state != stateFailed {
+	if !terminal(j.State) {
 		httpError(w, http.StatusConflict, apicode.JobNotFinished,
-			fmt.Errorf("job is %s; its timeline lands when it finishes", state))
+			fmt.Errorf("job is %s; its timeline lands when it finishes", j.State))
 		return
 	}
-	jt, ok := s.flight.Get(id)
+	jt, ok := s.flight.Get(j.ID)
 	if !ok {
 		httpError(w, http.StatusGone, apicode.TraceEvicted,
 			fmt.Errorf("trace evicted from the flight recorder (raise -trace-ring)"))
@@ -1196,7 +607,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, jt)
 	case "perfetto", "chrome":
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.trace.json", id))
+		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.trace.json", j.ID))
 		obs.WriteChromeTrace(w, jt)
 	default:
 		httpError(w, http.StatusBadRequest, apicode.BadFormat,
@@ -1323,17 +734,14 @@ func (s *server) handleCorpusData(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	total := len(s.jobs)
-	s.mu.Unlock()
-	queued, running := s.countStates()
+	total, queued, running := s.jobs.counts()
 	health := map[string]any{
 		"ok":             true,
 		"jobs":           total,
 		"queued":         queued,
 		"running":        running,
-		"executed":       s.jobsExecuted.Value(),
-		"cache_hits":     s.jobsCached.Value(),
+		"executed":       s.jobs.executed.Value(),
+		"cache_hits":     s.jobs.cached.Value(),
 		"uptime_seconds": time.Since(s.started).Seconds(),
 		"revision":       s.revision,
 	}
@@ -1355,6 +763,17 @@ func (s *server) handleDevices(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeMarshaled is writeJSON without the trailing newline.
+func writeMarshaled(w http.ResponseWriter, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, apicode.Internal, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(data)
 }
 
 // apiError is the envelope every non-2xx response carries.

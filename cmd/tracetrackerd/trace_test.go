@@ -187,10 +187,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 
 	// An unfinished job has no timeline yet: 409.
-	srv.mu.Lock()
-	srv.jobs["job-q"] = &job{ID: "job-q", State: stateQueued}
-	srv.order = append(srv.order, "job-q")
-	srv.mu.Unlock()
+	srv.jobs.park(job{ID: "job-q", State: stateQueued})
 	if resp, body := getTrace(t, ts, "job-q", ""); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("queued job trace: status %d: %s", resp.StatusCode, body)
 	}
