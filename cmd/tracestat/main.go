@@ -81,7 +81,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sum, cls, err := infer.SummarizeAndClassify(dec, func(trace.Meta) bool { return true })
+	sum, cls, err := infer.SummarizeAndClassify(dec, func(trace.Meta) *infer.StreamClassifier { return infer.NewStreamClassifier() })
 	closeDec()
 	if err != nil {
 		return err

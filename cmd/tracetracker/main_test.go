@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,6 +101,24 @@ func reference(t *testing.T, old *trace.Trace, method, devName, outformat, fioDe
 // CLI-level identity lock: whatever front end builds the JobSpec, the
 // one job path computes core.Reconstruct's bytes.
 func TestCLIIdentity(t *testing.T) {
+	testCLIIdentity(t, engine.Config{}, 1, nil)
+}
+
+// TestCLIIdentityReuse runs TestCLIIdentity's table twice, shuffled, on
+// one engine configuration whose decode buffers every run shares — as
+// tracetrackerd's jobs share its one: a buffer kept from one job must
+// carry nothing into the next.
+func TestCLIIdentityReuse(t *testing.T) {
+	bufs := trace.NewDecodeBuffers(1, 4)
+	testCLIIdentity(t, engine.Config{Buffers: bufs}, 2, rand.New(rand.NewSource(7)))
+	if bufs.Bytes() == 0 {
+		t.Fatal("the runs kept no decode buffers: nothing was reused")
+	}
+}
+
+// testCLIIdentity runs the identity table rounds times on base, in an
+// order shuffle permutes (table order when nil).
+func testCLIIdentity(t *testing.T, base engine.Config, rounds int, shuffle *rand.Rand) {
 	dir := t.TempDir()
 	spoolDir := t.TempDir()
 	t.Setenv("TMPDIR", spoolDir) // where the CLI spools stdin
@@ -152,7 +171,19 @@ func TestCLIIdentity(t *testing.T) {
 		{"known-csv", "auto", "acceleration", "array", "fio", false, true},
 	}
 	const fioDevice = "/dev/test0"
-	for _, tc := range cases {
+	var order []int
+	for round := 0; round < rounds; round++ {
+		perm := make([]int, len(cases))
+		for i := range perm {
+			perm[i] = i
+		}
+		if shuffle != nil {
+			shuffle.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		}
+		order = append(order, perm...)
+	}
+	for _, i := range order {
+		tc := cases[i]
 		name := strings.Join([]string{tc.input, tc.informat, tc.method, tc.device, tc.outformat}, "/")
 		if tc.fromStdin {
 			name += "/stdin"
@@ -182,7 +213,7 @@ func TestCLIIdentity(t *testing.T) {
 					args = append(args, "-out", outPath)
 				}
 				var stdout, stderr bytes.Buffer
-				if err := run(args, stdin, &stdout, &stderr); err != nil {
+				if err := runOn(base, args, stdin, &stdout, &stderr); err != nil {
 					t.Fatalf("-parallel %s: %v", parallel, err)
 				}
 				got := stdout.Bytes()

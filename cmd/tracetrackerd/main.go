@@ -62,6 +62,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -127,6 +128,9 @@ func main() {
 		Workers:          *parallel,
 		MinIdleGap:       *minIdleGap,
 		MaxShardRequests: *maxShard,
+		// One set of decode buffers for the concurrent jobs and an
+		// ingest (openData hands it to the corpus store).
+		Buffers: trace.NewDecodeBuffers(*jobs+1, *parallel),
 	}
 	srv := newServerCap(base, *jobs, *queueCap)
 	srv.ingestParallel = *parallel

@@ -19,6 +19,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/infer"
 	"repro/internal/obs"
+	"repro/internal/spare"
 	"repro/internal/trace"
 )
 
@@ -39,6 +40,13 @@ type Store struct {
 	// resilience tests arm it to prove disk faults surface as storage
 	// errors with the store left consistent.
 	faults atomic.Pointer[faultfs.Injector]
+
+	// bufs lends ingest's decoder its read buffers and request batches
+	// (SetDecodeBuffers); nil gives every ingest its own.
+	bufs atomic.Pointer[trace.DecodeBuffers]
+	// fits keeps one ingest's model-fit classifier, at most
+	// FitScratchBound bytes of it, for the next ingest to fit with.
+	fits *spare.List[*infer.StreamClassifier]
 
 	mu      sync.Mutex
 	entries map[string]Entry // guarded by mu
@@ -67,6 +75,27 @@ func (s *Store) SetFaultInjector(in *faultfs.Injector) {
 	s.faults.Store(in)
 }
 
+// SetDecodeBuffers has ingest decode staged uploads on b (see
+// trace.DecodeBuffers); nil, the default, gives every ingest its own
+// buffers.
+func (s *Store) SetDecodeBuffers(b *trace.DecodeBuffers) {
+	s.bufs.Store(b)
+}
+
+// FitScratchBound is the most a store keeps of an ingest's model fit
+// between ingests, in bytes: the classifier of one upload of up to
+// ≈ 150,000 requests (12 B a request in samples and group tags, plus
+// the sort keys of the largest groups: 2.4 MB at 100,000 webmail
+// requests). A larger fit's storage is dropped with the fit.
+const FitScratchBound = 4 << 20
+
+// FitScratchBytes returns the size of the fit storage the store keeps
+// for its next ingest.
+func (s *Store) FitScratchBytes() int64 { return s.fits.Bytes() }
+
+// TrimFitScratch drops the fit storage kept for the next ingest.
+func (s *Store) TrimFitScratch() { s.fits.Trim() }
+
 // sinkWriter wraps w with the attached fault injector's rule for sink
 // (a pass-through when none is attached).
 func (s *Store) sinkWriter(sink string, w io.Writer) io.Writer {
@@ -78,7 +107,8 @@ func (s *Store) sinkWriter(sink string, w io.Writer) io.Writer {
 // truth — so traces another process ingested into the same root are
 // never hidden.
 func Open(root string) (*Store, error) {
-	s := &Store{root: root, entries: make(map[string]Entry)}
+	s := &Store{root: root, entries: make(map[string]Entry),
+		fits: spare.New(1, (*infer.StreamClassifier).Bytes)}
 	for _, d := range []string{root, s.objectsDir(), s.resultsDir(), s.tmpDir()} {
 		if err := os.MkdirAll(d, 0o777); err != nil {
 			return nil, err
@@ -312,7 +342,7 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		return existing, false, nil
 	}
 
-	dec, _, closeDec, err := trace.OpenFileDecoder(tmpName, format, int(s.parallel.Load()))
+	dec, _, closeDec, err := s.bufs.Load().OpenFileDecoder(tmpName, format, int(s.parallel.Load()))
 	if err != nil {
 		return Entry{}, false, stagedDecodeErr(format, err)
 	}
@@ -373,9 +403,23 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 // carry), lands without one and its jobs answer as they always did. On
 // a decode error the decoder is closed.
 func (s *Store) summarizeAndFit(dec trace.Decoder, format string) (trace.Summary, *infer.Model, error) {
-	sum, cls, err := infer.SummarizeAndClassify(dec, func(m trace.Meta) bool {
-		return !m.TsdevKnown && !trace.NeedsSort(format)
+	sum, cls, err := infer.SummarizeAndClassify(dec, func(m trace.Meta) *infer.StreamClassifier {
+		if m.TsdevKnown || trace.NeedsSort(format) {
+			return nil
+		}
+		if c, ok := s.fits.Get(); ok {
+			return c
+		}
+		return infer.NewStreamClassifier()
 	})
+	if cls != nil {
+		defer func() {
+			cls.Reset()
+			if cls.Bytes() <= FitScratchBound {
+				s.fits.Put(cls)
+			}
+		}()
+	}
 	if err != nil || cls == nil {
 		return sum, nil, err
 	}

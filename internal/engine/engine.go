@@ -74,10 +74,11 @@
 //
 // The model fit (infer.Estimate) is global, so it runs once up front —
 // incrementally via infer.StreamClassifier on a job's input. Note the
-// fit itself retains one inter-arrival sample (~8 bytes) per request,
-// so a streaming run over an inference-path corpus (no recorded
-// latencies) is O(n) in samples even though requests stay bounded;
-// only Tsdev-known corpora stream in fully bounded memory. The fit is
+// fit itself retains one inter-arrival sample and its group tag
+// (12 bytes) per request, so a streaming run over an inference-path
+// corpus (no recorded latencies) is O(n) in samples even though
+// requests stay bounded; only Tsdev-known corpora stream in fully
+// bounded memory. The fit is
 // also a function of the old trace alone, never of the job's target, so
 // a job does not have to be the one to run it: a result cache that
 // fitted the input when it ingested it (ResultCache.FittedModel — the
@@ -162,6 +163,13 @@ type Config struct {
 	// span the run opens at the tracer's root. nil (the default)
 	// disables tracing at nil-check cost, the same discipline as Metrics.
 	Trace *obs.Tracer
+	// Buffers, when non-nil, lends the job's input decoders their read
+	// buffers and request batches and takes them back when the decode
+	// ends, so the jobs of a long-lived process share one bounded set
+	// (trace.NewDecodeBuffers sizes it for the concurrent jobs). nil
+	// (the default) gives every decode its own. Nothing a job writes to
+	// them is read by the next: a decoder overwrites what it borrows.
+	Buffers *trace.DecodeBuffers
 }
 
 func (c Config) withDefaults() Config {

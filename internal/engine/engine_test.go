@@ -23,7 +23,7 @@ import (
 // genOld synthesizes an application for a workload family and runs it
 // against the OLD device to obtain a ground-truth block trace (the
 // same construction the experiments use).
-func genOld(t *testing.T, family string, ops int, tsdevKnown bool) *trace.Trace {
+func genOld(t testing.TB, family string, ops int, tsdevKnown bool) *trace.Trace {
 	t.Helper()
 	p, ok := workload.Lookup(family)
 	if !ok {

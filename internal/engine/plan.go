@@ -49,7 +49,25 @@ type streamPlanner struct {
 }
 
 func newStreamPlanner(cfg Config, pool *bufPool) *streamPlanner {
-	return &streamPlanner{cfg: cfg, pool: pool, seq: trace.NewSeqState()}
+	p := &streamPlanner{cfg: cfg, pool: pool, seq: trace.NewSeqState()}
+	p.cur.reqs, p.cur.seq = p.buffers()
+	return p
+}
+
+// buffers returns the request and flag buffers of a new shard: recycled
+// ones when any are free, otherwise new ones with room for an idle cut's
+// minimum plus an eighth, which holds nearly every shard of a gap-rich
+// workload without a regrow (a gap-free one grows to MaxShardRequests).
+func (p *streamPlanner) buffers() ([]trace.Request, []bool) {
+	reqs, seq := p.pool.reqs.get(0), p.pool.seqs.get(0)
+	n := min(p.cfg.MinShardRequests+p.cfg.MinShardRequests/8, p.cfg.MaxShardRequests)
+	if reqs == nil {
+		reqs = make([]trace.Request, 0, n)
+	}
+	if seq == nil {
+		seq = make([]bool, 0, n)
+	}
+	return reqs, seq
 }
 
 // checkInput applies the planner's input rules to the request at index
@@ -120,17 +138,14 @@ func (p *streamPlanner) cut(next time.Duration) shard {
 	done.nextArrival = next
 	n := len(done.reqs)
 	p.index++
-	// The new shard appends into recycled buffers when any are free;
-	// otherwise append grows them, and they join the recycling loop once
-	// their shard retires.
+	// The new shard's buffers join the recycling loop once it retires.
 	p.cur = shard{
 		index:   p.index,
-		reqs:    p.pool.reqs.get(0),
-		seq:     p.pool.seqs.get(0),
 		hasPrev: true,
 		prev:    done.reqs[n-1],
 		prevSeq: done.seq[n-1],
 	}
+	p.cur.reqs, p.cur.seq = p.buffers()
 	return done
 }
 

@@ -92,14 +92,22 @@ func Estimate(t *trace.Trace, opts EstimateOptions) (*Model, error) {
 // EstimateGrouping fits the model from a pre-built classification
 // (either Classify's or a StreamClassifier's). name labels errors.
 func EstimateGrouping(g *Grouping, name string, opts EstimateOptions) (*Model, error) {
+	m, _, err := estimateGrouping(g, name, opts, nil, false)
+	return m, err
+}
+
+// estimateGrouping is EstimateGrouping on the examiners xs (grown as
+// needed and returned), which with inPlace sort each group's samples
+// where they lie instead of in a copy.
+func estimateGrouping(g *Grouping, name string, opts EstimateOptions, xs []examiner, inPlace bool) (*Model, []examiner, error) {
 	opts = opts.withDefaults()
 	m := &Model{FlatReadMicros: -1, FlatWriteMicros: -1}
-	ex := examineGroups(g, opts)
+	ex, xs := examineGroups(g, opts, xs, inPlace)
 
 	okRead := estimateOp(m, g, ex, trace.Read, opts)
 	okWrite := estimateOp(m, g, ex, trace.Write, opts)
 	if !okRead && !okWrite {
-		return nil, fmt.Errorf("%w: %q", ErrTooSparse, name)
+		return nil, xs, fmt.Errorf("%w: %q", ErrTooSparse, name)
 	}
 	// A missing op inherits the other's parameters: the best available
 	// estimate when a workload is effectively read-only or write-only.
@@ -117,17 +125,18 @@ func EstimateGrouping(g *Grouping, name string, opts EstimateOptions) (*Model, e
 	}
 
 	estimateTmovd(m, g, ex, opts)
-	return m, nil
+	return m, xs, nil
 }
 
 // examineGroups runs the steepness analysis once over every group with
 // at least MinGroupSamples samples — every group a pass below can
 // select — largest first, on min(GOMAXPROCS, groups) goroutines, each
-// with its own examiner scratch. A goroutine writes only the slots of
-// the groups it takes, and nothing reads a slot before the join. An
-// examination is a pure function of its group's samples, so the
-// schedule cannot change a bit of the model.
-func examineGroups(g *Grouping, opts EstimateOptions) map[*Group]*examination {
+// with its own examiner of xs (grown to the goroutine count and
+// returned). A goroutine writes only the slots of the groups it takes,
+// and nothing reads a slot before the join. An examination is a pure
+// function of its group's samples, so the schedule cannot change a bit
+// of the model; with inPlace the samples end up sorted.
+func examineGroups(g *Grouping, opts EstimateOptions, xs []examiner, inPlace bool) (map[*Group]*examination, []examiner) {
 	var groups []*Group
 	for _, grp := range g.Groups {
 		if grp.N() >= opts.MinGroupSamples {
@@ -136,28 +145,35 @@ func examineGroups(g *Grouping, opts EstimateOptions) map[*Group]*examination {
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i].N() > groups[j].N() })
 	out := make([]examination, len(groups))
+	workers := min(runtime.GOMAXPROCS(0), len(groups))
+	if len(xs) < workers {
+		xs = append(xs, make([]examiner, workers-len(xs))...)
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(groups)); w > 0; w-- {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(x *examiner) {
 			defer wg.Done()
-			var x examiner
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(groups) {
 					return
 				}
-				out[i] = x.examine(groups[i].InttMicros, opts.Steepness)
+				if inPlace {
+					out[i] = x.examineSorting(groups[i].InttMicros, opts.Steepness)
+				} else {
+					out[i] = x.examine(groups[i].InttMicros, opts.Steepness)
+				}
 			}
-		}()
+		}(&xs[w])
 	}
 	wg.Wait()
 	ex := make(map[*Group]*examination, len(groups))
 	for i, grp := range groups {
 		ex[grp] = &out[i]
 	}
-	return ex
+	return ex, xs
 }
 
 // estimateOp fits β (or η) and Tcdel for one operation type from the

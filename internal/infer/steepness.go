@@ -99,16 +99,24 @@ type examiner struct {
 	keys   []uint64
 }
 
-func (x *examiner) examine(inttMicros []float64, o SteepnessOptions) (out examination) {
+// examine examines a sorted copy of inttMicros.
+func (x *examiner) examine(inttMicros []float64, o SteepnessOptions) examination {
+	if len(inttMicros) < 2 {
+		return examination{}
+	}
+	x.sorted = append(x.sorted[:0], inttMicros...)
+	return x.examineSorting(x.sorted, o)
+}
+
+// examineSorting sorts s in place and examines it.
+func (x *examiner) examineSorting(s []float64, o SteepnessOptions) (out examination) {
 	o = o.withDefaults()
 	res := &out.res
-	if len(inttMicros) < 2 {
+	if len(s) < 2 {
 		return out
 	}
-	// One sorted view feeds the histogram, the ECDF and the knots.
-	s := append(x.sorted[:0], inttMicros...)
+	// One sorted view feeds the histogram and the knots.
 	x.keys = stats.SortFloat64s(s, x.keys)
-	x.sorted = s
 	lo, hi := s[0], s[len(s)-1]
 	if lo == hi {
 		// All samples identical: infinitely steep CDF. Report the
@@ -167,8 +175,7 @@ func (x *examiner) examine(inttMicros []float64, o SteepnessOptions) (out examin
 
 	// Step 4 (Section IV "steepness analysis"): interpolate the CDF
 	// and find the maximum of its derivative.
-	e := stats.NewSortedECDF(s)
-	cx, cy := dedupePoints(cdfKnots(e))
+	cx, cy := dedupePoints(sortedKnots(s))
 	out.cx, out.cy = cx, cy
 	out.ok = true
 	if len(cx) < 2 {
@@ -180,8 +187,9 @@ func (x *examiner) examine(inttMicros []float64, o SteepnessOptions) (out examin
 		// Too few distinct values for curve fitting to be meaningful
 		// (a 2-knot PCHIP has a constant derivative, which would make
 		// the argmax the leftmost point). The empirical CDF's largest
-		// probability jump is the rise.
-		res.RiseMicros, res.MaxDeriv = e.MaxGapBelow()
+		// probability jump is the rise; with so few distinct values the
+		// knots are the whole CDF.
+		res.RiseMicros, res.MaxDeriv = stats.MaxJump(cx, cy)
 		return out
 	}
 	var f interp.Interpolant
@@ -205,30 +213,55 @@ func (x *examiner) examine(inttMicros []float64, o SteepnessOptions) (out examin
 // thinned to at most 512 knots so interpolation cost stays bounded on
 // million-request groups while preserving the distribution shape.
 func NewCDFPoints(samples []float64) ([]float64, []float64) {
-	return cdfKnots(stats.NewECDF(samples))
+	s := append([]float64(nil), samples...)
+	stats.SortFloat64s(s, nil)
+	return sortedKnots(s)
 }
 
-// cdfKnots thins e's step points to at most 512 knots, evenly spaced
-// over the support, reading the support in place. Up to 512 distinct
-// values it returns e's own support and probabilities.
-func cdfKnots(e *stats.ECDF) ([]float64, []float64) {
-	xs, cs := e.Support(), e.Probs()
-	const maxKnots = 512
-	if len(xs) <= maxKnots {
-		return xs, cs
+// maxKnots bounds the CDF knots sortedKnots returns.
+const maxKnots = 512
+
+// sortedKnots returns the step points of the empirical CDF of the
+// sorted sample s — each distinct value with the share of samples at
+// or below it — thinned to at most maxKnots, evenly spaced over the
+// distinct values, in new slices. It reads them straight off s: the
+// ECDF the thinning would pick them from is never built.
+func sortedKnots(s []float64) ([]float64, []float64) {
+	if len(s) == 0 {
+		return nil, nil
 	}
-	step := float64(len(xs)-1) / float64(maxKnots-1)
-	tx := make([]float64, 0, maxKnots)
-	tc := make([]float64, 0, maxKnots)
-	for i := 0; i < maxKnots; i++ {
-		j := int(math.Round(float64(i) * step))
-		if j >= len(xs) {
-			j = len(xs) - 1
+	d := 1
+	for i := 1; i < len(s); i++ {
+		if s[i] != s[i-1] {
+			d++
 		}
-		tx = append(tx, xs[j])
-		tc = append(tc, cs[j])
 	}
-	return tx, tc
+	k := min(d, maxKnots)
+	// at returns the distinct-value index of knot i: every one when
+	// they fit, else the evenly spaced pick (increasing: step > 1).
+	at := func(i int) int { return i }
+	if d > maxKnots {
+		step := float64(d-1) / float64(maxKnots-1)
+		at = func(i int) int { return min(int(math.Round(float64(i)*step)), d-1) }
+	}
+	buf := make([]float64, 2*k)
+	xs, cs := buf[:0:k], buf[k:k]
+	j, want := 0, at(0) // j: distinct index of the run ending at i
+	for i := range s {
+		if i+1 < len(s) && s[i+1] == s[i] {
+			continue
+		}
+		if j == want {
+			xs = append(xs, s[i])
+			cs = append(cs, float64(i+1)/float64(len(s)))
+			if len(xs) == k {
+				break
+			}
+			want = at(len(xs))
+		}
+		j++
+	}
+	return xs, cs
 }
 
 // dedupePoints drops knots with non-increasing x (thinning can produce

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/trace"
@@ -12,21 +13,31 @@ import (
 // same groups (keys and inter-arrival samples) as Classify; only the
 // per-sample trace indices are omitted, which the estimator never
 // consults.
+//
+// The samples of every group live in one flat slice, each tagged with
+// its group's ordinal, so adding a sample never copies a group, and
+// Reset keeps that storage for the next stream: a classifier reused
+// across fits stops allocating once it has held its largest stream.
 type StreamClassifier struct {
-	groups  map[GroupKey]*Group
+	keys    []GroupKey // the groups by ordinal, in order of first sample
+	index   map[GroupKey]int32
+	samples []float64 // every inter-arrival sample (µs), in stream order until Estimate
+	ids     []int32   // ids[i] is the ordinal of samples[i]'s group
+	ex      []examiner
 	seq     *trace.SeqState
 	flags   []bool // AddBatch's flag scratch
 	prev    trace.Request
 	prevSeq bool
 	have    bool
 	n       int
-	// cache is a direct-mapped cache in front of groups, checked for key
-	// equality. Workloads interleave their groups (webmail cycles
-	// through 12), so a one-entry cache of the last group rarely hits;
-	// with a slot per hashed key nearly every Add skips the map lookup.
+	// cache is a direct-mapped cache in front of index, checked for key
+	// equality; a slot holds its group's ordinal plus one (0 is empty).
+	// Workloads interleave their groups (webmail cycles through 12), so
+	// a one-entry cache of the last group rarely hits; with a slot per
+	// hashed key nearly every Add skips the map lookup.
 	cache [64]struct {
 		key GroupKey
-		grp *Group
+		id  int32
 	}
 }
 
@@ -43,9 +54,32 @@ func cacheSlot(k GroupKey) uint32 {
 // NewStreamClassifier returns an empty incremental classifier.
 func NewStreamClassifier() *StreamClassifier {
 	return &StreamClassifier{
-		groups: make(map[GroupKey]*Group),
-		seq:    trace.NewSeqState(),
+		index: make(map[GroupKey]int32),
+		seq:   trace.NewSeqState(),
 	}
+}
+
+// Reset empties the classifier for a new stream, keeping its storage.
+func (c *StreamClassifier) Reset() {
+	clear(c.index)
+	c.keys = c.keys[:0]
+	c.samples, c.ids, c.flags = c.samples[:0], c.ids[:0], c.flags[:0]
+	c.seq = trace.NewSeqState()
+	c.prev, c.prevSeq, c.have, c.n = trace.Request{}, false, false, 0
+	c.cache = [64]struct {
+		key GroupKey
+		id  int32
+	}{}
+}
+
+// Bytes returns the size of the storage the classifier holds — what
+// keeping it for another stream keeps.
+func (c *StreamClassifier) Bytes() int64 {
+	n := int64(cap(c.samples))*8 + int64(cap(c.ids))*4 + int64(cap(c.flags))
+	for i := range c.ex {
+		n += int64(cap(c.ex[i].sorted))*8 + int64(cap(c.ex[i].keys))*8
+	}
+	return n
 }
 
 // AddBatch presents the next run of consecutive requests of the trace
@@ -67,17 +101,13 @@ func (c *StreamClassifier) AddFlagged(rs []trace.Request, seq []bool) {
 		if c.have {
 			k := GroupKey{Seq: c.prevSeq, Op: c.prev.Op, Sectors: c.prev.Sectors}
 			slot := &c.cache[cacheSlot(k)]
-			grp := slot.grp
-			if grp == nil || slot.key != k {
-				grp = c.groups[k]
-				if grp == nil {
-					grp = &Group{Key: k}
-					c.groups[k] = grp
-				}
-				slot.key, slot.grp = k, grp
+			id := slot.id - 1
+			if id < 0 || slot.key != k {
+				id = c.group(k)
+				slot.key, slot.id = k, id+1
 			}
-			intt := float64(r.Arrival-c.prev.Arrival) / float64(time.Microsecond)
-			grp.InttMicros = append(grp.InttMicros, intt)
+			c.samples = append(c.samples, float64(r.Arrival-c.prev.Arrival)/float64(time.Microsecond))
+			c.ids = append(c.ids, id)
 		}
 		c.prevSeq = seq[i]
 		c.prev = *r
@@ -86,36 +116,106 @@ func (c *StreamClassifier) AddFlagged(rs []trace.Request, seq []bool) {
 	c.n += len(rs)
 }
 
+// group returns k's ordinal, opening the group on its first sample.
+func (c *StreamClassifier) group(k GroupKey) int32 {
+	id, ok := c.index[k]
+	if !ok {
+		id = int32(len(c.keys))
+		c.index[k] = id
+		c.keys = append(c.keys, k)
+	}
+	return id
+}
+
 // N returns the number of requests seen.
 func (c *StreamClassifier) N() int { return c.n }
 
-// Grouping returns the classification accumulated so far.
+// Grouping returns the classification accumulated so far, each group's
+// samples in a new slice. Before Estimate they are in stream order;
+// Estimate sorts them within their groups.
 func (c *StreamClassifier) Grouping() *Grouping {
-	return &Grouping{Groups: c.groups}
+	counts, next := c.runs()
+	flat := make([]float64, len(c.samples))
+	for i, v := range c.samples {
+		id := c.ids[i]
+		flat[next[id]] = v
+		next[id]++
+	}
+	return c.grouping(flat, counts)
 }
 
 // Estimate fits the model to everything added so far; name labels
 // errors. It is the second half of every streamed fit — the engine's
 // per-job pass (engine.FitModel) and the corpus store's ingest fold.
+// The fit is EstimateGrouping's on Grouping, computed in the
+// classifier's own storage: the samples are permuted in place into one
+// run per group and each run is sorted where it lies.
 func (c *StreamClassifier) Estimate(name string, opts EstimateOptions) (*Model, error) {
-	return EstimateGrouping(c.Grouping(), name, opts)
+	counts, starts := c.runs()
+	// next[id] is the first slot of group id's run not yet holding one
+	// of its samples; each swap puts one sample in its run for good.
+	next := slices.Clone(starts)
+	for id := range c.keys {
+		for end := starts[id] + counts[id]; next[id] < end; {
+			i := next[id]
+			j := c.ids[i]
+			if int(j) == id {
+				next[id]++
+				continue
+			}
+			k := next[j]
+			c.samples[i], c.samples[k] = c.samples[k], c.samples[i]
+			c.ids[i], c.ids[k] = c.ids[k], c.ids[i]
+			next[j]++
+		}
+	}
+	m, ex, err := estimateGrouping(c.grouping(c.samples, counts), name, opts, c.ex, true)
+	c.ex = ex
+	return m, err
+}
+
+// runs returns each group's sample count and where its run starts in
+// a slice of the samples partitioned by group, in ordinal order.
+func (c *StreamClassifier) runs() (counts, starts []int) {
+	counts = make([]int, len(c.keys))
+	for _, id := range c.ids {
+		counts[id]++
+	}
+	starts = make([]int, len(c.keys))
+	off := 0
+	for id, n := range counts {
+		starts[id] = off
+		off += n
+	}
+	return counts, starts
+}
+
+// grouping views flat, the samples partitioned by group in ordinal
+// order, as a Grouping.
+func (c *StreamClassifier) grouping(flat []float64, counts []int) *Grouping {
+	g := &Grouping{Groups: make(map[GroupKey]*Group, len(c.keys))}
+	off := 0
+	for id, k := range c.keys {
+		g.Groups[k] = &Group{Key: k, InttMicros: flat[off : off+counts[id] : off+counts[id]]}
+		off += counts[id]
+	}
+	return g
 }
 
 // SummarizeAndClassify drains dec in the one streamed pass corpus
 // ingest and tracestat share: the summary fold (trace.Summarizer) and,
-// when classify accepts the stream's metadata (complete by the first
-// batch), a classifier riding the summary's sequentiality flags, ready
-// for Estimate. On a decode error the decoder is closed.
-func SummarizeAndClassify(dec trace.Decoder, classify func(trace.Meta) bool) (trace.Summary, *StreamClassifier, error) {
+// when classify returns an empty classifier for the stream's metadata
+// (complete by the first batch), that classifier riding the summary's
+// sequentiality flags, ready for Estimate. On a decode error the
+// decoder is closed.
+func SummarizeAndClassify(dec trace.Decoder, classify func(trace.Meta) *StreamClassifier) (trace.Summary, *StreamClassifier, error) {
 	acc := trace.NewSummarizer()
 	var cls *StreamClassifier
 	first := true
 	err := trace.ForEachBatch(dec, func(batch []trace.Request) error {
 		if first {
 			first = false
-			if classify(dec.Meta()) {
-				cls = NewStreamClassifier()
-			}
+			cls = classify(dec.Meta())
 		}
 		seq := acc.AddBatch(batch)
 		if cls != nil {

@@ -108,8 +108,8 @@ type Attr struct {
 }
 
 // spanRec is the recorded form of a span. Records live in the
-// Tracer's fixed-capacity slice; Span handles hold stable pointers
-// into its backing array (the slice is never appended past capacity).
+// Tracer's chunks; Span handles hold stable pointers into them (a chunk
+// is never appended past its capacity, so it never moves).
 type spanRec struct {
 	id     uint64
 	parent uint64 // 0 = no parent (the root span)
@@ -177,6 +177,11 @@ const DefaultTracerCapacity = 4096
 // emulate, merge) still fit in the buffer after the epoch span does.
 const epochReserve = 8
 
+// spanChunk is how many span records a Tracer allocates at a time
+// (≈ 38 KB), so a job pays for the spans it records, not for its
+// capacity: a 100k-request job records about 500.
+const spanChunk = 256
+
 // Tracer records one job's span tree. Create with NewTracer, hand to
 // the engine/daemon via config pointers, then Finish for the
 // exportable tree. All methods are safe on a nil receiver (recording
@@ -187,12 +192,14 @@ type Tracer struct {
 	parentSpan    string // incoming traceparent span ID, if any
 	name          string
 	start         time.Time
-	spans         []spanRec // cap fixed at construction; never reallocated. guarded by mu
-	nextID        uint64    // guarded by mu
-	stride        int       // guarded by mu
-	droppedSpans  int64     // guarded by mu
-	droppedEpochs int64     // guarded by mu
-	root          Span      // written once in NewTracer, immutable after
+	capacity      int         // the most spans recorded; written once in NewTracer
+	spans         [][]spanRec // chunks of at most spanChunk records, each allocated full-size. guarded by mu
+	nspans        int         // records in spans. guarded by mu
+	nextID        uint64      // guarded by mu
+	stride        int         // guarded by mu
+	droppedSpans  int64       // guarded by mu
+	droppedEpochs int64       // guarded by mu
+	root          Span        // written once in NewTracer, immutable after
 }
 
 // NewTracer starts a trace for one job. capacity bounds the recorded
@@ -222,7 +229,7 @@ func NewTracer(name string, capacity int, parent TraceContext) *Tracer {
 		parentSpan: parentSpan,
 		name:       name,
 		start:      time.Now(),
-		spans:      make([]spanRec, 0, capacity),
+		capacity:   capacity,
 		stride:     1,
 	}
 	t.mu.Lock()
@@ -264,7 +271,7 @@ func (t *Tracer) Start(parent Span, name string) Span {
 //
 //tracelint:holds mu
 func (t *Tracer) startLocked(parent Span, name string) Span {
-	if len(t.spans) == cap(t.spans) {
+	if t.nspans == t.capacity {
 		t.droppedSpans++
 		return Span{}
 	}
@@ -273,13 +280,18 @@ func (t *Tracer) startLocked(parent Span, name string) Span {
 	if parent.rec != nil {
 		pid = parent.rec.id
 	}
-	t.spans = append(t.spans, spanRec{
+	c := t.nspans / spanChunk
+	if c == len(t.spans) {
+		t.spans = append(t.spans, make([]spanRec, 0, min(spanChunk, t.capacity-t.nspans)))
+	}
+	t.spans[c] = append(t.spans[c], spanRec{
 		id:     t.nextID,
 		parent: pid,
 		name:   name,
 		start:  int64(time.Since(t.start)),
 	})
-	return Span{t: t, rec: &t.spans[len(t.spans)-1]}
+	t.nspans++
+	return Span{t: t, rec: &t.spans[c][len(t.spans[c])-1]}
 }
 
 // StartEpoch opens a sampled epoch span under parent, carrying the
@@ -294,11 +306,11 @@ func (t *Tracer) StartEpoch(parent Span, index int) Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if index%t.stride != 0 || len(t.spans)+epochReserve > cap(t.spans) {
+	if index%t.stride != 0 || t.nspans+epochReserve > t.capacity {
 		t.droppedEpochs++
 		return Span{}
 	}
-	if 4*len(t.spans) >= 3*cap(t.spans) {
+	if 4*t.nspans >= 3*t.capacity {
 		t.stride *= 2
 	}
 	s := t.startLocked(parent, "epoch")
@@ -336,30 +348,32 @@ func (t *Tracer) Snapshot() *JobTrace {
 		Start:         t.start,
 		DroppedSpans:  t.droppedSpans,
 		DroppedEpochs: t.droppedEpochs,
-		Spans:         make([]SpanOut, len(t.spans)),
+		Spans:         make([]SpanOut, 0, t.nspans),
 	}
-	for i := range t.spans {
-		rec := &t.spans[i]
-		end := rec.end
-		if end == 0 {
-			end = now
-		}
-		out := SpanOut{
-			ID:      t.spanID(rec.id),
-			Name:    rec.name,
-			StartNS: rec.start,
-			EndNS:   end,
-		}
-		if rec.parent != 0 {
-			out.Parent = t.spanID(rec.parent)
-		}
-		if rec.nattrs > 0 {
-			out.Attrs = make(map[string]int64, rec.nattrs)
-			for _, a := range rec.attrs[:rec.nattrs] {
-				out.Attrs[a.Key] = a.Val
+	for c := range t.spans {
+		for i := range t.spans[c] {
+			rec := &t.spans[c][i]
+			end := rec.end
+			if end == 0 {
+				end = now
 			}
+			out := SpanOut{
+				ID:      t.spanID(rec.id),
+				Name:    rec.name,
+				StartNS: rec.start,
+				EndNS:   end,
+			}
+			if rec.parent != 0 {
+				out.Parent = t.spanID(rec.parent)
+			}
+			if rec.nattrs > 0 {
+				out.Attrs = make(map[string]int64, rec.nattrs)
+				for _, a := range rec.attrs[:rec.nattrs] {
+					out.Attrs[a.Key] = a.Val
+				}
+			}
+			jt.Spans = append(jt.Spans, out)
 		}
-		jt.Spans[i] = out
 	}
 	if len(jt.Spans) > 0 {
 		jt.DurationNS = jt.Spans[0].EndNS - jt.Spans[0].StartNS

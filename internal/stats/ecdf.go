@@ -107,11 +107,18 @@ func (e *ECDF) Quantile(q float64) float64 {
 // "chunky middle" shapes (Fig 5b) the max jump is small relative to the
 // spread.
 func (e *ECDF) MaxGapBelow() (x, gap float64) {
+	return MaxJump(e.xs, e.cum)
+}
+
+// MaxJump is MaxGapBelow over CDF step points: the largest probability
+// jump of cum (cumulative probabilities, increasing) and the xs value at
+// which it occurs, the first on ties.
+func MaxJump(xs, cum []float64) (x, gap float64) {
 	prev := 0.0
-	for i, c := range e.cum {
+	for i, c := range cum {
 		if d := c - prev; d > gap {
 			gap = d
-			x = e.xs[i]
+			x = xs[i]
 		}
 		prev = c
 	}

@@ -9,6 +9,7 @@ package trace
 // stream, never per record.
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -18,11 +19,12 @@ import (
 // codec is one row of the table.
 type codec struct {
 	name string
-	// decode opens a sequential decoder; nil for output-only formats.
-	decode func(io.Reader) Decoder
-	// segment opens the decoder of one parallel-decode segment, preset
-	// with the segment's carry context (segment.go).
-	segment func(io.Reader, segCtx) Decoder
+	// decode opens a sequential decoder over a read buffer; nil for
+	// output-only formats.
+	decode func(*bufio.Reader) Decoder
+	// segment opens the decoder of one parallel-decode segment over a
+	// read buffer, preset with the segment's carry context (segment.go).
+	segment func(*bufio.Reader, segCtx) Decoder
 	// text formats are split at line boundaries after a prelude scan;
 	// the others at fixed-width record strides.
 	text bool
@@ -54,9 +56,9 @@ type codec struct {
 var codecs = [...]codec{
 	{
 		name:   "csv",
-		decode: func(r io.Reader) Decoder { return NewCSVDecoder(r) },
-		segment: func(r io.Reader, ctx segCtx) Decoder {
-			d := &CSVDecoder{ls: newLineScanner(r), meta: ctx.meta, sawData: ctx.sawData}
+		decode: func(br *bufio.Reader) Decoder { return &CSVDecoder{ls: &lineScanner{br: br}} },
+		segment: func(br *bufio.Reader, ctx segCtx) Decoder {
+			d := &CSVDecoder{ls: &lineScanner{br: br}, meta: ctx.meta, sawData: ctx.sawData}
 			d.t.applyMeta(ctx.meta)
 			return d
 		},
@@ -68,19 +70,21 @@ var codecs = [...]codec{
 	},
 	{
 		name:   "bin",
-		decode: func(r io.Reader) Decoder { return NewBinaryDecoder(r) },
-		segment: func(r io.Reader, ctx segCtx) Decoder {
-			return &BinaryDecoder{br: newBinReader(r), meta: ctx.meta,
+		decode: func(br *bufio.Reader) Decoder { return newBinaryDecoder(br) },
+		segment: func(br *bufio.Reader, ctx segCtx) Decoder {
+			return &BinaryDecoder{br: br, meta: ctx.meta,
 				counted: ctx.binCounted, remaining: ctx.binRemaining, idx: ctx.binStart}
 		},
 		encode: func(w io.Writer, _ string) Encoder { return NewBinaryEncoder(w) },
 		write:  WriteBinary,
 	},
 	{
-		name:   "msrc",
-		decode: func(r io.Reader) Decoder { return NewMSRCDecoder(r) },
-		segment: func(r io.Reader, ctx segCtx) Decoder {
-			return &MSRCDecoder{ls: newLineScanner(r), meta: ctx.meta, base: ctx.msrcBase}
+		name: "msrc",
+		decode: func(br *bufio.Reader) Decoder {
+			return &MSRCDecoder{ls: &lineScanner{br: br}, meta: msrcMeta, first: true}
+		},
+		segment: func(br *bufio.Reader, ctx segCtx) Decoder {
+			return &MSRCDecoder{ls: &lineScanner{br: br}, meta: ctx.meta, base: ctx.msrcBase}
 		},
 		text:      true,
 		prelude:   (*preludeState).msrcPrelude,
@@ -90,8 +94,8 @@ var codecs = [...]codec{
 	},
 	{
 		name:      "spc",
-		decode:    func(r io.Reader) Decoder { return NewSPCDecoder(r) },
-		segment:   func(r io.Reader, _ segCtx) Decoder { return NewSPCDecoder(r) },
+		decode:    func(br *bufio.Reader) Decoder { return &SPCDecoder{ls: &lineScanner{br: br}} },
+		segment:   func(br *bufio.Reader, _ segCtx) Decoder { return &SPCDecoder{ls: &lineScanner{br: br}} },
 		text:      true,
 		needsSort: true,
 		sniff:     isSPCLine,
@@ -173,7 +177,7 @@ func NewDecoder(format string, r io.Reader) (Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.decode(r), nil
+	return c.decode(newReadBuffer(r)), nil
 }
 
 // NeedsSort reports whether the named input format is only
@@ -207,7 +211,7 @@ func ReadFormat(format string, r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := Drain(c.decode(r))
+	t, err := Drain(c.decode(newReadBuffer(r)))
 	if err != nil {
 		return nil, err
 	}

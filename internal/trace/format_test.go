@@ -147,7 +147,7 @@ func FuzzTextBinRoundTrip(f *testing.F) {
 			if !c.text || c.decode == nil {
 				continue
 			}
-			want, meta, err := fuzzCollect(c.decode(bytes.NewReader(data)))
+			want, meta, err := fuzzCollect(c.decode(newReadBuffer(bytes.NewReader(data))))
 			if err != nil {
 				continue
 			}

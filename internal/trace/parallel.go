@@ -9,19 +9,26 @@ package trace
 //
 // Workers recycle their request batches through a bounded free list
 // (the engine bufPool discipline), so steady-state parallel decoding
-// stays at ~0 allocations per record. Segments in flight ahead of the
-// merge point are bounded by a token pool, so memory stays O(workers),
-// not O(input).
+// stays at ~0 allocations per record, and each worker reads every
+// segment it claims out of one read buffer. Segments in flight ahead of
+// the merge point are bounded by a token pool, so memory stays
+// O(workers), not O(input). A DecodeBuffers carries the read buffers and
+// batches from one decode to the next.
 //
 // Consumers must call Close when abandoning a decoder before EOF or a
 // terminal error; after either, the goroutines have already drained.
+// Close is also where a decode hands its buffers back.
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 	"sync/atomic"
+	"unsafe"
+
+	"repro/internal/spare"
 )
 
 const (
@@ -57,16 +64,22 @@ type parBatch struct {
 }
 
 // reqFreeList recycles request batches between the merger (which
-// finishes with them) and the decode workers (which fill new ones).
+// finishes with them) and the decode workers (which fill new ones). A
+// miss falls back to the decode's DecodeBuffers before it allocates.
 type reqFreeList chan []Request
 
-func (f reqFreeList) get() []Request {
+func (f reqFreeList) get(bufs *DecodeBuffers) []Request {
 	select {
 	case b := <-f:
 		return b
 	default:
-		return make([]Request, parBatchLen)
 	}
+	if bufs != nil {
+		if b, ok := bufs.batches.Get(); ok {
+			return b
+		}
+	}
+	return make([]Request, parBatchLen)
 }
 
 func (f reqFreeList) put(b []Request) {
@@ -76,6 +89,85 @@ func (f reqFreeList) put(b []Request) {
 	select {
 	case f <- b[:parBatchLen]:
 	default:
+	}
+}
+
+// DecodeBuffers keeps what a decode leaves behind — the workers' read
+// buffers and the request batches — for the decodes after it, so a
+// process that decodes trace after trace stops allocating them once
+// warm. It holds at most the buffers of a fixed number of concurrent
+// decodes and drops them all once no decode has used it for
+// spare.IdleAfter. A nil *DecodeBuffers keeps nothing. Safe for
+// concurrent use.
+type DecodeBuffers struct {
+	readers *spare.List[*bufio.Reader]
+	batches *spare.List[[]Request]
+}
+
+// NewDecodeBuffers returns buffers for up to decoders concurrent
+// decodes on up to workers workers each: decoders·workers read buffers
+// of 128 KiB and decoders·(5·workers+8) request batches of 1,024
+// requests at most — BufferBound bytes.
+func NewDecodeBuffers(decoders, workers int) *DecodeBuffers {
+	readers, batches := bufferCounts(decoders, workers)
+	return &DecodeBuffers{
+		readers: spare.New(readers, func(br *bufio.Reader) int64 { return int64(br.Size()) }),
+		batches: spare.New(batches, func(b []Request) int64 { return int64(cap(b)) * requestSize }),
+	}
+}
+
+// BufferBound is the most a NewDecodeBuffers(decoders, workers) keeps,
+// in bytes.
+func BufferBound(decoders, workers int) int64 {
+	readers, batches := bufferCounts(decoders, workers)
+	return int64(readers)*readBufLen + int64(batches)*parBatchLen*requestSize
+}
+
+// bufferCounts is how many read buffers and request batches the
+// decodes of a DecodeBuffers have in use at most: a read buffer per
+// worker, and the batches of a decode's own free list (NewParallelDecoder
+// sizes it to inflight·segRingDepth + workers, inflight ≤ workers+2).
+func bufferCounts(decoders, workers int) (readers, batches int) {
+	decoders, workers = max(decoders, 1), max(workers, 1)
+	return decoders * workers, decoders * ((workers+2)*segRingDepth + workers)
+}
+
+const requestSize = int64(unsafe.Sizeof(Request{}))
+
+// Bytes returns the size of the buffers kept.
+func (b *DecodeBuffers) Bytes() int64 {
+	if b == nil {
+		return 0
+	}
+	return b.readers.Bytes() + b.batches.Bytes()
+}
+
+// Trim drops every buffer kept.
+func (b *DecodeBuffers) Trim() {
+	if b == nil {
+		return
+	}
+	b.readers.Trim()
+	b.batches.Trim()
+}
+
+// reader returns a read buffer over r, a kept one when there is one.
+func (b *DecodeBuffers) reader(r io.Reader) *bufio.Reader {
+	if b != nil {
+		if br, ok := b.readers.Get(); ok {
+			br.Reset(r)
+			return br
+		}
+	}
+	return newReadBuffer(r)
+}
+
+// putReader offers a read buffer no decoder reads any more. It drops
+// its input first, so a kept buffer pins no file.
+func (b *DecodeBuffers) putReader(br *bufio.Reader) {
+	if b != nil {
+		br.Reset(nil)
+		b.readers.Put(br)
 	}
 }
 
@@ -109,6 +201,10 @@ type ParallelDecoder struct {
 	cur      []Request
 	pos      int
 	err      error
+
+	// bufs is where the workers' read buffers and the spare batches go
+	// once the decode is closed, and where they come from first.
+	bufs *DecodeBuffers
 }
 
 // NewParallelDecoder plans and starts a parallel decode of
@@ -117,10 +213,16 @@ type ParallelDecoder struct {
 // surface on the first Next/ReadBatch call, matching the sequential
 // constructors.
 func NewParallelDecoder(ra io.ReaderAt, size int64, format string, workers int) *ParallelDecoder {
+	return (*DecodeBuffers)(nil).NewParallelDecoder(ra, size, format, workers)
+}
+
+// NewParallelDecoder is the package's NewParallelDecoder taking its read
+// buffers and request batches from b, which gets them back at Close.
+func (b *DecodeBuffers) NewParallelDecoder(ra io.ReaderAt, size int64, format string, workers int) *ParallelDecoder {
 	if workers < 1 {
 		workers = 1
 	}
-	d := &ParallelDecoder{ra: ra, stop: make(chan struct{})}
+	d := &ParallelDecoder{ra: ra, stop: make(chan struct{}), bufs: b}
 	d.plan, d.planErr = splitSegments(ra, size, format, workers)
 	if d.planErr != nil || len(d.plan.segs) == 0 {
 		return d
@@ -154,8 +256,16 @@ func NewParallelDecoder(ra io.ReaderAt, size int64, format string, workers int) 
 	return d
 }
 
+// worker decodes the segments it claims, one after another, out of one
+// read buffer.
 func (d *ParallelDecoder) worker() {
 	defer d.wg.Done()
+	var br *bufio.Reader
+	defer func() {
+		if br != nil {
+			d.bufs.putReader(br)
+		}
+	}()
 	for {
 		select {
 		case <-d.stop:
@@ -166,24 +276,31 @@ func (d *ParallelDecoder) worker() {
 		if i >= len(d.plan.segs) {
 			return
 		}
-		if !d.runSegment(i) {
+		s := d.plan.segs[i]
+		sr := io.NewSectionReader(d.ra, s.start, s.end-s.start)
+		if br == nil {
+			br = d.bufs.reader(sr)
+		} else {
+			br.Reset(sr)
+		}
+		if !d.runSegment(i, br) {
 			return
 		}
 	}
 }
 
-// runSegment decodes segment i to exhaustion, streaming its non-empty
+// runSegment decodes segment i out of br to exhaustion, streaming its non-empty
 // batches (and the terminal parse error, if any) into the segment's
 // ring, which it always closes. Text segments additionally send a final
 // line-count marker so the merger can keep absolute line positions. It
 // reports false when the run was cut short (stop, or a parse error
 // that ends the whole stream anyway).
-func (d *ParallelDecoder) runSegment(i int) bool {
-	s, ch := d.plan.segs[i], d.chans[i]
+func (d *ParallelDecoder) runSegment(i int, br *bufio.Reader) bool {
+	ch := d.chans[i]
 	defer close(ch)
-	dec := d.plan.codec.segment(io.NewSectionReader(d.ra, s.start, s.end-s.start), s.ctx)
+	dec := d.plan.codec.segment(br, d.plan.segs[i].ctx)
 	for {
-		buf := d.free.get()
+		buf := d.free.get(d.bufs)
 		n, err := DecodeBatch(dec, buf)
 		if n > 0 {
 			select {
@@ -331,10 +448,28 @@ func (d *ParallelDecoder) shutdown() {
 
 // Close stops the decode workers and waits for them to exit. It is
 // idempotent and required when the consumer abandons the stream before
-// EOF or a terminal error; afterwards it is a cheap no-op join.
+// EOF or a terminal error; afterwards it is a cheap no-op join. It hands
+// the spare batches, and the one the consumer was reading, to the
+// decoder's DecodeBuffers: nothing the decoder returned may be read
+// after Close.
 func (d *ParallelDecoder) Close() {
 	d.shutdown()
 	d.wg.Wait()
+	if d.bufs == nil {
+		return
+	}
+	if d.cur != nil {
+		d.free.put(d.cur)
+		d.cur, d.pos = nil, 0
+	}
+	for {
+		select {
+		case b := <-d.free:
+			d.bufs.batches.Put(b)
+		default:
+			return
+		}
+	}
 }
 
 // OpenFileDecoder opens path and builds the fastest decoder for it:
@@ -344,6 +479,13 @@ func (d *ParallelDecoder) Close() {
 // the concrete format is returned. The returned close function stops
 // any decode workers and closes the file.
 func OpenFileDecoder(path, format string, workers int) (Decoder, string, func(), error) {
+	return (*DecodeBuffers)(nil).OpenFileDecoder(path, format, workers)
+}
+
+// OpenFileDecoder is the package's OpenFileDecoder taking its read
+// buffers and request batches from b, which gets them back when the
+// returned close function runs.
+func (b *DecodeBuffers) OpenFileDecoder(path, format string, workers int) (Decoder, string, func(), error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, "", nil, err
@@ -358,15 +500,23 @@ func OpenFileDecoder(path, format string, workers int) (Decoder, string, func(),
 		return nil, "", nil, err
 	}
 	if workers > 1 && st.Mode().IsRegular() && st.Size() >= ParallelMinBytes {
-		pd := NewParallelDecoder(f, st.Size(), format, workers)
+		pd := b.NewParallelDecoder(f, st.Size(), format, workers)
 		return pd, format, func() { pd.Close(); f.Close() }, nil
 	}
-	dec, err := NewDecoder(format, f)
+	c, err := input(format)
 	if err != nil {
 		f.Close()
 		return nil, "", nil, err
 	}
-	return dec, format, func() { f.Close() }, nil
+	br := b.reader(f)
+	closed := false
+	return c.decode(br), format, func() {
+		if !closed {
+			closed = true
+			b.putReader(br)
+			f.Close()
+		}
+	}, nil
 }
 
 // SpoolTemp copies r into a new temporary file named after pattern (as

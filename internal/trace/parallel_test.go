@@ -480,3 +480,51 @@ func TestParallelDecodeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelDecoderReadBuffers: a decode takes at most one read
+// buffer per worker, however many segments its input splits into, and
+// gives every buffer it takes back to its DecodeBuffers at Close — so
+// decodes on warm buffers allocate none, and what is kept never exceeds
+// the workers. The buffers hold room for more readers than there are
+// segments, so a decode that took a buffer per segment would leave one
+// per segment behind.
+func TestParallelDecoderReadBuffers(t *testing.T) {
+	const workers = 2
+	tr := benchTrace(120_000)
+	for _, format := range []string{"csv", "bin"} {
+		var buf bytes.Buffer
+		if err := WriteFormat(format, &buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		bufs := NewDecodeBuffers(8, workers)
+		for round := 0; round < 3; round++ {
+			for _, size := range []int{len(data) / 4, len(data)} {
+				pd := bufs.NewParallelDecoder(bytes.NewReader(data[:size]), int64(size), format, workers)
+				if nseg := len(pd.plan.segs); size == len(data) && nseg <= workers {
+					t.Fatalf("%s: fixture splits into %d segments, want more than %d workers", format, nseg, workers)
+				}
+				for {
+					if _, err := pd.ReadBatch(); err != nil {
+						if err != io.EOF && size == len(data) {
+							t.Fatal(err)
+						}
+						break
+					}
+				}
+				pd.Close()
+				if n := bufs.readers.Len(); n < 1 || n > workers {
+					t.Fatalf("%s round %d: %d read buffers kept after a %d-segment decode on %d workers, want 1 to %d",
+						format, round, n, len(pd.plan.segs), workers, workers)
+				}
+			}
+		}
+		if bufs.Bytes() > BufferBound(8, workers) {
+			t.Fatalf("%s: %d B kept, over the %d B bound", format, bufs.Bytes(), BufferBound(8, workers))
+		}
+		bufs.Trim()
+		if bufs.Bytes() != 0 {
+			t.Fatalf("%s: %d B kept after Trim", format, bufs.Bytes())
+		}
+	}
+}

@@ -32,7 +32,15 @@ type lineScanner struct {
 }
 
 func newLineScanner(r io.Reader) *lineScanner {
-	return &lineScanner{br: bufio.NewReaderSize(r, 128<<10)}
+	return &lineScanner{br: newReadBuffer(r)}
+}
+
+// readBufLen is the size of the read buffer every decoder scans its
+// input out of, lines and binary records alike.
+const readBufLen = 128 << 10
+
+func newReadBuffer(r io.Reader) *bufio.Reader {
+	return bufio.NewReaderSize(r, readBufLen)
 }
 
 // next returns the next line without its '\n' terminator, or io.EOF

@@ -102,7 +102,7 @@ func (s *raLineScanner) next() (line []byte, start int64, err error) {
 		// Compact and refill.
 		s.buf = append(s.buf[:0], s.buf[s.pos:]...)
 		s.pos = 0
-		const chunk = 64 << 10
+		const chunk = probeLen
 		n := len(s.buf)
 		s.buf = append(s.buf, make([]byte, chunk)...)
 		k, err := s.ra.ReadAt(s.buf[n:], s.off+int64(n))
@@ -118,16 +118,21 @@ func (s *raLineScanner) next() (line []byte, start int64, err error) {
 	}
 }
 
+// probeLen is how much of the input a prelude scan or a segment
+// boundary probe reads at a time: many records, where a record is one
+// short line.
+const probeLen = 4 << 10
+
 // alignAfter returns the offset of the first byte after the next '\n'
-// at or after off, or end when no newline remains before end. A
+// at or after off, or end when no newline remains before end, reading
+// through buf (len probeLen, the caller's across its probes). A
 // missing newline within maxLineLen bytes returns ok=false: the
 // would-be boundary sits inside a line longer than the sequential
 // scanner accepts, so the caller merges the range into the previous
 // segment and lets its decoder surface the canonical error.
-func alignAfter(ra io.ReaderAt, off, end int64) (int64, bool, error) {
-	const chunk = 32 << 10
-	buf := make([]byte, chunk)
-	for pos := off; pos < end && pos-off <= maxLineLen; pos += chunk {
+func alignAfter(ra io.ReaderAt, off, end int64, buf []byte) (int64, bool, error) {
+	chunk := len(buf)
+	for pos := off; pos < end && pos-off <= maxLineLen; pos += int64(chunk) {
 		n := chunk
 		if int64(n) > end-pos {
 			n = int(end - pos)
@@ -198,6 +203,7 @@ func splitText(ra io.ReaderAt, size int64, c *codec, workers int) (*segmentPlan,
 	}
 	segSize := dataLen / int64(n)
 	lo := dataStart
+	probe := make([]byte, probeLen)
 	for i := 1; i <= n && lo < size; i++ {
 		hi := size
 		if i < n {
@@ -205,7 +211,7 @@ func splitText(ra io.ReaderAt, size int64, c *codec, workers int) (*segmentPlan,
 			if nominal <= lo {
 				continue
 			}
-			aligned, ok, err := alignAfter(ra, nominal, size)
+			aligned, ok, err := alignAfter(ra, nominal, size, probe)
 			if err != nil {
 				return nil, err
 			}

@@ -629,16 +629,14 @@ type BinaryDecoder struct {
 	idx       uint64
 }
 
-// newBinReader sizes the read buffer the binary decoder peeks records
-// out of.
-func newBinReader(r io.Reader) *bufio.Reader {
-	return bufio.NewReaderSize(r, 128<<10)
-}
-
 // NewBinaryDecoder wraps r in a binary request stream. Header parse
 // errors surface on the first Next call.
 func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
-	d := &BinaryDecoder{br: newBinReader(r)}
+	return newBinaryDecoder(newReadBuffer(r))
+}
+
+func newBinaryDecoder(br *bufio.Reader) *BinaryDecoder {
+	d := &BinaryDecoder{br: br}
 	var count uint64
 	d.meta, d.counted, count, d.headerErr = parseBinHeader(d.br)
 	if d.counted {

@@ -189,7 +189,7 @@ func TestBinaryDecodeBatchMatchesNext(t *testing.T) {
 			body = body[:len(body)-binRecordLen/2]
 		}
 		newDec := func() *BinaryDecoder {
-			return bin.segment(bytes.NewReader(body), s.ctx).(*BinaryDecoder)
+			return bin.segment(newReadBuffer(bytes.NewReader(body)), s.ctx).(*BinaryDecoder)
 		}
 		compareDrains(t, s.name, newDec, sizes)
 	}
@@ -304,7 +304,7 @@ func TestCSVDecodeBatchMatchesNext(t *testing.T) {
 	}
 	for name, body := range bodies {
 		newDec := func() *CSVDecoder {
-			return csv.segment(strings.NewReader(body), ctx).(*CSVDecoder)
+			return csv.segment(newReadBuffer(strings.NewReader(body)), ctx).(*CSVDecoder)
 		}
 		if _, err := drainBy(newDec(), 0); (err != nil) != fails[name] {
 			t.Fatalf("%s: Next loop ends with %v", name, err)
