@@ -43,13 +43,6 @@ func main() {
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
-	return runOn(engine.Config{}, args, stdin, stdout, stderr)
-}
-
-// runOn is run on the engine configuration base, which the identity
-// tests share across runs the way tracetrackerd shares its one across
-// jobs.
-func runOn(base engine.Config, args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	var spec engine.JobSpec
 	fs := flag.NewFlagSet("tracetracker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -93,12 +86,12 @@ func runOn(base engine.Config, args []string, stdin io.Reader, stdout, stderr io
 
 	var rep *engine.Report
 	if spec.Out != "" {
-		res, err := engine.RunJob(base, spec)
+		res, err := engine.RunJob(engine.Config{}, spec)
 		if err != nil {
 			return err
 		}
 		rep = res.Report
-	} else if rep, err = engine.RunJobTo(base, spec, stdout); err != nil {
+	} else if rep, err = engine.RunJobTo(engine.Config{}, spec, stdout); err != nil {
 		return err
 	}
 

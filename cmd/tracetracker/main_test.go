@@ -101,24 +101,20 @@ func reference(t *testing.T, old *trace.Trace, method, devName, outformat, fioDe
 // CLI-level identity lock: whatever front end builds the JobSpec, the
 // one job path computes core.Reconstruct's bytes.
 func TestCLIIdentity(t *testing.T) {
-	testCLIIdentity(t, engine.Config{}, 1, nil)
+	testCLIIdentity(t, 1, nil)
 }
 
-// TestCLIIdentityReuse runs TestCLIIdentity's table twice, shuffled, on
-// one engine configuration whose decode buffers every run shares — as
-// tracetrackerd's jobs share its one: a buffer kept from one job must
-// carry nothing into the next.
+// TestCLIIdentityReuse runs TestCLIIdentity's table twice, shuffled, in
+// one process, whose decodes all borrow from the same kept read buffers
+// and request batches — as tracetrackerd's jobs do: a buffer kept from
+// one run must carry nothing into the next.
 func TestCLIIdentityReuse(t *testing.T) {
-	bufs := trace.NewDecodeBuffers(1, 4)
-	testCLIIdentity(t, engine.Config{Buffers: bufs}, 2, rand.New(rand.NewSource(7)))
-	if bufs.Bytes() == 0 {
-		t.Fatal("the runs kept no decode buffers: nothing was reused")
-	}
+	testCLIIdentity(t, 2, rand.New(rand.NewSource(7)))
 }
 
-// testCLIIdentity runs the identity table rounds times on base, in an
-// order shuffle permutes (table order when nil).
-func testCLIIdentity(t *testing.T, base engine.Config, rounds int, shuffle *rand.Rand) {
+// testCLIIdentity runs the identity table rounds times, in an order
+// shuffle permutes (table order when nil).
+func testCLIIdentity(t *testing.T, rounds int, shuffle *rand.Rand) {
 	dir := t.TempDir()
 	spoolDir := t.TempDir()
 	t.Setenv("TMPDIR", spoolDir) // where the CLI spools stdin
@@ -213,7 +209,7 @@ func testCLIIdentity(t *testing.T, base engine.Config, rounds int, shuffle *rand
 					args = append(args, "-out", outPath)
 				}
 				var stdout, stderr bytes.Buffer
-				if err := runOn(base, args, stdin, &stdout, &stderr); err != nil {
+				if err := run(args, stdin, &stdout, &stderr); err != nil {
 					t.Fatalf("-parallel %s: %v", parallel, err)
 				}
 				got := stdout.Bytes()

@@ -62,7 +62,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -128,9 +127,6 @@ func main() {
 		Workers:          *parallel,
 		MinIdleGap:       *minIdleGap,
 		MaxShardRequests: *maxShard,
-		// One set of decode buffers for the concurrent jobs and an
-		// ingest (openData hands it to the corpus store).
-		Buffers: trace.NewDecodeBuffers(*jobs+1, *parallel),
 	}
 	srv := newServerCap(base, *jobs, *queueCap)
 	srv.ingestParallel = *parallel

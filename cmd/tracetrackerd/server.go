@@ -330,7 +330,6 @@ func (s *server) openData(dir string) error {
 		return err
 	}
 	store.SetParallel(s.ingestParallel)
-	store.SetDecodeBuffers(s.base.Buffers)
 	store.SetMetrics(obs.NewCorpusMetrics(s.reg))
 	s.reg.GaugeFunc("corpus_traces", "Traces in the corpus catalogue.", nil,
 		func() float64 { return float64(store.Len()) })

@@ -41,11 +41,8 @@ type Store struct {
 	// errors with the store left consistent.
 	faults atomic.Pointer[faultfs.Injector]
 
-	// bufs lends ingest's decoder its read buffers and request batches
-	// (SetDecodeBuffers); nil gives every ingest its own.
-	bufs atomic.Pointer[trace.DecodeBuffers]
 	// fits keeps one ingest's model-fit classifier, at most
-	// FitScratchBound bytes of it, for the next ingest to fit with.
+	// fitScratchBound bytes of it, for the next ingest to fit with.
 	fits *spare.List[*infer.StreamClassifier]
 
 	mu      sync.Mutex
@@ -75,26 +72,12 @@ func (s *Store) SetFaultInjector(in *faultfs.Injector) {
 	s.faults.Store(in)
 }
 
-// SetDecodeBuffers has ingest decode staged uploads on b (see
-// trace.DecodeBuffers); nil, the default, gives every ingest its own
-// buffers.
-func (s *Store) SetDecodeBuffers(b *trace.DecodeBuffers) {
-	s.bufs.Store(b)
-}
-
-// FitScratchBound is the most a store keeps of an ingest's model fit
+// fitScratchBound is the most a store keeps of an ingest's model fit
 // between ingests, in bytes: the classifier of one upload of up to
 // ≈ 150,000 requests (12 B a request in samples and group tags, plus
 // the sort keys of the largest groups: 2.4 MB at 100,000 webmail
 // requests). A larger fit's storage is dropped with the fit.
-const FitScratchBound = 4 << 20
-
-// FitScratchBytes returns the size of the fit storage the store keeps
-// for its next ingest.
-func (s *Store) FitScratchBytes() int64 { return s.fits.Bytes() }
-
-// TrimFitScratch drops the fit storage kept for the next ingest.
-func (s *Store) TrimFitScratch() { s.fits.Trim() }
+const fitScratchBound = 4 << 20
 
 // sinkWriter wraps w with the attached fault injector's rule for sink
 // (a pass-through when none is attached).
@@ -342,7 +325,7 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		return existing, false, nil
 	}
 
-	dec, _, closeDec, err := s.bufs.Load().OpenFileDecoder(tmpName, format, int(s.parallel.Load()))
+	dec, _, closeDec, err := trace.OpenFileDecoder(tmpName, format, int(s.parallel.Load()))
 	if err != nil {
 		return Entry{}, false, stagedDecodeErr(format, err)
 	}
@@ -415,7 +398,7 @@ func (s *Store) summarizeAndFit(dec trace.Decoder, format string) (trace.Summary
 	if cls != nil {
 		defer func() {
 			cls.Reset()
-			if cls.Bytes() <= FitScratchBound {
+			if cls.Bytes() <= fitScratchBound {
 				s.fits.Put(cls)
 			}
 		}()

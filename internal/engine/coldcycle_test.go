@@ -50,16 +50,12 @@ func newColdCycler(tb testing.TB, blob []byte, workers int) *coldCycler {
 		tb.Fatal(err)
 	}
 	store.SetParallel(workers)
-	// The daemon's wiring: one set of decode buffers for its jobs and
-	// its ingests.
-	bufs := trace.NewDecodeBuffers(2, workers)
-	store.SetDecodeBuffers(bufs)
 	at := bytes.Index(blob, []byte(coldCycleName))
 	if at < 0 {
 		tb.Fatal("input carries no cycle name")
 	}
 	blob = bytes.Clone(blob)
-	return &coldCycler{store: store, cfg: Config{Workers: workers, Buffers: bufs}, blob: blob, at: at + len(coldCycleName) - 6}
+	return &coldCycler{store: store, cfg: Config{Workers: workers}, blob: blob, at: at + len(coldCycleName) - 6}
 }
 
 // cycle ingests a renamed copy of the input and runs a csv → array job
@@ -93,8 +89,7 @@ const coldCycleBudget = 4_000_000
 
 // TestColdCycleAllocs holds a warm cold cycle — ingest plus job of a
 // 100k-request webmail csv on one store and one Config — to
-// coldCycleBudget, and what the two keep between cycles to their
-// stated bounds, all of it gone once trimmed.
+// coldCycleBudget.
 func TestColdCycleAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting at full trace size")
@@ -113,19 +108,6 @@ func TestColdCycleAllocs(t *testing.T) {
 	t.Logf("%d B allocated per cycle, %d GC cycles over %d cycles", per, m1.NumGC-m0.NumGC, cycles)
 	if per > coldCycleBudget {
 		t.Errorf("a warm cold cycle allocated %d B, want <= %d B", per, coldCycleBudget)
-	}
-
-	kept, fit := c.cfg.Buffers.Bytes(), c.store.FitScratchBytes()
-	t.Logf("kept between cycles: %d B of decode buffers, %d B of fit scratch", kept, fit)
-	if kept == 0 || kept > trace.BufferBound(2, 2) || fit == 0 || fit > corpus.FitScratchBound {
-		t.Errorf("kept %d B of decode buffers (bound %d B) and %d B of fit scratch (bound %d B)",
-			kept, trace.BufferBound(2, 2), fit, corpus.FitScratchBound)
-	}
-	// What the idle timers run.
-	c.cfg.Buffers.Trim()
-	c.store.TrimFitScratch()
-	if kept, fit = c.cfg.Buffers.Bytes(), c.store.FitScratchBytes(); kept != 0 || fit != 0 {
-		t.Errorf("after trimming: %d B of decode buffers and %d B of fit scratch kept", kept, fit)
 	}
 }
 

@@ -163,13 +163,6 @@ type Config struct {
 	// span the run opens at the tracer's root. nil (the default)
 	// disables tracing at nil-check cost, the same discipline as Metrics.
 	Trace *obs.Tracer
-	// Buffers, when non-nil, lends the job's input decoders their read
-	// buffers and request batches and takes them back when the decode
-	// ends, so the jobs of a long-lived process share one bounded set
-	// (trace.NewDecodeBuffers sizes it for the concurrent jobs). nil
-	// (the default) gives every decode its own. Nothing a job writes to
-	// them is read by the next: a decoder overwrites what it borrows.
-	Buffers *trace.DecodeBuffers
 }
 
 func (c Config) withDefaults() Config {

@@ -320,7 +320,7 @@ const revisionThresholdUS = 1 << 52
 func runComparison(cfg Config, spec JobSpec, enc trace.Encoder) (*Report, error) {
 	cfg.Core.ForceInference, cfg.Core.SkipPostProcess = true, true
 	e := New(cfg)
-	dec, closeDec, err := e.openDecoder(spec.In, spec.InFormat, spec.ReorderWindow, e.cfg.Workers)
+	dec, closeDec, err := openDecoder(spec.In, spec.InFormat, spec.ReorderWindow, e.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -43,11 +43,11 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		e := New(testConfig(2, core.Options{}))
-		dec, closeDec, err := e.openDecoder(path, "csv", 0, 4)
+		dec, closeDec, err := openDecoder(path, "csv", 0, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
+		e := New(testConfig(2, core.Options{}))
 		if _, err := e.ReconstructStream(dec, trace.NewCSVEncoder(bytes.NewBuffer(nil)), nil); err == nil {
 			t.Fatal("want an unsorted-input error")
 		}

@@ -62,8 +62,9 @@ func referenceBytes(t *testing.T, old *trace.Trace, device, format string) []byt
 // TestSharedBuffersAcrossJobs runs, twice and in shuffled order, eight
 // concurrent jobs on mixed targets (array, ssd, hdd, ftl, host; recorded
 // and inferred latencies; csv and bin both ways) next to two concurrent
-// ingests that fit models, all on one Config and one store sharing one
-// set of decode buffers. Every job's bytes must be core.Reconstruct's
+// ingests that fit models, all on one Config and one store, their
+// decodes borrowing from the process's one set of kept read buffers and
+// request batches. Every job's bytes must be core.Reconstruct's
 // and every stored model the fit of its trace; under -race, no buffer
 // may be touched by two decodes at once.
 func TestSharedBuffersAcrossJobs(t *testing.T) {
@@ -124,14 +125,12 @@ func TestSharedBuffersAcrossJobs(t *testing.T) {
 		fits = append(fits, m)
 	}
 
-	bufs := trace.NewDecodeBuffers(len(jobs)+2, 4)
 	store, err := corpus.Open(filepath.Join(dir, "data"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	store.SetParallel(workers)
-	store.SetDecodeBuffers(bufs)
-	cfg := Config{Workers: workers, Buffers: bufs}
+	cfg := Config{Workers: workers}
 
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 2; round++ {
@@ -170,8 +169,5 @@ func TestSharedBuffersAcrossJobs(t *testing.T) {
 		if t.Failed() {
 			t.FailNow()
 		}
-	}
-	if bufs.Bytes() > trace.BufferBound(len(jobs)+2, 4) || store.FitScratchBytes() > corpus.FitScratchBound {
-		t.Fatalf("kept %d B of decode buffers and %d B of fit scratch, over the bounds", bufs.Bytes(), store.FitScratchBytes())
 	}
 }

@@ -145,7 +145,7 @@ func (e *Engine) ReconstructPath(inPath, informat string, reorderWindow int, enc
 			return nil, err
 		}
 	}
-	dec, closeDec, err := e.openDecoder(inPath, informat, reorderWindow, e.cfg.Workers)
+	dec, closeDec, err := openDecoder(inPath, informat, reorderWindow, e.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +161,7 @@ func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*
 	// on record order — skip the reorder window (so it doesn't buffer
 	// a whole window of requests to answer a one-record question) and
 	// the parallel decoder (one record never justifies a fan-out).
-	probe, closeProbe, err := e.openDecoder(inPath, informat, 0, 1)
+	probe, closeProbe, err := openDecoder(inPath, informat, 0, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +177,7 @@ func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*
 	if !needModel {
 		return nil, nil
 	}
-	dec, closeDec, err := e.openDecoder(inPath, informat, reorderWindow, e.cfg.Workers)
+	dec, closeDec, err := openDecoder(inPath, informat, reorderWindow, e.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -190,10 +190,10 @@ func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*
 }
 
 // openDecoder opens a format decoder over a file — segmented parallel
-// when workers > 1 and the file is big enough to split — on the
-// engine's decode buffers, optionally wrapped in a reorder window.
-func (e *Engine) openDecoder(path, format string, reorderWindow, workers int) (trace.Decoder, func(), error) {
-	dec, _, closeDec, err := e.cfg.Buffers.OpenFileDecoder(path, format, workers)
+// when workers > 1 and the file is big enough to split — optionally
+// wrapped in a reorder window.
+func openDecoder(path, format string, reorderWindow, workers int) (trace.Decoder, func(), error) {
+	dec, _, closeDec, err := trace.OpenFileDecoder(path, format, workers)
 	if err != nil {
 		return nil, nil, err
 	}

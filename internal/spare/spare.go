@@ -6,8 +6,7 @@
 // and falls to zero when no work arrives.
 //
 // A List is an optimization only. A value taken from it carries stale
-// contents the taker must overwrite before reading; a nil *List keeps
-// nothing, and every method is safe on it.
+// contents the taker must overwrite before reading.
 package spare
 
 import (
@@ -25,6 +24,7 @@ type List[T any] struct {
 	max  int
 	size func(T) int64
 	idle time.Duration
+	now  func() time.Time
 
 	mu    sync.Mutex
 	free  []T         // guarded by mu
@@ -42,17 +42,14 @@ func New[T any](max int, size func(T) int64) *List[T] {
 }
 
 func newList[T any](max int, idle time.Duration, size func(T) int64) *List[T] {
-	return &List[T]{max: max, size: size, idle: idle}
+	return &List[T]{max: max, size: size, idle: idle, now: time.Now}
 }
 
 // Get takes a kept value; ok is false when there is none.
 func (l *List[T]) Get() (v T, ok bool) {
-	if l == nil {
-		return v, false
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.last = time.Now()
+	l.last = l.now()
 	n := len(l.free)
 	if n == 0 {
 		return v, false
@@ -68,12 +65,9 @@ func (l *List[T]) Get() (v T, ok bool) {
 // Put offers v for a later Get and reports whether the List kept it;
 // a full List drops it.
 func (l *List[T]) Put(v T) bool {
-	if l == nil {
-		return false
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.last = time.Now()
+	l.last = l.now()
 	if len(l.free) >= l.max {
 		return false
 	}
@@ -96,7 +90,7 @@ func (l *List[T]) Put(v T) bool {
 func (l *List[T]) expire() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if wait := l.idle - time.Since(l.last); wait > 0 {
+	if wait := l.idle - l.now().Sub(l.last); wait > 0 {
 		l.timer.Reset(wait)
 		return
 	}
@@ -106,9 +100,6 @@ func (l *List[T]) expire() {
 
 // Trim drops every kept value now.
 func (l *List[T]) Trim() {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	l.trimLocked()
 	l.mu.Unlock()
@@ -123,20 +114,7 @@ func (l *List[T]) trimLocked() {
 
 // Bytes returns the size of the values kept.
 func (l *List[T]) Bytes() int64 {
-	if l == nil {
-		return 0
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.bytes
-}
-
-// Len returns the number of values kept.
-func (l *List[T]) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.free)
 }

@@ -56,7 +56,7 @@ type codec struct {
 var codecs = [...]codec{
 	{
 		name:   "csv",
-		decode: func(br *bufio.Reader) Decoder { return &CSVDecoder{ls: &lineScanner{br: br}} },
+		decode: func(br *bufio.Reader) Decoder { return newCSVDecoder(br) },
 		segment: func(br *bufio.Reader, ctx segCtx) Decoder {
 			d := &CSVDecoder{ls: &lineScanner{br: br}, meta: ctx.meta, sawData: ctx.sawData}
 			d.t.applyMeta(ctx.meta)
@@ -79,10 +79,8 @@ var codecs = [...]codec{
 		write:  WriteBinary,
 	},
 	{
-		name: "msrc",
-		decode: func(br *bufio.Reader) Decoder {
-			return &MSRCDecoder{ls: &lineScanner{br: br}, meta: msrcMeta, first: true}
-		},
+		name:   "msrc",
+		decode: func(br *bufio.Reader) Decoder { return newMSRCDecoder(br) },
 		segment: func(br *bufio.Reader, ctx segCtx) Decoder {
 			return &MSRCDecoder{ls: &lineScanner{br: br}, meta: ctx.meta, base: ctx.msrcBase}
 		},
@@ -94,7 +92,7 @@ var codecs = [...]codec{
 	},
 	{
 		name:      "spc",
-		decode:    func(br *bufio.Reader) Decoder { return &SPCDecoder{ls: &lineScanner{br: br}} },
+		decode:    func(br *bufio.Reader) Decoder { return newSPCDecoder(br) },
 		segment:   func(br *bufio.Reader, _ segCtx) Decoder { return &SPCDecoder{ls: &lineScanner{br: br}} },
 		text:      true,
 		needsSort: true,

@@ -12,8 +12,8 @@ package trace
 // stays at ~0 allocations per record, and each worker reads every
 // segment it claims out of one read buffer. Segments in flight ahead of
 // the merge point are bounded by a token pool, so memory stays
-// O(workers), not O(input). A DecodeBuffers carries the read buffers and
-// batches from one decode to the next.
+// O(workers), not O(input). keptReaders and keptBatches carry the read
+// buffers and batches from one decode to the next.
 //
 // Consumers must call Close when abandoning a decoder before EOF or a
 // terminal error; after either, the goroutines have already drained.
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -65,19 +66,17 @@ type parBatch struct {
 
 // reqFreeList recycles request batches between the merger (which
 // finishes with them) and the decode workers (which fill new ones). A
-// miss falls back to the decode's DecodeBuffers before it allocates.
+// miss takes a kept batch (keptBatches) before it allocates.
 type reqFreeList chan []Request
 
-func (f reqFreeList) get(bufs *DecodeBuffers) []Request {
+func (f reqFreeList) get() []Request {
 	select {
 	case b := <-f:
 		return b
 	default:
 	}
-	if bufs != nil {
-		if b, ok := bufs.batches.Get(); ok {
-			return b
-		}
+	if b, ok := keptBatches.Get(); ok {
+		return b
 	}
 	return make([]Request, parBatchLen)
 }
@@ -92,83 +91,57 @@ func (f reqFreeList) put(b []Request) {
 	}
 }
 
-// DecodeBuffers keeps what a decode leaves behind — the workers' read
-// buffers and the request batches — for the decodes after it, so a
-// process that decodes trace after trace stops allocating them once
-// warm. It holds at most the buffers of a fixed number of concurrent
-// decodes and drops them all once no decode has used it for
-// spare.IdleAfter. A nil *DecodeBuffers keeps nothing. Safe for
-// concurrent use.
-type DecodeBuffers struct {
-	readers *spare.List[*bufio.Reader]
-	batches *spare.List[[]Request]
-}
+// What a decode leaves behind — its workers' read buffers and its
+// request batches — is kept for the decodes after it, so a process that
+// decodes trace after trace stops allocating them once warm. Every
+// decoder OpenFileDecoder and NewParallelDecoder build borrows from
+// keptReaders and keptBatches and hands back when it is closed. They
+// hold the buffers of keptDecodes concurrent decodes on GOMAXPROCS
+// workers each — keptBound bytes, 3.3 MiB at GOMAXPROCS=2 — and drop
+// them all once no decode has used them for spare.IdleAfter. Nothing a
+// decode writes to a buffer is read by the next: a decoder overwrites
+// what it borrows.
+var (
+	keptReaders = spare.New(keptDecodes*keptWorkers, func(br *bufio.Reader) int64 { return int64(br.Size()) })
+	keptBatches = spare.New(keptDecodes*batchesPerDecode(keptWorkers), func(b []Request) int64 { return int64(cap(b)) * requestSize })
+)
 
-// NewDecodeBuffers returns buffers for up to decoders concurrent
-// decodes on up to workers workers each: decoders·workers read buffers
-// of 128 KiB and decoders·(5·workers+8) request batches of 1,024
-// requests at most — BufferBound bytes.
-func NewDecodeBuffers(decoders, workers int) *DecodeBuffers {
-	readers, batches := bufferCounts(decoders, workers)
-	return &DecodeBuffers{
-		readers: spare.New(readers, func(br *bufio.Reader) int64 { return int64(br.Size()) }),
-		batches: spare.New(batches, func(b []Request) int64 { return int64(cap(b)) * requestSize }),
-	}
-}
+// keptDecodes is how many concurrent decodes keptReaders and
+// keptBatches keep the buffers of: a daemon's default two jobs and one
+// ingest.
+const keptDecodes = 3
 
-// BufferBound is the most a NewDecodeBuffers(decoders, workers) keeps,
-// in bytes.
-func BufferBound(decoders, workers int) int64 {
-	readers, batches := bufferCounts(decoders, workers)
-	return int64(readers)*readBufLen + int64(batches)*parBatchLen*requestSize
-}
+var (
+	keptWorkers = runtime.GOMAXPROCS(0)
+	keptBound   = int64(keptDecodes) * (int64(keptWorkers)*readBufLen +
+		int64(batchesPerDecode(keptWorkers))*parBatchLen*requestSize)
+)
 
-// bufferCounts is how many read buffers and request batches the
-// decodes of a DecodeBuffers have in use at most: a read buffer per
-// worker, and the batches of a decode's own free list (NewParallelDecoder
-// sizes it to inflight·segRingDepth + workers, inflight ≤ workers+2).
-func bufferCounts(decoders, workers int) (readers, batches int) {
-	decoders, workers = max(decoders, 1), max(workers, 1)
-	return decoders * workers, decoders * ((workers+2)*segRingDepth + workers)
+// batchesPerDecode is how many request batches a decode on workers
+// workers has in use at most: its own free list, which
+// NewParallelDecoder sizes to inflight·segRingDepth + workers with
+// inflight ≤ workers+2.
+func batchesPerDecode(workers int) int {
+	return (workers+2)*segRingDepth + workers
 }
 
 const requestSize = int64(unsafe.Sizeof(Request{}))
 
-// Bytes returns the size of the buffers kept.
-func (b *DecodeBuffers) Bytes() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.readers.Bytes() + b.batches.Bytes()
-}
-
-// Trim drops every buffer kept.
-func (b *DecodeBuffers) Trim() {
-	if b == nil {
-		return
-	}
-	b.readers.Trim()
-	b.batches.Trim()
-}
-
-// reader returns a read buffer over r, a kept one when there is one.
-func (b *DecodeBuffers) reader(r io.Reader) *bufio.Reader {
-	if b != nil {
-		if br, ok := b.readers.Get(); ok {
-			br.Reset(r)
-			return br
-		}
+// borrowReader returns a read buffer over r, a kept one when there is
+// one.
+func borrowReader(r io.Reader) *bufio.Reader {
+	if br, ok := keptReaders.Get(); ok {
+		br.Reset(r)
+		return br
 	}
 	return newReadBuffer(r)
 }
 
-// putReader offers a read buffer no decoder reads any more. It drops
+// returnReader offers a read buffer no decoder reads any more. It drops
 // its input first, so a kept buffer pins no file.
-func (b *DecodeBuffers) putReader(br *bufio.Reader) {
-	if b != nil {
-		br.Reset(nil)
-		b.readers.Put(br)
-	}
+func returnReader(br *bufio.Reader) {
+	br.Reset(nil)
+	keptReaders.Put(br)
 }
 
 // ParallelDecoder decodes an io.ReaderAt-addressable input on worker
@@ -201,10 +174,6 @@ type ParallelDecoder struct {
 	cur      []Request
 	pos      int
 	err      error
-
-	// bufs is where the workers' read buffers and the spare batches go
-	// once the decode is closed, and where they come from first.
-	bufs *DecodeBuffers
 }
 
 // NewParallelDecoder plans and starts a parallel decode of
@@ -213,16 +182,10 @@ type ParallelDecoder struct {
 // surface on the first Next/ReadBatch call, matching the sequential
 // constructors.
 func NewParallelDecoder(ra io.ReaderAt, size int64, format string, workers int) *ParallelDecoder {
-	return (*DecodeBuffers)(nil).NewParallelDecoder(ra, size, format, workers)
-}
-
-// NewParallelDecoder is the package's NewParallelDecoder taking its read
-// buffers and request batches from b, which gets them back at Close.
-func (b *DecodeBuffers) NewParallelDecoder(ra io.ReaderAt, size int64, format string, workers int) *ParallelDecoder {
 	if workers < 1 {
 		workers = 1
 	}
-	d := &ParallelDecoder{ra: ra, stop: make(chan struct{}), bufs: b}
+	d := &ParallelDecoder{ra: ra, stop: make(chan struct{})}
 	d.plan, d.planErr = splitSegments(ra, size, format, workers)
 	if d.planErr != nil || len(d.plan.segs) == 0 {
 		return d
@@ -263,7 +226,7 @@ func (d *ParallelDecoder) worker() {
 	var br *bufio.Reader
 	defer func() {
 		if br != nil {
-			d.bufs.putReader(br)
+			returnReader(br)
 		}
 	}()
 	for {
@@ -279,7 +242,7 @@ func (d *ParallelDecoder) worker() {
 		s := d.plan.segs[i]
 		sr := io.NewSectionReader(d.ra, s.start, s.end-s.start)
 		if br == nil {
-			br = d.bufs.reader(sr)
+			br = borrowReader(sr)
 		} else {
 			br.Reset(sr)
 		}
@@ -300,7 +263,7 @@ func (d *ParallelDecoder) runSegment(i int, br *bufio.Reader) bool {
 	defer close(ch)
 	dec := d.plan.codec.segment(br, d.plan.segs[i].ctx)
 	for {
-		buf := d.free.get(d.bufs)
+		buf := d.free.get()
 		n, err := DecodeBatch(dec, buf)
 		if n > 0 {
 			select {
@@ -449,15 +412,11 @@ func (d *ParallelDecoder) shutdown() {
 // Close stops the decode workers and waits for them to exit. It is
 // idempotent and required when the consumer abandons the stream before
 // EOF or a terminal error; afterwards it is a cheap no-op join. It hands
-// the spare batches, and the one the consumer was reading, to the
-// decoder's DecodeBuffers: nothing the decoder returned may be read
-// after Close.
+// the spare batches, and the one the consumer was reading, back to
+// keptBatches: nothing the decoder returned may be read after Close.
 func (d *ParallelDecoder) Close() {
 	d.shutdown()
 	d.wg.Wait()
-	if d.bufs == nil {
-		return
-	}
 	if d.cur != nil {
 		d.free.put(d.cur)
 		d.cur, d.pos = nil, 0
@@ -465,7 +424,7 @@ func (d *ParallelDecoder) Close() {
 	for {
 		select {
 		case b := <-d.free:
-			d.bufs.batches.Put(b)
+			keptBatches.Put(b)
 		default:
 			return
 		}
@@ -477,15 +436,9 @@ func (d *ParallelDecoder) Close() {
 // large enough to split profitably, the sequential decoder otherwise.
 // format "auto" (or "") is resolved by content sniffing (ResolveFile);
 // the concrete format is returned. The returned close function stops
-// any decode workers and closes the file.
+// any decode workers, closes the file and hands the decoder's buffers
+// back to be kept.
 func OpenFileDecoder(path, format string, workers int) (Decoder, string, func(), error) {
-	return (*DecodeBuffers)(nil).OpenFileDecoder(path, format, workers)
-}
-
-// OpenFileDecoder is the package's OpenFileDecoder taking its read
-// buffers and request batches from b, which gets them back when the
-// returned close function runs.
-func (b *DecodeBuffers) OpenFileDecoder(path, format string, workers int) (Decoder, string, func(), error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, "", nil, err
@@ -500,7 +453,7 @@ func (b *DecodeBuffers) OpenFileDecoder(path, format string, workers int) (Decod
 		return nil, "", nil, err
 	}
 	if workers > 1 && st.Mode().IsRegular() && st.Size() >= ParallelMinBytes {
-		pd := b.NewParallelDecoder(f, st.Size(), format, workers)
+		pd := NewParallelDecoder(f, st.Size(), format, workers)
 		return pd, format, func() { pd.Close(); f.Close() }, nil
 	}
 	c, err := input(format)
@@ -508,12 +461,12 @@ func (b *DecodeBuffers) OpenFileDecoder(path, format string, workers int) (Decod
 		f.Close()
 		return nil, "", nil, err
 	}
-	br := b.reader(f)
+	br := borrowReader(f)
 	closed := false
 	return c.decode(br), format, func() {
 		if !closed {
 			closed = true
-			b.putReader(br)
+			returnReader(br)
 			f.Close()
 		}
 	}, nil

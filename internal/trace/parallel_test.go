@@ -483,13 +483,15 @@ func TestParallelDecodeAllocs(t *testing.T) {
 
 // TestParallelDecoderReadBuffers: a decode takes at most one read
 // buffer per worker, however many segments its input splits into, and
-// gives every buffer it takes back to its DecodeBuffers at Close — so
-// decodes on warm buffers allocate none, and what is kept never exceeds
-// the workers. The buffers hold room for more readers than there are
-// segments, so a decode that took a buffer per segment would leave one
-// per segment behind.
+// gives every buffer it takes back at Close — so decodes on warm
+// buffers allocate none, and what is kept never exceeds the workers.
+// keptReaders holds room for more readers than the workers, so a decode
+// that took a buffer per segment would leave more behind.
 func TestParallelDecoderReadBuffers(t *testing.T) {
 	const workers = 2
+	if keptDecodes*keptWorkers <= workers {
+		t.Fatalf("keptReaders holds %d buffers, want more than %d workers", keptDecodes*keptWorkers, workers)
+	}
 	tr := benchTrace(120_000)
 	for _, format := range []string{"csv", "bin"} {
 		var buf bytes.Buffer
@@ -497,10 +499,11 @@ func TestParallelDecoderReadBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := buf.Bytes()
-		bufs := NewDecodeBuffers(8, workers)
+		keptReaders.Trim()
+		keptBatches.Trim()
 		for round := 0; round < 3; round++ {
 			for _, size := range []int{len(data) / 4, len(data)} {
-				pd := bufs.NewParallelDecoder(bytes.NewReader(data[:size]), int64(size), format, workers)
+				pd := NewParallelDecoder(bytes.NewReader(data[:size]), int64(size), format, workers)
 				if nseg := len(pd.plan.segs); size == len(data) && nseg <= workers {
 					t.Fatalf("%s: fixture splits into %d segments, want more than %d workers", format, nseg, workers)
 				}
@@ -513,18 +516,20 @@ func TestParallelDecoderReadBuffers(t *testing.T) {
 					}
 				}
 				pd.Close()
-				if n := bufs.readers.Len(); n < 1 || n > workers {
+				if n := keptReaders.Bytes() / readBufLen; n < 1 || n > workers {
 					t.Fatalf("%s round %d: %d read buffers kept after a %d-segment decode on %d workers, want 1 to %d",
 						format, round, n, len(pd.plan.segs), workers, workers)
 				}
 			}
 		}
-		if bufs.Bytes() > BufferBound(8, workers) {
-			t.Fatalf("%s: %d B kept, over the %d B bound", format, bufs.Bytes(), BufferBound(8, workers))
+		if kept := keptReaders.Bytes() + keptBatches.Bytes(); kept > keptBound {
+			t.Fatalf("%s: %d B kept, over the %d B bound", format, kept, keptBound)
 		}
-		bufs.Trim()
-		if bufs.Bytes() != 0 {
-			t.Fatalf("%s: %d B kept after Trim", format, bufs.Bytes())
-		}
+	}
+	// What the idle timers run.
+	keptReaders.Trim()
+	keptBatches.Trim()
+	if kept := keptReaders.Bytes() + keptBatches.Bytes(); kept != 0 {
+		t.Fatalf("%d B kept after trimming", kept)
 	}
 }

@@ -31,10 +31,6 @@ type lineScanner struct {
 	scratch []byte
 }
 
-func newLineScanner(r io.Reader) *lineScanner {
-	return &lineScanner{br: newReadBuffer(r)}
-}
-
 // readBufLen is the size of the read buffer every decoder scans its
 // input out of, lines and binary records alike.
 const readBufLen = 128 << 10

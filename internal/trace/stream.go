@@ -378,7 +378,11 @@ type CSVDecoder struct {
 
 // NewCSVDecoder wraps r in a native-CSV request stream.
 func NewCSVDecoder(r io.Reader) *CSVDecoder {
-	return &CSVDecoder{ls: newLineScanner(r)}
+	return newCSVDecoder(newReadBuffer(r))
+}
+
+func newCSVDecoder(br *bufio.Reader) *CSVDecoder {
+	return &CSVDecoder{ls: &lineScanner{br: br}}
 }
 
 // Meta implements Decoder.
@@ -934,7 +938,11 @@ var msrcMeta = Meta{Set: "MSRC", TsdevKnown: true}
 
 // NewMSRCDecoder wraps r in an MSRC request stream.
 func NewMSRCDecoder(r io.Reader) *MSRCDecoder {
-	return &MSRCDecoder{ls: newLineScanner(r), meta: msrcMeta, first: true}
+	return newMSRCDecoder(newReadBuffer(r))
+}
+
+func newMSRCDecoder(br *bufio.Reader) *MSRCDecoder {
+	return &MSRCDecoder{ls: &lineScanner{br: br}, meta: msrcMeta, first: true}
 }
 
 // Meta implements Decoder.
@@ -1029,7 +1037,11 @@ type SPCDecoder struct {
 
 // NewSPCDecoder wraps r in an SPC request stream.
 func NewSPCDecoder(r io.Reader) *SPCDecoder {
-	return &SPCDecoder{ls: newLineScanner(r)}
+	return newSPCDecoder(newReadBuffer(r))
+}
+
+func newSPCDecoder(br *bufio.Reader) *SPCDecoder {
+	return &SPCDecoder{ls: &lineScanner{br: br}}
 }
 
 // Meta implements Decoder.
