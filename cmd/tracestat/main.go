@@ -65,24 +65,24 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		path = spool
 	}
 	format := *informat
-	open := func() (trace.Decoder, func(), error) {
-		dec, resolved, closeDec, err := trace.OpenFileDecoder(path, format, *parallel)
+	open := func() (trace.Decoder, error) {
+		dec, resolved, err := trace.OpenFileDecoder(path, format, *parallel)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		format = resolved
 		if trace.NeedsSort(format) {
 			dec = trace.NewReorderDecoder(dec, engine.DefaultReorderWindow)
 		}
-		return dec, closeDec, nil
+		return dec, nil
 	}
 
-	dec, closeDec, err := open()
+	dec, err := open()
 	if err != nil {
 		return err
 	}
 	sum, cls, err := infer.SummarizeAndClassify(dec, func(trace.Meta) *infer.StreamClassifier { return infer.NewStreamClassifier() })
-	closeDec()
+	dec.Close()
 	if err != nil {
 		return err
 	}
@@ -147,11 +147,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "tracestat: model fit skipped: %v\n", err)
 		return nil
 	}
-	if dec, closeDec, err = open(); err != nil {
+	if dec, err = open(); err != nil {
 		return err
 	}
 	d, err := decompose(dec, m, sum.Meta.TsdevKnown)
-	closeDec()
+	dec.Close()
 	if err != nil {
 		return err
 	}

@@ -55,11 +55,7 @@ func modelBits(m *infer.Model) string { return fmt.Sprintf("%x", *m) }
 // and fit them whole.
 func freshFit(t *testing.T, format string, data []byte) *infer.Model {
 	t.Helper()
-	dec, err := trace.NewDecoder(format, bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Drain(dec)
+	tr, err := trace.ReadFormat(format, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -325,11 +325,11 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		return existing, false, nil
 	}
 
-	dec, _, closeDec, err := trace.OpenFileDecoder(tmpName, format, int(s.parallel.Load()))
+	dec, _, err := trace.OpenFileDecoder(tmpName, format, int(s.parallel.Load()))
 	if err != nil {
 		return Entry{}, false, stagedDecodeErr(format, err)
 	}
-	defer closeDec()
+	defer dec.Close()
 	sum, model, err := s.summarizeAndFit(dec, format)
 	if err != nil {
 		return Entry{}, false, stagedDecodeErr(format, err)

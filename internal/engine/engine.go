@@ -249,8 +249,8 @@ func (e *Engine) Reconstruct(old *trace.Trace) (*trace.Trace, *core.Report, erro
 	}, nil
 }
 
-// sliceDecoder streams a materialised trace. ReadBatch hands the
-// planner a view of the remaining requests, so nothing is copied.
+// sliceDecoder streams a materialised trace. Read hands the planner a
+// view of the next requests, so nothing is copied.
 type sliceDecoder struct {
 	reqs []trace.Request
 	meta trace.Meta
@@ -258,23 +258,17 @@ type sliceDecoder struct {
 
 func (d *sliceDecoder) Meta() trace.Meta { return d.meta }
 
-func (d *sliceDecoder) Next() (trace.Request, error) {
-	if len(d.reqs) == 0 {
-		return trace.Request{}, io.EOF
-	}
-	r := d.reqs[0]
-	d.reqs = d.reqs[1:]
-	return r, nil
-}
-
-func (d *sliceDecoder) ReadBatch() ([]trace.Request, error) {
+func (d *sliceDecoder) Read(dst []trace.Request) ([]trace.Request, error) {
 	if len(d.reqs) == 0 {
 		return nil, io.EOF
 	}
-	b := d.reqs
-	d.reqs = nil
-	return b, nil
+	run := d.reqs[:min(len(dst), len(d.reqs))]
+	d.reqs = d.reqs[len(run):]
+	return run, nil
 }
+
+// Close drops the rest of the trace: a later Read sees the end.
+func (d *sliceDecoder) Close() { d.reqs = nil }
 
 // collector is the serial encoder Reconstruct streams into: the merge
 // appends every record to a slice presized to the input.

@@ -52,6 +52,16 @@ func traceBytes(t *testing.T, tr *trace.Trace) []byte {
 	return buf.Bytes()
 }
 
+// decoderOf is a sequential decoder over data in the named format.
+func decoderOf(t testing.TB, format string, data []byte) trace.Decoder {
+	t.Helper()
+	dec, err := trace.NewDecoder(format, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec
+}
+
 // testConfig forces small shards so even unit-test traces split into
 // many epochs.
 func testConfig(workers int, opts core.Options) Config {
@@ -177,7 +187,7 @@ func adversaryIdentity(t *testing.T, device string, mk func() device.Device) {
 			}
 			for name, newEnc := range encoders {
 				var got bytes.Buffer
-				rep, err := e.ReconstructStream(trace.NewBinaryDecoder(bytes.NewReader(input)), newEnc(&got), nil)
+				rep, err := e.ReconstructStream(decoderOf(t, "bin", input), newEnc(&got), nil)
 				if err != nil {
 					t.Fatalf("%s %s w=%d: stream: %v", label, name, workers, err)
 				}
@@ -317,7 +327,7 @@ func TestNonShardSafeFallback(t *testing.T) {
 			if err := trace.EncodeTrace(mkEnc(&wantBytes), want); err != nil {
 				t.Fatal(err)
 			}
-			srep, err := e.ReconstructStream(trace.NewBinaryDecoder(bytes.NewReader(input.Bytes())), mkEnc(&gotBytes), nil)
+			srep, err := e.ReconstructStream(decoderOf(t, "bin", input.Bytes()), mkEnc(&gotBytes), nil)
 			if err != nil {
 				t.Fatalf("%s w=%d: stream: %v", encName, workers, err)
 			}
@@ -403,7 +413,7 @@ func TestShardSafeRenderByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := e.ReconstructStream(trace.NewBinaryDecoder(bytes.NewReader(input.Bytes())), enc, wantRep.Model)
+				rep, err := e.ReconstructStream(decoderOf(t, "bin", input.Bytes()), enc, wantRep.Model)
 				if err != nil {
 					t.Fatalf("%s tsdev=%v w=%d: stream: %v", format, tsdev, workers, err)
 				}
@@ -431,7 +441,7 @@ func TestFitModelMatchesEstimate(t *testing.T) {
 	if err := trace.WriteBinary(&input, old); err != nil {
 		t.Fatal(err)
 	}
-	m, n, err := FitModel(trace.NewBinaryDecoder(bytes.NewReader(input.Bytes())), core.Options{}.Estimate)
+	m, n, err := FitModel(decoderOf(t, "bin", input.Bytes()), core.Options{}.Estimate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,21 +461,21 @@ func TestStreamErrors(t *testing.T) {
 	unsorted := "# tracetracker name=x workload=w set=S tsdev_known=true\n" +
 		"10.000,0,100,8,R,5.000,0\n" +
 		"1.000,0,200,8,R,5.000,0\n"
-	_, err := e.ReconstructStream(trace.NewCSVDecoder(strings.NewReader(unsorted)), trace.NewCSVEncoder(io.Discard), nil)
+	_, err := e.ReconstructStream(decoderOf(t, "csv", []byte(unsorted)), trace.NewCSVEncoder(io.Discard), nil)
 	if err == nil || !strings.Contains(err.Error(), "not sorted") {
 		t.Fatalf("unsorted input: got %v", err)
 	}
 	// Missing model on an inference-path trace.
 	nomodel := "# tracetracker name=x workload=w set=S tsdev_known=false\n" +
 		"1.000,0,100,8,R,0.000,0\n"
-	_, err = e.ReconstructStream(trace.NewCSVDecoder(strings.NewReader(nomodel)), trace.NewCSVEncoder(io.Discard), nil)
+	_, err = e.ReconstructStream(decoderOf(t, "csv", []byte(nomodel)), trace.NewCSVEncoder(io.Discard), nil)
 	if err != ErrModelRequired {
 		t.Fatalf("missing model: got %v", err)
 	}
 	// Zero-size request.
 	zero := "# tracetracker name=x workload=w set=S tsdev_known=true\n" +
 		"1.000,0,100,0,R,5.000,0\n"
-	_, err = e.ReconstructStream(trace.NewCSVDecoder(strings.NewReader(zero)), trace.NewCSVEncoder(io.Discard), nil)
+	_, err = e.ReconstructStream(decoderOf(t, "csv", []byte(zero)), trace.NewCSVEncoder(io.Discard), nil)
 	if err == nil || !strings.Contains(err.Error(), "zero sectors") {
 		t.Fatalf("zero sectors: got %v", err)
 	}
@@ -480,7 +490,7 @@ func TestStreamErrors(t *testing.T) {
 		{"unsorted", unsorted, trace.ErrUnsorted},
 		{"zero sectors", zero, trace.ErrZeroSize},
 	} {
-		old, err := trace.Drain(trace.NewCSVDecoder(strings.NewReader(tc.csv)))
+		old, err := trace.ReadFormat("csv", strings.NewReader(tc.csv))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,7 +524,7 @@ func TestStreamEmitErrorAborts(t *testing.T) {
 	cfg.Metrics = obs.NewEngineMetrics(reg)
 	e := New(cfg)
 	enc := &failingEncoder{}
-	_, err := e.ReconstructStream(trace.NewBinaryDecoder(bytes.NewReader(input.Bytes())), enc, nil)
+	_, err := e.ReconstructStream(decoderOf(t, "bin", input.Bytes()), enc, nil)
 	if err != io.ErrShortWrite {
 		t.Fatalf("want the encoder's error, got %v", err)
 	}
@@ -541,7 +551,7 @@ func TestStreamEmitErrorAborts(t *testing.T) {
 func TestEmptyStream(t *testing.T) {
 	e := New(testConfig(2, core.Options{}))
 	var out bytes.Buffer
-	_, err := e.ReconstructStream(trace.NewCSVDecoder(strings.NewReader("")), trace.NewCSVEncoder(&out), nil)
+	_, err := e.ReconstructStream(decoderOf(t, "csv", nil), trace.NewCSVEncoder(&out), nil)
 	if !errors.Is(err, trace.ErrNoRequest) {
 		t.Fatalf("want ErrNoRequest, got %v", err)
 	}

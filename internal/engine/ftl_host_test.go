@@ -198,7 +198,7 @@ func TestPipelinedFTLHostStream(t *testing.T) {
 			cfg.Device = tc.mk
 			var got bytes.Buffer
 			rep, err := New(cfg).ReconstructStream(
-				trace.NewBinaryDecoder(bytes.NewReader(input.Bytes())),
+				decoderOf(t, "bin", input.Bytes()),
 				trace.NewCSVEncoder(&got),
 				nil,
 			)

@@ -128,7 +128,7 @@ func TestPipelinedHDDStream(t *testing.T) {
 				e := New(cfg)
 				var got bytes.Buffer
 				rep, err := e.ReconstructStream(
-					trace.NewBinaryDecoder(bytes.NewReader(input.Bytes())),
+					decoderOf(t, "bin", input.Bytes()),
 					ec.enc(&got),
 					wantRep.Model,
 				)
@@ -173,7 +173,7 @@ func (f *failingShardEncoder) WriteRaw(p []byte) error {
 	return f.CSVEncoder.WriteRaw(p)
 }
 
-// closeRecorder records trace.CloseDecoder reaching the decoder.
+// closeRecorder records Close reaching the decoder.
 type closeRecorder struct {
 	trace.Decoder
 	closed bool
@@ -188,7 +188,7 @@ func (c *closeRecorder) Close() { c.closed = true }
 func spliceFailureAborts(t *testing.T, e *Engine, input []byte) {
 	t.Helper()
 	base := runtime.NumGoroutine()
-	dec := &closeRecorder{Decoder: trace.NewBinaryDecoder(bytes.NewReader(input))}
+	dec := &closeRecorder{Decoder: decoderOf(t, "bin", input)}
 	senc := &failingShardEncoder{CSVEncoder: trace.NewCSVEncoder(io.Discard), left: 2}
 	if _, err := e.ReconstructStream(dec, senc, nil); err != io.ErrShortWrite {
 		t.Fatalf("mid-stream splice failure: want the encoder's error, got %v", err)
@@ -225,7 +225,7 @@ func TestPipelinedHDDStreamErrors(t *testing.T) {
 	// the serial record fallback and must stop after the first failed
 	// Write instead of draining the input.
 	enc := &failingEncoder{}
-	if _, err := e.ReconstructStream(trace.NewBinaryDecoder(bytes.NewReader(input.Bytes())), enc, nil); err != io.ErrShortWrite {
+	if _, err := e.ReconstructStream(decoderOf(t, "bin", input.Bytes()), enc, nil); err != io.ErrShortWrite {
 		t.Fatalf("want the encoder's error, got %v", err)
 	}
 	if enc.writes != 1 {
@@ -238,7 +238,7 @@ func TestPipelinedHDDStreamErrors(t *testing.T) {
 	unsorted := "# tracetracker name=x workload=w set=S tsdev_known=true\n" +
 		"10.000,0,100,8,R,5.000,0\n" +
 		"1.000,0,200,8,R,5.000,0\n"
-	_, err := e.ReconstructStream(trace.NewCSVDecoder(strings.NewReader(unsorted)), trace.NewCSVEncoder(io.Discard), nil)
+	_, err := e.ReconstructStream(decoderOf(t, "csv", []byte(unsorted)), trace.NewCSVEncoder(io.Discard), nil)
 	if err == nil || !strings.Contains(err.Error(), "not sorted") {
 		t.Fatalf("unsorted input: got %v", err)
 	}

@@ -320,11 +320,11 @@ const revisionThresholdUS = 1 << 52
 func runComparison(cfg Config, spec JobSpec, enc trace.Encoder) (*Report, error) {
 	cfg.Core.ForceInference, cfg.Core.SkipPostProcess = true, true
 	e := New(cfg)
-	dec, closeDec, err := openDecoder(spec.In, spec.InFormat, spec.ReorderWindow, e.cfg.Workers)
+	dec, err := openDecoder(spec.In, spec.InFormat, spec.ReorderWindow, e.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	defer closeDec()
+	defer dec.Close()
 	if spec.Method == "acceleration" {
 		return nil, accelerate(dec, enc, spec.Factor)
 	}

@@ -43,7 +43,7 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		dec, closeDec, err := openDecoder(path, "csv", 0, 4)
+		dec, err := openDecoder(path, "csv", 0, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,10 +51,9 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 		if _, err := e.ReconstructStream(dec, trace.NewCSVEncoder(bytes.NewBuffer(nil)), nil); err == nil {
 			t.Fatal("want an unsorted-input error")
 		}
-		// ReconstructStream already closed the decoder; the openDecoder
-		// close func is the caller's usual cleanup and must be a no-op
-		// join on top.
-		closeDec()
+		// ReconstructStream already closed the decoder; the caller's
+		// usual deferred Close must be a no-op join on top.
+		dec.Close()
 	}
 	// The comparison methods take the same input path: a failed job of
 	// either kind — the graph, acceleration's record loop — joins the

@@ -217,7 +217,11 @@ func TestMethodsReorderWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsorted, err := trace.Drain(trace.NewMSRCDecoder(bytes.NewReader(raw)))
+	unsorted := &trace.Trace{}
+	err = trace.ForEachBatch(decoderOf(t, "msrc", raw), func(run []trace.Request) error {
+		unsorted.Requests = append(unsorted.Requests, run...)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

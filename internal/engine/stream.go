@@ -34,7 +34,7 @@ func FitModel(dec trace.Decoder, opts infer.EstimateOptions) (*infer.Model, int,
 		return nil
 	})
 	if err != nil {
-		trace.CloseDecoder(dec)
+		dec.Close()
 		return nil, c.N(), err
 	}
 	m, err := c.Estimate(dec.Meta().Name, opts)
@@ -56,19 +56,20 @@ func FitModel(dec trace.Decoder, opts infer.EstimateOptions) (*infer.Model, int,
 // workers render the output bytes and only WriteRaw is called on it; any
 // other encoder is written record by record from the merge.
 //
-// On any error the decoder is closed (trace.CloseDecoder), so an
-// abandoned parallel decode never leaks its worker goroutines.
+// On any error the decoder is closed, so an abandoned parallel decode
+// never leaks its worker goroutines.
 func (e *Engine) ReconstructStream(dec trace.Decoder, enc trace.Encoder, m *infer.Model) (*Report, error) {
 	rep, err := e.reconstructStream(dec, enc, m)
 	if err != nil {
-		trace.CloseDecoder(dec)
+		dec.Close()
 		return nil, err
 	}
 	return rep, nil
 }
 
 func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infer.Model) (*Report, error) {
-	first, err := dec.Next()
+	// The first run completes the metadata, which decides the path.
+	first, err := dec.Read(make([]trace.Request, 1))
 	if err == io.EOF {
 		// As trace.Validate has it: an empty input is a broken corpus,
 		// not a successful reconstruction.
@@ -94,7 +95,7 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 	planner := newStreamPlanner(e.cfg, pool)
 	produce := func(submit func(epoch) error) error {
 		submitShard := func(s shard) error { return submit(epoch{shard: s}) }
-		if err := planner.addBatch([]trace.Request{first}, submitShard); err != nil {
+		if err := planner.addBatch(first, submitShard); err != nil {
 			return err
 		}
 		// Fused parallel ingest: with a parallel decoder, its workers
@@ -145,11 +146,11 @@ func (e *Engine) ReconstructPath(inPath, informat string, reorderWindow int, enc
 			return nil, err
 		}
 	}
-	dec, closeDec, err := openDecoder(inPath, informat, reorderWindow, e.cfg.Workers)
+	dec, err := openDecoder(inPath, informat, reorderWindow, e.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	defer closeDec()
+	defer dec.Close()
 	return e.ReconstructStream(dec, enc, m)
 }
 
@@ -161,13 +162,13 @@ func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*
 	// on record order — skip the reorder window (so it doesn't buffer
 	// a whole window of requests to answer a one-record question) and
 	// the parallel decoder (one record never justifies a fan-out).
-	probe, closeProbe, err := openDecoder(inPath, informat, 0, 1)
+	probe, err := openDecoder(inPath, informat, 0, 1)
 	if err != nil {
 		return nil, err
 	}
-	_, err = probe.Next()
+	_, err = probe.Read(make([]trace.Request, 1))
 	needModel := !probe.Meta().TsdevKnown || e.cfg.Core.ForceInference
-	closeProbe()
+	probe.Close()
 	if err == io.EOF {
 		return nil, nil // empty input: pass two reports ErrNoRequest
 	}
@@ -177,11 +178,11 @@ func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*
 	if !needModel {
 		return nil, nil
 	}
-	dec, closeDec, err := openDecoder(inPath, informat, reorderWindow, e.cfg.Workers)
+	dec, err := openDecoder(inPath, informat, reorderWindow, e.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	defer closeDec()
+	defer dec.Close()
 	fsp := e.cfg.Trace.Start(e.cfg.Trace.Root(), obs.JobSpanNames[obs.JobSpanFit])
 	defer fsp.End()
 	e.cfg.Metrics.ModelFit(false)
@@ -191,14 +192,14 @@ func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*
 
 // openDecoder opens a format decoder over a file — segmented parallel
 // when workers > 1 and the file is big enough to split — optionally
-// wrapped in a reorder window.
-func openDecoder(path, format string, reorderWindow, workers int) (trace.Decoder, func(), error) {
-	dec, _, closeDec, err := trace.OpenFileDecoder(path, format, workers)
+// wrapped in a reorder window. Closing it closes the file.
+func openDecoder(path, format string, reorderWindow, workers int) (trace.Decoder, error) {
+	dec, _, err := trace.OpenFileDecoder(path, format, workers)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if reorderWindow > 1 {
 		dec = trace.NewReorderDecoder(dec, reorderWindow)
 	}
-	return dec, closeDec, nil
+	return dec, nil
 }

@@ -109,7 +109,7 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 			eng := New(Config{Workers: 2, MaxShardRequests: 4096, Metrics: hook, Trace: tc.tracer, Device: tc.device})
 			var stats []device.Stat
 			run := func() {
-				dec := trace.NewBinaryDecoder(bytes.NewReader(data))
+				dec := decoderOf(t, "bin", data)
 				var enc trace.Encoder = trace.NewBinaryEncoder(io.Discard)
 				if tc.csv {
 					enc = trace.NewCSVEncoder(io.Discard)
@@ -214,13 +214,13 @@ func TestMeasuredHotPathsAnnotated(t *testing.T) {
 		recv string
 		name string
 	}{
-		{"../trace/stream.go", "CSVDecoder", "Next"},
-		{"../trace/stream.go", "BinaryDecoder", "Next"},
-		{"../trace/stream.go", "MSRCDecoder", "Next"},
-		{"../trace/stream.go", "SPCDecoder", "Next"},
-		{"../trace/stream.go", "", "decodeBatch"},
-		{"../trace/stream.go", "CSVDecoder", "DecodeBatch"},
-		{"../trace/stream.go", "BinaryDecoder", "DecodeBatch"},
+		{"../trace/stream.go", "csvDecoder", "next"},
+		{"../trace/stream.go", "binaryDecoder", "next"},
+		{"../trace/stream.go", "msrcDecoder", "next"},
+		{"../trace/stream.go", "spcDecoder", "next"},
+		{"../trace/stream.go", "", "readEach"},
+		{"../trace/stream.go", "csvDecoder", "Read"},
+		{"../trace/stream.go", "binaryDecoder", "Read"},
 		{"../trace/stream.go", "SeqState", "AppendFlags"},
 		{"../trace/stream.go", "CSVEncoder", "Write"},
 		{"../trace/stream.go", "BinaryEncoder", "Write"},

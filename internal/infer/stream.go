@@ -224,7 +224,7 @@ func SummarizeAndClassify(dec trace.Decoder, classify func(trace.Meta) *StreamCl
 		return nil
 	})
 	if err != nil {
-		trace.CloseDecoder(dec)
+		dec.Close()
 		return trace.Summary{}, nil, err
 	}
 	return acc.Summary(dec.Meta()), cls, nil

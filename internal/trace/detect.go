@@ -117,7 +117,7 @@ func cutLine(b []byte) (line, tail []byte, complete bool) {
 // isNativeLine reports whether f is a native CSV record
 // (arrival_us,device,lba,sectors,op,latency_us,async). It funnels
 // through the decoder's own parser so the sniff cannot drift from
-// what CSVDecoder actually accepts.
+// what the csv decoder actually accepts.
 func isNativeLine(f []string) bool {
 	if len(f) != 7 {
 		return false
@@ -132,7 +132,7 @@ func isNativeLine(f []string) bool {
 
 // isMSRCLine reports whether f is an MSRC record
 // (timestamp,host,disk,op,offset,size,response): the same checks
-// MSRCDecoder.Next applies, without building the request.
+// the msrc decoder applies, without building the request.
 func isMSRCLine(f []string) bool {
 	if len(f) != 7 {
 		return false
@@ -157,8 +157,8 @@ func isMSRCLine(f []string) bool {
 }
 
 // isSPCLine reports whether f is an SPC-1 record
-// (asu,lba,size,op,timestamp[,...]); SPCDecoder trims each field, so
-// the sniff does too.
+// (asu,lba,size,op,timestamp[,...]); the spc decoder trims each
+// field, so the sniff does too.
 func isSPCLine(f []string) bool {
 	if len(f) < 5 {
 		return false

@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -19,9 +20,9 @@ import (
 // codec is one row of the table.
 type codec struct {
 	name string
-	// decode opens a sequential decoder over a read buffer; nil for
+	// decode opens a sequential decoder over a source; nil for
 	// output-only formats.
-	decode func(*bufio.Reader) Decoder
+	decode func(source) Decoder
 	// segment opens the decoder of one parallel-decode segment over a
 	// read buffer, preset with the segment's carry context (segment.go).
 	segment func(*bufio.Reader, segCtx) Decoder
@@ -56,9 +57,9 @@ type codec struct {
 var codecs = [...]codec{
 	{
 		name:   "csv",
-		decode: func(br *bufio.Reader) Decoder { return newCSVDecoder(br) },
+		decode: func(s source) Decoder { return &csvDecoder{source: s} },
 		segment: func(br *bufio.Reader, ctx segCtx) Decoder {
-			d := &CSVDecoder{ls: &lineScanner{br: br}, meta: ctx.meta, sawData: ctx.sawData}
+			d := &csvDecoder{source: source{br: br}, meta: ctx.meta, sawData: ctx.sawData}
 			d.t.applyMeta(ctx.meta)
 			return d
 		},
@@ -70,9 +71,9 @@ var codecs = [...]codec{
 	},
 	{
 		name:   "bin",
-		decode: func(br *bufio.Reader) Decoder { return newBinaryDecoder(br) },
+		decode: func(s source) Decoder { return newBinaryDecoder(s) },
 		segment: func(br *bufio.Reader, ctx segCtx) Decoder {
-			return &BinaryDecoder{br: br, meta: ctx.meta,
+			return &binaryDecoder{source: source{br: br}, meta: ctx.meta,
 				counted: ctx.binCounted, remaining: ctx.binRemaining, idx: ctx.binStart}
 		},
 		encode: func(w io.Writer, _ string) Encoder { return NewBinaryEncoder(w) },
@@ -80,9 +81,9 @@ var codecs = [...]codec{
 	},
 	{
 		name:   "msrc",
-		decode: func(br *bufio.Reader) Decoder { return newMSRCDecoder(br) },
+		decode: func(s source) Decoder { return &msrcDecoder{source: s, meta: msrcMeta, first: true} },
 		segment: func(br *bufio.Reader, ctx segCtx) Decoder {
-			return &MSRCDecoder{ls: &lineScanner{br: br}, meta: ctx.meta, base: ctx.msrcBase}
+			return &msrcDecoder{source: source{br: br}, meta: ctx.meta, base: ctx.msrcBase}
 		},
 		text:      true,
 		prelude:   (*preludeState).msrcPrelude,
@@ -92,8 +93,8 @@ var codecs = [...]codec{
 	},
 	{
 		name:      "spc",
-		decode:    func(br *bufio.Reader) Decoder { return newSPCDecoder(br) },
-		segment:   func(br *bufio.Reader, _ segCtx) Decoder { return &SPCDecoder{ls: &lineScanner{br: br}} },
+		decode:    func(s source) Decoder { return &spcDecoder{source: s} },
+		segment:   func(br *bufio.Reader, _ segCtx) Decoder { return &spcDecoder{source: source{br: br}} },
 		text:      true,
 		needsSort: true,
 		sniff:     isSPCLine,
@@ -170,12 +171,13 @@ func Usage(r Role) string {
 }
 
 // NewDecoder returns a streaming decoder for the named input format.
+// It holds nothing Close must release: the caller owns r.
 func NewDecoder(format string, r io.Reader) (Decoder, error) {
 	c, err := input(format)
 	if err != nil {
 		return nil, err
 	}
-	return c.decode(newReadBuffer(r)), nil
+	return c.decode(source{br: newReadBuffer(r)}), nil
 }
 
 // NeedsSort reports whether the named input format is only
@@ -209,13 +211,42 @@ func ReadFormat(format string, r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := Drain(c.decode(newReadBuffer(r)))
+	t, err := drain(c.decode(source{br: newReadBuffer(r)}))
 	if err != nil {
 		return nil, err
 	}
 	if c.needsSort {
 		t.Sort()
 	}
+	return t, nil
+}
+
+// drainChunk is how many requests drain reads per call.
+const drainChunk = 1024
+
+// drain reads dec to exhaustion into a whole Trace, decoding straight
+// into the trace's request slice.
+func drain(dec Decoder) (*Trace, error) {
+	t := &Trace{}
+	if bd, ok := dec.(*binaryDecoder); ok && bd.counted {
+		// A counted binary header says how many records follow. It is
+		// untrusted: cap the upfront allocation so a corrupt count
+		// cannot exhaust memory, and let the loop grow past it.
+		t.Requests = make([]Request, 0, min(bd.remaining, 1<<20))
+	}
+	for {
+		n := len(t.Requests)
+		t.Requests = slices.Grow(t.Requests, drainChunk)
+		run, err := dec.Read(t.Requests[n : n+drainChunk])
+		t.Requests = t.Requests[:n+copy(t.Requests[n:n+drainChunk], run)]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	t.applyMeta(dec.Meta())
 	return t, nil
 }
 

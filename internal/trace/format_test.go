@@ -147,7 +147,7 @@ func FuzzTextBinRoundTrip(f *testing.F) {
 			if !c.text || c.decode == nil {
 				continue
 			}
-			want, meta, err := fuzzCollect(c.decode(newReadBuffer(bytes.NewReader(data))))
+			want, meta, err := fuzzCollect(c.decode(source{br: newReadBuffer(bytes.NewReader(data))}))
 			if err != nil {
 				continue
 			}
@@ -169,7 +169,7 @@ func FuzzTextBinRoundTrip(f *testing.F) {
 				}
 				continue
 			}
-			got, gotMeta, err := fuzzCollect(NewBinaryDecoder(&buf))
+			got, gotMeta, err := fuzzCollect(newSeq(t, "bin", buf.Bytes()))
 			if err != nil {
 				t.Fatalf("%s: bin decode: %v", c.name, err)
 			}

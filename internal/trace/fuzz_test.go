@@ -13,7 +13,7 @@ import (
 // FuzzDecodeCSV drives the native CSV decoder over arbitrary bytes: it
 // must terminate with a clean EOF or a parse error, never panic, and
 // its batch loop — at a dst length taken from the input — must deliver
-// the records and the error text its Next loop does.
+// the records and the error text its per-record next loop does.
 func FuzzDecodeCSV(f *testing.F) {
 	var buf bytes.Buffer
 	_ = WriteCSV(&buf, streamSample())
@@ -23,7 +23,7 @@ func FuzzDecodeCSV(f *testing.F) {
 	f.Add([]byte("1,2,3\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		newDec := func() *CSVDecoder { return NewCSVDecoder(bytes.NewReader(data)) }
+		newDec := func() seqDecoder { return newSeq(t, "csv", data) }
 		if _, err := drainBy(newDec(), 0); err != nil && err.Error() == "" {
 			t.Fatal("empty error message")
 		}
@@ -99,15 +99,16 @@ func FuzzSplitSegments(f *testing.F) {
 
 func fuzzCollect(dec Decoder) ([]Request, Meta, error) {
 	var out []Request
+	dst := make([]Request, 1)
 	for {
-		r, err := dec.Next()
+		run, err := dec.Read(dst)
+		out = append(out, run...)
 		if err == io.EOF {
 			return out, dec.Meta(), nil
 		}
 		if err != nil {
 			return out, dec.Meta(), err
 		}
-		out = append(out, r)
 		if len(out) > 1<<20 {
 			return out, dec.Meta(), nil
 		}

@@ -17,7 +17,8 @@ package trace
 //
 // Consumers must call Close when abandoning a decoder before EOF or a
 // terminal error; after either, the goroutines have already drained.
-// Close is also where a decode hands its buffers back.
+// Close is also where a decode hands its buffers back, and after it
+// every Read fails at once.
 
 import (
 	"bufio"
@@ -95,9 +96,10 @@ func (f reqFreeList) put(b []Request) {
 // request batches — is kept for the decodes after it, so a process that
 // decodes trace after trace stops allocating them once warm. Every
 // decoder OpenFileDecoder and NewParallelDecoder build borrows from
-// keptReaders and keptBatches and hands back when it is closed. They
+// keptReaders and keptBatches and hands back when it is closed, and
+// ForEachBatch borrows its scratch batch for the length of a drain. They
 // hold the buffers of keptDecodes concurrent decodes on GOMAXPROCS
-// workers each — keptBound bytes, 3.3 MiB at GOMAXPROCS=2 — and drop
+// workers each — keptBound bytes, 3.4 MiB at GOMAXPROCS=2 — and drop
 // them all once no decode has used them for spare.IdleAfter. Nothing a
 // decode writes to a buffer is read by the next: a decoder overwrites
 // what it borrows.
@@ -120,9 +122,9 @@ var (
 // batchesPerDecode is how many request batches a decode on workers
 // workers has in use at most: its own free list, which
 // NewParallelDecoder sizes to inflight·segRingDepth + workers with
-// inflight ≤ workers+2.
+// inflight ≤ workers+2, and the scratch of the ForEachBatch draining it.
 func batchesPerDecode(workers int) int {
-	return (workers+2)*segRingDepth + workers
+	return (workers+2)*segRingDepth + workers + 1
 }
 
 const requestSize = int64(unsafe.Sizeof(Request{}))
@@ -146,13 +148,14 @@ func returnReader(br *bufio.Reader) {
 
 // ParallelDecoder decodes an io.ReaderAt-addressable input on worker
 // goroutines, one record-aligned segment at a time, merging batches
-// back in input order. It implements Decoder, BatchDecoder,
-// BatchReader and SizeHinter; output is identical to the sequential
-// decoder for every input, and parse errors surface at the same
-// record position with the same message — text line numbers included,
-// via the merger's per-segment line accounting.
+// back in input order. Read hands out views of the workers' batches;
+// output is identical to the sequential decoder for every input, and
+// parse errors surface at the same record position with the same
+// message — text line numbers included, via the merger's per-segment
+// line accounting.
 type ParallelDecoder struct {
 	ra      io.ReaderAt
+	file    io.Closer // the input OpenFileDecoder opened, closed by Close
 	plan    *segmentPlan
 	planErr error
 
@@ -179,8 +182,7 @@ type ParallelDecoder struct {
 // NewParallelDecoder plans and starts a parallel decode of
 // input[0:size) in the named format on the given number of workers
 // (minimum 1). Planning errors (unknown format, broken header)
-// surface on the first Next/ReadBatch call, matching the sequential
-// constructors.
+// surface on the first Read, matching the sequential constructors.
 func NewParallelDecoder(ra io.ReaderAt, size int64, format string, workers int) *ParallelDecoder {
 	if workers < 1 {
 		workers = 1
@@ -264,10 +266,10 @@ func (d *ParallelDecoder) runSegment(i int, br *bufio.Reader) bool {
 	dec := d.plan.codec.segment(br, d.plan.segs[i].ctx)
 	for {
 		buf := d.free.get()
-		n, err := DecodeBatch(dec, buf)
-		if n > 0 {
+		run, err := dec.Read(buf)
+		if len(run) > 0 {
 			select {
-			case ch <- parBatch{reqs: buf[:n]}:
+			case ch <- parBatch{reqs: run}:
 			case <-d.stop:
 				return false
 			}
@@ -326,9 +328,9 @@ func (d *ParallelDecoder) fetchBatch() ([]Request, error) {
 
 // advance recycles the spent batch and pulls the next one, latching
 // EOF or the first in-order error as terminal.
-func (d *ParallelDecoder) advance() ([]Request, error) {
+func (d *ParallelDecoder) advance() error {
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if d.cur != nil {
 		d.free.put(d.cur)
@@ -338,54 +340,35 @@ func (d *ParallelDecoder) advance() ([]Request, error) {
 	if err != nil {
 		d.err = err
 		d.shutdown()
-		return nil, err
+		return err
 	}
 	d.cur, d.pos = b, 0
-	return b, nil
+	return nil
 }
 
-// Next implements Decoder.
-func (d *ParallelDecoder) Next() (Request, error) {
-	for d.pos >= len(d.cur) {
-		if _, err := d.advance(); err != nil {
-			return Request{}, err
-		}
-	}
-	r := d.cur[d.pos]
-	d.pos++
-	return r, nil
+// Read implements Decoder: the next run of the batch in hand, or of
+// the next batch, as a view valid until the next call.
+func (d *ParallelDecoder) Read(dst []Request) ([]Request, error) {
+	return d.read(len(dst))
 }
 
-// DecodeBatch implements BatchDecoder.
-func (d *ParallelDecoder) DecodeBatch(dst []Request) (int, error) {
-	n := 0
-	for n < len(dst) {
-		if d.pos < len(d.cur) {
-			k := copy(dst[n:], d.cur[d.pos:])
-			d.pos += k
-			n += k
-			continue
-		}
-		if _, err := d.advance(); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// ReadBatch implements BatchReader.
+// ReadBatch is Read without a cap on the run: the rest of the batch in
+// hand, or the whole next one. The benchmark's trace.decode_par row
+// drains with it.
 func (d *ParallelDecoder) ReadBatch() ([]Request, error) {
-	if d.pos < len(d.cur) {
-		b := d.cur[d.pos:]
-		d.pos = len(d.cur)
-		return b, nil
+	return d.read(parBatchLen)
+}
+
+// read returns the next run of at most limit requests.
+func (d *ParallelDecoder) read(limit int) ([]Request, error) {
+	for d.pos >= len(d.cur) {
+		if err := d.advance(); err != nil {
+			return nil, err
+		}
 	}
-	b, err := d.advance()
-	if err != nil {
-		return nil, err
-	}
-	d.pos = len(b)
-	return b, nil
+	run := d.cur[d.pos:min(len(d.cur), d.pos+limit)]
+	d.pos += len(run)
+	return run, nil
 }
 
 // Meta implements Decoder. The split parses headers up front, so Meta
@@ -397,26 +380,26 @@ func (d *ParallelDecoder) Meta() Meta {
 	return d.plan.meta
 }
 
-// SizeHint implements SizeHinter (counted binary inputs).
-func (d *ParallelDecoder) SizeHint() int {
-	if d.plan == nil {
-		return 0
-	}
-	return d.plan.sizeHint
-}
-
 func (d *ParallelDecoder) shutdown() {
 	d.stopOnce.Do(func() { close(d.stop) })
 }
 
-// Close stops the decode workers and waits for them to exit. It is
-// idempotent and required when the consumer abandons the stream before
-// EOF or a terminal error; afterwards it is a cheap no-op join. It hands
-// the spare batches, and the one the consumer was reading, back to
-// keptBatches: nothing the decoder returned may be read after Close.
+// Close implements Decoder. It stops the decode workers and waits for
+// them to exit; it is required when the consumer abandons the stream
+// before EOF or a terminal error, and afterwards a cheap join. It
+// latches errClosed, so a later Read neither hands out a batch still
+// queued in a segment ring nor waits on a ring no stopped worker will
+// close. It hands the spare batches, and the one the consumer was
+// reading, back to keptBatches, and closes the file OpenFileDecoder
+// opened.
 func (d *ParallelDecoder) Close() {
 	d.shutdown()
 	d.wg.Wait()
+	d.err = errClosed
+	if d.file != nil {
+		d.file.Close()
+		d.file = nil
+	}
 	if d.cur != nil {
 		d.free.put(d.cur)
 		d.cur, d.pos = nil, 0
@@ -435,41 +418,34 @@ func (d *ParallelDecoder) Close() {
 // the segmented parallel decoder when workers > 1 and the file is
 // large enough to split profitably, the sequential decoder otherwise.
 // format "auto" (or "") is resolved by content sniffing (ResolveFile);
-// the concrete format is returned. The returned close function stops
-// any decode workers, closes the file and hands the decoder's buffers
-// back to be kept.
-func OpenFileDecoder(path, format string, workers int) (Decoder, string, func(), error) {
+// the concrete format is returned. Closing the decoder stops any decode
+// workers, closes the file and hands the decoder's buffers back to be
+// kept.
+func OpenFileDecoder(path, format string, workers int) (Decoder, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, "", err
 	}
 	if format, err = ResolveFile(path, format); err != nil {
 		f.Close()
-		return nil, "", nil, err
+		return nil, "", err
 	}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, "", nil, err
+		return nil, "", err
 	}
 	if workers > 1 && st.Mode().IsRegular() && st.Size() >= ParallelMinBytes {
 		pd := NewParallelDecoder(f, st.Size(), format, workers)
-		return pd, format, func() { pd.Close(); f.Close() }, nil
+		pd.file = f
+		return pd, format, nil
 	}
 	c, err := input(format)
 	if err != nil {
 		f.Close()
-		return nil, "", nil, err
+		return nil, "", err
 	}
-	br := borrowReader(f)
-	closed := false
-	return c.decode(br), format, func() {
-		if !closed {
-			closed = true
-			returnReader(br)
-			f.Close()
-		}
-	}, nil
+	return c.decode(source{br: borrowReader(f), file: f}), format, nil
 }
 
 // SpoolTemp copies r into a new temporary file named after pattern (as

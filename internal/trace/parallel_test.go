@@ -82,19 +82,21 @@ func parVariants(t testing.TB, n int) []parVariant {
 	return out
 }
 
-// collectSeq drains dec via Next, returning the requests before the
-// terminal condition and the terminal error (nil for clean EOF).
+// collectSeq drains dec one record per Read, returning the requests
+// before the terminal condition and the terminal error (nil for clean
+// EOF).
 func collectSeq(dec Decoder) ([]Request, Meta, error) {
 	var out []Request
+	dst := make([]Request, 1)
 	for {
-		r, err := dec.Next()
+		run, err := dec.Read(dst)
+		out = append(out, run...)
 		if err == io.EOF {
 			return out, dec.Meta(), nil
 		}
 		if err != nil {
 			return out, dec.Meta(), err
 		}
-		out = append(out, r)
 	}
 }
 
@@ -156,11 +158,11 @@ func TestParallelDecodeByteIdentical(t *testing.T) {
 				if err := os.WriteFile(staged, v.data, 0o666); err != nil {
 					t.Fatal(err)
 				}
-				dec, format, closeDec, err := OpenFileDecoder(staged, "auto", workers)
+				dec, format, err := OpenFileDecoder(staged, "auto", workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer closeDec()
+				defer dec.Close()
 				if format != v.format {
 					t.Fatalf("staged file sniffed as %q, want %q", format, v.format)
 				}
@@ -176,69 +178,6 @@ func TestParallelDecodeByteIdentical(t *testing.T) {
 					t.Fatalf("staged output differs from sequential (%d vs %d requests)", len(gotReqs), len(wantReqs))
 				}
 			})
-		}
-	}
-}
-
-// TestParallelDecodeBatchPaths exercises the DecodeBatch and ReadBatch
-// consumption paths against the Next path.
-func TestParallelDecodeBatchPaths(t *testing.T) {
-	tr := benchTrace(20_000)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	viaBatch := func(dec Decoder) []Request {
-		var out []Request
-		tmp := make([]Request, 100)
-		for {
-			n, err := DecodeBatch(dec, tmp)
-			out = append(out, tmp[:n]...)
-			if err == io.EOF {
-				return out
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	viaRead := func(br BatchReader) []Request {
-		var out []Request
-		for {
-			b, err := br.ReadBatch()
-			out = append(out, b...)
-			if err == io.EOF {
-				return out
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	pd := NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "csv", 4)
-	defer pd.Close()
-	got := viaBatch(pd)
-	if len(got) != tr.Len() {
-		t.Fatalf("DecodeBatch path: %d of %d requests", len(got), tr.Len())
-	}
-	for i := range got {
-		if got[i] != tr.Requests[i] {
-			t.Fatalf("DecodeBatch path: request %d differs", i)
-		}
-	}
-
-	pd = NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "csv", 4)
-	defer pd.Close()
-	got = viaRead(pd)
-	if len(got) != tr.Len() {
-		t.Fatalf("ReadBatch path: %d of %d requests", len(got), tr.Len())
-	}
-	for i := range got {
-		if got[i] != tr.Requests[i] {
-			t.Fatalf("ReadBatch path: request %d differs", i)
 		}
 	}
 }
@@ -374,8 +313,9 @@ func TestParallelDecoderCloseEarly(t *testing.T) {
 	data := buf.Bytes()
 
 	pd := NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "csv", 4)
+	one := make([]Request, 1)
 	for i := 0; i < 10; i++ {
-		if _, err := pd.Next(); err != nil {
+		if _, err := pd.Read(one); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -403,8 +343,9 @@ func waitGoroutines(t *testing.T, base int) {
 
 // TestAbandonedDecodeReleasesGoroutines is the leak regression for the
 // PR 4 known delta: a decode abandoned on an error path must release
-// every worker goroutine. Drain and Summarize close the decoder they
-// were draining when the decode fails (CloseDecoder), so repeated
+// every worker goroutine. A decode that reaches its error stops its
+// workers, Summarize closes the decoder it was draining when the decode
+// fails, and so does a reorder wrapper closed early, so repeated
 // failing decodes leave the goroutine count at its baseline.
 func TestAbandonedDecodeReleasesGoroutines(t *testing.T) {
 	tr := benchTrace(40_000)
@@ -421,8 +362,8 @@ func TestAbandonedDecodeReleasesGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
 		pd := NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "csv", 4)
-		if _, err := Drain(pd); err == nil {
-			t.Fatal("Drain: want a decode error")
+		if _, err := drain(pd); err == nil {
+			t.Fatal("drain: want a decode error")
 		}
 		pd = NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "csv", 4)
 		if _, err := Summarize(pd); err == nil {
@@ -430,10 +371,10 @@ func TestAbandonedDecodeReleasesGoroutines(t *testing.T) {
 		}
 		// A reorder wrapper must forward Close to its parallel inner.
 		rd := NewReorderDecoder(NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "csv", 4), 8)
-		if _, err := rd.Next(); err != nil {
+		if _, err := rd.Read(make([]Request, 1)); err != nil {
 			t.Fatal(err)
 		}
-		CloseDecoder(rd)
+		rd.Close()
 	}
 	waitGoroutines(t, base)
 }
@@ -448,10 +389,10 @@ func TestParallelDecodeAllocs(t *testing.T) {
 	}
 	const n = 120_000
 	tr := benchTrace(n)
-	drain := func(br BatchReader) {
+	drain := func(pd *ParallelDecoder) {
 		got := 0
 		for {
-			b, err := br.ReadBatch()
+			b, err := pd.ReadBatch()
 			got += len(b)
 			if err == io.EOF {
 				break

@@ -22,13 +22,28 @@ import (
 // grow the scratch buffer without bound.
 const maxLineLen = 1 << 20
 
-// lineScanner yields lines as byte slices that stay valid until the
-// following next call. Lines that fit the read buffer are returned as
-// views into it (zero copy); longer ones are assembled in a reusable
-// scratch buffer.
-type lineScanner struct {
-	br      *bufio.Reader
-	scratch []byte
+// source is what a sequential codec decodes out of: its read buffer
+// and, for a decoder OpenFileDecoder built, the file under it. The text
+// codecs scan it line by line (nextLine).
+type source struct {
+	br *bufio.Reader
+	// file is the input OpenFileDecoder opened; br is then borrowed
+	// (borrowReader) and goes back when the decoder is closed.
+	file    io.Closer
+	closed  bool
+	scratch []byte // nextLine's assembly buffer for over-long lines
+}
+
+// Close implements Decoder.
+func (s *source) Close() {
+	if s.closed {
+		return
+	}
+	s.closed = true
+	if s.file != nil {
+		returnReader(s.br)
+		s.file.Close()
+	}
 }
 
 // readBufLen is the size of the read buffer every decoder scans its
@@ -39,10 +54,11 @@ func newReadBuffer(r io.Reader) *bufio.Reader {
 	return bufio.NewReaderSize(r, readBufLen)
 }
 
-// next returns the next line without its '\n' terminator, or io.EOF
-// when the input is exhausted. The returned slice is only valid until
-// the next call.
-func (s *lineScanner) next() ([]byte, error) {
+// nextLine returns the next line without its '\n' terminator, or
+// io.EOF when the input is exhausted. The slice stays valid until the
+// next call: a line that fits the read buffer is a view into it (zero
+// copy), a longer one is assembled in a reusable scratch buffer.
+func (s *source) nextLine() ([]byte, error) {
 	line, err := s.br.ReadSlice('\n')
 	if err == nil {
 		return line[:len(line)-1], nil

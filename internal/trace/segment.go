@@ -52,10 +52,9 @@ type segmentRange struct {
 
 // segmentPlan is the result of splitting one input.
 type segmentPlan struct {
-	codec    *codec
-	meta     Meta
-	segs     []segmentRange
-	sizeHint int
+	codec *codec
+	meta  Meta
+	segs  []segmentRange
 	// preludeLines is the number of input lines before the data region
 	// of a text input — the line base of segment 0, so parse errors can
 	// report absolute line numbers.
@@ -64,8 +63,8 @@ type segmentPlan struct {
 
 // raLineScanner yields lines (without terminators) from an io.ReaderAt
 // while tracking byte offsets, for prelude scanning. It applies the
-// same maxLineLen bound as lineScanner so a pathological prelude fails
-// with the same error the sequential path produces.
+// same maxLineLen bound as source.nextLine, so a pathological prelude
+// fails with the same error the sequential path produces.
 type raLineScanner struct {
 	ra   io.ReaderAt
 	size int64
@@ -339,7 +338,6 @@ func splitBin(ra io.ReaderAt, size int64, c *codec, workers int) (*segmentPlan, 
 	records := uint64(avail / binRecordLen) // full records on disk
 	trailing := avail%binRecordLen != 0     // partial record at EOF
 	if counted {
-		plan.sizeHint = int(count)
 		if count == 0 {
 			return plan, nil
 		}
@@ -394,7 +392,7 @@ func splitBin(ra io.ReaderAt, size int64, c *codec, workers int) (*segmentPlan, 
 
 // readBinHeader parses the compact binary header from r and reports
 // how many bytes it occupied. The error messages are byte-for-byte the
-// sequential BinaryDecoder's, so the parallel path cannot drift.
+// sequential binary decoder's, so the parallel path cannot drift.
 func readBinHeader(r io.Reader) (m Meta, counted bool, count uint64, hdrLen int64, err error) {
 	cr := &countingReadWrapper{r: r}
 	m, counted, count, err = parseBinHeader(cr)

@@ -1,6 +1,6 @@
 package trace
 
-// Streaming layer: Decoder yields requests one at a time and Encoder
+// Streaming layer: a Decoder yields requests in runs and an Encoder
 // consumes them one at a time, so pipelines can process traces far
 // larger than memory. Every on-disk format's codec lives here; the
 // codec table (format.go) says which formats exist, and the whole-trace
@@ -9,9 +9,9 @@ package trace
 //
 // The codecs are allocation-free in steady state: text decoders scan
 // lines as byte slices (scan.go) with no per-record string or field
-// allocations, encoders render into a reusable buffer, and the
-// DecodeBatch API lets consumers amortize the per-record interface
-// call on top. trace/zeroalloc_test.go locks the zero-allocs property
+// allocations, encoders render into a reusable buffer, and Read hands
+// over a run per call, so consumers pay one interface call per run,
+// not per record. trace/zeroalloc_test.go locks the zero-allocs property
 // for all four input formats and all four output formats.
 //
 // Decoders yield requests in file order. The MSRC and SPC corpora are
@@ -53,95 +53,77 @@ func (t *Trace) applyMeta(m Meta) {
 	t.Name, t.Workload, t.Set, t.TsdevKnown = m.Name, m.Workload, m.Set, m.TsdevKnown
 }
 
-// Decoder yields the requests of a trace incrementally.
+// Decoder yields the requests of a trace in runs. It is the one
+// contract every decoder in the tree implements: the four codecs
+// (NewDecoder, OpenFileDecoder), ParallelDecoder, ReorderDecoder and
+// the engine's view of a materialised trace.
 type Decoder interface {
-	// Next returns the next request, or io.EOF when the stream is
-	// exhausted. Any other error is a parse/IO failure.
-	Next() (Request, error)
+	// Read returns the next run of 1..len(dst) requests (len(dst) > 0).
+	// The run is either written into dst or is a view the decoder owns,
+	// valid until the next call. At the end of the stream it returns an
+	// empty run and io.EOF. Records decoded before a parse error arrive
+	// before the error or together with it.
+	Read(dst []Request) ([]Request, error)
 	// Meta returns the metadata seen so far. Formats carry metadata in
-	// a header, so Meta is complete after the first Next call (and for
+	// a header, so Meta is complete after the first Read (and for
 	// headered formats after construction); callers that emit metadata
-	// should read at least one request first.
+	// should read a first run before.
 	Meta() Meta
+	// Close releases what the decoder holds: its decode workers, its
+	// read buffers and the file it opened. A consumer that abandons the
+	// stream before EOF or an error must call it, or a parallel decode
+	// leaks its workers. It is idempotent; after it, Read returns an
+	// error (errClosed, in this package) and no data, and nothing Read
+	// returned may be used.
+	Close()
 }
 
-// CloseDecoder stops a decoder's background workers, if it has any
-// (the parallel decoders, or wrappers like ReorderDecoder over them).
-// A decoder abandoned before EOF or a terminal decode error would
-// otherwise leak its worker goroutines, so every whole-stream consumer
-// in this package (Drain, Summarize) and in the engine closes the
-// decoder it was draining on its error paths. Safe on any decoder;
-// Close is idempotent and, after a terminal condition, a cheap join.
-func CloseDecoder(dec Decoder) {
-	if c, ok := dec.(interface{ Close() }); ok {
-		c.Close()
+// errClosed is what Read returns once Close has run.
+var errClosed = errors.New("trace: read after Close")
+
+// endRun is how a codec's batch loop ends: the n records it decoded into
+// dst, with err unless that is the end of the stream behind them,
+// which the next Read reports.
+func endRun(dst []Request, n int, err error) ([]Request, error) {
+	if err == io.EOF && n > 0 {
+		err = nil
 	}
+	return dst[:n], err
 }
 
-// BatchDecoder is implemented by decoders that can fill a request
-// slice per call, amortizing the per-record interface dispatch that
-// dominates tight Next loops. Every decoder in this package
-// implements it.
-type BatchDecoder interface {
-	Decoder
-	// DecodeBatch fills dst and returns the number of requests
-	// decoded. It returns (n, io.EOF) when the stream ended after n
-	// records, and (n, err) when record n+1 failed to parse; n ==
-	// len(dst) implies a nil error.
-	DecodeBatch(dst []Request) (int, error)
-}
-
-// DecodeBatch fills dst from dec, using the decoder's native batch
-// path when it has one and a Next loop otherwise. The contract is
-// BatchDecoder.DecodeBatch's.
+// DecodeBatch fills dst from dec: it returns len(dst) with a nil
+// error, or fewer with what ended the stream (io.EOF or the parse
+// error). It is a loop over Read, kept for the benchmark's
+// trace.decode row; everything else reads runs with Read.
 func DecodeBatch(dec Decoder, dst []Request) (int, error) {
-	if bd, ok := dec.(BatchDecoder); ok {
-		return bd.DecodeBatch(dst)
-	}
-	return decodeBatch(dec, dst)
-}
-
-// BatchReader is implemented by decoders that expose their internally
-// decoded batches (the parallel decoders), letting whole-stream
-// consumers iterate requests without copying them into their own
-// buffer first. ReadBatch returns the next non-empty run of requests,
-// or io.EOF when the stream is exhausted; the returned slice is only
-// valid until the next call on the decoder.
-type BatchReader interface {
-	Decoder
-	ReadBatch() ([]Request, error)
-}
-
-// ForEachBatch drains dec to EOF, invoking fn on each non-empty run
-// of requests: the decoder's own batches when it is a BatchReader (no
-// copy), drainChunk-sized reads into a scratch buffer otherwise. It
-// returns fn's first error, or the decode error; the slice handed to
-// fn is only valid for that call. This is the one drain loop shared
-// by every whole-stream consumer (Summarize, the engine's model fit
-// and produce loop, Drain's batch path), so decoder-facing changes
-// land in one place.
-func ForEachBatch(dec Decoder, fn func([]Request) error) error {
-	if br, ok := dec.(BatchReader); ok {
-		for {
-			batch, err := br.ReadBatch()
-			if len(batch) > 0 {
-				if ferr := fn(batch); ferr != nil {
-					return ferr
-				}
-			}
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
+	n := 0
+	for n < len(dst) {
+		run, err := dec.Read(dst[n:])
+		n += copy(dst[n:], run)
+		if err != nil {
+			return n, err
 		}
 	}
-	buf := make([]Request, drainChunk)
+	return n, nil
+}
+
+// ForEachBatch drains dec to EOF, invoking fn on each run Read
+// returns. It returns fn's first error, or the decode error; the slice
+// handed to fn is only valid for that call. This is the one drain loop
+// shared by every whole-stream consumer (Summarize, the engine's model
+// fit and produce loop), so decoder-facing changes land in one place.
+// Its scratch is a kept request batch: a decoder that returns views
+// never touches it, and a sequential one decodes straight into it.
+func ForEachBatch(dec Decoder, fn func([]Request) error) error {
+	buf, ok := keptBatches.Get()
+	if !ok {
+		buf = make([]Request, parBatchLen)
+	}
+	defer keptBatches.Put(buf)
 	for {
-		n, err := DecodeBatch(dec, buf)
-		if n > 0 {
-			if ferr := fn(buf[:n]); ferr != nil {
+		run, err := dec.Read(buf)
+		if len(run) > 0 {
+			if ferr := fn(run); ferr != nil {
 				return ferr
 			}
 		}
@@ -154,23 +136,21 @@ func ForEachBatch(dec Decoder, fn func([]Request) error) error {
 	}
 }
 
-// decodeBatch is the shared DecodeBatch body of the msrc and spc
-// decoders, and DecodeBatch's fallback for a decoder without one. Each
-// decoder instantiates it with its own type, so the inner Next calls
-// are direct (devirtualized), which is where the batch speedup comes
-// from. The csv and binary decoders have their own loops over whole
-// buffered runs.
+// readEach is the shared Read body of the msrc and spc decoders, a
+// loop over their per-record next. Each decoder instantiates it with
+// its own type. The csv and binary decoders have their own loops over
+// whole buffered runs.
 //
 //tracelint:hotpath
-func decodeBatch[D interface{ Next() (Request, error) }](d D, dst []Request) (int, error) {
+func readEach[D interface{ next() (Request, error) }](d D, dst []Request) ([]Request, error) {
 	for i := range dst {
-		r, err := d.Next()
+		r, err := d.next()
 		if err != nil {
-			return i, err
+			return endRun(dst, i, err)
 		}
 		dst[i] = r
 	}
-	return len(dst), nil
+	return dst, nil
 }
 
 // Encoder consumes a request stream and renders one on-disk format.
@@ -201,65 +181,6 @@ type ShardEncoder interface {
 	// WriteRaw splices pre-rendered record bytes into the stream, as
 	// if each rendered record had been passed to Write in order.
 	WriteRaw(p []byte) error
-}
-
-// SizeHinter is implemented by decoders that know how many requests
-// remain (the counted binary format); Drain uses it to preallocate.
-type SizeHinter interface {
-	// SizeHint returns the expected remaining request count, 0 when
-	// unknown.
-	SizeHint() int
-}
-
-// drainChunk is the batch size Drain (and the other whole-stream
-// consumers in this package) read with.
-const drainChunk = 1024
-
-// Drain reads dec to exhaustion and materializes a whole Trace. On a
-// decode error the decoder is closed (CloseDecoder) before returning,
-// so parallel decoders never leak workers through this path.
-func Drain(dec Decoder) (*Trace, error) {
-	t := &Trace{}
-	if h, ok := dec.(SizeHinter); ok {
-		// The hint comes from an untrusted file header: cap the upfront
-		// allocation so a corrupt count cannot OOM the process, and let
-		// append grow past it for genuinely huge traces.
-		const maxPrealloc = 1 << 20
-		if n := h.SizeHint(); n > 0 {
-			t.Requests = make([]Request, 0, min(n, maxPrealloc))
-		}
-	}
-	if _, ok := dec.(BatchReader); ok {
-		// Parallel decoders hand over their internal batches; append
-		// copies them straight into the trace.
-		err := ForEachBatch(dec, func(batch []Request) error {
-			t.Requests = append(t.Requests, batch...)
-			return nil
-		})
-		if err != nil {
-			CloseDecoder(dec)
-			return nil, err
-		}
-		t.applyMeta(dec.Meta())
-		return t, nil
-	}
-	// The sequential path decodes straight into the trace slice — no
-	// intermediate buffer — so it keeps its own loop.
-	for {
-		n := len(t.Requests)
-		t.Requests = slices.Grow(t.Requests, drainChunk)
-		k, err := DecodeBatch(dec, t.Requests[n:n+drainChunk])
-		t.Requests = t.Requests[:n+k]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			CloseDecoder(dec)
-			return nil, err
-		}
-	}
-	t.applyMeta(dec.Meta())
-	return t, nil
 }
 
 // EncodeTrace streams a whole trace through enc.
@@ -367,34 +288,26 @@ func (s *SeqState) Clone() *SeqState {
 // csvHeaderPrefix marks the native metadata header comment.
 var csvHeaderPrefix = []byte("# tracetracker ")
 
-// CSVDecoder streams the native CSV format.
-type CSVDecoder struct {
-	ls      *lineScanner
+// csvDecoder streams the native CSV format.
+type csvDecoder struct {
+	source
 	lineno  int
 	meta    Meta
 	t       Trace // scratch for header parsing
 	sawData bool
 }
 
-// NewCSVDecoder wraps r in a native-CSV request stream.
-func NewCSVDecoder(r io.Reader) *CSVDecoder {
-	return newCSVDecoder(newReadBuffer(r))
-}
-
-func newCSVDecoder(br *bufio.Reader) *CSVDecoder {
-	return &CSVDecoder{ls: &lineScanner{br: br}}
-}
-
 // Meta implements Decoder.
-func (d *CSVDecoder) Meta() Meta { return d.meta }
+func (d *csvDecoder) Meta() Meta { return d.meta }
 
-// Next implements Decoder.
+// next decodes one record: the slow path of Read, and the reference its
+// batch loop is tested against.
 //
 //tracelint:hotpath
-func (d *CSVDecoder) Next() (Request, error) {
+func (d *csvDecoder) next() (Request, error) {
 	var req Request
 	for {
-		line, err := d.ls.next()
+		line, err := d.nextLine()
 		if err != nil {
 			return Request{}, err
 		}
@@ -406,12 +319,12 @@ func (d *CSVDecoder) Next() (Request, error) {
 }
 
 // line decodes input line d.lineno (without its '\n') into *r, the
-// per-line body Next and DecodeBatch share: ok reports a record, and a
+// per-line body next and Read share: ok reports a record, and a
 // blank line, a comment or a metadata header yields neither a record
 // nor an error. *r is written only when ok.
 //
 //tracelint:hotpath
-func (d *CSVDecoder) line(line []byte, r *Request) (bool, error) {
+func (d *csvDecoder) line(line []byte, r *Request) (bool, error) {
 	line = bytes.TrimSpace(line)
 	if len(line) == 0 {
 		return false, nil
@@ -446,19 +359,22 @@ func (d *CSVDecoder) line(line []byte, r *Request) (bool, error) {
 	return true, nil
 }
 
-// DecodeBatch implements BatchDecoder. It decodes the whole lines
-// already in the read buffer in one loop, parsing each record in place
-// straight into dst, with one Discard per run. A record of the fast
-// shape (parseNativeFast) is parsed up to its '\n' with no separate
-// search for the line end; any other line is found with IndexByte and
-// handed to line, the per-line body Next runs too. Only when no whole
-// line is buffered (a refill, a line longer than the buffer, an
-// unterminated last line, EOF) does it fall back to Next for one line,
-// so every error keeps Next's text and line number.
+// Read implements Decoder. It decodes the whole lines already in the
+// read buffer in one loop, parsing each record in place straight into
+// dst, with one Discard per run. A record of the fast shape
+// (parseNativeFast) is parsed up to its '\n' with no separate search
+// for the line end; any other line is found with IndexByte and handed
+// to line, the per-line body next runs too. Only when no whole line is
+// buffered (a refill, a line longer than the buffer, an unterminated
+// last line, EOF) does it fall back to next for one line, so every
+// error keeps next's text and line number.
 //
 //tracelint:hotpath
-func (d *CSVDecoder) DecodeBatch(dst []Request) (int, error) {
-	br := d.ls.br
+func (d *csvDecoder) Read(dst []Request) ([]Request, error) {
+	if d.closed {
+		return nil, errClosed
+	}
+	br := d.br
 	n := 0
 	for n < len(dst) {
 		buf, _ := br.Peek(br.Buffered())
@@ -481,7 +397,7 @@ func (d *CSVDecoder) DecodeBatch(dst []Request) (int, error) {
 			ok, err := d.line(rest[:i], &dst[n])
 			if err != nil {
 				br.Discard(used)
-				return n, err
+				return dst[:n], err
 			}
 			if ok {
 				n++
@@ -491,18 +407,18 @@ func (d *CSVDecoder) DecodeBatch(dst []Request) (int, error) {
 		if n == len(dst) || used > 0 {
 			continue
 		}
-		req, err := d.Next()
+		req, err := d.next()
 		if err != nil {
-			return n, err
+			return endRun(dst, n, err)
 		}
 		dst[n] = req
 		n++
 	}
-	return n, nil
+	return dst, nil
 }
 
 // lines implements lineCounter.
-func (d *CSVDecoder) lines() int { return d.lineno }
+func (d *csvDecoder) lines() int { return d.lineno }
 
 // CSVEncoder streams the native CSV format.
 type CSVEncoder struct {
@@ -617,15 +533,15 @@ func (e *CSVEncoder) Close() error { return e.bw.Flush() }
 
 // streamingCount is the request-count sentinel a BinaryEncoder writes:
 // it cannot know the count up front, so records simply run to EOF.
-// BinaryDecoder (and therefore ReadFormat) accepts both forms.
+// The binary decoder (and therefore ReadFormat) accepts both forms.
 const streamingCount = ^uint64(0)
 
 // binRecordLen is the fixed width of one binary request record.
 const binRecordLen = 34
 
-// BinaryDecoder streams the compact binary format.
-type BinaryDecoder struct {
-	br        *bufio.Reader
+// binaryDecoder streams the compact binary format.
+type binaryDecoder struct {
+	source
 	meta      Meta
 	headerErr error
 	remaining uint64
@@ -633,14 +549,10 @@ type BinaryDecoder struct {
 	idx       uint64
 }
 
-// NewBinaryDecoder wraps r in a binary request stream. Header parse
-// errors surface on the first Next call.
-func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
-	return newBinaryDecoder(newReadBuffer(r))
-}
-
-func newBinaryDecoder(br *bufio.Reader) *BinaryDecoder {
-	d := &BinaryDecoder{br: br}
+// newBinaryDecoder reads the header; its parse errors surface on the
+// first Read.
+func newBinaryDecoder(s source) *binaryDecoder {
+	d := &binaryDecoder{source: s}
 	var count uint64
 	d.meta, d.counted, count, d.headerErr = parseBinHeader(d.br)
 	if d.counted {
@@ -648,7 +560,7 @@ func newBinaryDecoder(br *bufio.Reader) *BinaryDecoder {
 	}
 	if d.headerErr == io.EOF {
 		// A stream ending inside the header (including a 0-byte file)
-		// is a truncated trace, not a clean end-of-stream — Next must
+		// is a truncated trace, not a clean end-of-stream — Read must
 		// not let it masquerade as an empty trace.
 		d.headerErr = fmt.Errorf("trace: truncated binary header: %w", io.ErrUnexpectedEOF)
 	}
@@ -707,23 +619,14 @@ func parseBinHeader(r io.Reader) (m Meta, counted bool, count uint64, err error)
 }
 
 // Meta implements Decoder.
-func (d *BinaryDecoder) Meta() Meta { return d.meta }
+func (d *binaryDecoder) Meta() Meta { return d.meta }
 
-// SizeHint implements SizeHinter: the counted header form declares
-// the remaining record count (0 for streamed sentinel files).
-func (d *BinaryDecoder) SizeHint() int {
-	if d.headerErr != nil || !d.counted {
-		return 0
-	}
-	return int(d.remaining)
-}
-
-// Next implements Decoder. Records are decoded from the read buffer
-// (Peek/Discard): bufio copies the file through that buffer once, and
-// nothing past it is copied or allocated per record.
+// next decodes one record out of the read buffer (Peek/Discard): the
+// slow path of Read, and the reference its batch loop is tested
+// against.
 //
 //tracelint:hotpath
-func (d *BinaryDecoder) Next() (Request, error) {
+func (d *binaryDecoder) next() (Request, error) {
 	if d.headerErr != nil {
 		return Request{}, d.headerErr
 	}
@@ -740,7 +643,8 @@ func (d *BinaryDecoder) Next() (Request, error) {
 		}
 		return Request{}, fmt.Errorf("trace: truncated at record %d: %w", d.idx, err)
 	}
-	r := decodeBinRecord(rec)
+	var r Request
+	decodeBinRecord(&r, rec)
 	d.br.Discard(binRecordLen)
 	if d.counted {
 		d.remaining--
@@ -749,15 +653,20 @@ func (d *BinaryDecoder) Next() (Request, error) {
 	return r, nil
 }
 
-// DecodeBatch implements BatchDecoder. Every whole record already in
-// the read buffer (up to the declared count, for a counted file) is
-// decoded in one loop, with one Peek and one Discard per run. Only when
-// no whole record is buffered — a refill, EOF, a truncated record, the
-// counted end, or a header error — does it fall back to Next for one
-// record, so every error keeps Next's text and record index.
+// Read implements Decoder. Every whole record already in the read
+// buffer (up to the declared count, for a counted file) is decoded in
+// one loop, with one Peek and one Discard per run: bufio copies the file
+// through that buffer once, and nothing past it is copied or allocated
+// per record. Only when no whole record is buffered — a refill, EOF, a
+// truncated record, the counted end, or a header error — does it fall
+// back to next for one record, so every error keeps next's text and
+// record index.
 //
 //tracelint:hotpath
-func (d *BinaryDecoder) DecodeBatch(dst []Request) (int, error) {
+func (d *binaryDecoder) Read(dst []Request) ([]Request, error) {
+	if d.closed {
+		return nil, errClosed
+	}
 	n := 0
 	for n < len(dst) {
 		k := min(len(dst)-n, d.br.Buffered()/binRecordLen)
@@ -765,9 +674,9 @@ func (d *BinaryDecoder) DecodeBatch(dst []Request) (int, error) {
 			k = int(d.remaining)
 		}
 		if k == 0 || d.headerErr != nil {
-			r, err := d.Next()
+			r, err := d.next()
 			if err != nil {
-				return n, err
+				return endRun(dst, n, err)
 			}
 			dst[n] = r
 			n++
@@ -776,7 +685,7 @@ func (d *BinaryDecoder) DecodeBatch(dst []Request) (int, error) {
 		buf, _ := d.br.Peek(k * binRecordLen)
 		out := dst[n : n+k]
 		for i := range out {
-			out[i] = decodeBinRecord(buf[i*binRecordLen : (i+1)*binRecordLen])
+			decodeBinRecord(&out[i], buf[i*binRecordLen:(i+1)*binRecordLen])
 		}
 		d.br.Discard(k * binRecordLen)
 		if d.counted {
@@ -785,28 +694,27 @@ func (d *BinaryDecoder) DecodeBatch(dst []Request) (int, error) {
 		d.idx += uint64(k)
 		n += k
 	}
-	return n, nil
+	return dst, nil
 }
 
-// decodeBinRecord unpacks one fixed-width record.
+// decodeBinRecord unpacks one fixed-width record into *r, field by
+// field, with no temporary.
 //
 //tracelint:hotpath
-func decodeBinRecord(rec []byte) Request {
+func decodeBinRecord(r *Request, rec []byte) {
 	_ = rec[binRecordLen-1]
-	return Request{
-		Arrival: time.Duration(binary.LittleEndian.Uint64(rec[0:])),
-		Device:  binary.LittleEndian.Uint32(rec[8:]),
-		LBA:     binary.LittleEndian.Uint64(rec[12:]),
-		Sectors: binary.LittleEndian.Uint32(rec[20:]),
-		Op:      Op(rec[24]),
-		Latency: time.Duration(binary.LittleEndian.Uint64(rec[25:])),
-		Async:   rec[33] == 1,
-	}
+	r.Arrival = time.Duration(binary.LittleEndian.Uint64(rec[0:]))
+	r.Device = binary.LittleEndian.Uint32(rec[8:])
+	r.LBA = binary.LittleEndian.Uint64(rec[12:])
+	r.Sectors = binary.LittleEndian.Uint32(rec[20:])
+	r.Op = Op(rec[24])
+	r.Latency = time.Duration(binary.LittleEndian.Uint64(rec[25:]))
+	r.Async = rec[33] == 1
 }
 
 // BinaryEncoder streams the compact binary format. Because the count
 // is unknown up front it writes the streamingCount sentinel; files it
-// produces are readable by BinaryDecoder but differ in that one header
+// produces are readable by the binary decoder but differ in that one header
 // field from WriteBinary output.
 type BinaryEncoder struct {
 	bw  *bufio.Writer
@@ -914,7 +822,7 @@ func writeBinaryRecord(bw *bufio.Writer, rec *[binRecordLen]byte, r Request) err
 
 // --- MSRC CSV ---
 
-// MSRCDecoder streams the Microsoft Research Cambridge CSV format in
+// msrcDecoder streams the Microsoft Research Cambridge CSV format in
 // file order:
 //
 //	Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
@@ -924,8 +832,8 @@ func writeBinaryRecord(bw *bufio.Writer, rec *[binRecordLen]byte, r Request) err
 // is at zero; response times populate Latency, so the stream is Tsdev
 // known. MSRC files are only nearly sorted; wrap in a ReorderDecoder
 // when monotone arrivals are required.
-type MSRCDecoder struct {
-	ls     *lineScanner
+type msrcDecoder struct {
+	source
 	lineno int
 	meta   Meta
 	base   int64
@@ -936,24 +844,15 @@ type MSRCDecoder struct {
 // record names the workload: event-traced, so Tsdev is known.
 var msrcMeta = Meta{Set: "MSRC", TsdevKnown: true}
 
-// NewMSRCDecoder wraps r in an MSRC request stream.
-func NewMSRCDecoder(r io.Reader) *MSRCDecoder {
-	return newMSRCDecoder(newReadBuffer(r))
-}
-
-func newMSRCDecoder(br *bufio.Reader) *MSRCDecoder {
-	return &MSRCDecoder{ls: &lineScanner{br: br}, meta: msrcMeta, first: true}
-}
-
 // Meta implements Decoder.
-func (d *MSRCDecoder) Meta() Meta { return d.meta }
+func (d *msrcDecoder) Meta() Meta { return d.meta }
 
-// Next implements Decoder.
+// next decodes one record.
 //
 //tracelint:hotpath
-func (d *MSRCDecoder) Next() (Request, error) {
+func (d *msrcDecoder) next() (Request, error) {
 	for {
-		line, err := d.ls.next()
+		line, err := d.nextLine()
 		if err == io.EOF {
 			return Request{}, io.EOF
 		}
@@ -1015,44 +914,40 @@ func (d *MSRCDecoder) Next() (Request, error) {
 	}
 }
 
-// DecodeBatch implements BatchDecoder.
-func (d *MSRCDecoder) DecodeBatch(dst []Request) (int, error) { return decodeBatch(d, dst) }
+// Read implements Decoder.
+func (d *msrcDecoder) Read(dst []Request) ([]Request, error) {
+	if d.closed {
+		return nil, errClosed
+	}
+	return readEach(d, dst)
+}
 
 // lines implements lineCounter.
-func (d *MSRCDecoder) lines() int { return d.lineno }
+func (d *msrcDecoder) lines() int { return d.lineno }
 
 // --- SPC-1 ASCII ---
 
-// SPCDecoder streams the SPC-1 ASCII format used by several public
+// spcDecoder streams the SPC-1 ASCII format used by several public
 // repositories (including parts of the UMass corpus) in file order:
 //
 //	ASU,LBA,Size,Opcode,Timestamp
 //
 // LBA is in sectors, Size in bytes, Opcode R/W, Timestamp fractional
 // seconds. No completion information is available (TsdevKnown=false).
-type SPCDecoder struct {
-	ls     *lineScanner
+type spcDecoder struct {
+	source
 	lineno int
 }
 
-// NewSPCDecoder wraps r in an SPC request stream.
-func NewSPCDecoder(r io.Reader) *SPCDecoder {
-	return newSPCDecoder(newReadBuffer(r))
-}
-
-func newSPCDecoder(br *bufio.Reader) *SPCDecoder {
-	return &SPCDecoder{ls: &lineScanner{br: br}}
-}
-
 // Meta implements Decoder.
-func (d *SPCDecoder) Meta() Meta { return Meta{TsdevKnown: false} }
+func (d *spcDecoder) Meta() Meta { return Meta{TsdevKnown: false} }
 
-// Next implements Decoder.
+// next decodes one record.
 //
 //tracelint:hotpath
-func (d *SPCDecoder) Next() (Request, error) {
+func (d *spcDecoder) next() (Request, error) {
 	for {
-		line, err := d.ls.next()
+		line, err := d.nextLine()
 		if err == io.EOF {
 			return Request{}, io.EOF
 		}
@@ -1102,11 +997,16 @@ func (d *SPCDecoder) Next() (Request, error) {
 	}
 }
 
-// DecodeBatch implements BatchDecoder.
-func (d *SPCDecoder) DecodeBatch(dst []Request) (int, error) { return decodeBatch(d, dst) }
+// Read implements Decoder.
+func (d *spcDecoder) Read(dst []Request) ([]Request, error) {
+	if d.closed {
+		return nil, errClosed
+	}
+	return readEach(d, dst)
+}
 
 // lines implements lineCounter.
-func (d *SPCDecoder) lines() int { return d.lineno }
+func (d *spcDecoder) lines() int { return d.lineno }
 
 // --- blktrace text (encoder) ---
 
@@ -1293,22 +1193,23 @@ const reorderBatch = 256
 // whole-trace readers produce — with O(window) memory instead of the
 // whole trace. The heap never holds more than window+1 requests — the
 // declared window is a hard buffering and read-ahead bound, not a hint
-// batching may overshoot: whenever a DecodeBatch or Next call returns,
-// the decoder has read at most window+1 records past what it has
-// emitted. (Mid-call, a batched refill may transiently stage up to
-// another window+1 records in its read scratch before draining them
-// into the same call's output.)
+// batching may overshoot: whenever a Read returns, the decoder has read
+// at most window+1 records past what it has emitted. (Mid-call, a
+// refill may transiently stage up to another window+1 records in its
+// read scratch before draining them into the same call's output.)
+// That bound is why Decoder.Read takes a cap: in steady state a Read
+// reads at most as many records as the caller's dst still has room
+// for, so it emits every one of them in the same call.
 //
 // Refills are still batched. Emitting safely needs window+1 buffered
 // candidates, so the steady state interleaves one read with one emit —
-// but DecodeBatch reads each run of records from the inner decoder in
-// a single batched call (up to the window deficit, capped at
-// reorderBatch) and then drains it through the heap in push/pop
-// lockstep, so the per-record inner cost is a devirtualized batch
-// slot, not a full Next dispatch. Records decoded before a mid-stream
-// inner error are emitted before the error surfaces, matching the
-// sequential and parallel decoders' delivery contract. Event-traced
-// corpora (MSRC) are near-sorted, so a small window suffices.
+// but Read takes each run of records from the inner decoder in a single
+// call (up to the window deficit, capped at reorderBatch) and then
+// drains it through the heap in push/pop lockstep, so the per-record
+// inner cost is a batch slot, not an interface call. Records decoded
+// before a mid-stream inner error are emitted before the error
+// surfaces, the Decoder contract. Event-traced corpora (MSRC) are
+// near-sorted, so a small window suffices.
 type ReorderDecoder struct {
 	inner  Decoder
 	window int
@@ -1332,93 +1233,71 @@ func NewReorderDecoder(dec Decoder, window int) *ReorderDecoder {
 // Meta implements Decoder.
 func (d *ReorderDecoder) Meta() Meta { return d.inner.Meta() }
 
-// Close stops the inner decoder's background workers, if it has any;
-// see CloseDecoder.
-func (d *ReorderDecoder) Close() { CloseDecoder(d.inner) }
+// Close implements Decoder: it closes the inner decoder and drops the
+// window.
+func (d *ReorderDecoder) Close() {
+	d.inner.Close()
+	d.h, d.err = nil, errClosed
+}
 
-// fill reads up to want records from the inner decoder in one batched
-// call and pushes them onto the heap, latching EOF/errors.
-func (d *ReorderDecoder) fill(want int) {
+// readInner reads a run of up to want records from the inner decoder,
+// latching EOF or its error.
+func (d *ReorderDecoder) readInner(want int) []Request {
 	if d.batch == nil {
 		d.batch = make([]Request, reorderBatch)
 	}
-	if want > len(d.batch) {
-		want = len(d.batch)
-	}
-	n, err := DecodeBatch(d.inner, d.batch[:want])
-	for _, r := range d.batch[:n] {
-		heap.Push(&d.h, reorderItem{req: r, seq: d.seq})
-		d.seq++
-	}
+	run, err := d.inner.Read(d.batch[:min(want, reorderBatch)])
 	if err == io.EOF {
 		d.done = true
 	} else if err != nil {
 		d.err = err
 	}
+	return run
 }
 
-// Next implements Decoder.
-func (d *ReorderDecoder) Next() (Request, error) {
-	var one [1]Request
-	if n, err := d.DecodeBatch(one[:]); n == 0 {
-		return Request{}, err
-	}
-	return one[0], nil
+// push adds r to the window, stamped with its input position.
+func (d *ReorderDecoder) push(r Request) {
+	heap.Push(&d.h, reorderItem{req: r, seq: d.seq})
+	d.seq++
 }
 
-// DecodeBatch implements BatchDecoder, with the interface's contract:
-// (n, err) delivers the records still buffered ahead of the terminal
-// condition together with it, and a full dst implies a nil error with
-// the terminal surfacing on a later call.
-func (d *ReorderDecoder) DecodeBatch(dst []Request) (int, error) {
+// Read implements Decoder.
+func (d *ReorderDecoder) Read(dst []Request) ([]Request, error) {
 	n := 0
 	for n < len(dst) {
 		switch {
 		case !d.done && d.err == nil && !d.primed:
 			// Initial fill to window+1 candidates, batched.
-			d.fill(d.window + 1 - len(d.h))
+			for _, r := range d.readInner(d.window + 1 - len(d.h)) {
+				d.push(r)
+			}
 			if len(d.h) > d.window {
 				d.primed = true
 			}
 		case len(d.h) == 0:
-			// Terminal: the latched error (or EOF) surfaces together
-			// with any records emitted this call, the DecodeBatch
-			// contract.
+			// Terminal: the records emitted this call go first, and the
+			// latched error (or EOF) on the next call.
+			if n > 0 {
+				return dst[:n], nil
+			}
 			if d.err == nil {
 				d.err = io.EOF
 			}
-			return n, d.err
+			return nil, d.err
 		case d.done || d.err != nil || len(d.h) > d.window:
 			// Drain (stream over), or the first pop after priming.
 			dst[n] = heap.Pop(&d.h).(reorderItem).req
 			n++
 		default:
 			// Steady state: the heap holds exactly window requests. Read
-			// the next run in one batched call, then emit in push/pop
-			// lockstep — the heap peaks at window+1, never beyond.
-			want := len(dst) - n
-			if want > d.window+1 {
-				want = d.window + 1
-			}
-			if want > reorderBatch {
-				want = reorderBatch
-			}
-			if d.batch == nil {
-				d.batch = make([]Request, reorderBatch)
-			}
-			k, err := DecodeBatch(d.inner, d.batch[:want])
-			for _, r := range d.batch[:k] {
-				heap.Push(&d.h, reorderItem{req: r, seq: d.seq})
-				d.seq++
+			// the next run in one call, then emit in push/pop lockstep —
+			// the heap peaks at window+1, never beyond.
+			for _, r := range d.readInner(min(len(dst)-n, d.window+1)) {
+				d.push(r)
 				dst[n] = heap.Pop(&d.h).(reorderItem).req
 				n++
 			}
-			if err == io.EOF {
-				d.done = true
-			} else if err != nil {
-				d.err = err
-			}
 		}
 	}
-	return n, nil
+	return dst, nil
 }

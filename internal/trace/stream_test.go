@@ -39,7 +39,7 @@ func TestStreamMatchesWholeTrace(t *testing.T) {
 	if !bytes.Equal(whole.Bytes(), streamed.Bytes()) {
 		t.Fatal("csv: streaming encoder diverges from WriteCSV")
 	}
-	got, err := Drain(NewCSVDecoder(bytes.NewReader(streamed.Bytes())))
+	got, err := drain(newSeq(t, "csv", streamed.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,7 @@ func TestBinaryStreamingSentinel(t *testing.T) {
 	if err := WriteBinary(&counted, orig); err != nil {
 		t.Fatal(err)
 	}
-	dec := NewBinaryDecoder(bytes.NewReader(counted.Bytes()))
-	got2, err := Drain(dec)
+	got2, err := drain(newSeq(t, "bin", counted.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,22 +87,38 @@ func TestBinaryTruncatedHeader(t *testing.T) {
 		if _, err := ReadFormat("bin", strings.NewReader(in)); err == nil {
 			t.Fatalf("truncated header %q accepted as empty trace", in)
 		}
-		dec := NewBinaryDecoder(strings.NewReader(in))
-		if _, err := dec.Next(); err == nil || err == io.EOF {
+		if _, err := newSeq(t, "bin", []byte(in)).Read(make([]Request, 1)); err == nil || err == io.EOF {
 			t.Fatalf("decoder on %q: got %v, want a truncation error", in, err)
 		}
 	}
 }
 
-// drainBy decodes dec to its terminal condition, one Next at a time
-// when size is 0 and through DecodeBatch with a size-long dst
-// otherwise, returning what it delivered and the terminal error (nil
-// for a clean EOF).
-func drainBy[D BatchDecoder](dec D, size int) ([]Request, error) {
+// seqDecoder is a codec as NewDecoder builds it, with the per-record
+// next its batch loop is held to.
+type seqDecoder interface {
+	Decoder
+	next() (Request, error)
+}
+
+// newSeq is NewDecoder over data.
+func newSeq(t testing.TB, format string, data []byte) seqDecoder {
+	t.Helper()
+	dec, err := NewDecoder(format, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec.(seqDecoder)
+}
+
+// drainBy decodes dec to its terminal condition, one next at a time
+// when size is 0 and through Read with a size-long dst otherwise,
+// returning what it delivered and the terminal error (nil for a clean
+// EOF).
+func drainBy(dec seqDecoder, size int) ([]Request, error) {
 	var out []Request
 	if size == 0 {
 		for {
-			r, err := dec.Next()
+			r, err := dec.next()
 			if err != nil {
 				return out, noEOF(err)
 			}
@@ -112,8 +127,8 @@ func drainBy[D BatchDecoder](dec D, size int) ([]Request, error) {
 	}
 	dst := make([]Request, size)
 	for {
-		n, err := dec.DecodeBatch(dst)
-		out = append(out, dst[:n]...)
+		run, err := dec.Read(dst)
+		out = append(out, run...)
 		if err != nil {
 			return out, noEOF(err)
 		}
@@ -167,7 +182,7 @@ func TestBinaryDecodeBatchMatchesNext(t *testing.T) {
 	}
 	sizes := []int{1, 3, 1024, 5000}
 	for name, data := range inputs {
-		newDec := func() *BinaryDecoder { return NewBinaryDecoder(bytes.NewReader(data)) }
+		newDec := func() seqDecoder { return newSeq(t, "bin", data) }
 		compareDrains(t, name, newDec, sizes)
 	}
 
@@ -188,25 +203,25 @@ func TestBinaryDecodeBatchMatchesNext(t *testing.T) {
 		if !s.ctx.binCounted {
 			body = body[:len(body)-binRecordLen/2]
 		}
-		newDec := func() *BinaryDecoder {
-			return bin.segment(newReadBuffer(bytes.NewReader(body)), s.ctx).(*BinaryDecoder)
+		newDec := func() seqDecoder {
+			return bin.segment(newReadBuffer(bytes.NewReader(body)), s.ctx).(seqDecoder)
 		}
 		compareDrains(t, s.name, newDec, sizes)
 	}
 }
 
-// compareDrains reads fresh decoders from newDec with Next and with
-// DecodeBatch at each size, and requires identical outcomes.
-func compareDrains[D BatchDecoder](t *testing.T, name string, newDec func() D, sizes []int) {
+// compareDrains reads fresh decoders from newDec with next and with
+// Read at each size, and requires identical outcomes.
+func compareDrains(t *testing.T, name string, newDec func() seqDecoder, sizes []int) {
 	t.Helper()
 	want, wantErr := drainBy(newDec(), 0)
 	for _, size := range sizes {
 		got, gotErr := drainBy(newDec(), size)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s, dst %d: DecodeBatch delivered %d records, Next %d (or they differ)", name, size, len(got), len(want))
+			t.Fatalf("%s, dst %d: Read delivered %d records, next %d (or they differ)", name, size, len(got), len(want))
 		}
 		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
-			t.Fatalf("%s, dst %d: DecodeBatch ends with %v, Next with %v", name, size, gotErr, wantErr)
+			t.Fatalf("%s, dst %d: Read ends with %v, next with %v", name, size, gotErr, wantErr)
 		}
 	}
 }
@@ -287,9 +302,9 @@ func TestCSVDecodeBatchMatchesNext(t *testing.T) {
 	}
 	sizes := []int{1, 3, 1024, 5000}
 	for name, data := range inputs {
-		newDec := func() *CSVDecoder { return NewCSVDecoder(bytes.NewReader(data)) }
+		newDec := func() seqDecoder { return newSeq(t, "csv", data) }
 		if _, err := drainBy(newDec(), 0); (err != nil) != fails[name] {
-			t.Fatalf("%s: Next loop ends with %v", name, err)
+			t.Fatalf("%s: next loop ends with %v", name, err)
 		}
 		compareDrains(t, name, newDec, sizes)
 	}
@@ -303,11 +318,11 @@ func TestCSVDecodeBatchMatchesNext(t *testing.T) {
 		"segment-late-header": strings.Join(lines[hdr+2000:hdr+6000], "") + late + lines[hdr+6000],
 	}
 	for name, body := range bodies {
-		newDec := func() *CSVDecoder {
-			return csv.segment(newReadBuffer(strings.NewReader(body)), ctx).(*CSVDecoder)
+		newDec := func() seqDecoder {
+			return csv.segment(newReadBuffer(strings.NewReader(body)), ctx).(seqDecoder)
 		}
 		if _, err := drainBy(newDec(), 0); (err != nil) != fails[name] {
-			t.Fatalf("%s: Next loop ends with %v", name, err)
+			t.Fatalf("%s: next loop ends with %v", name, err)
 		}
 		compareDrains(t, name, newDec, sizes)
 	}
@@ -377,16 +392,16 @@ func TestReorderDecoder(t *testing.T) {
 	if err := EncodeTrace(NewBinaryEncoder(&buf), &Trace{Requests: shuffled}); err != nil {
 		t.Fatal(err)
 	}
-	dec := NewReorderDecoder(NewBinaryDecoder(bytes.NewReader(buf.Bytes())), 16)
-	got, err := Drain(dec)
+	dec := NewReorderDecoder(newSeq(t, "bin", buf.Bytes()), 16)
+	got, err := drain(dec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Requests, reqs) {
 		t.Fatal("reorder decoder did not restore sorted order")
 	}
-	if _, err := dec.Next(); err != io.EOF {
-		t.Fatalf("want io.EOF after drain, got %v", err)
+	if run, err := dec.Read(make([]Request, 1)); len(run) != 0 || err != io.EOF {
+		t.Fatalf("want io.EOF and no data after drain, got %d records and %v", len(run), err)
 	}
 }
 
@@ -405,7 +420,7 @@ func TestReorderDecoderExactWindow(t *testing.T) {
 	if err := EncodeTrace(NewBinaryEncoder(&buf), &Trace{Requests: reqs}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Drain(NewReorderDecoder(NewBinaryDecoder(bytes.NewReader(buf.Bytes())), 2))
+	got, err := drain(NewReorderDecoder(newSeq(t, "bin", buf.Bytes()), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +442,7 @@ func TestMSRCDecoderMatchesReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Drain(NewReorderDecoder(NewMSRCDecoder(strings.NewReader(msrc)), 64))
+	got, err := drain(NewReorderDecoder(newSeq(t, "msrc", []byte(msrc)), 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +466,7 @@ func TestSPCDecoderMatchesReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Drain(NewReorderDecoder(NewSPCDecoder(strings.NewReader(spc)), 64))
+	got, err := drain(NewReorderDecoder(newSeq(t, "spc", []byte(spc)), 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,11 +485,11 @@ func TestCSVLateHeaderRejected(t *testing.T) {
 	if _, err := ReadFormat("csv", strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "metadata header after data") {
 		t.Fatalf("ReadFormat late header: got %v", err)
 	}
-	dec := NewCSVDecoder(strings.NewReader(in))
-	if _, err := dec.Next(); err != nil {
+	dec, one := newSeq(t, "csv", []byte(in)), make([]Request, 1)
+	if _, err := dec.Read(one); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Next(); err == nil || !strings.Contains(err.Error(), "metadata header after data") {
+	if _, err := dec.Read(one); err == nil || !strings.Contains(err.Error(), "metadata header after data") {
 		t.Fatalf("decoder late header: got %v", err)
 	}
 	// A plain comment between rows stays legal.
@@ -539,47 +554,32 @@ func TestSeqState(t *testing.T) {
 // countingDecoder wraps a decoder and counts how many requests the
 // consumer has pulled out of it.
 type countingDecoder struct {
-	inner Decoder
-	n     int
+	Decoder
+	n int
 }
 
-func (c *countingDecoder) Next() (Request, error) {
-	r, err := c.inner.Next()
-	if err == nil {
-		c.n++
-	}
-	return r, err
+func (c *countingDecoder) Read(dst []Request) ([]Request, error) {
+	run, err := c.Decoder.Read(dst)
+	c.n += len(run)
+	return run, err
 }
 
-func (c *countingDecoder) Meta() Meta { return c.inner.Meta() }
-
-// batchSizeRecorder wraps a BatchDecoder recording how many records
-// each inner batch call delivered, and the running total.
+// batchSizeRecorder wraps a decoder recording how many records each
+// inner Read delivered, and the running total.
 type batchSizeRecorder struct {
-	inner BatchDecoder
+	Decoder
 	n     int
 	sizes []int
 }
 
-func (c *batchSizeRecorder) Next() (Request, error) {
-	r, err := c.inner.Next()
-	if err == nil {
-		c.n++
-		c.sizes = append(c.sizes, 1)
+func (c *batchSizeRecorder) Read(dst []Request) ([]Request, error) {
+	run, err := c.Decoder.Read(dst)
+	if len(run) > 0 {
+		c.n += len(run)
+		c.sizes = append(c.sizes, len(run))
 	}
-	return r, err
+	return run, err
 }
-
-func (c *batchSizeRecorder) DecodeBatch(dst []Request) (int, error) {
-	n, err := c.inner.DecodeBatch(dst)
-	if n > 0 {
-		c.n += n
-		c.sizes = append(c.sizes, n)
-	}
-	return n, err
-}
-
-func (c *batchSizeRecorder) Meta() Meta { return c.inner.Meta() }
 
 // TestReorderDecoderBatchedRefill is the regression test for the PR 4
 // known delta (steady-state refill dropped to one record per emit):
@@ -611,13 +611,13 @@ func TestReorderDecoderBatchedRefill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := &batchSizeRecorder{inner: NewBinaryDecoder(bytes.NewReader(buf.Bytes()))}
+	rec := &batchSizeRecorder{Decoder: newSeq(t, "bin", buf.Bytes())}
 	dec := NewReorderDecoder(rec, window)
 	var got []Request
 	tmp := make([]Request, 64)
 	for {
-		k, err := dec.DecodeBatch(tmp)
-		got = append(got, tmp[:k]...)
+		run, err := dec.Read(tmp)
+		got = append(got, run...)
 		// The hard bound, observed at every consumer-visible point: the
 		// decoder has read at most window+1 records past its output.
 		if ahead := rec.n - len(got); ahead > window+1 {
@@ -657,11 +657,12 @@ func TestReorderDecoderWindowBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	const window = 7
-	cd := &countingDecoder{inner: NewBinaryDecoder(bytes.NewReader(buf.Bytes()))}
+	cd := &countingDecoder{Decoder: newSeq(t, "bin", buf.Bytes())}
 	dec := NewReorderDecoder(cd, window)
 	emitted := 0
+	one := make([]Request, 1)
 	for {
-		_, err := dec.Next()
+		_, err := dec.Read(one)
 		if err == io.EOF {
 			break
 		}

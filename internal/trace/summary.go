@@ -159,12 +159,10 @@ func (a *Summarizer) Summary(m Meta) Summary {
 	return s
 }
 
-// Summarize drains dec and returns its one-pass summary. It reads
-// through the batched decode path — or straight out of a parallel
-// decoder's internal batches — so the per-record cost is the AddBatch
-// fold, not interface dispatch. On a decode error the decoder
-// is closed (CloseDecoder), so abandoned parallel decodes never leak
-// workers.
+// Summarize drains dec and returns its one-pass summary. It reads a run
+// at a time (ForEachBatch), so the per-record cost is the AddBatch
+// fold, not interface dispatch. On a decode error the decoder is
+// closed, so abandoned parallel decodes never leak workers.
 func Summarize(dec Decoder) (Summary, error) {
 	acc := NewSummarizer()
 	err := ForEachBatch(dec, func(batch []Request) error {
@@ -172,7 +170,7 @@ func Summarize(dec Decoder) (Summary, error) {
 		return nil
 	})
 	if err != nil {
-		CloseDecoder(dec)
+		dec.Close()
 		return Summary{}, err
 	}
 	return acc.Summary(dec.Meta()), nil

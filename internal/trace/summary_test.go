@@ -30,7 +30,7 @@ func TestSummarizerMatchesTraceMethods(t *testing.T) {
 	if err := WriteCSV(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := Summarize(NewCSVDecoder(bytes.NewReader(buf.Bytes())))
+	sum, err := Summarize(newSeq(t, "csv", buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
