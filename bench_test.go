@@ -25,7 +25,6 @@ import (
 	enginePkg "repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/infer"
-	"repro/internal/stats"
 	tracePkg "repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -183,66 +182,6 @@ func BenchmarkClaimIdleShare(b *testing.B) {
 }
 
 // --- Ablations (DESIGN.md section 5) ---
-
-// ablationTrace builds one FIU-style trace for the steepest-point
-// ablations.
-func ablationSamples() []float64 {
-	p, _ := workload.Lookup("ikki")
-	old, _ := experiments.GenerateOld(p, 0, 4000, 0)
-	return old.InterArrivalMicros()
-}
-
-// BenchmarkAblationInterp compares the steepest-point location under
-// PCHIP (paper's choice), spline, and linear interpolation.
-func BenchmarkAblationInterp(b *testing.B) {
-	samples := ablationSamples()
-	for _, scheme := range []string{"pchip", "spline", "linear"} {
-		b.Run(scheme, func(b *testing.B) {
-			o := infer.DefaultSteepnessOptions()
-			o.Interp = scheme
-			for i := 0; i < b.N; i++ {
-				if _, ok := infer.ExamineSteepness(samples, o); !ok {
-					b.Fatal("examination failed")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationMargin varies Algorithm 1's outlier margin divisor
-// (paper: variance/2).
-func BenchmarkAblationMargin(b *testing.B) {
-	samples := ablationSamples()
-	for _, div := range []float64{1, 2, 4} {
-		name := map[float64]string{1: "var", 2: "var_over_2", 4: "var_over_4"}[div]
-		b.Run(name, func(b *testing.B) {
-			o := infer.DefaultSteepnessOptions()
-			o.MarginDivisor = div
-			for i := 0; i < b.N; i++ {
-				if _, ok := infer.ExamineSteepness(samples, o); !ok {
-					b.Fatal("examination failed")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBinning compares log-spaced (pipeline default) and
-// linear PDF binning.
-func BenchmarkAblationBinning(b *testing.B) {
-	samples := ablationSamples()
-	for _, binning := range []stats.Binning{stats.LogBins, stats.LinearBins} {
-		b.Run(binning.String(), func(b *testing.B) {
-			o := infer.DefaultSteepnessOptions()
-			o.Binning = binning
-			for i := 0; i < b.N; i++ {
-				if _, ok := infer.ExamineSteepness(samples, o); !ok {
-					b.Fatal("examination failed")
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAblationPostProcess is the Dynamic-vs-TraceTracker ablation
 // at the whole-pipeline level: post-processing on and off.
@@ -426,7 +365,9 @@ func BenchmarkPipelineStages(b *testing.B) {
 	old.TsdevKnown = false
 	b.Run("classify", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if g := infer.Classify(old); len(g.Groups) == 0 {
+			c := infer.NewStreamClassifier()
+			c.AddBatch(old.Requests)
+			if g := c.Grouping(); len(g.Groups) == 0 {
 				b.Fatal("no groups")
 			}
 		}

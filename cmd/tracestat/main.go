@@ -130,7 +130,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			for _, op := range []trace.Op{trace.Read, trace.Write} {
 				for _, grp := range g.Select(seq, op, 1) {
 					shape := infer.ClassifyShape(grp.InttMicros)
-					res, ok := infer.ExamineSteepness(grp.InttMicros, infer.DefaultSteepnessOptions())
+					res, ok := infer.ExamineSteepness(grp.InttMicros)
 					rise := "-"
 					if ok {
 						rise = report.FormatDuration(usDur(res.RiseMicros))
@@ -142,7 +142,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		gt.Render(stdout)
 	}
 
-	m, err := cls.Estimate(sum.Meta.Name, infer.EstimateOptions{})
+	m, err := cls.Estimate(sum.Meta.Name)
 	if err != nil {
 		fmt.Fprintf(stderr, "tracestat: model fit skipped: %v\n", err)
 		return nil

@@ -22,8 +22,6 @@ import (
 // Options configures Reconstruct. The zero value is the paper's full
 // TraceTracker configuration.
 type Options struct {
-	// Estimate tunes the inference model fit.
-	Estimate infer.EstimateOptions
 	// SkipPostProcess disables the asynchronous-mode restoration pass;
 	// this is exactly the paper's Dynamic baseline.
 	SkipPostProcess bool
@@ -119,7 +117,7 @@ func PrepareModel(old *trace.Trace, opts Options) (m *infer.Model, useRecorded b
 	if old.TsdevKnown && !opts.ForceInference {
 		return nil, true, nil
 	}
-	m, err = infer.Estimate(old, opts.Estimate)
+	m, err = infer.Estimate(old, infer.EstimateOptions{})
 	return m, false, err
 }
 

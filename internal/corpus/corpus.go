@@ -61,14 +61,14 @@ type Entry struct {
 	TotalBytes   int64         `json:"total_bytes"`
 	ReadFraction float64       `json:"read_fraction"`
 	SeqFraction  float64       `json:"seq_fraction"`
-	// Model is the inference model fitted to this blob in file order
-	// under default infer.EstimateOptions, in the same decode pass as the
-	// summary — the software half of the co-evaluation, a function of the
-	// old trace alone, so a job that would fit exactly that reads it here
-	// (FittedModel) instead of decoding the blob once more. Nil for
-	// Tsdev-known blobs, the near-sorted formats (msrc, spc), traces too
-	// sparse to fit, and sidecars written before the field existed: jobs
-	// on those fit for themselves.
+	// Model is the inference model fitted to this blob in file order, in
+	// the same decode pass as the summary — the software half of the
+	// co-evaluation, a function of the old trace alone, so a job that
+	// would fit exactly that reads it here (FittedModel) instead of
+	// decoding the blob once more. Nil for Tsdev-known blobs, the
+	// near-sorted formats (msrc, spc), traces too sparse to fit, and
+	// sidecars written before the field existed: jobs on those fit for
+	// themselves.
 	Model *infer.Model `json:"model,omitempty"`
 	// Ingested is when the blob first landed (UTC).
 	Ingested time.Time `json:"ingested"`

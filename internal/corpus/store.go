@@ -407,7 +407,7 @@ func (s *Store) summarizeAndFit(dec trace.Decoder, format string) (trace.Summary
 		return sum, nil, err
 	}
 	start := time.Now()
-	model, err := cls.Estimate(sum.Meta.Name, infer.EstimateOptions{})
+	model, err := cls.Estimate(sum.Meta.Name)
 	if err != nil || !model.Finite() {
 		model = nil
 	}

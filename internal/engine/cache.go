@@ -34,8 +34,7 @@ type ResultCache interface {
 	StoreResultNoted(key, inputDigest string, write func(io.Writer) (note []byte, err error)) (string, error)
 	// FittedModel returns the caller's own copy of the inference model
 	// stored with the input: the fit of exactly those bytes, in file
-	// order, under zero-value infer.EstimateOptions. nil when the cache
-	// keeps none for this input.
+	// order. nil when the cache keeps none for this input.
 	FittedModel(inputDigest string) *infer.Model
 }
 
@@ -129,7 +128,7 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 	lsp := cfg.Trace.Start(cfg.Trace.Root(), obs.JobSpanNames[obs.JobSpanCacheLookup])
 	path, note, ok := cache.LookupResult(key)
 	var fitted *infer.Model
-	if !ok && fitsAsStored(cfg, spec) {
+	if !ok && fitsAsStored(spec) {
 		fitted = cache.FittedModel(inputDigest)
 	}
 	lsp.SetAttr("hit", boolAttr(ok))
@@ -176,15 +175,14 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 
 // fitsAsStored reports whether the model the job would fit for itself
 // is the one a cache stores with the input — the fit of the blob in file
-// order under default options: a method that fits at all, no reorder
-// window between the file and the classifier, and no estimator option
-// set. (That the input needs a model is the store's side of the rule:
-// it keeps one for Tsdev-unknown blobs only.) Every other job fits per
-// job.
-func fitsAsStored(cfg Config, spec JobSpec) bool {
+// order: a method that fits at all, and no reorder window between the
+// file and the classifier. (That the input needs a model is the store's
+// side of the rule: it keeps one for Tsdev-unknown blobs only.) Every
+// other job fits per job.
+func fitsAsStored(spec JobSpec) bool {
 	switch spec.Method {
 	case "tracetracker", "dynamic":
-		return spec.ReorderWindow <= 1 && cfg.Core.Estimate == (infer.EstimateOptions{})
+		return spec.ReorderWindow <= 1
 	}
 	return false
 }

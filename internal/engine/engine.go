@@ -82,11 +82,10 @@
 // also a function of the old trace alone, never of the job's target, so
 // a job does not have to be the one to run it: a result cache that
 // fitted the input when it ingested it (ResultCache.FittedModel — the
-// fit of those bytes in file order under default options) hands
-// RunJobCached the model, and a job whose own fit would be exactly
-// that (fitsAsStored) skips the pass and its second decode of the
-// input. Every other job — no cache, a reorder window, estimator
-// options, forced inference on a Tsdev-known input — fits for itself.
+// fit of those bytes in file order) hands RunJobCached the model, and a
+// job whose own fit would be exactly that (fitsAsStored) skips the pass
+// and its second decode of the input. Every other job — no cache, a reorder window, forced
+// inference on a Tsdev-known input — fits for itself.
 //
 // # Methods
 //

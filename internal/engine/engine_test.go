@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/infer"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -441,7 +442,7 @@ func TestFitModelMatchesEstimate(t *testing.T) {
 	if err := trace.WriteBinary(&input, old); err != nil {
 		t.Fatal(err)
 	}
-	m, n, err := FitModel(decoderOf(t, "bin", input.Bytes()), core.Options{}.Estimate)
+	m, n, err := FitModel(decoderOf(t, "bin", input.Bytes()), infer.EstimateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

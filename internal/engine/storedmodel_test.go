@@ -34,10 +34,10 @@ func sameModel(a, b *infer.Model) bool {
 
 // TestRunJobCachedStoredModel is the job half of "fit once per trace":
 // a job whose own fit would be the stored one — tracetracker or
-// dynamic, no reorder window, default estimator options — takes the
-// cache's model, opens no fit pass (no fit span, no second decoder) and
-// still writes the sequential pipeline's bytes; every other job fits
-// for itself exactly as before, to the same bytes.
+// dynamic, no reorder window — takes the cache's model, opens no fit
+// pass (no fit span, no second decoder) and still writes the sequential
+// pipeline's bytes; every other job fits for itself exactly as before,
+// to the same bytes.
 func TestRunJobCachedStoredModel(t *testing.T) {
 	dir := t.TempDir()
 	inPath := filepath.Join(dir, "webmail.csv")
@@ -98,8 +98,6 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 
 		{name: "no-model-stored", spec: JobSpec{Parallel: 2}},
 		{name: "reorder-window", spec: JobSpec{ReorderWindow: 4096, Parallel: 2}, stored: fit},
-		{name: "estimator-options", spec: JobSpec{Parallel: 2}, stored: fit,
-			opts: core.Options{Estimate: infer.EstimateOptions{MinGroupSamples: 16}}}, // the default, spelled out: same bytes, own fit
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cache := newMemCache(t)

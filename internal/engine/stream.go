@@ -26,8 +26,9 @@ var ErrModelRequired = errors.New("engine: input requires an inference model; fi
 // input, does not run. The classifier retains one inter-arrival sample
 // and its group tag (12 bytes) per request — far below materializing
 // the trace, but still O(n); truly bounded streaming is only possible
-// for Tsdev-known corpora, which skip this pass.
-func FitModel(dec trace.Decoder, opts infer.EstimateOptions) (*infer.Model, int, error) {
+// for Tsdev-known corpora, which skip this pass. The options parameter
+// exists only for the benchmark (see infer.EstimateOptions).
+func FitModel(dec trace.Decoder, _ infer.EstimateOptions) (*infer.Model, int, error) {
 	c := infer.NewStreamClassifier()
 	err := trace.ForEachBatch(dec, func(batch []trace.Request) error {
 		c.AddBatch(batch)
@@ -37,7 +38,7 @@ func FitModel(dec trace.Decoder, opts infer.EstimateOptions) (*infer.Model, int,
 		dec.Close()
 		return nil, c.N(), err
 	}
-	m, err := c.Estimate(dec.Meta().Name, opts)
+	m, err := c.Estimate(dec.Meta().Name)
 	return m, c.N(), err
 }
 
@@ -186,7 +187,7 @@ func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*
 	fsp := e.cfg.Trace.Start(e.cfg.Trace.Root(), obs.JobSpanNames[obs.JobSpanFit])
 	defer fsp.End()
 	e.cfg.Metrics.ModelFit(false)
-	m, _, err := FitModel(dec, e.cfg.Core.Estimate)
+	m, _, err := FitModel(dec, infer.EstimateOptions{})
 	return m, err
 }
 

@@ -60,7 +60,9 @@ func Fig5(cfg Config) Fig5Result {
 
 	p, _ := workload.Lookup("MSNFS")
 	old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
-	g := infer.Classify(old)
+	c := infer.NewStreamClassifier()
+	c.AddBatch(old.Requests)
+	g := c.Grouping()
 	for _, grp := range g.Select(true, trace.Read, 64) {
 		r.WorkloadGroups = append(r.WorkloadGroups, struct {
 			Key   infer.GroupKey
@@ -134,7 +136,7 @@ func Fig7a(cfg Config) Fig7aResult {
 			}
 		}
 		out.Series = append(out.Series, report.NewCDFSeries(name, movd))
-		if res, ok := infer.ExamineSteepness(movd, infer.DefaultSteepnessOptions()); ok {
+		if res, ok := infer.ExamineSteepness(movd); ok {
 			out.RepMovd[name] = time.Duration(res.RiseMicros * float64(time.Microsecond))
 		}
 	}

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -8,53 +9,35 @@ import (
 	"repro/internal/trace"
 )
 
-// TestDeltaFromCDFDiffAgreesWithSeparation checks the fidelity
-// ablation: the paper's literal Fig 6 CDF-difference construction and
-// the rise-separation default land within binning resolution of each
-// other on a well-separated synthetic trace.
-func TestDeltaFromCDFDiffAgreesWithSeparation(t *testing.T) {
-	spec := synthSpec{
-		betaUS: 0.5, etaUS: 1.5,
-		tcdelRUS: 20, tcdelWUS: 30,
-		readSizes:  []uint32{8, 128},
-		writeSizes: []uint32{8, 128},
-		n:          8000,
-		seed:       17,
-	}
-	tr, _ := buildSynth(spec)
-	mSep, err := Estimate(tr, EstimateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mDiff, err := Estimate(tr, EstimateOptions{DeltaFromCDFDiff: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mDiff.BetaMicros == 0 {
-		t.Fatal("CDFdiff estimator produced zero β")
-	}
-	ratio := mDiff.BetaMicros / mSep.BetaMicros
-	if ratio < 0.5 || ratio > 2.0 {
-		t.Fatalf("estimators disagree: separation β=%v, CDFdiff β=%v",
-			mSep.BetaMicros, mDiff.BetaMicros)
-	}
-}
-
+// TestEstimateMinGroupSamplesFiltering checks the fit's population
+// floor at its boundary: a group needs minGroupSamples (16) samples
+// before any pass may select it.
 func TestEstimateMinGroupSamplesFiltering(t *testing.T) {
-	spec := synthSpec{
-		betaUS: 0.5, tcdelRUS: 20,
-		readSizes: []uint32{8, 128},
-		n:         200, // 100 samples per size group
-		seed:      3,
-	}
-	tr, _ := buildSynth(spec)
-	// A requirement above the population must make the trace too
-	// sparse.
-	if _, err := Estimate(tr, EstimateOptions{MinGroupSamples: 500}); err == nil {
-		t.Fatal("oversized MinGroupSamples should fail")
-	}
-	if _, err := Estimate(tr, EstimateOptions{MinGroupSamples: 50}); err != nil {
-		t.Fatalf("reasonable MinGroupSamples failed: %v", err)
+	for _, c := range []struct {
+		n, largest int
+		sparse     bool
+	}{
+		{n: 22, largest: 15, sparse: true},
+		{n: 23, largest: 16},
+		{n: 200, largest: 149},
+	} {
+		tr, _ := buildSynth(synthSpec{
+			betaUS: 0.5, tcdelRUS: 20,
+			readSizes: []uint32{8, 128},
+			n:         c.n,
+			seed:      3,
+		})
+		largest := 0
+		for _, grp := range classifyRef(tr).Groups {
+			largest = max(largest, grp.N())
+		}
+		if largest != c.largest {
+			t.Fatalf("n=%d: largest group has %d samples, want %d", c.n, largest, c.largest)
+		}
+		_, err := Estimate(tr, EstimateOptions{})
+		if c.sparse != errors.Is(err, ErrTooSparse) || !c.sparse && err != nil {
+			t.Fatalf("n=%d: err = %v, want sparse=%v", c.n, err, c.sparse)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 package infer
 
 // The model golden pins the fitted model bit for bit: every coefficient
-// of every workload family, printed with %x, at two trace sizes and
-// both ΔTintt estimators. A change to the fit kernel (sorting, group
+// of every workload family, printed with %x, at two trace sizes. A
+// change to the fit kernel (sorting, group
 // scheduling, classification) must leave this file untouched; a change
 // that moves the model on purpose regenerates it with:
 //
@@ -24,7 +24,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/models.txt")
 
 // goldenOps are the two trace sizes: one where most groups sit near
-// MinGroupSamples and the 512-knot thinning rarely applies, one where
+// minGroupSamples and the 512-knot thinning rarely applies, one where
 // the large groups are thinned.
 var goldenOps = []int{4000, 50000}
 
@@ -43,17 +43,15 @@ func renderModelGolden(t *testing.T) []byte {
 			tr := app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace
 			c := NewStreamClassifier()
 			c.AddBatch(tr.Requests)
-			for _, diff := range []bool{false, true} {
-				fmt.Fprintf(&buf, "%s ops=%d cdfdiff=%v", p.Name, ops, diff)
-				m, err := c.Estimate(p.Name, EstimateOptions{DeltaFromCDFDiff: diff})
-				if err != nil {
-					fmt.Fprintf(&buf, " err=%v\n", err)
-					continue
-				}
-				fmt.Fprintf(&buf, " beta=%x eta=%x tcdelR=%x tcdelW=%x tmovd=%x flatR=%x flatW=%x read=%v write=%v\n",
-					m.BetaMicros, m.EtaMicros, m.TcdelReadMicros, m.TcdelWriteMicros,
-					m.TmovdMicros, m.FlatReadMicros, m.FlatWriteMicros, m.ReadSizes, m.WriteSizes)
+			fmt.Fprintf(&buf, "%s ops=%d", p.Name, ops)
+			m, err := c.Estimate(p.Name)
+			if err != nil {
+				fmt.Fprintf(&buf, " err=%v\n", err)
+				continue
 			}
+			fmt.Fprintf(&buf, " beta=%x eta=%x tcdelR=%x tcdelW=%x tmovd=%x flatR=%x flatW=%x read=%v write=%v\n",
+				m.BetaMicros, m.EtaMicros, m.TcdelReadMicros, m.TcdelWriteMicros,
+				m.TmovdMicros, m.FlatReadMicros, m.FlatWriteMicros, m.ReadSizes, m.WriteSizes)
 		}
 	}
 	return buf.Bytes()

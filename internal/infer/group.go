@@ -16,7 +16,6 @@ package infer
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -36,9 +35,6 @@ type Group struct {
 	// instruction of this group: sample j is Arrival[i+1]-Arrival[i]
 	// for the j-th group member at trace index i.
 	InttMicros []float64
-	// Indices are the trace positions of the group members (the i of
-	// each sample), so per-instruction decisions can be mapped back.
-	Indices []int
 }
 
 // N returns the group's sample count.
@@ -47,28 +43,6 @@ func (g *Group) N() int { return len(g.InttMicros) }
 // Grouping is the full classification of a trace.
 type Grouping struct {
 	Groups map[GroupKey]*Group
-	// Seq mirrors trace.SeqFlags for the classified trace.
-	Seq []bool
-}
-
-// Classify groups every instruction of t that has a following
-// inter-arrival sample (all but the last request). This is the first
-// stage of Fig 4's software simulation.
-func Classify(t *trace.Trace) *Grouping {
-	g := &Grouping{Groups: make(map[GroupKey]*Group), Seq: t.SeqFlags()}
-	reqs := t.Requests
-	for i := 0; i+1 < len(reqs); i++ {
-		k := GroupKey{Seq: g.Seq[i], Op: reqs[i].Op, Sectors: reqs[i].Sectors}
-		grp := g.Groups[k]
-		if grp == nil {
-			grp = &Group{Key: k}
-			g.Groups[k] = grp
-		}
-		intt := float64(reqs[i+1].Arrival-reqs[i].Arrival) / float64(time.Microsecond)
-		grp.InttMicros = append(grp.InttMicros, intt)
-		grp.Indices = append(grp.Indices, i)
-	}
-	return g
 }
 
 // Select returns the groups matching seq/op with at least minSamples

@@ -57,24 +57,14 @@ func (m *Model) Finite() bool {
 	return true
 }
 
-// EstimateOptions tunes Estimate.
-type EstimateOptions struct {
-	Steepness SteepnessOptions
-	// MinGroupSamples is the minimum group population considered
-	// statistically meaningful (default 16).
-	MinGroupSamples int
-	// DeltaFromCDFDiff selects the literal CDF-difference construction
-	// of Fig 6 for ΔTintt instead of the rise-separation estimator;
-	// see estimateDelta for the discussion. Default false.
-	DeltaFromCDFDiff bool
-}
+// EstimateOptions exists only so the benchmark's Estimate and FitModel
+// calls compile; it goes with them (ROADMAP item 1(g)). The fit has one
+// configuration: the package constants below.
+type EstimateOptions struct{}
 
-func (o EstimateOptions) withDefaults() EstimateOptions {
-	if o.MinGroupSamples == 0 {
-		o.MinGroupSamples = 16
-	}
-	return o
-}
+// minGroupSamples is the smallest group population the fit treats as
+// statistically meaningful.
+const minGroupSamples = 16
 
 // ErrTooSparse is returned when a trace has no group large enough to
 // support any inference at all.
@@ -84,28 +74,23 @@ var ErrTooSparse = errors.New("infer: trace too sparse for inference")
 // instructions, scores every sequential per-size CDF with Algorithm 1,
 // derives β/η from the two steepest read/write graphs, channel delays
 // from the steepest graph's rise location, and Tmovd from the steepest
-// random-access graph.
-func Estimate(t *trace.Trace, opts EstimateOptions) (*Model, error) {
-	return EstimateGrouping(Classify(t), t.Name, opts)
+// random-access graph: it feeds the whole trace to a StreamClassifier
+// and fits that.
+func Estimate(t *trace.Trace, _ EstimateOptions) (*Model, error) {
+	c := NewStreamClassifier()
+	c.AddBatch(t.Requests)
+	return c.Estimate(t.Name)
 }
 
-// EstimateGrouping fits the model from a pre-built classification
-// (either Classify's or a StreamClassifier's). name labels errors.
-func EstimateGrouping(g *Grouping, name string, opts EstimateOptions) (*Model, error) {
-	m, _, err := estimateGrouping(g, name, opts, nil, false)
-	return m, err
-}
-
-// estimateGrouping is EstimateGrouping on the examiners xs (grown as
-// needed and returned), which with inPlace sort each group's samples
-// where they lie instead of in a copy.
-func estimateGrouping(g *Grouping, name string, opts EstimateOptions, xs []examiner, inPlace bool) (*Model, []examiner, error) {
-	opts = opts.withDefaults()
+// estimateGrouping fits the model from a classification on the
+// examiners xs (grown as needed and returned), sorting each group's
+// samples where they lie. name labels errors.
+func estimateGrouping(g *Grouping, name string, xs []examiner) (*Model, []examiner, error) {
 	m := &Model{FlatReadMicros: -1, FlatWriteMicros: -1}
-	ex, xs := examineGroups(g, opts, xs, inPlace)
+	ex, xs := examineGroups(g, xs)
 
-	okRead := estimateOp(m, g, ex, trace.Read, opts)
-	okWrite := estimateOp(m, g, ex, trace.Write, opts)
+	okRead := estimateOp(m, g, ex, trace.Read)
+	okWrite := estimateOp(m, g, ex, trace.Write)
 	if !okRead && !okWrite {
 		return nil, xs, fmt.Errorf("%w: %q", ErrTooSparse, name)
 	}
@@ -124,22 +109,22 @@ func estimateGrouping(g *Grouping, name string, opts EstimateOptions, xs []exami
 		m.WriteSizes = m.ReadSizes
 	}
 
-	estimateTmovd(m, g, ex, opts)
+	estimateTmovd(m, g, ex)
 	return m, xs, nil
 }
 
 // examineGroups runs the steepness analysis once over every group with
-// at least MinGroupSamples samples — every group a pass below can
+// at least minGroupSamples samples — every group a pass below can
 // select — largest first, on min(GOMAXPROCS, groups) goroutines, each
 // with its own examiner of xs (grown to the goroutine count and
 // returned). A goroutine writes only the slots of the groups it takes,
 // and nothing reads a slot before the join. An examination is a pure
 // function of its group's samples, so the schedule cannot change a bit
-// of the model; with inPlace the samples end up sorted.
-func examineGroups(g *Grouping, opts EstimateOptions, xs []examiner, inPlace bool) (map[*Group]*examination, []examiner) {
+// of the model. The samples end up sorted.
+func examineGroups(g *Grouping, xs []examiner) (map[*Group]*examination, []examiner) {
 	var groups []*Group
 	for _, grp := range g.Groups {
-		if grp.N() >= opts.MinGroupSamples {
+		if grp.N() >= minGroupSamples {
 			groups = append(groups, grp)
 		}
 	}
@@ -160,11 +145,7 @@ func examineGroups(g *Grouping, opts EstimateOptions, xs []examiner, inPlace boo
 				if i >= len(groups) {
 					return
 				}
-				if inPlace {
-					out[i] = x.examineSorting(groups[i].InttMicros, opts.Steepness)
-				} else {
-					out[i] = x.examine(groups[i].InttMicros, opts.Steepness)
-				}
+				out[i] = x.examineSorting(groups[i].InttMicros)
 			}
 		}(&xs[w])
 	}
@@ -179,13 +160,13 @@ func examineGroups(g *Grouping, opts EstimateOptions, xs []examiner, inPlace boo
 // estimateOp fits β (or η) and Tcdel for one operation type from the
 // sequential groups, reading their examinations from ex. Returns false
 // when no group is usable.
-func estimateOp(m *Model, g *Grouping, ex map[*Group]*examination, op trace.Op, opts EstimateOptions) bool {
-	groups := g.Select(true, op, opts.MinGroupSamples)
+func estimateOp(m *Model, g *Grouping, ex map[*Group]*examination, op trace.Op) bool {
+	groups := g.Select(true, op, minGroupSamples)
 	if len(groups) == 0 {
 		// No sequential traffic: fall back to random groups of the op
 		// so that read-heavy random workloads still get a model; the
 		// Tmovd term then absorbs the positioning component.
-		for _, grp := range g.SelectAllRandom(opts.MinGroupSamples) {
+		for _, grp := range g.SelectAllRandom(minGroupSamples) {
 			if grp.Key.Op == op {
 				groups = append(groups, grp)
 			}
@@ -238,7 +219,10 @@ func estimateOp(m *Model, g *Grouping, ex map[*Group]*examination, op trace.Op, 
 	}
 	steep2 := sc[second]
 
-	delta := estimateDelta(steep1.examination, steep2.examination, opts)
+	// ΔTintt (Fig 6) is the separation of the two rise locations: the
+	// CDFs rise at Tcdel + coef·size1 and Tcdel + coef·size2, so
+	// |T'1 − T'2| isolates coef·|size1 − size2| exactly.
+	delta := math.Abs(steep1.res.RiseMicros - steep2.res.RiseMicros)
 	sizeDiff := math.Abs(float64(steep1.grp.Key.Sectors) - float64(steep2.grp.Key.Sectors))
 	coef := delta / sizeDiff
 	if coef < 0 {
@@ -262,61 +246,14 @@ func estimateOp(m *Model, g *Grouping, ex map[*Group]*examination, op trace.Op, 
 	return true
 }
 
-// estimateDelta produces ΔTintt, the inter-arrival separation between
-// the two steepest per-size CDFs, which divided by the size difference
-// yields the per-sector coefficient (Fig 6).
-//
-// The default estimator is the separation of the two rise locations
-// |T'1 − T'2|: the two CDFs rise at Tcdel + coef·size1 and
-// Tcdel + coef·size2 respectively, so the separation isolates
-// coef·|size1−size2| exactly. The paper's Fig 6 construction — build
-// CDF(diff) = CDF1 − CDF2 and take the Tintt at max CDF(diff)′ — is
-// available behind DeltaFromCDFDiff for the fidelity ablation; on
-// well-separated rises both land within a bin width of each other.
-func estimateDelta(e1, e2 *examination, opts EstimateOptions) float64 {
-	r1, r2 := e1.res, e2.res
-	if !opts.DeltaFromCDFDiff {
-		return math.Abs(r1.RiseMicros - r2.RiseMicros)
-	}
-	// Literal construction: evaluate both interpolated CDFs on the
-	// merged support, interpolate the difference, take argmax of its
-	// derivative, then measure separation from steep1's rise. The CDFs
-	// are the knots each group's examination already built.
-	x1, y1 := e1.cx, e1.cy
-	x2, y2 := e2.cx, e2.cy
-	if len(x1) < 2 || len(x2) < 2 {
-		return math.Abs(r1.RiseMicros - r2.RiseMicros)
-	}
-	f1, err1 := pchipOrLinear(x1, y1)
-	f2, err2 := pchipOrLinear(x2, y2)
-	if err1 != nil || err2 != nil {
-		return math.Abs(r1.RiseMicros - r2.RiseMicros)
-	}
-	lo := math.Min(x1[0], x2[0])
-	hi := math.Max(x1[len(x1)-1], x2[len(x2)-1])
-	const n = 512
-	bestX, bestD := lo, math.Inf(-1)
-	prev := f1.At(lo) - f2.At(lo)
-	step := (hi - lo) / n
-	for i := 1; i <= n; i++ {
-		x := lo + float64(i)*step
-		cur := f1.At(x) - f2.At(x)
-		if d := (cur - prev) / step; d > bestD {
-			bestD, bestX = d, x
-		}
-		prev = cur
-	}
-	return math.Abs(bestX - r1.RiseMicros)
-}
-
 // estimateTmovd fits the representative random-access positioning
 // delay from the steepest random-access CDF, reading the groups'
 // examinations from ex.
-func estimateTmovd(m *Model, g *Grouping, ex map[*Group]*examination, opts EstimateOptions) {
+func estimateTmovd(m *Model, g *Grouping, ex map[*Group]*examination) {
 	var bestGrp *Group
 	var bestRes SteepnessResult
 	found := false
-	for _, grp := range g.SelectAllRandom(opts.MinGroupSamples) {
+	for _, grp := range g.SelectAllRandom(minGroupSamples) {
 		e := ex[grp]
 		if !e.ok {
 			continue

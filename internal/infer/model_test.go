@@ -271,24 +271,28 @@ func TestClassifyGroupsBySizeOpSeq(t *testing.T) {
 		{Arrival: 300, LBA: 99999, Sectors: 8, Op: trace.Read}, // rand read 8
 		{Arrival: 400, LBA: 0, Sectors: 8, Op: trace.Read},     // rand (terminal, no sample)
 	}}
-	g := Classify(tr)
-	// First request: random (no position history), read, 8.
-	if grp := g.Groups[GroupKey{Seq: false, Op: trace.Read, Sectors: 8}]; grp == nil || grp.N() != 2 {
-		t.Fatalf("random-read-8 group wrong: %+v", grp)
-	}
-	if grp := g.Groups[GroupKey{Seq: true, Op: trace.Read, Sectors: 8}]; grp == nil || grp.N() != 1 {
-		t.Fatalf("seq-read-8 group wrong: %+v", grp)
-	}
-	if grp := g.Groups[GroupKey{Seq: true, Op: trace.Write, Sectors: 16}]; grp == nil || grp.N() != 1 {
-		t.Fatalf("seq-write-16 group wrong: %+v", grp)
-	}
-	// Terminal request contributes no inter-arrival sample.
-	total := 0
-	for _, grp := range g.Groups {
-		total += grp.N()
-	}
-	if total != len(tr.Requests)-1 {
-		t.Fatalf("total samples %d, want %d", total, len(tr.Requests)-1)
+	c := NewStreamClassifier()
+	c.AddBatch(tr.Requests)
+	// The classifier and the reference the fuzzer holds it to.
+	for name, g := range map[string]*Grouping{"stream": c.Grouping(), "ref": classifyRef(tr)} {
+		// First request: random (no position history), read, 8.
+		if grp := g.Groups[GroupKey{Seq: false, Op: trace.Read, Sectors: 8}]; grp == nil || grp.N() != 2 {
+			t.Fatalf("%s: random-read-8 group wrong: %+v", name, grp)
+		}
+		if grp := g.Groups[GroupKey{Seq: true, Op: trace.Read, Sectors: 8}]; grp == nil || grp.N() != 1 {
+			t.Fatalf("%s: seq-read-8 group wrong: %+v", name, grp)
+		}
+		if grp := g.Groups[GroupKey{Seq: true, Op: trace.Write, Sectors: 16}]; grp == nil || grp.N() != 1 {
+			t.Fatalf("%s: seq-write-16 group wrong: %+v", name, grp)
+		}
+		// Terminal request contributes no inter-arrival sample.
+		total := 0
+		for _, grp := range g.Groups {
+			total += grp.N()
+		}
+		if total != len(tr.Requests)-1 {
+			t.Fatalf("%s: total samples %d, want %d", name, total, len(tr.Requests)-1)
+		}
 	}
 }
 

@@ -71,7 +71,7 @@ func ClassifyShape(inttMicros []float64) Shape {
 		}
 		logs = append(logs, math.Log10(v))
 	}
-	xs, ys := dedupePoints(NewCDFPoints(logs))
+	xs, ys := dedupePoints(newCDFPoints(logs))
 	if len(xs) < 3 {
 		return ShapeGlobalMaxima
 	}

@@ -7,55 +7,15 @@ import (
 	"repro/internal/stats"
 )
 
-// SteepnessOptions tunes Algorithm 1 and the interpolation stage. The
-// zero value selects the paper's configuration.
-type SteepnessOptions struct {
-	// Binning selects the PDF histogram spacing; the pipeline default
-	// is log bins (inter-arrivals span 7 decades).
-	Binning stats.Binning
-	// Bins is the histogram resolution (default 96).
-	Bins int
-	// MarginDivisor sets the outlier margin to var(PDF)/MarginDivisor.
-	// The paper uses half the variance, i.e. divisor 2 (default).
-	MarginDivisor float64
-	// Interp selects the curve-fitting scheme for locating the CDF's
-	// maximum-derivative point: "pchip" (paper's choice, default),
-	// "spline", or "linear" (ablations).
-	Interp string
-	// SamplesPerSegment is the derivative scan density (default 8).
-	SamplesPerSegment int
-}
-
-func (o SteepnessOptions) withDefaults() SteepnessOptions {
-	// Binning's zero value is LinearBins but the pipeline default is
-	// log bins; a fully zero struct (Bins unset) selects LogBins.
-	// Callers wanting linear bins set Bins explicitly as well.
-	if o.Bins == 0 {
-		o.Binning = stats.LogBins
-		o.Bins = 96
-	}
-	if o.MarginDivisor == 0 {
-		o.MarginDivisor = 2
-	}
-	if o.Interp == "" {
-		o.Interp = "pchip"
-	}
-	if o.SamplesPerSegment == 0 {
-		o.SamplesPerSegment = 8
-	}
-	return o
-}
-
-// DefaultSteepnessOptions returns the paper's configuration explicitly.
-func DefaultSteepnessOptions() SteepnessOptions {
-	return SteepnessOptions{
-		Binning:           stats.LogBins,
-		Bins:              96,
-		MarginDivisor:     2,
-		Interp:            "pchip",
-		SamplesPerSegment: 8,
-	}
-}
+// Algorithm 1's configuration, the paper's: the PDF of a group's
+// inter-arrivals over log-spaced bins (they span seven decades), the
+// outlier margin at half the PDF's variance, and the CDF's rise located
+// on a PCHIP scanned at a fixed density.
+const (
+	pdfBins           = 96
+	marginDivisor     = 2
+	samplesPerSegment = 8
+)
 
 // SteepnessResult is the outcome of examining one group's CDF.
 type SteepnessResult struct {
@@ -76,41 +36,27 @@ type SteepnessResult struct {
 // and locates the CDF's maximum-derivative point. It returns ok=false
 // when the sample is too small or degenerate (fewer than two distinct
 // values) for the analysis to mean anything, or holds a NaN.
-func ExamineSteepness(inttMicros []float64, o SteepnessOptions) (SteepnessResult, bool) {
+func ExamineSteepness(inttMicros []float64) (SteepnessResult, bool) {
 	var x examiner
-	e := x.examine(inttMicros, o)
+	e := x.examineSorting(append([]float64(nil), inttMicros...))
 	return e.res, e.ok
 }
 
-// examination is one group's ExamineSteepness outcome, with the CDF
-// knots its step 4 interpolated: the DeltaFromCDFDiff estimator reads
-// the same knots instead of rebuilding them from the samples.
+// examination is one group's ExamineSteepness outcome.
 type examination struct {
-	res    SteepnessResult
-	ok     bool
-	cx, cy []float64
+	res SteepnessResult
+	ok  bool
 }
 
 // examiner is the scratch one goroutine reuses across the groups it
-// examines: the sorted copy of a group's samples and the radix sort's
-// key space. No examination result points into either.
+// examines: the radix sort's key space. No examination result points
+// into it.
 type examiner struct {
-	sorted []float64
-	keys   []uint64
-}
-
-// examine examines a sorted copy of inttMicros.
-func (x *examiner) examine(inttMicros []float64, o SteepnessOptions) examination {
-	if len(inttMicros) < 2 {
-		return examination{}
-	}
-	x.sorted = append(x.sorted[:0], inttMicros...)
-	return x.examineSorting(x.sorted, o)
+	keys []uint64
 }
 
 // examineSorting sorts s in place and examines it.
-func (x *examiner) examineSorting(s []float64, o SteepnessOptions) (out examination) {
-	o = o.withDefaults()
+func (x *examiner) examineSorting(s []float64) (out examination) {
 	res := &out.res
 	if len(s) < 2 {
 		return out
@@ -134,7 +80,7 @@ func (x *examiner) examineSorting(s []float64, o SteepnessOptions) (out examinat
 
 	// Step 1: PDF of Tintt over the histogram support. A NaN sample
 	// sorts first, so lo is NaN and the histogram refuses the domain.
-	h, err := stats.NewHistogram(o.Binning, lo, hi, o.Bins)
+	h, err := stats.NewLogHistogram(lo, hi, pdfBins)
 	if err != nil {
 		return out
 	}
@@ -149,7 +95,7 @@ func (x *examiner) examineSorting(s []float64, o SteepnessOptions) (out examinat
 
 	// Step 3: outliers — PDF points above the line by more than the
 	// margin (half the PDF variance, per the paper).
-	margin := stats.Variance(ps) / o.MarginDivisor
+	margin := stats.Variance(ps) / marginDivisor
 	bestDist := 0.0
 	bestX := 0.0
 	found := false
@@ -176,7 +122,6 @@ func (x *examiner) examineSorting(s []float64, o SteepnessOptions) (out examinat
 	// Step 4 (Section IV "steepness analysis"): interpolate the CDF
 	// and find the maximum of its derivative.
 	cx, cy := dedupePoints(sortedKnots(s))
-	out.cx, out.cy = cx, cy
 	out.ok = true
 	if len(cx) < 2 {
 		res.RiseMicros = bestX
@@ -192,27 +137,19 @@ func (x *examiner) examineSorting(s []float64, o SteepnessOptions) (out examinat
 		res.RiseMicros, res.MaxDeriv = stats.MaxJump(cx, cy)
 		return out
 	}
-	var f interp.Interpolant
-	switch o.Interp {
-	case "spline":
-		f, err = interp.NaturalSpline(cx, cy)
-	case "linear":
-		f, err = interp.Linear(cx, cy)
-	default:
-		f, err = interp.PCHIP(cx, cy)
-	}
+	f, err := interp.PCHIP(cx, cy)
 	if err != nil {
 		out.ok = false
 		return out
 	}
-	res.RiseMicros, res.MaxDeriv = interp.MaxDeriv(f, o.SamplesPerSegment)
+	res.RiseMicros, res.MaxDeriv = interp.MaxDeriv(f, samplesPerSegment)
 	return out
 }
 
-// NewCDFPoints builds empirical CDF step points from samples (µs),
+// newCDFPoints builds empirical CDF step points from samples (µs),
 // thinned to at most 512 knots so interpolation cost stays bounded on
 // million-request groups while preserving the distribution shape.
-func NewCDFPoints(samples []float64) ([]float64, []float64) {
+func newCDFPoints(samples []float64) ([]float64, []float64) {
 	s := append([]float64(nil), samples...)
 	stats.SortFloat64s(s, nil)
 	return sortedKnots(s)

@@ -3,9 +3,8 @@ package infer
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
-
-	"repro/internal/stats"
 )
 
 func TestExamineSteepnessSharpVsDiffuse(t *testing.T) {
@@ -23,8 +22,8 @@ func TestExamineSteepnessSharpVsDiffuse(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		diffuse = append(diffuse, math.Pow(10, 1+rng.Float64()*5))
 	}
-	rs, ok1 := ExamineSteepness(sharp, DefaultSteepnessOptions())
-	rd, ok2 := ExamineSteepness(diffuse, DefaultSteepnessOptions())
+	rs, ok1 := ExamineSteepness(sharp)
+	rd, ok2 := ExamineSteepness(diffuse)
 	if !ok1 || !ok2 {
 		t.Fatal("examination failed")
 	}
@@ -38,13 +37,13 @@ func TestExamineSteepnessSharpVsDiffuse(t *testing.T) {
 }
 
 func TestExamineSteepnessDegenerate(t *testing.T) {
-	if _, ok := ExamineSteepness(nil, SteepnessOptions{}); ok {
+	if _, ok := ExamineSteepness(nil); ok {
 		t.Fatal("empty sample must not examine")
 	}
-	if _, ok := ExamineSteepness([]float64{5}, SteepnessOptions{}); ok {
+	if _, ok := ExamineSteepness([]float64{5}); ok {
 		t.Fatal("single sample must not examine")
 	}
-	res, ok := ExamineSteepness([]float64{7, 7, 7, 7}, SteepnessOptions{})
+	res, ok := ExamineSteepness([]float64{7, 7, 7, 7})
 	if !ok {
 		t.Fatal("identical samples should examine (infinitely steep)")
 	}
@@ -57,7 +56,7 @@ func TestExamineSteepnessZeroAndNegativeClamped(t *testing.T) {
 	// Zero inter-arrivals occur in real traces (same-timestamp
 	// arrivals); log binning must survive them.
 	samples := []float64{0, 0, 100, 100, 100, 100, 100, 200, 100000}
-	res, ok := ExamineSteepness(samples, DefaultSteepnessOptions())
+	res, ok := ExamineSteepness(samples)
 	if !ok {
 		t.Fatal("examination failed on zero-containing sample")
 	}
@@ -66,45 +65,12 @@ func TestExamineSteepnessZeroAndNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestExamineSteepnessInterpVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	samples := make([]float64, 0, 1000)
-	for i := 0; i < 950; i++ {
-		samples = append(samples, 500+rng.Float64()*5)
-	}
-	for i := 0; i < 50; i++ {
-		samples = append(samples, 1000+rng.Float64()*50000)
-	}
-	for _, scheme := range []string{"pchip", "spline", "linear"} {
-		o := DefaultSteepnessOptions()
-		o.Interp = scheme
-		res, ok := ExamineSteepness(samples, o)
-		if !ok {
-			t.Fatalf("%s: failed", scheme)
-		}
-		if res.RiseMicros < 400 || res.RiseMicros > 700 {
-			t.Fatalf("%s: rise at %v, want ~500", scheme, res.RiseMicros)
-		}
-	}
-}
-
-func TestExamineSteepnessLinearBinning(t *testing.T) {
-	o := SteepnessOptions{Binning: stats.LinearBins, Bins: 64}
-	samples := make([]float64, 0, 500)
-	for i := 0; i < 500; i++ {
-		samples = append(samples, 100+float64(i%7))
-	}
-	if _, ok := ExamineSteepness(samples, o); !ok {
-		t.Fatal("linear binning variant failed")
-	}
-}
-
 func TestNewCDFPointsThinning(t *testing.T) {
 	big := make([]float64, 5000)
 	for i := range big {
 		big[i] = float64(i) // all distinct
 	}
-	xs, ys := NewCDFPoints(big)
+	xs, ys := newCDFPoints(big)
 	if len(xs) > 512 {
 		t.Fatalf("thinning failed: %d knots", len(xs))
 	}
@@ -117,6 +83,12 @@ func TestNewCDFPointsThinning(t *testing.T) {
 	}
 	if ys[len(ys)-1] != 1 {
 		t.Fatalf("final CDF value %v", ys[len(ys)-1])
+	}
+	// Below the cap every distinct value is a knot, carrying the share
+	// of samples at or below it.
+	xs, ys = newCDFPoints([]float64{3, 1, 2, 2})
+	if !reflect.DeepEqual(xs, []float64{1, 2, 3}) || !reflect.DeepEqual(ys, []float64{0.25, 0.75, 1}) {
+		t.Fatalf("knots of {3,1,2,2}: %v %v", xs, ys)
 	}
 }
 
@@ -144,7 +116,7 @@ func TestUtmostOutlierIsSpike(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		samples = append(samples, math.Pow(10, rng.Float64()*6))
 	}
-	res, ok := ExamineSteepness(samples, DefaultSteepnessOptions())
+	res, ok := ExamineSteepness(samples)
 	if !ok {
 		t.Fatal("failed")
 	}

@@ -9,10 +9,9 @@ import (
 
 // StreamClassifier builds a Grouping incrementally from a request
 // stream, so the Section III model can be fitted without materializing
-// the trace. Feeding every request of a trace in order produces the
-// same groups (keys and inter-arrival samples) as Classify; only the
-// per-sample trace indices are omitted, which the estimator never
-// consults.
+// the trace: every request but the last contributes the inter-arrival
+// that follows it to its group (sequentiality × op × size). It is the
+// fit's one classifier; Estimate feeds it a whole trace.
 //
 // The samples of every group live in one flat slice, each tagged with
 // its group's ordinal, so adding a sample never copies a group, and
@@ -77,7 +76,7 @@ func (c *StreamClassifier) Reset() {
 func (c *StreamClassifier) Bytes() int64 {
 	n := int64(cap(c.samples))*8 + int64(cap(c.ids))*4 + int64(cap(c.flags))
 	for i := range c.ex {
-		n += int64(cap(c.ex[i].sorted))*8 + int64(cap(c.ex[i].keys))*8
+		n += int64(cap(c.ex[i].keys)) * 8
 	}
 	return n
 }
@@ -145,12 +144,12 @@ func (c *StreamClassifier) Grouping() *Grouping {
 }
 
 // Estimate fits the model to everything added so far; name labels
-// errors. It is the second half of every streamed fit — the engine's
-// per-job pass (engine.FitModel) and the corpus store's ingest fold.
-// The fit is EstimateGrouping's on Grouping, computed in the
-// classifier's own storage: the samples are permuted in place into one
-// run per group and each run is sorted where it lies.
-func (c *StreamClassifier) Estimate(name string, opts EstimateOptions) (*Model, error) {
+// errors. It is the second half of every fit — infer.Estimate, the
+// engine's per-job pass (engine.FitModel) and the corpus store's ingest
+// fold. The fit runs on Grouping's classification in the classifier's
+// own storage: the samples are permuted in place into one run per group
+// and each run is sorted where it lies.
+func (c *StreamClassifier) Estimate(name string) (*Model, error) {
 	counts, starts := c.runs()
 	// next[id] is the first slot of group id's run not yet holding one
 	// of its samples; each swap puts one sample in its run for good.
@@ -169,7 +168,7 @@ func (c *StreamClassifier) Estimate(name string, opts EstimateOptions) (*Model, 
 			next[j]++
 		}
 	}
-	m, ex, err := estimateGrouping(c.grouping(c.samples, counts), name, opts, c.ex, true)
+	m, ex, err := estimateGrouping(c.grouping(c.samples, counts), name, c.ex)
 	c.ex = ex
 	return m, err
 }

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -43,10 +44,34 @@ func streamTrace(n int) *trace.Trace {
 	return t
 }
 
-// TestStreamClassifierMatchesClassify checks group keys and samples.
+// classifyRef is the reference classification the StreamClassifier is
+// held to: every request but the last, keyed by sequentiality (it
+// starts where the previous request on its device ended), op and size,
+// contributes the inter-arrival that follows it.
+func classifyRef(t *trace.Trace) *Grouping {
+	g := &Grouping{Groups: make(map[GroupKey]*Group)}
+	ends := make(map[uint32]uint64)
+	for i, r := range t.Requests {
+		end, seen := ends[r.Device]
+		ends[r.Device] = r.LBA + uint64(r.Sectors)
+		if i+1 == len(t.Requests) {
+			break
+		}
+		k := GroupKey{Seq: seen && r.LBA == end, Op: r.Op, Sectors: r.Sectors}
+		if g.Groups[k] == nil {
+			g.Groups[k] = &Group{Key: k}
+		}
+		intt := float64(t.Requests[i+1].Arrival-r.Arrival) / float64(time.Microsecond)
+		g.Groups[k].InttMicros = append(g.Groups[k].InttMicros, intt)
+	}
+	return g
+}
+
+// TestStreamClassifierMatchesClassify checks group keys and samples
+// against the reference classification.
 func TestStreamClassifierMatchesClassify(t *testing.T) {
 	tr := streamTrace(2000)
-	want := Classify(tr)
+	want := classifyRef(tr)
 	c := NewStreamClassifier()
 	for i := 0; i < tr.Len(); i += 7 {
 		c.AddBatch(tr.Requests[i:min(i+7, tr.Len())])
@@ -69,16 +94,19 @@ func TestStreamClassifierMatchesClassify(t *testing.T) {
 	}
 }
 
-// TestEstimateGroupingMatchesEstimate checks the fitted models agree.
+// TestEstimateGroupingMatchesEstimate checks that the streamed fit is
+// the fit of the reference classification.
 func TestEstimateGroupingMatchesEstimate(t *testing.T) {
 	tr := streamTrace(4000)
-	want, err := Estimate(tr, EstimateOptions{})
+	want, _, err := estimateGrouping(classifyRef(tr), tr.Name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewStreamClassifier()
-	c.AddBatch(tr.Requests)
-	got, err := EstimateGrouping(c.Grouping(), tr.Name, EstimateOptions{})
+	for i := 0; i < tr.Len(); i += 300 {
+		c.AddBatch(tr.Requests[i:min(i+300, tr.Len())])
+	}
+	got, err := c.Estimate(tr.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +119,11 @@ func TestEstimateGroupingMatchesEstimate(t *testing.T) {
 	for _, r := range tr.Requests {
 		flagged.AddFlagged([]trace.Request{r}, []bool{seq.Flag(r)})
 	}
-	if got, err = flagged.Estimate(tr.Name, EstimateOptions{}); err != nil || !reflect.DeepEqual(got, want) {
+	if got, err = flagged.Estimate(tr.Name); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("flagged feed: %v\n got %+v\nwant %+v", err, got, want)
+	}
+	if got, err = Estimate(tr, EstimateOptions{}); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Estimate: %v\n got %+v\nwant %+v", err, got, want)
 	}
 	if !got.Finite() {
 		t.Fatalf("a fitted model reads as non-finite: %+v", got)
@@ -155,15 +186,17 @@ func TestDecomposeShardConcatenation(t *testing.T) {
 
 var sinkModel *Model
 
-// BenchmarkEstimateGrouping prices the fit kernel on the benchmark's
-// cold-infer-csv shape — FIU webmail, 100k requests, latencies dropped,
-// csv-quantized arrivals, classified by the stream classifier. Since
-// corpus ingest fits a Tsdev-unknown upload in its own decode pass,
-// this is on every such upload's critical path; a change to the
-// estimator claims against this row. The groups are examined on
-// GOMAXPROCS goroutines, so it has two rows: `-cpu 1` is the serial
-// cost (≈ 5.8 ms/op on a 2-CPU Xeon VM), `-cpu 2` what an upload waits
-// for on that VM (≈ 3.0 ms/op, the largest group being the floor).
+// BenchmarkEstimateGrouping prices the fit kernel as corpus ingest runs
+// it, on the benchmark's cold-infer-csv shape — FIU webmail, 100k
+// requests, latencies dropped, csv-quantized arrivals: StreamClassifier.
+// Estimate on a classifier freshly filled with the trace (filling it is
+// not timed). Since corpus ingest fits a Tsdev-unknown upload in its
+// own decode pass, this is on every such upload's critical path; a
+// change to the estimator claims against this row. The groups are
+// examined on GOMAXPROCS goroutines, so it has two rows: `-cpu 1` is
+// the serial cost (≈ 5.8 ms/op on a 2-CPU Xeon VM), `-cpu 2` what an
+// upload waits for on that VM (≈ 3.0 ms/op, the largest group being the
+// floor).
 //
 //	go test -run '^$' -bench BenchmarkEstimateGrouping -benchmem -cpu 1,2 ./internal/infer
 func BenchmarkEstimateGrouping(b *testing.B) {
@@ -183,13 +216,102 @@ func BenchmarkEstimateGrouping(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := NewStreamClassifier()
-	c.AddBatch(tr.Requests)
-	g := c.Grouping()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sinkModel, err = EstimateGrouping(g, tr.Name, EstimateOptions{}); err != nil {
+		b.StopTimer()
+		c.Reset()
+		c.AddBatch(tr.Requests)
+		b.StartTimer()
+		if sinkModel, err = c.Estimate(tr.Name); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// FuzzClassifierVsRef holds the StreamClassifier to classifyRef on
+// generated traces, fed in random batch splits through AddBatch and
+// through AddFlagged: the same group keys and samples, and the same
+// fitted model (or ErrTooSparse from both). Each two input bytes are a
+// request: op, device (one outside SeqState's array fast path), size,
+// an LBA that continues its device, jumps, wraps past 2^64 or repeats
+// the last one, and a gap of 0 (a duplicate arrival) up to 63 ms.
+func FuzzClassifierVsRef(f *testing.F) {
+	f.Add([]byte(nil), int64(0))
+	f.Add([]byte{0x00, 0x05}, int64(1))
+	f.Add([]byte{0x00, 0x05, 0x19, 0x00, 0x8a, 0x4c}, int64(2))
+	dense := make([]byte, 0, 1600)
+	for i := 0; i < 800; i++ {
+		dense = append(dense, byte(i%3)<<5|byte(i%7)&1, byte(i%5+1)|byte(i%11%4)<<6)
+	}
+	f.Add(dense, int64(3))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		tr := fuzzTrace(data)
+		want := classifyRef(tr)
+		rng := rand.New(rand.NewSource(seed))
+		batched, flagged := NewStreamClassifier(), NewStreamClassifier()
+		feed := func(add func([]trace.Request)) {
+			for lo := 0; lo < tr.Len(); {
+				hi := lo + rng.Intn(tr.Len()-lo+1)
+				add(tr.Requests[lo:hi])
+				lo = hi
+			}
+		}
+		feed(batched.AddBatch)
+		seq := trace.NewSeqState()
+		feed(func(rs []trace.Request) { flagged.AddFlagged(rs, seq.AppendFlags(nil, rs)) })
+		for name, c := range map[string]*StreamClassifier{"AddBatch": batched, "AddFlagged": flagged} {
+			if got := c.Grouping(); !reflect.DeepEqual(got, want) || c.N() != tr.Len() {
+				t.Fatalf("%s: %d requests, %d groups; reference %d groups", name, c.N(), len(got.Groups), len(want.Groups))
+			}
+		}
+
+		wantM, _, wantErr := estimateGrouping(want, tr.Name, nil)
+		fits := map[string]func() (*Model, error){
+			"Estimate":   func() (*Model, error) { return Estimate(tr, EstimateOptions{}) },
+			"AddBatch":   func() (*Model, error) { return batched.Estimate(tr.Name) },
+			"AddFlagged": func() (*Model, error) { return flagged.Estimate(tr.Name) },
+		}
+		for name, fit := range fits {
+			m, err := fit()
+			if wantErr != nil || err != nil {
+				if !errors.Is(wantErr, ErrTooSparse) || !errors.Is(err, ErrTooSparse) {
+					t.Fatalf("%s: err %v, reference err %v", name, err, wantErr)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(m, wantM) {
+				t.Fatalf("%s: model differs\n got %+v\nwant %+v", name, m, wantM)
+			}
+		}
+	})
+}
+
+// fuzzTrace decodes FuzzClassifierVsRef's input into a trace with
+// non-decreasing arrivals.
+func fuzzTrace(data []byte) *trace.Trace {
+	sizes := [8]uint32{1, 8, 8, 16, 64, 128, 256, 1024}
+	devices := [4]uint32{0, 1, 2, 100}
+	tr := &trace.Trace{Name: "fuzz"}
+	ends := make(map[uint32]uint64)
+	var now time.Duration
+	var last uint64
+	for i := 0; i+1 < len(data); i += 2 {
+		b, g := data[i], data[i+1]
+		r := trace.Request{Arrival: now, Device: devices[b>>1&3], Sectors: sizes[b>>5], Op: trace.Op(b & 1)}
+		switch b >> 3 & 3 {
+		case 0: // continues its device
+			r.LBA = ends[r.Device]
+		case 1: // jumps
+			r.LBA = uint64(i) * 2654435761 % (1 << 40)
+		case 2: // ends past 2^64
+			r.LBA = math.MaxUint64 - uint64(g&7)
+		default: // repeats the last start
+			r.LBA = last
+		}
+		ends[r.Device], last = r.End(), r.LBA
+		tr.Requests = append(tr.Requests, r)
+		now += time.Duration(g&63) * time.Duration(math.Pow10(int(g>>6))) * time.Microsecond
+	}
+	return tr
 }

@@ -2,7 +2,7 @@
 // IV of the TraceTracker paper relies on to turn a discrete CDF into a
 // differentiable curve: PCHIP (piecewise cubic Hermite interpolating
 // polynomial, Fritsch–Carlson monotone variant) and natural cubic
-// splines, plus a plain linear interpolant used as an ablation baseline.
+// splines, plus a plain linear interpolant.
 //
 // The paper observes (Fig 9) that spline interpolation of a step-like
 // CDF oscillates and over/undershoots while PCHIP preserves shape; both
@@ -204,8 +204,7 @@ func NaturalSpline(xs, ys []float64) (Interpolant, error) {
 }
 
 // Linear fits a piecewise linear interpolant. Its derivative is a step
-// function; used only as the ablation baseline for steepest-point
-// location.
+// function.
 func Linear(xs, ys []float64) (Interpolant, error) {
 	if err := validate(xs, ys); err != nil {
 		return nil, err

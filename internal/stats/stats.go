@@ -1,13 +1,11 @@
 // Package stats provides the statistical substrate TraceTracker's
-// inference model is built on: descriptive statistics, histograms with
-// linear or logarithmic binning, empirical probability density and
-// cumulative distribution functions, and ordinary least-squares linear
-// regression.
+// inference model is built on: descriptive statistics, a log-binned
+// histogram for empirical probability densities, the largest jump of an
+// empirical CDF, and ordinary least-squares linear regression.
 //
 // All functions operate on float64 slices and never mutate their inputs,
 // with one documented exception: SortFloat64s, the exact radix sort the
-// ECDF constructors and the inference fit sort their samples with, sorts
-// its argument in place. NaN and Inf values are rejected by the
+// inference fit sorts its samples with, sorts its argument in place. NaN and Inf values are rejected by the
 // constructors that can meaningfully reject them; plain reducers follow
 // IEEE-754 semantics.
 package stats
@@ -175,8 +173,7 @@ func (f LinearFit) At(x float64) float64 { return f.Slope*x + f.Intercept }
 // slope = std(PDF)/std(T); that estimator has the right magnitude but an
 // arbitrary sign, so we implement the standard covariance form
 // slope = cov(x,y)/var(x), which coincides in magnitude whenever the
-// data are perfectly linear and is well defined otherwise. The ablation
-// bench compares both (see PaperSlopeFit).
+// data are perfectly linear and is well defined otherwise.
 func LeastSquares(xs, ys []float64) (LinearFit, error) {
 	if len(xs) == 0 {
 		return LinearFit{}, ErrEmpty
@@ -200,20 +197,18 @@ func LeastSquares(xs, ys []float64) (LinearFit, error) {
 	return LinearFit{Slope: slope, Intercept: my - slope*mx}, nil
 }
 
-// PaperSlopeFit reproduces Algorithm 1's literal slope estimator
-// (std(y)/std(x), intercept from the means). It is provided for the
-// fidelity ablation; LeastSquares is what the pipeline uses by default.
-func PaperSlopeFit(xs, ys []float64) (LinearFit, error) {
-	if len(xs) == 0 {
-		return LinearFit{}, ErrEmpty
+// MaxJump returns the largest probability jump of an empirical CDF
+// given as step points — cum holds the cumulative probabilities
+// (increasing) at xs — and the xs value at which it occurs, the first on
+// ties.
+func MaxJump(xs, cum []float64) (x, gap float64) {
+	prev := 0.0
+	for i, c := range cum {
+		if d := c - prev; d > gap {
+			gap = d
+			x = xs[i]
+		}
+		prev = c
 	}
-	if len(xs) != len(ys) {
-		return LinearFit{}, errors.New("stats: mismatched lengths")
-	}
-	sx := StdDev(xs)
-	if sx == 0 {
-		return LinearFit{Slope: 0, Intercept: Mean(ys)}, nil
-	}
-	slope := StdDev(ys) / sx
-	return LinearFit{Slope: slope, Intercept: Mean(ys) - slope*Mean(xs)}, nil
+	return x, gap
 }

@@ -149,15 +149,19 @@ func TestLeastSquaresErrors(t *testing.T) {
 	}
 }
 
-func TestPaperSlopeFitMagnitude(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{0, 2, 4, 6}
-	f, err := PaperSlopeFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
+func TestMaxJump(t *testing.T) {
+	// The step points of {1, 2, 7×8}: 80% of mass at x=7, so the max
+	// jump must be at 7.
+	x, gap := MaxJump([]float64{1, 2, 7}, []float64{0.1, 0.2, 1})
+	if x != 7 {
+		t.Fatalf("max gap at %v, want 7", x)
 	}
-	if !almostEq(f.Slope, 2, 1e-12) {
-		t.Fatalf("paper slope = %v, want 2", f.Slope)
+	if !almostEq(gap, 0.8, 1e-12) {
+		t.Fatalf("gap = %v, want 0.8", gap)
+	}
+	// Equal jumps: the first wins.
+	if x, gap := MaxJump([]float64{3, 5}, []float64{0.5, 1}); x != 3 || gap != 0.5 {
+		t.Fatalf("tie: max gap %v at %v, want 0.5 at 3", gap, x)
 	}
 }
 

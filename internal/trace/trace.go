@@ -223,10 +223,3 @@ func (t *Trace) SeqFraction() float64 {
 	}
 	return float64(n) / float64(len(t.Requests))
 }
-
-// Slice returns a shallow sub-trace covering requests [lo, hi).
-func (t *Trace) Slice(lo, hi int) *Trace {
-	c := *t
-	c.Requests = t.Requests[lo:hi]
-	return &c
-}

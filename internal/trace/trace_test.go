@@ -156,17 +156,6 @@ func TestSeqFlagsPerDevice(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	tr := mkTrace(0, 10, 20, 30)
-	s := tr.Slice(1, 3)
-	if s.Len() != 2 || s.Requests[0].Arrival != 10*time.Microsecond {
-		t.Fatalf("Slice = %+v", s.Requests)
-	}
-	if s.Name != tr.Name {
-		t.Fatal("Slice should carry metadata")
-	}
-}
-
 func TestEmptyTraceAccessors(t *testing.T) {
 	tr := &Trace{}
 	if tr.AvgRequestBytes() != 0 || tr.ReadFraction() != 0 || tr.SeqFraction() != 0 {
