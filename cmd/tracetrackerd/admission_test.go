@@ -21,7 +21,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/engine"
-	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -86,9 +86,9 @@ func authedReq(t *testing.T, ts *httptest.Server, method, path, key string, body
 }
 
 // scrapeMetrics fetches and parses /metrics.
-func scrapeMetrics(t *testing.T, ts *httptest.Server) []obs.Sample {
+func scrapeMetrics(t *testing.T, ts *httptest.Server) []obstest.Sample {
 	t.Helper()
-	samples, err := obs.ParseExposition(getBody(t, ts.URL+"/metrics"))
+	samples, err := obstest.ParseExposition(getBody(t, ts.URL+"/metrics"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestAuthOverHTTP(t *testing.T) {
 	// Probes and scrapers carry no credentials.
 	health(t, ts)
 	samples := scrapeMetrics(t, ts)
-	if v, ok := obs.SampleValue(samples, "daemon_rejected_total",
+	if v, ok := obstest.SampleValue(samples, "daemon_rejected_total",
 		map[string]string{"reason": "unauthorized", "tenant": anonTenant}); !ok || v < 2 {
 		t.Fatalf("unauthorized rejections counter = %v, %v; want >= 2", v, ok)
 	}
@@ -290,7 +290,7 @@ func TestCorpusBytesQuota(t *testing.T) {
 	}
 	samples := scrapeMetrics(t, ts)
 	for _, tenant := range []string{"alice", "carol"} {
-		if v, ok := obs.SampleValue(samples, "daemon_rejected_total",
+		if v, ok := obstest.SampleValue(samples, "daemon_rejected_total",
 			map[string]string{"reason": "quota_corpus_bytes", "tenant": tenant}); !ok || v != 1 {
 			t.Errorf("quota_corpus_bytes rejections for %s = %v, %v; want 1", tenant, v, ok)
 		}
@@ -388,11 +388,11 @@ func TestRateLimits(t *testing.T) {
 		}
 		health(t, ts) // probes bypass the limiter
 		samples := scrapeMetrics(t, ts)
-		if v, ok := obs.SampleValue(samples, "daemon_rejected_total",
+		if v, ok := obstest.SampleValue(samples, "daemon_rejected_total",
 			map[string]string{"reason": "rate_limited", "tenant": anonTenant}); !ok || v < 1 {
 			t.Fatalf("rate_limited rejections = %v, %v; want >= 1", v, ok)
 		}
-		if _, ok := obs.SampleValue(samples, "daemon_rate_tokens", map[string]string{"scope": "global"}); !ok {
+		if _, ok := obstest.SampleValue(samples, "daemon_rate_tokens", map[string]string{"scope": "global"}); !ok {
 			t.Fatal("daemon_rate_tokens gauge missing")
 		}
 	})
@@ -446,7 +446,7 @@ func TestUploadTooLarge(t *testing.T) {
 	if n := srv.store.Len(); n != 0 {
 		t.Fatalf("store holds %d entries, want 0", n)
 	}
-	if v, ok := obs.SampleValue(scrapeMetrics(t, ts), "daemon_rejected_total",
+	if v, ok := obstest.SampleValue(scrapeMetrics(t, ts), "daemon_rejected_total",
 		map[string]string{"reason": "payload_too_large", "tenant": anonTenant}); !ok || v != 1 {
 		t.Fatalf("payload_too_large rejections = %v, %v; want 1", v, ok)
 	}

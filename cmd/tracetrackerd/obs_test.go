@@ -18,7 +18,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 )
 
 // TestHealthzShape locks the /healthz response contract: every field
@@ -107,7 +107,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := obs.ParseExposition(body)
+	samples, err := obstest.ParseExposition(body)
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, body)
 	}
@@ -115,33 +115,33 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// Engine: the executed job must have left nonzero stage timings and
 	// settled queues.
 	for _, stage := range []string{"plan", "decompose", "emulate", "merge"} {
-		v, ok := obs.SampleValue(samples, "engine_stage_seconds_total", map[string]string{"stage": stage})
+		v, ok := obstest.SampleValue(samples, "engine_stage_seconds_total", map[string]string{"stage": stage})
 		if !ok || v <= 0 {
 			t.Errorf("engine_stage_seconds_total{stage=%q} = %v (found %v), want > 0", stage, v, ok)
 		}
 	}
 	for _, stage := range []string{"decompose", "service", "emulate", "merge"} {
-		v, ok := obs.SampleValue(samples, "engine_stage_queue_depth", map[string]string{"stage": stage})
+		v, ok := obstest.SampleValue(samples, "engine_stage_queue_depth", map[string]string{"stage": stage})
 		if !ok || v != 0 {
 			t.Errorf("engine_stage_queue_depth{stage=%q} = %v (found %v), want 0 at idle", stage, v, ok)
 		}
 	}
-	if v, ok := obs.SampleValue(samples, "engine_requests_total", nil); !ok || v <= 0 {
+	if v, ok := obstest.SampleValue(samples, "engine_requests_total", nil); !ok || v <= 0 {
 		t.Errorf("engine_requests_total = %v (found %v), want > 0", v, ok)
 	}
 	// Every admitted epoch was merged and gave its token back.
-	if v, ok := obs.SampleValue(samples, "engine_epochs_in_flight", nil); !ok || v != 0 {
+	if v, ok := obstest.SampleValue(samples, "engine_epochs_in_flight", nil); !ok || v != 0 {
 		t.Errorf("engine_epochs_in_flight = %v (found %v), want 0 at idle", v, ok)
 	}
-	merged, _ := obs.SampleValue(samples, "engine_epochs_total", nil)
-	admitted, _ := obs.SampleValue(samples, "engine_stage_epochs_total", map[string]string{"stage": "plan"})
+	merged, _ := obstest.SampleValue(samples, "engine_epochs_total", nil)
+	admitted, _ := obstest.SampleValue(samples, "engine_stage_epochs_total", map[string]string{"stage": "plan"})
 	if merged <= 0 || merged != admitted {
 		t.Errorf("engine_epochs_total = %v, engine_stage_epochs_total{stage=\"plan\"} = %v, want equal and > 0", merged, admitted)
 	}
-	if v, ok := obs.SampleValue(samples, "engine_cache_hits_total", nil); !ok || v < 1 {
+	if v, ok := obstest.SampleValue(samples, "engine_cache_hits_total", nil); !ok || v < 1 {
 		t.Errorf("engine_cache_hits_total = %v (found %v), want >= 1", v, ok)
 	}
-	if v, ok := obs.SampleValue(samples, "engine_cache_misses_total", nil); !ok || v < 1 {
+	if v, ok := obstest.SampleValue(samples, "engine_cache_misses_total", nil); !ok || v < 1 {
 		t.Errorf("engine_cache_misses_total = %v (found %v), want >= 1", v, ok)
 	}
 
@@ -152,32 +152,32 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"daemon_jobs_total-cached":   {"outcome": "cached"},
 	} {
 		name := strings.SplitN(want, "-", 2)[0]
-		if v, ok := obs.SampleValue(samples, name, labels); !ok || v != 1 {
+		if v, ok := obstest.SampleValue(samples, name, labels); !ok || v != 1 {
 			t.Errorf("%s%v = %v (found %v), want 1", name, labels, v, ok)
 		}
 	}
-	if v, ok := obs.SampleValue(samples, "daemon_queue_depth", nil); !ok || v != 0 {
+	if v, ok := obstest.SampleValue(samples, "daemon_queue_depth", nil); !ok || v != 0 {
 		t.Errorf("daemon_queue_depth = %v (found %v), want 0", v, ok)
 	}
-	if v, ok := obs.SampleValue(samples, "daemon_requests_total",
+	if v, ok := obstest.SampleValue(samples, "daemon_requests_total",
 		map[string]string{"route": "POST /v1/jobs", "code": "202"}); !ok || v != 2 {
 		t.Errorf("daemon_requests_total{POST /v1/jobs,202} = %v (found %v), want 2", v, ok)
 	}
-	if v, ok := obs.SampleValue(samples, "daemon_uptime_seconds", nil); !ok || v < 0 {
+	if v, ok := obstest.SampleValue(samples, "daemon_uptime_seconds", nil); !ok || v < 0 {
 		t.Errorf("daemon_uptime_seconds = %v (found %v)", v, ok)
 	}
 
 	// Corpus: one upload landed, its bytes and records counted.
-	if v, ok := obs.SampleValue(samples, "corpus_ingest_traces_total", nil); !ok || v != 1 {
+	if v, ok := obstest.SampleValue(samples, "corpus_ingest_traces_total", nil); !ok || v != 1 {
 		t.Errorf("corpus_ingest_traces_total = %v (found %v), want 1", v, ok)
 	}
-	if v, ok := obs.SampleValue(samples, "corpus_ingest_bytes_total", nil); !ok || v != float64(len(raw)) {
+	if v, ok := obstest.SampleValue(samples, "corpus_ingest_bytes_total", nil); !ok || v != float64(len(raw)) {
 		t.Errorf("corpus_ingest_bytes_total = %v (found %v), want %d", v, ok, len(raw))
 	}
-	if v, ok := obs.SampleValue(samples, "corpus_result_cache_stores_total", nil); !ok || v != 1 {
+	if v, ok := obstest.SampleValue(samples, "corpus_result_cache_stores_total", nil); !ok || v != 1 {
 		t.Errorf("corpus_result_cache_stores_total = %v (found %v), want 1", v, ok)
 	}
-	if v, ok := obs.SampleValue(samples, "corpus_traces", nil); !ok || v != 1 {
+	if v, ok := obstest.SampleValue(samples, "corpus_traces", nil); !ok || v != 1 {
 		t.Errorf("corpus_traces = %v (found %v), want 1", v, ok)
 	}
 }

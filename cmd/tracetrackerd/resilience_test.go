@@ -23,7 +23,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/faultfs"
-	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 )
 
 // waitFailed polls the status endpoint until the job fails.
@@ -97,12 +97,12 @@ func TestOverloadShedding(t *testing.T) {
 	// The server's own ledger must match the clients': with no rate
 	// limits configured, queue_full is the only 429 source.
 	samples := scrapeMetrics(t, ts)
-	shed, ok := obs.SampleValue(samples, "daemon_rejected_total",
+	shed, ok := obstest.SampleValue(samples, "daemon_rejected_total",
 		map[string]string{"reason": "queue_full", "tenant": anonTenant})
 	if !ok || int64(shed) != rep.Shed {
 		t.Errorf("queue_full counter = %v (found %v), clients observed %d sheds", shed, ok, rep.Shed)
 	}
-	if capacity, ok := obs.SampleValue(samples, "daemon_queue_capacity", nil); !ok || capacity != 1 {
+	if capacity, ok := obstest.SampleValue(samples, "daemon_queue_capacity", nil); !ok || capacity != 1 {
 		t.Errorf("daemon_queue_capacity = %v, %v; want 1", capacity, ok)
 	}
 }

@@ -374,7 +374,8 @@ func (s *server) CloseGrace(d time.Duration) bool { return s.jobs.Close(d) }
 
 // execute runs one job on the engine and returns its finish record.
 // A corpus job whose result is in the result cache short-circuits; the
-// job's timeline parks in the flight recorder however it ends.
+// job's frozen tracer parks in the flight recorder however it ends, and
+// is rendered here only for the slow-job log line.
 func (s *server) execute(j job) journalRecord {
 	s.log.Info("job started", "job", j.ID, "name", j.Name, "method", j.Spec.Method)
 	// Each job records into its own tracer on an engine config derived
@@ -403,9 +404,10 @@ func (s *server) execute(j job) journalRecord {
 
 	fin := time.Now()
 	wall := fin.Sub(*j.Started)
-	jt := tracer.Finish()
-	s.flight.Add(j.ID, jt)
-	rec := journalRecord{Op: journalDone, ID: j.ID, Time: fin, TraceID: jt.TraceID}
+	tracer.Finish()
+	s.flight.Add(j.ID, tracer)
+	traceID := tracer.Context().TraceID
+	rec := journalRecord{Op: journalDone, ID: j.ID, Time: fin, TraceID: traceID}
 	if err != nil {
 		rec.Op, rec.Error = journalFail, err.Error()
 		s.log.Warn("job failed", "job", j.ID, "error", err, "duration", wall)
@@ -416,8 +418,8 @@ func (s *server) execute(j job) journalRecord {
 	if s.slowJob > 0 && wall >= s.slowJob {
 		s.slowJobs.Inc()
 		s.log.Warn("slow job", "job", j.ID, "duration", wall,
-			"threshold", s.slowJob, "trace_id", jt.TraceID,
-			"slowest_spans", obs.SummarizeSpans(jt.SlowestSpans(5)))
+			"threshold", s.slowJob, "trace_id", traceID,
+			"slowest_spans", obs.SummarizeSpans(tracer.Snapshot().SlowestSpans(5)))
 	}
 	return rec
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/infer"
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -79,7 +80,7 @@ func jobSpans(t *testing.T, ts *httptest.Server, id string) (map[string]int, map
 
 func modelFits(t *testing.T, ts *httptest.Server, source string) float64 {
 	t.Helper()
-	v, ok := obs.SampleValue(scrapeMetrics(t, ts), "engine_model_fits_total", map[string]string{"source": source})
+	v, ok := obstest.SampleValue(scrapeMetrics(t, ts), "engine_model_fits_total", map[string]string{"source": source})
 	if !ok {
 		t.Fatalf("engine_model_fits_total{source=%q} not exported", source)
 	}
@@ -196,10 +197,10 @@ func TestStoredModelIdentity(t *testing.T) {
 	if job, st := modelFits(t, ts, "job"), modelFits(t, ts, "stored"); job != 0 || st != float64(stored) {
 		t.Fatalf("engine_model_fits_total job=%v stored=%v, want 0 and %d", job, st, stored)
 	}
-	if v, ok := obs.SampleValue(scrapeMetrics(t, ts), "corpus_models_fitted_total", nil); !ok || v != 1 {
+	if v, ok := obstest.SampleValue(scrapeMetrics(t, ts), "corpus_models_fitted_total", nil); !ok || v != 1 {
 		t.Fatalf("corpus_models_fitted_total = %v (found %v), want 1", v, ok)
 	}
-	if v, ok := obs.SampleValue(scrapeMetrics(t, ts), "corpus_ingest_fit_seconds_total", nil); !ok || v <= 0 {
+	if v, ok := obstest.SampleValue(scrapeMetrics(t, ts), "corpus_ingest_fit_seconds_total", nil); !ok || v <= 0 {
 		t.Fatalf("corpus_ingest_fit_seconds_total = %v (found %v), want > 0", v, ok)
 	}
 

@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -220,5 +221,122 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 	if resp, _ := getTrace(t, ts, sub2.ID, ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("newest trace evicted too: status %d", resp.StatusCode)
+	}
+}
+
+// TestTraceEndToEndServedBytes holds the flight recorder to the
+// timeline it froze: for a job that finishes and for one that fails
+// mid-stream, GET …/trace serves, in JSON and in Perfetto form, exactly
+// the bytes rendered from the tracer as it finished, and a second GET a
+// second later serves them again. Both roots are open until Finish
+// stamps them; TestTracerFinishFreezes covers open spans below the root.
+func TestTraceEndToEndServedBytes(t *testing.T) {
+	dir := t.TempDir()
+	inPath, _ := writeInput(t, dir)
+	raw, err := os.ReadFile(inPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same trace with a record that does not parse three quarters
+	// of the way in: its job fails after several epochs are in flight.
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	cut := len(lines) * 3 / 4
+	bad := append(bytes.Join(lines[:cut], nil), []byte("not,a,record\n")...)
+	bad = append(bad, bytes.Join(lines[cut:], nil)...)
+	badPath := filepath.Join(dir, "bad.csv")
+	if err := os.WriteFile(badPath, bad, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := newServer(engine.Config{
+		Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond,
+	}, 1)
+	defer srv.Close()
+	// Render each timeline as its job finishes, before the job turns
+	// terminal and any GET can reach it. The wrapper is in place before
+	// the HTTP server starts, so no executor reads run while it is set.
+	type rendered struct{ json, perfetto []byte }
+	var mu sync.Mutex
+	atFinish := map[string]rendered{}
+	run := srv.jobs.run
+	srv.jobs.run = func(j job) journalRecord {
+		rec := run(j)
+		jt, ok := srv.flight.Get(j.ID)
+		if !ok {
+			t.Errorf("%s: no timeline parked at finish", j.ID)
+			return rec
+		}
+		w := httptest.NewRecorder()
+		writeJSON(w, jt)
+		var perfetto bytes.Buffer
+		obs.WriteChromeTrace(&perfetto, jt)
+		mu.Lock()
+		atFinish[j.ID] = rendered{w.Body.Bytes(), perfetto.Bytes()}
+		mu.Unlock()
+		return rec
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	okID := postJob(t, ts, engine.JobSpec{In: inPath, Parallel: 2})
+	waitDone(t, ts, okID)
+	failID := postJob(t, ts, engine.JobSpec{In: badPath, Parallel: 2})
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var j job
+		if err := json.Unmarshal(getBody(t, ts.URL+"/v1/jobs/"+failID), &j); err != nil {
+			t.Fatal(err)
+		}
+		if j.State == stateFailed {
+			break
+		}
+		if j.State == stateDone || time.Now().After(deadline) {
+			t.Fatalf("the malformed job ended %s", j.State)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	served := func(id string) rendered {
+		t.Helper()
+		resp, js := getTrace(t, ts, id, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s trace: status %d: %s", id, resp.StatusCode, js)
+		}
+		resp, pf := getTrace(t, ts, id, "?format=perfetto")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s perfetto trace: status %d: %s", id, resp.StatusCode, pf)
+		}
+		return rendered{js, pf}
+	}
+	first := map[string]rendered{okID: served(okID), failID: served(failID)}
+	time.Sleep(time.Second)
+	for _, id := range []string{okID, failID} {
+		mu.Lock()
+		want := atFinish[id]
+		mu.Unlock()
+		for i, got := range []rendered{first[id], served(id)} {
+			if !bytes.Equal(got.json, want.json) {
+				t.Errorf("%s GET %d: JSON differs from the timeline at finish\n got %s\nwant %s", id, i+1, got.json, want.json)
+			}
+			if !bytes.Equal(got.perfetto, want.perfetto) {
+				t.Errorf("%s GET %d: Perfetto bytes differ from the timeline at finish", id, i+1)
+			}
+		}
+	}
+
+	// The failed job stopped inside its stream pass, after its epoch
+	// spans were recorded.
+	var jt obs.JobTrace
+	if err := json.Unmarshal(atFinish[failID].json, &jt); err != nil {
+		t.Fatal(err)
+	}
+	epochs := 0
+	for _, s := range jt.Spans {
+		if s.Name == obs.SpanEpoch.String() {
+			epochs++
+		}
+	}
+	if epochs == 0 {
+		t.Fatalf("failed job's timeline has no epoch spans: %+v", jt.Spans)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 	"repro/internal/trace"
 )
 
@@ -553,11 +554,11 @@ func metricOf(t *testing.T, reg *obs.Registry, name string) float64 {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := obs.ParseExposition(buf.Bytes())
+	samples, err := obstest.ParseExposition(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := obs.SampleValue(samples, name, nil)
+	v, ok := obstest.SampleValue(samples, name, nil)
 	if !ok {
 		t.Fatalf("no series %s", name)
 	}

@@ -125,20 +125,20 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 		return nil, false, err
 	}
 	key := CacheKey(inputDigest, spec)
-	lsp := cfg.Trace.Start(cfg.Trace.Root(), obs.JobSpanNames[obs.JobSpanCacheLookup])
+	lsp := cfg.Trace.Start(cfg.Trace.Root(), obs.JobSpanCacheLookup)
 	path, note, ok := cache.LookupResult(key)
 	var fitted *infer.Model
 	if !ok && fitsAsStored(spec) {
 		fitted = cache.FittedModel(inputDigest)
 	}
-	lsp.SetAttr("hit", boolAttr(ok))
-	lsp.SetAttr("model", boolAttr(fitted != nil))
+	lsp.SetAttr(obs.AttrHit, boolAttr(ok))
+	lsp.SetAttr(obs.AttrModel, boolAttr(fitted != nil))
 	lsp.End()
 	cfg.Metrics.CacheLookup(ok)
 	var rep *Report
 	ran := false
 	if !ok {
-		ssp := cfg.Trace.Start(cfg.Trace.Root(), obs.JobSpanNames[obs.JobSpanStore])
+		ssp := cfg.Trace.Start(cfg.Trace.Root(), obs.JobSpanStore)
 		var err error
 		path, err = cache.StoreResultNoted(key, inputDigest, func(w io.Writer) ([]byte, error) {
 			ran = true

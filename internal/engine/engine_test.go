@@ -17,6 +17,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/infer"
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -83,11 +84,11 @@ func metricOf(t *testing.T, reg *obs.Registry, name string, labels obs.Labels) f
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := obs.ParseExposition(buf.Bytes())
+	samples, err := obstest.ParseExposition(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := obs.SampleValue(samples, name, labels)
+	v, ok := obstest.SampleValue(samples, name, labels)
 	if !ok {
 		t.Fatalf("no series %s%v", name, labels)
 	}

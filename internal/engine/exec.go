@@ -135,13 +135,13 @@ type run struct {
 // wall time when metrics are on.
 type stageTimer struct {
 	mtr   *obs.EngineMetrics
-	stage int
+	stage obs.SpanName
 	span  obs.Span
 	t0    time.Time
 }
 
-func beginStage(mtr *obs.EngineMetrics, stage int, ep obs.Span) stageTimer {
-	st := stageTimer{mtr: mtr, stage: stage, span: ep.Child(obs.StageNames[stage])}
+func beginStage(mtr *obs.EngineMetrics, stage obs.SpanName, ep obs.Span) stageTimer {
+	st := stageTimer{mtr: mtr, stage: stage, span: ep.Child(stage)}
 	if mtr != nil {
 		st.t0 = time.Now()
 	}
@@ -160,7 +160,7 @@ func (st stageTimer) end() {
 // budget: submission and merge both go in index order, so the indexes
 // in flight are consecutive and fewer than window, and a ring of that
 // size holds every early arrival (an empty slot has n == 0).
-func inOrder(in <-chan epoch, window int, mtr *obs.EngineMetrics, stage int, f func(epoch)) {
+func inOrder(in <-chan epoch, window int, mtr *obs.EngineMetrics, stage obs.SpanName, f func(epoch)) {
 	ring := make([]epoch, window)
 	next := 0
 	for ep := range in {
@@ -230,7 +230,7 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 		if timed {
 			planStart = time.Now()
 		}
-		psp := tra.Start(r.root, obs.StageNames[obs.StagePlan])
+		psp := tra.Start(r.root, obs.StagePlan)
 		produceErr = produce(func(ep epoch) error {
 			var w0 time.Time
 			if timed {
@@ -247,11 +247,11 @@ func (r *run) execute(dev device.Device, produce func(submit func(epoch) error) 
 			mtr.EpochAdmitted()
 			ep.n = len(ep.reqs)
 			ep.span = tra.StartEpoch(r.root, ep.index)
-			ep.span.SetAttr("requests", int64(ep.n))
+			ep.span.SetAttr(obs.AttrRequests, int64(ep.n))
 			decCh <- ep
 			return nil
 		})
-		psp.SetAttr("token_wait_ns", int64(tokenWait))
+		psp.SetAttr(obs.AttrTokenWaitNS, int64(tokenWait))
 		psp.End()
 		if timed {
 			mtr.PlanDone(time.Since(planStart), tokenWait)

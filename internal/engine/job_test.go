@@ -2,17 +2,13 @@ package engine
 
 // Tests that pin the shape of the one job path: a job is blob → stage
 // graph → result file, streamed. They hold the memory promise against a
-// real corpus store, the storage-fault classification, the stability of
-// the cache keys across the removal of the Stream spec field, and the
-// span vocabulary.
+// real corpus store, the storage-fault classification and the stability
+// of the cache keys across the removal of the Stream spec field.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -343,52 +339,6 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 	if got, want := CacheKey("d1", s), "a2b7f4ff2fc9a92f5847f78995c5e7fbbfdcec8b643508253b85a06a3ca013a3"; got != want {
 		t.Errorf("cache key moved\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestNoLiteralSpanNames keeps the engine on one span vocabulary: every
-// span it opens is named from obs.StageNames or obs.JobSpanNames, never
-// from a string literal of its own (StartEpoch names its span itself).
-func TestNoLiteralSpanNames(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				var name ast.Expr
-				switch {
-				case sel.Sel.Name == "Start" && len(call.Args) == 2: // Tracer.Start(parent, name)
-					name = call.Args[1]
-				case sel.Sel.Name == "Child" && len(call.Args) == 1: // Span.Child(name)
-					name = call.Args[0]
-				default:
-					return true
-				}
-				calls++
-				if lit, ok := name.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					t.Errorf("%s: span named by the literal %s; use obs.StageNames / obs.JobSpanNames",
-						fset.Position(lit.Pos()), lit.Value)
-				}
-				return true
-			})
-		}
-	}
-	if calls < 4 {
-		t.Fatalf("found only %d span-opening calls in the engine; the scan is not seeing them", calls)
 	}
 }
 

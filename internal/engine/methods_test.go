@@ -174,10 +174,11 @@ func TestMethodsNeedNoFit(t *testing.T) {
 			t.Fatalf("%s: output diverges from the baseline reference", mc.name)
 		}
 		spans := map[string]int{}
-		for _, s := range tracer.Finish().Spans {
+		tracer.Finish()
+		for _, s := range tracer.Snapshot().Spans {
 			spans[s.Name]++
 		}
-		fit, stream := obs.JobSpanNames[obs.JobSpanFit], obs.JobSpanNames[obs.JobSpanStream]
+		fit, stream := obs.JobSpanFit.String(), obs.JobSpanStream.String()
 		if spans[fit] != 0 {
 			t.Fatalf("%s: a fit pass ran: spans %v", mc.name, spans)
 		}

@@ -18,9 +18,10 @@ import (
 func spanNames(tracer *obs.Tracer) (map[string]int, map[string]int64) {
 	names := map[string]int{}
 	var lookup map[string]int64
-	for _, s := range tracer.Finish().Spans {
+	tracer.Finish()
+	for _, s := range tracer.Snapshot().Spans {
 		names[s.Name]++
-		if s.Name == obs.JobSpanNames[obs.JobSpanCacheLookup] {
+		if s.Name == obs.JobSpanCacheLookup.String() {
 			lookup = s.Attrs
 		}
 	}
@@ -134,7 +135,7 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 			}
 
 			names, lookup := spanNames(tracer)
-			fitSpan, streamSpan := names[obs.JobSpanNames[obs.JobSpanFit]], names[obs.JobSpanNames[obs.JobSpanStream]]
+			fitSpan, streamSpan := names[obs.JobSpanFit.String()], names[obs.JobSpanStream.String()]
 			if streamSpan != 1 || (fitSpan == 0) != tc.wantStored {
 				t.Fatalf("spans %v: want one stream span and a fit span exactly when the job fits for itself", names)
 			}

@@ -118,7 +118,7 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 
 	// The stream span is the pass itself: the plan and epoch spans hang
 	// off it.
-	ssp := e.cfg.Trace.Start(e.cfg.Trace.Root(), obs.JobSpanNames[obs.JobSpanStream])
+	ssp := e.cfg.Trace.Start(e.cfg.Trace.Root(), obs.JobSpanStream)
 	defer ssp.End()
 	r := &run{cfg: e.cfg, m: m, useRecorded: useRecorded, enc: enc, meta: outMeta, pool: pool, root: ssp}
 	r.rep.Model, r.rep.Workers = m, e.cfg.Workers
@@ -184,7 +184,7 @@ func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*
 		return nil, err
 	}
 	defer dec.Close()
-	fsp := e.cfg.Trace.Start(e.cfg.Trace.Root(), obs.JobSpanNames[obs.JobSpanFit])
+	fsp := e.cfg.Trace.Start(e.cfg.Trace.Root(), obs.JobSpanFit)
 	defer fsp.End()
 	e.cfg.Metrics.ModelFit(false)
 	m, _, err := FitModel(dec, infer.EstimateOptions{})

@@ -23,7 +23,8 @@ func reconstructWithTracer(t *testing.T, cfg Config) *obs.JobTrace {
 	if out.Len() != tr.Len() {
 		t.Fatalf("reconstructed %d of %d requests", out.Len(), tr.Len())
 	}
-	return tracer.Finish()
+	tracer.Finish()
+	return tracer.Snapshot()
 }
 
 // verifySpanTree checks the invariants every run must produce: the

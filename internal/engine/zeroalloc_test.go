@@ -140,10 +140,10 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 				if got := metricOf(t, tc.metrics, "engine_requests_total", nil); got != 2*n {
 					t.Fatalf("engine_requests_total = %v, want %d", got, 2*n)
 				}
-				for _, stage := range []int{obs.StageDecompose, obs.StageEmulate, obs.StageMerge} {
-					l := obs.Labels{"stage": obs.StageNames[stage]}
+				for _, stage := range []obs.SpanName{obs.StageDecompose, obs.StageEmulate, obs.StageMerge} {
+					l := obs.Labels{"stage": stage.String()}
 					if metricOf(t, tc.metrics, "engine_stage_seconds_total", l) <= 0 {
-						t.Fatalf("stage %s recorded no time", obs.StageNames[stage])
+						t.Fatalf("stage %s recorded no time", stage)
 					}
 				}
 			}

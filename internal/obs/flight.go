@@ -1,11 +1,12 @@
 package obs
 
 // FlightRecorder is the daemon's bounded ring of recent job
-// timelines: finished (or failed) jobs park their JobTrace here until
-// capacity evicts them, oldest first. Lookups are by job ID. The
-// bound is on timeline count — each timeline is itself O(tracer
-// capacity) — so daemon memory stays O(ring * cap) no matter how many
-// jobs run.
+// timelines: finished (or failed) jobs park their frozen Tracer here
+// until capacity evicts them, oldest first, and a lookup by job ID
+// renders its JobTrace. What a parked job costs is its tracer's
+// pointer-free records — ≈ 30 KB for a 985-span job, at most ≈ 96 KB of
+// spans for a full tracer — so daemon memory stays O(ring * cap) no
+// matter how many jobs run, and the collector scans none of it.
 
 import "sync"
 
@@ -17,10 +18,10 @@ const DefaultFlightRecorderCapacity = 256
 type FlightRecorder struct {
 	mu      sync.Mutex
 	cap     int
-	order   []string             // insertion order, oldest first. guarded by mu
-	byID    map[string]*JobTrace // guarded by mu
-	evicted int64                // guarded by mu
-	counter *Counter             // optional eviction metric. guarded by mu
+	order   []string           // insertion order, oldest first. guarded by mu
+	byID    map[string]*Tracer // guarded by mu
+	evicted int64              // guarded by mu
+	counter *Counter           // optional eviction metric. guarded by mu
 }
 
 // NewFlightRecorder returns a recorder keeping at most capacity
@@ -29,7 +30,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &FlightRecorder{cap: capacity, byID: make(map[string]*JobTrace)}
+	return &FlightRecorder{cap: capacity, byID: make(map[string]*Tracer)}
 }
 
 // SetEvictionCounter wires a registry counter that ticks once per
@@ -52,17 +53,18 @@ func (f *FlightRecorder) SetCapacity(capacity int) {
 	f.mu.Unlock()
 }
 
-// Add parks a timeline. Re-adding an existing job ID replaces its
-// timeline in place (replays) without consuming a second slot.
-func (f *FlightRecorder) Add(id string, jt *JobTrace) {
-	if jt == nil {
+// Add parks a job's tracer, which the caller has finished. Re-adding an
+// existing job ID replaces its timeline in place (replays) without
+// consuming a second slot.
+func (f *FlightRecorder) Add(id string, t *Tracer) {
+	if t == nil {
 		return
 	}
 	f.mu.Lock()
 	if _, ok := f.byID[id]; !ok {
 		f.order = append(f.order, id)
 	}
-	f.byID[id] = jt
+	f.byID[id] = t
 	f.evictLocked()
 	f.mu.Unlock()
 }
@@ -83,13 +85,17 @@ func (f *FlightRecorder) evictLocked() {
 	}
 }
 
-// Get returns the timeline for a job ID, or (nil, false) if it was
-// never recorded or has been evicted.
+// Get renders the timeline for a job ID, or returns (nil, false) if it
+// was never recorded or has been evicted. It renders outside the
+// recorder's lock, so a GET never stalls the executors parking jobs.
 func (f *FlightRecorder) Get(id string) (*JobTrace, bool) {
 	f.mu.Lock()
-	jt, ok := f.byID[id]
+	t, ok := f.byID[id]
 	f.mu.Unlock()
-	return jt, ok
+	if !ok {
+		return nil, false
+	}
+	return t.Snapshot(), true
 }
 
 // Len returns the number of timelines currently held.

@@ -11,6 +11,12 @@ package obs
 
 import "time"
 
+// SpanName is a span name from the one span vocabulary: the engine
+// stages, the job-level spans and the epoch. A tracer records the id and
+// renders String only when a timeline is served, and no other name can
+// reach a span: the root's per-job name is the Tracer's own.
+type SpanName uint8
+
 // Engine stages, in stage-graph order; every epoch passes through each
 // once, on any target. decompose and emulate are the two worker-pool
 // stages, ahead of and behind the serial service stage. On a target that
@@ -20,20 +26,9 @@ import "time"
 // device) is part of decompose, and service is only the chain that hands
 // each epoch its time base. emulate is the same on both: post-processing,
 // aggregation and rendering the output bytes — the render time of csv
-// and bin jobs is here, never in merge, which splices.
-const (
-	StagePlan = iota
-	StageDecompose
-	StageService
-	StageEmulate
-	StageMerge
-	NumStages
-)
-
-// StageNames are the stage label values, indexed by the constants
-// above.
-var StageNames = [NumStages]string{"plan", "decompose", "service", "emulate", "merge"}
-
+// and bin jobs is here, never in merge, which splices. The stages are
+// also the stage label values of the engine metrics.
+//
 // Job-level spans: what a job's timeline holds above the stage spans.
 // A cached job opens cache-lookup and, on a miss, store — the
 // result-cache write, which the rest of the job runs inside because the
@@ -41,20 +36,55 @@ var StageNames = [NumStages]string{"plan", "decompose", "service", "emulate", "m
 // pass (inference-path inputs whose model the job has to fit itself:
 // its absence means the model came stored with the input, which the
 // cache-lookup span's model attr records) and stream the reconstruction
-// pass;
-// stream is the parent of the plan and epoch spans. The engine names
-// its job-level spans from this list only.
+// pass; stream is the parent of the plan and epoch spans.
+//
+// SpanEpoch is one sampled epoch (Tracer.StartEpoch names it); the
+// stage spans of that epoch hang off it.
 const (
-	JobSpanCacheLookup = iota
+	StagePlan SpanName = iota
+	StageDecompose
+	StageService
+	StageEmulate
+	StageMerge
+	JobSpanCacheLookup
 	JobSpanFit
 	JobSpanStream
 	JobSpanStore
-	NumJobSpans
+	SpanEpoch
+	numSpanNames
 )
 
-// JobSpanNames are the job-level span names, indexed by the constants
-// above.
-var JobSpanNames = [NumJobSpans]string{"cache-lookup", "fit", "stream", "store"}
+// NumStages is the number of engine stages: the names before
+// JobSpanCacheLookup.
+const NumStages = JobSpanCacheLookup
+
+var spanNames = [numSpanNames]string{
+	"plan", "decompose", "service", "emulate", "merge",
+	"cache-lookup", "fit", "stream", "store",
+	"epoch",
+}
+
+// String returns the name a served timeline carries.
+func (n SpanName) String() string { return spanNames[n] }
+
+// AttrKey is a span attribute key from the same vocabulary: hit and
+// model on cache-lookup, requests and epoch on an epoch, token_wait_ns
+// on plan.
+type AttrKey uint8
+
+const (
+	AttrHit AttrKey = iota
+	AttrModel
+	AttrRequests
+	AttrTokenWaitNS
+	AttrEpoch
+	numAttrKeys
+)
+
+var attrKeys = [numAttrKeys]string{"hit", "model", "requests", "token_wait_ns", "epoch"}
+
+// String returns the key a served timeline carries.
+func (k AttrKey) String() string { return attrKeys[k] }
 
 // EngineMetrics is the engine's instrumentation hook
 // (engine.Config.Metrics): per-stage wall time and queue occupancy,
@@ -94,8 +124,8 @@ type EngineMetrics struct {
 // NewEngineMetrics registers the engine metric set on r.
 func NewEngineMetrics(r *Registry) *EngineMetrics {
 	m := &EngineMetrics{}
-	for i, name := range StageNames {
-		l := Labels{"stage": name}
+	for i := range NumStages {
+		l := Labels{"stage": i.String()}
 		m.stageNanos[i] = r.CounterScaled("engine_stage_seconds_total",
 			"Cumulative wall time per engine pipeline stage.", l, 1e-9)
 		m.stageEpochs[i] = r.Counter("engine_stage_epochs_total",
@@ -181,7 +211,7 @@ func (m *EngineMetrics) EpochRetired(requests int, merged bool) {
 }
 
 // StageAdd records d of wall time (and one epoch) against a stage.
-func (m *EngineMetrics) StageAdd(stage int, d time.Duration) {
+func (m *EngineMetrics) StageAdd(stage SpanName, d time.Duration) {
 	if m == nil {
 		return
 	}
@@ -191,14 +221,14 @@ func (m *EngineMetrics) StageAdd(stage int, d time.Duration) {
 
 // QueuePush/QueuePop track a stage input queue's occupancy around
 // channel sends and receives.
-func (m *EngineMetrics) QueuePush(stage int) {
+func (m *EngineMetrics) QueuePush(stage SpanName) {
 	if m == nil {
 		return
 	}
 	m.queueDepth[stage].Inc()
 }
 
-func (m *EngineMetrics) QueuePop(stage int) {
+func (m *EngineMetrics) QueuePop(stage SpanName) {
 	if m == nil {
 		return
 	}

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs/obstest"
 )
 
 func TestNewLogger(t *testing.T) {
@@ -85,7 +87,7 @@ func TestMiddlewareRequestIDAndMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := ParseExposition([]byte(out)); err != nil {
+	if _, err := obstest.ParseExposition([]byte(out)); err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}
 }

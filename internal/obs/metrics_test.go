@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs/obstest"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -134,7 +136,7 @@ func TestGaugeFuncAndLabelEscaping(t *testing.T) {
 		t.Errorf("label escaping wrong:\n%s", out)
 	}
 	// The writer's output must satisfy the package's own parser.
-	samples, err := ParseExposition([]byte(out))
+	samples, err := obstest.ParseExposition([]byte(out))
 	if err != nil {
 		t.Fatalf("self-exposition does not parse: %v\n%s", err, out)
 	}
@@ -188,8 +190,8 @@ func TestEngineMetricsRegistersAllStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, stage := range StageNames {
-		if !strings.Contains(out, `engine_stage_seconds_total{stage="`+stage+`"}`) {
+	for stage := range NumStages {
+		if !strings.Contains(out, `engine_stage_seconds_total{stage="`+stage.String()+`"}`) {
 			t.Errorf("missing stage %q:\n%s", stage, out)
 		}
 	}

@@ -1,4 +1,7 @@
-package obs
+// Package obstest holds test helpers for the obs package and the
+// packages that expose its metrics. Only _test.go files import it, so
+// none of it ships in a binary.
+package obstest
 
 // A strict-enough parser for the Prometheus text exposition format,
 // used by the tests and the daemon metrics smoke to validate that
@@ -80,7 +83,7 @@ func ParseExposition(data []byte) ([]Sample, error) {
 
 // SampleValue returns the value of the first sample named name whose
 // labels include every pair in labels (nil matches any series).
-func SampleValue(samples []Sample, name string, labels Labels) (float64, bool) {
+func SampleValue(samples []Sample, name string, labels map[string]string) (float64, bool) {
 next:
 	for _, s := range samples {
 		if s.Name != name {

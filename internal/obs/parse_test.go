@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs/obstest"
 )
 
 // TestParseExposition is the table-driven format gate the CI metrics
@@ -72,7 +74,7 @@ func TestParseExposition(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			samples, err := ParseExposition([]byte(tc.in))
+			samples, err := obstest.ParseExposition([]byte(tc.in))
 			if tc.wantErr {
 				if err == nil {
 					t.Fatalf("parsed %q without error: %+v", tc.in, samples)
@@ -101,7 +103,7 @@ func TestParseExposition(t *testing.T) {
 }
 
 func TestParseExpositionSpecialValues(t *testing.T) {
-	samples, err := ParseExposition([]byte("a +Inf\nb -Inf\nc NaN\n"))
+	samples, err := obstest.ParseExposition([]byte("a +Inf\nb -Inf\nc NaN\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +127,7 @@ func TestParseOwnExposition(t *testing.T) {
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseExposition([]byte(buf.String())); err != nil {
+	if _, err := obstest.ParseExposition([]byte(buf.String())); err != nil {
 		t.Fatalf("own exposition does not parse: %v\n%s", err, buf.String())
 	}
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs/obstest"
 )
 
 // TestRegisterRuntimeMetrics scrapes the runtime gauges and checks
@@ -26,7 +28,7 @@ func TestRegisterRuntimeMetrics(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	samples, err := ParseExposition([]byte(out))
+	samples, err := obstest.ParseExposition([]byte(out))
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}

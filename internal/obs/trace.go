@@ -2,18 +2,23 @@ package obs
 
 // Per-job span tracing: a lock-cheap recorder in the same nil-safe
 // hook idiom as EngineMetrics. A Tracer collects a bounded tree of
-// spans (monotonic start/end, parent links, a small inline attribute
-// set) for one job; components receive it through config pointers and
-// call Start/Child/End without caring whether tracing is on. Every
-// method tolerates a nil *Tracer and the zero Span, so the disabled
-// path costs a nil check and no time.Now.
+// spans (monotonic start/end, parent links, a few int64 attributes) for
+// one job; components receive it through config pointers and call
+// Start/Child/End without caring whether tracing is on. Every method
+// tolerates a nil *Tracer and the zero Span, so the disabled path costs
+// a nil check and no time.Now.
 //
-// Memory is hard-bounded: the span buffer is allocated once at
-// capacity and never grows, so a 100k-epoch job records O(cap) spans.
-// Epoch spans go through StartEpoch, which samples — every stride-th
-// epoch is recorded, and the stride doubles as the buffer fills — so
-// early, middle and late epochs all survive in a long job. Children
-// of an unsampled epoch get the zero Span and record nothing.
+// Memory is hard-bounded and pointer-free: a span is a fixed-size
+// record naming its parent, its name from the one vocabulary and its
+// times, attributes are (span, key, value) records beside them, and no
+// more than capacity spans are recorded, so a 100k-epoch job records
+// O(cap) spans. Epoch spans go through StartEpoch, which samples —
+// every stride-th epoch is recorded, and the stride doubles as the
+// buffer fills — so early, middle and late epochs all survive in a long
+// job. Children of an unsampled epoch get the zero Span and record
+// nothing. Finish freezes the records at their exact length; the
+// JobTrace a client reads is rendered from them only on request
+// (Snapshot).
 
 import (
 	"crypto/rand"
@@ -100,39 +105,42 @@ func NewTraceContext() TraceContext {
 	}
 }
 
-// Attr is one span attribute. Values are int64 — counts, indexes,
-// nanosecond durations — so recording one never allocates.
-type Attr struct {
-	Key string `json:"key"`
-	Val int64  `json:"val"`
+// spanRec is the recorded form of a span, 24 bytes with no pointer in
+// it. The span's ID is implicit, its index in Tracer.spans plus one.
+type spanRec struct {
+	parent uint32   // the parent's ID; 0 = no parent (the root span)
+	name   SpanName // unused on the root, which carries Tracer.name
+	nattrs uint8    // the span's records in Tracer.attrs
+	start  int64    // ns since Tracer start
+	end    int64    // 0 while open
 }
 
-// spanRec is the recorded form of a span. Records live in the
-// Tracer's chunks; Span handles hold stable pointers into them (a chunk
-// is never appended past its capacity, so it never moves).
-type spanRec struct {
-	id     uint64
-	parent uint64 // 0 = no parent (the root span)
-	name   string
-	start  int64 // ns since Tracer start
-	end    int64 // 0 while open
-	nattrs int32
-	attrs  [4]Attr
+// attrRec is one span attribute, 16 bytes with no pointer in it. Values
+// are int64 — counts, indexes, nanosecond durations — so recording one
+// never allocates beyond the slice's growth.
+type attrRec struct {
+	span uint32 // index in Tracer.spans
+	key  AttrKey
+	val  int64
 }
+
+// maxSpanAttrs bounds the attributes one span records; pairs beyond it
+// are dropped.
+const maxSpanAttrs = 4
 
 // Span is a handle to one recorded span. The zero value is a no-op:
 // every method is safe and free on it, which is how unsampled epochs
 // and disabled tracers cost nothing downstream.
 type Span struct {
-	t   *Tracer
-	rec *spanRec
+	t *Tracer
+	i uint32 // index in t.spans
 }
 
 // Recorded reports whether the span is actually being recorded.
 func (s Span) Recorded() bool { return s.t != nil }
 
 // Child starts a span parented under s, no-op if s is.
-func (s Span) Child(name string) Span {
+func (s Span) Child(name SpanName) Span {
 	if s.t == nil {
 		return Span{}
 	}
@@ -147,22 +155,21 @@ func (s Span) End() {
 	}
 	now := int64(time.Since(s.t.start))
 	s.t.mu.Lock()
-	if s.rec.end == 0 {
-		s.rec.end = now
+	if rec := &s.t.spans[s.i]; !s.t.frozen && rec.end == 0 {
+		rec.end = now
 	}
 	s.t.mu.Unlock()
 }
 
-// SetAttr attaches a key/value pair. Spans carry a small fixed attr
-// set; pairs beyond it are dropped.
-func (s Span) SetAttr(key string, v int64) {
+// SetAttr attaches a key/value pair. A span carries at most
+// maxSpanAttrs pairs; pairs beyond them are dropped.
+func (s Span) SetAttr(key AttrKey, v int64) {
 	if s.t == nil {
 		return
 	}
 	s.t.mu.Lock()
-	if int(s.rec.nattrs) < len(s.rec.attrs) {
-		s.rec.attrs[s.rec.nattrs] = Attr{Key: key, Val: v}
-		s.rec.nattrs++
+	if !s.t.frozen {
+		s.t.setAttrLocked(s.i, key, v)
 	}
 	s.t.mu.Unlock()
 }
@@ -177,29 +184,23 @@ const DefaultTracerCapacity = 4096
 // emulate, merge) still fit in the buffer after the epoch span does.
 const epochReserve = 8
 
-// spanChunk is how many span records a Tracer allocates at a time
-// (≈ 38 KB), so a job pays for the spans it records, not for its
-// capacity: a 100k-request job records about 500.
-const spanChunk = 256
-
 // Tracer records one job's span tree. Create with NewTracer, hand to
-// the engine/daemon via config pointers, then Finish for the
-// exportable tree. All methods are safe on a nil receiver (recording
-// disabled) and safe for concurrent use.
+// the engine/daemon via config pointers, Finish when the job ends, and
+// Snapshot for the exportable tree. All methods are safe on a nil
+// receiver (recording disabled) and safe for concurrent use.
 type Tracer struct {
 	mu            sync.Mutex
 	ctx           TraceContext
 	parentSpan    string // incoming traceparent span ID, if any
-	name          string
+	name          string // the root span's name
 	start         time.Time
-	capacity      int         // the most spans recorded; written once in NewTracer
-	spans         [][]spanRec // chunks of at most spanChunk records, each allocated full-size. guarded by mu
-	nspans        int         // records in spans. guarded by mu
-	nextID        uint64      // guarded by mu
-	stride        int         // guarded by mu
-	droppedSpans  int64       // guarded by mu
-	droppedEpochs int64       // guarded by mu
-	root          Span        // written once in NewTracer, immutable after
+	capacity      int       // the most spans recorded; written once in NewTracer
+	spans         []spanRec // spans[0] is the root. guarded by mu
+	attrs         []attrRec // guarded by mu
+	stride        int       // guarded by mu
+	droppedSpans  int64     // guarded by mu
+	droppedEpochs int64     // guarded by mu
+	frozen        bool      // set by Finish: nothing records after it. guarded by mu
 }
 
 // NewTracer starts a trace for one job. capacity bounds the recorded
@@ -233,7 +234,7 @@ func NewTracer(name string, capacity int, parent TraceContext) *Tracer {
 		stride:     1,
 	}
 	t.mu.Lock()
-	t.root = t.startLocked(Span{}, name)
+	t.startLocked(Span{}, 0)
 	t.mu.Unlock()
 	return t
 }
@@ -252,12 +253,13 @@ func (t *Tracer) Root() Span {
 	if t == nil {
 		return Span{}
 	}
-	return t.root
+	return Span{t: t}
 }
 
 // Start opens a span under parent (use Root() for top-level phases).
-// Returns the zero Span when the buffer is full or t is nil.
-func (t *Tracer) Start(parent Span, name string) Span {
+// Returns the zero Span when the buffer is full, the tracer finished or
+// t is nil.
+func (t *Tracer) Start(parent Span, name SpanName) Span {
 	if t == nil {
 		return Span{}
 	}
@@ -270,28 +272,34 @@ func (t *Tracer) Start(parent Span, name string) Span {
 // startLocked appends the span record; the caller holds t.mu.
 //
 //tracelint:holds mu
-func (t *Tracer) startLocked(parent Span, name string) Span {
-	if t.nspans == t.capacity {
+func (t *Tracer) startLocked(parent Span, name SpanName) Span {
+	if t.frozen {
+		return Span{}
+	}
+	if len(t.spans) == t.capacity {
 		t.droppedSpans++
 		return Span{}
 	}
-	t.nextID++
-	var pid uint64
-	if parent.rec != nil {
-		pid = parent.rec.id
+	var pid uint32
+	if parent.t != nil {
+		pid = parent.i + 1
 	}
-	c := t.nspans / spanChunk
-	if c == len(t.spans) {
-		t.spans = append(t.spans, make([]spanRec, 0, min(spanChunk, t.capacity-t.nspans)))
-	}
-	t.spans[c] = append(t.spans[c], spanRec{
-		id:     t.nextID,
+	t.spans = append(t.spans, spanRec{
 		parent: pid,
 		name:   name,
 		start:  int64(time.Since(t.start)),
 	})
-	t.nspans++
-	return Span{t: t, rec: &t.spans[c][len(t.spans[c])-1]}
+	return Span{t: t, i: uint32(len(t.spans) - 1)}
+}
+
+// setAttrLocked records one attribute of span i; the caller holds t.mu.
+//
+//tracelint:holds mu
+func (t *Tracer) setAttrLocked(i uint32, key AttrKey, v int64) {
+	if rec := &t.spans[i]; rec.nattrs < maxSpanAttrs {
+		rec.nattrs++
+		t.attrs = append(t.attrs, attrRec{span: i, key: key, val: v})
+	}
 }
 
 // StartEpoch opens a sampled epoch span under parent, carrying the
@@ -306,34 +314,64 @@ func (t *Tracer) StartEpoch(parent Span, index int) Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if index%t.stride != 0 || t.nspans+epochReserve > t.capacity {
+	if t.frozen {
+		return Span{}
+	}
+	if index%t.stride != 0 || len(t.spans)+epochReserve > t.capacity {
 		t.droppedEpochs++
 		return Span{}
 	}
-	if 4*t.nspans >= 3*t.capacity {
+	if 4*len(t.spans) >= 3*t.capacity {
 		t.stride *= 2
 	}
-	s := t.startLocked(parent, "epoch")
-	if s.rec != nil {
-		s.rec.attrs[0] = Attr{Key: "epoch", Val: int64(index)}
-		s.rec.nattrs = 1
+	s := t.startLocked(parent, SpanEpoch)
+	if s.t != nil {
+		t.setAttrLocked(s.i, AttrEpoch, int64(index))
 	}
 	return s
 }
 
-// Finish closes the root span and returns the exportable tree.
-// Safe to call on a nil tracer (returns nil).
-func (t *Tracer) Finish() *JobTrace {
+// Finish freezes the timeline. It closes the root and stamps every
+// span still open (a failed job's epochs, say) with the same finish
+// time, so the served timeline never drifts with the time it is read;
+// it then copies the records into slices of their exact length, so a
+// parked tracer pins no spare capacity. Nothing records after Finish,
+// and Finish renders nothing: Snapshot does. Safe on a nil tracer; a
+// second Finish is a no-op.
+func (t *Tracer) Finish() {
 	if t == nil {
-		return nil
+		return
 	}
-	t.root.End()
-	return t.Snapshot()
+	now := int64(time.Since(t.start))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.frozen {
+		return
+	}
+	t.frozen = true
+	for i := range t.spans {
+		if t.spans[i].end == 0 {
+			t.spans[i].end = now
+		}
+	}
+	t.spans = exact(t.spans)
+	t.attrs = exact(t.attrs)
 }
 
-// Snapshot renders the current span tree without closing anything —
-// open spans (the root included, before Finish) export with their
-// duration so far.
+// exact returns s in an allocation of its own length (nil when empty).
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	if len(s) == cap(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// Snapshot renders the span tree. After Finish every call renders the
+// same tree; before it, open spans (the root included) export with
+// their duration so far.
 func (t *Tracer) Snapshot() *JobTrace {
 	if t == nil {
 		return nil
@@ -348,43 +386,41 @@ func (t *Tracer) Snapshot() *JobTrace {
 		Start:         t.start,
 		DroppedSpans:  t.droppedSpans,
 		DroppedEpochs: t.droppedEpochs,
-		Spans:         make([]SpanOut, 0, t.nspans),
+		Spans:         make([]SpanOut, len(t.spans)),
 	}
-	for c := range t.spans {
-		for i := range t.spans[c] {
-			rec := &t.spans[c][i]
-			end := rec.end
-			if end == 0 {
-				end = now
-			}
-			out := SpanOut{
-				ID:      t.spanID(rec.id),
-				Name:    rec.name,
-				StartNS: rec.start,
-				EndNS:   end,
-			}
-			if rec.parent != 0 {
-				out.Parent = t.spanID(rec.parent)
-			}
-			if rec.nattrs > 0 {
-				out.Attrs = make(map[string]int64, rec.nattrs)
-				for _, a := range rec.attrs[:rec.nattrs] {
-					out.Attrs[a.Key] = a.Val
-				}
-			}
-			jt.Spans = append(jt.Spans, out)
+	for i, rec := range t.spans {
+		end := rec.end
+		if end == 0 {
+			end = now
+		}
+		out := &jt.Spans[i]
+		*out = SpanOut{
+			ID:      t.spanID(uint32(i) + 1),
+			Name:    rec.name.String(),
+			StartNS: rec.start,
+			EndNS:   end,
+		}
+		if i == 0 {
+			out.Name = t.name
+		}
+		if rec.parent != 0 {
+			out.Parent = t.spanID(rec.parent)
+		}
+		if rec.nattrs > 0 {
+			out.Attrs = make(map[string]int64, rec.nattrs)
 		}
 	}
-	if len(jt.Spans) > 0 {
-		jt.DurationNS = jt.Spans[0].EndNS - jt.Spans[0].StartNS
+	for _, a := range t.attrs {
+		jt.Spans[a.span].Attrs[a.key.String()] = a.val
 	}
+	jt.DurationNS = jt.Spans[0].EndNS - jt.Spans[0].StartNS
 	return jt
 }
 
 // spanID renders a span's wire ID. The root span carries the trace
 // context's W3C span ID (so the echoed traceparent points at it);
 // descendants use their sequence number.
-func (t *Tracer) spanID(id uint64) string {
+func (t *Tracer) spanID(id uint32) string {
 	if id == 1 {
 		return t.ctx.SpanID
 	}

@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -65,15 +68,16 @@ func TestTracerSpanTree(t *testing.T) {
 		t.Fatal("root span reused the parent's span ID")
 	}
 
-	plan := tr.Start(tr.Root(), "plan")
-	plan.SetAttr("token_wait_ns", 42)
+	plan := tr.Start(tr.Root(), StagePlan)
+	plan.SetAttr(AttrTokenWaitNS, 42)
 	ep := tr.StartEpoch(tr.Root(), 0)
-	dec := ep.Child("decompose")
+	dec := ep.Child(StageDecompose)
 	dec.End()
 	ep.End()
 	plan.End()
 	time.Sleep(time.Millisecond)
-	jt := tr.Finish()
+	tr.Finish()
+	jt := tr.Snapshot()
 
 	if jt.TraceID != parent.TraceID || jt.ParentSpanID != parent.SpanID {
 		t.Fatalf("exported trace identity: %+v", jt)
@@ -114,7 +118,8 @@ func TestTracerSpanTree(t *testing.T) {
 
 func TestTracerTraceIDOnlyParent(t *testing.T) {
 	tr := NewTracer("restored", 0, TraceContext{TraceID: "0af7651916cd43dd8448eb211c80319c"})
-	jt := tr.Finish()
+	tr.Finish()
+	jt := tr.Snapshot()
 	if jt.TraceID != "0af7651916cd43dd8448eb211c80319c" {
 		t.Fatalf("trace ID not pinned: %s", jt.TraceID)
 	}
@@ -134,14 +139,12 @@ func TestTracerNilSafety(t *testing.T) {
 	if s.Recorded() {
 		t.Fatal("nil tracer's root claims to record")
 	}
-	s = tr.Start(s, "x")
+	s = tr.Start(s, JobSpanStream)
 	s = tr.StartEpoch(s, 7)
-	s = s.Child("y")
-	s.SetAttr("k", 1)
+	s = s.Child(StageMerge)
+	s.SetAttr(AttrRequests, 1)
 	s.End()
-	if jt := tr.Finish(); jt != nil {
-		t.Fatalf("nil tracer finished to %+v", jt)
-	}
+	tr.Finish()
 	if jt := tr.Snapshot(); jt != nil {
 		t.Fatalf("nil tracer snapshot %+v", jt)
 	}
@@ -163,7 +166,8 @@ func TestTracerEpochSampling(t *testing.T) {
 		ep := tr.StartEpoch(tr.Root(), i)
 		ep.End()
 	}
-	jt := tr.Finish()
+	tr.Finish()
+	jt := tr.Snapshot()
 
 	if len(jt.Spans) > capacity {
 		t.Fatalf("recorded %d spans, capacity %d", len(jt.Spans), capacity)
@@ -191,10 +195,11 @@ func TestTracerEpochSampling(t *testing.T) {
 func TestTracerBufferFullDropsSpans(t *testing.T) {
 	tr := NewTracer("tiny", 16, TraceContext{})
 	for i := 0; i < 40; i++ {
-		sp := tr.Start(tr.Root(), "s")
+		sp := tr.Start(tr.Root(), JobSpanStore)
 		sp.End() // ending a dropped (zero) span must be safe
 	}
-	jt := tr.Finish()
+	tr.Finish()
+	jt := tr.Snapshot()
 	if len(jt.Spans) != 16 {
 		t.Fatalf("recorded %d spans, want the full capacity 16", len(jt.Spans))
 	}
@@ -217,5 +222,90 @@ func TestSlowestSpansAndSummary(t *testing.T) {
 	sum := SummarizeSpans(top)
 	if !strings.Contains(sum, "epoch[12] 90µs") || !strings.Contains(sum, "mid 50µs") {
 		t.Fatalf("summary: %q", sum)
+	}
+}
+
+// TestTracerFinishFreezes pins what Finish leaves parked: every span
+// still open (a failed job's) ends with the root, nothing recorded
+// afterwards lands, the records sit in allocations of their exact
+// length, and every later Snapshot renders the same bytes.
+func TestTracerFinishFreezes(t *testing.T) {
+	tr := NewTracer("job-9 failed", 0, TraceContext{})
+	stream := tr.Start(tr.Root(), JobSpanStream)
+	ep := tr.StartEpoch(stream, 0)
+	ep.SetAttr(AttrRequests, 512)
+	dec := ep.Child(StageDecompose)
+	dec.End()
+	ep.Child(StageEmulate) // left open, as a failed job leaves it
+	tr.Finish()
+	first, err := json.Marshal(tr.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	time.Sleep(2 * time.Millisecond)
+	ep.End()
+	ep.SetAttr(AttrEpoch, 7)
+	tr.Start(stream, StageMerge).End()
+	tr.StartEpoch(stream, 1)
+	tr.Finish()
+	jt := tr.Snapshot()
+	again, err := json.Marshal(jt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Fatalf("a finished timeline moved:\n%s\n%s", first, again)
+	}
+
+	root := jt.Spans[0]
+	if len(jt.Spans) != 5 || jt.DroppedSpans != 0 || jt.DroppedEpochs != 0 {
+		t.Fatalf("finished timeline: %+v", jt)
+	}
+	for _, s := range jt.Spans {
+		if s.Name != StageDecompose.String() && s.EndNS != root.EndNS {
+			t.Errorf("open span %s ends at %d, not with the root at %d", s.Name, s.EndNS, root.EndNS)
+		}
+	}
+	if cap(tr.spans) != len(tr.spans) || cap(tr.attrs) != len(tr.attrs) {
+		t.Fatalf("parked records hold spare capacity: spans %d/%d, attrs %d/%d",
+			len(tr.spans), cap(tr.spans), len(tr.attrs), cap(tr.attrs))
+	}
+}
+
+// TestTracerConcurrentSnapshot renders a live tracer while stage
+// goroutines record into it, as the engine's workers do, and then
+// checks that every span they recorded landed whole.
+func TestTracerConcurrentSnapshot(t *testing.T) {
+	tr := NewTracer("live", 0, TraceContext{})
+	const workers, epochs = 4, 100
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range epochs {
+				ep := tr.StartEpoch(tr.Root(), w*epochs+i)
+				ep.SetAttr(AttrRequests, 1)
+				ep.Child(StageDecompose).End()
+				ep.End()
+			}
+		}()
+	}
+	for range epochs {
+		if jt := tr.Snapshot(); len(jt.Spans) == 0 {
+			t.Fatal("live snapshot lost the root")
+		}
+	}
+	wg.Wait()
+	tr.Finish()
+	jt := tr.Snapshot()
+	if len(jt.Spans) != 1+2*workers*epochs {
+		t.Fatalf("recorded %d spans, want %d", len(jt.Spans), 1+2*workers*epochs)
+	}
+	for _, s := range jt.Spans[1:] {
+		if s.Name == SpanEpoch.String() && len(s.Attrs) != 2 {
+			t.Fatalf("epoch span lost attributes: %+v", s)
+		}
 	}
 }

@@ -7,12 +7,11 @@ package trace
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
-// Summary is the one-pass characterization of a request stream. All
-// order-sensitive metrics (sequential fraction, inter-arrival moments)
+// Summary is the one-pass characterization of a request stream. The
+// order-sensitive metrics (sequential fraction, the sortedness check)
 // are computed in stream order; wrap near-sorted corpora (msrc/spc) in
 // a ReorderDecoder when arrival-order semantics matter.
 type Summary struct {
@@ -26,9 +25,6 @@ type Summary struct {
 	TotalBytes int64
 	// Reads and Seq count read and sequential requests.
 	Reads, Seq int64
-	// IntervalMeanUS/IntervalStdUS/IntervalMaxUS are moments of the
-	// successive inter-arrival gaps in microseconds.
-	IntervalMeanUS, IntervalStdUS, IntervalMaxUS float64
 
 	// invalid is the first invariant the stream broke (ErrZeroSize or
 	// ErrUnsorted), at request index invalidAt.
@@ -89,8 +85,7 @@ type Summarizer struct {
 	sum   Summary
 	seq   *SeqState
 	prev  time.Duration
-	m2    float64 // Welford sum of squared deviations of the gaps
-	flags []bool  // AddBatch's result, reused across calls
+	flags []bool // AddBatch's result, reused across calls
 }
 
 // NewSummarizer returns an empty accumulator.
@@ -105,46 +100,45 @@ func NewSummarizer() *Summarizer {
 //
 //tracelint:hotpath
 func (a *Summarizer) AddBatch(rs []Request) []bool {
-	s := &a.sum
 	a.flags = a.seq.AppendFlags(a.flags[:0], rs)
+	if len(rs) == 0 {
+		return a.flags
+	}
+	// The fold runs on locals, written back once per batch.
+	s := &a.sum
+	n, prev := s.Requests, a.prev
+	lo, hi := s.MinArrival, s.MaxArrival
+	if n == 0 {
+		prev, lo, hi = rs[0].Arrival, rs[0].Arrival, rs[0].Arrival
+	}
+	valid := s.invalid == nil
+	var bytes, reads, seq int64
 	for i := range rs {
 		r := &rs[i]
-		if r.Sectors == 0 && s.invalid == nil {
-			s.invalid, s.invalidAt = ErrZeroSize, s.Requests
-		}
-		if s.Requests == 0 {
-			s.MinArrival, s.MaxArrival = r.Arrival, r.Arrival
-		} else {
-			if r.Arrival < a.prev && s.invalid == nil {
-				s.invalid, s.invalidAt = ErrUnsorted, s.Requests
-			}
-			if r.Arrival < s.MinArrival {
-				s.MinArrival = r.Arrival
-			}
-			if r.Arrival > s.MaxArrival {
-				s.MaxArrival = r.Arrival
-			}
-			gap := float64(r.Arrival-a.prev) / float64(time.Microsecond)
-			n := float64(s.Requests) // gap count including this one
-			delta := gap - s.IntervalMeanUS
-			s.IntervalMeanUS += delta / n
-			a.m2 += delta * (gap - s.IntervalMeanUS)
-			if gap > s.IntervalMaxUS {
-				s.IntervalMaxUS = gap
+		if valid && (r.Sectors == 0 || r.Arrival < prev) {
+			s.invalid, s.invalidAt, valid = ErrUnsorted, n, false
+			if r.Sectors == 0 {
+				s.invalid = ErrZeroSize
 			}
 		}
-		a.prev = r.Arrival
-		s.Requests++
-		s.TotalBytes += r.Bytes()
+		lo, hi = min(lo, r.Arrival), max(hi, r.Arrival)
+		prev = r.Arrival
+		n++
+		bytes += r.Bytes()
 		if r.Op == Read {
-			s.Reads++
+			reads++
 		}
 	}
-	for _, seq := range a.flags {
-		if seq {
-			s.Seq++
+	for _, f := range a.flags {
+		if f {
+			seq++
 		}
 	}
+	s.Requests, a.prev = n, prev
+	s.MinArrival, s.MaxArrival = lo, hi
+	s.TotalBytes += bytes
+	s.Reads += reads
+	s.Seq += seq
 	return a.flags
 }
 
@@ -153,9 +147,6 @@ func (a *Summarizer) AddBatch(rs []Request) []bool {
 func (a *Summarizer) Summary(m Meta) Summary {
 	s := a.sum
 	s.Meta = m
-	if n := s.Requests - 1; n > 0 {
-		s.IntervalStdUS = math.Sqrt(a.m2 / float64(n))
-	}
 	return s
 }
 

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
-	"math"
+	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -55,29 +57,6 @@ func TestSummarizerMatchesTraceMethods(t *testing.T) {
 	if sum.Meta != tr.Meta() {
 		t.Fatalf("meta: %+v want %+v", sum.Meta, tr.Meta())
 	}
-
-	// Inter-arrival moments against a direct computation.
-	ia := tr.InterArrivalMicros()
-	var mean, max float64
-	for _, v := range ia {
-		mean += v
-		max = math.Max(max, v)
-	}
-	mean /= float64(len(ia))
-	var m2 float64
-	for _, v := range ia {
-		m2 += (v - mean) * (v - mean)
-	}
-	std := math.Sqrt(m2 / float64(len(ia)))
-	if math.Abs(sum.IntervalMeanUS-mean) > 1e-9 {
-		t.Fatalf("ia mean: %v want %v", sum.IntervalMeanUS, mean)
-	}
-	if math.Abs(sum.IntervalStdUS-std) > 1e-6 {
-		t.Fatalf("ia std: %v want %v", sum.IntervalStdUS, std)
-	}
-	if sum.IntervalMaxUS != max {
-		t.Fatalf("ia max: %v want %v", sum.IntervalMaxUS, max)
-	}
 }
 
 // TestSummarizerSmall covers the zero- and one-request edges.
@@ -90,7 +69,41 @@ func TestSummarizerSmall(t *testing.T) {
 	one := NewSummarizer()
 	one.AddBatch([]Request{{Arrival: time.Second, LBA: 1, Sectors: 4, Op: Write}})
 	s := one.Summary(Meta{})
-	if s.Requests != 1 || s.Duration() != 0 || s.IntervalMeanUS != 0 || s.TotalBytes != 4*SectorSize {
+	if s.Requests != 1 || s.Duration() != 0 || s.TotalBytes != 4*SectorSize {
 		t.Fatalf("single summary: %+v", s)
+	}
+}
+
+// TestSummarizerBatchSplit folds one stream, unsorted in places and
+// with a zero-size request, whole and in runs of every length: the fold
+// keeps its counters in locals per batch, so the summary must not
+// depend on where the batches break.
+func TestSummarizerBatchSplit(t *testing.T) {
+	rs := []Request{
+		{Arrival: 5 * time.Millisecond, LBA: 8, Sectors: 8, Op: Read},
+		{Arrival: 7 * time.Millisecond, LBA: 16, Sectors: 8, Op: Read},
+		{Arrival: 2 * time.Millisecond, LBA: 100, Sectors: 4, Op: Write},
+		{Arrival: 9 * time.Millisecond, LBA: 104, Sectors: 0, Op: Write},
+		{Arrival: 11 * time.Millisecond, LBA: 200, Sectors: 16, Op: Read},
+		{Arrival: 1 * time.Millisecond, LBA: 216, Sectors: 8, Op: Read},
+	}
+	whole := NewSummarizer()
+	whole.AddBatch(rs)
+	want := whole.Summary(Meta{})
+	if want.MinArrival != time.Millisecond || want.MaxArrival != 11*time.Millisecond ||
+		want.Reads != 4 || want.Requests != 6 {
+		t.Fatalf("whole-stream summary: %+v", want)
+	}
+	if err := want.Validate(); !errors.Is(err, ErrUnsorted) || !strings.Contains(err.Error(), "index 2") {
+		t.Fatalf("whole-stream validation: %v", err)
+	}
+	for n := 1; n < len(rs); n++ {
+		acc := NewSummarizer()
+		for i := 0; i < len(rs); i += n {
+			acc.AddBatch(rs[i:min(i+n, len(rs))])
+		}
+		if got := acc.Summary(Meta{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("runs of %d: %+v, want %+v", n, got, want)
+		}
 	}
 }
