@@ -28,6 +28,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/engine"
@@ -51,8 +53,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs.StringVar(&spec.Out, "out", "", "output trace path, written atomically (default stdout)")
 	fs.StringVar(&spec.OutFormat, "outformat", "csv", trace.Usage(trace.Output))
 	fs.StringVar(&spec.FIODevice, "fio-device", "/dev/nvme0n1", "target device path for fio output")
-	fs.StringVar(&spec.Method, "method", "tracetracker",
-		`reconstruction method: "tracetracker", "dynamic", "fixed-th", "revision", "acceleration"`)
+	methods := engine.Methods()
+	for i := range methods {
+		methods[i] = strconv.Quote(methods[i])
+	}
+	fs.StringVar(&spec.Method, "method", "tracetracker", "reconstruction method: "+strings.Join(methods, ", "))
 	fs.StringVar(&spec.Device, "device", "new",
 		`reconstruction target: "new"/"array" (the paper's flash array), "ssd", "old"/"hdd", "ftl" (page-mapped flash translation layer with GC), or "host"/"hoststack" (page cache + write-back over an HDD); hdd/ftl/host run one ordered device pass with the stages around it at full -parallel`)
 	fs.Float64Var(&spec.Factor, "factor", 0, "acceleration factor (0 = the paper's)")

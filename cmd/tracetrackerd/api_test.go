@@ -113,7 +113,7 @@ func TestRouteContract(t *testing.T) {
 	// carry the model fitted at ingest (Tsdev-unknown uploads only), and
 	// HEAD on the info route is the pre-upload dedup check — 200 for a
 	// held digest, 404 otherwise, no body sent either way.
-	status, body := doReq(t, ts, http.MethodPost, "/v1/corpus", string(webmailCSV(t, 2000, false)))
+	status, body := doReq(t, ts, http.MethodPost, "/v1/corpus", string(webmailCSV(t, 2000)))
 	var ack struct {
 		Entry struct {
 			Digest string
@@ -198,12 +198,12 @@ func TestErrorEnvelopes(t *testing.T) {
 	// The fit ingest now runs never turns an upload away: a Tsdev-unknown
 	// trace too sparse to fit, and an unsorted one, are both accepted, and
 	// their jobs fail with the errors they always failed with.
-	sparseDigest := uploadCorpus(t, ts, webmailCSV(t, 40, false), "csv")
+	sparseDigest := uploadCorpus(t, ts, webmailCSV(t, 40), "csv")
 	sparseID := postJob(t, ts, engine.JobSpec{In: corpusScheme + sparseDigest})
 	if j := waitFailed(t, ts, sparseID); !strings.Contains(j.Error, infer.ErrTooSparse.Error()) {
 		t.Fatalf("job on a 40-request inference input: %q, want %q", j.Error, infer.ErrTooSparse)
 	}
-	unsorted := decodeCSV(t, webmailCSV(t, 2000, false))
+	unsorted := decodeCSV(t, webmailCSV(t, 2000))
 	unsorted.Requests[500].Arrival = unsorted.Requests[1500].Arrival
 	unsortedID := postJob(t, ts, engine.JobSpec{In: corpusScheme + uploadCorpus(t, ts, encodeAs(t, "csv", unsorted), "csv")})
 	if j := waitFailed(t, ts, unsortedID); !strings.Contains(j.Error, trace.ErrUnsorted.Error()) {

@@ -29,8 +29,8 @@ import (
 )
 
 // webmailCSV renders the inference-path fixture (FIU webmail, captured
-// on the old disk) with its latencies kept or dropped.
-func webmailCSV(t *testing.T, ops int, tsdevKnown bool) []byte {
+// on the old disk) with its latencies dropped.
+func webmailCSV(t *testing.T, ops int) []byte {
 	t.Helper()
 	p, ok := workload.Lookup("webmail")
 	if !ok {
@@ -38,11 +38,9 @@ func webmailCSV(t *testing.T, ops int, tsdevKnown bool) []byte {
 	}
 	app := workload.Generate(p, workload.GenOptions{Ops: ops, Seed: workload.TraceSeed("webmail", 0)})
 	tr := app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace
-	tr.Name, tr.Workload, tr.TsdevKnown = "webmail-000", "webmail", tsdevKnown
-	if !tsdevKnown {
-		for i := range tr.Requests {
-			tr.Requests[i].Latency = 0
-		}
+	tr.Name, tr.Workload, tr.TsdevKnown = "webmail-000", "webmail", false
+	for i := range tr.Requests {
+		tr.Requests[i].Latency = 0
 	}
 	var buf bytes.Buffer
 	if err := trace.WriteCSV(&buf, tr); err != nil {
@@ -90,7 +88,7 @@ func modelFits(t *testing.T, ts *httptest.Server, source string) float64 {
 func TestStoredModelIdentity(t *testing.T) {
 	dir := t.TempDir()
 	dataDir := filepath.Join(dir, "data")
-	raw := webmailCSV(t, 5000, false)
+	raw := webmailCSV(t, 5000)
 	old := decodeCSV(t, raw)
 	fresh, err := infer.Estimate(old, infer.EstimateOptions{})
 	if err != nil {
@@ -98,13 +96,12 @@ func TestStoredModelIdentity(t *testing.T) {
 	}
 
 	// want is the sequential pipeline's output for a spec, rendered.
-	want := func(in *trace.Trace, spec engine.JobSpec, opts core.Options) []byte {
+	want := func(in *trace.Trace, spec engine.JobSpec) []byte {
 		mk, err := engine.DeviceFactory(spec.Device)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.SkipPostProcess = spec.Method == "dynamic"
-		out, _, err := core.Reconstruct(in, mk(), opts)
+		out, _, err := core.Reconstruct(in, mk(), core.Options{SkipPostProcess: spec.Method == "dynamic"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +116,7 @@ func TestStoredModelIdentity(t *testing.T) {
 		if j.Cached {
 			t.Fatalf("%s: cache hit; every leg is a distinct key", label)
 		}
-		if got := getBody(t, ts.URL+j.ResultURL); !bytes.Equal(got, want(in, spec, srv.base.Core)) {
+		if got := getBody(t, ts.URL+j.ResultURL); !bytes.Equal(got, want(in, spec)) {
 			t.Fatalf("%s: served bytes diverge from the sequential pipeline", label)
 		}
 		wantModel, err := infer.Estimate(in, infer.EstimateOptions{})
@@ -259,25 +256,6 @@ func TestStoredModelIdentity(t *testing.T) {
 	}
 	ts.Close()
 	srv.Close()
-
-	// Phase four: a Tsdev-known blob under an engine Config that forces
-	// inference. The store fitted nothing for it; the job does.
-	knownRaw := webmailCSV(t, 5000, true)
-	forced := newServer(engine.Config{
-		Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond,
-		Core: core.Options{ForceInference: true},
-	}, 1)
-	if err := forced.openData(filepath.Join(dir, "data-forced")); err != nil {
-		t.Fatal(err)
-	}
-	defer forced.Close()
-	tsForced := httptest.NewServer(forced)
-	defer tsForced.Close()
-	knownDigest := uploadCorpus(t, tsForced, knownRaw, "csv")
-	if forced.store.FittedModel(knownDigest) != nil {
-		t.Fatal("a Tsdev-known upload was fitted")
-	}
-	fitLeg(forced, tsForced, "force-inference", decodeCSV(t, knownRaw), engine.JobSpec{In: corpusScheme + knownDigest})
 }
 
 // TestStoredModelConcurrentJobs hands one catalogue entry's model to
@@ -293,7 +271,7 @@ func TestStoredModelConcurrentJobs(t *testing.T) {
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	raw := webmailCSV(t, 3000, false)
+	raw := webmailCSV(t, 3000)
 	digest := uploadCorpus(t, ts, raw, "csv")
 	old := decodeCSV(t, raw)
 
@@ -302,7 +280,7 @@ func TestStoredModelConcurrentJobs(t *testing.T) {
 	for _, dev := range devs {
 		ids = append(ids, postJob(t, ts, engine.JobSpec{In: corpusScheme + digest, Device: dev, OutFormat: "bin"}))
 	}
-	uploadCorpus(t, ts, webmailCSV(t, 3100, false), "csv")
+	uploadCorpus(t, ts, webmailCSV(t, 3100), "csv")
 	for i, id := range ids {
 		j := waitDone(t, ts, id)
 		mk, err := engine.DeviceFactory(devs[i])

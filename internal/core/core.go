@@ -25,11 +25,6 @@ type Options struct {
 	// SkipPostProcess disables the asynchronous-mode restoration pass;
 	// this is exactly the paper's Dynamic baseline.
 	SkipPostProcess bool
-	// ForceInference runs the model fit even when the trace records
-	// per-request latencies (Tsdev-known corpora). By default recorded
-	// latencies are used directly, the paper's "skip the Tsdev
-	// inference phase" path.
-	ForceInference bool
 }
 
 // Report carries the reconstruction diagnostics the experiments print.
@@ -88,9 +83,6 @@ func Reconstruct(old *trace.Trace, target device.Device, opts Options) (*trace.T
 		return nil, nil, err
 	}
 	rep.Model = m
-	// The effective-TsdevKnown flag (not the trace's own) selects
-	// recorded latencies, which is how ForceInference hides them from
-	// decomposition without copying the trace.
 	rep.Idle, rep.Async = infer.DecomposeShard(rep.Model, old.Requests, infer.ShardContext{
 		TsdevKnown: useRecorded,
 		Seq:        old.SeqFlags(),
@@ -109,12 +101,13 @@ func Reconstruct(old *trace.Trace, target device.Device, opts Options) (*trace.T
 
 // PrepareModel makes the pipeline's model decision in one place, for
 // the sequential path above and the parallel engine alike: it reports
-// whether recorded latencies drive the decomposition (Tsdev-known and
-// not ForceInference) and fits the Section III model otherwise. The
-// model is nil on the recorded path, mirroring the paper's "skip the
-// Tsdev inference phase".
-func PrepareModel(old *trace.Trace, opts Options) (m *infer.Model, useRecorded bool, err error) {
-	if old.TsdevKnown && !opts.ForceInference {
+// whether recorded latencies drive the decomposition (the trace is
+// Tsdev-known) and fits the Section III model otherwise. The model is
+// nil on the recorded path, mirroring the paper's "skip the Tsdev
+// inference phase". No option changes the decision: to fit a trace
+// that records its latencies, clear its TsdevKnown flag.
+func PrepareModel(old *trace.Trace, _ Options) (m *infer.Model, useRecorded bool, err error) {
+	if old.TsdevKnown {
 		return nil, true, nil
 	}
 	m, err = infer.Estimate(old, infer.EstimateOptions{})

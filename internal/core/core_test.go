@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -80,15 +81,29 @@ func TestReconstructEndToEndTsdevKnown(t *testing.T) {
 	}
 }
 
-func TestReconstructForceInference(t *testing.T) {
+// TestReconstructFlagClearedFits: a trace that records its latencies
+// but has its TsdevKnown flag cleared takes the inference path — the
+// flag alone decides, and the recorded latencies are never read.
+func TestReconstructFlagClearedFits(t *testing.T) {
 	old, _ := oldTrace(t, "CFS", 4000, true)
+	old.TsdevKnown = false
 	target := device.NewArray(device.DefaultArrayConfig())
-	_, rep, err := Reconstruct(old, target, Options{ForceInference: true})
+	got, rep, err := Reconstruct(old, target, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Model == nil {
-		t.Fatal("ForceInference must fit a model even on Tsdev-known traces")
+		t.Fatal("a trace with its TsdevKnown flag cleared must fit a model")
+	}
+	for i := range old.Requests {
+		old.Requests[i].Latency = 0
+	}
+	zeroed, _, err := Reconstruct(old, device.NewArray(device.DefaultArrayConfig()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Requests, zeroed.Requests) {
+		t.Fatal("the inference path read the recorded latencies")
 	}
 }
 

@@ -70,10 +70,11 @@ func (s JobSpec) Fingerprint() string {
 	if n.OutFormat != "fio" {
 		n.FIODevice = ""
 	}
-	if n.Method != "fixed-th" {
+	meth, _ := methodFor(n.Method)
+	if meth.knob != "threshold_us" {
 		n.ThresholdUS = 0
 	}
-	if n.Method != "acceleration" {
+	if meth.knob != "factor" {
 		n.Factor = 0
 	}
 	b, err := json.Marshal(n)
@@ -116,9 +117,9 @@ type cacheNote struct {
 // the output came from the cache and no reconstruction ran.
 //
 // The engine Config deliberately does not enter the key: its fields
-// either shape scheduling (Workers, shard cuts — byte-identical by
-// the engine's core invariant) or must be held fixed per cache by the
-// caller (Core options).
+// shape scheduling (Workers, shard cuts — byte-identical by the
+// engine's core invariant) or instrumentation, never the output, so
+// the key covers everything that does.
 func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCache) (*JobResult, bool, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
@@ -175,16 +176,13 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 
 // fitsAsStored reports whether the model the job would fit for itself
 // is the one a cache stores with the input — the fit of the blob in file
-// order: a method that fits at all, and no reorder window between the
-// file and the classifier. (That the input needs a model is the store's
-// side of the rule: it keeps one for Tsdev-unknown blobs only.) Every
-// other job fits per job.
+// order: a method that reads the input's own model, and no reorder
+// window between the file and the classifier. (That the input needs a
+// model is the store's side of the rule: it keeps one for Tsdev-unknown
+// blobs only.) Every other job fits per job.
 func fitsAsStored(spec JobSpec) bool {
-	switch spec.Method {
-	case "tracetracker", "dynamic":
-		return spec.ReorderWindow <= 1
-	}
-	return false
+	meth, _ := methodFor(spec.Method)
+	return meth.ownModel && spec.ReorderWindow <= 1
 }
 
 func boolAttr(b bool) int64 {

@@ -145,7 +145,7 @@ func TestRunJobCached(t *testing.T) {
 	f.Close()
 
 	cache := newMemCache(t)
-	cfg := testConfig(2, core.Options{})
+	cfg := testConfig(2)
 	spec := JobSpec{In: inPath}
 
 	res1, hit1, err := RunJobCached(cfg, spec, "digest-a", cache)
@@ -251,7 +251,7 @@ func TestRunJobCachedStreaming(t *testing.T) {
 	cache := newMemCache(t)
 	outPath := filepath.Join(dir, "out.csv")
 	spec := JobSpec{In: inPath, Out: outPath}
-	res, hit, err := RunJobCached(testConfig(2, core.Options{}), spec, "digest-s", cache)
+	res, hit, err := RunJobCached(testConfig(2), spec, "digest-s", cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestRunJobCachedStreaming(t *testing.T) {
 	// An equivalent spec without the output path hits that result: the
 	// fingerprint folds paths away.
 	plain := JobSpec{In: inPath}
-	_, hitPlain, err := RunJobCached(testConfig(2, core.Options{}), plain, "digest-s", cache)
+	_, hitPlain, err := RunJobCached(testConfig(2), plain, "digest-s", cache)
 	if err != nil {
 		t.Fatal(err)
 	}

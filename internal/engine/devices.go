@@ -9,6 +9,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/apicode"
@@ -284,8 +285,14 @@ func (s *FTLSpec) validate() *ValidationError {
 	if s.OverprovisionPct < 0 || s.OverprovisionPct > 0.5 {
 		return bad("overprovision_pct", "overprovision_pct must be in [0, 0.5]")
 	}
-	if s.ReadLatencyUS < 0 || s.ProgramLatencyUS < 0 || s.EraseLatencyUS < 0 {
-		return bad("read_latency_us", "latencies must be non-negative")
+	if !durationUS(s.ReadLatencyUS) {
+		return bad("read_latency_us", "read_latency_us"+durationUSRule)
+	}
+	if !durationUS(s.ProgramLatencyUS) {
+		return bad("program_latency_us", "program_latency_us"+durationUSRule)
+	}
+	if !durationUS(s.EraseLatencyUS) {
+		return bad("erase_latency_us", "erase_latency_us"+durationUSRule)
 	}
 	if s.GCTriggerFreeBlocks < 0 || cfg.GCTriggerFreeBlocks >= cfg.Blocks {
 		return bad("gc_trigger_free_blocks", "gc_trigger_free_blocks must be in [0, blocks)")
@@ -406,11 +413,23 @@ func (s *HostSpec) validate() *ValidationError {
 	if s.ReadAheadPages < -1 || s.ReadAheadPages > 1024 {
 		return bad("readahead_pages", "readahead_pages must be in [-1, 1024]")
 	}
-	if s.SyscallOverheadUS < 0 {
-		return bad("syscall_overhead_us", "syscall_overhead_us must be non-negative")
+	if !durationUS(s.SyscallOverheadUS) {
+		return bad("syscall_overhead_us", "syscall_overhead_us"+durationUSRule)
 	}
-	if s.HitLatencyUS < 0 {
-		return bad("hit_latency_us", "hit_latency_us must be non-negative")
+	if !durationUS(s.HitLatencyUS) {
+		return bad("hit_latency_us", "hit_latency_us"+durationUSRule)
 	}
 	return nil
+}
+
+// durationUSRule completes the message of a microsecond knob
+// durationUS rejects.
+const durationUSRule = " must be a number of microseconds, at least 0, that fits a duration"
+
+// durationUS reports whether a microsecond knob converts to a
+// non-negative time.Duration: not NaN, at least 0, and small enough that
+// its nanoseconds fit an int64. threshold_us and every *_us knob of a
+// device config share the rule.
+func durationUS(us float64) bool {
+	return us >= 0 && us*float64(time.Microsecond) < math.MaxInt64
 }

@@ -84,26 +84,24 @@
 // fitted the input when it ingested it (ResultCache.FittedModel — the
 // fit of those bytes in file order) hands RunJobCached the model, and a
 // job whose own fit would be exactly that (fitsAsStored) skips the pass
-// and its second decode of the input. Every other job — no cache, a reorder window, forced
-// inference on a Tsdev-known input — fits for itself.
+// and its second decode of the input. Every other job — no cache, a
+// reorder window — fits for itself.
 //
 // # Methods
 //
-// The five methods of the paper's evaluation (JobSpec.Method) are this
-// one graph. infer.DecomposeShardInto computes idle = max(0, gap − Tslat)
-// and async = gap < Tsdev, so the four that replay on a device differ
-// only in where Tslat comes from and whether post-processing runs:
-//
-//	method        idle rule                                post-process
-//	tracetracker  gap − Tslat (fitted model or recorded)   yes
-//	dynamic       the same                                 no
-//	fixed-th      gap − threshold (a constant model)       no
-//	revision      none (that constant, beyond any gap)     no
-//
-// The constant model is all channel delay — Tslat is the threshold for
-// every request, Tsdev zero, so nothing is ever asynchronous — and
-// needs no fit pass. acceleration has no device pass and runs no graph:
-// the job's decoder feeds a record loop (gap ÷ factor) into its encoder.
+// The five methods of the paper's evaluation (JobSpec.Method) are one
+// table, methods in job.go, and the four that replay on a device are
+// this one graph. infer.DecomposeShardInto computes
+// idle = max(0, gap − Tslat) and async = gap < Tsdev, so those four
+// differ only in where Tslat comes from — the input's own model
+// (tracetracker, dynamic) or a constant one (fixed-th, revision) — and
+// whether post-processing runs. The constant model is all channel delay:
+// Tslat is the threshold for every request, Tsdev zero, so nothing is
+// ever asynchronous, and it needs no fit pass. acceleration has no
+// device pass and runs no graph: the job's decoder feeds a record loop
+// (gap ÷ factor) into its encoder. Validation, dispatch, the result
+// cache's fingerprint and stored-model rule, and the CLI's help all
+// read the table.
 //
 // # Shard boundaries
 //
@@ -144,8 +142,6 @@ type Config struct {
 	// MaxShardRequests force-cuts a shard regardless of gaps (default
 	// 65536), bounding streaming memory.
 	MaxShardRequests int
-	// Core configures the reconstruction pipeline itself.
-	Core core.Options
 	// Device builds a fresh target device (default: the paper's 4-SSD
 	// flash array). A run calls it once, plus once per worker when the
 	// device is shard-safe.
@@ -219,8 +215,9 @@ type Report struct {
 	DeviceStats []device.Stat
 }
 
-// Reconstruct runs a materialised trace through ReconstructStream: the
-// output equals core.Reconstruct(old, target, cfg.Core) byte for byte,
+// Reconstruct runs a materialised trace through ReconstructStream — the
+// tracetracker row of the method table: the output equals
+// core.Reconstruct(old, target, core.Options{}) byte for byte,
 // computed on cfg.Workers goroutines. The report carries the model,
 // the epoch count, the idle/async aggregates and the device stats;
 // Idle and Async stay nil, because per-instruction data is
@@ -228,7 +225,7 @@ type Report struct {
 // meet the planner's rules, as every job's does: at least one request,
 // arrivals non-decreasing, no zero-size request.
 func (e *Engine) Reconstruct(old *trace.Trace) (*trace.Trace, *core.Report, error) {
-	m, _, err := core.PrepareModel(old, e.cfg.Core)
+	m, _, err := core.PrepareModel(old, core.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

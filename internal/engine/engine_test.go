@@ -66,14 +66,49 @@ func decoderOf(t testing.TB, format string, data []byte) trace.Decoder {
 
 // testConfig forces small shards so even unit-test traces split into
 // many epochs.
-func testConfig(workers int, opts core.Options) Config {
+func testConfig(workers int) Config {
 	return Config{
 		Workers:          workers,
 		MinIdleGap:       500 * time.Microsecond,
 		MinShardRequests: 64,
 		MaxShardRequests: 512,
-		Core:             opts,
 	}
+}
+
+// dynamicJobIdentity is the Dynamic leg of the identity tests: old runs
+// as a dynamic job — RunJobTo from and to a bin rendering, on spec's
+// target — at 1, 4 and 8 workers, and the bytes, aggregates, model and
+// device stats must equal core.Reconstruct without post-processing on
+// the same target. It returns the sequential run's device stats.
+func dynamicJobIdentity(t *testing.T, label string, old *trace.Trace, spec JobSpec) []device.Stat {
+	t.Helper()
+	spec = spec.Normalized()
+	mk, err := deviceFactoryFor(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTrace, wantRep, err := core.Reconstruct(old, mk(), core.Options{SkipPostProcess: true})
+	if err != nil {
+		t.Fatalf("%s: sequential: %v", label, err)
+	}
+	want := encodeBin(t, wantTrace)
+	spec.In, spec.InFormat, spec.OutFormat, spec.Method = writeBinInput(t, t.TempDir(), old), "bin", "bin", "dynamic"
+	for _, workers := range []int{1, 4, 8} {
+		var got bytes.Buffer
+		rep, err := RunJobTo(testConfig(workers), spec, &got)
+		if err != nil {
+			t.Fatalf("%s w=%d: dynamic job: %v", label, workers, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s w=%d: dynamic job output not byte-identical to the sequential pipeline", label, workers)
+		}
+		if rep.Shards < 2 || rep.IdleCount != wantRep.IdleCount || rep.IdleTotal != wantRep.IdleTotal ||
+			rep.AsyncCount != wantRep.AsyncCount || !reflect.DeepEqual(rep.Model, wantRep.Model) ||
+			!reflect.DeepEqual(rep.DeviceStats, wantRep.DeviceStats) {
+			t.Fatalf("%s w=%d: dynamic job report %+v diverges from the sequential pipeline's %+v", label, workers, rep, wantRep)
+		}
+	}
+	return wantRep.DeviceStats
 }
 
 // metricOf scrapes reg and returns the value of the series name{labels},
@@ -103,11 +138,10 @@ func modelFits(t *testing.T, reg *obs.Registry) (job, stored float64) {
 }
 
 // adversary is one generated input aimed at an edge of the scheduler,
-// with the options and config shape that reach it.
+// with the config shape that reaches it.
 type adversary struct {
 	name  string
 	old   *trace.Trace
-	opts  core.Options
 	shape func(*Config)
 }
 
@@ -137,7 +171,6 @@ func adversaries(t *testing.T) []adversary {
 		{name: "one-request-epochs", old: genOld(t, "MSNFS", 300, true),
 			shape: func(c *Config) { c.MinShardRequests, c.MaxShardRequests = 1, 1 }},
 		{name: "single-request", old: synthTrace("single", 1, 0)},
-		{name: "skip-post", old: genOld(t, "Exchange", 1500, true), opts: core.Options{SkipPostProcess: true}},
 	}
 }
 
@@ -155,7 +188,7 @@ func adversaryIdentity(t *testing.T, device string, mk func() device.Device) {
 	}
 	for _, adv := range adversaries(t) {
 		label := device + "/" + adv.name
-		wantTrace, wantRep, err := core.Reconstruct(adv.old, mk(), adv.opts)
+		wantTrace, wantRep, err := core.Reconstruct(adv.old, mk(), core.Options{})
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", label, err)
 		}
@@ -170,7 +203,7 @@ func adversaryIdentity(t *testing.T, device string, mk func() device.Device) {
 		}
 		input := traceBytes(t, adv.old)
 		for _, workers := range []int{1, 4, 8} {
-			cfg := testConfig(workers, adv.opts)
+			cfg := testConfig(workers)
 			cfg.Device = mk
 			if adv.shape != nil {
 				adv.shape(&cfg)
@@ -209,7 +242,8 @@ func adversaryIdentity(t *testing.T, device string, mk func() device.Device) {
 // TestParallelByteIdentical is the engine's central guarantee: for
 // N=1,4,8 workers the parallel reconstruction is byte-identical to the
 // sequential core pipeline, across workload families, both latency
-// paths, and both post-processing settings — and, on every shard-safe
+// paths, and both post-processing settings (tracetracker through
+// Engine.Reconstruct, dynamic as a job) — and, on every shard-safe
 // registry device, across the generated adversaries.
 func TestParallelByteIdentical(t *testing.T) {
 	for _, name := range []string{"array", "ssd"} {
@@ -225,56 +259,57 @@ func TestParallelByteIdentical(t *testing.T) {
 	families := []string{"ikki", "MSNFS", "Exchange"}
 	for _, family := range families {
 		for _, tsdev := range []bool{true, false} {
-			for _, skipPost := range []bool{false, true} {
-				opts := core.Options{SkipPostProcess: skipPost}
-				old := genOld(t, family, 3000, tsdev)
-				wantTrace, wantRep, err := core.Reconstruct(old, device.NewArray(device.DefaultArrayConfig()), opts)
+			old := genOld(t, family, 3000, tsdev)
+			wantTrace, wantRep, err := core.Reconstruct(old, device.NewArray(device.DefaultArrayConfig()), core.Options{})
+			if err != nil {
+				t.Fatalf("%s tsdev=%v: sequential: %v", family, tsdev, err)
+			}
+			want := traceBytes(t, wantTrace)
+			for _, workers := range []int{1, 4, 8} {
+				e := New(testConfig(workers))
+				gotTrace, gotRep, err := e.Reconstruct(old)
 				if err != nil {
-					t.Fatalf("%s tsdev=%v: sequential: %v", family, tsdev, err)
+					t.Fatalf("%s tsdev=%v w=%d: engine: %v", family, tsdev, workers, err)
 				}
-				want := traceBytes(t, wantTrace)
-				for _, workers := range []int{1, 4, 8} {
-					e := New(testConfig(workers, opts))
-					gotTrace, gotRep, err := e.Reconstruct(old)
-					if err != nil {
-						t.Fatalf("%s tsdev=%v w=%d: engine: %v", family, tsdev, workers, err)
-					}
-					if got := traceBytes(t, gotTrace); !bytes.Equal(got, want) {
-						t.Fatalf("%s tsdev=%v skipPost=%v w=%d: output not byte-identical to sequential pipeline",
-							family, tsdev, skipPost, workers)
-					}
-					if gotRep.IdleCount != wantRep.IdleCount || gotRep.IdleTotal != wantRep.IdleTotal ||
-						gotRep.AsyncCount != wantRep.AsyncCount {
-						t.Fatalf("%s tsdev=%v w=%d: report aggregates diverge: got %d/%v/%d want %d/%v/%d",
-							family, tsdev, workers,
-							gotRep.IdleCount, gotRep.IdleTotal, gotRep.AsyncCount,
-							wantRep.IdleCount, wantRep.IdleTotal, wantRep.AsyncCount)
-					}
-					if !reflect.DeepEqual(gotRep.Model, wantRep.Model) {
-						t.Fatalf("%s tsdev=%v w=%d: model diverges", family, tsdev, workers)
-					}
+				if got := traceBytes(t, gotTrace); !bytes.Equal(got, want) {
+					t.Fatalf("%s tsdev=%v w=%d: output not byte-identical to sequential pipeline", family, tsdev, workers)
+				}
+				if gotRep.IdleCount != wantRep.IdleCount || gotRep.IdleTotal != wantRep.IdleTotal ||
+					gotRep.AsyncCount != wantRep.AsyncCount {
+					t.Fatalf("%s tsdev=%v w=%d: report aggregates diverge: got %d/%v/%d want %d/%v/%d",
+						family, tsdev, workers,
+						gotRep.IdleCount, gotRep.IdleTotal, gotRep.AsyncCount,
+						wantRep.IdleCount, wantRep.IdleTotal, wantRep.AsyncCount)
+				}
+				if !reflect.DeepEqual(gotRep.Model, wantRep.Model) {
+					t.Fatalf("%s tsdev=%v w=%d: model diverges", family, tsdev, workers)
 				}
 			}
+			dynamicJobIdentity(t, fmt.Sprintf("%s tsdev=%v", family, tsdev), old, JobSpec{})
 		}
 	}
 }
 
-// TestForceInferenceParity checks the ForceInference path (recorded
-// latencies hidden from decomposition) matches sequentially.
-func TestForceInferenceParity(t *testing.T) {
-	opts := core.Options{ForceInference: true}
+// TestFlagClearedParity: a trace that records its latencies but has its
+// TsdevKnown flag cleared takes the inference path in the engine exactly
+// as in the sequential pipeline — the recorded latencies stay out of the
+// decomposition.
+func TestFlagClearedParity(t *testing.T) {
 	old := genOld(t, "ikki", 2000, true)
-	wantTrace, _, err := core.Reconstruct(old, device.NewArray(device.DefaultArrayConfig()), opts)
+	old.TsdevKnown = false
+	wantTrace, wantRep, err := core.Reconstruct(old, device.NewArray(device.DefaultArrayConfig()), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(testConfig(4, opts))
-	gotTrace, _, err := e.Reconstruct(old)
+	gotTrace, gotRep, err := New(testConfig(4)).Reconstruct(old)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(traceBytes(t, gotTrace), traceBytes(t, wantTrace)) {
-		t.Fatal("ForceInference engine output diverges from sequential")
+		t.Fatal("engine output on a flag-cleared trace diverges from sequential")
+	}
+	if gotRep.Model == nil || !reflect.DeepEqual(gotRep.Model, wantRep.Model) {
+		t.Fatalf("model %+v, want the sequential fit %+v", gotRep.Model, wantRep.Model)
 	}
 }
 
@@ -308,7 +343,7 @@ func TestNonShardSafeFallback(t *testing.T) {
 		"blktrace": func(w io.Writer) trace.Encoder { return trace.NewBlktraceEncoder(w) },
 	}
 	for _, workers := range []int{1, 4, 8} {
-		cfg := testConfig(workers, core.Options{})
+		cfg := testConfig(workers)
 		cfg.Device = mk
 		e := New(cfg)
 		got, rep, err := e.Reconstruct(old)
@@ -392,7 +427,7 @@ func TestShardSafeRenderByteIdentical(t *testing.T) {
 		for _, format := range []string{"csv", "bin", "blktrace", "fio"} {
 			want := encode(format, wantTrace)
 			for _, workers := range []int{1, 2, 4, 8} {
-				cfg := testConfig(workers, core.Options{})
+				cfg := testConfig(workers)
 				cfg.MinShardRequests, cfg.MaxShardRequests = 16, 96
 				e := New(cfg)
 
@@ -435,7 +470,7 @@ func TestShardSafeRenderByteIdentical(t *testing.T) {
 // equals the whole-trace fit Engine.Reconstruct and core use.
 func TestFitModelMatchesEstimate(t *testing.T) {
 	old := genOld(t, "ikki", 3000, false)
-	_, rep, err := New(testConfig(2, core.Options{})).Reconstruct(old)
+	_, rep, err := New(testConfig(2)).Reconstruct(old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +493,7 @@ func TestFitModelMatchesEstimate(t *testing.T) {
 // TestStreamErrors checks the planner's validation and the model
 // requirement surface as errors.
 func TestStreamErrors(t *testing.T) {
-	e := New(testConfig(2, core.Options{}))
+	e := New(testConfig(2))
 	// Unsorted input.
 	unsorted := "# tracetracker name=x workload=w set=S tsdev_known=true\n" +
 		"10.000,0,100,8,R,5.000,0\n" +
@@ -521,7 +556,7 @@ func TestStreamEmitErrorAborts(t *testing.T) {
 	if err := trace.WriteBinary(&input, old); err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(4, core.Options{})
+	cfg := testConfig(4)
 	reg := obs.NewRegistry()
 	cfg.Metrics = obs.NewEngineMetrics(reg)
 	e := New(cfg)
@@ -551,7 +586,7 @@ func TestStreamEmitErrorAborts(t *testing.T) {
 // rejects it (a broken corpus must not record as a successful
 // reconstruction), streamed or handed to Engine.Reconstruct.
 func TestEmptyStream(t *testing.T) {
-	e := New(testConfig(2, core.Options{}))
+	e := New(testConfig(2))
 	var out bytes.Buffer
 	_, err := e.ReconstructStream(decoderOf(t, "csv", nil), trace.NewCSVEncoder(&out), nil)
 	if !errors.Is(err, trace.ErrNoRequest) {
@@ -618,7 +653,7 @@ func planBatches(cfg Config, reqs []trace.Request, sizes []int) ([]shard, error)
 // the same index wherever it falls, at a batch boundary or inside one.
 func TestPlanSliceCoverage(t *testing.T) {
 	old := genOld(t, "ikki", 2000, true)
-	cfg := testConfig(4, core.Options{}).withDefaults()
+	cfg := testConfig(4).withDefaults()
 	cfg.MaxShardRequests = 65 // just over MinShardRequests: both cut kinds fire
 	splits := planSplits(old.Len())
 	want, err := planBatches(cfg, old.Requests, splits["size-1"])
@@ -746,11 +781,11 @@ func BenchmarkPlanAddBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/req")
 }
 
-// TestReconstructPathParallelDecode locks the fused ingest: when the
-// input file is big enough for the segmented parallel decoder to
-// engage, ReconstructPath's output stays byte-identical to the
-// single-worker (sequential-decode) run, for a headered CSV input and
-// a counted binary input.
+// TestReconstructPathParallelDecode locks the fused ingest of a job's
+// input path: when the input file is big enough for the segmented
+// parallel decoder to engage, RunJobTo's output stays byte-identical to
+// the single-worker (sequential-decode) run, for a headered CSV input
+// and a counted binary input.
 func TestReconstructPathParallelDecode(t *testing.T) {
 	old := genOld(t, "MSNFS", 40_000, true)
 	dir := t.TempDir()
@@ -777,8 +812,7 @@ func TestReconstructPathParallelDecode(t *testing.T) {
 	} {
 		run := func(workers int) []byte {
 			var out bytes.Buffer
-			e := New(testConfig(workers, core.Options{}))
-			rep, err := e.ReconstructPath(tc.path, tc.format, 0, trace.NewCSVEncoder(&out), nil)
+			rep, err := RunJobTo(testConfig(workers), JobSpec{In: tc.path, InFormat: tc.format}, &out)
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", tc.format, workers, err)
 			}

@@ -114,6 +114,8 @@ type run struct {
 	cfg         Config
 	m           *infer.Model
 	useRecorded bool
+	// post: the method's post-processing runs.
+	post bool
 	// enc receives the reconstructed trace, headed by meta.
 	enc  trace.Encoder
 	meta trace.Meta
@@ -400,7 +402,7 @@ func (r *run) decompose(ep *epoch) {
 // when post-processing is off, so no reduction accumulates and no record
 // is flagged.
 func (r *run) postAsync(ep *epoch) []bool {
-	if r.cfg.Core.SkipPostProcess {
+	if !r.post {
 		return nil
 	}
 	return ep.async

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,20 +14,14 @@ import (
 	"repro/internal/apicode"
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/ftl"
 	"repro/internal/hoststack"
 	"repro/internal/trace"
 )
 
-// testFTLConfig is a deliberately small geometry so corpus-scale test
+// testFTLSpec is a deliberately small geometry so corpus-scale test
 // traces lap the device and force both foreground and background GC —
 // state the one device pass must carry across epoch boundaries.
-func testFTLConfig() ftl.Config {
-	cfg := device.DefaultFTLDeviceConfig()
-	cfg.Blocks = 64
-	cfg.PagesPerBlock = 32
-	return cfg
-}
+var testFTLSpec = &FTLSpec{Blocks: 64, PagesPerBlock: 32}
 
 // testHostConfig is a small cache over a write-caching HDD: evictions,
 // dirty-threshold flushes and inner destage debt all cross epoch
@@ -45,13 +40,14 @@ func testHostConfig() (hoststack.Config, device.HDDConfig) {
 
 // statefulTargets returns the two deep-state pipelined targets under
 // test, with fixture assertions proving the workload actually
-// exercised their state machines.
+// exercised their state machines. spec is the nearest a job can name:
+// the same FTL, and the small cache over the registry's plain HDD.
 func statefulTargets(t *testing.T) map[string]struct {
 	mk    func() device.Device
+	spec  JobSpec
 	prove func(name string, stats []device.Stat)
 } {
 	t.Helper()
-	ftlCfg := testFTLConfig()
 	hostCfg, hddCfg := testHostConfig()
 	find := func(name string, stats []device.Stat, key string) float64 {
 		for _, s := range stats {
@@ -64,10 +60,12 @@ func statefulTargets(t *testing.T) map[string]struct {
 	}
 	return map[string]struct {
 		mk    func() device.Device
+		spec  JobSpec
 		prove func(name string, stats []device.Stat)
 	}{
 		"ftl": {
-			mk: func() device.Device { return device.NewFTLDevice(ftlCfg) },
+			mk:   func() device.Device { return device.NewFTLDevice(testFTLSpec.ftlConfig()) },
+			spec: JobSpec{Device: "ftl", FTLConfig: testFTLSpec},
 			prove: func(name string, stats []device.Stat) {
 				if find(name, stats, "host_writes") == 0 || find(name, stats, "erases") == 0 {
 					t.Fatalf("%s: fixture created no GC pressure: %+v", name, stats)
@@ -76,6 +74,8 @@ func statefulTargets(t *testing.T) map[string]struct {
 		},
 		"host": {
 			mk: func() device.Device { return hoststack.New(hostCfg, device.NewHDD(hddCfg)) },
+			spec: JobSpec{Device: "host", HostConfig: &HostSpec{
+				CachePages: hostCfg.CachePages, PageKB: hostCfg.PageKB, FlushBatch: hostCfg.FlushBatch}},
 			prove: func(name string, stats []device.Stat) {
 				if find(name, stats, "cache_misses") == 0 || find(name, stats, "flushed_pages") == 0 {
 					t.Fatalf("%s: fixture created no cache/writeback pressure: %+v", name, stats)
@@ -88,49 +88,49 @@ func statefulTargets(t *testing.T) map[string]struct {
 // pipelinedByteIdentical locks the epoch-pipelined path for one
 // stateful target: for workers 1, 4 and 8 the reconstruction — records,
 // report aggregates and device stats — is byte-identical to the
-// sequential core pipeline, on workload families and on the generated
-// adversaries.
+// sequential core pipeline, on workload families (tracetracker through
+// Engine.Reconstruct, dynamic as a job on the target's spec) and on the
+// generated adversaries.
 func pipelinedByteIdentical(t *testing.T, target string) {
 	tc := statefulTargets(t)[target]
 	adversaryIdentity(t, target, tc.mk)
 	for _, family := range []string{"ikki", "MSNFS"} {
 		for _, tsdev := range []bool{true, false} {
-			for _, skipPost := range []bool{false, true} {
-				opts := core.Options{SkipPostProcess: skipPost}
-				old := genOld(t, family, 3000, tsdev)
-				wantTrace, wantRep, err := core.Reconstruct(old, tc.mk(), opts)
+			old := genOld(t, family, 3000, tsdev)
+			wantTrace, wantRep, err := core.Reconstruct(old, tc.mk(), core.Options{})
+			if err != nil {
+				t.Fatalf("%s tsdev=%v: sequential: %v", family, tsdev, err)
+			}
+			tc.prove(target+"/"+family, wantRep.DeviceStats)
+			want := traceBytes(t, wantTrace)
+			for _, workers := range []int{1, 4, 8} {
+				cfg := testConfig(workers)
+				cfg.Device = tc.mk
+				gotTrace, gotRep, err := New(cfg).Reconstruct(old)
 				if err != nil {
-					t.Fatalf("%s tsdev=%v: sequential: %v", family, tsdev, err)
+					t.Fatalf("%s tsdev=%v w=%d: pipelined: %v", family, tsdev, workers, err)
 				}
-				tc.prove(target+"/"+family, wantRep.DeviceStats)
-				want := traceBytes(t, wantTrace)
-				for _, workers := range []int{1, 4, 8} {
-					cfg := testConfig(workers, opts)
-					cfg.Device = tc.mk
-					gotTrace, gotRep, err := New(cfg).Reconstruct(old)
-					if err != nil {
-						t.Fatalf("%s tsdev=%v w=%d: pipelined: %v", family, tsdev, workers, err)
-					}
-					if got := traceBytes(t, gotTrace); !bytes.Equal(got, want) {
-						t.Fatalf("%s tsdev=%v skipPost=%v w=%d: pipelined %s output not byte-identical to the serial path",
-							family, tsdev, skipPost, workers, target)
-					}
-					if gotRep.Shards < 2 {
-						t.Fatalf("%s w=%d: expected multiple epochs, got %d", family, workers, gotRep.Shards)
-					}
-					if gotRep.IdleCount != wantRep.IdleCount || gotRep.IdleTotal != wantRep.IdleTotal ||
-						gotRep.AsyncCount != wantRep.AsyncCount {
-						t.Fatalf("%s tsdev=%v w=%d: report aggregates diverge", family, tsdev, workers)
-					}
-					if !reflect.DeepEqual(gotRep.Model, wantRep.Model) {
-						t.Fatalf("%s tsdev=%v w=%d: model diverges", family, tsdev, workers)
-					}
-					if !reflect.DeepEqual(gotRep.DeviceStats, wantRep.DeviceStats) {
-						t.Fatalf("%s tsdev=%v w=%d: device stats diverge:\n got %+v\nwant %+v",
-							family, tsdev, workers, gotRep.DeviceStats, wantRep.DeviceStats)
-					}
+				if got := traceBytes(t, gotTrace); !bytes.Equal(got, want) {
+					t.Fatalf("%s tsdev=%v w=%d: pipelined %s output not byte-identical to the serial path",
+						family, tsdev, workers, target)
+				}
+				if gotRep.Shards < 2 {
+					t.Fatalf("%s w=%d: expected multiple epochs, got %d", family, workers, gotRep.Shards)
+				}
+				if gotRep.IdleCount != wantRep.IdleCount || gotRep.IdleTotal != wantRep.IdleTotal ||
+					gotRep.AsyncCount != wantRep.AsyncCount {
+					t.Fatalf("%s tsdev=%v w=%d: report aggregates diverge", family, tsdev, workers)
+				}
+				if !reflect.DeepEqual(gotRep.Model, wantRep.Model) {
+					t.Fatalf("%s tsdev=%v w=%d: model diverges", family, tsdev, workers)
+				}
+				if !reflect.DeepEqual(gotRep.DeviceStats, wantRep.DeviceStats) {
+					t.Fatalf("%s tsdev=%v w=%d: device stats diverge:\n got %+v\nwant %+v",
+						family, tsdev, workers, gotRep.DeviceStats, wantRep.DeviceStats)
 				}
 			}
+			label := fmt.Sprintf("%s/%s tsdev=%v", target, family, tsdev)
+			tc.prove(label, dynamicJobIdentity(t, label, old, tc.spec))
 		}
 	}
 }
@@ -165,7 +165,7 @@ func TestHostOutputGolden(t *testing.T) {
 	} {
 		var out bytes.Buffer
 		spec := JobSpec{In: in, InFormat: "bin", OutFormat: "bin", Device: "host", HostConfig: tc.spec}
-		if _, err := RunJobTo(testConfig(2, core.Options{}), spec, &out); err != nil {
+		if _, err := RunJobTo(testConfig(2), spec, &out); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		sum := sha256.Sum256(out.Bytes())
@@ -194,7 +194,7 @@ func TestPipelinedFTLHostStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4, 8} {
-			cfg := testConfig(workers, core.Options{})
+			cfg := testConfig(workers)
 			cfg.Device = tc.mk
 			var got bytes.Buffer
 			rep, err := New(cfg).ReconstructStream(
@@ -242,6 +242,14 @@ func TestJobSpecDeviceConfigs(t *testing.T) {
 		{"bad host highwater", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{DirtyHighWater: 1.5}}, "host_config.dirty_high_water", apicode.BadDeviceConfig},
 		{"bad host syscall overhead", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{SyscallOverheadUS: -1}}, "host_config.syscall_overhead_us", apicode.BadDeviceConfig},
 		{"bad host hit latency", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{HitLatencyUS: -1}}, "host_config.hit_latency_us", apicode.BadDeviceConfig},
+		// Every *_us knob converts to a time.Duration, and reports on its
+		// own field: beyond an int64 of nanoseconds it would wrap negative.
+		{"ftl read latency beyond a duration", JobSpec{In: "x", Device: "ftl", FTLConfig: &FTLSpec{ReadLatencyUS: 1e300}}, "ftl_config.read_latency_us", apicode.BadDeviceConfig},
+		{"negative ftl program latency", JobSpec{In: "x", Device: "ftl", FTLConfig: &FTLSpec{ProgramLatencyUS: -1}}, "ftl_config.program_latency_us", apicode.BadDeviceConfig},
+		{"negative ftl erase latency", JobSpec{In: "x", Device: "ftl", FTLConfig: &FTLSpec{EraseLatencyUS: -1}}, "ftl_config.erase_latency_us", apicode.BadDeviceConfig},
+		{"NaN ftl erase latency", JobSpec{In: "x", Device: "ftl", FTLConfig: &FTLSpec{EraseLatencyUS: math.NaN()}}, "ftl_config.erase_latency_us", apicode.BadDeviceConfig},
+		{"host hit latency beyond a duration", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{HitLatencyUS: 1e300}}, "host_config.hit_latency_us", apicode.BadDeviceConfig},
+		{"host syscall overhead beyond a duration", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{SyscallOverheadUS: 1e16}}, "host_config.syscall_overhead_us", apicode.BadDeviceConfig},
 		{"unknown device", JobSpec{In: "x", Device: "floppy"}, "device", apicode.UnknownDevice},
 		// The baseline knobs: finite and above zero, whatever the method
 		// (JSON cannot carry NaN or Inf; the CLI's -factor flag can).

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -31,50 +32,52 @@ func hddConfigs() map[string]device.HDDConfig {
 // TestPipelinedHDDByteIdentical is the acceptance lock of the
 // epoch-pipelined path: for workers 1, 4 and 8 the HDD reconstruction
 // is byte-identical to the sequential core pipeline (the pre-pipeline
-// serial fallback), across workload families, both latency paths, both
-// post-processing settings, and both cache configurations, plus the
-// generated adversaries.
+// serial fallback), across workload families, both latency paths and
+// both cache configurations, plus the generated adversaries — and, as a
+// dynamic job on the registry's hdd, without post-processing.
 func TestPipelinedHDDByteIdentical(t *testing.T) {
 	for cfgName, hddCfg := range hddConfigs() {
 		mk := func() device.Device { return device.NewHDD(hddCfg) }
 		adversaryIdentity(t, "hdd-"+cfgName, mk)
 		for _, family := range []string{"ikki", "MSNFS", "Exchange"} {
 			for _, tsdev := range []bool{true, false} {
-				for _, skipPost := range []bool{false, true} {
-					opts := core.Options{SkipPostProcess: skipPost}
-					old := genOld(t, family, 3000, tsdev)
-					wantTrace, wantRep, err := core.Reconstruct(old, mk(), opts)
+				old := genOld(t, family, 3000, tsdev)
+				wantTrace, wantRep, err := core.Reconstruct(old, mk(), core.Options{})
+				if err != nil {
+					t.Fatalf("%s/%s tsdev=%v: sequential: %v", cfgName, family, tsdev, err)
+				}
+				want := traceBytes(t, wantTrace)
+				for _, workers := range []int{1, 4, 8} {
+					cfg := testConfig(workers)
+					cfg.Device = mk
+					gotTrace, gotRep, err := New(cfg).Reconstruct(old)
 					if err != nil {
-						t.Fatalf("%s/%s tsdev=%v: sequential: %v", cfgName, family, tsdev, err)
+						t.Fatalf("%s/%s tsdev=%v w=%d: pipelined: %v", cfgName, family, tsdev, workers, err)
 					}
-					want := traceBytes(t, wantTrace)
-					for _, workers := range []int{1, 4, 8} {
-						cfg := testConfig(workers, opts)
-						cfg.Device = mk
-						gotTrace, gotRep, err := New(cfg).Reconstruct(old)
-						if err != nil {
-							t.Fatalf("%s/%s tsdev=%v w=%d: pipelined: %v", cfgName, family, tsdev, workers, err)
-						}
-						if got := traceBytes(t, gotTrace); !bytes.Equal(got, want) {
-							t.Fatalf("%s/%s tsdev=%v skipPost=%v w=%d: pipelined HDD output not byte-identical to the serial path",
-								cfgName, family, tsdev, skipPost, workers)
-						}
-						if gotRep.Shards < 2 {
-							t.Fatalf("%s/%s w=%d: expected multiple epochs, got %d", cfgName, family, workers, gotRep.Shards)
-						}
-						if gotRep.IdleCount != wantRep.IdleCount || gotRep.IdleTotal != wantRep.IdleTotal ||
-							gotRep.AsyncCount != wantRep.AsyncCount {
-							t.Fatalf("%s/%s tsdev=%v w=%d: report aggregates diverge: got %d/%v/%d want %d/%v/%d",
-								cfgName, family, tsdev, workers,
-								gotRep.IdleCount, gotRep.IdleTotal, gotRep.AsyncCount,
-								wantRep.IdleCount, wantRep.IdleTotal, wantRep.AsyncCount)
-						}
-						if !reflect.DeepEqual(gotRep.Model, wantRep.Model) {
-							t.Fatalf("%s/%s tsdev=%v w=%d: model diverges", cfgName, family, tsdev, workers)
-						}
+					if got := traceBytes(t, gotTrace); !bytes.Equal(got, want) {
+						t.Fatalf("%s/%s tsdev=%v w=%d: pipelined HDD output not byte-identical to the serial path",
+							cfgName, family, tsdev, workers)
+					}
+					if gotRep.Shards < 2 {
+						t.Fatalf("%s/%s w=%d: expected multiple epochs, got %d", cfgName, family, workers, gotRep.Shards)
+					}
+					if gotRep.IdleCount != wantRep.IdleCount || gotRep.IdleTotal != wantRep.IdleTotal ||
+						gotRep.AsyncCount != wantRep.AsyncCount {
+						t.Fatalf("%s/%s tsdev=%v w=%d: report aggregates diverge: got %d/%v/%d want %d/%v/%d",
+							cfgName, family, tsdev, workers,
+							gotRep.IdleCount, gotRep.IdleTotal, gotRep.AsyncCount,
+							wantRep.IdleCount, wantRep.IdleTotal, wantRep.AsyncCount)
+					}
+					if !reflect.DeepEqual(gotRep.Model, wantRep.Model) {
+						t.Fatalf("%s/%s tsdev=%v w=%d: model diverges", cfgName, family, tsdev, workers)
 					}
 				}
 			}
+		}
+	}
+	for _, family := range []string{"ikki", "MSNFS", "Exchange"} {
+		for _, tsdev := range []bool{true, false} {
+			dynamicJobIdentity(t, fmt.Sprintf("hdd/%s tsdev=%v", family, tsdev), genOld(t, family, 3000, tsdev), JobSpec{Device: "hdd"})
 		}
 	}
 }
@@ -123,7 +126,7 @@ func TestPipelinedHDDStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4, 8} {
-				cfg := testConfig(workers, core.Options{})
+				cfg := testConfig(workers)
 				cfg.Device = mk
 				e := New(cfg)
 				var got bytes.Buffer
@@ -212,7 +215,7 @@ func spliceFailureAborts(t *testing.T, e *Engine, input []byte) {
 // streaming error contract: planner validation surfaces, and an
 // encoder failure aborts the run instead of draining the input.
 func TestPipelinedHDDStreamErrors(t *testing.T) {
-	cfg := testConfig(4, core.Options{})
+	cfg := testConfig(4)
 	cfg.Device = func() device.Device { return device.NewHDD(device.DefaultHDDConfig()) }
 	e := New(cfg)
 

@@ -52,8 +52,8 @@ type JobSpec struct {
 	OutFormat string `json:"outformat,omitempty"`
 	// FIODevice is the replay target embedded in fio output.
 	FIODevice string `json:"fio_device,omitempty"`
-	// Method is one of tracetracker (default), dynamic, fixed-th,
-	// revision, acceleration.
+	// Method names a row of the method table (Methods); empty selects
+	// tracetracker.
 	Method string `json:"method,omitempty"`
 	// Device is the reconstruction target: "array" (default; alias
 	// "new" — the paper's 4-SSD flash array), "ssd" (one member SSD),
@@ -164,9 +164,7 @@ func (s JobSpec) Validate() error {
 		return &ValidationError{Field: "outformat", Code: apicode.UnknownFormat,
 			msg: fmt.Sprintf("unknown output format %q", s.OutFormat)}
 	}
-	switch s.Method {
-	case "tracetracker", "dynamic", "fixed-th", "revision", "acceleration":
-	default:
+	if _, ok := methodFor(s.Method); !ok {
 		return &ValidationError{Field: "method", Code: apicode.UnknownMethod,
 			msg: fmt.Sprintf("unknown method %q", s.Method)}
 	}
@@ -193,8 +191,7 @@ func (s JobSpec) Validate() error {
 		return &ValidationError{Field: "factor", Code: apicode.BadSpec,
 			msg: fmt.Sprintf("acceleration factor %v is not a finite number above 0", s.Factor)}
 	}
-	// The upper bound keeps threshold_us · 1000 inside a time.Duration.
-	if !(s.ThresholdUS > 0) || s.ThresholdUS*float64(time.Microsecond) >= math.MaxInt64 {
+	if !(s.ThresholdUS > 0) || !durationUS(s.ThresholdUS) {
 		return &ValidationError{Field: "threshold_us", Code: apicode.BadSpec,
 			msg: fmt.Sprintf("idle threshold %v us is not a finite number above 0 that fits a duration", s.ThresholdUS)}
 	}
@@ -288,18 +285,62 @@ func runJobTo(cfg Config, spec JobSpec, sink io.Writer, fitted *infer.Model) (*R
 	if err != nil {
 		return nil, err
 	}
-	var rep *Report
-	switch spec.Method {
-	case "tracetracker", "dynamic":
-		cfg.Core.SkipPostProcess = spec.Method == "dynamic"
-		rep, err = New(cfg).ReconstructPath(spec.In, spec.InFormat, spec.ReorderWindow, enc, fitted)
-	default:
-		rep, err = runComparison(cfg, spec, enc)
-	}
+	meth, _ := methodFor(spec.Method)
+	rep, err := New(cfg).runMethod(meth, spec, enc, fitted)
 	if out.err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrStorage, out.err)
 	}
 	return rep, err
+}
+
+// method is one row of the method table: everything JobSpec.Method
+// selects. See the package comment for why the rows are one graph.
+type method struct {
+	name string
+	// graph: the method runs the stage graph. acceleration has no
+	// device pass and runs a record loop instead.
+	graph bool
+	// ownModel: the idle rule reads the input's own model — the
+	// recorded latencies of a Tsdev-known input, else the fit (stored
+	// with the input or run by the job). Otherwise the rule is the
+	// constant model of tslatUS.
+	ownModel bool
+	// post: the asynchronous-mode post-processing runs.
+	post bool
+	// tslatUS is the constant model's Tslat in microseconds, for a
+	// graph method without ownModel.
+	tslatUS func(JobSpec) float64
+	// knob is the JSON name of the one spec knob only this method reads.
+	knob string
+}
+
+// methods is the method table: the five methods of the paper's
+// evaluation, tracetracker first.
+var methods = [...]method{
+	{name: "tracetracker", graph: true, ownModel: true, post: true},
+	{name: "dynamic", graph: true, ownModel: true},
+	{name: "fixed-th", graph: true, tslatUS: func(s JobSpec) float64 { return s.ThresholdUS }, knob: "threshold_us"},
+	{name: "revision", graph: true, tslatUS: func(JobSpec) float64 { return revisionThresholdUS }},
+	{name: "acceleration", knob: "factor"},
+}
+
+// Methods returns the JobSpec.Method names, default first.
+func Methods() []string {
+	names := make([]string, len(methods))
+	for i := range methods {
+		names[i] = methods[i].name
+	}
+	return names
+}
+
+// methodFor returns the table row named name.
+func methodFor(name string) (method, bool) {
+	for _, m := range methods {
+		if m.name == name {
+			return m, true
+		}
+	}
+	return method{}, false
 }
 
 // revisionThresholdUS is the fixed-th threshold that makes revision: one
@@ -309,38 +350,39 @@ func runJobTo(cfg Config, spec JobSpec, sink io.Writer, fitted *infer.Model) (*R
 // does not.
 const revisionThresholdUS = 1 << 52
 
-// runComparison executes the three comparison methods on the job's
-// decoder, reorder window and encoder. fixed-th and revision are the
-// stage graph under a constant model (see the package comment): all
-// channel delay, so Tslat is the threshold for every request and Tsdev
-// zero, with the recorded latencies kept out and post-processing off —
-// no fit pass, any target, any worker count. The report's Model stays
-// nil: the constant is an implementation device, not a fit.
-// acceleration has no device pass and runs no graph.
-func runComparison(cfg Config, spec JobSpec, enc trace.Encoder) (*Report, error) {
-	cfg.Core.ForceInference, cfg.Core.SkipPostProcess = true, true
-	e := New(cfg)
+// runMethod runs a validated spec's method on the job's decoder, reorder
+// window and encoder. A method with its own model takes fitted — the
+// input's model RunJobCached found stored — or fits the input itself
+// when it needs one; a constant-model method fits nothing, any target,
+// any worker count, and reports no Model: the constant is an
+// implementation device, not a fit. acceleration runs no graph and
+// returns no report.
+func (e *Engine) runMethod(meth method, spec JobSpec, enc trace.Encoder, fitted *infer.Model) (*Report, error) {
+	var m *infer.Model
+	switch {
+	case meth.tslatUS != nil:
+		// All channel delay: Tslat is the threshold for every request
+		// and Tsdev zero, so nothing is ever asynchronous.
+		tslat := meth.tslatUS(spec)
+		m = &infer.Model{TcdelReadMicros: tslat, TcdelWriteMicros: tslat, FlatReadMicros: -1, FlatWriteMicros: -1}
+	case meth.ownModel && fitted != nil:
+		m = fitted
+		e.cfg.Metrics.ModelFit(true)
+	case meth.ownModel:
+		var err error
+		if m, err = e.fitModelFromPath(spec.In, spec.InFormat, spec.ReorderWindow); err != nil {
+			return nil, err
+		}
+	}
 	dec, err := openDecoder(spec.In, spec.InFormat, spec.ReorderWindow, e.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
 	defer dec.Close()
-	if spec.Method == "acceleration" {
+	if !meth.graph {
 		return nil, accelerate(dec, enc, spec.Factor)
 	}
-	threshold := spec.ThresholdUS
-	if spec.Method == "revision" {
-		threshold = revisionThresholdUS
-	}
-	rep, err := e.ReconstructStream(dec, enc, &infer.Model{
-		TcdelReadMicros: threshold, TcdelWriteMicros: threshold,
-		FlatReadMicros: -1, FlatWriteMicros: -1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Model = nil
-	return rep, nil
+	return e.reconstructStream(dec, enc, m, meth)
 }
 
 // accelerate is the acceleration method, replay.Accelerate record by

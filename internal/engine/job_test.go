@@ -402,3 +402,72 @@ func TestJobRefusesLongBinMeta(t *testing.T) {
 		t.Fatalf("csv job on the same input: %v", err)
 	}
 }
+
+// FuzzJobSpec feeds arbitrary JSON bodies through the daemon's view of a
+// spec — decode, Normalized, Validate. A spec Validate accepts must build
+// device configs whose durations are all non-negative, and must
+// fingerprint the same after a second Normalized; a device-config knob a
+// rejection names must be one the body sets. The seeds are the two
+// defects the *_us bounds fixed: a latency whose nanoseconds overflow an
+// int64 (it wrapped negative), and a negative program latency reported
+// on read_latency_us.
+func FuzzJobSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"in":"x.csv"}`,
+		`{"in":"x","device":"ftl","ftl_config":{"read_latency_us":1e300}}`,
+		`{"in":"x","device":"host","host_config":{"hit_latency_us":1e300}}`,
+		`{"in":"x","device":"ftl","ftl_config":{"program_latency_us":-1}}`,
+		`{"in":"x","device":"host","host_config":{"device":"new","syscall_overhead_us":3.5,"readahead_pages":-1}}`,
+		`{"in":"x.msrc","informat":"msrc","method":"fixed-th","threshold_us":250,"factor":7}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec JobSpec
+		if json.Unmarshal(body, &spec) != nil {
+			return
+		}
+		n := spec.Normalized()
+		if err := n.Validate(); err != nil {
+			var ve *ValidationError
+			if !errors.As(err, &ve) {
+				t.Fatalf("Validate: %v is not a *ValidationError", err)
+			}
+			section, knob, nested := strings.Cut(ve.Field, ".")
+			if nested && !setsKnob(t, spec, section, knob) {
+				t.Fatalf("%s: rejected on %s, a knob the spec leaves unset: %v", body, ve.Field, err)
+			}
+			return
+		}
+		fc := n.FTLConfig.ftlConfig()
+		hc, _ := n.HostConfig.hostConfig()
+		for name, d := range map[string]time.Duration{
+			"ftl read latency": fc.ReadLatency, "ftl program latency": fc.ProgramLatency, "ftl erase latency": fc.EraseLatency,
+			"host syscall overhead": hc.SyscallOverhead, "host hit latency": hc.HitLatency,
+		} {
+			if d < 0 {
+				t.Fatalf("%s: accepted with %s %v", body, name, d)
+			}
+		}
+		if a, b := n.Fingerprint(), n.Normalized().Fingerprint(); a != b {
+			t.Fatalf("%s: fingerprint %s moves to %s under a second Normalized", body, a, b)
+		}
+	})
+}
+
+// setsKnob reports whether spec sets the nested config knob section.knob
+// — whether the knob survives the spec's own omitempty encoding.
+func setsKnob(t *testing.T, spec JobSpec, section, knob string) bool {
+	t.Helper()
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outer map[string]json.RawMessage
+	var inner map[string]json.RawMessage
+	if json.Unmarshal(b, &outer) != nil || json.Unmarshal(outer[section], &inner) != nil {
+		return false
+	}
+	_, ok := inner[knob]
+	return ok
+}

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/infer"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -47,7 +46,7 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(testConfig(2, core.Options{}))
+		e := New(testConfig(2))
 		if _, err := e.ReconstructStream(dec, trace.NewCSVEncoder(bytes.NewBuffer(nil)), nil); err == nil {
 			t.Fatal("want an unsorted-input error")
 		}
@@ -60,7 +59,7 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 	// parallel decoder's workers on its way out.
 	for _, method := range []string{"revision", "acceleration"} {
 		spec := JobSpec{In: path, Method: method, Parallel: 4}
-		if _, err := RunJobTo(testConfig(2, core.Options{}), spec, io.Discard); !errors.Is(err, trace.ErrUnsorted) {
+		if _, err := RunJobTo(testConfig(2), spec, io.Discard); !errors.Is(err, trace.ErrUnsorted) {
 			t.Fatalf("%s: %v, want an unsorted-input error", method, err)
 		}
 	}
@@ -74,7 +73,7 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 	cache := newMemCache(t)
 	cache.models = map[string]*infer.Model{"d": {TcdelReadMicros: 50, TcdelWriteMicros: 50, FlatReadMicros: -1, FlatWriteMicros: -1}}
 	reg := obs.NewRegistry()
-	cfg := testConfig(2, core.Options{})
+	cfg := testConfig(2)
 	cfg.Metrics = obs.NewEngineMetrics(reg)
 	if _, _, err := RunJobCached(cfg, JobSpec{In: unknownPath, Parallel: 4}, "d", cache); !errors.Is(err, trace.ErrUnsorted) {
 		t.Fatalf("stored-model job: %v, want an unsorted-input error", err)

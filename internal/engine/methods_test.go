@@ -1,9 +1,9 @@
 package engine
 
-// Tests that hold the three comparison methods to the job path: the
+// Tests that hold every row of the method table to the job path: the
 // bytes are the reference implementations' (package baseline), the
 // input path is the decoder → reorder window → planner rules every job
-// uses, and no fit pass runs.
+// uses, and the comparison methods run no fit pass.
 
 import (
 	"bytes"
@@ -17,42 +17,75 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/infer"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// methodCase is one comparison-method spec with its reference
-// implementation. threshold is the idle rule of a method that runs the
-// stage graph — what its report must count — and zero for acceleration,
-// which returns no report.
+// methodCase is one spec of a method-table row with the row's reference
+// implementation. threshold is the idle rule of a constant-model row —
+// what its report must count — and zero for the others.
 type methodCase struct {
 	name      string
+	meth      method
 	spec      JobSpec
 	threshold time.Duration
-	ref       func(old *trace.Trace, dev device.Device) *trace.Trace
+	ref       func(old *trace.Trace, dev device.Device) (*trace.Trace, error)
 }
 
-func methodCases() []methodCase {
+// methodCases returns the cases of every row of the method table, in
+// table order; a row without a reference implementation fails the test.
+func methodCases(t *testing.T) []methodCase {
+	t.Helper()
 	fixed := func(name string, us float64) methodCase {
 		th := baseline.DefaultFixedThreshold
 		if us != 0 {
 			th = time.Duration(us * float64(time.Microsecond))
 		}
-		return methodCase{"fixed-th/" + name, JobSpec{Method: "fixed-th", ThresholdUS: us}, th,
-			func(old *trace.Trace, dev device.Device) *trace.Trace { return baseline.FixedTh(old, dev, th) }}
+		return methodCase{name: "fixed-th/" + name, spec: JobSpec{Method: "fixed-th", ThresholdUS: us}, threshold: th,
+			ref: func(old *trace.Trace, dev device.Device) (*trace.Trace, error) {
+				return baseline.FixedTh(old, dev, th), nil
+			}}
 	}
 	accel := func(factor float64) methodCase {
-		return methodCase{fmt.Sprintf("acceleration/%v", factor), JobSpec{Method: "acceleration", Factor: factor}, 0,
-			func(old *trace.Trace, _ device.Device) *trace.Trace { return baseline.Acceleration(old, factor) }}
+		return methodCase{name: fmt.Sprintf("acceleration/%v", factor), spec: JobSpec{Method: "acceleration", Factor: factor},
+			ref: func(old *trace.Trace, _ device.Device) (*trace.Trace, error) {
+				return baseline.Acceleration(old, factor), nil
+			}}
 	}
-	return []methodCase{
-		fixed("default", 0), fixed("250us", 250), fixed("1.5us", 1.5),
-		{"revision", JobSpec{Method: "revision"}, revisionThresholdUS * time.Microsecond, baseline.Revision},
-		accel(100), accel(7), accel(1.5),
+	byRow := map[string][]methodCase{
+		"tracetracker": {{name: "tracetracker", spec: JobSpec{Method: "tracetracker"}, ref: baseline.TraceTracker}},
+		"dynamic":      {{name: "dynamic", spec: JobSpec{Method: "dynamic"}, ref: baseline.Dynamic}},
+		"fixed-th":     {fixed("default", 0), fixed("250us", 250), fixed("1.5us", 1.5)},
+		"revision": {{name: "revision", spec: JobSpec{Method: "revision"}, threshold: revisionThresholdUS * time.Microsecond,
+			ref: func(old *trace.Trace, dev device.Device) (*trace.Trace, error) {
+				return baseline.Revision(old, dev), nil
+			}}},
+		"acceleration": {accel(100), accel(7), accel(1.5)},
 	}
+	var cases []methodCase
+	for _, m := range methods {
+		rows, ok := byRow[m.name]
+		if !ok {
+			t.Fatalf("method %q has no reference implementation", m.name)
+		}
+		for _, mc := range rows {
+			mc.meth = m
+			cases = append(cases, mc)
+		}
+	}
+	return cases
+}
+
+// reference renders the case's reference run on dev as a bin job does.
+func (mc methodCase) reference(t *testing.T, old *trace.Trace, dev device.Device) []byte {
+	t.Helper()
+	out, err := mc.ref(old, dev)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", mc.name, err)
+	}
+	return encodeBin(t, out)
 }
 
 // encodeBin renders tr the way a bin job does.
@@ -66,12 +99,15 @@ func encodeBin(t *testing.T, tr *trace.Trace) []byte {
 }
 
 // TestMethodsByteIdentical is the engine-level identity lock for the
-// comparison methods: on every registry target, at 1 and 4 workers, over
-// a recorded-latency and an inference-path input cut into dozens of
-// epochs, RunJobTo's bytes equal the baseline package's reference
-// encoded whole, and a graph method's report counts exactly what its
-// idle rule says and what the reference run's device counted.
+// method table: for every row, on every registry target, at 1 and 4
+// workers, over a recorded-latency and an inference-path input cut into
+// dozens of epochs, RunJobTo's bytes equal the baseline package's
+// reference encoded whole, and a graph method's report carries what the
+// reference run's device counted, the input's own model exactly when
+// the row reads it (the fit, on the inference path), and — for a
+// constant-model row — exactly the idles its rule finds.
 func TestMethodsByteIdentical(t *testing.T) {
+	cases := methodCases(t)
 	for _, in := range []struct {
 		family string
 		n      int
@@ -80,15 +116,22 @@ func TestMethodsByteIdentical(t *testing.T) {
 		// As bin, 32k requests pass trace.ParallelMinBytes: the 4-worker
 		// runs of this input also decode in parallel.
 		{"MSNFS", 32_000, true},
-		{"webmail", 20_000, false}, // no recorded latencies: tracetracker would fit a model here
+		{"webmail", 20_000, false}, // no recorded latencies: tracetracker and dynamic fit a model here
 	} {
 		old := genOld(t, in.family, in.n, in.known)
 		path := writeBinInput(t, t.TempDir(), old)
 		if st, err := os.Stat(path); err != nil || in.known != (st.Size() >= trace.ParallelMinBytes) {
 			t.Fatalf("fixture: %s is on the wrong side of the parallel decoder's threshold: %v %v", in.family, st, err)
 		}
-		for _, mc := range methodCases() {
-			// What the method's idle rule finds in this input.
+		var fit *infer.Model
+		if !in.known {
+			var err error
+			if fit, err = infer.Estimate(old, infer.EstimateOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, mc := range cases {
+			// What a constant-model row's idle rule finds in this input.
 			var idleCount int
 			var idleTotal time.Duration
 			for i := 1; i < old.Len(); i++ {
@@ -97,8 +140,12 @@ func TestMethodsByteIdentical(t *testing.T) {
 					idleTotal += gap - mc.threshold
 				}
 			}
+			var wantModel *infer.Model
+			if mc.meth.ownModel {
+				wantModel = fit
+			}
 			for _, dev := range Devices() {
-				if mc.threshold == 0 && !dev.Default {
+				if !mc.meth.graph && !dev.Default {
 					continue // acceleration has no device pass: one target says it all
 				}
 				mk, err := DeviceFactory(dev.Name)
@@ -107,7 +154,7 @@ func TestMethodsByteIdentical(t *testing.T) {
 				}
 				// The reference run, and what its device counted on the way.
 				refDev := mk()
-				want := encodeBin(t, mc.ref(old, refDev))
+				want := mc.reference(t, old, refDev)
 				var wantStats []device.Stat
 				if sr, ok := refDev.(device.StatsReporter); ok {
 					wantStats = sr.DeviceStats()
@@ -117,14 +164,14 @@ func TestMethodsByteIdentical(t *testing.T) {
 					spec := mc.spec
 					spec.In, spec.InFormat, spec.OutFormat, spec.Device = path, "bin", "bin", dev.Name
 					var got bytes.Buffer
-					rep, err := RunJobTo(testConfig(workers, core.Options{}), spec, &got)
+					rep, err := RunJobTo(testConfig(workers), spec, &got)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
 					if !bytes.Equal(got.Bytes(), want) {
 						t.Fatalf("%s: output (%d bytes) diverges from the baseline reference (%d bytes)", label, got.Len(), len(want))
 					}
-					if mc.threshold == 0 {
+					if !mc.meth.graph {
 						if rep != nil {
 							t.Fatalf("%s: acceleration runs no graph, got report %+v", label, rep)
 						}
@@ -133,8 +180,11 @@ func TestMethodsByteIdentical(t *testing.T) {
 					if rep.Requests != int64(in.n) || rep.Workers != workers || rep.Shards < 16 {
 						t.Fatalf("%s: report %+v, want %d requests on %d workers in >= 16 epochs", label, rep, in.n, workers)
 					}
-					if rep.Model != nil || rep.AsyncCount != 0 || rep.IdleCount != idleCount || rep.IdleTotal != idleTotal {
-						t.Fatalf("%s: report %+v, want no model, nothing asynchronous, %d idles totalling %v",
+					if !reflect.DeepEqual(rep.Model, wantModel) {
+						t.Fatalf("%s: report model %+v, want %+v", label, rep.Model, wantModel)
+					}
+					if mc.threshold != 0 && (rep.AsyncCount != 0 || rep.IdleCount != idleCount || rep.IdleTotal != idleTotal) {
+						t.Fatalf("%s: report %+v, want nothing asynchronous, %d idles totalling %v",
 							label, rep, idleCount, idleTotal)
 					}
 					if !reflect.DeepEqual(rep.DeviceStats, wantStats) {
@@ -147,9 +197,10 @@ func TestMethodsByteIdentical(t *testing.T) {
 }
 
 // TestMethodsNeedNoFit: an inference-path input too sparse for
-// tracetracker's model fit still runs under all three comparison
-// methods, which fit nothing — their span timeline holds the stream
-// pass and no fit pass.
+// tracetracker's model fit still runs under every row that does not
+// read the input's own model — the three comparison methods, which fit
+// nothing: their span timeline holds the stream pass (graph rows only)
+// and no fit pass.
 func TestMethodsNeedNoFit(t *testing.T) {
 	old := synthTrace("sparse", 40, 300*time.Microsecond)
 	old.TsdevKnown = false
@@ -162,7 +213,10 @@ func TestMethodsNeedNoFit(t *testing.T) {
 		t.Fatalf("fixture: tracetracker on the sparse input: %v, want ErrTooSparse", err)
 	}
 	mk, _ := DeviceFactory("")
-	for _, mc := range methodCases() {
+	for _, mc := range methodCases(t) {
+		if mc.meth.ownModel {
+			continue
+		}
 		tracer := obs.NewTracer(mc.name, 0, obs.TraceContext{})
 		spec := mc.spec
 		spec.In, spec.InFormat, spec.OutFormat = path, "bin", "bin"
@@ -170,7 +224,7 @@ func TestMethodsNeedNoFit(t *testing.T) {
 		if _, err := RunJobTo(Config{Trace: tracer}, spec, &got); err != nil {
 			t.Fatalf("%s: %v", mc.name, err)
 		}
-		if !bytes.Equal(got.Bytes(), encodeBin(t, mc.ref(old, mk()))) {
+		if !bytes.Equal(got.Bytes(), mc.reference(t, old, mk())) {
 			t.Fatalf("%s: output diverges from the baseline reference", mc.name)
 		}
 		spans := map[string]int{}
@@ -182,14 +236,14 @@ func TestMethodsNeedNoFit(t *testing.T) {
 		if spans[fit] != 0 {
 			t.Fatalf("%s: a fit pass ran: spans %v", mc.name, spans)
 		}
-		if wantStream := mc.threshold != 0; (spans[stream] == 1) != wantStream {
+		if wantStream := mc.meth.graph; (spans[stream] == 1) != wantStream {
 			t.Fatalf("%s: %d stream spans (graph method: %v): spans %v", mc.name, spans[stream], wantStream, spans)
 		}
 	}
 }
 
-// TestMethodsReorderWindow: a comparison job sorts a near-sorted corpus
-// with the bounded reorder window like every other job — disorder
+// TestMethodsReorderWindow: a job of every method sorts a near-sorted
+// corpus with the bounded reorder window — disorder
 // within the window equals the whole-trace sort the reference reader
 // applies, disorder beyond it fails with the planner's error and leaves
 // the output file alone.
@@ -232,14 +286,14 @@ func TestMethodsReorderWindow(t *testing.T) {
 
 	mk, _ := DeviceFactory("hdd")
 	outPath := filepath.Join(dir, "out.bin")
-	for _, mc := range methodCases() {
+	for _, mc := range methodCases(t) {
 		spec := mc.spec
 		spec.In, spec.InFormat, spec.OutFormat, spec.Device = path, "msrc", "bin", "hdd"
 		var got bytes.Buffer
-		if _, err := RunJobTo(testConfig(4, core.Options{}), spec, &got); err != nil {
+		if _, err := RunJobTo(testConfig(4), spec, &got); err != nil {
 			t.Fatalf("%s: default reorder window: %v", mc.name, err)
 		}
-		if !bytes.Equal(got.Bytes(), encodeBin(t, mc.ref(old, mk()))) {
+		if !bytes.Equal(got.Bytes(), mc.reference(t, old, mk())) {
 			t.Fatalf("%s: output diverges from ReadFormat(msrc) + the baseline reference", mc.name)
 		}
 
@@ -247,7 +301,7 @@ func TestMethodsReorderWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec.Out, spec.ReorderWindow = outPath, 2
-		if _, err := RunJob(testConfig(4, core.Options{}), spec); !errors.Is(err, trace.ErrUnsorted) {
+		if _, err := RunJob(testConfig(4), spec); !errors.Is(err, trace.ErrUnsorted) {
 			t.Fatalf("%s: reorder_window 2: %v, want ErrUnsorted", mc.name, err)
 		}
 		if kept, _ := os.ReadFile(outPath); string(kept) != "precious" {

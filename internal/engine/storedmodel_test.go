@@ -79,7 +79,6 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		spec   JobSpec
-		opts   core.Options
 		stored *infer.Model // what the cache holds for the input
 		// wantStored: the job runs on the cache's model and never fits.
 		wantStored bool
@@ -91,7 +90,6 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 		{name: "array/w4", spec: JobSpec{Parallel: 4}, stored: fit, wantStored: true},
 		{name: "hdd/bin/w4", spec: JobSpec{Device: "hdd", OutFormat: "bin", Parallel: 4}, stored: fit, wantStored: true},
 		{name: "dynamic/ftl", spec: JobSpec{Method: "dynamic", Device: "ftl", Parallel: 2}, stored: fit, wantStored: true},
-		{name: "force-inference", spec: JobSpec{Parallel: 2}, opts: core.Options{ForceInference: true}, stored: fit, wantStored: true},
 		// The stored model is taken at its word, not re-derived: a
 		// different one comes out in the report.
 		{name: "trusted", spec: JobSpec{Parallel: 2}, stored: &infer.Model{TcdelReadMicros: 75, TcdelWriteMicros: 75, FlatReadMicros: -1, FlatWriteMicros: -1},
@@ -107,7 +105,7 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 			}
 			tracer := obs.NewTracer(tc.name, 0, obs.TraceContext{})
 			reg := obs.NewRegistry()
-			cfg := testConfig(2, tc.opts)
+			cfg := testConfig(2)
 			cfg.Trace, cfg.Metrics = tracer, obs.NewEngineMetrics(reg)
 			spec := tc.spec
 			spec.In = inPath
@@ -163,7 +161,7 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 	for _, method := range []string{"fixed-th", "revision", "acceleration"} {
 		cache := newMemCache(t)
 		cache.models = map[string]*infer.Model{digest: fit}
-		if _, _, err := RunJobCached(testConfig(2, core.Options{}), JobSpec{In: inPath, Method: method}, digest, cache); err != nil {
+		if _, _, err := RunJobCached(testConfig(2), JobSpec{In: inPath, Method: method}, digest, cache); err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
 		if cache.modelLookups != 0 {

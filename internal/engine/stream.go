@@ -11,9 +11,9 @@ import (
 )
 
 // ErrModelRequired is returned by ReconstructStream when the input
-// needs the inference model (no recorded latencies, or ForceInference)
-// but none was supplied. Fit one with FitModel, or use ReconstructPath
-// which orchestrates the two passes.
+// needs the inference model (no recorded latencies) but none was
+// supplied. Fit one with FitModel, or run a job, which orchestrates the
+// two passes.
 var ErrModelRequired = errors.New("engine: input requires an inference model; fit one with FitModel")
 
 // FitModel runs the global model fit over a request stream with the
@@ -21,8 +21,8 @@ var ErrModelRequired = errors.New("engine: input requires an inference model; fi
 // requests seen. This is pass one of a streaming reconstruction for
 // corpora without recorded latencies — unless the job's input came from
 // a corpus store that fitted it at ingest (ResultCache.FittedModel) and
-// the job would fit exactly that, in which case ReconstructPath is
-// handed the stored model and this pass, with its second decode of the
+// the job would fit exactly that, in which case the job is handed the
+// stored model and this pass, with its second decode of the
 // input, does not run. The classifier retains one inter-arrival sample
 // and its group tag (12 bytes) per request — far below materializing
 // the trace, but still O(n); truly bounded streaming is only possible
@@ -46,10 +46,11 @@ func FitModel(dec trace.Decoder, _ infer.EstimateOptions) (*infer.Model, int, er
 // stream, writing the reconstructed trace to enc (Begin through Close;
 // the underlying writer stays open) with bounded memory: at most
 // O(Workers · MaxShardRequests) requests are resident. (Fitting the
-// model beforehand has its own footprint — see FitModel.) m is the
+// model beforehand has its own footprint — see FitModel.) It runs the
+// tracetracker row of the method table, like core.Reconstruct. m is the
 // pre-fitted inference model; it may be nil when the stream records
-// latencies (Tsdev-known) and ForceInference is off, and is ignored on
-// that recorded path just like the sequential pipeline ignores it.
+// latencies (Tsdev-known), and is ignored on that recorded path just
+// like the sequential pipeline ignores it.
 //
 // The input must be non-decreasing in arrival (wrap near-sorted
 // corpora in a trace.ReorderDecoder) with non-zero request sizes; the
@@ -60,15 +61,19 @@ func FitModel(dec trace.Decoder, _ infer.EstimateOptions) (*infer.Model, int, er
 // On any error the decoder is closed, so an abandoned parallel decode
 // never leaks its worker goroutines.
 func (e *Engine) ReconstructStream(dec trace.Decoder, enc trace.Encoder, m *infer.Model) (*Report, error) {
-	rep, err := e.reconstructStream(dec, enc, m)
-	if err != nil {
-		dec.Close()
-		return nil, err
-	}
-	return rep, nil
+	return e.reconstructStream(dec, enc, m, methods[0])
 }
 
-func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infer.Model) (*Report, error) {
+// reconstructStream is ReconstructStream under any graph row of the
+// method table: the row decides whether recorded latencies drive the
+// idle rule, whether post-processing runs and whether the report
+// carries m.
+func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infer.Model, meth method) (_ *Report, err error) {
+	defer func() {
+		if err != nil {
+			dec.Close()
+		}
+	}()
 	// The first run completes the metadata, which decides the path.
 	first, err := dec.Read(make([]trace.Request, 1))
 	if err == io.EOF {
@@ -83,7 +88,7 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 	outMeta := meta
 	outMeta.TsdevKnown = true // emulation records new device times
 
-	useRecorded := meta.TsdevKnown && !e.cfg.Core.ForceInference
+	useRecorded := meta.TsdevKnown && meth.ownModel
 	if useRecorded {
 		// Parity with the sequential pipeline: the recorded-latency
 		// path never consults a model.
@@ -120,44 +125,26 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 	// off it.
 	ssp := e.cfg.Trace.Start(e.cfg.Trace.Root(), obs.JobSpanStream)
 	defer ssp.End()
-	r := &run{cfg: e.cfg, m: m, useRecorded: useRecorded, enc: enc, meta: outMeta, pool: pool, root: ssp}
-	r.rep.Model, r.rep.Workers = m, e.cfg.Workers
+	r := &run{cfg: e.cfg, m: m, useRecorded: useRecorded, post: meth.post, enc: enc, meta: outMeta, pool: pool, root: ssp}
+	r.rep.Workers = e.cfg.Workers
+	if meth.ownModel {
+		r.rep.Model = m
+	}
 	if err := r.execute(e.cfg.Device(), produce); err != nil {
 		return nil, err
 	}
-	return &r.rep, enc.Close()
-}
-
-// ReconstructPath orchestrates a whole streaming reconstruction from
-// an input file: pass one fits the model if the corpus needs it, pass
-// two streams the sharded reconstruction into enc. reorderWindow
-// (<= 1 = none) inserts a bounded arrival-sort window, which the
-// near-sorted event-traced corpora (msrc) need. Both passes decode on
-// the engine's worker count via the segmented parallel decoder when
-// the input file is large enough to split. A non-nil fitted is the
-// model pass one would produce, already in hand (RunJobCached read it
-// from the store): pass one and its decoder are skipped.
-func (e *Engine) ReconstructPath(inPath, informat string, reorderWindow int, enc trace.Encoder, fitted *infer.Model) (*Report, error) {
-	m := fitted
-	if m != nil {
-		e.cfg.Metrics.ModelFit(true)
-	} else {
-		var err error
-		if m, err = e.fitModelFromPath(inPath, informat, reorderWindow); err != nil {
-			return nil, err
-		}
-	}
-	dec, err := openDecoder(inPath, informat, reorderWindow, e.cfg.Workers)
-	if err != nil {
+	if err := enc.Close(); err != nil {
 		return nil, err
 	}
-	defer dec.Close()
-	return e.ReconstructStream(dec, enc, m)
+	return &r.rep, nil
 }
 
-// fitModelFromPath is pass one of ReconstructPath: a cheap probe of
-// the first record decides whether the corpus needs inference, and if
-// so the input is re-opened and fitted with FitModel.
+// fitModelFromPath is pass one of a job whose method reads the input's
+// own model: a cheap probe of the first record decides whether the
+// corpus needs inference, and if so the input is re-opened and fitted
+// with FitModel. Pass two streams the sharded reconstruction. Both
+// passes decode on the engine's worker count via the segmented parallel
+// decoder when the input file is large enough to split.
 func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*infer.Model, error) {
 	// The probe only needs the header metadata, which doesn't depend
 	// on record order — skip the reorder window (so it doesn't buffer
@@ -168,7 +155,7 @@ func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*
 		return nil, err
 	}
 	_, err = probe.Read(make([]trace.Request, 1))
-	needModel := !probe.Meta().TsdevKnown || e.cfg.Core.ForceInference
+	needModel := !probe.Meta().TsdevKnown
 	probe.Close()
 	if err == io.EOF {
 		return nil, nil // empty input: pass two reports ErrNoRequest

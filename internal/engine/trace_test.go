@@ -4,7 +4,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/obs"
 )
@@ -120,14 +119,14 @@ var epochStages = []string{"decompose", "service", "emulate", "merge"}
 // TestTraceSpanTreeShardSafe covers the array, where the middle stage
 // is only the chain.
 func TestTraceSpanTreeShardSafe(t *testing.T) {
-	jt := reconstructWithTracer(t, testConfig(4, core.Options{}))
+	jt := reconstructWithTracer(t, testConfig(4))
 	verifySpanTree(t, jt, epochStages)
 }
 
 // TestTraceSpanTreePipelined covers the HDD, where the middle stage is
 // the device pass.
 func TestTraceSpanTreePipelined(t *testing.T) {
-	cfg := testConfig(4, core.Options{})
+	cfg := testConfig(4)
 	cfg.Device = func() device.Device { return device.NewHDD(device.DefaultHDDConfig()) }
 	jt := reconstructWithTracer(t, cfg)
 	verifySpanTree(t, jt, epochStages)

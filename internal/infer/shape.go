@@ -7,16 +7,6 @@ import (
 	"repro/internal/interp"
 )
 
-// pchipOrLinear fits a PCHIP through the points, falling back to a
-// linear interpolant when PCHIP cannot be built (degenerate knots).
-func pchipOrLinear(xs, ys []float64) (interp.Interpolant, error) {
-	f, err := interp.PCHIP(xs, ys)
-	if err == nil {
-		return f, nil
-	}
-	return interp.Linear(xs, ys)
-}
-
 // Shape is the CDF taxonomy of paper Fig 5.
 type Shape int
 
@@ -75,7 +65,7 @@ func ClassifyShape(inttMicros []float64) Shape {
 	if len(xs) < 3 {
 		return ShapeGlobalMaxima
 	}
-	f, err := pchipOrLinear(xs, ys)
+	f, err := interp.PCHIP(xs, ys)
 	if err != nil {
 		return ShapeChunkyMiddle
 	}

@@ -2,7 +2,7 @@
 // IV of the TraceTracker paper relies on to turn a discrete CDF into a
 // differentiable curve: PCHIP (piecewise cubic Hermite interpolating
 // polynomial, Fritsch–Carlson monotone variant) and natural cubic
-// splines, plus a plain linear interpolant.
+// splines.
 //
 // The paper observes (Fig 9) that spline interpolation of a step-like
 // CDF oscillates and over/undershoots while PCHIP preserves shape; both
@@ -201,32 +201,6 @@ func NaturalSpline(xs, ys []float64) (Interpolant, error) {
 	i := n - 2
 	d[n-1] = (y[i+1]-y[i])/h[i] + h[i]*(2*m[i+1]+m[i])/6
 	return &hermite{x, y, d}, nil
-}
-
-// Linear fits a piecewise linear interpolant. Its derivative is a step
-// function.
-func Linear(xs, ys []float64) (Interpolant, error) {
-	if err := validate(xs, ys); err != nil {
-		return nil, err
-	}
-	x := append([]float64(nil), xs...)
-	y := append([]float64(nil), ys...)
-	return &linear{x, y}, nil
-}
-
-type linear struct{ xs, ys []float64 }
-
-func (l *linear) Knots() []float64 { return l.xs }
-
-func (l *linear) At(x float64) float64 {
-	i := segment(l.xs, x)
-	t := (x - l.xs[i]) / (l.xs[i+1] - l.xs[i])
-	return l.ys[i] + t*(l.ys[i+1]-l.ys[i])
-}
-
-func (l *linear) Deriv(x float64) float64 {
-	i := segment(l.xs, x)
-	return (l.ys[i+1] - l.ys[i]) / (l.xs[i+1] - l.xs[i])
 }
 
 // MaxDeriv scans the interpolant's derivative over its knot range with

@@ -2,7 +2,7 @@ package obs
 
 // Structured logging and HTTP instrumentation: a slog constructor
 // following the level/format flag idiom, a request-ID middleware that
-// threads a per-request logger through the context, and per-route
+// logs every request with its ID and trace, and per-route
 // count/latency/in-flight metrics keyed on the ServeMux pattern that
 // matched.
 
@@ -54,11 +54,7 @@ func NopLogger() *slog.Logger {
 
 type ctxKey int
 
-const (
-	ctxKeyRequestID ctxKey = iota
-	ctxKeyLogger
-	ctxKeyTrace
-)
+const ctxKeyTrace ctxKey = 0
 
 // reqIDPrefix makes request IDs unique across daemon restarts without
 // per-request entropy; the atomic sequence makes them unique within a
@@ -78,13 +74,6 @@ func nextRequestID() string {
 	return fmt.Sprintf("%s-%06d", reqIDPrefix, reqIDSeq.Add(1))
 }
 
-// RequestIDFrom returns the request ID the middleware assigned, or ""
-// outside an instrumented request.
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
-	return id
-}
-
 // TraceContextFrom returns the W3C trace position the middleware
 // bound to the request — the incoming traceparent when the client
 // sent a valid one, else the one minted for the response. Zero
@@ -92,15 +81,6 @@ func RequestIDFrom(ctx context.Context) string {
 func TraceContextFrom(ctx context.Context) TraceContext {
 	tc, _ := ctx.Value(ctxKeyTrace).(TraceContext)
 	return tc
-}
-
-// LoggerFrom returns the per-request logger (request ID pre-bound),
-// falling back to the default logger outside an instrumented request.
-func LoggerFrom(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(ctxKeyLogger).(*slog.Logger); ok {
-		return l
-	}
-	return slog.Default()
 }
 
 // statusWriter captures the response status and size. It forwards
@@ -186,8 +166,8 @@ func (hm *HTTPMetrics) observe(route string, status int, d time.Duration) {
 
 // Middleware wraps next with request IDs, per-request slog logging
 // and (when hm is non-nil) per-route metrics. Every response carries
-// an X-Request-ID header; handlers retrieve the bound logger with
-// LoggerFrom(r.Context()).
+// an X-Request-ID header, and the request's completion line logs the
+// same ID.
 //
 // W3C trace context: a valid incoming traceparent header is accepted
 // and echoed back; otherwise a fresh trace position is minted and
@@ -206,9 +186,7 @@ func Middleware(log *slog.Logger, hm *HTTPMetrics, next http.Handler) http.Handl
 			tc = NewTraceContext()
 		}
 		reqLog := log.With("request_id", id, "trace_id", tc.TraceID)
-		ctx := context.WithValue(r.Context(), ctxKeyRequestID, id)
-		ctx = context.WithValue(ctx, ctxKeyLogger, reqLog)
-		ctx = context.WithValue(ctx, ctxKeyTrace, tc)
+		ctx := context.WithValue(r.Context(), ctxKeyTrace, tc)
 		w.Header().Set("X-Request-ID", id)
 		w.Header().Set("Traceparent", tc.Traceparent())
 		sw := &statusWriter{ResponseWriter: w}

@@ -45,10 +45,7 @@ func TestMiddlewareRequestIDAndMetrics(t *testing.T) {
 	log := slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 
 	mux := http.NewServeMux()
-	var sawID string
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		sawID = RequestIDFrom(r.Context())
-		LoggerFrom(r.Context()).Info("handling", "job", r.PathValue("id"))
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte("ok"))
 	})
@@ -57,15 +54,15 @@ func TestMiddlewareRequestIDAndMetrics(t *testing.T) {
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/jobs/job-7", nil))
 	hdr := rr.Header().Get("X-Request-ID")
-	if hdr == "" || hdr != sawID {
-		t.Fatalf("request id: header %q, context %q", hdr, sawID)
+	if hdr == "" {
+		t.Fatal("response carries no X-Request-ID")
 	}
-	logs := logBuf.String()
-	if !strings.Contains(logs, "request_id="+hdr) {
-		t.Fatalf("handler log missing bound request id:\n%s", logs)
-	}
-	if !strings.Contains(logs, "route=\"GET /jobs/{id}\"") {
-		t.Fatalf("completion log missing route:\n%s", logs)
+	// The completion line is the request's one log line: it carries the
+	// header's ID and the route that matched.
+	line, _, _ := strings.Cut(logBuf.String(), "\n")
+	if !strings.Contains(line, "msg=request") || !strings.Contains(line, "request_id="+hdr) ||
+		!strings.Contains(line, "route=\"GET /jobs/{id}\"") {
+		t.Fatalf("completion log line %q does not carry request_id=%s and the route", line, hdr)
 	}
 
 	// Unmatched request lands under its own label and logs a warning.
