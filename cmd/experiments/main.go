@@ -6,8 +6,8 @@
 //	experiments [-ops N] [-seed S] <exp> [<exp>...]
 //	experiments all
 //
-// where <exp> is one of: fig1 fig3 fig5 fig7a fig7b fig9 table1 fig10
-// fig11 fig12 fig13 fig14 fig15 fig16 fig17 claims.
+// Run it with no arguments for the list of experiments, printed in the
+// paper's presentation order — the order `all` runs them in.
 package main
 
 import (
@@ -15,150 +15,63 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
 	"repro/internal/experiments"
 )
 
+// renderer is what every experiment returns: a result that prints itself.
+type renderer interface{ Render(io.Writer) }
+
+// runner renders one experiment at cfg to w.
 type runner func(cfg experiments.Config, w io.Writer) error
 
-var registry = map[string]runner{
-	"fig1": func(cfg experiments.Config, w io.Writer) error {
-		experiments.Fig1(cfg).Render(w)
+// plain adapts an experiment that cannot fail.
+func plain[R renderer](f func(experiments.Config) R) runner {
+	return func(cfg experiments.Config, w io.Writer) error {
+		f(cfg).Render(w)
 		return nil
-	},
-	"fig3": func(cfg experiments.Config, w io.Writer) error {
-		experiments.Fig3(cfg).Render(w)
-		return nil
-	},
-	"fig5": func(cfg experiments.Config, w io.Writer) error {
-		experiments.Fig5(cfg).Render(w)
-		return nil
-	},
-	"fig7a": func(cfg experiments.Config, w io.Writer) error {
-		experiments.Fig7a(cfg).Render(w)
-		return nil
-	},
-	"fig7b": func(cfg experiments.Config, w io.Writer) error {
-		experiments.Fig7b(cfg).Render(w)
-		return nil
-	},
-	"fig9": func(cfg experiments.Config, w io.Writer) error {
-		experiments.Fig9(cfg).Render(w)
-		return nil
-	},
-	"table1": func(cfg experiments.Config, w io.Writer) error {
-		experiments.Table1(cfg).Render(w)
-		return nil
-	},
-	"fig10": func(cfg experiments.Config, w io.Writer) error {
-		experiments.Fig10(cfg).Render(w)
-		return nil
-	},
-	"fig11": func(cfg experiments.Config, w io.Writer) error {
-		experiments.Fig11(cfg).Render(w)
-		return nil
-	},
-	"fig12": func(cfg experiments.Config, w io.Writer) error {
-		r, err := experiments.Fig12(cfg)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	},
-	"fig13": func(cfg experiments.Config, w io.Writer) error {
-		r, err := experiments.Fig13(cfg)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	},
-	"fig14": func(cfg experiments.Config, w io.Writer) error {
-		r, err := experiments.Fig14(cfg)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	},
-	"fig15": func(cfg experiments.Config, w io.Writer) error {
-		r, err := experiments.Fig15(cfg)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	},
-	"fig16": func(cfg experiments.Config, w io.Writer) error {
-		r, err := experiments.Fig16(cfg)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	},
-	"fig17": func(cfg experiments.Config, w io.Writer) error {
-		r, err := experiments.Fig17(cfg)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	},
-	"ext-sweep": func(cfg experiments.Config, w io.Writer) error {
-		experiments.FixedThSweep(cfg).Render(w)
-		return nil
-	},
-	"ext-similarity": func(cfg experiments.Config, w io.Writer) error {
-		r, err := experiments.Similarity(cfg)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	},
-	"ext-groundtruth": func(cfg experiments.Config, w io.Writer) error {
-		r, err := experiments.GroundTruth(cfg)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	},
-	"ext-ftl": func(cfg experiments.Config, w io.Writer) error {
-		r, err := experiments.FTLImpact(cfg)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	},
-	"ext-cache": func(cfg experiments.Config, w io.Writer) error {
-		r, err := experiments.CacheImpact(cfg)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	},
-	"claims": func(cfg experiments.Config, w io.Writer) error {
-		r, err := experiments.Claims(cfg)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	},
+	}
 }
 
-// order fixes the "all" sequence to the paper's presentation order.
-var order = []string{
-	"fig1", "fig3", "fig5", "fig7a", "fig7b", "fig9", "table1",
-	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-	"fig17", "claims", "ext-sweep", "ext-similarity", "ext-groundtruth", "ext-ftl", "ext-cache",
+// check adapts an experiment that can fail: nothing renders on error.
+func check[R renderer](f func(experiments.Config) (R, error)) runner {
+	return func(cfg experiments.Config, w io.Writer) error {
+		r, err := f(cfg)
+		if err != nil {
+			return err
+		}
+		r.Render(w)
+		return nil
+	}
+}
+
+// table is every experiment, in the paper's presentation order.
+var table = []struct {
+	name string
+	run  runner
+}{
+	{"fig1", plain(experiments.Fig1)},
+	{"fig3", plain(experiments.Fig3)},
+	{"fig5", plain(experiments.Fig5)},
+	{"fig7a", plain(experiments.Fig7a)},
+	{"fig7b", plain(experiments.Fig7b)},
+	{"fig9", plain(experiments.Fig9)},
+	{"table1", plain(experiments.Table1)},
+	{"fig10", plain(experiments.Fig10)},
+	{"fig11", plain(experiments.Fig11)},
+	{"fig12", check(experiments.Fig12)},
+	{"fig13", check(experiments.Fig13)},
+	{"fig14", check(experiments.Fig14)},
+	{"fig15", check(experiments.Fig15)},
+	{"fig16", check(experiments.Fig16)},
+	{"fig17", check(experiments.Fig17)},
+	{"claims", check(experiments.Claims)},
+	{"ext-sweep", plain(experiments.FixedThSweep)},
+	{"ext-similarity", check(experiments.Similarity)},
+	{"ext-groundtruth", check(experiments.GroundTruth)},
+	{"ext-ftl", check(experiments.FTLImpact)},
+	{"ext-cache", check(experiments.CacheImpact)},
 }
 
 func main() {
@@ -174,28 +87,42 @@ func main() {
 	cfg := experiments.Config{Ops: *ops, Seed: *seed}
 	names := args
 	if len(args) == 1 && args[0] == "all" {
-		names = order
+		names = nil
+		for _, e := range table {
+			names = append(names, e.name)
+		}
 	}
 	for _, name := range names {
-		if _, ok := registry[name]; !ok {
+		run, ok := lookup(name)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			usage()
 			os.Exit(2)
 		}
-		if err := runOne(name, cfg, os.Stdout, os.Stderr); err != nil {
+		if err := runOne(name, run, cfg, os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
 		}
 	}
 }
 
-// runOne renders a registered experiment under its header to out, and
-// its wall time to timing: out stays deterministic for a given config,
-// which is what the golden of `experiments all` compares.
-func runOne(name string, cfg experiments.Config, out, timing io.Writer) error {
+// lookup returns the experiment called name.
+func lookup(name string) (runner, bool) {
+	for _, e := range table {
+		if e.name == name {
+			return e.run, true
+		}
+	}
+	return nil, false
+}
+
+// runOne renders an experiment under its header to out, and its wall
+// time to timing: out stays deterministic for a given config, which is
+// what the golden of `experiments all` compares.
+func runOne(name string, run runner, cfg experiments.Config, out, timing io.Writer) error {
 	start := time.Now()
 	fmt.Fprintf(out, "--- %s ---\n", name)
-	if err := registry[name](cfg, out); err != nil {
+	if err := run(cfg, out); err != nil {
 		return err
 	}
 	fmt.Fprintln(out)
@@ -205,12 +132,7 @@ func runOne(name string, cfg experiments.Config, out, timing io.Writer) error {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, "usage: experiments [-ops N] [-seed S] <exp> [<exp>...] | all\n\nexperiments:\n")
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(os.Stderr, "  %s\n", n)
+	for _, e := range table {
+		fmt.Fprintf(os.Stderr, "  %s\n", e.name)
 	}
 }

@@ -22,9 +22,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/all-ops80
 // and the diff shows in review.
 func TestAllGolden(t *testing.T) {
 	var got bytes.Buffer
-	for _, name := range order {
-		if err := runOne(name, experiments.Config{Ops: 800}, &got, io.Discard); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, e := range table {
+		if err := runOne(e.name, e.run, experiments.Config{Ops: 800}, &got, io.Discard); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
 		}
 	}
 	path := filepath.Join("testdata", "golden", "all-ops800.txt")
@@ -52,30 +52,17 @@ func TestAllGolden(t *testing.T) {
 	}
 }
 
-// TestOrderCoversRegistry keeps the "all" sequence and the registry in
-// sync: every registered experiment appears exactly once in the order.
-func TestOrderCoversRegistry(t *testing.T) {
-	seen := map[string]int{}
-	for _, name := range order {
-		seen[name]++
-		if _, ok := registry[name]; !ok {
-			t.Errorf("order entry %q not in registry", name)
-		}
-	}
-	for name := range registry {
-		if seen[name] != 1 {
-			t.Errorf("registry entry %q appears %d times in order", name, seen[name])
-		}
-	}
-}
-
 // TestRunnersProduceOutput exercises the cheap runners end to end via
 // the same entry points main uses.
 func TestRunnersProduceOutput(t *testing.T) {
 	cfg := experiments.Config{Ops: 800}
 	for _, name := range []string{"fig9", "fig5", "table1"} {
+		run, ok := lookup(name)
+		if !ok {
+			t.Fatalf("%s not in the table", name)
+		}
 		var buf bytes.Buffer
-		if err := registry[name](cfg, &buf); err != nil {
+		if err := run(cfg, &buf); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if buf.Len() == 0 {

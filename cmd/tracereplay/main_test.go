@@ -144,13 +144,22 @@ func TestInputRules(t *testing.T) {
 }
 
 // TestFormatFlagFromTable: -informat's help lists exactly the codec
-// table's input formats.
+// table's input formats, and -device names every registry target and
+// alias, and "null".
 func TestFormatFlagFromTable(t *testing.T) {
 	var stderr bytes.Buffer
 	if err := run([]string{"-h"}, nil, io.Discard, &stderr); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: %v", err)
 	}
-	if !strings.Contains(stderr.String(), trace.Usage(trace.Input)) {
-		t.Fatalf("help lacks %q:\n%s", trace.Usage(trace.Input), stderr.String())
+	want := []string{trace.Usage(trace.Input), `"null"`}
+	for _, d := range engine.Devices() {
+		for _, name := range append([]string{d.Name}, d.Aliases...) {
+			want = append(want, strconv.Quote(name))
+		}
+	}
+	for _, usage := range want {
+		if !strings.Contains(stderr.String(), usage) {
+			t.Fatalf("help lacks %q:\n%s", usage, stderr.String())
+		}
 	}
 }

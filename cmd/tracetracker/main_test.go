@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -353,13 +354,20 @@ func TestCLINeverClobbersOutput(t *testing.T) {
 }
 
 // TestFormatFlagsFromTable: -informat and -outformat list exactly the
-// codec table's input and output formats — the sets a job accepts.
+// codec table's input and output formats — the sets a job accepts — and
+// -device names every registry target and alias.
 func TestFormatFlagsFromTable(t *testing.T) {
 	var stderr bytes.Buffer
 	if err := run([]string{"-h"}, nil, io.Discard, &stderr); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: %v", err)
 	}
-	for _, usage := range []string{trace.Usage(trace.Input), trace.Usage(trace.Output)} {
+	want := []string{trace.Usage(trace.Input), trace.Usage(trace.Output)}
+	for _, d := range engine.Devices() {
+		for _, name := range append([]string{d.Name}, d.Aliases...) {
+			want = append(want, strconv.Quote(name))
+		}
+	}
+	for _, usage := range want {
 		if !strings.Contains(stderr.String(), usage) {
 			t.Fatalf("help lacks %q:\n%s", usage, stderr.String())
 		}

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 )
 
 // submitTraced posts a job with a traceparent header and returns the
@@ -216,8 +217,8 @@ func TestTraceEndToEnd(t *testing.T) {
 	if env := errEnvelope(t, body); env.Code != "trace_evicted" {
 		t.Fatalf("evicted trace: code %q", env.Code)
 	}
-	if srv.flight.Evictions() < 1 {
-		t.Fatal("eviction not counted")
+	if v, ok := obstest.SampleValue(scrapeMetrics(t, ts), "daemon_trace_evictions_total", nil); !ok || v < 1 {
+		t.Fatalf("daemon_trace_evictions_total = %v (present %v), want >= 1", v, ok)
 	}
 	if resp, _ := getTrace(t, ts, sub2.ID, ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("newest trace evicted too: status %d", resp.StatusCode)

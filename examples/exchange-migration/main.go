@@ -36,28 +36,21 @@ func main() {
 	old.TsdevKnown = false
 
 	// Reconstruct with every method.
-	methods := []baseline.Method{
-		baseline.MethodAcceleration,
-		baseline.MethodRevision,
-		baseline.MethodFixedTh,
-		baseline.MethodDynamic,
-		baseline.MethodTraceTracker,
-	}
 	t := &report.Table{
 		Title:   "Exchange on flash: predicted vs actual",
 		Headers: []string{"method", "duration", "avg |dTintt| vs actual", "idle kept"},
 	}
 	t.AddRow("actual (NEW)", truth.Trace.Duration(), "-", report.Percent(1))
 	actualIdle := truth.TotalThink()
-	for _, m := range methods {
-		rec, err := baseline.Run(m, old, device.NewArray(device.DefaultArrayConfig()))
+	for _, m := range baseline.Methods {
+		rec, err := m.Run(old, device.NewArray(device.DefaultArrayConfig()))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v: %v\n", m, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", m.Name, err)
 			os.Exit(1)
 		}
 		gap, _ := core.InterArrivalGap(rec, truth.Trace)
 		kept := idleKept(rec, actualIdle)
-		t.AddRow(m.String(), rec.Duration(), gap, report.Percent(kept))
+		t.AddRow(m.Name, rec.Duration(), gap, report.Percent(kept))
 	}
 	t.Render(os.Stdout)
 

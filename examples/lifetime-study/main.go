@@ -1,10 +1,11 @@
 // Lifetime study distortion: the paper's reference [8] improves NAND
 // lifetime using traces accelerated 100x. This example replays that
 // methodology on the simulated substrate: the same workload trace,
-// accelerated by increasing factors, drives the FTL simulator — and
-// the background-GC picture a lifetime study would base its
-// conclusions on changes with the factor, exactly the distortion
-// TraceTracker's reconstruction avoids.
+// accelerated by increasing factors, drives the engine's FTL target
+// (device.FTLDevice, which offers every gap before a request's issue
+// to background GC) — and the background-GC picture a lifetime study
+// would base its conclusions on changes with the factor, exactly the
+// distortion TraceTracker's reconstruction avoids.
 //
 //	go run ./examples/lifetime-study
 package main
@@ -12,11 +13,13 @@ package main
 import (
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/device"
 	"repro/internal/ftl"
 	"repro/internal/report"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -39,20 +42,22 @@ func main() {
 		Title:   "FTL study vs trace acceleration factor (homes, diurnal)",
 		Headers: []string{"trace", "WAF", "foreground GC", "stall", "idle GC time"},
 	}
-	for _, factor := range []float64{1, 10, 100, 1000} {
-		tr := baseline.Acceleration(old, factor)
-		res, err := ftl.Run(ftl.New(ftlCfg), tr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "factor %v: %v\n", factor, err)
-			os.Exit(1)
+	study := func(label string, tr *trace.Trace) {
+		dev := device.NewFTLDevice(ftlCfg)
+		var now time.Duration
+		for _, r := range tr.Requests {
+			now = dev.Submit(max(r.Arrival, now), r).Complete
 		}
+		s := dev.FTL().Stats()
+		t.AddRow(label, fmt.Sprintf("%.3f", s.WAF()), report.Percent(s.ForegroundShare()),
+			s.ForegroundStall, s.IdleBudgetUsed)
+	}
+	for _, factor := range []float64{1, 10, 100, 1000} {
 		label := fmt.Sprintf("accelerated %gx", factor)
 		if factor == 1 {
 			label = "original"
 		}
-		t.AddRow(label, fmt.Sprintf("%.3f", res.Stats.WAF()),
-			report.Percent(res.ForegroundShare()),
-			res.Stats.ForegroundStall, res.Stats.IdleBudgetUsed)
+		study(label, baseline.Acceleration(old, factor))
 	}
 
 	// The TraceTracker alternative: remaster for the flash target
@@ -62,14 +67,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tracetracker: %v\n", err)
 		os.Exit(1)
 	}
-	res, err := ftl.Run(ftl.New(ftlCfg), tt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftl: %v\n", err)
-		os.Exit(1)
-	}
-	t.AddRow("TraceTracker", fmt.Sprintf("%.3f", res.Stats.WAF()),
-		report.Percent(res.ForegroundShare()),
-		res.Stats.ForegroundStall, res.Stats.IdleBudgetUsed)
+	study("TraceTracker", tt)
 	t.Render(os.Stdout)
 
 	fmt.Println()

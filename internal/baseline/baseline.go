@@ -71,53 +71,28 @@ func Dynamic(old *trace.Trace, target device.Device) (*trace.Trace, error) {
 
 // TraceTracker is the full co-evaluation (inference + emulation +
 // post-processing), re-exported here so comparison sweeps can iterate
-// over all five methods uniformly.
+// over all five methods uniformly (see Methods).
 func TraceTracker(old *trace.Trace, target device.Device) (*trace.Trace, error) {
 	out, _, err := core.Reconstruct(old, target, core.Options{})
 	return out, err
 }
 
-// Method names the five reconstruction techniques for reports.
-type Method int
-
-const (
-	MethodAcceleration Method = iota
-	MethodRevision
-	MethodFixedTh
-	MethodDynamic
-	MethodTraceTracker
-)
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case MethodAcceleration:
-		return "Acceleration"
-	case MethodRevision:
-		return "Revision"
-	case MethodFixedTh:
-		return "Fixed-th"
-	case MethodDynamic:
-		return "Dynamic"
-	case MethodTraceTracker:
-		return "TraceTracker"
-	default:
-		return "unknown"
-	}
-}
-
-// Run applies the method to old with its default parameters.
-func Run(m Method, old *trace.Trace, target device.Device) (*trace.Trace, error) {
-	switch m {
-	case MethodAcceleration:
+// Methods is the five reconstruction techniques at the paper's
+// settings (factor DefaultAccelerationFactor, threshold
+// DefaultFixedThreshold), in the order the paper introduces them.
+var Methods = []struct {
+	Name string
+	Run  func(old *trace.Trace, target device.Device) (*trace.Trace, error)
+}{
+	{"Acceleration", func(old *trace.Trace, _ device.Device) (*trace.Trace, error) {
 		return Acceleration(old, DefaultAccelerationFactor), nil
-	case MethodRevision:
+	}},
+	{"Revision", func(old *trace.Trace, target device.Device) (*trace.Trace, error) {
 		return Revision(old, target), nil
-	case MethodFixedTh:
+	}},
+	{"Fixed-th", func(old *trace.Trace, target device.Device) (*trace.Trace, error) {
 		return FixedTh(old, target, DefaultFixedThreshold), nil
-	case MethodDynamic:
-		return Dynamic(old, target)
-	default:
-		return TraceTracker(old, target)
-	}
+	}},
+	{"Dynamic", Dynamic},
+	{"TraceTracker", TraceTracker},
 }

@@ -85,36 +85,27 @@ func TestDynamicAndTraceTrackerRun(t *testing.T) {
 	}
 }
 
-func TestMethodString(t *testing.T) {
-	names := map[Method]string{
-		MethodAcceleration: "Acceleration",
-		MethodRevision:     "Revision",
-		MethodFixedTh:      "Fixed-th",
-		MethodDynamic:      "Dynamic",
-		MethodTraceTracker: "TraceTracker",
-	}
-	for m, want := range names {
-		if m.String() != want {
-			t.Fatalf("%d.String() = %q", m, m.String())
-		}
-	}
-	if Method(99).String() != "unknown" {
-		t.Fatal("unknown method string")
-	}
-}
-
-func TestRunDispatch(t *testing.T) {
+// TestMethodsRun pins the table's order and names, and runs every row
+// at its defaults.
+func TestMethodsRun(t *testing.T) {
 	old := genOld(t, "CFS", 1500)
-	for _, m := range []Method{MethodAcceleration, MethodRevision, MethodFixedTh, MethodDynamic, MethodTraceTracker} {
-		out, err := Run(m, old, newTarget())
+	want := []string{"Acceleration", "Revision", "Fixed-th", "Dynamic", "TraceTracker"}
+	if len(Methods) != len(want) {
+		t.Fatalf("%d methods, want %d", len(Methods), len(want))
+	}
+	for i, m := range Methods {
+		if m.Name != want[i] {
+			t.Fatalf("Methods[%d] = %q, want %q", i, m.Name, want[i])
+		}
+		out, err := m.Run(old, newTarget())
 		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+			t.Fatalf("%s: %v", m.Name, err)
 		}
 		if out.Len() != old.Len() {
-			t.Fatalf("%v: request count changed", m)
+			t.Fatalf("%s: request count changed", m.Name)
 		}
 		if err := out.Validate(); err != nil {
-			t.Fatalf("%v: invalid output: %v", m, err)
+			t.Fatalf("%s: invalid output: %v", m.Name, err)
 		}
 	}
 }

@@ -103,7 +103,7 @@ func TestFittedModelAtIngest(t *testing.T) {
 				t.Fatalf("models fitted=%v fit seconds=%v, want 1 and a positive time", fitted, secs)
 			}
 			// The summary rode the same loop and flags: unchanged.
-			if e.Requests != int64(old.Len()) || e.SeqFraction != old.SeqFraction() || e.TsdevKnown {
+			if e.Requests != int64(old.Len()) || e.SeqFraction != old.Summary().SeqFraction() || e.TsdevKnown {
 				t.Fatalf("summary: %+v", e)
 			}
 

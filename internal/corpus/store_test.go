@@ -95,9 +95,10 @@ func TestIngestSummaryAndDigest(t *testing.T) {
 	if e.Format != "csv" || e.Size != int64(len(data)) {
 		t.Fatalf("format/size: %+v", e)
 	}
+	want := tr.Summary()
 	if e.Requests != int64(tr.Len()) || e.Duration != tr.Duration() ||
-		e.TotalBytes != tr.TotalBytes() || e.ReadFraction != tr.ReadFraction() ||
-		e.SeqFraction != tr.SeqFraction() {
+		e.TotalBytes != want.TotalBytes || e.ReadFraction != want.ReadFraction() ||
+		e.SeqFraction != want.SeqFraction() {
 		t.Fatalf("summary: %+v", e)
 	}
 	if e.Name != tr.Name || e.Workload != tr.Workload || e.Set != tr.Set || !e.TsdevKnown {

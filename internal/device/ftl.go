@@ -4,10 +4,10 @@ package device
 // Device interface, making it a first-class reconstruction target: the
 // engine replays a trace against it and the idle gaps the
 // reconstruction preserves become the background-GC budget — the
-// paper's central claim, measurable per job. The adapter is the
-// synchronous-loop equivalent of ftl.Run: the gap since the previous
-// completion is offered to background GC, then each page of the
-// request is serviced (reads at tR, writes at tPROG plus any
+// paper's central claim, measurable per job. It is the one driver of
+// the FTL, for jobs and trace-driven studies alike: the gap since the
+// previous completion is offered to background GC, then each page of
+// the request is serviced (reads at tR, writes at tPROG plus any
 // foreground-GC stall).
 //
 // The FTL is not shard-safe — the mapping table, wear and GC debt

@@ -74,8 +74,8 @@ func CacheImpact(cfg Config) (CacheImpactResult, error) {
 	out.HitRate = host.HitRate()
 	out.RawRequests = raw.Len()
 	out.CachedRequests = cached.Len()
-	out.RawReadFrac = raw.ReadFraction()
-	out.CachedReadFrac = cached.ReadFraction()
+	out.RawReadFrac = raw.Summary().ReadFraction()
+	out.CachedReadFrac = cached.Summary().ReadFraction()
 	out.RawMedianIntt = medianIntt(raw)
 	out.CachedMedianIntt = medianIntt(cached)
 	out.RawCDF = report.NewCDFSeries("raw", inttMicros(raw))

@@ -80,7 +80,7 @@ type Fig13Result struct {
 	Mean map[string]time.Duration
 }
 
-// fig13Methods orders the compared methods.
+// fig13Methods is the figure's column order of the compared methods.
 var fig13Methods = []string{"Dynamic", "Fixed-th", "Acceleration", "Revision"}
 
 // Fig13 sweeps all 31 workload families.
@@ -95,17 +95,17 @@ func Fig13(cfg Config) (Fig13Result, error) {
 			return out, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		row := Fig13Row{Workload: p.Name, Gap: map[string]time.Duration{}}
-		for _, m := range []baseline.Method{
-			baseline.MethodDynamic, baseline.MethodFixedTh,
-			baseline.MethodAcceleration, baseline.MethodRevision,
-		} {
-			other, err := baseline.Run(m, old, NewTarget())
+		for _, m := range baseline.Methods {
+			if m.Name == "TraceTracker" {
+				continue
+			}
+			other, err := m.Run(old, NewTarget())
 			if err != nil {
-				return out, fmt.Errorf("%s/%s: %w", p.Name, m, err)
+				return out, fmt.Errorf("%s/%s: %w", p.Name, m.Name, err)
 			}
 			avg, _ := core.InterArrivalGap(tt, other)
-			row.Gap[m.String()] = avg
-			sums[m.String()] += avg
+			row.Gap[m.Name] = avg
+			sums[m.Name] += avg
 		}
 		out.Rows = append(out.Rows, row)
 	}

@@ -155,10 +155,6 @@ func Similarity(cfg Config) (SimilarityResult, error) {
 		PerWorkload: map[string][]SimilarityRow{},
 		Workloads:   []string{"MSNFS", "homes", "src2"},
 	}
-	methods := []baseline.Method{
-		baseline.MethodAcceleration, baseline.MethodRevision,
-		baseline.MethodFixedTh, baseline.MethodDynamic, baseline.MethodTraceTracker,
-	}
 	for _, name := range out.Workloads {
 		p, _ := workload.Lookup(name)
 		app := workload.Generate(p, workload.GenOptions{Ops: cfg.Ops, Seed: 22 ^ cfg.Seed})
@@ -167,14 +163,14 @@ func Similarity(cfg Config) (SimilarityResult, error) {
 		old := oldRes.Trace
 		old.TsdevKnown = false
 		truthIA := inttMicros(newRes.Trace)
-		for _, m := range methods {
-			rec, err := baseline.Run(m, old, NewTarget())
+		for _, m := range baseline.Methods {
+			rec, err := m.Run(old, NewTarget())
 			if err != nil {
-				return out, fmt.Errorf("%s/%s: %w", name, m, err)
+				return out, fmt.Errorf("%s/%s: %w", name, m.Name, err)
 			}
 			recIA := inttMicros(rec)
 			out.PerWorkload[name] = append(out.PerWorkload[name], SimilarityRow{
-				Method:   m.String(),
+				Method:   m.Name,
 				KS:       stats.KolmogorovSmirnov(recIA, truthIA),
 				W1Micros: stats.Wasserstein1(recIA, truthIA),
 			})

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/device"
 	"repro/internal/ftl"
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -53,26 +54,11 @@ func FTLImpact(cfg Config) (FTLImpactResult, error) {
 	p, _ := workload.Lookup("homes") // ~80% writes
 	old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
 
-	// "Target" row: the original trace with its real timing.
-	traces := []struct {
-		name string
-		run  func() (*trace.Trace, error)
-	}{
-		{"Target(old)", func() (*trace.Trace, error) { return old, nil }},
-		{"Acceleration", func() (*trace.Trace, error) {
-			return baseline.Acceleration(old, baseline.DefaultAccelerationFactor), nil
-		}},
-		{"Revision", func() (*trace.Trace, error) { return baseline.Revision(old, NewTarget()), nil }},
-		{"Fixed-th", func() (*trace.Trace, error) {
-			return baseline.FixedTh(old, NewTarget(), baseline.DefaultFixedThreshold), nil
-		}},
-		{"Dynamic", func() (*trace.Trace, error) { return baseline.Dynamic(old, NewTarget()) }},
-		{"TraceTracker", func() (*trace.Trace, error) { return baseline.TraceTracker(old, NewTarget()) }},
-	}
 	// The FTL is sized so the trace's footprint wraps around the
-	// logical space several times (the driver maps pages modulo the
-	// device): sustained overwrite pressure is what makes GC run at
-	// all at experiment scale.
+	// logical space several times (the device maps pages modulo its
+	// logical space): sustained overwrite pressure is what makes GC run
+	// at all at experiment scale. The geometry is one the engine's ftl
+	// target would accept, so a write never meets ftl.ErrFull.
 	ftlCfg := ftl.Config{
 		Blocks:              96,
 		PagesPerBlock:       32,
@@ -81,22 +67,32 @@ func FTLImpact(cfg Config) (FTLImpactResult, error) {
 		GCTriggerFreeBlocks: 4,
 		BackgroundGCTarget:  16,
 	}
-	for _, tc := range traces {
-		tr, err := tc.run()
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", tc.name, err)
+	// Each request issues at its arrival, or at the previous
+	// completion if the device is still busy; the gap in between is
+	// the idle the FTL offers to background GC.
+	study := func(name string, tr *trace.Trace) {
+		dev := device.NewFTLDevice(ftlCfg)
+		var now time.Duration
+		for _, r := range tr.Requests {
+			now = dev.Submit(max(r.Arrival, now), r).Complete
 		}
-		res, err := ftl.Run(ftl.New(ftlCfg), tr)
-		if err != nil {
-			return out, fmt.Errorf("%s: ftl: %w", tc.name, err)
-		}
+		s := dev.FTL().Stats()
 		out.Rows = append(out.Rows, FTLImpactRow{
-			Method:          tc.name,
-			WAF:             res.Stats.WAF(),
-			ForegroundShare: res.ForegroundShare(),
-			Stall:           res.Stats.ForegroundStall,
-			IdleUsed:        res.Stats.IdleBudgetUsed,
+			Method:          name,
+			WAF:             s.WAF(),
+			ForegroundShare: s.ForegroundShare(),
+			Stall:           s.ForegroundStall,
+			IdleUsed:        s.IdleBudgetUsed,
 		})
+	}
+	// "Target" row: the original trace with its real timing.
+	study("Target(old)", old)
+	for _, m := range baseline.Methods {
+		tr, err := m.Run(old, NewTarget())
+		if err != nil {
+			return out, fmt.Errorf("%s: %w", m.Name, err)
+		}
+		study(m.Name, tr)
 	}
 	return out, nil
 }

@@ -339,12 +339,13 @@ func Table1(cfg Config) Table1Result {
 	var out Table1Result
 	for _, p := range workload.Profiles() {
 		old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
+		sum := old.Summary()
 		out.Rows = append(out.Rows, Table1Row{
 			Name: p.Name, Set: p.Set, NumTraces: p.NumTraces,
 			PaperAvgKB:    p.AvgKB,
-			MeasuredAvgKB: old.AvgRequestBytes() / 1024,
+			MeasuredAvgKB: sum.AvgRequestBytes() / 1024,
 			PaperTotalGB:  p.TotalGB,
-			ReadFrac:      old.ReadFraction(),
+			ReadFrac:      sum.ReadFraction(),
 		})
 	}
 	return out

@@ -123,6 +123,17 @@ func (s Stats) WAF() float64 {
 	return float64(s.HostWrites+s.GCWrites) / float64(s.HostWrites)
 }
 
+// ForegroundShare is the fraction of GC rounds that stalled the host —
+// the number the paper's background-budget discussion predicts will
+// differ across reconstructions.
+func (s Stats) ForegroundShare() float64 {
+	total := s.ForegroundGC + s.BackgroundGC
+	if total == 0 {
+		return 0
+	}
+	return float64(s.ForegroundGC) / float64(total)
+}
+
 // WearSpread returns max/min erase counts (1 = perfectly even).
 func (s Stats) WearSpread() float64 {
 	if s.MinErase == 0 {
@@ -226,9 +237,6 @@ func (f *FTL) Stats() Stats {
 //
 //tracelint:hotpath
 func (f *FTL) Read(lpn int64) time.Duration {
-	if lpn < 0 || lpn >= f.logical {
-		return f.cfg.ReadLatency
-	}
 	return f.cfg.ReadLatency
 }
 

@@ -222,47 +222,6 @@ func TestPagesOf(t *testing.T) {
 	}
 }
 
-func TestRunDriver(t *testing.T) {
-	f := tiny()
-	tr := &trace.Trace{}
-	at := time.Duration(0)
-	lba := uint64(0)
-	for i := 0; i < 3000; i++ {
-		tr.Requests = append(tr.Requests, trace.Request{
-			Arrival: at, LBA: lba % 5000, Sectors: 8, Op: trace.Write,
-		})
-		at += 2 * time.Millisecond // idle gaps between requests
-		lba += 8
-	}
-	res, err := Run(f, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != 3000 {
-		t.Fatalf("requests = %d", res.Requests)
-	}
-	if res.IdleOffered == 0 {
-		t.Fatal("no idle offered despite gaps")
-	}
-	if res.Elapsed == 0 {
-		t.Fatal("no elapsed time")
-	}
-}
-
-func TestRunReadsDoNotAmplify(t *testing.T) {
-	f := tiny()
-	tr := &trace.Trace{Requests: []trace.Request{
-		{Arrival: 0, LBA: 0, Sectors: 64, Op: trace.Read},
-	}}
-	res, err := Run(f, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.HostWrites != 0 {
-		t.Fatal("reads should not write")
-	}
-}
-
 func TestDefaultsApplied(t *testing.T) {
 	f := New(Config{})
 	if f.cfg.Blocks != DefaultConfig().Blocks {

@@ -20,7 +20,6 @@ type FlightRecorder struct {
 	cap     int
 	order   []string           // insertion order, oldest first. guarded by mu
 	byID    map[string]*Tracer // guarded by mu
-	evicted int64              // guarded by mu
 	counter *Counter           // optional eviction metric. guarded by mu
 }
 
@@ -78,7 +77,6 @@ func (f *FlightRecorder) evictLocked() {
 		victim := f.order[0]
 		f.order = f.order[1:]
 		delete(f.byID, victim)
-		f.evicted++
 		if f.counter != nil {
 			f.counter.Inc()
 		}
@@ -102,14 +100,6 @@ func (f *FlightRecorder) Get(id string) (*JobTrace, bool) {
 func (f *FlightRecorder) Len() int {
 	f.mu.Lock()
 	n := len(f.order)
-	f.mu.Unlock()
-	return n
-}
-
-// Evictions returns the total timelines evicted since creation.
-func (f *FlightRecorder) Evictions() int64 {
-	f.mu.Lock()
-	n := f.evicted
 	f.mu.Unlock()
 	return n
 }

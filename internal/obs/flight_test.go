@@ -30,8 +30,8 @@ func TestFlightRecorderEviction(t *testing.T) {
 	if f.Len() != 3 {
 		t.Fatalf("ring holds %d timelines, capacity 3", f.Len())
 	}
-	if f.Evictions() != 2 || evictions.Value() != 2 {
-		t.Fatalf("evictions: recorder %d, counter %d, want 2", f.Evictions(), evictions.Value())
+	if evictions.Value() != 2 {
+		t.Fatalf("evictions: counter %d, want 2", evictions.Value())
 	}
 	for _, gone := range []string{"job-0", "job-1"} {
 		if _, ok := f.Get(gone); ok {
@@ -47,8 +47,8 @@ func TestFlightRecorderEviction(t *testing.T) {
 	// Replacing an existing ID (a cache-replayed job re-finishing)
 	// must not consume a second slot or evict anything.
 	f.Add("job-3", flightTrace("t3-replayed"))
-	if f.Len() != 3 || f.Evictions() != 2 {
-		t.Fatalf("replace-in-place evicted: len %d, evictions %d", f.Len(), f.Evictions())
+	if f.Len() != 3 || evictions.Value() != 2 {
+		t.Fatalf("replace-in-place evicted: len %d, evictions %d", f.Len(), evictions.Value())
 	}
 	if jt, _ := f.Get("job-3"); jt.Name != "t3-replayed" {
 		t.Fatalf("replace kept the old timeline: %s", jt.Name)
@@ -56,8 +56,8 @@ func TestFlightRecorderEviction(t *testing.T) {
 
 	// Shrinking the ring evicts down to the new bound.
 	f.SetCapacity(1)
-	if f.Len() != 1 || f.Evictions() != 4 {
-		t.Fatalf("after shrink: len %d, evictions %d", f.Len(), f.Evictions())
+	if f.Len() != 1 || evictions.Value() != 4 {
+		t.Fatalf("after shrink: len %d, evictions %d", f.Len(), evictions.Value())
 	}
 	if _, ok := f.Get("job-4"); !ok {
 		t.Fatal("newest entry evicted by shrink")
@@ -179,7 +179,9 @@ func TestRetainedBytesPerParkedJob(t *testing.T) {
 // cross-goroutine edge: readers render parked tracers while writers
 // finish and park new ones, evicting the oldest from a small ring.
 func TestFlightRecorderConcurrentGet(t *testing.T) {
+	evictions := NewRegistry().Counter("evictions_total", "test", nil)
 	f := NewFlightRecorder(4)
+	f.SetEvictionCounter(evictions)
 	const writers, readers, jobs = 2, 2, 50
 	var wg sync.WaitGroup
 	for w := range writers {
@@ -210,7 +212,7 @@ func TestFlightRecorderConcurrentGet(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if f.Len() != 4 || f.Evictions() != writers*jobs-4 {
-		t.Fatalf("ring holds %d, evicted %d; want 4 and %d", f.Len(), f.Evictions(), writers*jobs-4)
+	if f.Len() != 4 || evictions.Value() != writers*jobs-4 {
+		t.Fatalf("ring holds %d, evicted %d; want 4 and %d", f.Len(), evictions.Value(), writers*jobs-4)
 	}
 }

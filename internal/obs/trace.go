@@ -136,9 +136,6 @@ type Span struct {
 	i uint32 // index in t.spans
 }
 
-// Recorded reports whether the span is actually being recorded.
-func (s Span) Recorded() bool { return s.t != nil }
-
 // Child starts a span parented under s, no-op if s is.
 func (s Span) Child(name SpanName) Span {
 	if s.t == nil {

@@ -2,8 +2,8 @@ package trace
 
 // One-pass characterization: Summarizer folds a request stream into
 // the whole-trace metrics tracestat prints and the corpus store
-// records in its sidecars, without materializing the trace — the
-// bounded-memory counterpart of the Trace accessor methods.
+// records in its sidecars, without materializing the trace.
+// Trace.Summary is the same fold over a trace in memory.
 
 import (
 	"fmt"
@@ -47,7 +47,8 @@ func (s Summary) Validate() error {
 }
 
 // Duration returns the arrival span, zero below two requests —
-// matching Trace.Duration on sorted input.
+// matching Trace.Duration on sorted input (Trace.Duration is last minus
+// first arrival, so the two differ on unsorted input).
 func (s Summary) Duration() time.Duration {
 	if s.Requests < 2 {
 		return 0

@@ -24,8 +24,9 @@ func summarySample() *Trace {
 	}
 }
 
-// TestSummarizerMatchesTraceMethods locks the one-pass summary to the
-// whole-trace accessor methods.
+// TestSummarizerMatchesTraceMethods locks the summary of a decoded
+// stream to the same fold over the trace in memory, and to its
+// Duration and Meta.
 func TestSummarizerMatchesTraceMethods(t *testing.T) {
 	tr := summarySample()
 	var buf bytes.Buffer
@@ -42,17 +43,8 @@ func TestSummarizerMatchesTraceMethods(t *testing.T) {
 	if sum.Duration() != tr.Duration() {
 		t.Fatalf("duration: %v want %v", sum.Duration(), tr.Duration())
 	}
-	if sum.TotalBytes != tr.TotalBytes() {
-		t.Fatalf("bytes: %d want %d", sum.TotalBytes, tr.TotalBytes())
-	}
-	if sum.ReadFraction() != tr.ReadFraction() {
-		t.Fatalf("read fraction: %v want %v", sum.ReadFraction(), tr.ReadFraction())
-	}
-	if sum.SeqFraction() != tr.SeqFraction() {
-		t.Fatalf("seq fraction: %v want %v", sum.SeqFraction(), tr.SeqFraction())
-	}
-	if sum.AvgRequestBytes() != tr.AvgRequestBytes() {
-		t.Fatalf("avg bytes: %v want %v", sum.AvgRequestBytes(), tr.AvgRequestBytes())
+	if want := tr.Summary(); sum != want {
+		t.Fatalf("summary: %+v want %+v", sum, want)
 	}
 	if sum.Meta != tr.Meta() {
 		t.Fatalf("meta: %+v want %+v", sum.Meta, tr.Meta())

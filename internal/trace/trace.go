@@ -113,9 +113,17 @@ var (
 // Summary.Validate over the trace, so a streamed input is held to the
 // same rules.
 func (t *Trace) Validate() error {
+	return t.Summary().Validate()
+}
+
+// Summary folds the trace's requests into their one-pass
+// characterization, exactly as Summarize folds a decoded stream: the
+// whole-trace metrics (bytes, read and sequential fractions) are its
+// methods.
+func (t *Trace) Summary() Summary {
 	acc := NewSummarizer()
 	acc.AddBatch(t.Requests)
-	return acc.Summary(t.Meta()).Validate()
+	return acc.Summary(t.Meta())
 }
 
 // Sort orders requests by arrival time (stable, preserving issue order
@@ -143,37 +151,6 @@ func (t *Trace) Duration() time.Duration {
 		return 0
 	}
 	return t.Requests[len(t.Requests)-1].Arrival - t.Requests[0].Arrival
-}
-
-// TotalBytes returns the sum of request sizes.
-func (t *Trace) TotalBytes() int64 {
-	var n int64
-	for _, r := range t.Requests {
-		n += r.Bytes()
-	}
-	return n
-}
-
-// AvgRequestBytes returns the mean request size in bytes (0 if empty).
-func (t *Trace) AvgRequestBytes() float64 {
-	if len(t.Requests) == 0 {
-		return 0
-	}
-	return float64(t.TotalBytes()) / float64(len(t.Requests))
-}
-
-// ReadFraction returns the fraction of requests that are reads.
-func (t *Trace) ReadFraction() float64 {
-	if len(t.Requests) == 0 {
-		return 0
-	}
-	reads := 0
-	for _, r := range t.Requests {
-		if r.Op == Read {
-			reads++
-		}
-	}
-	return float64(reads) / float64(len(t.Requests))
 }
 
 // InterArrivals returns the n-1 inter-arrival times Tintt[i] =
@@ -208,18 +185,4 @@ func (t *Trace) InterArrivalMicros() []float64 {
 // definition the paper's grouping step uses.
 func (t *Trace) SeqFlags() []bool {
 	return NewSeqState().AppendFlags(make([]bool, 0, len(t.Requests)), t.Requests)
-}
-
-// SeqFraction returns the fraction of sequential requests.
-func (t *Trace) SeqFraction() float64 {
-	if len(t.Requests) == 0 {
-		return 0
-	}
-	n := 0
-	for _, s := range t.SeqFlags() {
-		if s {
-			n++
-		}
-	}
-	return float64(n) / float64(len(t.Requests))
 }

@@ -119,13 +119,14 @@ func TestTotalsAndFractions(t *testing.T) {
 		{Arrival: 2, LBA: 999, Sectors: 16, Op: Read},  // random
 		{Arrival: 3, LBA: 1015, Sectors: 16, Op: Read}, // sequential
 	}}
-	if tr.TotalBytes() != int64(48*512) {
-		t.Fatalf("TotalBytes = %d", tr.TotalBytes())
+	sum := tr.Summary()
+	if sum.TotalBytes != int64(48*512) {
+		t.Fatalf("TotalBytes = %d", sum.TotalBytes)
 	}
-	if got := tr.AvgRequestBytes(); got != float64(48*512)/4 {
+	if got := sum.AvgRequestBytes(); got != float64(48*512)/4 {
 		t.Fatalf("AvgRequestBytes = %v", got)
 	}
-	if got := tr.ReadFraction(); got != 0.75 {
+	if got := sum.ReadFraction(); got != 0.75 {
 		t.Fatalf("ReadFraction = %v", got)
 	}
 	flags := tr.SeqFlags()
@@ -135,7 +136,7 @@ func TestTotalsAndFractions(t *testing.T) {
 			t.Fatalf("SeqFlags = %v, want %v", flags, want)
 		}
 	}
-	if got := tr.SeqFraction(); got != 0.5 {
+	if got := sum.SeqFraction(); got != 0.5 {
 		t.Fatalf("SeqFraction = %v", got)
 	}
 }
@@ -157,8 +158,8 @@ func TestSeqFlagsPerDevice(t *testing.T) {
 }
 
 func TestEmptyTraceAccessors(t *testing.T) {
-	tr := &Trace{}
-	if tr.AvgRequestBytes() != 0 || tr.ReadFraction() != 0 || tr.SeqFraction() != 0 {
+	sum := (&Trace{}).Summary()
+	if sum.AvgRequestBytes() != 0 || sum.ReadFraction() != 0 || sum.SeqFraction() != 0 {
 		t.Fatal("empty trace accessors should be zero")
 	}
 }
