@@ -48,7 +48,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		for _, p := range workload.Profiles() {
 			fmt.Fprintf(stdout, "%-14s %-5s %8d %8.2f %8.1f\n", p.Name, p.Set, p.NumTraces, p.AvgKB, p.TotalGB)
 		}
-		fmt.Fprintf(stdout, "%-14s %-5s %8s %8.2f %8.1f (extra, Figs 1/3)\n", "Exchange", "MSPS", "-", 12.5, 600.0)
+		x := workload.Exchange()
+		fmt.Fprintf(stdout, "%-14s %-5s %8s %8.2f %8.1f (extra, Figs 1/3)\n", x.Name, x.Set, "-", x.AvgKB, x.TotalGB)
 		return nil
 	}
 	p, ok := workload.Lookup(*name)
@@ -65,21 +66,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown device %q", *dev)
 	}
 
-	app := workload.Generate(p, workload.GenOptions{
+	tr := workload.Collect(p, workload.GenOptions{
 		Ops:  *ops,
 		Seed: workload.TraceSeed(p.Name, *idx) ^ *seed,
-	})
-	res := app.Execute(d)
-	tr := res.Trace
+	}, d).Trace
 	tr.Name = fmt.Sprintf("%s-%02d", p.Name, *idx)
-	tr.Workload = p.Name
-	tr.Set = p.Set
-	tr.TsdevKnown = p.TsdevKnown
-	if !p.TsdevKnown {
-		for i := range tr.Requests {
-			tr.Requests[i].Latency = 0
-		}
-	}
 
 	w := stdout
 	if *out != "" {

@@ -36,12 +36,8 @@ func webmailCSV(t *testing.T, ops int) []byte {
 	if !ok {
 		t.Fatal("webmail profile missing")
 	}
-	app := workload.Generate(p, workload.GenOptions{Ops: ops, Seed: workload.TraceSeed("webmail", 0)})
-	tr := app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace
-	tr.Name, tr.Workload, tr.TsdevKnown = "webmail-000", "webmail", false
-	for i := range tr.Requests {
-		tr.Requests[i].Latency = 0
-	}
+	tr := workload.Collect(p, workload.GenOptions{Ops: ops, Seed: workload.TraceSeed("webmail", 0)}, device.NewHDD(device.DefaultHDDConfig())).Trace
+	tr.Name = "webmail-000"
 	var buf bytes.Buffer
 	if err := trace.WriteCSV(&buf, tr); err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/infer"
 	"repro/internal/report"
@@ -67,16 +68,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	for i, p := range periods {
 		spec := verify.InjectionSpec{Period: p, Frac: *frac, Seed: *seed + int64(i)}
 		injected, truth := verify.Inject(tr, spec)
-		var est []time.Duration
-		if injected.TsdevKnown {
-			est, _ = infer.Decompose(nil, injected)
-		} else {
-			m, err := infer.Estimate(injected, infer.EstimateOptions{})
-			if err != nil {
-				return err
-			}
-			est, _ = infer.Decompose(m, injected)
+		m, _, err := core.PrepareModel(injected, core.Options{})
+		if err != nil {
+			return err
 		}
+		est, _ := infer.Decompose(m, injected)
 		met := verify.Evaluate(truth, est)
 		t.AddRow(report.FormatDuration(p), met.TP, met.FP, met.FN, met.TN,
 			report.Percent(met.DetectionTP()), report.Percent(met.DetectionFP()),
@@ -109,15 +105,7 @@ func loadOrGenerate(path, format, wl string, ops int) (*trace.Trace, error) {
 	// Verification bases carry no natural idles so every estimated
 	// idle at a non-injected instruction is a true false positive.
 	p.IdleFreq = 0
-	app := workload.Generate(p, workload.GenOptions{Ops: ops, Seed: 7})
-	res := app.Execute(device.NewHDD(device.DefaultHDDConfig()))
-	tr := res.Trace
+	tr := workload.Collect(p, workload.GenOptions{Ops: ops, Seed: 7}, device.NewHDD(device.DefaultHDDConfig())).Trace
 	tr.Name = p.Name + "-verify"
-	tr.TsdevKnown = p.TsdevKnown
-	if !p.TsdevKnown {
-		for i := range tr.Requests {
-			tr.Requests[i].Latency = 0
-		}
-	}
 	return tr, nil
 }

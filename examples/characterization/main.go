@@ -36,14 +36,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown workload %s\n", name)
 			os.Exit(1)
 		}
-		app := workload.Generate(p, workload.GenOptions{Ops: 8000, Seed: 4})
-		old := app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace
-		old.TsdevKnown = p.TsdevKnown
-		if !p.TsdevKnown {
-			for i := range old.Requests {
-				old.Requests[i].Latency = 0
-			}
-		}
+		old := workload.Collect(p, workload.GenOptions{Ops: 8000, Seed: 4}, device.NewHDD(device.DefaultHDDConfig())).Trace
 		_, rep, err := core.Reconstruct(old, device.NewArray(device.DefaultArrayConfig()), core.Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)

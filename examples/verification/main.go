@@ -25,12 +25,8 @@ func main() {
 	// positive, making the metrics exact.
 	profile, _ := workload.Lookup("webusers")
 	profile.IdleFreq = 0
-	app := workload.Generate(profile, workload.GenOptions{Ops: 25000, Seed: 3})
-	base := app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace
-	base.TsdevKnown = false
-	for i := range base.Requests {
-		base.Requests[i].Latency = 0 // FIU collection recorded none
-	}
+	// webusers is an FIU family: its collection records no completions.
+	base := workload.Collect(profile, workload.GenOptions{Ops: 25000, Seed: 3}, device.NewHDD(device.DefaultHDDConfig())).Trace
 
 	t := &report.Table{
 		Title:   "idle recovery from inter-arrival times alone (webusers, FIU-style)",

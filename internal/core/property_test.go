@@ -15,16 +15,7 @@ func TestPipelineInvariantsAcrossCorpus(t *testing.T) {
 	for _, p := range workload.Profiles() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			app := workload.Generate(p, workload.GenOptions{Ops: 800, Seed: workload.TraceSeed(p.Name, 0)})
-			old := app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace
-			old.Workload = p.Name
-			old.Set = p.Set
-			old.TsdevKnown = p.TsdevKnown
-			if !p.TsdevKnown {
-				for i := range old.Requests {
-					old.Requests[i].Latency = 0
-				}
-			}
+			old := workload.Collect(p, workload.GenOptions{Ops: 800, Seed: workload.TraceSeed(p.Name, 0)}, device.NewHDD(device.DefaultHDDConfig())).Trace
 			got, rep, err := Reconstruct(old, device.NewArray(device.DefaultArrayConfig()), Options{})
 			if err != nil {
 				t.Fatal(err)

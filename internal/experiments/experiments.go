@@ -10,6 +10,9 @@
 package experiments
 
 import (
+	"fmt"
+
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/replay"
 	"repro/internal/trace"
@@ -17,17 +20,13 @@ import (
 )
 
 // Config scales the experiments. The zero value picks defaults that
-// run the full suite in seconds; raise Ops and TracesPerFamily to
-// approach the paper's trace sizes.
+// run the full suite in seconds; raise Ops to approach the paper's
+// trace sizes.
 type Config struct {
 	// Ops is the number of I/O instructions per generated trace
 	// (default 4000; the paper's traces hold millions — the
 	// distributions stabilize long before that).
 	Ops int
-	// TracesPerFamily is how many traces to generate per workload
-	// family in corpus-wide sweeps (default 2, capped by the family's
-	// Table I count).
-	TracesPerFamily int
 	// Seed offsets all derived seeds, for sensitivity checks.
 	Seed int64
 }
@@ -35,9 +34,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Ops == 0 {
 		c.Ops = 4000
-	}
-	if c.TracesPerFamily == 0 {
-		c.TracesPerFamily = 2
 	}
 	return c
 }
@@ -50,25 +46,14 @@ func NewOldDevice() device.Device { return device.NewHDD(device.DefaultHDDConfig
 func NewTarget() device.Device { return device.NewArray(device.DefaultArrayConfig()) }
 
 // GenerateOld synthesizes trace index idx of a workload family and
-// collects it on the OLD device, returning the block trace (stamped
-// with the family's TsdevKnown property) and the execution ground
-// truth.
+// collects it on the OLD device as its corpus was (workload.Collect),
+// returning the block trace and the execution ground truth.
 func GenerateOld(p workload.Profile, idx, ops int, seed int64) (*trace.Trace, replay.ExecResult) {
-	app := workload.Generate(p, workload.GenOptions{
+	res := workload.Collect(p, workload.GenOptions{
 		Ops:  ops,
 		Seed: workload.TraceSeed(p.Name, idx) ^ seed,
-	})
-	res := app.Execute(NewOldDevice())
+	}, NewOldDevice())
 	res.Trace.Name = traceName(p.Name, idx)
-	res.Trace.Workload = p.Name
-	res.Trace.Set = p.Set
-	res.Trace.TsdevKnown = p.TsdevKnown
-	if !p.TsdevKnown {
-		// FIU-style collection recorded no completions: strip them.
-		for i := range res.Trace.Requests {
-			res.Trace.Requests[i].Latency = 0
-		}
-	}
 	return res.Trace, res
 }
 
@@ -76,5 +61,43 @@ func traceName(family string, idx int) string {
 	return family + "-" + string(rune('0'+idx/10%10)) + string(rune('0'+idx%10))
 }
 
-// inttMicros returns a trace's inter-arrival times in µs.
-func inttMicros(t *trace.Trace) []float64 { return t.InterArrivalMicros() }
+// familyRun is one cell of the corpus sweep: a family's OLD
+// collection, its execution ground truth, and TraceTracker's
+// reconstruction of it on the NEW system.
+type familyRun struct {
+	p     workload.Profile
+	old   *trace.Trace
+	truth replay.ExecResult
+	tt    *trace.Trace
+	rep   *core.Report
+}
+
+// eachFamily is the corpus sweep: trace 0 of every Table I family,
+// collected by GenerateOld and reconstructed once on NewTarget, handed
+// to fn one family at a time so that a large Ops never holds the
+// whole corpus at once.
+func eachFamily(cfg Config, fn func(familyRun) error) error {
+	cfg = cfg.withDefaults()
+	for _, p := range workload.Profiles() {
+		old, truth := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
+		tt, rep, err := core.Reconstruct(old, NewTarget(), core.Options{})
+		if err != nil {
+			return fmt.Errorf("%s: %w", p.Name, err)
+		}
+		if err := fn(familyRun{p: p, old: old, truth: truth, tt: tt, rep: rep}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// executeBoth runs one generated application on the OLD and the NEW
+// system. The OLD trace keeps its latencies but has TsdevKnown cleared,
+// so every method exercises the full inference path; the NEW execution
+// is the ground truth a reconstruction is scored against.
+func executeBoth(p workload.Profile, ops int, seed int64) (*trace.Trace, replay.ExecResult) {
+	app := workload.Generate(p, workload.GenOptions{Ops: ops, Seed: seed})
+	old := app.Execute(NewOldDevice()).Trace
+	old.TsdevKnown = false
+	return old, app.Execute(NewTarget())
+}

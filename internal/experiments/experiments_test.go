@@ -12,7 +12,7 @@ import (
 
 // small keeps unit-test runtime low; the benches run larger scales.
 
-var small = Config{Ops: 1500, TracesPerFamily: 1}
+var small = Config{Ops: 1500}
 
 func TestFig1Shape(t *testing.T) {
 	r := Fig1(small)
@@ -449,27 +449,41 @@ func TestPaperHeadlineValues(t *testing.T) {
 }
 
 func TestGenerateOldDeterministic(t *testing.T) {
-	ikki, ok := workload.Lookup("ikki")
-	if !ok {
-		t.Fatal("ikki profile missing")
-	}
-	pA, truthA := GenerateOld(ikki, 0, 500, 0)
-	pB, truthB := GenerateOld(ikki, 0, 500, 0)
-	if pA.Len() != pB.Len() {
-		t.Fatal("lengths differ")
-	}
-	for i := range pA.Requests {
-		if pA.Requests[i] != pB.Requests[i] {
-			t.Fatal("regeneration not deterministic")
+	const ops = 500
+	for _, p := range append(workload.Profiles(), workload.Exchange()) {
+		pA, truthA := GenerateOld(p, 0, ops, 0)
+		pB, truthB := GenerateOld(p, 0, ops, 0)
+		if pA.Len() != ops || pB.Len() != ops {
+			t.Fatalf("%s: lengths %d, %d, want %d", p.Name, pA.Len(), pB.Len(), ops)
 		}
-	}
-	if truthA.TotalThink() != truthB.TotalThink() {
-		t.Fatal("ground truth not deterministic")
-	}
-	// FIU trace must carry no latency.
-	for _, r := range pA.Requests {
-		if r.Latency != 0 {
-			t.Fatal("FIU trace should strip latency")
+		for i := range pA.Requests {
+			if pA.Requests[i] != pB.Requests[i] {
+				t.Fatalf("%s: regeneration not deterministic at %d", p.Name, i)
+			}
+		}
+		if truthA.TotalThink() != truthB.TotalThink() {
+			t.Fatalf("%s: ground truth not deterministic", p.Name)
+		}
+		// The corpus decides the collection: Set and TsdevKnown come
+		// from the profile, and only an FIU trace loses its latencies.
+		if pA.Set != p.Set || pA.TsdevKnown != p.TsdevKnown || pA.Workload != p.Name {
+			t.Errorf("%s: trace set=%q tsdev_known=%v workload=%q", p.Name, pA.Set, pA.TsdevKnown, pA.Workload)
+		}
+		recorded := 0
+		for _, r := range pA.Requests {
+			if r.Latency != 0 {
+				recorded++
+			}
+		}
+		if p.TsdevKnown != (recorded > 0) {
+			t.Errorf("%s (%s): %d requests carry a latency, tsdev_known=%v", p.Name, p.Set, recorded, p.TsdevKnown)
+		}
+		// Think is the ground truth whatever the collection dropped.
+		app := workload.Generate(p, workload.GenOptions{Ops: ops, Seed: workload.TraceSeed(p.Name, 0)})
+		for i, op := range app.Ops {
+			if truthA.Think[i] != op.Think {
+				t.Fatalf("%s: think[%d] = %v, generated %v", p.Name, i, truthA.Think[i], op.Think)
+			}
 		}
 	}
 }

@@ -49,6 +49,7 @@ func CacheImpact(cfg Config) (CacheImpactResult, error) {
 	cfg = cfg.withDefaults()
 	out := CacheImpactResult{Workload: "webmail"}
 	p, _ := workload.Lookup("webmail")
+	// Not workload.Collect: the one app is also collected through the host stack.
 	app := workload.Generate(p, workload.GenOptions{Ops: cfg.Ops, Seed: 31 ^ cfg.Seed})
 
 	// Raw collection: the application drives the HDD directly.
@@ -76,10 +77,10 @@ func CacheImpact(cfg Config) (CacheImpactResult, error) {
 	out.CachedRequests = cached.Len()
 	out.RawReadFrac = raw.Summary().ReadFraction()
 	out.CachedReadFrac = cached.Summary().ReadFraction()
-	out.RawMedianIntt = medianIntt(raw)
-	out.CachedMedianIntt = medianIntt(cached)
-	out.RawCDF = report.NewCDFSeries("raw", inttMicros(raw))
-	out.CachedCDF = report.NewCDFSeries("cached", inttMicros(cached))
+	out.RawMedianIntt = medianDur(raw.InterArrivals())
+	out.CachedMedianIntt = medianDur(cached.InterArrivals())
+	out.RawCDF = report.NewCDFSeries("raw", raw.InterArrivalMicros())
+	out.CachedCDF = report.NewCDFSeries("cached", cached.InterArrivalMicros())
 
 	// Reconstruct both with TraceTracker and compare recovered idle.
 	for _, tc := range []struct {

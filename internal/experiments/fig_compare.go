@@ -8,8 +8,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/report"
-	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -30,33 +28,18 @@ func Fig12(cfg Config) (Fig12Result, error) {
 	old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
 	old.TsdevKnown = false // exercise the full inference path
 
-	acc := baseline.Acceleration(old, baseline.DefaultAccelerationFactor)
-	rev := baseline.Revision(old, NewTarget())
-	fixed := baseline.FixedTh(old, NewTarget(), baseline.DefaultFixedThreshold)
-	dyn, err := baseline.Dynamic(old, NewTarget())
-	if err != nil {
-		return Fig12Result{}, err
+	series := map[string]report.CDFSeries{}
+	for _, m := range baseline.Methods {
+		rec, err := m.Run(old, NewTarget())
+		if err != nil {
+			return Fig12Result{}, err
+		}
+		series[m.Name] = report.NewCDFSeries(m.Name, rec.InterArrivalMicros())
 	}
-	tt, err := baseline.TraceTracker(old, NewTarget())
-	if err != nil {
-		return Fig12Result{}, err
-	}
-
-	target := report.NewCDFSeries("Target", inttMicros(old))
-	ttSeries := report.NewCDFSeries("TraceTracker", inttMicros(tt))
+	target := report.NewCDFSeries("Target", old.InterArrivalMicros())
 	return Fig12Result{
-		Unaware: []report.CDFSeries{
-			target,
-			report.NewCDFSeries("Acceleration", inttMicros(acc)),
-			report.NewCDFSeries("Revision", inttMicros(rev)),
-			ttSeries,
-		},
-		Aware: []report.CDFSeries{
-			target,
-			report.NewCDFSeries("Fixed-th", inttMicros(fixed)),
-			report.NewCDFSeries("Dynamic", inttMicros(dyn)),
-			ttSeries,
-		},
+		Unaware: []report.CDFSeries{target, series["Acceleration"], series["Revision"], series["TraceTracker"]},
+		Aware:   []report.CDFSeries{target, series["Fixed-th"], series["Dynamic"], series["TraceTracker"]},
 	}, nil
 }
 
@@ -85,29 +68,27 @@ var fig13Methods = []string{"Dynamic", "Fixed-th", "Acceleration", "Revision"}
 
 // Fig13 sweeps all 31 workload families.
 func Fig13(cfg Config) (Fig13Result, error) {
-	cfg = cfg.withDefaults()
 	out := Fig13Result{Mean: map[string]time.Duration{}}
 	sums := map[string]time.Duration{}
-	for _, p := range workload.Profiles() {
-		old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
-		tt, err := baseline.TraceTracker(old, NewTarget())
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		row := Fig13Row{Workload: p.Name, Gap: map[string]time.Duration{}}
+	err := eachFamily(cfg, func(f familyRun) error {
+		row := Fig13Row{Workload: f.p.Name, Gap: map[string]time.Duration{}}
 		for _, m := range baseline.Methods {
 			if m.Name == "TraceTracker" {
 				continue
 			}
-			other, err := m.Run(old, NewTarget())
+			other, err := m.Run(f.old, NewTarget())
 			if err != nil {
-				return out, fmt.Errorf("%s/%s: %w", p.Name, m.Name, err)
+				return fmt.Errorf("%s/%s: %w", f.p.Name, m.Name, err)
 			}
-			avg, _ := core.InterArrivalGap(tt, other)
+			avg, _ := core.InterArrivalGap(f.tt, other)
 			row.Gap[m.Name] = avg
 			sums[m.Name] += avg
 		}
 		out.Rows = append(out.Rows, row)
+		return nil
+	})
+	if err != nil {
+		return out, err
 	}
 	for _, m := range fig13Methods {
 		out.Mean[m] = sums[m] / time.Duration(len(out.Rows))
@@ -156,33 +137,25 @@ type Fig14Result struct {
 // Fig14 sweeps all 31 families comparing the original trace with its
 // reconstruction.
 func Fig14(cfg Config) (Fig14Result, error) {
-	cfg = cfg.withDefaults()
 	var out Fig14Result
 	var sum time.Duration
-	for _, p := range workload.Profiles() {
-		old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
-		tt, err := baseline.TraceTracker(old, NewTarget())
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		avg, max := core.InterArrivalGap(old, tt)
-		row := Fig14Row{
-			Workload:     p.Name,
+	err := eachFamily(cfg, func(f familyRun) error {
+		avg, max := core.InterArrivalGap(f.old, f.tt)
+		out.Rows = append(out.Rows, Fig14Row{
+			Workload:     f.p.Name,
 			Avg:          avg,
 			Max:          max,
-			MedianTarget: medianIntt(old),
-			MedianTT:     medianIntt(tt),
-		}
-		out.Rows = append(out.Rows, row)
+			MedianTarget: medianDur(f.old.InterArrivals()),
+			MedianTT:     medianDur(f.tt.InterArrivals()),
+		})
 		sum += avg
+		return nil
+	})
+	if err != nil {
+		return out, err
 	}
 	out.AvgOverall = sum / time.Duration(len(out.Rows))
 	return out, nil
-}
-
-func medianIntt(t *trace.Trace) time.Duration {
-	us := t.InterArrivalMicros()
-	return time.Duration(stats.Median(us) * float64(time.Microsecond))
 }
 
 // Render implements the textual figure.
@@ -226,10 +199,10 @@ func Fig15(cfg Config) (Fig15Result, error) {
 			return out, fmt.Errorf("%s: %w", name, err)
 		}
 		out.Overlays[name] = [2]report.CDFSeries{
-			report.NewCDFSeries("Target", inttMicros(old)),
-			report.NewCDFSeries("TraceTracker", inttMicros(tt)),
+			report.NewCDFSeries("Target", old.InterArrivalMicros()),
+			report.NewCDFSeries("TraceTracker", tt.InterArrivalMicros()),
 		}
-		out.Medians[name] = [2]time.Duration{medianIntt(old), medianIntt(tt)}
+		out.Medians[name] = [2]time.Duration{medianDur(old.InterArrivals()), medianDur(tt.InterArrivals())}
 	}
 	return out, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/infer"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -58,19 +57,15 @@ func FixedThSweep(cfg Config) FixedThSweepResult {
 	ksSums := make([]float64, len(SweepThresholds))
 	for _, name := range out.Workloads {
 		p, _ := workload.Lookup(name)
-		app := workload.Generate(p, workload.GenOptions{Ops: cfg.Ops, Seed: 21 ^ cfg.Seed})
-		oldRes := app.Execute(NewOldDevice())
-		newRes := app.Execute(NewTarget())
-		old := oldRes.Trace
-		old.TsdevKnown = false
+		old, newRes := executeBoth(p, cfg.Ops, 21^cfg.Seed)
 		truthIdle := newRes.TotalThink()
-		truthIA := inttMicros(newRes.Trace)
+		truthIA := newRes.Trace.InterArrivalMicros()
 
 		var rows []SweepRow
 		for j, th := range SweepThresholds {
 			rec := baseline.FixedTh(old, NewTarget(), th)
 			avg, _ := core.InterArrivalGap(rec, newRes.Trace)
-			ks := stats.KolmogorovSmirnov(inttMicros(rec), truthIA)
+			ks := stats.KolmogorovSmirnov(rec.InterArrivalMicros(), truthIA)
 			rows = append(rows, SweepRow{
 				Threshold: th,
 				AvgGap:    avg,
@@ -92,14 +87,7 @@ func idleKeptFrac(t *trace.Trace, truth time.Duration) float64 {
 	if truth == 0 {
 		return 0
 	}
-	var sum time.Duration
-	ia := t.InterArrivals()
-	for i := 0; i < len(ia); i++ {
-		if excess := ia[i] - t.Requests[i].Latency; excess > 0 {
-			sum += excess
-		}
-	}
-	f := float64(sum) / float64(truth)
+	f := float64(idleMassAbove(t)) / float64(truth)
 	if f > 1 {
 		f = 1
 	}
@@ -157,18 +145,14 @@ func Similarity(cfg Config) (SimilarityResult, error) {
 	}
 	for _, name := range out.Workloads {
 		p, _ := workload.Lookup(name)
-		app := workload.Generate(p, workload.GenOptions{Ops: cfg.Ops, Seed: 22 ^ cfg.Seed})
-		oldRes := app.Execute(NewOldDevice())
-		newRes := app.Execute(NewTarget())
-		old := oldRes.Trace
-		old.TsdevKnown = false
-		truthIA := inttMicros(newRes.Trace)
+		old, newRes := executeBoth(p, cfg.Ops, 22^cfg.Seed)
+		truthIA := newRes.Trace.InterArrivalMicros()
 		for _, m := range baseline.Methods {
 			rec, err := m.Run(old, NewTarget())
 			if err != nil {
 				return out, fmt.Errorf("%s/%s: %w", name, m.Name, err)
 			}
-			recIA := inttMicros(rec)
+			recIA := rec.InterArrivalMicros()
 			out.PerWorkload[name] = append(out.PerWorkload[name], SimilarityRow{
 				Method:   m.Name,
 				KS:       stats.KolmogorovSmirnov(recIA, truthIA),
@@ -221,37 +205,27 @@ type GroundTruthResult struct {
 
 // GroundTruth sweeps all 31 families.
 func GroundTruth(cfg Config) (GroundTruthResult, error) {
-	cfg = cfg.withDefaults()
 	out := GroundTruthResult{SetAvg: map[string]float64{}}
 	sums := map[string]float64{}
 	counts := map[string]int{}
-	for _, p := range workload.Profiles() {
-		old, truth := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
-		var est []time.Duration
-		if old.TsdevKnown {
-			est, _ = infer.Decompose(nil, old)
-		} else {
-			m, err := infer.Estimate(old, infer.EstimateOptions{})
-			if err != nil {
-				return out, fmt.Errorf("%s: %w", p.Name, err)
-			}
-			est, _ = infer.Decompose(m, old)
-		}
+	err := eachFamily(cfg, func(f familyRun) error {
 		// Ground truth think[i] precedes instruction i's issue; the
 		// decomposition attributes idle to the following instruction,
-		// so the indexing already matches (think[i] ~ est[i]).
-		truthIdle := make([]time.Duration, len(truth.Think))
-		copy(truthIdle, truth.Think)
-		met := verify.Evaluate(truthIdle, est)
+		// so the indexing already matches (think[i] ~ rep.Idle[i]).
+		met := verify.Evaluate(f.truth.Think, f.rep.Idle)
 		row := GroundTruthRow{
-			Workload:    p.Name,
-			Set:         p.Set,
+			Workload:    f.p.Name,
+			Set:         f.p.Set,
 			SecuredFrac: met.LenTPSecured(),
 			DetectFrac:  met.DetectionTP(),
 		}
 		out.Rows = append(out.Rows, row)
-		sums[p.Set] += row.SecuredFrac
-		counts[p.Set]++
+		sums[f.p.Set] += row.SecuredFrac
+		counts[f.p.Set]++
+		return nil
+	})
+	if err != nil {
+		return out, err
 	}
 	for set, sum := range sums {
 		out.SetAvg[set] = sum / float64(counts[set])

@@ -35,20 +35,16 @@ func Fig1(cfg Config) Fig1Result {
 	p.IdleFreq = 0.20  // the paper's injected idle share
 	p.AsyncFrac = 0.20 // 14M of 70M instructions
 
-	app := workload.Generate(p, workload.GenOptions{Ops: cfg.Ops, Seed: 1 ^ cfg.Seed})
-	oldRes := app.Execute(NewOldDevice())
-	newRes := app.Execute(NewTarget())
-	old := oldRes.Trace
-	old.TsdevKnown = false
+	old, newRes := executeBoth(p, cfg.Ops, 1^cfg.Seed)
 
 	acc := baseline.Acceleration(old, baseline.DefaultAccelerationFactor)
 	rev := baseline.Revision(old, NewTarget())
 
 	r := Fig1Result{
-		Old:          report.NewCDFSeries("OLD", inttMicros(old)),
-		New:          report.NewCDFSeries("NEW", inttMicros(newRes.Trace)),
-		Revision:     report.NewCDFSeries("Revision", inttMicros(rev)),
-		Acceleration: report.NewCDFSeries("Acceleration", inttMicros(acc)),
+		Old:          report.NewCDFSeries("OLD", old.InterArrivalMicros()),
+		New:          report.NewCDFSeries("NEW", newRes.Trace.InterArrivalMicros()),
+		Revision:     report.NewCDFSeries("Revision", rev.InterArrivalMicros()),
+		Acceleration: report.NewCDFSeries("Acceleration", acc.InterArrivalMicros()),
 	}
 
 	newIA := newRes.Trace.InterArrivals()
@@ -129,11 +125,7 @@ func Fig3(cfg Config) Fig3Result {
 	var out Fig3Result
 	for _, name := range Fig3Workloads {
 		p, _ := workload.Lookup(name)
-		app := workload.Generate(p, workload.GenOptions{Ops: cfg.Ops, Seed: 3 ^ cfg.Seed})
-		oldRes := app.Execute(NewOldDevice())
-		newRes := app.Execute(NewTarget())
-		old := oldRes.Trace
-		old.TsdevKnown = false
+		old, newRes := executeBoth(p, cfg.Ops, 3^cfg.Seed)
 
 		acc := baseline.Acceleration(old, baseline.DefaultAccelerationFactor)
 		rev := baseline.Revision(old, NewTarget())

@@ -110,11 +110,7 @@ type Fig7aResult struct {
 func Fig7a(cfg Config) Fig7aResult {
 	cfg = cfg.withDefaults()
 	out := Fig7aResult{RepMovd: map[string]time.Duration{}}
-	for _, name := range Fig7aWorkloads {
-		p, _ := workload.Lookup(name)
-		app := workload.Generate(p, workload.GenOptions{Ops: cfg.Ops, Seed: 7 ^ cfg.Seed})
-		res := app.Execute(NewOldDevice())
-		tr := res.Trace
+	fig7Traces(cfg, func(name string, tr *trace.Trace) {
 		seq := tr.SeqFlags()
 		// Fit the linear Tsdev model per op from sequential requests.
 		betaR, tcdelR := fitLinear(tr, seq, trace.Read)
@@ -139,8 +135,19 @@ func Fig7a(cfg Config) Fig7aResult {
 		if res, ok := infer.ExamineSteepness(movd); ok {
 			out.RepMovd[name] = time.Duration(res.RiseMicros * float64(time.Microsecond))
 		}
-	}
+	})
 	return out
+}
+
+// fig7Traces hands fn each Fig7aWorkloads family collected on the OLD
+// system, HDD latencies kept: Figs 7a/7b measure the very latencies an
+// FIU collection (workload.Collect) drops.
+func fig7Traces(cfg Config, fn func(name string, tr *trace.Trace)) {
+	for _, name := range Fig7aWorkloads {
+		p, _ := workload.Lookup(name)
+		app := workload.Generate(p, workload.GenOptions{Ops: cfg.Ops, Seed: 7 ^ cfg.Seed})
+		fn(name, app.Execute(NewOldDevice()).Trace)
+	}
 }
 
 // fitLinear least-squares fits latency = tcdel + beta*sectors over the
@@ -212,11 +219,7 @@ func Fig7b(cfg Config) Fig7bResult {
 	// The HDD profile's channel parameters.
 	const cmdOverheadUS = 20.0
 	const bytesPerSec = 300e6
-	for _, name := range Fig7aWorkloads {
-		p, _ := workload.Lookup(name)
-		app := workload.Generate(p, workload.GenOptions{Ops: cfg.Ops, Seed: 7 ^ cfg.Seed})
-		res := app.Execute(NewOldDevice())
-		tr := res.Trace
+	fig7Traces(cfg, func(name string, tr *trace.Trace) {
 		seq := tr.SeqFlags()
 		sums := map[string]float64{}
 		counts := map[string]int{}
@@ -233,7 +236,7 @@ func Fig7b(cfg Config) Fig7bResult {
 			}
 		}
 		out.Rows[name] = row
-	}
+	})
 	return out
 }
 
@@ -338,6 +341,7 @@ func Table1(cfg Config) Table1Result {
 	cfg = cfg.withDefaults()
 	var out Table1Result
 	for _, p := range workload.Profiles() {
+		// Not eachFamily: the table reconstructs nothing.
 		old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
 		sum := old.Summary()
 		out.Rows = append(out.Rows, Table1Row{

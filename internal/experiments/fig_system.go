@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // IdleBuckets are Figure 17's idle-period groups.
@@ -32,23 +29,21 @@ type Fig16Result struct {
 // Fig16 reconstructs one trace per family and averages the inferred
 // idle periods.
 func Fig16(cfg Config) (Fig16Result, error) {
-	cfg = cfg.withDefaults()
 	out := Fig16Result{SetAvg: map[string]time.Duration{}}
 	setSums := map[string]time.Duration{}
 	setCounts := map[string]int{}
-	for _, p := range workload.Profiles() {
-		old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
-		_, rep, err := core.Reconstruct(old, NewTarget(), core.Options{})
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", p.Name, err)
-		}
+	err := eachFamily(cfg, func(f familyRun) error {
 		var avg time.Duration
-		if rep.IdleCount > 0 {
-			avg = rep.IdleTotal / time.Duration(rep.IdleCount)
+		if f.rep.IdleCount > 0 {
+			avg = f.rep.IdleTotal / time.Duration(f.rep.IdleCount)
 		}
-		out.Rows = append(out.Rows, Fig16Row{Workload: p.Name, Set: p.Set, AvgIdle: avg})
-		setSums[p.Set] += avg
-		setCounts[p.Set]++
+		out.Rows = append(out.Rows, Fig16Row{Workload: f.p.Name, Set: f.p.Set, AvgIdle: avg})
+		setSums[f.p.Set] += avg
+		setCounts[f.p.Set]++
+		return nil
+	})
+	if err != nil {
+		return out, err
 	}
 	for set, sum := range setSums {
 		out.SetAvg[set] = sum / time.Duration(setCounts[set])
@@ -92,24 +87,18 @@ type Fig17Result struct {
 // Fig17 decomposes each workload's total Tintt into service time and
 // the three idle buckets, by request count and by duration.
 func Fig17(cfg Config) (Fig17Result, error) {
-	cfg = cfg.withDefaults()
 	out := Fig17Result{SetIdleFreq: map[string]float64{}, SetIdlePeriod: map[string]float64{}}
 	setFreq := map[string][]float64{}
 	setPeriod := map[string][]float64{}
-	for _, p := range workload.Profiles() {
-		old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
-		_, rep, err := core.Reconstruct(old, NewTarget(), core.Options{})
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		row := Fig17Row{Workload: p.Name, Set: p.Set}
-		ia := old.InterArrivals()
+	err := eachFamily(cfg, func(f familyRun) error {
+		row := Fig17Row{Workload: f.p.Name, Set: f.p.Set}
+		ia := f.old.InterArrivals()
 		var counts [4]int
 		var durs [4]time.Duration
 		for i := 0; i < len(ia); i++ {
 			idle := time.Duration(0)
-			if i+1 < len(rep.Idle) {
-				idle = rep.Idle[i+1]
+			if i+1 < len(f.rep.Idle) {
+				idle = f.rep.Idle[i+1]
 			}
 			slat := ia[i] - idle
 			if slat > 0 {
@@ -141,22 +130,16 @@ func Fig17(cfg Config) (Fig17Result, error) {
 			}
 		}
 		out.Rows = append(out.Rows, row)
-		setFreq[p.Set] = append(setFreq[p.Set], row.Freq[1]+row.Freq[2]+row.Freq[3])
-		setPeriod[p.Set] = append(setPeriod[p.Set], row.Period[1]+row.Period[2]+row.Period[3])
-	}
-	mean := func(xs []float64) float64 {
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		if len(xs) == 0 {
-			return 0
-		}
-		return s / float64(len(xs))
+		setFreq[f.p.Set] = append(setFreq[f.p.Set], row.Freq[1]+row.Freq[2]+row.Freq[3])
+		setPeriod[f.p.Set] = append(setPeriod[f.p.Set], row.Period[1]+row.Period[2]+row.Period[3])
+		return nil
+	})
+	if err != nil {
+		return out, err
 	}
 	for set := range setFreq {
-		out.SetIdleFreq[set] = mean(setFreq[set])
-		out.SetIdlePeriod[set] = mean(setPeriod[set])
+		out.SetIdleFreq[set] = stats.Mean(setFreq[set])
+		out.SetIdlePeriod[set] = stats.Mean(setPeriod[set])
 	}
 	return out, nil
 }
@@ -196,18 +179,12 @@ type ClaimsResult struct {
 
 // Claims sweeps the corpus and aggregates idle statistics.
 func Claims(cfg Config) (ClaimsResult, error) {
-	cfg = cfg.withDefaults()
 	var out ClaimsResult
 	totalReq, idleReq, idleShort := 0, 0, 0
 	var idles []time.Duration
-	for _, p := range workload.Profiles() {
-		old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
-		_, rep, err := core.Reconstruct(old, NewTarget(), core.Options{})
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		totalReq += old.Len()
-		for _, d := range rep.Idle {
+	err := eachFamily(cfg, func(f familyRun) error {
+		totalReq += f.old.Len()
+		for _, d := range f.rep.Idle {
 			if d > 0 {
 				idleReq++
 				idles = append(idles, d)
@@ -216,6 +193,10 @@ func Claims(cfg Config) (ClaimsResult, error) {
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return out, err
 	}
 	if totalReq > 0 {
 		out.IdleBearingFrac = float64(idleReq) / float64(totalReq)

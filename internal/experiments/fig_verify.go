@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/infer"
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -34,27 +35,15 @@ type Fig10Result struct {
 	Known, Unknown VerifyGroupResult
 }
 
-// verifyBase builds a no-natural-idle trace for a family: think times
-// are disabled so every idle the inference reports at a non-injected
-// instruction is a genuine false positive. When stripLatency is true
-// the trace loses its completion timestamps (FIU-style collection).
-func verifyBase(family string, ops int, seed int64, stripLatency bool) *trace.Trace {
+// verifyBase collects a no-natural-idle trace of a family: think
+// times are disabled so every idle the inference reports at a
+// non-injected instruction is a genuine false positive. The family's
+// corpus decides whether completion timestamps are kept
+// (workload.Collect).
+func verifyBase(family string, ops int, seed int64) *trace.Trace {
 	p, _ := workload.Lookup(family)
 	p.IdleFreq = 0
-	app := workload.Generate(p, workload.GenOptions{Ops: ops, Seed: seed})
-	res := app.Execute(NewOldDevice())
-	tr := res.Trace
-	tr.Workload = p.Name
-	tr.Set = p.Set
-	if stripLatency {
-		tr.TsdevKnown = false
-		for i := range tr.Requests {
-			tr.Requests[i].Latency = 0
-		}
-	} else {
-		tr.TsdevKnown = true
-	}
-	return tr
+	return workload.Collect(p, workload.GenOptions{Ops: ops, Seed: seed}, NewOldDevice()).Trace
 }
 
 // Fig10 runs the injection sweep for both groups: the Tsdev-known
@@ -63,8 +52,8 @@ func verifyBase(family string, ops int, seed int64, stripLatency bool) *trace.Tr
 // (FIU-style) base that exercises the full inference model.
 func Fig10(cfg Config) Fig10Result {
 	cfg = cfg.withDefaults()
-	known := verifyBase("CFS", cfg.Ops, 10^cfg.Seed, false)
-	unknown := verifyBase("ikki", cfg.Ops, 11^cfg.Seed, true)
+	known := verifyBase("CFS", cfg.Ops, 10^cfg.Seed)
+	unknown := verifyBase("ikki", cfg.Ops, 11^cfg.Seed)
 
 	out := Fig10Result{
 		Known:   VerifyGroupResult{Group: "Tsdev-known"},
@@ -72,20 +61,19 @@ func Fig10(cfg Config) Fig10Result {
 	}
 	for pi, period := range VerifyPeriods {
 		spec := verify.InjectionSpec{Period: period, Frac: 0.10, Seed: int64(100 + pi)}
-
-		injected, truth := verify.Inject(known, spec)
-		idle, _ := infer.Decompose(nil, injected)
-		out.Known.PerPeriod = append(out.Known.PerPeriod, verify.Evaluate(truth, idle))
-
-		injected, truth = verify.Inject(unknown, spec)
-		m, err := infer.Estimate(injected, infer.EstimateOptions{})
-		var est []time.Duration
-		if err == nil {
-			est, _ = infer.Decompose(m, injected)
-		} else {
-			est = make([]time.Duration, injected.Len())
+		for _, g := range []struct {
+			base *trace.Trace
+			into *VerifyGroupResult
+		}{{known, &out.Known}, {unknown, &out.Unknown}} {
+			injected, truth := verify.Inject(g.base, spec)
+			var est []time.Duration
+			if m, _, err := core.PrepareModel(injected, core.Options{}); err == nil {
+				est, _ = infer.Decompose(m, injected)
+			} else {
+				est = make([]time.Duration, injected.Len()) // a failed fit recovers no idle
+			}
+			g.into.PerPeriod = append(g.into.PerPeriod, verify.Evaluate(truth, est))
 		}
-		out.Unknown.PerPeriod = append(out.Unknown.PerPeriod, verify.Evaluate(truth, est))
 	}
 	return out
 }

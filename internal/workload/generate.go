@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/device"
 	"repro/internal/replay"
 	"repro/internal/trace"
 )
@@ -166,6 +167,23 @@ func Generate(p Profile, opts GenOptions) *replay.App {
 		}
 	}
 	return app
+}
+
+// Collect generates one application of family p and executes it on
+// dev the way p's corpus was collected: the trace carries p's Set and
+// TsdevKnown, and a Tsdev-unknown (FIU) collection recorded no
+// completions, so every Latency is cleared. The result's Think is the
+// ground truth either way.
+func Collect(p Profile, opts GenOptions, dev device.Device) replay.ExecResult {
+	res := Generate(p, opts).Execute(dev)
+	res.Trace.Set = p.Set
+	res.Trace.TsdevKnown = p.TsdevKnown
+	if !p.TsdevKnown {
+		for i := range res.Trace.Requests {
+			res.Trace.Requests[i].Latency = 0
+		}
+	}
+	return res
 }
 
 // drawIdle samples one think time from the profile's three-bucket idle
