@@ -129,8 +129,8 @@ func apiKeyFrom(r *http.Request) string {
 
 // checkAddrGuard refuses a non-loopback listen address unless auth is
 // configured or the operator explicitly opted out with -insecure: the
-// API reads and writes server-side paths, so exposing it anonymously
-// beyond the host must be a deliberate act.
+// API stores uploads and runs jobs, so exposing it anonymously beyond
+// the host must be a deliberate act.
 func checkAddrGuard(addr string, authConfigured, insecure bool) error {
 	if authConfigured || insecure {
 		return nil

@@ -58,6 +58,17 @@ func corpusBlob(t *testing.T, name string, requests int) []byte {
 	return buf.Bytes()
 }
 
+// corpusSpec ingests a small blob straight into srv's store and returns
+// the JSON spec of a job on it.
+func corpusSpec(t *testing.T, srv *server, name string) []byte {
+	t.Helper()
+	e, _, err := srv.store.Ingest(bytes.NewReader(corpusBlob(t, name, 64)), "csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []byte(`{"in":"corpus:` + e.Digest + `"}`)
+}
+
 // authedReq issues method+path with an optional Bearer key, returning
 // status, headers and body.
 func authedReq(t *testing.T, ts *httptest.Server, method, path, key string, body []byte) (int, http.Header, []byte) {
@@ -192,7 +203,7 @@ func TestAddrGuard(t *testing.T) {
 // answer 401 with the envelope, both credential headers work, and
 // /healthz and /metrics stay open for probes and scrapers.
 func TestAuthOverHTTP(t *testing.T) {
-	srv := newServer(engine.Config{Workers: 2}, 1)
+	srv := testServer(t, engine.Config{Workers: 2}, 1)
 	defer srv.Close()
 	srv.setAuth(authKeysFor(t, "alice:ka-111\nbob:kb-222"))
 	ts := httptest.NewServer(srv)
@@ -300,21 +311,21 @@ func TestCorpusBytesQuota(t *testing.T) {
 // TestConcurrentJobsQuota: a tenant with a live job is refused a
 // second one while another tenant's identical submit is accepted.
 func TestConcurrentJobsQuota(t *testing.T) {
-	srv := newServer(engine.Config{Workers: 2}, 1)
+	srv := testServer(t, engine.Config{Workers: 2}, 1)
 	defer srv.Close()
 	srv.setAuth(authKeysFor(t, "alice:ka\nbob:kb"))
+	spec := corpusSpec(t, srv, "next")
 	srv.adm.quota.ConcurrentJobs = 1
 	// Park a live job owned by alice: quota counting is over job
 	// states, so a synthetic running job pins her at the limit without
 	// a timing-dependent long reconstruction.
 	srv.jobs.park(job{
 		ID: "job-1", State: stateRunning, Tenant: "alice",
-		Submitted: time.Now(), Spec: engine.JobSpec{In: "parked.csv"},
+		Submitted: time.Now(), Spec: engine.JobSpec{In: "corpus:parked"},
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	spec := []byte(`{"in":"next.csv"}`)
 	status, _, body := authedReq(t, ts, http.MethodPost, "/v1/jobs", "ka", spec)
 	if status != http.StatusForbidden {
 		t.Fatalf("at-quota submit: status %d, want 403: %s", status, body)
@@ -331,14 +342,14 @@ func TestConcurrentJobsQuota(t *testing.T) {
 // TestJobsPerMinQuota: the submission-rate quota refuses a tenant's
 // burst overflow with Retry-After while another tenant submits freely.
 func TestJobsPerMinQuota(t *testing.T) {
-	srv := newServer(engine.Config{Workers: 2}, 1)
+	srv := testServer(t, engine.Config{Workers: 2}, 1)
 	defer srv.Close()
 	srv.setAuth(authKeysFor(t, "alice:ka\nbob:kb"))
 	srv.adm.quota.JobsPerMin = 2
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	spec := []byte(`{"in":"burst.csv"}`)
+	spec := corpusSpec(t, srv, "burst")
 	for i := 0; i < 2; i++ {
 		if status, _, body := authedReq(t, ts, http.MethodPost, "/v1/jobs", "ka", spec); status != http.StatusAccepted {
 			t.Fatalf("submit %d: status %d: %s", i+1, status, body)
@@ -365,7 +376,7 @@ func TestJobsPerMinQuota(t *testing.T) {
 // tenant draining its bucket does not affect another.
 func TestRateLimits(t *testing.T) {
 	t.Run("global", func(t *testing.T) {
-		srv := newServer(engine.Config{Workers: 2}, 1)
+		srv := testServer(t, engine.Config{Workers: 2}, 1)
 		defer srv.Close()
 		srv.setRateLimits(1, 0) // burst 2
 		ts := httptest.NewServer(srv)
@@ -397,7 +408,7 @@ func TestRateLimits(t *testing.T) {
 		}
 	})
 	t.Run("per-tenant", func(t *testing.T) {
-		srv := newServer(engine.Config{Workers: 2}, 1)
+		srv := testServer(t, engine.Config{Workers: 2}, 1)
 		defer srv.Close()
 		srv.setAuth(authKeysFor(t, "alice:ka\nbob:kb"))
 		srv.setRateLimits(0, 1) // burst 2 per tenant

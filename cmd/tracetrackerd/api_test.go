@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/infer"
@@ -179,25 +178,10 @@ func TestErrorEnvelopes(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// A failed job (missing input) exercises the not-finished paths.
-	failedID := postJob(t, ts, engine.JobSpec{In: "/nonexistent/trace.csv"})
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, body := doReq(t, ts, http.MethodGet, "/v1/jobs/"+failedID, "")
-		var j job
-		json.Unmarshal(body, &j)
-		if j.State == stateFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("fixture job never failed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
 	// The fit ingest now runs never turns an upload away: a Tsdev-unknown
 	// trace too sparse to fit, and an unsorted one, are both accepted, and
-	// their jobs fail with the errors they always failed with.
+	// their jobs fail with the errors they always failed with; they
+	// exercise the not-finished paths.
 	sparseDigest := uploadCorpus(t, ts, webmailCSV(t, 40), "csv")
 	sparseID := postJob(t, ts, engine.JobSpec{In: corpusScheme + sparseDigest})
 	if j := waitFailed(t, ts, sparseID); !strings.Contains(j.Error, infer.ErrTooSparse.Error()) {
@@ -205,11 +189,12 @@ func TestErrorEnvelopes(t *testing.T) {
 	}
 	unsorted := decodeCSV(t, webmailCSV(t, 2000))
 	unsorted.Requests[500].Arrival = unsorted.Requests[1500].Arrival
-	unsortedID := postJob(t, ts, engine.JobSpec{In: corpusScheme + uploadCorpus(t, ts, encodeAs(t, "csv", unsorted), "csv")})
+	unsortedID := submitTrace(t, ts, encodeAs(t, "csv", unsorted), engine.JobSpec{})
 	if j := waitFailed(t, ts, unsortedID); !strings.Contains(j.Error, trace.ErrUnsorted.Error()) {
 		t.Fatalf("job on an unsorted inference input: %q, want %q", j.Error, trace.ErrUnsorted)
 	}
 
+	in := corpusScheme + sparseDigest
 	cases := []struct {
 		name    string
 		method  string
@@ -221,20 +206,21 @@ func TestErrorEnvelopes(t *testing.T) {
 	}{
 		{"bad json", "POST", "/v1/jobs", "{not json", 400, "bad_json", ""},
 		{"missing input", "POST", "/v1/jobs", `{}`, 400, "missing_input", "in"},
-		{"unknown method", "POST", "/v1/jobs", `{"in":"x","method":"nope"}`, 400, "unknown_method", "nope"},
-		{"unknown device", "POST", "/v1/jobs", `{"in":"x","device":"floppy"}`, 400, "unknown_device", "floppy"},
-		{"unknown format", "POST", "/v1/jobs", `{"in":"x","informat":"xml"}`, 400, "unknown_format", "xml"},
-		{"config mismatch", "POST", "/v1/jobs", `{"in":"x","device":"array","ftl_config":{"blocks":128}}`, 400, "config_mismatch", "ftl_config"},
-		{"bad ftl knob", "POST", "/v1/jobs", `{"in":"x","device":"ftl","ftl_config":{"blocks":4}}`, 400, "bad_device_config", "ftl_config.blocks"},
-		{"bad host knob", "POST", "/v1/jobs", `{"in":"x","device":"host","host_config":{"dirty_high_water":2}}`, 400, "bad_device_config", "host_config.dirty_high_water"},
-		{"bad factor", "POST", "/v1/jobs", `{"in":"x","method":"acceleration","factor":-3}`, 400, "bad_spec", "factor"},
-		{"bad threshold", "POST", "/v1/jobs", `{"in":"x","method":"fixed-th","threshold_us":-10}`, 400, "bad_spec", "threshold_us"},
+		{"path input", "POST", "/v1/jobs", `{"in":"/srv/trace.csv"}`, 400, "bad_spec", "/v1/corpus"},
+		{"output path", "POST", "/v1/jobs", `{"in":"` + in + `","out":"/srv/out.csv"}`, 400, "bad_spec", "out"},
+		{"unknown method", "POST", "/v1/jobs", `{"in":"` + in + `","method":"nope"}`, 400, "unknown_method", "nope"},
+		{"unknown device", "POST", "/v1/jobs", `{"in":"` + in + `","device":"floppy"}`, 400, "unknown_device", "floppy"},
+		{"unknown format", "POST", "/v1/jobs", `{"in":"` + in + `","outformat":"xml"}`, 400, "unknown_format", "xml"},
+		{"config mismatch", "POST", "/v1/jobs", `{"in":"` + in + `","device":"array","ftl_config":{"blocks":128}}`, 400, "config_mismatch", "ftl_config"},
+		{"bad ftl knob", "POST", "/v1/jobs", `{"in":"` + in + `","device":"ftl","ftl_config":{"blocks":4}}`, 400, "bad_device_config", "ftl_config.blocks"},
+		{"bad host knob", "POST", "/v1/jobs", `{"in":"` + in + `","device":"host","host_config":{"dirty_high_water":2}}`, 400, "bad_device_config", "host_config.dirty_high_water"},
+		{"bad factor", "POST", "/v1/jobs", `{"in":"` + in + `","method":"acceleration","factor":-3}`, 400, "bad_spec", "factor"},
+		{"bad threshold", "POST", "/v1/jobs", `{"in":"` + in + `","method":"fixed-th","threshold_us":-10}`, 400, "bad_spec", "threshold_us"},
 		{"unknown corpus input", "POST", "/v1/jobs", `{"in":"corpus:ffffffffffff"}`, 404, "unknown_trace", ""},
-		{"format conflict", "POST", "/v1/jobs", `{"in":"corpus:` + sparseDigest + `","informat":"bin"}`, 400, "format_conflict", `"bin"`},
+		{"format conflict", "POST", "/v1/jobs", `{"in":"` + in + `","informat":"bin"}`, 400, "format_conflict", `"bin"`},
 		{"unknown job status", "GET", "/v1/jobs/job-999999", "", 404, "unknown_job", "job-999999"},
 		{"unknown job result", "GET", "/v1/jobs/job-999999/result", "", 404, "unknown_job", ""},
 		{"unknown job trace", "GET", "/v1/jobs/job-999999/trace", "", 404, "unknown_job", ""},
-		{"result not finished", "GET", "/v1/jobs/" + failedID + "/result", "", 409, "job_not_finished", "failed"},
 		{"too sparse to fit", "GET", "/v1/jobs/" + sparseID + "/result", "", 409, "job_not_finished", "failed"},
 		{"unsorted inference input", "GET", "/v1/jobs/" + unsortedID + "/result", "", 409, "job_not_finished", "failed"},
 		{"bad limit", "GET", "/v1/jobs?limit=zero", "", 400, "bad_limit", "zero"},
@@ -242,7 +228,7 @@ func TestErrorEnvelopes(t *testing.T) {
 		{"unknown corpus entry", "GET", "/v1/corpus/ffffffffffff", "", 404, "unknown_trace", ""},
 		{"unknown corpus data", "GET", "/v1/corpus/ffffffffffff/data", "", 404, "unknown_trace", ""},
 		{"undecodable upload", "POST", "/v1/corpus", "garbage\n", 400, "bad_trace", ""},
-		{"bad trace format", "GET", "/v1/jobs/" + failedID + "/trace?format=svg", "", 400, "bad_format", "svg"},
+		{"bad trace format", "GET", "/v1/jobs/" + sparseID + "/trace?format=svg", "", 400, "bad_format", "svg"},
 		{"wrong method", "DELETE", "/v1/corpus", "", 405, "method_not_allowed", "DELETE"},
 		{"unknown route", "GET", "/v1/nope", "", 404, "not_found", "/v1/nope"},
 	}
@@ -261,22 +247,9 @@ func TestErrorEnvelopes(t *testing.T) {
 		}
 	}
 
-	// corpus_disabled needs a daemon without -data.
-	bare := newServer(engine.Config{}, 1)
-	defer bare.Close()
-	tsBare := httptest.NewServer(bare)
-	defer tsBare.Close()
-	status, body := doReq(t, tsBare, http.MethodGet, "/v1/corpus", "")
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("corpus without -data: status %d", status)
-	}
-	if env := errEnvelope(t, body); env.Code != "corpus_disabled" {
-		t.Fatalf("corpus without -data: code %q", env.Code)
-	}
-
 	// A valid submit after Close: the daemon is draining.
-	bare.Close()
-	status, body = doReq(t, tsBare, http.MethodPost, "/v1/jobs", `{"in":"x"}`)
+	srv.Close()
+	status, body := doReq(t, ts, http.MethodPost, "/v1/jobs", `{"in":"`+in+`"}`)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("submit after Close: status %d: %s", status, body)
 	}
@@ -289,7 +262,7 @@ func TestErrorEnvelopes(t *testing.T) {
 // serves every engine target with aliases, pipeline class and knobs,
 // so clients can discover ftl_config/host_config without trial 400s.
 func TestDevicesEndpoint(t *testing.T) {
-	srv := newServer(engine.Config{}, 1)
+	srv := testServer(t, engine.Config{}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -342,17 +315,18 @@ func TestDevicesEndpoint(t *testing.T) {
 // the cursor orders by the job's monotonic sequence number rather
 // than page offset.
 func TestJobListPagination(t *testing.T) {
-	srv := newServer(engine.Config{}, 1)
+	srv := testServer(t, engine.Config{}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Jobs with a missing input settle (failed) almost immediately;
-	// listing does not care about the state.
+	// Jobs on an input too sparse to fit settle (failed) almost
+	// immediately; listing does not care about the state.
+	sparse := webmailCSV(t, 40)
 	submit := func(n int) []string {
 		ids := make([]string, n)
 		for i := range ids {
-			ids[i] = postJob(t, ts, engine.JobSpec{In: "/nonexistent/in.csv", Name: fmt.Sprintf("p%d", i)})
+			ids[i] = submitTrace(t, ts, sparse, engine.JobSpec{Name: fmt.Sprintf("p%d", i)})
 		}
 		return ids
 	}

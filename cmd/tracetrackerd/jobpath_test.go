@@ -1,14 +1,13 @@
 package main
 
 // Tests for the one job path through the daemon: whatever the target,
-// output format, method or input kind, a job streams into a file, the
-// result endpoint serves that file's bytes — the sequential pipeline's
-// bytes — and the file outlives the process.
+// output format or method, a job on an uploaded trace streams into its
+// result-cache entry, the result endpoint serves that file's bytes — the
+// sequential pipeline's bytes — and the file outlives the process.
 
 import (
 	"bytes"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -56,17 +55,13 @@ func reportOfCore(rep *core.Report, requests int) jobReport {
 }
 
 // TestDaemonIdentityTable runs every device × output format × engine
-// method as a corpus job, plus the three baselines as path jobs, and
-// holds the served bytes to the sequential reference encoded with
-// trace.EncodeTrace and the job report to the sequential report (the
-// baselines': to their idle rule).
+// method, and the three baselines, as corpus jobs, and holds the served
+// bytes to the sequential reference encoded with trace.EncodeTrace and
+// the job report to the sequential report (the baselines': to their
+// idle rule).
 func TestDaemonIdentityTable(t *testing.T) {
 	dir := t.TempDir()
-	inPath, _ := writeInput(t, dir)
-	raw, err := os.ReadFile(inPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw, _ := inputTrace(t)
 	// The inference path: the same records with the latencies dropped.
 	known := decodeCSV(t, raw)
 	unknown := *known
@@ -135,9 +130,8 @@ func TestDaemonIdentityTable(t *testing.T) {
 		}
 	}
 
-	// The baselines: the same job path and sink (here the spool file of
-	// a path job without an out); fixed-th and revision return the
-	// graph's report under their own idle rule.
+	// The baselines: the same job path and sink; fixed-th and revision
+	// return the graph's report under their own idle rule.
 	old := decodeCSV(t, raw)
 	mkArray, _ := engine.DeviceFactory("array")
 	mkFTL, _ := engine.DeviceFactory("ftl")
@@ -151,7 +145,7 @@ func TestDaemonIdentityTable(t *testing.T) {
 		{engine.JobSpec{Method: "acceleration"}, baseline.Acceleration(old, baseline.DefaultAccelerationFactor)},
 	} {
 		label := tc.spec.Method + "/" + tc.spec.Device
-		tc.spec.In, tc.spec.OutFormat = inPath, "bin"
+		tc.spec.In, tc.spec.OutFormat = corpusScheme+inputs[0].digest, "bin"
 		id := postJob(t, ts, tc.spec)
 		j := waitDone(t, ts, id)
 		if got := getBody(t, ts.URL+j.ResultURL); !bytes.Equal(got, encodeAs(t, "bin", tc.want)) {
@@ -179,9 +173,6 @@ func TestDaemonIdentityTable(t *testing.T) {
 				t.Fatalf("%s: device_stats %+v, want waf exactly on ftl", label, rep.DeviceStats)
 			}
 		}
-		if want := filepath.Join(srv.store.Root(), "spool", id); j.OutPath != want {
-			t.Fatalf("%s: result at %q, want the spool file %q", label, j.OutPath, want)
-		}
 	}
 }
 
@@ -194,67 +185,13 @@ func decodeCSV(t *testing.T, raw []byte) *trace.Trace {
 	return tr
 }
 
-// TestSpoolLifecycle: a spool file goes when its job record is pruned
-// (an out-path result does not), and a daemon without -data spools to a
-// temp directory it removes at Close.
-func TestSpoolLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	inPath, _ := writeInput(t, dir)
-	srv := newServer(engine.Config{Workers: 1}, 1)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	spooled := waitDone(t, ts, postJob(t, ts, engine.JobSpec{In: inPath}))
-	kept := waitDone(t, ts, postJob(t, ts, engine.JobSpec{In: inPath, Out: filepath.Join(dir, "kept.csv")}))
-	spoolDir, err := srv.jobs.spoolPath("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spoolDir == "" || filepath.Dir(spooled.OutPath) != spoolDir {
-		t.Fatalf("spooled result at %q, spool dir %q", spooled.OutPath, spoolDir)
-	}
-	getBody(t, ts.URL+spooled.ResultURL)
-
-	// Push both records past the retention bound.
-	for i := 0; i < retainJobs; i++ {
-		srv.jobs.park(job{ID: fmt.Sprintf("filler-%d", i), State: stateQueued})
-	}
-	_, spooledKnown := srv.jobs.Get(spooled.ID)
-	_, keptKnown := srv.jobs.Get(kept.ID)
-	if spooledKnown || keptKnown {
-		t.Fatal("prune kept finished jobs beyond the retention bound")
-	}
-	if _, err := os.Stat(spooled.OutPath); !os.IsNotExist(err) {
-		t.Fatalf("pruned job's spool file still there: %v", err)
-	}
-	if _, err := os.Stat(kept.OutPath); err != nil {
-		t.Fatalf("prune deleted a result at the user's out path: %v", err)
-	}
-	resp, err := http.Get(ts.URL + spooled.ResultURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("pruned job result: status %d, want 404 unknown_job", resp.StatusCode)
-	}
-
-	srv.Close()
-	if _, err := os.Stat(spoolDir); !os.IsNotExist(err) {
-		t.Fatalf("temp spool dir survives Close: %v", err)
-	}
-}
-
 // TestRacingIdenticalCorpusJobs submits the same corpus job to two
 // executors at once: both finish done with identical bytes, and the
 // result cache holds exactly one file for the key.
 func TestRacingIdenticalCorpusJobs(t *testing.T) {
-	dataDir := filepath.Join(t.TempDir(), "data")
-	srv := newServer(engine.Config{Workers: 2, MaxShardRequests: 256}, 2)
-	if err := srv.openData(dataDir); err != nil {
-		t.Fatal(err)
-	}
+	srv := testServer(t, engine.Config{Workers: 2, MaxShardRequests: 256}, 2)
 	defer srv.Close()
+	dataDir := srv.store.Root()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	digest := uploadCorpus(t, ts, corpusBlob(t, "raced", 20_000), "")

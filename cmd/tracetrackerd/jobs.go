@@ -3,8 +3,6 @@ package main
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,7 +22,7 @@ const (
 	stateDone    = "done"
 	stateFailed  = "failed"
 	// retainJobs caps job metadata records; the oldest finished jobs
-	// beyond it are forgotten entirely, their spool files with them.
+	// beyond it are forgotten (their results stay in the result cache).
 	retainJobs = 4096
 	// defaultQueueCap bounds the executor queue; submissions beyond it
 	// shed with 429 queue_full rather than blocking or growing without
@@ -55,8 +53,13 @@ func transition(j *job, to string, replay bool) {
 // terminal reports whether a job in state has finished.
 func terminal(state string) bool { return state == stateDone || state == stateFailed }
 
-// finish applies a finish record, an executor's or a replayed one.
-func finish(j *job, rec journalRecord, replay bool) {
+// errPathInput is the error of a journalled job without a corpus
+// digest: a job on a file on the server, which an earlier daemon ran.
+const errPathInput = "jobs on server-side paths were removed: upload the trace to POST /v1/corpus and resubmit it as \"in\":\"corpus:<digest>\""
+
+// finish applies a finish record, an executor's or a replayed one; path
+// is a done job's result file ("" when it is gone).
+func finish(j *job, rec journalRecord, path string, replay bool) {
 	t := rec.Time
 	j.Finished = &t
 	if rec.Op == journalFail {
@@ -69,8 +72,8 @@ func finish(j *job, rec journalRecord, replay bool) {
 		// Kept even once the timeline died with its process.
 		j.TraceID = rec.TraceID
 	}
-	j.Report, j.Cached, j.OutPath = rec.Report, rec.Cached, rec.OutPath
-	if j.OutPath != "" {
+	j.Report, j.Cached, j.OutPath = rec.Report, rec.Cached, path
+	if path != "" {
 		j.ResultURL = "/v1/jobs/" + j.ID + "/result"
 	}
 }
@@ -93,7 +96,7 @@ func finishRecord(j *job) journalRecord {
 	}
 	if j.State == stateDone {
 		rec.Op, rec.Error = journalDone, ""
-		rec.OutPath, rec.Cached, rec.Report = j.OutPath, j.Cached, j.Report
+		rec.Cached, rec.Report = j.Cached, j.Report
 	}
 	return rec
 }
@@ -108,8 +111,8 @@ type job struct {
 	Started   *time.Time     `json:"started,omitempty"`
 	Finished  *time.Time     `json:"finished,omitempty"`
 	Spec      engine.JobSpec `json:"spec"`
-	// Digest is the corpus input digest for corpus: jobs ("" for
-	// server-side path inputs).
+	// Digest is the corpus digest of the input ("" only for a journalled
+	// job of an earlier daemon that read a server-side path).
 	Digest string `json:"digest,omitempty"`
 	// Tenant is the submitting identity (anonTenant in anonymous
 	// mode); concurrent-jobs quotas count a tenant's live jobs by it.
@@ -204,8 +207,9 @@ var (
 // jobs is the daemon's job lifecycle: the job table, the queue and its
 // executors, the journal, retention and restart replay.
 type jobs struct {
-	// run executes a running job and returns its finish record.
-	run       func(job) journalRecord
+	// run executes a running job and returns its finish record and
+	// result file.
+	run       func(job) (journalRecord, string)
 	queue     chan *job
 	executors int
 	wg        sync.WaitGroup
@@ -213,7 +217,7 @@ type jobs struct {
 	// Retry-After derives from it and the backlog.
 	avgJobNs atomic.Int64
 
-	// jnl is attached by Replay (nil without -data), then immutable.
+	// jnl is attached by Replay, then immutable.
 	jnl *journal
 	// stopRequeue aborts a journal-replay enqueue still in progress at
 	// shutdown; requeueing is done once that enqueue has stopped.
@@ -229,16 +233,11 @@ type jobs struct {
 	order  []string        // guarded by mu
 	nextID int             // guarded by mu
 	closed bool            // guarded by mu
-	// spoolDir holds the results of path jobs submitted without an out
-	// path, one file per job ID: <data>/spool, so they survive a restart
-	// with the journal that names them, or — without -data (jnl is nil)
-	// — a process temp dir made on first use and removed at Close.
-	// guarded by mu
-	spoolDir string
 }
 
 // newJobs starts executors workers running queued jobs through run.
-func newJobs(reg *obs.Registry, executors, queueCap int, run func(job) journalRecord) *jobs {
+// Replay attaches the journal before the first Submit.
+func newJobs(reg *obs.Registry, executors, queueCap int, run func(job) (journalRecord, string)) *jobs {
 	t := &jobs{
 		run:         run,
 		queue:       make(chan *job, queueCap),
@@ -292,9 +291,7 @@ func (t *jobs) Submit(spec engine.JobSpec, digest, tenant string, tc obs.TraceCo
 	}
 	t.table[j.ID] = j
 	t.order = append(t.order, j.ID)
-	if t.jnl != nil {
-		t.jnl.append(submitRecord(j))
-	}
+	t.jnl.append(submitRecord(j))
 	return *j, nil
 }
 
@@ -358,7 +355,7 @@ func (t *jobs) worker() {
 		transition(j, stateRunning, false)
 		running := *j
 		t.mu.Unlock()
-		rec := t.run(running)
+		rec, path := t.run(running)
 		// Fold the wall time into the EWMA feeding queue-full
 		// Retry-After (racy read-modify-write is fine: it is a hint).
 		wall := rec.Time.Sub(start).Nanoseconds()
@@ -368,7 +365,7 @@ func (t *jobs) worker() {
 		t.avgJobNs.Store(wall)
 		t.mu.Lock()
 		j.TraceID, j.TraceURL = rec.TraceID, "/v1/jobs/"+j.ID+"/trace"
-		finish(j, rec, false)
+		finish(j, rec, path, false)
 		switch {
 		case j.State == stateFailed:
 			t.failed.Inc()
@@ -380,9 +377,7 @@ func (t *jobs) worker() {
 		line := finishRecord(j)
 		t.prune()
 		t.mu.Unlock()
-		if t.jnl != nil {
-			t.jnl.append(line)
-		}
+		t.jnl.append(line)
 	}
 }
 
@@ -405,25 +400,9 @@ func (t *jobs) retryAfter() time.Duration {
 	return d
 }
 
-// spoolPath is where a path job submitted without an out path writes
-// its result: one file per job ID under the spool directory.
-func (t *jobs) spoolPath(id string) (string, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.spoolDir == "" {
-		dir, err := os.MkdirTemp("", "tracetrackerd-spool-")
-		if err != nil {
-			return "", err
-		}
-		t.spoolDir = dir
-	}
-	return filepath.Join(t.spoolDir, id), nil
-}
-
 // prune enforces the retention bound; the caller holds t.mu. The
-// oldest finished job records beyond retainJobs are dropped, and a
-// dropped job's spool file goes with it (a result in the cache or at
-// the spec's out path is not the daemon's to delete).
+// oldest finished job records beyond retainJobs are dropped; their
+// results stay in the result cache.
 //
 //tracelint:holds mu
 func (t *jobs) prune() {
@@ -435,9 +414,6 @@ func (t *jobs) prune() {
 	for _, id := range t.order {
 		j := t.table[id]
 		if drop > 0 && terminal(j.State) {
-			if j.Spec.Out == "" && j.Digest == "" && j.OutPath != "" {
-				os.Remove(j.OutPath)
-			}
 			delete(t.table, id)
 			drop--
 			continue
@@ -447,13 +423,13 @@ func (t *jobs) prune() {
 	t.order = kept
 }
 
-// Replay attaches the journal and spool, restores the jobs recs record
-// and re-queues the interrupted ones. Call it once, before serving.
-func (t *jobs) Replay(recs []journalRecord, jnl *journal, spool string, store *corpus.Store) (restored, requeued int) {
+// Replay attaches the journal, restores the jobs recs record, finding
+// each done job's result in store, and re-queues the interrupted ones.
+// Call it once, before serving.
+func (t *jobs) Replay(recs []journalRecord, jnl *journal, store *corpus.Store) (restored, requeued int) {
 	t.jnl = jnl
 	var requeue []*job
 	t.mu.Lock()
-	t.spoolDir = spool
 	for _, rec := range recs {
 		t.replayRecord(rec, store)
 	}
@@ -500,25 +476,23 @@ func (t *jobs) replayRecord(rec journalRecord, store *corpus.Store) {
 		if _, dup := t.table[rec.ID]; dup {
 			return
 		}
-		t.table[rec.ID] = newJob(rec.ID, rec.Time, *rec.Spec, rec.Digest, rec.Tenant, obs.TraceContext{TraceID: rec.TraceID})
+		j := newJob(rec.ID, rec.Time, *rec.Spec, rec.Digest, rec.Tenant, obs.TraceContext{TraceID: rec.TraceID})
+		t.table[rec.ID] = j
 		t.order = append(t.order, rec.ID)
+		if j.Digest == "" {
+			// Never queued; the ID still answers.
+			finish(j, journalRecord{Op: journalFail, Time: rec.Time, Error: errPathInput}, "", true)
+		}
 	case journalDone, journalFail:
 		j, ok := t.table[rec.ID]
-		if !ok {
+		if !ok || j.Digest == "" {
 			return
 		}
+		path := ""
 		if rec.Op == journalDone {
-			// The recorded output file, else the result cache's copy.
-			if _, err := os.Stat(rec.OutPath); err != nil {
-				rec.OutPath = ""
-			}
-			if rec.OutPath == "" && rec.Key != "" && store != nil {
-				if p, _, ok := store.LookupResult(rec.Key); ok {
-					rec.OutPath, rec.Cached = p, true
-				}
-			}
+			path, _, _ = store.LookupResult(rec.Key)
 		}
-		finish(j, rec, true)
+		finish(j, rec, path, true)
 	}
 }
 
@@ -526,8 +500,7 @@ func (t *jobs) replayRecord(rec journalRecord, store *corpus.Store) {
 // at most d (<=0 = forever). It reports whether the drain completed;
 // on false, still-running jobs keep only a submit record in the
 // journal and therefore re-run on the next start. The journal is
-// flushed and closed either way, and a daemon without -data removes
-// its temporary result spool: its results end with the process.
+// flushed and closed either way.
 func (t *jobs) Close(d time.Duration) bool {
 	t.mu.Lock()
 	if t.closed {
@@ -560,8 +533,6 @@ func (t *jobs) Close(d time.Duration) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	switch {
-	case t.jnl == nil:
-		os.RemoveAll(t.spoolDir) // "" when nothing spooled: a no-op
 	case drained:
 		// Clean shutdown: rewrite the journal to just the retained
 		// jobs — a submit record each, a finish record for finished

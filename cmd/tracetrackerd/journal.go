@@ -3,10 +3,10 @@ package main
 // The job journal is an append-only JSONL file under the daemon's
 // data directory: one "submit" record when a job is accepted, one
 // "done" or "fail" record when it finishes. On startup the journal is
-// replayed — finished jobs are restored (results resolve from the
-// recorded output path — the user's or the spool's — or the result
-// cache), and jobs with a submit but no finish were interrupted by a
-// crash and re-queue. A torn final line (crash mid-append) is ignored.
+// replayed — finished jobs are restored (a done job's result resolves
+// through its cache key in the result cache), and jobs with a submit but
+// no finish were interrupted by a crash and re-queue. A torn final line
+// (crash mid-append) is ignored.
 
 import (
 	"bufio"
@@ -37,11 +37,10 @@ type journalRecord struct {
 	Digest string          `json:"digest,omitempty"`
 	Tenant string          `json:"tenant,omitempty"`
 	// Finish payload.
-	Key     string     `json:"key,omitempty"`
-	OutPath string     `json:"out_path,omitempty"`
-	Cached  bool       `json:"cached,omitempty"`
-	Report  *jobReport `json:"report,omitempty"`
-	Error   string     `json:"error,omitempty"`
+	Key    string     `json:"key,omitempty"`
+	Cached bool       `json:"cached,omitempty"`
+	Report *jobReport `json:"report,omitempty"`
+	Error  string     `json:"error,omitempty"`
 	// TraceID names the W3C trace the job files under: the submitting
 	// request's trace on submit records, the executed trace on done
 	// records — so restored jobs keep their trace identity even though

@@ -1,22 +1,20 @@
 // Command tracetrackerd is the batch reconstruction job server: a
 // long-running HTTP daemon that runs whole-corpus reconstructions on
 // the sharded parallel engine (internal/engine), backed by a
-// content-addressed trace corpus (internal/corpus) when started with
-// -data.
+// content-addressed trace corpus (internal/corpus).
 //
-// Jobs are JSON engine.JobSpec documents naming an input trace — a
-// server-side path, or "corpus:<digest>" for a trace previously
-// uploaded to POST /v1/corpus — plus the method, the reconstruction
-// target (array/ssd/hdd/ftl/host, with nested ftl_config/host_config
-// knobs discoverable from GET /v1/devices), and optionally an output
-// path. Every job streams its input through the engine's stage graph
-// straight into a file — the result cache's for corpus jobs, the
-// spec's out path or a daemon-assigned spool file for path jobs — in
-// memory bounded by the worker count, not the trace, and the result
-// endpoint serves that file. With -data, results of corpus jobs are
-// cached by (input digest, job fingerprint): resubmitting an
-// equivalent job serves the cached bytes without reconstructing, and a
-// journal replays finished and interrupted jobs across restarts.
+// Jobs are JSON engine.JobSpec documents naming an uploaded trace,
+// "corpus:<digest>" of a trace sent to POST /v1/corpus, plus the
+// method and the reconstruction target (array/ssd/hdd/ftl/host, with
+// nested ftl_config/host_config knobs discoverable from GET
+// /v1/devices). Every job streams its input through the engine's stage
+// graph straight into its result-cache entry, keyed by (input digest,
+// job fingerprint), in memory bounded by the worker count, not the
+// trace, and the result endpoint serves that file: resubmitting an
+// equivalent job serves the cached bytes without reconstructing. A
+// journal replays finished and interrupted jobs across restarts of the
+// same -data directory; without -data the daemon works in a temporary
+// one it removes at shutdown.
 //
 // The daemon listens on loopback by default and runs anonymously
 // there; to expose it beyond the host, configure API-key
@@ -66,14 +64,14 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080",
-		"listen address (loopback by default; non-loopback requires -auth-keys or -insecure: job specs name server-side file paths)")
+		"listen address (loopback by default; non-loopback requires -auth-keys or -insecure)")
 	jobs := flag.Int("jobs", 2, "concurrent job executors")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"engine workers per job, and workers for decoding a staged corpus upload (<2 = sequential)")
 	minIdleGap := flag.Duration("min-idle-gap", time.Millisecond, "epoch cut threshold")
 	maxShard := flag.Int("max-shard", 0, "max requests per shard (0 = engine default)")
 	dataDir := flag.String("data", "",
-		"corpus data directory: enables /corpus uploads, corpus:<digest> job inputs, result caching, and crash recovery via the job journal; results of path jobs without an out path spool under it (without -data they spool to a temp dir that ends with the process)")
+		"data directory: where the corpus of uploaded traces, the result cache and the job journal (crash recovery) live (default: a temporary directory removed at shutdown)")
 	drain := flag.Duration("drain", 30*time.Second,
 		"graceful-shutdown deadline for running jobs on SIGINT/SIGTERM")
 	traceRing := flag.Int("trace-ring", obs.DefaultFlightRecorderCapacity,
@@ -87,7 +85,7 @@ func main() {
 	authKeys := flag.String("auth-keys", "",
 		"API key file (one tenant:key per line, #-comments); enables auth: clients send Authorization: Bearer <key> or X-API-Key. Unset, the TRACETRACKERD_AUTH_KEYS env var (inline tenant:key,tenant:key) is tried; neither = anonymous mode")
 	insecure := flag.Bool("insecure", false,
-		"allow a non-loopback -addr without auth keys (dangerous: anonymous clients can read/write server-side paths)")
+		"allow a non-loopback -addr without auth keys (dangerous: anonymous clients can upload traces and run jobs)")
 	queueCap := flag.Int("queue", defaultQueueCap,
 		"job queue capacity; submissions beyond it answer 429 queue_full with a load-derived Retry-After")
 	maxUpload := flag.Int64("max-upload-bytes", 1<<30,
@@ -144,13 +142,22 @@ func main() {
 	if *pprofOn {
 		srv.enablePprof()
 	}
-	if *dataDir != "" {
-		if err := srv.openData(*dataDir); err != nil {
-			log.Error("data directory failed to open", "dir", *dataDir, "error", err)
+	// tmpData is the data directory made for a daemon without -data,
+	// removed at exit ("" otherwise, which RemoveAll ignores).
+	tmpData := ""
+	if *dataDir == "" {
+		if tmpData, err = os.MkdirTemp("", "tracetrackerd-data-"); err != nil {
+			fmt.Fprintf(os.Stderr, "tracetrackerd: %v\n", err)
 			os.Exit(1)
 		}
-		log.Info("corpus store attached", "dir", *dataDir, "traces", srv.store.Len())
+		*dataDir = tmpData
 	}
+	if err := srv.openData(*dataDir); err != nil {
+		log.Error("data directory failed to open", "dir", *dataDir, "error", err)
+		os.RemoveAll(tmpData)
+		os.Exit(1)
+	}
+	log.Info("corpus store attached", "dir", *dataDir, "traces", srv.store.Len())
 
 	hs := newHTTPServer(*addr, srv, *readHeaderTimeout, *readTimeout, *writeTimeout, *idleTimeout)
 	errc := make(chan error, 1)
@@ -164,6 +171,7 @@ func main() {
 	select {
 	case err := <-errc:
 		log.Error("server failed", "error", err)
+		os.RemoveAll(tmpData)
 		os.Exit(1)
 	case <-ctx.Done():
 	}
@@ -183,6 +191,7 @@ func main() {
 	if !srv.CloseGrace(remain) {
 		log.Warn("drain deadline hit; interrupted jobs will re-run on next start")
 	}
+	os.RemoveAll(tmpData)
 }
 
 // newHTTPServer assembles the hardened http.Server around the daemon

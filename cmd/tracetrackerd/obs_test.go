@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -69,17 +68,12 @@ func TestHealthzShape(t *testing.T) {
 // serve parseable Prometheus text with nonzero engine stage timings,
 // queue-depth series, and cache/jobs/corpus counters.
 func TestMetricsEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	inPath, _ := writeInput(t, dir)
-	srv := dataServer(t, filepath.Join(dir, "data"))
+	raw, _ := inputTrace(t)
+	srv := dataServer(t, filepath.Join(t.TempDir(), "data"))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	raw, err := os.ReadFile(inPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	digest := uploadCorpus(t, ts, raw, "csv")
 
 	spec := engine.JobSpec{In: corpusScheme + digest, Parallel: 2}

@@ -100,11 +100,7 @@ func health(t *testing.T, ts *httptest.Server) map[string]any {
 // output.
 func TestCorpusJobCacheHit(t *testing.T) {
 	dir := t.TempDir()
-	inPath, want := writeInput(t, dir)
-	raw, err := os.ReadFile(inPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw, want := inputTrace(t)
 	srv := dataServer(t, filepath.Join(dir, "data"))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -161,15 +157,11 @@ func TestCorpusJobCacheHit(t *testing.T) {
 	}
 }
 
-// TestCorpusEndpoints covers upload dedup, listing, info by prefix,
-// data round-trip, and the disabled-store path.
+// TestCorpusEndpoints covers upload dedup, listing, info by prefix and
+// data round-trip.
 func TestCorpusEndpoints(t *testing.T) {
 	dir := t.TempDir()
-	inPath, _ := writeInput(t, dir)
-	raw, err := os.ReadFile(inPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw, _ := inputTrace(t)
 	srv := dataServer(t, filepath.Join(dir, "data"))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -218,29 +210,6 @@ func TestCorpusEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown digest: status %d", resp.StatusCode)
 	}
-
-	// A daemon without -data refuses corpus traffic and corpus jobs.
-	bare := newServer(engine.Config{Workers: 1}, 1)
-	defer bare.Close()
-	tsBare := httptest.NewServer(bare)
-	defer tsBare.Close()
-	resp, err = http.Get(tsBare.URL + "/v1/corpus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("no-data corpus list: status %d", resp.StatusCode)
-	}
-	body, _ := json.Marshal(engine.JobSpec{In: "corpus:" + d1})
-	resp, err = http.Post(tsBare.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("no-data corpus job: status %d", resp.StatusCode)
-	}
 }
 
 // TestJournalReplayRecovery kills the server between jobs and checks
@@ -251,11 +220,7 @@ func TestCorpusEndpoints(t *testing.T) {
 func TestJournalReplayRecovery(t *testing.T) {
 	dir := t.TempDir()
 	dataDir := filepath.Join(dir, "data")
-	inPath, want := writeInput(t, dir)
-	raw, err := os.ReadFile(inPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw, want := inputTrace(t)
 	var wantCSV bytes.Buffer
 	if err := trace.WriteCSV(&wantCSV, want); err != nil {
 		t.Fatal(err)
@@ -365,27 +330,21 @@ func TestJournalReplayRecovery(t *testing.T) {
 }
 
 // TestRecoveryServesEveryDoneJob kills the daemon (no clean-shutdown
-// compaction) after one job of each kind — corpus, path with an out,
-// path without one — and checks that after the replay every one of
-// them still answers 200 on /result with the bytes it served before.
-// A journal line written by an earlier version, whose spec still
-// carries "stream":true, replays and runs like any other.
+// compaction) after two jobs, on the default and on the hdd target, and
+// checks that after the replay each still answers 200 on /result with
+// the bytes it served before. A journal line written by an earlier
+// version, whose spec still carries "stream":true, replays and runs like
+// any other.
 func TestRecoveryServesEveryDoneJob(t *testing.T) {
-	dir := t.TempDir()
-	dataDir := filepath.Join(dir, "data")
-	inPath, _ := writeInput(t, dir)
-	raw, err := os.ReadFile(inPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dataDir := filepath.Join(t.TempDir(), "data")
+	raw, want := inputTrace(t)
 
 	srv1 := dataServer(t, dataDir)
 	ts1 := httptest.NewServer(srv1)
 	digest := uploadCorpus(t, ts1, raw, "csv")
 	specs := map[string]engine.JobSpec{
-		"corpus":       {In: "corpus:" + digest},
-		"path+out":     {In: inPath, Out: filepath.Join(dir, "kept.bin"), OutFormat: "bin"},
-		"path, no out": {In: inPath, Device: "hdd"},
+		"array": {In: corpusScheme + digest},
+		"hdd":   {In: corpusScheme + digest, Device: "hdd"},
 	}
 	ids, before := map[string]string{}, map[string][]byte{}
 	for kind, spec := range specs {
@@ -398,17 +357,10 @@ func TestRecoveryServesEveryDoneJob(t *testing.T) {
 	ts1.Close()
 	srv1.Close()
 
-	// What a pre-PR-16 daemon journaled for an interrupted streaming job.
-	oldLine := fmt.Sprintf(`{"op":"submit","id":"job-40","time":%q,"spec":{"name":"legacy","in":%q,"informat":"csv","out":%q,"outformat":"csv","fio_device":"/dev/nvme0n1","method":"tracetracker","device":"array","factor":100,"threshold_us":10000,"stream":true}}`+"\n",
-		time.Now().Format(time.RFC3339Nano), inPath, filepath.Join(dir, "legacy.csv"))
-	jf, err := os.OpenFile(filepath.Join(dataDir, "journal.jsonl"), os.O_WRONLY|os.O_APPEND, 0o666)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jf.WriteString(oldLine); err != nil {
-		t.Fatal(err)
-	}
-	jf.Close()
+	// What a pre-PR-16 daemon journaled for an interrupted streaming
+	// job, here on the same input in bin: nothing produced it before.
+	appendJournal(t, dataDir, fmt.Sprintf(`{"op":"submit","id":"job-40","time":%q,"spec":{"name":"legacy","in":"corpus:%s","informat":"csv","outformat":"bin","fio_device":"/dev/nvme0n1","method":"tracetracker","device":"array","factor":100,"threshold_us":10000,"stream":true},"digest":%q}`,
+		time.Now().Format(time.RFC3339Nano), digest, digest))
 
 	srv2 := dataServer(t, dataDir)
 	defer srv2.Close()
@@ -427,11 +379,85 @@ func TestRecoveryServesEveryDoneJob(t *testing.T) {
 		}
 	}
 	legacy := waitDone(t, ts2, "job-40")
-	if got := getBody(t, ts2.URL+legacy.ResultURL); !bytes.Equal(got, before["corpus"]) {
+	if got := getBody(t, ts2.URL+legacy.ResultURL); !bytes.Equal(got, encodeAs(t, "bin", want)) {
 		t.Fatal("legacy stream:true job diverges from the same reconstruction run today")
 	}
 	if h := health(t, ts2); h["executed"] != float64(1) {
 		t.Fatalf("restart executed %v jobs, want 1: the legacy line and none of the restored ones", h["executed"])
+	}
+}
+
+// appendJournal appends lines, one record each, to the journal under
+// dataDir: what an earlier daemon left there.
+func appendJournal(t *testing.T, dataDir string, lines ...string) {
+	t.Helper()
+	jf, err := os.OpenFile(filepath.Join(dataDir, "journal.jsonl"), os.O_WRONLY|os.O_APPEND, 0o666)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf.Close()
+	for _, line := range lines {
+		if _, err := jf.WriteString(line + "\n"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLegacyPathJobReplay replays a journal an earlier daemon wrote
+// with jobs on server-side paths beside a corpus job: an interrupted
+// path job with an out path and a finished one whose done record names
+// its output file. Both answer, failed with the removal message; neither
+// runs, and the out path is never created. The corpus job still serves
+// its bytes.
+func TestLegacyPathJobReplay(t *testing.T) {
+	dir := t.TempDir()
+	dataDir := filepath.Join(dir, "data")
+	raw, _ := inputTrace(t)
+	inPath, outPath, donePath := filepath.Join(dir, "in.csv"), filepath.Join(dir, "legacy.csv"), filepath.Join(dir, "done.csv")
+	for _, p := range []string{inPath, donePath} {
+		if err := os.WriteFile(p, raw, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv1 := dataServer(t, dataDir)
+	ts1 := httptest.NewServer(srv1)
+	corpusID := submitTrace(t, ts1, raw, engine.JobSpec{})
+	before := getBody(t, ts1.URL+waitDone(t, ts1, corpusID).ResultURL)
+	ts1.Close()
+	srv1.Close()
+
+	now := time.Now().Format(time.RFC3339Nano)
+	appendJournal(t, dataDir,
+		fmt.Sprintf(`{"op":"submit","id":"job-40","time":%q,"spec":{"name":"legacy","in":%q,"informat":"csv","out":%q,"outformat":"csv","method":"tracetracker","device":"array","stream":true}}`, now, inPath, outPath),
+		fmt.Sprintf(`{"op":"submit","id":"job-41","time":%q,"spec":{"name":"done","in":%q,"informat":"csv","outformat":"csv"}}`, now, inPath),
+		fmt.Sprintf(`{"op":"done","id":"job-41","time":%q,"out_path":%q,"report":{"requests":400}}`, now, donePath))
+
+	srv2 := dataServer(t, dataDir)
+	defer srv2.Close()
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	for _, id := range []string{"job-40", "job-41"} {
+		var j job
+		if err := json.Unmarshal(getBody(t, ts2.URL+"/v1/jobs/"+id), &j); err != nil {
+			t.Fatal(err)
+		}
+		if j.State != stateFailed || j.Error != errPathInput || j.ResultURL != "" {
+			t.Fatalf("legacy path job %s after replay: state %s, error %q, result_url %q; want failed with %q",
+				id, j.State, j.Error, j.ResultURL, errPathInput)
+		}
+		if status, body := doReq(t, ts2, http.MethodGet, "/v1/jobs/"+id+"/result", ""); status != http.StatusConflict {
+			t.Fatalf("legacy path job %s result: status %d, want 409: %s", id, status, body)
+		}
+	}
+	if got := getBody(t, ts2.URL+"/v1/jobs/"+corpusID+"/result"); !bytes.Equal(got, before) {
+		t.Fatal("the corpus job serves different bytes after the replay")
+	}
+	if h := health(t, ts2); h["executed"] != float64(0) || h["queued"] != float64(0) {
+		t.Fatalf("replay executed %v and queued %v jobs, want none", h["executed"], h["queued"])
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Fatalf("a legacy job's out path was created: %v", err)
 	}
 }
 
@@ -443,11 +469,7 @@ func TestRecoveryServesEveryDoneJob(t *testing.T) {
 func TestJournalReplayInterruptedHDDJob(t *testing.T) {
 	dir := t.TempDir()
 	dataDir := filepath.Join(dir, "data")
-	inPath, _ := writeInput(t, dir)
-	raw, err := os.ReadFile(inPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw, _ := inputTrace(t)
 
 	// Phase 1: ingest the input, then shut down cleanly with no jobs.
 	srv1 := dataServer(t, dataDir)
@@ -517,12 +539,11 @@ func TestJournalReplayInterruptedHDDJob(t *testing.T) {
 // TestGracefulCloseGrace checks CloseGrace drains running jobs within
 // the deadline and reports an exhausted deadline honestly.
 func TestGracefulCloseGrace(t *testing.T) {
-	dir := t.TempDir()
-	inPath, _ := writeInput(t, dir)
-	srv := newServer(engine.Config{Workers: 1}, 1)
+	raw, _ := inputTrace(t)
+	srv := testServer(t, engine.Config{Workers: 1}, 1)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	id := postJob(t, ts, engine.JobSpec{In: inPath})
+	id := submitTrace(t, ts, raw, engine.JobSpec{})
 	if !srv.CloseGrace(30 * time.Second) {
 		t.Fatal("drain did not complete")
 	}
@@ -535,7 +556,7 @@ func TestGracefulCloseGrace(t *testing.T) {
 		t.Fatalf("job state after drain: %s", j.State)
 	}
 	// Submissions after close are refused.
-	body, _ := json.Marshal(engine.JobSpec{In: inPath})
+	body, _ := json.Marshal(engine.JobSpec{In: j.Spec.In})
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"path/filepath"
 	"runtime/debug"
 	"strconv"
@@ -23,13 +22,13 @@ import (
 	"repro/internal/trace"
 )
 
-// corpusScheme prefixes job inputs that name an ingested trace by
-// digest instead of a server-side path.
+// corpusScheme prefixes a job input: "corpus:<digest>" names an
+// uploaded trace, the only input a daemon job reads.
 const corpusScheme = "corpus:"
 
-// server is the tracetrackerd HTTP API over the job lifecycle (jobs)
-// and, when a data directory is attached, the content-addressed corpus
-// store and its result cache; execute runs each job on the engine.
+// server is the tracetrackerd HTTP API over the job lifecycle (jobs),
+// the content-addressed corpus store and its result cache; execute runs
+// each job on the engine.
 //
 // The API lives under /v1 and nowhere else; only /healthz and /metrics
 // sit at the root. Every non-2xx response carries the structured
@@ -49,10 +48,9 @@ const corpusScheme = "corpus:"
 //	GET  /metrics                  Prometheus text-format metrics (root: scrapers)
 //	GET  /debug/pprof/...          profiling endpoints (opt-in via -pprof)
 //
-// Every finished job is a file — the result-cache entry (corpus jobs),
-// the spec's out path, or a spool file the daemon assigns to path jobs
-// that name none — and the result endpoint serves that file. Nothing
-// of a result stays in memory.
+// Every finished job is one file, the result-cache entry of its input
+// digest and spec, and the result endpoint serves that file. Nothing of
+// a result stays in memory.
 type server struct {
 	base engine.Config
 	mux  *http.ServeMux
@@ -82,8 +80,8 @@ type server struct {
 
 	// jobs is the job lifecycle; its executors run execute.
 	jobs *jobs
-	// store is attached by openData before serving (nil when the
-	// daemon runs without -data); immutable afterwards.
+	// store is attached by openData before serving; immutable
+	// afterwards.
 	store *corpus.Store
 
 	// Admission control (see admission.go): identity, rate limits and
@@ -321,9 +319,8 @@ func buildRevision() string {
 	return "dev"
 }
 
-// openData attaches the corpus store, result cache, result spool and
-// job journal rooted at dir, then replays the journal. Call before
-// serving traffic.
+// openData attaches the corpus store, result cache and job journal
+// rooted at dir, then replays the journal. Call before serving traffic.
 func (s *server) openData(dir string) error {
 	store, err := corpus.Open(dir)
 	if err != nil {
@@ -335,10 +332,6 @@ func (s *server) openData(dir string) error {
 		func() float64 { return float64(store.Len()) })
 	jnl, recs, err := openJournal(filepath.Join(dir, "journal.jsonl"))
 	if err != nil {
-		return err
-	}
-	spool := filepath.Join(dir, "spool")
-	if err := os.MkdirAll(spool, 0o777); err != nil {
 		return err
 	}
 	s.store = store
@@ -354,7 +347,7 @@ func (s *server) openData(dir string) error {
 		s.corpusUsed[tenant] += e.Size
 	}
 	s.mu.Unlock()
-	if restored, requeued := s.jobs.Replay(recs, jnl, spool, store); restored > 0 {
+	if restored, requeued := s.jobs.Replay(recs, jnl, store); restored > 0 {
 		s.log.Info("journal replayed", "jobs", restored, "requeued", requeued)
 	}
 	return nil
@@ -372,11 +365,11 @@ func (s *server) Close() { s.CloseGrace(0) }
 // CloseGrace is jobs.Close: a drain bounded by d (<=0 = forever).
 func (s *server) CloseGrace(d time.Duration) bool { return s.jobs.Close(d) }
 
-// execute runs one job on the engine and returns its finish record.
-// A corpus job whose result is in the result cache short-circuits; the
-// job's frozen tracer parks in the flight recorder however it ends, and
-// is rendered here only for the slow-job log line.
-func (s *server) execute(j job) journalRecord {
+// execute runs one job on the engine and returns its finish record and
+// result file. A job whose result is in the result cache short-circuits;
+// the job's frozen tracer parks in the flight recorder however it ends,
+// and is rendered here only for the slow-job log line.
+func (s *server) execute(j job) (journalRecord, string) {
 	s.log.Info("job started", "job", j.ID, "name", j.Name, "method", j.Spec.Method)
 	// Each job records into its own tracer on an engine config derived
 	// from the shared base.
@@ -387,19 +380,8 @@ func (s *server) execute(j job) journalRecord {
 	var err error
 	hit := false
 	spec := j.Spec
-	if j.Digest != "" {
-		if s.store == nil {
-			err = fmt.Errorf("job %s has corpus input but the daemon runs without -data", j.ID)
-		} else if spec.In, err = s.store.BlobPath(j.Digest); err == nil {
-			res, hit, err = engine.RunJobCached(cfg, spec, j.Digest, s.store)
-		}
-	} else {
-		if spec.Out == "" {
-			spec.Out, err = s.jobs.spoolPath(j.ID)
-		}
-		if err == nil {
-			res, err = engine.RunJob(cfg, spec)
-		}
+	if spec.In, err = s.store.BlobPath(j.Digest); err == nil {
+		res, hit, err = engine.RunJobCached(cfg, spec, j.Digest, s.store)
 	}
 
 	fin := time.Now()
@@ -408,11 +390,12 @@ func (s *server) execute(j job) journalRecord {
 	s.flight.Add(j.ID, tracer)
 	traceID := tracer.Context().TraceID
 	rec := journalRecord{Op: journalDone, ID: j.ID, Time: fin, TraceID: traceID}
+	path := ""
 	if err != nil {
 		rec.Op, rec.Error = journalFail, err.Error()
 		s.log.Warn("job failed", "job", j.ID, "error", err, "duration", wall)
 	} else {
-		rec.OutPath, rec.Cached, rec.Report = res.OutPath, hit, newJobReport(res.Report)
+		path, rec.Cached, rec.Report = res.OutPath, hit, newJobReport(res.Report)
 		s.log.Info("job finished", "job", j.ID, "cached", hit, "duration", wall)
 	}
 	if s.slowJob > 0 && wall >= s.slowJob {
@@ -421,7 +404,7 @@ func (s *server) execute(j job) journalRecord {
 			"threshold", s.slowJob, "trace_id", traceID,
 			"slowest_spans", obs.SummarizeSpans(tracer.Snapshot().SlowestSpans(5)))
 	}
-	return rec
+	return rec, path
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -430,40 +413,40 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, apicode.BadJSON, fmt.Errorf("bad job spec: %w", err))
 		return
 	}
-	digest := ""
-	if rest, ok := strings.CutPrefix(spec.In, corpusScheme); ok {
-		if s.store == nil {
-			httpError(w, http.StatusServiceUnavailable, apicode.CorpusDisabled,
-				fmt.Errorf("corpus inputs need the daemon started with -data"))
-			return
-		}
-		e, err := s.store.Resolve(rest)
-		if err != nil {
-			httpError(w, http.StatusNotFound, apicode.UnknownTrace, err)
-			return
-		}
-		// A sniffing informat means "infer it" — for corpus inputs the
-		// ingested format is authoritative.
-		if !trace.Sniffs(spec.InFormat) && spec.InFormat != e.Format {
-			httpError(w, http.StatusBadRequest, apicode.FormatConflict,
-				fmt.Errorf("informat %q conflicts with ingested format %q", spec.InFormat, e.Format))
-			return
-		}
-		spec.InFormat = e.Format
-		// Canonicalize to the full digest so the persisted spec is
-		// self-describing and replay-stable.
-		spec.In = corpusScheme + e.Digest
-		digest = e.Digest
-	} else if spec.InFormat != "" && spec.In != "" {
-		// Server-side path input: resolve "auto" at submit so the
-		// persisted spec carries a concrete format. (An absent informat
-		// is the spec's csv default, not a sniff.)
-		var err error
-		if spec.InFormat, err = trace.ResolveFile(spec.In, spec.InFormat); err != nil {
-			httpError(w, http.StatusBadRequest, apicode.BadFormat, err)
-			return
-		}
+	// A job reads an uploaded trace and its result lands in the result
+	// cache: a spec naming a file on the server is refused here, before
+	// the queue, so no such path is ever opened, stat'ed or created.
+	rest, ok := strings.CutPrefix(spec.In, corpusScheme)
+	switch {
+	case spec.In == "":
+		httpError(w, http.StatusBadRequest, apicode.MissingInput,
+			errors.New(`job needs an input: "in":"corpus:<digest>" of a trace uploaded to POST /v1/corpus`))
+		return
+	case !ok:
+		httpError(w, http.StatusBadRequest, apicode.BadSpec,
+			fmt.Errorf(`in %q is not an uploaded trace: upload it to POST /v1/corpus and submit "in":"corpus:<digest>"`, spec.In))
+		return
+	case spec.Out != "":
+		httpError(w, http.StatusBadRequest, apicode.BadSpec,
+			fmt.Errorf("out %q: a job's result is served at /v1/jobs/{id}/result (out is a tracetracker CLI field)", spec.Out))
+		return
 	}
+	e, err := s.store.Resolve(rest)
+	if err != nil {
+		httpError(w, http.StatusNotFound, apicode.UnknownTrace, err)
+		return
+	}
+	// A sniffing informat means "infer it": the ingested format is
+	// authoritative.
+	if !trace.Sniffs(spec.InFormat) && spec.InFormat != e.Format {
+		httpError(w, http.StatusBadRequest, apicode.FormatConflict,
+			fmt.Errorf("informat %q conflicts with ingested format %q", spec.InFormat, e.Format))
+		return
+	}
+	spec.InFormat = e.Format
+	// Canonicalize to the full digest so the persisted spec is
+	// self-describing and replay-stable.
+	spec.In = corpusScheme + e.Digest
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
 		specError(w, err)
@@ -480,7 +463,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	j, err := s.jobs.Submit(spec, digest, tenant, obs.TraceContextFrom(r.Context()), s.adm.quota.ConcurrentJobs)
+	j, err := s.jobs.Submit(spec, e.Digest, tenant, obs.TraceContextFrom(r.Context()), s.adm.quota.ConcurrentJobs)
 	if err != nil {
 		s.submitError(w, tenant, err)
 		return
@@ -563,8 +546,8 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResult serves a finished job's result. Every finished job is
-// a file (the cache entry, the out path or the spool file), so this is
-// http.ServeFile and nothing else: ranges and conditional requests come
+// a file, its result-cache entry, so this is http.ServeFile and nothing
+// else: ranges and conditional requests come
 // with it, and the body goes out by sendfile, because the obs
 // middleware's writer forwards ReadFrom to the connection.
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -574,8 +557,8 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	case j.State != stateDone:
 		httpError(w, http.StatusConflict, apicode.JobNotFinished, fmt.Errorf("job is %s", j.State))
 	case j.OutPath == "":
-		// Only a journal-restored job can be here: its recorded output
-		// file was gone at replay and the result cache had no copy.
+		// Only a journal-restored job can be here: its result-cache
+		// entry was gone at replay.
 		httpError(w, http.StatusNotFound, apicode.NotFound,
 			fmt.Errorf("job %s finished in an earlier run and its result file is gone; resubmit it", j.ID))
 	default:
@@ -617,27 +600,12 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// requireStore answers 503 and returns nil when no data directory is
-// attached.
-func (s *server) requireStore(w http.ResponseWriter) *corpus.Store {
-	if s.store == nil {
-		httpError(w, http.StatusServiceUnavailable, apicode.CorpusDisabled,
-			fmt.Errorf("corpus store disabled; start the daemon with -data"))
-		return nil
-	}
-	return s.store
-}
-
 func (s *server) handleCorpusIngest(w http.ResponseWriter, r *http.Request) {
-	store := s.requireStore(w)
-	if store == nil {
-		return
-	}
 	tenant := tenantFrom(r.Context())
 	var body io.Reader = r.Body
 	if s.maxUpload > 0 {
 		// MaxBytesReader aborts the streaming ingest mid-body; the
-		// store's staging discipline removes the partial spool.
+		// store's staging discipline removes the partial staged file.
 		body = http.MaxBytesReader(w, r.Body, s.maxUpload)
 	}
 	if q := s.adm.quota.CorpusBytes; q > 0 {
@@ -651,7 +619,7 @@ func (s *server) handleCorpusIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		body = &quotaReader{r: body, remaining: q - used}
 	}
-	entry, created, err := store.IngestAs(body, r.URL.Query().Get("format"), tenant)
+	entry, created, err := s.store.IngestAs(body, r.URL.Query().Get("format"), tenant)
 	if err != nil {
 		s.corpusIngestError(w, tenant, err)
 		return
@@ -692,19 +660,11 @@ func (s *server) corpusIngestError(w http.ResponseWriter, tenant string, err err
 }
 
 func (s *server) handleCorpusList(w http.ResponseWriter, r *http.Request) {
-	store := s.requireStore(w)
-	if store == nil {
-		return
-	}
-	writeJSON(w, store.Entries())
+	writeJSON(w, s.store.Entries())
 }
 
 func (s *server) handleCorpusInfo(w http.ResponseWriter, r *http.Request) {
-	store := s.requireStore(w)
-	if store == nil {
-		return
-	}
-	e, err := store.Resolve(r.PathValue("digest"))
+	e, err := s.store.Resolve(r.PathValue("digest"))
 	if err != nil {
 		httpError(w, http.StatusNotFound, apicode.UnknownTrace, err)
 		return
@@ -713,11 +673,7 @@ func (s *server) handleCorpusInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleCorpusData(w http.ResponseWriter, r *http.Request) {
-	store := s.requireStore(w)
-	if store == nil {
-		return
-	}
-	rc, e, err := store.OpenBlob(r.PathValue("digest"))
+	rc, e, err := s.store.OpenBlob(r.PathValue("digest"))
 	if err != nil {
 		httpError(w, http.StatusNotFound, apicode.UnknownTrace, err)
 		return
@@ -737,20 +693,17 @@ func (s *server) handleCorpusData(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	total, queued, running := s.jobs.counts()
-	health := map[string]any{
+	writeJSON(w, map[string]any{
 		"ok":             true,
 		"jobs":           total,
 		"queued":         queued,
 		"running":        running,
 		"executed":       s.jobs.executed.Value(),
 		"cache_hits":     s.jobs.cached.Value(),
+		"corpus":         s.store.Len(),
 		"uptime_seconds": time.Since(s.started).Seconds(),
 		"revision":       s.revision,
-	}
-	if s.store != nil {
-		health["corpus"] = s.store.Len()
-	}
-	writeJSON(w, health)
+	})
 }
 
 // handleDevices serves the reconstruction-target capability catalogue:

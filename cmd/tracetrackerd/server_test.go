@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -19,9 +20,9 @@ import (
 	"repro/internal/workload"
 )
 
-// writeInput synthesizes a small Tsdev-known trace file and returns
-// its path plus the expected reconstruction.
-func writeInput(t *testing.T, dir string) (string, *trace.Trace) {
+// inputTrace synthesizes a small Tsdev-known trace and returns its csv
+// bytes plus the expected reconstruction.
+func inputTrace(t *testing.T) ([]byte, *trace.Trace) {
 	t.Helper()
 	p, ok := workload.Lookup("ikki")
 	if !ok {
@@ -30,32 +31,35 @@ func writeInput(t *testing.T, dir string) (string, *trace.Trace) {
 	app := workload.Generate(p, workload.GenOptions{Ops: 400, Seed: 1})
 	old := app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace
 	old.Name = "ikki-web"
-
-	path := filepath.Join(dir, "in.csv")
-	f, err := os.Create(path)
-	if err != nil {
+	var raw bytes.Buffer
+	if err := trace.WriteCSV(&raw, old); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteCSV(f, old); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
 	// The daemon decodes the CSV, so the expectation must too.
-	rt, err := os.Open(path)
+	want, _, err := core.Reconstruct(decodeCSV(t, raw.Bytes()), device.NewArray(device.DefaultArrayConfig()), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
-	oldRT, err := trace.ReadFormat("csv", rt)
-	if err != nil {
+	return raw.Bytes(), want
+}
+
+// testServer builds a server executing concurrent jobs on engines
+// derived from base, with a fresh t.TempDir() as its data directory.
+func testServer(t *testing.T, base engine.Config, concurrent int) *server {
+	t.Helper()
+	srv := newServer(base, concurrent)
+	if err := srv.openData(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := core.Reconstruct(oldRT, device.NewArray(device.DefaultArrayConfig()), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return path, want
+	return srv
+}
+
+// submitTrace uploads raw to the corpus and submits spec on it — the
+// one flow of a daemon job — returning the job id.
+func submitTrace(t *testing.T, ts *httptest.Server, raw []byte, spec engine.JobSpec) string {
+	t.Helper()
+	spec.In = corpusScheme + uploadCorpus(t, ts, raw, "")
+	return postJob(t, ts, spec)
 }
 
 // postJob submits a spec and returns the job id.
@@ -109,18 +113,17 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) *job {
 	return nil
 }
 
-// TestSubmitStatusResultRoundTrip is the acceptance scenario: submit a
-// job, poll status, fetch the result, and check it equals the
-// sequential pipeline's reconstruction.
+// TestSubmitStatusResultRoundTrip is the acceptance scenario: upload a
+// trace, submit a job on it, poll status, fetch the result, and check it
+// equals the sequential pipeline's reconstruction.
 func TestSubmitStatusResultRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	inPath, want := writeInput(t, dir)
-	srv := newServer(engine.Config{Workers: 4, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond}, 1)
+	raw, want := inputTrace(t)
+	srv := testServer(t, engine.Config{Workers: 4, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	id := postJob(t, ts, engine.JobSpec{In: inPath, Parallel: 4})
+	id := submitTrace(t, ts, raw, engine.JobSpec{Parallel: 4})
 	j := waitDone(t, ts, id)
 	if j.Report == nil || j.Report.Requests != int64(want.Len()) {
 		t.Fatalf("report: %+v", j.Report)
@@ -152,23 +155,22 @@ func TestSubmitStatusResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamingJobToFile runs a path job writing to its out path and
-// fetches the result from disk via the result endpoint.
+// TestStreamingJobToFile checks a job's one result location: the job
+// streams into the result-cache entry of its input digest and spec, and
+// the result endpoint serves that file.
 func TestStreamingJobToFile(t *testing.T) {
-	dir := t.TempDir()
-	inPath, want := writeInput(t, dir)
-	outPath := filepath.Join(dir, "out.csv")
-	srv := newServer(engine.Config{Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond}, 1)
+	raw, want := inputTrace(t)
+	srv := testServer(t, engine.Config{Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	id := postJob(t, ts, engine.JobSpec{In: inPath, Out: outPath})
-	j := waitDone(t, ts, id)
-	if j.OutPath != outPath {
-		t.Fatalf("out path: %q", j.OutPath)
+	j := waitDone(t, ts, submitTrace(t, ts, raw, engine.JobSpec{}))
+	entry, _, ok := srv.store.LookupResult(engine.CacheKey(j.Digest, j.Spec))
+	if !ok || j.OutPath != entry {
+		t.Fatalf("result at %q, want the cache entry %q (found %v)", j.OutPath, entry, ok)
 	}
-	data, err := os.ReadFile(outPath)
+	data, err := os.ReadFile(entry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +181,8 @@ func TestStreamingJobToFile(t *testing.T) {
 	if !bytes.Equal(data, wantBuf.Bytes()) {
 		t.Fatal("streaming job output diverges from sequential reconstruction")
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("result from file: status %d", resp.StatusCode)
+	if got := getBody(t, ts.URL+j.ResultURL); !bytes.Equal(got, data) {
+		t.Fatal("result endpoint serves other bytes than the cache entry")
 	}
 }
 
@@ -194,17 +191,14 @@ func TestStreamingJobToFile(t *testing.T) {
 // the result file, a plain GET the whole file, both through the
 // daemon's middleware over a real connection.
 func TestResultRanges(t *testing.T) {
-	dir := t.TempDir()
-	inPath, _ := writeInput(t, dir)
-	outPath := filepath.Join(dir, "out.csv")
-	srv := newServer(engine.Config{Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond}, 1)
+	raw, _ := inputTrace(t)
+	srv := testServer(t, engine.Config{Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	id := postJob(t, ts, engine.JobSpec{In: inPath, Out: outPath})
-	waitDone(t, ts, id)
-	want, err := os.ReadFile(outPath)
+	id := submitTrace(t, ts, raw, engine.JobSpec{})
+	want, err := os.ReadFile(waitDone(t, ts, id).OutPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,29 +234,48 @@ func TestResultRanges(t *testing.T) {
 	}
 }
 
-// TestJobValidationAndErrors covers the API's failure surface.
+// TestJobValidationAndErrors covers the API's failure surface. A job
+// reads only an uploaded trace: a spec naming a file on the server, as
+// input or as output, is refused at submit and never touches that file.
 func TestJobValidationAndErrors(t *testing.T) {
-	srv := newServer(engine.Config{}, 1)
+	srv := testServer(t, engine.Config{}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	raw, _ := inputTrace(t)
+	in := corpusScheme + uploadCorpus(t, ts, raw, "")
 
-	// Invalid specs: an unknown method, and baseline knobs that are not
-	// finite numbers above zero (a threshold must also fit a duration).
-	for _, spec := range []string{
-		`{"method":"nope","in":"x"}`,
-		`{"method":"acceleration","factor":-3,"in":"x"}`,
-		`{"method":"fixed-th","threshold_us":-10,"in":"x"}`,
-		`{"method":"fixed-th","threshold_us":1e16,"in":"x"}`,
+	// A path input, a set output and an empty input are refused before
+	// the queue; invalid specs are an unknown method, and baseline knobs
+	// that are not finite numbers above zero (a threshold must also fit
+	// a duration).
+	dir := t.TempDir()
+	inPath, outPath := filepath.Join(dir, "in.csv"), filepath.Join(dir, "out.csv")
+	if err := os.WriteFile(inPath, raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ spec, code, mention string }{
+		{`{"in":"` + inPath + `"}`, "bad_spec", "/v1/corpus"},
+		{`{"in":"` + in + `","out":"` + outPath + `"}`, "bad_spec", "out"},
+		{`{"in":""}`, "missing_input", "/v1/corpus"},
+		{`{"method":"nope","in":"` + in + `"}`, "unknown_method", "nope"},
+		{`{"method":"acceleration","factor":-3,"in":"` + in + `"}`, "bad_spec", "factor"},
+		{`{"method":"fixed-th","threshold_us":-10,"in":"` + in + `"}`, "bad_spec", "threshold_us"},
+		{`{"method":"fixed-th","threshold_us":1e16,"in":"` + in + `"}`, "bad_spec", "threshold_us"},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
-		if err != nil {
-			t.Fatal(err)
+		status, body := doReq(t, ts, http.MethodPost, "/v1/jobs", tc.spec)
+		if status != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", tc.spec, status, body)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d", spec, resp.StatusCode)
+		if env := errEnvelope(t, body); env.Code != tc.code || !strings.Contains(env.Message, tc.mention) {
+			t.Fatalf("%s: envelope %+v, want %s naming %q", tc.spec, env, tc.code, tc.mention)
 		}
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Fatalf("a refused spec created its out path: %v", err)
+	}
+	if total, _, _ := srv.jobs.counts(); total != 0 {
+		t.Fatalf("%d refused specs reached the job table", total)
 	}
 	// Unknown job.
 	resp, err := http.Get(ts.URL + "/v1/jobs/job-999")
@@ -273,28 +286,9 @@ func TestJobValidationAndErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: status %d", resp.StatusCode)
 	}
-	// Missing input file -> job fails asynchronously.
-	id := postJob(t, ts, engine.JobSpec{In: "/nonexistent/trace.csv"})
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		r2, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var j job
-		json.NewDecoder(r2.Body).Decode(&j)
-		r2.Body.Close()
-		if j.State == stateFailed {
-			break
-		}
-		if j.State == stateDone {
-			t.Fatal("job with missing input succeeded")
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never failed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// An input too sparse to fit a model -> job fails asynchronously.
+	id := submitTrace(t, ts, webmailCSV(t, 40), engine.JobSpec{})
+	waitFailed(t, ts, id)
 	// Result of a failed job.
 	resp, err = http.Get(ts.URL + "/v1/jobs/" + id + "/result")
 	if err != nil {
@@ -305,69 +299,46 @@ func TestJobValidationAndErrors(t *testing.T) {
 		t.Fatalf("failed-job result: status %d", resp.StatusCode)
 	}
 	// Health.
-	resp, err = http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health map[string]any
-	json.NewDecoder(resp.Body).Decode(&health)
-	resp.Body.Close()
-	if health["ok"] != true {
-		t.Fatalf("health: %+v", health)
+	if h := health(t, ts); h["ok"] != true {
+		t.Fatalf("health: %+v", h)
 	}
 }
 
 // TestInMemoryFIOResultCarriesDevice checks that a fio-format job
-// without an output path (spooled by the daemon) serves an iolog
-// embedding the defaulted replay device (the spec is normalized at
-// submit).
+// serves an iolog embedding the defaulted replay device (the spec is
+// normalized at submit).
 func TestInMemoryFIOResultCarriesDevice(t *testing.T) {
-	dir := t.TempDir()
-	inPath, _ := writeInput(t, dir)
-	srv := newServer(engine.Config{Workers: 1}, 1)
+	raw, _ := inputTrace(t)
+	srv := testServer(t, engine.Config{Workers: 1}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	id := postJob(t, ts, engine.JobSpec{In: inPath, OutFormat: "fio"})
+	id := submitTrace(t, ts, raw, engine.JobSpec{OutFormat: "fio"})
 	waitDone(t, ts, id)
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := getBody(t, ts.URL+"/v1/jobs/"+id+"/result")
 	if !strings.Contains(string(body), "/dev/nvme0n1 open") {
 		t.Fatalf("iolog missing defaulted device path:\n%s", string(body[:min(len(body), 200)]))
 	}
 }
 
-// TestJobList checks listing order (most recent first) and the
-// paginated shape.
+// TestJobList checks listing order (most recent first), the paginated
+// shape, and retention: finished jobs pushed past the bound are
+// forgotten while their results stay in the result cache.
 func TestJobList(t *testing.T) {
-	dir := t.TempDir()
-	inPath, _ := writeInput(t, dir)
-	srv := newServer(engine.Config{Workers: 1}, 1)
+	raw, _ := inputTrace(t)
+	srv := testServer(t, engine.Config{Workers: 1}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	id1 := postJob(t, ts, engine.JobSpec{In: inPath, Name: "first"})
-	id2 := postJob(t, ts, engine.JobSpec{In: inPath, Name: "second"})
+	id1 := submitTrace(t, ts, raw, engine.JobSpec{Name: "first"})
+	id2 := submitTrace(t, ts, raw, engine.JobSpec{Name: "second"})
 	waitDone(t, ts, id1)
-	waitDone(t, ts, id2)
+	j2 := waitDone(t, ts, id2)
 
-	resp, err := http.Get(ts.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var page jobPage
-	err = json.NewDecoder(resp.Body).Decode(&page)
-	resp.Body.Close()
-	if err != nil {
+	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/jobs"), &page); err != nil {
 		t.Fatal(err)
 	}
 	jobs := page.Jobs
@@ -379,5 +350,21 @@ func TestJobList(t *testing.T) {
 	}
 	if page.NextAfter != "" {
 		t.Fatalf("two jobs fit one page, next_after = %q", page.NextAfter)
+	}
+
+	// Push both records past the retention bound.
+	for i := 0; i < retainJobs; i++ {
+		srv.jobs.park(job{ID: fmt.Sprintf("filler-%d", i), State: stateQueued})
+	}
+	for _, id := range []string{id1, id2} {
+		if _, known := srv.jobs.Get(id); known {
+			t.Fatalf("prune kept finished job %s beyond the retention bound", id)
+		}
+		if status, body := doReq(t, ts, http.MethodGet, "/v1/jobs/"+id+"/result", ""); status != http.StatusNotFound {
+			t.Fatalf("pruned job %s result: status %d, want 404 unknown_job: %s", id, status, body)
+		}
+	}
+	if _, err := os.Stat(j2.OutPath); err != nil {
+		t.Fatalf("prune deleted a result-cache entry: %v", err)
 	}
 }

@@ -50,7 +50,7 @@ func webmailCSV(t *testing.T, ops int) []byte {
 func modelBits(m *infer.Model) string { return fmt.Sprintf("%x", *m) }
 
 // jobSpans fetches a finished job's timeline: span name → count, and
-// the cache-lookup span's attrs (nil for a path job, which has none).
+// the cache-lookup span's attrs.
 func jobSpans(t *testing.T, ts *httptest.Server, id string) (map[string]int, map[string]int64) {
 	t.Helper()
 	resp, body := getTrace(t, ts, id, "")
@@ -197,16 +197,10 @@ func TestStoredModelIdentity(t *testing.T) {
 		t.Fatalf("corpus_ingest_fit_seconds_total = %v (found %v), want > 0", v, ok)
 	}
 
-	// Outside the rule, same daemon: an explicit reorder window, and a
-	// path job on the same bytes (no corpus, no sidecar).
+	// Outside the rule, same daemon: an explicit reorder window.
 	fitLeg(srv, ts, "reorder-window", old, engine.JobSpec{In: corpusScheme + digest, ReorderWindow: 4096})
-	inPath := filepath.Join(dir, "webmail.csv")
-	if err := os.WriteFile(inPath, raw, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	fitLeg(srv, ts, "path-job", old, engine.JobSpec{In: inPath})
-	if job := modelFits(t, ts, "job"); job != 2 {
-		t.Fatalf("engine_model_fits_total{source=job} = %v after two jobs outside the rule", job)
+	if job := modelFits(t, ts, "job"); job != 1 {
+		t.Fatalf("engine_model_fits_total{source=job} = %v after one job outside the rule", job)
 	}
 	ts.Close()
 	srv.Close()
@@ -258,12 +252,9 @@ func TestStoredModelIdentity(t *testing.T) {
 // several jobs at once (the executors each take their own copy) while
 // an upload lands: the -race row for the pointer ingest now publishes.
 func TestStoredModelConcurrentJobs(t *testing.T) {
-	srv := newServer(engine.Config{
+	srv := testServer(t, engine.Config{
 		Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond,
 	}, 3)
-	if err := srv.openData(filepath.Join(t.TempDir(), "data")); err != nil {
-		t.Fatal(err)
-	}
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -14,14 +14,15 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/faultfs"
 	"repro/internal/obs"
 	"repro/internal/obs/obstest"
 )
@@ -68,9 +69,8 @@ func getTrace(t *testing.T, ts *httptest.Server, id, query string) (*http.Respon
 }
 
 func TestTraceEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	inPath, _ := writeInput(t, dir)
-	srv := dataServer(t, filepath.Join(dir, "data"))
+	raw, _ := inputTrace(t)
+	srv := dataServer(t, filepath.Join(t.TempDir(), "data"))
 	defer srv.Close()
 	srv.slowJob = time.Nanosecond // every job counts as slow
 	var logBuf bytes.Buffer
@@ -78,10 +78,6 @@ func TestTraceEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	raw, err := os.ReadFile(inPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	digest := uploadCorpus(t, ts, raw, "csv")
 
 	// The client's distributed-trace position: the job must file under
@@ -226,33 +222,19 @@ func TestTraceEndToEnd(t *testing.T) {
 }
 
 // TestTraceEndToEndServedBytes holds the flight recorder to the
-// timeline it froze: for a job that finishes and for one that fails
-// mid-stream, GET …/trace serves, in JSON and in Perfetto form, exactly
+// timeline it froze: for a job that finishes and for one whose result
+// write fails mid-stream, GET …/trace serves, in JSON and in Perfetto form, exactly
 // the bytes rendered from the tracer as it finished, and a second GET a
 // second later serves them again. Both roots are open until Finish
 // stamps them; TestTracerFinishFreezes covers open spans below the root.
 func TestTraceEndToEndServedBytes(t *testing.T) {
-	dir := t.TempDir()
-	inPath, _ := writeInput(t, dir)
-	raw, err := os.ReadFile(inPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The same trace with a record that does not parse three quarters
-	// of the way in: its job fails after several epochs are in flight.
-	lines := bytes.SplitAfter(raw, []byte("\n"))
-	cut := len(lines) * 3 / 4
-	bad := append(bytes.Join(lines[:cut], nil), []byte("not,a,record\n")...)
-	bad = append(bad, bytes.Join(lines[cut:], nil)...)
-	badPath := filepath.Join(dir, "bad.csv")
-	if err := os.WriteFile(badPath, bad, 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	srv := newServer(engine.Config{
+	raw, _ := inputTrace(t)
+	srv := testServer(t, engine.Config{
 		Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond,
 	}, 1)
 	defer srv.Close()
+	fi := faultfs.New()
+	srv.store.SetFaultInjector(fi)
 	// Render each timeline as its job finishes, before the job turns
 	// terminal and any GET can reach it. The wrapper is in place before
 	// the HTTP server starts, so no executor reads run while it is set.
@@ -260,12 +242,12 @@ func TestTraceEndToEndServedBytes(t *testing.T) {
 	var mu sync.Mutex
 	atFinish := map[string]rendered{}
 	run := srv.jobs.run
-	srv.jobs.run = func(j job) journalRecord {
-		rec := run(j)
+	srv.jobs.run = func(j job) (journalRecord, string) {
+		rec, path := run(j)
 		jt, ok := srv.flight.Get(j.ID)
 		if !ok {
 			t.Errorf("%s: no timeline parked at finish", j.ID)
-			return rec
+			return rec, path
 		}
 		w := httptest.NewRecorder()
 		writeJSON(w, jt)
@@ -274,28 +256,18 @@ func TestTraceEndToEndServedBytes(t *testing.T) {
 		mu.Lock()
 		atFinish[j.ID] = rendered{w.Body.Bytes(), perfetto.Bytes()}
 		mu.Unlock()
-		return rec
+		return rec, path
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	okID := postJob(t, ts, engine.JobSpec{In: inPath, Parallel: 2})
-	waitDone(t, ts, okID)
-	failID := postJob(t, ts, engine.JobSpec{In: badPath, Parallel: 2})
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var j job
-		if err := json.Unmarshal(getBody(t, ts.URL+"/v1/jobs/"+failID), &j); err != nil {
-			t.Fatal(err)
-		}
-		if j.State == stateFailed {
-			break
-		}
-		if j.State == stateDone || time.Now().After(deadline) {
-			t.Fatalf("the malformed job ended %s", j.State)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	okID := submitTrace(t, ts, raw, engine.JobSpec{Parallel: 2})
+	size := len(getBody(t, ts.URL+waitDone(t, ts, okID).ResultURL))
+	// The result write of a second job fails half way through its bytes:
+	// the job fails after several epochs are in flight.
+	fi.Fail(faultfs.SinkCorpusResult, int64(size/2), syscall.EIO)
+	failID := submitTrace(t, ts, raw, engine.JobSpec{Parallel: 2, Method: "dynamic"})
+	waitFailed(t, ts, failID)
 
 	served := func(id string) rendered {
 		t.Helper()

@@ -27,7 +27,6 @@ const (
 	BadSpec
 	BadTrace
 	ConfigMismatch
-	CorpusDisabled
 	FormatConflict
 	JobNotFinished
 	MethodNotAllowed
@@ -59,7 +58,6 @@ var names = [numCodes]string{
 	"bad_spec",
 	"bad_trace",
 	"config_mismatch",
-	"corpus_disabled",
 	"format_conflict",
 	"job_not_finished",
 	"method_not_allowed",

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -115,16 +116,41 @@ func TestReconstructTargetOrdering(t *testing.T) {
 	}
 }
 
-// TestReconstructRecordedDevice: replaying onto a Recorded device fed
-// with the old trace's own latencies reproduces the old trace's
-// service structure — the identity-target sanity check.
+// recordedDevice serves request i, one at a time, in the latency the
+// capture recorded for it (fallback when it recorded none).
+type recordedDevice struct {
+	lat      []time.Duration
+	fallback time.Duration
+	next     int
+	busy     time.Duration
+}
+
+func (r *recordedDevice) Name() string { return "recorded" }
+func (r *recordedDevice) Reset()       { r.next, r.busy = 0, 0 }
+
+func (r *recordedDevice) Submit(at time.Duration, _ trace.Request) device.Result {
+	lat := r.fallback
+	if r.next < len(r.lat) && r.lat[r.next] > 0 {
+		lat = r.lat[r.next]
+	}
+	r.next++
+	r.busy = max(r.busy, at) + lat
+	return device.Result{Start: r.busy - lat, Complete: r.busy}
+}
+
+// TestReconstructRecordedDevice: replaying onto a device that serves
+// each request in the old trace's own latency reproduces the old
+// trace's service structure — the identity-target sanity check.
 func TestReconstructRecordedDeviceIdentity(t *testing.T) {
 	p, _ := workload.Lookup("CFS")
 	app := workload.Generate(p, workload.GenOptions{Ops: 1200, Seed: 6})
 	old := app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace
 	old.TsdevKnown = true
 
-	rec := device.NewRecorded(old, time.Millisecond)
+	rec := &recordedDevice{fallback: time.Millisecond}
+	for _, r := range old.Requests {
+		rec.lat = append(rec.lat, r.Latency)
+	}
 	got, rep, err := Reconstruct(old, rec, Options{SkipPostProcess: true})
 	if err != nil {
 		t.Fatal(err)

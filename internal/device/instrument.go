@@ -109,49 +109,3 @@ func (n *Null) Reset() {}
 func (n *Null) Submit(at time.Duration, _ trace.Request) Result {
 	return Result{Start: at, Complete: at + n.Fixed}
 }
-
-// Recorded replays the service times recorded in a trace: request i
-// gets the latency the original capture measured, regardless of its
-// content. Feeding a Tsdev-known trace's own latencies back through
-// reconstruction isolates the inference stages from the device model
-// (the substrate equivalent of replaying on the original hardware).
-type Recorded struct {
-	// Latencies indexed by submission order.
-	Latencies []time.Duration
-	// Fallback is used past the end of Latencies or for zero entries.
-	Fallback time.Duration
-
-	next int
-	busy time.Duration
-}
-
-// NewRecorded builds a Recorded device from a captured trace.
-func NewRecorded(t *trace.Trace, fallback time.Duration) *Recorded {
-	r := &Recorded{Fallback: fallback}
-	for _, req := range t.Requests {
-		r.Latencies = append(r.Latencies, req.Latency)
-	}
-	return r
-}
-
-// Name implements Device.
-func (r *Recorded) Name() string { return "recorded" }
-
-// Reset implements Device.
-func (r *Recorded) Reset() { r.next = 0; r.busy = 0 }
-
-// Submit implements Device.
-func (r *Recorded) Submit(at time.Duration, _ trace.Request) Result {
-	lat := r.Fallback
-	if r.next < len(r.Latencies) && r.Latencies[r.next] > 0 {
-		lat = r.Latencies[r.next]
-	}
-	r.next++
-	start := at
-	if r.busy > start {
-		start = r.busy
-	}
-	done := start + lat
-	r.busy = done
-	return Result{Start: start, Complete: done}
-}

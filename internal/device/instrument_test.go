@@ -69,49 +69,3 @@ func TestNullDevice(t *testing.T) {
 		t.Fatal("name")
 	}
 }
-
-func TestRecordedReplaysLatencies(t *testing.T) {
-	tr := &trace.Trace{Requests: []trace.Request{
-		{Arrival: 0, LBA: 0, Sectors: 8, Latency: 100 * time.Microsecond},
-		{Arrival: 1, LBA: 8, Sectors: 8, Latency: 300 * time.Microsecond},
-		{Arrival: 2, LBA: 16, Sectors: 8}, // zero: fallback
-	}}
-	d := NewRecorded(tr, 50*time.Microsecond)
-	r0 := d.Submit(0, req(0, 8, trace.Read))
-	if r0.Complete-r0.Start != 100*time.Microsecond {
-		t.Fatalf("r0: %+v", r0)
-	}
-	r1 := d.Submit(r0.Complete, req(8, 8, trace.Read))
-	if r1.Complete-r1.Start != 300*time.Microsecond {
-		t.Fatalf("r1: %+v", r1)
-	}
-	r2 := d.Submit(r1.Complete, req(16, 8, trace.Read))
-	if r2.Complete-r2.Start != 50*time.Microsecond {
-		t.Fatalf("r2 fallback: %+v", r2)
-	}
-	// Past the recorded range: fallback again.
-	r3 := d.Submit(r2.Complete, req(24, 8, trace.Read))
-	if r3.Complete-r3.Start != 50*time.Microsecond {
-		t.Fatalf("r3: %+v", r3)
-	}
-	// Busy serialization.
-	d.Reset()
-	a := d.Submit(0, req(0, 8, trace.Read))
-	b := d.Submit(0, req(8, 8, trace.Read))
-	if b.Start < a.Complete {
-		t.Fatal("recorded device must serialize")
-	}
-}
-
-func TestRecordedResetRestartsSequence(t *testing.T) {
-	tr := &trace.Trace{Requests: []trace.Request{
-		{Latency: time.Millisecond, Sectors: 8},
-	}}
-	d := NewRecorded(tr, time.Microsecond)
-	d.Submit(0, req(0, 8, trace.Read))
-	d.Reset()
-	r := d.Submit(0, req(0, 8, trace.Read))
-	if r.Complete-r.Start != time.Millisecond {
-		t.Fatal("Reset should restart the latency sequence")
-	}
-}

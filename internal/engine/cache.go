@@ -12,7 +12,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
-	"os"
 
 	"repro/internal/infer"
 	"repro/internal/obs"
@@ -111,9 +110,9 @@ type cacheNote struct {
 // job's one and only copy of the output and the note (spec + report)
 // is recorded when the last byte is out. A hit runs nothing and
 // restores the report from the note. Either way the result is the
-// cache file, copied to spec.Out when the spec names one. inputDigest
-// must be the content digest of the bytes at spec.In — the caller (the
-// corpus layer) owns that mapping. The returned bool reports a hit:
+// cache file; spec.Out is not consulted. inputDigest must be the
+// content digest of the bytes at spec.In — the caller (the corpus
+// layer) owns that mapping. The returned bool reports a hit:
 // the output came from the cache and no reconstruction ran.
 //
 // The engine Config deliberately does not enter the key: its fields
@@ -165,12 +164,6 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 		json.Unmarshal(note, &n)
 		rep = n.Report
 	}
-	if spec.Out != "" {
-		if err := copyFileAtomic(spec.Out, path); err != nil {
-			return nil, false, err
-		}
-		path = spec.Out
-	}
 	return &JobResult{Report: rep, OutPath: path}, !ran, nil
 }
 
@@ -190,18 +183,4 @@ func boolAttr(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// copyFileAtomic lands a copy of src at dst via the engine's partial
-// file + rename discipline.
-func copyFileAtomic(dst, src string) error {
-	return writeAtomically(dst, func(w io.Writer) error {
-		f, err := os.Open(src)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		_, err = io.Copy(w, f)
-		return err
-	})
 }

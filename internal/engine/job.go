@@ -44,10 +44,9 @@ type JobSpec struct {
 	InFormat string `json:"informat,omitempty"`
 	// Out is the output path, written atomically (partial file +
 	// rename). RunJob requires it; RunJobCached lands the output in the
-	// result cache and copies it to Out only when Out is set; the daemon
-	// assigns a spool file to path jobs that leave it empty; RunJobTo
-	// writes to the sink it is given and ignores it. OutFormat one of
-	// trace.Formats(Output): csv, bin, blktrace, fio.
+	// result cache and RunJobTo in the sink it is given, and both ignore
+	// it. OutFormat one of trace.Formats(Output): csv, bin, blktrace,
+	// fio.
 	Out       string `json:"out,omitempty"`
 	OutFormat string `json:"outformat,omitempty"`
 	// FIODevice is the replay target embedded in fio output.
@@ -203,14 +202,14 @@ type JobResult struct {
 	// Report carries the stage graph's diagnostics (nil for the
 	// acceleration method, which runs no device pass).
 	Report *Report
-	// OutPath is where the output is: the spec's Out, or the
-	// result-cache file for a RunJobCached job without one.
+	// OutPath is where the output is: the spec's Out for RunJob, the
+	// result-cache file for RunJobCached.
 	OutPath string
 }
 
 // ErrStorage marks a job that failed because its output could not be
-// written — a full or dying disk under the result cache, the spool or
-// the output path — rather than because of its input or spec. The
+// written — a full or dying disk under the result cache or the output
+// path — rather than because of its input or spec. The
 // sink sits at the bottom of the stage graph, so its failure comes
 // back through the encoder and the merge as if the reconstruction had
 // gone wrong; jobWriter records it where it happens and RunJobTo
