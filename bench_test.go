@@ -278,11 +278,11 @@ func BenchmarkEngineReconstruct(b *testing.B) {
 		}
 		seen[w] = true
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			spec := enginePkg.JobSpec{In: path, InFormat: "bin", OutFormat: "bin", Parallel: w}
+			spec := enginePkg.JobSpec{In: path, InFormat: "bin", OutFormat: "bin"}
 			b.SetBytes(st.Size())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, err := enginePkg.RunJobTo(enginePkg.Config{}, spec, io.Discard)
+				rep, err := enginePkg.RunJobTo(enginePkg.Config{Workers: w}, spec, io.Discard)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,14 +4,14 @@
 // methods for comparison.
 //
 // It is a front end to engine.RunJob, the job path tracetrackerd runs:
-// the flags fill an engine.JobSpec, the engine streams the input
-// through its stage graph on -parallel workers — bounded memory, output
-// byte-identical to the sequential pipeline at any worker count, on
-// every -device — and -out is written atomically, so a failed run never
-// touches an existing file. Without -in the input is stdin, spooled to a
-// temporary file because the model-fit pass re-reads it; without -out
-// the output goes to stdout. -outformat fio also prints the matching
-// fio job file to stderr.
+// the flags fill an engine.JobSpec, -parallel the engine.Config's
+// workers, and the engine streams the input through its stage graph on
+// them — bounded memory, output byte-identical to the sequential
+// pipeline at any worker count, on every -device — and -out is written
+// atomically, so a failed run never touches an existing file. Without
+// -in the input is stdin, spooled to a temporary file because the
+// model-fit pass re-reads it; without -out the output goes to stdout.
+// -outformat fio also prints the matching fio job file to stderr.
 //
 // Usage:
 //
@@ -46,6 +46,7 @@ func main() {
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	var spec engine.JobSpec
+	var cfg engine.Config
 	fs := flag.NewFlagSet("tracetracker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.StringVar(&spec.In, "in", "", "input trace path (default stdin)")
@@ -73,7 +74,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		"; "+strings.Join(stateful, "/")+" run one ordered device pass with the stages around it at full -parallel")
 	fs.Float64Var(&spec.Factor, "factor", 0, "acceleration factor (0 = the paper's)")
 	threshold := fs.Duration("threshold", 0, "fixed-th idle threshold (0 = the paper's tuned value)")
-	fs.IntVar(&spec.Parallel, "parallel", 0,
+	fs.IntVar(&cfg.Workers, "parallel", 0,
 		"engine workers (0 = GOMAXPROCS; output stays byte-identical)")
 	fs.IntVar(&spec.ReorderWindow, "reorder-window", 0,
 		"arrival-sort window for near-sorted corpora (0 = auto per format)")
@@ -102,12 +103,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	var rep *engine.Report
 	if spec.Out != "" {
-		res, err := engine.RunJob(engine.Config{}, spec)
+		res, err := engine.RunJob(cfg, spec)
 		if err != nil {
 			return err
 		}
 		rep = res.Report
-	} else if rep, err = engine.RunJobTo(engine.Config{}, spec, stdout); err != nil {
+	} else if rep, err = engine.RunJobTo(cfg, spec, stdout); err != nil {
 		return err
 	}
 

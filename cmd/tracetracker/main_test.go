@@ -325,6 +325,7 @@ func TestCLINeverClobbersOutput(t *testing.T) {
 		{"negative factor", []string{"-in", good, "-method", "acceleration", "-factor", "-3"}},
 		{"NaN factor", []string{"-in", good, "-method", "acceleration", "-factor", "NaN"}},
 		{"negative threshold", []string{"-in", good, "-method", "fixed-th", "-threshold", "-1ms"}},
+		{"fio device with a newline", []string{"-in", good, "-outformat", "fio", "-fio-device", "/dev/sda\nrw=write"}},
 		{"unreadable input", []string{"-in", filepath.Join(dir, "missing.csv")}},
 		{"unsniffable input", []string{"-in", empty, "-informat", "auto"}},
 		{"empty input", []string{"-in", empty}},

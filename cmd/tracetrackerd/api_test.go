@@ -216,6 +216,8 @@ func TestErrorEnvelopes(t *testing.T) {
 		{"bad host knob", "POST", "/v1/jobs", `{"in":"` + in + `","device":"host","host_config":{"dirty_high_water":2}}`, 400, "bad_device_config", "host_config.dirty_high_water"},
 		{"bad factor", "POST", "/v1/jobs", `{"in":"` + in + `","method":"acceleration","factor":-3}`, 400, "bad_spec", "factor"},
 		{"bad threshold", "POST", "/v1/jobs", `{"in":"` + in + `","method":"fixed-th","threshold_us":-10}`, 400, "bad_spec", "threshold_us"},
+		{"bad fio device", "POST", "/v1/jobs", `{"in":"` + in + `","outformat":"fio","fio_device":"/dev/sda /dev/sdb"}`, 400, "bad_spec", "fio_device"},
+		{"oversized spec", "POST", "/v1/jobs", `{"in":"` + in + `","name":"` + strings.Repeat("n", maxSpecBytes) + `"}`, 413, "payload_too_large", "1048576"},
 		{"unknown corpus input", "POST", "/v1/jobs", `{"in":"corpus:ffffffffffff"}`, 404, "unknown_trace", ""},
 		{"format conflict", "POST", "/v1/jobs", `{"in":"` + in + `","informat":"bin"}`, 400, "format_conflict", `"bin"`},
 		{"unknown job status", "GET", "/v1/jobs/job-999999", "", 404, "unknown_job", "job-999999"},

@@ -72,7 +72,7 @@ func finish(j *job, rec journalRecord, path string, replay bool) {
 		// Kept even once the timeline died with its process.
 		j.TraceID = rec.TraceID
 	}
-	j.Report, j.Cached, j.OutPath = rec.Report, rec.Cached, path
+	j.Report, j.Cached, j.outPath = rec.Report, rec.Cached, path
 	if path != "" {
 		j.ResultURL = "/v1/jobs/" + j.ID + "/result"
 	}
@@ -121,7 +121,6 @@ type job struct {
 	// reconstruction.
 	Cached    bool       `json:"cached,omitempty"`
 	Report    *jobReport `json:"report,omitempty"`
-	OutPath   string     `json:"out_path,omitempty"`
 	ResultURL string     `json:"result_url,omitempty"`
 	// TraceID is the W3C trace the job's span timeline files under —
 	// the submitting request's trace, so a client propagating
@@ -134,6 +133,9 @@ type job struct {
 	// the job's root span). Journal-restored jobs keep only the trace
 	// ID, so their root span has no parent span.
 	traceParent obs.TraceContext
+	// outPath is a done job's result-cache file, which handleResult
+	// serves; clients get ResultURL, never the server's path.
+	outPath string
 }
 
 // newJob creates a job in its first state, queued.

@@ -125,14 +125,14 @@ func TestJobTransitions(t *testing.T) {
 	const spec = `"spec":{"name":"%[1]s","in":"corpus:d"},"digest":"d","tenant":"alice"`
 	want := map[string]string{
 		"job-1": `{"id":"job-1","name":"job-1","state":"done","submitted":"2026-01-02T03:04:06Z","finished":"2026-01-02T03:04:16Z",` + spec + `,` +
-			`"report":{"requests":10,"workers":0,"idle_count":0,"idle_total_us":0,"async_count":0},"out_path":%[2]s,"result_url":"/v1/jobs/job-1/result","trace_id":"trace-run-1"}`,
+			`"report":{"requests":10,"workers":0,"idle_count":0,"idle_total_us":0,"async_count":0},"result_url":"/v1/jobs/job-1/result","trace_id":"trace-run-1"}`,
 		"job-2": `{"id":"job-2","name":"job-2","state":"failed","error":"boom","submitted":"2026-01-02T03:04:07Z","finished":"2026-01-02T03:04:17Z",` + spec + `,"trace_id":"trace-job-2"}`,
 		"job-3": `{"id":"job-3","name":"job-3","state":"failed","error":"late","submitted":"2026-01-02T03:04:08Z","finished":"2026-01-02T03:04:19Z",` + spec + `,"cached":true,` +
-			`"report":{"requests":3,"workers":0,"idle_count":0,"idle_total_us":0,"async_count":0},"out_path":%[2]s,"result_url":"/v1/jobs/job-3/result","trace_id":"trace-job-3"}`,
+			`"report":{"requests":3,"workers":0,"idle_count":0,"idle_total_us":0,"async_count":0},"result_url":"/v1/jobs/job-3/result","trace_id":"trace-job-3"}`,
 		"job-4": `{"id":"job-4","name":"job-4","state":"done","error":"early","submitted":"2026-01-02T03:04:09Z","finished":"2026-01-02T03:04:21Z",` + spec + `,` +
 			`"report":{"requests":4,"workers":0,"idle_count":0,"idle_total_us":0,"async_count":0},"trace_id":"trace-job-4"}`,
 		"job-5": `{"id":"job-5","name":"job-5","state":"queued","submitted":"2026-01-02T03:04:10Z",` + spec + `,"trace_id":"trace-job-5"}`,
-		"job-6": `{"id":"job-6","name":"job-6","state":"failed","error":%[3]s,"submitted":"2026-01-02T03:04:11Z","finished":"2026-01-02T03:04:11Z",` +
+		"job-6": `{"id":"job-6","name":"job-6","state":"failed","error":%[2]s,"submitted":"2026-01-02T03:04:11Z","finished":"2026-01-02T03:04:11Z",` +
 			`"spec":{"name":"job-6","in":"job-6.csv"},"tenant":"alice","trace_id":"trace-job-6"}`,
 	}
 	page := tbl.List(-1, 100)
@@ -144,8 +144,12 @@ func TestJobTransitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := fmt.Sprintf(want[j.ID], j.ID, jsonString(t, result), jsonString(t, errPathInput)); string(got) != w {
+		if w := fmt.Sprintf(want[j.ID], j.ID, jsonString(t, errPathInput)); string(got) != w {
 			t.Errorf("%s replayed to\n%s\nwant\n%s", j.ID, got, w)
+		}
+		// The result file is the server's to serve, never published.
+		if wantPath := map[string]string{"job-1": result, "job-3": result}[j.ID]; j.outPath != wantPath {
+			t.Errorf("%s replayed with result file %q, want %q", j.ID, j.outPath, wantPath)
 		}
 	}
 	// The highest submitted sequence number seeds the next ID.

@@ -9,12 +9,13 @@
 // nested ftl_config/host_config knobs discoverable from GET
 // /v1/devices). Every job streams its input through the engine's stage
 // graph straight into its result-cache entry, keyed by (input digest,
-// job fingerprint), in memory bounded by the worker count, not the
-// trace, and the result endpoint serves that file: resubmitting an
-// equivalent job serves the cached bytes without reconstructing. A
-// journal replays finished and interrupted jobs across restarts of the
-// same -data directory; without -data the daemon works in a temporary
-// one it removes at shutdown.
+// job fingerprint), on the operator's -parallel workers (a spec carries
+// no worker count) in memory bounded by -parallel · -max-shard
+// requests, not the trace, and the result endpoint serves that file:
+// resubmitting an equivalent job serves the cached bytes without
+// reconstructing. A journal replays finished and interrupted jobs
+// across restarts of the same -data directory; without -data the
+// daemon works in a temporary one it removes at shutdown.
 //
 // The daemon listens on loopback by default and runs anonymously
 // there; to expose it beyond the host, configure API-key
@@ -34,7 +35,7 @@
 //
 //	curl -s -X POST --data-binary @web_0.csv localhost:8080/v1/corpus
 //	curl -s -X POST localhost:8080/v1/jobs \
-//	  -d '{"in":"corpus:<digest>","method":"tracetracker","parallel":8}'
+//	  -d '{"in":"corpus:<digest>","method":"tracetracker","device":"hdd"}'
 //	curl -s localhost:8080/v1/jobs/job-1          # status + report
 //	curl -s localhost:8080/v1/jobs/job-1/result   # reconstructed trace
 //	curl -s localhost:8080/v1/jobs/job-1/trace    # span timeline (?format=perfetto)
@@ -68,7 +69,6 @@ func main() {
 	jobs := flag.Int("jobs", 2, "concurrent job executors")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"engine workers per job, and workers for decoding a staged corpus upload (<2 = sequential)")
-	minIdleGap := flag.Duration("min-idle-gap", time.Millisecond, "epoch cut threshold")
 	maxShard := flag.Int("max-shard", 0, "max requests per shard (0 = engine default)")
 	dataDir := flag.String("data", "",
 		"data directory: where the corpus of uploaded traces, the result cache and the job journal (crash recovery) live (default: a temporary directory removed at shutdown)")
@@ -121,11 +121,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	base := engine.Config{
-		Workers:          *parallel,
-		MinIdleGap:       *minIdleGap,
-		MaxShardRequests: *maxShard,
-	}
+	base := engine.Config{Workers: *parallel, MaxShardRequests: *maxShard}
 	srv := newServerCap(base, *jobs, *queueCap)
 	srv.ingestParallel = *parallel
 	srv.flight.SetCapacity(*traceRing)

@@ -76,7 +76,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	digest := uploadCorpus(t, ts, raw, "csv")
 
-	spec := engine.JobSpec{In: corpusScheme + digest, Parallel: 2}
+	spec := engine.JobSpec{In: corpusScheme + digest}
 	first := waitDone(t, ts, postJob(t, ts, spec))
 	if first.Cached {
 		t.Fatal("first job reported cached")

@@ -23,7 +23,7 @@ import (
 func dataServer(t *testing.T, dataDir string) *server {
 	t.Helper()
 	srv := newServer(engine.Config{
-		Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond,
+		Workers: 2, MaxShardRequests: 128,
 	}, 1)
 	if err := srv.openData(dataDir); err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestCorpusJobCacheHit(t *testing.T) {
 	if j1.Digest != digest {
 		t.Fatalf("job digest: %q", j1.Digest)
 	}
-	if j1.OutPath == "" {
+	if sj, _ := srv.jobs.Get(id1); sj.outPath == "" {
 		t.Fatal("corpus job result not backed by the cache file: eviction would lose it")
 	}
 	got1 := getBody(t, ts.URL+"/v1/jobs/"+id1+"/result")
@@ -464,8 +464,9 @@ func TestLegacyPathJobReplay(t *testing.T) {
 // TestJournalReplayInterruptedHDDJob checks the restart contract for
 // HDD-target jobs: an interrupted job (submit record without a finish
 // — what a killed server leaves) re-queues on startup, re-runs through
-// the epoch-pipelined HDD path at its full worker count, and serves a
-// result byte-identical to the sequential HDD reconstruction.
+// the epoch-pipelined HDD path on the daemon's workers (the "parallel"
+// an earlier daemon journalled is ignored), and serves a result
+// byte-identical to the sequential HDD reconstruction.
 func TestJournalReplayInterruptedHDDJob(t *testing.T) {
 	dir := t.TempDir()
 	dataDir := filepath.Join(dir, "data")
@@ -479,9 +480,10 @@ func TestJournalReplayInterruptedHDDJob(t *testing.T) {
 	srv1.Close()
 
 	// Phase 2: forge the crash artifact — a submit record for an HDD
-	// job with no matching finish.
+	// job with no matching finish, journalled by an earlier daemon whose
+	// specs still carried a worker count.
 	interrupted := engine.JobSpec{
-		In: "corpus:" + digest, InFormat: "csv", Device: "hdd", Parallel: 4,
+		In: "corpus:" + digest, InFormat: "csv", Device: "hdd",
 	}.Normalized()
 	rec := journalRecord{
 		Op: journalSubmit, ID: "job-9", Time: time.Now(),
@@ -491,6 +493,7 @@ func TestJournalReplayInterruptedHDDJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	line = bytes.Replace(line, []byte(`"spec":{`), []byte(`"spec":{"parallel":4,`), 1)
 	jf, err := os.OpenFile(filepath.Join(dataDir, "journal.jsonl"), os.O_WRONLY|os.O_APPEND, 0o666)
 	if err != nil {
 		t.Fatal(err)
@@ -509,8 +512,8 @@ func TestJournalReplayInterruptedHDDJob(t *testing.T) {
 	if j.Cached {
 		t.Fatal("interrupted HDD job cannot be a cache hit: it never finished")
 	}
-	if j.Report == nil || j.Report.Workers != 4 {
-		t.Fatalf("HDD job report workers: %+v", j.Report)
+	if j.Report == nil || j.Report.Workers != 2 {
+		t.Fatalf("HDD job report workers: %+v, want the daemon's 2", j.Report)
 	}
 	if j.Report.Shards < 2 {
 		t.Fatalf("HDD job ran %d epochs; the pipelined path should cut several", j.Report.Shards)

@@ -54,7 +54,7 @@ func waitFailed(t *testing.T, ts *httptest.Server, id string) *job {
 // counter agreeing exactly with the client-observed shed count.
 func TestOverloadShedding(t *testing.T) {
 	srv := newServerCap(engine.Config{
-		Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond,
+		Workers: 2, MaxShardRequests: 128,
 	}, 1, 1)
 	if err := srv.openData(filepath.Join(t.TempDir(), "data")); err != nil {
 		t.Fatal(err)

@@ -26,6 +26,10 @@ import (
 // uploaded trace, the only input a daemon job reads.
 const corpusScheme = "corpus:"
 
+// maxSpecBytes caps a POST /v1/jobs body. A job spec is a few hundred
+// bytes; the cap keeps a client from making the daemon buffer more.
+const maxSpecBytes = 1 << 20
+
 // server is the tracetrackerd HTTP API over the job lifecycle (jobs),
 // the content-addressed corpus store and its result cache; execute runs
 // each job on the engine.
@@ -408,8 +412,17 @@ func (s *server) execute(j job) (journalRecord, string) {
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// Unknown keys are ignored, so specs of earlier versions still
+	// decode: "stream" and "parallel" (workers are the operator's
+	// -parallel, never a client's).
 	var spec engine.JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			s.reject(w, "payload_too_large", tenantFrom(r.Context()), http.StatusRequestEntityTooLarge, apicode.PayloadTooLarge,
+				fmt.Errorf("job spec exceeds the %d-byte cap", maxSpecBytes))
+			return
+		}
 		httpError(w, http.StatusBadRequest, apicode.BadJSON, fmt.Errorf("bad job spec: %w", err))
 		return
 	}
@@ -556,13 +569,13 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	case !ok:
 	case j.State != stateDone:
 		httpError(w, http.StatusConflict, apicode.JobNotFinished, fmt.Errorf("job is %s", j.State))
-	case j.OutPath == "":
+	case j.outPath == "":
 		// Only a journal-restored job can be here: its result-cache
 		// entry was gone at replay.
 		httpError(w, http.StatusNotFound, apicode.NotFound,
 			fmt.Errorf("job %s finished in an earlier run and its result file is gone; resubmit it", j.ID))
 	default:
-		http.ServeFile(w, r, j.OutPath)
+		http.ServeFile(w, r, j.outPath)
 	}
 }
 

@@ -118,12 +118,12 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) *job {
 // equals the sequential pipeline's reconstruction.
 func TestSubmitStatusResultRoundTrip(t *testing.T) {
 	raw, want := inputTrace(t)
-	srv := testServer(t, engine.Config{Workers: 4, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond}, 1)
+	srv := testServer(t, engine.Config{Workers: 4, MaxShardRequests: 128}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	id := submitTrace(t, ts, raw, engine.JobSpec{Parallel: 4})
+	id := submitTrace(t, ts, raw, engine.JobSpec{})
 	j := waitDone(t, ts, id)
 	if j.Report == nil || j.Report.Requests != int64(want.Len()) {
 		t.Fatalf("report: %+v", j.Report)
@@ -155,20 +155,41 @@ func TestSubmitStatusResultRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpecCarriesNoWorkerCount: "parallel", a spec field of earlier
+// versions, is an unknown key — accepted and ignored — so a job runs on
+// the daemon's workers and no client sizes the engine's buffers.
+func TestSpecCarriesNoWorkerCount(t *testing.T) {
+	raw, _ := inputTrace(t)
+	srv := testServer(t, engine.Config{Workers: 2, MaxShardRequests: 128}, 1)
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	spec := `{"in":"` + corpusScheme + uploadCorpus(t, ts, raw, "") + `","parallel":3}`
+	status, body := doReq(t, ts, http.MethodPost, "/v1/jobs", spec)
+	var ack job
+	if status != http.StatusAccepted || json.Unmarshal(body, &ack) != nil {
+		t.Fatalf("submit: status %d: %s", status, body)
+	}
+	if j := waitDone(t, ts, ack.ID); j.Report == nil || j.Report.Workers != 2 {
+		t.Fatalf("report %+v, want the daemon's 2 workers", j.Report)
+	}
+}
+
 // TestStreamingJobToFile checks a job's one result location: the job
 // streams into the result-cache entry of its input digest and spec, and
 // the result endpoint serves that file.
 func TestStreamingJobToFile(t *testing.T) {
 	raw, want := inputTrace(t)
-	srv := testServer(t, engine.Config{Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond}, 1)
+	srv := testServer(t, engine.Config{Workers: 2, MaxShardRequests: 128}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	j := waitDone(t, ts, submitTrace(t, ts, raw, engine.JobSpec{}))
 	entry, _, ok := srv.store.LookupResult(engine.CacheKey(j.Digest, j.Spec))
-	if !ok || j.OutPath != entry {
-		t.Fatalf("result at %q, want the cache entry %q (found %v)", j.OutPath, entry, ok)
+	if sj, _ := srv.jobs.Get(j.ID); !ok || sj.outPath != entry {
+		t.Fatalf("result at %q, want the cache entry %q (found %v)", sj.outPath, entry, ok)
 	}
 	data, err := os.ReadFile(entry)
 	if err != nil {
@@ -192,13 +213,17 @@ func TestStreamingJobToFile(t *testing.T) {
 // daemon's middleware over a real connection.
 func TestResultRanges(t *testing.T) {
 	raw, _ := inputTrace(t)
-	srv := testServer(t, engine.Config{Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond}, 1)
+	srv := testServer(t, engine.Config{Workers: 2, MaxShardRequests: 128}, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	id := submitTrace(t, ts, raw, engine.JobSpec{})
-	want, err := os.ReadFile(waitDone(t, ts, id).OutPath)
+	j := waitDone(t, ts, submitTrace(t, ts, raw, engine.JobSpec{}))
+	entry, _, ok := srv.store.LookupResult(engine.CacheKey(j.Digest, j.Spec))
+	if !ok {
+		t.Fatal("no result-cache entry for the finished job")
+	}
+	want, err := os.ReadFile(entry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +233,7 @@ func TestResultRanges(t *testing.T) {
 
 	get := func(rangeHdr string) (int, []byte) {
 		t.Helper()
-		req, err := http.NewRequest("GET", ts.URL+"/v1/jobs/"+id+"/result", nil)
+		req, err := http.NewRequest("GET", ts.URL+j.ResultURL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,9 +271,9 @@ func TestJobValidationAndErrors(t *testing.T) {
 	in := corpusScheme + uploadCorpus(t, ts, raw, "")
 
 	// A path input, a set output and an empty input are refused before
-	// the queue; invalid specs are an unknown method, and baseline knobs
+	// the queue; invalid specs are an unknown method, baseline knobs
 	// that are not finite numbers above zero (a threshold must also fit
-	// a duration).
+	// a duration), and a fio device that could not sit in an iolog line.
 	dir := t.TempDir()
 	inPath, outPath := filepath.Join(dir, "in.csv"), filepath.Join(dir, "out.csv")
 	if err := os.WriteFile(inPath, raw, 0o666); err != nil {
@@ -262,6 +287,8 @@ func TestJobValidationAndErrors(t *testing.T) {
 		{`{"method":"acceleration","factor":-3,"in":"` + in + `"}`, "bad_spec", "factor"},
 		{`{"method":"fixed-th","threshold_us":-10,"in":"` + in + `"}`, "bad_spec", "threshold_us"},
 		{`{"method":"fixed-th","threshold_us":1e16,"in":"` + in + `"}`, "bad_spec", "threshold_us"},
+		{`{"outformat":"fio","fio_device":"/dev/sda\nrw=write","in":"` + in + `"}`, "bad_spec", "fio_device"},
+		{`{"fio_device":"` + strings.Repeat("d", 4097) + `","in":"` + in + `"}`, "bad_spec", "fio_device"},
 	} {
 		status, body := doReq(t, ts, http.MethodPost, "/v1/jobs", tc.spec)
 		if status != http.StatusBadRequest {
@@ -273,6 +300,12 @@ func TestJobValidationAndErrors(t *testing.T) {
 	}
 	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
 		t.Fatalf("a refused spec created its out path: %v", err)
+	}
+	// A body over the spec cap is refused before it is decoded.
+	big := `{"in":"` + in + `","name":"` + strings.Repeat("n", maxSpecBytes) + `"}`
+	if status, body := doReq(t, ts, http.MethodPost, "/v1/jobs", big); status != http.StatusRequestEntityTooLarge ||
+		errEnvelope(t, body).Code != "payload_too_large" {
+		t.Fatalf("oversized spec: status %d, want 413 payload_too_large: %s", status, body)
 	}
 	if total, _, _ := srv.jobs.counts(); total != 0 {
 		t.Fatalf("%d refused specs reached the job table", total)
@@ -364,7 +397,7 @@ func TestJobList(t *testing.T) {
 			t.Fatalf("pruned job %s result: status %d, want 404 unknown_job: %s", id, status, body)
 		}
 	}
-	if _, err := os.Stat(j2.OutPath); err != nil {
-		t.Fatalf("prune deleted a result-cache entry: %v", err)
+	if _, _, ok := srv.store.LookupResult(engine.CacheKey(j2.Digest, j2.Spec)); !ok {
+		t.Fatal("prune deleted a result-cache entry")
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -163,8 +162,8 @@ func TestStoredModelIdentity(t *testing.T) {
 		}
 	}
 
-	// Phase one: every registry device × {csv, bin}, one worker and four
-	// (as two methods: the worker count does not enter the cache key).
+	// Phase one: every registry device × {csv, bin} × both methods that
+	// read the input's model.
 	srv := dataServer(t, dataDir)
 	ts := httptest.NewServer(srv)
 	digest := uploadCorpus(t, ts, raw, "csv")
@@ -175,13 +174,10 @@ func TestStoredModelIdentity(t *testing.T) {
 	stored := 0
 	for _, dev := range engine.Devices() {
 		for _, format := range []string{"csv", "bin"} {
-			for _, w := range []struct {
-				method   string
-				parallel int
-			}{{"tracetracker", 1}, {"dynamic", 4}} {
-				label := fmt.Sprintf("%s/%s/%s/w%d", dev.Name, format, w.method, w.parallel)
+			for _, method := range []string{"tracetracker", "dynamic"} {
+				label := fmt.Sprintf("%s/%s/%s", dev.Name, format, method)
 				storedLeg(srv, ts, label, engine.JobSpec{
-					In: corpusScheme + digest, Device: dev.Name, OutFormat: format, Method: w.method, Parallel: w.parallel,
+					In: corpusScheme + digest, Device: dev.Name, OutFormat: format, Method: method,
 				}, digest)
 				stored++
 			}
@@ -209,8 +205,8 @@ func TestStoredModelIdentity(t *testing.T) {
 	// sidecar's JSON; keys not used before (the merge-rendered formats).
 	srv = dataServer(t, dataDir)
 	ts = httptest.NewServer(srv)
-	storedLeg(srv, ts, "restart/array/blktrace", engine.JobSpec{In: corpusScheme + digest, OutFormat: "blktrace", Parallel: 4}, digest)
-	storedLeg(srv, ts, "restart/hdd/fio", engine.JobSpec{In: corpusScheme + digest, Device: "hdd", OutFormat: "fio", Parallel: 1}, digest)
+	storedLeg(srv, ts, "restart/array/blktrace", engine.JobSpec{In: corpusScheme + digest, OutFormat: "blktrace"}, digest)
+	storedLeg(srv, ts, "restart/hdd/fio", engine.JobSpec{In: corpusScheme + digest, Device: "hdd", OutFormat: "fio"}, digest)
 	ts.Close()
 	srv.Close()
 
@@ -253,7 +249,7 @@ func TestStoredModelIdentity(t *testing.T) {
 // an upload lands: the -race row for the pointer ingest now publishes.
 func TestStoredModelConcurrentJobs(t *testing.T) {
 	srv := testServer(t, engine.Config{
-		Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond,
+		Workers: 2, MaxShardRequests: 128,
 	}, 3)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)

@@ -86,7 +86,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		TraceID: "0af7651916cd43dd8448eb211c80319c",
 		SpanID:  "b7ad6b7169203331",
 	}
-	spec := engine.JobSpec{In: corpusScheme + digest, Parallel: 2}
+	spec := engine.JobSpec{In: corpusScheme + digest}
 	sub := submitTraced(t, ts, spec, clientTC.Traceparent())
 	if sub.TraceID != clientTC.TraceID {
 		t.Fatalf("accepted job trace_id %q, want the client's %q", sub.TraceID, clientTC.TraceID)
@@ -202,7 +202,7 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	// Shrinking the flight recorder evicts the oldest timeline; its
 	// endpoint then answers 410, and the eviction is counted.
-	sub2 := submitTraced(t, ts, engine.JobSpec{In: corpusScheme + digest, Parallel: 1, Method: "dynamic"},
+	sub2 := submitTraced(t, ts, engine.JobSpec{In: corpusScheme + digest, Method: "dynamic"},
 		obs.NewTraceContext().Traceparent())
 	waitDone(t, ts, sub2.ID)
 	srv.flight.SetCapacity(1)
@@ -230,7 +230,7 @@ func TestTraceEndToEnd(t *testing.T) {
 func TestTraceEndToEndServedBytes(t *testing.T) {
 	raw, _ := inputTrace(t)
 	srv := testServer(t, engine.Config{
-		Workers: 2, MinShardRequests: 32, MaxShardRequests: 128, MinIdleGap: 500 * time.Microsecond,
+		Workers: 2, MaxShardRequests: 128,
 	}, 1)
 	defer srv.Close()
 	fi := faultfs.New()
@@ -261,12 +261,12 @@ func TestTraceEndToEndServedBytes(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	okID := submitTrace(t, ts, raw, engine.JobSpec{Parallel: 2})
+	okID := submitTrace(t, ts, raw, engine.JobSpec{})
 	size := len(getBody(t, ts.URL+waitDone(t, ts, okID).ResultURL))
 	// The result write of a second job fails half way through its bytes:
 	// the job fails after several epochs are in flight.
 	fi.Fail(faultfs.SinkCorpusResult, int64(size/2), syscall.EIO)
-	failID := submitTrace(t, ts, raw, engine.JobSpec{Parallel: 2, Method: "dynamic"})
+	failID := submitTrace(t, ts, raw, engine.JobSpec{Method: "dynamic"})
 	waitFailed(t, ts, failID)
 
 	served := func(id string) rendered {

@@ -40,15 +40,12 @@ type ResultCache interface {
 // Fingerprint digests the semantic content of the normalized spec:
 // every field that can change the output bytes, and none that cannot.
 // Name only labels the job; In/Out locate rather than shape the data;
-// Parallel selects a worker count whose output is locked
-// byte-identical to the sequential pipeline by the engine tests; and
-// baseline-only knobs are dropped unless their method is selected.
+// and baseline-only knobs are dropped unless their method is selected.
 // Two specs with equal fingerprints run against the same input bytes
 // therefore produce identical outputs.
 func (s JobSpec) Fingerprint() string {
 	n := s.Normalized()
 	n.Name, n.In, n.Out = "", "", ""
-	n.Parallel = 0
 	if n.Device == "array" {
 		// The default target digests as the empty string, so specs from
 		// before the Device field keep their fingerprints (and cached

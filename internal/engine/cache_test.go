@@ -80,8 +80,7 @@ func (c *memCache) FittedModel(inputDigest string) *infer.Model {
 }
 
 // TestFingerprintSemantics locks which spec fields enter the job
-// fingerprint: labels, paths and execution strategy stay out,
-// output-shaping fields go in.
+// fingerprint: labels and paths stay out, output-shaping fields go in.
 func TestFingerprintSemantics(t *testing.T) {
 	base := JobSpec{In: "/a/in.csv", Method: "tracetracker"}
 	fp := base.Fingerprint()
@@ -90,7 +89,6 @@ func TestFingerprintSemantics(t *testing.T) {
 		{In: "/elsewhere/other.csv", Method: "tracetracker"},
 		{In: "/a/in.csv", Name: "labelled", Method: "tracetracker"},
 		{In: "/a/in.csv", Out: "/tmp/out.csv", Method: "tracetracker"},
-		{In: "/a/in.csv", Parallel: 8, Method: "tracetracker"},
 		{In: "/a/in.csv"},                                    // method defaults to tracetracker
 		{In: "/a/in.csv", FIODevice: "/dev/sdz"},             // non-fio output ignores the device
 		{In: "/a/in.csv", ThresholdUS: 123},                  // fixed-th-only knob

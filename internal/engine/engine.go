@@ -106,10 +106,12 @@
 // # Shard boundaries
 //
 // The planner prefers to cut where the inter-arrival gap is at least
-// MinIdleGap — the idle-period boundaries the paper's inference step
-// identifies as application think time, which align shards with
-// natural workload epochs — and force-cuts at MaxShardRequests so
-// memory stays bounded on gap-free streams. Correctness does not
+// idleCutGap (1 ms) — the idle-period boundaries the paper's inference
+// step identifies as application think time, which align shards with
+// natural workload epochs — once a shard holds min(1024,
+// MaxShardRequests) requests, and force-cuts at MaxShardRequests so
+// memory stays bounded on gap-free streams. MaxShardRequests is the
+// planner's one setting, because it bounds memory. Correctness does not
 // depend on cut placement (see above); placement only shapes load
 // balance.
 package engine
@@ -127,18 +129,11 @@ import (
 )
 
 // Config parameterizes an Engine. The zero value selects GOMAXPROCS
-// workers, 1 ms idle cuts, and the paper's target array.
+// workers, 65536-request shards, and the paper's target array.
 type Config struct {
 	// Workers is the number of concurrent shard executors (default
 	// GOMAXPROCS).
 	Workers int
-	// MinIdleGap is the smallest inter-arrival gap treated as an epoch
-	// boundary (default 1 ms, well above device service times).
-	MinIdleGap time.Duration
-	// MinShardRequests is the minimum shard size before an idle cut is
-	// taken (default 1024), so pathological gap-heavy traces don't
-	// produce confetti shards.
-	MinShardRequests int
 	// MaxShardRequests force-cuts a shard regardless of gaps (default
 	// 65536), bounding streaming memory.
 	MaxShardRequests int
@@ -164,19 +159,8 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.MinIdleGap <= 0 {
-		c.MinIdleGap = time.Millisecond
-	}
-	if c.MinShardRequests <= 0 {
-		c.MinShardRequests = 1024
-	}
 	if c.MaxShardRequests <= 0 {
 		c.MaxShardRequests = 65536
-	}
-	if c.MaxShardRequests < c.MinShardRequests {
-		// MaxShardRequests is the operator's memory bound — honour it
-		// and shrink the idle-cut minimum instead.
-		c.MinShardRequests = c.MaxShardRequests
 	}
 	if c.Device == nil {
 		c.Device = func() device.Device { return device.NewArray(device.DefaultArrayConfig()) }

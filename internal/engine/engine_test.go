@@ -65,14 +65,10 @@ func decoderOf(t testing.TB, format string, data []byte) trace.Decoder {
 }
 
 // testConfig forces small shards so even unit-test traces split into
-// many epochs.
+// many epochs. Every cut it makes is a size cut: the bound is below
+// the idle-cut floor of 1024 requests.
 func testConfig(workers int) Config {
-	return Config{
-		Workers:          workers,
-		MinIdleGap:       500 * time.Microsecond,
-		MinShardRequests: 64,
-		MaxShardRequests: 512,
-	}
+	return Config{Workers: workers, MaxShardRequests: 128}
 }
 
 // dynamicJobIdentity is the Dynamic leg of the identity tests: old runs
@@ -165,11 +161,12 @@ func synthTrace(name string, n int, gap time.Duration) *trace.Trace {
 func adversaries(t *testing.T) []adversary {
 	t.Helper()
 	return []adversary{
-		// Every gap is below MinIdleGap: only MaxShardRequests cuts fire.
+		// Every gap is below the 1 ms idle cut: only size cuts fire,
+		// whatever the bound.
 		{name: "gapless", old: synthTrace("gapless", 2000, 20*time.Microsecond)},
 		{name: "dup-timestamps", old: synthTrace("dup", 1500, 0)},
 		{name: "one-request-epochs", old: genOld(t, "MSNFS", 300, true),
-			shape: func(c *Config) { c.MinShardRequests, c.MaxShardRequests = 1, 1 }},
+			shape: func(c *Config) { c.MaxShardRequests = 1 }},
 		{name: "single-request", old: synthTrace("single", 1, 0)},
 	}
 }
@@ -243,8 +240,10 @@ func adversaryIdentity(t *testing.T, device string, mk func() device.Device) {
 // N=1,4,8 workers the parallel reconstruction is byte-identical to the
 // sequential core pipeline, across workload families, both latency
 // paths, and both post-processing settings (tracetracker through
-// Engine.Reconstruct, dynamic as a job) — and, on every shard-safe
-// registry device, across the generated adversaries.
+// Engine.Reconstruct at the default shard bound, where the planner cuts
+// at idle gaps, and dynamic as a job on small size-cut shards) — and,
+// on every shard-safe registry device, across the generated
+// adversaries.
 func TestParallelByteIdentical(t *testing.T) {
 	for _, name := range []string{"array", "ssd"} {
 		mk, err := DeviceFactory(name)
@@ -266,10 +265,14 @@ func TestParallelByteIdentical(t *testing.T) {
 			}
 			want := traceBytes(t, wantTrace)
 			for _, workers := range []int{1, 4, 8} {
-				e := New(testConfig(workers))
+				e := New(Config{Workers: workers})
 				gotTrace, gotRep, err := e.Reconstruct(old)
 				if err != nil {
 					t.Fatalf("%s tsdev=%v w=%d: engine: %v", family, tsdev, workers, err)
+				}
+				// Size cuts alone would leave the trace in one shard.
+				if gotRep.Shards < 2 {
+					t.Fatalf("%s tsdev=%v w=%d: %d shards, want idle cuts", family, tsdev, workers, gotRep.Shards)
 				}
 				if got := traceBytes(t, gotTrace); !bytes.Equal(got, want) {
 					t.Fatalf("%s tsdev=%v w=%d: output not byte-identical to sequential pipeline", family, tsdev, workers)
@@ -428,7 +431,7 @@ func TestShardSafeRenderByteIdentical(t *testing.T) {
 			want := encode(format, wantTrace)
 			for _, workers := range []int{1, 2, 4, 8} {
 				cfg := testConfig(workers)
-				cfg.MinShardRequests, cfg.MaxShardRequests = 16, 96
+				cfg.MaxShardRequests = 96
 				e := New(cfg)
 
 				colTrace, colRep, err := e.Reconstruct(old)
@@ -652,9 +655,16 @@ func planBatches(cfg Config, reqs []trace.Request, sizes []int) ([]shard, error)
 // batches. A zero-size or unsorted request fails with the same error at
 // the same index wherever it falls, at a batch boundary or inside one.
 func TestPlanSliceCoverage(t *testing.T) {
-	old := genOld(t, "ikki", 2000, true)
-	cfg := testConfig(4).withDefaults()
-	cfg.MaxShardRequests = 65 // just over MinShardRequests: both cut kinds fire
+	// A gap-rich workload, then a gapless burst: with the bound above
+	// the idle-cut floor, the workload cuts at idle gaps and the burst
+	// at the bound.
+	old := genOld(t, "ikki", 3000, true)
+	end := old.Requests[old.Len()-1].Arrival
+	for _, r := range synthTrace("burst", 3000, 20*time.Microsecond).Requests {
+		r.Arrival += end
+		old.Requests = append(old.Requests, r)
+	}
+	cfg := Config{MaxShardRequests: 1500}.withDefaults()
 	splits := planSplits(old.Len())
 	want, err := planBatches(cfg, old.Requests, splits["size-1"])
 	if err != nil {
@@ -743,6 +753,36 @@ func TestPlanSliceCoverage(t *testing.T) {
 					t.Fatalf("%s, bad request %d: err %v, want %q", name, at, err, bad.want)
 				}
 			}
+		}
+	}
+}
+
+// TestCutRule pins the planner's cut rule at the default shard bound —
+// a size cut at 65,536 requests, an idle cut at a gap of at least 1 ms
+// once the shard holds 1,024 — and, below 1,024, the bound as the
+// idle-cut floor.
+func TestCutRule(t *testing.T) {
+	def := Config{}.withDefaults()
+	small := Config{MaxShardRequests: 100}.withDefaults()
+	for _, c := range []struct {
+		cfg    Config
+		curLen int
+		gap    time.Duration
+		want   bool
+	}{
+		{def, 1, time.Hour, false},
+		{def, 1023, time.Millisecond, false},
+		{def, 1024, time.Millisecond - 1, false},
+		{def, 1024, time.Millisecond, true},
+		{def, 40_000, 5 * time.Millisecond, true},
+		{def, 65_535, 0, false},
+		{def, 65_535, time.Millisecond, true},
+		{def, 65_536, 0, true},
+		{small, 99, time.Hour, false},
+		{small, 100, 0, true},
+	} {
+		if got := shouldCut(c.cfg, c.curLen, c.gap); got != c.want {
+			t.Errorf("bound %d, %d requests, gap %v: cut=%v, want %v", c.cfg.MaxShardRequests, c.curLen, c.gap, got, c.want)
 		}
 	}
 }

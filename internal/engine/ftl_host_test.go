@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/apicode"
@@ -228,6 +229,9 @@ func TestJobSpecDeviceConfigs(t *testing.T) {
 	if err := base.Normalized().Validate(); err != nil {
 		t.Fatalf("plain ftl spec: %v", err)
 	}
+	if err := (JobSpec{In: "x", FIODevice: strings.Repeat("d", 4096)}).Normalized().Validate(); err != nil {
+		t.Fatalf("4096-byte fio device: %v", err)
+	}
 
 	cases := []struct {
 		name  string
@@ -259,6 +263,11 @@ func TestJobSpecDeviceConfigs(t *testing.T) {
 		{"negative threshold", JobSpec{In: "x", Method: "fixed-th", ThresholdUS: -10}, "threshold_us", apicode.BadSpec},
 		{"NaN threshold", JobSpec{In: "x", ThresholdUS: math.NaN()}, "threshold_us", apicode.BadSpec},
 		{"threshold beyond a duration", JobSpec{In: "x", Method: "fixed-th", ThresholdUS: 1e16}, "threshold_us", apicode.BadSpec},
+		// The fio device is written into every iolog line.
+		{"fio device over 4096 bytes", JobSpec{In: "x", FIODevice: strings.Repeat("d", 4097)}, "fio_device", apicode.BadSpec},
+		{"newline in fio device", JobSpec{In: "x", OutFormat: "fio", FIODevice: "/dev/sda\n/dev/sdb rw=write"}, "fio_device", apicode.BadSpec},
+		{"space in fio device", JobSpec{In: "x", FIODevice: "/dev/sd a"}, "fio_device", apicode.BadSpec},
+		{"DEL in fio device", JobSpec{In: "x", FIODevice: "/dev/sda\x7f"}, "fio_device", apicode.BadSpec},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Normalized().Validate()

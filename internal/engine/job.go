@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -19,6 +20,9 @@ import (
 // DefaultReorderWindow is the bounded arrival-sort window jobs apply
 // to near-sorted corpora (msrc/spc inputs).
 const DefaultReorderWindow = 1 << 16
+
+// maxFIODevice bounds JobSpec.FIODevice, written into every iolog line.
+const maxFIODevice = 4096
 
 // JobSpec describes one batch reconstruction: the JSON body
 // tracetrackerd accepts, the value the tracetracker CLI fills from its
@@ -34,7 +38,8 @@ const DefaultReorderWindow = 1 << 16
 // holds one). A finished job is a file: Out, or the result-cache entry
 // of a RunJobCached job (the CLI without -out hands RunJobTo its stdout
 // instead). (The JSON key "stream", a mode switch in earlier versions,
-// is ignored: every job streams.)
+// is ignored: every job streams; so is "parallel", which once set the
+// job's worker count — workers are the operator's Config.Workers.)
 type JobSpec struct {
 	// Name labels the job (defaults to the input path).
 	Name string `json:"name,omitempty"`
@@ -49,7 +54,9 @@ type JobSpec struct {
 	// fio.
 	Out       string `json:"out,omitempty"`
 	OutFormat string `json:"outformat,omitempty"`
-	// FIODevice is the replay target embedded in fio output.
+	// FIODevice is the replay target embedded in fio output, written
+	// into every iolog line: 1–4096 bytes, none of them a space, a
+	// control character or DEL.
 	FIODevice string `json:"fio_device,omitempty"`
 	// Method names a row of the method table (Methods); empty selects
 	// tracetracker.
@@ -60,8 +67,8 @@ type JobSpec struct {
 	// captured on), "ftl" (page-mapped flash translation layer with
 	// background GC in idle gaps), or "host" (alias "hoststack" — the
 	// syscall/page-cache/writeback stack over an inner device). The
-	// stateful targets (hdd, ftl, host) run the same stage graph, so
-	// Parallel applies to them like any other job. See the engine device
+	// stateful targets (hdd, ftl, host) run the same stage graph, on
+	// the same Config.Workers as any other job. See the engine device
 	// registry (Devices) for the full capability table.
 	Device string `json:"device,omitempty"`
 	// FTLConfig tunes the "ftl" target; it must be unset for other
@@ -73,8 +80,6 @@ type JobSpec struct {
 	Factor float64 `json:"factor,omitempty"`
 	// ThresholdUS is the fixed-th idle threshold in microseconds.
 	ThresholdUS float64 `json:"threshold_us,omitempty"`
-	// Parallel overrides the engine worker count (0 = engine default).
-	Parallel int `json:"parallel,omitempty"`
 	// ReorderWindow bounds the arrival sort (0 = default for msrc/spc
 	// inputs, 1 = none).
 	ReorderWindow int `json:"reorder_window,omitempty"`
@@ -186,6 +191,11 @@ func (s JobSpec) Validate() error {
 	if err := s.HostConfig.validate(); err != nil {
 		return err
 	}
+	if n := len(s.FIODevice); n == 0 || n > maxFIODevice ||
+		strings.ContainsFunc(s.FIODevice, func(r rune) bool { return r <= ' ' || r == 0x7f }) {
+		return &ValidationError{Field: "fio_device", Code: apicode.BadSpec,
+			msg: fmt.Sprintf("fio device (%d bytes) must be 1-%d bytes with no space, control character or DEL", len(s.FIODevice), maxFIODevice)}
+	}
 	if !(s.Factor > 0) || math.IsInf(s.Factor, 0) {
 		return &ValidationError{Field: "factor", Code: apicode.BadSpec,
 			msg: fmt.Sprintf("acceleration factor %v is not a finite number above 0", s.Factor)}
@@ -232,11 +242,10 @@ func (j *jobWriter) Write(p []byte) (int, error) {
 }
 
 // RunJob executes one batch reconstruction into the file spec.Out with
-// cfg as the engine base configuration (the spec's Parallel overrides
-// its Workers): RunJobTo around an atomic write, so a failed job never
-// truncates or replaces an existing file. It is what a front end with
-// an output path calls — the tracetracker CLI builds its spec from
-// flags, the daemon from the request body.
+// cfg as the engine configuration: RunJobTo around an atomic write, so
+// a failed job never truncates or replaces an existing file. It is what
+// a front end with an output path calls — the tracetracker CLI builds
+// its spec from flags, the daemon from the request body.
 func RunJob(cfg Config, spec JobSpec) (*JobResult, error) {
 	if spec.Out == "" {
 		return nil, errors.New("engine: job needs an output path")
@@ -253,9 +262,9 @@ func RunJob(cfg Config, spec JobSpec) (*JobResult, error) {
 }
 
 // RunJobTo is the one job path: it normalizes and validates spec, runs
-// it — any method, on the job's worker count — and writes the encoded
-// output to sink: RunJob's partial file, the result cache's staging
-// file, or the CLI's stdout. spec.Out is not consulted. A sink failure
+// it — any method, on cfg.Workers — and writes the encoded output to
+// sink: RunJob's partial file, the result cache's staging file, or the
+// CLI's stdout. spec.Out is not consulted. A sink failure
 // is returned as ErrStorage, whatever the graph made of it.
 func RunJobTo(cfg Config, spec JobSpec, sink io.Writer) (*Report, error) {
 	return runJobTo(cfg, spec, sink, nil)
@@ -268,12 +277,9 @@ func runJobTo(cfg Config, spec JobSpec, sink io.Writer, fitted *infer.Model) (*R
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.Parallel > 0 {
-		cfg.Workers = spec.Parallel
-	}
 	// The spec's device selects the target for every method; stateful
-	// targets (hdd, ftl, host) run the same graph at the job's full
-	// worker count — they never imply a serial reconstruction.
+	// targets (hdd, ftl, host) run the same graph at the full worker
+	// count — they never imply a serial reconstruction.
 	dev, err := deviceFactoryFor(spec)
 	if err != nil {
 		return nil, err

@@ -304,11 +304,11 @@ func TestRunJobNeverClobbersOutput(t *testing.T) {
 
 // TestFingerprintGolden pins the fingerprints (and through them every
 // stored result-cache key) to the values the tree produced while
-// JobSpec still had a Stream field: the field was zeroed before
-// digesting and omitted from the JSON when false, so deleting it must
-// not move a key. The specs arrive as JSON the way the daemon and its
-// journal hold them, including a line that still carries
-// "stream":true.
+// JobSpec still had its Stream and Parallel fields: both were zeroed
+// before digesting and omitted from the JSON when zero, so deleting
+// them must not move a key. The specs arrive as JSON the way the daemon
+// and its journal hold them, including a line that still carries
+// "stream":true and "parallel":8.
 func TestFingerprintGolden(t *testing.T) {
 	golden := []struct{ spec, want string }{
 		{`{"in":"/a/in.csv"}`, "9d2fd93318247f2fa1c5a0677468fba4f682bdb7ac7ca5d1523e97945697fecf"},

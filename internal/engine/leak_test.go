@@ -58,8 +58,8 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 	// either kind — the graph, acceleration's record loop — joins the
 	// parallel decoder's workers on its way out.
 	for _, method := range []string{"revision", "acceleration"} {
-		spec := JobSpec{In: path, Method: method, Parallel: 4}
-		if _, err := RunJobTo(testConfig(2), spec, io.Discard); !errors.Is(err, trace.ErrUnsorted) {
+		spec := JobSpec{In: path, Method: method}
+		if _, err := RunJobTo(testConfig(4), spec, io.Discard); !errors.Is(err, trace.ErrUnsorted) {
 			t.Fatalf("%s: %v, want an unsorted-input error", method, err)
 		}
 	}
@@ -73,9 +73,9 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 	cache := newMemCache(t)
 	cache.models = map[string]*infer.Model{"d": {TcdelReadMicros: 50, TcdelWriteMicros: 50, FlatReadMicros: -1, FlatWriteMicros: -1}}
 	reg := obs.NewRegistry()
-	cfg := testConfig(2)
+	cfg := testConfig(4)
 	cfg.Metrics = obs.NewEngineMetrics(reg)
-	if _, _, err := RunJobCached(cfg, JobSpec{In: unknownPath, Parallel: 4}, "d", cache); !errors.Is(err, trace.ErrUnsorted) {
+	if _, _, err := RunJobCached(cfg, JobSpec{In: unknownPath}, "d", cache); !errors.Is(err, trace.ErrUnsorted) {
 		t.Fatalf("stored-model job: %v, want an unsorted-input error", err)
 	}
 	if job, stored := modelFits(t, reg); job != 0 || stored != 1 {

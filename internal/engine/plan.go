@@ -24,13 +24,20 @@ type shard struct {
 	nextArrival time.Duration
 }
 
+// idleCutGap is the idle boundary the paper's inference attributes to
+// application think time, well above device service times; idleCutMin
+// keeps a gap-heavy trace from cutting confetti shards.
+const idleCutGap, idleCutMin = time.Millisecond, 1024
+
 // shouldCut reports whether the planner cuts before a request that
-// arrives gap after the previous one, given the current shard length.
+// arrives gap after the previous one, given the current shard length:
+// at the memory bound, or at an idle gap once the shard holds
+// min(idleCutMin, MaxShardRequests) requests.
 func shouldCut(cfg Config, curLen int, gap time.Duration) bool {
 	if curLen >= cfg.MaxShardRequests {
 		return true
 	}
-	return curLen >= cfg.MinShardRequests && gap >= cfg.MinIdleGap
+	return curLen >= idleCutMin && gap >= idleCutGap
 }
 
 // streamPlanner builds shards incrementally from a request stream,
@@ -60,7 +67,7 @@ func newStreamPlanner(cfg Config, pool *bufPool) *streamPlanner {
 // workload without a regrow (a gap-free one grows to MaxShardRequests).
 func (p *streamPlanner) buffers() ([]trace.Request, []bool) {
 	reqs, seq := p.pool.reqs.get(0), p.pool.seqs.get(0)
-	n := min(p.cfg.MinShardRequests+p.cfg.MinShardRequests/8, p.cfg.MaxShardRequests)
+	n := min(idleCutMin+idleCutMin/8, p.cfg.MaxShardRequests)
 	if reqs == nil {
 		reqs = make([]trace.Request, 0, n)
 	}

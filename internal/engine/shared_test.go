@@ -61,8 +61,8 @@ func referenceBytes(t *testing.T, old *trace.Trace, device, format string) []byt
 
 // TestSharedBuffersAcrossJobs runs, twice and in shuffled order, eight
 // concurrent jobs on mixed targets (array, ssd, hdd, ftl, host; recorded
-// and inferred latencies; csv and bin both ways) next to two concurrent
-// ingests that fit models, all on one Config and one store, their
+// and inferred latencies; csv and bin both ways; 2 or 4 workers) next
+// to two concurrent ingests that fit models, all on one store, their
 // decodes borrowing from the process's one set of kept read buffers and
 // request batches. Every job's bytes must be core.Reconstruct's
 // and every stored model the fit of its trace; under -race, no buffer
@@ -78,15 +78,16 @@ func TestSharedBuffersAcrossJobs(t *testing.T) {
 	}
 
 	type job struct {
-		spec JobSpec
-		want []byte
+		spec    JobSpec
+		workers int
+		want    []byte
 	}
 	var jobs []job
 	for _, j := range []struct {
 		in             string
 		old            *trace.Trace
 		device, format string
-		parallel       int
+		workers        int
 	}{
 		{known, knownOld, "array", "bin", 2},
 		{known, knownOld, "ssd", "csv", 4},
@@ -98,8 +99,9 @@ func TestSharedBuffersAcrossJobs(t *testing.T) {
 		{unknown, unknownOld, "host", "bin", 4},
 	} {
 		jobs = append(jobs, job{
-			spec: JobSpec{In: j.in, InFormat: filepath.Ext(j.in)[1:], OutFormat: j.format, Device: j.device, Parallel: j.parallel},
-			want: referenceBytes(t, j.old, j.device, j.format),
+			spec:    JobSpec{In: j.in, InFormat: filepath.Ext(j.in)[1:], OutFormat: j.format, Device: j.device},
+			workers: j.workers,
+			want:    referenceBytes(t, j.old, j.device, j.format),
 		})
 	}
 
@@ -130,7 +132,6 @@ func TestSharedBuffersAcrossJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.SetParallel(workers)
-	cfg := Config{Workers: workers}
 
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 2; round++ {
@@ -141,7 +142,7 @@ func TestSharedBuffersAcrossJobs(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				var out bytes.Buffer
-				if _, err := RunJobTo(cfg, j.spec, &out); err != nil {
+				if _, err := RunJobTo(Config{Workers: j.workers}, j.spec, &out); err != nil {
 					t.Errorf("round %d %s on %s: %v", round, j.spec.In, j.spec.Device, err)
 					return
 				}

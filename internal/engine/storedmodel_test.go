@@ -77,26 +77,27 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name   string
-		spec   JobSpec
-		stored *infer.Model // what the cache holds for the input
+		name    string
+		spec    JobSpec
+		workers int
+		stored  *infer.Model // what the cache holds for the input
 		// wantStored: the job runs on the cache's model and never fits.
 		wantStored bool
 		// skipBytes: the row runs on a model that is not the fit, so the
 		// reference does not apply.
 		skipBytes bool
 	}{
-		{name: "array/w1", spec: JobSpec{Parallel: 1}, stored: fit, wantStored: true},
-		{name: "array/w4", spec: JobSpec{Parallel: 4}, stored: fit, wantStored: true},
-		{name: "hdd/bin/w4", spec: JobSpec{Device: "hdd", OutFormat: "bin", Parallel: 4}, stored: fit, wantStored: true},
-		{name: "dynamic/ftl", spec: JobSpec{Method: "dynamic", Device: "ftl", Parallel: 2}, stored: fit, wantStored: true},
+		{name: "array/w1", workers: 1, stored: fit, wantStored: true},
+		{name: "array/w4", workers: 4, stored: fit, wantStored: true},
+		{name: "hdd/bin/w4", spec: JobSpec{Device: "hdd", OutFormat: "bin"}, workers: 4, stored: fit, wantStored: true},
+		{name: "dynamic/ftl", spec: JobSpec{Method: "dynamic", Device: "ftl"}, workers: 2, stored: fit, wantStored: true},
 		// The stored model is taken at its word, not re-derived: a
 		// different one comes out in the report.
-		{name: "trusted", spec: JobSpec{Parallel: 2}, stored: &infer.Model{TcdelReadMicros: 75, TcdelWriteMicros: 75, FlatReadMicros: -1, FlatWriteMicros: -1},
+		{name: "trusted", workers: 2, stored: &infer.Model{TcdelReadMicros: 75, TcdelWriteMicros: 75, FlatReadMicros: -1, FlatWriteMicros: -1},
 			wantStored: true, skipBytes: true},
 
-		{name: "no-model-stored", spec: JobSpec{Parallel: 2}},
-		{name: "reorder-window", spec: JobSpec{ReorderWindow: 4096, Parallel: 2}, stored: fit},
+		{name: "no-model-stored", workers: 2},
+		{name: "reorder-window", spec: JobSpec{ReorderWindow: 4096}, workers: 2, stored: fit},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cache := newMemCache(t)
@@ -105,7 +106,7 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 			}
 			tracer := obs.NewTracer(tc.name, 0, obs.TraceContext{})
 			reg := obs.NewRegistry()
-			cfg := testConfig(2)
+			cfg := testConfig(tc.workers)
 			cfg.Trace, cfg.Metrics = tracer, obs.NewEngineMetrics(reg)
 			spec := tc.spec
 			spec.In = inPath
