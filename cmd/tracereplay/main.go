@@ -2,7 +2,10 @@
 // simulated devices and reports the device-side statistics: service
 // latencies, queue waits, utilization, and bandwidth. It is the
 // substrate equivalent of running fio --read_iolog on the evaluation
-// node.
+// node. The input is read as a job reads it, through
+// trace.OpenFileDecoder: records in arrival order (the near-sorted
+// corpora, msrc and spc, through their format's reorder window). Stdin
+// is spooled to a temporary file first.
 //
 // Usage:
 //
@@ -17,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -69,25 +73,20 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	dev := device.NewInstrumented(inner)
 
-	if *in != "" {
-		f, err := os.Open(*in)
+	path := *in
+	if path == "" {
+		spool, err := trace.SpoolTemp(stdin, "tracereplay-stdin-*")
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		stdin = f
+		defer os.Remove(spool)
+		path = spool
 	}
-	format, r, err := trace.ResolveFormat(*informat, stdin)
+	dec, _, err := trace.OpenFileDecoder(path, *informat, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return err
 	}
-	dec, err := trace.NewDecoder(format, r)
-	if err != nil {
-		return err
-	}
-	if trace.NeedsSort(format) {
-		dec = trace.NewReorderDecoder(dec, engine.DefaultReorderWindow)
-	}
+	defer dec.Close()
 	// Each decoded batch is checked as trace.Validate checks a whole
 	// trace before any of it reaches the device.
 	acc := trace.NewSummarizer()

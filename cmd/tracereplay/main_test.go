@@ -102,14 +102,14 @@ func TestCLIModes(t *testing.T) {
 }
 
 // TestInputRules: tracereplay reads its input as a job does — the
-// near-sorted corpora through a job's reorder window — and refuses what
-// trace.Validate refuses before replaying it. An msrc record displaced
-// beyond engine.DefaultReorderWindow is refused with the ErrUnsorted,
-// at the index, a job reports for the same file.
+// near-sorted corpora through their format's reorder window — and
+// refuses what trace.Validate refuses before replaying it. An msrc
+// record displaced beyond trace.ReorderWindow("msrc") is refused with
+// the ErrUnsorted, at the index, a job reports for the same file.
 func TestInputRules(t *testing.T) {
 	var b strings.Builder
 	const base = 128166372003061629
-	n := engine.DefaultReorderWindow + 100
+	n := trace.ReorderWindow("msrc") + 100
 	for i := 0; i < n-1; i++ {
 		fmt.Fprintf(&b, "%d,hm,0,Read,%d,4096,100\n", base+10*int64(i), 4096*i)
 	}

@@ -8,10 +8,12 @@
 // instruction groups — the pass corpus ingest runs — and the quantiles,
 // group shapes and model come from it; pass two decomposes every
 // request under the model for the idle and async counts. The input is
-// read as a job reads it: big files on -parallel decode workers, and
-// the near-sorted corpora (msrc, spc) through a job's reorder window, so
-// a file a job rejects as unsorted is rejected here too. Stdin is
-// spooled to a temporary file for the second pass.
+// read as a job and corpus ingest read it, through trace.OpenFileDecoder:
+// big files on -parallel decode workers, records in arrival order (the
+// near-sorted corpora, msrc and spc, through their format's reorder
+// window), so the summary is a corpus sidecar's and a file a job rejects
+// as unsorted is rejected here too. Stdin is spooled to a temporary file
+// for the second pass.
 //
 // Usage:
 //
@@ -30,7 +32,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/infer"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -67,14 +68,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	format := *informat
 	open := func() (trace.Decoder, error) {
 		dec, resolved, err := trace.OpenFileDecoder(path, format, *parallel)
-		if err != nil {
-			return nil, err
-		}
 		format = resolved
-		if trace.NeedsSort(format) {
-			dec = trace.NewReorderDecoder(dec, engine.DefaultReorderWindow)
-		}
-		return dec, nil
+		return dec, err
 	}
 
 	dec, err := open()

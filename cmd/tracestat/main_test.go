@@ -104,13 +104,13 @@ func TestInputErrors(t *testing.T) {
 }
 
 // displacedMSRC writes an msrc file whose last record belongs right
-// after its first, further back than engine.DefaultReorderWindow
+// after its first, further back than trace.ReorderWindow("msrc")
 // reaches.
 func displacedMSRC(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
 	const base = 128166372003061629
-	n := engine.DefaultReorderWindow + 100
+	n := trace.ReorderWindow("msrc") + 100
 	for i := 0; i < n-1; i++ {
 		fmt.Fprintf(&b, "%d,hm,0,Read,%d,4096,100\n", base+10*int64(i), 4096*i)
 	}
@@ -123,9 +123,9 @@ func displacedMSRC(t *testing.T) string {
 }
 
 // TestDisplacedBeyondWindow: tracestat reads a near-sorted corpus
-// through a job's reorder window, so an msrc record displaced beyond
-// engine.DefaultReorderWindow is refused with the ErrUnsorted, at the
-// index, a job reports for the same file.
+// through the reorder window a job reads it through, so an msrc record
+// displaced beyond trace.ReorderWindow("msrc") is refused with the
+// ErrUnsorted, at the index, a job reports for the same file.
 func TestDisplacedBeyondWindow(t *testing.T) {
 	path := displacedMSRC(t)
 	_, jobErr := engine.RunJobTo(engine.Config{}, engine.JobSpec{In: path, InFormat: "msrc"}, io.Discard)

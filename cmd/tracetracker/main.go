@@ -76,8 +76,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	threshold := fs.Duration("threshold", 0, "fixed-th idle threshold (0 = the paper's tuned value)")
 	fs.IntVar(&cfg.Workers, "parallel", 0,
 		"engine workers (0 = GOMAXPROCS; output stays byte-identical)")
-	fs.IntVar(&spec.ReorderWindow, "reorder-window", 0,
-		"arrival-sort window for near-sorted corpora (0 = auto per format)")
 	showReport := fs.Bool("report", false, "print the reconstruction report to stderr")
 	if err := fs.Parse(args); err != nil {
 		return err

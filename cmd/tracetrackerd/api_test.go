@@ -13,10 +13,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/hoststack"
 	"repro/internal/infer"
 	"repro/internal/trace"
 )
@@ -298,13 +301,50 @@ func TestDevicesEndpoint(t *testing.T) {
 	if !ok || arr.Pipeline != engine.PipelineShardParallel || !arr.Default {
 		t.Fatalf("array entry: %+v", arr)
 	}
-	// Every advertised knob name must round-trip through a JobSpec
-	// without tripping validation's unknown-field handling (knob names
-	// are the JSON keys clients will send).
 	for _, d := range got.Devices {
 		for _, k := range d.Knobs {
 			if k.Name == "" || k.Type == "" {
 				t.Fatalf("device %s: malformed knob %+v", d.Name, k)
+			}
+		}
+	}
+	// Every advertised knob name is a JSON key of its config (clients
+	// send the names as keys: a decoder that refuses unknown fields takes
+	// it), and the config built with the knob at its advertised default
+	// is the target's default config. Engine targets never keep the
+	// stack's block log.
+	defaultHost := hoststack.DefaultConfig()
+	defaultHost.NoBlockLog = true
+	for _, tc := range []struct {
+		info    engine.DeviceInfo
+		decoded func(*json.Decoder) (any, error)
+		want    any
+	}{
+		{ftl, func(dec *json.Decoder) (any, error) {
+			var spec engine.FTLSpec
+			err := dec.Decode(&spec)
+			return spec.Config(), err
+		}, device.DefaultFTLDeviceConfig()},
+		{host, func(dec *json.Decoder) (any, error) {
+			var spec engine.HostSpec
+			err := dec.Decode(&spec)
+			return spec.Config(), err
+		}, defaultHost},
+	} {
+		for _, k := range tc.info.Knobs {
+			value := k.Default
+			if k.Type == "string" {
+				value = strconv.Quote(value)
+			}
+			dec := json.NewDecoder(strings.NewReader(fmt.Sprintf(`{%q:%s}`, k.Name, value)))
+			dec.DisallowUnknownFields()
+			cfg, err := tc.decoded(dec)
+			if err != nil {
+				t.Fatalf("%s knob %s=%s: %v", tc.info.ConfigField, k.Name, value, err)
+			}
+			if cfg != tc.want {
+				t.Fatalf("%s knob %s at its advertised default %s builds %+v, want the default %+v",
+					tc.info.ConfigField, k.Name, value, cfg, tc.want)
 			}
 		}
 	}

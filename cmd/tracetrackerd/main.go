@@ -10,8 +10,9 @@
 // /v1/devices). Every job streams its input through the engine's stage
 // graph straight into its result-cache entry, keyed by (input digest,
 // job fingerprint), on the operator's -parallel workers (a spec carries
-// no worker count) in memory bounded by -parallel · -max-shard
-// requests, not the trace, and the result endpoint serves that file:
+// no worker count, nor a reorder window) in memory bounded by -parallel
+// · -max-shard requests plus the input format's reorder window, not the
+// trace, and the result endpoint serves that file:
 // resubmitting an equivalent job serves the cached bytes without
 // reconstructing. A journal replays finished and interrupted jobs
 // across restarts of the same -data directory; without -data the

@@ -413,8 +413,9 @@ func (s *server) execute(j job) (journalRecord, string) {
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Unknown keys are ignored, so specs of earlier versions still
-	// decode: "stream" and "parallel" (workers are the operator's
-	// -parallel, never a client's).
+	// decode: "stream", "parallel" (workers are the operator's
+	// -parallel, never a client's) and "reorder_window" (arrival order
+	// is the input format's).
 	var spec engine.JobSpec
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
 		var mbe *http.MaxBytesError

@@ -1,10 +1,11 @@
 package main
 
 // "Fit once per trace", through the daemon: a Tsdev-unknown blob is
-// fitted in its upload's decode pass, every default job on it reads the
-// model from the sidecar — no fit span, no second decode — and serves
-// the sequential pipeline's bytes; every job outside the rule fits for
-// itself, to the same bytes.
+// fitted in its upload's decode pass, in the arrival order every job
+// reads, so every default job on it reads the model from the sidecar —
+// no fit span, no second decode — and serves the sequential pipeline's
+// bytes; a job on a blob stored without a model fits for itself, to the
+// same bytes.
 
 import (
 	"bytes"
@@ -153,7 +154,8 @@ func TestStoredModelIdentity(t *testing.T) {
 			t.Fatalf("%s: report model %+v, want the fresh fit %+v", label, n.Report.Model, fresh)
 		}
 	}
-	// fitLeg is run for a job outside the rule: it fits for itself.
+	// fitLeg is run for a job on a blob stored without a model: it fits
+	// for itself.
 	fitLeg := func(srv *server, ts *httptest.Server, label string, in *trace.Trace, spec engine.JobSpec) {
 		t.Helper()
 		names, lookup := run(srv, ts, label, in, spec)
@@ -193,11 +195,6 @@ func TestStoredModelIdentity(t *testing.T) {
 		t.Fatalf("corpus_ingest_fit_seconds_total = %v (found %v), want > 0", v, ok)
 	}
 
-	// Outside the rule, same daemon: an explicit reorder window.
-	fitLeg(srv, ts, "reorder-window", old, engine.JobSpec{In: corpusScheme + digest, ReorderWindow: 4096})
-	if job := modelFits(t, ts, "job"); job != 1 {
-		t.Fatalf("engine_model_fits_total{source=job} = %v after one job outside the rule", job)
-	}
 	ts.Close()
 	srv.Close()
 
@@ -283,5 +280,47 @@ func TestStoredModelConcurrentJobs(t *testing.T) {
 	}
 	if job := modelFits(t, ts, "job"); job != 0 {
 		t.Fatalf("engine_model_fits_total{source=job} = %v", job)
+	}
+}
+
+// TestStoredModelSPC: an uploaded spc trace — a near-sorted corpus —
+// lands with the model of its arrival order, and a job on it whose spec
+// still carries "reorder_window":1 (once "no window", now an unknown
+// key) finishes on the stored model with the bytes the tracetracker CLI
+// writes for the same file.
+func TestStoredModelSPC(t *testing.T) {
+	path := filepath.Join("..", "testdata", "fixture.spc")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cli bytes.Buffer
+	if _, err := engine.RunJobTo(engine.Config{}, engine.JobSpec{In: path, InFormat: "spc"}, &cli); err != nil {
+		t.Fatal(err)
+	}
+	srv := testServer(t, engine.Config{Workers: 2, MaxShardRequests: 128}, 1)
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	digest := uploadCorpus(t, ts, raw, "spc")
+	if e, err := srv.store.Resolve(digest); err != nil || e.Model == nil {
+		t.Fatalf("upload: entry model %+v (err %v), want the fit of its arrival order", e.Model, err)
+	}
+	status, body := doReq(t, ts, http.MethodPost, "/v1/jobs", `{"in":"`+corpusScheme+digest+`","reorder_window":1}`)
+	var ack job
+	if status != http.StatusAccepted || json.Unmarshal(body, &ack) != nil {
+		t.Fatalf("submit: status %d: %s", status, body)
+	}
+	j := waitDone(t, ts, ack.ID)
+	if got := getBody(t, ts.URL+j.ResultURL); !bytes.Equal(got, cli.Bytes()) {
+		t.Fatal("served bytes diverge from the tracetracker CLI's default spc run")
+	}
+	names, lookup := jobSpans(t, ts, j.ID)
+	if names["fit"] != 0 || lookup["model"] != 1 {
+		t.Fatalf("spans %v, cache-lookup %v; want no fit span and model=1", names, lookup)
+	}
+	if job, st := modelFits(t, ts, "job"), modelFits(t, ts, "stored"); job != 0 || st != 1 {
+		t.Fatalf("engine_model_fits_total job=%v stored=%v, want 0 and 1", job, st)
 	}
 }

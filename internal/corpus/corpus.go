@@ -8,7 +8,7 @@
 //
 //	objects/<sha256>        trace blob, byte-exact as ingested
 //	objects/<sha256>.json   sidecar: format + one-pass summary + fitted
-//	                        inference model, Tsdev-unknown csv/bin (Entry)
+//	                        inference model, Tsdev-unknown csv/bin/spc (Entry)
 //	results/<key>           cached reconstruction output
 //	results/<key>.json      sidecar: input digest + caller note (ResultMeta)
 //	tmp/                    staging for atomic writes
@@ -38,7 +38,9 @@ var ErrBadTrace = errors.New("corpus: not an ingestible trace")
 // Entry describes one ingested trace: identity, format, and the
 // one-pass characterization recorded at ingest so catalogue queries
 // never re-read blobs. Order-sensitive metrics (SeqFraction) are
-// computed in file order.
+// computed in arrival order, the order every job reads
+// (trace.OpenFileDecoder); an msrc or spc sidecar written before ingest
+// read that order keeps its file-order figure.
 type Entry struct {
 	// Digest is the lowercase hex SHA-256 of the blob bytes.
 	Digest string `json:"digest"`
@@ -61,14 +63,14 @@ type Entry struct {
 	TotalBytes   int64         `json:"total_bytes"`
 	ReadFraction float64       `json:"read_fraction"`
 	SeqFraction  float64       `json:"seq_fraction"`
-	// Model is the inference model fitted to this blob in file order, in
-	// the same decode pass as the summary — the software half of the
-	// co-evaluation, a function of the old trace alone, so a job that
-	// would fit exactly that reads it here (FittedModel) instead of
-	// decoding the blob once more. Nil for Tsdev-known blobs, the
-	// near-sorted formats (msrc, spc), traces too sparse to fit, and
-	// sidecars written before the field existed: jobs on those fit for
-	// themselves.
+	// Model is the inference model fitted to this blob in arrival
+	// order, in the same decode pass as the summary — the software half
+	// of the co-evaluation, a function of the old trace alone, so a job
+	// that would fit exactly that reads it here (FittedModel) instead of
+	// decoding the blob once more. Nil for Tsdev-known blobs (msrc
+	// among them), traces too sparse to fit, and sidecars written before
+	// the field existed or, for spc, before ingest fitted that format:
+	// jobs on those fit for themselves.
 	Model *infer.Model `json:"model,omitempty"`
 	// Ingested is when the blob first landed (UTC).
 	Ingested time.Time `json:"ingested"`

@@ -7,13 +7,16 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/engine"
 	"repro/internal/infer"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -67,24 +70,37 @@ func freshFit(t *testing.T, format string, data []byte) *infer.Model {
 }
 
 // TestFittedModelAtIngest is the ingest half of "fit once per trace":
-// a Tsdev-unknown csv or bin upload lands with exactly the model a job
-// would fit (sequential or parallel decode), the sidecar carries it
-// across a reopen bit for bit, and FittedModel hands out copies.
+// a Tsdev-unknown csv, bin or spc upload lands with exactly the model a
+// job would fit (sequential or parallel decode, in arrival order), the
+// sidecar carries it across a reopen bit for bit, and FittedModel hands
+// out copies.
 func TestFittedModelAtIngest(t *testing.T) {
 	old := webmail(t, 30_000, false)
 	csv := csvBytes(t, old)
 	if len(csv) < trace.ParallelMinBytes {
 		t.Fatalf("fixture only %d bytes; must exceed ParallelMinBytes", len(csv))
 	}
+	spc, err := os.ReadFile(filepath.Join("..", "..", "cmd", "testdata", "fixture.spc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spcSorted, err := trace.ReadFormat("spc", bytes.NewReader(spc))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name, format string
 		data         []byte
 		parallel     int
+		tr           *trace.Trace // the trace in arrival order
 	}{
-		{"csv", "csv", csv, 0},
-		{"csv-parallel", "csv", csv, 4},
-		{"csv-sniffed", "auto", csv, 0},
-		{"bin", "bin", binBytes(t, old), 0},
+		{"csv", "csv", csv, 0, old},
+		{"csv-parallel", "csv", csv, 4, old},
+		{"csv-sniffed", "auto", csv, 0, old},
+		{"bin", "bin", binBytes(t, old), 0, old},
+		// A near-sorted corpus: fitted through the format's reorder
+		// window, as its jobs read it.
+		{"spc", "spc", spc, 0, spcSorted},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := openStore(t)
@@ -103,7 +119,7 @@ func TestFittedModelAtIngest(t *testing.T) {
 				t.Fatalf("models fitted=%v fit seconds=%v, want 1 and a positive time", fitted, secs)
 			}
 			// The summary rode the same loop and flags: unchanged.
-			if e.Requests != int64(old.Len()) || e.SeqFraction != old.Summary().SeqFraction() || e.TsdevKnown {
+			if e.Requests != int64(tc.tr.Len()) || e.SeqFraction != tc.tr.Summary().SeqFraction() || e.TsdevKnown {
 				t.Fatalf("summary: %+v", e)
 			}
 
@@ -140,17 +156,63 @@ func TestFittedModelAtIngest(t *testing.T) {
 	}
 }
 
+// TestIngestArrivalOrder: a near-sorted upload is summarized in the
+// arrival order every job and tracestat read, so the sidecar's
+// sequential fraction is the one tracestat prints for the same file
+// (its golden report), and an spc blob's stored model is the fit a job
+// would run for itself over that file. msrc is Tsdev-known: no model.
+func TestIngestArrivalOrder(t *testing.T) {
+	seqLine := regexp.MustCompile(`(?m)^sequential fraction +(\S+)$`)
+	for _, format := range []string{"msrc", "spc"} {
+		t.Run(format, func(t *testing.T) {
+			path := filepath.Join("..", "..", "cmd", "testdata", "fixture."+format)
+			golden, err := os.ReadFile(filepath.Join("..", "..", "cmd", "tracestat", "testdata", "golden", format+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := seqLine.FindSubmatch(golden)
+			if want == nil {
+				t.Fatal("tracestat's golden report has no sequential fraction")
+			}
+			s := openStore(t)
+			e, _, err := s.IngestFile(path, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := report.Percent(e.SeqFraction); got != string(want[1]) {
+				t.Fatalf("sidecar seq_fraction %s, tracestat's %s", got, want[1])
+			}
+
+			dec, _, err := trace.OpenFileDecoder(path, format, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dec.Close()
+			jobFit, _, err := engine.FitModel(dec, infer.EstimateOptions{})
+			switch {
+			case format == "msrc":
+				if e.Model != nil {
+					t.Fatalf("Tsdev-known msrc blob stored model %+v", e.Model)
+				}
+			case err != nil:
+				t.Fatal(err)
+			case e.Model == nil || modelBits(e.Model) != modelBits(jobFit):
+				t.Fatalf("stored model %+v, the job's own fit %+v", e.Model, jobFit)
+			}
+		})
+	}
+}
+
 // TestFittedModelAbsent lists what lands without a model — and that
 // nothing about the fit ever turns an upload away: Tsdev-known traces
-// (no classifier is even built), the near-sorted formats, a trace too
-// sparse to fit, an unsorted one (accepted as before; its job answers
+// (no classifier is even built; msrc is one), a trace too sparse to
+// fit, an unsorted one (accepted as before; its job answers
 // ErrUnsorted), and a sidecar from before the field existed.
 func TestFittedModelAbsent(t *testing.T) {
 	sparse := webmail(t, 40, false)
 	unsorted := webmail(t, 4000, false)
 	unsorted.Requests[1000].Arrival = unsorted.Requests[3000].Arrival
 	const msrc = "128166372003061629,web,0,Read,8192,4096,500\n128166372003071629,web,0,Write,16384,4096,700\n"
-	const spc = "0,20941264,8192,W,0.000000\n0,20939840,8192,W,0.001020\n"
 	for _, tc := range []struct {
 		name, format string
 		data         []byte
@@ -159,7 +221,6 @@ func TestFittedModelAbsent(t *testing.T) {
 		{"tsdev-known", "csv", csvBytes(t, webmail(t, 4000, true)), false},
 		{"tsdev-known-bin", "bin", binBytes(t, webmail(t, 4000, true)), false},
 		{"msrc", "msrc", []byte(msrc), false},
-		{"spc", "spc", []byte(spc), false},
 		{"too-sparse", "csv", csvBytes(t, sparse), false},
 		// The fit does not police order; the planner does, in the job.
 		{"unsorted", "csv", csvBytes(t, unsorted), true},

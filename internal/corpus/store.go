@@ -330,7 +330,7 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		return Entry{}, false, stagedDecodeErr(format, err)
 	}
 	defer dec.Close()
-	sum, model, err := s.summarizeAndFit(dec, format)
+	sum, model, err := s.summarizeAndFit(dec)
 	if err != nil {
 		return Entry{}, false, stagedDecodeErr(format, err)
 	}
@@ -376,18 +376,18 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 	return entry, true, nil
 }
 
-// summarizeAndFit drains the staged upload once into its summary and,
-// for a Tsdev-unknown trace in a format that needs no reorder window,
-// into the inference model every default job on the blob would fit for
-// itself: the classifier rides the summary's loop and sequentiality
-// flags (infer.SummarizeAndClassify, tracestat's first pass). The fit
-// can only add a model, never fail the ingest — a trace too sparse to
-// fit, or a fit that is not finite (which the sidecar's JSON could not
-// carry), lands without one and its jobs answer as they always did. On
-// a decode error the decoder is closed.
-func (s *Store) summarizeAndFit(dec trace.Decoder, format string) (trace.Summary, *infer.Model, error) {
+// summarizeAndFit drains the staged upload once, in arrival order
+// (trace.OpenFileDecoder, the order every job reads), into its summary
+// and, for a Tsdev-unknown trace, into the inference model every default
+// job on the blob would fit for itself: the classifier rides the
+// summary's loop and sequentiality flags (infer.SummarizeAndClassify,
+// tracestat's first pass). The fit can only add a model, never fail the
+// ingest — a trace too sparse to fit, or a fit that is not finite (which
+// the sidecar's JSON could not carry), lands without one and its jobs
+// answer as they always did. On a decode error the decoder is closed.
+func (s *Store) summarizeAndFit(dec trace.Decoder) (trace.Summary, *infer.Model, error) {
 	sum, cls, err := infer.SummarizeAndClassify(dec, func(m trace.Meta) *infer.StreamClassifier {
-		if m.TsdevKnown || trace.NeedsSort(format) {
+		if m.TsdevKnown {
 			return nil
 		}
 		if c, ok := s.fits.Get(); ok {

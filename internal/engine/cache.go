@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/infer"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // ResultCache stores reconstructed outputs keyed by CacheKey.
@@ -32,8 +33,9 @@ type ResultCache interface {
 	// file.
 	StoreResultNoted(key, inputDigest string, write func(io.Writer) (note []byte, err error)) (string, error)
 	// FittedModel returns the caller's own copy of the inference model
-	// stored with the input: the fit of exactly those bytes, in file
-	// order. nil when the cache keeps none for this input.
+	// stored with the input: the fit of exactly those bytes, in arrival
+	// order (trace.OpenFileDecoder). nil when the cache keeps none for
+	// this input.
 	FittedModel(inputDigest string) *infer.Model
 }
 
@@ -73,7 +75,12 @@ func (s JobSpec) Fingerprint() string {
 	if meth.knob != "factor" {
 		n.Factor = 0
 	}
-	b, err := json.Marshal(n)
+	// The input format's reorder window digests under the key the spec
+	// field it replaced had, last and omitted when zero, so no key moves.
+	b, err := json.Marshal(struct {
+		JobSpec
+		ReorderWindow int `json:"reorder_window,omitempty"`
+	}{n, trace.ReorderWindow(n.InFormat)})
 	if err != nil {
 		// A JobSpec is plain data; marshaling cannot fail.
 		panic(err)
@@ -125,7 +132,7 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 	lsp := cfg.Trace.Start(cfg.Trace.Root(), obs.JobSpanCacheLookup)
 	path, note, ok := cache.LookupResult(key)
 	var fitted *infer.Model
-	if !ok && fitsAsStored(spec) {
+	if meth, _ := methodFor(spec.Method); !ok && meth.ownModel {
 		fitted = cache.FittedModel(inputDigest)
 	}
 	lsp.SetAttr(obs.AttrHit, boolAttr(ok))
@@ -162,17 +169,6 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 		rep = n.Report
 	}
 	return &JobResult{Report: rep, OutPath: path}, !ran, nil
-}
-
-// fitsAsStored reports whether the model the job would fit for itself
-// is the one a cache stores with the input — the fit of the blob in file
-// order: a method that reads the input's own model, and no reorder
-// window between the file and the classifier. (That the input needs a
-// model is the store's side of the rule: it keeps one for Tsdev-unknown
-// blobs only.) Every other job fits per job.
-func fitsAsStored(spec JobSpec) bool {
-	meth, _ := methodFor(spec.Method)
-	return meth.ownModel && spec.ReorderWindow <= 1
 }
 
 func boolAttr(b bool) int64 {

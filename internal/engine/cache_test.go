@@ -109,7 +109,6 @@ func TestFingerprintSemantics(t *testing.T) {
 		{In: "/a/in.csv", OutFormat: "fio", FIODevice: "/dev/sdz"},
 		{In: "/a/in.csv", Method: "fixed-th", ThresholdUS: 123},
 		{In: "/a/in.csv", Method: "acceleration", Factor: 9},
-		{In: "/a/in.csv", ReorderWindow: 7},
 	}
 	seen := map[string]int{fp: -1}
 	for i, s := range diff {

@@ -121,7 +121,7 @@ var deviceRegistry = []deviceEntry{
 			},
 		},
 		build: func(spec JobSpec) func() device.Device {
-			cfg := spec.FTLConfig.ftlConfig()
+			cfg := spec.FTLConfig.Config()
 			return func() device.Device { return device.NewFTLDevice(cfg) }
 		},
 	},
@@ -145,7 +145,7 @@ var deviceRegistry = []deviceEntry{
 			},
 		},
 		build: func(spec JobSpec) func() device.Device {
-			cfg, inner := spec.HostConfig.hostConfig()
+			cfg, inner := spec.HostConfig.Config(), spec.HostConfig.innerDevice()
 			return func() device.Device { return hoststack.New(cfg, inner()) }
 		},
 	},
@@ -224,8 +224,9 @@ type FTLSpec struct {
 	BackgroundGCTarget  int     `json:"background_gc_target,omitempty"`
 }
 
-// ftlConfig converts the spec (nil = all defaults) to an ftl.Config.
-func (s *FTLSpec) ftlConfig() ftl.Config {
+// Config is the ftl.Config the spec builds the "ftl" target with (nil =
+// all defaults, device.DefaultFTLDeviceConfig).
+func (s *FTLSpec) Config() ftl.Config {
 	cfg := device.DefaultFTLDeviceConfig()
 	if s == nil {
 		return cfg
@@ -275,7 +276,7 @@ func (s *FTLSpec) validate() *ValidationError {
 	if s.PagesPerBlock < 0 || s.PagesPerBlock > 1<<12 {
 		return bad("pages_per_block", fmt.Sprintf("pages_per_block must be in [0, %d]", 1<<12))
 	}
-	cfg := s.ftlConfig()
+	cfg := s.Config()
 	if total := int64(cfg.Blocks) * int64(cfg.PagesPerBlock); total > 1<<22 {
 		return bad("blocks", fmt.Sprintf("blocks * pages_per_block must be at most %d", 1<<22))
 	}
@@ -338,24 +339,27 @@ func (s *HostSpec) hostInner() string {
 	}
 }
 
-// hostConfig converts the spec (nil = all defaults) to a stack config
-// plus the inner-device constructor. The block-layer log is always
-// disabled on engine targets: it grows without bound over a trace and
-// nothing reads it.
-func (s *HostSpec) hostConfig() (hoststack.Config, func() device.Device) {
-	cfg := hoststack.DefaultConfig()
-	cfg.NoBlockLog = true
-	var inner func() device.Device
+// innerDevice is the constructor of the block device under the stack.
+func (s *HostSpec) innerDevice() func() device.Device {
 	switch s.hostInner() {
 	case "array":
-		inner = func() device.Device { return device.NewArray(device.DefaultArrayConfig()) }
+		return func() device.Device { return device.NewArray(device.DefaultArrayConfig()) }
 	case "ssd":
-		inner = func() device.Device { return device.NewSSD(device.DefaultSSDConfig()) }
+		return func() device.Device { return device.NewSSD(device.DefaultSSDConfig()) }
 	default:
-		inner = func() device.Device { return device.NewHDD(device.DefaultHDDConfig()) }
+		return func() device.Device { return device.NewHDD(device.DefaultHDDConfig()) }
 	}
+}
+
+// Config is the stack config the spec builds the "host" target with
+// (nil = all defaults, hoststack.DefaultConfig). The block-layer log is
+// always disabled on engine targets: it grows without bound over a
+// trace and nothing reads it.
+func (s *HostSpec) Config() hoststack.Config {
+	cfg := hoststack.DefaultConfig()
+	cfg.NoBlockLog = true
 	if s == nil {
-		return cfg, inner
+		return cfg
 	}
 	if s.CachePages > 0 {
 		cfg.CachePages = s.CachePages
@@ -382,7 +386,7 @@ func (s *HostSpec) hostConfig() (hoststack.Config, func() device.Device) {
 	if s.HitLatencyUS > 0 {
 		cfg.HitLatency = time.Duration(s.HitLatencyUS * float64(time.Microsecond))
 	}
-	return cfg, inner
+	return cfg
 }
 
 // validate bounds the cache geometry and checks the inner device.

@@ -82,10 +82,11 @@
 // also a function of the old trace alone, never of the job's target, so
 // a job does not have to be the one to run it: a result cache that
 // fitted the input when it ingested it (ResultCache.FittedModel — the
-// fit of those bytes in file order) hands RunJobCached the model, and a
-// job whose own fit would be exactly that (fitsAsStored) skips the pass
-// and its second decode of the input. Every other job — no cache, a
-// reorder window — fits for itself.
+// fit of those bytes in arrival order, the order every job reads) hands
+// RunJobCached the model, and a job of a method that reads the input's
+// own model (tracetracker, dynamic) skips the pass and its second
+// decode of the input. A job with no cache, or on a blob stored without
+// a model, fits for itself.
 //
 // # Methods
 //

@@ -745,7 +745,7 @@ func TestPlanSliceCoverage(t *testing.T) {
 			want string
 		}{
 			{zero, fmt.Sprintf("%v (index %d)", trace.ErrZeroSize, at)},
-			{unsorted, fmt.Sprintf("%v (index %d); widen the reorder window for near-sorted corpora", trace.ErrUnsorted, at)},
+			{unsorted, fmt.Sprintf("%v (index %d)", trace.ErrUnsorted, at)},
 		} {
 			for name, sizes := range splits {
 				_, err := planBatches(cfg, bad.reqs, sizes)

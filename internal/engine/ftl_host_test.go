@@ -65,7 +65,7 @@ func statefulTargets(t *testing.T) map[string]struct {
 		prove func(name string, stats []device.Stat)
 	}{
 		"ftl": {
-			mk:   func() device.Device { return device.NewFTLDevice(testFTLSpec.ftlConfig()) },
+			mk:   func() device.Device { return device.NewFTLDevice(testFTLSpec.Config()) },
 			spec: JobSpec{Device: "ftl", FTLConfig: testFTLSpec},
 			prove: func(name string, stats []device.Stat) {
 				if find(name, stats, "host_writes") == 0 || find(name, stats, "erases") == 0 {

@@ -17,10 +17,6 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultReorderWindow is the bounded arrival-sort window jobs apply
-// to near-sorted corpora (msrc/spc inputs).
-const DefaultReorderWindow = 1 << 16
-
 // maxFIODevice bounds JobSpec.FIODevice, written into every iolog line.
 const maxFIODevice = 4096
 
@@ -30,16 +26,19 @@ const maxFIODevice = 4096
 //
 // There is one way a job runs, whichever front end built the spec and
 // whichever method it names: the input file streams through the
-// engine's stage graph into its output file — decoder → (model fit,
+// engine's stage graph into its output file — decoder
+// (trace.OpenFileDecoder: arrival order, the near-sorted formats
+// through their format's reorder window) → (model fit,
 // tracetracker/dynamic on inference-path inputs only, and not when the
 // result cache holds the input's model) → sharded reconstruction →
 // encoder — holding O(Workers · MaxShardRequests)
-// requests, never the trace (acceleration, which has no device pass,
-// holds one). A finished job is a file: Out, or the result-cache entry
-// of a RunJobCached job (the CLI without -out hands RunJobTo its stdout
-// instead). (The JSON key "stream", a mode switch in earlier versions,
-// is ignored: every job streams; so is "parallel", which once set the
-// job's worker count — workers are the operator's Config.Workers.)
+// requests plus the input format's window, never the trace
+// (acceleration, which has no device pass, holds one). A finished job
+// is a file: Out, or the result-cache entry of a RunJobCached job (the
+// CLI without -out hands RunJobTo its stdout instead). Keys of earlier
+// versions are ignored: "stream" (every job streams), "parallel"
+// (workers are the operator's Config.Workers) and "reorder_window"
+// (arrival order is the input format's, trace.ReorderWindow).
 type JobSpec struct {
 	// Name labels the job (defaults to the input path).
 	Name string `json:"name,omitempty"`
@@ -80,9 +79,6 @@ type JobSpec struct {
 	Factor float64 `json:"factor,omitempty"`
 	// ThresholdUS is the fixed-th idle threshold in microseconds.
 	ThresholdUS float64 `json:"threshold_us,omitempty"`
-	// ReorderWindow bounds the arrival sort (0 = default for msrc/spc
-	// inputs, 1 = none).
-	ReorderWindow int `json:"reorder_window,omitempty"`
 }
 
 // Normalized returns the spec with all defaults applied — the form
@@ -112,9 +108,6 @@ func (s JobSpec) withDefaults() JobSpec {
 	}
 	if s.ThresholdUS == 0 {
 		s.ThresholdUS = float64(baseline.DefaultFixedThreshold) / float64(time.Microsecond)
-	}
-	if s.ReorderWindow == 0 && trace.NeedsSort(s.InFormat) {
-		s.ReorderWindow = DefaultReorderWindow
 	}
 	// Canonicalize the nested device configs so semantically equal
 	// specs fingerprint equally: an all-defaults config is the same as
@@ -355,13 +348,13 @@ func methodFor(name string) (method, bool) {
 // does not.
 const revisionThresholdUS = 1 << 52
 
-// runMethod runs a validated spec's method on the job's decoder, reorder
-// window and encoder. A method with its own model takes fitted — the
-// input's model RunJobCached found stored — or fits the input itself
-// when it needs one; a constant-model method fits nothing, any target,
-// any worker count, and reports no Model: the constant is an
-// implementation device, not a fit. acceleration runs no graph and
-// returns no report.
+// runMethod runs a validated spec's method on the job's decoder (the
+// input in arrival order, trace.OpenFileDecoder) and encoder. A method
+// with its own model takes fitted — the input's model RunJobCached
+// found stored — or fits the input itself when it needs one; a
+// constant-model method fits nothing, any target, any worker count, and
+// reports no Model: the constant is an implementation device, not a
+// fit. acceleration runs no graph and returns no report.
 func (e *Engine) runMethod(meth method, spec JobSpec, enc trace.Encoder, fitted *infer.Model) (*Report, error) {
 	var m *infer.Model
 	switch {
@@ -375,11 +368,11 @@ func (e *Engine) runMethod(meth method, spec JobSpec, enc trace.Encoder, fitted 
 		e.cfg.Metrics.ModelFit(true)
 	case meth.ownModel:
 		var err error
-		if m, err = e.fitModelFromPath(spec.In, spec.InFormat, spec.ReorderWindow); err != nil {
+		if m, err = e.fitModelFromPath(spec.In, spec.InFormat); err != nil {
 			return nil, err
 		}
 	}
-	dec, err := openDecoder(spec.In, spec.InFormat, spec.ReorderWindow, e.cfg.Workers)
+	dec, _, err := trace.OpenFileDecoder(spec.In, spec.InFormat, e.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -63,7 +63,8 @@ func hexKey(i int) string { return fmt.Sprintf("%064x", i) }
 // the in-flight window (Workers · MaxShardRequests requests), not a
 // multiple of the trace. Materializing the input or the output alone
 // would be 9.6 MB. With its model stored beside the blob, the inference
-// path keeps the same promise.
+// path keeps the same promise. So does a spec that still carries a
+// "reorder_window" of 2³⁰, which once made a job buffer its whole input.
 func TestRunJobCachedMissBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting at full trace size")
@@ -98,16 +99,23 @@ func TestRunJobCachedMissBoundedMemory(t *testing.T) {
 	for _, tc := range []struct {
 		name, method, in string
 		cache            ResultCache
+		json             string // further spec keys, as a client sends them
 	}{
-		{"tracetracker", "tracetracker", inPath, store},
-		{"fixed-th", "fixed-th", inPath, store},
-		{"revision", "revision", inPath, store},
-		{"acceleration", "acceleration", inPath, store},
-		{"tracetracker-stored-model", "tracetracker", inferPath, stored},
+		{"tracetracker", "tracetracker", inPath, store, ""},
+		{"tracetracker-reorder-window", "tracetracker", inPath, store, `{"reorder_window":1073741824}`},
+		{"fixed-th", "fixed-th", inPath, store, ""},
+		{"revision", "revision", inPath, store, ""},
+		{"acceleration", "acceleration", inPath, store, ""},
+		{"tracetracker-stored-model", "tracetracker", inferPath, stored, ""},
 	} {
 		method := tc.method
 		t.Run(tc.name, func(t *testing.T) {
 			spec := JobSpec{In: tc.in, InFormat: "bin", OutFormat: "bin", Method: method}
+			if tc.json != "" {
+				if err := json.Unmarshal([]byte(tc.json), &spec); err != nil {
+					t.Fatal(err)
+				}
+			}
 			reg := obs.NewRegistry()
 			cfg := cfg
 			cfg.Metrics = obs.NewEngineMetrics(reg)
@@ -304,11 +312,14 @@ func TestRunJobNeverClobbersOutput(t *testing.T) {
 
 // TestFingerprintGolden pins the fingerprints (and through them every
 // stored result-cache key) to the values the tree produced while
-// JobSpec still had its Stream and Parallel fields: both were zeroed
-// before digesting and omitted from the JSON when zero, so deleting
-// them must not move a key. The specs arrive as JSON the way the daemon
-// and its journal hold them, including a line that still carries
-// "stream":true and "parallel":8.
+// JobSpec still had its Stream, Parallel and ReorderWindow fields:
+// Stream and Parallel were zeroed before digesting and omitted from the
+// JSON when zero, and ReorderWindow defaulted to the input format's
+// window (msrc/spc) and is now digested as exactly that, so deleting
+// them must not move the key of a spec that never set them. The specs
+// arrive as JSON the way the daemon and its journal hold them,
+// including lines that still carry "stream":true and "parallel":8, and
+// a "reorder_window" that no longer changes what a job reads.
 func TestFingerprintGolden(t *testing.T) {
 	golden := []struct{ spec, want string }{
 		{`{"in":"/a/in.csv"}`, "9d2fd93318247f2fa1c5a0677468fba4f682bdb7ac7ca5d1523e97945697fecf"},
@@ -319,6 +330,8 @@ func TestFingerprintGolden(t *testing.T) {
 		{`{"in":"/a/in.csv","device":"ftl","ftl_config":{"blocks":128}}`, "5eb554a0ade47efe013ec4f7eb5dc4739fc3d9454bce1f1ac009c18aabcbb3cc"},
 		{`{"in":"/a/in.csv","device":"host","host_config":{"inner":"old"}}`, "d06be15403eff0c73f2a123935700103b092a1060330dfd2a600986a539cc7a3"},
 		{`{"in":"/a/in.msrc","informat":"msrc"}`, "71dcabc1466ace08aab11a99d37518ee43744f4a6a84b233e0ab4934635bad68"},
+		{`{"in":"/a/in.msrc","informat":"msrc","reorder_window":1}`, "71dcabc1466ace08aab11a99d37518ee43744f4a6a84b233e0ab4934635bad68"},
+		{`{"in":"/a/in.csv","reorder_window":7}`, "9d2fd93318247f2fa1c5a0677468fba4f682bdb7ac7ca5d1523e97945697fecf"},
 		{`{"in":"/a/in.csv","outformat":"fio","fio_device":"/dev/sdz"}`, "7f809b204b3d87a26adb5f9b63efc29c3673e9e7a9c2bf0ebf03097a048ba298"},
 		{`{"in":"/a/in.csv","method":"fixed-th","threshold_us":250}`, "86ddf942c71862cfd1f674e4eaf0fca9517e8cd0516a91525910310d98dc3406"},
 		{`{"in":"/a/in.csv","method":"acceleration","factor":4}`, "ed2a2e6e587932b16090e3026562e0c8fcca3e0b324b03a98a2e10c064360539"},
@@ -439,8 +452,8 @@ func FuzzJobSpec(f *testing.F) {
 			}
 			return
 		}
-		fc := n.FTLConfig.ftlConfig()
-		hc, _ := n.HostConfig.hostConfig()
+		fc := n.FTLConfig.Config()
+		hc := n.HostConfig.Config()
 		for name, d := range map[string]time.Duration{
 			"ftl read latency": fc.ReadLatency, "ftl program latency": fc.ProgramLatency, "ftl erase latency": fc.EraseLatency,
 			"host syscall overhead": hc.SyscallOverhead, "host hit latency": hc.HitLatency,

@@ -42,7 +42,7 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		dec, err := openDecoder(path, "csv", 0, 4)
+		dec, _, err := trace.OpenFileDecoder(path, "csv", 4)
 		if err != nil {
 			t.Fatal(err)
 		}

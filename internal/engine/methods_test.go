@@ -243,10 +243,11 @@ func TestMethodsNeedNoFit(t *testing.T) {
 }
 
 // TestMethodsReorderWindow: a job of every method sorts a near-sorted
-// corpus with the bounded reorder window — disorder
-// within the window equals the whole-trace sort the reference reader
-// applies, disorder beyond it fails with the planner's error and leaves
-// the output file alone.
+// corpus with its format's bounded reorder window — disorder within the
+// window equals the whole-trace sort the reference reader applies,
+// disorder beyond it (a record displaced past trace.ReorderWindow
+// positions) fails with the planner's error and leaves the output file
+// alone.
 func TestMethodsReorderWindow(t *testing.T) {
 	// An msrc file (100 ns ticks: ~250 µs gaps, 20 ms every 200 records)
 	// with every 17th record displaced by three positions.
@@ -284,6 +285,19 @@ func TestMethodsReorderWindow(t *testing.T) {
 		t.Fatal("fixture: the msrc file is already sorted")
 	}
 
+	// The displaced file: its last record belongs right after its first.
+	var b strings.Builder
+	const base = 128166372003061629
+	n := trace.ReorderWindow("msrc") + 100
+	for i := 0; i < n-1; i++ {
+		fmt.Fprintf(&b, "%d,hm,0,Read,%d,4096,100\n", base+10*int64(i), 4096*i)
+	}
+	fmt.Fprintf(&b, "%d,hm,0,Write,0,4096,100\n", base+5)
+	displaced := filepath.Join(dir, "displaced.msrc")
+	if err := os.WriteFile(displaced, []byte(b.String()), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
 	mk, _ := DeviceFactory("hdd")
 	outPath := filepath.Join(dir, "out.bin")
 	for _, mc := range methodCases(t) {
@@ -291,7 +305,7 @@ func TestMethodsReorderWindow(t *testing.T) {
 		spec.In, spec.InFormat, spec.OutFormat, spec.Device = path, "msrc", "bin", "hdd"
 		var got bytes.Buffer
 		if _, err := RunJobTo(testConfig(4), spec, &got); err != nil {
-			t.Fatalf("%s: default reorder window: %v", mc.name, err)
+			t.Fatalf("%s: within the window: %v", mc.name, err)
 		}
 		if !bytes.Equal(got.Bytes(), mc.reference(t, old, mk())) {
 			t.Fatalf("%s: output diverges from ReadFormat(msrc) + the baseline reference", mc.name)
@@ -300,9 +314,9 @@ func TestMethodsReorderWindow(t *testing.T) {
 		if err := os.WriteFile(outPath, []byte("precious"), 0o666); err != nil {
 			t.Fatal(err)
 		}
-		spec.Out, spec.ReorderWindow = outPath, 2
+		spec.In, spec.Out = displaced, outPath
 		if _, err := RunJob(testConfig(4), spec); !errors.Is(err, trace.ErrUnsorted) {
-			t.Fatalf("%s: reorder_window 2: %v, want ErrUnsorted", mc.name, err)
+			t.Fatalf("%s: displaced beyond the window: %v, want ErrUnsorted", mc.name, err)
 		}
 		if kept, _ := os.ReadFile(outPath); string(kept) != "precious" {
 			t.Fatalf("%s: failed job replaced the existing output: %q", mc.name, kept)

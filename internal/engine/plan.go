@@ -90,10 +90,11 @@ func checkInput(r *trace.Request, i int64, hasPrev bool, prev time.Duration) err
 // inputError is checkInput's error for the request r at index i, built
 // out of line so that checkInput inlines into per-request loops.
 func inputError(r *trace.Request, i int64) error {
+	err := trace.ErrUnsorted
 	if r.Sectors == 0 {
-		return fmt.Errorf("%w (index %d)", trace.ErrZeroSize, i)
+		err = trace.ErrZeroSize
 	}
-	return fmt.Errorf("%w (index %d); widen the reorder window for near-sorted corpora", trace.ErrUnsorted, i)
+	return fmt.Errorf("%w (index %d)", err, i)
 }
 
 // addBatch consumes the next run of requests in stream order, handing

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,11 +35,12 @@ func sameModel(a, b *infer.Model) bool {
 }
 
 // TestRunJobCachedStoredModel is the job half of "fit once per trace":
-// a job whose own fit would be the stored one — tracetracker or
-// dynamic, no reorder window — takes the cache's model, opens no fit
-// pass (no fit span, no second decoder) and still writes the sequential
-// pipeline's bytes; every other job fits for itself exactly as before,
-// to the same bytes.
+// a job whose method reads the input's own model — tracetracker or
+// dynamic — takes the cache's model, opens no fit pass (no fit span, no
+// second decoder) and still writes the sequential pipeline's bytes; a
+// job on an input stored without a model fits for itself, to the same
+// bytes. A spec's "reorder_window", which once put a job outside that
+// rule, is an unknown key.
 func TestRunJobCachedStoredModel(t *testing.T) {
 	dir := t.TempDir()
 	inPath := filepath.Join(dir, "webmail.csv")
@@ -79,6 +81,7 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		spec    JobSpec
+		json    string // when set, the spec as a client sends it
 		workers int
 		stored  *infer.Model // what the cache holds for the input
 		// wantStored: the job runs on the cache's model and never fits.
@@ -97,7 +100,7 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 			wantStored: true, skipBytes: true},
 
 		{name: "no-model-stored", workers: 2},
-		{name: "reorder-window", spec: JobSpec{ReorderWindow: 4096}, workers: 2, stored: fit},
+		{name: "reorder-window", json: `{"reorder_window":4096}`, workers: 2, stored: fit, wantStored: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cache := newMemCache(t)
@@ -109,6 +112,11 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 			cfg := testConfig(tc.workers)
 			cfg.Trace, cfg.Metrics = tracer, obs.NewEngineMetrics(reg)
 			spec := tc.spec
+			if tc.json != "" {
+				if err := json.Unmarshal([]byte(tc.json), &spec); err != nil {
+					t.Fatal(err)
+				}
+			}
 			spec.In = inPath
 
 			res, hit, err := RunJobCached(cfg, spec, digest, cache)
@@ -168,5 +176,75 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 		if cache.modelLookups != 0 {
 			t.Fatalf("%s consulted the stored model", method)
 		}
+	}
+}
+
+// TestRunJobCachedStoredModelSPC is the stored-model leg of a
+// near-sorted corpus: an spc blob's stored model is the fit over its
+// arrival order, which is what a job on it reads, so a cached job takes
+// it (no fit span, source="stored") and writes the bytes of the same
+// job fitting for itself — the sequential pipeline's over the arrival
+// sort.
+func TestRunJobCachedStoredModelSPC(t *testing.T) {
+	inPath := filepath.Join("..", "..", "cmd", "testdata", "fixture.spc")
+	spec := JobSpec{In: inPath, InFormat: "spc"}
+	var perJob bytes.Buffer
+	perJobRep, err := RunJobTo(testConfig(2), spec, &perJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := readTraceFile(t, inPath, "spc")
+	mk, err := DeviceFactory("array")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := core.Reconstruct(old, mk(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref bytes.Buffer
+	if err := trace.WriteCSV(&ref, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(perJob.Bytes(), ref.Bytes()) {
+		t.Fatal("the per-job fit's output diverges from the sequential pipeline over the arrival sort")
+	}
+
+	dec, _, err := trace.OpenFileDecoder(inPath, "spc", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _, err := FitModel(dec, infer.EstimateOptions{})
+	dec.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameModel(stored, perJobRep.Model) {
+		t.Fatalf("stored fit %+v, the job's own %+v", stored, perJobRep.Model)
+	}
+	const digest = "digest-spc"
+	cache := newMemCache(t)
+	cache.models = map[string]*infer.Model{digest: stored}
+	tracer := obs.NewTracer("spc", 0, obs.TraceContext{})
+	reg := obs.NewRegistry()
+	cfg := testConfig(2)
+	cfg.Trace, cfg.Metrics = tracer, obs.NewEngineMetrics(reg)
+	res, hit, err := RunJobCached(cfg, spec, digest, cache)
+	if err != nil || hit {
+		t.Fatalf("hit=%v err=%v", hit, err)
+	}
+	got, err := os.ReadFile(res.OutPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, perJob.Bytes()) {
+		t.Fatal("the stored-model job's bytes diverge from the per-job fit's")
+	}
+	names, lookup := spanNames(tracer)
+	if names[obs.JobSpanFit.String()] != 0 || lookup["model"] != 1 {
+		t.Fatalf("spans %v, cache-lookup %v; want no fit span and model=1", names, lookup)
+	}
+	if job, st := modelFits(t, reg); job != 0 || st != 1 {
+		t.Fatalf("engine_model_fits_total job=%v stored=%v, want 0 and 1", job, st)
 	}
 }

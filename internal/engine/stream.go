@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/infer"
 	"repro/internal/obs"
@@ -52,11 +53,12 @@ func FitModel(dec trace.Decoder, _ infer.EstimateOptions) (*infer.Model, int, er
 // latencies (Tsdev-known), and is ignored on that recorded path just
 // like the sequential pipeline ignores it.
 //
-// The input must be non-decreasing in arrival (wrap near-sorted
-// corpora in a trace.ReorderDecoder) with non-zero request sizes; the
-// planner rejects violations. When enc is a trace.ShardEncoder the
-// workers render the output bytes and only WriteRaw is called on it; any
-// other encoder is written record by record from the merge.
+// The input must be non-decreasing in arrival (trace.OpenFileDecoder
+// reads near-sorted corpora in arrival order) with non-zero request
+// sizes; the planner rejects violations. When enc is a
+// trace.ShardEncoder the workers render the output bytes and only
+// WriteRaw is called on it; any other encoder is written record by
+// record from the merge.
 //
 // On any error the decoder is closed, so an abandoned parallel decode
 // never leaks its worker goroutines.
@@ -141,22 +143,28 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 
 // fitModelFromPath is pass one of a job whose method reads the input's
 // own model: a cheap probe of the first record decides whether the
-// corpus needs inference, and if so the input is re-opened and fitted
-// with FitModel. Pass two streams the sharded reconstruction. Both
-// passes decode on the engine's worker count via the segmented parallel
-// decoder when the input file is large enough to split.
-func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*infer.Model, error) {
+// corpus needs inference, and if so the input is opened in arrival
+// order and fitted with FitModel. Pass two streams the sharded
+// reconstruction. Both passes decode on the engine's worker count via
+// the segmented parallel decoder when the input file is large enough to
+// split.
+func (e *Engine) fitModelFromPath(inPath, informat string) (*infer.Model, error) {
 	// The probe only needs the header metadata, which doesn't depend
-	// on record order — skip the reorder window (so it doesn't buffer
-	// a whole window of requests to answer a one-record question) and
-	// the parallel decoder (one record never justifies a fan-out).
-	probe, err := openDecoder(inPath, informat, 0, 1)
+	// on record order: it reads the file in file order, so it never
+	// fills a reorder window (or fans out decode workers) to answer a
+	// one-record question.
+	f, err := os.Open(inPath)
 	if err != nil {
+		return nil, err
+	}
+	probe, err := trace.NewDecoder(informat, f)
+	if err != nil {
+		f.Close()
 		return nil, err
 	}
 	_, err = probe.Read(make([]trace.Request, 1))
 	needModel := !probe.Meta().TsdevKnown
-	probe.Close()
+	f.Close()
 	if err == io.EOF {
 		return nil, nil // empty input: pass two reports ErrNoRequest
 	}
@@ -166,7 +174,7 @@ func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*
 	if !needModel {
 		return nil, nil
 	}
-	dec, err := openDecoder(inPath, informat, reorderWindow, e.cfg.Workers)
+	dec, _, err := trace.OpenFileDecoder(inPath, informat, e.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -176,18 +184,4 @@ func (e *Engine) fitModelFromPath(inPath, informat string, reorderWindow int) (*
 	e.cfg.Metrics.ModelFit(false)
 	m, _, err := FitModel(dec, infer.EstimateOptions{})
 	return m, err
-}
-
-// openDecoder opens a format decoder over a file — segmented parallel
-// when workers > 1 and the file is big enough to split — optionally
-// wrapped in a reorder window. Closing it closes the file.
-func openDecoder(path, format string, reorderWindow, workers int) (trace.Decoder, error) {
-	dec, _, err := trace.OpenFileDecoder(path, format, workers)
-	if err != nil {
-		return nil, err
-	}
-	if reorderWindow > 1 {
-		dec = trace.NewReorderDecoder(dec, reorderWindow)
-	}
-	return dec, nil
 }

@@ -86,12 +86,12 @@ func contractInputs(t *testing.T) []contractInput {
 // with dst lengths 1, 7 and 1024: no run is longer than dst, a run is
 // empty only with an error and io.EOF only with an empty run, the runs
 // concatenate to the sequential codec's records (which, on a clean
-// input, are ReadFormat's before its sort: these inputs are sorted),
+// input, are ReadFormat's, sorted or not: these inputs are sorted),
 // the stream ends with the sequential codec's error text and line
 // number, the metadata is the codec's, and Close is safe twice and
 // leaves every later Read failing with no data. The decoders: the four
 // codecs (NewDecoder), OpenFileDecoder sequential and parallel,
-// NewParallelDecoder, and a ReorderDecoder over each of them.
+// NewParallelDecoder, and a reorder window over each of them.
 func TestDecoderContract(t *testing.T) {
 	const workers = 4
 	type builder struct {
@@ -103,8 +103,12 @@ func TestDecoderContract(t *testing.T) {
 		{"OpenFileDecoder/sequential", func(t *testing.T, in contractInput) Decoder { return openFile(t, in, 1) }},
 		{"OpenFileDecoder/parallel", func(t *testing.T, in contractInput) Decoder {
 			dec := openFile(t, in, workers)
-			if _, ok := dec.(*ParallelDecoder); !ok {
-				t.Fatalf("OpenFileDecoder on %d workers built a %T", workers, dec)
+			inner := dec
+			if rd, ok := dec.(*reorderDecoder); ok {
+				inner = rd.inner
+			}
+			if _, ok := inner.(*ParallelDecoder); !ok {
+				t.Fatalf("OpenFileDecoder on %d workers built a %T", workers, inner)
 			}
 			return dec
 		}},
@@ -114,7 +118,7 @@ func TestDecoderContract(t *testing.T) {
 	}
 	for _, b := range builders {
 		builders = append(builders, builder{"ReorderDecoder/" + b.name, func(t *testing.T, in contractInput) Decoder {
-			return NewReorderDecoder(b.open(t, in), 16)
+			return newReorderDecoder(b.open(t, in), 16)
 		}})
 	}
 	for _, in := range contractInputs(t) {
@@ -139,6 +143,63 @@ func TestDecoderContract(t *testing.T) {
 						t.Fatalf("Read after Close: %d records and %v, want none and an error", len(run), err)
 					}
 				})
+			}
+		}
+	}
+}
+
+// nearSorted displaces data's records the way event tracing does, as
+// cmd/testdata's fixtures are: every seventh line, starting with the
+// fourth, trades places with its successor.
+func nearSorted(data []byte) []byte {
+	lines := strings.SplitAfter(string(data), "\n")
+	for i := 3; i+1 < len(lines) && lines[i+1] != ""; i += 7 {
+		lines[i], lines[i+1] = lines[i+1], lines[i]
+	}
+	return []byte(strings.Join(lines, ""))
+}
+
+// TestDecoderContractArrivalOrder: OpenFileDecoder reads a near-sorted
+// msrc or spc file in arrival order, sequential or parallel — the
+// records ReadFormat's whole-trace sort yields — while NewDecoder still
+// reads it in file order.
+func TestDecoderContractArrivalOrder(t *testing.T) {
+	for _, f := range []struct {
+		format  string
+		records int
+		write   func(io.Writer, *Trace) error
+	}{
+		{"msrc", 26_000, writeMSRCStyle},
+		{"spc", 43_000, writeSPCStyle},
+	} {
+		var buf bytes.Buffer
+		if err := f.write(&buf, benchTrace(f.records)); err != nil {
+			t.Fatal(err)
+		}
+		data := nearSorted(buf.Bytes())
+		path := filepath.Join(t.TempDir(), "in."+f.format)
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		sorted, err := ReadFormat(f.format, bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fileOrder, _ := drainBy(newSeq(t, f.format, data), 0); slices.Equal(fileOrder, sorted.Requests) {
+			t.Fatalf("%s: fixture is already sorted", f.format)
+		}
+		for _, workers := range []int{1, 4} {
+			dec, _, err := OpenFileDecoder(path, f.format, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := readRuns(t, dec, 1024)
+			dec.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, sorted.Requests) {
+				t.Fatalf("%s on %d workers: OpenFileDecoder delivers other records than ReadFormat's sort", f.format, workers)
 			}
 		}
 	}

@@ -2,10 +2,10 @@ package trace
 
 // The codec table. Which on-disk formats exist, and how each one
 // decodes, splits for the parallel decoder, sorts and encodes, is
-// decided here and nowhere else: NewDecoder, NewEncoder, NeedsSort,
-// ReadFormat, WriteFormat, the segment planner, DetectFormat's record
-// sniffing, job validation (Formats) and every command's format flag
-// (Usage) derive from this one table. A row is looked up once per
+// decided here and nowhere else: NewDecoder, NewEncoder, ReorderWindow,
+// ReadFormat, OpenFileDecoder, WriteFormat, the segment planner,
+// DetectFormat's record sniffing, job validation (Formats) and every
+// command's format flag (Usage) derive from this one table. A row is looked up once per
 // stream, never per record.
 
 import (
@@ -34,10 +34,12 @@ type codec struct {
 	// parallel decoder's segments start from; nil when the format
 	// carries no per-stream state (segment.go).
 	prelude func(p *preludeState, line []byte, data bool) error
-	// needsSort marks the corpora that are only near-sorted in file
-	// order (event tracing reorders completions): whole-trace readers
-	// sort after draining, streaming consumers need a reorder window.
-	needsSort bool
+	// window is how far a record of the format can sit from its arrival
+	// slot in file order: 0 for sorted formats, reorderWindow for the
+	// event-traced corpora (tracing reorders completions). ReadFormat
+	// sorts the drained trace; OpenFileDecoder streams it through a
+	// window of this size.
+	window int
 	// meta is what the decoder reports before any header or record.
 	meta Meta
 	// sniff reports whether the comma-split fields of a bare data line
@@ -85,19 +87,19 @@ var codecs = [...]codec{
 		segment: func(br *bufio.Reader, ctx segCtx) Decoder {
 			return &msrcDecoder{source: source{br: br}, meta: ctx.meta, base: ctx.msrcBase}
 		},
-		text:      true,
-		prelude:   (*preludeState).msrcPrelude,
-		needsSort: true,
-		meta:      msrcMeta,
-		sniff:     isMSRCLine,
+		text:    true,
+		prelude: (*preludeState).msrcPrelude,
+		window:  reorderWindow,
+		meta:    msrcMeta,
+		sniff:   isMSRCLine,
 	},
 	{
-		name:      "spc",
-		decode:    func(s source) Decoder { return &spcDecoder{source: s} },
-		segment:   func(br *bufio.Reader, _ segCtx) Decoder { return &spcDecoder{source: source{br: br}} },
-		text:      true,
-		needsSort: true,
-		sniff:     isSPCLine,
+		name:    "spc",
+		decode:  func(s source) Decoder { return &spcDecoder{source: s} },
+		segment: func(br *bufio.Reader, _ segCtx) Decoder { return &spcDecoder{source: source{br: br}} },
+		text:    true,
+		window:  reorderWindow,
+		sniff:   isSPCLine,
 	},
 	{
 		name:   "blktrace",
@@ -180,13 +182,18 @@ func NewDecoder(format string, r io.Reader) (Decoder, error) {
 	return c.decode(source{br: newReadBuffer(r)}), nil
 }
 
-// NeedsSort reports whether the named input format is only
-// near-sorted in file order (event-traced corpora), so materializing
-// readers must sort after draining and streaming consumers need a
-// reorder window.
-func NeedsSort(format string) bool {
-	c := lookup(format)
-	return c != nil && c.needsSort
+// reorderWindow is the arrival-sort window of the near-sorted corpora
+// (msrc, spc): event tracing displaces a record by far fewer positions.
+const reorderWindow = 1 << 16
+
+// ReorderWindow is the reorder window OpenFileDecoder applies to the
+// named input format: how many positions a record may sit from its
+// arrival slot in file order. 0 for a sorted format or an unknown name.
+func ReorderWindow(format string) int {
+	if c := lookup(format); c != nil {
+		return c.window
+	}
+	return 0
 }
 
 // NewEncoder returns a streaming encoder for the named output format.
@@ -215,7 +222,7 @@ func ReadFormat(format string, r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.needsSort {
+	if c.window > 0 {
 		t.Sort()
 	}
 	return t, nil

@@ -11,7 +11,7 @@ import (
 
 // TestFormatTable holds every entry point that names formats to the
 // codec table: the role lists and the help text derived from them,
-// NewDecoder, NewEncoder, NeedsSort, WriteFormat and DetectFormat accept
+// NewDecoder, NewEncoder, ReorderWindow, WriteFormat and DetectFormat accept
 // or report exactly the table's names. The help strings are pinned
 // verbatim, so a table edit that changes what a command prints shows
 // here.
@@ -45,8 +45,8 @@ func TestFormatTable(t *testing.T) {
 		if isOut := slices.Contains(out, name); (eerr == nil) != isOut {
 			t.Errorf("NewEncoder(%q): err %v, table output %v", name, eerr, isOut)
 		}
-		if got, want := NeedsSort(name), name == "msrc" || name == "spc"; got != want {
-			t.Errorf("NeedsSort(%q) = %v", name, got)
+		if got, want := ReorderWindow(name) > 0, name == "msrc" || name == "spc"; got != want {
+			t.Errorf("ReorderWindow(%q) = %d", name, ReorderWindow(name))
 		}
 		var buf bytes.Buffer
 		werr := WriteFormat(name, &buf, streamSample())

@@ -414,13 +414,15 @@ func (d *ParallelDecoder) Close() {
 	}
 }
 
-// OpenFileDecoder opens path and builds the fastest decoder for it:
-// the segmented parallel decoder when workers > 1 and the file is
-// large enough to split profitably, the sequential decoder otherwise.
-// format "auto" (or "") is resolved by content sniffing (ResolveFile);
-// the concrete format is returned. Closing the decoder stops any decode
-// workers, closes the file and hands the decoder's buffers back to be
-// kept.
+// OpenFileDecoder opens path and builds the decoder every streaming
+// consumer of a file reads: records in arrival order. It decodes with
+// the segmented parallel decoder when workers > 1 and the file is large
+// enough to split profitably, the sequential decoder otherwise, and
+// reads a near-sorted format through a reorder window of the format's
+// size (ReorderWindow). format "auto" (or "") is resolved by content
+// sniffing (ResolveFile); the concrete format is returned. Closing the
+// decoder stops any decode workers, closes the file and hands the
+// decoder's buffers back to be kept.
 func OpenFileDecoder(path, format string, workers int) (Decoder, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -430,22 +432,28 @@ func OpenFileDecoder(path, format string, workers int) (Decoder, string, error) 
 		f.Close()
 		return nil, "", err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, "", err
-	}
-	if workers > 1 && st.Mode().IsRegular() && st.Size() >= ParallelMinBytes {
-		pd := NewParallelDecoder(f, st.Size(), format, workers)
-		pd.file = f
-		return pd, format, nil
-	}
 	c, err := input(format)
 	if err != nil {
 		f.Close()
 		return nil, "", err
 	}
-	return c.decode(source{br: borrowReader(f), file: f}), format, nil
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, "", err
+	}
+	var dec Decoder
+	if workers > 1 && st.Mode().IsRegular() && st.Size() >= ParallelMinBytes {
+		pd := NewParallelDecoder(f, st.Size(), format, workers)
+		pd.file = f
+		dec = pd
+	} else {
+		dec = c.decode(source{br: borrowReader(f), file: f})
+	}
+	if c.window > 0 {
+		dec = newReorderDecoder(dec, c.window)
+	}
+	return dec, format, nil
 }
 
 // SpoolTemp copies r into a new temporary file named after pattern (as

@@ -370,7 +370,7 @@ func TestAbandonedDecodeReleasesGoroutines(t *testing.T) {
 			t.Fatal("Summarize: want a decode error")
 		}
 		// A reorder wrapper must forward Close to its parallel inner.
-		rd := NewReorderDecoder(NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "csv", 4), 8)
+		rd := newReorderDecoder(NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "csv", 4), 8)
 		if _, err := rd.Read(make([]Request, 1)); err != nil {
 			t.Fatal(err)
 		}

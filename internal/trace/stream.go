@@ -14,16 +14,17 @@ package trace
 // not per record. trace/zeroalloc_test.go locks the zero-allocs property
 // for all four input formats and all four output formats.
 //
-// Decoders yield requests in file order. The MSRC and SPC corpora are
-// only nearly sorted (event tracing reorders completions), so their
-// whole-trace readers sort after draining; streaming callers that need
-// monotonic arrivals wrap the decoder in a ReorderDecoder with a
-// bounded window instead.
+// NewDecoder and NewParallelDecoder yield requests in file order. The
+// MSRC and SPC corpora are only nearly sorted (event tracing reorders
+// completions), so how far a record can sit from its arrival slot is a
+// property of the format, a row of the codec table (ReorderWindow):
+// ReadFormat sorts the drained trace, and OpenFileDecoder — the decoder
+// every streaming consumer of a file reads — yields arrival order
+// through a bounded reorder window of that size.
 
 import (
 	"bufio"
 	"bytes"
-	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -55,7 +56,7 @@ func (t *Trace) applyMeta(m Meta) {
 
 // Decoder yields the requests of a trace in runs. It is the one
 // contract every decoder in the tree implements: the four codecs
-// (NewDecoder, OpenFileDecoder), ParallelDecoder, ReorderDecoder and
+// (NewDecoder, OpenFileDecoder), ParallelDecoder, the reorder window and
 // the engine's view of a materialised trace.
 type Decoder interface {
 	// Read returns the next run of 1..len(dst) requests (len(dst) > 0).
@@ -830,8 +831,8 @@ func writeBinaryRecord(bw *bufio.Writer, rec *[binRecordLen]byte, r Request) err
 // Timestamp and ResponseTime are Windows filetime ticks (100 ns units);
 // Offset and Size are bytes. Arrivals are rebased so the first record
 // is at zero; response times populate Latency, so the stream is Tsdev
-// known. MSRC files are only nearly sorted; wrap in a ReorderDecoder
-// when monotone arrivals are required.
+// known. MSRC files are only nearly sorted; OpenFileDecoder reads them
+// through the format's reorder window.
 type msrcDecoder struct {
 	source
 	lineno int
@@ -1171,23 +1172,64 @@ type reorderItem struct {
 	seq uint64
 }
 
+// reorderHeap is a binary min-heap of the window's records ordered by
+// (arrival, input position). That is a strict total order, so the heap
+// yields the stable arrival sort whatever its internal layout.
 type reorderHeap []reorderItem
 
-func (h reorderHeap) Len() int { return len(h) }
-func (h reorderHeap) Less(i, j int) bool {
+func (h reorderHeap) less(i, j int) bool {
 	if h[i].req.Arrival != h[j].req.Arrival {
 		return h[i].req.Arrival < h[j].req.Arrival
 	}
 	return h[i].seq < h[j].seq
 }
-func (h reorderHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *reorderHeap) Push(x any)   { *h = append(*h, x.(reorderItem)) }
-func (h *reorderHeap) Pop() (x any) { old := *h; n := len(old); x = old[n-1]; *h = old[:n-1]; return }
 
-// reorderBatch is the refill read size of a ReorderDecoder.
+// push adds it and sifts it up.
+//
+//tracelint:hotpath
+func (h *reorderHeap) push(it reorderItem) {
+	*h = append(*h, it)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+// pop removes and returns the least request; the heap is non-empty.
+//
+//tracelint:hotpath
+func (h *reorderHeap) pop() Request {
+	s := *h
+	top, n := s[0].req, len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < n && s.less(l, m) {
+			m = l
+		}
+		if r := 2*i + 2; r < n && s.less(r, m) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top
+}
+
+// reorderBatch is the refill read size of a reorderDecoder.
 const reorderBatch = 256
 
-// ReorderDecoder wraps a decoder with a bounded min-heap window: as
+// reorderDecoder wraps a decoder with a bounded min-heap window: as
 // long as no request is displaced by more than window positions from
 // its sorted slot, the output order equals the stable arrival sort the
 // whole-trace readers produce — with O(window) memory instead of the
@@ -1208,9 +1250,9 @@ const reorderBatch = 256
 // drains it through the heap in push/pop lockstep, so the per-record
 // inner cost is a batch slot, not an interface call. Records decoded
 // before a mid-stream inner error are emitted before the error
-// surfaces, the Decoder contract. Event-traced corpora (MSRC) are
-// near-sorted, so a small window suffices.
-type ReorderDecoder struct {
+// surfaces, the Decoder contract. OpenFileDecoder builds it, with the
+// window of the format's codec row; nothing outside the package wraps.
+type reorderDecoder struct {
 	inner  Decoder
 	window int
 	h      reorderHeap
@@ -1221,28 +1263,25 @@ type ReorderDecoder struct {
 	batch  []Request
 }
 
-// NewReorderDecoder wraps dec with a reorder window of the given size
-// (minimum 1).
-func NewReorderDecoder(dec Decoder, window int) *ReorderDecoder {
-	if window < 1 {
-		window = 1
-	}
-	return &ReorderDecoder{inner: dec, window: window}
+// newReorderDecoder wraps dec with a reorder window of the given size
+// (at least 1).
+func newReorderDecoder(dec Decoder, window int) *reorderDecoder {
+	return &reorderDecoder{inner: dec, window: window}
 }
 
 // Meta implements Decoder.
-func (d *ReorderDecoder) Meta() Meta { return d.inner.Meta() }
+func (d *reorderDecoder) Meta() Meta { return d.inner.Meta() }
 
 // Close implements Decoder: it closes the inner decoder and drops the
 // window.
-func (d *ReorderDecoder) Close() {
+func (d *reorderDecoder) Close() {
 	d.inner.Close()
 	d.h, d.err = nil, errClosed
 }
 
 // readInner reads a run of up to want records from the inner decoder,
 // latching EOF or its error.
-func (d *ReorderDecoder) readInner(want int) []Request {
+func (d *reorderDecoder) readInner(want int) []Request {
 	if d.batch == nil {
 		d.batch = make([]Request, reorderBatch)
 	}
@@ -1256,13 +1295,15 @@ func (d *ReorderDecoder) readInner(want int) []Request {
 }
 
 // push adds r to the window, stamped with its input position.
-func (d *ReorderDecoder) push(r Request) {
-	heap.Push(&d.h, reorderItem{req: r, seq: d.seq})
+func (d *reorderDecoder) push(r Request) {
+	d.h.push(reorderItem{req: r, seq: d.seq})
 	d.seq++
 }
 
 // Read implements Decoder.
-func (d *ReorderDecoder) Read(dst []Request) ([]Request, error) {
+//
+//tracelint:hotpath
+func (d *reorderDecoder) Read(dst []Request) ([]Request, error) {
 	n := 0
 	for n < len(dst) {
 		switch {
@@ -1286,7 +1327,7 @@ func (d *ReorderDecoder) Read(dst []Request) ([]Request, error) {
 			return nil, d.err
 		case d.done || d.err != nil || len(d.h) > d.window:
 			// Drain (stream over), or the first pop after priming.
-			dst[n] = heap.Pop(&d.h).(reorderItem).req
+			dst[n] = d.h.pop()
 			n++
 		default:
 			// Steady state: the heap holds exactly window requests. Read
@@ -1294,7 +1335,7 @@ func (d *ReorderDecoder) Read(dst []Request) ([]Request, error) {
 			// the heap peaks at window+1, never beyond.
 			for _, r := range d.readInner(min(len(dst)-n, d.window+1)) {
 				d.push(r)
-				dst[n] = heap.Pop(&d.h).(reorderItem).req
+				dst[n] = d.h.pop()
 				n++
 			}
 		}

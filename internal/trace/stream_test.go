@@ -392,7 +392,7 @@ func TestReorderDecoder(t *testing.T) {
 	if err := EncodeTrace(NewBinaryEncoder(&buf), &Trace{Requests: shuffled}); err != nil {
 		t.Fatal(err)
 	}
-	dec := NewReorderDecoder(newSeq(t, "bin", buf.Bytes()), 16)
+	dec := newReorderDecoder(newSeq(t, "bin", buf.Bytes()), 16)
 	got, err := drain(dec)
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +420,7 @@ func TestReorderDecoderExactWindow(t *testing.T) {
 	if err := EncodeTrace(NewBinaryEncoder(&buf), &Trace{Requests: reqs}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := drain(NewReorderDecoder(newSeq(t, "bin", buf.Bytes()), 2))
+	got, err := drain(newReorderDecoder(newSeq(t, "bin", buf.Bytes()), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestMSRCDecoderMatchesReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := drain(NewReorderDecoder(newSeq(t, "msrc", []byte(msrc)), 64))
+	got, err := drain(newReorderDecoder(newSeq(t, "msrc", []byte(msrc)), 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestSPCDecoderMatchesReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := drain(NewReorderDecoder(newSeq(t, "spc", []byte(spc)), 64))
+	got, err := drain(newReorderDecoder(newSeq(t, "spc", []byte(spc)), 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +612,7 @@ func TestReorderDecoderBatchedRefill(t *testing.T) {
 	}
 
 	rec := &batchSizeRecorder{Decoder: newSeq(t, "bin", buf.Bytes())}
-	dec := NewReorderDecoder(rec, window)
+	dec := newReorderDecoder(rec, window)
 	var got []Request
 	tmp := make([]Request, 64)
 	for {
@@ -658,7 +658,7 @@ func TestReorderDecoderWindowBound(t *testing.T) {
 	}
 	const window = 7
 	cd := &countingDecoder{Decoder: newSeq(t, "bin", buf.Bytes())}
-	dec := NewReorderDecoder(cd, window)
+	dec := newReorderDecoder(cd, window)
 	emitted := 0
 	one := make([]Request, 1)
 	for {

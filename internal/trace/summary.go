@@ -12,8 +12,8 @@ import (
 
 // Summary is the one-pass characterization of a request stream. The
 // order-sensitive metrics (sequential fraction, the sortedness check)
-// are computed in stream order; wrap near-sorted corpora (msrc/spc) in
-// a ReorderDecoder when arrival-order semantics matter.
+// are computed in stream order: over OpenFileDecoder that is arrival
+// order, the near-sorted corpora (msrc/spc) included.
 type Summary struct {
 	// Meta is the stream metadata observed by the decoder.
 	Meta Meta

@@ -9,6 +9,8 @@ package trace
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -144,5 +146,47 @@ func TestSummarizerZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Summarizer.AddBatch allocates %.3f per batch, want 0", avg)
+	}
+}
+
+// TestReorderWindowZeroAlloc locks OpenFileDecoder's reads of the
+// near-sorted formats, whose records pass through the format's reorder
+// window, to zero allocations per run once the window is full: the
+// window's heap is typed, so no record is boxed on its way through.
+func TestReorderWindowZeroAlloc(t *testing.T) {
+	const runs, batch = 200, 64
+	for _, format := range []string{"msrc", "spc"} {
+		t.Run(format, func(t *testing.T) {
+			window := ReorderWindow(format)
+			warm := window + 1000
+			path := filepath.Join(t.TempDir(), "in."+format)
+			if err := os.WriteFile(path, nearSorted(allocSample(t, format, warm+(runs+10)*batch)), 0o666); err != nil {
+				t.Fatal(err)
+			}
+			dec, _, err := OpenFileDecoder(path, format, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dec.Close()
+			if _, ok := dec.(*reorderDecoder); !ok {
+				t.Fatalf("OpenFileDecoder built a %T, want the reorder window", dec)
+			}
+			buf := make([]Request, batch)
+			for read := 0; read < warm; {
+				run, err := dec.Read(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				read += len(run)
+			}
+			avg := testing.AllocsPerRun(runs, func() {
+				if _, err := dec.Read(buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("%s through its reorder window allocates %.3f per run of %d records, want 0", format, avg, batch)
+			}
+		})
 	}
 }
