@@ -176,6 +176,60 @@ func TestHostOutputGolden(t *testing.T) {
 	}
 }
 
+// TestFTLOutputGolden pins the ftl target's output bytes and device
+// stats across commits, for the same reason TestHostOutputGolden pins
+// the host target's: the identity tests compare two runs of the same
+// FTL, and the experiments' ext-ftl rows at golden scale never collect,
+// so nothing else would see the model's GC drift. The input is 20k
+// MSNFS requests because at 5k the test geometry absorbs every erase in
+// idle time, leaving foreground GC unpinned. The values are from before
+// the page map was flattened, and may only move on purpose.
+func TestFTLOutputGolden(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "old.bin")
+	if err := os.WriteFile(in, traceBytes(t, genOld(t, "MSNFS", 20000, true)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		spec      *FTLSpec
+		collects  bool // erases, foreground and background GC all non-zero
+		want, set string
+	}{
+		{"defaults", nil, false,
+			"374ab40c74a0c069b3cabf44ee49624ac4657b0b27915185ac7be05ffadbc6fb",
+			"host_writes=18273 gc_writes=0 erases=0 foreground_gc=0 background_gc=0 foreground_stall_us=0 idle_budget_used_us=0 waf=1 wear_spread=0"},
+		{"test-geometry", testFTLSpec, true,
+			"65e56410508a69e13f27a7c1560442a2a606385bddea38aa5055e57e9af4b405",
+			"host_writes=18273 gc_writes=442703 erases=14346 foreground_gc=12186 background_gc=2160 foreground_stall_us=2.817081e+08 idle_budget_used_us=4.908685e+07 waf=25.22716576369507 wear_spread=1.5348837209302326"},
+		{"96-pages-of-6k", &FTLSpec{Blocks: 64, PagesPerBlock: 96, PageKB: 6}, true,
+			"a2d8ab4e7feb7580880be071025e3ca28e919ba44aeb0f5c1bf108c49ca95f74",
+			"host_writes=21685 gc_writes=888269 erases=9421 foreground_gc=5016 background_gc=4405 foreground_stall_us=3.244116e+08 idle_budget_used_us=2.8122625e+08 waf=41.96237030205211 wear_spread=1.344"},
+	} {
+		var out bytes.Buffer
+		spec := JobSpec{In: in, InFormat: "bin", OutFormat: "bin", Device: "ftl", FTLConfig: tc.spec}
+		rep, err := RunJobTo(testConfig(2), spec, &out)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sum := sha256.Sum256(out.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: output digest %s, want %s", tc.name, got, tc.want)
+		}
+		var set []string
+		stat := map[string]float64{}
+		for _, s := range rep.DeviceStats {
+			set = append(set, fmt.Sprintf("%s=%v", s.Name, s.Value))
+			stat[s.Name] = s.Value
+		}
+		if got := strings.Join(set, " "); got != tc.set {
+			t.Errorf("%s: device stats\n got %s\nwant %s", tc.name, got, tc.set)
+		}
+		if tc.collects && (stat["erases"] == 0 || stat["foreground_gc"] == 0 || stat["background_gc"] == 0) {
+			t.Errorf("%s: fixture does not collect in both modes: %s", tc.name, strings.Join(set, " "))
+		}
+	}
+}
+
 // TestPipelinedFTLHostStream checks the streaming variant for both
 // targets: streamed bytes equal a direct whole-trace encode of the
 // sequential reconstruction, and the stream report carries the same

@@ -231,3 +231,37 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatal("no logical space")
 	}
 }
+
+// BenchmarkFTLWriteSteadyGC times the GC path the engine's default
+// geometry never reaches on a benchmark trace: TestWriteSteadyStateAllocs'
+// tiny device at steady state, one op being 64 scattered writes and
+// reads and an idle grant, with foreground and background GC both
+// erasing blocks throughout.
+func BenchmarkFTLWriteSteadyGC(b *testing.B) {
+	f := tiny()
+	lpn := int64(0)
+	write := func() {
+		if _, err := f.Write(lpn * 7 % 1500); err != nil {
+			b.Fatal(err)
+		}
+		lpn++
+	}
+	for i := 0; i < 64*32*2; i++ {
+		write()
+	}
+	before := f.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 64; j++ {
+			write()
+			f.Read(lpn % 1500)
+		}
+		f.Idle(20 * time.Millisecond)
+	}
+	b.StopTimer()
+	if after := f.Stats(); after.ForegroundGC == before.ForegroundGC || after.BackgroundGC == before.BackgroundGC {
+		b.Fatalf("GC did not fire in both modes: before %+v, after %+v", before, after)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(64*b.N), "ns/write")
+}
