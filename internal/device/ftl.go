@@ -64,15 +64,18 @@ func (d *FTLDevice) FTL() *ftl.FTL { return d.f }
 // The synchronous replay loop guarantees non-decreasing `at` at or
 // after the previous completion, so the gap is exactly the idle period
 // the reconstruction inferred.
+//
+//tracelint:hotpath
 func (d *FTLDevice) Submit(at time.Duration, r trace.Request) Result {
 	if at > d.lastComplete {
 		d.f.Idle(at - d.lastComplete)
 	}
-	first, count := d.f.PagesOf(r)
+	// PagesOf reduces first into (-logical, logical), so the span wraps
+	// at the end of the logical space by a compare, not a division.
+	lpn, count := d.f.PagesOf(r)
 	logical := d.f.LogicalPages()
 	var svc time.Duration
-	for i := int64(0); i < count; i++ {
-		lpn := (first + i) % logical
+	for ; count > 0; count-- {
 		if r.Op == trace.Read {
 			svc += d.f.Read(lpn)
 		} else {
@@ -81,6 +84,9 @@ func (d *FTLDevice) Submit(at time.Duration, r trace.Request) Result {
 			// still charged if it ever fires.
 			dur, _ := d.f.Write(lpn)
 			svc += dur
+		}
+		if lpn++; lpn == logical {
+			lpn = 0
 		}
 	}
 	complete := at + svc

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -62,5 +63,16 @@ func TestFTLDeviceReadsDoNotProgram(t *testing.T) {
 	}
 	if s := d.FTL().Stats(); s.HostWrites != 0 || s.GCWrites != 0 {
 		t.Fatalf("a read wrote pages: %+v", s)
+	}
+}
+
+// TestNewFTLDeviceAllocs pins building the engine's default ftl target
+// at a handful of allocations (the device, the FTL and its page map),
+// not one or two per erase block. The collector is off while it counts:
+// a cycle the megabyte arrays trigger makes allocations of its own.
+func TestNewFTLDeviceAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if allocs := testing.AllocsPerRun(5, func() { NewFTLDevice(DefaultFTLDeviceConfig()) }); allocs > 8 {
+		t.Fatalf("NewFTLDevice allocates %.0f objects, want <= 8", allocs)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/infer"
 	"repro/internal/obs"
@@ -150,28 +149,16 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 // split.
 func (e *Engine) fitModelFromPath(inPath, informat string) (*infer.Model, error) {
 	// The probe only needs the header metadata, which doesn't depend
-	// on record order: it reads the file in file order, so it never
-	// fills a reorder window (or fans out decode workers) to answer a
-	// one-record question.
-	f, err := os.Open(inPath)
-	if err != nil {
-		return nil, err
-	}
-	probe, err := trace.NewDecoder(informat, f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	_, err = probe.Read(make([]trace.Request, 1))
-	needModel := !probe.Meta().TsdevKnown
-	f.Close()
+	// on record order, so trace.FileMeta reads the first record in file
+	// order.
+	meta, err := trace.FileMeta(inPath, informat)
 	if err == io.EOF {
 		return nil, nil // empty input: pass two reports ErrNoRequest
 	}
 	if err != nil {
 		return nil, err
 	}
-	if !needModel {
+	if meta.TsdevKnown {
 		return nil, nil
 	}
 	dec, _, err := trace.OpenFileDecoder(inPath, informat, e.cfg.Workers)

@@ -13,6 +13,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
+	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -244,10 +247,16 @@ func TestMeasuredHotPathsAnnotated(t *testing.T) {
 		{"../device/ssd.go", "SSD", "DrainedLatency"},
 		{"../device/array.go", "Array", "Submit"},
 		{"../device/array.go", "Array", "DrainedLatency"},
+		{"../device/ftl.go", "FTLDevice", "Submit"},
 		{"../ftl/ftl.go", "FTL", "Write"},
 		{"../ftl/ftl.go", "FTL", "Read"},
+		{"../ftl/ftl.go", "FTL", "Idle"},
 		{"../ftl/ftl.go", "FTL", "program"},
 		{"../ftl/ftl.go", "FTL", "collect"},
+		{"../ftl/ftl.go", "FTL", "reclaim"},
+		{"../ftl/ftl.go", "FTL", "invalidate"},
+		{"../ftl/ftl.go", "FTL", "PagesOf"},
+		{"../ftl/ftl.go", "FTL", "pageOf"},
 		{"../ftl/ftl.go", "FTL", "victim"},
 		{"../ftl/ftl.go", "FTL", "popFree"},
 		{"../ftl/ftl.go", "FTL", "pushFree"},
@@ -327,4 +336,56 @@ func hasHotpathDirective(fn *ast.FuncDecl) bool {
 		}
 	}
 	return false
+}
+
+// TestRunJobTsdevKnownAllocs bounds what a whole job on a Tsdev-known
+// 200k-request bin allocates, decode to encode. Its first pass is a
+// one-record probe of the input's metadata, which must read through a
+// kept read buffer like every other decode, not allocate a fresh
+// 128 KiB one per job.
+func TestRunJobTsdevKnownAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting at full trace size")
+	}
+	if raceEnabled {
+		t.Skip("the race runtime's own allocations swamp a byte bound")
+	}
+	const n = 200_000
+	in := filepath.Join(t.TempDir(), "old.bin")
+	var buf bytes.Buffer
+	if err := trace.WriteBinary(&buf, allocBenchTrace(n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(in, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workers: 2, MaxShardRequests: 4096}
+	spec := JobSpec{In: in, InFormat: "bin", OutFormat: "bin"}
+	run := func() {
+		rep, err := RunJobTo(cfg, spec, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Requests != n {
+			t.Fatalf("reconstructed %d of %d requests", rep.Requests, n)
+		}
+	}
+	run() // warm up code paths and the kept buffers
+
+	// A run allocates more when scheduling keeps more epochs in flight
+	// than the pools have seen yet: the least of several runs is what a
+	// job itself costs.
+	perJob := math.Inf(1)
+	for i := 0; i < 6; i++ {
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		perJob = min(perJob, float64(m1.TotalAlloc-m0.TotalAlloc))
+	}
+	t.Logf("a Tsdev-known %d-request bin job allocates %.0f B", n, perJob)
+	if perJob > 2.60e6 {
+		t.Fatalf("a Tsdev-known %d-request bin job allocates %.2f MB, want <= 2.60 MB", n, perJob/1e6)
+	}
 }

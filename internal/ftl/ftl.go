@@ -11,11 +11,23 @@
 // the foreground, inflating stall counts and write amplification
 // attribution, while a TraceTracker-reconstructed trace preserves the
 // background budget. The ext-ftl experiment quantifies exactly this.
+//
+// The page map is flat, pointer-free storage: every physical page has a
+// number, its block shifted left by ⌈log2 PagesPerBlock⌉ or'd with its
+// page, and its state and the logical page it holds live in arrays
+// indexed by that number; per-block bookkeeping is one array, and the
+// logical-to-physical map holds page numbers plus one, so zero memory is
+// the empty map. A device of any size is a handful of allocations, Reset
+// clears them in place, steady-state Write, Read and Idle allocate
+// nothing, the garbage collector has nothing to scan, and the page
+// arithmetic is shifts and compares (FTL documents the layout).
 package ftl
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/trace"
@@ -23,6 +35,11 @@ import (
 
 // Config sizes the simulated flash. The zero value is unusable; use
 // DefaultConfig.
+//
+// Page numbers are int32: Blocks times PagesPerBlock rounded up to a
+// power of two must be below 2^31, and New panics when it is not. The
+// engine's ftl target caps a device at 2^22 pages and DefaultConfig is
+// 2^20, far inside the bound.
 type Config struct {
 	// Geometry.
 	Blocks        int // physical erase blocks
@@ -71,29 +88,44 @@ const (
 	pageInvalid
 )
 
-// block is one erase block.
-type block struct {
-	pages      []pageState
-	lpns       []int64 // logical page stored in each physical page
-	validCount int
-	writePtr   int
+// blockMeta is one erase block's bookkeeping.
+type blockMeta struct {
+	validCount int32
+	writePtr   int32 // next page to program
 	eraseCount uint64
 }
 
-// FTL is the page-mapped translation layer.
+// FTL is the page-mapped translation layer. Its state is a few flat,
+// pointer-free arrays. A physical page is numbered ppn =
+// block<<pageShift | page, pageShift = ⌈log2 PagesPerBlock⌉; when
+// PagesPerBlock is not a power of two, the slots past it in each block
+// are padding that stays free.
+//
+//   - state[ppn] is the page's state, and lpns[ppn] the logical page
+//     programmed into it (stale once the page is invalid or erased).
+//   - meta[b] is block b's valid-page count, write pointer and wear.
+//   - l2p[lpn] is the ppn holding lpn plus one, 0 meaning unmapped.
+//   - free is a FIFO ring of the free block numbers: freeCount entries
+//     starting at freeHead. It holds cfg.Blocks slots — the active
+//     block is never free, so it cannot overflow.
+//
+// New allocates them once; nothing reallocates them.
 type FTL struct {
 	cfg Config
 
-	blocks []block
-	// free is a FIFO ring of the free block numbers: freeCount entries
-	// starting at freeHead. It holds cfg.Blocks slots — the active block
-	// is never free, so it cannot overflow — and never reallocates.
-	free      []int
+	pageShift   uint
+	pageSectors int64 // sectors per page
+	sectorShift int   // log2(pageSectors) if a power of two, else -1
+
+	state     []pageState
+	lpns      []int32
+	meta      []blockMeta
+	free      []int32
 	freeHead  int
 	freeCount int
 	active    int     // block currently receiving host writes
 	gcActive  int     // block receiving GC relocations (-1 = none)
-	l2p       []int64 // logical page -> packed (block<<32 | page); -1 unmapped
+	l2p       []int32 // logical page -> ppn+1; 0 unmapped
 	logical   int64   // addressable logical pages
 
 	stats Stats
@@ -146,7 +178,8 @@ func (s Stats) WearSpread() float64 {
 // exceeds physical capacity — a configuration bug).
 var ErrFull = errors.New("ftl: no reclaimable space")
 
-// New builds an FTL from cfg (zero fields default).
+// New builds an FTL from cfg (zero fields default). It panics when the
+// geometry's page numbers do not fit an int32 (see Config).
 func New(cfg Config) *FTL {
 	def := DefaultConfig()
 	if cfg.Blocks == 0 {
@@ -176,31 +209,38 @@ func New(cfg Config) *FTL {
 	if cfg.BackgroundGCTarget == 0 {
 		cfg.BackgroundGCTarget = def.BackgroundGCTarget
 	}
-	f := &FTL{cfg: cfg}
+	f := &FTL{cfg: cfg, pageShift: uint(bits.Len(uint(cfg.PagesPerBlock - 1)))}
+	if slots := int64(cfg.Blocks) << f.pageShift; slots > math.MaxInt32 {
+		panic(fmt.Sprintf("ftl: %d blocks of %d pages (%d page slots) overflow int32 page numbers",
+			cfg.Blocks, cfg.PagesPerBlock, slots))
+	}
+	f.pageSectors = int64(cfg.PageKB) * 1024 / trace.SectorSize
+	f.sectorShift = -1
+	if f.pageSectors > 0 && f.pageSectors&(f.pageSectors-1) == 0 {
+		f.sectorShift = bits.TrailingZeros64(uint64(f.pageSectors))
+	}
+	totalPages := int64(cfg.Blocks) * int64(cfg.PagesPerBlock)
+	f.logical = int64(float64(totalPages) * (1 - cfg.OverprovisionPct))
+	f.state = make([]pageState, cfg.Blocks<<f.pageShift)
+	f.lpns = make([]int32, cfg.Blocks<<f.pageShift)
+	f.meta = make([]blockMeta, cfg.Blocks)
+	f.free = make([]int32, cfg.Blocks)
+	f.l2p = make([]int32, f.logical)
 	f.Reset()
 	return f
 }
 
-// Reset returns the FTL to its freshly-built state: empty mapping,
-// zero wear, zero statistics.
+// Reset returns the FTL to its freshly-built state — empty mapping,
+// zero wear, zero statistics — in place.
 func (f *FTL) Reset() {
 	f.gcActive = -1
-	f.blocks = make([]block, f.cfg.Blocks)
-	for i := range f.blocks {
-		f.blocks[i] = block{
-			pages: make([]pageState, f.cfg.PagesPerBlock),
-			lpns:  make([]int64, f.cfg.PagesPerBlock),
-		}
-	}
-	totalPages := int64(f.cfg.Blocks) * int64(f.cfg.PagesPerBlock)
-	f.logical = int64(float64(totalPages) * (1 - f.cfg.OverprovisionPct))
-	f.l2p = make([]int64, f.logical)
-	for i := range f.l2p {
-		f.l2p[i] = -1
-	}
+	clear(f.state)
+	clear(f.lpns)
+	clear(f.meta)
+	clear(f.l2p)
 	// Block 0 starts active; the rest are free.
 	f.active = 0
-	f.free = make([]int, f.cfg.Blocks)
+	clear(f.free)
 	f.freeHead, f.freeCount = 0, 0
 	for i := 1; i < f.cfg.Blocks; i++ {
 		f.pushFree(i)
@@ -218,8 +258,8 @@ func (f *FTL) LogicalPages() int64 { return f.logical }
 func (f *FTL) Stats() Stats {
 	s := f.stats
 	s.MinErase = ^uint64(0)
-	for i := range f.blocks {
-		ec := f.blocks[i].eraseCount
+	for i := range f.meta {
+		ec := f.meta[i].eraseCount
 		if ec > s.MaxErase {
 			s.MaxErase = ec
 		}
@@ -250,11 +290,13 @@ func (f *FTL) Write(lpn int64) (time.Duration, error) {
 	if lpn < 0 {
 		return 0, fmt.Errorf("ftl: negative lpn %d", lpn)
 	}
-	lpn %= f.logical
+	if lpn >= f.logical {
+		lpn %= f.logical
+	}
 	var stall time.Duration
 	// Ensure space first so the invariant "active block has a free
 	// page" holds.
-	for f.activeFull() {
+	for f.sealed(f.active) {
 		if err := f.rotateActive(); err != nil {
 			// Foreground GC: reclaim, charging the host.
 			d, gcErr := f.collect(true)
@@ -286,14 +328,20 @@ func (f *FTL) Write(lpn int64) (time.Duration, error) {
 
 // Idle grants the FTL an idle period to spend on background GC. It
 // returns the portion of the budget actually used.
+//
+//tracelint:hotpath
 func (f *FTL) Idle(budget time.Duration) time.Duration {
 	var used time.Duration
 	for f.freeCount < f.cfg.BackgroundGCTarget {
-		cost := f.peekCollectCost()
+		v := f.victim()
+		if v < 0 {
+			break
+		}
+		cost := f.collectCost(v)
 		if cost <= 0 || used+cost > budget {
 			break
 		}
-		d, err := f.collect(false)
+		d, err := f.reclaim(v, false)
 		if err != nil {
 			break
 		}
@@ -303,8 +351,9 @@ func (f *FTL) Idle(budget time.Duration) time.Duration {
 	return used
 }
 
-func (f *FTL) activeFull() bool {
-	return f.blocks[f.active].writePtr >= f.cfg.PagesPerBlock
+// sealed reports whether block b has no page left to program.
+func (f *FTL) sealed(b int) bool {
+	return int(f.meta[b].writePtr) >= f.cfg.PagesPerBlock
 }
 
 // rotateActive takes a fresh block from the free list.
@@ -320,7 +369,7 @@ func (f *FTL) rotateActive() error {
 //
 //tracelint:hotpath
 func (f *FTL) popFree() int {
-	b := f.free[f.freeHead]
+	b := int(f.free[f.freeHead])
 	f.freeHead++
 	if f.freeHead == len(f.free) {
 		f.freeHead = 0
@@ -337,35 +386,36 @@ func (f *FTL) pushFree(b int) {
 	if i >= len(f.free) {
 		i -= len(f.free)
 	}
-	f.free[i] = b
+	f.free[i] = int32(b)
 	f.freeCount++
 }
 
 // invalidate clears lpn's current mapping.
+//
+//tracelint:hotpath
 func (f *FTL) invalidate(lpn int64) {
-	packed := f.l2p[lpn]
-	if packed < 0 {
+	e := f.l2p[lpn]
+	if e == 0 {
 		return
 	}
-	b, p := int(packed>>32), int(packed&0xffffffff)
-	if f.blocks[b].pages[p] == pageValid {
-		f.blocks[b].pages[p] = pageInvalid
-		f.blocks[b].validCount--
+	if ppn := e - 1; f.state[ppn] == pageValid {
+		f.state[ppn] = pageInvalid
+		f.meta[ppn>>f.pageShift].validCount--
 	}
-	f.l2p[lpn] = -1
+	f.l2p[lpn] = 0
 }
 
 // program writes lpn into the next free page of block b.
 //
 //tracelint:hotpath
 func (f *FTL) program(b int, lpn int64, gc bool) {
-	blk := &f.blocks[b]
-	p := blk.writePtr
-	blk.writePtr++
-	blk.pages[p] = pageValid
-	blk.lpns[p] = lpn
-	blk.validCount++
-	f.l2p[lpn] = int64(b)<<32 | int64(p)
+	m := &f.meta[b]
+	ppn := b<<f.pageShift | int(m.writePtr)
+	m.writePtr++
+	m.validCount++
+	f.state[ppn] = pageValid
+	f.lpns[ppn] = int32(lpn)
+	f.l2p[lpn] = int32(ppn + 1)
 	if gc {
 		f.stats.GCWrites++
 	} else {
@@ -378,38 +428,34 @@ func (f *FTL) program(b int, lpn int64, gc bool) {
 //
 //tracelint:hotpath
 func (f *FTL) victim() int {
-	best, bestValid := -1, 1<<30
-	for i := range f.blocks {
-		if i == f.active || i == f.gcActive {
-			continue
+	best, bestValid := -1, int32(math.MaxInt32)
+	sealed := int32(f.cfg.PagesPerBlock)
+	for i := range f.meta {
+		m := &f.meta[i]
+		if m.writePtr < sealed || i == f.active || i == f.gcActive {
+			continue // not yet sealed, or being written
 		}
-		blk := &f.blocks[i]
-		if blk.writePtr < f.cfg.PagesPerBlock {
-			continue // not yet sealed
-		}
-		if blk.validCount < bestValid {
-			best, bestValid = i, blk.validCount
+		if m.validCount < bestValid {
+			best, bestValid = i, m.validCount
+			if bestValid == 0 {
+				break // nothing later can win: ties go to the lowest index
+			}
 		}
 	}
-	if best >= 0 && bestValid == f.cfg.PagesPerBlock {
+	if best >= 0 && bestValid == sealed {
 		return -1 // everything fully valid: nothing to reclaim
 	}
 	return best
 }
 
-// peekCollectCost estimates the next GC round's cost without running
-// it (for idle budgeting).
-func (f *FTL) peekCollectCost() time.Duration {
-	v := f.victim()
-	if v < 0 {
-		return -1
-	}
-	valid := f.blocks[v].validCount
+// collectCost is what a GC round on victim v would cost, without
+// running it (for idle budgeting).
+func (f *FTL) collectCost(v int) time.Duration {
+	valid := f.meta[v].validCount
 	return time.Duration(valid)*(f.cfg.ReadLatency+f.cfg.ProgramLatency) + f.cfg.EraseLatency
 }
 
-// collect runs one GC round: relocate the victim's valid pages, erase
-// it, return it to the free list.
+// collect runs one GC round on the victim.
 //
 //tracelint:hotpath
 func (f *FTL) collect(foreground bool) (time.Duration, error) {
@@ -417,31 +463,40 @@ func (f *FTL) collect(foreground bool) (time.Duration, error) {
 	if v < 0 {
 		return 0, ErrFull
 	}
+	return f.reclaim(v, foreground)
+}
+
+// reclaim relocates block v's valid pages, erases it and returns it to
+// the free list.
+//
+//tracelint:hotpath
+func (f *FTL) reclaim(v int, foreground bool) (time.Duration, error) {
 	var cost time.Duration
-	blk := &f.blocks[v]
-	for p := 0; p < f.cfg.PagesPerBlock; p++ {
-		if blk.pages[p] != pageValid {
+	m := &f.meta[v]
+	base := v << f.pageShift
+	pages := f.state[base : base+f.cfg.PagesPerBlock]
+	for p, st := range pages {
+		if st != pageValid {
 			continue
 		}
-		lpn := blk.lpns[p]
 		// Relocation target: a dedicated GC block so host and GC
 		// streams do not interleave (hot/cold separation).
-		if f.gcActive < 0 || f.blocks[f.gcActive].writePtr >= f.cfg.PagesPerBlock {
+		if f.gcActive < 0 || f.sealed(f.gcActive) {
 			if f.freeCount == 0 {
 				return cost, ErrFull
 			}
 			f.gcActive = f.popFree()
 		}
-		blk.pages[p] = pageInvalid
-		blk.validCount--
-		f.program(f.gcActive, lpn, true)
+		pages[p] = pageInvalid
+		m.validCount--
+		f.program(f.gcActive, int64(f.lpns[base+p]), true)
 		cost += f.cfg.ReadLatency + f.cfg.ProgramLatency
 	}
 	// Erase and reclaim.
-	clear(blk.pages)
-	blk.validCount = 0
-	blk.writePtr = 0
-	blk.eraseCount++
+	clear(pages)
+	m.validCount = 0
+	m.writePtr = 0
+	m.eraseCount++
 	f.stats.Erases++
 	cost += f.cfg.EraseLatency
 	f.pushFree(v)
@@ -454,10 +509,27 @@ func (f *FTL) collect(foreground bool) (time.Duration, error) {
 	return cost, nil
 }
 
-// PagesOf converts a block request to its logical page span.
+// PagesOf converts a block request to its logical page span. first is
+// reduced modulo the logical space (negative if int64(r.LBA) is).
+//
+//tracelint:hotpath
 func (f *FTL) PagesOf(r trace.Request) (first, count int64) {
-	pageSectors := int64(f.cfg.PageKB) * 1024 / trace.SectorSize
-	first = int64(r.LBA) / pageSectors
-	last := (int64(r.End()) - 1) / pageSectors
-	return first % f.logical, last - first + 1
+	first = f.pageOf(int64(r.LBA))
+	last := f.pageOf(int64(r.End()) - 1)
+	count = last - first + 1
+	if first >= f.logical || first <= -f.logical {
+		first %= f.logical
+	}
+	return first, count
+}
+
+// pageOf is sector / pageSectors, truncated toward zero: a shift when
+// pages are a power-of-two sector count and sector is not negative.
+//
+//tracelint:hotpath
+func (f *FTL) pageOf(sector int64) int64 {
+	if f.sectorShift >= 0 && sector >= 0 {
+		return sector >> f.sectorShift
+	}
+	return sector / f.pageSectors
 }

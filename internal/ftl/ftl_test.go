@@ -49,8 +49,8 @@ func TestOverwriteInvalidates(t *testing.T) {
 	}
 	// One logical page maps to exactly one valid physical page.
 	valid := 0
-	for i := range f.blocks {
-		valid += f.blocks[i].validCount
+	for i := range f.meta {
+		valid += int(f.meta[i].validCount)
 	}
 	if valid != 1 {
 		t.Fatalf("valid pages = %d, want 1", valid)

@@ -481,48 +481,64 @@ func Adversary(t testing.TB, data []byte, newLane func(Config) Lane) Outcome {
 	return out
 }
 
-// checkLayout asserts the FTL's structural invariants: each block's
-// validCount is the number of its valid pages, every valid page's lpn
-// maps back to it and every mapping lands on a valid page holding that
-// lpn, and the free ring, the active block and the GC block are
-// disjoint, the ring holding each free block once, each one erased.
+// checkLayout asserts the flat layout's invariants: each block's
+// validCount is the number of valid pages in its slots and its write
+// pointer bounds its programmed ones, padding slots stay free and zero,
+// every valid page's lpn maps back to it and every mapping lands on a
+// valid page holding that lpn, and the free ring, the active block and
+// the GC block are disjoint, the ring holding each free block once, each
+// one erased.
 func checkLayout(t testing.TB, f *FTL) {
 	t.Helper()
-	for b := range f.blocks {
-		blk := &f.blocks[b]
-		valid := 0
-		for p, st := range blk.pages {
-			if st != pageValid {
-				continue
-			}
-			valid++
-			lpn := blk.lpns[p]
-			if lpn < 0 || lpn >= f.logical || f.l2p[lpn] != int64(b)<<32|int64(p) {
-				t.Fatalf("valid page %d of block %d holds lpn %d, which does not map back to it", p, b, lpn)
+	ppb, slots := f.cfg.PagesPerBlock, 1<<f.pageShift
+	if len(f.state) != f.cfg.Blocks*slots || len(f.lpns) != len(f.state) || len(f.meta) != f.cfg.Blocks ||
+		int64(len(f.l2p)) != f.logical || len(f.free) != f.cfg.Blocks {
+		t.Fatalf("array sizes: state %d, lpns %d, meta %d, l2p %d, free %d for %d blocks of %d slots, %d logical pages",
+			len(f.state), len(f.lpns), len(f.meta), len(f.l2p), len(f.free), f.cfg.Blocks, slots, f.logical)
+	}
+	for b := range f.meta {
+		m := f.meta[b]
+		valid := int32(0)
+		for p := 0; p < slots; p++ {
+			ppn := b<<f.pageShift | p
+			st := f.state[ppn]
+			switch {
+			case p >= ppb:
+				if st != pageFree || f.lpns[ppn] != 0 {
+					t.Fatalf("padding slot %d of block %d: state %d, lpn %d", p, b, st, f.lpns[ppn])
+				}
+			case st != pageFree && p >= int(m.writePtr):
+				t.Fatalf("page %d of block %d is programmed past the write pointer %d", p, b, m.writePtr)
+			case st == pageValid:
+				valid++
+				lpn := f.lpns[ppn]
+				if lpn < 0 || int64(lpn) >= f.logical || f.l2p[lpn] != int32(ppn+1) {
+					t.Fatalf("valid page %d of block %d holds lpn %d, which does not map back to it", p, b, lpn)
+				}
 			}
 		}
-		if valid != blk.validCount {
-			t.Fatalf("block %d: %d valid pages, validCount = %d", b, valid, blk.validCount)
+		if valid != m.validCount {
+			t.Fatalf("block %d: %d valid pages, validCount = %d", b, valid, m.validCount)
 		}
 	}
-	for lpn, packed := range f.l2p {
-		if packed < 0 {
+	for lpn, e := range f.l2p {
+		if e == 0 {
 			continue
 		}
-		b, p := int(packed>>32), int(packed&0xffffffff)
-		if f.blocks[b].pages[p] != pageValid || f.blocks[b].lpns[p] != int64(lpn) {
-			t.Fatalf("lpn %d maps to page %d of block %d, which is not a valid page holding it", lpn, p, b)
+		if ppn := e - 1; ppn < 0 || int(ppn) >= len(f.state) || int(ppn)&(slots-1) >= ppb ||
+			f.state[ppn] != pageValid || f.lpns[ppn] != int32(lpn) {
+			t.Fatalf("lpn %d maps to slot %d, which is not a valid page holding it", lpn, ppn)
 		}
 	}
-	seen := make([]bool, len(f.blocks))
+	seen := make([]bool, f.cfg.Blocks)
 	for i := 0; i < f.freeCount; i++ {
-		b := f.free[(f.freeHead+i)%len(f.free)]
+		b := int(f.free[(f.freeHead+i)%len(f.free)])
 		if seen[b] || b == f.active || b == f.gcActive {
 			t.Fatalf("free ring entry %d (block %d) repeats or is the active (%d) or GC (%d) block", i, b, f.active, f.gcActive)
 		}
 		seen[b] = true
-		if blk := &f.blocks[b]; blk.writePtr != 0 || blk.validCount != 0 {
-			t.Fatalf("free block %d is not erased: writePtr %d, validCount %d", b, blk.writePtr, blk.validCount)
+		if m := f.meta[b]; m.writePtr != 0 || m.validCount != 0 {
+			t.Fatalf("free block %d is not erased: writePtr %d, validCount %d", b, m.writePtr, m.validCount)
 		}
 	}
 	if f.active == f.gcActive {

@@ -424,17 +424,8 @@ func (d *ParallelDecoder) Close() {
 // decoder stops any decode workers, closes the file and hands the
 // decoder's buffers back to be kept.
 func OpenFileDecoder(path, format string, workers int) (Decoder, string, error) {
-	f, err := os.Open(path)
+	f, c, format, err := openInput(path, format)
 	if err != nil {
-		return nil, "", err
-	}
-	if format, err = ResolveFile(path, format); err != nil {
-		f.Close()
-		return nil, "", err
-	}
-	c, err := input(format)
-	if err != nil {
-		f.Close()
 		return nil, "", err
 	}
 	st, err := f.Stat()
@@ -454,6 +445,41 @@ func OpenFileDecoder(path, format string, workers int) (Decoder, string, error) 
 		dec = newReorderDecoder(dec, c.window)
 	}
 	return dec, format, nil
+}
+
+// FileMeta returns the named input's metadata as its first record
+// leaves it, or io.EOF when the input holds no record: the one-record
+// question a job asks before it decides to fit a model. It reads in file
+// order — no reorder window, no decode workers — through a kept read
+// buffer, which it hands back before returning.
+func FileMeta(path, format string) (Meta, error) {
+	f, c, _, err := openInput(path, format)
+	if err != nil {
+		return Meta{}, err
+	}
+	dec := c.decode(source{br: borrowReader(f), file: f})
+	defer dec.Close()
+	_, err = dec.Read(make([]Request, 1))
+	return dec.Meta(), err
+}
+
+// openInput opens path and resolves its input codec (format "auto" or
+// "" by content sniffing); the file is closed on error.
+func openInput(path, format string) (*os.File, *codec, string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	if format, err = ResolveFile(path, format); err != nil {
+		f.Close()
+		return nil, nil, "", err
+	}
+	c, err := input(format)
+	if err != nil {
+		f.Close()
+		return nil, nil, "", err
+	}
+	return f, c, format, nil
 }
 
 // SpoolTemp copies r into a new temporary file named after pattern (as

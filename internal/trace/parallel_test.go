@@ -474,3 +474,51 @@ func TestParallelDecoderReadBuffers(t *testing.T) {
 		t.Fatalf("%d B kept after trimming", kept)
 	}
 }
+
+// TestFileMeta: the one-record probe reports a file's header metadata,
+// io.EOF for a file without records, and reads through a kept read
+// buffer, which it hands back.
+func TestFileMeta(t *testing.T) {
+	dir := t.TempDir()
+	tr := benchTrace(1000)
+	tr.TsdevKnown = true
+	for _, format := range []string{"csv", "bin"} {
+		var buf bytes.Buffer
+		if err := WriteFormat(format, &buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "old."+format)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		keptReaders.Trim()
+		for round := 0; round < 2; round++ {
+			m, err := FileMeta(path, "auto")
+			if err != nil || !m.TsdevKnown || m.Name != tr.Name {
+				t.Fatalf("%s: FileMeta = %+v, %v; want the header of %q, Tsdev known", format, m, err, tr.Name)
+			}
+			if n := keptReaders.Bytes() / readBufLen; n != 1 {
+				t.Fatalf("%s round %d: %d read buffers kept after the probe, want its one", format, round, n)
+			}
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		FileMeta(path, format)
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; got >= readBufLen/8 {
+			t.Fatalf("%s: FileMeta allocates %d B, want far less than a %d B read buffer", format, got, readBufLen)
+		}
+	}
+	empty := &Trace{Name: "empty", TsdevKnown: true}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, empty); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "empty.bin")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FileMeta(path, "bin"); err != io.EOF {
+		t.Fatalf("FileMeta of a file without records: %v, want io.EOF", err)
+	}
+}
