@@ -383,15 +383,6 @@ func Adversary(t testing.TB, data []byte, newLane func(Config) Lane) Outcome {
 	pageSectors := uint64(cfg.PageKB) * 1024 / trace.SectorSize
 	var out Outcome
 	var at time.Duration
-	compare := func(i int, what string) {
-		t.Helper()
-		if got, want := f.Stats(), o.Stats(); got != want {
-			t.Fatalf("op %d (%s, cfg %+v): direct Stats\n got %+v\nwant %+v", i, what, cfg, got, want)
-		}
-		if got, want := lane.FTL.Stats(), od.f.Stats(); got != want {
-			t.Fatalf("op %d (%s, cfg %+v): device Stats\n got %+v\nwant %+v", i, what, cfg, got, want)
-		}
-	}
 	for i := 0; len(src.b) >= AdversaryOp; i++ {
 		kind, where, size, gap := src.u8(), int64(src.u16()), src.u8(), src.u8()
 		if kind == 0 && where&15 == 0 {
@@ -412,14 +403,12 @@ func Adversary(t testing.TB, data []byte, newLane func(Config) Lane) Outcome {
 			lpn += logical * int64(1+size&3)
 		}
 
-		var what string
 		switch kind & 3 {
 		case 0, 1:
-			what = fmt.Sprintf("Write(%d)", lpn)
 			got, gotErr := f.Write(lpn)
 			want, wantErr := o.Write(lpn)
 			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("op %d (cfg %+v): %s = %v, %v; oracle %v, %v", i, cfg, what, got, gotErr, want, wantErr)
+				t.Fatalf("op %d (cfg %+v): Write(%d) = %v, %v; oracle %v, %v", i, cfg, lpn, got, gotErr, want, wantErr)
 			}
 			if gotErr != nil {
 				out.Errors++
@@ -428,15 +417,13 @@ func Adversary(t testing.TB, data []byte, newLane func(Config) Lane) Outcome {
 				out.Full++
 			}
 		case 2:
-			what = fmt.Sprintf("Read(%d)", lpn)
 			if got, want := f.Read(lpn), o.Read(lpn); got != want {
-				t.Fatalf("op %d (cfg %+v): %s = %v, oracle %v", i, cfg, what, got, want)
+				t.Fatalf("op %d (cfg %+v): Read(%d) = %v, oracle %v", i, cfg, lpn, got, want)
 			}
 		case 3:
 			budget := time.Duration(gap) * 200 * time.Microsecond
-			what = fmt.Sprintf("Idle(%v)", budget)
 			if got, want := f.Idle(budget), o.Idle(budget); got != want {
-				t.Fatalf("op %d (cfg %+v): %s used %v, oracle %v", i, cfg, what, got, want)
+				t.Fatalf("op %d (cfg %+v): Idle(%v) used %v, oracle %v", i, cfg, budget, got, want)
 			}
 		}
 
@@ -468,7 +455,12 @@ func Adversary(t testing.TB, data []byte, newLane func(Config) Lane) Outcome {
 				i, cfg, at, r, start, complete, wantStart, wantComplete)
 		}
 		at = complete
-		compare(i, what)
+		if got, want := f.Stats(), o.Stats(); got != want {
+			t.Fatalf("op %d (cfg %+v): direct Stats\n got %+v\nwant %+v", i, cfg, got, want)
+		}
+		if got, want := lane.FTL.Stats(), od.f.Stats(); got != want {
+			t.Fatalf("op %d (cfg %+v): device Stats\n got %+v\nwant %+v", i, cfg, got, want)
+		}
 		if i%256 == 255 {
 			checkLayout(t, f)
 			checkLayout(t, lane.FTL)
