@@ -311,22 +311,12 @@ func BenchmarkExtFixedThSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkExtSimilarity regenerates the KS/Wasserstein method
-// comparison.
-func BenchmarkExtSimilarity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Similarity(benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExtGroundTruth regenerates the natural-idle recovery sweep
-// over all 31 families.
-func BenchmarkExtGroundTruth(b *testing.B) {
+// BenchmarkExtFidelity regenerates the fidelity fold: every
+// reconstruction rung of all 31 families against the target execution.
+func BenchmarkExtFidelity(b *testing.B) {
 	cfg := experiments.Config{Ops: 1500}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.GroundTruth(cfg); err != nil {
+		if _, err := experiments.Fidelity(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,8 +68,7 @@ var table = []struct {
 	{"fig17", check(experiments.Fig17)},
 	{"claims", check(experiments.Claims)},
 	{"ext-sweep", plain(experiments.FixedThSweep)},
-	{"ext-similarity", check(experiments.Similarity)},
-	{"ext-groundtruth", check(experiments.GroundTruth)},
+	{"ext-fidelity", check(experiments.Fidelity)},
 	{"ext-ftl", check(experiments.FTLImpact)},
 	{"ext-cache", check(experiments.CacheImpact)},
 }

@@ -53,23 +53,29 @@ func GenerateOld(p workload.Profile, idx, ops int, seed int64) (*trace.Trace, re
 		Ops:  ops,
 		Seed: workload.TraceSeed(p.Name, idx) ^ seed,
 	}, NewOldDevice())
-	res.Trace.Name = traceName(p.Name, idx)
+	res.Trace.Name = fmt.Sprintf("%s-%02d", p.Name, idx%100)
 	return res.Trace, res
 }
 
-func traceName(family string, idx int) string {
-	return family + "-" + string(rune('0'+idx/10%10)) + string(rune('0'+idx%10))
+// ratio is a / b, or 0 when b is 0.
+func ratio[T ~int | ~int64](a, b T) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
 }
 
-// familyRun is one cell of the corpus sweep: a family's OLD
-// collection, its execution ground truth, and TraceTracker's
-// reconstruction of it on the NEW system.
+// corpusSets are Table I's three corpora, in the order per-set
+// summaries print them.
+var corpusSets = []string{"MSPS", "FIU", "MSRC"}
+
+// familyRun is one cell of the corpus sweep: a family's OLD collection
+// and TraceTracker's reconstruction of it on the NEW system.
 type familyRun struct {
-	p     workload.Profile
-	old   *trace.Trace
-	truth replay.ExecResult
-	tt    *trace.Trace
-	rep   *core.Report
+	p   workload.Profile
+	old *trace.Trace
+	tt  *trace.Trace
+	rep *core.Report
 }
 
 // eachFamily is the corpus sweep: trace 0 of every Table I family,
@@ -79,12 +85,12 @@ type familyRun struct {
 func eachFamily(cfg Config, fn func(familyRun) error) error {
 	cfg = cfg.withDefaults()
 	for _, p := range workload.Profiles() {
-		old, truth := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
+		old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
 		tt, rep, err := core.Reconstruct(old, NewTarget(), core.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
 		}
-		if err := fn(familyRun{p: p, old: old, truth: truth, tt: tt, rep: rep}); err != nil {
+		if err := fn(familyRun{p: p, old: old, tt: tt, rep: rep}); err != nil {
 			return err
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hoststack"
 	"repro/internal/report"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -83,19 +82,15 @@ func CacheImpact(cfg Config) (CacheImpactResult, error) {
 	out.CachedCDF = report.NewCDFSeries("cached", cached.InterArrivalMicros())
 
 	// Reconstruct both with TraceTracker and compare recovered idle.
-	for _, tc := range []struct {
-		tr   *trace.Trace
-		into *time.Duration
-	}{
-		{raw, &out.RawIdle},
-		{cached, &out.CachedIdle},
-	} {
-		_, rep, err := core.Reconstruct(tc.tr, NewTarget(), core.Options{})
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", tc.tr.Name, err)
-		}
-		*tc.into = rep.IdleTotal
+	_, rawRep, err := core.Reconstruct(raw, NewTarget(), core.Options{})
+	if err != nil {
+		return out, fmt.Errorf("%s: %w", raw.Name, err)
 	}
+	_, cachedRep, err := core.Reconstruct(cached, NewTarget(), core.Options{})
+	if err != nil {
+		return out, fmt.Errorf("%s: %w", cached.Name, err)
+	}
+	out.RawIdle, out.CachedIdle = rawRep.IdleTotal, cachedRep.IdleTotal
 	return out, nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/replay"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -70,28 +71,17 @@ func FixedThSweep(cfg Config) FixedThSweepResult {
 				Threshold: th,
 				AvgGap:    avg,
 				KS:        ks,
-				IdleKept:  idleKeptFrac(rec, truthIdle),
+				IdleKept:  min(ratio(idleMassAbove(rec), truthIdle), 1),
 			})
 			ksSums[j] += ks
 		}
 		out.Rows = append(out.Rows, rows)
 	}
-	out.MeanKS = make([]float64, len(SweepThresholds))
-	for j := range SweepThresholds {
-		out.MeanKS[j] = ksSums[j] / float64(len(out.Workloads))
+	for j := range ksSums {
+		ksSums[j] /= float64(len(out.Workloads))
 	}
+	out.MeanKS = ksSums
 	return out
-}
-
-func idleKeptFrac(t *trace.Trace, truth time.Duration) float64 {
-	if truth == 0 {
-		return 0
-	}
-	f := float64(idleMassAbove(t)) / float64(truth)
-	if f > 1 {
-		f = 1
-	}
-	return f
 }
 
 // Render implements the textual report.
@@ -114,139 +104,206 @@ func (r FixedThSweepResult) Render(w io.Writer) {
 	t.Render(w)
 }
 
-// --- Extension 2: distribution similarity per method ---------------
+// --- Extension 2: fidelity against the truth -----------------------
 //
-// A quantitative companion to Fig 12: for each method, the KS and
-// first-Wasserstein distances between its reconstructed inter-arrival
-// distribution and the ground-truth NEW-system trace.
+// The paper scores methods against TraceTracker, and idle recovery
+// only on idles it injected. The synthetic corpus knows the truth:
+// every think time and issue mode, and the same application executed
+// on the NEW system. Per Table I family, this experiment scores each
+// reconstruction rung against that target execution.
 
-// SimilarityRow scores one method on one workload.
-type SimilarityRow struct {
-	Method string
-	KS     float64
-	// W1Micros is the Wasserstein-1 distance in µs: the average
-	// amount of time each unit of probability mass was displaced.
-	W1Micros float64
+// FidelityRungs are the reconstructions each family is scored on, in
+// print order. oracle emulates the true think times and post-processes
+// with the true issue modes; recorded and inferred are TraceTracker on
+// the trace's latencies and on the fitted model; +true flags
+// post-processes the inferred idles with the true issue modes; the
+// baselines run on the Tsdev-unknown trace.
+var FidelityRungs = []string{"oracle", "recorded", "inferred", "+true flags",
+	"Dynamic", "Fixed-th", "Revision", "Acceleration"}
+
+// FidelityRow is one family's cell.
+type FidelityRow struct {
+	Workload, Set string
+	// TsdevKnown is false where the corpus records no latencies (FIU):
+	// there the recorded rung is hypothetical, and the idle scores come
+	// from the inferred rung.
+	TsdevKnown bool
+	// KS[j] and W1Micros[j] compare rung FidelityRungs[j]'s
+	// inter-arrival distribution with the target execution's.
+	KS, W1Micros []float64
+	// Async scores the inferred rung's flags.
+	Async AsyncScore
+	// DetectFrac and SecuredFrac score the true think times
+	// (verify.Evaluate): the share of idle instructions found, and
+	// Σ min(estimated, truth) / Σ truth.
+	DetectFrac, SecuredFrac float64
 }
 
-// SimilarityResult holds the per-workload method scores.
-type SimilarityResult struct {
-	// PerWorkload[name] lists the five methods' scores.
-	PerWorkload map[string][]SimilarityRow
-	Workloads   []string
-}
+// FidelityResult holds every family's cell, in Table I order.
+type FidelityResult struct{ Rows []FidelityRow }
 
-// Similarity scores all five methods on three families.
-func Similarity(cfg Config) (SimilarityResult, error) {
+// Fidelity scores every rung on all 31 families.
+func Fidelity(cfg Config) (FidelityResult, error) {
 	cfg = cfg.withDefaults()
-	out := SimilarityResult{
-		PerWorkload: map[string][]SimilarityRow{},
-		Workloads:   []string{"MSNFS", "homes", "src2"},
-	}
-	for _, name := range out.Workloads {
-		p, _ := workload.Lookup(name)
-		old, newRes := executeBoth(p, cfg.Ops, 22^cfg.Seed)
-		truthIA := newRes.Trace.InterArrivalMicros()
-		for _, m := range baseline.Methods {
-			rec, err := m.Run(old, NewTarget())
-			if err != nil {
-				return out, fmt.Errorf("%s/%s: %w", name, m.Name, err)
-			}
-			recIA := rec.InterArrivalMicros()
-			out.PerWorkload[name] = append(out.PerWorkload[name], SimilarityRow{
-				Method:   m.Name,
-				KS:       stats.KolmogorovSmirnov(recIA, truthIA),
-				W1Micros: stats.Wasserstein1(recIA, truthIA),
-			})
+	var out FidelityResult
+	for _, p := range workload.Profiles() {
+		row, err := fidelityCell(p, cfg)
+		if err != nil {
+			return out, fmt.Errorf("%s: %w", p.Name, err)
 		}
+		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }
 
-// Render implements the textual report.
-func (r SimilarityResult) Render(w io.Writer) {
-	for _, name := range r.Workloads {
-		t := &report.Table{
-			Title:   "distribution similarity vs ground truth: " + name,
-			Headers: []string{"method", "KS", "W1"},
+// SetSummary returns, over one corpus's families, each rung's median
+// KS and the mean secured fraction.
+func (r FidelityResult) SetSummary(set string) (medianKS []float64, secured float64) {
+	var sec []float64
+	ks := make([][]float64, len(FidelityRungs))
+	for _, row := range r.Rows {
+		if row.Set == set {
+			sec = append(sec, row.SecuredFrac)
+			for j := range ks {
+				ks[j] = append(ks[j], row.KS[j])
+			}
 		}
-		for _, row := range r.PerWorkload[name] {
-			t.AddRow(row.Method, fmt.Sprintf("%.3f", row.KS),
-				report.FormatDuration(time.Duration(row.W1Micros*float64(time.Microsecond))))
+	}
+	for j := range ks {
+		medianKS = append(medianKS, stats.Median(ks[j]))
+	}
+	return medianKS, stats.Mean(sec)
+}
+
+// fidelityCell runs a family's application on both systems, at the
+// seed GenerateOld gives its trace 0, and scores every rung.
+func fidelityCell(p workload.Profile, cfg Config) (FidelityRow, error) {
+	row := FidelityRow{Workload: p.Name, Set: p.Set, TsdevKnown: p.TsdevKnown}
+	old, truth := executeBoth(p, cfg.Ops, workload.TraceSeed(p.Name, 0)^cfg.Seed)
+	trueAsync := make([]bool, old.Len())
+	for i, r := range old.Requests {
+		trueAsync[i] = r.Async
+	}
+	withTrueFlags := func(idle []time.Duration) *trace.Trace {
+		t := replay.Emulate(old, NewTarget(), idle)
+		core.PostProcessShard(t.Requests, trueAsync, 0)
+		return t
+	}
+	recorded := *old // shares the requests, which Reconstruct only reads
+	recorded.TsdevKnown = true
+	recTT, recRep, err := core.Reconstruct(&recorded, NewTarget(), core.Options{})
+	if err != nil {
+		return row, err
+	}
+	infTT, infRep, err := core.Reconstruct(old, NewTarget(), core.Options{})
+	if err != nil {
+		return row, err
+	}
+	rungs := map[string]*trace.Trace{
+		"oracle":      withTrueFlags(truth.Think),
+		"recorded":    recTT,
+		"inferred":    infTT,
+		"+true flags": withTrueFlags(infRep.Idle),
+	}
+	for _, m := range baseline.Methods {
+		if m.Name == "TraceTracker" {
+			continue // the inferred rung
+		}
+		if rungs[m.Name], err = m.Run(old, NewTarget()); err != nil {
+			return row, fmt.Errorf("%s: %w", m.Name, err)
+		}
+	}
+	truthIA := truth.Trace.InterArrivalMicros()
+	for _, name := range FidelityRungs {
+		ia := rungs[name].InterArrivalMicros()
+		row.KS = append(row.KS, stats.KolmogorovSmirnov(ia, truthIA))
+		row.W1Micros = append(row.W1Micros, stats.Wasserstein1(ia, truthIA))
+	}
+	row.Async.Add(infRep.Async, old.Requests)
+	own := infRep
+	if p.TsdevKnown {
+		own = recRep
+	}
+	// Think[i] precedes instruction i: the slot the decomposition gives
+	// the idle it finds before it.
+	met := verify.Evaluate(truth.Think, own.Idle)
+	row.DetectFrac, row.SecuredFrac = met.DetectionTP(), met.LenTPSecured()
+	return row, nil
+}
+
+// AsyncScore tallies async flags against the true issue modes: of N
+// requests, True are async, Flagged are flagged and Hits are both.
+type AsyncScore struct{ N, True, Flagged, Hits int }
+
+// Add scores flagged[i] against reqs[i].Async into s, so that one
+// score can pool a corpus.
+func (s *AsyncScore) Add(flagged []bool, reqs []trace.Request) {
+	s.N += len(reqs)
+	for i, r := range reqs {
+		if r.Async {
+			s.True++
+		}
+		if flagged[i] {
+			s.Flagged++
+			if r.Async {
+				s.Hits++
+			}
+		}
+	}
+}
+
+func (s AsyncScore) TrueFrac() float64    { return ratio(s.True, s.N) }
+func (s AsyncScore) FlaggedFrac() float64 { return ratio(s.Flagged, s.N) }
+func (s AsyncScore) Precision() float64   { return ratio(s.Hits, s.Flagged) }
+func (s AsyncScore) Recall() float64      { return ratio(s.Hits, s.True) }
+
+// Render implements the textual report.
+func (r FidelityResult) Render(w io.Writer) {
+	rungTable := func(title string, cell func(row FidelityRow, j int) string) {
+		t := &report.Table{Title: title, Headers: append([]string{"workload", "set"}, FidelityRungs...)}
+		for _, row := range r.Rows {
+			cells := []any{row.Workload, row.Set}
+			for j, rung := range FidelityRungs {
+				if c := cell(row, j); rung == "recorded" && !row.TsdevKnown {
+					cells = append(cells, "("+c+")")
+				} else {
+					cells = append(cells, c)
+				}
+			}
+			t.AddRow(cells...)
 		}
 		t.Render(w)
 	}
-}
-
-// --- Extension 3: ground-truth verification ------------------------
-//
-// The paper can only verify against idles it injected itself, because
-// the real traces' natural idles are unlabeled. The synthetic corpus
-// knows every think time, so this experiment scores the inference
-// against the *natural* idle structure of each family — per corpus,
-// how much of the genuine user idle does reconstruction secure?
-
-// GroundTruthRow is one family's score.
-type GroundTruthRow struct {
-	Workload, Set string
-	// SecuredFrac is Σ min(estimated, truth) / Σ truth over all
-	// instructions with genuine think time.
-	SecuredFrac float64
-	// DetectFrac is the fraction of genuinely idle instructions the
-	// model flagged.
-	DetectFrac float64
-}
-
-// GroundTruthResult aggregates per family and per corpus.
-type GroundTruthResult struct {
-	Rows   []GroundTruthRow
-	SetAvg map[string]float64 // secured fraction per corpus
-}
-
-// GroundTruth sweeps all 31 families.
-func GroundTruth(cfg Config) (GroundTruthResult, error) {
-	out := GroundTruthResult{SetAvg: map[string]float64{}}
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	err := eachFamily(cfg, func(f familyRun) error {
-		// Ground truth think[i] precedes instruction i's issue; the
-		// decomposition attributes idle to the following instruction,
-		// so the indexing already matches (think[i] ~ rep.Idle[i]).
-		met := verify.Evaluate(f.truth.Think, f.rep.Idle)
-		row := GroundTruthRow{
-			Workload:    f.p.Name,
-			Set:         f.p.Set,
-			SecuredFrac: met.LenTPSecured(),
-			DetectFrac:  met.DetectionTP(),
-		}
-		out.Rows = append(out.Rows, row)
-		sums[f.p.Set] += row.SecuredFrac
-		counts[f.p.Set]++
-		return nil
+	rungTable("KS vs the target execution (all 31 families)", func(row FidelityRow, j int) string {
+		return fmt.Sprintf("%.3f", row.KS[j])
 	})
-	if err != nil {
-		return out, err
-	}
-	for set, sum := range sums {
-		out.SetAvg[set] = sum / float64(counts[set])
-	}
-	return out, nil
-}
-
-// Render implements the textual report.
-func (r GroundTruthResult) Render(w io.Writer) {
+	rungTable("W1 vs the target execution", func(row FidelityRow, j int) string {
+		return report.FormatDuration(time.Duration(row.W1Micros[j] * float64(time.Microsecond)))
+	})
+	fmt.Fprintln(w, "(recorded): hypothetical, replaying latencies an FIU collection drops.")
+	fmt.Fprintln(w, "Idle recovery scores the recorded rung, and the inferred one on FIU.")
 	t := &report.Table{
-		Title:   "natural-idle recovery vs ground truth (all 31 families)",
-		Headers: []string{"workload", "set", "detected", "secured"},
+		Title:   "inferred issue modes and natural-idle recovery vs ground truth",
+		Headers: []string{"workload", "set", "async", "flagged", "precision", "recall", "detected", "secured"},
 	}
 	for _, row := range r.Rows {
-		t.AddRow(row.Workload, row.Set,
+		a := row.Async
+		t.AddRow(row.Workload, row.Set, report.Percent(a.TrueFrac()), report.Percent(a.FlaggedFrac()),
+			fmt.Sprintf("%.2f", a.Precision()), fmt.Sprintf("%.2f", a.Recall()),
 			report.Percent(row.DetectFrac), report.Percent(row.SecuredFrac))
 	}
 	t.Render(w)
-	s := &report.Table{Title: "per-set secured idle", Headers: []string{"set", "secured"}}
-	for _, set := range []string{"MSPS", "FIU", "MSRC"} {
-		s.AddRow(set, report.Percent(r.SetAvg[set]))
+	s := &report.Table{
+		Title:   "per-set median KS and mean secured idle",
+		Headers: append(append([]string{"set"}, FidelityRungs...), "secured"),
+	}
+	for _, set := range corpusSets {
+		medianKS, secured := r.SetSummary(set)
+		cells := []any{set}
+		for _, ks := range medianKS {
+			cells = append(cells, fmt.Sprintf("%.3f", ks))
+		}
+		s.AddRow(append(cells, report.Percent(secured))...)
 	}
 	s.Render(w)
 }

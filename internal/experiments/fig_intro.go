@@ -55,9 +55,7 @@ func Fig1(cfg Config) Fig1Result {
 			shorter++
 		}
 	}
-	if len(newIA) > 0 {
-		r.AccelShorterFrac = float64(shorter) / float64(len(newIA))
-	}
+	r.AccelShorterFrac = ratio(shorter, len(newIA))
 
 	// Idle mass: think time is ground truth on the NEW system;
 	// Revision's total duration beyond pure service approximates the
@@ -65,10 +63,7 @@ func Fig1(cfg Config) Fig1Result {
 	newIdle := newRes.TotalThink()
 	revIdle := idleMassAbove(rev)
 	if newIdle > 0 {
-		r.RevisionIdleLossFrac = 1 - float64(revIdle)/float64(newIdle)
-		if r.RevisionIdleLossFrac < 0 {
-			r.RevisionIdleLossFrac = 0
-		}
+		r.RevisionIdleLossFrac = max(0, 1-float64(revIdle)/float64(newIdle))
 	}
 	return r
 }
@@ -79,11 +74,8 @@ func Fig1(cfg Config) Fig1Result {
 func idleMassAbove(t *trace.Trace) time.Duration {
 	var sum time.Duration
 	ia := t.InterArrivals()
-	for i := 0; i < len(ia); i++ {
-		svc := t.Requests[i].Latency
-		if ia[i] > svc {
-			sum += ia[i] - svc
-		}
+	for i := range ia {
+		sum += max(ia[i]-t.Requests[i].Latency, 0)
 	}
 	return sum
 }
@@ -137,14 +129,7 @@ func Fig3(cfg Config) Fig3Result {
 
 func breakdown(name string, got, ref *trace.Trace) Fig3Row {
 	gi, ri := got.InterArrivals(), ref.InterArrivals()
-	n := len(gi)
-	if len(ri) < n {
-		n = len(ri)
-	}
-	row := Fig3Row{Workload: name}
-	if n == 0 {
-		return row
-	}
+	n := min(len(gi), len(ri))
 	var longer, equal, shorter int
 	for i := 0; i < n; i++ {
 		g, r := float64(gi[i]), float64(ri[i])
@@ -157,10 +142,12 @@ func breakdown(name string, got, ref *trace.Trace) Fig3Row {
 			equal++
 		}
 	}
-	row.Longer = float64(longer) / float64(n)
-	row.Equal = float64(equal) / float64(n)
-	row.Shorter = float64(shorter) / float64(n)
-	return row
+	return Fig3Row{
+		Workload: name,
+		Longer:   ratio(longer, n),
+		Equal:    ratio(equal, n),
+		Shorter:  ratio(shorter, n),
+	}
 }
 
 // Render implements the textual figure.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/infer"
 	"repro/internal/interp"
 	"repro/internal/report"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -22,11 +23,14 @@ type Fig5Result struct {
 	Synthetic map[string]infer.Shape
 	// WorkloadGroups lists shape classifications of the per-size
 	// groups of an MSNFS trace.
-	WorkloadGroups []struct {
-		Key   infer.GroupKey
-		N     int
-		Shape infer.Shape
-	}
+	WorkloadGroups []Fig5Group
+}
+
+// Fig5Group is one per-size group's classified shape.
+type Fig5Group struct {
+	Key   infer.GroupKey
+	N     int
+	Shape infer.Shape
 }
 
 // Fig5 builds the three canonical populations of Fig 5 and classifies
@@ -36,24 +40,19 @@ func Fig5(cfg Config) Fig5Result {
 	rng := rand.New(rand.NewSource(5 ^ cfg.Seed))
 	r := Fig5Result{Synthetic: map[string]infer.Shape{}}
 
-	unimodal := make([]float64, 0, 2000)
-	for i := 0; i < 1800; i++ {
-		unimodal = append(unimodal, 300+rng.Float64()*6)
+	// sample draws n values of f, in order.
+	sample := func(n int, f func() float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f()
+		}
+		return xs
 	}
-	for i := 0; i < 200; i++ {
-		unimodal = append(unimodal, math.Pow(10, rng.Float64()*5))
-	}
-	chunky := make([]float64, 0, 2000)
-	for i := 0; i < 2000; i++ {
-		chunky = append(chunky, math.Pow(10, 1+rng.Float64()*4))
-	}
-	bimodal := make([]float64, 0, 2000)
-	for i := 0; i < 1000; i++ {
-		bimodal = append(bimodal, 200+rng.Float64()*4)
-	}
-	for i := 0; i < 1000; i++ {
-		bimodal = append(bimodal, 50000+rng.Float64()*1000)
-	}
+	unimodal := append(sample(1800, func() float64 { return 300 + rng.Float64()*6 }),
+		sample(200, func() float64 { return math.Pow(10, rng.Float64()*5) })...)
+	chunky := sample(2000, func() float64 { return math.Pow(10, 1+rng.Float64()*4) })
+	bimodal := append(sample(1000, func() float64 { return 200 + rng.Float64()*4 }),
+		sample(1000, func() float64 { return 50000 + rng.Float64()*1000 })...)
 	r.Synthetic["global-maxima"] = infer.ClassifyShape(unimodal)
 	r.Synthetic["chunky-middle"] = infer.ClassifyShape(chunky)
 	r.Synthetic["multi-maxima"] = infer.ClassifyShape(bimodal)
@@ -64,11 +63,7 @@ func Fig5(cfg Config) Fig5Result {
 	c.AddBatch(old.Requests)
 	g := c.Grouping()
 	for _, grp := range g.Select(true, trace.Read, 64) {
-		r.WorkloadGroups = append(r.WorkloadGroups, struct {
-			Key   infer.GroupKey
-			N     int
-			Shape infer.Shape
-		}{grp.Key, grp.N(), infer.ClassifyShape(grp.InttMicros)})
+		r.WorkloadGroups = append(r.WorkloadGroups, Fig5Group{grp.Key, grp.N(), infer.ClassifyShape(grp.InttMicros)})
 	}
 	return r
 }
@@ -113,19 +108,16 @@ func Fig7a(cfg Config) Fig7aResult {
 	fig7Traces(cfg, func(name string, tr *trace.Trace) {
 		seq := tr.SeqFlags()
 		// Fit the linear Tsdev model per op from sequential requests.
-		betaR, tcdelR := fitLinear(tr, seq, trace.Read)
-		betaW, tcdelW := fitLinear(tr, seq, trace.Write)
+		fits := [...]stats.LinearFit{
+			trace.Read:  fitLinear(tr, seq, trace.Read),
+			trace.Write: fitLinear(tr, seq, trace.Write),
+		}
 		var movd []float64
 		for i, r := range tr.Requests {
 			if seq[i] {
 				continue
 			}
-			var linear float64
-			if r.Op == trace.Read {
-				linear = tcdelR + betaR*float64(r.Sectors)
-			} else {
-				linear = tcdelW + betaW*float64(r.Sectors)
-			}
+			linear := fits[r.Op].At(float64(r.Sectors))
 			real := float64(r.Latency) / float64(time.Microsecond)
 			if d := real - linear; d > 0 {
 				movd = append(movd, d)
@@ -150,41 +142,21 @@ func fig7Traces(cfg Config, fn func(name string, tr *trace.Trace)) {
 	}
 }
 
-// fitLinear least-squares fits latency = tcdel + beta*sectors over the
-// sequential requests of one op type (µs units).
-func fitLinear(t *trace.Trace, seq []bool, op trace.Op) (beta, tcdel float64) {
+// fitLinear least-squares fits latency = Tcdel + β·sectors over the
+// sequential requests of one op type (µs units), neither term negative.
+func fitLinear(t *trace.Trace, seq []bool, op trace.Op) stats.LinearFit {
 	var xs, ys []float64
 	for i, r := range t.Requests {
-		if !seq[i] || r.Op != op || r.Latency == 0 {
-			continue
+		if seq[i] && r.Op == op && r.Latency != 0 {
+			xs = append(xs, float64(r.Sectors))
+			ys = append(ys, float64(r.Latency)/float64(time.Microsecond))
 		}
-		xs = append(xs, float64(r.Sectors))
-		ys = append(ys, float64(r.Latency)/float64(time.Microsecond))
 	}
 	if len(xs) < 2 {
-		return 0, 0
+		return stats.LinearFit{}
 	}
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-	}
-	n := float64(len(xs))
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, sy / n
-	}
-	beta = (n*sxy - sx*sy) / den
-	tcdel = (sy - beta*sx) / n
-	if beta < 0 {
-		beta = 0
-	}
-	if tcdel < 0 {
-		tcdel = 0
-	}
-	return beta, tcdel
+	fit, _ := stats.LeastSquares(xs, ys)
+	return stats.LinearFit{Slope: max(fit.Slope, 0), Intercept: max(fit.Intercept, 0)}
 }
 
 // Render implements the textual figure.
@@ -284,27 +256,21 @@ func Fig9(cfg Config) Fig9Result {
 	sp, _ := interp.NaturalSpline(xs, ys)
 	pc, _ := interp.PCHIP(xs, ys)
 	var r Fig9Result
-	r.SplineMonotone, r.PchipMonotone = true, true
+	// evalOvershoot reports f's largest excursion outside [0, 1], and
+	// whether and how often it decreases, over 4000 steps.
 	evalOvershoot := func(f interp.Interpolant) (float64, bool, int) {
-		max := 0.0
-		mono := true
+		over := 0.0
 		viol := 0
 		prev := math.Inf(-1)
 		for x := xs[0]; x <= xs[len(xs)-1]; x += (xs[len(xs)-1] - xs[0]) / 4000 {
 			v := f.At(x)
-			if v < 0 && -v > max {
-				max = -v
-			}
-			if v > 1 && v-1 > max {
-				max = v - 1
-			}
+			over = max(over, -v, v-1)
 			if v < prev-1e-12 {
-				mono = false
 				viol++
 			}
 			prev = v
 		}
-		return max, mono, viol
+		return over, viol == 0, viol
 	}
 	r.SplineOvershoot, r.SplineMonotone, r.SplineViolations = evalOvershoot(sp)
 	r.PchipOvershoot, r.PchipMonotone, _ = evalOvershoot(pc)

@@ -59,7 +59,7 @@ func (r Fig16Result) Render(w io.Writer) {
 	}
 	t.Render(w)
 	s := &report.Table{Title: "per-set averages", Headers: []string{"set", "avg Tidle"}}
-	for _, set := range []string{"MSPS", "FIU", "MSRC"} {
+	for _, set := range corpusSets {
 		s.AddRow(set, r.SetAvg[set])
 	}
 	s.Render(w)
@@ -95,15 +95,9 @@ func Fig17(cfg Config) (Fig17Result, error) {
 		ia := f.old.InterArrivals()
 		var counts [4]int
 		var durs [4]time.Duration
-		for i := 0; i < len(ia); i++ {
-			idle := time.Duration(0)
-			if i+1 < len(f.rep.Idle) {
-				idle = f.rep.Idle[i+1]
-			}
-			slat := ia[i] - idle
-			if slat > 0 {
-				durs[0] += slat
-			}
+		for i := range ia {
+			idle := f.rep.Idle[i+1]       // precedes request i+1, where ia[i] ends
+			durs[0] += max(ia[i]-idle, 0) // the gap's Tslat share
 			switch {
 			case idle == 0:
 				counts[0]++
@@ -161,7 +155,7 @@ func (r Fig17Result) Render(w io.Writer) {
 	freq.Render(w)
 	period.Render(w)
 	s := &report.Table{Title: "per-set idle share", Headers: []string{"set", "idle freq", "idle period"}}
-	for _, set := range []string{"MSPS", "FIU", "MSRC"} {
+	for _, set := range corpusSets {
 		s.AddRow(set, report.Percent(r.SetIdleFreq[set]), report.Percent(r.SetIdlePeriod[set]))
 	}
 	s.Render(w)
@@ -198,13 +192,9 @@ func Claims(cfg Config) (ClaimsResult, error) {
 	if err != nil {
 		return out, err
 	}
-	if totalReq > 0 {
-		out.IdleBearingFrac = float64(idleReq) / float64(totalReq)
-	}
-	if idleReq > 0 {
-		out.IdleWithin1ms = float64(idleShort) / float64(idleReq)
-		out.MedianIdle = medianDur(idles)
-	}
+	out.IdleBearingFrac = ratio(idleReq, totalReq)
+	out.IdleWithin1ms = ratio(idleShort, idleReq)
+	out.MedianIdle = medianDur(idles)
 	return out, nil
 }
 

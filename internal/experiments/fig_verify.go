@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/infer"
 	"repro/internal/report"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/verify"
 	"repro/internal/workload"
@@ -109,18 +110,10 @@ func Fig11(cfg Config) Fig11Result {
 	res := Fig10(cfg)
 	collect := func(g VerifyGroupResult) ([]float64, time.Duration) {
 		var all []float64
-		var sum float64
 		for _, m := range g.PerPeriod {
 			all = append(all, m.LenFP...)
 		}
-		for _, v := range all {
-			sum += v
-		}
-		var mean time.Duration
-		if len(all) > 0 {
-			mean = time.Duration(sum / float64(len(all)) * float64(time.Microsecond))
-		}
-		return all, mean
+		return all, time.Duration(stats.Mean(all) * float64(time.Microsecond))
 	}
 	kfp, kmean := collect(res.Known)
 	ufp, umean := collect(res.Unknown)

@@ -9,7 +9,7 @@ import (
 // sup_x |F_a(x) − F_b(x)| between the empirical CDFs of a and b.
 // It is the natural headline number for "how close is a reconstructed
 // inter-arrival distribution to the target's" and is reported by the
-// similarity experiments. Returns 1 when either sample is empty (the
+// fidelity experiment. Returns 1 when either sample is empty (the
 // distributions share no mass).
 func KolmogorovSmirnov(a, b []float64) float64 {
 	if len(a) == 0 || len(b) == 0 {
