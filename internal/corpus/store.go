@@ -74,9 +74,10 @@ func (s *Store) SetFaultInjector(in *faultfs.Injector) {
 
 // fitScratchBound is the most a store keeps of an ingest's model fit
 // between ingests, in bytes: the classifier of one upload of up to
-// ≈ 150,000 requests (12 B a request in samples and group tags, plus
-// the sort keys of the largest groups: 2.4 MB at 100,000 webmail
-// requests). A larger fit's storage is dropped with the fit.
+// ≈ 550,000 requests. It holds ≈ 7.6 B a request: 4 B of gaps, 8 B an
+// escaped gap (one in twenty of webmail's) and the sort's 4 B a sample
+// of the largest groups — 0.78 MB at 100,000 webmail requests, 3.8 MB at
+// 500,000. A larger fit's storage is dropped with the fit.
 const fitScratchBound = 4 << 20
 
 // sinkWriter wraps w with the attached fault injector's rule for sink

@@ -74,11 +74,11 @@
 //
 // The model fit (infer.Estimate) is global, so it runs once up front —
 // incrementally via infer.StreamClassifier on a job's input. Note the
-// fit itself retains one inter-arrival sample and its group tag
-// (12 bytes) per request, so a streaming run over an inference-path
-// corpus (no recorded latencies) is O(n) in samples even though
-// requests stay bounded; only Tsdev-known corpora stream in fully
-// bounded memory. The fit is
+// fit itself retains each inter-arrival (4 bytes of integer
+// nanoseconds, 8 more for a gap past 2³² ns), so a streaming run over
+// an inference-path corpus (no recorded latencies) is O(n) in samples
+// even though requests stay bounded; only Tsdev-known corpora stream in
+// fully bounded memory. The fit is
 // also a function of the old trace alone, never of the job's target, so
 // a job does not have to be the one to run it: a result cache that
 // fitted the input when it ingested it (ResultCache.FittedModel — the

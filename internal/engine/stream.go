@@ -23,10 +23,11 @@ var ErrModelRequired = errors.New("engine: input requires an inference model; fi
 // a corpus store that fitted it at ingest (ResultCache.FittedModel) and
 // the job would fit exactly that, in which case the job is handed the
 // stored model and this pass, with its second decode of the
-// input, does not run. The classifier retains one inter-arrival sample
-// and its group tag (12 bytes) per request — far below materializing
-// the trace, but still O(n); truly bounded streaming is only possible
-// for Tsdev-known corpora, which skip this pass. The options parameter
+// input, does not run. The classifier retains each inter-arrival as 4
+// bytes of integer nanoseconds (8 more for a gap past 2³² ns) — far
+// below materializing the trace, but still O(n); truly bounded
+// streaming is only possible for Tsdev-known corpora, which skip this
+// pass. The options parameter
 // exists only for the benchmark (see infer.EstimateOptions).
 func FitModel(dec trace.Decoder, _ infer.EstimateOptions) (*infer.Model, int, error) {
 	c := infer.NewStreamClassifier()

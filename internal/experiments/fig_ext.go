@@ -60,13 +60,13 @@ func FixedThSweep(cfg Config) FixedThSweepResult {
 		p, _ := workload.Lookup(name)
 		old, newRes := executeBoth(p, cfg.Ops, 21^cfg.Seed)
 		truthIdle := newRes.TotalThink()
-		truthIA := newRes.Trace.InterArrivalMicros()
+		truthIA := sortedInterArrivals(newRes.Trace)
 
 		var rows []SweepRow
 		for j, th := range SweepThresholds {
 			rec := baseline.FixedTh(old, NewTarget(), th)
 			avg, _ := core.InterArrivalGap(rec, newRes.Trace)
-			ks := stats.KolmogorovSmirnov(rec.InterArrivalMicros(), truthIA)
+			ks := stats.KolmogorovSmirnovSorted(sortedInterArrivals(rec), truthIA)
 			rows = append(rows, SweepRow{
 				Threshold: th,
 				AvgGap:    avg,
@@ -213,11 +213,11 @@ func fidelityCell(p workload.Profile, cfg Config) (FidelityRow, error) {
 			return row, fmt.Errorf("%s: %w", m.Name, err)
 		}
 	}
-	truthIA := truth.Trace.InterArrivalMicros()
+	truthIA := sortedInterArrivals(truth.Trace)
 	for _, name := range FidelityRungs {
-		ia := rungs[name].InterArrivalMicros()
-		row.KS = append(row.KS, stats.KolmogorovSmirnov(ia, truthIA))
-		row.W1Micros = append(row.W1Micros, stats.Wasserstein1(ia, truthIA))
+		ia := sortedInterArrivals(rungs[name])
+		row.KS = append(row.KS, stats.KolmogorovSmirnovSorted(ia, truthIA))
+		row.W1Micros = append(row.W1Micros, stats.Wasserstein1Sorted(ia, truthIA))
 	}
 	row.Async.Add(infRep.Async, old.Requests)
 	own := infRep
@@ -306,4 +306,13 @@ func (r FidelityResult) Render(w io.Writer) {
 		s.AddRow(append(cells, report.Percent(secured))...)
 	}
 	s.Render(w)
+}
+
+// sortedInterArrivals returns t's inter-arrival times (µs) in
+// increasing order, what the sorted KS and W1 read: each sample is
+// sorted once however many others it is scored against.
+func sortedInterArrivals(t *trace.Trace) []float64 {
+	ia := t.InterArrivalMicros()
+	stats.SortFloat64s(ia, nil)
+	return ia
 }

@@ -15,7 +15,8 @@
 package infer
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -46,8 +47,8 @@ type Grouping struct {
 }
 
 // Select returns the groups matching seq/op with at least minSamples
-// samples, sorted by descending sample count (stable by size then
-// sectors so runs are deterministic).
+// samples, sorted by descending sample count (then by size, so runs
+// are deterministic).
 func (g *Grouping) Select(seq bool, op trace.Op, minSamples int) []*Group {
 	var out []*Group
 	for k, grp := range g.Groups {
@@ -55,32 +56,19 @@ func (g *Grouping) Select(seq bool, op trace.Op, minSamples int) []*Group {
 			out = append(out, grp)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].N() != out[j].N() {
-			return out[i].N() > out[j].N()
-		}
-		return out[i].Key.Sectors < out[j].Key.Sectors
-	})
+	slices.SortFunc(out, func(a, b *Group) int { return cmpGroups(a.Key, a.N(), b.Key, b.N()) })
 	return out
 }
 
-// SelectAllRandom returns the random-access groups of either op with at
-// least minSamples samples (used for Tmovd estimation).
-func (g *Grouping) SelectAllRandom(minSamples int) []*Group {
-	var out []*Group
-	for k, grp := range g.Groups {
-		if !k.Seq && grp.N() >= minSamples {
-			out = append(out, grp)
-		}
+// cmpGroups orders groups by descending sample count, then ascending
+// size, then op: the order the fit scores them in, so that equal
+// scores resolve the same way on every run.
+func cmpGroups(ka GroupKey, na int, kb GroupKey, nb int) int {
+	if na != nb {
+		return cmp.Compare(nb, na)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].N() != out[j].N() {
-			return out[i].N() > out[j].N()
-		}
-		if out[i].Key.Sectors != out[j].Key.Sectors {
-			return out[i].Key.Sectors < out[j].Key.Sectors
-		}
-		return out[i].Key.Op < out[j].Key.Op
-	})
-	return out
+	if ka.Sectors != kb.Sectors {
+		return cmp.Compare(ka.Sectors, kb.Sectors)
+	}
+	return cmp.Compare(ka.Op, kb.Op)
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,17 +82,23 @@ func Estimate(t *trace.Trace, _ EstimateOptions) (*Model, error) {
 	return c.Estimate(t.Name)
 }
 
-// estimateGrouping fits the model from a classification on the
-// examiners xs (grown as needed and returned), sorting each group's
-// samples where they lie. name labels errors.
-func estimateGrouping(g *Grouping, name string, xs []examiner) (*Model, []examiner, error) {
-	m := &Model{FlatReadMicros: -1, FlatWriteMicros: -1}
-	ex, xs := examineGroups(g, xs)
+// groupFit is one group as the fit selects it: its key, its sample
+// count and, for a group of at least minGroupSamples samples — every
+// group a pass below can select — its examination.
+type groupFit struct {
+	key GroupKey
+	n   int
+	ex  examination
+}
 
-	okRead := estimateOp(m, g, ex, trace.Read)
-	okWrite := estimateOp(m, g, ex, trace.Write)
+// fitModel fits the model from the groups of a classification; name
+// labels errors.
+func fitModel(groups []groupFit, name string) (*Model, error) {
+	m := &Model{FlatReadMicros: -1, FlatWriteMicros: -1}
+	okRead := estimateOp(m, groups, trace.Read)
+	okWrite := estimateOp(m, groups, trace.Write)
 	if !okRead && !okWrite {
-		return nil, xs, fmt.Errorf("%w: %q", ErrTooSparse, name)
+		return nil, fmt.Errorf("%w: %q", ErrTooSparse, name)
 	}
 	// A missing op inherits the other's parameters: the best available
 	// estimate when a workload is effectively read-only or write-only.
@@ -109,28 +115,18 @@ func estimateGrouping(g *Grouping, name string, xs []examiner) (*Model, []examin
 		m.WriteSizes = m.ReadSizes
 	}
 
-	estimateTmovd(m, g, ex)
-	return m, xs, nil
+	estimateTmovd(m, groups)
+	return m, nil
 }
 
-// examineGroups runs the steepness analysis once over every group with
-// at least minGroupSamples samples — every group a pass below can
-// select — largest first, on min(GOMAXPROCS, groups) goroutines, each
-// with its own examiner of xs (grown to the goroutine count and
-// returned). A goroutine writes only the slots of the groups it takes,
-// and nothing reads a slot before the join. An examination is a pure
-// function of its group's samples, so the schedule cannot change a bit
-// of the model. The samples end up sorted.
-func examineGroups(g *Grouping, xs []examiner) (map[*Group]*examination, []examiner) {
-	var groups []*Group
-	for _, grp := range g.Groups {
-		if grp.N() >= minGroupSamples {
-			groups = append(groups, grp)
-		}
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].N() > groups[j].N() })
-	out := make([]examination, len(groups))
-	workers := min(runtime.GOMAXPROCS(0), len(groups))
+// examineEach runs examine(x, i) for every i in [0, n) on min(GOMAXPROCS,
+// n) goroutines, each with its own examiner of xs (grown to the
+// goroutine count and returned), taking indices in increasing order. A
+// call writes only what index i owns, and nothing reads it before the
+// join. An examination is a pure function of its group's samples, so
+// the schedule cannot change a bit of the model.
+func examineEach(xs []examiner, n int, examine func(x *examiner, i int)) []examiner {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if len(xs) < workers {
 		xs = append(xs, make([]examiner, workers-len(xs))...)
 	}
@@ -142,44 +138,44 @@ func examineGroups(g *Grouping, xs []examiner) (map[*Group]*examination, []exami
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(groups) {
+				if i >= n {
 					return
 				}
-				out[i] = x.examineSorting(groups[i].InttMicros)
+				examine(x, i)
 			}
 		}(&xs[w])
 	}
 	wg.Wait()
-	ex := make(map[*Group]*examination, len(groups))
-	for i, grp := range groups {
-		ex[grp] = &out[i]
+	return xs
+}
+
+// selectGroups returns the groups of at least minGroupSamples samples
+// whose key keep accepts, in the fit's scoring order (cmpGroups).
+func selectGroups(groups []groupFit, keep func(GroupKey) bool) []*groupFit {
+	var out []*groupFit
+	for i := range groups {
+		if g := &groups[i]; g.n >= minGroupSamples && keep(g.key) {
+			out = append(out, g)
+		}
 	}
-	return ex, xs
+	slices.SortFunc(out, func(a, b *groupFit) int { return cmpGroups(a.key, a.n, b.key, b.n) })
+	return out
 }
 
 // estimateOp fits β (or η) and Tcdel for one operation type from the
-// sequential groups, reading their examinations from ex. Returns false
-// when no group is usable.
-func estimateOp(m *Model, g *Grouping, ex map[*Group]*examination, op trace.Op) bool {
-	groups := g.Select(true, op, minGroupSamples)
-	if len(groups) == 0 {
+// sequential groups. Returns false when no group is usable.
+func estimateOp(m *Model, groups []groupFit, op trace.Op) bool {
+	sel := selectGroups(groups, func(k GroupKey) bool { return k.Seq && k.Op == op })
+	if len(sel) == 0 {
 		// No sequential traffic: fall back to random groups of the op
 		// so that read-heavy random workloads still get a model; the
 		// Tmovd term then absorbs the positioning component.
-		for _, grp := range g.SelectAllRandom(minGroupSamples) {
-			if grp.Key.Op == op {
-				groups = append(groups, grp)
-			}
-		}
+		sel = selectGroups(groups, func(k GroupKey) bool { return !k.Seq && k.Op == op })
 	}
-	type scored struct {
-		grp *Group
-		*examination
-	}
-	var sc []scored
-	for _, grp := range groups {
-		if e := ex[grp]; e.ok {
-			sc = append(sc, scored{grp, e})
+	var sc []*groupFit
+	for _, g := range sel {
+		if g.ex.ok {
+			sc = append(sc, g)
 		}
 	}
 	if len(sc) == 0 {
@@ -189,17 +185,17 @@ func estimateOp(m *Model, g *Grouping, ex map[*Group]*examination, op trace.Op) 
 	// distinct request sizes.
 	best := 0
 	for i := range sc {
-		if sc[i].res.Score > sc[best].res.Score {
+		if sc[i].ex.res.Score > sc[best].ex.res.Score {
 			best = i
 		}
 	}
 	steep1 := sc[best]
 	second := -1
 	for i := range sc {
-		if sc[i].grp.Key.Sectors == steep1.grp.Key.Sectors {
+		if sc[i].key.Sectors == steep1.key.Sectors {
 			continue
 		}
-		if second == -1 || sc[i].res.Score > sc[second].res.Score {
+		if second == -1 || sc[i].ex.res.Score > sc[second].ex.res.Score {
 			second = i
 		}
 	}
@@ -207,13 +203,13 @@ func estimateOp(m *Model, g *Grouping, ex map[*Group]*examination, op trace.Op) 
 	if second == -1 {
 		// Uniform request size: single-CDF case — read Tslat directly
 		// off the global maximum of CDF' (paper Fig 5a discussion).
-		flat := steep1.res.RiseMicros
+		flat := steep1.ex.res.RiseMicros
 		if op == trace.Read {
 			m.FlatReadMicros = flat
-			m.ReadSizes = [2]uint32{steep1.grp.Key.Sectors, steep1.grp.Key.Sectors}
+			m.ReadSizes = [2]uint32{steep1.key.Sectors, steep1.key.Sectors}
 		} else {
 			m.FlatWriteMicros = flat
-			m.WriteSizes = [2]uint32{steep1.grp.Key.Sectors, steep1.grp.Key.Sectors}
+			m.WriteSizes = [2]uint32{steep1.key.Sectors, steep1.key.Sectors}
 		}
 		return true
 	}
@@ -222,55 +218,48 @@ func estimateOp(m *Model, g *Grouping, ex map[*Group]*examination, op trace.Op) 
 	// ΔTintt (Fig 6) is the separation of the two rise locations: the
 	// CDFs rise at Tcdel + coef·size1 and Tcdel + coef·size2, so
 	// |T'1 − T'2| isolates coef·|size1 − size2| exactly.
-	delta := math.Abs(steep1.res.RiseMicros - steep2.res.RiseMicros)
-	sizeDiff := math.Abs(float64(steep1.grp.Key.Sectors) - float64(steep2.grp.Key.Sectors))
+	delta := math.Abs(steep1.ex.res.RiseMicros - steep2.ex.res.RiseMicros)
+	sizeDiff := math.Abs(float64(steep1.key.Sectors) - float64(steep2.key.Sectors))
 	coef := delta / sizeDiff
 	if coef < 0 {
 		coef = 0
 	}
 	// T'intt of the steepest graph minus the size-proportional device
 	// time leaves the channel delay.
-	tcdel := steep1.res.RiseMicros - coef*float64(steep1.grp.Key.Sectors)
+	tcdel := steep1.ex.res.RiseMicros - coef*float64(steep1.key.Sectors)
 	if tcdel < 0 {
 		tcdel = 0
 	}
 	if op == trace.Read {
 		m.BetaMicros = coef
 		m.TcdelReadMicros = tcdel
-		m.ReadSizes = [2]uint32{steep1.grp.Key.Sectors, steep2.grp.Key.Sectors}
+		m.ReadSizes = [2]uint32{steep1.key.Sectors, steep2.key.Sectors}
 	} else {
 		m.EtaMicros = coef
 		m.TcdelWriteMicros = tcdel
-		m.WriteSizes = [2]uint32{steep1.grp.Key.Sectors, steep2.grp.Key.Sectors}
+		m.WriteSizes = [2]uint32{steep1.key.Sectors, steep2.key.Sectors}
 	}
 	return true
 }
 
 // estimateTmovd fits the representative random-access positioning
-// delay from the steepest random-access CDF, reading the groups'
-// examinations from ex.
-func estimateTmovd(m *Model, g *Grouping, ex map[*Group]*examination) {
-	var bestGrp *Group
-	var bestRes SteepnessResult
-	found := false
-	for _, grp := range g.SelectAllRandom(minGroupSamples) {
-		e := ex[grp]
-		if !e.ok {
-			continue
-		}
-		if !found || e.res.Score > bestRes.Score {
-			bestGrp, bestRes, found = grp, e.res, true
+// delay from the steepest random-access CDF.
+func estimateTmovd(m *Model, groups []groupFit) {
+	var best *groupFit
+	for _, g := range selectGroups(groups, func(k GroupKey) bool { return !k.Seq }) {
+		if g.ex.ok && (best == nil || g.ex.res.Score > best.ex.res.Score) {
+			best = g
 		}
 	}
-	if !found {
+	if best == nil {
 		m.TmovdMicros = 0
 		return
 	}
 	// Tmovd = T_rand − (Tcdel + coef·size_ref) for the chosen group's
 	// op type and size.
-	sizeRef := float64(bestGrp.Key.Sectors)
+	sizeRef := float64(best.key.Sectors)
 	var seqPart float64
-	if bestGrp.Key.Op == trace.Read {
+	if best.key.Op == trace.Read {
 		seqPart = m.TcdelReadMicros + m.BetaMicros*sizeRef
 		if m.FlatReadMicros >= 0 {
 			seqPart = m.FlatReadMicros
@@ -281,7 +270,7 @@ func estimateTmovd(m *Model, g *Grouping, ex map[*Group]*examination) {
 			seqPart = m.FlatWriteMicros
 		}
 	}
-	tmovd := bestRes.RiseMicros - seqPart
+	tmovd := best.ex.res.RiseMicros - seqPart
 	if tmovd < 0 {
 		tmovd = 0
 	}

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/interp"
 	"repro/internal/stats"
@@ -37,8 +38,9 @@ type SteepnessResult struct {
 // when the sample is too small or degenerate (fewer than two distinct
 // values) for the analysis to mean anything, or holds a NaN.
 func ExamineSteepness(inttMicros []float64) (SteepnessResult, bool) {
-	var x examiner
-	e := x.examineSorting(append([]float64(nil), inttMicros...))
+	s := slices.Clone(inttMicros)
+	stats.SortFloat64s(s, nil)
+	e := examine(&sortedRun{sample: s})
 	return e.res, e.ok
 }
 
@@ -48,22 +50,116 @@ type examination struct {
 	ok  bool
 }
 
-// examiner is the scratch one goroutine reuses across the groups it
-// examines: the radix sort's key space. No examination result points
-// into it.
-type examiner struct {
-	keys []uint64
+// sortedRun is a sample in increasing order, as the examination reads
+// it: either a sample of µs values (ExamineSteepness's input) or a
+// classifier group's run in nanoseconds — its negative escapes, its
+// stored gaps and its other escapes, each sorted. The µs value of a
+// gap is micros(ns), which is exact and one to one on stored gaps, so
+// those compare as integers; escapes compare as µs, which two huge
+// ones can share.
+type sortedRun struct {
+	sample []float64
+	neg    []int64
+	ns     []uint32
+	pos    []int64
 }
 
-// examineSorting sorts s in place and examines it.
-func (x *examiner) examineSorting(s []float64) (out examination) {
+func (r *sortedRun) len() int { return len(r.sample) + len(r.neg) + len(r.ns) + len(r.pos) }
+
+// bounds returns the smallest and largest values (µs) of a non-empty run.
+func (r *sortedRun) bounds() (lo, hi float64) {
+	switch {
+	case len(r.sample) > 0:
+		return r.sample[0], r.sample[len(r.sample)-1]
+	case len(r.neg) > 0:
+		lo = micros(r.neg[0])
+	case len(r.ns) > 0:
+		lo = micros(int64(r.ns[0]))
+	default:
+		lo = micros(r.pos[0])
+	}
+	switch {
+	case len(r.pos) > 0:
+		hi = micros(r.pos[len(r.pos)-1])
+	case len(r.ns) > 0:
+		hi = micros(int64(r.ns[len(r.ns)-1]))
+	default:
+		hi = micros(r.neg[len(r.neg)-1])
+	}
+	return lo, hi
+}
+
+// distinct yields each distinct value (µs) of the run in increasing
+// order, with the number of samples at or below it.
+func (r *sortedRun) distinct(yield func(v float64, upto int) bool) {
+	for i, v := range r.sample {
+		if i+1 < len(r.sample) && r.sample[i+1] == v {
+			continue
+		}
+		if !yield(v, i+1) {
+			return
+		}
+	}
+	escapes := func(es []int64, base int) bool {
+		for i, v := range es {
+			if i+1 < len(es) && micros(es[i+1]) == micros(v) {
+				continue
+			}
+			if !yield(micros(v), base+i+1) {
+				return false
+			}
+		}
+		return true
+	}
+	if !escapes(r.neg, 0) {
+		return
+	}
+	base := len(r.neg)
+	for i, v := range r.ns {
+		if i+1 < len(r.ns) && r.ns[i+1] == v {
+			continue
+		}
+		if !yield(micros(int64(v)), base+i+1) {
+			return
+		}
+	}
+	escapes(r.pos, base+len(r.ns))
+}
+
+// examiner is the scratch one goroutine reuses across the groups it
+// examines: the run sort's buffer and the escapes' copy. No
+// examination result points into it.
+type examiner struct {
+	buf []uint32
+	esc []int64
+}
+
+// examineRun sorts g's samples and examines them. g's gaps are left in
+// another order; its escapes are not touched.
+func (x *examiner) examineRun(g *run) examination {
+	x.esc = g.esc.appendTo(x.esc[:0])
+	slices.Sort(x.esc)
+	neg := 0
+	for neg < len(x.esc) && x.esc[neg] < 0 {
+		neg++
+	}
+	sorted := x.sortRun(&g.gaps) // the escapes' sentinels sort last
+	return examine(&sortedRun{
+		neg: x.esc[:neg],
+		ns:  sorted[:len(sorted)-len(x.esc)],
+		pos: x.esc[neg:],
+	})
+}
+
+// examine is Algorithm 1 on a sorted sample: the one examination
+// kernel, whatever holds the sample.
+func examine(s *sortedRun) (out examination) {
 	res := &out.res
-	if len(s) < 2 {
+	n := s.len()
+	if n < 2 {
 		return out
 	}
-	// One sorted view feeds the histogram and the knots.
-	x.keys = stats.SortFloat64s(s, x.keys)
-	lo, hi := s[0], s[len(s)-1]
+	lo, hi := s.bounds()
 	if lo == hi {
 		// All samples identical: infinitely steep CDF. Report the
 		// degenerate point directly; Score uses the full mass.
@@ -84,7 +180,11 @@ func (x *examiner) examineSorting(s []float64) (out examination) {
 	if err != nil {
 		return out
 	}
-	h.Observe(s...)
+	d, below := 0, 0 // distinct values, samples below the current one
+	for v, upto := range s.distinct {
+		h.ObserveN(v, upto-below)
+		d, below = d+1, upto
+	}
 	xs, ps := h.PDF()
 
 	// Step 2: least-squares straight line through (Tintt, PDF).
@@ -121,7 +221,7 @@ func (x *examiner) examineSorting(s []float64) (out examination) {
 
 	// Step 4 (Section IV "steepness analysis"): interpolate the CDF
 	// and find the maximum of its derivative.
-	cx, cy := dedupePoints(sortedKnots(s))
+	cx, cy := dedupePoints(sortedKnots(s, d))
 	out.ok = true
 	if len(cx) < 2 {
 		res.RiseMicros = bestX
@@ -150,28 +250,28 @@ func (x *examiner) examineSorting(s []float64) (out examination) {
 // thinned to at most 512 knots so interpolation cost stays bounded on
 // million-request groups while preserving the distribution shape.
 func newCDFPoints(samples []float64) ([]float64, []float64) {
-	s := append([]float64(nil), samples...)
+	s := slices.Clone(samples)
 	stats.SortFloat64s(s, nil)
-	return sortedKnots(s)
+	run := &sortedRun{sample: s}
+	d := 0
+	for range run.distinct {
+		d++
+	}
+	return sortedKnots(run, d)
 }
 
 // maxKnots bounds the CDF knots sortedKnots returns.
 const maxKnots = 512
 
 // sortedKnots returns the step points of the empirical CDF of the
-// sorted sample s — each distinct value with the share of samples at
-// or below it — thinned to at most maxKnots, evenly spaced over the
-// distinct values, in new slices. It reads them straight off s: the
-// ECDF the thinning would pick them from is never built.
-func sortedKnots(s []float64) ([]float64, []float64) {
-	if len(s) == 0 {
+// sorted sample s, which holds d distinct values — each distinct value
+// with the share of samples at or below it — thinned to at most
+// maxKnots, evenly spaced over the distinct values, in new slices. It
+// reads them straight off s: the ECDF the thinning would pick them
+// from is never built.
+func sortedKnots(s *sortedRun, d int) ([]float64, []float64) {
+	if d == 0 {
 		return nil, nil
-	}
-	d := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[i-1] {
-			d++
-		}
 	}
 	k := min(d, maxKnots)
 	// at returns the distinct-value index of knot i: every one when
@@ -183,14 +283,12 @@ func sortedKnots(s []float64) ([]float64, []float64) {
 	}
 	buf := make([]float64, 2*k)
 	xs, cs := buf[:0:k], buf[k:k]
-	j, want := 0, at(0) // j: distinct index of the run ending at i
-	for i := range s {
-		if i+1 < len(s) && s[i+1] == s[i] {
-			continue
-		}
+	n := float64(s.len())
+	j, want := 0, at(0) // j: distinct index of the value at hand
+	for v, upto := range s.distinct {
 		if j == want {
-			xs = append(xs, s[i])
-			cs = append(cs, float64(i+1)/float64(len(s)))
+			xs = append(xs, v)
+			cs = append(cs, float64(upto)/n)
 			if len(xs) == k {
 				break
 			}

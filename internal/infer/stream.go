@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -13,15 +14,20 @@ import (
 // that follows it to its group (sequentiality × op × size). It is the
 // fit's one classifier; Estimate feeds it a whole trace.
 //
-// The samples of every group live in one flat slice, each tagged with
-// its group's ordinal, so adding a sample never copies a group, and
-// Reset keeps that storage for the next stream: a classifier reused
+// Each group keeps one run of its gaps in integer nanoseconds, 4 bytes
+// a sample: a gap in [0, escape) is stored as it is, any other (a gap
+// of 2³²−1 ns or more, or a negative one from unsorted input) as the
+// escape sentinel, with its exact value on the group's escape list in
+// the same order. Both live in fixed-size chunks drawn from the
+// classifier's pools, so adding a sample never copies a group, and
+// Reset returns every chunk for the next stream: a classifier reused
 // across fits stops allocating once it has held its largest stream.
 type StreamClassifier struct {
 	keys    []GroupKey // the groups by ordinal, in order of first sample
 	index   map[GroupKey]int32
-	samples []float64 // every inter-arrival sample (µs), in stream order until Estimate
-	ids     []int32   // ids[i] is the ordinal of samples[i]'s group
+	runs    []run // runs[id] is group id's run; slots past len(keys) are empty
+	gaps    pool[uint32]
+	escs    pool[int64]
 	ex      []examiner
 	seq     *trace.SeqState
 	flags   []bool // AddBatch's flag scratch
@@ -39,6 +45,21 @@ type StreamClassifier struct {
 		id  int32
 	}
 }
+
+// escape is the run value of a gap kept on the escape list. 2³²−1 ns
+// itself is escaped, so every stored value below it is a real gap; all
+// escapes sort after every stored gap.
+const escape = math.MaxUint32
+
+// run is one group's samples: a value per sample in stream order until
+// Estimate, and the exact gaps behind its escapes, in the same order.
+type run struct {
+	gaps chunkList[uint32]
+	esc  chunkList[int64]
+}
+
+// micros is the classifier's one conversion of a gap to the fit's unit.
+func micros(ns int64) float64 { return float64(ns) / float64(time.Microsecond) }
 
 // cacheSlot hashes k onto one of the StreamClassifier's cache slots
 // (Fibonacci hashing; the top 6 bits of the product).
@@ -60,9 +81,13 @@ func NewStreamClassifier() *StreamClassifier {
 
 // Reset empties the classifier for a new stream, keeping its storage.
 func (c *StreamClassifier) Reset() {
+	for id := range c.keys {
+		c.runs[id].gaps.release(&c.gaps)
+		c.runs[id].esc.release(&c.escs)
+	}
 	clear(c.index)
 	c.keys = c.keys[:0]
-	c.samples, c.ids, c.flags = c.samples[:0], c.ids[:0], c.flags[:0]
+	c.flags = c.flags[:0]
 	c.seq = trace.NewSeqState()
 	c.prev, c.prevSeq, c.have, c.n = trace.Request{}, false, false, 0
 	c.cache = [64]struct {
@@ -72,11 +97,15 @@ func (c *StreamClassifier) Reset() {
 }
 
 // Bytes returns the size of the storage the classifier holds — what
-// keeping it for another stream keeps.
+// keeping it for another stream keeps: its chunks and their tables,
+// the flag scratch and the examiners' sort scratch.
 func (c *StreamClassifier) Bytes() int64 {
-	n := int64(cap(c.samples))*8 + int64(cap(c.ids))*4 + int64(cap(c.flags))
+	n := c.gaps.bytes() + c.escs.bytes() + int64(cap(c.flags))
+	for i := range c.runs {
+		n += int64(cap(c.runs[i].gaps.chunks)+cap(c.runs[i].esc.chunks)) * 8
+	}
 	for i := range c.ex {
-		n += int64(cap(c.ex[i].keys)) * 8
+		n += int64(cap(c.ex[i].buf))*4 + int64(cap(c.ex[i].esc))*8
 	}
 	return n
 }
@@ -105,8 +134,13 @@ func (c *StreamClassifier) AddFlagged(rs []trace.Request, seq []bool) {
 				id = c.group(k)
 				slot.key, slot.id = k, id+1
 			}
-			c.samples = append(c.samples, float64(r.Arrival-c.prev.Arrival)/float64(time.Microsecond))
-			c.ids = append(c.ids, id)
+			g := &c.runs[id]
+			if gap := r.Arrival - c.prev.Arrival; uint64(gap) < escape {
+				g.gaps.push(uint32(gap), &c.gaps)
+			} else {
+				g.gaps.push(escape, &c.gaps)
+				g.esc.push(int64(gap), &c.escs)
+			}
 		}
 		c.prevSeq = seq[i]
 		c.prev = *r
@@ -122,6 +156,9 @@ func (c *StreamClassifier) group(k GroupKey) int32 {
 		id = int32(len(c.keys))
 		c.index[k] = id
 		c.keys = append(c.keys, k)
+		if int(id) == len(c.runs) {
+			c.runs = append(c.runs, run{})
+		}
 	}
 	return id
 }
@@ -130,75 +167,52 @@ func (c *StreamClassifier) group(k GroupKey) int32 {
 func (c *StreamClassifier) N() int { return c.n }
 
 // Grouping returns the classification accumulated so far, each group's
-// samples in a new slice. Before Estimate they are in stream order;
-// Estimate sorts them within their groups.
+// samples (µs) in a new slice. Before Estimate they are in stream
+// order; Estimate leaves each examined group's samples in an order of
+// its sort's making.
 func (c *StreamClassifier) Grouping() *Grouping {
-	counts, next := c.runs()
-	flat := make([]float64, len(c.samples))
-	for i, v := range c.samples {
-		id := c.ids[i]
-		flat[next[id]] = v
-		next[id]++
+	total := 0
+	for id := range c.keys {
+		total += c.runs[id].gaps.n
 	}
-	return c.grouping(flat, counts)
+	flat := make([]float64, 0, total)
+	g := &Grouping{Groups: make(map[GroupKey]*Group, len(c.keys))}
+	for id, k := range c.keys {
+		r := &c.runs[id]
+		off, e := len(flat), 0
+		for i := range r.gaps.n {
+			ns := int64(r.gaps.at(i))
+			if ns == escape {
+				ns = r.esc.at(e)
+				e++
+			}
+			flat = append(flat, micros(ns))
+		}
+		g.Groups[k] = &Group{Key: k, InttMicros: flat[off:len(flat):len(flat)]}
+	}
+	return g
 }
 
 // Estimate fits the model to everything added so far; name labels
 // errors. It is the second half of every fit — infer.Estimate, the
 // engine's per-job pass (engine.FitModel) and the corpus store's ingest
-// fold. The fit runs on Grouping's classification in the classifier's
-// own storage: the samples are permuted in place into one run per group
-// and each run is sorted where it lies.
+// fold. Each group the fit can select is sorted and examined from its
+// own run (examiner.examineRun); no float64 copy of a group is made.
 func (c *StreamClassifier) Estimate(name string) (*Model, error) {
-	counts, starts := c.runs()
-	// next[id] is the first slot of group id's run not yet holding one
-	// of its samples; each swap puts one sample in its run for good.
-	next := slices.Clone(starts)
-	for id := range c.keys {
-		for end := starts[id] + counts[id]; next[id] < end; {
-			i := next[id]
-			j := c.ids[i]
-			if int(j) == id {
-				next[id]++
-				continue
-			}
-			k := next[j]
-			c.samples[i], c.samples[k] = c.samples[k], c.samples[i]
-			c.ids[i], c.ids[k] = c.ids[k], c.ids[i]
-			next[j]++
+	fits := make([]groupFit, len(c.keys))
+	var big []int // the ordinals of the groups to examine
+	for id, k := range c.keys {
+		fits[id] = groupFit{key: k, n: c.runs[id].gaps.n}
+		if fits[id].n >= minGroupSamples {
+			big = append(big, id)
 		}
 	}
-	m, ex, err := estimateGrouping(c.grouping(c.samples, counts), name, c.ex)
-	c.ex = ex
-	return m, err
-}
-
-// runs returns each group's sample count and where its run starts in
-// a slice of the samples partitioned by group, in ordinal order.
-func (c *StreamClassifier) runs() (counts, starts []int) {
-	counts = make([]int, len(c.keys))
-	for _, id := range c.ids {
-		counts[id]++
-	}
-	starts = make([]int, len(c.keys))
-	off := 0
-	for id, n := range counts {
-		starts[id] = off
-		off += n
-	}
-	return counts, starts
-}
-
-// grouping views flat, the samples partitioned by group in ordinal
-// order, as a Grouping.
-func (c *StreamClassifier) grouping(flat []float64, counts []int) *Grouping {
-	g := &Grouping{Groups: make(map[GroupKey]*Group, len(c.keys))}
-	off := 0
-	for id, k := range c.keys {
-		g.Groups[k] = &Group{Key: k, InttMicros: flat[off : off+counts[id] : off+counts[id]]}
-		off += counts[id]
-	}
-	return g
+	// Largest first, so the largest group is not the last one taken.
+	slices.SortFunc(big, func(a, b int) int { return fits[b].n - fits[a].n })
+	c.ex = examineEach(c.ex, len(big), func(x *examiner, i int) {
+		fits[big[i]].ex = x.examineRun(&c.runs[big[i]])
+	})
+	return fitModel(fits, name)
 }
 
 // SummarizeAndClassify drains dec in the one streamed pass corpus

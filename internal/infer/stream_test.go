@@ -98,7 +98,7 @@ func TestStreamClassifierMatchesClassify(t *testing.T) {
 // the fit of the reference classification.
 func TestEstimateGroupingMatchesEstimate(t *testing.T) {
 	tr := streamTrace(4000)
-	want, _, err := estimateGrouping(classifyRef(tr), tr.Name, nil)
+	want, err := estimateGrouping(classifyRef(tr), tr.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,109 @@ func TestDecomposeShardConcatenation(t *testing.T) {
 	}
 }
 
+// TestClassifierBytesAtScale fits a generated 4M-request trace with
+// webmail's shape — three sizes, reads and writes, half of them random,
+// one gap in twenty past 2³² ns — fed in decoder-sized batches, and
+// holds Bytes to the storage it is made of: 4 B a request and 8 B an
+// escape, at most one part-filled chunk of each kind a group, the chunk
+// tables, the flag scratch and the examiners' sort scratch, which is
+// 4 B a sample of the largest groups they examined.
+func TestClassifierBytesAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fits 4M requests")
+	}
+	const n, batchLen = 4_000_000, 1 << 16
+	rng := rand.New(rand.NewSource(24))
+	c := NewStreamClassifier()
+	batch := make([]trace.Request, batchLen)
+	var now time.Duration
+	var lba uint64
+	escapes := 0
+	for done := 0; done < n; done += batchLen {
+		for i := range batch {
+			sz := []uint32{8, 16, 32}[rng.Intn(3)]
+			if rng.Intn(2) == 0 {
+				lba = uint64(rng.Intn(1 << 30))
+			}
+			batch[i] = trace.Request{Arrival: now, LBA: lba, Sectors: sz, Op: trace.Op(rng.Intn(2))}
+			lba += uint64(sz)
+			gap := time.Duration(rng.ExpFloat64() * float64(2*time.Millisecond))
+			if rng.Intn(20) == 0 {
+				gap = escape + time.Duration(rng.Intn(60))*time.Second
+			}
+			if gap >= escape && done+i+1 < n {
+				escapes++
+			}
+			now += gap
+		}
+		c.AddBatch(batch[:min(batchLen, n-done)])
+	}
+	if _, err := c.Estimate("scale"); err != nil {
+		t.Fatal(err)
+	}
+	groups, largest := len(c.keys), 0
+	for id := range c.keys {
+		largest = max(largest, c.runs[id].gaps.n)
+	}
+	var scratch int64
+	for _, x := range c.ex {
+		scratch += int64(cap(x.buf))*4 + int64(cap(x.esc))*8
+		if cap(x.buf) > largest+2048 { // an allocation rounds up to whole 8 KiB pages
+			t.Errorf("an examiner keeps %d B of sort scratch; the largest group has %d samples", cap(x.buf)*4, largest)
+		}
+	}
+	samples := int64(n - 1)
+	// The tables hold a pointer a chunk, grown by append: at most twice
+	// what they point to.
+	chunks := samples/chunkLen + int64(escapes)/chunkLen + 2*int64(groups)
+	bound := 4*samples + 8*int64(escapes) + int64(groups)*chunkLen*(4+8) + 2*8*chunks +
+		int64(cap(c.flags)) + scratch
+	got := c.Bytes()
+	t.Logf("%d requests, %d groups, %d escapes: Bytes %d (%.2f B a request), bound %d, sort scratch %d",
+		n, groups, escapes, got, float64(got)/n, bound, scratch)
+	if got > bound {
+		t.Fatalf("Bytes %d over the bound %d", got, bound)
+	}
+}
+
 var sinkModel *Model
+
+// webmailCSV is the benchmark's cold-infer-csv trace: FIU webmail, 100k
+// requests, latencies dropped, arrivals quantized by a csv round trip.
+func webmailCSV(tb testing.TB) *trace.Trace {
+	tb.Helper()
+	p, ok := workload.Lookup("webmail")
+	if !ok {
+		tb.Fatal("webmail profile missing")
+	}
+	app := workload.Generate(p, workload.GenOptions{Ops: 100_000, Seed: workload.TraceSeed("webmail", 0)})
+	gen := app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace
+	gen.TsdevKnown = false
+	var buf bytes.Buffer
+	if err := trace.WriteCSV(&buf, gen); err != nil {
+		tb.Fatal(err)
+	}
+	tr, err := trace.ReadFormat("csv", &buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// TestClassifierBytesWebmail: what a classifier keeps after fitting the
+// cold-infer-csv trace — what the corpus store holds between ingests —
+// is at most 1.1 MB.
+func TestClassifierBytesWebmail(t *testing.T) {
+	tr := webmailCSV(t)
+	c := NewStreamClassifier()
+	c.AddBatch(tr.Requests)
+	if _, err := c.Estimate(tr.Name); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Bytes(); got > 1_100_000 {
+		t.Fatalf("Bytes %d after a 100k webmail fit, want at most 1.1 MB", got)
+	}
+}
 
 // BenchmarkEstimateGrouping prices the fit kernel as corpus ingest runs
 // it, on the benchmark's cold-infer-csv shape — FIU webmail, 100k
@@ -194,27 +296,14 @@ var sinkModel *Model
 // own decode pass, this is on every such upload's critical path; a
 // change to the estimator claims against this row. The groups are
 // examined on GOMAXPROCS goroutines, so it has two rows: `-cpu 1` is
-// the serial cost (≈ 5.8 ms/op on a 2-CPU Xeon VM), `-cpu 2` what an
-// upload waits for on that VM (≈ 3.0 ms/op, the largest group being the
-// floor).
+// the serial cost (3.6–4.3 ms/op on a 2-CPU Xeon VM), `-cpu 2` what an
+// upload waits for on that VM (2.4–2.8 ms/op, the largest group being
+// the floor).
 //
 //	go test -run '^$' -bench BenchmarkEstimateGrouping -benchmem -cpu 1,2 ./internal/infer
 func BenchmarkEstimateGrouping(b *testing.B) {
-	p, ok := workload.Lookup("webmail")
-	if !ok {
-		b.Fatal("webmail profile missing")
-	}
-	app := workload.Generate(p, workload.GenOptions{Ops: 100_000, Seed: workload.TraceSeed("webmail", 0)})
-	gen := app.Execute(device.NewHDD(device.DefaultHDDConfig())).Trace
-	gen.TsdevKnown = false
-	var buf bytes.Buffer
-	if err := trace.WriteCSV(&buf, gen); err != nil {
-		b.Fatal(err)
-	}
-	tr, err := trace.ReadFormat("csv", &buf)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := webmailCSV(b)
+	var err error
 	c := NewStreamClassifier()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -266,7 +355,7 @@ func FuzzClassifierVsRef(f *testing.F) {
 			}
 		}
 
-		wantM, _, wantErr := estimateGrouping(want, tr.Name, nil)
+		wantM, wantErr := estimateGrouping(want, tr.Name)
 		fits := map[string]func() (*Model, error){
 			"Estimate":   func() (*Model, error) { return Estimate(tr, EstimateOptions{}) },
 			"AddBatch":   func() (*Model, error) { return batched.Estimate(tr.Name) },

@@ -49,7 +49,8 @@ func validate(xs, ys []float64) error {
 }
 
 // segment locates the polynomial piece index for x: the largest i with
-// xs[i] <= x, clamped to [0, len(xs)-2].
+// xs[i] < x, clamped to [0, len(xs)-2]. A knot belongs to the piece on
+// its left.
 func segment(xs []float64, x float64) int {
 	i := sort.SearchFloat64s(xs, x) - 1
 	if i < 0 {
@@ -82,8 +83,10 @@ func (h *hermite) At(x float64) float64 {
 	return h00*h.ys[i] + h10*hl*h.ds[i] + h01*h.ys[i+1] + h11*hl*h.ds[i+1]
 }
 
-func (h *hermite) Deriv(x float64) float64 {
-	i := segment(h.xs, x)
+func (h *hermite) Deriv(x float64) float64 { return h.derivOn(segment(h.xs, x), x) }
+
+// derivOn evaluates the derivative at x on piece i.
+func (h *hermite) derivOn(i int, x float64) float64 {
 	hl := h.xs[i+1] - h.xs[i]
 	t := (x - h.xs[i]) / hl
 	t2 := t * t
@@ -208,23 +211,48 @@ func NaturalSpline(xs, ys []float64) (Interpolant, error) {
 // returns the x of the maximum derivative and the derivative value
 // there. This is the "global maxima of CDF'(Tintt)" search from
 // Section III of the paper.
+//
+// On the package's own curves it evaluates each point on the piece
+// segment would pick for it, found from the interval being scanned
+// instead of by a search: the same derivative, bit for bit.
 func MaxDeriv(f Interpolant, samplesPerSegment int) (argmax, max float64) {
 	if samplesPerSegment < 1 {
 		samplesPerSegment = 1
 	}
 	knots := f.Knots()
+	h, own := f.(*hermite)
 	max = math.Inf(-1)
 	for i := 0; i < len(knots)-1; i++ {
 		x0, x1 := knots[i], knots[i+1]
 		step := (x1 - x0) / float64(samplesPerSegment)
 		for s := 0; s <= samplesPerSegment; s++ {
 			x := x0 + float64(s)*step
-			if d := f.Deriv(x); d > max {
+			var d float64
+			if own {
+				d = h.derivOn(pieceNear(knots, i, x), x)
+			} else {
+				d = f.Deriv(x)
+			}
+			if d > max {
 				max, argmax = d, x
 			}
 		}
 	}
 	return argmax, max
+}
+
+// pieceNear returns segment(xs, x) for an x at or near piece i: the
+// piece whose knot interval (xs[p], xs[p+1]] holds x, clamped. A point
+// on a knot xs[i] of the scan is piece i−1's; a rounded point can fall
+// a knot outside the interval it was stepped in.
+func pieceNear(xs []float64, i int, x float64) int {
+	for i > 0 && x <= xs[i] {
+		i--
+	}
+	for i < len(xs)-2 && x > xs[i+1] {
+		i++
+	}
+	return i
 }
 
 // LocalMaxima returns up to limit local maxima of the derivative,

@@ -3,6 +3,7 @@ package interp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -240,5 +241,97 @@ func TestExtrapolationUsesBoundaryPiece(t *testing.T) {
 	}
 	if got := p.At(-1); !almostEq(got, 2, 1e-9) {
 		t.Fatalf("extrapolate At(-1) = %v, want 2", got)
+	}
+}
+
+// TestMaxDerivMatchesSearch holds MaxDeriv's scan to the searched
+// evaluation it replaced — f.Deriv at every point, each locating its
+// piece by binary search — bit for bit, on generated PCHIPs and
+// splines: uniform knots, knots quantised to 1 ns in µs (as csv
+// arrivals are) and clusters of knots a few ulps apart, at 1, 3 and 8
+// samples a segment. Every scanned point must also land on segment's
+// piece.
+func TestMaxDerivMatchesSearch(t *testing.T) {
+	searched := func(f Interpolant, per int) (argmax, max float64) {
+		knots := f.Knots()
+		max = math.Inf(-1)
+		for i := 0; i < len(knots)-1; i++ {
+			step := (knots[i+1] - knots[i]) / float64(per)
+			for s := 0; s <= per; s++ {
+				x := knots[i] + float64(s)*step
+				if pieceNear(knots, i, x) != segment(knots, x) {
+					t.Fatalf("x=%v near piece %d: pieceNear %d, segment %d", x, i, pieceNear(knots, i, x), segment(knots, x))
+				}
+				if d := f.Deriv(x); d > max {
+					max, argmax = d, x
+				}
+			}
+		}
+		return argmax, max
+	}
+	rng := rand.New(rand.NewSource(5))
+	knots := map[string]func(n int) []float64{
+		"uniform": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = 3 + float64(i)*0.25
+			}
+			return xs
+		},
+		"quantised": func(n int) []float64 {
+			seen := map[float64]bool{}
+			var xs []float64
+			for len(xs) < n {
+				x := math.Round(rng.ExpFloat64()*5e6) / 1e3
+				if !seen[x] {
+					seen[x] = true
+					xs = append(xs, x)
+				}
+			}
+			slices.Sort(xs)
+			return xs
+		},
+		"clustered": func(n int) []float64 {
+			xs := make([]float64, 0, n)
+			x := 1e6
+			for len(xs) < n {
+				if rng.Intn(4) == 0 {
+					x += rng.Float64() * 1e3
+				} else {
+					x = math.Nextafter(x, math.Inf(1))
+					for range rng.Intn(3) {
+						x = math.Nextafter(x, math.Inf(1))
+					}
+				}
+				xs = append(xs, x)
+			}
+			return xs
+		},
+	}
+	for name, gen := range knots {
+		for trial := range 40 {
+			xs := gen(2 + rng.Intn(600))
+			ys := make([]float64, len(xs))
+			for i := 1; i < len(ys); i++ {
+				ys[i] = ys[i-1]
+				if rng.Intn(5) > 0 { // a flat step now and then
+					ys[i] += rng.Float64()
+				}
+			}
+			for _, fit := range []func([]float64, []float64) (Interpolant, error){PCHIP, NaturalSpline} {
+				f, err := fit(xs, ys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, per := range []int{1, 3, 8} {
+					ga, gm := MaxDeriv(f, per)
+					wa, wm := searched(f, per)
+					if math.Float64bits(ga) != math.Float64bits(wa) || math.Float64bits(gm) != math.Float64bits(wm) {
+						t.Fatalf("%s trial %d, %d knots, %d a segment: MaxDeriv (%v, %v), searched (%v, %v)",
+							name, trial, len(xs), per, ga, gm, wa, wm)
+					}
+				}
+			}
+		}
 	}
 }

@@ -2,8 +2,15 @@ package stats
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
+
+// sortedCopy returns xs in increasing order, in a new slice.
+func sortedCopy(xs []float64) []float64 {
+	s := slices.Clone(xs)
+	SortFloat64s(s, nil)
+	return s
+}
 
 // KolmogorovSmirnov returns the two-sample KS statistic
 // sup_x |F_a(x) − F_b(x)| between the empirical CDFs of a and b.
@@ -12,13 +19,16 @@ import (
 // fidelity experiment. Returns 1 when either sample is empty (the
 // distributions share no mass).
 func KolmogorovSmirnov(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
+	return KolmogorovSmirnovSorted(sortedCopy(a), sortedCopy(b))
+}
+
+// KolmogorovSmirnovSorted is KolmogorovSmirnov of two samples already
+// in increasing order (as SortFloat64s leaves them): a caller scoring
+// many samples against one sorts each once.
+func KolmogorovSmirnovSorted(sa, sb []float64) float64 {
+	if len(sa) == 0 || len(sb) == 0 {
 		return 1
 	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
 	var i, j int
 	var d float64
 	for i < len(sa) && j < len(sb) {
@@ -48,13 +58,15 @@ func KolmogorovSmirnov(a, b []float64) float64 {
 // (everything shifted 100x) from Revision (idle mass deleted) even
 // when both have KS ≈ 1. Returns +Inf when either sample is empty.
 func Wasserstein1(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
+	return Wasserstein1Sorted(sortedCopy(a), sortedCopy(b))
+}
+
+// Wasserstein1Sorted is Wasserstein1 of two samples already in
+// increasing order (as SortFloat64s leaves them).
+func Wasserstein1Sorted(sa, sb []float64) float64 {
+	if len(sa) == 0 || len(sb) == 0 {
 		return math.Inf(1)
 	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
 	// Merge the supports; between consecutive support points the CDF
 	// difference is constant.
 	var sum float64

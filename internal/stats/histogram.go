@@ -43,10 +43,17 @@ func (h *Histogram) Observe(xs ...float64) {
 		for j < len(xs) && xs[j] == xs[i] {
 			j++
 		}
-		h.counts[h.bucketOf(xs[i])] += uint64(j - i)
+		h.ObserveN(xs[i], j-i)
 		i = j
 	}
-	h.total += uint64(len(xs))
+}
+
+// ObserveN records n samples of the value x, clamped as Observe clamps
+// them: what a reader of a sorted sample's distinct values calls once
+// per value.
+func (h *Histogram) ObserveN(x float64, n int) {
+	h.counts[h.bucketOf(x)] += uint64(n)
+	h.total += uint64(n)
 }
 
 func (h *Histogram) bucketOf(x float64) int {

@@ -5,7 +5,8 @@
 //
 // All functions operate on float64 slices and never mutate their inputs,
 // with one documented exception: SortFloat64s, the exact radix sort the
-// inference fit sorts its samples with, sorts its argument in place. NaN and Inf values are rejected by the
+// fidelity scores and the float examinations sort their samples with,
+// sorts its argument in place. NaN and Inf values are rejected by the
 // constructors that can meaningfully reject them; plain reducers follow
 // IEEE-754 semantics.
 package stats
