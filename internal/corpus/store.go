@@ -77,7 +77,9 @@ func (s *Store) SetFaultInjector(in *faultfs.Injector) {
 // ≈ 550,000 requests. It holds ≈ 7.6 B a request: 4 B of gaps, 8 B an
 // escaped gap (one in twenty of webmail's) and the sort's 4 B a sample
 // of the largest groups — 0.78 MB at 100,000 webmail requests, 3.8 MB at
-// 500,000. A larger fit's storage is dropped with the fit.
+// 500,000 — plus ≈ 100 B a group for its key, run and first chunks
+// (≈ 40,000 groups alone fill it). A larger fit's storage is dropped
+// with the fit.
 const fitScratchBound = 4 << 20
 
 // sinkWriter wraps w with the attached fault injector's rule for sink

@@ -5,26 +5,34 @@ import (
 	"unsafe"
 )
 
-// chunkLen is the number of values in a chunk: 1 KiB of gaps, 2 KiB
-// of escapes. A group wastes at most one chunk of each; a chunk's
-// table entry costs 8 bytes, under 1% of what it holds.
+// chunkLen is the number of values in a full chunk: 1 KiB of gaps,
+// 2 KiB of escapes. A chunk's table entry costs 24 bytes, 2.3% of a
+// chunk of gaps.
 const chunkLen = 256
 
-// pool hands out a classifier's chunks of one kind and takes them back
-// at Reset.
+// firstLen is the capacity a list's first chunk is made with. The first
+// chunk doubles as the list grows until it holds chunkLen values, so a
+// list of n values holds room for at most max(2n, firstLen) of them
+// until then, and at most one part-filled chunk after: a group of one
+// sample costs 8 bytes of gaps, not a whole chunk.
+const firstLen = 2
+
+// pool hands out a classifier's full-capacity chunks of one kind and
+// takes them back at Reset.
 type pool[T uint32 | int64] struct {
 	free []*[chunkLen]T
-	made int // chunks allocated: the ones on free plus the ones in runs
+	made int // chunks allocated: the ones on free plus the ones in lists
 }
 
-func (p *pool[T]) get() *[chunkLen]T {
+// get returns an empty chunk of capacity chunkLen.
+func (p *pool[T]) get() []T {
 	if n := len(p.free); n > 0 {
 		ch := p.free[n-1]
 		p.free = p.free[:n-1]
-		return ch
+		return ch[:0]
 	}
 	p.made++
-	return new([chunkLen]T)
+	return new([chunkLen]T)[:0]
 }
 
 // bytes returns what the pool's chunks and its free table hold.
@@ -32,39 +40,71 @@ func (p *pool[T]) bytes() int64 {
 	return int64(p.made)*int64(unsafe.Sizeof([chunkLen]T{})) + int64(cap(p.free))*8
 }
 
-// chunkList is a sequence of n values held in chunks from a pool; value
-// i is chunks[i/chunkLen][i%chunkLen].
+// chunkList is a sequence of values held in chunks, each as long as the
+// values it holds; value i is chunks[i/chunkLen][i%chunkLen]. The first
+// chunk is the list's own, grown by doubling; every later one comes
+// from a pool.
 type chunkList[T uint32 | int64] struct {
-	chunks []*[chunkLen]T
-	n      int
+	chunks [][]T
+}
+
+// len returns the number of values in l.
+func (l *chunkList[T]) len() int {
+	k := len(l.chunks)
+	if k == 0 {
+		return 0
+	}
+	return (k-1)*chunkLen + len(l.chunks[k-1])
 }
 
 func (l *chunkList[T]) push(v T, p *pool[T]) {
-	i := l.n % chunkLen
-	if i == 0 {
+	k := len(l.chunks) - 1
+	switch {
+	case k < 0:
+		l.chunks = append(l.chunks, make([]T, 0, firstLen))
+		k = 0
+	case len(l.chunks[k]) == chunkLen:
 		l.chunks = append(l.chunks, p.get())
+		k++
+	case len(l.chunks[k]) == cap(l.chunks[k]): // the first chunk, still growing
+		grown := make([]T, len(l.chunks[k]), min(2*cap(l.chunks[k]), chunkLen))
+		copy(grown, l.chunks[k])
+		l.chunks[k] = grown
 	}
-	l.chunks[len(l.chunks)-1][i] = v
-	l.n++
+	l.chunks[k] = append(l.chunks[k], v)
 }
 
-// release returns l's chunks to p and empties l, keeping its table.
+// release returns l's pool chunks to p and empties l, keeping its
+// table and its first chunk.
 func (l *chunkList[T]) release(p *pool[T]) {
-	p.free = append(p.free, l.chunks...)
-	clear(l.chunks)
-	l.chunks, l.n = l.chunks[:0], 0
+	if len(l.chunks) == 0 {
+		return
+	}
+	for _, ch := range l.chunks[1:] {
+		p.free = append(p.free, (*[chunkLen]T)(ch[:chunkLen]))
+	}
+	clear(l.chunks[1:])
+	l.chunks = l.chunks[:1]
+	l.chunks[0] = l.chunks[0][:0]
+}
+
+// bytes returns what l holds outside its pool: its first chunk and its
+// table.
+func (l *chunkList[T]) bytes() int64 {
+	n := int64(cap(l.chunks)) * int64(unsafe.Sizeof([]T(nil)))
+	if len(l.chunks) > 0 {
+		n += int64(cap(l.chunks[0])) * int64(unsafe.Sizeof(T(0)))
+	}
+	return n
 }
 
 // at returns value i.
 func (l *chunkList[T]) at(i int) T { return l.chunks[i/chunkLen][i%chunkLen] }
 
-// part returns the values held in chunk i.
-func (l *chunkList[T]) part(i int) []T { return l.chunks[i][:min(l.n-i*chunkLen, chunkLen)] }
-
 // appendTo appends l's values to dst in order.
 func (l *chunkList[T]) appendTo(dst []T) []T {
-	for i := range l.chunks {
-		dst = append(dst, l.part(i)...)
+	for _, ch := range l.chunks {
+		dst = append(dst, ch...)
 	}
 	return dst
 }
@@ -82,14 +122,13 @@ const (
 // every value shares is skipped. g is left holding the same values in
 // another order.
 func (x *examiner) sortRun(g *chunkList[uint32]) []uint32 {
-	n := g.n
+	n := g.len()
 	x.buf = slices.Grow(x.buf[:0], n)[:n]
 	buf := x.buf
 	// One pass builds every digit's histogram.
 	var counts [digits][1 << digitBits]uint32
 	var first uint32
-	for i := range g.chunks {
-		vs := g.part(i)
+	for i, vs := range g.chunks {
 		if i == 0 {
 			first = vs[0]
 		}
@@ -119,8 +158,8 @@ func (x *examiner) sortRun(g *chunkList[uint32]) []uint32 {
 				c[b]++
 			}
 		} else {
-			for i := range g.chunks {
-				for _, v := range g.part(i) {
+			for _, vs := range g.chunks {
+				for _, v := range vs {
 					b := v >> shift & digitMask
 					buf[c[b]] = v
 					c[b]++

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"time"
+	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -18,10 +19,14 @@ import (
 // a sample: a gap in [0, escape) is stored as it is, any other (a gap
 // of 2³²−1 ns or more, or a negative one from unsorted input) as the
 // escape sentinel, with its exact value on the group's escape list in
-// the same order. Both live in fixed-size chunks drawn from the
-// classifier's pools, so adding a sample never copies a group, and
-// Reset returns every chunk for the next stream: a classifier reused
-// across fits stops allocating once it has held its largest stream.
+// the same order. Both live in chunks: a list's first chunk doubles up
+// to chunkLen values, so a small group holds little, and every later
+// one is fixed-size, drawn from the classifier's pools, so adding a
+// sample never copies more than a first chunk. Reset keeps the first
+// chunks with their runs and returns every other chunk to its pool: a
+// classifier reused across fits allocates, once it has held its largest
+// stream, only to grow a first chunk that a larger group than before
+// lands on.
 type StreamClassifier struct {
 	keys    []GroupKey // the groups by ordinal, in order of first sample
 	index   map[GroupKey]int32
@@ -97,12 +102,14 @@ func (c *StreamClassifier) Reset() {
 }
 
 // Bytes returns the size of the storage the classifier holds — what
-// keeping it for another stream keeps: its chunks and their tables,
-// the flag scratch and the examiners' sort scratch.
+// keeping it for another stream keeps: its group keys and runs, their
+// chunks and tables, the flag scratch and the examiners' sort scratch.
+// (The index map is left out.)
 func (c *StreamClassifier) Bytes() int64 {
-	n := c.gaps.bytes() + c.escs.bytes() + int64(cap(c.flags))
+	n := c.gaps.bytes() + c.escs.bytes() + int64(cap(c.flags)) +
+		int64(cap(c.keys))*int64(unsafe.Sizeof(GroupKey{})) + int64(cap(c.runs))*int64(unsafe.Sizeof(run{}))
 	for i := range c.runs {
-		n += int64(cap(c.runs[i].gaps.chunks)+cap(c.runs[i].esc.chunks)) * 8
+		n += c.runs[i].gaps.bytes() + c.runs[i].esc.bytes()
 	}
 	for i := range c.ex {
 		n += int64(cap(c.ex[i].buf))*4 + int64(cap(c.ex[i].esc))*8
@@ -173,14 +180,14 @@ func (c *StreamClassifier) N() int { return c.n }
 func (c *StreamClassifier) Grouping() *Grouping {
 	total := 0
 	for id := range c.keys {
-		total += c.runs[id].gaps.n
+		total += c.runs[id].gaps.len()
 	}
 	flat := make([]float64, 0, total)
 	g := &Grouping{Groups: make(map[GroupKey]*Group, len(c.keys))}
 	for id, k := range c.keys {
 		r := &c.runs[id]
 		off, e := len(flat), 0
-		for i := range r.gaps.n {
+		for i := range r.gaps.len() {
 			ns := int64(r.gaps.at(i))
 			if ns == escape {
 				ns = r.esc.at(e)
@@ -202,7 +209,7 @@ func (c *StreamClassifier) Estimate(name string) (*Model, error) {
 	fits := make([]groupFit, len(c.keys))
 	var big []int // the ordinals of the groups to examine
 	for id, k := range c.keys {
-		fits[id] = groupFit{key: k, n: c.runs[id].gaps.n}
+		fits[id] = groupFit{key: k, n: c.runs[id].gaps.len()}
 		if fits[id].n >= minGroupSamples {
 			big = append(big, id)
 		}

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/device"
 	"repro/internal/trace"
@@ -189,7 +190,7 @@ func TestDecomposeShardConcatenation(t *testing.T) {
 // one gap in twenty past 2³² ns — fed in decoder-sized batches, and
 // holds Bytes to the storage it is made of: 4 B a request and 8 B an
 // escape, at most one part-filled chunk of each kind a group, the chunk
-// tables, the flag scratch and the examiners' sort scratch, which is
+// tables, the keys and runs, the flag scratch and the examiners' sort scratch, which is
 // 4 B a sample of the largest groups they examined.
 func TestClassifierBytesAtScale(t *testing.T) {
 	if testing.Short() {
@@ -226,7 +227,7 @@ func TestClassifierBytesAtScale(t *testing.T) {
 	}
 	groups, largest := len(c.keys), 0
 	for id := range c.keys {
-		largest = max(largest, c.runs[id].gaps.n)
+		largest = max(largest, c.runs[id].gaps.len())
 	}
 	var scratch int64
 	for _, x := range c.ex {
@@ -236,16 +237,53 @@ func TestClassifierBytesAtScale(t *testing.T) {
 		}
 	}
 	samples := int64(n - 1)
-	// The tables hold a pointer a chunk, grown by append: at most twice
-	// what they point to.
+	// The tables hold a slice header a chunk, and the keys and runs a
+	// group each, all grown by append: at most twice what they hold.
 	chunks := samples/chunkLen + int64(escapes)/chunkLen + 2*int64(groups)
-	bound := 4*samples + 8*int64(escapes) + int64(groups)*chunkLen*(4+8) + 2*8*chunks +
-		int64(cap(c.flags)) + scratch
+	perGroup := int64(unsafe.Sizeof(GroupKey{}) + unsafe.Sizeof(run{}))
+	bound := 4*samples + 8*int64(escapes) + int64(groups)*chunkLen*(4+8) + 2*24*chunks +
+		2*perGroup*int64(groups) + int64(cap(c.flags)) + scratch
 	got := c.Bytes()
 	t.Logf("%d requests, %d groups, %d escapes: Bytes %d (%.2f B a request), bound %d, sort scratch %d",
 		n, groups, escapes, got, float64(got)/n, bound, scratch)
 	if got > bound {
 		t.Fatalf("Bytes %d over the bound %d", got, bound)
+	}
+}
+
+// TestClassifierBytesManyGroups holds what a group costs when there
+// are many small ones — an upload whose every request has a size of its
+// own — to 8 B a gap and 16 B an escape (a first chunk holds at most
+// twice its values) plus a small constant a group: its key and run
+// (grown by append, so twice each), first chunks of firstLen gaps and
+// escapes, and a table entry for each. Groups of 1, 5 and 40 samples,
+// gaps of 1 ms or every one escaped, are fed in decoder-sized batches.
+// The float classifier kept 12 B a sample.
+func TestClassifierBytesManyGroups(t *testing.T) {
+	const n, batchLen = 100_000, 1 << 12
+	perGroup := 2*int64(unsafe.Sizeof(GroupKey{})+unsafe.Sizeof(run{})) + firstLen*(4+8) + 2*24
+	for _, size := range []int{1, 5, 40} {
+		for _, gap := range []time.Duration{time.Millisecond, 5 * time.Second} {
+			c := NewStreamClassifier()
+			reqs := make([]trace.Request, n)
+			for i := range reqs {
+				reqs[i] = trace.Request{Arrival: time.Duration(i) * gap, LBA: uint64(i) << 20, Sectors: uint32(1 + i/size)}
+			}
+			for done := 0; done < n; done += batchLen {
+				c.AddBatch(reqs[done:min(done+batchLen, n)])
+			}
+			groups, samples, escapes := int64(len(c.keys)), int64(n-1), int64(0)
+			if gap >= escape {
+				escapes = samples
+			}
+			bound := 8*samples + 16*escapes + perGroup*groups + int64(cap(c.flags))
+			got := c.Bytes()
+			t.Logf("groups of %d, gap %v: %d groups, Bytes %d (%.1f B a sample), bound %d",
+				size, gap, groups, got, float64(got)/float64(samples), bound)
+			if got > bound {
+				t.Errorf("groups of %d, gap %v: Bytes %d over the bound %d", size, gap, got, bound)
+			}
+		}
 	}
 }
 
@@ -283,7 +321,9 @@ func TestClassifierBytesWebmail(t *testing.T) {
 	if _, err := c.Estimate(tr.Name); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Bytes(); got > 1_100_000 {
+	got := c.Bytes()
+	t.Logf("%d groups: Bytes %d", len(c.keys), got)
+	if got > 1_100_000 {
 		t.Fatalf("Bytes %d after a 100k webmail fit, want at most 1.1 MB", got)
 	}
 }

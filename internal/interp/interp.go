@@ -26,6 +26,10 @@ type Interpolant interface {
 	Deriv(x float64) float64
 	// Knots returns the x coordinates of the fit points (do not mutate).
 	Knots() []float64
+	// derivOn evaluates the first derivative at x on polynomial piece
+	// i; Deriv(x) is derivOn(segment(Knots(), x), x). Unexported, so
+	// the package's own curves are the only interpolants.
+	derivOn(i int, x float64) float64
 }
 
 // ErrTooFewKnots is returned when fewer than two knots are supplied.
@@ -212,28 +216,21 @@ func NaturalSpline(xs, ys []float64) (Interpolant, error) {
 // there. This is the "global maxima of CDF'(Tintt)" search from
 // Section III of the paper.
 //
-// On the package's own curves it evaluates each point on the piece
-// segment would pick for it, found from the interval being scanned
-// instead of by a search: the same derivative, bit for bit.
+// Each point is evaluated on the piece segment would pick for it, found
+// from the interval being scanned instead of by a search: the same
+// derivative as Deriv, bit for bit.
 func MaxDeriv(f Interpolant, samplesPerSegment int) (argmax, max float64) {
 	if samplesPerSegment < 1 {
 		samplesPerSegment = 1
 	}
 	knots := f.Knots()
-	h, own := f.(*hermite)
 	max = math.Inf(-1)
 	for i := 0; i < len(knots)-1; i++ {
 		x0, x1 := knots[i], knots[i+1]
 		step := (x1 - x0) / float64(samplesPerSegment)
 		for s := 0; s <= samplesPerSegment; s++ {
 			x := x0 + float64(s)*step
-			var d float64
-			if own {
-				d = h.derivOn(pieceNear(knots, i, x), x)
-			} else {
-				d = f.Deriv(x)
-			}
-			if d > max {
+			if d := f.derivOn(pieceNear(knots, i, x), x); d > max {
 				max, argmax = d, x
 			}
 		}
