@@ -76,7 +76,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sum, cls, err := infer.SummarizeAndClassify(dec, func(trace.Meta) *infer.StreamClassifier { return infer.NewStreamClassifier() })
+	sum, cls, err := infer.SummarizeAndClassify(dec, func(trace.Meta) bool { return true })
 	dec.Close()
 	if err != nil {
 		return err

@@ -390,29 +390,3 @@ func FuzzModelJSONRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-// TestFitScratchReuse: ingests on one store fit on the classifier the
-// ingest before them kept, and still land exactly a fresh fit's model;
-// what the store keeps between them stays under fitScratchBound and is
-// gone once trimmed.
-func TestFitScratchReuse(t *testing.T) {
-	s := openStore(t)
-	for i, ops := range []int{20_000, 5_000, 12_000} {
-		data := csvBytes(t, webmail(t, ops, false))
-		e, created, err := s.Ingest(bytes.NewReader(data), "csv")
-		if err != nil || !created {
-			t.Fatalf("ingest %d: created=%v err=%v", i, created, err)
-		}
-		if want := modelBits(freshFit(t, "csv", data)); e.Model == nil || modelBits(e.Model) != want {
-			t.Fatalf("ingest %d: model %+v diverges from a fresh fit", i, e.Model)
-		}
-		if kept := s.fits.Bytes(); kept == 0 || kept > fitScratchBound {
-			t.Fatalf("ingest %d: %d B of fit scratch kept, want 1 to %d", i, kept, fitScratchBound)
-		}
-	}
-	// What the idle timer runs.
-	s.fits.Trim()
-	if kept := s.fits.Bytes(); kept != 0 {
-		t.Fatalf("%d B of fit scratch kept after trimming", kept)
-	}
-}

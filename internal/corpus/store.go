@@ -19,7 +19,6 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/infer"
 	"repro/internal/obs"
-	"repro/internal/spare"
 	"repro/internal/trace"
 )
 
@@ -40,10 +39,6 @@ type Store struct {
 	// resilience tests arm it to prove disk faults surface as storage
 	// errors with the store left consistent.
 	faults atomic.Pointer[faultfs.Injector]
-
-	// fits keeps one ingest's model-fit classifier, at most
-	// fitScratchBound bytes of it, for the next ingest to fit with.
-	fits *spare.List[*infer.StreamClassifier]
 
 	mu      sync.Mutex
 	entries map[string]Entry // guarded by mu
@@ -72,16 +67,6 @@ func (s *Store) SetFaultInjector(in *faultfs.Injector) {
 	s.faults.Store(in)
 }
 
-// fitScratchBound is the most a store keeps of an ingest's model fit
-// between ingests, in bytes: the classifier of one upload of up to
-// ≈ 550,000 requests. It holds ≈ 7.6 B a request: 4 B of gaps, 8 B an
-// escaped gap (one in twenty of webmail's) and the sort's 4 B a sample
-// of the largest groups — 0.78 MB at 100,000 webmail requests, 3.8 MB at
-// 500,000 — plus ≈ 100 B a group for its key, run and first chunks
-// (≈ 40,000 groups alone fill it). A larger fit's storage is dropped
-// with the fit.
-const fitScratchBound = 4 << 20
-
 // sinkWriter wraps w with the attached fault injector's rule for sink
 // (a pass-through when none is attached).
 func (s *Store) sinkWriter(sink string, w io.Writer) io.Writer {
@@ -93,8 +78,7 @@ func (s *Store) sinkWriter(sink string, w io.Writer) io.Writer {
 // truth — so traces another process ingested into the same root are
 // never hidden.
 func Open(root string) (*Store, error) {
-	s := &Store{root: root, entries: make(map[string]Entry),
-		fits: spare.New(1, (*infer.StreamClassifier).Bytes)}
+	s := &Store{root: root, entries: make(map[string]Entry)}
 	for _, d := range []string{root, s.objectsDir(), s.resultsDir(), s.tmpDir()} {
 		if err := os.MkdirAll(d, 0o777); err != nil {
 			return nil, err
@@ -389,23 +373,7 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 // the sidecar's JSON could not carry), lands without one and its jobs
 // answer as they always did. On a decode error the decoder is closed.
 func (s *Store) summarizeAndFit(dec trace.Decoder) (trace.Summary, *infer.Model, error) {
-	sum, cls, err := infer.SummarizeAndClassify(dec, func(m trace.Meta) *infer.StreamClassifier {
-		if m.TsdevKnown {
-			return nil
-		}
-		if c, ok := s.fits.Get(); ok {
-			return c
-		}
-		return infer.NewStreamClassifier()
-	})
-	if cls != nil {
-		defer func() {
-			cls.Reset()
-			if cls.Bytes() <= fitScratchBound {
-				s.fits.Put(cls)
-			}
-		}()
-	}
+	sum, cls, err := infer.SummarizeAndClassify(dec, func(m trace.Meta) bool { return !m.TsdevKnown })
 	if err != nil || cls == nil {
 		return sum, nil, err
 	}

@@ -82,9 +82,9 @@ func (c *coldCycler) cycle(tb testing.TB) *JobResult {
 }
 
 // coldCycleBudget is what a warm cold cycle of a 100k-request webmail
-// csv may allocate: 4 MB. It measures ≈ 1.8 MB (2.5 MB under -race) on
-// a 2-CPU Xeon VM, where every decode, fit and job building its scratch
-// afresh read 13.0 MB.
+// csv may allocate: 4 MB. It measures ≈ 2.6 MB (3.4 MB under -race) on
+// a 2-CPU Xeon VM, the ingest's fit building its classifier afresh; with
+// every decode and job building its scratch afresh too it read 13.0 MB.
 const coldCycleBudget = 4_000_000
 
 // TestColdCycleAllocs holds a warm cold cycle — ingest plus job of a

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -250,4 +251,67 @@ func TestFitVsTruth(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fitVsTruthInput maps FuzzFitVsTruth's bytes to a family, a request
+// count in [2000, 40000] and a seed: byte 0 picks the family, bytes 1–2
+// the count and bytes 3–10 the seed, little-endian; a missing byte
+// reads 0.
+func fitVsTruthInput(data []byte) (workload.Profile, int, int64) {
+	var b [11]byte
+	copy(b[:], data)
+	ps := workload.Profiles()
+	return ps[int(b[0])%len(ps)], 2000 + int(binary.LittleEndian.Uint16(b[1:3]))%38001,
+		int64(binary.LittleEndian.Uint64(b[3:]))
+}
+
+// FuzzFitVsTruth fits any family at any size and seed with TsdevKnown
+// cleared, and asserts only what must hold for every input: the model
+// is finite, no request's idle exceeds the inter-arrival it sits in,
+// and the recorded path (TsdevKnown set, the same model) flags a
+// request async exactly when its inter-arrival is below its recorded
+// latency, or, where none is recorded (FIU), exactly when the inferred
+// path does. The statistical bounds stay in TestFitVsTruth. The seeds
+// under testdata/fuzz/FuzzFitVsTruth name what each one picks.
+func FuzzFitVsTruth(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, ops, seed := fitVsTruthInput(data)
+		old, _ := GenerateOld(p, 0, ops, seed)
+		old.TsdevKnown = false
+		m, err := infer.Estimate(old, infer.EstimateOptions{})
+		if err != nil {
+			t.Fatalf("%s, %d requests, seed %d: %v", p.Name, ops, seed, err)
+		}
+		if !m.Finite() {
+			t.Fatalf("%s, %d requests, seed %d: model %+v is not finite", p.Name, ops, seed, m)
+		}
+		idle, async := infer.Decompose(m, old)
+		old.TsdevKnown = true
+		recIdle, recAsync := infer.Decompose(m, old)
+		rs := old.Requests
+		for i := range rs {
+			if i == 0 {
+				if idle[0] != 0 || recIdle[0] != 0 {
+					t.Fatalf("%s, %d requests, seed %d: idle before the first request", p.Name, ops, seed)
+				}
+				continue
+			}
+			intt := rs[i].Arrival - rs[i-1].Arrival
+			if idle[i] < 0 || idle[i] > intt || recIdle[i] < 0 || recIdle[i] > intt {
+				t.Fatalf("%s, %d requests, seed %d: request %d: idle %v inferred, %v recorded, in an inter-arrival of %v",
+					p.Name, ops, seed, i, idle[i], recIdle[i], intt)
+			}
+			want := async[i-1]
+			if lat := rs[i-1].Latency; lat > 0 {
+				want = intt < lat
+			}
+			if recAsync[i-1] != want {
+				t.Fatalf("%s, %d requests, seed %d: request %d: recorded path flags async=%v; inter-arrival %v, latency %v",
+					p.Name, ops, seed, i-1, recAsync[i-1], intt, rs[i-1].Latency)
+			}
+		}
+		if n := len(rs); async[n-1] || recAsync[n-1] {
+			t.Fatalf("%s, %d requests, seed %d: the last request is flagged async", p.Name, ops, seed)
+		}
+	})
 }

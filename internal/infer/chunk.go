@@ -17,33 +17,9 @@ const chunkLen = 256
 // sample costs 8 bytes of gaps, not a whole chunk.
 const firstLen = 2
 
-// pool hands out a classifier's full-capacity chunks of one kind and
-// takes them back at Reset.
-type pool[T uint32 | int64] struct {
-	free []*[chunkLen]T
-	made int // chunks allocated: the ones on free plus the ones in lists
-}
-
-// get returns an empty chunk of capacity chunkLen.
-func (p *pool[T]) get() []T {
-	if n := len(p.free); n > 0 {
-		ch := p.free[n-1]
-		p.free = p.free[:n-1]
-		return ch[:0]
-	}
-	p.made++
-	return new([chunkLen]T)[:0]
-}
-
-// bytes returns what the pool's chunks and its free table hold.
-func (p *pool[T]) bytes() int64 {
-	return int64(p.made)*int64(unsafe.Sizeof([chunkLen]T{})) + int64(cap(p.free))*8
-}
-
 // chunkList is a sequence of values held in chunks, each as long as the
 // values it holds; value i is chunks[i/chunkLen][i%chunkLen]. The first
-// chunk is the list's own, grown by doubling; every later one comes
-// from a pool.
+// chunk is grown by doubling; every later one is made full-size.
 type chunkList[T uint32 | int64] struct {
 	chunks [][]T
 }
@@ -57,14 +33,14 @@ func (l *chunkList[T]) len() int {
 	return (k-1)*chunkLen + len(l.chunks[k-1])
 }
 
-func (l *chunkList[T]) push(v T, p *pool[T]) {
+func (l *chunkList[T]) push(v T) {
 	k := len(l.chunks) - 1
 	switch {
 	case k < 0:
 		l.chunks = append(l.chunks, make([]T, 0, firstLen))
 		k = 0
 	case len(l.chunks[k]) == chunkLen:
-		l.chunks = append(l.chunks, p.get())
+		l.chunks = append(l.chunks, make([]T, 0, chunkLen))
 		k++
 	case len(l.chunks[k]) == cap(l.chunks[k]): // the first chunk, still growing
 		grown := make([]T, len(l.chunks[k]), min(2*cap(l.chunks[k]), chunkLen))
@@ -74,26 +50,11 @@ func (l *chunkList[T]) push(v T, p *pool[T]) {
 	l.chunks[k] = append(l.chunks[k], v)
 }
 
-// release returns l's pool chunks to p and empties l, keeping its
-// table and its first chunk.
-func (l *chunkList[T]) release(p *pool[T]) {
-	if len(l.chunks) == 0 {
-		return
-	}
-	for _, ch := range l.chunks[1:] {
-		p.free = append(p.free, (*[chunkLen]T)(ch[:chunkLen]))
-	}
-	clear(l.chunks[1:])
-	l.chunks = l.chunks[:1]
-	l.chunks[0] = l.chunks[0][:0]
-}
-
-// bytes returns what l holds outside its pool: its first chunk and its
-// table.
+// bytes returns what l holds: its chunks and its table.
 func (l *chunkList[T]) bytes() int64 {
 	n := int64(cap(l.chunks)) * int64(unsafe.Sizeof([]T(nil)))
-	if len(l.chunks) > 0 {
-		n += int64(cap(l.chunks[0])) * int64(unsafe.Sizeof(T(0)))
+	for _, ch := range l.chunks {
+		n += int64(cap(ch)) * int64(unsafe.Sizeof(T(0)))
 	}
 	return n
 }

@@ -32,12 +32,11 @@ func FuzzSortRun(f *testing.F) {
 		if len(vs) == 0 {
 			return
 		}
-		var p pool[uint32]
 		var l chunkList[uint32]
 		want := make([]uint32, max(len(vs), int(length)%(8*chunkLen)))
 		for i := range want {
 			want[i] = vs[i%len(vs)]
-			l.push(want[i], &p)
+			l.push(want[i])
 		}
 		slices.Sort(want)
 		var x examiner

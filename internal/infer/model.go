@@ -74,13 +74,19 @@ var ErrTooSparse = errors.New("infer: trace too sparse for inference")
 // instructions, scores every sequential per-size CDF with Algorithm 1,
 // derives β/η from the two steepest read/write graphs, channel delays
 // from the steepest graph's rise location, and Tmovd from the steepest
-// random-access graph: it feeds the whole trace to a StreamClassifier
-// and fits that.
+// random-access graph: it feeds the trace to a StreamClassifier in
+// batches of estimateBatch requests and fits that.
 func Estimate(t *trace.Trace, _ EstimateOptions) (*Model, error) {
 	c := NewStreamClassifier()
-	c.AddBatch(t.Requests)
+	for lo, n := 0, t.Len(); lo < n; lo += estimateBatch {
+		c.AddBatch(t.Requests[lo:min(lo+estimateBatch, n)])
+	}
 	return c.Estimate(t.Name)
 }
+
+// estimateBatch is the most requests Estimate hands the classifier at
+// once, which bounds its flag scratch at a byte each.
+const estimateBatch = 1 << 16
 
 // groupFit is one group as the fit selects it: its key, its sample
 // count and, for a group of at least minGroupSamples samples — every
@@ -120,33 +126,30 @@ func fitModel(groups []groupFit, name string) (*Model, error) {
 }
 
 // examineEach runs examine(x, i) for every i in [0, n) on min(GOMAXPROCS,
-// n) goroutines, each with its own examiner of xs (grown to the
-// goroutine count and returned), taking indices in increasing order. A
-// call writes only what index i owns, and nothing reads it before the
-// join. An examination is a pure function of its group's samples, so
-// the schedule cannot change a bit of the model.
-func examineEach(xs []examiner, n int, examine func(x *examiner, i int)) []examiner {
+// n) goroutines, each with an examiner of its own that is dropped at the
+// join, taking indices in increasing order. A call writes only what
+// index i owns, and nothing reads it before the join. An examination is
+// a pure function of its group's samples, so the schedule cannot change
+// a bit of the model.
+func examineEach(n int, examine func(x *examiner, i int)) {
 	workers := min(runtime.GOMAXPROCS(0), n)
-	if len(xs) < workers {
-		xs = append(xs, make([]examiner, workers-len(xs))...)
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(x *examiner) {
+		go func() {
 			defer wg.Done()
+			var x examiner
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				examine(x, i)
+				examine(&x, i)
 			}
-		}(&xs[w])
+		}()
 	}
 	wg.Wait()
-	return xs
 }
 
 // selectGroups returns the groups of at least minGroupSamples samples

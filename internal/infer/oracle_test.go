@@ -9,7 +9,7 @@ package infer
 // same samples, so every Grouping (order included) and every fitted
 // model must match it bit for bit. classifierAdversary decodes an
 // arbitrary byte string into streams of requests with batch splits and
-// Reset hops, so one driver serves TestClassifierVsOracle and
+// stream ends, so one driver serves TestClassifierVsOracle and
 // FuzzClassifierVsOracle.
 
 import (
@@ -39,8 +39,6 @@ type oracleClassifier struct {
 func newOracleClassifier() *oracleClassifier {
 	return &oracleClassifier{index: make(map[GroupKey]int32), seq: trace.NewSeqState()}
 }
-
-func (o *oracleClassifier) Reset() { *o = *newOracleClassifier() }
 
 func (o *oracleClassifier) AddBatch(rs []trace.Request) {
 	for _, r := range rs {
@@ -183,7 +181,7 @@ func adversaryGap(b byte) time.Duration {
 // the streams data encodes, three bytes a request: op, LBA kind and
 // size; gap class; control. A control byte ending in four zero bits
 // ends the batch (0x10 also compares the Groupings); 0xff ends the
-// stream: both fit, and both are Reset for the next one. Every stream
+// stream: both fit, and a new pair takes the next one. Every stream
 // ends with a compared fit. It returns the number of fits compared and
 // how many of them fitted a model.
 func classifierAdversary(t testing.TB, data []byte) (fits, models int) {
@@ -215,8 +213,7 @@ func classifierAdversary(t testing.TB, data []byte) (fits, models int) {
 		if err == nil {
 			models++
 		}
-		c.Reset()
-		o.Reset()
+		c, o = NewStreamClassifier(), newOracleClassifier()
 		now, last = 0, 0
 		clear(ends)
 	}
@@ -253,7 +250,7 @@ func classifierAdversary(t testing.TB, data []byte) (fits, models int) {
 
 // adversaryBytes is a random stream of n requests: gap classes weighted
 // towards ordinary gaps, a batch end every 16 requests on average and,
-// with hops, a Reset every 2,000.
+// with hops, a stream end every 2,000.
 func adversaryBytes(seed int64, n int, hops bool) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, 0, 3*n)
@@ -272,7 +269,7 @@ func adversaryBytes(seed int64, n int, hops bool) []byte {
 }
 
 // TestClassifierVsOracle is the generated-adversary property test:
-// random streams over every gap class, batch splits and Reset hops,
+// random streams over every gap class, batch splits and stream ends,
 // plus the hand-built cases the generator rarely hits — groups of one
 // value, groups of escapes alone and a stream of many small groups.
 func TestClassifierVsOracle(t *testing.T) {

@@ -21,19 +21,12 @@ import (
 // escape sentinel, with its exact value on the group's escape list in
 // the same order. Both live in chunks: a list's first chunk doubles up
 // to chunkLen values, so a small group holds little, and every later
-// one is fixed-size, drawn from the classifier's pools, so adding a
-// sample never copies more than a first chunk. Reset keeps the first
-// chunks with their runs and returns every other chunk to its pool: a
-// classifier reused across fits allocates, once it has held its largest
-// stream, only to grow a first chunk that a larger group than before
-// lands on.
+// one is fixed-size, so adding a sample never copies more than a first
+// chunk. A classifier serves one stream and one fit.
 type StreamClassifier struct {
 	keys    []GroupKey // the groups by ordinal, in order of first sample
 	index   map[GroupKey]int32
-	runs    []run // runs[id] is group id's run; slots past len(keys) are empty
-	gaps    pool[uint32]
-	escs    pool[int64]
-	ex      []examiner
+	runs    []run // runs[id] is group id's run
 	seq     *trace.SeqState
 	flags   []bool // AddBatch's flag scratch
 	prev    trace.Request
@@ -84,35 +77,15 @@ func NewStreamClassifier() *StreamClassifier {
 	}
 }
 
-// Reset empties the classifier for a new stream, keeping its storage.
-func (c *StreamClassifier) Reset() {
-	for id := range c.keys {
-		c.runs[id].gaps.release(&c.gaps)
-		c.runs[id].esc.release(&c.escs)
-	}
-	clear(c.index)
-	c.keys = c.keys[:0]
-	c.flags = c.flags[:0]
-	c.seq = trace.NewSeqState()
-	c.prev, c.prevSeq, c.have, c.n = trace.Request{}, false, false, 0
-	c.cache = [64]struct {
-		key GroupKey
-		id  int32
-	}{}
-}
-
-// Bytes returns the size of the storage the classifier holds — what
-// keeping it for another stream keeps: its group keys and runs, their
-// chunks and tables, the flag scratch and the examiners' sort scratch.
-// (The index map is left out.)
+// Bytes returns the size of the storage a fit holds until it ends: the
+// group keys and runs, their chunks and tables, and the flag scratch.
+// (The index map, and the sort scratch Estimate makes and drops, are
+// left out.)
 func (c *StreamClassifier) Bytes() int64 {
-	n := c.gaps.bytes() + c.escs.bytes() + int64(cap(c.flags)) +
+	n := int64(cap(c.flags)) +
 		int64(cap(c.keys))*int64(unsafe.Sizeof(GroupKey{})) + int64(cap(c.runs))*int64(unsafe.Sizeof(run{}))
 	for i := range c.runs {
 		n += c.runs[i].gaps.bytes() + c.runs[i].esc.bytes()
-	}
-	for i := range c.ex {
-		n += int64(cap(c.ex[i].buf))*4 + int64(cap(c.ex[i].esc))*8
 	}
 	return n
 }
@@ -143,10 +116,10 @@ func (c *StreamClassifier) AddFlagged(rs []trace.Request, seq []bool) {
 			}
 			g := &c.runs[id]
 			if gap := r.Arrival - c.prev.Arrival; uint64(gap) < escape {
-				g.gaps.push(uint32(gap), &c.gaps)
+				g.gaps.push(uint32(gap))
 			} else {
-				g.gaps.push(escape, &c.gaps)
-				g.esc.push(int64(gap), &c.escs)
+				g.gaps.push(escape)
+				g.esc.push(int64(gap))
 			}
 		}
 		c.prevSeq = seq[i]
@@ -163,9 +136,7 @@ func (c *StreamClassifier) group(k GroupKey) int32 {
 		id = int32(len(c.keys))
 		c.index[k] = id
 		c.keys = append(c.keys, k)
-		if int(id) == len(c.runs) {
-			c.runs = append(c.runs, run{})
-		}
+		c.runs = append(c.runs, run{})
 	}
 	return id
 }
@@ -216,7 +187,7 @@ func (c *StreamClassifier) Estimate(name string) (*Model, error) {
 	}
 	// Largest first, so the largest group is not the last one taken.
 	slices.SortFunc(big, func(a, b int) int { return fits[b].n - fits[a].n })
-	c.ex = examineEach(c.ex, len(big), func(x *examiner, i int) {
+	examineEach(len(big), func(x *examiner, i int) {
 		fits[big[i]].ex = x.examineRun(&c.runs[big[i]])
 	})
 	return fitModel(fits, name)
@@ -224,18 +195,20 @@ func (c *StreamClassifier) Estimate(name string) (*Model, error) {
 
 // SummarizeAndClassify drains dec in the one streamed pass corpus
 // ingest and tracestat share: the summary fold (trace.Summarizer) and,
-// when classify returns an empty classifier for the stream's metadata
-// (complete by the first batch), that classifier riding the summary's
-// sequentiality flags, ready for Estimate. On a decode error the
-// decoder is closed.
-func SummarizeAndClassify(dec trace.Decoder, classify func(trace.Meta) *StreamClassifier) (trace.Summary, *StreamClassifier, error) {
+// when classify says so for the stream's metadata (complete by the
+// first batch), a new classifier riding the summary's sequentiality
+// flags, ready for Estimate; otherwise the classifier is nil. On a
+// decode error the decoder is closed.
+func SummarizeAndClassify(dec trace.Decoder, classify func(trace.Meta) bool) (trace.Summary, *StreamClassifier, error) {
 	acc := trace.NewSummarizer()
 	var cls *StreamClassifier
 	first := true
 	err := trace.ForEachBatch(dec, func(batch []trace.Request) error {
 		if first {
 			first = false
-			cls = classify(dec.Meta())
+			if classify(dec.Meta()) {
+				cls = NewStreamClassifier()
+			}
 		}
 		seq := acc.AddBatch(batch)
 		if cls != nil {

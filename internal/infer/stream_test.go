@@ -190,8 +190,7 @@ func TestDecomposeShardConcatenation(t *testing.T) {
 // one gap in twenty past 2³² ns — fed in decoder-sized batches, and
 // holds Bytes to the storage it is made of: 4 B a request and 8 B an
 // escape, at most one part-filled chunk of each kind a group, the chunk
-// tables, the keys and runs, the flag scratch and the examiners' sort scratch, which is
-// 4 B a sample of the largest groups they examined.
+// tables, the keys and runs, and the flag scratch.
 func TestClassifierBytesAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fits 4M requests")
@@ -225,27 +224,17 @@ func TestClassifierBytesAtScale(t *testing.T) {
 	if _, err := c.Estimate("scale"); err != nil {
 		t.Fatal(err)
 	}
-	groups, largest := len(c.keys), 0
-	for id := range c.keys {
-		largest = max(largest, c.runs[id].gaps.len())
-	}
-	var scratch int64
-	for _, x := range c.ex {
-		scratch += int64(cap(x.buf))*4 + int64(cap(x.esc))*8
-		if cap(x.buf) > largest+2048 { // an allocation rounds up to whole 8 KiB pages
-			t.Errorf("an examiner keeps %d B of sort scratch; the largest group has %d samples", cap(x.buf)*4, largest)
-		}
-	}
+	groups := len(c.keys)
 	samples := int64(n - 1)
 	// The tables hold a slice header a chunk, and the keys and runs a
 	// group each, all grown by append: at most twice what they hold.
 	chunks := samples/chunkLen + int64(escapes)/chunkLen + 2*int64(groups)
 	perGroup := int64(unsafe.Sizeof(GroupKey{}) + unsafe.Sizeof(run{}))
 	bound := 4*samples + 8*int64(escapes) + int64(groups)*chunkLen*(4+8) + 2*24*chunks +
-		2*perGroup*int64(groups) + int64(cap(c.flags)) + scratch
+		2*perGroup*int64(groups) + int64(cap(c.flags))
 	got := c.Bytes()
-	t.Logf("%d requests, %d groups, %d escapes: Bytes %d (%.2f B a request), bound %d, sort scratch %d",
-		n, groups, escapes, got, float64(got)/n, bound, scratch)
+	t.Logf("%d requests, %d groups, %d escapes: Bytes %d (%.2f B a request), bound %d",
+		n, groups, escapes, got, float64(got)/n, bound)
 	if got > bound {
 		t.Fatalf("Bytes %d over the bound %d", got, bound)
 	}
@@ -311,9 +300,9 @@ func webmailCSV(tb testing.TB) *trace.Trace {
 	return tr
 }
 
-// TestClassifierBytesWebmail: what a classifier keeps after fitting the
-// cold-infer-csv trace — what the corpus store holds between ingests —
-// is at most 1.1 MB.
+// TestClassifierBytesWebmail: what a classifier holds at the end of a
+// fit of the cold-infer-csv trace — what an ingest of that trace holds
+// until its fit ends — is at most 1.1 MB.
 func TestClassifierBytesWebmail(t *testing.T) {
 	tr := webmailCSV(t)
 	c := NewStreamClassifier()
@@ -331,9 +320,10 @@ func TestClassifierBytesWebmail(t *testing.T) {
 // BenchmarkEstimateGrouping prices the fit kernel as corpus ingest runs
 // it, on the benchmark's cold-infer-csv shape — FIU webmail, 100k
 // requests, latencies dropped, csv-quantized arrivals: StreamClassifier.
-// Estimate on a classifier freshly filled with the trace (filling it is
-// not timed). Since corpus ingest fits a Tsdev-unknown upload in its
-// own decode pass, this is on every such upload's critical path; a
+// Estimate on a new classifier filled with the trace, as every fit has
+// its own (making and filling it is not timed). Since corpus ingest fits
+// a Tsdev-unknown upload in its own decode pass, this is on every such
+// upload's critical path; a
 // change to the estimator claims against this row. The groups are
 // examined on GOMAXPROCS goroutines, so it has two rows: `-cpu 1` is
 // the serial cost (3.6–4.3 ms/op on a 2-CPU Xeon VM), `-cpu 2` what an
@@ -344,12 +334,11 @@ func TestClassifierBytesWebmail(t *testing.T) {
 func BenchmarkEstimateGrouping(b *testing.B) {
 	tr := webmailCSV(b)
 	var err error
-	c := NewStreamClassifier()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c.Reset()
+		c := NewStreamClassifier()
 		c.AddBatch(tr.Requests)
 		b.StartTimer()
 		if sinkModel, err = c.Estimate(tr.Name); err != nil {

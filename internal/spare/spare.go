@@ -1,9 +1,9 @@
 // Package spare keeps the scratch buffers of finished work for the next
 // piece of work in a long-lived process: the read buffers and request
-// batches of a decode, the classifier of an ingest fit. A List holds at
-// most a fixed number of values and drops every one of them once it has
-// gone idle, so what a daemon retains between jobs has a bound in bytes
-// and falls to zero when no work arrives.
+// batches of a decode. A List holds at most a fixed number of values
+// and drops every one of them once it has gone idle, so what a daemon
+// retains between jobs has a bound in bytes and falls to zero when no
+// work arrives.
 //
 // A List is an optimization only. A value taken from it carries stale
 // contents the taker must overwrite before reading.
