@@ -53,10 +53,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	periods := []time.Duration{
-		100 * time.Microsecond, time.Millisecond,
-		10 * time.Millisecond, 100 * time.Millisecond,
-	}
+	periods := verify.Periods
 	if *period > 0 {
 		periods = []time.Duration{*period}
 	}

@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/device"
 	"repro/internal/infer"
@@ -32,10 +31,7 @@ func main() {
 		Title:   "idle recovery from inter-arrival times alone (webusers, FIU-style)",
 		Headers: []string{"injected", "Detect(TP)", "Detect(FP)", "Len(TP) secured", "Len(FP) mean"},
 	}
-	for i, period := range []time.Duration{
-		100 * time.Microsecond, time.Millisecond,
-		10 * time.Millisecond, 100 * time.Millisecond,
-	} {
+	for i, period := range verify.Periods {
 		injected, truth := verify.Inject(base, verify.InjectionSpec{
 			Period: period, Frac: 0.10, Seed: int64(i + 1),
 		})

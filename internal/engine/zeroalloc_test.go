@@ -217,11 +217,13 @@ func TestMeasuredHotPathsAnnotated(t *testing.T) {
 		recv string
 		name string
 	}{
-		{"../trace/stream.go", "csvDecoder", "next"},
+		{"../trace/stream.go", "text", "scan"},
+		{"../trace/stream.go", "text", "read"},
+		{"../trace/stream.go", "text", "Read"},
+		{"../trace/stream.go", "csvDecoder", "line"},
+		{"../trace/stream.go", "msrcDecoder", "line"},
+		{"../trace/stream.go", "spcDecoder", "line"},
 		{"../trace/stream.go", "binaryDecoder", "next"},
-		{"../trace/stream.go", "msrcDecoder", "next"},
-		{"../trace/stream.go", "spcDecoder", "next"},
-		{"../trace/stream.go", "", "readEach"},
 		{"../trace/stream.go", "csvDecoder", "Read"},
 		{"../trace/stream.go", "binaryDecoder", "Read"},
 		{"../trace/stream.go", "SeqState", "AppendFlags"},

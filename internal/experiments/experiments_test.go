@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/infer"
+	"repro/internal/verify"
 	"repro/internal/workload"
 )
 
@@ -173,7 +174,7 @@ func TestTable1Corpus(t *testing.T) {
 func TestFig10VerificationShape(t *testing.T) {
 	r := Fig10(small)
 	for _, g := range []VerifyGroupResult{r.Known, r.Unknown} {
-		if len(g.PerPeriod) != len(VerifyPeriods) {
+		if len(g.PerPeriod) != len(verify.Periods) {
 			t.Fatalf("%s: period count %d", g.Group, len(g.PerPeriod))
 		}
 	}
@@ -182,17 +183,17 @@ func TestFig10VerificationShape(t *testing.T) {
 	// swallowed by the predecessor's queue-inflated service time, so
 	// detection tops out below 100% — the paper's own Detection(TP)
 	// spans 82.2%–99.7%.
-	for i := 1; i < len(VerifyPeriods); i++ {
+	for i := 1; i < len(verify.Periods); i++ {
 		if det := r.Known.PerPeriod[i].DetectionTP(); det < 0.70 {
-			t.Fatalf("known group detection at %v = %.2f", VerifyPeriods[i], det)
+			t.Fatalf("known group detection at %v = %.2f", verify.Periods[i], det)
 		}
 		if lr := r.Known.PerPeriod[i].LenTPRatio; lr < 0.70 || lr > 1.30 {
-			t.Fatalf("known group Len(TP) at %v = %.2f", VerifyPeriods[i], lr)
+			t.Fatalf("known group Len(TP) at %v = %.2f", verify.Periods[i], lr)
 		}
 	}
 	// The inference group improves with period: 100 ms beats 100 µs.
 	first := r.Unknown.PerPeriod[0].LenTPRatio
-	last := r.Unknown.PerPeriod[len(VerifyPeriods)-1].LenTPRatio
+	last := r.Unknown.PerPeriod[len(verify.Periods)-1].LenTPRatio
 	if last < 0.80 || last > 1.20 {
 		t.Fatalf("unknown group Len(TP) at 100ms = %.3f", last)
 	}
@@ -414,7 +415,7 @@ func TestPaperHeadlineValues(t *testing.T) {
 	r := Fig10(small)
 	for _, g := range []struct {
 		got  VerifyGroupResult
-		want [4]period // indexed like VerifyPeriods
+		want [4]period // indexed like verify.Periods
 	}{
 		{r.Known, [4]period{
 			{124.0 / 154, 0.9847166129032259},
@@ -433,7 +434,7 @@ func TestPaperHeadlineValues(t *testing.T) {
 			t.Fatalf("%s: %d periods, want %d", g.got.Group, len(g.got.PerPeriod), len(g.want))
 		}
 		for i, m := range g.got.PerPeriod {
-			what := g.got.Group + " @" + VerifyPeriods[i].String()
+			what := g.got.Group + " @" + verify.Periods[i].String()
 			near(what+" Detection(TP)", m.DetectionTP(), g.want[i].detectionTP)
 			near(what+" Len(TP) ratio", m.LenTPRatio, g.want[i].lenTPRatio)
 		}

@@ -14,19 +14,11 @@ import (
 	"repro/internal/workload"
 )
 
-// VerifyPeriods are the injected idle lengths the paper sweeps.
-var VerifyPeriods = []time.Duration{
-	100 * time.Microsecond,
-	1 * time.Millisecond,
-	10 * time.Millisecond,
-	100 * time.Millisecond,
-}
-
 // VerifyGroupResult aggregates one trace group's verification metrics
 // across the injected periods.
 type VerifyGroupResult struct {
 	Group string // "Tsdev-known" or "Tsdev-unknown"
-	// PerPeriod[i] corresponds to VerifyPeriods[i].
+	// PerPeriod[i] corresponds to verify.Periods[i].
 	PerPeriod []verify.Metrics
 }
 
@@ -60,7 +52,7 @@ func Fig10(cfg Config) Fig10Result {
 		Known:   VerifyGroupResult{Group: "Tsdev-known"},
 		Unknown: VerifyGroupResult{Group: "Tsdev-unknown"},
 	}
-	for pi, period := range VerifyPeriods {
+	for pi, period := range verify.Periods {
 		spec := verify.InjectionSpec{Period: period, Frac: 0.10, Seed: int64(100 + pi)}
 		for _, g := range []struct {
 			base *trace.Trace
@@ -87,7 +79,7 @@ func (r Fig10Result) Render(w io.Writer) {
 	}
 	for _, g := range []VerifyGroupResult{r.Known, r.Unknown} {
 		for i, m := range g.PerPeriod {
-			t.AddRow(g.Group, report.FormatDuration(VerifyPeriods[i]),
+			t.AddRow(g.Group, report.FormatDuration(verify.Periods[i]),
 				report.Percent(m.LenTPSecured()),
 				report.Percent(m.LenTPRatio),
 				report.Percent(m.DetectionTP()),

@@ -2,9 +2,9 @@ package trace
 
 // Content sniffing: every supported input format is recognizable from
 // its leading bytes — the binary format by its magic, the text formats
-// by the field layout of the first data record — so tools can accept
-// "-informat auto" and the corpus store can ingest uploads without a
-// format hint. Sniffs is the only place the name "auto" is spelled;
+// by which decoder's grammar accepts the first data record — so tools
+// can accept "-informat auto" and the corpus store can ingest uploads
+// without a format hint. Sniffs is the only place the name "auto" is spelled;
 // ResolveFormat and ResolveFile are the only places it is resolved.
 
 import (
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 )
 
@@ -26,10 +25,11 @@ const SniffLen = 64 << 10
 // name of the input format they are in.
 //
 // The binary magic and the native header comment are unambiguous; bare
-// data records are decided by the first line that parses under exactly
-// the field layout one decoder expects. Degenerate all-numeric lines
-// that would parse under more than one layout resolve in the codec
-// table's order: native CSV, then MSRC, then SPC.
+// data records are decided by the first data line, which each text
+// row's decoder is asked to parse with its line function, the grammar
+// it decodes with. Degenerate all-numeric lines that more than one
+// grammar accepts resolve in the codec table's order: native CSV, then
+// MSRC, then SPC.
 func DetectFormat(head []byte) (string, error) {
 	if len(head) >= len(binaryMagic) && bytes.Equal(head[:len(binaryMagic)], binaryMagic[:]) {
 		return "bin", nil
@@ -55,10 +55,12 @@ func DetectFormat(head []byte) (string, error) {
 			// don't guess from a truncated line.
 			break
 		}
-		f := strings.Split(s, ",")
+		var r Request
 		for i := range codecs {
-			if c := &codecs[i]; c.sniff != nil && c.sniff(f) {
-				return c.name, nil
+			if c := &codecs[i]; c.text {
+				if ok, _ := c.decode(source{}).(textDecoder).line(line, &r); ok {
+					return c.name, nil
+				}
 			}
 		}
 		return "", fmt.Errorf("trace: unrecognized trace data %q", clip(s, 80))
@@ -112,71 +114,6 @@ func cutLine(b []byte) (line, tail []byte, complete bool) {
 		return b[:i], b[i+1:], true
 	}
 	return b, nil, false
-}
-
-// isNativeLine reports whether f is a native CSV record
-// (arrival_us,device,lba,sectors,op,latency_us,async). It funnels
-// through the decoder's own parser so the sniff cannot drift from
-// what the csv decoder actually accepts.
-func isNativeLine(f []string) bool {
-	if len(f) != 7 {
-		return false
-	}
-	var fb [7][]byte
-	for i, s := range f {
-		fb[i] = []byte(s)
-	}
-	_, err := parseNativeLine(fb[:])
-	return err == nil
-}
-
-// isMSRCLine reports whether f is an MSRC record
-// (timestamp,host,disk,op,offset,size,response): the same checks
-// the msrc decoder applies, without building the request.
-func isMSRCLine(f []string) bool {
-	if len(f) != 7 {
-		return false
-	}
-	if _, err := strconv.ParseInt(f[0], 10, 64); err != nil {
-		return false
-	}
-	if _, err := strconv.ParseUint(f[2], 10, 32); err != nil {
-		return false
-	}
-	if _, err := ParseOp(f[3]); err != nil {
-		return false
-	}
-	if _, err := strconv.ParseUint(f[4], 10, 64); err != nil {
-		return false
-	}
-	if _, err := strconv.ParseUint(f[5], 10, 64); err != nil {
-		return false
-	}
-	_, err := strconv.ParseInt(f[6], 10, 64)
-	return err == nil
-}
-
-// isSPCLine reports whether f is an SPC-1 record
-// (asu,lba,size,op,timestamp[,...]); the spc decoder trims each
-// field, so the sniff does too.
-func isSPCLine(f []string) bool {
-	if len(f) < 5 {
-		return false
-	}
-	if _, err := strconv.ParseUint(strings.TrimSpace(f[0]), 10, 32); err != nil {
-		return false
-	}
-	if _, err := strconv.ParseUint(strings.TrimSpace(f[1]), 10, 64); err != nil {
-		return false
-	}
-	if _, err := strconv.ParseUint(strings.TrimSpace(f[2]), 10, 64); err != nil {
-		return false
-	}
-	if _, err := ParseOp(strings.TrimSpace(f[3])); err != nil {
-		return false
-	}
-	_, err := strconv.ParseFloat(strings.TrimSpace(f[4]), 64)
-	return err == nil
 }
 
 // clip bounds s for error messages.

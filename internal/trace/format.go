@@ -5,8 +5,11 @@ package trace
 // decided here and nowhere else: NewDecoder, NewEncoder, ReorderWindow,
 // ReadFormat, OpenFileDecoder, WriteFormat, the segment planner,
 // DetectFormat's record sniffing, job validation (Formats) and every
-// command's format flag (Usage) derive from this one table. A row is looked up once per
-// stream, never per record.
+// command's format flag (Usage) derive from this one table. A text
+// row's grammar is its decoder's line function (stream.go): the
+// decoder reads records with it, DetectFormat sniffs a bare data line
+// with it, and the segment planner scans the prelude with it. A row is
+// looked up once per stream, never per record.
 
 import (
 	"bufio"
@@ -21,7 +24,7 @@ import (
 type codec struct {
 	name string
 	// decode opens a sequential decoder over a source; nil for
-	// output-only formats.
+	// output-only formats. A text row's is a textDecoder.
 	decode func(source) Decoder
 	// segment opens the decoder of one parallel-decode segment over a
 	// read buffer, preset with the segment's carry context (segment.go).
@@ -29,22 +32,12 @@ type codec struct {
 	// text formats are split at line boundaries after a prelude scan;
 	// the others at fixed-width record strides.
 	text bool
-	// prelude folds one non-blank line of a text input's prelude — a
-	// comment, or the first data line (data) — into the context the
-	// parallel decoder's segments start from; nil when the format
-	// carries no per-stream state (segment.go).
-	prelude func(p *preludeState, line []byte, data bool) error
 	// window is how far a record of the format can sit from its arrival
 	// slot in file order: 0 for sorted formats, reorderWindow for the
 	// event-traced corpora (tracing reorders completions). ReadFormat
 	// sorts the drained trace; OpenFileDecoder streams it through a
 	// window of this size.
 	window int
-	// meta is what the decoder reports before any header or record.
-	meta Meta
-	// sniff reports whether the comma-split fields of a bare data line
-	// have this format's record layout (DetectFormat).
-	sniff func([]string) bool
 	// encode opens an encoder; fioDevice is the replay target fio output
 	// names. nil for input-only formats.
 	encode func(w io.Writer, fioDevice string) Encoder
@@ -55,21 +48,22 @@ type codec struct {
 }
 
 // codecs is the table, in the order DetectFormat tries the text
-// layouts and the format lists name them.
+// grammars and the format lists name them.
 var codecs = [...]codec{
 	{
 		name:   "csv",
-		decode: func(s source) Decoder { return &csvDecoder{source: s} },
+		decode: func(s source) Decoder { return newText(&csvDecoder{}, s) },
 		segment: func(br *bufio.Reader, ctx segCtx) Decoder {
-			d := &csvDecoder{source: source{br: br}, meta: ctx.meta, sawData: ctx.sawData}
+			// A text segment starts inside the data region, so a
+			// metadata header in it is rejected exactly like the
+			// sequential decoder rejects headers after data rows.
+			d := newText(&csvDecoder{meta: ctx.meta, sawData: true}, source{br: br})
 			d.t.applyMeta(ctx.meta)
 			return d
 		},
-		text:    true,
-		prelude: (*preludeState).csvPrelude,
-		sniff:   isNativeLine,
-		encode:  func(w io.Writer, _ string) Encoder { return NewCSVEncoder(w) },
-		write:   WriteCSV,
+		text:   true,
+		encode: func(w io.Writer, _ string) Encoder { return NewCSVEncoder(w) },
+		write:  WriteCSV,
 	},
 	{
 		name:   "bin",
@@ -83,23 +77,19 @@ var codecs = [...]codec{
 	},
 	{
 		name:   "msrc",
-		decode: func(s source) Decoder { return &msrcDecoder{source: s, meta: msrcMeta, first: true} },
+		decode: func(s source) Decoder { return newText(&msrcDecoder{meta: msrcMeta, first: true}, s) },
 		segment: func(br *bufio.Reader, ctx segCtx) Decoder {
-			return &msrcDecoder{source: source{br: br}, meta: ctx.meta, base: ctx.msrcBase}
+			return newText(&msrcDecoder{meta: ctx.meta, base: ctx.msrcBase}, source{br: br})
 		},
-		text:    true,
-		prelude: (*preludeState).msrcPrelude,
-		window:  reorderWindow,
-		meta:    msrcMeta,
-		sniff:   isMSRCLine,
+		text:   true,
+		window: reorderWindow,
 	},
 	{
 		name:    "spc",
-		decode:  func(s source) Decoder { return &spcDecoder{source: s} },
-		segment: func(br *bufio.Reader, _ segCtx) Decoder { return &spcDecoder{source: source{br: br}} },
+		decode:  func(s source) Decoder { return newText(&spcDecoder{}, s) },
+		segment: func(br *bufio.Reader, _ segCtx) Decoder { return newText(&spcDecoder{}, source{br: br}) },
 		text:    true,
 		window:  reorderWindow,
-		sniff:   isSPCLine,
 	},
 	{
 		name:   "blktrace",

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -31,8 +32,11 @@ func FuzzDecodeCSV(f *testing.F) {
 	})
 }
 
-// FuzzDetectFormat checks the sniffer never panics and only reports
-// formats a decoder actually exists for.
+// FuzzDetectFormat checks what a verdict means. bin: the input starts
+// with the magic. A text format F decided by a bare data line (no
+// "# tracetracker" header came first): F's decoder decodes that line,
+// alone, to one record without error, and the decoder of every text
+// format before F in table order rejects it.
 func FuzzDetectFormat(f *testing.F) {
 	var csvBuf, binBuf bytes.Buffer
 	_ = WriteCSV(&csvBuf, streamSample())
@@ -47,10 +51,51 @@ func FuzzDetectFormat(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, derr := NewDecoder(format, bytes.NewReader(data)); derr != nil {
-			t.Fatalf("detected %q but no decoder: %v", format, derr)
+		if format == "bin" {
+			if !bytes.HasPrefix(data, binaryMagic[:]) {
+				t.Fatalf("detected bin without the magic: %q", data)
+			}
+			return
 		}
+		line, ok := decidingLine(data)
+		if !ok || len(line) > maxLineLen {
+			return
+		}
+		for i := range codecs {
+			c := &codecs[i]
+			if !c.text {
+				continue
+			}
+			run, err := c.decode(source{br: newReadBuffer(bytes.NewReader(line))}).Read(make([]Request, 1))
+			if c.name == format {
+				if err != nil || len(run) != 1 {
+					t.Fatalf("detected %s, but its decoder reads %q to %d records, %v", format, line, len(run), err)
+				}
+				return
+			}
+			if err == nil || err == io.EOF {
+				t.Fatalf("detected %s, but %s, earlier in the table, accepts %q", format, c.name, line)
+			}
+		}
+		t.Fatalf("detected %q, which is no text format of the table", format)
 	})
+}
+
+// decidingLine returns the first line of data that is neither blank nor
+// a comment, unless a "# tracetracker" header comes before it.
+func decidingLine(data []byte) ([]byte, bool) {
+	for rest := data; len(rest) > 0; {
+		line, tail, _ := cutLine(rest)
+		rest = tail
+		s := bytes.TrimSpace(line)
+		if bytes.HasPrefix(s, csvHeaderPrefix) {
+			return nil, false
+		}
+		if len(s) > 0 && s[0] != '#' {
+			return line, true
+		}
+	}
+	return nil, false
 }
 
 // FuzzSplitSegments is the differential lock on the parallel decode
@@ -60,8 +105,10 @@ func FuzzDetectFormat(f *testing.F) {
 // metadata of clean streams, and fail with the same message after the
 // same records (the ParallelDecoder's contract). The seeds cover the
 // boundary hazards: CRLF endings, comment runs, late metadata headers,
-// truncated binary records, and a bin file longer than the decoder's
-// 128 KB read buffer, so its batch loop meets a refill mid-stream.
+// truncated binary records, a bin file longer than the decoder's 128 KB
+// read buffer, so its batch loop meets a refill mid-stream, and msrc
+// and spc files behind a CRLF comment prelude longer than one prelude
+// read (probeLen).
 func FuzzSplitSegments(f *testing.F) {
 	var csvBuf, binBuf, bigBin bytes.Buffer
 	_ = WriteCSV(&csvBuf, streamSample())
@@ -77,6 +124,9 @@ func FuzzSplitSegments(f *testing.F) {
 	f.Add([]byte(msrcSample), uint8(4))
 	f.Add([]byte(spcSample), uint8(2))
 	f.Add([]byte("128166372003061629,hm,1,Read,2096128,512,80\n# run\n128166372013061629,hm,1,Write,2096640,512,81\n"), uint8(3))
+	crlfPrelude := strings.Repeat("# a comment line of a CRLF prelude\r\n", probeLen/36+8)
+	f.Add([]byte(crlfPrelude+strings.ReplaceAll(msrcSample, "\n", "\r\n")), uint8(2))
+	f.Add([]byte(crlfPrelude+"\r\n"+strings.ReplaceAll(spcSample, "\n", "\r\n")), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
 		if len(data) > 1<<20 {
 			return

@@ -223,6 +223,13 @@ func TestParallelDecodeErrors(t *testing.T) {
 			strings.Join(lines[mid:], ""))
 	}()
 	truncBin := binBuf.Bytes()[:binBuf.Len()-17]
+	// lead puts a bad first record, after a prelude, in front of a whole
+	// fixture: the prelude scan meets it before any segment runs.
+	lead := func(prelude, bad string, data *bytes.Buffer) []byte {
+		return []byte(prelude + bad + "\n" + data.String())
+	}
+	longComments := strings.Repeat("# a comment run past one prelude read\n", 2*probeLen/38+1)
+	longLine := "# " + strings.Repeat("x", maxLineLen) + "\n"
 
 	cases := []struct {
 		name   string
@@ -236,6 +243,11 @@ func TestParallelDecodeErrors(t *testing.T) {
 		{"msrc/bad-first-line", "msrc", []byte("# c\nnot-an-msrc-line\n")},
 		{"msrc/bad-mid-line", "msrc", corrupt(msrcBuf.String(), 0.75, "128166372003061629,hm,zz,Read,2096128,512,80")},
 		{"spc/bad-mid-line", "spc", corrupt(spcBuf.String(), 0.4, "1,bad-lba,4096,R,1.5")},
+		{"msrc/bad-first-disk", "msrc", lead("# c\n", "128166372003061629,hm,zz,Read,2096128,512,80", &msrcBuf)},
+		{"msrc/bad-first-timestamp", "msrc", lead("\n", "12816637200306x,hm,1,Read,2096128,512,80", &msrcBuf)},
+		{"spc/bad-first-line", "spc", lead("# c\n\n", "1,2,4096,R", &spcBuf)},
+		{"csv/long-prelude-bad-first-line", "csv", lead(longComments, "12.5,0,100,8,R,90.0", &csvBuf)},
+		{"csv/over-long-prelude-line", "csv", lead(longLine, "", &csvBuf)},
 		{"bin/empty", "bin", nil},
 		{"bin/short-header", "bin", []byte("TTR1\x05")},
 	}

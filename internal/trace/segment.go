@@ -8,14 +8,16 @@ package trace
 // Decoder.
 //
 // The header/prelude region is parsed here, once, on the caller's
-// goroutine: the native CSV metadata comments, the MSRC arrival base
-// and workload (captured from the first data record), and the binary
-// header (magic, metadata strings, record count). Every segment then
-// carries the context (segCtx) that makes its decode independent of
-// the bytes before it, mirroring how the reconstruction engine carries
-// sequentiality state across shards.
+// goroutine: a text input's lines up to its first record by a fresh
+// sequential decoder of the format — the native CSV metadata comments,
+// the MSRC arrival base and workload of the first record — and the
+// binary header (magic, metadata strings, record count). Every segment
+// then carries the context (segCtx) that makes its decode independent
+// of the bytes before it, mirroring how the reconstruction engine
+// carries sequentiality state across shards.
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -28,10 +30,6 @@ type segCtx struct {
 	// mid-stream text segments, the final prelude metadata: headers
 	// after data rows are errors, so it can no longer change).
 	meta Meta
-	// sawData marks csv segments that start inside the data region, so
-	// a metadata header inside them is rejected exactly like the
-	// sequential decoder rejects headers after data rows.
-	sawData bool
 	// msrcBase is the arrival rebase timestamp captured from the first
 	// MSRC data record.
 	msrcBase int64
@@ -59,62 +57,6 @@ type segmentPlan struct {
 	// of a text input — the line base of segment 0, so parse errors can
 	// report absolute line numbers.
 	preludeLines int
-}
-
-// raLineScanner yields lines (without terminators) from an io.ReaderAt
-// while tracking byte offsets, for prelude scanning. It applies the
-// same maxLineLen bound as source.nextLine, so a pathological prelude
-// fails with the same error the sequential path produces.
-type raLineScanner struct {
-	ra   io.ReaderAt
-	size int64
-	off  int64 // file offset of buf[pos]
-	buf  []byte
-	pos  int
-}
-
-// next returns the next line and the file offset of its first byte.
-func (s *raLineScanner) next() (line []byte, start int64, err error) {
-	for {
-		if i := bytes.IndexByte(s.buf[s.pos:], '\n'); i >= 0 {
-			line = s.buf[s.pos : s.pos+i]
-			start = s.off
-			s.pos += i + 1
-			s.off += int64(i + 1)
-			return line, start, nil
-		}
-		rem := len(s.buf) - s.pos
-		if rem > maxLineLen {
-			return nil, 0, fmt.Errorf("trace: line longer than %d bytes", maxLineLen)
-		}
-		if s.off+int64(rem) >= s.size {
-			// Final unterminated line (or clean EOF).
-			if rem == 0 {
-				return nil, 0, io.EOF
-			}
-			line = s.buf[s.pos:]
-			start = s.off
-			s.pos = len(s.buf)
-			s.off += int64(rem)
-			return line, start, nil
-		}
-		// Compact and refill.
-		s.buf = append(s.buf[:0], s.buf[s.pos:]...)
-		s.pos = 0
-		const chunk = probeLen
-		n := len(s.buf)
-		s.buf = append(s.buf, make([]byte, chunk)...)
-		k, err := s.ra.ReadAt(s.buf[n:], s.off+int64(n))
-		s.buf = s.buf[:n+k]
-		if err != nil && err != io.EOF {
-			return nil, 0, err
-		}
-		if k == 0 && err == io.EOF && n == len(s.buf) {
-			// No progress possible; treated by the size check above on
-			// the next loop, but guard against a lying Size.
-			s.size = s.off + int64(n)
-		}
-	}
 }
 
 // probeLen is how much of the input a prelude scan or a segment
@@ -231,97 +173,45 @@ func splitText(ra io.ReaderAt, size int64, c *codec, workers int) (*segmentPlan,
 	return plan, nil
 }
 
-// preludeState walks the leading comment/blank region of a text
-// input, accumulating metadata exactly like the sequential decoders
-// do, and captures the per-stream state (MSRC arrival base, workload)
-// from the first data line.
-type preludeState struct {
-	codec   *codec
-	ctx     segCtx
-	lineno  int
-	scratch Trace
-}
-
-// feed consumes one prelude line (without its terminator) and reports
-// whether it is the first data line — which still belongs to the data
-// region: segment 0 re-parses and emits it. Every non-blank line goes
-// through the codec's prelude hook.
-func (p *preludeState) feed(raw []byte) (bool, error) {
-	p.lineno++
-	line := bytes.TrimSpace(raw)
-	if len(line) == 0 {
-		return false, nil
-	}
-	data := line[0] != '#'
-	if p.codec.prelude != nil {
-		if err := p.codec.prelude(p, line, data); err != nil {
-			return false, err
-		}
-	}
-	return data, nil
-}
-
-// csvPrelude is the csv row's prelude hook: a metadata header comment
-// sets the stream metadata, as it does in the sequential decoder.
-func (p *preludeState) csvPrelude(line []byte, data bool) error {
-	if !data && bytes.HasPrefix(line, csvHeaderPrefix) {
-		p.scratch.applyMeta(p.ctx.meta)
-		parseHeaderComment(&p.scratch, string(line))
-		p.ctx.meta = p.scratch.Meta()
-	}
-	return nil
-}
-
-// msrcPrelude is the msrc row's prelude hook: the first data record
-// fixes the arrival base and names the workload.
-func (p *preludeState) msrcPrelude(line []byte, data bool) error {
-	if !data {
-		return nil
-	}
-	var f [8][]byte
-	if n := splitComma(f[:], line); n != 7 {
-		return fmt.Errorf("trace: msrc line %d: want 7 fields, got %d", p.lineno, n)
-	}
-	ts, err := parseIntBytes(f[0], 64)
-	if err != nil {
-		return fmt.Errorf("trace: msrc line %d timestamp: %w", p.lineno, err)
-	}
-	p.ctx.msrcBase = ts
-	p.ctx.meta.Workload = string(f[1])
-	p.ctx.meta.Name = p.ctx.meta.Workload
-	return nil
-}
-
-// scanPrelude runs the prelude over an io.ReaderAt and returns the
-// final segment context, the offset of the first data line, and the
-// number of lines before it (segment 0's line base). dataStart == size
-// means the input holds no data records.
+// scanPrelude feeds the leading lines of a text input to a fresh
+// sequential decoder of c, up to its first record, and returns the
+// segment context that decoder's state then gives, the offset of the
+// line holding the first record, and the number of lines before it
+// (segment 0's line base). dataStart == size means the input holds no
+// record. A line the decoder rejects fails the plan with the
+// sequential decoder's error, at the same line.
 func scanPrelude(ra io.ReaderAt, size int64, c *codec) (segCtx, int64, int, error) {
-	p := preludeState{codec: c, ctx: segCtx{meta: c.meta, sawData: true}}
-	ls := &raLineScanner{ra: ra, size: size}
+	sr := io.NewSectionReader(ra, 0, size)
+	br := bufio.NewReaderSize(sr, probeLen)
+	d := c.decode(source{br: br}).(textDecoder)
+	var r Request
 	for {
-		raw, start, err := ls.next()
-		if err == io.EOF {
-			return p.ctx, size, p.lineno, nil
+		at, _ := sr.Seek(0, io.SeekCurrent)
+		start := at - int64(br.Buffered())
+		ok, err := d.scan(&r)
+		if err != nil && err != io.EOF {
+			return segCtx{}, 0, 0, err
 		}
-		if err != nil {
-			return p.ctx, 0, 0, err
+		if !ok && err == nil {
+			continue
 		}
-		isData, err := p.feed(raw)
-		if err != nil {
-			return p.ctx, 0, 0, err
+		ctx := segCtx{meta: d.Meta()}
+		if m, isMSRC := d.(*msrcDecoder); isMSRC {
+			ctx.msrcBase = m.base
 		}
-		if isData {
-			// The first data line belongs to segment 0 (feed counted it).
-			return p.ctx, start, p.lineno - 1, nil
+		if !ok {
+			return ctx, size, d.lines(), nil
 		}
+		// Segment 0 starts at the first record and parses it again.
+		return ctx, start, d.lines() - 1, nil
 	}
 }
 
 // splitBin plans the fixed-stride binary format: the header is parsed
 // once, then the record region is cut at multiples of binRecordLen.
 func splitBin(ra io.ReaderAt, size int64, c *codec, workers int) (*segmentPlan, error) {
-	meta, counted, count, hdrLen, err := readBinHeader(io.NewSectionReader(ra, 0, size))
+	sr := io.NewSectionReader(ra, 0, size)
+	meta, counted, count, err := parseBinHeader(sr)
 	if err != nil {
 		if err == io.EOF {
 			// Same wrap the sequential constructor applies to a stream
@@ -331,6 +221,7 @@ func splitBin(ra io.ReaderAt, size int64, c *codec, workers int) (*segmentPlan, 
 		return nil, err
 	}
 	plan := &segmentPlan{codec: c, meta: meta}
+	hdrLen, _ := sr.Seek(0, io.SeekCurrent)
 	avail := size - hdrLen
 	if avail < 0 {
 		avail = 0
@@ -388,24 +279,4 @@ func splitBin(ra io.ReaderAt, size int64, c *codec, workers int) (*segmentPlan, 
 		idx += segRecs
 	}
 	return plan, nil
-}
-
-// readBinHeader parses the compact binary header from r and reports
-// how many bytes it occupied. The error messages are byte-for-byte the
-// sequential binary decoder's, so the parallel path cannot drift.
-func readBinHeader(r io.Reader) (m Meta, counted bool, count uint64, hdrLen int64, err error) {
-	cr := &countingReadWrapper{r: r}
-	m, counted, count, err = parseBinHeader(cr)
-	return m, counted, count, cr.n, err
-}
-
-type countingReadWrapper struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReadWrapper) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -137,23 +137,6 @@ func ForEachBatch(dec Decoder, fn func([]Request) error) error {
 	}
 }
 
-// readEach is the shared Read body of the msrc and spc decoders, a
-// loop over their per-record next. Each decoder instantiates it with
-// its own type. The csv and binary decoders have their own loops over
-// whole buffered runs.
-//
-//tracelint:hotpath
-func readEach[D interface{ next() (Request, error) }](d D, dst []Request) ([]Request, error) {
-	for i := range dst {
-		r, err := d.next()
-		if err != nil {
-			return endRun(dst, i, err)
-		}
-		dst[i] = r
-	}
-	return dst, nil
-}
-
 // Encoder consumes a request stream and renders one on-disk format.
 type Encoder interface {
 	// Begin emits the format's header. It must be called exactly once,
@@ -284,6 +267,124 @@ func (s *SeqState) Clone() *SeqState {
 	return c
 }
 
+// --- text formats ---
+
+// text is what the three text decoders (csv, msrc, spc) share: the
+// lines of their source, counted, and the loops that hand them to the
+// format's grammar — the decoder's line function, the only code that
+// parses or skips a text record. DetectFormat asks that function
+// whether a line is a record of the format, and the parallel decoder's
+// prelude scan runs it over the lines up to the first record
+// (segment.go).
+type text struct {
+	source
+	lineno  int
+	grammar lineParser // the decoder this text is part of
+}
+
+// lineParser is a text format's grammar: line parses input line lineno,
+// without its '\n', into *r. ok reports a record; a blank line or a
+// comment yields neither a record nor an error. *r holds a record only
+// when ok.
+type lineParser interface {
+	line(line []byte, r *Request) (ok bool, err error)
+}
+
+// textDecoder is a text format's decoder, as the codec table builds it.
+type textDecoder interface {
+	Decoder
+	lineParser
+	lineCounter
+	scan(r *Request) (bool, error)
+	init(s source, g lineParser)
+}
+
+// newText returns d reading the lines of s.
+func newText[D textDecoder](d D, s source) D {
+	d.init(s, d)
+	return d
+}
+
+// init sets the source t reads and the grammar of the decoder t is part
+// of.
+func (t *text) init(s source, g lineParser) { t.source, t.grammar = s, g }
+
+// scan reads the next line and hands it to the grammar: ok reports a
+// record in *r.
+//
+//tracelint:hotpath
+func (t *text) scan(r *Request) (bool, error) {
+	line, err := t.nextLine()
+	if err != nil {
+		return false, err
+	}
+	t.lineno++
+	return t.grammar.line(line, r)
+}
+
+// read scans lines until one holds a record, into *r: the one loop
+// over nextLine, which the batch loops (Read, csvDecoder.Read) fall back
+// on when no whole line is buffered.
+//
+//tracelint:hotpath
+func (t *text) read(r *Request) error {
+	for {
+		if ok, err := t.scan(r); ok || err != nil {
+			return err
+		}
+	}
+}
+
+// Read implements Decoder for msrc and spc; csv has its own loop, with
+// a fast path for its common record shape. It hands the whole lines
+// already in the read buffer to the grammar in one loop, with one
+// Discard per run, and falls back on read for one record only when no
+// whole line is buffered (a refill, a line longer than the buffer, an
+// unterminated last line, EOF), so every error keeps read's text and
+// line number.
+//
+//tracelint:hotpath
+func (t *text) Read(dst []Request) ([]Request, error) {
+	if t.closed {
+		return nil, errClosed
+	}
+	br := t.br
+	n := 0
+	for n < len(dst) {
+		buf, _ := br.Peek(br.Buffered())
+		used := 0
+		for n < len(dst) {
+			i := bytes.IndexByte(buf[used:], '\n')
+			if i < 0 {
+				break
+			}
+			line := buf[used : used+i]
+			used += i + 1
+			t.lineno++
+			ok, err := t.grammar.line(line, &dst[n])
+			if err != nil {
+				br.Discard(used)
+				return dst[:n], err
+			}
+			if ok {
+				n++
+			}
+		}
+		br.Discard(used)
+		if n == len(dst) || used > 0 {
+			continue
+		}
+		if err := t.read(&dst[n]); err != nil {
+			return endRun(dst, n, err)
+		}
+		n++
+	}
+	return dst, nil
+}
+
+// lines implements lineCounter.
+func (t *text) lines() int { return t.lineno }
+
 // --- native CSV ---
 
 // csvHeaderPrefix marks the native metadata header comment.
@@ -291,8 +392,7 @@ var csvHeaderPrefix = []byte("# tracetracker ")
 
 // csvDecoder streams the native CSV format.
 type csvDecoder struct {
-	source
-	lineno  int
+	text
 	meta    Meta
 	t       Trace // scratch for header parsing
 	sawData bool
@@ -301,28 +401,9 @@ type csvDecoder struct {
 // Meta implements Decoder.
 func (d *csvDecoder) Meta() Meta { return d.meta }
 
-// next decodes one record: the slow path of Read, and the reference its
-// batch loop is tested against.
-//
-//tracelint:hotpath
-func (d *csvDecoder) next() (Request, error) {
-	var req Request
-	for {
-		line, err := d.nextLine()
-		if err != nil {
-			return Request{}, err
-		}
-		d.lineno++
-		if ok, err := d.line(line, &req); ok || err != nil {
-			return req, err
-		}
-	}
-}
-
-// line decodes input line d.lineno (without its '\n') into *r, the
-// per-line body next and Read share: ok reports a record, and a
-// blank line, a comment or a metadata header yields neither a record
-// nor an error. *r is written only when ok.
+// line is the csv grammar (lineParser): a metadata header comment
+// sets the stream metadata, any other comment is skipped, and a record
+// is parsed by the fast path or, failing that, field by field.
 //
 //tracelint:hotpath
 func (d *csvDecoder) line(line []byte, r *Request) (bool, error) {
@@ -365,10 +446,10 @@ func (d *csvDecoder) line(line []byte, r *Request) (bool, error) {
 // dst, with one Discard per run. A record of the fast shape
 // (parseNativeFast) is parsed up to its '\n' with no separate search
 // for the line end; any other line is found with IndexByte and handed
-// to line, the per-line body next runs too. Only when no whole line is
-// buffered (a refill, a line longer than the buffer, an unterminated
-// last line, EOF) does it fall back to next for one line, so every
-// error keeps next's text and line number.
+// to line. Only when no whole line is buffered (a refill, a line longer
+// than the buffer, an unterminated last line, EOF) does it fall back to
+// the text read loop for one record, so every error keeps that loop's
+// text and line number.
 //
 //tracelint:hotpath
 func (d *csvDecoder) Read(dst []Request) ([]Request, error) {
@@ -408,18 +489,13 @@ func (d *csvDecoder) Read(dst []Request) ([]Request, error) {
 		if n == len(dst) || used > 0 {
 			continue
 		}
-		req, err := d.next()
-		if err != nil {
+		if err := d.read(&dst[n]); err != nil {
 			return endRun(dst, n, err)
 		}
-		dst[n] = req
 		n++
 	}
 	return dst, nil
 }
-
-// lines implements lineCounter.
-func (d *csvDecoder) lines() int { return d.lineno }
 
 // CSVEncoder streams the native CSV format.
 type CSVEncoder struct {
@@ -834,11 +910,10 @@ func writeBinaryRecord(bw *bufio.Writer, rec *[binRecordLen]byte, r Request) err
 // known. MSRC files are only nearly sorted; OpenFileDecoder reads them
 // through the format's reorder window.
 type msrcDecoder struct {
-	source
-	lineno int
-	meta   Meta
-	base   int64
-	first  bool
+	text
+	meta  Meta
+	base  int64
+	first bool
 }
 
 // msrcMeta is the metadata of every MSRC stream before its first
@@ -848,83 +923,66 @@ var msrcMeta = Meta{Set: "MSRC", TsdevKnown: true}
 // Meta implements Decoder.
 func (d *msrcDecoder) Meta() Meta { return d.meta }
 
-// next decodes one record.
+// line is the msrc grammar (lineParser). The first record fixes the
+// arrival base and names the workload.
 //
 //tracelint:hotpath
-func (d *msrcDecoder) next() (Request, error) {
-	for {
-		line, err := d.nextLine()
-		if err == io.EOF {
-			return Request{}, io.EOF
-		}
-		if err != nil {
-			return Request{}, err
-		}
-		d.lineno++
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		var f [8][]byte
-		if n := splitComma(f[:], line); n != 7 {
-			return Request{}, lineErrf("msrc line", d.lineno, nil, ": want 7 fields, got %d", n)
-		}
-		ts, err := parseIntBytes(f[0], 64)
-		if err != nil {
-			return Request{}, lineErrf("msrc line", d.lineno, err, " timestamp: %v", err)
-		}
-		if d.first {
-			d.base = ts
-			//tracelint:ignore hotpath first-record path: the workload name is captured once per stream
-			d.meta.Workload = string(f[1])
-			d.meta.Name = d.meta.Workload
-			d.first = false
-		}
-		disk, err := parseUintBytes(f[2], 32)
-		if err != nil {
-			return Request{}, lineErrf("msrc line", d.lineno, err, " disk: %v", err)
-		}
-		op, err := parseOpBytes(f[3])
-		if err != nil {
-			return Request{}, lineErrf("msrc line", d.lineno, err, ": %v", err)
-		}
-		off, err := parseUintBytes(f[4], 64)
-		if err != nil {
-			return Request{}, lineErrf("msrc line", d.lineno, err, " offset: %v", err)
-		}
-		size, err := parseUintBytes(f[5], 64)
-		if err != nil {
-			return Request{}, lineErrf("msrc line", d.lineno, err, " size: %v", err)
-		}
-		resp, err := parseIntBytes(f[6], 64)
-		if err != nil {
-			return Request{}, lineErrf("msrc line", d.lineno, err, " response: %v", err)
-		}
-		sectors := uint32((size + SectorSize - 1) / SectorSize)
-		if sectors == 0 {
-			sectors = 1
-		}
-		return Request{
-			Arrival: time.Duration(ts-d.base) * 100, // 100ns ticks
-			Device:  uint32(disk),
-			LBA:     off / SectorSize,
-			Sectors: sectors,
-			Op:      op,
-			Latency: time.Duration(resp) * 100,
-		}, nil
+func (d *msrcDecoder) line(line []byte, r *Request) (bool, error) {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 || line[0] == '#' {
+		return false, nil
 	}
+	var f [8][]byte
+	if n := splitComma(f[:], line); n != 7 {
+		return false, lineErrf("msrc line", d.lineno, nil, ": want 7 fields, got %d", n)
+	}
+	ts, err := parseIntBytes(f[0], 64)
+	if err != nil {
+		return false, lineErrf("msrc line", d.lineno, err, " timestamp: %v", err)
+	}
+	if d.first {
+		d.base = ts
+		//tracelint:ignore hotpath first-record path: the workload name is captured once per stream
+		d.meta.Workload = string(f[1])
+		d.meta.Name = d.meta.Workload
+		d.first = false
+	}
+	disk, err := parseUintBytes(f[2], 32)
+	if err != nil {
+		return false, lineErrf("msrc line", d.lineno, err, " disk: %v", err)
+	}
+	op, err := parseOpBytes(f[3])
+	if err != nil {
+		return false, lineErrf("msrc line", d.lineno, err, ": %v", err)
+	}
+	off, err := parseUintBytes(f[4], 64)
+	if err != nil {
+		return false, lineErrf("msrc line", d.lineno, err, " offset: %v", err)
+	}
+	size, err := parseUintBytes(f[5], 64)
+	if err != nil {
+		return false, lineErrf("msrc line", d.lineno, err, " size: %v", err)
+	}
+	resp, err := parseIntBytes(f[6], 64)
+	if err != nil {
+		return false, lineErrf("msrc line", d.lineno, err, " response: %v", err)
+	}
+	*r = Request{
+		Arrival: time.Duration(ts-d.base) * 100, // 100ns ticks
+		Device:  uint32(disk),
+		LBA:     off / SectorSize,
+		Sectors: sectorsOf(size),
+		Op:      op,
+		Latency: time.Duration(resp) * 100,
+	}
+	return true, nil
 }
 
-// Read implements Decoder.
-func (d *msrcDecoder) Read(dst []Request) ([]Request, error) {
-	if d.closed {
-		return nil, errClosed
-	}
-	return readEach(d, dst)
+// sectorsOf is the sector count of a request of size bytes, at least
+// one.
+func sectorsOf(size uint64) uint32 {
+	return max(uint32((size+SectorSize-1)/SectorSize), 1)
 }
-
-// lines implements lineCounter.
-func (d *msrcDecoder) lines() int { return d.lineno }
 
 // --- SPC-1 ASCII ---
 
@@ -936,78 +994,54 @@ func (d *msrcDecoder) lines() int { return d.lineno }
 // LBA is in sectors, Size in bytes, Opcode R/W, Timestamp fractional
 // seconds. No completion information is available (TsdevKnown=false).
 type spcDecoder struct {
-	source
-	lineno int
+	text
 }
 
 // Meta implements Decoder.
 func (d *spcDecoder) Meta() Meta { return Meta{TsdevKnown: false} }
 
-// next decodes one record.
+// line is the spc grammar (lineParser): five or more fields, each
+// trimmed.
 //
 //tracelint:hotpath
-func (d *spcDecoder) next() (Request, error) {
-	for {
-		line, err := d.nextLine()
-		if err == io.EOF {
-			return Request{}, io.EOF
-		}
-		if err != nil {
-			return Request{}, err
-		}
-		d.lineno++
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		var f [8][]byte
-		if n := splitComma(f[:], line); n < 5 {
-			return Request{}, lineErrf("spc line", d.lineno, nil, ": want 5 fields, got %d", n)
-		}
-		asu, err := parseUintBytes(bytes.TrimSpace(f[0]), 32)
-		if err != nil {
-			return Request{}, lineErrf("spc line", d.lineno, err, " asu: %v", err)
-		}
-		lba, err := parseUintBytes(bytes.TrimSpace(f[1]), 64)
-		if err != nil {
-			return Request{}, lineErrf("spc line", d.lineno, err, " lba: %v", err)
-		}
-		size, err := parseUintBytes(bytes.TrimSpace(f[2]), 64)
-		if err != nil {
-			return Request{}, lineErrf("spc line", d.lineno, err, " size: %v", err)
-		}
-		op, err := parseOpBytes(bytes.TrimSpace(f[3]))
-		if err != nil {
-			return Request{}, lineErrf("spc line", d.lineno, err, ": %v", err)
-		}
-		sec, err := parseFloatBytes(bytes.TrimSpace(f[4]))
-		if err != nil {
-			return Request{}, lineErrf("spc line", d.lineno, err, " timestamp: %v", err)
-		}
-		sectors := uint32((size + SectorSize - 1) / SectorSize)
-		if sectors == 0 {
-			sectors = 1
-		}
-		return Request{
-			Arrival: time.Duration(sec * float64(time.Second)),
-			Device:  uint32(asu),
-			LBA:     lba,
-			Sectors: sectors,
-			Op:      op,
-		}, nil
+func (d *spcDecoder) line(line []byte, r *Request) (bool, error) {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 || line[0] == '#' {
+		return false, nil
 	}
-}
-
-// Read implements Decoder.
-func (d *spcDecoder) Read(dst []Request) ([]Request, error) {
-	if d.closed {
-		return nil, errClosed
+	var f [8][]byte
+	if n := splitComma(f[:], line); n < 5 {
+		return false, lineErrf("spc line", d.lineno, nil, ": want 5 fields, got %d", n)
 	}
-	return readEach(d, dst)
+	asu, err := parseUintBytes(bytes.TrimSpace(f[0]), 32)
+	if err != nil {
+		return false, lineErrf("spc line", d.lineno, err, " asu: %v", err)
+	}
+	lba, err := parseUintBytes(bytes.TrimSpace(f[1]), 64)
+	if err != nil {
+		return false, lineErrf("spc line", d.lineno, err, " lba: %v", err)
+	}
+	size, err := parseUintBytes(bytes.TrimSpace(f[2]), 64)
+	if err != nil {
+		return false, lineErrf("spc line", d.lineno, err, " size: %v", err)
+	}
+	op, err := parseOpBytes(bytes.TrimSpace(f[3]))
+	if err != nil {
+		return false, lineErrf("spc line", d.lineno, err, ": %v", err)
+	}
+	sec, err := parseFloatBytes(bytes.TrimSpace(f[4]))
+	if err != nil {
+		return false, lineErrf("spc line", d.lineno, err, " timestamp: %v", err)
+	}
+	*r = Request{
+		Arrival: time.Duration(sec * float64(time.Second)),
+		Device:  uint32(asu),
+		LBA:     lba,
+		Sectors: sectorsOf(size),
+		Op:      op,
+	}
+	return true, nil
 }
-
-// lines implements lineCounter.
-func (d *spcDecoder) lines() int { return d.lineno }
 
 // --- blktrace text (encoder) ---
 

@@ -100,6 +100,14 @@ type seqDecoder interface {
 	next() (Request, error)
 }
 
+// next is the text decoders' one-record reference: their read loop
+// into a fresh request.
+func (t *text) next() (Request, error) {
+	var r Request
+	err := t.read(&r)
+	return r, err
+}
+
 // newSeq is NewDecoder over data.
 func newSeq(t testing.TB, format string, data []byte) seqDecoder {
 	t.Helper()
@@ -312,7 +320,7 @@ func TestCSVDecodeBatchMatchesNext(t *testing.T) {
 	// Segment decoders, as the parallel decoder opens them: a data-region
 	// body under the prelude's metadata, and one a late header ends.
 	csv := lookup("csv")
-	ctx := segCtx{meta: tr.Meta(), sawData: true}
+	ctx := segCtx{meta: tr.Meta()}
 	bodies := map[string]string{
 		"segment":             strings.Join(lines[hdr+2000:hdr+8000], ""),
 		"segment-late-header": strings.Join(lines[hdr+2000:hdr+6000], "") + late + lines[hdr+6000],

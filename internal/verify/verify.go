@@ -13,10 +13,18 @@ import (
 	"repro/internal/trace"
 )
 
+// Periods are the injected idle lengths the paper sweeps.
+var Periods = []time.Duration{
+	100 * time.Microsecond,
+	1 * time.Millisecond,
+	10 * time.Millisecond,
+	100 * time.Millisecond,
+}
+
 // InjectionSpec describes one injection experiment.
 type InjectionSpec struct {
 	// Period is the idle length injected at each chosen instruction
-	// (the paper sweeps 100 µs, 1 ms, 10 ms, 100 ms).
+	// (the paper sweeps Periods).
 	Period time.Duration
 	// Frac is the fraction of instructions that receive an injection
 	// (the paper uses 10%).

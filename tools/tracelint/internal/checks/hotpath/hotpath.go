@@ -1,7 +1,7 @@
 // Package hotpath enforces the zero-allocation discipline on
 // functions annotated `//tracelint:hotpath` — the per-record codec
-// loops (each codec's Decoder.Read and the per-record next it falls
-// back on, Encoder.Write/AppendRecords) and
+// loops (each codec's Decoder.Read and the per-record or per-line body
+// it falls back on, Encoder.Write/AppendRecords) and
 // the engine's per-epoch decompose/emulate/merge bodies whose ≤0.05
 // allocs/request bound `zeroalloc_test.go` locks. The benchmark
 // catches a regression after the fact on the paths it happens to
