@@ -178,7 +178,7 @@ func cmdGC(store *corpus.Store, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "gc: removed %d staging files, %d orphaned results, %d broken objects in %v\n",
-		st.TmpRemoved, st.ResultsRemoved, st.ObjectsRemoved, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "gc: removed %d staging files, %d orphaned results, %d broken objects, %d orphaned renderings in %v\n",
+		st.TmpRemoved, st.ResultsRemoved, st.ObjectsRemoved, st.RendersRemoved, time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -9,6 +9,8 @@
 //	objects/<sha256>        trace blob, byte-exact as ingested
 //	objects/<sha256>.json   sidecar: format + one-pass summary + fitted
 //	                        inference model, Tsdev-unknown csv/bin/spc (Entry)
+//	renders/<sha256>        a text blob's records in arrival order, as
+//	                        bin: what its jobs read (JobInput)
 //	results/<key>           cached reconstruction output
 //	results/<key>.json      sidecar: input digest + caller note (ResultMeta)
 //	tmp/                    staging for atomic writes

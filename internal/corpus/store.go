@@ -79,7 +79,7 @@ func (s *Store) sinkWriter(sink string, w io.Writer) io.Writer {
 // never hidden.
 func Open(root string) (*Store, error) {
 	s := &Store{root: root, entries: make(map[string]Entry)}
-	for _, d := range []string{root, s.objectsDir(), s.resultsDir(), s.tmpDir()} {
+	for _, d := range []string{root, s.objectsDir(), s.rendersDir(), s.resultsDir(), s.tmpDir()} {
 		if err := os.MkdirAll(d, 0o777); err != nil {
 			return nil, err
 		}
@@ -317,7 +317,24 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		return Entry{}, false, stagedDecodeErr(format, err)
 	}
 	defer dec.Close()
-	sum, model, err := s.summarizeAndFit(dec)
+	// A text upload is rendered as bin in the same pass; without a
+	// staging file for it the blob lands without a rendering.
+	src, rend := trace.Decoder(dec), (*renderer)(nil)
+	if format != "bin" {
+		if rend, err = s.newRenderer(dec); err == nil {
+			src = rend
+		}
+	}
+	sum, model, err := s.summarizeAndFit(src)
+	staged := ""
+	if rend != nil {
+		staged = rend.finish()
+		defer func() {
+			if staged != "" {
+				os.Remove(staged)
+			}
+		}()
+	}
 	if err != nil {
 		return Entry{}, false, stagedDecodeErr(format, err)
 	}
@@ -355,6 +372,15 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		return Entry{}, false, err
 	}
 	keep = true
+	// The rendering lands before the sidecar, the commit point, so a
+	// text blob is never catalogued ahead of it. One left by an earlier
+	// ingest of the same bytes is replaced, or removed when this ingest
+	// has none: no rendering outlives the ingest that wrote it.
+	if staged != "" && os.Rename(staged, s.renderPath(digest)) == nil {
+		staged = ""
+	} else {
+		os.Remove(s.renderPath(digest))
+	}
 	if err := writeJSONAtomic(s.tmpDir(), s.sidecarPath(digest), entry); err != nil {
 		return Entry{}, false, err
 	}
@@ -497,12 +523,14 @@ type GCStats struct {
 	// ObjectsRemoved counts half-ingested objects (blob or sidecar
 	// missing its partner).
 	ObjectsRemoved int
+	// RendersRemoved counts renderings whose blob has no entry.
+	RendersRemoved int
 }
 
-// GC removes abandoned staging files, half-written object pairs, and
-// cached results whose input trace is no longer in the corpus. Run it
-// while no ingest is in flight against the same root (e.g. with the
-// daemon stopped).
+// GC removes abandoned staging files, half-written object pairs,
+// renderings and cached results whose input trace is no longer in the
+// corpus. Run it while no ingest is in flight against the same root
+// (e.g. with the daemon stopped).
 func (s *Store) GC() (GCStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -539,6 +567,16 @@ func (s *Store) GC() (GCStats, error) {
 	}
 	if err := s.rebuildLocked(); err != nil {
 		return st, err
+	}
+
+	renders, err := os.ReadDir(s.rendersDir())
+	if err != nil {
+		return st, err
+	}
+	for _, de := range renders {
+		if _, ok := s.entries[de.Name()]; !ok && os.Remove(filepath.Join(s.rendersDir(), de.Name())) == nil {
+			st.RendersRemoved++
+		}
 	}
 
 	// Results: drop orphans (input gone) and broken pairs.

@@ -37,6 +37,12 @@ type ResultCache interface {
 	// order (trace.OpenFileDecoder). nil when the cache keeps none for
 	// this input.
 	FittedModel(inputDigest string) *infer.Model
+	// JobInput returns a file a job may decode in place of the input
+	// read as format, and that file's format: the same records in the
+	// same order (the ones trace.OpenFileDecoder yields for the input),
+	// already decoded once — a text upload's bin rendering. ok is false
+	// when the cache keeps none; the job reads its spec's In.
+	JobInput(inputDigest, format string) (path, pathFormat string, ok bool)
 }
 
 // Fingerprint digests the semantic content of the normalized spec:
@@ -119,6 +125,12 @@ type cacheNote struct {
 // layer) owns that mapping. The returned bool reports a hit:
 // the output came from the cache and no reconstruction ran.
 //
+// A miss decodes the cache's JobInput for the digest when it offers
+// one — a text upload's bin rendering, the same records without the
+// parse — and spec.In otherwise, to the same bytes either way. Only the
+// file read changes: the key, the note's spec and the report are the
+// caller's spec's.
+//
 // The engine Config deliberately does not enter the key: its fields
 // shape scheduling (Workers, shard cuts — byte-identical by the
 // engine's core invariant) or instrumentation, never the output, so
@@ -132,8 +144,14 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 	lsp := cfg.Trace.Start(cfg.Trace.Root(), obs.JobSpanCacheLookup)
 	path, note, ok := cache.LookupResult(key)
 	var fitted *infer.Model
-	if meth, _ := methodFor(spec.Method); !ok && meth.ownModel {
-		fitted = cache.FittedModel(inputDigest)
+	run, rendered := spec, false
+	if !ok {
+		if meth, _ := methodFor(spec.Method); meth.ownModel {
+			fitted = cache.FittedModel(inputDigest)
+		}
+		if in, format, has := cache.JobInput(inputDigest, spec.InFormat); has {
+			run.In, run.InFormat, rendered = in, format, true
+		}
 	}
 	lsp.SetAttr(obs.AttrHit, boolAttr(ok))
 	lsp.SetAttr(obs.AttrModel, boolAttr(fitted != nil))
@@ -146,8 +164,9 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 		var err error
 		path, err = cache.StoreResultNoted(key, inputDigest, func(w io.Writer) ([]byte, error) {
 			ran = true
+			cfg.Metrics.JobInput(rendered)
 			var err error
-			if rep, err = runJobTo(cfg, spec, w, fitted); err != nil {
+			if rep, err = runJobTo(cfg, run, w, fitted); err != nil {
 				return nil, err
 			}
 			return json.Marshal(cacheNote{Spec: spec, Report: rep})

@@ -79,6 +79,9 @@ func (c *memCache) FittedModel(inputDigest string) *infer.Model {
 	return &cp
 }
 
+// JobInput keeps no renderings: memCache's jobs read their spec's In.
+func (c *memCache) JobInput(string, string) (string, string, bool) { return "", "", false }
+
 // TestFingerprintSemantics locks which spec fields enter the job
 // fingerprint: labels and paths stay out, output-shaping fields go in.
 func TestFingerprintSemantics(t *testing.T) {

@@ -28,7 +28,9 @@ const maxFIODevice = 4096
 // whichever method it names: the input file streams through the
 // engine's stage graph into its output file — decoder
 // (trace.OpenFileDecoder: arrival order, the near-sorted formats
-// through their format's reorder window) → (model fit,
+// through their format's reorder window; a RunJobCached job on a text
+// upload decodes the bin rendering of exactly that stream which the
+// cache wrote at ingest, ResultCache.JobInput) → (model fit,
 // tracetracker/dynamic on inference-path inputs only, and not when the
 // result cache holds the input's model) → sharded reconstruction →
 // encoder — holding O(Workers · MaxShardRequests)
@@ -43,7 +45,9 @@ type JobSpec struct {
 	// Name labels the job (defaults to the input path).
 	Name string `json:"name,omitempty"`
 	// In is the input trace path; InFormat one of trace.Formats(Input):
-	// csv, bin, msrc, spc.
+	// csv, bin, msrc, spc. RunJobCached may decode the cache's rendering
+	// of In instead (ResultCache.JobInput); the cache key and the stored
+	// spec are still this spec's.
 	In       string `json:"in"`
 	InFormat string `json:"informat,omitempty"`
 	// Out is the output path, written atomically (partial file +

@@ -119,6 +119,13 @@ type EngineMetrics struct {
 	// decoding their input twice.
 	modelFitsJob    *Counter
 	modelFitsStored *Counter
+	// inputsRendering / inputsBlob count cached jobs that ran by the file
+	// they decoded (engine_job_inputs_total{source}): the blob's bin
+	// rendering, written at ingest, or the uploaded blob itself. The
+	// share of "blob" among text uploads is the share still parsing
+	// their text.
+	inputsRendering *Counter
+	inputsBlob      *Counter
 }
 
 // NewEngineMetrics registers the engine metric set on r.
@@ -146,7 +153,22 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 	const fitsHelp = "Inference-path jobs by the source of their model: fitted by the job, or stored with the blob at ingest."
 	m.modelFitsJob = r.Counter("engine_model_fits_total", fitsHelp, Labels{"source": "job"})
 	m.modelFitsStored = r.Counter("engine_model_fits_total", fitsHelp, Labels{"source": "stored"})
+	const inputsHelp = "Cached jobs that ran, by the file they decoded: the blob's bin rendering written at ingest, or the blob."
+	m.inputsRendering = r.Counter("engine_job_inputs_total", inputsHelp, Labels{"source": "rendering"})
+	m.inputsBlob = r.Counter("engine_job_inputs_total", inputsHelp, Labels{"source": "blob"})
 	return m
+}
+
+// JobInput records the file one cached job that ran decoded.
+func (m *EngineMetrics) JobInput(rendering bool) {
+	if m == nil {
+		return
+	}
+	if rendering {
+		m.inputsRendering.Inc()
+	} else {
+		m.inputsBlob.Inc()
+	}
 }
 
 // ModelFit records one inference-path job's model source.

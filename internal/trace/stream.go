@@ -33,6 +33,7 @@ import (
 	"slices"
 	"strconv"
 	"time"
+	"unicode/utf8"
 )
 
 // Meta is the trace-level metadata that travels alongside a request
@@ -889,6 +890,14 @@ func writeBinaryHeader(bw *bufio.Writer, m Meta, count uint64) error {
 	return err
 }
 
+// BinSize is the length of a binary stream holding n records under the
+// metadata m: the header writeBinaryHeader emits (magic, three
+// length-prefixed strings, flags, count) plus n fixed-width records.
+func BinSize(m Meta, n int64) int64 {
+	header := len(binaryMagic) + 3*2 + len(m.Name) + len(m.Workload) + len(m.Set) + 1 + 8
+	return int64(header) + n*binRecordLen
+}
+
 // writeBinaryRecord emits one fixed-width request record through rec
 // (caller-owned scratch, so nothing escapes per record).
 func writeBinaryRecord(bw *bufio.Writer, rec *[binRecordLen]byte, r Request) error {
@@ -1005,7 +1014,9 @@ func (d *spcDecoder) Meta() Meta { return Meta{TsdevKnown: false} }
 //
 //tracelint:hotpath
 func (d *spcDecoder) line(line []byte, r *Request) (bool, error) {
-	line = bytes.TrimSpace(line)
+	if padded(line) {
+		line = bytes.TrimSpace(line)
+	}
 	if len(line) == 0 || line[0] == '#' {
 		return false, nil
 	}
@@ -1013,23 +1024,28 @@ func (d *spcDecoder) line(line []byte, r *Request) (bool, error) {
 	if n := splitComma(f[:], line); n < 5 {
 		return false, lineErrf("spc line", d.lineno, nil, ": want 5 fields, got %d", n)
 	}
-	asu, err := parseUintBytes(bytes.TrimSpace(f[0]), 32)
+	for i := range f[:5] {
+		if padded(f[i]) {
+			f[i] = bytes.TrimSpace(f[i])
+		}
+	}
+	asu, err := parseUintBytes(f[0], 32)
 	if err != nil {
 		return false, lineErrf("spc line", d.lineno, err, " asu: %v", err)
 	}
-	lba, err := parseUintBytes(bytes.TrimSpace(f[1]), 64)
+	lba, err := parseUintBytes(f[1], 64)
 	if err != nil {
 		return false, lineErrf("spc line", d.lineno, err, " lba: %v", err)
 	}
-	size, err := parseUintBytes(bytes.TrimSpace(f[2]), 64)
+	size, err := parseUintBytes(f[2], 64)
 	if err != nil {
 		return false, lineErrf("spc line", d.lineno, err, " size: %v", err)
 	}
-	op, err := parseOpBytes(bytes.TrimSpace(f[3]))
+	op, err := parseOpBytes(f[3])
 	if err != nil {
 		return false, lineErrf("spc line", d.lineno, err, ": %v", err)
 	}
-	sec, err := parseFloatBytes(bytes.TrimSpace(f[4]))
+	sec, err := parseFloatBytes(f[4])
 	if err != nil {
 		return false, lineErrf("spc line", d.lineno, err, " timestamp: %v", err)
 	}
@@ -1042,6 +1058,25 @@ func (d *spcDecoder) line(line []byte, r *Request) (bool, error) {
 	}
 	return true, nil
 }
+
+// padded reports whether b may have space at either end for
+// bytes.TrimSpace to trim: it is empty, or its first or last byte is
+// not ASCII above ' ' (a space, or part of a multi-byte rune, which may
+// be Unicode space). The spc fields almost never are, and padded
+// inlines where bytes.TrimSpace does not, so the spc grammar calls
+// bytes.TrimSpace only on a field that needs it.
+func padded(b []byte) bool {
+	return len(b) == 0 || !unpadded[b[0]] || !unpadded[b[len(b)-1]]
+}
+
+// unpadded marks the bytes a field may start or end with and have no
+// space to trim: the ASCII ones above ' '.
+var unpadded = func() (t [256]bool) {
+	for c := '!'; c < utf8.RuneSelf; c++ {
+		t[c] = true
+	}
+	return t
+}()
 
 // --- blktrace text (encoder) ---
 

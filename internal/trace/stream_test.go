@@ -483,6 +483,47 @@ func TestSPCDecoderMatchesReader(t *testing.T) {
 	}
 }
 
+// TestPadded holds the spc grammar's guard to what it skips: a slice
+// padded calls unpadded is one bytes.TrimSpace returns unchanged, for
+// every first and last byte, every Unicode space at either end, and
+// the empty slice.
+func TestPadded(t *testing.T) {
+	check := func(b []byte) {
+		t.Helper()
+		if !padded(b) && !bytes.Equal(bytes.TrimSpace(b), b) {
+			t.Fatalf("padded(%q) = false, but bytes.TrimSpace trims it to %q", b, bytes.TrimSpace(b))
+		}
+	}
+	check(nil)
+	check([]byte{})
+	for first := range 256 {
+		for last := range 256 {
+			check([]byte{byte(first), 'x', byte(last)})
+		}
+		check([]byte{byte(first)})
+	}
+	for _, sp := range []string{"\u0085", "\u00a0", "\u2000", "\u3000", "\t", "\v", "\f", "\r", "\n", " "} {
+		check([]byte(sp + "7"))
+		check([]byte("7" + sp))
+	}
+	if padded([]byte("20941264")) || !padded([]byte(" 8192")) || !padded([]byte("W\r")) {
+		t.Fatal("padded misreads a plain or a padded field")
+	}
+}
+
+// TestBinSize: BinSize is the length of what BinaryEncoder writes.
+func TestBinSize(t *testing.T) {
+	tr := streamSample()
+	tr.Name = strings.Repeat("n", 300)
+	var buf bytes.Buffer
+	if err := EncodeTrace(NewBinaryEncoder(&buf), tr); err != nil {
+		t.Fatal(err)
+	}
+	if got := BinSize(tr.Meta(), int64(tr.Len())); got != int64(buf.Len()) {
+		t.Fatalf("BinSize = %d, the encoder wrote %d bytes", got, buf.Len())
+	}
+}
+
 // TestCSVLateHeaderRejected checks a metadata header behind data rows
 // (concatenated files) is an error on both the streaming and the
 // whole-trace path, so they cannot silently diverge.
