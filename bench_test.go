@@ -1,10 +1,12 @@
 // Package main's bench_test.go is the benchmark harness of deliverable
 // (d): one testing.B benchmark per table and figure of the paper's
 // evaluation, plus ablation benches for the design choices DESIGN.md
-// calls out. Each bench regenerates its experiment from scratch per
-// iteration, so -benchmem also characterizes the pipeline's allocation
-// behaviour; the b.N==1 runs that `go test -bench=.` performs are the
-// cheap way to execute the whole evaluation suite.
+// calls out. The six experiments that fold over the corpus sweep share
+// one, BenchmarkCorpus, since they share the sweep. Each bench
+// regenerates its experiment from scratch per iteration, so -benchmem
+// also characterizes the pipeline's allocation behaviour; the b.N==1
+// runs that `go test -bench=.` performs are the cheap way to execute
+// the whole evaluation suite.
 //
 // The printed rows/series themselves come from `go run
 // ./cmd/experiments all`; these benches assert the same key shape
@@ -120,24 +122,21 @@ func BenchmarkFig12MSNFSCDF(b *testing.B) {
 	}
 }
 
-func BenchmarkFig13MethodGap(b *testing.B) {
-	cfg := experiments.Config{Ops: 1500} // 31 workloads x 5 methods
+// BenchmarkCorpus regenerates the six experiments that read the corpus
+// sweep, Figs 13, 14, 16 and 17, the introduction claims and
+// ext-fidelity: one cell per Table I family, folded into all six.
+func BenchmarkCorpus(b *testing.B) {
+	cfg := experiments.Config{Ops: 1500} // 31 families x every reconstruction
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig13(cfg)
+		r, err := experiments.Corpus(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.Mean["Acceleration"] == 0 {
+		if r.Fig13.Mean["Acceleration"] == 0 {
 			b.Fatal("zero gap")
 		}
-	}
-}
-
-func BenchmarkFig14TargetGap(b *testing.B) {
-	cfg := experiments.Config{Ops: 1500}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig14(cfg); err != nil {
-			b.Fatal(err)
+		if r.Fig16.SetAvg["FIU"] <= r.Fig16.SetAvg["MSPS"] {
+			b.Fatal("idle ordering violated")
 		}
 	}
 }
@@ -145,37 +144,6 @@ func BenchmarkFig14TargetGap(b *testing.B) {
 func BenchmarkFig15CDFOverlay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig15(benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig16AvgIdle(b *testing.B) {
-	cfg := experiments.Config{Ops: 1500}
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig16(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.SetAvg["FIU"] <= r.SetAvg["MSPS"] {
-			b.Fatal("idle ordering violated")
-		}
-	}
-}
-
-func BenchmarkFig17IdleBreakdown(b *testing.B) {
-	cfg := experiments.Config{Ops: 1500}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig17(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClaimIdleShare(b *testing.B) {
-	cfg := experiments.Config{Ops: 1500}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Claims(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -307,17 +275,6 @@ func BenchmarkExtFixedThSweep(b *testing.B) {
 		r := experiments.FixedThSweep(benchCfg)
 		if len(r.MeanKS) == 0 {
 			b.Fatal("empty sweep")
-		}
-	}
-}
-
-// BenchmarkExtFidelity regenerates the fidelity fold: every
-// reconstruction rung of all 31 families against the target execution.
-func BenchmarkExtFidelity(b *testing.B) {
-	cfg := experiments.Config{Ops: 1500}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fidelity(cfg); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

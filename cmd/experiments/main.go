@@ -46,6 +46,26 @@ func check[R renderer](f func(experiments.Config) (R, error)) runner {
 	}
 }
 
+// sweeps memoises the corpus sweep per Config: the six experiments
+// that read it share one sweep, whichever of them runs first.
+var sweeps = map[experiments.Config]experiments.CorpusResult{}
+
+// fromCorpus adapts an experiment that reads the corpus sweep: pick
+// returns its part of the sweep's result.
+func fromCorpus(pick func(experiments.CorpusResult) renderer) runner {
+	return func(cfg experiments.Config, w io.Writer) error {
+		if _, ok := sweeps[cfg]; !ok {
+			r, err := experiments.Corpus(cfg)
+			if err != nil {
+				return err
+			}
+			sweeps[cfg] = r
+		}
+		pick(sweeps[cfg]).Render(w)
+		return nil
+	}
+}
+
 // table is every experiment, in the paper's presentation order.
 var table = []struct {
 	name string
@@ -61,14 +81,14 @@ var table = []struct {
 	{"fig10", plain(experiments.Fig10)},
 	{"fig11", plain(experiments.Fig11)},
 	{"fig12", check(experiments.Fig12)},
-	{"fig13", check(experiments.Fig13)},
-	{"fig14", check(experiments.Fig14)},
+	{"fig13", fromCorpus(func(r experiments.CorpusResult) renderer { return r.Fig13 })},
+	{"fig14", fromCorpus(func(r experiments.CorpusResult) renderer { return r.Fig14 })},
 	{"fig15", check(experiments.Fig15)},
-	{"fig16", check(experiments.Fig16)},
-	{"fig17", check(experiments.Fig17)},
-	{"claims", check(experiments.Claims)},
+	{"fig16", fromCorpus(func(r experiments.CorpusResult) renderer { return r.Fig16 })},
+	{"fig17", fromCorpus(func(r experiments.CorpusResult) renderer { return r.Fig17 })},
+	{"claims", fromCorpus(func(r experiments.CorpusResult) renderer { return r.Claims })},
 	{"ext-sweep", plain(experiments.FixedThSweep)},
-	{"ext-fidelity", check(experiments.Fidelity)},
+	{"ext-fidelity", fromCorpus(func(r experiments.CorpusResult) renderer { return r.Fidelity })},
 	{"ext-ftl", check(experiments.FTLImpact)},
 	{"ext-cache", check(experiments.CacheImpact)},
 }

@@ -70,3 +70,41 @@ func TestRunnersProduceOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestCorpusSweepPerConfig checks the memo of the corpus sweep: each of
+// the six experiments that read it renders, run alone, the bytes of its
+// section of `all`, and `all` at a second seed right after the first
+// does not reuse the first seed's sweep.
+func TestCorpusSweepPerConfig(t *testing.T) {
+	render := func(name string, cfg experiments.Config) string {
+		t.Helper()
+		run, ok := lookup(name)
+		if !ok {
+			t.Fatalf("%s not in the table", name)
+		}
+		var b bytes.Buffer
+		if err := runOne(name, run, cfg, &b, io.Discard); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return b.String()
+	}
+	seed0, seed1 := experiments.Config{Ops: 800}, experiments.Config{Ops: 800, Seed: 1}
+	clear(sweeps)
+	all := map[experiments.Config]map[string]string{}
+	for _, cfg := range []experiments.Config{seed0, seed1} {
+		all[cfg] = map[string]string{}
+		for _, e := range table {
+			all[cfg][e.name] = render(e.name, cfg)
+		}
+	}
+	for _, name := range []string{"fig13", "fig14", "fig16", "fig17", "claims", "ext-fidelity"} {
+		clear(sweeps)
+		alone := render(name, seed1)
+		if alone != all[seed1][name] {
+			t.Errorf("%s at seed 1: run alone differs from its section of all", name)
+		}
+		if alone == all[seed0][name] {
+			t.Errorf("%s: seeds 0 and 1 render the same bytes", name)
+		}
+	}
+}

@@ -6,13 +6,16 @@
 //
 // Each ExpN function is deterministic for a given Config and returns a
 // result struct with a Render method; cmd/experiments and the root
-// bench_test.go are thin wrappers around these.
+// bench_test.go are thin wrappers around these. Figs 13, 14, 16 and
+// 17, the introduction claims and ext-fidelity read one corpus sweep:
+// Corpus builds one cell per Table I family, trace 0 generated,
+// executed on both systems and reconstructed by every method once, and
+// folds each cell into all six results.
 package experiments
 
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/replay"
 	"repro/internal/trace"
@@ -68,34 +71,6 @@ func ratio[T ~int | ~int64](a, b T) float64 {
 // corpusSets are Table I's three corpora, in the order per-set
 // summaries print them.
 var corpusSets = []string{"MSPS", "FIU", "MSRC"}
-
-// familyRun is one cell of the corpus sweep: a family's OLD collection
-// and TraceTracker's reconstruction of it on the NEW system.
-type familyRun struct {
-	p   workload.Profile
-	old *trace.Trace
-	tt  *trace.Trace
-	rep *core.Report
-}
-
-// eachFamily is the corpus sweep: trace 0 of every Table I family,
-// collected by GenerateOld and reconstructed once on NewTarget, handed
-// to fn one family at a time so that a large Ops never holds the
-// whole corpus at once.
-func eachFamily(cfg Config, fn func(familyRun) error) error {
-	cfg = cfg.withDefaults()
-	for _, p := range workload.Profiles() {
-		old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
-		tt, rep, err := core.Reconstruct(old, NewTarget(), core.Options{})
-		if err != nil {
-			return fmt.Errorf("%s: %w", p.Name, err)
-		}
-		if err := fn(familyRun{p: p, old: old, tt: tt, rep: rep}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // executeBoth runs one generated application on the OLD and the NEW
 // system. The OLD trace keeps its latencies but has TsdevKnown cleared,

@@ -252,10 +252,7 @@ func TestFig12Panels(t *testing.T) {
 }
 
 func TestFig13MethodOrdering(t *testing.T) {
-	r, err := Fig13(Config{Ops: 800})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := corpusAt(t, Config{Ops: 800}).Fig13
 	if len(r.Rows) != 31 {
 		t.Fatalf("rows %d", len(r.Rows))
 	}
@@ -281,10 +278,7 @@ func TestFig13MethodOrdering(t *testing.T) {
 }
 
 func TestFig14TargetGap(t *testing.T) {
-	r, err := Fig14(Config{Ops: 800})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := corpusAt(t, Config{Ops: 800}).Fig14
 	if len(r.Rows) != 31 {
 		t.Fatalf("rows %d", len(r.Rows))
 	}
@@ -327,10 +321,7 @@ func TestFig15Overlays(t *testing.T) {
 }
 
 func TestFig16IdleAverages(t *testing.T) {
-	r, err := Fig16(Config{Ops: 800})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := corpusAt(t, Config{Ops: 800}).Fig16
 	if len(r.Rows) != 31 {
 		t.Fatalf("rows %d", len(r.Rows))
 	}
@@ -346,10 +337,7 @@ func TestFig16IdleAverages(t *testing.T) {
 }
 
 func TestFig17Breakdown(t *testing.T) {
-	r, err := Fig17(Config{Ops: 800})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := corpusAt(t, Config{Ops: 800}).Fig17
 	for _, row := range r.Rows {
 		var fsum, psum float64
 		for b := 0; b < 4; b++ {
@@ -383,10 +371,7 @@ func TestFig17Breakdown(t *testing.T) {
 }
 
 func TestClaims(t *testing.T) {
-	r, err := Claims(Config{Ops: 800})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := corpusAt(t, Config{Ops: 800}).Claims
 	// Idle-bearing requests below ~50% corpus-wide (paper: < 39%).
 	if r.IdleBearingFrac <= 0 || r.IdleBearingFrac > 0.6 {
 		t.Fatalf("idle-bearing fraction %v", r.IdleBearingFrac)
@@ -442,10 +427,7 @@ func TestPaperHeadlineValues(t *testing.T) {
 	if got, want := Fig11(small).UnknownMean, 4870442*time.Nanosecond; got != want {
 		t.Errorf("Fig 11 unknown-group mean Len(FP) = %v, recorded %v", got, want)
 	}
-	c, err := Claims(Config{Ops: 800})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := corpusAt(t, Config{Ops: 800}).Claims
 	near("idle-bearing request fraction", c.IdleBearingFrac, 0.40419354838709676)
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/workload"
@@ -21,25 +20,22 @@ type Fig12Result struct {
 	Aware []report.CDFSeries
 }
 
-// Fig12 reconstructs the MSNFS trace with all five methods.
+// Fig12 reads the MSNFS cell: the Tsdev-unknown trace is the Target,
+// and every method reconstructs it from the fit.
 func Fig12(cfg Config) (Fig12Result, error) {
-	cfg = cfg.withDefaults()
 	p, _ := workload.Lookup("MSNFS")
-	old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
-	old.TsdevKnown = false // exercise the full inference path
-
-	series := map[string]report.CDFSeries{}
-	for _, m := range baseline.Methods {
-		rec, err := m.Run(old, NewTarget())
-		if err != nil {
-			return Fig12Result{}, err
-		}
-		series[m.Name] = report.NewCDFSeries(m.Name, rec.InterArrivalMicros())
+	c, err := newCell(p, cfg)
+	if err != nil {
+		return Fig12Result{}, err
 	}
-	target := report.NewCDFSeries("Target", old.InterArrivalMicros())
+	series := func(name string) report.CDFSeries {
+		return report.NewCDFSeries(name, c.rungs[name].InterArrivalMicros())
+	}
+	target := report.NewCDFSeries("Target", c.old.InterArrivalMicros())
+	tt := report.NewCDFSeries("TraceTracker", c.rungs["inferred"].InterArrivalMicros())
 	return Fig12Result{
-		Unaware: []report.CDFSeries{target, series["Acceleration"], series["Revision"], series["TraceTracker"]},
-		Aware:   []report.CDFSeries{target, series["Fixed-th"], series["Dynamic"], series["TraceTracker"]},
+		Unaware: []report.CDFSeries{target, series("Acceleration"), series("Revision"), tt},
+		Aware:   []report.CDFSeries{target, series("Fixed-th"), series("Dynamic"), tt},
 	}, nil
 }
 
@@ -66,34 +62,30 @@ type Fig13Result struct {
 // fig13Methods is the figure's column order of the compared methods.
 var fig13Methods = []string{"Dynamic", "Fixed-th", "Acceleration", "Revision"}
 
-// Fig13 sweeps all 31 workload families.
-func Fig13(cfg Config) (Fig13Result, error) {
-	out := Fig13Result{Mean: map[string]time.Duration{}}
-	sums := map[string]time.Duration{}
-	err := eachFamily(cfg, func(f familyRun) error {
-		row := Fig13Row{Workload: f.p.Name, Gap: map[string]time.Duration{}}
-		for _, m := range baseline.Methods {
-			if m.Name == "TraceTracker" {
-				continue
-			}
-			other, err := m.Run(f.old, NewTarget())
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", f.p.Name, m.Name, err)
-			}
-			avg, _ := core.InterArrivalGap(f.tt, other)
-			row.Gap[m.Name] = avg
-			sums[m.Name] += avg
-		}
-		out.Rows = append(out.Rows, row)
-		return nil
-	})
-	if err != nil {
-		return out, err
-	}
+// add gaps the corpus view's TraceTracker against each other method.
+func (r *Fig13Result) add(c *cell) {
+	tt, _ := c.corpus()
+	row := Fig13Row{Workload: c.p.Name, Gap: map[string]time.Duration{}}
 	for _, m := range fig13Methods {
-		out.Mean[m] = sums[m] / time.Duration(len(out.Rows))
+		other := c.rungs[m]
+		if m == "Dynamic" {
+			other = c.dynamic
+		}
+		row.Gap[m], _ = core.InterArrivalGap(tt, other)
 	}
-	return out, nil
+	r.Rows = append(r.Rows, row)
+}
+
+// finish averages each method's gap over the workloads.
+func (r *Fig13Result) finish() {
+	r.Mean = map[string]time.Duration{}
+	for _, m := range fig13Methods {
+		var sum time.Duration
+		for _, row := range r.Rows {
+			sum += row.Gap[m]
+		}
+		r.Mean[m] = sum / time.Duration(len(r.Rows))
+	}
 }
 
 // Render implements the textual figure.
@@ -134,28 +126,26 @@ type Fig14Result struct {
 	AvgOverall time.Duration
 }
 
-// Fig14 sweeps all 31 families comparing the original trace with its
-// reconstruction.
-func Fig14(cfg Config) (Fig14Result, error) {
-	var out Fig14Result
-	var sum time.Duration
-	err := eachFamily(cfg, func(f familyRun) error {
-		avg, max := core.InterArrivalGap(f.old, f.tt)
-		out.Rows = append(out.Rows, Fig14Row{
-			Workload:     f.p.Name,
-			Avg:          avg,
-			Max:          max,
-			MedianTarget: medianDur(f.old.InterArrivals()),
-			MedianTT:     medianDur(f.tt.InterArrivals()),
-		})
-		sum += avg
-		return nil
+// add compares a family's original trace with its reconstruction.
+func (r *Fig14Result) add(c *cell) {
+	tt, _ := c.corpus()
+	avg, max := core.InterArrivalGap(c.old, tt)
+	r.Rows = append(r.Rows, Fig14Row{
+		Workload:     c.p.Name,
+		Avg:          avg,
+		Max:          max,
+		MedianTarget: medianDur(c.old.InterArrivals()),
+		MedianTT:     medianDur(tt.InterArrivals()),
 	})
-	if err != nil {
-		return out, err
+}
+
+// finish averages the per-workload gaps.
+func (r *Fig14Result) finish() {
+	var sum time.Duration
+	for _, row := range r.Rows {
+		sum += row.Avg
 	}
-	out.AvgOverall = sum / time.Duration(len(out.Rows))
-	return out, nil
+	r.AvgOverall = sum / time.Duration(len(r.Rows))
 }
 
 // Render implements the textual figure.
@@ -184,25 +174,24 @@ type Fig15Result struct {
 	Medians map[string][2]time.Duration
 }
 
-// Fig15 builds the overlays.
+// Fig15 builds the overlays from the two families' cells.
 func Fig15(cfg Config) (Fig15Result, error) {
-	cfg = cfg.withDefaults()
 	out := Fig15Result{
 		Overlays: map[string][2]report.CDFSeries{},
 		Medians:  map[string][2]time.Duration{},
 	}
 	for _, name := range Fig15Workloads {
 		p, _ := workload.Lookup(name)
-		old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
-		tt, err := baseline.TraceTracker(old, NewTarget())
+		c, err := newCell(p, cfg)
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", name, err)
 		}
+		tt, _ := c.corpus()
 		out.Overlays[name] = [2]report.CDFSeries{
-			report.NewCDFSeries("Target", old.InterArrivalMicros()),
+			report.NewCDFSeries("Target", c.old.InterArrivalMicros()),
 			report.NewCDFSeries("TraceTracker", tt.InterArrivalMicros()),
 		}
-		out.Medians[name] = [2]time.Duration{medianDur(old.InterArrivals()), medianDur(tt.InterArrivals())}
+		out.Medians[name] = [2]time.Duration{medianDur(c.old.InterArrivals()), medianDur(tt.InterArrivals())}
 	}
 	return out, nil
 }

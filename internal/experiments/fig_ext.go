@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/replay"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -142,20 +141,6 @@ type FidelityRow struct {
 // FidelityResult holds every family's cell, in Table I order.
 type FidelityResult struct{ Rows []FidelityRow }
 
-// Fidelity scores every rung on all 31 families.
-func Fidelity(cfg Config) (FidelityResult, error) {
-	cfg = cfg.withDefaults()
-	var out FidelityResult
-	for _, p := range workload.Profiles() {
-		row, err := fidelityCell(p, cfg)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
 // SetSummary returns, over one corpus's families, each rung's median
 // KS and the mean secured fraction.
 func (r FidelityResult) SetSummary(set string) (medianKS []float64, secured float64) {
@@ -175,60 +160,23 @@ func (r FidelityResult) SetSummary(set string) (medianKS []float64, secured floa
 	return medianKS, stats.Mean(sec)
 }
 
-// fidelityCell runs a family's application on both systems, at the
-// seed GenerateOld gives its trace 0, and scores every rung.
-func fidelityCell(p workload.Profile, cfg Config) (FidelityRow, error) {
-	row := FidelityRow{Workload: p.Name, Set: p.Set, TsdevKnown: p.TsdevKnown}
-	old, truth := executeBoth(p, cfg.Ops, workload.TraceSeed(p.Name, 0)^cfg.Seed)
-	trueAsync := make([]bool, old.Len())
-	for i, r := range old.Requests {
-		trueAsync[i] = r.Async
-	}
-	withTrueFlags := func(idle []time.Duration) *trace.Trace {
-		t := replay.Emulate(old, NewTarget(), idle)
-		core.PostProcessShard(t.Requests, trueAsync, 0)
-		return t
-	}
-	recorded := *old // shares the requests, which Reconstruct only reads
-	recorded.TsdevKnown = true
-	recTT, recRep, err := core.Reconstruct(&recorded, NewTarget(), core.Options{})
-	if err != nil {
-		return row, err
-	}
-	infTT, infRep, err := core.Reconstruct(old, NewTarget(), core.Options{})
-	if err != nil {
-		return row, err
-	}
-	rungs := map[string]*trace.Trace{
-		"oracle":      withTrueFlags(truth.Think),
-		"recorded":    recTT,
-		"inferred":    infTT,
-		"+true flags": withTrueFlags(infRep.Idle),
-	}
-	for _, m := range baseline.Methods {
-		if m.Name == "TraceTracker" {
-			continue // the inferred rung
-		}
-		if rungs[m.Name], err = m.Run(old, NewTarget()); err != nil {
-			return row, fmt.Errorf("%s: %w", m.Name, err)
-		}
-	}
-	truthIA := sortedInterArrivals(truth.Trace)
+// add scores every rung of a family's cell against its target
+// execution.
+func (r *FidelityResult) add(c *cell) {
+	row := FidelityRow{Workload: c.p.Name, Set: c.p.Set, TsdevKnown: c.p.TsdevKnown}
+	truthIA := sortedInterArrivals(c.truth.Trace)
 	for _, name := range FidelityRungs {
-		ia := sortedInterArrivals(rungs[name])
+		ia := sortedInterArrivals(c.rungs[name])
 		row.KS = append(row.KS, stats.KolmogorovSmirnovSorted(ia, truthIA))
 		row.W1Micros = append(row.W1Micros, stats.Wasserstein1Sorted(ia, truthIA))
 	}
-	row.Async.Add(infRep.Async, old.Requests)
-	own := infRep
-	if p.TsdevKnown {
-		own = recRep
-	}
+	row.Async.Add(c.inf.Async, c.old.Requests)
+	_, own := c.corpus()
 	// Think[i] precedes instruction i: the slot the decomposition gives
 	// the idle it finds before it.
-	met := verify.Evaluate(truth.Think, own.Idle)
+	met := verify.Evaluate(c.truth.Think, own.Idle)
 	row.DetectFrac, row.SecuredFrac = met.DetectionTP(), met.LenTPSecured()
-	return row, nil
+	r.Rows = append(r.Rows, row)
 }
 
 // AsyncScore tallies async flags against the true issue modes: of N

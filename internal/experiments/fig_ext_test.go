@@ -67,23 +67,12 @@ func fidelityConfigs() []Config {
 	return cfgs
 }
 
-// fidelityRuns memoises Fidelity per Config, so the two tests below
-// share one sweep.
-var fidelityRuns = map[Config]FidelityResult{}
-
 // forEachFidelity runs check on ext-fidelity's result at every
 // fidelityConfigs cell, one subtest each.
 func forEachFidelity(t *testing.T, check func(*testing.T, FidelityResult)) {
 	for _, cfg := range fidelityConfigs() {
 		t.Run(fmt.Sprintf("ops%d/seed%d", cfg.Ops, cfg.Seed), func(t *testing.T) {
-			r, ok := fidelityRuns[cfg]
-			if !ok {
-				var err error
-				if r, err = Fidelity(cfg); err != nil {
-					t.Fatal(err)
-				}
-				fidelityRuns[cfg] = r
-			}
+			r := corpusAt(t, cfg).Fidelity
 			if len(r.Rows) != 31 {
 				t.Fatalf("rows: %d", len(r.Rows))
 			}
@@ -171,10 +160,7 @@ func TestFig13OrderingRobustToSeed(t *testing.T) {
 		t.Skip("multi-seed sweep")
 	}
 	for _, seed := range []int64{0, 1, 2} {
-		r, err := Fig13(Config{Ops: 600, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := corpusAt(t, Config{Ops: 600, Seed: seed}).Fig13
 		if r.Mean["Acceleration"] < 10*r.Mean["Dynamic"] ||
 			r.Mean["Revision"] < 10*r.Mean["Dynamic"] {
 			t.Fatalf("seed %d: idle-less methods no longer dominate: %v", seed, r.Mean)

@@ -307,7 +307,7 @@ func Table1(cfg Config) Table1Result {
 	cfg = cfg.withDefaults()
 	var out Table1Result
 	for _, p := range workload.Profiles() {
-		// Not eachFamily: the table reconstructs nothing.
+		// Not a corpus cell: the table reconstructs nothing.
 		old, _ := GenerateOld(p, 0, cfg.Ops, cfg.Seed)
 		sum := old.Summary()
 		out.Rows = append(out.Rows, Table1Row{

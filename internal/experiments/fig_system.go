@@ -26,29 +26,27 @@ type Fig16Result struct {
 	SetAvg map[string]time.Duration
 }
 
-// Fig16 reconstructs one trace per family and averages the inferred
-// idle periods.
-func Fig16(cfg Config) (Fig16Result, error) {
-	out := Fig16Result{SetAvg: map[string]time.Duration{}}
-	setSums := map[string]time.Duration{}
-	setCounts := map[string]int{}
-	err := eachFamily(cfg, func(f familyRun) error {
-		var avg time.Duration
-		if f.rep.IdleCount > 0 {
-			avg = f.rep.IdleTotal / time.Duration(f.rep.IdleCount)
-		}
-		out.Rows = append(out.Rows, Fig16Row{Workload: f.p.Name, Set: f.p.Set, AvgIdle: avg})
-		setSums[f.p.Set] += avg
-		setCounts[f.p.Set]++
-		return nil
-	})
-	if err != nil {
-		return out, err
+// add averages the idle periods of a family's reconstruction.
+func (r *Fig16Result) add(c *cell) {
+	_, rep := c.corpus()
+	var avg time.Duration
+	if rep.IdleCount > 0 {
+		avg = rep.IdleTotal / time.Duration(rep.IdleCount)
 	}
-	for set, sum := range setSums {
-		out.SetAvg[set] = sum / time.Duration(setCounts[set])
+	r.Rows = append(r.Rows, Fig16Row{Workload: c.p.Name, Set: c.p.Set, AvgIdle: avg})
+}
+
+// finish averages the rows per corpus.
+func (r *Fig16Result) finish() {
+	r.SetAvg = map[string]time.Duration{}
+	counts := map[string]int{}
+	for _, row := range r.Rows {
+		r.SetAvg[row.Set] += row.AvgIdle
+		counts[row.Set]++
 	}
-	return out, nil
+	for set, n := range counts {
+		r.SetAvg[set] /= time.Duration(n)
+	}
 }
 
 // Render implements the textual figure.
@@ -84,58 +82,57 @@ type Fig17Result struct {
 	SetIdlePeriod map[string]float64
 }
 
-// Fig17 decomposes each workload's total Tintt into service time and
-// the three idle buckets, by request count and by duration.
-func Fig17(cfg Config) (Fig17Result, error) {
-	out := Fig17Result{SetIdleFreq: map[string]float64{}, SetIdlePeriod: map[string]float64{}}
-	setFreq := map[string][]float64{}
-	setPeriod := map[string][]float64{}
-	err := eachFamily(cfg, func(f familyRun) error {
-		row := Fig17Row{Workload: f.p.Name, Set: f.p.Set}
-		ia := f.old.InterArrivals()
-		var counts [4]int
-		var durs [4]time.Duration
-		for i := range ia {
-			idle := f.rep.Idle[i+1]       // precedes request i+1, where ia[i] ends
-			durs[0] += max(ia[i]-idle, 0) // the gap's Tslat share
-			switch {
-			case idle == 0:
-				counts[0]++
-			case idle <= 10*time.Millisecond:
-				counts[1]++
-				durs[1] += idle
-			case idle <= 100*time.Millisecond:
-				counts[2]++
-				durs[2] += idle
-			default:
-				counts[3]++
-				durs[3] += idle
-			}
+// add decomposes a family's total Tintt into service time and the
+// three idle buckets, by request count and by duration.
+func (r *Fig17Result) add(c *cell) {
+	_, rep := c.corpus()
+	row := Fig17Row{Workload: c.p.Name, Set: c.p.Set}
+	ia := c.old.InterArrivals()
+	var counts [4]int
+	var durs [4]time.Duration
+	for i := range ia {
+		idle := rep.Idle[i+1]         // precedes request i+1, where ia[i] ends
+		durs[0] += max(ia[i]-idle, 0) // the gap's Tslat share
+		switch {
+		case idle == 0:
+			counts[0]++
+		case idle <= 10*time.Millisecond:
+			counts[1]++
+			durs[1] += idle
+		case idle <= 100*time.Millisecond:
+			counts[2]++
+			durs[2] += idle
+		default:
+			counts[3]++
+			durs[3] += idle
 		}
-		total := len(ia)
-		var totalDur time.Duration
-		for _, d := range durs {
-			totalDur += d
-		}
-		if total > 0 && totalDur > 0 {
-			for b := 0; b < 4; b++ {
-				row.Freq[b] = float64(counts[b]) / float64(total)
-				row.Period[b] = float64(durs[b]) / float64(totalDur)
-			}
-		}
-		out.Rows = append(out.Rows, row)
-		setFreq[f.p.Set] = append(setFreq[f.p.Set], row.Freq[1]+row.Freq[2]+row.Freq[3])
-		setPeriod[f.p.Set] = append(setPeriod[f.p.Set], row.Period[1]+row.Period[2]+row.Period[3])
-		return nil
-	})
-	if err != nil {
-		return out, err
 	}
-	for set := range setFreq {
-		out.SetIdleFreq[set] = stats.Mean(setFreq[set])
-		out.SetIdlePeriod[set] = stats.Mean(setPeriod[set])
+	total := len(ia)
+	var totalDur time.Duration
+	for _, d := range durs {
+		totalDur += d
 	}
-	return out, nil
+	if total > 0 && totalDur > 0 {
+		for b := 0; b < 4; b++ {
+			row.Freq[b] = float64(counts[b]) / float64(total)
+			row.Period[b] = float64(durs[b]) / float64(totalDur)
+		}
+	}
+	r.Rows = append(r.Rows, row)
+}
+
+// finish averages the three idle buckets' share per corpus.
+func (r *Fig17Result) finish() {
+	freq, period := map[string][]float64{}, map[string][]float64{}
+	for _, row := range r.Rows {
+		freq[row.Set] = append(freq[row.Set], row.Freq[1]+row.Freq[2]+row.Freq[3])
+		period[row.Set] = append(period[row.Set], row.Period[1]+row.Period[2]+row.Period[3])
+	}
+	r.SetIdleFreq, r.SetIdlePeriod = map[string]float64{}, map[string]float64{}
+	for set := range freq {
+		r.SetIdleFreq[set] = stats.Mean(freq[set])
+		r.SetIdlePeriod[set] = stats.Mean(period[set])
+	}
 }
 
 // Render implements the textual figure.
@@ -169,33 +166,31 @@ type ClaimsResult struct {
 	IdleBearingFrac float64
 	IdleWithin1ms   float64
 	MedianIdle      time.Duration
+
+	requests, idleShort int
+	idles               []time.Duration
 }
 
-// Claims sweeps the corpus and aggregates idle statistics.
-func Claims(cfg Config) (ClaimsResult, error) {
-	var out ClaimsResult
-	totalReq, idleReq, idleShort := 0, 0, 0
-	var idles []time.Duration
-	err := eachFamily(cfg, func(f familyRun) error {
-		totalReq += f.old.Len()
-		for _, d := range f.rep.Idle {
-			if d > 0 {
-				idleReq++
-				idles = append(idles, d)
-				if d <= time.Millisecond {
-					idleShort++
-				}
+// add tallies a family's requests and inferred idle periods.
+func (r *ClaimsResult) add(c *cell) {
+	_, rep := c.corpus()
+	r.requests += c.old.Len()
+	for _, d := range rep.Idle {
+		if d > 0 {
+			r.idles = append(r.idles, d)
+			if d <= time.Millisecond {
+				r.idleShort++
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return out, err
 	}
-	out.IdleBearingFrac = ratio(idleReq, totalReq)
-	out.IdleWithin1ms = ratio(idleShort, idleReq)
-	out.MedianIdle = medianDur(idles)
-	return out, nil
+}
+
+// finish aggregates the tallies and drops the idle periods.
+func (r *ClaimsResult) finish() {
+	r.IdleBearingFrac = ratio(len(r.idles), r.requests)
+	r.IdleWithin1ms = ratio(r.idleShort, len(r.idles))
+	r.MedianIdle = medianDur(r.idles)
+	r.idles = nil
 }
 
 func medianDur(ds []time.Duration) time.Duration {
