@@ -3,15 +3,18 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/readmetest"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/all-ops800.txt")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/all-ops800.txt, or README.md's generated blocks")
 
 // TestAllGolden pins every figure and table: the stdout of
 // `experiments -ops 800 all` must equal the committed golden byte for
@@ -107,4 +110,23 @@ func TestCorpusSweepPerConfig(t *testing.T) {
 			t.Errorf("%s: seeds 0 and 1 render the same bytes", name)
 		}
 	}
+}
+
+// TestReadmeBlocks holds the README's experiment list to the table, and
+// its flags block to the command's flag set.
+func TestReadmeBlocks(t *testing.T) {
+	var list strings.Builder
+	list.WriteString("| experiment | what it prints |\n| --- | --- |\n")
+	for _, e := range table {
+		fmt.Fprintf(&list, "| `%s` | %s |\n", e.name, strings.ReplaceAll(e.doc, "|", `\|`))
+	}
+	readmetest.Check(t, "experiments", list.String(), *updateGolden)
+
+	readmetest.CheckFlags(t, "experiments", func() string {
+		fs, _ := flags()
+		var help strings.Builder
+		fs.SetOutput(&help)
+		fs.PrintDefaults()
+		return help.String()
+	}, *updateGolden)
 }

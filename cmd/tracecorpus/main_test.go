@@ -14,9 +14,12 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/infer"
+	"repro/internal/readmetest"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite README.md's generated blocks from this build")
 
 // writeSample writes a small csv trace and returns its path and bytes.
 func writeSample(t *testing.T, dir string) (string, []byte) {
@@ -176,22 +179,37 @@ func TestCLIErrors(t *testing.T) {
 }
 
 // TestFormatFlagFromTable: add's -format lists exactly the codec
-// table's input formats. The subcommand's usage goes to os.Stderr.
+// table's input formats.
 func TestFormatFlagFromTable(t *testing.T) {
+	if help := usage(t, "add"); !strings.Contains(help, trace.Usage(trace.Input)) {
+		t.Fatalf("help lacks %q:\n%s", trace.Usage(trace.Input), help)
+	}
+}
+
+// TestReadmeBlocks holds the README's flags block for tracecorpus to
+// what -h prints for the command and for its add and get subcommands.
+func TestReadmeBlocks(t *testing.T) {
+	readmetest.CheckFlags(t, "tracecorpus", func() string {
+		return usage(t) + "\n" + usage(t, "add") + "\n" + usage(t, "get")
+	}, *updateGolden)
+}
+
+// usage is what -h prints after sub, the words before it. Usage goes
+// to os.Stderr.
+func usage(t *testing.T, sub ...string) string {
+	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	stderr := os.Stderr
 	os.Stderr = w
-	err = run([]string{"-data", t.TempDir(), "add", "-h"}, io.Discard)
+	err = run(append(append([]string{"-data", t.TempDir()}, sub...), "-h"), io.Discard)
 	os.Stderr = stderr
 	w.Close()
 	help, _ := io.ReadAll(r)
 	if !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("add -h: %v", err)
+		t.Fatalf("%v -h: %v", sub, err)
 	}
-	if !strings.Contains(string(help), trace.Usage(trace.Input)) {
-		t.Fatalf("help lacks %q:\n%s", trace.Usage(trace.Input), help)
-	}
+	return string(help)
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/readmetest"
 	"repro/internal/trace"
 )
 
@@ -79,4 +80,14 @@ func TestFormatFlagFromTable(t *testing.T) {
 			t.Errorf("-format %s: %v", format, err)
 		}
 	}
+}
+
+// TestReadmeBlocks holds the README's flags block for tracegen to what
+// -h prints.
+func TestReadmeBlocks(t *testing.T) {
+	readmetest.CheckFlags(t, "tracegen", func() string {
+		var stderr bytes.Buffer
+		run([]string{"-h"}, io.Discard, &stderr)
+		return stderr.String()
+	}, *updateGolden)
 }

@@ -15,9 +15,12 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/readmetest"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite README.md's generated blocks from this build")
 
 // writeMSNFS writes a 2k-request MSNFS trace (the construction tracegen
 // uses) as a bin file and returns its path.
@@ -162,4 +165,14 @@ func TestFormatFlagFromTable(t *testing.T) {
 			t.Fatalf("help lacks %q:\n%s", usage, stderr.String())
 		}
 	}
+}
+
+// TestReadmeBlocks holds the README's flags block for tracereplay to what
+// -h prints.
+func TestReadmeBlocks(t *testing.T) {
+	readmetest.CheckFlags(t, "tracereplay", func() string {
+		var stderr bytes.Buffer
+		run([]string{"-h"}, nil, io.Discard, &stderr)
+		return stderr.String()
+	}, *updateGolden)
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/readmetest"
 	"repro/internal/trace"
 )
 
@@ -153,4 +154,14 @@ func TestFormatFlagFromTable(t *testing.T) {
 	if !strings.Contains(stderr.String(), trace.Usage(trace.Input)) {
 		t.Fatalf("help lacks %q:\n%s", trace.Usage(trace.Input), stderr.String())
 	}
+}
+
+// TestReadmeBlocks holds the README's flags block for tracestat to what
+// -h prints.
+func TestReadmeBlocks(t *testing.T) {
+	readmetest.CheckFlags(t, "tracestat", func() string {
+		var stderr bytes.Buffer
+		run([]string{"-h"}, nil, io.Discard, &stderr)
+		return stderr.String()
+	}, *updateGolden)
 }

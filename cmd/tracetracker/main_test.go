@@ -17,9 +17,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/readmetest"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite README.md's generated blocks from this build")
 
 // genInput synthesizes a workload family's application, runs it on the
 // OLD device (the construction tracegen uses) and writes the trace to
@@ -373,4 +376,14 @@ func TestFormatFlagsFromTable(t *testing.T) {
 			t.Fatalf("help lacks %q:\n%s", usage, stderr.String())
 		}
 	}
+}
+
+// TestReadmeBlocks holds the README's flags block for tracetracker to what
+// -h prints.
+func TestReadmeBlocks(t *testing.T) {
+	readmetest.CheckFlags(t, "tracetracker", func() string {
+		var stderr bytes.Buffer
+		run([]string{"-h"}, nil, io.Discard, &stderr)
+		return stderr.String()
+	}, *updateGolden)
 }

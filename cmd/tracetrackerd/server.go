@@ -163,6 +163,7 @@ type apiRoute struct {
 	method string
 	path   string // path relative to /v1, e.g. "/jobs/{id}"
 	h      http.HandlerFunc
+	doc    string // one line for the README's route table
 }
 
 // routes is the single source of the daemon's API surface — the
@@ -170,17 +171,17 @@ type apiRoute struct {
 // without being covered.
 func (s *server) routes() []apiRoute {
 	return []apiRoute{
-		{"POST", "/jobs", s.handleSubmit},
-		{"GET", "/jobs", s.handleList},
-		{"GET", "/jobs/{id}", s.handleStatus},
-		{"GET", "/jobs/{id}/result", s.handleResult},
-		{"GET", "/jobs/{id}/trace", s.handleTrace},
-		{"GET", "/devices", s.handleDevices},
-		{"POST", "/corpus", s.handleCorpusIngest},
-		{"PUT", "/corpus", s.handleCorpusIngest},
-		{"GET", "/corpus", s.handleCorpusList},
-		{"GET", "/corpus/{digest}", s.handleCorpusInfo},
-		{"GET", "/corpus/{digest}/data", s.handleCorpusData},
+		{"POST", "/jobs", s.handleSubmit, "Submit a job spec; answers 202 with the job's `id`, `status_url` and `trace_id`"},
+		{"GET", "/jobs", s.handleList, "Jobs, newest first: `?limit=` (default 100, max 1000), `?after=<id>`; `next_after` is the next page's cursor"},
+		{"GET", "/jobs/{id}", s.handleStatus, "Status (`queued`, `running`, `done`, `failed`), timestamps, report, `cached`"},
+		{"GET", "/jobs/{id}/result", s.handleResult, "The reconstructed trace: the job's result-cache file, ranges included"},
+		{"GET", "/jobs/{id}/trace", s.handleTrace, "The finished job's span timeline; `?format=perfetto` for Chrome trace events"},
+		{"GET", "/devices", s.handleDevices, "Every target with its aliases, pipeline and config knobs"},
+		{"POST", "/corpus", s.handleCorpusIngest, "Ingest the body as a trace (`?format=`, else sniffed); dedup by sha256"},
+		{"PUT", "/corpus", s.handleCorpusIngest, "The same as `POST`"},
+		{"GET", "/corpus", s.handleCorpusList, "Stored traces with their summaries"},
+		{"GET", "/corpus/{digest}", s.handleCorpusInfo, "One entry (any unique digest prefix); `HEAD` for a pre-upload dedup check"},
+		{"GET", "/corpus/{digest}/data", s.handleCorpusData, "The stored trace bytes"},
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/readmetest"
 	"repro/internal/trace"
 )
 
@@ -98,4 +99,14 @@ func TestFormatFlagFromTable(t *testing.T) {
 	if !strings.Contains(stderr.String(), trace.Usage(trace.Input)) {
 		t.Fatalf("help lacks %q:\n%s", trace.Usage(trace.Input), stderr.String())
 	}
+}
+
+// TestReadmeBlocks holds the README's flags block for traceverify to what
+// -h prints.
+func TestReadmeBlocks(t *testing.T) {
+	readmetest.CheckFlags(t, "traceverify", func() string {
+		var stderr bytes.Buffer
+		run([]string{"-h"}, io.Discard, &stderr)
+		return stderr.String()
+	}, *updateGolden)
 }

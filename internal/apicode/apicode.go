@@ -4,13 +4,14 @@
 //
 // The codes are a type, not strings, so the envelope writers and
 // engine.ValidationError accept nothing else: a code outside this table
-// does not compile. The README's "stable codes" paragraph lists the
-// same names for clients, and cmd/tracetrackerd's TestStableCodeSync
+// does not compile. The README's `codes` block lists the same names for
+// clients, rendered from Names; cmd/tracetrackerd's TestReadmeBlocks
 // fails when the two differ.
 //
 // Grow it deliberately: a new code is a contract extension clients
 // must be able to switch on, not a convenience for one handler. It is
-// one constant below, one name in names and one README entry.
+// one constant below and one name in names; regenerating the README
+// adds it there.
 package apicode
 
 // Code is one stable error code. The zero value is Internal, so an

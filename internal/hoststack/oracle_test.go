@@ -392,7 +392,9 @@ func TestStackVsOracle(t *testing.T) {
 // and the flush cursor's edges: a dirty limit so low that every write
 // flushes while the next ones re-dirty pages the flusher has passed,
 // one- and two-page caches where the cursor's slot is the eviction
-// victim, and reset hops taken straight after a flush round.
+// victim, and reset hops taken straight after a flush round. About one
+// op in 64 is a hop, so a Reset that keeps anything (the flush cursor
+// above all) diverges from the fresh oracle.
 func FuzzStackVsOracle(f *testing.F) {
 	f.Add(adversaryBytes(99, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {

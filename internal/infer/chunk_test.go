@@ -6,11 +6,14 @@ import (
 	"testing"
 )
 
-// FuzzSortRun feeds arbitrary uint32 gaps — the escape sentinel, digit
-// boundaries, values that share one or two of the sort's digits — tiled
-// to a length of up to a few chunks, which makes runs of duplicates, and
-// asserts slices.Sort's order. The run's chunks must be left holding
-// the same values, and a second sort with the same examiner must agree.
+// FuzzSortRun holds the classifier's run sort (an LSD radix over
+// 11/11/10-bit digits whose passes alternate between a group's chunks
+// and scratch) to slices.Sort. It feeds arbitrary uint32 gaps — the
+// escape sentinel, digit boundaries, values that share one or two of
+// the sort's digits — tiled to a length of up to a few chunks, which
+// makes runs of duplicates, and asserts slices.Sort's order. The run's
+// chunks must be left holding the same values, and a second sort with
+// the same examiner must agree.
 func FuzzSortRun(f *testing.F) {
 	vals := func(vs ...uint32) []byte {
 		var b []byte

@@ -330,9 +330,13 @@ func TestClassifierVsOracle(t *testing.T) {
 	}
 }
 
-// FuzzClassifierVsOracle feeds arbitrary streams to classifierAdversary.
-// The seeds under testdata/fuzz/FuzzClassifierVsOracle name what each
-// one exercises.
+// FuzzClassifierVsOracle feeds arbitrary streams to classifierAdversary:
+// the classifier's runs of integer nanoseconds against the float
+// classifier they replaced, on gaps of 0, 2^32-1 and 2^32 ns and past
+// it, huge gaps sharing a µs value, negative ones, many groups, batch
+// splits and stream ends; every Grouping before a fit and every model
+// must agree bit for bit. The seeds under
+// testdata/fuzz/FuzzClassifierVsOracle name what each one exercises.
 func FuzzClassifierVsOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		classifierAdversary(t, data)

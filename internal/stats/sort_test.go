@@ -99,6 +99,8 @@ func TestSortFloat64sSignedZero(t *testing.T) {
 // FuzzSortFloat64s feeds arbitrary bit patterns — NaN, ±0, ±Inf,
 // subnormals, negatives — tiled to a length on either side of radixMin,
 // which makes runs of duplicates, and asserts sort.Float64s's order.
+// This sort is the fidelity scores' and ExamineSteepness's, so it is
+// what keeps those numbers bit-exact.
 func FuzzSortFloat64s(f *testing.F) {
 	bits := func(vs ...float64) []byte {
 		var b []byte

@@ -241,8 +241,8 @@ func FuzzAppendMicros(f *testing.F) {
 	f.Fuzz(diffMicros)
 }
 
-// FuzzAppendSeconds is the blktrace twin, against Duration.Seconds()'s
-// two-rounding value.
+// FuzzAppendSeconds is the blktrace twin: decimal seconds against
+// Duration.Seconds()'s two-rounding value, over all of int64.
 func FuzzAppendSeconds(f *testing.F) {
 	for _, d := range fixedSeeds {
 		f.Add(d)
