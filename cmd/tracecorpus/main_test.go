@@ -7,6 +7,7 @@ import (
 	"flag"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -174,6 +175,29 @@ func TestCLIErrors(t *testing.T) {
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("%s: no error", name)
+		}
+	}
+}
+
+// TestHelpExitsZero runs the command itself, as this test binary with
+// TRACECORPUS_MAIN_ARGS set: -h, before or after a subcommand, prints
+// usage and exits 0, since a request for help is no failure.
+func TestHelpExitsZero(t *testing.T) {
+	if args, ok := os.LookupEnv("TRACECORPUS_MAIN_ARGS"); ok {
+		os.Args = append([]string{"tracecorpus"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	data := t.TempDir()
+	for _, args := range []string{"-h", "-data " + data + " add -h", "-data " + data + " get -h"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestHelpExitsZero$")
+		cmd.Env = append(os.Environ(), "TRACECORPUS_MAIN_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(strings.ToLower(string(out)), "usage") {
+			t.Fatalf("tracecorpus %s: %v\n%s", args, err, out)
+		}
+		if strings.Contains(string(out), "help requested") {
+			t.Fatalf("tracecorpus %s reports the help request as an error:\n%s", args, out)
 		}
 	}
 }

@@ -149,10 +149,41 @@ func vocabulary(name func(int) string) (names []string) {
 	}
 }
 
+// TestFreshScrapeNamesEveryFamily scrapes a daemon that has served
+// nothing yet: every family of the README's metrics block is there, with
+// its # HELP and # TYPE lines, including those whose series are made on
+// first use (a request's, a rejection's, the global rate limit's).
+func TestFreshScrapeNamesEveryFamily(t *testing.T) {
+	srv := dataServer(t, filepath.Join(t.TempDir(), "data"))
+	defer srv.Close()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	exp := rec.Body.String()
+	rows := 0
+	for _, row := range strings.Split(readmetest.Block(t, "metrics"), "\n") {
+		f := strings.Split(row, " | ")
+		name, ok := strings.CutPrefix(f[0], "| `")
+		if !ok || len(f) < 2 {
+			continue
+		}
+		name, _, _ = strings.Cut(strings.TrimSuffix(name, "`"), "{")
+		rows++
+		for _, want := range []string{"# HELP " + name + " ", "# TYPE " + name + " " + f[1] + "\n"} {
+			if !strings.Contains(exp, want) {
+				t.Errorf("a fresh scrape lacks %q", want)
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("the README's metrics block lists no series")
+	}
+}
+
 // readmeMetrics renders every family the daemon registers, sorted by
 // name, from its # HELP and # TYPE lines, with the label keys its
-// samples carry. The families made on first use are made first: a
-// request's, a rejection's and the global rate limit's.
+// samples carry. A series is made first in each family that has none
+// until first use (a request's, a rejection's and the global rate
+// limit's), so its label keys show.
 func readmeMetrics(t *testing.T, srv *server) string {
 	srv.setRateLimits(1000, 0)
 	srv.rejected("queue_full", anonTenant)

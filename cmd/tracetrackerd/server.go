@@ -103,6 +103,11 @@ type server struct {
 	corpusUsed map[string]int64
 }
 
+const (
+	rejectedHelp   = "Requests rejected by admission control, by reason and tenant."
+	rateTokensHelp = "Global request rate-limit token-bucket level."
+)
+
 // newServer builds a server executing up to concurrent jobs at once,
 // each on an engine derived from base.
 func newServer(base engine.Config, concurrent int) *server {
@@ -137,11 +142,14 @@ func newServerCap(base engine.Config, concurrent, queueCap int) *server {
 		"Job timelines evicted from the trace flight recorder.", nil))
 	s.reg.GaugeFunc("daemon_trace_recorder_timelines", "Job timelines held in the trace flight recorder.", nil,
 		func() float64 { return float64(s.flight.Len()) })
+	// The rejection and rate-limit families get their series on first
+	// use, or never; declared now, a fresh daemon's scrape names them.
+	s.reg.Declare("daemon_rejected_total", rejectedHelp, "counter")
 	s.rejected = func(reason, tenant string) *obs.Counter {
-		return s.reg.Counter("daemon_rejected_total",
-			"Requests rejected by admission control, by reason and tenant.",
+		return s.reg.Counter("daemon_rejected_total", rejectedHelp,
 			obs.Labels{"reason": reason, "tenant": tenant})
 	}
+	s.reg.Declare("daemon_rate_tokens", rateTokensHelp, "gauge")
 	obs.RegisterRuntimeMetrics(s.reg)
 	s.reg.GaugeFunc("daemon_queue_depth", "Jobs waiting in the executor queue.", nil,
 		func() float64 { return float64(len(s.jobs.queue)) })
@@ -238,8 +246,7 @@ func (s *server) setRateLimits(globalRate, tenantRate float64) {
 	if globalRate > 0 {
 		b := newTokenBucket(globalRate, 2*globalRate)
 		s.adm.global = b
-		s.reg.GaugeFunc("daemon_rate_tokens",
-			"Global request rate-limit token-bucket level.",
+		s.reg.GaugeFunc("daemon_rate_tokens", rateTokensHelp,
 			obs.Labels{"scope": "global"}, b.level)
 	}
 	if tenantRate > 0 {

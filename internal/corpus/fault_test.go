@@ -35,7 +35,9 @@ func tmpEntries(t *testing.T, s *Store) []string {
 }
 
 // The fault fires in the first spooled chunk, and past it: in the
-// second, while the hasher still holds chunks of the upload.
+// second, while the hasher still holds chunks of the upload. Once the
+// blob has landed, a re-upload of it stages nothing for the fault to
+// hit.
 func TestIngestSpoolFaultIsStorageError(t *testing.T) {
 	for _, c := range []struct {
 		data []byte
@@ -74,6 +76,17 @@ func TestIngestSpoolFaultIsStorageError(t *testing.T) {
 		fi.Clear(faultfs.SinkCorpusObject)
 		if _, created, err := s.Ingest(bytes.NewReader(data), "csv"); err != nil || !created {
 			t.Fatalf("at %d: retry after clearing the fault: created=%v err=%v", c.at, created, err)
+		}
+
+		// A byte-identical re-upload writes nothing, so the same fault
+		// armed again never fires.
+		fi.Fail(faultfs.SinkCorpusObject, 0, syscall.ENOSPC)
+		hits := fi.Hits(faultfs.SinkCorpusObject)
+		if _, created, err := s.Ingest(bytes.NewReader(data), "csv"); err != nil || created {
+			t.Fatalf("at %d: re-upload under a spool fault: created=%v err=%v", c.at, created, err)
+		}
+		if fi.Hits(faultfs.SinkCorpusObject) != hits {
+			t.Fatalf("at %d: the re-upload was staged", c.at)
 		}
 	}
 }
@@ -131,6 +144,45 @@ func TestIngestStagedReadFaultIsStorageError(t *testing.T) {
 		if s.Len() != 0 {
 			t.Fatalf("workers=%d: catalogue holds %d entries after a failed ingest", workers, s.Len())
 		}
+	}
+}
+
+// truncateAtEOF truncates a stored blob when the upload it wraps
+// reaches EOF: after the comparison has read the blob, before the
+// matched part is read back from it into the spool.
+type truncateAtEOF struct {
+	r    io.Reader
+	blob string
+}
+
+func (u *truncateAtEOF) Read(p []byte) (int, error) {
+	n, err := u.r.Read(p)
+	if err == io.EOF {
+		os.Truncate(u.blob, 0)
+	}
+	return n, err
+}
+
+// A stored blob that no longer reads back the part an upload matched
+// is the store's disk failing, not a bad trace, and what it does read
+// never lands as the upload.
+func TestIngestReplayFaultIsStorageError(t *testing.T) {
+	s := openStore(t)
+	data := paddedCSV(t, 3*ingestChunk+100)
+	e, _, err := s.Ingest(bytes.NewReader(data), "csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload := differAt(data, len(data)-1)
+	_, _, err = s.Ingest(&truncateAtEOF{r: bytes.NewReader(upload), blob: s.blobPath(e.Digest)}, "csv")
+	if err == nil || errors.Is(err, ErrBadTrace) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("replay from a truncated blob: err %v, want a storage error", err)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("catalogue holds %d entries, want the stored one", s.Len())
+	}
+	if names := tmpEntries(t, s); len(names) != 0 {
+		t.Fatalf("staging leftovers: %v", names)
 	}
 }
 

@@ -1,11 +1,13 @@
 package corpus
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash"
+	"hash/maphash"
 	"io"
 	"io/fs"
 	"os"
@@ -42,6 +44,19 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[string]Entry // guarded by mu
+	// heads maps an upload's format and the maphash of its first chunk
+	// to the digest of a blob that began with that chunk: one this
+	// process landed, or answered a re-upload with by digest. It is
+	// never persisted, and the entry it names may since be gone or
+	// another format, so every use re-checks the catalogue (matchStored).
+	heads map[headKey]string // guarded by mu
+	seed  maphash.Seed
+}
+
+// headKey names an upload by its format and its first chunk.
+type headKey struct {
+	format string
+	sum    uint64
 }
 
 // SetParallel sets the number of workers Ingest decodes the staged
@@ -78,7 +93,7 @@ func (s *Store) sinkWriter(sink string, w io.Writer) io.Writer {
 // truth — so traces another process ingested into the same root are
 // never hidden.
 func Open(root string) (*Store, error) {
-	s := &Store{root: root, entries: make(map[string]Entry)}
+	s := &Store{root: root, entries: make(map[string]Entry), heads: make(map[headKey]string), seed: maphash.MakeSeed()}
 	for _, d := range []string{root, s.objectsDir(), s.rendersDir(), s.resultsDir(), s.tmpDir()} {
 		if err := os.MkdirAll(d, 0o777); err != nil {
 			return nil, err
@@ -161,19 +176,21 @@ type ingestBuf = [ingestChunk]byte
 
 var ingestBufs = sync.Pool{New: func() any { return new(ingestBuf) }}
 
-// spoolHashed copies src to dst and digests the same bytes into h, the
-// hash beside the write rather than in front of it: the calling
-// goroutine fills each chunk from src and writes it to dst while one
-// hasher goroutine digests it. The hasher is joined before spoolHashed
-// returns on every path, so h is complete (or abandoned) and the ring
-// is back in the pool. The failing side is reported apart: readErr is
-// src's own error, chain intact (a client fault); writeErr is dst's (a
-// storage fault).
-func spoolHashed(dst io.Writer, h hash.Hash, src io.Reader) (n int64, readErr, writeErr error) {
+// spoolHashed copies head[:n], then src, to dst and digests the same
+// bytes into h, the hash beside the write rather than in front of it:
+// the calling goroutine fills each chunk from src and writes it to dst
+// while one hasher goroutine digests it. head, a chunk of the pool the
+// caller already filled, is the ring's first buffer, and spoolHashed
+// returns it to the pool with the rest. The hasher is joined before
+// spoolHashed returns on every path, so h is complete (or abandoned)
+// and the ring is back in the pool. The failing side is reported apart:
+// readErr is src's own error, chain intact (a client fault); writeErr
+// is dst's (a storage fault).
+func spoolHashed(dst io.Writer, h hash.Hash, head *ingestBuf, n int, src io.Reader) (total int64, readErr, writeErr error) {
 	// Each channel can hold the whole ring, so no send ever blocks: the
 	// reader waits only on free, for the hasher to give a chunk back.
 	free := make(chan *ingestBuf, ingestRing)
-	for range ingestRing {
+	for range ingestRing - 1 {
 		free <- ingestBufs.Get().(*ingestBuf)
 	}
 	full := make(chan []byte, ingestRing)
@@ -193,28 +210,29 @@ func spoolHashed(dst io.Writer, h hash.Hash, src io.Reader) (n int64, readErr, w
 			ingestBufs.Put(b)
 		}
 	}()
+	buf, m, err := head, n, error(nil)
 	for {
-		buf := <-free
-		m, err := fill(src, buf[:])
 		if m == 0 {
 			free <- buf
 		} else {
 			full <- buf[:m]
 			w, werr := dst.Write(buf[:m])
-			n += int64(w)
+			total += int64(w)
 			if werr == nil && w < m {
 				werr = io.ErrShortWrite
 			}
 			if werr != nil {
-				return n, nil, werr
+				return total, nil, werr
 			}
 		}
 		if err == io.EOF {
-			return n, nil, nil
+			return total, nil, nil
 		}
 		if err != nil {
-			return n, err, nil
+			return total, err, nil
 		}
+		buf = <-free
+		m, err = fill(src, buf[:])
 	}
 }
 
@@ -254,6 +272,11 @@ func stagedDecodeErr(format string, err error) error {
 // atomically. format "" or "auto" selects content sniffing, before
 // anything is staged.
 //
+// A re-upload of a blob this process has landed or answered before is
+// not staged or hashed at all: its first chunk names the blob, and it
+// is compared with it byte for byte (matchStored). Equal bytes have an
+// equal digest, so the answer is the one the hash would give.
+//
 // A trace that fails to decode, or decodes to zero requests, is
 // rejected and nothing is stored — the corpus only holds traces the
 // pipeline can actually read. Errors from the upload side (including
@@ -272,8 +295,31 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 	if err != nil {
 		return Entry{}, false, fmt.Errorf("%w: %w", ErrBadTrace, err)
 	}
+	head := ingestBufs.Get().(*ingestBuf)
+	n, err := fill(r, head[:])
+	if err == io.EOF {
+		r = drained{}
+	} else if err != nil {
+		ingestBufs.Put(head)
+		return Entry{}, false, fmt.Errorf("%w: reading upload: %w", ErrBadTrace, err)
+	}
+	key := headKey{format, maphash.Bytes(s.seed, head[:n])}
+	existing, rest, release, err := s.matchStored(key, head[:n], r)
+	if err != nil || rest == nil {
+		ingestBufs.Put(head)
+		if err != nil {
+			return Entry{}, false, fmt.Errorf("%w: reading upload: %w", ErrBadTrace, err)
+		}
+		m := s.metrics.Load()
+		m.IngestObserve(existing.Size, existing.Requests, false)
+		m.DedupCompared()
+		return existing, false, nil
+	}
+
 	tmpf, err := os.CreateTemp(s.tmpDir(), "ingest-*")
 	if err != nil {
+		ingestBufs.Put(head)
+		release()
 		return Entry{}, false, err
 	}
 	tmpName := tmpf.Name()
@@ -289,9 +335,14 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 	// lands, whatever the decoder later stops at (a counted binary header
 	// ends the decode before trailing bytes).
 	h := sha256.New()
-	size, readErr, writeErr := spoolHashed(s.sinkWriter(faultfs.SinkCorpusObject, tmpf), h, r)
+	size, readErr, writeErr := spoolHashed(s.sinkWriter(faultfs.SinkCorpusObject, tmpf), h, head, n, rest)
+	release()
 	if writeErr != nil {
 		return Entry{}, false, fmt.Errorf("corpus: spooling ingest: %w", writeErr)
+	}
+	var re *replayError
+	if errors.As(readErr, &re) {
+		return Entry{}, false, re
 	}
 	if readErr != nil {
 		return Entry{}, false, fmt.Errorf("%w: reading upload: %w", ErrBadTrace, readErr)
@@ -306,8 +357,12 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 	// takes the decode like a new blob.
 	s.mu.Lock()
 	existing, held := s.entries[digest]
+	held = held && existing.Format == format
+	if held {
+		s.heads[key] = digest
+	}
 	s.mu.Unlock()
-	if held && existing.Format == format {
+	if held {
 		s.metrics.Load().IngestObserve(size, existing.Requests, false)
 		return existing, false, nil
 	}
@@ -365,6 +420,7 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if existing, ok := s.entries[digest]; ok {
+		s.heads[key] = digest
 		s.metrics.Load().IngestObserve(size, int64(sum.Requests), false)
 		return existing, false, nil
 	}
@@ -385,9 +441,108 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		return Entry{}, false, err
 	}
 	s.entries[digest] = entry
+	s.heads[key] = digest
 	s.metrics.Load().IngestObserve(size, int64(sum.Requests), true)
 	return entry, true, nil
 }
+
+// matchStored compares an upload with the blob the index names for
+// its first chunk, head, reading r (the upload after head) one chunk at
+// a time against the blob's bytes at the same offset. On a
+// byte-identical re-upload of a catalogued entry of the key's format,
+// rest is nil and e is that entry: the whole upload has been read and
+// nothing needs staging. Otherwise rest yields the upload after head,
+// in order: the part that matched, replayed from the blob, then the
+// chunk that differed, then what r has not yet given. release frees
+// what rest reads from once rest is drained; it is never nil when rest
+// is not. err is r's own failure, nothing the blob does: a blob that is
+// gone or fails to read just ends the comparison.
+func (s *Store) matchStored(key headKey, head []byte, r io.Reader) (e Entry, rest io.Reader, release func(), err error) {
+	s.mu.Lock()
+	e, held := s.entries[s.heads[key]]
+	s.mu.Unlock()
+	if !held || e.Format != key.format {
+		return Entry{}, r, func() {}, nil
+	}
+	blob, err := os.Open(s.blobPath(e.Digest))
+	if err != nil {
+		return Entry{}, r, func() {}, nil
+	}
+	up, stored := ingestBufs.Get().(*ingestBuf), ingestBufs.Get().(*ingestBuf)
+	release = func() {
+		blob.Close()
+		ingestBufs.Put(up)
+		ingestBufs.Put(stored)
+	}
+	cur, pos, eof := head, int64(0), false
+	for {
+		if k, _ := blob.ReadAt(stored[:len(cur)], pos); k < len(cur) || !bytes.Equal(stored[:len(cur)], cur) {
+			break
+		}
+		pos += int64(len(cur))
+		if eof {
+			cur = nil
+			if pos != e.Size {
+				break
+			}
+			s.mu.Lock()
+			_, held = s.entries[e.Digest]
+			s.mu.Unlock()
+			if !held {
+				break
+			}
+			release()
+			return e, nil, nil, nil
+		}
+		m, err := fill(r, up[:])
+		if err != nil && err != io.EOF {
+			release()
+			return Entry{}, nil, nil, err
+		}
+		cur, eof = up[:m], err == io.EOF
+	}
+	if pos == 0 {
+		return Entry{}, r, release, nil
+	}
+	matched := pos - int64(len(head))
+	rest = io.MultiReader(&replay{io.NewSectionReader(blob, int64(len(head)), matched), matched}, bytes.NewReader(cur))
+	if !eof {
+		rest = io.MultiReader(rest, r)
+	}
+	return Entry{}, rest, release, nil
+}
+
+// replay reads back the part of a stored blob an upload matched, ahead
+// of the rest of the upload in its spool. Failing to read all of it
+// again, short or with an error, is the store's disk, not the upload,
+// so it is marked apart from the upload's own read errors.
+type replay struct {
+	r    io.Reader
+	left int64 // bytes of r not yet read
+}
+
+func (p *replay) Read(b []byte) (int, error) {
+	n, err := p.r.Read(b)
+	p.left -= int64(n)
+	if err == io.EOF && p.left > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil && err != io.EOF {
+		err = &replayError{err}
+	}
+	return n, err
+}
+
+// replayError is a stored blob failing to read back (replay).
+type replayError struct{ err error }
+
+func (e *replayError) Error() string { return "corpus: re-reading a stored blob: " + e.err.Error() }
+func (e *replayError) Unwrap() error { return e.err }
+
+// drained is an upload read to its end.
+type drained struct{}
+
+func (drained) Read([]byte) (int, error) { return 0, io.EOF }
 
 // summarizeAndFit drains the staged upload once, in arrival order
 // (trace.OpenFileDecoder, the order every job reads), into its summary

@@ -125,18 +125,23 @@ func TestIngestSummaryAndDigest(t *testing.T) {
 
 // TestIngestDedup checks identical bytes land once: a re-upload under
 // the stored format (declared or sniffed) returns the original entry
-// from the digest lookup, without a decode; one declared as another
-// format is decoded as that format and answers for it.
+// from a comparison with the stored blob, without a decode; one
+// declared as another format is decoded as that format and answers for
+// it; and with the blob gone from disk a re-upload still answers from
+// its digest.
 func TestIngestDedup(t *testing.T) {
 	s := openStore(t)
+	reg := obs.NewRegistry()
+	s.SetMetrics(obs.NewCorpusMetrics(reg))
+	compared := func() float64 { return metricOf(t, reg, "corpus_dedup_compared_total") }
 	data := csvBytes(t, sampleTrace())
 	e1, created1, err := s.IngestAs(bytes.NewReader(data), "csv", "alice")
 	if err != nil || !created1 {
 		t.Fatalf("first: %v created=%v", err, created1)
 	}
 	for _, format := range []string{"", "auto", "csv"} {
-		// The staged file is gone by the time the upload hits EOF, so a
-		// decode would fail: the answer must come from the digest alone.
+		// Any staged file is gone by the time the upload hits EOF, so a
+		// decode would fail: the answer must come from the stored blob.
 		e2, created2, err := s.IngestAs(&unstageAtEOF{r: bytes.NewReader(data), s: s}, format, "bob")
 		if err != nil {
 			t.Fatalf("re-upload as %q: %v", format, err)
@@ -148,10 +153,17 @@ func TestIngestDedup(t *testing.T) {
 			t.Fatalf("re-upload as %q: got %+v, want the original entry %+v", format, e2, e1)
 		}
 	}
-	// Same bytes declared as a format they do not decode as: rejected,
-	// and the stored entry stays as it was.
+	if got := compared(); got != 3 {
+		t.Fatalf("%v re-uploads answered by comparison, want 3", got)
+	}
+	// Same bytes declared as a format they do not decode as: decoded as
+	// that format, not compared, so rejected, and the stored entry stays
+	// as it was.
 	if _, _, err := s.IngestAs(bytes.NewReader(data), "bin", "bob"); !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("re-upload as bin: err %v, want ErrBadTrace", err)
+	}
+	if got := compared(); got != 3 {
+		t.Fatalf("a re-upload as another format was answered by comparison")
 	}
 	if got, err := s.Resolve(e1.Digest); err != nil || got != e1 {
 		t.Fatalf("entry after conflicting re-upload: %+v, %v", got, err)
@@ -165,6 +177,19 @@ func TestIngestDedup(t *testing.T) {
 	}
 	if names := tmpEntries(t, s); len(names) != 0 {
 		t.Fatalf("staging leftovers: %v", names)
+	}
+
+	// The indexed blob gone from disk: there is nothing to compare
+	// with, so the upload is staged and hashed and its digest answers.
+	if err := os.Remove(s.blobPath(e1.Digest)); err != nil {
+		t.Fatal(err)
+	}
+	e2, created2, err := s.IngestAs(bytes.NewReader(data), "csv", "bob")
+	if err != nil || created2 || e2 != e1 {
+		t.Fatalf("re-upload without its blob: created=%v err=%v entry %+v, want the original", created2, err, e2)
+	}
+	if got := compared(); got != 3 {
+		t.Fatalf("a re-upload without its blob was answered by comparison")
 	}
 }
 
@@ -591,8 +616,8 @@ func TestStoreMetrics(t *testing.T) {
 	if got := metric("corpus_ingest_records_total"); got != float64(2*sampleTrace().Len()) {
 		t.Fatalf("ingest records = %v", got)
 	}
-	if traces, dedup := metric("corpus_ingest_traces_total"), metric("corpus_dedup_hits_total"); traces != 1 || dedup != 1 {
-		t.Fatalf("traces=%v dedup=%v, want 1/1", traces, dedup)
+	if traces, dedup, compared := metric("corpus_ingest_traces_total"), metric("corpus_dedup_hits_total"), metric("corpus_dedup_compared_total"); traces != 1 || dedup != 1 || compared != 1 {
+		t.Fatalf("traces=%v dedup=%v compared=%v, want 1/1/1", traces, dedup, compared)
 	}
 
 	key := strings.Repeat("ab", 32)

@@ -265,6 +265,9 @@ type CorpusMetrics struct {
 	ingestRecords *Counter
 	ingestTraces  *Counter
 	dedupHits     *Counter
+	// dedupCompared counts the dedups answered by comparing the upload
+	// with the stored blob it matched, with nothing staged or hashed.
+	dedupCompared *Counter
 	resultHits    *Counter
 	resultStores  *Counter
 	// modelsFitted counts blobs that landed with a fitted inference
@@ -286,6 +289,8 @@ func NewCorpusMetrics(r *Registry) *CorpusMetrics {
 			"New traces landed in the corpus.", nil),
 		dedupHits: r.Counter("corpus_dedup_hits_total",
 			"Uploads discarded because their digest was already stored.", nil),
+		dedupCompared: r.Counter("corpus_dedup_compared_total",
+			"Re-uploads answered by comparing them with the stored blob, without staging or hashing (also counted in corpus_dedup_hits_total).", nil),
 		resultHits: r.Counter("corpus_result_cache_hits_total",
 			"Result-cache lookups that found a cached output.", nil),
 		resultStores: r.Counter("corpus_result_cache_stores_total",
@@ -308,6 +313,14 @@ func (m *CorpusMetrics) IngestObserve(bytes, records int64, created bool) {
 		m.ingestTraces.Inc()
 	} else {
 		m.dedupHits.Inc()
+	}
+}
+
+// DedupCompared records that the dedup IngestObserve just counted was
+// answered by comparison with the stored blob.
+func (m *CorpusMetrics) DedupCompared() {
+	if m != nil {
+		m.dedupCompared.Inc()
 	}
 }
 

@@ -143,10 +143,17 @@ type HTTPMetrics struct {
 	inFlight *Gauge
 }
 
-// NewHTTPMetrics registers the in-flight gauge and returns the
-// per-route instrumenter; count and latency series register lazily as
-// routes are first served.
+const (
+	requestsHelp = "HTTP requests served, by route pattern and status code."
+	latencyHelp  = "HTTP request latency, by route pattern."
+)
+
+// NewHTTPMetrics registers the in-flight gauge and declares the count
+// and latency families, whose series register lazily as routes are
+// first served, and returns the per-route instrumenter.
 func NewHTTPMetrics(reg *Registry, prefix string) *HTTPMetrics {
+	reg.Declare(prefix+"_requests_total", requestsHelp, "counter")
+	reg.Declare(prefix+"_request_seconds", latencyHelp, "histogram")
 	return &HTTPMetrics{
 		reg:    reg,
 		prefix: prefix,
@@ -156,11 +163,9 @@ func NewHTTPMetrics(reg *Registry, prefix string) *HTTPMetrics {
 }
 
 func (hm *HTTPMetrics) observe(route string, status int, d time.Duration) {
-	hm.reg.Counter(hm.prefix+"_requests_total",
-		"HTTP requests served, by route pattern and status code.",
+	hm.reg.Counter(hm.prefix+"_requests_total", requestsHelp,
 		Labels{"route": route, "code": strconv.Itoa(status)}).Inc()
-	hm.reg.Histogram(hm.prefix+"_request_seconds",
-		"HTTP request latency, by route pattern.",
+	hm.reg.Histogram(hm.prefix+"_request_seconds", latencyHelp,
 		Labels{"route": route}, DurationBuckets).Observe(d.Seconds())
 }
 

@@ -163,15 +163,7 @@ func renderLabels(l Labels) string {
 func (r *Registry) getOrCreate(name, help, typ string, scale float64, labels Labels, build func() *metric) *metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.byName[name]
-	if f == nil {
-		f = &family{name: name, help: help, typ: typ, scale: scale, byKey: make(map[string]*metric)}
-		r.byName[name] = f
-		r.order = append(r.order, f)
-	} else if f.typ != typ || f.scale != scale {
-		panic(fmt.Sprintf("obs: metric %q re-registered as %s (scale %g), was %s (scale %g)",
-			name, typ, scale, f.typ, f.scale))
-	}
+	f := r.familyLocked(name, help, typ, scale)
 	key := renderLabels(labels)
 	if m := f.byKey[key]; m != nil {
 		return m
@@ -181,6 +173,33 @@ func (r *Registry) getOrCreate(name, help, typ string, scale float64, labels Lab
 	f.byKey[key] = m
 	f.order = append(f.order, m)
 	return m
+}
+
+// familyLocked finds or adds the family name, enforcing its type and
+// scale.
+//
+//tracelint:holds mu
+func (r *Registry) familyLocked(name, help, typ string, scale float64) *family {
+	f := r.byName[name]
+	if f == nil {
+		f = &family{name: name, help: help, typ: typ, scale: scale, byKey: make(map[string]*metric)}
+		r.byName[name] = f
+		r.order = append(r.order, f)
+	} else if f.typ != typ || f.scale != scale {
+		panic(fmt.Sprintf("obs: metric %q re-registered as %s (scale %g), was %s (scale %g)",
+			name, typ, scale, f.typ, f.scale))
+	}
+	return f
+}
+
+// Declare registers the family name before any of its series, for a
+// family whose series are made on first use (a route's, a rejection's):
+// until then a scrape shows its # HELP and # TYPE lines and no sample.
+// typ is "counter", "gauge" or "histogram", as its series will be.
+func (r *Registry) Declare(name, help, typ string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.familyLocked(name, help, typ, 1)
 }
 
 // Counter registers (or finds) a counter. labels may be nil.

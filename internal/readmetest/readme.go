@@ -31,21 +31,7 @@ const regenerate = "go test -p 1 -run '^TestReadmeBlocks$' ./cmd/... -update"
 // update is set. want is the block's body; it ends with a newline.
 func Check(t *testing.T, name, want string, update bool) {
 	t.Helper()
-	path := readmePath(t)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	open, end := "<!-- gen:"+name+" -->\n", "<!-- /gen -->\n"
-	i := bytes.Index(data, []byte(open))
-	if i < 0 || bytes.Count(data, []byte(open)) != 1 {
-		t.Fatalf("README.md needs exactly one %q line to hold block %s", strings.TrimSpace(open), name)
-	}
-	body := i + len(open)
-	n := bytes.Index(data[body:], []byte(end))
-	if n < 0 {
-		t.Fatalf("README.md block %s has no %q line", name, strings.TrimSpace(end))
-	}
+	path, data, body, n := block(t, name)
 	got := string(data[body : body+n])
 	if got == want {
 		return
@@ -79,6 +65,34 @@ func CheckFlags(t *testing.T, command string, help func() string, update bool) {
 		t.Fatalf("%s -h depends on GOMAXPROCS outside a GOMAXPROCS default:\n%s\n---\n%s", command, out[0], out[1])
 	}
 	Check(t, "flags-"+command, "```text\n"+out[0]+"```\n", update)
+}
+
+// Block returns the body of README block name, as committed.
+func Block(t *testing.T, name string) string {
+	t.Helper()
+	_, data, body, n := block(t, name)
+	return string(data[body : body+n])
+}
+
+// block reads the README at path and finds block name's body, n bytes
+// from offset body of data.
+func block(t *testing.T, name string) (path string, data []byte, body, n int) {
+	t.Helper()
+	path = readmePath(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, end := "<!-- gen:"+name+" -->\n", "<!-- /gen -->\n"
+	i := bytes.Index(data, []byte(open))
+	if i < 0 || bytes.Count(data, []byte(open)) != 1 {
+		t.Fatalf("README.md needs exactly one %q line to hold block %s", strings.TrimSpace(open), name)
+	}
+	body = i + len(open)
+	if n = bytes.Index(data[body:], []byte(end)); n < 0 {
+		t.Fatalf("README.md block %s has no %q line", name, strings.TrimSpace(end))
+	}
+	return path, data, body, n
 }
 
 // readmePath is the README.md at the module root above the test's
