@@ -278,12 +278,14 @@ func FuzzIngestReupload(f *testing.F) {
 	})
 }
 
-// TestIngestDedupAllocs pins the pooled chunks of a re-upload: a dedup
-// ingest of a 200k-request blob (6.8 MB, ~52 chunks) compares it with
-// the stored blob through three chunks taken from the pool, staging
-// and hashing nothing. It allocates a small constant number of objects,
-// none of them per chunk, and on average well under the ring's bytes,
-// so the chunks come from the pool, not the heap.
+// TestIngestDedupAllocs pins the pooled chunks of a re-upload of a
+// 200k-request blob (6.8 MB, ~52 chunks) on both dedup paths: compared
+// with the stored blob through three chunks, staging and hashing
+// nothing, and, with the index forgotten as in a later process, staged
+// and hashed through the ring to a digest lookup. Each allocates a
+// small constant number of objects, none of them per chunk, and on
+// average well under the ring's bytes, so the chunks come from the
+// pool, not the heap.
 func TestIngestDedupAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200k-request blob")
@@ -294,30 +296,47 @@ func TestIngestDedupAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := bytes.NewReader(data)
-	dedup := func() {
-		r.Reset(data)
-		if _, created, err := s.Ingest(r, "bin"); err != nil || created {
-			t.Fatalf("dedup ingest: created=%v err=%v", created, err)
-		}
-	}
-	// The opened blob and the closure that closes it.
-	const maxAllocs = 12
-	if allocs := testing.AllocsPerRun(10, dedup); allocs > maxAllocs {
-		t.Fatalf("dedup ingest allocates %.0f objects, want at most %d", allocs, maxAllocs)
-	}
-	// Fresh chunks would cost three of them a run. Pooled ones cost
-	// ~0.5 KB, but under the race detector sync.Pool drops a quarter of
-	// what is put back, under one chunk a run, so the bound is half the
-	// ring.
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		dedup()
-	}
-	runtime.ReadMemStats(&after)
-	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= ingestRing/2*ingestChunk {
-		t.Fatalf("dedup ingest allocates %d bytes, want under %d: the ring is not reused", perRun, ingestRing/2*ingestChunk)
+	for _, tc := range []struct {
+		name   string
+		forget bool // clear the index first, so the digest answers
+		// maxAllocs: compared, the opened blob and the closure that
+		// closes it; by digest, the staging file, the digest, the ring's
+		// channels and the hasher goroutine, plus the entry lookup.
+		maxAllocs float64
+	}{
+		{"compared", false, 12},
+		{"digest", true, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dedup := func() {
+				if tc.forget {
+					s.mu.Lock()
+					clear(s.heads)
+					s.mu.Unlock()
+				}
+				r.Reset(data)
+				if _, created, err := s.Ingest(r, "bin"); err != nil || created {
+					t.Fatalf("dedup ingest: created=%v err=%v", created, err)
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, dedup); allocs > tc.maxAllocs {
+				t.Fatalf("dedup ingest allocates %.0f objects, want at most %.0f", allocs, tc.maxAllocs)
+			}
+			// Fresh chunks would cost three (compared) or four (digest)
+			// of them a run. Pooled ones cost ~1 KB, but under the race
+			// detector sync.Pool drops a quarter of what is put back,
+			// under one chunk a run, so the bound is half the ring.
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				dedup()
+			}
+			runtime.ReadMemStats(&after)
+			if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= ingestRing/2*ingestChunk {
+				t.Fatalf("dedup ingest allocates %d bytes, want under %d: the chunks are not reused", perRun, ingestRing/2*ingestChunk)
+			}
+		})
 	}
 }
 

@@ -167,6 +167,10 @@ func (s *Store) Rebuild() error {
 // The ingest copy stages an upload through a ring of ingestRing reused
 // chunks of ingestChunk bytes, so one upload in flight holds at most
 // ingestRing·ingestChunk (512 KiB) of copy buffer whatever its size.
+// Comparing a re-upload with a stored blob holds three chunks; one
+// that stops matching after its first chunk keeps one of them, the
+// chunk that differed, beside the ring until it is staged: five chunks
+// (640 KiB).
 const (
 	ingestChunk = 128 << 10
 	ingestRing  = 4
@@ -290,8 +294,8 @@ func (s *Store) Ingest(r io.Reader, format string) (Entry, bool, error) {
 // IngestAs is Ingest with a tenant attribution recorded on the entry
 // for per-tenant accounting. On dedup the existing entry (and its
 // original tenant) wins.
-func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error) {
-	format, r, err := trace.ResolveFormat(format, r)
+func (s *Store) IngestAs(r io.Reader, format, tenant string) (e Entry, created bool, err error) {
+	format, r, err = trace.ResolveFormat(format, r)
 	if err != nil {
 		return Entry{}, false, fmt.Errorf("%w: %w", ErrBadTrace, err)
 	}
@@ -315,6 +319,15 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		m.DedupCompared()
 		return existing, false, nil
 	}
+	// Whatever entry of this format answers the upload from here on, by
+	// digest or by landing it, is indexed under its first chunk.
+	defer func() {
+		if err == nil && e.Format == format {
+			s.mu.Lock()
+			s.heads[key] = e.Digest
+			s.mu.Unlock()
+		}
+	}()
 
 	tmpf, err := os.CreateTemp(s.tmpDir(), "ingest-*")
 	if err != nil {
@@ -358,9 +371,6 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 	s.mu.Lock()
 	existing, held := s.entries[digest]
 	held = held && existing.Format == format
-	if held {
-		s.heads[key] = digest
-	}
 	s.mu.Unlock()
 	if held {
 		s.metrics.Load().IngestObserve(size, existing.Requests, false)
@@ -420,7 +430,6 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if existing, ok := s.entries[digest]; ok {
-		s.heads[key] = digest
 		s.metrics.Load().IngestObserve(size, int64(sum.Requests), false)
 		return existing, false, nil
 	}
@@ -441,7 +450,6 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (Entry, bool, error
 		return Entry{}, false, err
 	}
 	s.entries[digest] = entry
-	s.heads[key] = digest
 	s.metrics.Load().IngestObserve(size, int64(sum.Requests), true)
 	return entry, true, nil
 }
@@ -468,11 +476,14 @@ func (s *Store) matchStored(key headKey, head []byte, r io.Reader) (e Entry, res
 	if err != nil {
 		return Entry{}, r, func() {}, nil
 	}
-	up, stored := ingestBufs.Get().(*ingestBuf), ingestBufs.Get().(*ingestBuf)
+	// stored is read only by the comparison; up may hold the chunk that
+	// differed, which rest still has to yield.
+	stored := ingestBufs.Get().(*ingestBuf)
+	defer ingestBufs.Put(stored)
+	up := ingestBufs.Get().(*ingestBuf)
 	release = func() {
 		blob.Close()
 		ingestBufs.Put(up)
-		ingestBufs.Put(stored)
 	}
 	cur, pos, eof := head, int64(0), false
 	for {
@@ -502,7 +513,8 @@ func (s *Store) matchStored(key headKey, head []byte, r io.Reader) (e Entry, res
 		cur, eof = up[:m], err == io.EOF
 	}
 	if pos == 0 {
-		return Entry{}, r, release, nil
+		release()
+		return Entry{}, r, func() {}, nil
 	}
 	matched := pos - int64(len(head))
 	rest = io.MultiReader(&replay{io.NewSectionReader(blob, int64(len(head)), matched), matched}, bytes.NewReader(cur))

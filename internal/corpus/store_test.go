@@ -127,21 +127,23 @@ func TestIngestSummaryAndDigest(t *testing.T) {
 // the stored format (declared or sniffed) returns the original entry
 // from a comparison with the stored blob, without a decode; one
 // declared as another format is decoded as that format and answers for
-// it; and with the blob gone from disk a re-upload still answers from
-// its digest.
+// it; and on a store reopened on the same root, or with the blob gone
+// from disk, a re-upload still answers from its digest, undecoded.
 func TestIngestDedup(t *testing.T) {
 	s := openStore(t)
 	reg := obs.NewRegistry()
 	s.SetMetrics(obs.NewCorpusMetrics(reg))
 	compared := func() float64 { return metricOf(t, reg, "corpus_dedup_compared_total") }
-	data := csvBytes(t, sampleTrace())
+	// More than one chunk, so an upload that is staged hits EOF inside
+	// the staging copy: unstageAtEOF then removes the staged file before
+	// any decode could read it, and a decode would fail.
+	data := paddedCSV(t, 2*ingestChunk+1)
 	e1, created1, err := s.IngestAs(bytes.NewReader(data), "csv", "alice")
 	if err != nil || !created1 {
 		t.Fatalf("first: %v created=%v", err, created1)
 	}
 	for _, format := range []string{"", "auto", "csv"} {
-		// Any staged file is gone by the time the upload hits EOF, so a
-		// decode would fail: the answer must come from the stored blob.
+		// The answer must come from the stored blob, undecoded.
 		e2, created2, err := s.IngestAs(&unstageAtEOF{r: bytes.NewReader(data), s: s}, format, "bob")
 		if err != nil {
 			t.Fatalf("re-upload as %q: %v", format, err)
@@ -179,17 +181,40 @@ func TestIngestDedup(t *testing.T) {
 		t.Fatalf("staging leftovers: %v", names)
 	}
 
+	// A later process on the same root has indexed nothing: its first
+	// re-upload is staged and hashed, its digest answers without a
+	// decode, and that answer indexes the blob for the next one.
+	s2, err := Open(s.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg2 := obs.NewRegistry()
+	s2.SetMetrics(obs.NewCorpusMetrics(reg2))
+	for i, want := range []float64{0, 1} {
+		e2, created2, err := s2.IngestAs(&unstageAtEOF{r: bytes.NewReader(data), s: s2}, "csv", "bob")
+		if err != nil || created2 || e2.Digest != e1.Digest || e2.Tenant != "alice" {
+			t.Fatalf("re-upload %d after reopening: created=%v err=%v entry %+v, want the original", i, created2, err, e2)
+		}
+		if got := metricOf(t, reg2, "corpus_dedup_compared_total"); got != want {
+			t.Fatalf("re-upload %d after reopening: %v answered by comparison, want %v", i, got, want)
+		}
+	}
+
 	// The indexed blob gone from disk: there is nothing to compare
-	// with, so the upload is staged and hashed and its digest answers.
+	// with, so the upload is staged and hashed and its digest answers,
+	// again without a decode.
 	if err := os.Remove(s.blobPath(e1.Digest)); err != nil {
 		t.Fatal(err)
 	}
-	e2, created2, err := s.IngestAs(bytes.NewReader(data), "csv", "bob")
+	e2, created2, err := s.IngestAs(&unstageAtEOF{r: bytes.NewReader(data), s: s}, "csv", "bob")
 	if err != nil || created2 || e2 != e1 {
 		t.Fatalf("re-upload without its blob: created=%v err=%v entry %+v, want the original", created2, err, e2)
 	}
 	if got := compared(); got != 3 {
 		t.Fatalf("a re-upload without its blob was answered by comparison")
+	}
+	if names := tmpEntries(t, s); len(names) != 0 {
+		t.Fatalf("staging leftovers: %v", names)
 	}
 }
 
