@@ -315,7 +315,7 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (e Entry, created b
 			return Entry{}, false, fmt.Errorf("%w: reading upload: %w", ErrBadTrace, err)
 		}
 		m := s.metrics.Load()
-		m.IngestObserve(existing.Size, existing.Requests, false)
+		m.IngestObserve(existing.Size, 0, false)
 		m.DedupCompared()
 		return existing, false, nil
 	}
@@ -373,7 +373,7 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (e Entry, created b
 	held = held && existing.Format == format
 	s.mu.Unlock()
 	if held {
-		s.metrics.Load().IngestObserve(size, existing.Requests, false)
+		s.metrics.Load().IngestObserve(size, 0, false)
 		return existing, false, nil
 	}
 

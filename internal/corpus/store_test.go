@@ -630,19 +630,36 @@ func TestStoreMetrics(t *testing.T) {
 	if err != nil || !created {
 		t.Fatalf("first ingest: created=%v err=%v", created, err)
 	}
+	if got := metric("corpus_ingest_records_total"); got != float64(sampleTrace().Len()) {
+		t.Fatalf("ingest records = %v after the first ingest, want %d", got, sampleTrace().Len())
+	}
 	// The dedup answer is not decoded: it reports the upload's bytes and
-	// the stored entry's request count.
+	// no records.
 	if _, created, err = s.Ingest(bytes.NewReader(data), "csv"); err != nil || created {
 		t.Fatalf("dedup ingest: created=%v err=%v", created, err)
 	}
 	if got := metric("corpus_ingest_bytes_total"); got != float64(2*len(data)) {
 		t.Fatalf("ingest bytes = %v, want %d", got, 2*len(data))
 	}
-	if got := metric("corpus_ingest_records_total"); got != float64(2*sampleTrace().Len()) {
-		t.Fatalf("ingest records = %v", got)
+	if got := metric("corpus_ingest_records_total"); got != float64(sampleTrace().Len()) {
+		t.Fatalf("ingest records = %v after a compared re-upload, want it unchanged at %d", got, sampleTrace().Len())
 	}
 	if traces, dedup, compared := metric("corpus_ingest_traces_total"), metric("corpus_dedup_hits_total"), metric("corpus_dedup_compared_total"); traces != 1 || dedup != 1 || compared != 1 {
 		t.Fatalf("traces=%v dedup=%v compared=%v, want 1/1/1", traces, dedup, compared)
+	}
+	// A store opened on the same root answers the re-upload by digest,
+	// and decodes nothing either.
+	again, err := Open(s.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	againReg := obs.NewRegistry()
+	again.SetMetrics(obs.NewCorpusMetrics(againReg))
+	if _, created, err = again.Ingest(bytes.NewReader(data), "csv"); err != nil || created {
+		t.Fatalf("dedup by digest: created=%v err=%v", created, err)
+	}
+	if records, dedup, compared := metricOf(t, againReg, "corpus_ingest_records_total"), metricOf(t, againReg, "corpus_dedup_hits_total"), metricOf(t, againReg, "corpus_dedup_compared_total"); records != 0 || dedup != 1 || compared != 0 {
+		t.Fatalf("records=%v dedup=%v compared=%v after a dedup by digest, want 0/1/0", records, dedup, compared)
 	}
 
 	key := strings.Repeat("ab", 32)

@@ -302,7 +302,8 @@ func NewCorpusMetrics(r *Registry) *CorpusMetrics {
 	}
 }
 
-// IngestObserve records one ingest outcome.
+// IngestObserve records one ingest outcome: the upload's bytes and the
+// records decoded for it, 0 for a dedup that decoded nothing.
 func (m *CorpusMetrics) IngestObserve(bytes, records int64, created bool) {
 	if m == nil {
 		return

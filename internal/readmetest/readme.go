@@ -6,10 +6,12 @@
 //
 // A block is the text between a line "<!-- gen:NAME -->" and the next
 // line "<!-- /gen -->". Each block has one owning package, whose test
-// calls Check. With update set, Check rewrites the block instead of
-// comparing it, and touches nothing outside the markers. Several
-// packages own blocks of the one README, so regenerate them one package
-// at a time:
+// calls Check. Check logs "README block NAME checked", and CI runs
+// every TestReadmeBlocks with -v and fails on a block no test logged,
+// so a block whose test is deleted does not go stale silently. With
+// update set, Check rewrites the block instead of comparing it, and
+// touches nothing outside the markers. Several packages own blocks of
+// the one README, so regenerate them one package at a time:
 //
 //	go test -p 1 -run '^TestReadmeBlocks$' ./cmd/... -update
 package readmetest
@@ -32,6 +34,7 @@ const regenerate = "go test -p 1 -run '^TestReadmeBlocks$' ./cmd/... -update"
 func Check(t *testing.T, name, want string, update bool) {
 	t.Helper()
 	path, data, body, n := block(t, name)
+	t.Logf("README block %s checked", name)
 	got := string(data[body : body+n])
 	if got == want {
 		return

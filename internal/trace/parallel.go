@@ -7,30 +7,24 @@ package trace
 // the only parallel decoder: a non-seekable input (stdin, an upload)
 // is staged to a file first and decoded from there.
 //
-// Workers recycle their request batches through a bounded free list
-// (the engine bufPool discipline), so steady-state parallel decoding
-// stays at ~0 allocations per record, and each worker reads every
-// segment it claims out of one read buffer. Segments in flight ahead of
-// the merge point are bounded by a token pool, so memory stays
-// O(workers), not O(input). keptReaders and keptBatches carry the read
-// buffers and batches from one decode to the next.
+// Workers borrow their request batches from the process's kept list
+// (kept.go) and the merger hands each one back once it has been read,
+// so steady-state parallel decoding stays at ~0 allocations per record;
+// each worker reads every segment it claims out of one borrowed read
+// buffer. Segments in flight ahead of the merge point are bounded by a
+// token pool, so memory stays O(workers), not O(input).
 //
 // Consumers must call Close when abandoning a decoder before EOF or a
 // terminal error; after either, the goroutines have already drained.
-// Close is also where a decode hands its buffers back, and after it
-// every Read fails at once.
+// After Close every Read fails at once.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
-
-	"repro/internal/spare"
 )
 
 const (
@@ -65,87 +59,6 @@ type parBatch struct {
 	lines int
 }
 
-// reqFreeList recycles request batches between the merger (which
-// finishes with them) and the decode workers (which fill new ones). A
-// miss takes a kept batch (keptBatches) before it allocates.
-type reqFreeList chan []Request
-
-func (f reqFreeList) get() []Request {
-	select {
-	case b := <-f:
-		return b
-	default:
-	}
-	if b, ok := keptBatches.Get(); ok {
-		return b
-	}
-	return make([]Request, parBatchLen)
-}
-
-func (f reqFreeList) put(b []Request) {
-	if cap(b) < parBatchLen {
-		return
-	}
-	select {
-	case f <- b[:parBatchLen]:
-	default:
-	}
-}
-
-// What a decode leaves behind — its workers' read buffers and its
-// request batches — is kept for the decodes after it, so a process that
-// decodes trace after trace stops allocating them once warm. Every
-// decoder OpenFileDecoder and NewParallelDecoder build borrows from
-// keptReaders and keptBatches and hands back when it is closed, and
-// ForEachBatch borrows its scratch batch for the length of a drain. They
-// hold the buffers of keptDecodes concurrent decodes on GOMAXPROCS
-// workers each — keptBound bytes, 3.4 MiB at GOMAXPROCS=2 — and drop
-// them all once no decode has used them for spare.IdleAfter. Nothing a
-// decode writes to a buffer is read by the next: a decoder overwrites
-// what it borrows.
-var (
-	keptReaders = spare.New(keptDecodes*keptWorkers, func(br *bufio.Reader) int64 { return int64(br.Size()) })
-	keptBatches = spare.New(keptDecodes*batchesPerDecode(keptWorkers), func(b []Request) int64 { return int64(cap(b)) * requestSize })
-)
-
-// keptDecodes is how many concurrent decodes keptReaders and
-// keptBatches keep the buffers of: a daemon's default two jobs and one
-// ingest.
-const keptDecodes = 3
-
-var (
-	keptWorkers = runtime.GOMAXPROCS(0)
-	keptBound   = int64(keptDecodes) * (int64(keptWorkers)*readBufLen +
-		int64(batchesPerDecode(keptWorkers))*parBatchLen*requestSize)
-)
-
-// batchesPerDecode is how many request batches a decode on workers
-// workers has in use at most: its own free list, which
-// NewParallelDecoder sizes to inflight·segRingDepth + workers with
-// inflight ≤ workers+2, and the scratch of the ForEachBatch draining it.
-func batchesPerDecode(workers int) int {
-	return (workers+2)*segRingDepth + workers + 1
-}
-
-const requestSize = int64(unsafe.Sizeof(Request{}))
-
-// borrowReader returns a read buffer over r, a kept one when there is
-// one.
-func borrowReader(r io.Reader) *bufio.Reader {
-	if br, ok := keptReaders.Get(); ok {
-		br.Reset(r)
-		return br
-	}
-	return newReadBuffer(r)
-}
-
-// returnReader offers a read buffer no decoder reads any more. It drops
-// its input first, so a kept buffer pins no file.
-func returnReader(br *bufio.Reader) {
-	br.Reset(nil)
-	keptReaders.Put(br)
-}
-
 // ParallelDecoder decodes an io.ReaderAt-addressable input on worker
 // goroutines, one record-aligned segment at a time, merging batches
 // back in input order. Read hands out views of the workers' batches;
@@ -169,11 +82,9 @@ type ParallelDecoder struct {
 	// The merge cursor (single consumer): seg is its next segment and
 	// lineBase the input lines consumed before it — prelude plus the
 	// drained segments' line-count markers; cur[pos:] is what remains of
-	// the batch being handed out, err the latched terminal condition,
-	// and spent batches go back to the workers through free.
+	// the batch being handed out, and err the latched terminal condition.
 	seg      int
 	lineBase int
-	free     reqFreeList
 	cur      []Request
 	pos      int
 	err      error
@@ -209,7 +120,6 @@ func NewParallelDecoder(ra io.ReaderAt, size int64, format string, workers int) 
 	for i := 0; i < inflight; i++ {
 		d.tokens <- struct{}{}
 	}
-	d.free = make(reqFreeList, inflight*segRingDepth+workers)
 	n := workers
 	if n > nseg {
 		n = nseg
@@ -265,7 +175,7 @@ func (d *ParallelDecoder) runSegment(i int, br *bufio.Reader) bool {
 	defer close(ch)
 	dec := d.plan.codec.segment(br, d.plan.segs[i].ctx)
 	for {
-		buf := d.free.get()
+		buf := borrowBatch()
 		run, err := dec.Read(buf)
 		if len(run) > 0 {
 			select {
@@ -274,7 +184,7 @@ func (d *ParallelDecoder) runSegment(i int, br *bufio.Reader) bool {
 				return false
 			}
 		} else {
-			d.free.put(buf)
+			returnBatch(buf)
 		}
 		if err == io.EOF {
 			if lc, ok := dec.(lineCounter); ok {
@@ -333,7 +243,7 @@ func (d *ParallelDecoder) advance() error {
 		return d.err
 	}
 	if d.cur != nil {
-		d.free.put(d.cur)
+		returnBatch(d.cur)
 		d.cur = nil
 	}
 	b, err := d.fetchBatch()
@@ -389,9 +299,8 @@ func (d *ParallelDecoder) shutdown() {
 // before EOF or a terminal error, and afterwards a cheap join. It
 // latches errClosed, so a later Read neither hands out a batch still
 // queued in a segment ring nor waits on a ring no stopped worker will
-// close. It hands the spare batches, and the one the consumer was
-// reading, back to keptBatches, and closes the file OpenFileDecoder
-// opened.
+// close. It hands back the batch the consumer was reading and closes
+// the file OpenFileDecoder opened.
 func (d *ParallelDecoder) Close() {
 	d.shutdown()
 	d.wg.Wait()
@@ -401,16 +310,8 @@ func (d *ParallelDecoder) Close() {
 		d.file = nil
 	}
 	if d.cur != nil {
-		d.free.put(d.cur)
+		returnBatch(d.cur)
 		d.cur, d.pos = nil, 0
-	}
-	for {
-		select {
-		case b := <-d.free:
-			keptBatches.Put(b)
-		default:
-			return
-		}
 	}
 }
 

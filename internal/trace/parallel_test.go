@@ -452,8 +452,8 @@ func TestParallelDecoderReadBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := buf.Bytes()
-		keptReaders.Trim()
-		keptBatches.Trim()
+		keptReaders.trim()
+		keptBatches.trim()
 		for round := 0; round < 3; round++ {
 			for _, size := range []int{len(data) / 4, len(data)} {
 				pd := NewParallelDecoder(bytes.NewReader(data[:size]), int64(size), format, workers)
@@ -469,21 +469,18 @@ func TestParallelDecoderReadBuffers(t *testing.T) {
 					}
 				}
 				pd.Close()
-				if n := keptReaders.Bytes() / readBufLen; n < 1 || n > workers {
+				if n := keptReaders.count(); n < 1 || n > workers {
 					t.Fatalf("%s round %d: %d read buffers kept after a %d-segment decode on %d workers, want 1 to %d",
 						format, round, n, len(pd.plan.segs), workers, workers)
 				}
 			}
 		}
-		if kept := keptReaders.Bytes() + keptBatches.Bytes(); kept > keptBound {
-			t.Fatalf("%s: %d B kept, over the %d B bound", format, kept, keptBound)
-		}
 	}
 	// What the idle timers run.
-	keptReaders.Trim()
-	keptBatches.Trim()
-	if kept := keptReaders.Bytes() + keptBatches.Bytes(); kept != 0 {
-		t.Fatalf("%d B kept after trimming", kept)
+	keptReaders.trim()
+	keptBatches.trim()
+	if n := keptReaders.count() + keptBatches.count(); n != 0 {
+		t.Fatalf("%d values kept after trimming", n)
 	}
 }
 
@@ -503,13 +500,13 @@ func TestFileMeta(t *testing.T) {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		keptReaders.Trim()
+		keptReaders.trim()
 		for round := 0; round < 2; round++ {
 			m, err := FileMeta(path, "auto")
 			if err != nil || !m.TsdevKnown || m.Name != tr.Name {
 				t.Fatalf("%s: FileMeta = %+v, %v; want the header of %q, Tsdev known", format, m, err, tr.Name)
 			}
-			if n := keptReaders.Bytes() / readBufLen; n != 1 {
+			if n := keptReaders.count(); n != 1 {
 				t.Fatalf("%s round %d: %d read buffers kept after the probe, want its one", format, round, n)
 			}
 		}

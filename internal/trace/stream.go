@@ -117,11 +117,8 @@ func DecodeBatch(dec Decoder, dst []Request) (int, error) {
 // Its scratch is a kept request batch: a decoder that returns views
 // never touches it, and a sequential one decodes straight into it.
 func ForEachBatch(dec Decoder, fn func([]Request) error) error {
-	buf, ok := keptBatches.Get()
-	if !ok {
-		buf = make([]Request, parBatchLen)
-	}
-	defer keptBatches.Put(buf)
+	buf := borrowBatch()
+	defer returnBatch(buf)
 	for {
 		run, err := dec.Read(buf)
 		if len(run) > 0 {
