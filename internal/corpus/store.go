@@ -59,9 +59,9 @@ type headKey struct {
 	sum    uint64
 }
 
-// SetParallel sets the number of workers Ingest decodes the staged
-// upload with (trace.OpenFileDecoder: values below 2, and stagings
-// under trace.ParallelMinBytes, decode sequentially).
+// SetParallel sets the number of workers Ingest decodes a staged text
+// upload with (trace.OpenFileDecoder: values below 2, stagings under
+// trace.ParallelMinBytes and every bin upload decode sequentially).
 func (s *Store) SetParallel(n int) {
 	s.parallel.Store(int32(n))
 }

@@ -26,8 +26,9 @@ type contractInput struct {
 
 // contractInputs renders every input format clean and with a mid-stream
 // parse error (for bin, a truncated last record), each just large
-// enough that OpenFileDecoder splits it across workers and the error
-// lands in a later segment.
+// enough that a parallel decoder splits it across workers (for text,
+// the one OpenFileDecoder builds) and the error lands in a later
+// segment.
 func contractInputs(t *testing.T) []contractInput {
 	corrupt := func(data []byte, bad string) []byte {
 		lines := strings.SplitAfter(string(data), "\n")
@@ -90,8 +91,10 @@ func contractInputs(t *testing.T) []contractInput {
 // the stream ends with the sequential codec's error text and line
 // number, the metadata is the codec's, and Close is safe twice and
 // leaves every later Read failing with no data. The decoders: the four
-// codecs (NewDecoder), OpenFileDecoder sequential and parallel,
-// NewParallelDecoder, and a reorder window over each of them.
+// codecs (NewDecoder), OpenFileDecoder on one worker and on several
+// (parallel for text, the sequential codec for bin; bin's parallel leg
+// is NewParallelDecoder's), NewParallelDecoder, and a reorder window
+// over each of them.
 func TestDecoderContract(t *testing.T) {
 	const workers = 4
 	type builder struct {
@@ -107,8 +110,11 @@ func TestDecoderContract(t *testing.T) {
 			if rd, ok := dec.(*reorderDecoder); ok {
 				inner = rd.inner
 			}
-			if _, ok := inner.(*ParallelDecoder); !ok {
-				t.Fatalf("OpenFileDecoder on %d workers built a %T", workers, inner)
+			if _, ok := inner.(*binaryDecoder); in.format == "bin" && !ok {
+				t.Fatalf("OpenFileDecoder on %d workers built a %T for bin, want the sequential codec", workers, inner)
+			}
+			if _, ok := inner.(*ParallelDecoder); in.format != "bin" && !ok {
+				t.Fatalf("OpenFileDecoder on %d workers built a %T for %s", workers, inner, in.format)
 			}
 			return dec
 		}},

@@ -6,11 +6,15 @@ package trace
 // allocating them once warm. Every decoder OpenFileDecoder and
 // NewParallelDecoder build borrows from keptReaders and keptBatches as
 // it goes and hands each value back as soon as nothing reads it, and
-// ForEachBatch borrows its scratch batch for the length of a drain.
-// The lists hold the scratch of keptDecodes concurrent decodes on
-// GOMAXPROCS workers each, 3.4 MiB at GOMAXPROCS=2, and drop all of it
-// once no decode has used it for keptIdle. Nothing a decode writes to
-// a buffer is read by the next: a decoder overwrites what it borrows.
+// ForEachBatch borrows its scratch batch for the length of a drain. A
+// sequential decode (every bin input, and text under ParallelMinBytes)
+// takes one read buffer, and its drain the one ForEachBatch batch; a
+// parallel text decode takes a read buffer per worker and up to
+// batchesPerDecode batches. The lists hold the scratch of keptDecodes
+// concurrent parallel decodes on GOMAXPROCS workers each, 3.4 MiB at
+// GOMAXPROCS=2, and drop all of it once no decode has used it for
+// keptIdle. Nothing a decode writes to a buffer is read by the next: a
+// decoder overwrites what it borrows.
 
 import (
 	"bufio"
@@ -24,8 +28,12 @@ import (
 // or put.
 const keptIdle = 10 * time.Second
 
-// keptDecodes is how many concurrent decodes the kept lists hold the
-// scratch of: a daemon's default two jobs and one ingest.
+// keptDecodes is how many concurrent parallel decodes the kept lists
+// hold the scratch of: a daemon's default two jobs and one ingest, all
+// on text. Ingest decodes text in parallel, and so does a job on a text
+// blob stored before ingest wrote bin renderings (Rebuild writes none);
+// a job on a rendering or a bin blob decodes sequentially and takes far
+// less than its share.
 const keptDecodes = 3
 
 var (

@@ -484,6 +484,42 @@ func TestParallelDecoderReadBuffers(t *testing.T) {
 	}
 }
 
+// TestOpenFileDecoderBinSequential: OpenFileDecoder decodes a bin file
+// of ParallelMinBytes or more on one goroutine at any worker count, so
+// a drain through ForEachBatch borrows its one scratch batch and no
+// ring of batches: at most that one is kept after it, where a parallel
+// decode hands back a ring's worth.
+func TestOpenFileDecoderBinSequential(t *testing.T) {
+	const workers = 4
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, benchTrace(40_000)); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() < ParallelMinBytes {
+		t.Fatalf("%d bytes, want at least ParallelMinBytes", buf.Len())
+	}
+	path := filepath.Join(t.TempDir(), "in.bin")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	keptBatches.trim()
+	dec, _, err := OpenFileDecoder(path, "bin", workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if err := ForEachBatch(dec, func(run []Request) error { n += len(run); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	dec.Close()
+	if n != 40_000 {
+		t.Fatalf("decoded %d records, want 40000", n)
+	}
+	if k := keptBatches.count(); k > 1 {
+		t.Fatalf("%d request batches kept after a bin drain on %d workers, want at most ForEachBatch's one", k, workers)
+	}
+}
+
 // TestFileMeta: the one-record probe reports a file's header metadata,
 // io.EOF for a file without records, and reads through a kept read
 // buffer, which it hands back.
