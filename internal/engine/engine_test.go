@@ -822,10 +822,11 @@ func BenchmarkPlanAddBatch(b *testing.B) {
 }
 
 // TestReconstructPathParallelDecode locks the fused ingest of a job's
-// input path: when the input file is big enough for the segmented
-// parallel decoder to engage, RunJobTo's output stays byte-identical to
-// the single-worker (sequential-decode) run, for a headered CSV input
-// and a counted binary input.
+// input path: a headered CSV input big enough for the segmented
+// parallel decoder engages it on 4 workers, and RunJobTo's output stays
+// byte-identical to the single-worker (sequential-decode) run. A
+// counted binary input of the same size decodes on one goroutine at
+// any worker count, and its 4-worker run matches too.
 func TestReconstructPathParallelDecode(t *testing.T) {
 	old := genOld(t, "MSNFS", 40_000, true)
 	dir := t.TempDir()
@@ -836,7 +837,7 @@ func TestReconstructPathParallelDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if buf.Len() < trace.ParallelMinBytes {
-			t.Fatalf("%s fixture too small (%d bytes) to engage the parallel decoder", name, buf.Len())
+			t.Fatalf("%s fixture too small (%d bytes) for the parallel decoder's threshold", name, buf.Len())
 		}
 		if err := os.WriteFile(path, buf.Bytes(), 0o666); err != nil {
 			t.Fatal(err)
@@ -850,6 +851,9 @@ func TestReconstructPathParallelDecode(t *testing.T) {
 		{"bin", write("in.bin", trace.WriteBinary)},
 		{"csv", write("in.csv", trace.WriteCSV)},
 	} {
+		if par := parallelDecode(t, tc.path, tc.format, 4); par != (tc.format != "bin") {
+			t.Fatalf("%s on 4 workers decodes in parallel: %v", tc.format, par)
+		}
 		run := func(workers int) []byte {
 			var out bytes.Buffer
 			rep, err := RunJobTo(testConfig(workers), JobSpec{In: tc.path, InFormat: tc.format}, &out)

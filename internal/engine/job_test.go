@@ -170,63 +170,68 @@ func (c *storedModelCache) FittedModel(string) *infer.Model {
 
 // TestRunJobCachedStorageFaultMidStream fails the result cache's disk
 // in the middle of a job's output — after at least one epoch is out —
-// on both graphs. The job must fail as a storage fault (not as whatever
-// the encoder or the merge made of the write error), leave neither a
-// cache entry nor a staged file nor a decoder goroutine behind, and run
-// clean once the disk recovers.
+// on both graphs, over a bin input (decoded on one goroutine) and a csv
+// input (decoded by the parallel decoder's workers). The job must fail
+// as a storage fault (not as whatever the encoder or the merge made of
+// the write error), leave neither a cache entry nor a staged file nor a
+// decoder goroutine behind, and run clean once the disk recovers.
 func TestRunJobCachedStorageFaultMidStream(t *testing.T) {
 	const n = 40_000
 	const maxShard = 1024
-	inPath := writeBinInput(t, t.TempDir(), allocBenchTrace(n))
-	if st, err := os.Stat(inPath); err != nil || st.Size() < trace.ParallelMinBytes {
-		t.Fatalf("fixture too small for the parallel decoder: %v %v", st, err)
+	dir := t.TempDir()
+	binPath := writeBinInput(t, dir, allocBenchTrace(n))
+	csvPath, _ := writeInput(t, dir, "in", "csv", allocBenchTrace(n))
+	if !parallelDecode(t, csvPath, "csv", 2) {
+		t.Fatal("fixture: the csv input does not reach the parallel decoder on 2 workers")
 	}
 	for _, dev := range []string{"array", "ftl"} { // shard-safe target, serviced target
 		t.Run(dev, func(t *testing.T) {
-			store := openCorpus(t)
-			fi := faultfs.New()
-			store.SetFaultInjector(fi)
-			cfg := Config{Workers: 2, MaxShardRequests: maxShard}
-			spec := JobSpec{In: inPath, InFormat: "bin", OutFormat: "csv", Device: dev}
-			digest := hexKey(1)
-			key := CacheKey(digest, spec)
+			for i, in := range []struct{ path, format string }{{binPath, "bin"}, {csvPath, "csv"}} {
+				store := openCorpus(t)
+				fi := faultfs.New()
+				store.SetFaultInjector(fi)
+				cfg := Config{Workers: 2, MaxShardRequests: maxShard}
+				spec := JobSpec{In: in.path, InFormat: in.format, OutFormat: "csv", Device: dev}
+				digest := hexKey(1 + i)
+				key := CacheKey(digest, spec)
 
-			base := runtime.NumGoroutine()
-			// Four epochs of csv records (>= 20 B each) pass before the
-			// disk dies; most of the output is still to come.
-			fi.Fail(faultfs.SinkCorpusResult, 4*maxShard*20, syscall.ENOSPC)
-			_, _, err := RunJobCached(cfg, spec, digest, store)
-			if !errors.Is(err, ErrStorage) || !errors.Is(err, syscall.ENOSPC) {
-				t.Fatalf("faulted job: %v, want ErrStorage wrapping ENOSPC", err)
-			}
-			if fi.Hits(faultfs.SinkCorpusResult) == 0 {
-				t.Fatal("result fault never fired")
-			}
-			if _, _, ok := store.LookupResult(key); ok {
-				t.Fatal("failed job left a cache entry")
-			}
-			tmps, err := os.ReadDir(filepath.Join(store.Root(), "tmp"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(tmps) != 0 {
-				t.Fatalf("failed job left %d staged files (%s, ...)", len(tmps), tmps[0].Name())
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > base {
-				if time.Now().After(deadline) {
-					t.Fatalf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), base)
+				base := runtime.NumGoroutine()
+				// Four epochs of csv records (>= 20 B each) pass before the
+				// disk dies; most of the output is still to come.
+				fi.Fail(faultfs.SinkCorpusResult, 4*maxShard*20, syscall.ENOSPC)
+				_, _, err := RunJobCached(cfg, spec, digest, store)
+				if !errors.Is(err, ErrStorage) || !errors.Is(err, syscall.ENOSPC) {
+					t.Fatalf("%s: faulted job: %v, want ErrStorage wrapping ENOSPC", in.format, err)
 				}
-				time.Sleep(10 * time.Millisecond)
-			}
+				if fi.Hits(faultfs.SinkCorpusResult) == 0 {
+					t.Fatalf("%s: result fault never fired", in.format)
+				}
+				if _, _, ok := store.LookupResult(key); ok {
+					t.Fatalf("%s: failed job left a cache entry", in.format)
+				}
+				tmps, err := os.ReadDir(filepath.Join(store.Root(), "tmp"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(tmps) != 0 {
+					t.Fatalf("%s: failed job left %d staged files (%s, ...)", in.format, len(tmps), tmps[0].Name())
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > base {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s: goroutines leaked: %d > baseline %d", in.format, runtime.NumGoroutine(), base)
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
 
-			fi.Clear(faultfs.SinkCorpusResult)
-			res, hit, err := RunJobCached(cfg, spec, digest, store)
-			if err != nil {
-				t.Fatalf("retry after the disk recovered: %v", err)
-			}
-			if hit || res.Report.Requests != n {
-				t.Fatalf("retry: hit=%v report=%+v; the failed attempt must not have cached anything", hit, res.Report)
+				fi.Clear(faultfs.SinkCorpusResult)
+				res, hit, err := RunJobCached(cfg, spec, digest, store)
+				if err != nil {
+					t.Fatalf("%s: retry after the disk recovered: %v", in.format, err)
+				}
+				if hit || res.Report.Requests != n {
+					t.Fatalf("%s: retry: hit=%v report=%+v; the failed attempt must not have cached anything", in.format, hit, res.Report)
+				}
 			}
 		})
 	}

@@ -100,9 +100,10 @@ func encodeBin(t *testing.T, tr *trace.Trace) []byte {
 
 // TestMethodsByteIdentical is the engine-level identity lock for the
 // method table: for every row, on every registry target, at 1 and 4
-// workers, over a recorded-latency and an inference-path input cut into
-// dozens of epochs, RunJobTo's bytes equal the baseline package's
-// reference encoded whole, and a graph method's report carries what the
+// workers, over a recorded-latency csv input (which the 4-worker runs
+// decode in parallel) and an inference-path bin input (decoded on one
+// goroutine), each cut into dozens of epochs, RunJobTo's bytes equal
+// the baseline package's reference encoded whole, and a graph method's report carries what the
 // reference run's device counted, the input's own model exactly when
 // the row reads it (the fit, on the inference path), and — for a
 // constant-model row — exactly the idles its rule finds.
@@ -112,16 +113,18 @@ func TestMethodsByteIdentical(t *testing.T) {
 		family string
 		n      int
 		known  bool
+		format string
 	}{
-		// As bin, 32k requests pass trace.ParallelMinBytes: the 4-worker
-		// runs of this input also decode in parallel.
-		{"MSNFS", 32_000, true},
-		{"webmail", 20_000, false}, // no recorded latencies: tracetracker and dynamic fit a model here
+		// As csv, 32k requests pass trace.ParallelMinBytes: the 4-worker
+		// runs of this input decode on the segmented parallel decoder.
+		{"MSNFS", 32_000, true, "csv"},
+		// No recorded latencies: tracetracker and dynamic fit a model
+		// here. Bin decodes on one goroutine at any worker count.
+		{"webmail", 20_000, false, "bin"},
 	} {
-		old := genOld(t, in.family, in.n, in.known)
-		path := writeBinInput(t, t.TempDir(), old)
-		if st, err := os.Stat(path); err != nil || in.known != (st.Size() >= trace.ParallelMinBytes) {
-			t.Fatalf("fixture: %s is on the wrong side of the parallel decoder's threshold: %v %v", in.family, st, err)
+		path, old := writeInput(t, t.TempDir(), in.family, in.format, genOld(t, in.family, in.n, in.known))
+		if par := parallelDecode(t, path, in.format, 4); par != (in.format != "bin") {
+			t.Fatalf("fixture: %s %s on 4 workers decodes in parallel: %v", in.family, in.format, par)
 		}
 		var fit *infer.Model
 		if !in.known {
@@ -162,7 +165,7 @@ func TestMethodsByteIdentical(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					label := fmt.Sprintf("%s/%s/%s/w=%d", in.family, mc.name, dev.Name, workers)
 					spec := mc.spec
-					spec.In, spec.InFormat, spec.OutFormat, spec.Device = path, "bin", "bin", dev.Name
+					spec.In, spec.InFormat, spec.OutFormat, spec.Device = path, in.format, "bin", dev.Name
 					var got bytes.Buffer
 					rep, err := RunJobTo(testConfig(workers), spec, &got)
 					if err != nil {

@@ -321,8 +321,11 @@ func (d *ParallelDecoder) Close() {
 // consumer of a file reads: records in arrival order. It decodes with
 // the segmented parallel decoder when workers > 1 and a text file is
 // large enough to split profitably (ParallelMinBytes), the sequential
-// decoder otherwise. A bin file always decodes on one goroutine: on 2
-// CPUs that was as fast as two workers, without their ring of batches.
+// decoder otherwise. A bin file always decodes on one goroutine, which
+// holds no ring of batches per segment: on 2 CPUs its end-to-end speed
+// measured within noise of two workers', leaning slower (the
+// cold-array-bin pair files under pairs/). A larger box is unmeasured
+// (ROADMAP item 1(f)).
 // It reads a near-sorted format through a reorder window of the
 // format's size (ReorderWindow). format "auto" (or "") is resolved by
 // content sniffing (ResolveFile); the concrete format is returned.

@@ -3,7 +3,8 @@
 // metric of BENCHMARK.json on the paired runs: each side's median and
 // IQR, how many pairs the change wins, the ratio of the medians and a
 // verdict (better, worse, within noise or unresolved) against the
-// metric's bound and direction.
+// metric's bound and direction in the change tree's BENCHMARK.json.
+// Every run takes the benchmark's own length: both sides run alike.
 //
 //	benchpair -workload cold-array-bin -n 10 -out pairs/cold-array-bin.json BASE CHANGE
 //
@@ -48,10 +49,8 @@ type config struct {
 	workload string
 	trace    int
 	seed     int64
-	seconds  float64
 	pairs    int
 	timeout  time.Duration
-	manifest string
 	out      string
 }
 
@@ -84,7 +83,6 @@ type result struct {
 	Workload string    `json:"workload"`
 	Trace    int       `json:"trace"`
 	Seed     int64     `json:"seed"`
-	Seconds  float64   `json:"seconds,omitempty"`
 	Pairs    int       `json:"pairs"`
 	Failed   int       `json:"failed_pairs"`
 	Timeout  string    `json:"timeout"`
@@ -116,10 +114,8 @@ func mainExit(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&cfg.workload, "workload", "", "benchmark workload to pair (required)")
 	fs.IntVar(&cfg.trace, "trace", 0, "benchmark -trace: 0 for the end-to-end metrics, 1 for the per-layer ones")
 	fs.Int64Var(&cfg.seed, "seed", 1, "benchmark -seed (1 is its default, pinned by inputs.lock.json)")
-	fs.Float64Var(&cfg.seconds, "seconds", 0, "benchmark -seconds (0 = its default)")
 	fs.IntVar(&cfg.pairs, "n", 10, "pairs to run")
 	fs.DurationVar(&cfg.timeout, "timeout", 10*time.Minute, "hard limit on one run")
-	fs.StringVar(&cfg.manifest, "manifest", "", "BENCHMARK.json to judge by (default: the change tree's)")
 	fs.StringVar(&cfg.out, "out", "", "file every run and the summary are written to (default benchpair-<workload>.json)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -160,15 +156,12 @@ func pair(cfg config, baseArg, changeArg string, stdout io.Writer) (*result, err
 			return nil, fmt.Errorf("%s %s: %w", s.Name, s.Arg, err)
 		}
 	}
-	if cfg.manifest == "" {
-		cfg.manifest = filepath.Join(change.dir, "BENCHMARK.json")
-	}
-	defs, err := readManifest(cfg.manifest, cfg.trace)
+	defs, err := readManifest(filepath.Join(change.dir, "BENCHMARK.json"), cfg.trace)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &result{Workload: cfg.workload, Trace: cfg.trace, Seed: cfg.seed, Seconds: cfg.seconds,
+	res := &result{Workload: cfg.workload, Trace: cfg.trace, Seed: cfg.seed,
 		Pairs: cfg.pairs, Timeout: cfg.timeout.String(), Base: *base, Change: *change,
 		Host: host{CPUs: runtime.NumCPU(), OS: runtime.GOOS, Arch: runtime.GOARCH, Go: runtime.Version()}}
 	var failed []int
@@ -262,9 +255,6 @@ func (s *side) run(cfg config, pairIdx int) run {
 	r := run{Pair: pairIdx, Side: s.Name}
 	args := []string{"-workload", cfg.workload, "-trace", fmt.Sprint(cfg.trace), "-seed", fmt.Sprint(cfg.seed),
 		"-workdir", s.work, "-out", filepath.Join(s.work, "result.json")}
-	if cfg.seconds > 0 {
-		args = append(args, "-seconds", fmt.Sprint(cfg.seconds))
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, s.bin, args...)

@@ -284,6 +284,13 @@ func TestJudge(t *testing.T) {
 		}
 		return s
 	}
+	same := func(v float64, n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
 	for _, c := range []struct {
 		name         string
 		d            metricDef
@@ -295,10 +302,19 @@ func TestJudge(t *testing.T) {
 		{"worse within the bound", lower, ten(20), ten(22), noise},
 		{"better in 8 of 10 pairs", lower, ten(20), append(ten(17.8)[:8], 20.5, 20.5), noise},
 		{"wide base", lower, []float64{10, 20, 10, 20}, []float64{10, 10, 10, 10}, unresolved},
+		// benchmark/compare.go's exception: every change value beats every base value.
+		{"wide, every change value better", lower, []float64{20, 30, 20, 30}, []float64{10, 12, 10, 12}, better},
+		{"wide, every change value worse", lower, []float64{10, 12, 10, 12}, []float64{20, 30, 20, 30}, unresolved},
 		{"no pairs", lower, nil, nil, unresolved},
 		{"higher is better", metricDef{Better: "higher", Bound: 0.25}, ten(100), ten(110), better},
 		{"no bound, worse in every pair", metricDef{Better: "lower"}, ten(20), ten(30), worse},
 		{"no bound, wide", metricDef{Better: "lower"}, []float64{1, 9, 1, 9}, []float64{2, 8, 2, 8}, noise},
+		// A base with no spread: the move must still pass minMove.
+		{"no bound, 2 B more of 11.3 MB", metricDef{Better: "lower"}, same(11.3e6, 10), same(11.3e6+2, 10), noise},
+		{"no bound, 2 B less of 11.3 MB", metricDef{Better: "lower"}, same(11.3e6, 10), same(11.3e6-2, 10), noise},
+		{"no bound, 1% more", metricDef{Better: "lower"}, same(100, 10), same(101, 10), worse},
+		{"bound, 1% less, no spread", lower, same(100, 10), same(99, 10), better},
+		{"bound, 0.01% less, no spread", lower, same(100, 10), same(99.99, 10), noise},
 	} {
 		if got := judge(c.d, c.base, c.change).Verdict; got != c.want {
 			t.Errorf("%s: %s, want %s", c.name, got, c.want)

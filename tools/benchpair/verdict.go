@@ -61,16 +61,25 @@ func quantile(vs []float64, q float64) float64 {
 	return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
 }
 
+// minMove is the least move, as a share of the base's median, that
+// earns a better or worse verdict without a bound to judge by: below
+// it the printed ratio reads 1.000, and a consistent move that small
+// (a few bytes of a per-cycle byte count) says nothing.
+const minMove = 0.001
+
 // judge summarizes one metric over paired values (base[i] and
 // change[i] come from pair i). The change wins a pair when its value
-// is better than the base's in the metric's direction. The verdict:
+// is better than the base's in the metric's direction. The verdict,
+// by the rule benchmark/compare.go's verdict applies to two files:
 //   - unresolved: either side's IQR, as a share of its median, is wider
-//     than the bound, so a move of the bound's size cannot be told;
+//     than the bound, so a move of the bound's size cannot be told,
+//     unless every change value beats every base value;
 //   - worse: the change's median is worse than the base's by more than
 //     the bound, or, for a metric with no bound, it loses at least nine
-//     in ten pairs and its median is worse by more than the base's IQR;
+//     in ten pairs and its median is worse by more than the base's IQR
+//     and by more than minMove;
 //   - better: the change wins at least nine in ten pairs and its median
-//     is better by more than the base's IQR;
+//     is better by more than the base's IQR and by more than minMove;
 //   - within noise otherwise.
 func judge(d metricDef, base, change []float64) summary {
 	s := summary{Metric: d.Name, Unit: d.Unit, Better: d.Better, Bound: d.Bound, Pairs: len(base),
@@ -97,19 +106,35 @@ func judge(d metricDef, base, change []float64) summary {
 	}
 	gain := sign * (s.ChangeMedian - s.BaseMedian)
 	need := int(math.Ceil(0.9 * float64(s.Pairs)))
+	// The least median move that can be told from the base's spread.
+	told := math.Max(s.BaseIQR, minMove*math.Abs(s.BaseMedian))
+	wide := relative(s.BaseIQR, s.BaseMedian) > d.Bound || relative(s.ChangeIQR, s.ChangeMedian) > d.Bound
 	switch {
-	case d.Bound > 0 && (relative(s.BaseIQR, s.BaseMedian) > d.Bound || relative(s.ChangeIQR, s.ChangeMedian) > d.Bound):
+	case d.Bound > 0 && wide && !separated(sign, base, change):
 		s.Verdict = unresolved
 	case d.Bound > 0 && relative(-gain, s.BaseMedian) > d.Bound:
 		s.Verdict = worse
-	case s.Wins >= need && gain > s.BaseIQR:
+	case s.Wins >= need && gain > told:
 		s.Verdict = better
-	case d.Bound == 0 && losses >= need && -gain > s.BaseIQR:
+	case d.Bound == 0 && losses >= need && -gain > told:
 		s.Verdict = worse
 	default:
 		s.Verdict = noise
 	}
 	return s
+}
+
+// separated reports whether every change value beats every base value
+// in the direction sign gives (+1: higher is better).
+func separated(sign float64, base, change []float64) bool {
+	for _, b := range base {
+		for _, c := range change {
+			if sign*(c-b) <= 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // relative is x as a share of the magnitude of ref; when ref is 0, any
