@@ -142,6 +142,8 @@ func newServerCap(base engine.Config, concurrent, queueCap int) *server {
 		"Job timelines evicted from the trace flight recorder.", nil))
 	s.reg.GaugeFunc("daemon_trace_recorder_timelines", "Job timelines held in the trace flight recorder.", nil,
 		func() float64 { return float64(s.flight.Len()) })
+	s.reg.GaugeFunc("daemon_trace_recorder_bytes", "Packed bytes of the job timelines held in the trace flight recorder.", nil,
+		func() float64 { return float64(s.flight.Bytes()) })
 	// The rejection and rate-limit families get their series on first
 	// use, or never; declared now, a fresh daemon's scrape names them.
 	s.reg.Declare("daemon_rejected_total", rejectedHelp, "counter")

@@ -313,3 +313,65 @@ func TestTraceEndToEndServedBytes(t *testing.T) {
 		t.Fatalf("failed job's timeline has no epoch spans: %+v", jt.Spans)
 	}
 }
+
+// TestFlightRecorderBytesGauge reads daemon_trace_recorder_bytes and
+// daemon_trace_recorder_timelines after each step that parks, replaces
+// or evicts a timeline. A parked tracer's packed size is fixed, so the
+// two sizes read off a ring of one predict every later reading.
+func TestFlightRecorderBytesGauge(t *testing.T) {
+	srv := testServer(t, engine.Config{}, 1)
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	finished := func(epochs int) *obs.Tracer {
+		tr := obs.NewTracer("job", 0, obs.TraceContext{})
+		for i := range epochs {
+			ep := tr.StartEpoch(tr.Root(), i)
+			ep.Child(obs.StageMerge).End()
+			ep.End()
+		}
+		tr.Finish()
+		return tr
+	}
+	small, big := finished(0), finished(50)
+	read := func() (bytes, timelines float64) {
+		t.Helper()
+		samples := scrapeMetrics(t, ts)
+		b, ok := obstest.SampleValue(samples, "daemon_trace_recorder_bytes", nil)
+		n, ok2 := obstest.SampleValue(samples, "daemon_trace_recorder_timelines", nil)
+		if !ok || !ok2 {
+			t.Fatal("recorder gauges missing from /metrics")
+		}
+		return b, n
+	}
+	if b, n := read(); b != 0 || n != 0 {
+		t.Fatalf("empty recorder: %v B in %v timelines", b, n)
+	}
+
+	srv.flight.SetCapacity(1)
+	srv.flight.Add("job-a", small)
+	s, _ := read()
+	srv.flight.Add("job-b", big) // evicts job-a
+	b, _ := read()
+	if s <= 0 || b <= s {
+		t.Fatalf("packed sizes read: small %v B, big %v B", s, b)
+	}
+
+	srv.flight.SetCapacity(2)
+	for _, step := range []struct {
+		name      string
+		do        func()
+		bytes     float64
+		timelines float64
+	}{
+		{"park job-a", func() { srv.flight.Add("job-a", small) }, b + s, 2},
+		{"replace job-b", func() { srv.flight.Add("job-b", small) }, 2 * s, 2},
+		{"park job-c, evicting job-b", func() { srv.flight.Add("job-c", big) }, s + b, 2},
+		{"shrink, evicting job-a", func() { srv.flight.SetCapacity(1) }, b, 1},
+	} {
+		step.do()
+		if got, n := read(); got != step.bytes || n != step.timelines {
+			t.Fatalf("%s: gauges read %v B in %v timelines, want %v B in %v", step.name, got, n, step.bytes, step.timelines)
+		}
+	}
+}

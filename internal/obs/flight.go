@@ -3,10 +3,12 @@ package obs
 // FlightRecorder is the daemon's bounded ring of recent job
 // timelines: finished (or failed) jobs park their frozen Tracer here
 // until capacity evicts them, oldest first, and a lookup by job ID
-// renders its JobTrace. What a parked job costs is its tracer's
-// pointer-free records — ≈ 30 KB for a 985-span job, at most ≈ 96 KB of
-// spans for a full tracer — so daemon memory stays O(ring * cap) no
-// matter how many jobs run, and the collector scans none of it.
+// renders its JobTrace. What a parked job costs is its tracer's packed
+// records, one pointer-free byte slice: ≈ 10 KB for a 985-span job
+// (≈ 2.5 MB for a full ring of them, where the unpacked records took
+// ≈ 8 MB), ≈ 25 KB for a job whose epochs fill the tracer. So daemon
+// memory stays O(ring * cap) no matter how many jobs run, and the
+// collector scans none of it. Bytes reports the sum.
 
 import "sync"
 
@@ -18,9 +20,16 @@ const DefaultFlightRecorderCapacity = 256
 type FlightRecorder struct {
 	mu      sync.Mutex
 	cap     int
-	order   []string           // insertion order, oldest first. guarded by mu
-	byID    map[string]*Tracer // guarded by mu
-	counter *Counter           // optional eviction metric. guarded by mu
+	order   []string          // insertion order, oldest first. guarded by mu
+	byID    map[string]parked // guarded by mu
+	bytes   int               // packed bytes of the timelines held. guarded by mu
+	counter *Counter          // optional eviction metric. guarded by mu
+}
+
+// parked is one timeline held, with its packed size as it was parked.
+type parked struct {
+	t     *Tracer
+	bytes int
 }
 
 // NewFlightRecorder returns a recorder keeping at most capacity
@@ -29,7 +38,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &FlightRecorder{cap: capacity, byID: make(map[string]*Tracer)}
+	return &FlightRecorder{cap: capacity, byID: make(map[string]parked)}
 }
 
 // SetEvictionCounter wires a registry counter that ticks once per
@@ -59,11 +68,15 @@ func (f *FlightRecorder) Add(id string, t *Tracer) {
 	if t == nil {
 		return
 	}
+	p := parked{t: t, bytes: t.parkedBytes()}
 	f.mu.Lock()
-	if _, ok := f.byID[id]; !ok {
+	if old, ok := f.byID[id]; ok {
+		f.bytes -= old.bytes
+	} else {
 		f.order = append(f.order, id)
 	}
-	f.byID[id] = t
+	f.byID[id] = p
+	f.bytes += p.bytes
 	f.evictLocked()
 	f.mu.Unlock()
 }
@@ -76,6 +89,7 @@ func (f *FlightRecorder) evictLocked() {
 	for len(f.order) > f.cap {
 		victim := f.order[0]
 		f.order = f.order[1:]
+		f.bytes -= f.byID[victim].bytes
 		delete(f.byID, victim)
 		if f.counter != nil {
 			f.counter.Inc()
@@ -88,18 +102,26 @@ func (f *FlightRecorder) evictLocked() {
 // recorder's lock, so a GET never stalls the executors parking jobs.
 func (f *FlightRecorder) Get(id string) (*JobTrace, bool) {
 	f.mu.Lock()
-	t, ok := f.byID[id]
+	p, ok := f.byID[id]
 	f.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	return t.Snapshot(), true
+	return p.t.Snapshot(), true
 }
 
 // Len returns the number of timelines currently held.
 func (f *FlightRecorder) Len() int {
 	f.mu.Lock()
 	n := len(f.order)
+	f.mu.Unlock()
+	return n
+}
+
+// Bytes returns the packed bytes of the timelines currently held.
+func (f *FlightRecorder) Bytes() int {
+	f.mu.Lock()
+	n := f.bytes
 	f.mu.Unlock()
 	return n
 }

@@ -124,15 +124,15 @@ func hasPointers(t reflect.Type) bool {
 }
 
 // TestRetainedBytesPerParkedJob holds the flight recorder to what a
-// parked job costs. A cold-array-bin job parks 985 span records of
-// 24 B and 395 attribute records of 16 B: ≈ 30 KB (≈ 31 KB after
-// size-class rounding), where its rendered JobTrace took ≈ 165 KB of
-// strings and maps. The worst case per job is a full tracer, 4,096
-// spans: 96 KB of spans plus 16 B per attribute — ≈ 26 KB at the
-// engine's two per epoch, 256 KB if every span carried the most, four.
-// The records hold no pointers, so the collector never scans a parked
-// timeline. The full 256-job ring must then grow the heap by at most
-// 256 × 40 KB.
+// parked job costs. A cold-array-bin job records 985 span records of
+// 24 B and 395 attribute records of 16 B (≈ 30 KB); Finish packs them
+// into ≈ 10 B a span and ≈ 5 B an attribute, ≈ 8–10 KB with the tracer
+// itself, where its rendered JobTrace took ≈ 165 KB of strings and
+// maps. A job whose epochs fill the tracer (3,152 spans, as epoch
+// sampling leaves it) packs to ≈ 25 KB. The packed bytes hold no
+// pointers, so the collector never scans a parked timeline, and the
+// live records hold none either. The full 256-job ring must then grow
+// the heap by at most 256 × 12 KB.
 func TestRetainedBytesPerParkedJob(t *testing.T) {
 	for _, v := range []any{spanRec{}, attrRec{}} {
 		if typ := reflect.TypeOf(v); hasPointers(typ) {
@@ -153,7 +153,7 @@ func TestRetainedBytesPerParkedJob(t *testing.T) {
 			len(shape.Spans), attrs, shape.DroppedEpochs)
 	}
 
-	const jobs, perJob = DefaultFlightRecorderCapacity, 40 << 10
+	const jobs, perJob = DefaultFlightRecorderCapacity, 12 << 10
 	f := NewFlightRecorder(jobs)
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -164,7 +164,7 @@ func TestRetainedBytesPerParkedJob(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	t.Logf("%d parked jobs: heap +%d B, %d B per job", f.Len(), grown, grown/int64(f.Len()))
+	t.Logf("%d parked jobs: heap +%d B, %d B per job, %d B packed", f.Len(), grown, grown/int64(f.Len()), f.Bytes())
 	if f.Len() != jobs {
 		t.Fatalf("ring holds %d timelines, want %d", f.Len(), jobs)
 	}

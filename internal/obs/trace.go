@@ -16,12 +16,14 @@ package obs
 // every stride-th epoch is recorded, and the stride doubles as the
 // buffer fills — so early, middle and late epochs all survive in a long
 // job. Children of an unsampled epoch get the zero Span and record
-// nothing. Finish freezes the records at their exact length; the
-// JobTrace a client reads is rendered from them only on request
-// (Snapshot).
+// nothing. Finish freezes the records and packs them into one byte
+// slice of varints, ≈ 10 B a span against a record's 24 (≈ 10 KB for a
+// 985-span job); the JobTrace a client reads is rendered from them only
+// on request (Snapshot), which unpacks them first.
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sort"
@@ -152,8 +154,8 @@ func (s Span) End() {
 	}
 	now := int64(time.Since(s.t.start))
 	s.t.mu.Lock()
-	if rec := &s.t.spans[s.i]; !s.t.frozen && rec.end == 0 {
-		rec.end = now
+	if !s.t.frozen && s.t.spans[s.i].end == 0 {
+		s.t.spans[s.i].end = now
 	}
 	s.t.mu.Unlock()
 }
@@ -192,8 +194,9 @@ type Tracer struct {
 	name          string // the root span's name
 	start         time.Time
 	capacity      int       // the most spans recorded; written once in NewTracer
-	spans         []spanRec // spans[0] is the root. guarded by mu
-	attrs         []attrRec // guarded by mu
+	spans         []spanRec // spans[0] is the root; nil once parked. guarded by mu
+	attrs         []attrRec // nil once parked. guarded by mu
+	parked        []byte    // spans and attrs packed by Finish. guarded by mu
 	stride        int       // guarded by mu
 	droppedSpans  int64     // guarded by mu
 	droppedEpochs int64     // guarded by mu
@@ -331,15 +334,19 @@ func (t *Tracer) StartEpoch(parent Span, index int) Span {
 // Finish freezes the timeline. It closes the root and stamps every
 // span still open (a failed job's epochs, say) with the same finish
 // time, so the served timeline never drifts with the time it is read;
-// it then copies the records into slices of their exact length, so a
-// parked tracer pins no spare capacity. Nothing records after Finish,
-// and Finish renders nothing: Snapshot does. Safe on a nil tracer; a
-// second Finish is a no-op.
+// it then packs the records into one slice of its exact length and
+// drops them, so a parked tracer holds ≈ 10 B a span and no spare
+// capacity. Nothing records after Finish, and Finish renders nothing:
+// Snapshot does. Safe on a nil tracer; a second Finish is a no-op.
 func (t *Tracer) Finish() {
 	if t == nil {
 		return
 	}
-	now := int64(time.Since(t.start))
+	t.finishAt(int64(time.Since(t.start)))
+}
+
+// finishAt is Finish with the finish time given.
+func (t *Tracer) finishAt(now int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.frozen {
@@ -351,31 +358,102 @@ func (t *Tracer) Finish() {
 			t.spans[i].end = now
 		}
 	}
-	t.spans = exact(t.spans)
-	t.attrs = exact(t.attrs)
+	t.parked = packRecords(t.spans, t.attrs)
+	t.spans, t.attrs = nil, nil
 }
 
-// exact returns s in an allocation of its own length (nil when empty).
-func exact[T any](s []T) []T {
-	if len(s) == 0 {
-		return nil
+// parkedBytes returns the size of the packed timeline, 0 before Finish.
+func (t *Tracer) parkedBytes() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.parked)
+}
+
+// packRecords encodes a frozen timeline: a uvarint span count; per
+// span a uvarint parent distance (the span's ID minus its parent's, mod
+// 2³², so a span with no parent stores its own ID), the name and
+// attribute-count bytes, a zigzag-varint start delta from the previous
+// span's start and a uvarint duration; then per attribute a
+// zigzag-varint span delta from the previous attribute's span, the key
+// byte and a zigzag-varint value. Every difference wraps, so any record
+// set round-trips through unpackRecords. The result has no spare
+// capacity.
+func packRecords(spans []spanRec, attrs []attrRec) []byte {
+	b := make([]byte, 0, 12*len(spans)+6*len(attrs)) // ≈ 10 B a span, 5 an attribute
+	b = binary.AppendUvarint(b, uint64(len(spans)))
+	var start int64
+	for i, rec := range spans {
+		b = binary.AppendUvarint(b, uint64(uint32(i+1)-rec.parent))
+		b = append(b, byte(rec.name), rec.nattrs)
+		b = binary.AppendVarint(b, rec.start-start)
+		b = binary.AppendUvarint(b, uint64(rec.end-rec.start))
+		start = rec.start
 	}
-	if len(s) == cap(s) {
-		return s
+	var span uint32
+	for _, a := range attrs {
+		b = binary.AppendVarint(b, int64(a.span)-int64(span))
+		b = append(b, byte(a.key))
+		b = binary.AppendVarint(b, a.val)
+		span = a.span
 	}
-	return append(make([]T, 0, len(s)), s...)
+	return append(make([]byte, 0, len(b)), b...)
+}
+
+// unpackRecords decodes what packRecords encoded.
+func unpackRecords(b []byte) ([]spanRec, []attrRec) {
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(b)
+		b = b[n:]
+		return v
+	}
+	varint := func() int64 {
+		v, n := binary.Varint(b)
+		b = b[n:]
+		return v
+	}
+	spans := make([]spanRec, uvarint())
+	var start int64
+	for i := range spans {
+		rec := &spans[i]
+		rec.parent = uint32(i+1) - uint32(uvarint())
+		rec.name, rec.nattrs = SpanName(b[0]), b[1]
+		b = b[2:]
+		start += varint()
+		rec.start = start
+		rec.end = start + int64(uvarint())
+	}
+	var attrs []attrRec
+	var span uint32
+	for len(b) > 0 {
+		span = uint32(int64(span) + varint())
+		key := AttrKey(b[0])
+		b = b[1:]
+		attrs = append(attrs, attrRec{span: span, key: key, val: varint()})
+	}
+	return spans, attrs
 }
 
 // Snapshot renders the span tree. After Finish every call renders the
-// same tree; before it, open spans (the root included) export with
-// their duration so far.
+// same tree, unpacked from the parked records; before it, open spans
+// (the root included) export with their duration so far.
 func (t *Tracer) Snapshot() *JobTrace {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := int64(time.Since(t.start))
+	if t.frozen {
+		spans, attrs := unpackRecords(t.parked)
+		return t.renderLocked(spans, attrs, 0)
+	}
+	return t.renderLocked(t.spans, t.attrs, int64(time.Since(t.start)))
+}
+
+// renderLocked builds the JobTrace of the given records, exporting a
+// span still open as ending at now; the caller holds t.mu.
+//
+//tracelint:holds mu
+func (t *Tracer) renderLocked(spans []spanRec, attrs []attrRec, now int64) *JobTrace {
 	jt := &JobTrace{
 		TraceID:       t.ctx.TraceID,
 		ParentSpanID:  t.parentSpan,
@@ -383,9 +461,9 @@ func (t *Tracer) Snapshot() *JobTrace {
 		Start:         t.start,
 		DroppedSpans:  t.droppedSpans,
 		DroppedEpochs: t.droppedEpochs,
-		Spans:         make([]SpanOut, len(t.spans)),
+		Spans:         make([]SpanOut, len(spans)),
 	}
-	for i, rec := range t.spans {
+	for i, rec := range spans {
 		end := rec.end
 		if end == 0 {
 			end = now
@@ -407,7 +485,7 @@ func (t *Tracer) Snapshot() *JobTrace {
 			out.Attrs = make(map[string]int64, rec.nattrs)
 		}
 	}
-	for _, a := range t.attrs {
+	for _, a := range attrs {
 		jt.Spans[a.span].Attrs[a.key.String()] = a.val
 	}
 	jt.DurationNS = jt.Spans[0].EndNS - jt.Spans[0].StartNS

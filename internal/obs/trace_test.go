@@ -227,8 +227,9 @@ func TestSlowestSpansAndSummary(t *testing.T) {
 
 // TestTracerFinishFreezes pins what Finish leaves parked: every span
 // still open (a failed job's) ends with the root, nothing recorded
-// afterwards lands, the records sit in allocations of their exact
-// length, and every later Snapshot renders the same bytes.
+// afterwards lands, the records are packed into one byte slice of its
+// exact length with no record slice beside it, and every later
+// Snapshot renders the same bytes.
 func TestTracerFinishFreezes(t *testing.T) {
 	tr := NewTracer("job-9 failed", 0, TraceContext{})
 	stream := tr.Start(tr.Root(), JobSpanStream)
@@ -267,9 +268,9 @@ func TestTracerFinishFreezes(t *testing.T) {
 			t.Errorf("open span %s ends at %d, not with the root at %d", s.Name, s.EndNS, root.EndNS)
 		}
 	}
-	if cap(tr.spans) != len(tr.spans) || cap(tr.attrs) != len(tr.attrs) {
-		t.Fatalf("parked records hold spare capacity: spans %d/%d, attrs %d/%d",
-			len(tr.spans), cap(tr.spans), len(tr.attrs), cap(tr.attrs))
+	if tr.spans != nil || tr.attrs != nil || len(tr.parked) == 0 || cap(tr.parked) != len(tr.parked) {
+		t.Fatalf("parked tracer holds spans %d/%d, attrs %d/%d, packed %d/%d B; want only the packed bytes, at their exact length",
+			len(tr.spans), cap(tr.spans), len(tr.attrs), cap(tr.attrs), len(tr.parked), cap(tr.parked))
 	}
 }
 
