@@ -48,7 +48,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", m.Name, err)
 			os.Exit(1)
 		}
-		gap, _ := core.InterArrivalGap(rec, truth.Trace)
+		gap, _ := core.InterArrivalGap(rec.InterArrivals(), truth.Trace.InterArrivals())
 		kept := idleKept(rec, actualIdle)
 		t.AddRow(m.Name, rec.Duration(), gap, report.Percent(kept))
 	}

@@ -63,7 +63,7 @@ func main() {
 }
 
 func medianIntt(t *trace.Trace) time.Duration {
-	us := t.InterArrivalMicros()
+	us := trace.Micros(t.InterArrivals())
 	if len(us) == 0 {
 		return 0
 	}

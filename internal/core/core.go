@@ -147,16 +147,12 @@ func PostProcessShard(reqs []trace.Request, async []bool, shift time.Duration) t
 	return shift
 }
 
-// InterArrivalGap summarizes |Tintt(a) − Tintt(b)| between two equal-
-// length traces: the average absolute per-instruction inter-arrival
-// difference the paper's Figs 13/14 report. The shorter trace bounds
-// the comparison.
-func InterArrivalGap(a, b *trace.Trace) (avg, max time.Duration) {
-	ia, ib := a.InterArrivals(), b.InterArrivals()
-	n := len(ia)
-	if len(ib) < n {
-		n = len(ib)
-	}
+// InterArrivalGap summarizes |ia[i] − ib[i]| between the inter-arrival
+// times of two equal-length traces: the average absolute
+// per-instruction difference the paper's Figs 13/14 report. The shorter
+// series bounds the comparison.
+func InterArrivalGap(ia, ib []time.Duration) (avg, max time.Duration) {
+	n := min(len(ia), len(ib))
 	if n == 0 {
 		return 0, 0
 	}

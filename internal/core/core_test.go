@@ -171,12 +171,12 @@ func TestInterArrivalGap(t *testing.T) {
 		{Arrival: 150 * time.Microsecond, LBA: 8, Sectors: 8},
 		{Arrival: 250 * time.Microsecond, LBA: 16, Sectors: 8},
 	}}
-	avg, max := InterArrivalGap(a, b)
+	avg, max := InterArrivalGap(a.InterArrivals(), b.InterArrivals())
 	// Gaps: |100-150|=50, |200-100|=100 -> avg 75, max 100.
 	if avg != 75*time.Microsecond || max != 100*time.Microsecond {
 		t.Fatalf("gap = %v/%v", avg, max)
 	}
-	if a2, m2 := InterArrivalGap(a, &trace.Trace{}); a2 != 0 || m2 != 0 {
+	if a2, m2 := InterArrivalGap(a.InterArrivals(), (&trace.Trace{}).InterArrivals()); a2 != 0 || m2 != 0 {
 		t.Fatal("empty comparison should be zero")
 	}
 }

@@ -7,78 +7,84 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/replay"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // cell is trace 0 of one Table I family, generated and reconstructed
-// once for every experiment that reads it.
+// once for every experiment that reads it. It keeps what the folds
+// read, and no trace: each trace is reduced to its inter-arrivals as
+// soon as it is built.
 type cell struct {
 	p workload.Profile
-	// old is the application's OLD execution with its latencies kept
-	// and TsdevKnown cleared; truth is its execution on the NEW system.
-	old   *trace.Trace
-	truth replay.ExecResult
-	// rungs holds every FidelityRungs reconstruction by name: the
-	// baselines run on old, so "Dynamic" reads the fit.
-	rungs    map[string]*trace.Trace
-	rec, inf *core.Report // the recorded and inferred rungs' reports
-	// dynamic is Dynamic on the corpus view: the recorded latencies
-	// where the corpus keeps them, the fit on FIU.
-	dynamic *trace.Trace
+	// old is the inter-arrivals of the application's OLD execution,
+	// collected with its latencies and TsdevKnown cleared; truth is
+	// those of its execution on the NEW system, and think the true
+	// think time before each instruction.
+	old, truth, think []time.Duration
+	// async is each request's true issue mode, and flagged the
+	// inferred rung's async flags.
+	async, flagged []bool
+	// rungs holds every FidelityRungs reconstruction's inter-arrivals
+	// by name: the baselines run on old, so "Dynamic" reads the fit.
+	rungs map[string][]time.Duration
+	// tt and rep are the corpus view's reconstruction and its report,
+	// and dynamic its Dynamic: GenerateOld's trace keeps the recorded
+	// latencies, which they read, except on FIU, where they read the fit.
+	tt, dynamic []time.Duration
+	rep         *core.Report
 }
 
 // newCell runs a family's application on both systems, at the seed
 // GenerateOld gives its trace 0, and reconstructs it with every method.
+// While it builds, it holds no trace but the old one, the target
+// execution and the rung being built.
 func newCell(p workload.Profile, cfg Config) (*cell, error) {
 	cfg = cfg.withDefaults()
 	old, truth := executeBoth(p, cfg.Ops, workload.TraceSeed(p.Name, 0)^cfg.Seed)
-	c := &cell{p: p, old: old, truth: truth, rungs: map[string]*trace.Trace{}}
-	trueAsync := make([]bool, old.Len())
+	c := &cell{p: p, old: old.InterArrivals(), truth: truth.Trace.InterArrivals(), think: truth.Think,
+		async: make([]bool, old.Len()), rungs: map[string][]time.Duration{}}
 	for i, r := range old.Requests {
-		trueAsync[i] = r.Async
+		c.async[i] = r.Async
 	}
-	withTrueFlags := func(idle []time.Duration) *trace.Trace {
+	withTrueFlags := func(idle []time.Duration) []time.Duration {
 		t := replay.Emulate(old, NewTarget(), idle)
-		core.PostProcessShard(t.Requests, trueAsync, 0)
-		return t
+		core.PostProcessShard(t.Requests, c.async, 0)
+		return t.InterArrivals()
 	}
 	recorded := *old // shares the requests, which Reconstruct only reads
 	recorded.TsdevKnown = true
-	var err error
-	if c.rungs["recorded"], c.rec, err = core.Reconstruct(&recorded, NewTarget(), core.Options{}); err != nil {
+	rec, recRep, err := core.Reconstruct(&recorded, NewTarget(), core.Options{})
+	if err != nil {
 		return nil, err
 	}
-	if c.rungs["inferred"], c.inf, err = core.Reconstruct(old, NewTarget(), core.Options{}); err != nil {
+	c.rungs["recorded"] = rec.InterArrivals()
+	inf, infRep, err := core.Reconstruct(old, NewTarget(), core.Options{})
+	if err != nil {
 		return nil, err
 	}
-	c.rungs["oracle"] = withTrueFlags(truth.Think)
-	c.rungs["+true flags"] = withTrueFlags(c.inf.Idle)
+	c.rungs["inferred"], c.flagged = inf.InterArrivals(), infRep.Async
+	c.rungs["oracle"] = withTrueFlags(c.think)
+	c.rungs["+true flags"] = withTrueFlags(infRep.Idle)
 	for _, m := range baseline.Methods {
 		if m.Name == "TraceTracker" {
 			continue // the inferred rung
 		}
-		if c.rungs[m.Name], err = m.Run(old, NewTarget()); err != nil {
+		t, err := m.Run(old, NewTarget())
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", m.Name, err)
 		}
+		c.rungs[m.Name] = t.InterArrivals()
 	}
-	c.dynamic = c.rungs["Dynamic"]
+	c.tt, c.rep, c.dynamic = c.rungs["inferred"], infRep, c.rungs["Dynamic"]
 	if p.TsdevKnown {
-		if c.dynamic, err = baseline.Dynamic(&recorded, NewTarget()); err != nil {
+		c.tt, c.rep = c.rungs["recorded"], recRep
+		t, err := baseline.Dynamic(&recorded, NewTarget())
+		if err != nil {
 			return nil, fmt.Errorf("Dynamic: %w", err)
 		}
+		c.dynamic = t.InterArrivals()
 	}
 	return c, nil
-}
-
-// corpus returns the reconstruction the corpus view gets, and its
-// report: GenerateOld's trace through core.Reconstruct reads the
-// recorded latencies where the corpus keeps them and the fit on FIU.
-func (c *cell) corpus() (*trace.Trace, *core.Report) {
-	if c.p.TsdevKnown {
-		return c.rungs["recorded"], c.rec
-	}
-	return c.rungs["inferred"], c.inf
 }
 
 // CorpusResult is every experiment that reads the corpus sweep.
@@ -95,7 +101,8 @@ type CorpusResult struct {
 // Table I family, in Table I order and one at a time, so that a large
 // Ops never holds the whole corpus, and folds each cell into all six
 // results: each result's add takes one cell, and its finish, where it
-// has one, aggregates once all are in.
+// has one, aggregates once all are in. A cell holds inter-arrivals,
+// flags and one report, about 100 B a request, and no trace.
 func Corpus(cfg Config) (CorpusResult, error) {
 	var r CorpusResult
 	for _, p := range workload.Profiles() {

@@ -10,7 +10,9 @@
 // 17, the introduction claims and ext-fidelity read one corpus sweep:
 // Corpus builds one cell per Table I family, trace 0 generated,
 // executed on both systems and reconstructed by every method once, and
-// folds each cell into all six results.
+// folds each cell into all six results. The folds read reconstructions
+// by their inter-arrival times, so a cell keeps those and the
+// decomposition's report, never a trace.
 package experiments
 
 import (

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hoststack"
 	"repro/internal/report"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -76,10 +77,10 @@ func CacheImpact(cfg Config) (CacheImpactResult, error) {
 	out.CachedRequests = cached.Len()
 	out.RawReadFrac = raw.Summary().ReadFraction()
 	out.CachedReadFrac = cached.Summary().ReadFraction()
-	out.RawMedianIntt = medianDur(raw.InterArrivals())
-	out.CachedMedianIntt = medianDur(cached.InterArrivals())
-	out.RawCDF = report.NewCDFSeries("raw", raw.InterArrivalMicros())
-	out.CachedCDF = report.NewCDFSeries("cached", cached.InterArrivalMicros())
+	rawIA, cachedIA := raw.InterArrivals(), cached.InterArrivals()
+	out.RawMedianIntt, out.CachedMedianIntt = medianDur(rawIA), medianDur(cachedIA)
+	out.RawCDF = report.NewCDFSeries("raw", trace.Micros(rawIA))
+	out.CachedCDF = report.NewCDFSeries("cached", trace.Micros(cachedIA))
 
 	// Reconstruct both with TraceTracker and compare recovered idle.
 	_, rawRep, err := core.Reconstruct(raw, NewTarget(), core.Options{})

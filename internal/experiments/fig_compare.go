@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/report"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -29,10 +30,10 @@ func Fig12(cfg Config) (Fig12Result, error) {
 		return Fig12Result{}, err
 	}
 	series := func(name string) report.CDFSeries {
-		return report.NewCDFSeries(name, c.rungs[name].InterArrivalMicros())
+		return report.NewCDFSeries(name, trace.Micros(c.rungs[name]))
 	}
-	target := report.NewCDFSeries("Target", c.old.InterArrivalMicros())
-	tt := report.NewCDFSeries("TraceTracker", c.rungs["inferred"].InterArrivalMicros())
+	target := report.NewCDFSeries("Target", trace.Micros(c.old))
+	tt := report.NewCDFSeries("TraceTracker", trace.Micros(c.rungs["inferred"]))
 	return Fig12Result{
 		Unaware: []report.CDFSeries{target, series("Acceleration"), series("Revision"), tt},
 		Aware:   []report.CDFSeries{target, series("Fixed-th"), series("Dynamic"), tt},
@@ -64,14 +65,13 @@ var fig13Methods = []string{"Dynamic", "Fixed-th", "Acceleration", "Revision"}
 
 // add gaps the corpus view's TraceTracker against each other method.
 func (r *Fig13Result) add(c *cell) {
-	tt, _ := c.corpus()
 	row := Fig13Row{Workload: c.p.Name, Gap: map[string]time.Duration{}}
 	for _, m := range fig13Methods {
 		other := c.rungs[m]
 		if m == "Dynamic" {
 			other = c.dynamic
 		}
-		row.Gap[m], _ = core.InterArrivalGap(tt, other)
+		row.Gap[m], _ = core.InterArrivalGap(c.tt, other)
 	}
 	r.Rows = append(r.Rows, row)
 }
@@ -128,14 +128,13 @@ type Fig14Result struct {
 
 // add compares a family's original trace with its reconstruction.
 func (r *Fig14Result) add(c *cell) {
-	tt, _ := c.corpus()
-	avg, max := core.InterArrivalGap(c.old, tt)
+	avg, max := core.InterArrivalGap(c.old, c.tt)
 	r.Rows = append(r.Rows, Fig14Row{
 		Workload:     c.p.Name,
 		Avg:          avg,
 		Max:          max,
-		MedianTarget: medianDur(c.old.InterArrivals()),
-		MedianTT:     medianDur(tt.InterArrivals()),
+		MedianTarget: medianDur(c.old),
+		MedianTT:     medianDur(c.tt),
 	})
 }
 
@@ -186,12 +185,11 @@ func Fig15(cfg Config) (Fig15Result, error) {
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", name, err)
 		}
-		tt, _ := c.corpus()
 		out.Overlays[name] = [2]report.CDFSeries{
-			report.NewCDFSeries("Target", c.old.InterArrivalMicros()),
-			report.NewCDFSeries("TraceTracker", tt.InterArrivalMicros()),
+			report.NewCDFSeries("Target", trace.Micros(c.old)),
+			report.NewCDFSeries("TraceTracker", trace.Micros(c.tt)),
 		}
-		out.Medians[name] = [2]time.Duration{medianDur(c.old.InterArrivals()), medianDur(tt.InterArrivals())}
+		out.Medians[name] = [2]time.Duration{medianDur(c.old), medianDur(c.tt)}
 	}
 	return out, nil
 }

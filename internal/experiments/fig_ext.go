@@ -59,13 +59,15 @@ func FixedThSweep(cfg Config) FixedThSweepResult {
 		p, _ := workload.Lookup(name)
 		old, newRes := executeBoth(p, cfg.Ops, 21^cfg.Seed)
 		truthIdle := newRes.TotalThink()
-		truthIA := sortedInterArrivals(newRes.Trace)
+		truth := newRes.Trace.InterArrivals()
+		truthIA := sortedInterArrivals(truth)
 
 		var rows []SweepRow
 		for j, th := range SweepThresholds {
 			rec := baseline.FixedTh(old, NewTarget(), th)
-			avg, _ := core.InterArrivalGap(rec, newRes.Trace)
-			ks := stats.KolmogorovSmirnovSorted(sortedInterArrivals(rec), truthIA)
+			recIA := rec.InterArrivals()
+			avg, _ := core.InterArrivalGap(recIA, truth)
+			ks := stats.KolmogorovSmirnovSorted(sortedInterArrivals(recIA), truthIA)
 			rows = append(rows, SweepRow{
 				Threshold: th,
 				AvgGap:    avg,
@@ -164,17 +166,16 @@ func (r FidelityResult) SetSummary(set string) (medianKS []float64, secured floa
 // execution.
 func (r *FidelityResult) add(c *cell) {
 	row := FidelityRow{Workload: c.p.Name, Set: c.p.Set, TsdevKnown: c.p.TsdevKnown}
-	truthIA := sortedInterArrivals(c.truth.Trace)
+	truthIA := sortedInterArrivals(c.truth)
 	for _, name := range FidelityRungs {
 		ia := sortedInterArrivals(c.rungs[name])
 		row.KS = append(row.KS, stats.KolmogorovSmirnovSorted(ia, truthIA))
 		row.W1Micros = append(row.W1Micros, stats.Wasserstein1Sorted(ia, truthIA))
 	}
-	row.Async.Add(c.inf.Async, c.old.Requests)
-	_, own := c.corpus()
-	// Think[i] precedes instruction i: the slot the decomposition gives
+	row.Async.Add(c.flagged, c.async)
+	// think[i] precedes instruction i: the slot the decomposition gives
 	// the idle it finds before it.
-	met := verify.Evaluate(c.truth.Think, own.Idle)
+	met := verify.Evaluate(c.think, c.rep.Idle)
 	row.DetectFrac, row.SecuredFrac = met.DetectionTP(), met.LenTPSecured()
 	r.Rows = append(r.Rows, row)
 }
@@ -183,17 +184,17 @@ func (r *FidelityResult) add(c *cell) {
 // requests, True are async, Flagged are flagged and Hits are both.
 type AsyncScore struct{ N, True, Flagged, Hits int }
 
-// Add scores flagged[i] against reqs[i].Async into s, so that one
-// score can pool a corpus.
-func (s *AsyncScore) Add(flagged []bool, reqs []trace.Request) {
-	s.N += len(reqs)
-	for i, r := range reqs {
-		if r.Async {
+// Add scores flagged[i] against the true issue mode async[i] into s,
+// so that one score can pool a corpus.
+func (s *AsyncScore) Add(flagged, async []bool) {
+	s.N += len(async)
+	for i, a := range async {
+		if a {
 			s.True++
 		}
 		if flagged[i] {
 			s.Flagged++
-			if r.Async {
+			if a {
 				s.Hits++
 			}
 		}
@@ -256,11 +257,11 @@ func (r FidelityResult) Render(w io.Writer) {
 	s.Render(w)
 }
 
-// sortedInterArrivals returns t's inter-arrival times (µs) in
+// sortedInterArrivals returns inter-arrival times ia in µs and in
 // increasing order, what the sorted KS and W1 read: each sample is
 // sorted once however many others it is scored against.
-func sortedInterArrivals(t *trace.Trace) []float64 {
-	ia := t.InterArrivalMicros()
-	stats.SortFloat64s(ia, nil)
-	return ia
+func sortedInterArrivals(ia []time.Duration) []float64 {
+	us := trace.Micros(ia)
+	stats.SortFloat64s(us, nil)
+	return us
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/infer"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -212,7 +213,7 @@ func TestFitVsTruth(t *testing.T) {
 			if flags[p.Set] == nil {
 				flags[p.Set] = &AsyncScore{}
 			}
-			flags[p.Set].Add(async, old.Requests)
+			flags[p.Set].Add(async, asyncOf(old))
 			for i := range idle {
 				detected[p.Set] += idle[i]
 				think[p.Set] += truth.Think[i]
@@ -237,6 +238,15 @@ func TestFitVsTruth(t *testing.T) {
 			}
 		}
 	}
+}
+
+// asyncOf returns the true issue mode of each of t's requests.
+func asyncOf(t *trace.Trace) []bool {
+	async := make([]bool, t.Len())
+	for i, r := range t.Requests {
+		async[i] = r.Async
+	}
+	return async
 }
 
 // fitVsTruthInput maps FuzzFitVsTruth's bytes to a family, a request

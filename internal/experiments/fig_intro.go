@@ -40,15 +40,14 @@ func Fig1(cfg Config) Fig1Result {
 	acc := baseline.Acceleration(old, baseline.DefaultAccelerationFactor)
 	rev := baseline.Revision(old, NewTarget())
 
-	r := Fig1Result{
-		Old:          report.NewCDFSeries("OLD", old.InterArrivalMicros()),
-		New:          report.NewCDFSeries("NEW", newRes.Trace.InterArrivalMicros()),
-		Revision:     report.NewCDFSeries("Revision", rev.InterArrivalMicros()),
-		Acceleration: report.NewCDFSeries("Acceleration", acc.InterArrivalMicros()),
-	}
-
 	newIA := newRes.Trace.InterArrivals()
 	accIA := acc.InterArrivals()
+	r := Fig1Result{
+		Old:          report.NewCDFSeries("OLD", trace.Micros(old.InterArrivals())),
+		New:          report.NewCDFSeries("NEW", trace.Micros(newIA)),
+		Revision:     report.NewCDFSeries("Revision", trace.Micros(rev.InterArrivals())),
+		Acceleration: report.NewCDFSeries("Acceleration", trace.Micros(accIA)),
+	}
 	shorter := 0
 	for i := range newIA {
 		if accIA[i] < newIA[i] {

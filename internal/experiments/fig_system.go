@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // IdleBuckets are Figure 17's idle-period groups.
@@ -28,10 +29,9 @@ type Fig16Result struct {
 
 // add averages the idle periods of a family's reconstruction.
 func (r *Fig16Result) add(c *cell) {
-	_, rep := c.corpus()
 	var avg time.Duration
-	if rep.IdleCount > 0 {
-		avg = rep.IdleTotal / time.Duration(rep.IdleCount)
+	if c.rep.IdleCount > 0 {
+		avg = c.rep.IdleTotal / time.Duration(c.rep.IdleCount)
 	}
 	r.Rows = append(r.Rows, Fig16Row{Workload: c.p.Name, Set: c.p.Set, AvgIdle: avg})
 }
@@ -85,14 +85,12 @@ type Fig17Result struct {
 // add decomposes a family's total Tintt into service time and the
 // three idle buckets, by request count and by duration.
 func (r *Fig17Result) add(c *cell) {
-	_, rep := c.corpus()
 	row := Fig17Row{Workload: c.p.Name, Set: c.p.Set}
-	ia := c.old.InterArrivals()
 	var counts [4]int
 	var durs [4]time.Duration
-	for i := range ia {
-		idle := rep.Idle[i+1]         // precedes request i+1, where ia[i] ends
-		durs[0] += max(ia[i]-idle, 0) // the gap's Tslat share
+	for i, ia := range c.old {
+		idle := c.rep.Idle[i+1]    // precedes request i+1, where ia ends
+		durs[0] += max(ia-idle, 0) // the gap's Tslat share
 		switch {
 		case idle == 0:
 			counts[0]++
@@ -107,7 +105,7 @@ func (r *Fig17Result) add(c *cell) {
 			durs[3] += idle
 		}
 	}
-	total := len(ia)
+	total := len(c.old)
 	var totalDur time.Duration
 	for _, d := range durs {
 		totalDur += d
@@ -173,9 +171,8 @@ type ClaimsResult struct {
 
 // add tallies a family's requests and inferred idle periods.
 func (r *ClaimsResult) add(c *cell) {
-	_, rep := c.corpus()
-	r.requests += c.old.Len()
-	for _, d := range rep.Idle {
+	r.requests += len(c.async)
+	for _, d := range c.rep.Idle {
 		if d > 0 {
 			r.idles = append(r.idles, d)
 			if d <= time.Millisecond {
@@ -197,11 +194,7 @@ func medianDur(ds []time.Duration) time.Duration {
 	if len(ds) == 0 {
 		return 0
 	}
-	us := make([]float64, len(ds))
-	for i, d := range ds {
-		us[i] = float64(d) / float64(time.Microsecond)
-	}
-	return time.Duration(stats.Median(us) * float64(time.Microsecond))
+	return time.Duration(stats.Median(trace.Micros(ds)) * float64(time.Microsecond))
 }
 
 // Render implements the textual summary.

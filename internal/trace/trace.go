@@ -167,13 +167,12 @@ func (t *Trace) InterArrivals() []time.Duration {
 	return out
 }
 
-// InterArrivalMicros returns InterArrivals converted to float64
-// microseconds, the unit the paper plots everywhere.
-func (t *Trace) InterArrivalMicros() []float64 {
-	ia := t.InterArrivals()
-	out := make([]float64, len(ia))
-	for i, d := range ia {
-		out[i] = float64(d) / float64(time.Microsecond)
+// Micros converts ds to float64 microseconds, the unit the paper plots
+// inter-arrival times in everywhere.
+func Micros(ds []time.Duration) []float64 {
+	out := make([]float64, len(ds))
+	for i, d := range ds {
+		out[i] = micros(d)
 	}
 	return out
 }

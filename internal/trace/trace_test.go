@@ -103,9 +103,9 @@ func TestDurationAndInterArrivals(t *testing.T) {
 	if len(ia) != 2 || ia[0] != 100*time.Microsecond || ia[1] != 150*time.Microsecond {
 		t.Fatalf("InterArrivals = %v", ia)
 	}
-	us := tr.InterArrivalMicros()
+	us := Micros(ia)
 	if us[0] != 100 || us[1] != 150 {
-		t.Fatalf("InterArrivalMicros = %v", us)
+		t.Fatalf("Micros = %v", us)
 	}
 	if mkTrace(5).Duration() != 0 || mkTrace(5).InterArrivals() != nil {
 		t.Fatal("single-request trace should have zero duration, nil IA")

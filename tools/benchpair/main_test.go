@@ -137,12 +137,12 @@ func readResultFile(t *testing.T, path string) result {
 	return res
 }
 
-// TestPairs runs four pairs of stub benchmarks: the sides alternate
-// and swap who goes first in every pair, each run gets the workload,
-// trace and seed, and the verdicts follow the stubs' values: "up" and
-// "down" improve in every pair by far more than the base's IQR,
-// "flat" moves less than its IQR, and "wide" spreads over more than
-// its bound.
+// TestPairs runs ten pairs of stub benchmarks, the fewest that earn a
+// verdict other than unresolved: the sides alternate and swap who goes
+// first in every pair, each run gets the workload, trace and seed, and
+// the verdicts follow the stubs' values: "up" and "down" improve in
+// every pair by far more than the base's IQR, "flat" moves less than
+// its IQR, and "wide" spreads over more than its bound.
 func TestPairs(t *testing.T) {
 	root := t.TempDir()
 	base := stubTree(t, root, "base", map[string]any{"values": map[string][]float64{
@@ -153,27 +153,27 @@ func TestPairs(t *testing.T) {
 	}})
 	out := filepath.Join(root, "pairs", "stub.json")
 	var stdout, stderr bytes.Buffer
-	if code := mainExit([]string{"-workload", "w1", "-n", "4", "-seed", "7", "-out", out, base, change}, &stdout, &stderr); code != 0 {
+	if code := mainExit([]string{"-workload", "w1", "-n", "10", "-seed", "7", "-out", out, base, change}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, stdout.String(), stderr.String())
 	}
 	sides, args := runLog(t, root)
-	if got, want := strings.Join(sides, " "), "base change change base base change change base"; got != want {
+	if got, want := strings.Join(sides, " "), strings.TrimSpace(strings.Repeat("base change change base ", 5)); got != want {
 		t.Fatalf("run order %q, want %q", got, want)
 	}
 	if !strings.HasPrefix(args, "-workload w1 -trace 0 -seed 7 ") {
 		t.Fatalf("first run's arguments %q", args)
 	}
 	res := readResultFile(t, out)
-	if len(res.Runs) != 8 || res.Failed != 0 || !res.Runs[0].First || res.Runs[1].First || !res.Runs[2].First || res.Runs[2].Side != "change" {
+	if len(res.Runs) != 20 || res.Failed != 0 || !res.Runs[0].First || res.Runs[1].First || !res.Runs[2].First || res.Runs[2].Side != "change" {
 		t.Fatalf("runs %+v, %d failed pairs", res.Runs, res.Failed)
 	}
 	want := map[string]string{"up": better, "down": better, "flat": noise, "wide": unresolved}
 	for _, s := range res.Summary {
-		if s.Verdict != want[s.Metric] || s.Pairs != 4 {
-			t.Errorf("%s: %s over %d pairs, want %s over 4", s.Metric, s.Verdict, s.Pairs, want[s.Metric])
+		if s.Verdict != want[s.Metric] || s.Pairs != 10 {
+			t.Errorf("%s: %s over %d pairs, want %s over 10", s.Metric, s.Verdict, s.Pairs, want[s.Metric])
 		}
 	}
-	if s := res.Summary[0]; s.Wins != 4 || s.BaseMedian != 100.5 || s.ChangeMedian != 120.5 {
+	if s := res.Summary[0]; s.Wins != 10 || s.BaseMedian != 100.5 || s.ChangeMedian != 120.5 {
 		t.Errorf("up: %+v", s)
 	}
 	if !strings.Contains(stdout.String(), "within noise") {
@@ -291,6 +291,14 @@ func TestJudge(t *testing.T) {
 		}
 		return s
 	}
+	// tenOf repeats the pattern vs to ten pairs.
+	tenOf := func(vs ...float64) []float64 {
+		s := make([]float64, 10)
+		for i := range s {
+			s[i] = vs[i%len(vs)]
+		}
+		return s
+	}
 	for _, c := range []struct {
 		name         string
 		d            metricDef
@@ -301,14 +309,18 @@ func TestJudge(t *testing.T) {
 		{"worse beyond the bound", lower, ten(20), ten(26), worse},
 		{"worse within the bound", lower, ten(20), ten(22), noise},
 		{"better in 8 of 10 pairs", lower, ten(20), append(ten(17.8)[:8], 20.5, 20.5), noise},
-		{"wide base", lower, []float64{10, 20, 10, 20}, []float64{10, 10, 10, 10}, unresolved},
+		{"wide base", lower, tenOf(10, 20), same(10, 10), unresolved},
 		// benchmark/compare.go's exception: every change value beats every base value.
-		{"wide, every change value better", lower, []float64{20, 30, 20, 30}, []float64{10, 12, 10, 12}, better},
-		{"wide, every change value worse", lower, []float64{10, 12, 10, 12}, []float64{20, 30, 20, 30}, unresolved},
+		{"wide, every change value better", lower, tenOf(20, 30), tenOf(10, 12), better},
+		{"wide, every change value worse", lower, tenOf(10, 12), tenOf(20, 30), unresolved},
 		{"no pairs", lower, nil, nil, unresolved},
+		// Fewer than minPairs pairs earn no verdict, however one-sided:
+		// pairs/pr62-draft-cold-array-bin-seed2.json's result_p50_ms.
+		{"3 pairs, all worse", lower, []float64{25.8, 26.8, 27.8}, []float64{33.3, 34.9, 36.5}, unresolved},
+		{"3 pairs, all better", lower, []float64{33.3, 34.9, 36.5}, []float64{25.8, 26.8, 27.8}, unresolved},
 		{"higher is better", metricDef{Better: "higher", Bound: 0.25}, ten(100), ten(110), better},
 		{"no bound, worse in every pair", metricDef{Better: "lower"}, ten(20), ten(30), worse},
-		{"no bound, wide", metricDef{Better: "lower"}, []float64{1, 9, 1, 9}, []float64{2, 8, 2, 8}, noise},
+		{"no bound, wide", metricDef{Better: "lower"}, tenOf(1, 9), tenOf(2, 8), noise},
 		// A base with no spread: the move must still pass minMove.
 		{"no bound, 2 B more of 11.3 MB", metricDef{Better: "lower"}, same(11.3e6, 10), same(11.3e6+2, 10), noise},
 		{"no bound, 2 B less of 11.3 MB", metricDef{Better: "lower"}, same(11.3e6, 10), same(11.3e6-2, 10), noise},

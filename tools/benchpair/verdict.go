@@ -67,13 +67,18 @@ func quantile(vs []float64, q float64) float64 {
 // (a few bytes of a per-cycle byte count) says nothing.
 const minMove = 0.001
 
+// minPairs is the fewest completed pairs that earn a better or worse
+// verdict, the project's evidence bar: three pairs can all lose by chance.
+const minPairs = 10
+
 // judge summarizes one metric over paired values (base[i] and
 // change[i] come from pair i). The change wins a pair when its value
 // is better than the base's in the metric's direction. The verdict,
 // by the rule benchmark/compare.go's verdict applies to two files:
-//   - unresolved: either side's IQR, as a share of its median, is wider
-//     than the bound, so a move of the bound's size cannot be told,
-//     unless every change value beats every base value;
+//   - unresolved: fewer than minPairs pairs, whatever they read; or
+//     either side's IQR, as a share of its median, is wider than the
+//     bound, so a move of the bound's size cannot be told, unless every
+//     change value beats every base value;
 //   - worse: the change's median is worse than the base's by more than
 //     the bound, or, for a metric with no bound, it loses at least nine
 //     in ten pairs and its median is worse by more than the base's IQR
@@ -84,10 +89,6 @@ const minMove = 0.001
 func judge(d metricDef, base, change []float64) summary {
 	s := summary{Metric: d.Name, Unit: d.Unit, Better: d.Better, Bound: d.Bound, Pairs: len(base),
 		BaseMedian: median(base), BaseIQR: iqr(base), ChangeMedian: median(change), ChangeIQR: iqr(change)}
-	if s.Pairs == 0 {
-		s.Verdict = unresolved
-		return s
-	}
 	sign := 1.0 // gain = sign * (change - base)
 	if d.Better == "lower" {
 		sign = -1
@@ -110,7 +111,7 @@ func judge(d metricDef, base, change []float64) summary {
 	told := math.Max(s.BaseIQR, minMove*math.Abs(s.BaseMedian))
 	wide := relative(s.BaseIQR, s.BaseMedian) > d.Bound || relative(s.ChangeIQR, s.ChangeMedian) > d.Bound
 	switch {
-	case d.Bound > 0 && wide && !separated(sign, base, change):
+	case s.Pairs < minPairs, d.Bound > 0 && wide && !separated(sign, base, change):
 		s.Verdict = unresolved
 	case d.Bound > 0 && relative(-gain, s.BaseMedian) > d.Bound:
 		s.Verdict = worse
