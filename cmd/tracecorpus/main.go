@@ -80,7 +80,7 @@ func cmdAdd(store *corpus.Store, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("add", flag.ContinueOnError)
 	format := fs.String("format", "auto", trace.Usage(trace.Input))
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
-		"workers for decoding the staged trace (<2 = sequential; bin decodes sequentially)")
+		"≥ 2 decodes text ahead on one goroutine (bin decodes sequentially)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -91,7 +91,7 @@ func TestIngestSpoolFaultIsStorageError(t *testing.T) {
 	}
 }
 
-// A store with decode workers hits the same classification: the fault
+// A store that reads text ahead hits the same classification: the fault
 // fires while the upload is staged, before any decoder exists.
 func TestIngestSpoolFaultParallel(t *testing.T) {
 	s := openStore(t)

@@ -71,7 +71,7 @@ func freshFit(t *testing.T, format string, data []byte) *infer.Model {
 
 // TestFittedModelAtIngest is the ingest half of "fit once per trace":
 // a Tsdev-unknown csv, bin or spc upload lands with exactly the model a
-// job would fit (sequential or parallel decode, in arrival order), the
+// job would fit (sequential or read-ahead decode, in arrival order), the
 // sidecar carries it across a reopen bit for bit, and FittedModel hands
 // out copies.
 func TestFittedModelAtIngest(t *testing.T) {

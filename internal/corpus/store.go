@@ -59,9 +59,10 @@ type headKey struct {
 	sum    uint64
 }
 
-// SetParallel sets the number of workers Ingest decodes a staged text
-// upload with (trace.OpenFileDecoder: values below 2, stagings under
-// trace.ParallelMinBytes and every bin upload decode sequentially).
+// SetParallel sets how Ingest decodes a staged upload
+// (trace.OpenFileDecoder): ≥ 2 decodes text ahead on one goroutine;
+// values below 2, stagings under trace.ParallelMinBytes and every bin
+// upload decode sequentially.
 func (s *Store) SetParallel(n int) {
 	s.parallel.Store(int32(n))
 }

@@ -43,7 +43,7 @@ func csvBytes(t *testing.T, tr *trace.Trace) []byte {
 }
 
 // bigCSV renders a trace past trace.ParallelMinBytes, so its staged
-// file takes the parallel decoder when the store has workers.
+// file takes the read-ahead decoder when the store has workers.
 func bigCSV(t *testing.T) []byte {
 	t.Helper()
 	big := &trace.Trace{Name: "corpus-big", Workload: "w", Set: "FIU", TsdevKnown: true}
@@ -219,7 +219,7 @@ func TestIngestDedup(t *testing.T) {
 }
 
 // TestIngestConcurrentSameBlob races first uploads of one new blob,
-// big enough for the parallel decoder: every racer decodes its own
+// big enough for the read-ahead decoder: every racer decodes its own
 // staging, the locked check before the rename lets exactly one land,
 // and the rest answer with its entry.
 func TestIngestConcurrentSameBlob(t *testing.T) {
@@ -272,7 +272,7 @@ func TestIngestConcurrentSameBlob(t *testing.T) {
 	if names := tmpEntries(t, s); len(names) != 0 {
 		t.Fatalf("staging leftovers: %v", names)
 	}
-	// Decode workers exit after their final unwind; give them a moment.
+	// Decode goroutines exit after their final unwind; give them a moment.
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), base)
@@ -506,7 +506,7 @@ func TestGC(t *testing.T) {
 }
 
 // TestIngestParallelMatchesSequential locks ingest at any worker
-// count: with decode workers enabled, every format (including a
+// count: with read-ahead enabled, every format (including a
 // counted binary blob with trailing bytes, which the decoder stops
 // before) must land with the same digest, size and summary as with
 // none — the digest must cover every uploaded byte either way.
@@ -519,7 +519,7 @@ func TestIngestParallelMatchesSequential(t *testing.T) {
 	binTrailing := append(append([]byte{}, binBuf.Bytes()...), []byte("trailing-bytes-beyond-count")...)
 
 	// A trace past ParallelMinBytes, so its staged file is actually
-	// decoded by the parallel decoder (smaller ones decode sequentially).
+	// decoded by the read-ahead decoder (smaller ones decode sequentially).
 	bigCSV := bigCSV(t)
 
 	cases := []struct {
@@ -570,7 +570,7 @@ func TestIngestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestIngestParallelRejects keeps the rejection behaviour intact with
-// decode workers enabled: undecodable uploads are ErrBadTrace and
+// read-ahead enabled: undecodable uploads are ErrBadTrace and
 // leave nothing behind.
 func TestIngestParallelRejects(t *testing.T) {
 	s := openStore(t)

@@ -822,11 +822,11 @@ func BenchmarkPlanAddBatch(b *testing.B) {
 }
 
 // TestReconstructPathParallelDecode locks the fused ingest of a job's
-// input path: a headered CSV input big enough for the segmented
-// parallel decoder engages it on 4 workers, and RunJobTo's output stays
+// input path: a headered CSV input big enough for the read-ahead
+// decoder engages it on 4 workers, and RunJobTo's output stays
 // byte-identical to the single-worker (sequential-decode) run. A
-// counted binary input of the same size decodes on one goroutine at
-// any worker count, and its 4-worker run matches too.
+// counted binary input of the same size decodes sequentially at any
+// worker count, and its 4-worker run matches too.
 func TestReconstructPathParallelDecode(t *testing.T) {
 	old := genOld(t, "MSNFS", 40_000, true)
 	dir := t.TempDir()
@@ -837,7 +837,7 @@ func TestReconstructPathParallelDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if buf.Len() < trace.ParallelMinBytes {
-			t.Fatalf("%s fixture too small (%d bytes) for the parallel decoder's threshold", name, buf.Len())
+			t.Fatalf("%s fixture too small (%d bytes) for the read-ahead decoder's threshold", name, buf.Len())
 		}
 		if err := os.WriteFile(path, buf.Bytes(), 0o666); err != nil {
 			t.Fatal(err)
@@ -851,8 +851,8 @@ func TestReconstructPathParallelDecode(t *testing.T) {
 		{"bin", write("in.bin", trace.WriteBinary)},
 		{"csv", write("in.csv", trace.WriteCSV)},
 	} {
-		if par := parallelDecode(t, tc.path, tc.format, 4); par != (tc.format != "bin") {
-			t.Fatalf("%s on 4 workers decodes in parallel: %v", tc.format, par)
+		if ahead := readsAhead(t, tc.path, tc.format, 4); ahead != (tc.format != "bin") {
+			t.Fatalf("%s on 4 workers reads ahead: %v", tc.format, ahead)
 		}
 		run := func(workers int) []byte {
 			var out bytes.Buffer

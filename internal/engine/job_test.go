@@ -78,7 +78,7 @@ func TestRunJobCachedMissBoundedMemory(t *testing.T) {
 	whole := uint64(n * int(unsafe.Sizeof(trace.Request{})))
 	// 16 windows (measured: 13): the token pool admits 4·Workers epochs,
 	// each with its request buffer, decomposition scratch and rendered
-	// bytes, plus the segmented decoder's and the encoder's block buffers.
+	// bytes, plus the decoder's and the encoder's block buffers.
 	limit := 16 * window
 	if limit >= whole {
 		t.Fatalf("fixture: the bound (%d B) does not separate streaming from materializing (%d B)", limit, whole)
@@ -170,8 +170,8 @@ func (c *storedModelCache) FittedModel(string) *infer.Model {
 
 // TestRunJobCachedStorageFaultMidStream fails the result cache's disk
 // in the middle of a job's output — after at least one epoch is out —
-// on both graphs, over a bin input (decoded on one goroutine) and a csv
-// input (decoded by the parallel decoder's workers). The job must fail
+// on both graphs, over a bin input (decoded sequentially) and a csv
+// input (decoded ahead by the read-ahead decoder). The job must fail
 // as a storage fault (not as whatever the encoder or the merge made of
 // the write error), leave neither a cache entry nor a staged file nor a
 // decoder goroutine behind, and run clean once the disk recovers.
@@ -181,8 +181,8 @@ func TestRunJobCachedStorageFaultMidStream(t *testing.T) {
 	dir := t.TempDir()
 	binPath := writeBinInput(t, dir, allocBenchTrace(n))
 	csvPath, _ := writeInput(t, dir, "in", "csv", allocBenchTrace(n))
-	if !parallelDecode(t, csvPath, "csv", 2) {
-		t.Fatal("fixture: the csv input does not reach the parallel decoder on 2 workers")
+	if !readsAhead(t, csvPath, "csv", 2) {
+		t.Fatal("fixture: the csv input does not reach the read-ahead decoder on 2 workers")
 	}
 	for _, dev := range []string{"array", "ftl"} { // shard-safe target, serviced target
 		t.Run(dev, func(t *testing.T) {

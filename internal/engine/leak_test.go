@@ -17,8 +17,8 @@ import (
 
 // TestStreamAbandonClosesDecoder is the engine side of the PR 4 leak
 // delta: a planner validation error abandons the input decoder
-// mid-stream, and ReconstructStream must close it so a parallel
-// decoder's workers exit instead of leaking — and so must a failed job
+// mid-stream, and ReconstructStream must close it so a read-ahead
+// decoder's goroutine exits instead of leaking — and so must a failed job
 // of a comparison method.
 func TestStreamAbandonClosesDecoder(t *testing.T) {
 	old := genOld(t, "MSNFS", 40_000, true)
@@ -27,13 +27,13 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Swap an early record's arrival far forward so the planner sees an
-	// unsorted stream after a few shards, with decode segments still in
-	// flight behind it.
+	// unsorted stream after a few shards, with decoded batches still on
+	// their way behind it.
 	lines := strings.SplitAfter(buf.String(), "\n")
 	lines[len(lines)/4] = "999999999.000,0,100,8,R,5.000,0\n"
 	data := []byte(strings.Join(lines, ""))
 	if len(data) < trace.ParallelMinBytes {
-		t.Fatalf("fixture too small (%d bytes) for the parallel decoder", len(data))
+		t.Fatalf("fixture too small (%d bytes) for the read-ahead decoder", len(data))
 	}
 	path := t.TempDir() + "/unsorted.csv"
 	if err := os.WriteFile(path, data, 0o666); err != nil {
@@ -56,7 +56,7 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 	}
 	// The comparison methods take the same input path: a failed job of
 	// either kind — the graph, acceleration's record loop — joins the
-	// parallel decoder's workers on its way out.
+	// read-ahead decoder's goroutine on its way out.
 	for _, method := range []string{"revision", "acceleration"} {
 		spec := JobSpec{In: path, Method: method}
 		if _, err := RunJobTo(testConfig(4), spec, io.Discard); !errors.Is(err, trace.ErrUnsorted) {

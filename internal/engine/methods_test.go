@@ -116,15 +116,15 @@ func TestMethodsByteIdentical(t *testing.T) {
 		format string
 	}{
 		// As csv, 32k requests pass trace.ParallelMinBytes: the 4-worker
-		// runs of this input decode on the segmented parallel decoder.
+		// runs of this input decode on the read-ahead decoder.
 		{"MSNFS", 32_000, true, "csv"},
 		// No recorded latencies: tracetracker and dynamic fit a model
 		// here. Bin decodes on one goroutine at any worker count.
 		{"webmail", 20_000, false, "bin"},
 	} {
 		path, old := writeInput(t, t.TempDir(), in.family, in.format, genOld(t, in.family, in.n, in.known))
-		if par := parallelDecode(t, path, in.format, 4); par != (in.format != "bin") {
-			t.Fatalf("fixture: %s %s on 4 workers decodes in parallel: %v", in.family, in.format, par)
+		if ahead := readsAhead(t, path, in.format, 4); ahead != (in.format != "bin") {
+			t.Fatalf("fixture: %s %s on 4 workers reads ahead: %v", in.family, in.format, ahead)
 		}
 		var fit *infer.Model
 		if !in.known {

@@ -36,9 +36,9 @@ func writeInput(t *testing.T, dir, name, format string, tr *trace.Trace) (string
 	return path, readTraceFile(t, path, format)
 }
 
-// parallelDecode reports whether a job on workers reads path through
-// the segmented parallel decoder.
-func parallelDecode(t testing.TB, path, format string, workers int) bool {
+// readsAhead reports whether a job on workers reads path through the
+// read-ahead decoder (trace.ParallelDecoder).
+func readsAhead(t testing.TB, path, format string, workers int) bool {
 	t.Helper()
 	dec, _, err := trace.OpenFileDecoder(path, format, workers)
 	if err != nil {
@@ -81,13 +81,13 @@ func referenceBytes(t *testing.T, old *trace.Trace, device, format string) []byt
 // and every stored model the fit of its trace; under -race, no buffer
 // may be touched by two decodes at once.
 func TestSharedBuffersAcrossJobs(t *testing.T) {
-	const n = 36_000 // over trace.ParallelMinBytes in csv: the parallel decoder runs
+	const n = 36_000 // over trace.ParallelMinBytes in csv: the read-ahead decoder runs
 	const workers = 2
 	dir := t.TempDir()
 	known, knownOld := writeInput(t, dir, "msnfs", "bin", genOld(t, "MSNFS", n, true))
 	unknown, unknownOld := writeInput(t, dir, "webmail", "csv", genOld(t, "webmail", n, false))
-	if !parallelDecode(t, unknown, "csv", 2) {
-		t.Fatal("fixture: the csv input does not reach the parallel decoder on 2 workers")
+	if !readsAhead(t, unknown, "csv", 2) {
+		t.Fatal("fixture: the csv input does not reach the read-ahead decoder on 2 workers")
 	}
 
 	type job struct {

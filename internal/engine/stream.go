@@ -60,8 +60,8 @@ func FitModel(dec trace.Decoder, _ infer.EstimateOptions) (*infer.Model, int, er
 // WriteRaw is called on it; any other encoder is written record by
 // record from the merge.
 //
-// On any error the decoder is closed, so an abandoned parallel decode
-// never leaks its worker goroutines.
+// On any error the decoder is closed, so an abandoned read-ahead decode
+// never leaks its goroutine.
 func (e *Engine) ReconstructStream(dec trace.Decoder, enc trace.Encoder, m *infer.Model) (*Report, error) {
 	return e.reconstructStream(dec, enc, m, methods[0])
 }
@@ -106,8 +106,8 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 		if err := planner.addBatch(first, submitShard); err != nil {
 			return err
 		}
-		// Fused parallel ingest: with a parallel decoder, its workers
-		// fill batches concurrently with this planner loop and with the
+		// Fused ingest: with a read-ahead decoder, its goroutine fills
+		// batches concurrently with this planner loop and with the
 		// epoch workers downstream, so decode and emulation overlap
 		// end-to-end and the planner consumes pre-decoded batches
 		// without copying them into its own buffer first.
@@ -145,9 +145,8 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 // own model: a cheap probe of the first record decides whether the
 // corpus needs inference, and if so the input is opened in arrival
 // order and fitted with FitModel. Pass two streams the sharded
-// reconstruction. Both passes decode on the engine's worker count via
-// the segmented parallel decoder when the input file is large enough to
-// split.
+// reconstruction. On more than one worker both passes decode a large
+// text input ahead on one goroutine (trace.OpenFileDecoder).
 func (e *Engine) fitModelFromPath(inPath, informat string) (*infer.Model, error) {
 	// The probe only needs the header metadata, which doesn't depend
 	// on record order, so trace.FileMeta reads the first record in file

@@ -217,7 +217,6 @@ func TestMeasuredHotPathsAnnotated(t *testing.T) {
 		recv string
 		name string
 	}{
-		{"../trace/stream.go", "text", "scan"},
 		{"../trace/stream.go", "text", "read"},
 		{"../trace/stream.go", "text", "Read"},
 		{"../trace/stream.go", "csvDecoder", "line"},

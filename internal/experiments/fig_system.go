@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/report"
@@ -190,11 +191,19 @@ func (r *ClaimsResult) finish() {
 	r.idles = nil
 }
 
+// medianDur is the median of ds in microseconds, as stats.Median
+// takes it, back as a duration. It sorts one copy of ds and hands
+// stats.Median only the one or two middle values: converting to
+// microseconds keeps the order, so they are the values, and theirs the
+// arithmetic, that the median of the whole converted sample would use.
 func medianDur(ds []time.Duration) time.Duration {
 	if len(ds) == 0 {
 		return 0
 	}
-	return time.Duration(stats.Median(trace.Micros(ds)) * float64(time.Microsecond))
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	mid := s[(len(s)-1)/2 : len(s)/2+1]
+	return time.Duration(stats.Median(trace.Micros(mid)) * float64(time.Microsecond))
 }
 
 // Render implements the textual summary.

@@ -92,7 +92,7 @@ func (c *StreamClassifier) Bytes() int64 {
 
 // AddBatch presents the next run of consecutive requests of the trace
 // (in arrival order) — the fold the engine's model-fit pass runs over
-// pre-decoded batches from the parallel decoders.
+// the decoder's batches.
 func (c *StreamClassifier) AddBatch(rs []trace.Request) {
 	c.flags = c.seq.AppendFlags(c.flags[:0], rs)
 	c.AddFlagged(rs, c.flags)

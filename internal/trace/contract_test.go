@@ -26,9 +26,8 @@ type contractInput struct {
 
 // contractInputs renders every input format clean and with a mid-stream
 // parse error (for bin, a truncated last record), each just large
-// enough that a parallel decoder splits it across workers (for text,
-// the one OpenFileDecoder builds) and the error lands in a later
-// segment.
+// enough that OpenFileDecoder reads a text input ahead of its consumer,
+// and the error lands many batches in.
 func contractInputs(t *testing.T) []contractInput {
 	corrupt := func(data []byte, bad string) []byte {
 		lines := strings.SplitAfter(string(data), "\n")
@@ -92,9 +91,9 @@ func contractInputs(t *testing.T) []contractInput {
 // number, the metadata is the codec's, and Close is safe twice and
 // leaves every later Read failing with no data. The decoders: the four
 // codecs (NewDecoder), OpenFileDecoder on one worker and on several
-// (parallel for text, the sequential codec for bin; bin's parallel leg
-// is NewParallelDecoder's), NewParallelDecoder, and a reorder window
-// over each of them.
+// (read ahead for text, the sequential codec for bin; bin's read-ahead
+// leg is NewParallelDecoder's), NewParallelDecoder, and a reorder
+// window over each of them.
 func TestDecoderContract(t *testing.T) {
 	const workers = 4
 	type builder struct {
@@ -151,6 +150,66 @@ func TestDecoderContract(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestDecoderContractMeta: a read-ahead decoder's Meta is the
+// sequential codec's before the first Read and after every run of one
+// record, on a csv whose metadata header, behind a comment and a blank
+// line, the first Read parses. The decode goroutine hands each batch
+// over with the metadata its Read left; under -race this is the check
+// of that hand-off.
+func TestDecoderContractMeta(t *testing.T) {
+	tr := benchTrace(32_000)
+	var buf bytes.Buffer
+	buf.WriteString("# exported for a test\n\n")
+	if err := WriteCSV(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	path := filepath.Join(t.TempDir(), "in.csv")
+	if err := os.WriteFile(path, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		name string
+		open func(*testing.T) Decoder
+	}{
+		{"OpenFileDecoder", func(t *testing.T) Decoder {
+			dec, _, err := OpenFileDecoder(path, "csv", 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := dec.(*ParallelDecoder); !ok {
+				t.Fatalf("OpenFileDecoder on 4 workers built a %T for %d bytes of csv", dec, len(data))
+			}
+			return dec
+		}},
+		{"NewParallelDecoder", func(*testing.T) Decoder {
+			return NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "csv", 4)
+		}},
+	} {
+		t.Run(b.name, func(t *testing.T) {
+			seq, dec := newSeq(t, "csv", data), b.open(t)
+			defer dec.Close()
+			one, want := make([]Request, 1), make([]Request, 1)
+			for runs := 0; ; runs++ {
+				if dec.Meta() != seq.Meta() {
+					t.Fatalf("after %d runs: meta %+v, the sequential codec's %+v", runs, dec.Meta(), seq.Meta())
+				}
+				run, err := dec.Read(one)
+				wantRun, wantErr := seq.Read(want)
+				if !slices.Equal(run, wantRun) || err != wantErr {
+					t.Fatalf("run %d: %v and %v, the sequential codec's %v and %v", runs, run, err, wantRun, wantErr)
+				}
+				if err != nil {
+					break
+				}
+			}
+			if dec.Meta() != tr.Meta() {
+				t.Fatalf("meta %+v at the end, want the header's %+v", dec.Meta(), tr.Meta())
+			}
+		})
 	}
 }
 
@@ -250,27 +309,30 @@ func readRuns(t *testing.T, dec Decoder, size int) ([]Request, error) {
 }
 
 // TestParallelDecoderReadAfterClose: once Close has run, Read fails at
-// once with no data. Before Close latched that, the segment rings still
-// held decoded batches, which Read handed out with a nil error; past
-// them it waited forever on the ring of a segment no stopped worker
-// would ever close.
+// once with no data, though batches were waiting for the consumer when
+// it closed, and Close hands those batches back.
 func TestParallelDecoderReadAfterClose(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, benchTrace(200_000)); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
+	keptBatches.trim()
 	pd := NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "bin", 2)
-	if nseg := len(pd.plan.segs); nseg <= 2 {
-		t.Fatalf("fixture splits into %d segments, want more than the 2 workers", nseg)
-	}
 	done := make(chan error, 1)
 	go func() {
 		if _, err := pd.ReadBatch(); err != nil {
 			done <- err
 			return
 		}
+		for len(pd.ahead) < aheadBatches {
+			time.Sleep(time.Millisecond)
+		}
 		pd.Close()
+		if k := keptBatches.count(); k < aheadBatches {
+			done <- fmt.Errorf("%d batches kept after Close, want the %d that waited and more", k, aheadBatches)
+			return
+		}
 		after := 0
 		for {
 			run, err := pd.ReadBatch()

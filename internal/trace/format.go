@@ -1,18 +1,15 @@
 package trace
 
 // The codec table. Which on-disk formats exist, and how each one
-// decodes, splits for the parallel decoder, sorts and encodes, is
-// decided here and nowhere else: NewDecoder, NewEncoder, ReorderWindow,
-// ReadFormat, OpenFileDecoder, WriteFormat, the segment planner,
-// DetectFormat's record sniffing, job validation (Formats) and every
-// command's format flag (Usage) derive from this one table. A text
-// row's grammar is its decoder's line function (stream.go): the
-// decoder reads records with it, DetectFormat sniffs a bare data line
-// with it, and the segment planner scans the prelude with it. A row is
-// looked up once per stream, never per record.
+// decodes, sorts and encodes, is decided here and nowhere else:
+// NewDecoder, NewEncoder, ReorderWindow, ReadFormat, OpenFileDecoder,
+// WriteFormat, DetectFormat's record sniffing, job validation (Formats)
+// and every command's format flag (Usage) derive from this one table. A
+// text row's grammar is its decoder's line function (stream.go): the
+// decoder reads records with it, and DetectFormat sniffs a bare data
+// line with it. A row is looked up once per stream, never per record.
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"slices"
@@ -26,11 +23,9 @@ type codec struct {
 	// decode opens a sequential decoder over a source; nil for
 	// output-only formats. A text row's is a textDecoder.
 	decode func(source) Decoder
-	// segment opens the decoder of one parallel-decode segment over a
-	// read buffer, preset with the segment's carry context (segment.go).
-	segment func(*bufio.Reader, segCtx) Decoder
-	// text formats are split at line boundaries after a prelude scan;
-	// the others at fixed-width record strides.
+	// text formats are read line by line (a textDecoder); the others
+	// in fixed-width records. OpenFileDecoder reads a large text file
+	// ahead of its consumer.
 	text bool
 	// window is how far a record of the format can sit from its arrival
 	// slot in file order: 0 for sorted formats, reorderWindow for the
@@ -53,14 +48,6 @@ var codecs = [...]codec{
 	{
 		name:   "csv",
 		decode: func(s source) Decoder { return newText(&csvDecoder{}, s) },
-		segment: func(br *bufio.Reader, ctx segCtx) Decoder {
-			// A text segment starts inside the data region, so a
-			// metadata header in it is rejected exactly like the
-			// sequential decoder rejects headers after data rows.
-			d := newText(&csvDecoder{meta: ctx.meta, sawData: true}, source{br: br})
-			d.t.applyMeta(ctx.meta)
-			return d
-		},
 		text:   true,
 		encode: func(w io.Writer, _ string) Encoder { return NewCSVEncoder(w) },
 		write:  WriteCSV,
@@ -68,28 +55,20 @@ var codecs = [...]codec{
 	{
 		name:   "bin",
 		decode: func(s source) Decoder { return newBinaryDecoder(s) },
-		segment: func(br *bufio.Reader, ctx segCtx) Decoder {
-			return &binaryDecoder{source: source{br: br}, meta: ctx.meta,
-				counted: ctx.binCounted, remaining: ctx.binRemaining, idx: ctx.binStart}
-		},
 		encode: func(w io.Writer, _ string) Encoder { return NewBinaryEncoder(w) },
 		write:  WriteBinary,
 	},
 	{
 		name:   "msrc",
-		decode: func(s source) Decoder { return newText(&msrcDecoder{meta: msrcMeta, first: true}, s) },
-		segment: func(br *bufio.Reader, ctx segCtx) Decoder {
-			return newText(&msrcDecoder{meta: ctx.meta, base: ctx.msrcBase}, source{br: br})
-		},
+		decode: func(s source) Decoder { return newText(&msrcDecoder{meta: msrcMeta}, s) },
 		text:   true,
 		window: reorderWindow,
 	},
 	{
-		name:    "spc",
-		decode:  func(s source) Decoder { return newText(&spcDecoder{}, s) },
-		segment: func(br *bufio.Reader, _ segCtx) Decoder { return newText(&spcDecoder{}, source{br: br}) },
-		text:    true,
-		window:  reorderWindow,
+		name:   "spc",
+		decode: func(s source) Decoder { return newText(&spcDecoder{}, s) },
+		text:   true,
+		window: reorderWindow,
 	},
 	{
 		name:   "blktrace",

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 )
@@ -98,55 +97,9 @@ func decidingLine(data []byte) ([]byte, bool) {
 	return nil, false
 }
 
-// FuzzSplitSegments is the differential lock on the parallel decode
-// pipeline: for arbitrary bytes, every format, and 1-4 workers, the
-// parallel decoder must deliver exactly the records the sequential
-// decoder delivers, agree on success vs failure, and agree on the
-// metadata of clean streams, and fail with the same message after the
-// same records (the ParallelDecoder's contract). The seeds cover the
-// boundary hazards: CRLF endings, comment runs, late metadata headers,
-// truncated binary records, a bin file longer than the decoder's 128 KB
-// read buffer, so its batch loop meets a refill mid-stream, and msrc
-// and spc files behind a CRLF comment prelude longer than one prelude
-// read (probeLen).
-func FuzzSplitSegments(f *testing.F) {
-	var csvBuf, binBuf, bigBin bytes.Buffer
-	_ = WriteCSV(&csvBuf, streamSample())
-	_ = WriteBinary(&binBuf, streamSample())
-	_ = WriteBinary(&bigBin, benchTrace(4000))
-	f.Add(csvBuf.Bytes(), uint8(4))
-	f.Add(binBuf.Bytes(), uint8(3))
-	f.Add(binBuf.Bytes()[:binBuf.Len()-5], uint8(2)) // truncated bin record
-	f.Add(bigBin.Bytes()[:bigBin.Len()-5], uint8(1)) // ≈ 136 KB, truncated
-	f.Add([]byte("12.5,0,100,8,R,90.0,0\r\n13.5,0,108,8,W,80.0,1\r\n"), uint8(2))
-	f.Add([]byte("# c1\n# c2\n\n# tracetracker name=a workload=b set=c tsdev_known=true\n1,0,1,1,R,1,0\n"), uint8(3))
-	f.Add([]byte("1,0,1,1,R,1,0\n# tracetracker name=late workload=b set=c tsdev_known=true\n2,0,2,1,W,1,0\n"), uint8(2))
-	f.Add([]byte(msrcSample), uint8(4))
-	f.Add([]byte(spcSample), uint8(2))
-	f.Add([]byte("128166372003061629,hm,1,Read,2096128,512,80\n# run\n128166372013061629,hm,1,Write,2096640,512,81\n"), uint8(3))
-	crlfPrelude := strings.Repeat("# a comment line of a CRLF prelude\r\n", probeLen/36+8)
-	f.Add([]byte(crlfPrelude+strings.ReplaceAll(msrcSample, "\n", "\r\n")), uint8(2))
-	f.Add([]byte(crlfPrelude+"\r\n"+strings.ReplaceAll(spcSample, "\n", "\r\n")), uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
-		if len(data) > 1<<20 {
-			return
-		}
-		w := 1 + int(workers%4)
-		for _, format := range []string{"csv", "bin", "msrc", "spc"} {
-			seq, err := NewDecoder(format, bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("%s: sequential constructor: %v", format, err)
-			}
-			wantReqs, wantMeta, wantErr := fuzzCollect(seq)
-
-			pd := NewParallelDecoder(bytes.NewReader(data), int64(len(data)), format, w)
-			gotReqs, gotMeta, gotErr := fuzzCollect(pd)
-			pd.Close()
-			fuzzCompare(t, format, wantReqs, wantMeta, wantErr, gotReqs, gotMeta, gotErr)
-		}
-	})
-}
-
+// fuzzCollect drains dec one record per Read, up to 1<<20 records, and
+// returns them with the metadata and the terminal error (nil for a
+// clean EOF).
 func fuzzCollect(dec Decoder) ([]Request, Meta, error) {
 	var out []Request
 	dst := make([]Request, 1)
@@ -162,25 +115,6 @@ func fuzzCollect(dec Decoder) ([]Request, Meta, error) {
 		if len(out) > 1<<20 {
 			return out, dec.Meta(), nil
 		}
-	}
-}
-
-func fuzzCompare(t *testing.T, path string, wantReqs []Request, wantMeta Meta, wantErr error, gotReqs []Request, gotMeta Meta, gotErr error) {
-	t.Helper()
-	if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
-		t.Fatalf("%s: sequential err %v, parallel err %v", path, wantErr, gotErr)
-	}
-	if len(gotReqs) != len(wantReqs) {
-		t.Fatalf("%s: sequential delivered %d records, parallel %d (seq err %v, par err %v)",
-			path, len(wantReqs), len(gotReqs), wantErr, gotErr)
-	}
-	for i := range wantReqs {
-		if wantReqs[i] != gotReqs[i] {
-			t.Fatalf("%s: record %d differs: seq %+v par %+v", path, i, wantReqs[i], gotReqs[i])
-		}
-	}
-	if wantErr == nil && gotMeta != wantMeta {
-		t.Fatalf("%s: meta differs: seq %+v par %+v", path, wantMeta, gotMeta)
 	}
 }
 

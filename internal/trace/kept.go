@@ -1,25 +1,23 @@
 package trace
 
-// Decode scratch kept between decodes. What a decode uses — its
-// workers' read buffers and its request batches — is kept for the
-// decodes after it, so a process that decodes trace after trace stops
-// allocating them once warm. Every decoder OpenFileDecoder and
-// NewParallelDecoder build borrows from keptReaders and keptBatches as
-// it goes and hands each value back as soon as nothing reads it, and
-// ForEachBatch borrows its scratch batch for the length of a drain. A
-// sequential decode (every bin input, and text under ParallelMinBytes)
-// takes one read buffer, and its drain the one ForEachBatch batch; a
-// parallel text decode takes a read buffer per worker and up to
-// batchesPerDecode batches. The lists hold the scratch of keptDecodes
-// concurrent parallel decodes on GOMAXPROCS workers each, 3.4 MiB at
-// GOMAXPROCS=2, and drop all of it once no decode has used it for
-// keptIdle. Nothing a decode writes to a buffer is read by the next: a
-// decoder overwrites what it borrows.
+// Decode scratch kept between decodes. What a decode uses — its read
+// buffer and its request batches — is kept for the decodes after it, so
+// a process that decodes trace after trace stops allocating them once
+// warm. Every decoder OpenFileDecoder and NewParallelDecoder build
+// borrows from keptReaders and keptBatches as it goes and hands each
+// value back as soon as nothing reads it, and ForEachBatch borrows its
+// scratch batch for the length of a drain. Every decode takes one read
+// buffer; a sequential decode (every bin input, and text under
+// ParallelMinBytes) takes no batch beyond its drain's one, and a
+// read-ahead decode up to batchesPerDecode. The lists hold the scratch
+// of keptDecodes concurrent read-ahead decodes, 1.4 MiB, and drop all
+// of it once no decode has used it for keptIdle. Nothing a decode
+// writes to a buffer is read by the next: a decoder overwrites what it
+// borrows.
 
 import (
 	"bufio"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -28,27 +26,24 @@ import (
 // or put.
 const keptIdle = 10 * time.Second
 
-// keptDecodes is how many concurrent parallel decodes the kept lists
-// hold the scratch of: a daemon's default two jobs and one ingest, all
-// on text. Ingest decodes text in parallel, and so does a job on a text
+// keptDecodes is how many concurrent decodes the kept lists hold the
+// scratch of: a daemon's default two jobs and one ingest, all reading
+// text ahead. Ingest reads text ahead, and so does a job on a text
 // blob stored before ingest wrote bin renderings (Rebuild writes none);
-// a job on a rendering or a bin blob decodes sequentially and takes far
-// less than its share.
+// a job on a rendering or a bin blob decodes sequentially and takes
+// far less than its share.
 const keptDecodes = 3
 
-var (
-	keptWorkers = runtime.GOMAXPROCS(0)
-	keptReaders = newKept[*bufio.Reader](keptDecodes * keptWorkers)
-	keptBatches = newKept[[]Request](keptDecodes * batchesPerDecode(keptWorkers))
-)
+// batchesPerDecode is how many request batches one read-ahead decode
+// holds at most: aheadBatches waiting for its consumer, one its
+// goroutine decodes into, one its consumer reads and its drain's
+// scratch batch.
+const batchesPerDecode = aheadBatches + 3
 
-// batchesPerDecode is how many request batches keptBatches holds for
-// one decode on workers workers: a full ring for each of its at most
-// workers+2 segments in flight, one batch in each worker's hands, and
-// the one its consumer reads.
-func batchesPerDecode(workers int) int {
-	return (workers+2)*segRingDepth + workers + 1
-}
+var (
+	keptReaders = newKept[*bufio.Reader](keptDecodes)
+	keptBatches = newKept[[]Request](keptDecodes * batchesPerDecode)
+)
 
 // kept is a bounded list of decode scratch values of one kind, shared
 // by every decode in the process. It holds at most max values and drops

@@ -1,11 +1,10 @@
 package trace
 
-// Locks for the parallel decode pipeline: for every input format and
-// worker count, the parallel decoder must produce exactly the
-// sequential Decoder's request sequence (verified structurally and by
-// re-encoding both sides to identical bytes), stop at the same record
-// on malformed inputs, and stay allocation-free per record in steady
-// state.
+// Locks for the read-ahead decoder: for every input format and worker
+// count, ParallelDecoder must produce exactly the sequential Decoder's
+// request sequence (verified structurally and by re-encoding both sides
+// to identical bytes), stop at the same record on malformed inputs,
+// and stay allocation-free per record in steady state.
 
 import (
 	"bytes"
@@ -120,7 +119,7 @@ func encodeCSVBytes(t testing.TB, m Meta, reqs []Request) []byte {
 	return buf.Bytes()
 }
 
-// TestParallelDecodeByteIdentical is the acceptance lock: the parallel
+// TestParallelDecodeByteIdentical is the acceptance lock: the read-ahead
 // decoder, at workers 1/4/8, reproduces the sequential decoder
 // byte-for-byte on every format — over an in-memory io.ReaderAt
 // ("file") and the way a non-seekable input reaches it ("stream":
@@ -182,16 +181,17 @@ func TestParallelDecodeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelDecodeErrors locks error behaviour: the parallel path
+// probeLen is a read of a text input's leading comment run, which the
+// error fixtures below outrun.
+const probeLen = 4 << 10
+
+// TestParallelDecodeErrors locks error behaviour: the read-ahead path
 // must deliver exactly the records the sequential decoder delivers
 // before failing, then fail with exactly the sequential decoder's
-// error text — absolute line numbers included (the merger's
-// per-segment line accounting).
+// error text — absolute line numbers included.
 func TestParallelDecodeErrors(t *testing.T) {
-	// Big enough that the file splitter plans several segments (256 KiB
-	// floor each): the corrupt lines land in later segments, so the
-	// absolute line numbers genuinely exercise the merger's per-segment
-	// accounting rather than a single segment-0 base.
+	// Big enough that the corrupt lines land many batches in, behind
+	// batches the decode goroutine handed over before it met them.
 	tr := benchTrace(40_000)
 	var csvBuf, binBuf, msrcBuf, spcBuf bytes.Buffer
 	if err := WriteCSV(&csvBuf, tr); err != nil {
@@ -224,7 +224,7 @@ func TestParallelDecodeErrors(t *testing.T) {
 	}()
 	truncBin := binBuf.Bytes()[:binBuf.Len()-17]
 	// lead puts a bad first record, after a prelude, in front of a whole
-	// fixture: the prelude scan meets it before any segment runs.
+	// fixture: the first Read meets it.
 	lead := func(prelude, bad string, data *bytes.Buffer) []byte {
 		return []byte(prelude + bad + "\n" + data.String())
 	}
@@ -313,9 +313,9 @@ func TestParallelDecodeEmptyText(t *testing.T) {
 	}
 }
 
-// TestParallelDecoderCloseEarly abandons a parallel decoder mid-stream;
-// Close must join every goroutine without deadlocking (the -race run
-// doubles as a leak check for blocked sends).
+// TestParallelDecoderCloseEarly abandons a read-ahead decoder
+// mid-stream; Close must join its goroutine without deadlocking (the
+// -race run doubles as a leak check for blocked sends).
 func TestParallelDecoderCloseEarly(t *testing.T) {
 	tr := benchTrace(50_000)
 	var buf bytes.Buffer
@@ -355,8 +355,8 @@ func waitGoroutines(t *testing.T, base int) {
 
 // TestAbandonedDecodeReleasesGoroutines is the leak regression for the
 // PR 4 known delta: a decode abandoned on an error path must release
-// every worker goroutine. A decode that reaches its error stops its
-// workers, Summarize closes the decoder it was draining when the decode
+// its decode goroutine. A decode that reaches its error stops its
+// goroutine, Summarize closes the decoder it was draining when the decode
 // fails, and so does a reorder wrapper closed early, so repeated
 // failing decodes leave the goroutine count at its baseline.
 func TestAbandonedDecodeReleasesGoroutines(t *testing.T) {
@@ -365,8 +365,8 @@ func TestAbandonedDecodeReleasesGoroutines(t *testing.T) {
 	if err := WriteCSV(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a record past the first segment so decode workers are
-	// mid-flight when the merger surfaces the error.
+	// Corrupt a record half way in, so the decode goroutine has batches
+	// on their way when the consumer meets the error.
 	lines := strings.SplitAfter(buf.String(), "\n")
 	mid := len(lines) / 2
 	data := []byte(strings.Join(lines[:mid], "") + "not,a,record\n" + strings.Join(lines[mid:], ""))
@@ -381,7 +381,7 @@ func TestAbandonedDecodeReleasesGoroutines(t *testing.T) {
 		if _, err := Summarize(pd); err == nil {
 			t.Fatal("Summarize: want a decode error")
 		}
-		// A reorder wrapper must forward Close to its parallel inner.
+		// A reorder wrapper must forward Close to its read-ahead inner.
 		rd := newReorderDecoder(NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "csv", 4), 8)
 		if _, err := rd.Read(make([]Request, 1)); err != nil {
 			t.Fatal(err)
@@ -392,9 +392,9 @@ func TestAbandonedDecodeReleasesGoroutines(t *testing.T) {
 }
 
 // TestParallelDecodeAllocs bounds the per-record allocation cost of
-// the parallel path: amortized over a full decode it must stay under
-// 0.01 allocs/record — the free-list recycling at work — for bin and
-// for csv, the upload's decode.
+// the read-ahead path: amortized over a full decode it must stay under
+// 0.01 allocs/record — the kept batches at work — for bin and for csv,
+// the upload's decode.
 func TestParallelDecodeAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -429,21 +429,20 @@ func TestParallelDecodeAllocs(t *testing.T) {
 			pd.Close()
 		})
 		if perRec := avg / n; perRec > 0.01 {
-			t.Fatalf("%s parallel decode allocates %.4f/record (%.0f/run), want <= 0.01", format, perRec, avg)
+			t.Fatalf("%s read-ahead decode allocates %.4f/record (%.0f/run), want <= 0.01", format, perRec, avg)
 		}
 	}
 }
 
-// TestParallelDecoderReadBuffers: a decode takes at most one read
-// buffer per worker, however many segments its input splits into, and
-// gives every buffer it takes back at Close — so decodes on warm
-// buffers allocate none, and what is kept never exceeds the workers.
-// keptReaders holds room for more readers than the workers, so a decode
-// that took a buffer per segment would leave more behind.
+// TestParallelDecoderReadBuffers: a read-ahead decode takes one read
+// buffer, whatever its worker count, and gives it back when it ends, so
+// decodes on a warm buffer allocate none, and what is kept never
+// exceeds the one. keptReaders holds room for more, so a decode that
+// took a buffer per worker would leave more behind.
 func TestParallelDecoderReadBuffers(t *testing.T) {
 	const workers = 2
-	if keptDecodes*keptWorkers <= workers {
-		t.Fatalf("keptReaders holds %d buffers, want more than %d workers", keptDecodes*keptWorkers, workers)
+	if keptDecodes <= 1 {
+		t.Fatalf("keptReaders holds %d buffers, want more than one", keptDecodes)
 	}
 	tr := benchTrace(120_000)
 	for _, format := range []string{"csv", "bin"} {
@@ -457,9 +456,6 @@ func TestParallelDecoderReadBuffers(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			for _, size := range []int{len(data) / 4, len(data)} {
 				pd := NewParallelDecoder(bytes.NewReader(data[:size]), int64(size), format, workers)
-				if nseg := len(pd.plan.segs); size == len(data) && nseg <= workers {
-					t.Fatalf("%s: fixture splits into %d segments, want more than %d workers", format, nseg, workers)
-				}
 				for {
 					if _, err := pd.ReadBatch(); err != nil {
 						if err != io.EOF && size == len(data) {
@@ -469,9 +465,8 @@ func TestParallelDecoderReadBuffers(t *testing.T) {
 					}
 				}
 				pd.Close()
-				if n := keptReaders.count(); n < 1 || n > workers {
-					t.Fatalf("%s round %d: %d read buffers kept after a %d-segment decode on %d workers, want 1 to %d",
-						format, round, n, len(pd.plan.segs), workers, workers)
+				if n := keptReaders.count(); n != 1 {
+					t.Fatalf("%s round %d: %d read buffers kept after a decode on %d workers, want 1", format, round, n, workers)
 				}
 			}
 		}
@@ -485,10 +480,10 @@ func TestParallelDecoderReadBuffers(t *testing.T) {
 }
 
 // TestOpenFileDecoderBinSequential: OpenFileDecoder decodes a bin file
-// of ParallelMinBytes or more on one goroutine at any worker count, so
-// a drain through ForEachBatch borrows its one scratch batch and no
-// ring of batches: at most that one is kept after it, where a parallel
-// decode hands back a ring's worth.
+// of ParallelMinBytes or more on the consumer's goroutine at any worker
+// count, so a drain through ForEachBatch borrows its one scratch batch
+// and no batches to read ahead into: at most that one is kept after it,
+// where a read-ahead decode hands back several.
 func TestOpenFileDecoderBinSequential(t *testing.T) {
 	const workers = 4
 	var buf bytes.Buffer

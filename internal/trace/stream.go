@@ -71,10 +71,10 @@ type Decoder interface {
 	// headered formats after construction); callers that emit metadata
 	// should read a first run before.
 	Meta() Meta
-	// Close releases what the decoder holds: its decode workers, its
+	// Close releases what the decoder holds: its decode goroutine, its
 	// read buffers and the file it opened. A consumer that abandons the
-	// stream before EOF or an error must call it, or a parallel decode
-	// leaks its workers. It is idempotent; after it, Read returns an
+	// stream before EOF or an error must call it, or a ParallelDecoder
+	// leaks its goroutine. It is idempotent; after it, Read returns an
 	// error (errClosed, in this package) and no data, and nothing Read
 	// returned may be used.
 	Close()
@@ -271,9 +271,7 @@ func (s *SeqState) Clone() *SeqState {
 // lines of their source, counted, and the loops that hand them to the
 // format's grammar — the decoder's line function, the only code that
 // parses or skips a text record. DetectFormat asks that function
-// whether a line is a record of the format, and the parallel decoder's
-// prelude scan runs it over the lines up to the first record
-// (segment.go).
+// whether a line is a record of the format.
 type text struct {
 	source
 	lineno  int
@@ -292,8 +290,6 @@ type lineParser interface {
 type textDecoder interface {
 	Decoder
 	lineParser
-	lineCounter
-	scan(r *Request) (bool, error)
 	init(s source, g lineParser)
 }
 
@@ -307,27 +303,19 @@ func newText[D textDecoder](d D, s source) D {
 // of.
 func (t *text) init(s source, g lineParser) { t.source, t.grammar = s, g }
 
-// scan reads the next line and hands it to the grammar: ok reports a
-// record in *r.
-//
-//tracelint:hotpath
-func (t *text) scan(r *Request) (bool, error) {
-	line, err := t.nextLine()
-	if err != nil {
-		return false, err
-	}
-	t.lineno++
-	return t.grammar.line(line, r)
-}
-
-// read scans lines until one holds a record, into *r: the one loop
-// over nextLine, which the batch loops (Read, csvDecoder.Read) fall back
-// on when no whole line is buffered.
+// read hands lines to the grammar until one holds a record, into *r:
+// the one loop over nextLine, which the batch loops (Read,
+// csvDecoder.Read) fall back on when no whole line is buffered.
 //
 //tracelint:hotpath
 func (t *text) read(r *Request) error {
 	for {
-		if ok, err := t.scan(r); ok || err != nil {
+		line, err := t.nextLine()
+		if err != nil {
+			return err
+		}
+		t.lineno++
+		if ok, err := t.grammar.line(line, r); ok || err != nil {
 			return err
 		}
 	}
@@ -380,9 +368,6 @@ func (t *text) Read(dst []Request) ([]Request, error) {
 	return dst, nil
 }
 
-// lines implements lineCounter.
-func (t *text) lines() int { return t.lineno }
-
 // --- native CSV ---
 
 // csvHeaderPrefix marks the native metadata header comment.
@@ -415,7 +400,7 @@ func (d *csvDecoder) line(line []byte, r *Request) (bool, error) {
 			// cannot be honoured by a streaming consumer that already
 			// acted on the old metadata — reject it rather than let
 			// streaming and whole-trace paths silently diverge.
-			return false, lineErrf("line", d.lineno, nil, ": metadata header after data rows")
+			return false, fmt.Errorf("trace: line %d: metadata header after data rows", d.lineno)
 		}
 		d.t.applyMeta(d.meta)
 		//tracelint:ignore hotpath header-comment path: runs once per header line, not per record
@@ -427,11 +412,11 @@ func (d *csvDecoder) line(line []byte, r *Request) (bool, error) {
 	if parseNativeFast(line, r) != len(line) {
 		var f [8][]byte
 		if n := splitComma(f[:], line); n != 7 {
-			return false, lineErrf("line", d.lineno, nil, ": want 7 fields, got %d", n)
+			return false, fmt.Errorf("trace: line %d: want 7 fields, got %d", d.lineno, n)
 		}
 		req, err := parseNativeLine(f[:7])
 		if err != nil {
-			return false, lineErrf("line", d.lineno, err, ": %v", err)
+			return false, fmt.Errorf("trace: line %d: %w", d.lineno, err)
 		}
 		*r = req
 	}
@@ -643,8 +628,7 @@ func newBinaryDecoder(s source) *binaryDecoder {
 }
 
 // parseBinHeader reads the binary header (magic, metadata strings,
-// flags, request count) from r — shared by the sequential decoder and
-// the segment splitter, so the two paths cannot drift.
+// flags, request count) from r.
 func parseBinHeader(r io.Reader) (m Meta, counted bool, count uint64, err error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -918,8 +902,8 @@ func writeBinaryRecord(bw *bufio.Writer, rec *[binRecordLen]byte, r Request) err
 type msrcDecoder struct {
 	text
 	meta  Meta
-	base  int64
-	first bool
+	base  int64 // the first record's timestamp, once based
+	based bool
 }
 
 // msrcMeta is the metadata of every MSRC stream before its first
@@ -940,38 +924,37 @@ func (d *msrcDecoder) line(line []byte, r *Request) (bool, error) {
 	}
 	var f [8][]byte
 	if n := splitComma(f[:], line); n != 7 {
-		return false, lineErrf("msrc line", d.lineno, nil, ": want 7 fields, got %d", n)
+		return false, fmt.Errorf("trace: msrc line %d: want 7 fields, got %d", d.lineno, n)
 	}
 	ts, err := parseIntBytes(f[0], 64)
 	if err != nil {
-		return false, lineErrf("msrc line", d.lineno, err, " timestamp: %v", err)
+		return false, fmt.Errorf("trace: msrc line %d timestamp: %w", d.lineno, err)
 	}
-	if d.first {
-		d.base = ts
+	if !d.based {
+		d.base, d.based = ts, true
 		//tracelint:ignore hotpath first-record path: the workload name is captured once per stream
 		d.meta.Workload = string(f[1])
 		d.meta.Name = d.meta.Workload
-		d.first = false
 	}
 	disk, err := parseUintBytes(f[2], 32)
 	if err != nil {
-		return false, lineErrf("msrc line", d.lineno, err, " disk: %v", err)
+		return false, fmt.Errorf("trace: msrc line %d disk: %w", d.lineno, err)
 	}
 	op, err := parseOpBytes(f[3])
 	if err != nil {
-		return false, lineErrf("msrc line", d.lineno, err, ": %v", err)
+		return false, fmt.Errorf("trace: msrc line %d: %w", d.lineno, err)
 	}
 	off, err := parseUintBytes(f[4], 64)
 	if err != nil {
-		return false, lineErrf("msrc line", d.lineno, err, " offset: %v", err)
+		return false, fmt.Errorf("trace: msrc line %d offset: %w", d.lineno, err)
 	}
 	size, err := parseUintBytes(f[5], 64)
 	if err != nil {
-		return false, lineErrf("msrc line", d.lineno, err, " size: %v", err)
+		return false, fmt.Errorf("trace: msrc line %d size: %w", d.lineno, err)
 	}
 	resp, err := parseIntBytes(f[6], 64)
 	if err != nil {
-		return false, lineErrf("msrc line", d.lineno, err, " response: %v", err)
+		return false, fmt.Errorf("trace: msrc line %d response: %w", d.lineno, err)
 	}
 	*r = Request{
 		Arrival: time.Duration(ts-d.base) * 100, // 100ns ticks
@@ -1019,7 +1002,7 @@ func (d *spcDecoder) line(line []byte, r *Request) (bool, error) {
 	}
 	var f [8][]byte
 	if n := splitComma(f[:], line); n < 5 {
-		return false, lineErrf("spc line", d.lineno, nil, ": want 5 fields, got %d", n)
+		return false, fmt.Errorf("trace: spc line %d: want 5 fields, got %d", d.lineno, n)
 	}
 	for i := range f[:5] {
 		if padded(f[i]) {
@@ -1028,23 +1011,23 @@ func (d *spcDecoder) line(line []byte, r *Request) (bool, error) {
 	}
 	asu, err := parseUintBytes(f[0], 32)
 	if err != nil {
-		return false, lineErrf("spc line", d.lineno, err, " asu: %v", err)
+		return false, fmt.Errorf("trace: spc line %d asu: %w", d.lineno, err)
 	}
 	lba, err := parseUintBytes(f[1], 64)
 	if err != nil {
-		return false, lineErrf("spc line", d.lineno, err, " lba: %v", err)
+		return false, fmt.Errorf("trace: spc line %d lba: %w", d.lineno, err)
 	}
 	size, err := parseUintBytes(f[2], 64)
 	if err != nil {
-		return false, lineErrf("spc line", d.lineno, err, " size: %v", err)
+		return false, fmt.Errorf("trace: spc line %d size: %w", d.lineno, err)
 	}
 	op, err := parseOpBytes(f[3])
 	if err != nil {
-		return false, lineErrf("spc line", d.lineno, err, ": %v", err)
+		return false, fmt.Errorf("trace: spc line %d: %w", d.lineno, err)
 	}
 	sec, err := parseFloatBytes(f[4])
 	if err != nil {
-		return false, lineErrf("spc line", d.lineno, err, " timestamp: %v", err)
+		return false, fmt.Errorf("trace: spc line %d timestamp: %w", d.lineno, err)
 	}
 	*r = Request{
 		Arrival: time.Duration(sec * float64(time.Second)),

@@ -77,13 +77,12 @@ func BenchmarkDecodeSPC(b *testing.B) {
 	benchDecode(b, "spc", writeSPCStyle)
 }
 
-// BenchmarkDecodeParallel times the segmented parallel decoder a job
-// or an ingest opens on a large file, drained by ForEachBatch as they
-// drain it: csv and bin, 100k requests, on one and two workers. Beside
-// ns/record it reports the plan — segments, and parBatchLen batches per
-// segment — because a worker runs at most segRingDepth batches ahead
-// of the merge point within a segment, and that depth against the
-// batches a segment holds bounds how much two workers can overlap.
+// BenchmarkDecodeParallel times the read-ahead decoder an ingest or a
+// job opens on a large text file, drained by ForEachBatch as they drain
+// it: csv and bin, 100k requests. The drain does nothing with the
+// records, so this is the decode plus the hand-over, with nothing for
+// the decode to overlap; BenchmarkDecodeCSV and BenchmarkDecodeBin are
+// the sequential decode alone.
 func BenchmarkDecodeParallel(b *testing.B) {
 	tr := benchTrace(100_000)
 	for _, c := range []struct {
@@ -95,31 +94,25 @@ func BenchmarkDecodeParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 		data := buf.Bytes()
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/P%d", c.format, workers), func(b *testing.B) {
-				b.SetBytes(int64(len(data)))
-				b.ReportAllocs()
-				segs := 0
-				for i := 0; i < b.N; i++ {
-					dec := NewParallelDecoder(bytes.NewReader(data), int64(len(data)), c.format, workers)
-					n := 0
-					if err := ForEachBatch(dec, func(run []Request) error {
-						n += len(run)
-						return nil
-					}); err != nil {
-						b.Fatal(err)
-					}
-					segs = len(dec.plan.segs)
-					dec.Close()
-					if n != tr.Len() {
-						b.Fatalf("decoded %d of %d records", n, tr.Len())
-					}
+		b.Run(c.format, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dec := NewParallelDecoder(bytes.NewReader(data), int64(len(data)), c.format, 1)
+				n := 0
+				if err := ForEachBatch(dec, func(run []Request) error {
+					n += len(run)
+					return nil
+				}); err != nil {
+					b.Fatal(err)
 				}
-				reportPerRecord(b, tr.Len())
-				b.ReportMetric(float64(segs), "segments")
-				b.ReportMetric(float64(tr.Len())/float64(max(segs, 1))/parBatchLen, "batches/segment")
-			})
-		}
+				dec.Close()
+				if n != tr.Len() {
+					b.Fatalf("decoded %d of %d records", n, tr.Len())
+				}
+			}
+			reportPerRecord(b, tr.Len())
+		})
 	}
 }
 

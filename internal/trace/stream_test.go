@@ -155,8 +155,7 @@ func noEOF(err error) error {
 // loop: the same requests, and the same error text after the same
 // number of records. The inputs span several 128 KB buffer refills
 // and end every way a bin stream can; each is read with dst lengths
-// that divide a buffer's records unevenly, and through segment decoders
-// that start at a non-zero record index.
+// that divide a buffer's records unevenly.
 func TestBinaryDecodeBatchMatchesNext(t *testing.T) {
 	const n = 10_000 // ≈ 340 KB of records
 	tr := benchTrace(n)
@@ -193,29 +192,6 @@ func TestBinaryDecodeBatchMatchesNext(t *testing.T) {
 		newDec := func() seqDecoder { return newSeq(t, "bin", data) }
 		compareDrains(t, name, newDec, sizes)
 	}
-
-	// Segment decoders, as the parallel decoder opens them: a counted
-	// middle segment and an uncounted tail ending inside a record.
-	data := streamed.Bytes()
-	bin := lookup("bin")
-	segments := []struct {
-		name       string
-		start, end int
-		ctx        segCtx
-	}{
-		{"segment-counted", 4000, 9000, segCtx{binCounted: true, binRemaining: 5000, binStart: 4000}},
-		{"segment-tail-partial", 5000, n, segCtx{binStart: 5000}},
-	}
-	for _, s := range segments {
-		body := data[rec(s.start):rec(s.end)]
-		if !s.ctx.binCounted {
-			body = body[:len(body)-binRecordLen/2]
-		}
-		newDec := func() seqDecoder {
-			return bin.segment(newReadBuffer(bytes.NewReader(body)), s.ctx).(seqDecoder)
-		}
-		compareDrains(t, s.name, newDec, sizes)
-	}
 }
 
 // compareDrains reads fresh decoders from newDec with next and with
@@ -241,9 +217,8 @@ func compareDrains(t *testing.T, name string, newDec func() seqDecoder, sizes []
 // 128 KB buffer refills and carries one hazard of the batch loop: lines
 // it must hand to the shared per-line body (CRLF, comments, blank
 // lines, slow-path records, a late header), bad records on and off a
-// dst boundary, a line longer than the buffer, an unterminated or
-// over-long last line, and segment decoders as the parallel decoder
-// opens them.
+// dst boundary, a line longer than the buffer, and an unterminated or
+// over-long last line.
 func TestCSVDecodeBatchMatchesNext(t *testing.T) {
 	const n = 10_000 // ≈ 400 KB of records
 	tr := benchTrace(n)
@@ -306,29 +281,11 @@ func TestCSVDecodeBatchMatchesNext(t *testing.T) {
 	// The inputs whose decode must end in an error; the rest decode.
 	fails := map[string]bool{
 		"late-header": true, "bad-at-boundary": true, "bad-mid-batch": true,
-		"unterminated-partial": true, "line-too-long": true, "segment-late-header": true,
+		"unterminated-partial": true, "line-too-long": true,
 	}
 	sizes := []int{1, 3, 1024, 5000}
 	for name, data := range inputs {
 		newDec := func() seqDecoder { return newSeq(t, "csv", data) }
-		if _, err := drainBy(newDec(), 0); (err != nil) != fails[name] {
-			t.Fatalf("%s: next loop ends with %v", name, err)
-		}
-		compareDrains(t, name, newDec, sizes)
-	}
-
-	// Segment decoders, as the parallel decoder opens them: a data-region
-	// body under the prelude's metadata, and one a late header ends.
-	csv := lookup("csv")
-	ctx := segCtx{meta: tr.Meta()}
-	bodies := map[string]string{
-		"segment":             strings.Join(lines[hdr+2000:hdr+8000], ""),
-		"segment-late-header": strings.Join(lines[hdr+2000:hdr+6000], "") + late + lines[hdr+6000],
-	}
-	for name, body := range bodies {
-		newDec := func() seqDecoder {
-			return csv.segment(newReadBuffer(strings.NewReader(body)), ctx).(seqDecoder)
-		}
 		if _, err := drainBy(newDec(), 0); (err != nil) != fails[name] {
 			t.Fatalf("%s: next loop ends with %v", name, err)
 		}

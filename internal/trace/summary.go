@@ -154,7 +154,7 @@ func (a *Summarizer) Summary(m Meta) Summary {
 // Summarize drains dec and returns its one-pass summary. It reads a run
 // at a time (ForEachBatch), so the per-record cost is the AddBatch
 // fold, not interface dispatch. On a decode error the decoder is
-// closed, so abandoned parallel decodes never leak workers.
+// closed, so an abandoned read-ahead decode never leaks its goroutine.
 func Summarize(dec Decoder) (Summary, error) {
 	acc := NewSummarizer()
 	err := ForEachBatch(dec, func(batch []Request) error {
