@@ -66,6 +66,9 @@ type deviceEntry struct {
 	// build returns the device constructor for a normalized, validated
 	// spec.
 	build func(spec JobSpec) func() device.Device
+	// bytes bounds what a device of a normalized, validated spec holds
+	// at most, for the kept-target budget (targets.go).
+	bytes func(spec JobSpec) int64
 }
 
 var deviceRegistry = []deviceEntry{
@@ -80,6 +83,7 @@ var deviceRegistry = []deviceEntry{
 		build: func(JobSpec) func() device.Device {
 			return func() device.Device { return device.NewArray(device.DefaultArrayConfig()) }
 		},
+		bytes: func(JobSpec) int64 { return smallTargetBytes },
 	},
 	{
 		info: DeviceInfo{
@@ -90,6 +94,7 @@ var deviceRegistry = []deviceEntry{
 		build: func(JobSpec) func() device.Device {
 			return func() device.Device { return device.NewSSD(device.DefaultSSDConfig()) }
 		},
+		bytes: func(JobSpec) int64 { return smallTargetBytes },
 	},
 	{
 		info: DeviceInfo{
@@ -101,6 +106,7 @@ var deviceRegistry = []deviceEntry{
 		build: func(JobSpec) func() device.Device {
 			return func() device.Device { return device.NewHDD(device.DefaultHDDConfig()) }
 		},
+		bytes: func(JobSpec) int64 { return smallTargetBytes },
 	},
 	{
 		info: DeviceInfo{
@@ -124,6 +130,7 @@ var deviceRegistry = []deviceEntry{
 			cfg := spec.FTLConfig.Config()
 			return func() device.Device { return device.NewFTLDevice(cfg) }
 		},
+		bytes: func(spec JobSpec) int64 { return ftl.StateBytes(spec.FTLConfig.Config()) },
 	},
 	{
 		info: DeviceInfo{
@@ -148,6 +155,8 @@ var deviceRegistry = []deviceEntry{
 			cfg, inner := spec.HostConfig.Config(), spec.HostConfig.innerDevice()
 			return func() device.Device { return hoststack.New(cfg, inner()) }
 		},
+		// The inner device is an hdd, ssd or array.
+		bytes: func(spec JobSpec) int64 { return hoststack.CacheBytes(spec.HostConfig.Config()) + smallTargetBytes },
 	},
 }
 

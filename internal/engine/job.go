@@ -276,12 +276,13 @@ func runJobTo(cfg Config, spec JobSpec, sink io.Writer, fitted *infer.Model) (*R
 	}
 	// The spec's device selects the target for every method; stateful
 	// targets (hdd, ftl, host) run the same graph at the full worker
-	// count — they never imply a serial reconstruction.
-	dev, err := deviceFactoryFor(spec)
+	// count — they never imply a serial reconstruction. The run takes
+	// its devices from the kept targets (targets.go).
+	targets, err := targetsFor(spec, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Device = dev
+	cfg.Device = targets.take
 	out := &jobWriter{w: sink}
 	enc, err := trace.NewEncoder(spec.OutFormat, out, spec.FIODevice)
 	if err != nil {
@@ -289,6 +290,9 @@ func runJobTo(cfg Config, spec JobSpec, sink io.Writer, fitted *infer.Model) (*R
 	}
 	meth, _ := methodFor(spec.Method)
 	rep, err := New(cfg).runMethod(meth, spec, enc, fitted)
+	// runMethod returns, failed or not, once the stage graph's
+	// goroutines have exited: nothing uses the devices the run took.
+	targets.release()
 	if out.err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrStorage, out.err)
 	}

@@ -95,3 +95,19 @@ func TestNewRejectsInt32Overflow(t *testing.T) {
 		}()
 	}
 }
+
+// TestStateBytes: StateBytes is what New allocates for the FTL's
+// arrays, on a power-of-two geometry and on one with padded blocks.
+func TestStateBytes(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(), {Blocks: 64, PagesPerBlock: 12, OverprovisionPct: 0.2}} {
+		f := New(cfg)
+		held := func(s any) int64 {
+			v := reflect.ValueOf(s)
+			return int64(v.Cap()) * int64(v.Type().Elem().Size())
+		}
+		got := held(f.state) + held(f.lpns) + held(f.meta) + held(f.free) + held(f.l2p)
+		if want := StateBytes(cfg); got != want {
+			t.Fatalf("%d blocks of %d pages: New allocated %d B, StateBytes says %d", cfg.Blocks, cfg.PagesPerBlock, got, want)
+		}
+	}
+}

@@ -29,6 +29,7 @@ import (
 	"math"
 	"math/bits"
 	"time"
+	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -181,6 +182,29 @@ var ErrFull = errors.New("ftl: no reclaimable space")
 // New builds an FTL from cfg (zero fields default). It panics when the
 // geometry's page numbers do not fit an int32 (see Config).
 func New(cfg Config) *FTL {
+	cfg = cfg.withDefaults()
+	f := &FTL{cfg: cfg, pageShift: uint(bits.Len(uint(cfg.PagesPerBlock - 1)))}
+	if slots := int64(cfg.Blocks) << f.pageShift; slots > math.MaxInt32 {
+		panic(fmt.Sprintf("ftl: %d blocks of %d pages (%d page slots) overflow int32 page numbers",
+			cfg.Blocks, cfg.PagesPerBlock, slots))
+	}
+	f.pageSectors = int64(cfg.PageKB) * 1024 / trace.SectorSize
+	f.sectorShift = -1
+	if f.pageSectors > 0 && f.pageSectors&(f.pageSectors-1) == 0 {
+		f.sectorShift = bits.TrailingZeros64(uint64(f.pageSectors))
+	}
+	f.logical = cfg.logicalPages()
+	f.state = make([]pageState, cfg.Blocks<<f.pageShift)
+	f.lpns = make([]int32, cfg.Blocks<<f.pageShift)
+	f.meta = make([]blockMeta, cfg.Blocks)
+	f.free = make([]int32, cfg.Blocks)
+	f.l2p = make([]int32, f.logical)
+	f.Reset()
+	return f
+}
+
+// withDefaults fills cfg's zero fields from DefaultConfig.
+func (cfg Config) withDefaults() Config {
 	def := DefaultConfig()
 	if cfg.Blocks == 0 {
 		cfg.Blocks = def.Blocks
@@ -209,25 +233,25 @@ func New(cfg Config) *FTL {
 	if cfg.BackgroundGCTarget == 0 {
 		cfg.BackgroundGCTarget = def.BackgroundGCTarget
 	}
-	f := &FTL{cfg: cfg, pageShift: uint(bits.Len(uint(cfg.PagesPerBlock - 1)))}
-	if slots := int64(cfg.Blocks) << f.pageShift; slots > math.MaxInt32 {
-		panic(fmt.Sprintf("ftl: %d blocks of %d pages (%d page slots) overflow int32 page numbers",
-			cfg.Blocks, cfg.PagesPerBlock, slots))
-	}
-	f.pageSectors = int64(cfg.PageKB) * 1024 / trace.SectorSize
-	f.sectorShift = -1
-	if f.pageSectors > 0 && f.pageSectors&(f.pageSectors-1) == 0 {
-		f.sectorShift = bits.TrailingZeros64(uint64(f.pageSectors))
-	}
-	totalPages := int64(cfg.Blocks) * int64(cfg.PagesPerBlock)
-	f.logical = int64(float64(totalPages) * (1 - cfg.OverprovisionPct))
-	f.state = make([]pageState, cfg.Blocks<<f.pageShift)
-	f.lpns = make([]int32, cfg.Blocks<<f.pageShift)
-	f.meta = make([]blockMeta, cfg.Blocks)
-	f.free = make([]int32, cfg.Blocks)
-	f.l2p = make([]int32, f.logical)
-	f.Reset()
-	return f
+	return cfg
+}
+
+// logicalPages is the host-addressable page count: the physical pages
+// less the overprovisioned share.
+func (cfg Config) logicalPages() int64 {
+	return int64(float64(int64(cfg.Blocks)*int64(cfg.PagesPerBlock)) * (1 - cfg.OverprovisionPct))
+}
+
+// StateBytes is what the arrays of an FTL built from cfg (zero fields
+// default as in New) occupy. New allocates exactly these, once, and
+// nothing grows them, so it is the most an FTL of cfg holds.
+func StateBytes(cfg Config) int64 {
+	cfg = cfg.withDefaults()
+	slots := int64(cfg.Blocks) << bits.Len(uint(cfg.PagesPerBlock-1))
+	blocks := int64(cfg.Blocks)
+	return slots*int64(unsafe.Sizeof(pageState(0))+unsafe.Sizeof(int32(0))) +
+		blocks*int64(unsafe.Sizeof(blockMeta{})+unsafe.Sizeof(int32(0))) +
+		cfg.logicalPages()*int64(unsafe.Sizeof(int32(0)))
 }
 
 // Reset returns the FTL to its freshly-built state — empty mapping,

@@ -117,3 +117,26 @@ func TestResetReusesStorage(t *testing.T) {
 		t.Fatalf("Reset reallocated the cache storage")
 	}
 }
+
+// TestCacheBytesBound: a cache churned past its capacity has grown its
+// slab and index to exactly CacheBytes, and a Reset keeps them there.
+func TestCacheBytesBound(t *testing.T) {
+	for _, capacity := range []int{48, 200, 1024} {
+		s := churnStack(capacity)
+		run(s, 0, stackWorkload(20_000, 8*capacity, 3))
+		held := func() int64 {
+			return int64(cap(s.slab))*int64(unsafe.Sizeof(cachePage{})) + int64(len(s.index))*int64(unsafe.Sizeof(int32(0)))
+		}
+		want := CacheBytes(Config{CachePages: capacity})
+		if got := held(); got != want {
+			t.Fatalf("%d pages: the full cache holds %d B, CacheBytes says %d", capacity, got, want)
+		}
+		s.Reset()
+		if got := held(); got != want {
+			t.Fatalf("%d pages: %d B after Reset, want the %d it kept", capacity, got, want)
+		}
+	}
+	if got, want := CacheBytes(Config{}), CacheBytes(DefaultConfig()); got != want || got != 2<<20 {
+		t.Fatalf("CacheBytes of the defaults = %d (zero config %d), want 2 MiB", want, got)
+	}
+}

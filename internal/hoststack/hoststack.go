@@ -28,7 +28,9 @@
 package hoststack
 
 import (
+	"math/bits"
 	"time"
+	"unsafe"
 
 	"repro/internal/device"
 	"repro/internal/trace"
@@ -172,6 +174,20 @@ func New(cfg Config, inner device.Device) *Stack {
 	}
 	s.Reset()
 	return s
+}
+
+// CacheBytes is the most the page cache of a Stack built from cfg (zero
+// fields default as in New) ever holds: the slab grows to at most
+// CachePages slots and the index to the least power of two that gives
+// every one of them two buckets. Reset keeps both. The inner device is
+// not counted.
+func CacheBytes(cfg Config) int64 {
+	pages := cfg.CachePages
+	if pages == 0 {
+		pages = DefaultConfig().CachePages
+	}
+	index := max(minIndex, 1<<bits.Len(uint(2*pages-1)))
+	return int64(pages)*int64(unsafe.Sizeof(cachePage{})) + int64(index)*int64(unsafe.Sizeof(int32(0)))
 }
 
 // Name implements device.Device.

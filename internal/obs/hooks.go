@@ -126,6 +126,11 @@ type EngineMetrics struct {
 	// their text.
 	inputsRendering *Counter
 	inputsBlob      *Counter
+	// targetsKept / targetsBuilt count the devices job runs took
+	// (engine_targets_total{source}): a kept device of the job's config,
+	// Reset, or one built because none was kept.
+	targetsKept  *Counter
+	targetsBuilt *Counter
 }
 
 // NewEngineMetrics registers the engine metric set on r.
@@ -156,7 +161,22 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 	const inputsHelp = "Cached jobs that ran, by the file they decoded: the blob's bin rendering written at ingest, or the blob."
 	m.inputsRendering = r.Counter("engine_job_inputs_total", inputsHelp, Labels{"source": "rendering"})
 	m.inputsBlob = r.Counter("engine_job_inputs_total", inputsHelp, Labels{"source": "blob"})
+	const targetsHelp = "Devices job runs took, by source: kept from an earlier job of the same target config, or built."
+	m.targetsKept = r.Counter("engine_targets_total", targetsHelp, Labels{"source": "kept"})
+	m.targetsBuilt = r.Counter("engine_targets_total", targetsHelp, Labels{"source": "built"})
 	return m
+}
+
+// Target records one device a job run took.
+func (m *EngineMetrics) Target(kept bool) {
+	if m == nil {
+		return
+	}
+	if kept {
+		m.targetsKept.Inc()
+	} else {
+		m.targetsBuilt.Inc()
+	}
 }
 
 // JobInput records the file one cached job that ran decoded.

@@ -317,7 +317,7 @@ func TestParallelDecoderReadAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	keptBatches.trim()
+	keptBatches.Drop()
 	pd := NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "bin", 2)
 	done := make(chan error, 1)
 	go func() {
@@ -329,7 +329,7 @@ func TestParallelDecoderReadAfterClose(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		pd.Close()
-		if k := keptBatches.count(); k < aheadBatches {
+		if k := keptBatches.Len(); k < aheadBatches {
 			done <- fmt.Errorf("%d batches kept after Close, want the %d that waited and more", k, aheadBatches)
 			return
 		}

@@ -451,8 +451,8 @@ func TestParallelDecoderReadBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := buf.Bytes()
-		keptReaders.trim()
-		keptBatches.trim()
+		keptReaders.Drop()
+		keptBatches.Drop()
 		for round := 0; round < 3; round++ {
 			for _, size := range []int{len(data) / 4, len(data)} {
 				pd := NewParallelDecoder(bytes.NewReader(data[:size]), int64(size), format, workers)
@@ -465,16 +465,16 @@ func TestParallelDecoderReadBuffers(t *testing.T) {
 					}
 				}
 				pd.Close()
-				if n := keptReaders.count(); n != 1 {
+				if n := keptReaders.Len(); n != 1 {
 					t.Fatalf("%s round %d: %d read buffers kept after a decode on %d workers, want 1", format, round, n, workers)
 				}
 			}
 		}
 	}
 	// What the idle timers run.
-	keptReaders.trim()
-	keptBatches.trim()
-	if n := keptReaders.count() + keptBatches.count(); n != 0 {
+	keptReaders.Drop()
+	keptBatches.Drop()
+	if n := keptReaders.Len() + keptBatches.Len(); n != 0 {
 		t.Fatalf("%d values kept after trimming", n)
 	}
 }
@@ -497,7 +497,7 @@ func TestOpenFileDecoderBinSequential(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	keptBatches.trim()
+	keptBatches.Drop()
 	dec, _, err := OpenFileDecoder(path, "bin", workers)
 	if err != nil {
 		t.Fatal(err)
@@ -510,7 +510,7 @@ func TestOpenFileDecoderBinSequential(t *testing.T) {
 	if n != 40_000 {
 		t.Fatalf("decoded %d records, want 40000", n)
 	}
-	if k := keptBatches.count(); k > 1 {
+	if k := keptBatches.Len(); k > 1 {
 		t.Fatalf("%d request batches kept after a bin drain on %d workers, want at most ForEachBatch's one", k, workers)
 	}
 }
@@ -531,13 +531,13 @@ func TestFileMeta(t *testing.T) {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		keptReaders.trim()
+		keptReaders.Drop()
 		for round := 0; round < 2; round++ {
 			m, err := FileMeta(path, "auto")
 			if err != nil || !m.TsdevKnown || m.Name != tr.Name {
 				t.Fatalf("%s: FileMeta = %+v, %v; want the header of %q, Tsdev known", format, m, err, tr.Name)
 			}
-			if n := keptReaders.count(); n != 1 {
+			if n := keptReaders.Len(); n != 1 {
 				t.Fatalf("%s round %d: %d read buffers kept after the probe, want its one", format, round, n)
 			}
 		}
