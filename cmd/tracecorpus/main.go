@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/corpus"
@@ -79,15 +78,12 @@ func run(args []string, stdout io.Writer) error {
 func cmdAdd(store *corpus.Store, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("add", flag.ContinueOnError)
 	format := fs.String("format", "auto", trace.Usage(trace.Input))
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
-		"≥ 2 decodes text ahead on one goroutine (bin decodes sequentially)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
 		return fmt.Errorf("add needs at least one trace file (or - for stdin)")
 	}
-	store.SetParallel(*parallel)
 	for _, path := range fs.Args() {
 		var (
 			e       corpus.Entry

@@ -172,6 +172,8 @@ func TestCLIErrors(t *testing.T) {
 		"info-unknown":   {"-data", data, "info", "ffff"},
 		"get-no-digest":  {"-data", data, "get"},
 		"add-missing":    {"-data", data, "add", filepath.Join(dir, "nope.csv")},
+		// The decode has no knob: an ingestible file with -parallel fails.
+		"add-parallel": {"-data", data, "add", "-parallel", "2", filepath.Join("..", "testdata", "fixture.csv")},
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("%s: no error", name)

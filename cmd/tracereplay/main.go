@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -82,7 +81,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		defer os.Remove(spool)
 		path = spool
 	}
-	dec, _, err := trace.OpenFileDecoder(path, *informat, runtime.GOMAXPROCS(0))
+	dec, _, err := trace.OpenFileDecoder(path, *informat)
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,7 @@
 // group shapes and model come from it; pass two decomposes every
 // request under the model for the idle and async counts. The input is
 // read as a job and corpus ingest read it, through trace.OpenFileDecoder:
-// a big text file decoded ahead on one goroutine (-parallel ≥ 2),
+// a big text file decoded ahead on one goroutine when GOMAXPROCS > 1,
 // records in arrival order (the near-sorted corpora, msrc and spc,
 // through their format's reorder window), so the summary is a corpus sidecar's and a file a job rejects
 // as unsorted is rejected here too. Stdin is spooled to a temporary file
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"time"
 
@@ -51,7 +50,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	in := fs.String("in", "", "input trace path (default stdin)")
 	informat := fs.String("informat", "csv", trace.Usage(trace.Input))
 	groups := fs.Bool("groups", true, "print per-group classification")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "≥ 2 decodes text ahead on one goroutine (bin decodes sequentially; the report is the same at any value)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -67,7 +65,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	format := *informat
 	open := func() (trace.Decoder, error) {
-		dec, resolved, err := trace.OpenFileDecoder(path, format, *parallel)
+		dec, resolved, err := trace.OpenFileDecoder(path, format)
 		format = resolved
 		return dec, err
 	}

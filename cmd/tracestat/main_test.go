@@ -104,6 +104,15 @@ func TestInputErrors(t *testing.T) {
 	}
 }
 
+// TestNoParallelFlag: the decode has no knob, so -parallel is an
+// unknown flag.
+func TestNoParallelFlag(t *testing.T) {
+	err := run([]string{"-parallel", "2", "-in", fixture("csv")}, nil, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "not defined: -parallel") {
+		t.Fatalf("-parallel 2: %v, want an unknown-flag error", err)
+	}
+}
+
 // displacedMSRC writes an msrc file whose last record belongs right
 // after its first, further back than trace.ReorderWindow("msrc")
 // reaches.

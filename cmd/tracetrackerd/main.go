@@ -86,7 +86,6 @@ func main() {
 
 	base := engine.Config{Workers: o.parallel, MaxShardRequests: o.maxShard}
 	srv := newServerCap(base, o.jobs, o.queueCap)
-	srv.ingestParallel = o.parallel
 	srv.flight.SetCapacity(o.traceRing)
 	srv.slowJob = o.slowJob
 	srv.maxUpload = o.maxUpload
@@ -191,7 +190,7 @@ func flags(name string) (*flag.FlagSet, *options) {
 		"listen address (loopback by default; non-loopback requires -auth-keys or -insecure)")
 	fs.IntVar(&o.jobs, "jobs", 2, "concurrent job executors")
 	fs.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0),
-		"engine workers per job (≥ 2 decodes text ahead on one goroutine; bin decodes sequentially)")
+		"engine workers per job")
 	fs.IntVar(&o.maxShard, "max-shard", 0, "max requests per shard (0 = engine default)")
 	fs.StringVar(&o.dataDir, "data", "",
 		"data directory: where the corpus of uploaded traces, the result cache and the job journal (crash recovery) live (default: a temporary directory removed at shutdown)")

@@ -58,9 +58,6 @@ const maxSpecBytes = 1 << 20
 type server struct {
 	base engine.Config
 	mux  *http.ServeMux
-	// ingestParallel is the worker count for decoding a staged corpus
-	// upload, applied to the store when openData attaches it.
-	ingestParallel int
 
 	// Observability: every handler runs behind the request-ID/metrics
 	// middleware (handler), the engine and corpus hooks feed reg, and
@@ -340,7 +337,6 @@ func (s *server) openData(dir string) error {
 	if err != nil {
 		return err
 	}
-	store.SetParallel(s.ingestParallel)
 	store.SetMetrics(obs.NewCorpusMetrics(s.reg))
 	s.reg.GaugeFunc("corpus_traces", "Traces in the corpus catalogue.", nil,
 		func() float64 { return float64(store.Len()) })

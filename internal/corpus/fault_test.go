@@ -13,6 +13,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -94,8 +95,8 @@ func TestIngestSpoolFaultIsStorageError(t *testing.T) {
 // A store that reads text ahead hits the same classification: the fault
 // fires while the upload is staged, before any decoder exists.
 func TestIngestSpoolFaultParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	s := openStore(t)
-	s.SetParallel(4)
 	fi := faultfs.New()
 	s.SetFaultInjector(fi)
 	data := csvBytes(t, sampleTrace())
@@ -133,16 +134,17 @@ func (u *unstageAtEOF) Read(p []byte) (int, error) {
 // store's disk failing, not a bad trace — even though the failure
 // surfaces from the decoder's side.
 func TestIngestStagedReadFaultIsStorageError(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
 		s := openStore(t)
-		s.SetParallel(workers)
 		_, _, err := s.Ingest(&unstageAtEOF{r: bytes.NewReader(bigCSV(t)), s: s}, "csv")
 		var pe *fs.PathError
 		if !errors.As(err, &pe) || errors.Is(err, ErrBadTrace) {
-			t.Fatalf("workers=%d: lost staging file: err %v, want a storage *fs.PathError", workers, err)
+			t.Fatalf("GOMAXPROCS %d: lost staging file: err %v, want a storage *fs.PathError", procs, err)
 		}
 		if s.Len() != 0 {
-			t.Fatalf("workers=%d: catalogue holds %d entries after a failed ingest", workers, s.Len())
+			t.Fatalf("GOMAXPROCS %d: catalogue holds %d entries after a failed ingest", procs, s.Len())
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -77,8 +78,8 @@ func freshFit(t *testing.T, format string, data []byte) *infer.Model {
 func TestFittedModelAtIngest(t *testing.T) {
 	old := webmail(t, 30_000, false)
 	csv := csvBytes(t, old)
-	if len(csv) < trace.ParallelMinBytes {
-		t.Fatalf("fixture only %d bytes; must exceed ParallelMinBytes", len(csv))
+	if len(csv) < trace.ReadAheadMinBytes {
+		t.Fatalf("fixture only %d bytes; must exceed ReadAheadMinBytes", len(csv))
 	}
 	spc, err := os.ReadFile(filepath.Join("..", "..", "cmd", "testdata", "fixture.spc"))
 	if err != nil {
@@ -91,20 +92,20 @@ func TestFittedModelAtIngest(t *testing.T) {
 	for _, tc := range []struct {
 		name, format string
 		data         []byte
-		parallel     int
+		procs        int          // GOMAXPROCS: 2 reads the csv ahead
 		tr           *trace.Trace // the trace in arrival order
 	}{
-		{"csv", "csv", csv, 0, old},
-		{"csv-parallel", "csv", csv, 4, old},
-		{"csv-sniffed", "auto", csv, 0, old},
-		{"bin", "bin", binBytes(t, old), 0, old},
+		{"csv", "csv", csv, 1, old},
+		{"csv-parallel", "csv", csv, 2, old},
+		{"csv-sniffed", "auto", csv, 1, old},
+		{"bin", "bin", binBytes(t, old), 1, old},
 		// A near-sorted corpus: fitted through the format's reorder
 		// window, as its jobs read it.
-		{"spc", "spc", spc, 0, spcSorted},
+		{"spc", "spc", spc, 1, spcSorted},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
 			s := openStore(t)
-			s.SetParallel(tc.parallel)
 			reg := obs.NewRegistry()
 			s.SetMetrics(obs.NewCorpusMetrics(reg))
 			e, created, err := s.Ingest(bytes.NewReader(tc.data), tc.format)
@@ -183,7 +184,7 @@ func TestIngestArrivalOrder(t *testing.T) {
 				t.Fatalf("sidecar seq_fraction %s, tracestat's %s", got, want[1])
 			}
 
-			dec, _, err := trace.OpenFileDecoder(path, format, 1)
+			dec, _, err := trace.OpenFileDecoder(path, format)
 			if err != nil {
 				t.Fatal(err)
 			}

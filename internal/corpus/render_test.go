@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // reads it (trace.OpenFileDecoder) and returns its metadata and records.
 func arrivalOrder(t *testing.T, path, format string) (trace.Meta, []trace.Request) {
 	t.Helper()
-	dec, _, err := trace.OpenFileDecoder(path, format, 1)
+	dec, _, err := trace.OpenFileDecoder(path, format)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +35,11 @@ func arrivalOrder(t *testing.T, path, format string) (trace.Meta, []trace.Reques
 // holds exactly the records a job decodes from the blob, arrival order
 // and metadata included, at exactly trace.BinSize of its entry; JobInput
 // offers it for the entry's format only. The near-sorted msrc and spc
-// fixtures take the reorder window; the big csv takes the parallel
-// decoder. No staging file is left behind, and a bin upload is not
-// rendered.
+// fixtures take the reorder window; the big csv, with GOMAXPROCS 2,
+// takes the read-ahead decoder. No staging file is left behind, and a
+// bin upload is not rendered.
 func TestRenderingAtIngest(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	fixtures := filepath.Join("..", "..", "cmd", "testdata")
 	big := filepath.Join(t.TempDir(), "big.csv")
 	if err := os.WriteFile(big, bigCSV(t), 0o666); err != nil {
@@ -50,7 +52,6 @@ func TestRenderingAtIngest(t *testing.T) {
 		{big, "csv"},
 	} {
 		s := openStore(t)
-		s.SetParallel(4)
 		e, _, err := s.IngestFile(tc.path, tc.format)
 		if err != nil {
 			t.Fatal(err)

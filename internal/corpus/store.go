@@ -31,9 +31,6 @@ import (
 type Store struct {
 	root string
 
-	// parallel is the worker count for decoding a staged upload.
-	parallel atomic.Int32
-
 	// metrics is the optional instrumentation hook (SetMetrics).
 	metrics atomic.Pointer[obs.CorpusMetrics]
 
@@ -59,13 +56,10 @@ type headKey struct {
 	sum    uint64
 }
 
-// SetParallel sets how Ingest decodes a staged upload
-// (trace.OpenFileDecoder): ≥ 2 decodes text ahead on one goroutine;
-// values below 2, stagings under trace.ParallelMinBytes and every bin
-// upload decode sequentially.
-func (s *Store) SetParallel(n int) {
-	s.parallel.Store(int32(n))
-}
+// SetParallel does nothing; n is ignored. Ingest decodes a staged
+// upload as trace.OpenFileDecoder decides, from the file and the
+// process. It stays until the benchmark stops calling it.
+func (s *Store) SetParallel(n int) {}
 
 // SetMetrics attaches (or, with nil, detaches) the store's
 // instrumentation hook: ingest volume, digest dedup and result-cache
@@ -378,7 +372,7 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (e Entry, created b
 		return existing, false, nil
 	}
 
-	dec, _, err := trace.OpenFileDecoder(tmpName, format, int(s.parallel.Load()))
+	dec, _, err := trace.OpenFileDecoder(tmpName, format)
 	if err != nil {
 		return Entry{}, false, stagedDecodeErr(format, err)
 	}

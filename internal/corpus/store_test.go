@@ -42,8 +42,8 @@ func csvBytes(t *testing.T, tr *trace.Trace) []byte {
 	return buf.Bytes()
 }
 
-// bigCSV renders a trace past trace.ParallelMinBytes, so its staged
-// file takes the read-ahead decoder when the store has workers.
+// bigCSV renders a trace past trace.ReadAheadMinBytes, so its staged
+// file takes the read-ahead decoder when GOMAXPROCS > 1.
 func bigCSV(t *testing.T) []byte {
 	t.Helper()
 	big := &trace.Trace{Name: "corpus-big", Workload: "w", Set: "FIU", TsdevKnown: true}
@@ -59,8 +59,8 @@ func bigCSV(t *testing.T) []byte {
 		}
 	}
 	data := csvBytes(t, big)
-	if len(data) < trace.ParallelMinBytes {
-		t.Fatalf("big fixture only %d bytes; must exceed ParallelMinBytes", len(data))
+	if len(data) < trace.ReadAheadMinBytes {
+		t.Fatalf("big fixture only %d bytes; must exceed ReadAheadMinBytes", len(data))
 	}
 	return data
 }
@@ -223,8 +223,8 @@ func TestIngestDedup(t *testing.T) {
 // staging, the locked check before the rename lets exactly one land,
 // and the rest answer with its entry.
 func TestIngestConcurrentSameBlob(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	s := openStore(t)
-	s.SetParallel(4)
 	data := bigCSV(t)
 	base := runtime.NumGoroutine()
 
@@ -518,7 +518,7 @@ func TestIngestParallelMatchesSequential(t *testing.T) {
 	}
 	binTrailing := append(append([]byte{}, binBuf.Bytes()...), []byte("trailing-bytes-beyond-count")...)
 
-	// A trace past ParallelMinBytes, so its staged file is actually
+	// A trace past ReadAheadMinBytes, so its staged file is actually
 	// decoded by the read-ahead decoder (smaller ones decode sequentially).
 	bigCSV := bigCSV(t)
 
@@ -537,11 +537,12 @@ func TestIngestParallelMatchesSequential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			seqStore := openStore(t)
 			parStore := openStore(t)
-			parStore.SetParallel(4)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			want, _, err := seqStore.Ingest(bytes.NewReader(tc.data), tc.format)
 			if err != nil {
 				t.Fatal(err)
 			}
+			runtime.GOMAXPROCS(2)
 			got, created, err := parStore.Ingest(bytes.NewReader(tc.data), tc.format)
 			if err != nil {
 				t.Fatal(err)
@@ -573,8 +574,8 @@ func TestIngestParallelMatchesSequential(t *testing.T) {
 // read-ahead enabled: undecodable uploads are ErrBadTrace and
 // leave nothing behind.
 func TestIngestParallelRejects(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	s := openStore(t)
-	s.SetParallel(4)
 	for _, in := range []struct{ data, format string }{
 		{"not,a,trace\n", "csv"},
 		{"", "bin"},

@@ -49,7 +49,6 @@ func newColdCycler(tb testing.TB, blob []byte, workers int) *coldCycler {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	store.SetParallel(workers)
 	at := bytes.Index(blob, []byte(coldCycleName))
 	if at < 0 {
 		tb.Fatal("input carries no cycle name")

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -823,11 +824,12 @@ func BenchmarkPlanAddBatch(b *testing.B) {
 
 // TestReconstructPathParallelDecode locks the fused ingest of a job's
 // input path: a headered CSV input big enough for the read-ahead
-// decoder engages it on 4 workers, and RunJobTo's output stays
-// byte-identical to the single-worker (sequential-decode) run. A
-// counted binary input of the same size decodes sequentially at any
-// worker count, and its 4-worker run matches too.
+// decoder engages it on 4 workers at GOMAXPROCS 2, and RunJobTo's
+// output stays byte-identical to the single-worker run at GOMAXPROCS 1
+// (sequential decode). A counted binary input of the same size decodes
+// sequentially either way, and its 4-worker run matches too.
 func TestReconstructPathParallelDecode(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	old := genOld(t, "MSNFS", 40_000, true)
 	dir := t.TempDir()
 	write := func(name string, enc func(io.Writer, *trace.Trace) error) string {
@@ -836,7 +838,7 @@ func TestReconstructPathParallelDecode(t *testing.T) {
 		if err := enc(&buf, old); err != nil {
 			t.Fatal(err)
 		}
-		if buf.Len() < trace.ParallelMinBytes {
+		if buf.Len() < trace.ReadAheadMinBytes {
 			t.Fatalf("%s fixture too small (%d bytes) for the read-ahead decoder's threshold", name, buf.Len())
 		}
 		if err := os.WriteFile(path, buf.Bytes(), 0o666); err != nil {
@@ -851,10 +853,13 @@ func TestReconstructPathParallelDecode(t *testing.T) {
 		{"bin", write("in.bin", trace.WriteBinary)},
 		{"csv", write("in.csv", trace.WriteCSV)},
 	} {
-		if ahead := readsAhead(t, tc.path, tc.format, 4); ahead != (tc.format != "bin") {
-			t.Fatalf("%s on 4 workers reads ahead: %v", tc.format, ahead)
+		runtime.GOMAXPROCS(2)
+		if ahead := readsAhead(t, tc.path, tc.format); ahead != (tc.format != "bin") {
+			t.Fatalf("%s at GOMAXPROCS 2 reads ahead: %v", tc.format, ahead)
 		}
+		// The 1-worker run, at GOMAXPROCS 1, decodes on the codec.
 		run := func(workers int) []byte {
+			runtime.GOMAXPROCS(min(workers, 2))
 			var out bytes.Buffer
 			rep, err := RunJobTo(testConfig(workers), JobSpec{In: tc.path, InFormat: tc.format}, &out)
 			if err != nil {

@@ -380,7 +380,7 @@ func (e *Engine) runMethod(meth method, spec JobSpec, enc trace.Encoder, fitted 
 			return nil, err
 		}
 	}
-	dec, _, err := trace.OpenFileDecoder(spec.In, spec.InFormat, e.cfg.Workers)
+	dec, _, err := trace.OpenFileDecoder(spec.In, spec.InFormat)
 	if err != nil {
 		return nil, err
 	}

@@ -181,8 +181,9 @@ func TestRunJobCachedStorageFaultMidStream(t *testing.T) {
 	dir := t.TempDir()
 	binPath := writeBinInput(t, dir, allocBenchTrace(n))
 	csvPath, _ := writeInput(t, dir, "in", "csv", allocBenchTrace(n))
-	if !readsAhead(t, csvPath, "csv", 2) {
-		t.Fatal("fixture: the csv input does not reach the read-ahead decoder on 2 workers")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if !readsAhead(t, csvPath, "csv") {
+		t.Fatal("fixture: the csv input does not reach the read-ahead decoder at GOMAXPROCS 2")
 	}
 	for _, dev := range []string{"array", "ftl"} { // shard-safe target, serviced target
 		t.Run(dev, func(t *testing.T) {

@@ -32,7 +32,7 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 	lines := strings.SplitAfter(buf.String(), "\n")
 	lines[len(lines)/4] = "999999999.000,0,100,8,R,5.000,0\n"
 	data := []byte(strings.Join(lines, ""))
-	if len(data) < trace.ParallelMinBytes {
+	if len(data) < trace.ReadAheadMinBytes {
 		t.Fatalf("fixture too small (%d bytes) for the read-ahead decoder", len(data))
 	}
 	path := t.TempDir() + "/unsorted.csv"
@@ -40,9 +40,10 @@ func TestStreamAbandonClosesDecoder(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		dec, _, err := trace.OpenFileDecoder(path, "csv", 4)
+		dec, _, err := trace.OpenFileDecoder(path, "csv")
 		if err != nil {
 			t.Fatal(err)
 		}

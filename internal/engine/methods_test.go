@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -108,6 +109,7 @@ func encodeBin(t *testing.T, tr *trace.Trace) []byte {
 // the row reads it (the fit, on the inference path), and — for a
 // constant-model row — exactly the idles its rule finds.
 func TestMethodsByteIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cases := methodCases(t)
 	for _, in := range []struct {
 		family string
@@ -115,16 +117,18 @@ func TestMethodsByteIdentical(t *testing.T) {
 		known  bool
 		format string
 	}{
-		// As csv, 32k requests pass trace.ParallelMinBytes: the 4-worker
-		// runs of this input decode on the read-ahead decoder.
+		// As csv, 32k requests pass trace.ReadAheadMinBytes: the 4-worker
+		// runs of this input, at GOMAXPROCS 2, decode on the read-ahead
+		// decoder; the 1-worker runs, at GOMAXPROCS 1, on the codec.
 		{"MSNFS", 32_000, true, "csv"},
 		// No recorded latencies: tracetracker and dynamic fit a model
 		// here. Bin decodes on one goroutine at any worker count.
 		{"webmail", 20_000, false, "bin"},
 	} {
 		path, old := writeInput(t, t.TempDir(), in.family, in.format, genOld(t, in.family, in.n, in.known))
-		if ahead := readsAhead(t, path, in.format, 4); ahead != (in.format != "bin") {
-			t.Fatalf("fixture: %s %s on 4 workers reads ahead: %v", in.family, in.format, ahead)
+		runtime.GOMAXPROCS(2)
+		if ahead := readsAhead(t, path, in.format); ahead != (in.format != "bin") {
+			t.Fatalf("fixture: %s %s at GOMAXPROCS 2 reads ahead: %v", in.family, in.format, ahead)
 		}
 		var fit *infer.Model
 		if !in.known {
@@ -163,6 +167,7 @@ func TestMethodsByteIdentical(t *testing.T) {
 					wantStats = sr.DeviceStats()
 				}
 				for _, workers := range []int{1, 4} {
+					runtime.GOMAXPROCS(min(workers, 2))
 					label := fmt.Sprintf("%s/%s/%s/w=%d", in.family, mc.name, dev.Name, workers)
 					spec := mc.spec
 					spec.In, spec.InFormat, spec.OutFormat, spec.Device = path, in.format, "bin", dev.Name

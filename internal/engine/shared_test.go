@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -36,16 +37,17 @@ func writeInput(t *testing.T, dir, name, format string, tr *trace.Trace) (string
 	return path, readTraceFile(t, path, format)
 }
 
-// readsAhead reports whether a job on workers reads path through the
-// read-ahead decoder (trace.ParallelDecoder).
-func readsAhead(t testing.TB, path, format string, workers int) bool {
+// readsAhead reports whether a job in this process, at its current
+// GOMAXPROCS, reads path through the read-ahead decoder
+// (trace.ReadAhead).
+func readsAhead(t testing.TB, path, format string) bool {
 	t.Helper()
-	dec, _, err := trace.OpenFileDecoder(path, format, workers)
+	dec, _, err := trace.OpenFileDecoder(path, format)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dec.Close()
-	_, ok := dec.(*trace.ParallelDecoder)
+	_, ok := dec.(*trace.ReadAhead)
 	return ok
 }
 
@@ -74,20 +76,21 @@ func referenceBytes(t *testing.T, old *trace.Trace, device, format string) []byt
 
 // TestSharedBuffersAcrossJobs runs, twice and in shuffled order, eight
 // concurrent jobs on mixed targets (array, ssd, hdd, ftl, host; recorded
-// and inferred latencies; csv and bin both ways; 2 or 4 workers) next
-// to two concurrent ingests that fit models, all on one store, their
+// and inferred latencies; csv and bin both ways; 2 or 4 workers;
+// GOMAXPROCS 2, so text reads ahead) next to two concurrent ingests
+// that fit models, all on one store, their
 // decodes borrowing from the process's one set of kept read buffers and
 // request batches. Every job's bytes must be core.Reconstruct's
 // and every stored model the fit of its trace; under -race, no buffer
 // may be touched by two decodes at once.
 func TestSharedBuffersAcrossJobs(t *testing.T) {
-	const n = 36_000 // over trace.ParallelMinBytes in csv: the read-ahead decoder runs
-	const workers = 2
+	const n = 36_000 // over trace.ReadAheadMinBytes in csv: the read-ahead decoder runs
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	dir := t.TempDir()
 	known, knownOld := writeInput(t, dir, "msnfs", "bin", genOld(t, "MSNFS", n, true))
 	unknown, unknownOld := writeInput(t, dir, "webmail", "csv", genOld(t, "webmail", n, false))
-	if !readsAhead(t, unknown, "csv", 2) {
-		t.Fatal("fixture: the csv input does not reach the read-ahead decoder on 2 workers")
+	if !readsAhead(t, unknown, "csv") {
+		t.Fatal("fixture: the csv input does not reach the read-ahead decoder at GOMAXPROCS 2")
 	}
 
 	type job struct {
@@ -144,7 +147,6 @@ func TestSharedBuffersAcrossJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.SetParallel(workers)
 
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 2; round++ {

@@ -210,7 +210,7 @@ func TestRunJobCachedStoredModelSPC(t *testing.T) {
 		t.Fatal("the per-job fit's output diverges from the sequential pipeline over the arrival sort")
 	}
 
-	dec, _, err := trace.OpenFileDecoder(inPath, "spc", 1)
+	dec, _, err := trace.OpenFileDecoder(inPath, "spc")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,8 +145,8 @@ func (e *Engine) reconstructStream(dec trace.Decoder, enc trace.Encoder, m *infe
 // own model: a cheap probe of the first record decides whether the
 // corpus needs inference, and if so the input is opened in arrival
 // order and fitted with FitModel. Pass two streams the sharded
-// reconstruction. On more than one worker both passes decode a large
-// text input ahead on one goroutine (trace.OpenFileDecoder).
+// reconstruction. Both passes decode a large text input ahead on one
+// goroutine when GOMAXPROCS > 1 (trace.OpenFileDecoder).
 func (e *Engine) fitModelFromPath(inPath, informat string) (*infer.Model, error) {
 	// The probe only needs the header metadata, which doesn't depend
 	// on record order, so trace.FileMeta reads the first record in file
@@ -161,7 +161,7 @@ func (e *Engine) fitModelFromPath(inPath, informat string) (*infer.Model, error)
 	if meta.TsdevKnown {
 		return nil, nil
 	}
-	dec, _, err := trace.OpenFileDecoder(inPath, informat, e.cfg.Workers)
+	dec, _, err := trace.OpenFileDecoder(inPath, informat)
 	if err != nil {
 		return nil, err
 	}

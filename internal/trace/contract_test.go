@@ -18,7 +18,7 @@ import (
 type contractInput struct {
 	name, format string
 	data         []byte
-	path         string // data, staged for OpenFileDecoder
+	path         string // data, staged for openFileDecoder
 	want         []Request
 	wantMeta     Meta
 	wantErr      error
@@ -26,7 +26,7 @@ type contractInput struct {
 
 // contractInputs renders every input format clean and with a mid-stream
 // parse error (for bin, a truncated last record), each just large
-// enough that OpenFileDecoder reads a text input ahead of its consumer,
+// enough that openFileDecoder reads a text input ahead of its consumer,
 // and the error lands many batches in.
 func contractInputs(t *testing.T) []contractInput {
 	corrupt := func(data []byte, bad string) []byte {
@@ -37,7 +37,7 @@ func contractInputs(t *testing.T) []contractInput {
 	var ins []contractInput
 	for _, f := range []struct {
 		format  string
-		records int // just over ParallelMinBytes, at 25–42 bytes a record
+		records int // just over ReadAheadMinBytes, at 25–42 bytes a record
 		write   func(io.Writer, *Trace) error
 		bad     func([]byte) []byte
 	}{
@@ -54,8 +54,8 @@ func contractInputs(t *testing.T) []contractInput {
 			{name: f.format + "/clean", format: f.format, data: buf.Bytes()},
 			{name: f.format + "/parse-error", format: f.format, data: f.bad(buf.Bytes())},
 		} {
-			if len(in.data) < ParallelMinBytes {
-				t.Fatalf("%s: %d bytes, too few for OpenFileDecoder to decode in parallel", in.name, len(in.data))
+			if len(in.data) < ReadAheadMinBytes {
+				t.Fatalf("%s: %d bytes, too few for openFileDecoder to read ahead", in.name, len(in.data))
 			}
 			in.path = filepath.Join(t.TempDir(), "in")
 			if err := os.WriteFile(in.path, in.data, 0o666); err != nil {
@@ -90,35 +90,36 @@ func contractInputs(t *testing.T) []contractInput {
 // the stream ends with the sequential codec's error text and line
 // number, the metadata is the codec's, and Close is safe twice and
 // leaves every later Read failing with no data. The decoders: the four
-// codecs (NewDecoder), OpenFileDecoder on one worker and on several
-// (read ahead for text, the sequential codec for bin; bin's read-ahead
-// leg is NewParallelDecoder's), NewParallelDecoder, and a reorder
-// window over each of them.
+// codecs (NewDecoder), openFileDecoder without and with read-ahead
+// permitted (read ahead for text, the sequential codec for bin; bin's
+// read-ahead leg is NewParallelDecoder's), NewParallelDecoder, and a
+// reorder window over each of them. The subtests run in parallel, so
+// they choose the path through openFileDecoder's argument, never
+// through GOMAXPROCS.
 func TestDecoderContract(t *testing.T) {
-	const workers = 4
 	type builder struct {
 		name string
 		open func(*testing.T, contractInput) Decoder
 	}
 	builders := []builder{
 		{"NewDecoder", func(t *testing.T, in contractInput) Decoder { return newSeq(t, in.format, in.data) }},
-		{"OpenFileDecoder/sequential", func(t *testing.T, in contractInput) Decoder { return openFile(t, in, 1) }},
+		{"OpenFileDecoder/sequential", func(t *testing.T, in contractInput) Decoder { return openFile(t, in, false) }},
 		{"OpenFileDecoder/parallel", func(t *testing.T, in contractInput) Decoder {
-			dec := openFile(t, in, workers)
+			dec := openFile(t, in, true)
 			inner := dec
 			if rd, ok := dec.(*reorderDecoder); ok {
 				inner = rd.inner
 			}
 			if _, ok := inner.(*binaryDecoder); in.format == "bin" && !ok {
-				t.Fatalf("OpenFileDecoder on %d workers built a %T for bin, want the sequential codec", workers, inner)
+				t.Fatalf("openFileDecoder with read-ahead built a %T for bin, want the sequential codec", inner)
 			}
-			if _, ok := inner.(*ParallelDecoder); in.format != "bin" && !ok {
-				t.Fatalf("OpenFileDecoder on %d workers built a %T for %s", workers, inner, in.format)
+			if _, ok := inner.(*ReadAhead); in.format != "bin" && !ok {
+				t.Fatalf("openFileDecoder with read-ahead built a %T for %s", inner, in.format)
 			}
 			return dec
 		}},
 		{"NewParallelDecoder", func(t *testing.T, in contractInput) Decoder {
-			return NewParallelDecoder(bytes.NewReader(in.data), int64(len(in.data)), in.format, workers)
+			return NewParallelDecoder(bytes.NewReader(in.data), int64(len(in.data)), in.format, 0)
 		}},
 	}
 	for _, b := range builders {
@@ -176,17 +177,17 @@ func TestDecoderContractMeta(t *testing.T) {
 		open func(*testing.T) Decoder
 	}{
 		{"OpenFileDecoder", func(t *testing.T) Decoder {
-			dec, _, err := OpenFileDecoder(path, "csv", 4)
+			dec, _, err := openFileDecoder(path, "csv", true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := dec.(*ParallelDecoder); !ok {
-				t.Fatalf("OpenFileDecoder on 4 workers built a %T for %d bytes of csv", dec, len(data))
+			if _, ok := dec.(*ReadAhead); !ok {
+				t.Fatalf("openFileDecoder with read-ahead built a %T for %d bytes of csv", dec, len(data))
 			}
 			return dec
 		}},
 		{"NewParallelDecoder", func(*testing.T) Decoder {
-			return NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "csv", 4)
+			return NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "csv", 0)
 		}},
 	} {
 		t.Run(b.name, func(t *testing.T) {
@@ -225,7 +226,7 @@ func nearSorted(data []byte) []byte {
 }
 
 // TestDecoderContractArrivalOrder: OpenFileDecoder reads a near-sorted
-// msrc or spc file in arrival order, sequential or parallel — the
+// msrc or spc file in arrival order, sequential or read ahead — the
 // records ReadFormat's whole-trace sort yields — while NewDecoder still
 // reads it in file order.
 func TestDecoderContractArrivalOrder(t *testing.T) {
@@ -253,8 +254,8 @@ func TestDecoderContractArrivalOrder(t *testing.T) {
 		if fileOrder, _ := drainBy(newSeq(t, f.format, data), 0); slices.Equal(fileOrder, sorted.Requests) {
 			t.Fatalf("%s: fixture is already sorted", f.format)
 		}
-		for _, workers := range []int{1, 4} {
-			dec, _, err := OpenFileDecoder(path, f.format, workers)
+		for _, ahead := range []bool{false, true} {
+			dec, _, err := openFileDecoder(path, f.format, ahead)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,16 +265,17 @@ func TestDecoderContractArrivalOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got, sorted.Requests) {
-				t.Fatalf("%s on %d workers: OpenFileDecoder delivers other records than ReadFormat's sort", f.format, workers)
+				t.Fatalf("%s, read-ahead %v: OpenFileDecoder delivers other records than ReadFormat's sort", f.format, ahead)
 			}
 		}
 	}
 }
 
-// openFile is OpenFileDecoder over in's staged file on workers.
-func openFile(t *testing.T, in contractInput, workers int) Decoder {
+// openFile is openFileDecoder over in's staged file, read-ahead
+// permitted or not.
+func openFile(t *testing.T, in contractInput, ahead bool) Decoder {
 	t.Helper()
-	dec, format, err := OpenFileDecoder(in.path, "auto", workers)
+	dec, format, err := openFileDecoder(in.path, "auto", ahead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +320,7 @@ func TestParallelDecoderReadAfterClose(t *testing.T) {
 	}
 	data := buf.Bytes()
 	keptBatches.Drop()
-	pd := NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "bin", 2)
+	pd := NewParallelDecoder(bytes.NewReader(data), int64(len(data)), "bin", 0)
 	done := make(chan error, 1)
 	go func() {
 		if _, err := pd.ReadBatch(); err != nil {

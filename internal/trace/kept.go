@@ -7,9 +7,10 @@ package trace
 // borrows from keptReaders and keptBatches as it goes and hands each
 // value back as soon as nothing reads it, and ForEachBatch borrows its
 // scratch batch for the length of a drain. Every decode takes one read
-// buffer; a sequential decode (every bin input, and text under
-// ParallelMinBytes) takes no batch beyond its drain's one, and a
-// read-ahead decode up to batchesPerDecode. The lists hold the scratch
+// buffer; a sequential decode (every bin input, text under
+// ReadAheadMinBytes, and any input in a process with GOMAXPROCS 1)
+// takes no batch beyond its drain's one, and a read-ahead decode up to
+// batchesPerDecode. The lists hold the scratch
 // of keptDecodes concurrent read-ahead decodes, 1.4 MiB, and drop all
 // of it once no decode has used it for kept.Idle. Nothing a decode
 // writes to a buffer is read by the next: a decoder overwrites what it

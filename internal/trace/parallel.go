@@ -1,14 +1,14 @@
 package trace
 
-// Read-ahead decode: ParallelDecoder runs a format's sequential decoder
+// Read-ahead decode: ReadAhead runs a format's sequential decoder
 // on one goroutine of its own, ahead of the consumer, and hands its
 // batches over a bounded channel, so decoding overlaps whatever the
 // consumer does with the records before it. The records, the error
 // that ends them (its text and line number included) and the metadata
 // are the sequential decoder's by construction: they are its output.
 // A non-seekable input (stdin, an upload) is staged to a file first.
-// OpenFileDecoder builds it for large text input on more than one
-// worker.
+// OpenFileDecoder builds it for a large regular text file in a process
+// that may run more than one goroutine at once.
 //
 // The decode goroutine borrows its request batches from the process's
 // kept list (kept.go) and the consumer hands each one back once it has
@@ -24,13 +24,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 )
 
 const (
-	// ParallelMinBytes is the text input size below which decoding
+	// ReadAheadMinBytes is the text input size below which decoding
 	// ahead is not worth a goroutine; OpenFileDecoder falls back to the
 	// sequential decoder under it, and for bin input at any size.
-	ParallelMinBytes = 1 << 20
+	ReadAheadMinBytes = 1 << 20
 	// parBatchLen is the request-batch unit the decode goroutine hands
 	// to the consumer.
 	parBatchLen = 1024
@@ -49,10 +50,10 @@ type aheadBatch struct {
 	err  error
 }
 
-// ParallelDecoder reads a sequential decoder on a goroutine of its
-// own, aheadBatches batches ahead of the consumer. Read hands out
-// views of those batches.
-type ParallelDecoder struct {
+// ReadAhead reads a sequential decoder on a goroutine of its own,
+// aheadBatches batches ahead of the consumer. Read hands out views of
+// those batches.
+type ReadAhead struct {
 	ahead chan aheadBatch // closed when the decode goroutine exits
 	stop  chan struct{}   // closed by Close; nil once closed or when no goroutine runs
 
@@ -70,22 +71,22 @@ type ParallelDecoder struct {
 // text file, for any input format. workers is ignored: one goroutine
 // decodes. An unknown format surfaces on the first Read, as the other
 // constructors' errors do.
-func NewParallelDecoder(ra io.ReaderAt, size int64, format string, workers int) *ParallelDecoder {
+func NewParallelDecoder(ra io.ReaderAt, size int64, format string, workers int) *ReadAhead {
 	c, err := input(format)
 	if err != nil {
-		return &ParallelDecoder{err: err}
+		return &ReadAhead{err: err}
 	}
 	sr := io.NewSectionReader(ra, 0, size)
 	// A source with a file hands its borrowed read buffer back at
 	// Close; a section reader has nothing else to close.
-	return readAhead(c.decode(source{br: borrowReader(sr), file: io.NopCloser(sr)}))
+	return newReadAhead(c.decode(source{br: borrowReader(sr), file: io.NopCloser(sr)}))
 }
 
-// readAhead starts decoding dec on a goroutine of its own, which closes
-// dec when it is done. Meta starts as dec's before any Read: complete
-// for a headered format.
-func readAhead(dec Decoder) *ParallelDecoder {
-	d := &ParallelDecoder{
+// newReadAhead starts decoding dec on a goroutine of its own, which
+// closes dec when it is done. Meta starts as dec's before any Read:
+// complete for a headered format.
+func newReadAhead(dec Decoder) *ReadAhead {
+	d := &ReadAhead{
 		ahead: make(chan aheadBatch, aheadBatches),
 		stop:  make(chan struct{}),
 		meta:  dec.Meta(),
@@ -121,20 +122,20 @@ func decodeAhead(dec Decoder, ahead chan<- aheadBatch, stop <-chan struct{}) {
 
 // Read implements Decoder: the next run of the batch in hand, or of
 // the next batch, as a view valid until the next call.
-func (d *ParallelDecoder) Read(dst []Request) ([]Request, error) {
+func (d *ReadAhead) Read(dst []Request) ([]Request, error) {
 	return d.read(len(dst))
 }
 
 // ReadBatch is Read without a cap on the run: the rest of the batch in
 // hand, or the whole next one. The benchmark's trace.decode_par row
 // drains with it.
-func (d *ParallelDecoder) ReadBatch() ([]Request, error) {
+func (d *ReadAhead) ReadBatch() ([]Request, error) {
 	return d.read(parBatchLen)
 }
 
 // read returns the next run of at most limit requests. It hands back
 // each batch once its last run has been read.
-func (d *ParallelDecoder) read(limit int) ([]Request, error) {
+func (d *ReadAhead) read(limit int) ([]Request, error) {
 	for d.pos >= len(d.cur) {
 		returnBatch(d.cur)
 		d.cur = nil
@@ -151,7 +152,7 @@ func (d *ParallelDecoder) read(limit int) ([]Request, error) {
 
 // Meta implements Decoder: the sequential decoder's metadata after the
 // Read that decoded the records handed out last.
-func (d *ParallelDecoder) Meta() Meta { return d.meta }
+func (d *ReadAhead) Meta() Meta { return d.meta }
 
 // Close implements Decoder. It stops the decode goroutine and waits for
 // it to exit, handing back every batch still on its way; it is required
@@ -159,7 +160,7 @@ func (d *ParallelDecoder) Meta() Meta { return d.meta }
 // and afterwards a cheap join. The goroutine closes the sequential
 // decoder, and with it the file OpenFileDecoder opened. Close latches
 // errClosed, so a later Read hands out nothing.
-func (d *ParallelDecoder) Close() {
+func (d *ReadAhead) Close() {
 	if d.stop != nil {
 		close(d.stop)
 		d.stop = nil
@@ -172,20 +173,29 @@ func (d *ParallelDecoder) Close() {
 }
 
 // OpenFileDecoder opens path and builds the decoder every streaming
-// consumer of a file reads: records in arrival order. When workers > 1
-// and a text file holds ParallelMinBytes or more, the format's
-// sequential decoder runs ahead of the consumer on a goroutine of its
-// own (ParallelDecoder); otherwise it runs on the consumer's. A bin file
+// consumer of a file reads: records in arrival order. When a regular
+// text file holds ReadAheadMinBytes or more and the process runs with
+// GOMAXPROCS > 1, the format's sequential decoder runs ahead of the
+// consumer on a goroutine of its own (ReadAhead); otherwise it runs on
+// the consumer's, so a 1-CPU process never reads ahead. A bin file
 // always decodes on the consumer's goroutine: its decode is a small
 // share of a job, and on 2 CPUs its end-to-end speed measured within
-// noise of a parallel decode's (the cold-array-bin pair files under
+// noise of a read-ahead decode's (the cold-array-bin pair files under
 // pairs/). A larger box is unmeasured (ROADMAP item 1(f)).
 // It reads a near-sorted format through a reorder window of the
 // format's size (ReorderWindow). format "auto" (or "") is resolved by
 // content sniffing (ResolveFile); the concrete format is returned.
 // Closing the decoder stops any decode goroutine, closes the file and
-// hands the decoder's buffers back to be kept.
-func OpenFileDecoder(path, format string, workers int) (Decoder, string, error) {
+// hands the decoder's buffers back to be kept. The decoded records are
+// the same either way.
+func OpenFileDecoder(path, format string) (Decoder, string, error) {
+	return openFileDecoder(path, format, runtime.GOMAXPROCS(0) > 1)
+}
+
+// openFileDecoder is OpenFileDecoder with the process's part of the
+// decision given: ahead permits reading a large regular text file
+// ahead of the consumer.
+func openFileDecoder(path, format string, ahead bool) (Decoder, string, error) {
 	f, c, format, err := openInput(path, format)
 	if err != nil {
 		return nil, "", err
@@ -196,8 +206,8 @@ func OpenFileDecoder(path, format string, workers int) (Decoder, string, error) 
 		return nil, "", err
 	}
 	dec := c.decode(source{br: borrowReader(f), file: f})
-	if workers > 1 && c.text && st.Mode().IsRegular() && st.Size() >= ParallelMinBytes {
-		dec = readAhead(dec)
+	if ahead && c.text && st.Mode().IsRegular() && st.Size() >= ReadAheadMinBytes {
+		dec = newReadAhead(dec)
 	}
 	if c.window > 0 {
 		dec = newReorderDecoder(dec, c.window)

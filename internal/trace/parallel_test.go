@@ -1,7 +1,7 @@
 package trace
 
-// Locks for the read-ahead decoder: for every input format and worker
-// count, ParallelDecoder must produce exactly the sequential Decoder's
+// Locks for the read-ahead decoder: for every input format, ReadAhead
+// must produce exactly the sequential Decoder's
 // request sequence (verified structurally and by re-encoding both sides
 // to identical bytes), stop at the same record on malformed inputs,
 // and stay allocation-free per record in steady state.
@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -120,11 +121,12 @@ func encodeCSVBytes(t testing.TB, m Meta, reqs []Request) []byte {
 }
 
 // TestParallelDecodeByteIdentical is the acceptance lock: the read-ahead
-// decoder, at workers 1/4/8, reproduces the sequential decoder
-// byte-for-byte on every format — over an in-memory io.ReaderAt
-// ("file") and the way a non-seekable input reaches it ("stream":
-// staged to a file, then OpenFileDecoder, which also picks the
-// sequential decoder for stagings under ParallelMinBytes).
+// decoder reproduces the sequential decoder byte-for-byte on every
+// format — over an in-memory io.ReaderAt ("file") and the way a
+// non-seekable input reaches it ("stream": staged to a file, then
+// openFileDecoder, read-ahead permitted at workers > 1, which also
+// picks the sequential decoder for stagings under ReadAheadMinBytes).
+// NewParallelDecoder ignores its workers argument.
 func TestParallelDecodeByteIdentical(t *testing.T) {
 	for _, v := range parVariants(t, 30_000) {
 		seq, err := NewDecoder(v.format, bytes.NewReader(v.data))
@@ -157,7 +159,7 @@ func TestParallelDecodeByteIdentical(t *testing.T) {
 				if err := os.WriteFile(staged, v.data, 0o666); err != nil {
 					t.Fatal(err)
 				}
-				dec, format, err := OpenFileDecoder(staged, "auto", workers)
+				dec, format, err := openFileDecoder(staged, "auto", workers > 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -401,7 +403,7 @@ func TestParallelDecodeAllocs(t *testing.T) {
 	}
 	const n = 120_000
 	tr := benchTrace(n)
-	drain := func(pd *ParallelDecoder) {
+	drain := func(pd *ReadAhead) {
 		got := 0
 		for {
 			b, err := pd.ReadBatch()
@@ -479,26 +481,25 @@ func TestParallelDecoderReadBuffers(t *testing.T) {
 	}
 }
 
-// TestOpenFileDecoderBinSequential: OpenFileDecoder decodes a bin file
-// of ParallelMinBytes or more on the consumer's goroutine at any worker
-// count, so a drain through ForEachBatch borrows its one scratch batch
-// and no batches to read ahead into: at most that one is kept after it,
-// where a read-ahead decode hands back several.
+// TestOpenFileDecoderBinSequential: openFileDecoder decodes a bin file
+// of ReadAheadMinBytes or more on the consumer's goroutine though
+// read-ahead is permitted, so a drain through ForEachBatch borrows its
+// one scratch batch and no batches to read ahead into: at most that one
+// is kept after it, where a read-ahead decode hands back several.
 func TestOpenFileDecoderBinSequential(t *testing.T) {
-	const workers = 4
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, benchTrace(40_000)); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() < ParallelMinBytes {
-		t.Fatalf("%d bytes, want at least ParallelMinBytes", buf.Len())
+	if buf.Len() < ReadAheadMinBytes {
+		t.Fatalf("%d bytes, want at least ReadAheadMinBytes", buf.Len())
 	}
 	path := filepath.Join(t.TempDir(), "in.bin")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	keptBatches.Drop()
-	dec, _, err := OpenFileDecoder(path, "bin", workers)
+	dec, _, err := openFileDecoder(path, "bin", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +512,93 @@ func TestOpenFileDecoderBinSequential(t *testing.T) {
 		t.Fatalf("decoded %d records, want 40000", n)
 	}
 	if k := keptBatches.Len(); k > 1 {
-		t.Fatalf("%d request batches kept after a bin drain on %d workers, want at most ForEachBatch's one", k, workers)
+		t.Fatalf("%d request batches kept after a bin drain, want at most ForEachBatch's one", k)
+	}
+}
+
+// TestOpenFileDecoderReadAhead: OpenFileDecoder reads ahead exactly
+// when the input is a regular text file of ReadAheadMinBytes or more and
+// the process runs with GOMAXPROCS > 1. A 1-CPU process never reads
+// ahead; a small text file, a bin file and a FIFO never do. It sets
+// GOMAXPROCS, so it must not run in parallel with other tests.
+func TestOpenFileDecoderReadAhead(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, enc func(io.Writer, *Trace) error, n int) (string, []byte) {
+		var buf bytes.Buffer
+		if err := enc(&buf, benchTrace(n)); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path, buf.Bytes()
+	}
+	csvPath, csvData := write("big.csv", WriteCSV, 32_000)
+	msrcPath, msrcData := write("big.msrc", writeMSRCStyle, 26_000)
+	smallPath, smallData := write("small.csv", WriteCSV, 1_000)
+	binPath, binData := write("big.bin", WriteBinary, 40_000)
+	for name, data := range map[string][]byte{"csv": csvData, "msrc": msrcData, "bin": binData} {
+		if len(data) < ReadAheadMinBytes {
+			t.Fatalf("%s: %d bytes, want at least ReadAheadMinBytes", name, len(data))
+		}
+	}
+	if len(smallData) >= ReadAheadMinBytes {
+		t.Fatalf("small csv: %d bytes, want fewer than ReadAheadMinBytes", len(smallData))
+	}
+	fifo := filepath.Join(dir, "fifo.csv")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	procs0 := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs0) })
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			name, path, format string
+			ahead              bool
+		}{
+			{"csv", csvPath, "csv", procs > 1},
+			{"msrc", msrcPath, "msrc", procs > 1},
+			{"small-csv", smallPath, "csv", false},
+			{"bin", binPath, "bin", false},
+			{"fifo", fifo, "csv", false},
+		} {
+			// A FIFO opens once a writer does, and is drained whole so
+			// the writer finishes.
+			wrote := make(chan error, 1)
+			if tc.path == fifo {
+				go func() {
+					f, err := os.OpenFile(fifo, os.O_WRONLY, 0)
+					if err == nil {
+						_, err = f.Write(csvData)
+						f.Close()
+					}
+					wrote <- err
+				}()
+			}
+			dec, _, err := OpenFileDecoder(tc.path, tc.format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner := dec
+			if rd, ok := dec.(*reorderDecoder); ok {
+				inner = rd.inner
+			}
+			if _, ok := inner.(*ReadAhead); ok != tc.ahead {
+				t.Errorf("GOMAXPROCS %d, %s: OpenFileDecoder built a %T, read-ahead %v", procs, tc.name, inner, tc.ahead)
+			}
+			if tc.path == fifo {
+				if err := ForEachBatch(dec, func([]Request) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+				if err := <-wrote; err != nil {
+					t.Fatal(err)
+				}
+			}
+			dec.Close()
+		}
 	}
 }
 

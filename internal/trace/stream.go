@@ -57,7 +57,7 @@ func (t *Trace) applyMeta(m Meta) {
 
 // Decoder yields the requests of a trace in runs. It is the one
 // contract every decoder in the tree implements: the four codecs
-// (NewDecoder, OpenFileDecoder), ParallelDecoder, the reorder window and
+// (NewDecoder, OpenFileDecoder), ReadAhead, the reorder window and
 // the engine's view of a materialised trace.
 type Decoder interface {
 	// Read returns the next run of 1..len(dst) requests (len(dst) > 0).
@@ -73,8 +73,8 @@ type Decoder interface {
 	Meta() Meta
 	// Close releases what the decoder holds: its decode goroutine, its
 	// read buffers and the file it opened. A consumer that abandons the
-	// stream before EOF or an error must call it, or a ParallelDecoder
-	// leaks its goroutine. It is idempotent; after it, Read returns an
+	// stream before EOF or an error must call it, or a ReadAhead leaks
+	// its goroutine. It is idempotent; after it, Read returns an
 	// error (errClosed, in this package) and no data, and nothing Read
 	// returned may be used.
 	Close()

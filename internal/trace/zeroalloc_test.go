@@ -163,7 +163,7 @@ func TestReorderWindowZeroAlloc(t *testing.T) {
 			if err := os.WriteFile(path, nearSorted(allocSample(t, format, warm+(runs+10)*batch)), 0o666); err != nil {
 				t.Fatal(err)
 			}
-			dec, _, err := OpenFileDecoder(path, format, 1)
+			dec, _, err := openFileDecoder(path, format, false)
 			if err != nil {
 				t.Fatal(err)
 			}
