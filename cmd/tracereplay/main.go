@@ -4,8 +4,8 @@
 // substrate equivalent of running fio --read_iolog on the evaluation
 // node. The input is read as a job reads it, through
 // trace.OpenFileDecoder: records in arrival order (the near-sorted
-// corpora, msrc and spc, through their format's reorder window). Stdin
-// is spooled to a temporary file first.
+// corpora, msrc and spc, through their format's reorder window). Stdin,
+// or an -in that is not a regular file, is spooled to a temporary file.
 //
 // Usage:
 //
@@ -72,16 +72,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	dev := device.NewInstrumented(inner)
 
-	path := *in
-	if path == "" {
-		spool, err := trace.SpoolTemp(stdin, "tracereplay-stdin-*")
-		if err != nil {
-			return err
-		}
-		defer os.Remove(spool)
-		path = spool
+	path, format, done, err := trace.InputFile(*in, *informat, stdin, "tracereplay-stdin-*")
+	if err != nil {
+		return err
 	}
-	dec, _, err := trace.OpenFileDecoder(path, *informat)
+	defer done()
+	dec, _, err := trace.OpenFileDecoder(path, format)
 	if err != nil {
 		return err
 	}

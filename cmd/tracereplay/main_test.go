@@ -11,7 +11,9 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/engine"
@@ -102,6 +104,64 @@ func TestCLIModes(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "warp") {
 		t.Fatalf("-mode warp: %v, want an unknown-mode error", err)
 	}
+}
+
+// TestFIFO: -in a pipe with -informat auto replays every request the
+// regular file holds, and prints what the file prints.
+func TestFIFO(t *testing.T) {
+	file := writeMSNFS(t)
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The wall-time row differs run to run; every other row must not.
+	rows := func(out string) string {
+		return regexp.MustCompile(`(?m)^simulation wall time.*$`).ReplaceAllString(out, "")
+	}
+	var want bytes.Buffer
+	if err := run([]string{"-in", file, "-informat", "auto", "-mode", "closed"}, nil, &want, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	got := string(runFIFO(t, raw, "-informat", "auto", "-mode", "closed"))
+	if !strings.Contains(got, "(2000 requests)") || rows(got) != rows(want.String()) {
+		t.Fatalf("-in fifo printed:\n%s\nwant what -in file prints:\n%s", got, want.String())
+	}
+}
+
+// runFIFO runs the command with -in a FIFO, which a goroutine fills
+// with data, and args, and returns its stdout. It fails the test if the
+// command has not returned within 30 s: one that opens the FIFO a
+// second time waits for a writer that is gone.
+func runFIFO(t *testing.T, data []byte, args ...string) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "fifo")
+	if err := syscall.Mkfifo(path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err == nil {
+			_, err = f.Write(data)
+			f.Close()
+		}
+		wrote <- err
+	}()
+	var out bytes.Buffer
+	ran := make(chan error, 1)
+	go func() { ran <- run(append([]string{"-in", path}, args...), nil, &out, io.Discard) }()
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Fatalf("-in fifo %v: %v", args, err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("-in fifo %v: no return after 30 s", args)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // TestInputRules: tracereplay reads its input as a job does — the

@@ -12,8 +12,8 @@
 // a big text file decoded ahead on one goroutine when GOMAXPROCS > 1,
 // records in arrival order (the near-sorted corpora, msrc and spc,
 // through their format's reorder window), so the summary is a corpus sidecar's and a file a job rejects
-// as unsorted is rejected here too. Stdin is spooled to a temporary file
-// for the second pass.
+// as unsorted is rejected here too. Stdin, or an -in that is not a
+// regular file, is spooled to a temporary file for the second pass.
 //
 // Usage:
 //
@@ -54,23 +54,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	path := *in
-	if path == "" {
-		spool, err := trace.SpoolTemp(stdin, "tracestat-stdin-*")
-		if err != nil {
-			return err
-		}
-		defer os.Remove(spool)
-		path = spool
+	path, format, done, err := trace.InputFile(*in, *informat, stdin, "tracestat-stdin-*")
+	if err != nil {
+		return err
 	}
-	format := *informat
-	open := func() (trace.Decoder, error) {
-		dec, resolved, err := trace.OpenFileDecoder(path, format)
-		format = resolved
-		return dec, err
-	}
-
-	dec, err := open()
+	defer done()
+	dec, _, err := trace.OpenFileDecoder(path, format)
 	if err != nil {
 		return err
 	}
@@ -140,7 +129,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "tracestat: model fit skipped: %v\n", err)
 		return nil
 	}
-	if dec, err = open(); err != nil {
+	if dec, _, err = trace.OpenFileDecoder(path, format); err != nil {
 		return err
 	}
 	d, err := decompose(dec, m, sum.Meta.TsdevKnown)

@@ -10,7 +10,9 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/readmetest"
@@ -77,6 +79,61 @@ func TestGolden(t *testing.T) {
 			checkGolden(t, tc.golden, stdout.Bytes())
 		})
 	}
+}
+
+// TestFIFO: -in a pipe prints what -in the regular file prints, the
+// second pass's idle and async counts included: the pipe is spooled
+// once, as it is sniffed, and both passes read the spool.
+func TestFIFO(t *testing.T) {
+	raw, err := os.ReadFile(fixture("csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := run([]string{"-in", fixture("csv")}, nil, &want, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []string{"csv", "auto"} {
+		if got := runFIFO(t, raw, "-informat", format); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("-in fifo -informat %s printed:\n%s\nwant what -in file prints:\n%s", format, got, want.String())
+		}
+	}
+}
+
+// runFIFO runs the command with -in a FIFO, which a goroutine fills
+// with data, and args, and returns its stdout. It fails the test if the
+// command has not returned within 30 s: one that opens the FIFO a
+// second time waits for a writer that is gone.
+func runFIFO(t *testing.T, data []byte, args ...string) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "fifo")
+	if err := syscall.Mkfifo(path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err == nil {
+			_, err = f.Write(data)
+			f.Close()
+		}
+		wrote <- err
+	}()
+	var out bytes.Buffer
+	ran := make(chan error, 1)
+	go func() { ran <- run(append([]string{"-in", path}, args...), nil, &out, io.Discard) }()
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Fatalf("-in fifo %v: %v", args, err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("-in fifo %v: no return after 30 s", args)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // TestInputErrors checks a trace the pipeline cannot take is refused

@@ -8,9 +8,9 @@
 // workers, and the engine streams the input through its stage graph on
 // them — bounded memory, output byte-identical to the sequential
 // pipeline at any worker count, on every -device — and -out is written
-// atomically, so a failed run never touches an existing file. Without
-// -in the input is stdin, spooled to a temporary file because the
-// model-fit pass re-reads it; without -out the output goes to stdout.
+// atomically, so a failed run never touches an existing file. Stdin,
+// or an -in that is not a regular file, is spooled to a temporary file
+// for the model-fit pass to re-read; without -out, output goes to stdout.
 // -outformat fio also prints the matching fio job file to stderr.
 //
 // Usage:
@@ -23,6 +23,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -82,22 +83,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	spec.ThresholdUS = float64(*threshold) / float64(time.Microsecond)
 
-	spec.Name = spec.In
-	if spec.In == "" {
-		// The engine opens its input by path, twice on the inference
-		// path (model fit, then reconstruction): spool the pipe.
-		spool, err := trace.SpoolTemp(stdin, "tracetracker-stdin-*")
-		if err != nil {
-			return err
-		}
-		defer os.Remove(spool)
-		spec.Name, spec.In = "stdin", spool
-	}
-	// A spec carries a concrete format, so resolve "auto" here.
-	var err error
-	if spec.InFormat, err = trace.ResolveFile(spec.In, spec.InFormat); err != nil {
+	spec.Name = cmp.Or(spec.In, "stdin")
+	// The engine opens its input by path, twice on the inference path
+	// (model fit, then reconstruction); a spec's format is concrete.
+	in, format, done, err := trace.InputFile(spec.In, spec.InFormat, stdin, "tracetracker-stdin-*")
+	if err != nil {
 		return err
 	}
+	defer done()
+	spec.In, spec.InFormat = in, format
 
 	var rep *engine.Report
 	if spec.Out != "" {

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -250,6 +251,66 @@ func testCLIIdentity(t *testing.T, rounds int, shuffle *rand.Rand) {
 	if left, _ := filepath.Glob(filepath.Join(spoolDir, "tracetracker-stdin-*")); len(left) != 0 {
 		t.Fatalf("stdin spool files left behind: %v", left)
 	}
+}
+
+// TestCLIFIFO: -in a pipe writes the regular file's bytes, with the
+// format given and with auto, on the inference path that reads its
+// input twice: the pipe is spooled once, as it is sniffed.
+func TestCLIFIFO(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	file, _ := genInput(t, t.TempDir(), "webmail", "csv", false)
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := run([]string{"-in", file}, nil, &want, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []string{"csv", "auto"} {
+		if got := runFIFO(t, raw, "-informat", format); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("-in fifo -informat %s: %d bytes, want the regular file's %d", format, len(got), want.Len())
+		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(os.Getenv("TMPDIR"), "tracetracker-stdin-*")); len(left) != 0 {
+		t.Fatalf("spool files left behind: %v", left)
+	}
+}
+
+// runFIFO runs the command with -in a FIFO, which a goroutine fills
+// with data, and args, and returns its stdout. It fails the test if the
+// command has not returned within 30 s: one that opens the FIFO a
+// second time waits for a writer that is gone.
+func runFIFO(t *testing.T, data []byte, args ...string) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "fifo")
+	if err := syscall.Mkfifo(path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err == nil {
+			_, err = f.Write(data)
+			f.Close()
+		}
+		wrote <- err
+	}()
+	var out bytes.Buffer
+	ran := make(chan error, 1)
+	go func() { ran <- run(append([]string{"-in", path}, args...), nil, &out, io.Discard) }()
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Fatalf("-in fifo %v: %v", args, err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("-in fifo %v: no return after 30 s", args)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // TestCLIReport checks -report prints the one report table — the rows

@@ -303,9 +303,16 @@ func TestIngestDedupAllocs(t *testing.T) {
 		// closes it; by digest, the staging file, the digest, the ring's
 		// channels and the hasher goroutine, plus the entry lookup.
 		maxAllocs float64
+		// format is the upload's declared format: "" is the daemon's
+		// path for an upload without ?format=, sniffed from the first
+		// chunk. maxBytes, when set, bounds what a re-upload allocates
+		// outside a -race build.
+		format   string
+		maxBytes uint64
 	}{
-		{"compared", false, 12},
-		{"digest", true, 40},
+		{"compared", false, 12, "bin", 0},
+		{"compared-sniffed", false, 12, "", 4 << 10},
+		{"digest", true, 40, "bin", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dedup := func() {
@@ -315,7 +322,7 @@ func TestIngestDedupAllocs(t *testing.T) {
 					s.mu.Unlock()
 				}
 				r.Reset(data)
-				if _, created, err := s.Ingest(r, "bin"); err != nil || created {
+				if _, created, err := s.Ingest(r, tc.format); err != nil || created {
 					t.Fatalf("dedup ingest: created=%v err=%v", created, err)
 				}
 			}
@@ -333,8 +340,12 @@ func TestIngestDedupAllocs(t *testing.T) {
 				dedup()
 			}
 			runtime.ReadMemStats(&after)
-			if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= ingestRing/2*ingestChunk {
+			perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+			if perRun >= ingestRing/2*ingestChunk {
 				t.Fatalf("dedup ingest allocates %d bytes, want under %d: the chunks are not reused", perRun, ingestRing/2*ingestChunk)
+			}
+			if tc.maxBytes > 0 && !raceEnabled && perRun >= tc.maxBytes {
+				t.Fatalf("dedup ingest allocates %d bytes, want under %d: the sniff reads the first chunk in place", perRun, tc.maxBytes)
 			}
 		})
 	}

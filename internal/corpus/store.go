@@ -268,8 +268,8 @@ func stagedDecodeErr(format string, err error) error {
 // existing entry wins, the upload is discarded, nothing is decoded, and
 // the returned bool is false). A new blob is decoded from the staged
 // file like any job input for its metadata summary, then lands
-// atomically. format "" or "auto" selects content sniffing, before
-// anything is staged.
+// atomically. format "" or "auto" selects content sniffing over the
+// upload's first chunk, before anything is staged.
 //
 // A re-upload of a blob this process has landed or answered before is
 // not staged or hashed at all: its first chunk names the blob, and it
@@ -290,12 +290,17 @@ func (s *Store) Ingest(r io.Reader, format string) (Entry, bool, error) {
 // for per-tenant accounting. On dedup the existing entry (and its
 // original tenant) wins.
 func (s *Store) IngestAs(r io.Reader, format, tenant string) (e Entry, created bool, err error) {
-	format, r, err = trace.ResolveFormat(format, r)
-	if err != nil {
-		return Entry{}, false, fmt.Errorf("%w: %w", ErrBadTrace, err)
-	}
 	head := ingestBufs.Get().(*ingestBuf)
 	n, err := fill(r, head[:])
+	// A format-less upload is sniffed from its first chunk, unless the
+	// upload failed to read before the sniff window was whole.
+	if err == nil || err == io.EOF || n >= trace.SniffLen {
+		var serr error
+		if format, serr = trace.ResolveFormat(format, head[:n]); serr != nil {
+			ingestBufs.Put(head)
+			return Entry{}, false, fmt.Errorf("%w: %w", ErrBadTrace, serr)
+		}
+	}
 	if err == io.EOF {
 		r = drained{}
 	} else if err != nil {

@@ -304,6 +304,31 @@ func TestIngestAutoDetect(t *testing.T) {
 	}
 }
 
+// TestIngestSniffWindow: a format-less upload is sniffed from no more
+// than trace.SniffLen bytes of its first chunk, so one whose first
+// record starts past the window is refused though the chunk holds it,
+// and nothing is staged; declared as csv, the same bytes land.
+func TestIngestSniffWindow(t *testing.T) {
+	s := openStore(t)
+	data := strings.Repeat("# a comment line that keeps the first record out of the sniff window\n", trace.SniffLen/60) +
+		"12.500,0,100,8,R,90.000,0\n"
+	if len(data) <= trace.SniffLen || len(data) >= ingestChunk {
+		t.Fatalf("%d bytes, want more than SniffLen and less than a chunk", len(data))
+	}
+	for _, format := range []string{"", "auto"} {
+		_, _, err := s.Ingest(strings.NewReader(data), format)
+		if !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), "no data record in the first 65536 bytes") {
+			t.Fatalf("format %q: %v, want the sniff window's ErrBadTrace", format, err)
+		}
+	}
+	if tmps, _ := os.ReadDir(filepath.Join(s.Root(), "tmp")); len(tmps) != 0 || s.Len() != 0 {
+		t.Fatalf("refused uploads left %d staged files, %d entries", len(tmps), s.Len())
+	}
+	if e, _, err := s.Ingest(strings.NewReader(data), "csv"); err != nil || e.Requests != 1 {
+		t.Fatalf("declared csv: %+v, %v", e, err)
+	}
+}
+
 // TestIngestRejects keeps broken uploads out of the store.
 func TestIngestRejects(t *testing.T) {
 	s := openStore(t)

@@ -4,11 +4,15 @@ package trace
 // its leading bytes — the binary format by its magic, the text formats
 // by which decoder's grammar accepts the first data record — so tools
 // can accept "-informat auto" and the corpus store can ingest uploads
-// without a format hint. Sniffs is the only place the name "auto" is spelled;
-// ResolveFormat and ResolveFile are the only places it is resolved.
+// without a format hint. Sniffs is the only place the name "auto" is
+// spelled, and ResolveFormat the only place it is resolved: over bytes
+// the caller has already read (a decoder's read buffer, peeked, or an
+// upload's first chunk), so no input is read twice to learn its format.
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
@@ -36,7 +40,7 @@ func DetectFormat(head []byte) (string, error) {
 	}
 	rest := head
 	for len(rest) > 0 {
-		line, tail, complete := cutLine(rest)
+		line, tail, complete := bytes.Cut(rest, []byte("\n"))
 		rest = tail
 		s := strings.TrimSpace(string(line))
 		if s == "" {
@@ -71,49 +75,72 @@ func DetectFormat(head []byte) (string, error) {
 // Sniffs reports whether a format name asks for content sniffing.
 func Sniffs(format string) bool { return format == "auto" || format == "" }
 
-// ResolveFormat is the one resolver of the format name "auto" (or "")
-// over a stream: any other name comes back unchanged with r. For
-// "auto" it reads at most SniffLen bytes, detects, and returns a reader
-// that replays the consumed prefix followed by the rest of r.
-func ResolveFormat(format string, r io.Reader) (string, io.Reader, error) {
-	if !Sniffs(format) {
-		return format, r, nil
-	}
-	head := make([]byte, SniffLen)
-	n, err := io.ReadFull(r, head)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return "", nil, err
-	}
-	head = head[:n]
-	if format, err = DetectFormat(head); err != nil {
-		return "", nil, err
-	}
-	return format, io.MultiReader(bytes.NewReader(head), r), nil
-}
-
-// ResolveFile is ResolveFormat for the file at path, which it opens
-// only to sniff.
-func ResolveFile(path, format string) (string, error) {
+// ResolveFormat is the one resolver of the format name "auto" (or ""):
+// any other name comes back unchanged. "auto" is detected from head,
+// the input's leading bytes, of which it looks at SniffLen at most.
+func ResolveFormat(format string, head []byte) (string, error) {
 	if !Sniffs(format) {
 		return format, nil
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	format, _, err = ResolveFormat(format, f)
-	return format, err
+	return DetectFormat(head[:min(len(head), SniffLen)])
 }
 
-// cutLine splits off the first line of b; complete reports whether the
-// line was terminated by a newline (false only for a trailing
-// fragment).
-func cutLine(b []byte) (line, tail []byte, complete bool) {
-	if i := bytes.IndexByte(b, '\n'); i >= 0 {
-		return b[:i], b[i+1:], true
+// resolveHead is ResolveFormat over the head of br, which it peeks
+// without consuming: the decoder that reads br next sees every byte.
+func resolveHead(format string, br *bufio.Reader) (string, error) {
+	if !Sniffs(format) {
+		return format, nil
 	}
-	return b, nil, false
+	head, err := br.Peek(SniffLen)
+	if err != nil && err != io.EOF {
+		return "", err
+	}
+	return ResolveFormat(format, head)
+}
+
+// InputFile gives a command its input as a regular file, to open by
+// path and read twice: the file at path, or a temporary copy, named
+// after pattern (as os.CreateTemp takes it), of stdin (path "") or of
+// a path that is not a regular file (a pipe). done removes the copy.
+// The format comes back concrete, sniffed as the input is read.
+func InputFile(path, format string, stdin io.Reader, pattern string) (file, resolved string, done func(), err error) {
+	src, regular := stdin, false
+	if path != "" {
+		f, err := os.Open(path)
+		if err != nil {
+			return "", "", nil, err
+		}
+		defer f.Close()
+		st, err := f.Stat()
+		if err == nil && st.IsDir() {
+			err = fmt.Errorf("read %s: is a directory", path)
+		}
+		if err != nil {
+			return "", "", nil, err
+		}
+		src, regular = f, st.Mode().IsRegular()
+	}
+	br := borrowReader(src)
+	defer returnReader(br)
+	if format, err = resolveHead(format, br); err != nil {
+		return "", "", nil, err
+	}
+	if regular {
+		return path, format, func() {}, nil
+	}
+	tmp, err := os.CreateTemp("", pattern)
+	if err != nil {
+		return "", "", nil, err
+	}
+	_, err = br.WriteTo(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", "", nil, fmt.Errorf("spooling %s: %w", cmp.Or(path, "stdin"), err)
+	}
+	return tmp.Name(), format, func() { os.Remove(tmp.Name()) }, nil
 }
 
 // clip bounds s for error messages.

@@ -179,7 +179,8 @@ func NewEncoder(format string, w io.Writer, fioDevice string) (Encoder, error) {
 // "auto" (or "") resolves by content sniffing — applying the arrival
 // sort the near-sorted corpora need.
 func ReadFormat(format string, r io.Reader) (*Trace, error) {
-	format, r, err := ResolveFormat(format, r)
+	br := newReadBuffer(r)
+	format, err := resolveHead(format, br)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +188,7 @@ func ReadFormat(format string, r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := drain(c.decode(source{br: newReadBuffer(r)}))
+	t, err := drain(c.decode(source{br: br}))
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ func FuzzDetectFormat(f *testing.F) {
 // a comment, unless a "# tracetracker" header comes before it.
 func decidingLine(data []byte) ([]byte, bool) {
 	for rest := data; len(rest) > 0; {
-		line, tail, _ := cutLine(rest)
+		line, tail, _ := bytes.Cut(rest, []byte("\n"))
 		rest = tail
 		s := bytes.TrimSpace(line)
 		if bytes.HasPrefix(s, csvHeaderPrefix) {

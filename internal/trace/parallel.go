@@ -21,7 +21,6 @@ package trace
 // After Close every Read fails at once.
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -184,7 +183,8 @@ func (d *ReadAhead) Close() {
 // pairs/). A larger box is unmeasured (ROADMAP item 1(f)).
 // It reads a near-sorted format through a reorder window of the
 // format's size (ReorderWindow). format "auto" (or "") is resolved by
-// content sniffing (ResolveFile); the concrete format is returned.
+// content sniffing over the decoder's own read buffer, so a pipe loses
+// no byte to it; the concrete format is returned.
 // Closing the decoder stops any decode goroutine, closes the file and
 // hands the decoder's buffers back to be kept. The decoded records are
 // the same either way.
@@ -196,16 +196,15 @@ func OpenFileDecoder(path, format string) (Decoder, string, error) {
 // decision given: ahead permits reading a large regular text file
 // ahead of the consumer.
 func openFileDecoder(path, format string, ahead bool) (Decoder, string, error) {
-	f, c, format, err := openInput(path, format)
+	dec, f, c, format, err := openInput(path, format)
 	if err != nil {
 		return nil, "", err
 	}
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
+		dec.Close()
 		return nil, "", err
 	}
-	dec := c.decode(source{br: borrowReader(f), file: f})
 	if ahead && c.text && st.Mode().IsRegular() && st.Size() >= ReadAheadMinBytes {
 		dec = newReadAhead(dec)
 	}
@@ -221,52 +220,32 @@ func openFileDecoder(path, format string, ahead bool) (Decoder, string, error) {
 // order — no reorder window, no decode goroutine — through a kept read
 // buffer, which it hands back before returning.
 func FileMeta(path, format string) (Meta, error) {
-	f, c, _, err := openInput(path, format)
+	dec, _, _, _, err := openInput(path, format)
 	if err != nil {
 		return Meta{}, err
 	}
-	dec := c.decode(source{br: borrowReader(f), file: f})
 	defer dec.Close()
 	_, err = dec.Read(make([]Request, 1))
 	return dec.Meta(), err
 }
 
-// openInput opens path and resolves its input codec (format "auto" or
-// "" by content sniffing); the file is closed on error.
-func openInput(path, format string) (*os.File, *codec, string, error) {
+// openInput opens path once and resolves its input codec over the
+// head of the kept read buffer its sequential decoder borrows, so the
+// decoder reads every byte. Nothing is held on error.
+func openInput(path, format string) (Decoder, *os.File, *codec, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, nil, "", err
 	}
-	if format, err = ResolveFile(path, format); err != nil {
-		f.Close()
-		return nil, nil, "", err
-	}
-	c, err := input(format)
-	if err != nil {
-		f.Close()
-		return nil, nil, "", err
-	}
-	return f, c, format, nil
-}
-
-// SpoolTemp copies r into a new temporary file named after pattern (as
-// os.CreateTemp takes it) and returns its path; the caller removes it.
-// It is how a command reads stdin as a file: OpenFileDecoder reads
-// ahead only on a regular file, and a two-pass consumer reads its
-// input twice.
-func SpoolTemp(r io.Reader, pattern string) (string, error) {
-	f, err := os.CreateTemp("", pattern)
-	if err != nil {
-		return "", err
-	}
-	_, err = io.Copy(f, r)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	src := source{br: borrowReader(f), file: f}
+	format, err = resolveHead(format, src.br)
+	var c *codec
+	if err == nil {
+		c, err = input(format)
 	}
 	if err != nil {
-		os.Remove(f.Name())
-		return "", fmt.Errorf("spooling stdin: %w", err)
+		src.Close()
+		return nil, nil, nil, "", err
 	}
-	return f.Name(), nil
+	return c.decode(src), f, c, format, nil
 }
