@@ -1,6 +1,7 @@
 // Command tracegen synthesizes block traces for the Table I workload
-// families by executing the application model against the simulated
-// OLD (HDD) or NEW (all-flash-array) system.
+// families by executing the application model against a simulated
+// system: the OLD (HDD, the default) or NEW (all-flash-array) one, or
+// any other target of the engine's device registry.
 //
 // Usage:
 //
@@ -16,7 +17,7 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/device"
+	"repro/internal/engine"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -35,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ops := fs.Int("ops", 50000, "number of I/O instructions")
 	seed := fs.Int64("seed", 1, "generation seed")
 	idx := fs.Int("index", 0, "trace index within the family (derives the seed with -seed as offset)")
-	dev := fs.String("device", "old", `collection device: "old" (HDD) or "new" (all-flash array)`)
+	dev := fs.String("device", "old", "collection device, any reconstruction target: "+engine.DeviceUsage())
 	format := fs.String("format", "csv", trace.Usage(trace.Generated))
 	out := fs.String("out", "", "output path (default stdout)")
 	list := fs.Bool("list", false, "list workload families and exit")
@@ -56,15 +57,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown workload %q (try -list)", *name)
 	}
-	var d device.Device
-	switch *dev {
-	case "old":
-		d = device.NewHDD(device.DefaultHDDConfig())
-	case "new":
-		d = device.NewArray(device.DefaultArrayConfig())
-	default:
-		return fmt.Errorf("unknown device %q", *dev)
+	mk, err := engine.DeviceFactory(*dev)
+	if err != nil {
+		return err
 	}
+	d := mk()
 
 	tr := workload.Collect(p, workload.GenOptions{
 		Ops:  *ops,

@@ -18,7 +18,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/* from this build")
 
 // TestGolden pins tracegen's bytes in both formats it writes, to stdout
-// and to -out alike.
+// and to -out alike. -device takes the engine registry's names: a
+// target's name writes what its alias does.
 func TestGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -26,6 +27,8 @@ func TestGolden(t *testing.T) {
 	}{
 		{"msnfs-new.csv", []string{"-workload", "MSNFS", "-ops", "300", "-device", "new"}},
 		{"webmail.bin", []string{"-workload", "webmail", "-ops", "300", "-format", "bin", "-index", "2"}},
+		{"msnfs-new.csv", []string{"-workload", "MSNFS", "-ops", "300", "-device", "array"}},
+		{"webmail.bin", []string{"-workload", "webmail", "-ops", "300", "-format", "bin", "-index", "2", "-device", "hdd"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			var stdout bytes.Buffer

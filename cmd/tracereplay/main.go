@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/device"
@@ -42,16 +40,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	in := fs.String("in", "", "input trace path (default stdin)")
 	informat := fs.String("informat", "csv", trace.Usage(trace.Input))
-	var targets []string
-	for _, d := range engine.Devices() {
-		name := strconv.Quote(d.Name)
-		for _, a := range d.Aliases {
-			name += "/" + strconv.Quote(a)
-		}
-		targets = append(targets, name)
-	}
 	devName := fs.String("device", "new",
-		"device: any reconstruction target — "+strings.Join(targets, ", ")+` — or "null"`)
+		"device: any reconstruction target — "+engine.DeviceUsage()+` — or "null"`)
 	mode := fs.String("mode", "paced", `replay mode: "paced" (issue at trace arrivals) or "closed" (issue on completion)`)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -60,18 +60,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		methods[i] = strconv.Quote(methods[i])
 	}
 	fs.StringVar(&spec.Method, "method", "tracetracker", "reconstruction method: "+strings.Join(methods, ", "))
-	var targets, stateful []string
+	var stateful []string
 	for _, d := range engine.Devices() {
-		name := strconv.Quote(d.Name)
-		for _, a := range d.Aliases {
-			name += "/" + strconv.Quote(a)
-		}
-		targets = append(targets, name)
 		if d.Pipeline == engine.PipelineStateful {
 			stateful = append(stateful, d.Name)
 		}
 	}
-	fs.StringVar(&spec.Device, "device", "new", "reconstruction target: "+strings.Join(targets, ", ")+
+	fs.StringVar(&spec.Device, "device", "new", "reconstruction target: "+engine.DeviceUsage()+
 		"; "+strings.Join(stateful, "/")+" run one ordered device pass with the stages around it at full -parallel")
 	fs.Float64Var(&spec.Factor, "factor", 0, "acceleration factor (0 = the paper's)")
 	threshold := fs.Duration("threshold", 0, "fixed-th idle threshold (0 = the paper's tuned value)")

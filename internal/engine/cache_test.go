@@ -103,6 +103,29 @@ func TestFingerprintSemantics(t *testing.T) {
 			t.Errorf("variant %d changed the fingerprint", i)
 		}
 	}
+	// A nested config that spells a knob at its registry default, or
+	// names the inner device by an alias, is the target without it: the
+	// same fingerprint and the same kept-target key.
+	host := JobSpec{In: "/a/in.csv", Device: "host"}
+	ftl := JobSpec{In: "/a/in.csv", Device: "ftl"}
+	smallHost := JobSpec{In: "/a/in.csv", Device: "host", HostConfig: &HostSpec{CachePages: 256}}
+	for i, tc := range []struct{ spec, as JobSpec }{
+		{JobSpec{In: "/a/in.csv", Device: "host", HostConfig: &HostSpec{Inner: "hdd"}}, host},
+		{JobSpec{In: "/a/in.csv", Device: "host", HostConfig: &HostSpec{Inner: "old"}}, host},
+		{JobSpec{In: "/a/in.csv", Device: "host", HostConfig: &HostSpec{CachePages: 65536}}, host},
+		{JobSpec{In: "/a/in.csv", Device: "hoststack", HostConfig: &HostSpec{DirtyHighWater: 0.2, ReadAheadPages: 8}}, host},
+		{JobSpec{In: "/a/in.csv", Device: "ftl", FTLConfig: &FTLSpec{Blocks: 1024}}, ftl},
+		{JobSpec{In: "/a/in.csv", Device: "ftl", FTLConfig: &FTLSpec{ReadLatencyUS: 50}}, ftl},
+		{JobSpec{In: "/a/in.csv", Device: "host", HostConfig: &HostSpec{Inner: "old", CachePages: 256, PageKB: 4, FlushBatch: 32}}, smallHost},
+	} {
+		a, b := tc.spec.Normalized(), tc.as.Normalized()
+		if a.Fingerprint() != b.Fingerprint() {
+			t.Errorf("spelled default %d changed the fingerprint", i)
+		}
+		if targetsFor(a, nil).key != targetsFor(b, nil).key {
+			t.Errorf("spelled default %d changed the kept-target key", i)
+		}
+	}
 
 	diff := []JobSpec{
 		{In: "/a/in.csv", Method: "dynamic"},
@@ -112,6 +135,12 @@ func TestFingerprintSemantics(t *testing.T) {
 		{In: "/a/in.csv", OutFormat: "fio", FIODevice: "/dev/sdz"},
 		{In: "/a/in.csv", Method: "fixed-th", ThresholdUS: 123},
 		{In: "/a/in.csv", Method: "acceleration", Factor: 9},
+		host,
+		ftl,
+		// Near a default is not the default.
+		{In: "/a/in.csv", Device: "ftl", FTLConfig: &FTLSpec{Blocks: 1023}},
+		{In: "/a/in.csv", Device: "host", HostConfig: &HostSpec{ReadAheadPages: -1}},
+		{In: "/a/in.csv", Device: "host", HostConfig: &HostSpec{Inner: "new"}},
 	}
 	seen := map[string]int{fp: -1}
 	for i, s := range diff {

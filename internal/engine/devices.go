@@ -1,15 +1,22 @@
 package engine
 
 // The device registry: one table describing every reconstruction
-// target — canonical name, aliases, config knobs and pipeline
-// capability — that drives JobSpec validation, device construction,
-// and the daemon's GET /v1/devices discovery endpoint. Because all
-// three read the same table, the API surface cannot drift from what
-// the engine actually accepts.
+// target — canonical name, aliases, config knobs and their defaults,
+// and pipeline capability — that drives JobSpec normalization and
+// validation, device construction, every command's -device flag, and
+// the daemon's GET /v1/devices discovery endpoint. Because all of them
+// read the same table, the API surface cannot drift from what the
+// engine actually accepts.
 
 import (
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/apicode"
@@ -71,8 +78,13 @@ type deviceEntry struct {
 	bytes func(spec JobSpec) int64
 }
 
-var deviceRegistry = []deviceEntry{
-	{
+// deviceRegistry is filled in init: the host row builds its inner
+// device from another row, and a literal whose closures reach the
+// registry would be an initialization cycle.
+var deviceRegistry []deviceEntry
+
+func init() {
+	deviceRegistry = []deviceEntry{{
 		info: DeviceInfo{
 			Name:     "array",
 			Aliases:  []string{"new"},
@@ -85,79 +97,84 @@ var deviceRegistry = []deviceEntry{
 		},
 		bytes: func(JobSpec) int64 { return smallTargetBytes },
 	},
-	{
-		info: DeviceInfo{
-			Name:     "ssd",
-			Pipeline: PipelineShardParallel,
-			Summary:  "one member SSD of the array",
-		},
-		build: func(JobSpec) func() device.Device {
-			return func() device.Device { return device.NewSSD(device.DefaultSSDConfig()) }
-		},
-		bytes: func(JobSpec) int64 { return smallTargetBytes },
-	},
-	{
-		info: DeviceInfo{
-			Name:     "hdd",
-			Aliases:  []string{"old"},
-			Pipeline: PipelineStateful,
-			Summary:  "the decade-old disk the public traces were captured on (the OLD system)",
-		},
-		build: func(JobSpec) func() device.Device {
-			return func() device.Device { return device.NewHDD(device.DefaultHDDConfig()) }
-		},
-		bytes: func(JobSpec) int64 { return smallTargetBytes },
-	},
-	{
-		info: DeviceInfo{
-			Name:        "ftl",
-			Pipeline:    PipelineStateful,
-			ConfigField: "ftl_config",
-			Summary:     "page-mapped flash translation layer with background GC in idle gaps",
-			Knobs: []DeviceKnob{
-				{Name: "blocks", Type: "int", Default: "1024", Help: "physical erase blocks"},
-				{Name: "pages_per_block", Type: "int", Default: "128", Help: "pages per erase block"},
-				{Name: "page_kb", Type: "int", Default: "8", Help: "flash page size in KiB"},
-				{Name: "overprovision_pct", Type: "float", Default: "0.07", Help: "fraction of blocks reserved from the host LBA space"},
-				{Name: "read_latency_us", Type: "float", Default: "50", Help: "page read latency (tR)"},
-				{Name: "program_latency_us", Type: "float", Default: "600", Help: "page program latency (tPROG)"},
-				{Name: "erase_latency_us", Type: "float", Default: "3000", Help: "block erase latency (tBERS)"},
-				{Name: "gc_trigger_free_blocks", Type: "int", Default: "8", Help: "free-block level that starts foreground GC"},
-				{Name: "background_gc_target", Type: "int", Default: "32", Help: "free-block level background GC restores during idle gaps"},
+		{
+			info: DeviceInfo{
+				Name:     "ssd",
+				Pipeline: PipelineShardParallel,
+				Summary:  "one member SSD of the array",
 			},
-		},
-		build: func(spec JobSpec) func() device.Device {
-			cfg := spec.FTLConfig.Config()
-			return func() device.Device { return device.NewFTLDevice(cfg) }
-		},
-		bytes: func(spec JobSpec) int64 { return ftl.StateBytes(spec.FTLConfig.Config()) },
-	},
-	{
-		info: DeviceInfo{
-			Name:        "host",
-			Aliases:     []string{"hoststack"},
-			Pipeline:    PipelineStateful,
-			ConfigField: "host_config",
-			Summary:     "host storage stack (syscall + page cache + writeback) over an inner device",
-			Knobs: []DeviceKnob{
-				{Name: "device", Type: "string", Default: "hdd", Help: "inner block device: hdd, array or ssd"},
-				{Name: "cache_pages", Type: "int", Default: "65536", Help: "page-cache capacity in pages"},
-				{Name: "page_kb", Type: "int", Default: "4", Help: "cache page size in KiB"},
-				{Name: "write_through", Type: "bool", Default: "false", Help: "disable write-back buffering"},
-				{Name: "dirty_high_water", Type: "float", Default: "0.20", Help: "dirty fraction that triggers synchronous flushing"},
-				{Name: "flush_batch", Type: "int", Default: "32", Help: "dirty pages written per flush round"},
-				{Name: "readahead_pages", Type: "int", Default: "8", Help: "pages prefetched after a read miss (-1 disables)"},
-				{Name: "syscall_overhead_us", Type: "float", Default: "3", Help: "per-request mode-switch and copy cost"},
-				{Name: "hit_latency_us", Type: "float", Default: "2", Help: "cache-hit service time"},
+			build: func(JobSpec) func() device.Device {
+				return func() device.Device { return device.NewSSD(device.DefaultSSDConfig()) }
 			},
+			bytes: func(JobSpec) int64 { return smallTargetBytes },
 		},
-		build: func(spec JobSpec) func() device.Device {
-			cfg, inner := spec.HostConfig.Config(), spec.HostConfig.innerDevice()
-			return func() device.Device { return hoststack.New(cfg, inner()) }
+		{
+			info: DeviceInfo{
+				Name:     "hdd",
+				Aliases:  []string{"old"},
+				Pipeline: PipelineStateful,
+				Summary:  "the decade-old disk the public traces were captured on (the OLD system)",
+			},
+			build: func(JobSpec) func() device.Device {
+				return func() device.Device { return device.NewHDD(device.DefaultHDDConfig()) }
+			},
+			bytes: func(JobSpec) int64 { return smallTargetBytes },
 		},
-		// The inner device is an hdd, ssd or array.
-		bytes: func(spec JobSpec) int64 { return hoststack.CacheBytes(spec.HostConfig.Config()) + smallTargetBytes },
-	},
+		{
+			info: DeviceInfo{
+				Name:        "ftl",
+				Pipeline:    PipelineStateful,
+				ConfigField: "ftl_config",
+				Summary:     "page-mapped flash translation layer with background GC in idle gaps",
+				Knobs: []DeviceKnob{
+					{Name: "blocks", Type: "int", Default: "1024", Help: "physical erase blocks"},
+					{Name: "pages_per_block", Type: "int", Default: "128", Help: "pages per erase block"},
+					{Name: "page_kb", Type: "int", Default: "8", Help: "flash page size in KiB"},
+					{Name: "overprovision_pct", Type: "float", Default: "0.07", Help: "fraction of blocks reserved from the host LBA space"},
+					{Name: "read_latency_us", Type: "float", Default: "50", Help: "page read latency (tR)"},
+					{Name: "program_latency_us", Type: "float", Default: "600", Help: "page program latency (tPROG)"},
+					{Name: "erase_latency_us", Type: "float", Default: "3000", Help: "block erase latency (tBERS)"},
+					{Name: "gc_trigger_free_blocks", Type: "int", Default: "8", Help: "free-block level that starts foreground GC"},
+					{Name: "background_gc_target", Type: "int", Default: "32", Help: "free-block level background GC restores during idle gaps"},
+				},
+			},
+			build: func(spec JobSpec) func() device.Device {
+				cfg := spec.FTLConfig.Config()
+				return func() device.Device { return device.NewFTLDevice(cfg) }
+			},
+			bytes: func(spec JobSpec) int64 { return ftl.StateBytes(spec.FTLConfig.Config()) },
+		},
+		{
+			info: DeviceInfo{
+				Name:        "host",
+				Aliases:     []string{"hoststack"},
+				Pipeline:    PipelineStateful,
+				ConfigField: "host_config",
+				Summary:     "host storage stack (syscall + page cache + writeback) over an inner device",
+				Knobs: []DeviceKnob{
+					{Name: "device", Type: "string", Default: "hdd", Help: "inner block device: hdd, array or ssd"},
+					{Name: "cache_pages", Type: "int", Default: "65536", Help: "page-cache capacity in pages"},
+					{Name: "page_kb", Type: "int", Default: "4", Help: "cache page size in KiB"},
+					{Name: "write_through", Type: "bool", Default: "false", Help: "disable write-back buffering"},
+					{Name: "dirty_high_water", Type: "float", Default: "0.20", Help: "dirty fraction that triggers synchronous flushing"},
+					{Name: "flush_batch", Type: "int", Default: "32", Help: "dirty pages written per flush round"},
+					{Name: "readahead_pages", Type: "int", Default: "8", Help: "pages prefetched after a read miss (-1 disables)"},
+					{Name: "syscall_overhead_us", Type: "float", Default: "3", Help: "per-request mode-switch and copy cost"},
+					{Name: "hit_latency_us", Type: "float", Default: "2", Help: "cache-hit service time"},
+				},
+			},
+			// The inner device is a row without a config (validate): its
+			// build takes no spec, and it holds smallTargetBytes.
+			build: func(spec JobSpec) func() device.Device {
+				inner := knobDefaults[HostSpec]("host").Inner
+				if spec.HostConfig != nil {
+					inner = cmp.Or(spec.HostConfig.Inner, inner)
+				}
+				cfg, mk := spec.HostConfig.Config(), deviceEntryFor(inner).build(JobSpec{})
+				return func() device.Device { return hoststack.New(cfg, mk()) }
+			},
+			bytes: func(spec JobSpec) int64 { return hoststack.CacheBytes(spec.HostConfig.Config()) + smallTargetBytes },
+		}}
 }
 
 // Devices returns the published capability table, for the daemon's
@@ -171,23 +188,71 @@ func Devices() []DeviceInfo {
 }
 
 // normalizeDevice canonicalizes JobSpec.Device aliases via the
-// registry; unknown names pass through for Validate to reject.
+// registry ("" is the Default row); unknown names pass through for
+// Validate to reject.
 func normalizeDevice(name string) string {
-	if name == "" {
-		return "array"
-	}
 	for i := range deviceRegistry {
-		e := &deviceRegistry[i]
-		if name == e.info.Name {
-			return name
-		}
-		for _, a := range e.info.Aliases {
-			if name == a {
-				return e.info.Name
-			}
+		e := &deviceRegistry[i].info
+		if name == e.Name || slices.Contains(e.Aliases, name) || name == "" && e.Default {
+			return e.Name
 		}
 	}
 	return name
+}
+
+// DeviceUsage lists the registry's names for a -device flag's help:
+// each target quoted, its aliases after a slash.
+func DeviceUsage() string {
+	names := make([]string, len(deviceRegistry))
+	for i, e := range deviceRegistry {
+		names[i] = strconv.Quote(e.info.Name)
+		for _, a := range e.info.Aliases {
+			names[i] += "/" + strconv.Quote(a)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// knobDefaults is the nested config of the named target with every knob
+// at its table Default: the JSON object that column spells.
+func knobDefaults[S any](target string) (def S) {
+	var fields []string
+	for _, k := range deviceEntryFor(target).info.Knobs {
+		v := k.Default
+		if k.Type == "string" {
+			v = strconv.Quote(v)
+		}
+		fields = append(fields, strconv.Quote(k.Name)+":"+v)
+	}
+	if err := json.Unmarshal([]byte("{"+strings.Join(fields, ",")+"}"), &def); err != nil {
+		panic(err) // the table is a literal
+	}
+	return def
+}
+
+// offDefault is the one form of the target's nested config cfg: its
+// device knob (the one string knob) by its registry name, every knob
+// spelled at its table Default cleared, and nil once nothing is left.
+// A knob out of range is never its default, so Validate still sees it.
+func offDefault[S any](cfg *S, target string) *S {
+	if cfg == nil {
+		return nil
+	}
+	c := *cfg
+	v, def := reflect.ValueOf(&c).Elem(), reflect.ValueOf(knobDefaults[S](target))
+	for i := range v.NumField() {
+		f := v.Field(i)
+		if f.Kind() == reflect.String && f.String() != "" {
+			f.SetString(normalizeDevice(f.String()))
+		}
+		if f.Equal(def.Field(i)) {
+			f.SetZero()
+		}
+	}
+	if v.IsZero() {
+		return nil
+	}
+	return &c
 }
 
 // deviceEntryFor returns the registry entry for a canonical device
@@ -201,26 +266,22 @@ func deviceEntryFor(name string) *deviceEntry {
 	return nil
 }
 
-// deviceFactoryFor maps a normalized spec to its device constructor.
-func deviceFactoryFor(spec JobSpec) (func() device.Device, error) {
-	e := deviceEntryFor(normalizeDevice(spec.Device))
-	if e == nil {
-		return nil, &ValidationError{Field: "device", Code: apicode.UnknownDevice,
-			msg: fmt.Sprintf("unknown device %q", spec.Device)}
-	}
-	return e.build(spec), nil
-}
-
 // DeviceFactory maps a JobSpec.Device name (aliases included, "" =
 // array) to a device constructor with default config, for callers
 // without a full spec (the benchmark, reference computations in tests).
 func DeviceFactory(name string) (func() device.Device, error) {
-	return deviceFactoryFor(JobSpec{Device: name})
+	e := deviceEntryFor(normalizeDevice(name))
+	if e == nil {
+		return nil, &ValidationError{Field: "device", Code: apicode.UnknownDevice,
+			msg: fmt.Sprintf("unknown device %q", name)}
+	}
+	return e.build(JobSpec{}), nil
 }
 
-// FTLSpec is the JobSpec.FTLConfig payload: the "ftl" target's
-// geometry and timing knobs. Zero fields keep the engine defaults
-// (device.DefaultFTLDeviceConfig).
+// FTLSpec is the JobSpec.FTLConfig payload: the "ftl" target's knobs,
+// a field per row of its registry knob table. Zero fields keep the
+// defaults (device.DefaultFTLDeviceConfig, the table's Default column);
+// Normalized zeroes a field spelled at its default.
 type FTLSpec struct {
 	Blocks              int     `json:"blocks,omitempty"`
 	PagesPerBlock       int     `json:"pages_per_block,omitempty"`
@@ -314,11 +375,13 @@ func (s *FTLSpec) validate() *ValidationError {
 }
 
 // HostSpec is the JobSpec.HostConfig payload: the "host" target's
-// cache and inner-device knobs. Zero fields keep the hoststack
-// defaults; ReadAheadPages uses -1 to disable (0 = default).
+// knobs, a field per row of its registry knob table. Zero fields keep
+// the defaults (hoststack.DefaultConfig, the table's Default column);
+// ReadAheadPages uses -1 to disable. Normalized zeroes a field spelled
+// at its default.
 type HostSpec struct {
-	// Inner selects the block device underneath the stack: "hdd"
-	// (default), "array" or "ssd".
+	// Inner names the block device under the stack: a registry target
+	// without a config, by name or alias ("" = the default, hdd).
 	Inner             string  `json:"device,omitempty"`
 	CachePages        int     `json:"cache_pages,omitempty"`
 	PageKB            int     `json:"page_kb,omitempty"`
@@ -328,36 +391,6 @@ type HostSpec struct {
 	ReadAheadPages    int     `json:"readahead_pages,omitempty"`
 	SyscallOverheadUS float64 `json:"syscall_overhead_us,omitempty"`
 	HitLatencyUS      float64 `json:"hit_latency_us,omitempty"`
-}
-
-// hostInner resolves the inner-device name ("" = hdd). The alias
-// switch is spelled out rather than going through normalizeDevice so
-// the registry literal (whose build closures reach here) has no static
-// reference back to itself — Go's initialization-cycle rule.
-func (s *HostSpec) hostInner() string {
-	if s == nil {
-		return "hdd"
-	}
-	switch s.Inner {
-	case "", "old", "hdd":
-		return "hdd"
-	case "new", "array":
-		return "array"
-	default:
-		return s.Inner
-	}
-}
-
-// innerDevice is the constructor of the block device under the stack.
-func (s *HostSpec) innerDevice() func() device.Device {
-	switch s.hostInner() {
-	case "array":
-		return func() device.Device { return device.NewArray(device.DefaultArrayConfig()) }
-	case "ssd":
-		return func() device.Device { return device.NewSSD(device.DefaultSSDConfig()) }
-	default:
-		return func() device.Device { return device.NewHDD(device.DefaultHDDConfig()) }
-	}
 }
 
 // Config is the stack config the spec builds the "host" target with
@@ -406,9 +439,7 @@ func (s *HostSpec) validate() *ValidationError {
 	if s == nil {
 		return nil
 	}
-	switch s.hostInner() {
-	case "hdd", "array", "ssd":
-	default:
+	if e := deviceEntryFor(normalizeDevice(s.Inner)); s.Inner != "" && (e == nil || e.info.ConfigField != "") {
 		return bad("device", fmt.Sprintf("inner device must be hdd, array or ssd, not %q", s.Inner))
 	}
 	if s.CachePages < 0 || s.CachePages > 1<<22 {

@@ -80,10 +80,7 @@ func testConfig(workers int) Config {
 func dynamicJobIdentity(t *testing.T, label string, old *trace.Trace, spec JobSpec) []device.Stat {
 	t.Helper()
 	spec = spec.Normalized()
-	mk, err := deviceFactoryFor(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mk := deviceEntryFor(spec.Device).build(spec)
 	wantTrace, wantRep, err := core.Reconstruct(old, mk(), core.Options{SkipPostProcess: true})
 	if err != nil {
 		t.Fatalf("%s: sequential: %v", label, err)

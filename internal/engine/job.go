@@ -64,18 +64,13 @@ type JobSpec struct {
 	// Method names a row of the method table (Methods); empty selects
 	// tracetracker.
 	Method string `json:"method,omitempty"`
-	// Device is the reconstruction target: "array" (default; alias
-	// "new" — the paper's 4-SSD flash array), "ssd" (one member SSD),
-	// "hdd" (alias "old" — the decade-old disk the public traces were
-	// captured on), "ftl" (page-mapped flash translation layer with
-	// background GC in idle gaps), or "host" (alias "hoststack" — the
-	// syscall/page-cache/writeback stack over an inner device). The
-	// stateful targets (hdd, ftl, host) run the same stage graph, on
-	// the same Config.Workers as any other job. See the engine device
-	// registry (Devices) for the full capability table.
+	// Device names the reconstruction target by a name or an alias of
+	// the engine's device registry (Devices); "" is its default, array.
+	// Every target runs the same stage graph on Config.Workers.
 	Device string `json:"device,omitempty"`
-	// FTLConfig tunes the "ftl" target; it must be unset for other
-	// targets and enters the spec fingerprint only when selected.
+	// FTLConfig tunes the "ftl" target; a knob it spells at its
+	// registry Default is as if unset (Normalized). It must be unset for
+	// other targets and enters the spec fingerprint only when selected.
 	FTLConfig *FTLSpec `json:"ftl_config,omitempty"`
 	// HostConfig tunes the "host" target, same contract as FTLConfig.
 	HostConfig *HostSpec `json:"host_config,omitempty"`
@@ -87,10 +82,10 @@ type JobSpec struct {
 
 // Normalized returns the spec with all defaults applied — the form
 // RunJob executes and servers should persist, so later consumers see
-// the same effective values RunJob used.
-func (s JobSpec) Normalized() JobSpec { return s.withDefaults() }
-
-func (s JobSpec) withDefaults() JobSpec {
+// the same effective values RunJob used. A nested device config is
+// copied into its one form (offDefault), so equal targets have equal
+// fields: Fingerprint and the kept-target key (targetsFor) read them.
+func (s JobSpec) Normalized() JobSpec {
 	if s.InFormat == "" {
 		s.InFormat = "csv"
 	}
@@ -113,24 +108,8 @@ func (s JobSpec) withDefaults() JobSpec {
 	if s.ThresholdUS == 0 {
 		s.ThresholdUS = float64(baseline.DefaultFixedThreshold) / float64(time.Microsecond)
 	}
-	// Canonicalize the nested device configs so semantically equal
-	// specs fingerprint equally: an all-defaults config is the same as
-	// none, and inner-device aliases normalize. The pointers are copied
-	// before mutation — a spec shares no state with its Normalized form.
-	if s.FTLConfig != nil && *s.FTLConfig == (FTLSpec{}) {
-		s.FTLConfig = nil
-	}
-	if s.HostConfig != nil {
-		hc := *s.HostConfig
-		if hc.Inner != "" {
-			hc.Inner = normalizeDevice(hc.Inner)
-		}
-		if hc == (HostSpec{}) {
-			s.HostConfig = nil
-		} else {
-			s.HostConfig = &hc
-		}
-	}
+	s.FTLConfig = offDefault(s.FTLConfig, "ftl")
+	s.HostConfig = offDefault(s.HostConfig, "host")
 	return s
 }
 
@@ -278,10 +257,7 @@ func runJobTo(cfg Config, spec JobSpec, sink io.Writer, fitted *infer.Model) (*R
 	// targets (hdd, ftl, host) run the same graph at the full worker
 	// count — they never imply a serial reconstruction. The run takes
 	// its devices from the kept targets (targets.go).
-	targets, err := targetsFor(spec, cfg.Metrics)
-	if err != nil {
-		return nil, err
-	}
+	targets := targetsFor(spec, cfg.Metrics)
 	cfg.Device = targets.take
 	out := &jobWriter{w: sink}
 	enc, err := trace.NewEncoder(spec.OutFormat, out, spec.FIODevice)

@@ -6,6 +6,7 @@ package engine
 // of the cache keys across the removal of the Stream spec field.
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -342,6 +344,10 @@ func TestFingerprintGolden(t *testing.T) {
 		{`{"in":"/a/in.csv","method":"fixed-th","threshold_us":250}`, "86ddf942c71862cfd1f674e4eaf0fca9517e8cd0516a91525910310d98dc3406"},
 		{`{"in":"/a/in.csv","method":"acceleration","factor":4}`, "ed2a2e6e587932b16090e3026562e0c8fcca3e0b324b03a98a2e10c064360539"},
 		{`{"in":"/a/in.csv","method":"revision","device":"ssd"}`, "8e05b2bb14f2bcfd45a5330ebbbdfc73806d208ec3b314d125632b57abc9b660"},
+		// A host config that spells its defaults keys as the plain host.
+		{`{"in":"/a/in.csv","device":"host"}`, "d06be15403eff0c73f2a123935700103b092a1060330dfd2a600986a539cc7a3"},
+		{`{"in":"/a/in.csv","device":"host","host_config":{"device":"hdd"}}`, "d06be15403eff0c73f2a123935700103b092a1060330dfd2a600986a539cc7a3"},
+		{`{"in":"/a/in.csv","device":"host","host_config":{"cache_pages":65536}}`, "d06be15403eff0c73f2a123935700103b092a1060330dfd2a600986a539cc7a3"},
 	}
 	for _, g := range golden {
 		var s JobSpec
@@ -426,12 +432,19 @@ func TestJobRefusesLongBinMeta(t *testing.T) {
 // spec — decode, Normalized, Validate. A spec Validate accepts must build
 // device configs whose durations are all non-negative, and must
 // fingerprint the same after a second Normalized; a device-config knob a
-// rejection names must be one the body sets. The seeds are the two
+// rejection names must be one the body sets. Spelling any knob the
+// accepted spec leaves unset at its registry Default, or naming its
+// inner device by any name of that device's row, must leave it valid,
+// with the same fingerprint and kept-target key. The seeds are the two
 // defects the *_us bounds fixed: a latency whose nanoseconds overflow an
 // int64 (it wrapped negative), and a negative program latency reported
-// on read_latency_us.
+// on read_latency_us; and host configs that spell the defaults, which
+// once keyed apart from the plain host.
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
+		`{"in":"x","device":"host","host_config":{"device":"hdd"}}`,
+		`{"in":"x","device":"host","host_config":{"cache_pages":65536}}`,
+		`{"in":"x","device":"host","host_config":{"device":"old","dirty_high_water":0.2,"flush_batch":4}}`,
 		`{"in":"x.csv"}`,
 		`{"in":"x","device":"ftl","ftl_config":{"read_latency_us":1e300}}`,
 		`{"in":"x","device":"host","host_config":{"hit_latency_us":1e300}}`,
@@ -471,22 +484,84 @@ func FuzzJobSpec(f *testing.F) {
 		if a, b := n.Fingerprint(), n.Normalized().Fingerprint(); a != b {
 			t.Fatalf("%s: fingerprint %s moves to %s under a second Normalized", body, a, b)
 		}
+		fp, key := n.Fingerprint(), targetsFor(n, nil).key
+		for _, d := range Devices() {
+			for _, k := range d.Knobs {
+				values := []string{k.Default}
+				if k.Type == "string" {
+					// The inner device, set or by default, by every name.
+					e := deviceEntryFor(normalizeDevice(cmp.Or(knobValue(t, spec, d.ConfigField, k.Name), k.Default)))
+					values = append([]string{e.info.Name}, e.info.Aliases...)
+					for i := range values {
+						values[i] = strconv.Quote(values[i])
+					}
+				} else if setsKnob(t, spec, d.ConfigField, k.Name) {
+					continue
+				}
+				for _, v := range values {
+					r := respell(t, spec, d.ConfigField, k.Name, v).Normalized()
+					if err := r.Validate(); err != nil {
+						t.Fatalf("%s with %s.%s=%s: %v", body, d.ConfigField, k.Name, v, err)
+					}
+					if r.Fingerprint() != fp || targetsFor(r, nil).key != key {
+						t.Fatalf("%s with %s.%s=%s keys apart from the spec", body, d.ConfigField, k.Name, v)
+					}
+				}
+			}
+		}
 	})
 }
 
-// setsKnob reports whether spec sets the nested config knob section.knob
-// — whether the knob survives the spec's own omitempty encoding.
-func setsKnob(t *testing.T, spec JobSpec, section, knob string) bool {
+// nestedKnobs is spec's nested config section as the spec's own
+// encoding spells it (nil when unset).
+func nestedKnobs(t *testing.T, spec JobSpec, section string) (outer, inner map[string]json.RawMessage) {
 	t.Helper()
 	b, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var outer map[string]json.RawMessage
-	var inner map[string]json.RawMessage
-	if json.Unmarshal(b, &outer) != nil || json.Unmarshal(outer[section], &inner) != nil {
-		return false
+	if err := json.Unmarshal(b, &outer); err != nil {
+		t.Fatal(err)
 	}
+	json.Unmarshal(outer[section], &inner)
+	return outer, inner
+}
+
+// knobValue is the string knob section.knob as spec sets it ("" when
+// unset).
+func knobValue(t *testing.T, spec JobSpec, section, knob string) string {
+	_, inner := nestedKnobs(t, spec, section)
+	var v string
+	json.Unmarshal(inner[knob], &v)
+	return v
+}
+
+// respell is spec with section.knob set to the JSON value v.
+func respell(t *testing.T, spec JobSpec, section, knob, v string) JobSpec {
+	outer, inner := nestedKnobs(t, spec, section)
+	if inner == nil {
+		inner = map[string]json.RawMessage{}
+	}
+	inner[knob] = json.RawMessage(v)
+	var err error
+	if outer[section], err = json.Marshal(inner); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(outer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r JobSpec
+	if err := json.Unmarshal(b, &r); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// setsKnob reports whether spec sets the nested config knob section.knob
+// — whether the knob survives the spec's own omitempty encoding.
+func setsKnob(t *testing.T, spec JobSpec, section, knob string) bool {
+	_, inner := nestedKnobs(t, spec, section)
 	_, ok := inner[knob]
 	return ok
 }

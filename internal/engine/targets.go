@@ -77,11 +77,8 @@ type jobTargets struct {
 
 // targetsFor returns the device source of a run of the normalized,
 // validated spec.
-func targetsFor(spec JobSpec, mtr *obs.EngineMetrics) (*jobTargets, error) {
-	build, err := deviceFactoryFor(spec)
-	if err != nil {
-		return nil, err
-	}
+func targetsFor(spec JobSpec, mtr *obs.EngineMetrics) *jobTargets {
+	e := deviceEntryFor(spec.Device)
 	key := targetKey{device: spec.Device}
 	if spec.FTLConfig != nil {
 		key.ftl = *spec.FTLConfig
@@ -91,10 +88,10 @@ func targetsFor(spec JobSpec, mtr *obs.EngineMetrics) (*jobTargets, error) {
 	}
 	return &jobTargets{
 		key:   key,
-		build: build,
-		keep:  deviceEntryFor(spec.Device).bytes(spec) <= targetBudget,
+		build: e.build(spec),
+		keep:  e.bytes(spec) <= targetBudget,
 		mtr:   mtr,
-	}, nil
+	}
 }
 
 // take is the run's Config.Device: a kept device of the run's config,

@@ -68,23 +68,28 @@ func runTo(tb testing.TB, cfg Config, spec JobSpec, reg *obs.Registry) ([]byte, 
 // keptTargetCases are every registry target at its default config and
 // the nested configs under which a device carries the most state from
 // one job to the next. stat names a device statistic job A must leave
-// non-zero, so A built state that B would see without the Reset.
+// non-zero, so A built state that B would see without the Reset. A row
+// with an a runs job A on that spelling of the same target.
 var keptTargetCases = []struct {
 	name string
 	spec JobSpec
 	stat string
+	a    *JobSpec
 }{
-	{"array", JobSpec{Device: "array"}, ""},
-	{"ssd", JobSpec{Device: "ssd"}, ""},
-	{"hdd", JobSpec{Device: "hdd"}, ""},
-	{"ftl", JobSpec{Device: "ftl"}, "host_writes"},
+	{"array", JobSpec{Device: "array"}, "", nil},
+	{"ssd", JobSpec{Device: "ssd"}, "", nil},
+	{"hdd", JobSpec{Device: "hdd"}, "", nil},
+	{"ftl", JobSpec{Device: "ftl"}, "host_writes", nil},
 	// 64 blocks of 16 pages: a job laps the device and garbage-collects.
-	{"ftl-lapped", JobSpec{Device: "ftl", FTLConfig: &FTLSpec{Blocks: 64, PagesPerBlock: 16}}, "erases"},
-	{"host", JobSpec{Device: "host"}, "cache_misses"},
+	{"ftl-lapped", JobSpec{Device: "ftl", FTLConfig: &FTLSpec{Blocks: 64, PagesPerBlock: 16}}, "erases", nil},
+	{"host", JobSpec{Device: "host"}, "cache_misses", nil},
 	// 256 pages: a job evicts and flushes, and ends with dirty pages.
-	{"host-small", JobSpec{Device: "host", HostConfig: &HostSpec{CachePages: 256, FlushBatch: 8}}, "flushed_pages"},
-	{"host-write-through", JobSpec{Device: "host", HostConfig: &HostSpec{CachePages: 256, WriteThrough: true}}, "cache_misses"},
-	{"host-array", JobSpec{Device: "host", HostConfig: &HostSpec{Inner: "array", CachePages: 512}}, "flushed_pages"},
+	{"host-small", JobSpec{Device: "host", HostConfig: &HostSpec{CachePages: 256, FlushBatch: 8}}, "flushed_pages", nil},
+	{"host-write-through", JobSpec{Device: "host", HostConfig: &HostSpec{CachePages: 256, WriteThrough: true}}, "cache_misses", nil},
+	{"host-array", JobSpec{Device: "host", HostConfig: &HostSpec{Inner: "array", CachePages: 512}}, "flushed_pages", nil},
+	// A host config that spells its defaults is the plain host: B takes
+	// the device A returned.
+	{"host-spelled-default", JobSpec{Device: "host", HostConfig: &HostSpec{Inner: "hdd", CachePages: 65536}}, "cache_misses", &JobSpec{Device: "host"}},
 }
 
 func statOf(rep *Report, name string) float64 {
@@ -110,6 +115,9 @@ func TestKeptTargetMatchesFresh(t *testing.T) {
 	for _, tc := range keptTargetCases {
 		t.Run(tc.name, func(t *testing.T) {
 			specA, specB := tc.spec, tc.spec
+			if tc.a != nil {
+				specA = *tc.a
+			}
 			specA.In, specA.InFormat, specA.OutFormat = inA, "bin", "bin"
 			specB.In, specB.InFormat, specB.OutFormat = inB, "bin", "bin"
 
@@ -310,10 +318,7 @@ func TestKeptTargetBounds(t *testing.T) {
 	var targets []*jobTargets
 	for i := 0; i < 2*keptTargetCount; i++ {
 		spec := JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{CachePages: 80_000 + i}}.Normalized()
-		jt, err := targetsFor(spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		jt := targetsFor(spec, nil)
 		jt.take()
 		jt.release()
 		targets = append(targets, jt)

@@ -76,11 +76,7 @@ func TestStreamReconstructAllocBound(t *testing.T) {
 	}
 	data := buf.Bytes()
 	factory := func(spec JobSpec) func() device.Device {
-		mk, err := deviceFactoryFor(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mk
+		return deviceEntryFor(spec.Device).build(spec)
 	}
 	host := factory(JobSpec{Device: "host", HostConfig: &HostSpec{CachePages: 4096}})
 	ftl := factory(JobSpec{Device: "ftl", FTLConfig: &FTLSpec{Blocks: 128, PagesPerBlock: 64, OverprovisionPct: 0.4}})
@@ -179,10 +175,7 @@ func TestHostCacheBoundedByResidency(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	mk, err := deviceFactoryFor(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mk := deviceEntryFor(spec.Device).build(spec)
 	reqs := allocBenchTrace(1000).Requests
 
 	runtime.GC()
