@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -21,7 +22,9 @@ import (
 	"testing"
 
 	"repro/internal/apicode"
+	"repro/internal/corpus"
 	"repro/internal/engine"
+	"repro/internal/infer"
 	"repro/internal/obs"
 	"repro/internal/obs/obstest"
 	"repro/internal/readmetest"
@@ -132,12 +135,100 @@ func readmeFormats(_ *testing.T, _ *server) string {
 	return b.String()
 }
 
-// readmeSpans lists obs's span names and attribute keys, in table order.
-func readmeSpans(_ *testing.T, _ *server) string {
+// readmeSpans lists obs's span names and attribute keys, in table
+// order, then the span tree of a real timeline: a job that misses the
+// result cache and fits its own model, on the server's store with the
+// models its ingest fitted hidden.
+func readmeSpans(t *testing.T, srv *server) string {
 	spans := vocabulary(func(i int) string { return obs.SpanName(i).String() })
 	attrs := vocabulary(func(i int) string { return obs.AttrKey(i).String() })
-	return fmt.Sprintf("Span names: %s (the first %d are the engine stages).\nAttribute keys: %s.\n",
-		ticks(spans, ", "), obs.NumStages, ticks(attrs, ", "))
+	e, _, err := srv.store.Ingest(bytes.NewReader(webmailCSV(t, 2000)), "csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := srv.store.BlobPath(e.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := obs.NewTracer("readme", 0, obs.TraceContext{})
+	cfg := srv.base
+	cfg.Trace = tracer
+	if _, hit, err := engine.RunJobCached(cfg, engine.JobSpec{In: in}, e.Digest, unfitted{srv.store}); err != nil || hit {
+		t.Fatalf("the timeline's job: hit %v, err %v; want a miss", hit, err)
+	}
+	tracer.Finish()
+	tree := spanTree(t, tracer.Snapshot(), attrs, map[string]string{
+		"store": "on a miss", "fit": "no stored model", "epoch": "sampled",
+	})
+	return fmt.Sprintf("Span names: %s (the first %d are the engine stages).\nAttribute keys: %s.\n\n```text\n%s```\n",
+		ticks(spans, ", "), obs.NumStages, ticks(attrs, ", "), tree)
+}
+
+// unfitted is a result cache that keeps no fitted models, so a job on
+// it fits its own.
+type unfitted struct{ *corpus.Store }
+
+func (unfitted) FittedModel(string) *infer.Model { return nil }
+
+// spanTree draws jt's span tree with each span name once under its
+// parent: same-named siblings (the sampled epochs) fold into one line
+// with the attribute keys any of them carries, in attrs' order, and
+// their children merge. Siblings go in the order they first started.
+// notes annotates a name; each must name a span of the tree.
+func spanTree(t *testing.T, jt *obs.JobTrace, attrs []string, notes map[string]string) string {
+	kids := map[string][]obs.SpanOut{}
+	for _, s := range jt.Spans[1:] {
+		kids[s.Parent] = append(kids[s.Parent], s)
+	}
+	seen := map[string]bool{}
+	var b strings.Builder
+	b.WriteString("job root\n")
+	var draw func(parents []obs.SpanOut, indent string)
+	draw = func(parents []obs.SpanOut, indent string) {
+		var names []string
+		group := map[string][]obs.SpanOut{}
+		for _, p := range parents {
+			for _, s := range kids[p.ID] {
+				if group[s.Name] == nil {
+					names = append(names, s.Name)
+				}
+				group[s.Name] = append(group[s.Name], s)
+			}
+		}
+		start := func(name string) int64 {
+			return slices.MinFunc(group[name], func(a, b obs.SpanOut) int { return cmp.Compare(a.StartNS, b.StartNS) }).StartNS
+		}
+		slices.SortStableFunc(names, func(a, b string) int { return cmp.Compare(start(a), start(b)) })
+		for i, name := range names {
+			seen[name] = true
+			branch, next := "├─ ", "│  "
+			if i == len(names)-1 {
+				branch, next = "└─ ", "   "
+			}
+			line := name
+			if note := notes[name]; note != "" {
+				line += ", " + note
+			}
+			var keys []string
+			for _, k := range attrs {
+				if slices.ContainsFunc(group[name], func(s obs.SpanOut) bool { _, ok := s.Attrs[k]; return ok }) {
+					keys = append(keys, k)
+				}
+			}
+			if len(keys) > 0 {
+				line += " (" + strings.Join(keys, ", ") + ")"
+			}
+			b.WriteString(indent + branch + line + "\n")
+			draw(group[name], indent+next)
+		}
+	}
+	draw(jt.Spans[:1], "")
+	for name := range notes {
+		if !seen[name] {
+			t.Fatalf("the timeline has no %s span:\n%s", name, b.String())
+		}
+	}
+	return b.String()
 }
 
 // vocabulary collects name(0), name(1), … up to the first index past

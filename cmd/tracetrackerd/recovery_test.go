@@ -9,12 +9,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/obs/obstest"
 	"repro/internal/trace"
 )
 
@@ -332,9 +334,11 @@ func TestJournalReplayRecovery(t *testing.T) {
 // TestRecoveryServesEveryDoneJob kills the daemon (no clean-shutdown
 // compaction) after two jobs, on the default and on the hdd target, and
 // checks that after the replay each still answers 200 on /result with
-// the bytes it served before. A journal line written by an earlier
-// version, whose spec still carries "stream":true, replays and runs like
-// any other.
+// the bytes it served before. A restart that runs no job counts none:
+// every job outcome reads 0 and no series counts a cache hit, though
+// the replay looks up each done job's result. A journal line written by
+// an earlier version, whose spec still carries "stream":true, replays
+// and runs like any other.
 func TestRecoveryServesEveryDoneJob(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 	raw, want := inputTrace(t)
@@ -356,6 +360,32 @@ func TestRecoveryServesEveryDoneJob(t *testing.T) {
 	srv1.jobs.jnl.close()
 	ts1.Close()
 	srv1.Close()
+
+	// A restart that is sent nothing, scraped and killed the same way.
+	quiet := dataServer(t, dataDir)
+	scrape := httptest.NewRecorder()
+	quiet.ServeHTTP(scrape, httptest.NewRequest("GET", "/metrics", nil))
+	quiet.jobs.jnl.close()
+	quiet.Close()
+	samples, err := obstest.ParseExposition(scrape.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := obstest.SampleValue(samples, "daemon_journal_replayed_jobs_total", nil); v != float64(len(ids)) {
+		t.Fatalf("daemon_journal_replayed_jobs_total = %v after the restart, want the %d done jobs", v, len(ids))
+	}
+	outcomes := 0
+	for _, s := range samples {
+		if s.Name == "daemon_jobs_total" {
+			outcomes++
+		}
+		if (s.Name == "daemon_jobs_total" || strings.Contains(s.Name, "cache_hit")) && s.Value != 0 {
+			t.Errorf("%s %v = %v after a restart that ran no job, want 0", s.Name, s.Labels, s.Value)
+		}
+	}
+	if outcomes != 3 {
+		t.Fatalf("a fresh scrape has %d daemon_jobs_total series, want executed, cached and failed", outcomes)
+	}
 
 	// What a pre-PR-16 daemon journaled for an interrupted streaming
 	// job, here on the same input in bin: nothing produced it before.

@@ -39,18 +39,9 @@ func (s *Store) resultMetaPath(key string) string {
 
 // LookupResult returns the on-disk path of the cached output for key
 // and the note stored with it. It implements the engine's result-cache
-// hook.
+// hook, and counts nothing: a job answered from the cache is its
+// caller's to count.
 func (s *Store) LookupResult(key string) (string, []byte, bool) {
-	p, note, ok := s.lookupResult(key)
-	if ok {
-		s.metrics.Load().ResultHit()
-	}
-	return p, note, ok
-}
-
-// lookupResult is LookupResult without the hit metric, for internal
-// callers (StoreResult's existence check is not cache traffic).
-func (s *Store) lookupResult(key string) (string, []byte, bool) {
 	if !isHex(key) {
 		return "", nil, false
 	}
@@ -91,7 +82,7 @@ func (s *Store) StoreResultNoted(key, inputDigest string, write func(io.Writer) 
 	if !isHex(key) {
 		return "", fmt.Errorf("corpus: result key %q is not a hex digest", key)
 	}
-	if p, _, ok := s.lookupResult(key); ok {
+	if p, _, ok := s.LookupResult(key); ok {
 		return p, nil
 	}
 	tmpf, err := os.CreateTemp(s.tmpDir(), "result-*")
@@ -131,7 +122,6 @@ func (s *Store) StoreResultNoted(key, inputDigest string, write func(io.Writer) 
 	if err := writeJSONAtomic(s.tmpDir(), s.resultMetaPath(key), meta); err != nil {
 		return "", err
 	}
-	s.metrics.Load().ResultStore()
 	return s.resultPath(key), nil
 }
 

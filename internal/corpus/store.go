@@ -62,8 +62,8 @@ type headKey struct {
 func (s *Store) SetParallel(n int) {}
 
 // SetMetrics attaches (or, with nil, detaches) the store's
-// instrumentation hook: ingest volume, digest dedup and result-cache
-// traffic. Safe to call concurrently with store operations.
+// instrumentation hook: ingest volume, digest dedup and ingest-time
+// model fits. Safe to call concurrently with store operations.
 func (s *Store) SetMetrics(m *obs.CorpusMetrics) {
 	s.metrics.Store(m)
 }

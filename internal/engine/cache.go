@@ -22,7 +22,8 @@ import (
 // *corpus.Store implements it.
 type ResultCache interface {
 	// LookupResult returns the on-disk path of the cached output for
-	// key and the note stored with it.
+	// key and the note stored with it. It counts nothing: the caller of
+	// RunJobCached counts the job by the hit it returns.
 	LookupResult(key string) (path string, note []byte, ok bool)
 	// StoreResultNoted atomically stores under key the output write
 	// produces — streamed straight into the cache's own staging file,
@@ -156,7 +157,6 @@ func RunJobCached(cfg Config, spec JobSpec, inputDigest string, cache ResultCach
 	lsp.SetAttr(obs.AttrHit, boolAttr(ok))
 	lsp.SetAttr(obs.AttrModel, boolAttr(fitted != nil))
 	lsp.End()
-	cfg.Metrics.CacheLookup(ok)
 	var rep *Report
 	ran := false
 	if !ok {

@@ -233,7 +233,9 @@ func knobDefaults[S any](target string) (def S) {
 // offDefault is the one form of the target's nested config cfg: its
 // device knob (the one string knob) by its registry name, every knob
 // spelled at its table Default cleared, and nil once nothing is left.
-// A knob out of range is never its default, so Validate still sees it.
+// A knob out of range is never its default, so Validate still sees it;
+// a device knob that names no inner device keeps the client's spelling,
+// so Validate quotes it.
 func offDefault[S any](cfg *S, target string) *S {
 	if cfg == nil {
 		return nil
@@ -243,7 +245,9 @@ func offDefault[S any](cfg *S, target string) *S {
 	for i := range v.NumField() {
 		f := v.Field(i)
 		if f.Kind() == reflect.String && f.String() != "" {
-			f.SetString(normalizeDevice(f.String()))
+			if e := deviceEntryFor(normalizeDevice(f.String())); e != nil && e.info.ConfigField == "" {
+				f.SetString(e.info.Name)
+			}
 		}
 		if f.Equal(def.Field(i)) {
 			f.SetZero()

@@ -143,11 +143,11 @@ type Config struct {
 	// device is shard-safe.
 	Device func() device.Device
 	// Metrics, when non-nil, receives per-stage wall time, queue
-	// occupancy, token-pool backpressure and cache traffic. nil (the
-	// default) disables instrumentation entirely: the hook's methods
-	// are its only surface and each returns at once on nil, so the
-	// executor pays a few nil checks per epoch and the per-request
-	// paths are untouched.
+	// occupancy, token-pool backpressure and the sources of a job run's
+	// model, input and targets. nil (the default) disables
+	// instrumentation entirely: the hook's methods are its only surface
+	// and each returns at once on nil, so the executor pays a few nil
+	// checks per epoch and the per-request paths are untouched.
 	Metrics *obs.EngineMetrics
 	// Trace, when non-nil, records this run's span tree — plan span,
 	// sampled epoch spans with per-stage children — under the stream

@@ -575,8 +575,8 @@ func TestStreamEmitErrorAborts(t *testing.T) {
 		t.Fatalf("engine_epochs_in_flight = %v after the abort, want 0", v)
 	}
 	admitted := metricOf(t, reg, "engine_stage_epochs_total", obs.Labels{"stage": "plan"})
-	if merged := metricOf(t, reg, "engine_epochs_total", nil); merged >= admitted {
-		t.Fatalf("engine_epochs_total = %v after the abort, want below the %v admitted", merged, admitted)
+	if merged := metricOf(t, reg, "engine_stage_epochs_total", obs.Labels{"stage": "merge"}); merged >= admitted {
+		t.Fatalf("engine_stage_epochs_total{stage=\"merge\"} = %v after the abort, want below the %v admitted", merged, admitted)
 	}
 	// The same on the rendered path: the array's csv bytes are spliced,
 	// never written record by record.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -297,6 +298,7 @@ func TestJobSpecDeviceConfigs(t *testing.T) {
 		{"mismatched host_config", JobSpec{In: "x", Device: "ssd", HostConfig: &HostSpec{CachePages: 64}}, "host_config", apicode.ConfigMismatch},
 		{"bad ftl blocks", JobSpec{In: "x", Device: "ftl", FTLConfig: &FTLSpec{Blocks: 4}}, "ftl_config.blocks", apicode.BadDeviceConfig},
 		{"bad host inner", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{Inner: "ftl"}}, "host_config.device", apicode.BadDeviceConfig},
+		{"host inner by the host row's alias", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{Inner: "hoststack"}}, "host_config.device", apicode.BadDeviceConfig},
 		{"bad host highwater", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{DirtyHighWater: 1.5}}, "host_config.dirty_high_water", apicode.BadDeviceConfig},
 		{"bad host syscall overhead", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{SyscallOverheadUS: -1}}, "host_config.syscall_overhead_us", apicode.BadDeviceConfig},
 		{"bad host hit latency", JobSpec{In: "x", Device: "host", HostConfig: &HostSpec{HitLatencyUS: -1}}, "host_config.hit_latency_us", apicode.BadDeviceConfig},
@@ -331,6 +333,10 @@ func TestJobSpecDeviceConfigs(t *testing.T) {
 		}
 		if ve.Field != tc.field || ve.Code != tc.code {
 			t.Fatalf("%s: got field=%q code=%q, want field=%q code=%q", tc.name, ve.Field, ve.Code, tc.field, tc.code)
+		}
+		// A rejected inner device is quoted as the request spelled it.
+		if inner := tc.spec.HostConfig; ve.Field == "host_config.device" && !strings.Contains(ve.Error(), strconv.Quote(inner.Inner)) {
+			t.Fatalf("%s: %q does not quote the inner device %q the spec sent", tc.name, ve.Error(), inner.Inner)
 		}
 	}
 

@@ -88,12 +88,15 @@ func (k AttrKey) String() string { return attrKeys[k] }
 
 // EngineMetrics is the engine's instrumentation hook
 // (engine.Config.Metrics): per-stage wall time and queue occupancy,
-// token-pool wait, epochs in flight, and result-cache traffic. A nil
+// token-pool wait, epochs in flight, requests reconstructed, and the
+// sources of a job run's model, input and targets. A cache hit is not
+// counted here: the job's caller counts its outcome. A nil
 // *EngineMetrics disables instrumentation entirely.
 type EngineMetrics struct {
 	// stageNanos accumulates wall nanoseconds spent per stage (exposed
 	// as engine_stage_seconds_total); stageEpochs counts epochs that
-	// passed through each stage.
+	// passed through each stage — the merge stage's count is the epochs
+	// merged into output.
 	stageNanos  [NumStages]*Counter
 	stageEpochs [NumStages]*Counter
 	// queueDepth is the occupancy of each stage's input queue
@@ -105,13 +108,8 @@ type EngineMetrics struct {
 	// epochsInFlight is the number of epochs holding an in-flight
 	// token (admitted by the planner, not yet merged).
 	epochsInFlight *Gauge
-	// epochs and requests count merged work.
-	epochs   *Counter
+	// requests counts the requests of merged epochs.
 	requests *Counter
-	// cacheHits / cacheMisses count result-cache consultations by
-	// cached job runs.
-	cacheHits   *Counter
-	cacheMisses *Counter
 	// modelFitsJob / modelFitsStored count inference-path jobs by where
 	// their model came from (engine_model_fits_total{source}): fitted by
 	// the job in a pass over its input, or read from the store, fitted
@@ -149,12 +147,7 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 		"Cumulative producer wall time stalled on the in-flight epoch token pool.", nil, 1e-9)
 	m.epochsInFlight = r.Gauge("engine_epochs_in_flight",
 		"Epochs admitted by the planner and not yet merged.", nil)
-	m.epochs = r.Counter("engine_epochs_total", "Epochs merged into output.", nil)
 	m.requests = r.Counter("engine_requests_total", "Trace requests reconstructed.", nil)
-	m.cacheHits = r.Counter("engine_cache_hits_total",
-		"Cached jobs served from the result cache without reconstructing.", nil)
-	m.cacheMisses = r.Counter("engine_cache_misses_total",
-		"Cached jobs that missed the result cache and reconstructed.", nil)
 	const fitsHelp = "Inference-path jobs by the source of their model: fitted by the job, or stored with the blob at ingest."
 	m.modelFitsJob = r.Counter("engine_model_fits_total", fitsHelp, Labels{"source": "job"})
 	m.modelFitsStored = r.Counter("engine_model_fits_total", fitsHelp, Labels{"source": "stored"})
@@ -203,18 +196,6 @@ func (m *EngineMetrics) ModelFit(stored bool) {
 	}
 }
 
-// CacheLookup records one cached job run's result-cache consultation.
-func (m *EngineMetrics) CacheLookup(hit bool) {
-	if m == nil {
-		return
-	}
-	if hit {
-		m.cacheHits.Inc()
-	} else {
-		m.cacheMisses.Inc()
-	}
-}
-
 // EpochAdmitted records the planner admitting one epoch: it takes an
 // in-flight token, has passed the plan stage, and waits in the
 // decompose stage's queue.
@@ -246,7 +227,6 @@ func (m *EngineMetrics) EpochRetired(requests int, merged bool) {
 		return
 	}
 	if merged {
-		m.epochs.Inc()
 		m.requests.Add(int64(requests))
 	}
 	m.epochsInFlight.Dec()
@@ -278,8 +258,8 @@ func (m *EngineMetrics) QueuePop(stage SpanName) {
 }
 
 // CorpusMetrics is the corpus store's instrumentation hook
-// (Store.SetMetrics): ingest volume, digest dedup, and result-cache
-// traffic. A nil *CorpusMetrics disables instrumentation.
+// (Store.SetMetrics): ingest volume, digest dedup and ingest-time model
+// fits. A nil *CorpusMetrics disables instrumentation.
 type CorpusMetrics struct {
 	ingestBytes   *Counter
 	ingestRecords *Counter
@@ -288,8 +268,6 @@ type CorpusMetrics struct {
 	// dedupCompared counts the dedups answered by comparing the upload
 	// with the stored blob it matched, with nothing staged or hashed.
 	dedupCompared *Counter
-	resultHits    *Counter
-	resultStores  *Counter
 	// modelsFitted counts blobs that landed with a fitted inference
 	// model; fitNanos is the time ingest spent estimating (exposed as
 	// corpus_ingest_fit_seconds_total), kept or not — the price an
@@ -311,10 +289,6 @@ func NewCorpusMetrics(r *Registry) *CorpusMetrics {
 			"Uploads discarded because their digest was already stored.", nil),
 		dedupCompared: r.Counter("corpus_dedup_compared_total",
 			"Re-uploads answered by comparing them with the stored blob, without staging or hashing (also counted in corpus_dedup_hits_total).", nil),
-		resultHits: r.Counter("corpus_result_cache_hits_total",
-			"Result-cache lookups that found a cached output.", nil),
-		resultStores: r.Counter("corpus_result_cache_stores_total",
-			"New reconstructed outputs stored in the result cache.", nil),
 		modelsFitted: r.Counter("corpus_models_fitted_total",
 			"Ingested traces that landed with a fitted inference model in their sidecar.", nil),
 		fitNanos: r.CounterScaled("corpus_ingest_fit_seconds_total",
@@ -354,18 +328,5 @@ func (m *CorpusMetrics) FitObserve(d time.Duration, kept bool) {
 	m.fitNanos.Add(int64(d))
 	if kept {
 		m.modelsFitted.Inc()
-	}
-}
-
-// ResultHit / ResultStore record result-cache traffic.
-func (m *CorpusMetrics) ResultHit() {
-	if m != nil {
-		m.resultHits.Inc()
-	}
-}
-
-func (m *CorpusMetrics) ResultStore() {
-	if m != nil {
-		m.resultStores.Inc()
 	}
 }
