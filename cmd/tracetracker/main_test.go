@@ -28,8 +28,8 @@ var updateGolden = flag.Bool("update", false, "rewrite README.md's generated blo
 // genInput synthesizes a workload family's application, runs it on the
 // OLD device (the construction tracegen uses) and writes the trace to
 // dir in the given format. It returns the path and the trace as the
-// CLI will decode it — csv quantizes timestamps, so the reference must
-// start from the file, not from the generator's output.
+// CLI will decode it: the reference starts from the file, which every
+// format reads back to the nanosecond the generator wrote.
 func genInput(t *testing.T, dir, family, format string, tsdevKnown bool) (string, *trace.Trace) {
 	t.Helper()
 	p, ok := workload.Lookup(family)

@@ -8,7 +8,8 @@
 //
 //	objects/<sha256>        trace blob, byte-exact as ingested
 //	objects/<sha256>.json   sidecar: format + one-pass summary + fitted
-//	                        inference model, Tsdev-unknown csv/bin/spc (Entry)
+//	                        inference model, Tsdev-unknown csv/bin/spc
+//	                        + exact_time, which Open adds (Entry)
 //	renders/<sha256>        a text blob's records in arrival order, as
 //	                        bin: what its jobs read (JobInput)
 //	results/<key>           cached reconstruction output
@@ -41,8 +42,8 @@ var ErrBadTrace = errors.New("corpus: not an ingestible trace")
 // one-pass characterization recorded at ingest so catalogue queries
 // never re-read blobs. Order-sensitive metrics (SeqFraction) are
 // computed in arrival order, the order every job reads
-// (trace.OpenFileDecoder); an msrc or spc sidecar written before ingest
-// read that order keeps its file-order figure.
+// (trace.OpenFileDecoder); an msrc sidecar written before ingest read
+// that order keeps its file-order figure.
 type Entry struct {
 	// Digest is the lowercase hex SHA-256 of the blob bytes.
 	Digest string `json:"digest"`
@@ -70,10 +71,12 @@ type Entry struct {
 	// of the co-evaluation, a function of the old trace alone, so a job
 	// that would fit exactly that reads it here (FittedModel) instead of
 	// decoding the blob once more. Nil for Tsdev-known blobs (msrc
-	// among them), traces too sparse to fit, and sidecars written before
-	// the field existed or, for spc, before ingest fitted that format:
-	// jobs on those fit for themselves.
+	// among them), traces too sparse to fit, and bin sidecars written
+	// before the field existed: jobs on those fit for themselves.
 	Model *infer.Model `json:"model,omitempty"`
+	// ExactTime marks an entry the exact reader of decimal times has
+	// read; Open re-derives a csv or spc entry without it, once.
+	ExactTime bool `json:"exact_time,omitempty"`
 	// Ingested is when the blob first landed (UTC).
 	Ingested time.Time `json:"ingested"`
 }

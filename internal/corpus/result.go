@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"repro/internal/faultfs"
@@ -139,4 +140,21 @@ func (s *Store) OpenResult(key string) (io.ReadCloser, ResultMeta, error) {
 		return nil, ResultMeta{}, err
 	}
 	return f, meta, nil
+}
+
+// dropResultsLocked removes every cached result whose sidecar fails to
+// read or names an input digest drop reports, and counts them. A result
+// is served only while both of its files are there (LookupResult).
+//
+//tracelint:holds mu
+func (s *Store) dropResultsLocked(drop func(digest string) bool) (int, error) {
+	return sweep(s.resultsDir(), func(name string) bool {
+		key, ok := strings.CutSuffix(name, ".json")
+		var meta ResultMeta
+		if !ok || readJSON(s.resultMetaPath(key), &meta) == nil && !drop(meta.InputDigest) {
+			return false
+		}
+		os.Remove(s.resultPath(key)) // sweep removes the sidecar
+		return true
+	})
 }

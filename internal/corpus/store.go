@@ -97,6 +97,9 @@ func Open(root string) (*Store, error) {
 	if err := s.rebuildLocked(); err != nil {
 		return nil, err
 	}
+	if err := s.rederiveLocked(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -148,6 +151,43 @@ func (s *Store) rebuildLocked() error {
 	// going stale (on any other store the file is absent and this fails,
 	// harmlessly).
 	os.Remove(filepath.Join(s.root, "index.json"))
+	return nil
+}
+
+// rederiveLocked re-derives, once, every csv or spc entry whose sidecar
+// lacks ExactTime: the float reader before scanFixed read some of its
+// times 1 ns short, so its summary, model, rendering and results may
+// differ from a fresh ingest's. Its results go first, then derive runs
+// over the blob and the entry lands again (landLocked): a crash part
+// way leaves it to the next Open. A blob the exact reader rejects (a
+// time outside time.Duration) keeps its figures and loses its
+// rendering, so its jobs read the blob and fail there.
+//
+//tracelint:holds mu
+func (s *Store) rederiveLocked() error {
+	stale := make(map[string]bool)
+	for digest, e := range s.entries {
+		if !e.ExactTime && (e.Format == "csv" || e.Format == "spc") {
+			stale[digest] = true
+		}
+	}
+	if len(stale) == 0 {
+		return nil
+	}
+	if _, err := s.dropResultsLocked(func(digest string) bool { return stale[digest] }); err != nil {
+		return err
+	}
+	for digest := range stale {
+		e := s.entries[digest]
+		staged, err := s.derive(s.blobPath(digest), &e)
+		if err != nil && !errors.Is(err, ErrBadTrace) {
+			return err
+		}
+		e.ExactTime = true
+		if err := s.landLocked(e, staged); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -251,13 +291,13 @@ func fill(src io.Reader, b []byte) (int, error) {
 	return n, nil
 }
 
-// stagedDecodeErr classifies a failure to decode the staged upload: an
-// *fs.PathError is the store's own disk failing to open or read the
-// staging file (a storage fault); anything else is the trace's.
-func stagedDecodeErr(format string, err error) error {
+// decodeErr classifies a failure to decode a staged upload or a blob:
+// an *fs.PathError is the store's own disk failing to open or read the
+// file (a storage fault); anything else is the trace's.
+func decodeErr(format string, err error) error {
 	var pe *fs.PathError
 	if errors.As(err, &pe) {
-		return fmt.Errorf("corpus: reading staged ingest: %w", err)
+		return fmt.Errorf("corpus: reading a trace to decode: %w", err)
 	}
 	return fmt.Errorf("%w: as %s: %w", ErrBadTrace, format, err)
 }
@@ -336,11 +376,12 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (e Entry, created b
 		return Entry{}, false, err
 	}
 	tmpName := tmpf.Name()
-	keep := false
+	keep, staged := false, ""
 	defer func() {
 		tmpf.Close()
 		if !keep {
 			os.Remove(tmpName)
+			os.Remove(staged)
 		}
 	}()
 
@@ -377,80 +418,28 @@ func (s *Store) IngestAs(r io.Reader, format, tenant string) (e Entry, created b
 		return existing, false, nil
 	}
 
-	dec, _, err := trace.OpenFileDecoder(tmpName, format)
-	if err != nil {
-		return Entry{}, false, stagedDecodeErr(format, err)
+	entry := Entry{Digest: digest, Format: format, Size: size, Tenant: tenant}
+	if staged, err = s.derive(tmpName, &entry); err != nil {
+		return Entry{}, false, err
 	}
-	defer dec.Close()
-	// A text upload is rendered as bin in the same pass; without a
-	// staging file for it the blob lands without a rendering.
-	src, rend := trace.Decoder(dec), (*renderer)(nil)
-	if format != "bin" {
-		if rend, err = s.newRenderer(dec); err == nil {
-			src = rend
-		}
-	}
-	sum, model, err := s.summarizeAndFit(src)
-	staged := ""
-	if rend != nil {
-		staged = rend.finish()
-		defer func() {
-			if staged != "" {
-				os.Remove(staged)
-			}
-		}()
-	}
-	if err != nil {
-		return Entry{}, false, stagedDecodeErr(format, err)
-	}
-	if sum.Requests == 0 {
-		return Entry{}, false, fmt.Errorf("%w: empty trace", ErrBadTrace)
-	}
-
-	entry := Entry{
-		Digest:       digest,
-		Format:       format,
-		Size:         size,
-		Tenant:       tenant,
-		Name:         sum.Meta.Name,
-		Workload:     sum.Meta.Workload,
-		Set:          sum.Meta.Set,
-		TsdevKnown:   sum.Meta.TsdevKnown,
-		Requests:     sum.Requests,
-		Duration:     sum.Duration(),
-		TotalBytes:   sum.TotalBytes,
-		ReadFraction: sum.ReadFraction(),
-		SeqFraction:  sum.SeqFraction(),
-		Model:        model,
-		Ingested:     time.Now().UTC(),
-	}
+	entry.Ingested = time.Now().UTC()
 
 	// Check again under the lock that also covers the rename: two racing
 	// first uploads of one blob both get here, and the loser dedups.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if existing, ok := s.entries[digest]; ok {
-		s.metrics.Load().IngestObserve(size, int64(sum.Requests), false)
+		s.metrics.Load().IngestObserve(size, entry.Requests, false)
 		return existing, false, nil
 	}
 	if err := os.Rename(tmpName, s.blobPath(digest)); err != nil {
 		return Entry{}, false, err
 	}
 	keep = true
-	// The rendering lands before the sidecar, the commit point, so a
-	// text blob is never catalogued ahead of it. One left by an earlier
-	// ingest of the same bytes is replaced, or removed when this ingest
-	// has none: no rendering outlives the ingest that wrote it.
-	if staged != "" && os.Rename(staged, s.renderPath(digest)) == nil {
-		staged = ""
-	} else {
-		os.Remove(s.renderPath(digest))
-	}
-	if err := writeJSONAtomic(s.tmpDir(), s.sidecarPath(digest), entry); err != nil {
+	if err := s.landLocked(entry, staged); err != nil {
 		return Entry{}, false, err
 	}
-	s.entries[digest] = entry
-	s.metrics.Load().IngestObserve(size, int64(sum.Requests), true)
+	s.metrics.Load().IngestObserve(size, entry.Requests, true)
 	return entry, true, nil
 }
 
@@ -556,27 +545,69 @@ type drained struct{}
 
 func (drained) Read([]byte) (int, error) { return 0, io.EOF }
 
-// summarizeAndFit drains the staged upload once, in arrival order
-// (trace.OpenFileDecoder, the order every job reads), into its summary
-// and, for a Tsdev-unknown trace, into the inference model every default
-// job on the blob would fit for itself: the classifier rides the
-// summary's loop and sequentiality flags (infer.SummarizeAndClassify,
-// tracestat's first pass). The fit can only add a model, never fail the
-// ingest — a trace too sparse to fit, or a fit that is not finite (which
-// the sidecar's JSON could not carry), lands without one and its jobs
-// answer as they always did. On a decode error the decoder is closed.
-func (s *Store) summarizeAndFit(dec trace.Decoder) (trace.Summary, *infer.Model, error) {
-	sum, cls, err := infer.SummarizeAndClassify(dec, func(m trace.Meta) bool { return !m.TsdevKnown })
-	if err != nil || cls == nil {
-		return sum, nil, err
+// derive is the ingest pass: it decodes the blob at path as e.Format
+// once, in arrival order (trace.OpenFileDecoder, the order every job
+// reads), into e's metadata, summary and ExactTime and, for a
+// Tsdev-unknown trace, the model every default job on the blob would
+// fit for itself (infer.SummarizeAndClassify, tracestat's first pass).
+// A fit too sparse or not finite (the sidecar's JSON could not carry
+// it) leaves no model, never a failure. A text blob is rendered as bin
+// in the same pass into staged, a tmp/ file ("" without one) that the
+// caller lands (landLocked) or removes. A trace that fails to decode or
+// holds no request is ErrBadTrace; the store's own disk failing to
+// read it is not.
+func (s *Store) derive(path string, e *Entry) (staged string, err error) {
+	dec, _, err := trace.OpenFileDecoder(path, e.Format)
+	if err != nil {
+		return "", decodeErr(e.Format, err)
 	}
-	start := time.Now()
-	model, err := cls.Estimate(sum.Meta.Name)
-	if err != nil || !model.Finite() {
-		model = nil
+	defer dec.Close()
+	src, rend := trace.Decoder(dec), (*renderer)(nil)
+	if e.Format != "bin" {
+		if rend, err = s.newRenderer(dec); err == nil {
+			src = rend
+		}
 	}
-	s.metrics.Load().FitObserve(time.Since(start), model != nil)
-	return sum, model, nil
+	sum, cls, err := infer.SummarizeAndClassify(src, func(m trace.Meta) bool { return !m.TsdevKnown })
+	if rend != nil {
+		staged = rend.finish()
+	}
+	if err != nil || sum.Requests == 0 {
+		os.Remove(staged)
+		if err != nil {
+			return "", decodeErr(e.Format, err)
+		}
+		return "", fmt.Errorf("%w: empty trace", ErrBadTrace)
+	}
+	e.Model = nil
+	if cls != nil {
+		start := time.Now()
+		if m, err := cls.Estimate(sum.Meta.Name); err == nil && m.Finite() {
+			e.Model = m
+		}
+		s.metrics.Load().FitObserve(time.Since(start), e.Model != nil)
+	}
+	e.Name, e.Workload, e.Set, e.TsdevKnown = sum.Meta.Name, sum.Meta.Workload, sum.Meta.Set, sum.Meta.TsdevKnown
+	e.Requests, e.Duration, e.TotalBytes = sum.Requests, sum.Duration(), sum.TotalBytes
+	e.ReadFraction, e.SeqFraction, e.ExactTime = sum.ReadFraction(), sum.SeqFraction(), true
+	return staged, nil
+}
+
+// landLocked lands e's staged rendering (derive), then its sidecar, the
+// commit point, so a text blob is never catalogued ahead of its
+// rendering. A rendering an earlier pass left is replaced, or removed
+// when this one has none: no rendering outlives the pass that wrote it.
+//
+//tracelint:holds mu
+func (s *Store) landLocked(e Entry, staged string) error {
+	if staged == "" || os.Rename(staged, s.renderPath(e.Digest)) != nil {
+		os.Remove(s.renderPath(e.Digest))
+	}
+	if err := writeJSONAtomic(s.tmpDir(), s.sidecarPath(e.Digest), e); err != nil {
+		return err
+	}
+	s.entries[e.Digest] = e
+	return nil
 }
 
 // FittedModel returns a copy of the inference model ingest fitted to
@@ -702,79 +733,55 @@ func (s *Store) GC() (GCStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var st GCStats
-
-	tmps, err := os.ReadDir(s.tmpDir())
-	if err != nil {
+	var err error
+	if st.TmpRemoved, err = sweep(s.tmpDir(), func(string) bool { return true }); err != nil {
 		return st, err
 	}
-	for _, de := range tmps {
-		if os.Remove(filepath.Join(s.tmpDir(), de.Name())) == nil {
-			st.TmpRemoved++
-		}
-	}
-
 	// Objects: drop blobs without sidecars and sidecars without blobs.
-	objs, err := os.ReadDir(s.objectsDir())
-	if err != nil {
+	if st.ObjectsRemoved, err = sweep(s.objectsDir(), unpaired(s.objectsDir())); err != nil {
 		return st, err
-	}
-	for _, de := range objs {
-		name := de.Name()
-		if digest, ok := strings.CutSuffix(name, ".json"); ok {
-			if _, err := os.Stat(s.blobPath(digest)); err != nil {
-				os.Remove(filepath.Join(s.objectsDir(), name))
-				st.ObjectsRemoved++
-			}
-			continue
-		}
-		if _, err := os.Stat(s.sidecarPath(name)); err != nil {
-			os.Remove(filepath.Join(s.objectsDir(), name))
-			st.ObjectsRemoved++
-		}
 	}
 	if err := s.rebuildLocked(); err != nil {
 		return st, err
 	}
-
-	renders, err := os.ReadDir(s.rendersDir())
-	if err != nil {
+	gone := func(digest string) bool { _, ok := s.entries[digest]; return !ok }
+	if st.RendersRemoved, err = sweep(s.rendersDir(), gone); err != nil {
 		return st, err
 	}
-	for _, de := range renders {
-		if _, ok := s.entries[de.Name()]; !ok && os.Remove(filepath.Join(s.rendersDir(), de.Name())) == nil {
-			st.RendersRemoved++
-		}
-	}
-
-	// Results: drop orphans (input gone) and broken pairs.
-	results, err := os.ReadDir(s.resultsDir())
-	if err != nil {
+	// Results: drop broken pairs, then orphans (input gone).
+	if st.ResultsRemoved, err = sweep(s.resultsDir(), unpaired(s.resultsDir())); err != nil {
 		return st, err
 	}
-	for _, de := range results {
-		name := de.Name()
-		key, isMeta := strings.CutSuffix(name, ".json")
-		if !isMeta {
-			if _, err := os.Stat(s.resultMetaPath(name)); err != nil {
-				os.Remove(s.resultPath(name))
-				st.ResultsRemoved++
-			}
-			continue
-		}
-		var meta ResultMeta
-		drop := false
-		if err := readJSON(s.resultMetaPath(key), &meta); err != nil {
-			drop = true
-		} else if _, err := os.Stat(s.resultPath(key)); err != nil {
-			drop = true
-		} else if _, ok := s.entries[meta.InputDigest]; !ok {
-			drop = true
-		}
-		if drop {
-			os.Remove(s.resultPath(key))
-			os.Remove(s.resultMetaPath(key))
-			st.ResultsRemoved++
+	n, err := s.dropResultsLocked(gone)
+	st.ResultsRemoved += n
+	return st, err
+}
+
+// sweep removes every file of dir whose name drop reports, and counts
+// what it removed.
+func sweep(dir string, drop func(name string) bool) (int, error) {
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, de := range names {
+		if drop(de.Name()) && os.Remove(filepath.Join(dir, de.Name())) == nil {
+			n++
 		}
 	}
-	return st, nil
+	return n, nil
+}
+
+// unpaired reports, for a directory of <name> and <name>.json pairs, a
+// file whose partner is missing.
+func unpaired(dir string) func(name string) bool {
+	return func(name string) bool {
+		partner, isJSON := strings.CutSuffix(name, ".json")
+		if !isJSON {
+			partner = name + ".json"
+		}
+		_, err := os.Stat(filepath.Join(dir, partner))
+		return err != nil
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -397,6 +398,108 @@ func TestIndexRebuild(t *testing.T) {
 	}
 	if s2.Len() != 1 {
 		t.Fatalf("catalogue size after GC: %d", s2.Len())
+	}
+}
+
+// TestOpenRederivesOldTextEntries: a store written before the exact
+// text reader holds csv sidecars without exact_time, derived by the
+// float reader, their renderings and their results. Open re-derives
+// such an entry once: it then holds what a fresh ingest holds (summary,
+// model, rendering), keeps its tenant and ingest time, and its results
+// are gone. A csv blob the exact reader rejects keeps its figures,
+// loses its rendering and is marked, so no later Open reads it again.
+// A bin entry without the marker, and its result, are left as they
+// are.
+func TestOpenRederivesOldTextEntries(t *testing.T) {
+	s := openStore(t)
+	fresh, _, err := s.IngestAs(bytes.NewReader(csvBytes(t, webmail(t, 5000, false))), "csv", "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, _, err := s.Ingest(bytes.NewReader(binBytes(t, webmail(t, 3000, false))), "bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshRender, err := os.ReadFile(s.renderPath(fresh.Digest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(path string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Age the store: the old reader's figures, a rendering of the same
+	// size and other bytes, no marker on either sidecar, and a result on
+	// each blob.
+	old := fresh
+	old.ExactTime, old.Duration, old.Model = false, old.Duration-1, nil
+	oldBin := bin
+	oldBin.ExactTime = false
+	for _, e := range []Entry{old, oldBin} {
+		if err := writeJSONAtomic(s.tmpDir(), s.sidecarPath(e.Digest), e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(s.renderPath(fresh.Digest), append([]byte{freshRender[0] ^ 1}, freshRender[1:]...))
+	keyOf := map[string]string{fresh.Digest: strings.Repeat("ab", 32), bin.Digest: strings.Repeat("cd", 32)}
+	for digest, key := range keyOf {
+		if _, err := s.StoreResult(key, digest, nil, func(w io.Writer) error {
+			_, err := w.Write([]byte("a result"))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A csv blob the float reader read (1e300 µs decoded to some
+	// duration) and the exact reader rejects.
+	bad := []byte("1e300,0,1,8,R,0,0\n")
+	badSum := sha256.Sum256(bad)
+	badEntry := Entry{Digest: hex.EncodeToString(badSum[:]), Format: "csv", Size: int64(len(bad)), Requests: 1}
+	write(s.blobPath(badEntry.Digest), bad)
+	write(s.renderPath(badEntry.Digest), []byte("rendered"))
+	if err := writeJSONAtomic(s.tmpDir(), s.sidecarPath(badEntry.Digest), badEntry); err != nil {
+		t.Fatal(err)
+	}
+	binSidecar, err := os.ReadFile(s.sidecarPath(bin.Digest))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(s.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s2.Resolve(fresh.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, _ := json.Marshal(got)
+	wantJSON, _ := json.Marshal(fresh)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("re-derived entry:\n got %s\nwant %s", gotJSON, wantJSON)
+	}
+	if render, err := os.ReadFile(s.renderPath(fresh.Digest)); err != nil || !bytes.Equal(render, freshRender) {
+		t.Fatalf("rendering not re-derived (err %v)", err)
+	}
+	if _, _, ok := s2.LookupResult(keyOf[fresh.Digest]); ok {
+		t.Fatal("a result of the re-derived entry is still served")
+	}
+	for _, p := range []string{s.resultPath(keyOf[fresh.Digest]), s.resultMetaPath(keyOf[fresh.Digest]), s.renderPath(badEntry.Digest)} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s outlived the re-derive (stat: %v)", filepath.Base(p), err)
+		}
+	}
+	if _, _, ok := s2.LookupResult(keyOf[bin.Digest]); !ok {
+		t.Fatal("the bin entry's result is gone")
+	}
+	if side, err := os.ReadFile(s.sidecarPath(bin.Digest)); err != nil || !bytes.Equal(side, binSidecar) {
+		t.Fatalf("the bin sidecar moved (err %v)", err)
+	}
+	badEntry.ExactTime = true
+	if got, err := s2.Resolve(badEntry.Digest); err != nil || got != badEntry {
+		t.Fatalf("rejected blob's entry: %+v, %v; want %+v", got, err, badEntry)
 	}
 }
 

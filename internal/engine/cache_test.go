@@ -116,6 +116,7 @@ func TestFingerprintSemantics(t *testing.T) {
 		{JobSpec{In: "/a/in.csv", Device: "hoststack", HostConfig: &HostSpec{DirtyHighWater: 0.2, ReadAheadPages: 8}}, host},
 		{JobSpec{In: "/a/in.csv", Device: "ftl", FTLConfig: &FTLSpec{Blocks: 1024}}, ftl},
 		{JobSpec{In: "/a/in.csv", Device: "ftl", FTLConfig: &FTLSpec{ReadLatencyUS: 50}}, ftl},
+		{JobSpec{In: "/a/in.csv", Device: "ftl", FTLConfig: &FTLSpec{ReadLatencyUS: 50.0004}}, ftl}, // builds 50 µs
 		{JobSpec{In: "/a/in.csv", Device: "host", HostConfig: &HostSpec{Inner: "old", CachePages: 256, PageKB: 4, FlushBatch: 32}}, smallHost},
 	} {
 		a, b := tc.spec.Normalized(), tc.as.Normalized()
@@ -196,7 +197,7 @@ func TestRunJobCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded := readTraceFile(t, inPath, "csv") // the csv text quantizes to µs
+	decoded := readTraceFile(t, inPath, "csv")
 	ref, _, err := core.Reconstruct(decoded, device.NewArray(device.DefaultArrayConfig()), core.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -232,7 +232,8 @@ func knobDefaults[S any](target string) (def S) {
 
 // offDefault is the one form of the target's nested config cfg: its
 // device knob (the one string knob) by its registry name, every knob
-// spelled at its table Default cleared, and nil once nothing is left.
+// that builds what its table Default builds cleared (a *_us knob builds
+// usDuration: 50.0004 is the default 50), and nil once nothing is left.
 // A knob out of range is never its default, so Validate still sees it;
 // a device knob that names no inner device keeps the client's spelling,
 // so Validate quotes it.
@@ -243,13 +244,14 @@ func offDefault[S any](cfg *S, target string) *S {
 	c := *cfg
 	v, def := reflect.ValueOf(&c).Elem(), reflect.ValueOf(knobDefaults[S](target))
 	for i := range v.NumField() {
-		f := v.Field(i)
+		f, d := v.Field(i), def.Field(i)
 		if f.Kind() == reflect.String && f.String() != "" {
 			if e := deviceEntryFor(normalizeDevice(f.String())); e != nil && e.info.ConfigField == "" {
 				f.SetString(e.info.Name)
 			}
 		}
-		if f.Equal(def.Field(i)) {
+		us := f.Kind() == reflect.Float64 && strings.HasSuffix(v.Type().Field(i).Name, "US")
+		if f.Equal(d) || us && durationUS(f.Float()) && usDuration(f.Float()) == usDuration(d.Float()) {
 			f.SetZero()
 		}
 	}
@@ -318,13 +320,13 @@ func (s *FTLSpec) Config() ftl.Config {
 		cfg.OverprovisionPct = s.OverprovisionPct
 	}
 	if s.ReadLatencyUS > 0 {
-		cfg.ReadLatency = time.Duration(s.ReadLatencyUS * float64(time.Microsecond))
+		cfg.ReadLatency = usDuration(s.ReadLatencyUS)
 	}
 	if s.ProgramLatencyUS > 0 {
-		cfg.ProgramLatency = time.Duration(s.ProgramLatencyUS * float64(time.Microsecond))
+		cfg.ProgramLatency = usDuration(s.ProgramLatencyUS)
 	}
 	if s.EraseLatencyUS > 0 {
-		cfg.EraseLatency = time.Duration(s.EraseLatencyUS * float64(time.Microsecond))
+		cfg.EraseLatency = usDuration(s.EraseLatencyUS)
 	}
 	if s.GCTriggerFreeBlocks > 0 {
 		cfg.GCTriggerFreeBlocks = s.GCTriggerFreeBlocks
@@ -427,10 +429,10 @@ func (s *HostSpec) Config() hoststack.Config {
 		cfg.ReadAheadPages = 0
 	}
 	if s.SyscallOverheadUS > 0 {
-		cfg.SyscallOverhead = time.Duration(s.SyscallOverheadUS * float64(time.Microsecond))
+		cfg.SyscallOverhead = usDuration(s.SyscallOverheadUS)
 	}
 	if s.HitLatencyUS > 0 {
-		cfg.HitLatency = time.Duration(s.HitLatencyUS * float64(time.Microsecond))
+		cfg.HitLatency = usDuration(s.HitLatencyUS)
 	}
 	return cfg
 }
@@ -481,3 +483,6 @@ const durationUSRule = " must be a number of microseconds, at least 0, that fits
 func durationUS(us float64) bool {
 	return us >= 0 && us*float64(time.Microsecond) < math.MaxInt64
 }
+
+// usDuration is what a device build makes of a *_us knob.
+func usDuration(us float64) time.Duration { return time.Duration(us * float64(time.Microsecond)) }

@@ -23,7 +23,7 @@ import (
 )
 
 // writeInput writes tr in format under dir and returns the path and the
-// trace as a job decodes it (csv quantizes arrivals).
+// trace as a job decodes it.
 func writeInput(t *testing.T, dir, name, format string, tr *trace.Trace) (string, *trace.Trace) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -130,7 +130,7 @@ func TestSharedBuffersAcrossJobs(t *testing.T) {
 		if err := trace.WriteCSV(&buf, genOld(t, family, n, false)); err != nil {
 			t.Fatal(err)
 		}
-		// The fit of what ingest decodes: csv quantizes the arrivals.
+		// The fit of what ingest decodes.
 		dec, err := trace.ReadFormat("csv", bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)

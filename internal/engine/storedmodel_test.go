@@ -51,7 +51,7 @@ func TestRunJobCachedStoredModel(t *testing.T) {
 	if err := os.WriteFile(inPath, buf.Bytes(), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	old := readTraceFile(t, inPath, "csv") // csv quantizes: the reference decodes it too
+	old := readTraceFile(t, inPath, "csv") // the reference reads what the job reads
 	fit, err := infer.Estimate(old, infer.EstimateOptions{})
 	if err != nil {
 		t.Fatal(err)

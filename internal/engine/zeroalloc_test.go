@@ -216,7 +216,6 @@ func TestMeasuredHotPathsAnnotated(t *testing.T) {
 		{"../trace/stream.go", "msrcDecoder", "line"},
 		{"../trace/stream.go", "spcDecoder", "line"},
 		{"../trace/stream.go", "binaryDecoder", "next"},
-		{"../trace/stream.go", "csvDecoder", "Read"},
 		{"../trace/stream.go", "binaryDecoder", "Read"},
 		{"../trace/stream.go", "SeqState", "AppendFlags"},
 		{"../trace/stream.go", "CSVEncoder", "Write"},

@@ -279,7 +279,7 @@ func TestClassifierBytesManyGroups(t *testing.T) {
 var sinkModel *Model
 
 // webmailCSV is the benchmark's cold-infer-csv trace: FIU webmail, 100k
-// requests, latencies dropped, arrivals quantized by a csv round trip.
+// requests, latencies dropped, read back from its csv text.
 func webmailCSV(tb testing.TB) *trace.Trace {
 	tb.Helper()
 	p, ok := workload.Lookup("webmail")
@@ -319,7 +319,7 @@ func TestClassifierBytesWebmail(t *testing.T) {
 
 // BenchmarkEstimateGrouping prices the fit kernel as corpus ingest runs
 // it, on the benchmark's cold-infer-csv shape — FIU webmail, 100k
-// requests, latencies dropped, csv-quantized arrivals: StreamClassifier.
+// requests, latencies dropped, read back from csv: StreamClassifier.
 // Estimate on a new classifier filled with the trace, as every fit has
 // its own (making and filling it is not timed). Since corpus ingest fits
 // a Tsdev-unknown upload in its own decode pass, this is on every such

@@ -20,6 +20,7 @@ func FuzzDecodeCSV(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("# tracetracker name=a workload=b set=c tsdev_known=true\n"))
 	f.Add([]byte("12.500,0,100,8,R,90.000,0\n"))
+	f.Add([]byte("0.0004,0,1,1,R,0.0005,0\n9223372036854775.8075,0,1,1,W,-0.0005,1\n"))
 	f.Add([]byte("1,2,3\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -197,4 +198,65 @@ func TestAppendFixedSweep(t *testing.T) {
 			diffSeconds(t, ns)
 		}
 	}
+}
+
+// csvRoundTrip writes reqs with WriteCSV and fails t unless the csv
+// decoder reads back exactly reqs.
+func csvRoundTrip(t *testing.T, reqs []Request) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, &Trace{Name: "rt", Requests: reqs}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFormat("csv", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Requests) != len(reqs) {
+		t.Fatalf("decoded %d requests, wrote %d", len(got.Requests), len(reqs))
+	}
+	for i, r := range reqs {
+		if got.Requests[i] != r {
+			t.Fatalf("request %d: wrote %+v, read %+v", i, r, got.Requests[i])
+		}
+	}
+}
+
+// csvTime maps any int64 into [0, 2^52) ns, the times WriteCSV prints
+// as exact nanoseconds.
+func csvTime(v int64) time.Duration { return time.Duration(uint64(v) % (1 << 52)) }
+
+// FuzzCSVRoundTrip: for every request whose arrival and latency lie in
+// [0, 2^52) ns, WriteCSV → csv decode is the identity.
+func FuzzCSVRoundTrip(f *testing.F) {
+	for _, d := range fixedSeeds {
+		f.Add(d, d+1, uint64(d), uint32(8), true)
+	}
+	f.Add(int64(4_260_020_594), int64(511_000), uint64(1), uint32(1), false)
+	f.Fuzz(func(t *testing.T, arr, lat int64, lba uint64, sectors uint32, write bool) {
+		op := Read
+		if write {
+			op = Write
+		}
+		csvRoundTrip(t, []Request{{Arrival: csvTime(arr), Device: uint32(lba >> 40), LBA: lba, Sectors: sectors, Op: op, Latency: csvTime(lat), Async: write}})
+	})
+}
+
+// TestCSVRoundTripSweep runs FuzzCSVRoundTrip's property over 200,000
+// seeded random requests on every `go test`, times of every bit length
+// up to 2^52 ns.
+func TestCSVRoundTripSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	reqs := make([]Request, 200_000)
+	for i := range reqs {
+		reqs[i] = Request{
+			Arrival: csvTime(rng.Int63() >> uint(rng.Intn(63))),
+			LBA:     uint64(rng.Int63()),
+			Sectors: uint32(1 + rng.Intn(256)),
+			Op:      Op(rng.Intn(2)),
+			Latency: csvTime(rng.Int63() >> uint(rng.Intn(63))),
+			Async:   rng.Intn(2) == 1,
+		}
+	}
+	csvRoundTrip(t, reqs)
 }

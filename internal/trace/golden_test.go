@@ -14,7 +14,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"testing"
 	"time"
 )
@@ -121,30 +120,9 @@ func TestCodecGoldenDecode(t *testing.T) {
 			if got.Meta() != want.Meta() {
 				t.Fatalf("meta: got %+v want %+v", got.Meta(), want.Meta())
 			}
-			// CSV stores timestamps at microsecond precision (3 decimal
-			// places), so sub-nanosecond drift is impossible but coarser
-			// values must match exactly after quantization.
-			quant := want.Clone()
-			if tc.format == "csv" {
-				for i := range quant.Requests {
-					quant.Requests[i].Arrival = quantizeCSV(quant.Requests[i].Arrival)
-					quant.Requests[i].Latency = quantizeCSV(quant.Requests[i].Latency)
-				}
-			}
-			if !reflect.DeepEqual(got.Requests, quant.Requests) {
-				t.Fatalf("decoded requests diverge:\n got %+v\nwant %+v", got.Requests, quant.Requests)
+			if !reflect.DeepEqual(got.Requests, want.Requests) {
+				t.Fatalf("decoded requests diverge:\n got %+v\nwant %+v", got.Requests, want.Requests)
 			}
 		})
 	}
-}
-
-// quantizeCSV reproduces the CSV round trip's nanosecond quantization:
-// %.3f microseconds parsed back to a Duration.
-func quantizeCSV(d time.Duration) time.Duration {
-	b := strconv.AppendFloat(nil, micros(d), 'f', 3, 64)
-	f, err := parseFloatBytes(b)
-	if err != nil {
-		panic(err)
-	}
-	return fromMicros(f)
 }

@@ -15,8 +15,12 @@ import (
 //	arrival_us,device,lba,sectors,op,latency_us,async
 //
 // arrival_us and latency_us are decimal microseconds (fractional
-// allowed), op is R or W, async is 0/1. Lines beginning with '#' are
-// comments; the writer emits a header comment carrying trace metadata.
+// allowed), written as exact nanoseconds and read back exactly
+// (scanFixed). Digits finer than 1 ns round to the nearest nanosecond,
+// ties away from zero (0.0004 reads 0 ns, 0.0005 reads 1 ns), and a
+// time outside time.Duration is an error. op is R or W, async is 0/1.
+// Lines beginning with '#' are comments; the writer emits a header
+// comment carrying trace metadata.
 
 // WriteCSV writes t in the native CSV format.
 func WriteCSV(w io.Writer, t *Trace) error {
@@ -53,15 +57,13 @@ func parseHeaderComment(t *Trace, line string) {
 // follows — the end of the line, or its '\n' in a read buffer. A line
 // it does not take is re-parsed via splitComma + parseNativeLine, which
 // accepts every form the format ever accepted (exponent floats, word
-// ops) and produces the canonical error otherwise. The numeric
-// conversions are bit-identical to the slow path: both funnel through
-// floatFromDecimal under the same cutoffs. A record it takes starts
-// with a digit, sign or '.' and ends in '0' or '1', so trimming its
-// line first would change nothing. *r is written only when it returns
-// non-zero.
+// ops) and produces the canonical error otherwise; both read a time
+// with scanFixed. A record it takes starts with a digit, sign or '.'
+// and ends in '0' or '1', so trimming its line first would change
+// nothing. *r is written only when it returns non-zero.
 func parseNativeFast(b []byte, r *Request) int {
-	arr, p, ok := scanFloat(b, 0)
-	if !ok || p >= len(b) || b[p] != ',' {
+	arr, p, err := scanFixed(b, microPlaces)
+	if err != nil || p >= len(b) || b[p] != ',' {
 		return 0
 	}
 	p++
@@ -104,17 +106,17 @@ func parseNativeFast(b []byte, r *Request) int {
 		// disambiguate the rare traces that use them.
 		return 0
 	}
-	lat, p, ok := scanFloat(b, p+2)
-	if !ok || p+1 >= len(b) || b[p] != ',' || b[p+1] != '0' && b[p+1] != '1' {
+	lat, n, err := scanFixed(b[p+2:], microPlaces)
+	if p += 2 + n; err != nil || p+1 >= len(b) || b[p] != ',' || b[p+1] != '0' && b[p+1] != '1' {
 		return 0
 	}
 	*r = Request{
-		Arrival: fromMicros(arr),
+		Arrival: arr,
 		Device:  uint32(dev),
 		LBA:     lba,
 		Sectors: uint32(sec),
 		Op:      op,
-		Latency: fromMicros(lat),
+		Latency: lat,
 		Async:   b[p+1] == '1',
 	}
 	return p + 2
@@ -124,7 +126,7 @@ func parseNativeFast(b []byte, r *Request) int {
 // record. Fields alias the decoder's line buffer; nothing escapes.
 func parseNativeLine(f [][]byte) (Request, error) {
 	var r Request
-	arr, err := parseFloatBytes(f[0])
+	arr, err := parseFixed(f[0], microPlaces)
 	if err != nil {
 		return r, fmt.Errorf("arrival: %w", err)
 	}
@@ -144,7 +146,7 @@ func parseNativeLine(f [][]byte) (Request, error) {
 	if err != nil {
 		return r, err
 	}
-	lat, err := parseFloatBytes(f[5])
+	lat, err := parseFixed(f[5], microPlaces)
 	if err != nil {
 		return r, fmt.Errorf("latency: %w", err)
 	}
@@ -153,21 +155,18 @@ func parseNativeLine(f [][]byte) (Request, error) {
 		return r, fmt.Errorf("async: %w", err)
 	}
 	r = Request{
-		Arrival: fromMicros(arr),
+		Arrival: arr,
 		Device:  uint32(dev),
 		LBA:     lba,
 		Sectors: uint32(sec),
 		Op:      op,
-		Latency: fromMicros(lat),
+		Latency: lat,
 		Async:   async == 1,
 	}
 	return r, nil
 }
 
 func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-func fromMicros(us float64) time.Duration {
-	return time.Duration(us * float64(time.Microsecond))
-}
 
 // binaryMagic identifies the compact binary trace format.
 var binaryMagic = [4]byte{'T', 'T', 'R', '1'}

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -157,6 +159,32 @@ func TestReadSPC(t *testing.T) {
 	}
 }
 
+// TestReadSPCWholeMicros: an spc timestamp of whole microseconds, six
+// decimals of a second, decodes to exactly its nanoseconds. The seeds
+// are corpus-shaped (0.000511 read 510,999 ns through a float), then
+// 20,000 seeded random ones up to a day.
+func TestReadSPCWholeMicros(t *testing.T) {
+	us := []int64{0, 511, 1020, 3751, 13249, 19344, 21533, 999_999, 1_000_001, 86_399_999_999}
+	rng := rand.New(rand.NewSource(511))
+	for range 20_000 {
+		us = append(us, rng.Int63n(86_400_000_000))
+	}
+	slices.Sort(us)
+	var in strings.Builder
+	for _, u := range us {
+		fmt.Fprintf(&in, "0,1,512,R,%d.%06d\n", u/1e6, u%1e6)
+	}
+	tr, err := ReadFormat("spc", strings.NewReader(in.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range us {
+		if want := time.Duration(u) * time.Microsecond; tr.Requests[i].Arrival != want {
+			t.Fatalf("%d.%06d s decodes to %d ns, want %d", u/1e6, u%1e6, tr.Requests[i].Arrival, want)
+		}
+	}
+}
+
 func TestReadSPCZeroSizeClampsToOneSector(t *testing.T) {
 	tr, err := ReadFormat("spc", strings.NewReader("0,1,0,R,0.0\n"))
 	if err != nil {
@@ -232,23 +260,22 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: CSV round-trip preserves all fields (at its documented
-// 1ns-truncated-to-1/1000us precision, which is exact for ns multiples
-// of 1000... we use microsecond-aligned arrivals here).
+// Property: CSV round-trip preserves all fields, times to the
+// nanosecond.
 func TestCSVRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := &Trace{Name: "p", Workload: "q", Set: "MSPS", TsdevKnown: true}
 		arr := time.Duration(0)
 		for i := 0; i < int(n%40)+1; i++ {
-			arr += time.Duration(rng.Intn(1e6)) * time.Microsecond
+			arr += time.Duration(rng.Intn(1e9))
 			tr.Requests = append(tr.Requests, Request{
 				Arrival: arr,
 				Device:  uint32(rng.Intn(4)),
 				LBA:     uint64(rng.Int63n(1 << 40)),
 				Sectors: uint32(rng.Intn(1024) + 1),
 				Op:      Op(rng.Intn(2)),
-				Latency: time.Duration(rng.Intn(1e6)) * time.Microsecond,
+				Latency: time.Duration(rng.Intn(1e9)),
 				Async:   rng.Intn(2) == 0,
 			})
 		}

@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -153,83 +154,91 @@ func parseIntBytes(b []byte, bits int) (int64, error) {
 	return int64(v), nil
 }
 
-// pow10tab holds the powers of ten exactly representable in float64.
-var pow10tab = [...]float64{
-	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-}
+// A text time is a decimal of a unit some places above the nanosecond:
+// 3 for csv's microseconds, 9 for spc's seconds.
+const (
+	microPlaces  = 3
+	secondPlaces = 9
+)
 
-// scanFloat scans a plain decimal float — an optional sign, digits,
-// then an optional '.' and fraction digits — at b[i:] and returns its
-// value and the index after it. ok is false when floatFromDecimal would
-// not convert it exactly: no digits, more than 19 (the accumulator may
-// have wrapped, as 10^19 < 2^64 bounds it — which is why the digit
-// loops carry no overflow check), a mantissa over 2^53, or more than 22
-// fraction digits.
-func scanFloat(b []byte, i int) (f float64, end int, ok bool) {
-	neg := false
-	if i < len(b) && (b[i] == '-' || b[i] == '+') {
-		neg = b[i] == '-'
-		i++
+// scanFixed scans a plain decimal (sign, digits, '.', fraction digits)
+// of a unit places above the nanosecond at the start of b, and returns
+// it in nanoseconds, exactly, and the number of bytes it read. Digits
+// finer than 1 ns round to the nearest nanosecond, ties away from zero.
+// At most 19 digits are kept (10^19 < 2^64), so the loops need no
+// overflow check. err is strconv.ErrRange outside time.Duration, and
+// strconv.ErrSyntax for no digits or too many integer digits (which
+// parseFixed leaves to strconv).
+func scanFixed(b []byte, places int) (d time.Duration, n int, err error) {
+	i, neg := 0, false
+	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
+		i, neg = 1, b[0] == '-'
 	}
 	start := i
-	var mant uint64
+	var v uint64
 	for ; i < len(b); i++ {
-		d := uint64(b[i] - '0')
-		if d > 9 {
+		c := uint64(b[i] - '0')
+		if c > 9 {
 			break
 		}
-		mant = mant*10 + d
+		v = v*10 + c
 	}
-	digits, exp := i-start, 0
+	digits, kept := i-start, 0
+	if digits > 19-places {
+		return 0, i, strconv.ErrSyntax
+	}
 	if i < len(b) && b[i] == '.' {
-		i++
-		frac := i
-		for ; i < len(b); i++ {
-			d := uint64(b[i] - '0')
-			if d > 9 {
+		frac, stop := i+1, min(len(b), i+1+places)
+		for i = frac; i < stop; i++ {
+			c := uint64(b[i] - '0')
+			if c > 9 {
 				break
 			}
-			mant = mant*10 + d
+			v = v*10 + c
 		}
-		exp = frac - i
-		digits -= exp
+		if kept = i - frac; kept == places && i < len(b) && b[i]-'5' <= 4 {
+			v++ // the first dropped digit rounds half away from zero
+		}
+		for i < len(b) && b[i]-'0' <= 9 {
+			i++
+		}
+		digits += i - frac
 	}
-	if digits == 0 || digits > 19 || mant > 1<<53 || exp < -22 {
-		return 0, i, false
+	if digits == 0 {
+		return 0, i, strconv.ErrSyntax
 	}
-	return floatFromDecimal(mant, exp, neg), i, true
+	if kept < places {
+		v *= pow10u64[places-kept]
+	}
+	if v > math.MaxInt64 && !(neg && v == 1<<63) {
+		return 0, i, strconv.ErrRange
+	}
+	if d = time.Duration(v); neg {
+		d = -d
+	}
+	return d, i, nil
 }
 
-// floatFromDecimal converts a scanned decimal (mant · 10^exp, exp in
-// [-22, 0], mant <= 2^53) to float64. This is the classic
-// exact-arithmetic shortcut: both operands are exactly representable,
-// so the single division rounds once and the result is identical to
-// strconv's correctly-rounded parse.
-func floatFromDecimal(mant uint64, exp int, neg bool) float64 {
-	f := float64(mant)
-	if exp < 0 {
-		f /= pow10tab[-exp]
+// parseFixed is scanFixed over the whole of b. Any other form
+// strconv.ParseFloat reads (exponents, hex, Inf, NaN, long digit runs)
+// is strconv's value, rounded likewise; outside time.Duration it is a
+// range error.
+func parseFixed(b []byte, places int) (time.Duration, error) {
+	d, n, err := scanFixed(b, places)
+	if n != len(b) || err == strconv.ErrSyntax {
+		var f float64
+		if f, err = strconv.ParseFloat(string(b), 64); err != nil {
+			return 0, err
+		}
+		ns := math.Round(f * float64(pow10u64[places]))
+		if d = time.Duration(ns); !(-(1<<63) <= ns && ns < 1<<63) {
+			err = strconv.ErrRange
+		}
 	}
-	if neg {
-		f = -f
+	if err != nil {
+		return 0, &strconv.NumError{Func: "ParseFloat", Num: string(b), Err: err}
 	}
-	return f
-}
-
-// parseFloatBytes is strconv.ParseFloat(string(b), 64) without the
-// string conversion for plain decimal forms. Anything outside the
-// exact fast path (exponent notation, hex floats, Inf/NaN, huge
-// mantissas, deep fractions, malformed input) falls back to strconv.
-func parseFloatBytes(b []byte) (float64, error) {
-	if f, end, ok := scanFloat(b, 0); ok && end == len(b) {
-		return f, nil
-	}
-	return fallbackFloat(b)
-}
-
-func fallbackFloat(b []byte) (float64, error) {
-	return strconv.ParseFloat(string(b), 64)
+	return d, nil
 }
 
 // parseOpBytes is ParseOp without the string conversion: the

@@ -304,8 +304,8 @@ func newText[D textDecoder](d D, s source) D {
 func (t *text) init(s source, g lineParser) { t.source, t.grammar = s, g }
 
 // read hands lines to the grammar until one holds a record, into *r:
-// the one loop over nextLine, which the batch loops (Read,
-// csvDecoder.Read) fall back on when no whole line is buffered.
+// the one loop over nextLine, which the batch loop (Read) falls back on
+// when no whole line is buffered.
 //
 //tracelint:hotpath
 func (t *text) read(r *Request) error {
@@ -321,33 +321,43 @@ func (t *text) read(r *Request) error {
 	}
 }
 
-// Read implements Decoder for msrc and spc; csv has its own loop, with
-// a fast path for its common record shape. It hands the whole lines
-// already in the read buffer to the grammar in one loop, with one
-// Discard per run, and falls back on read for one record only when no
-// whole line is buffered (a refill, a line longer than the buffer, an
-// unterminated last line, EOF), so every error keeps read's text and
-// line number.
+// Read implements Decoder. It hands the whole lines already in the
+// read buffer to the grammar in one loop, with one Discard per run, and
+// falls back on read for one record only when no whole line is buffered
+// (a refill, a line longer than the buffer, an unterminated last line,
+// EOF), so every error keeps read's text and line number. A csv record
+// of the fast shape (parseNativeFast) is parsed up to its '\n' with no
+// separate search for the line end.
 //
 //tracelint:hotpath
 func (t *text) Read(dst []Request) ([]Request, error) {
 	if t.closed {
 		return nil, errClosed
 	}
+	csv, _ := t.grammar.(*csvDecoder)
 	br := t.br
 	n := 0
 	for n < len(dst) {
 		buf, _ := br.Peek(br.Buffered())
 		used := 0
 		for n < len(dst) {
-			i := bytes.IndexByte(buf[used:], '\n')
+			rest := buf[used:]
+			if csv != nil {
+				if k := parseNativeFast(rest, &dst[n]); k > 0 && k < len(rest) && rest[k] == '\n' {
+					used += k + 1
+					t.lineno++
+					csv.sawData = true
+					n++
+					continue
+				}
+			}
+			i := bytes.IndexByte(rest, '\n')
 			if i < 0 {
 				break
 			}
-			line := buf[used : used+i]
 			used += i + 1
 			t.lineno++
-			ok, err := t.grammar.line(line, &dst[n])
+			ok, err := t.grammar.line(rest[:i], &dst[n])
 			if err != nil {
 				br.Discard(used)
 				return dst[:n], err
@@ -422,62 +432,6 @@ func (d *csvDecoder) line(line []byte, r *Request) (bool, error) {
 	}
 	d.sawData = true
 	return true, nil
-}
-
-// Read implements Decoder. It decodes the whole lines already in the
-// read buffer in one loop, parsing each record in place straight into
-// dst, with one Discard per run. A record of the fast shape
-// (parseNativeFast) is parsed up to its '\n' with no separate search
-// for the line end; any other line is found with IndexByte and handed
-// to line. Only when no whole line is buffered (a refill, a line longer
-// than the buffer, an unterminated last line, EOF) does it fall back to
-// the text read loop for one record, so every error keeps that loop's
-// text and line number.
-//
-//tracelint:hotpath
-func (d *csvDecoder) Read(dst []Request) ([]Request, error) {
-	if d.closed {
-		return nil, errClosed
-	}
-	br := d.br
-	n := 0
-	for n < len(dst) {
-		buf, _ := br.Peek(br.Buffered())
-		used := 0
-		for n < len(dst) {
-			rest := buf[used:]
-			if k := parseNativeFast(rest, &dst[n]); k > 0 && k < len(rest) && rest[k] == '\n' {
-				used += k + 1
-				d.lineno++
-				d.sawData = true
-				n++
-				continue
-			}
-			i := bytes.IndexByte(rest, '\n')
-			if i < 0 {
-				break
-			}
-			used += i + 1
-			d.lineno++
-			ok, err := d.line(rest[:i], &dst[n])
-			if err != nil {
-				br.Discard(used)
-				return dst[:n], err
-			}
-			if ok {
-				n++
-			}
-		}
-		br.Discard(used)
-		if n == len(dst) || used > 0 {
-			continue
-		}
-		if err := d.read(&dst[n]); err != nil {
-			return endRun(dst, n, err)
-		}
-		n++
-	}
-	return dst, nil
 }
 
 // CSVEncoder streams the native CSV format.
@@ -981,7 +935,8 @@ func sectorsOf(size uint64) uint32 {
 //	ASU,LBA,Size,Opcode,Timestamp
 //
 // LBA is in sectors, Size in bytes, Opcode R/W, Timestamp fractional
-// seconds. No completion information is available (TsdevKnown=false).
+// seconds, read as csv times are (parseFixed: 0.000511 is 511,000 ns).
+// No completion information is available (TsdevKnown=false).
 type spcDecoder struct {
 	text
 }
@@ -1025,12 +980,12 @@ func (d *spcDecoder) line(line []byte, r *Request) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("trace: spc line %d: %w", d.lineno, err)
 	}
-	sec, err := parseFloatBytes(f[4])
+	arr, err := parseFixed(f[4], secondPlaces)
 	if err != nil {
 		return false, fmt.Errorf("trace: spc line %d timestamp: %w", d.lineno, err)
 	}
 	*r = Request{
-		Arrival: time.Duration(sec * float64(time.Second)),
+		Arrival: arr,
 		Device:  uint32(asu),
 		LBA:     lba,
 		Sectors: sectorsOf(size),

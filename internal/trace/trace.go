@@ -7,7 +7,8 @@
 // A trace is an ordered sequence of block-layer requests. Timestamps
 // are offsets from the start of the trace, stored as time.Duration
 // (nanosecond resolution, which subsumes the microsecond resolution of
-// every public corpus).
+// every public corpus), and every decoder reads them exactly, in
+// integers: a time WriteCSV writes in [0, 2^52) ns reads back as it was.
 package trace
 
 import (
