@@ -191,81 +191,83 @@ func (b *tokenBucket) level() float64 {
 	return b.tokens
 }
 
-// quotaConfig is the per-tenant quota table (0 = unlimited), shared by
-// every tenant.
-type quotaConfig struct {
-	// CorpusBytes caps the total blob bytes a tenant has stored in the
-	// corpus; enforced before and during upload.
-	CorpusBytes int64
-	// ConcurrentJobs caps a tenant's queued+running jobs at submit.
-	ConcurrentJobs int
-	// JobsPerMin caps a tenant's job submissions per minute (token
-	// bucket with burst = quota).
-	JobsPerMin int
+// buckets is one token bucket per tenant, each made on first use with
+// the same rate and burst. A nil *buckets is no limit.
+type buckets struct {
+	rate, burst float64
+
+	mu sync.Mutex
+	m  map[string]*tokenBucket // guarded by mu
 }
 
-// admission is the server's admission-control state.
+// newBuckets returns per-tenant buckets of rate tokens/second, or nil
+// when rate is not positive (unlimited).
+func newBuckets(rate, burst float64) *buckets {
+	if rate <= 0 {
+		return nil
+	}
+	return &buckets{rate: rate, burst: burst, m: make(map[string]*tokenBucket)}
+}
+
+// get returns tenant's bucket, or nil for no limit.
+func (b *buckets) get(tenant string) *tokenBucket {
+	if b == nil {
+		return nil
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	tb, ok := b.m[tenant]
+	if !ok {
+		tb = newTokenBucket(b.rate, b.burst)
+		b.m[tenant] = tb
+	}
+	return tb
+}
+
+// len counts the tenants with a bucket.
+func (b *buckets) len() int {
+	if b == nil {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.m)
+}
+
+// admission is the server's admission-control state. Request-rate
+// buckets burst to twice their rate; the jobs/min quota's burst is the
+// quota.
 type admission struct {
-	auth  *authTable // nil = anonymous mode
-	quota quotaConfig
-
-	global      *tokenBucket // nil = unlimited
-	tenantRate  float64      // per-tenant request bucket (0 = unlimited)
-	tenantBurst float64
-
-	mu         sync.Mutex
-	tenants    map[string]*tokenBucket // per-tenant request buckets
-	jobBuckets map[string]*tokenBucket // per-tenant jobs/min buckets
+	auth    *authTable   // nil = anonymous mode
+	global  *tokenBucket // nil = unlimited
+	tenants *buckets     // per-tenant request rate
+	jobs    *buckets     // per-tenant jobs/min quota
 }
 
-// tenantBucket returns (lazily creating) the per-tenant request-rate
-// bucket, or nil when per-tenant limiting is off.
-func (a *admission) tenantBucket(tenant string) *tokenBucket {
-	if a.tenantRate <= 0 {
-		return nil
+// newAdmission loads o's key table, refuses a listen address the
+// table leaves open (checkAddrGuard), and builds o's rate limits.
+func newAdmission(o *options) (admission, error) {
+	auth, err := loadAuthKeys(o.authKeys)
+	if err != nil {
+		return admission{}, err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.tenants == nil {
-		a.tenants = make(map[string]*tokenBucket)
+	if err := checkAddrGuard(o.addr, auth != nil, o.insecure); err != nil {
+		return admission{}, err
 	}
-	b, ok := a.tenants[tenant]
-	if !ok {
-		b = newTokenBucket(a.tenantRate, a.tenantBurst)
-		a.tenants[tenant] = b
+	a := admission{
+		auth:    auth,
+		tenants: newBuckets(o.tenantRate, 2*o.tenantRate),
+		jobs:    newBuckets(float64(o.quotaJobsPerMin)/60, float64(o.quotaJobsPerMin)),
 	}
-	return b
-}
-
-// jobBucket returns (lazily creating) the per-tenant jobs/min bucket,
-// or nil when the quota is off.
-func (a *admission) jobBucket(tenant string) *tokenBucket {
-	q := a.quota.JobsPerMin
-	if q <= 0 {
-		return nil
+	if o.rate > 0 {
+		a.global = newTokenBucket(o.rate, 2*o.rate)
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.jobBuckets == nil {
-		a.jobBuckets = make(map[string]*tokenBucket)
-	}
-	b, ok := a.jobBuckets[tenant]
-	if !ok {
-		b = newTokenBucket(float64(q)/60, float64(q))
-		a.jobBuckets[tenant] = b
-	}
-	return b
+	return a, nil
 }
 
 // trackedTenants counts tenants with live rate state (for a gauge).
 func (a *admission) trackedTenants() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := len(a.tenants)
-	if len(a.jobBuckets) > n {
-		n = len(a.jobBuckets)
-	}
-	return n
+	return max(a.tenants.len(), a.jobs.len())
 }
 
 // errCorpusQuota marks an upload cut off mid-stream by the tenant's

@@ -26,15 +26,14 @@ import (
 	"repro/internal/workload"
 )
 
-// authKeysFor parses an inline tenant:key table, failing the test on
-// errors.
-func authKeysFor(t *testing.T, lines string) *authTable {
+// keyFile writes an inline tenant:key table to a file for -auth-keys.
+func keyFile(t *testing.T, lines string) string {
 	t.Helper()
-	tbl, err := parseAuthKeys(strings.NewReader(lines))
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "keys")
+	if err := os.WriteFile(path, []byte(lines), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	return tbl
+	return path
 }
 
 // generateTrace synthesizes the fixed-seed Tsdev-known test input: an
@@ -117,7 +116,10 @@ func tmpEntryCount(t *testing.T, dataDir string) int {
 }
 
 func TestParseAuthKeys(t *testing.T) {
-	tbl := authKeysFor(t, "# comment\n\n  alice : key-a \nbob:key-b\n")
+	tbl, err := parseAuthKeys(strings.NewReader("# comment\n\n  alice : key-a \nbob:key-b\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tenant, ok := tbl.lookup("key-a"); !ok || tenant != "alice" {
 		t.Fatalf("lookup(key-a) = %q, %v", tenant, ok)
 	}
@@ -143,11 +145,7 @@ func TestParseAuthKeys(t *testing.T) {
 
 func TestLoadAuthKeys(t *testing.T) {
 	// File form.
-	path := filepath.Join(t.TempDir(), "keys")
-	if err := os.WriteFile(path, []byte("alice:file-key\n"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := loadAuthKeys(path)
+	tbl, err := loadAuthKeys(keyFile(t, "alice:file-key\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +201,10 @@ func TestAddrGuard(t *testing.T) {
 // answer 401 with the envelope, both credential headers work, and
 // /healthz and /metrics stay open for probes and scrapers.
 func TestAuthOverHTTP(t *testing.T) {
-	srv := testServer(t, engine.Config{Workers: 2}, 1)
+	o := testOptions(t)
+	o.authKeys = keyFile(t, "alice:ka-111\nbob:kb-222")
+	srv := startServer(t, o)
 	defer srv.Close()
-	srv.setAuth(authKeysFor(t, "alice:ka-111\nbob:kb-222"))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -253,16 +252,17 @@ func TestAuthOverHTTP(t *testing.T) {
 // second tenant's identical uploads succeed throughout.
 func TestCorpusBytesQuota(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
-	srv := dataServer(t, dataDir)
-	defer srv.Close()
-	srv.setAuth(authKeysFor(t, "alice:ka\nbob:kb\ncarol:kc"))
 	blobA := corpusBlob(t, "quota-a", 64)
 	blobB := corpusBlob(t, "quota-b", 64)
 	blobBig := corpusBlob(t, "quota-big", 2048)
 	if len(blobBig) <= len(blobA) {
 		t.Fatalf("fixture: big blob (%d bytes) must exceed the quota (%d)", len(blobBig), len(blobA))
 	}
-	srv.adm.quota.CorpusBytes = int64(len(blobA))
+	o := testOptions(t)
+	o.dataDir, o.authKeys = dataDir, keyFile(t, "alice:ka\nbob:kb\ncarol:kc")
+	o.quotaCorpus = int64(len(blobA))
+	srv := startServer(t, o)
+	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -311,11 +311,11 @@ func TestCorpusBytesQuota(t *testing.T) {
 // TestConcurrentJobsQuota: a tenant with a live job is refused a
 // second one while another tenant's identical submit is accepted.
 func TestConcurrentJobsQuota(t *testing.T) {
-	srv := testServer(t, engine.Config{Workers: 2}, 1)
+	o := testOptions(t)
+	o.authKeys, o.quotaJobs = keyFile(t, "alice:ka\nbob:kb"), 1
+	srv := startServer(t, o)
 	defer srv.Close()
-	srv.setAuth(authKeysFor(t, "alice:ka\nbob:kb"))
 	spec := corpusSpec(t, srv, "next")
-	srv.adm.quota.ConcurrentJobs = 1
 	// Park a live job owned by alice: quota counting is over job
 	// states, so a synthetic running job pins her at the limit without
 	// a timing-dependent long reconstruction.
@@ -342,10 +342,10 @@ func TestConcurrentJobsQuota(t *testing.T) {
 // TestJobsPerMinQuota: the submission-rate quota refuses a tenant's
 // burst overflow with Retry-After while another tenant submits freely.
 func TestJobsPerMinQuota(t *testing.T) {
-	srv := testServer(t, engine.Config{Workers: 2}, 1)
+	o := testOptions(t)
+	o.authKeys, o.quotaJobsPerMin = keyFile(t, "alice:ka\nbob:kb"), 2
+	srv := startServer(t, o)
 	defer srv.Close()
-	srv.setAuth(authKeysFor(t, "alice:ka\nbob:kb"))
-	srv.adm.quota.JobsPerMin = 2
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -376,9 +376,10 @@ func TestJobsPerMinQuota(t *testing.T) {
 // tenant draining its bucket does not affect another.
 func TestRateLimits(t *testing.T) {
 	t.Run("global", func(t *testing.T) {
-		srv := testServer(t, engine.Config{Workers: 2}, 1)
+		o := testOptions(t)
+		o.rate = 1 // burst 2
+		srv := startServer(t, o)
 		defer srv.Close()
-		srv.setRateLimits(1, 0) // burst 2
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
 
@@ -408,10 +409,11 @@ func TestRateLimits(t *testing.T) {
 		}
 	})
 	t.Run("per-tenant", func(t *testing.T) {
-		srv := testServer(t, engine.Config{Workers: 2}, 1)
+		o := testOptions(t)
+		o.authKeys = keyFile(t, "alice:ka\nbob:kb")
+		o.tenantRate = 1 // burst 2 per tenant
+		srv := startServer(t, o)
 		defer srv.Close()
-		srv.setAuth(authKeysFor(t, "alice:ka\nbob:kb"))
-		srv.setRateLimits(0, 1) // burst 2 per tenant
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
 
@@ -434,15 +436,16 @@ func TestRateLimits(t *testing.T) {
 // and no catalogue entry.
 func TestUploadTooLarge(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
-	srv := dataServer(t, dataDir)
+	o := testOptions(t)
+	o.dataDir, o.maxUpload = dataDir, 256
+	srv := startServer(t, o)
 	defer srv.Close()
-	srv.maxUpload = 256
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	blob := corpusBlob(t, "too-big", 256)
 	if len(blob) <= 256 {
-		t.Fatalf("fixture: blob (%d bytes) must exceed the %d-byte cap", len(blob), srv.maxUpload)
+		t.Fatalf("fixture: blob (%d bytes) must exceed the %d-byte cap", len(blob), srv.opt.maxUpload)
 	}
 	status, _, body := authedReq(t, ts, http.MethodPost, "/v1/corpus", "", blob)
 	if status != http.StatusRequestEntityTooLarge {

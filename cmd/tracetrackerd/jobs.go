@@ -219,7 +219,6 @@ type jobs struct {
 	// Retry-After derives from it and the backlog.
 	avgJobNs atomic.Int64
 
-	// jnl is attached by Replay, then immutable.
 	jnl *journal
 	// stopRequeue aborts a journal-replay enqueue still in progress at
 	// shutdown; requeueing is done once that enqueue has stopped.
@@ -237,13 +236,14 @@ type jobs struct {
 	closed bool            // guarded by mu
 }
 
-// newJobs starts executors workers running queued jobs through run.
-// Replay attaches the journal before the first Submit.
-func newJobs(reg *obs.Registry, executors, queueCap int, run func(job) (journalRecord, string)) *jobs {
+// newJobs starts executors workers running queued jobs through run,
+// recording every job in jnl.
+func newJobs(reg *obs.Registry, executors, queueCap int, jnl *journal, run func(job) (journalRecord, string)) *jobs {
 	t := &jobs{
 		run:         run,
 		queue:       make(chan *job, queueCap),
 		executors:   executors,
+		jnl:         jnl,
 		stopRequeue: make(chan struct{}),
 		table:       make(map[string]*job),
 	}
@@ -425,11 +425,10 @@ func (t *jobs) prune() {
 	t.order = kept
 }
 
-// Replay attaches the journal, restores the jobs recs record, finding
-// each done job's result in store, and re-queues the interrupted ones.
-// Call it once, before serving.
-func (t *jobs) Replay(recs []journalRecord, jnl *journal, store *corpus.Store) (restored, requeued int) {
-	t.jnl = jnl
+// Replay restores the jobs recs record, finding each done job's result
+// in store, and re-queues the interrupted ones. Call it once, before
+// serving.
+func (t *jobs) Replay(recs []journalRecord, store *corpus.Store) (restored, requeued int) {
 	var requeue []*job
 	t.mu.Lock()
 	for _, rec := range recs {

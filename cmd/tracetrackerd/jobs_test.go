@@ -86,7 +86,7 @@ func TestJobTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jnl, _, err := openJournal(filepath.Join(dir, "journal.jsonl"))
+	jnl, _, err := openJournal(filepath.Join(dir, "journal.jsonl"), obs.NopLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +118,8 @@ func TestJobTransitions(t *testing.T) {
 		{Op: journalSubmit, ID: "job-8", Time: at(20)},
 	}
 	// No executors: the re-queued job-5 stays queued.
-	tbl := newJobs(obs.NewRegistry(), 0, 8, nil)
-	if restored, requeued := tbl.Replay(recs, jnl, store); restored != 6 || requeued != 1 {
+	tbl := newJobs(obs.NewRegistry(), 0, 8, jnl, nil)
+	if restored, requeued := tbl.Replay(recs, store); restored != 6 || requeued != 1 {
 		t.Fatalf("Replay = %d restored, %d requeued; want 6, 1", restored, requeued)
 	}
 	const spec = `"spec":{"name":"%[1]s","in":"corpus:d"},"digest":"d","tenant":"alice"`

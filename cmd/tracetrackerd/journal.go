@@ -6,12 +6,13 @@ package main
 // replayed — finished jobs are restored (a done job's result resolves
 // through its cache key in the result cache), and jobs with a submit but
 // no finish were interrupted by a crash and re-queue. A torn final line
-// (crash mid-append) is ignored.
+// (crash mid-append) is ignored. Every journal problem is a record of
+// the daemon's logger, never raw text on stderr.
 
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
+	"log/slog"
 	"os"
 	"sync"
 	"time"
@@ -52,6 +53,7 @@ type journalRecord struct {
 // record, so a finished job survives an immediate crash.
 type journal struct {
 	path string
+	log  *slog.Logger
 
 	// faults, when set (setFaults, test-only), injects write faults
 	// into appends under faultfs.SinkJournal.
@@ -71,8 +73,9 @@ func (j *journal) setFaults(in *faultfs.Injector) {
 }
 
 // openJournal reads every intact record of the journal at path (a
-// missing file is an empty journal) and opens it for appending.
-func openJournal(path string) (*journal, []journalRecord, error) {
+// missing file is an empty journal) and opens it for appending; log
+// takes the journal's warnings and errors.
+func openJournal(path string, log *slog.Logger) (*journal, []journalRecord, error) {
 	var recs []journalRecord
 	if data, err := os.Open(path); err == nil {
 		sc := bufio.NewScanner(data)
@@ -82,7 +85,8 @@ func openJournal(path string) (*journal, []journalRecord, error) {
 			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 				// A torn tail from a crash mid-append is expected;
 				// anything after it cannot be trusted either.
-				fmt.Fprintf(os.Stderr, "tracetrackerd: journal: ignoring record after parse error: %v\n", err)
+				log.Warn("journal: ignoring a torn line and every record after it",
+					"path", path, "intact", len(recs), "error", err)
 				break
 			}
 			recs = append(recs, rec)
@@ -98,7 +102,7 @@ func openJournal(path string) (*journal, []journalRecord, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &journal{path: path, f: f}, recs, nil
+	return &journal{path: path, log: log, f: f}, recs, nil
 }
 
 // append writes one record and syncs it to disk. Appends after close
@@ -107,7 +111,7 @@ func openJournal(path string) (*journal, []journalRecord, error) {
 func (j *journal) append(rec journalRecord) {
 	data, err := json.Marshal(rec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracetrackerd: journal: %v\n", err)
+		j.log.Error("journal: record not written", "op", rec.Op, "job", rec.ID, "error", err)
 		return
 	}
 	j.mu.Lock()
@@ -118,11 +122,11 @@ func (j *journal) append(rec journalRecord) {
 	if _, err := j.faults.Writer(faultfs.SinkJournal, j.f).Write(append(data, '\n')); err != nil {
 		// The job stays "interrupted" in the journal (a torn tail is
 		// tolerated by replay) and re-runs on the next start.
-		fmt.Fprintf(os.Stderr, "tracetrackerd: journal: %v\n", err)
+		j.log.Error("journal: record not written", "op", rec.Op, "job", rec.ID, "error", err)
 		return
 	}
 	if err := j.f.Sync(); err != nil {
-		fmt.Fprintf(os.Stderr, "tracetrackerd: journal: %v\n", err)
+		j.log.Error("journal: record not synced", "op", rec.Op, "job", rec.ID, "error", err)
 	}
 }
 
@@ -150,23 +154,29 @@ func (j *journal) compactAndClose(recs []journalRecord) {
 	if !j.close() {
 		return
 	}
+	if err := j.rewrite(recs); err != nil {
+		j.log.Error("journal: compaction failed; the journal keeps its longer form", "error", err)
+	}
+}
+
+// rewrite atomically replaces the journal file with exactly recs.
+func (j *journal) rewrite(recs []journalRecord) error {
 	var buf []byte
 	for _, rec := range recs {
 		data, err := json.Marshal(rec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracetrackerd: journal compact: %v\n", err)
-			return
+			return err
 		}
 		buf = append(buf, data...)
 		buf = append(buf, '\n')
 	}
 	tmp := j.path + ".compact"
 	if err := os.WriteFile(tmp, buf, 0o666); err != nil {
-		fmt.Fprintf(os.Stderr, "tracetrackerd: journal compact: %v\n", err)
-		return
+		return err
 	}
 	if err := os.Rename(tmp, j.path); err != nil {
 		os.Remove(tmp)
-		fmt.Fprintf(os.Stderr, "tracetrackerd: journal compact: %v\n", err)
+		return err
 	}
+	return nil
 }

@@ -46,6 +46,14 @@
 // jobs up to -drain, flushes the journal and exits; interrupted jobs
 // re-run on the next start.
 //
+// main parses the flags, makes the logger and, without -data, the
+// temporary data directory, then builds the server in one step:
+// newServer loads the key table, opens the corpus store and then the
+// journal, starts the executors, builds the flight recorder, admission
+// and middleware, and replays the journal. What it returns is ready to
+// serve, so main only listens and drains. Every daemon event, journal
+// problems included, is a record of the -log-format/-log-level logger.
+//
 // See the README's "tracetrackerd API" section for the full surface.
 package main
 
@@ -60,7 +68,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -74,48 +81,22 @@ func main() {
 		os.Exit(1)
 	}
 
-	auth, err := loadAuthKeys(o.authKeys)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracetrackerd: %v\n", err)
-		os.Exit(1)
-	}
-	if err := checkAddrGuard(o.addr, auth != nil, o.insecure); err != nil {
-		fmt.Fprintf(os.Stderr, "tracetrackerd: %v\n", err)
-		os.Exit(1)
-	}
-
-	base := engine.Config{Workers: o.parallel, MaxShardRequests: o.maxShard}
-	srv := newServerCap(base, o.jobs, o.queueCap)
-	srv.flight.SetCapacity(o.traceRing)
-	srv.slowJob = o.slowJob
-	srv.maxUpload = o.maxUpload
-	srv.setAuth(auth)
-	srv.setRateLimits(o.rate, o.tenantRate)
-	srv.adm.quota = quotaConfig{
-		CorpusBytes:    o.quotaCorpus,
-		ConcurrentJobs: o.quotaJobs,
-		JobsPerMin:     o.quotaJobsPerMin,
-	}
-	srv.setLogger(log)
-	if o.pprofOn {
-		srv.enablePprof()
-	}
 	// tmpData is the data directory made for a daemon without -data,
 	// removed at exit ("" otherwise, which RemoveAll ignores).
 	tmpData := ""
 	if o.dataDir == "" {
 		if tmpData, err = os.MkdirTemp("", "tracetrackerd-data-"); err != nil {
-			fmt.Fprintf(os.Stderr, "tracetrackerd: %v\n", err)
+			log.Error("temporary data directory failed", "error", err)
 			os.Exit(1)
 		}
 		o.dataDir = tmpData
 	}
-	if err := srv.openData(o.dataDir); err != nil {
-		log.Error("data directory failed to open", "dir", o.dataDir, "error", err)
+	srv, err := newServer(o, log)
+	if err != nil {
+		log.Error("server failed to start", "dir", o.dataDir, "error", err)
 		os.RemoveAll(tmpData)
 		os.Exit(1)
 	}
-	log.Info("corpus store attached", "dir", o.dataDir, "traces", srv.store.Len())
 
 	hs := newHTTPServer(o.addr, srv, o.readHeaderTimeout, o.readTimeout, o.writeTimeout, o.idleTimeout)
 	errc := make(chan error, 1)
@@ -124,8 +105,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	log.Info("listening", "addr", o.addr, "executors", o.jobs, "workers", o.parallel,
-		"revision", srv.revision, "pprof", o.pprofOn, "auth", auth != nil, "queue", o.queueCap)
+	log.Info("listening", "addr", o.addr, "executors", srv.jobs.executors, "workers", o.parallel,
+		"revision", srv.revision, "pprof", o.pprofOn, "auth", srv.adm.auth != nil, "queue", cap(srv.jobs.queue))
 	select {
 	case err := <-errc:
 		log.Error("server failed", "error", err)

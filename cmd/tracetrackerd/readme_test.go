@@ -34,7 +34,10 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite README.md's generated blocks from this build")
 
 func TestReadmeBlocks(t *testing.T) {
-	srv := dataServer(t, filepath.Join(t.TempDir(), "data"))
+	// A global rate limit, so readmeMetrics sees that series.
+	o := testOptions(t)
+	o.rate = 1000
+	srv := startServer(t, o)
 	defer srv.Close()
 	blocks := []struct {
 		name   string
@@ -273,10 +276,9 @@ func TestFreshScrapeNamesEveryFamily(t *testing.T) {
 // readmeMetrics renders every family the daemon registers, sorted by
 // name, from its # HELP and # TYPE lines, with the label keys its
 // samples carry. A series is made first in each family that has none
-// until first use (a request's, a rejection's and the global rate
-// limit's), so its label keys show.
+// until first use (a request's and a rejection's), so its label keys
+// show; srv has a global rate limit, so that series is there.
 func readmeMetrics(t *testing.T, srv *server) string {
-	srv.setRateLimits(1000, 0)
 	srv.rejected("queue_full", anonTenant)
 	srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
 	var exp bytes.Buffer

@@ -20,17 +20,12 @@ import (
 	"repro/internal/trace"
 )
 
-// dataServer builds a server with small shards attached to the given
-// data directory.
+// dataServer builds a testOptions server on the given data directory.
 func dataServer(t *testing.T, dataDir string) *server {
 	t.Helper()
-	srv := newServer(engine.Config{
-		Workers: 2, MaxShardRequests: 128,
-	}, 1)
-	if err := srv.openData(dataDir); err != nil {
-		t.Fatal(err)
-	}
-	return srv
+	o := testOptions(t)
+	o.dataDir = dataDir
+	return startServer(t, o)
 }
 
 // uploadCorpus PUTs body to /v1/corpus and returns the entry digest.

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -53,12 +54,9 @@ func waitFailed(t *testing.T, ts *httptest.Server, id string) *job {
 // every accepted job reaching done, and the server-side queue_full
 // counter agreeing exactly with the client-observed shed count.
 func TestOverloadShedding(t *testing.T) {
-	srv := newServerCap(engine.Config{
-		Workers: 2, MaxShardRequests: 128,
-	}, 1, 1)
-	if err := srv.openData(filepath.Join(t.TempDir(), "data")); err != nil {
-		t.Fatal(err)
-	}
+	o := testOptions(t)
+	o.queueCap = 1
+	srv := startServer(t, o)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -278,7 +276,8 @@ func TestStorageFaultsSurfaceAs500(t *testing.T) {
 // TestJournalTornTailReplay: an ENOSPC that tears a journal append
 // mid-record must not take the daemon down, and the torn tail — real
 // injected bytes, not a hand-crafted fixture — must replay cleanly on
-// the next start.
+// the next start, which says so in one warning record of its JSON log
+// and writes nothing to stderr.
 func TestJournalTornTailReplay(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 	srv := dataServer(t, dataDir)
@@ -320,8 +319,42 @@ func TestJournalTornTailReplay(t *testing.T) {
 
 	// Replay tolerates the tear: the completed job survives, the job
 	// whose submit record was torn is gone, and new work still runs.
-	srv2 := dataServer(t, dataDir)
+	o := testOptions(t)
+	o.dataDir = dataDir
+	var logBuf bytes.Buffer
+	caught, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer caught.Close()
+	stderr := os.Stderr
+	os.Stderr = caught
+	srv2, err := newServer(o, slog.New(slog.NewJSONHandler(&logBuf, nil)))
+	os.Stderr = stderr
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer srv2.Close()
+	if raw, err := os.ReadFile(caught.Name()); err != nil || len(raw) != 0 {
+		t.Fatalf("replaying the torn journal wrote %q to stderr (%v)", raw, err)
+	}
+	// Read before serving, while nothing else logs.
+	warnings := 0
+	for _, line := range strings.Split(strings.TrimSuffix(logBuf.String(), "\n"), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q is not one JSON object: %v", line, err)
+		}
+		if rec["level"] == "WARN" {
+			warnings++
+			if msg, _ := rec["msg"].(string); !strings.Contains(msg, "journal") || rec["error"] == nil {
+				t.Errorf("warning %v: want a journal message with an error attribute", rec)
+			}
+		}
+	}
+	if warnings != 1 {
+		t.Fatalf("%d warnings replaying the torn journal, want 1:\n%s", warnings, logBuf.String())
+	}
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 	var page jobPage

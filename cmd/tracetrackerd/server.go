@@ -12,7 +12,6 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/apicode"
@@ -56,13 +55,15 @@ const maxSpecBytes = 1 << 20
 // digest and spec, and the result endpoint serves that file. Nothing of
 // a result stays in memory.
 type server struct {
+	// opt is the command line the server was built from; handlers read
+	// the upload cap, the quotas and the slow-job threshold from it.
+	opt  options
 	base engine.Config
 	mux  *http.ServeMux
 
 	// Observability: every handler runs behind the request-ID/metrics
 	// middleware (handler), the engine and corpus hooks feed reg, and
-	// /metrics serves it. log is swapped in by setLogger before serving
-	// (NopLogger until then, so embedded/test servers stay silent).
+	// /metrics serves it.
 	reg      *obs.Registry
 	em       *obs.EngineMetrics
 	hm       *obs.HTTPMetrics
@@ -72,32 +73,19 @@ type server struct {
 	revision string
 
 	// flight holds recent job timelines for GET /v1/jobs/{id}/trace;
-	// slowJob, when > 0, is the wall-time threshold past which a
-	// finished job logs its slowest spans (set before serving), and
-	// slowJobs counts those jobs.
+	// slowJobs counts the jobs whose wall time crossed -slow-job.
 	flight   *obs.FlightRecorder
-	slowJob  time.Duration
 	slowJobs *obs.Counter
 
 	// jobs is the job lifecycle; its executors run execute.
-	jobs *jobs
-	// store is attached by openData before serving; immutable
-	// afterwards.
+	jobs  *jobs
 	store *corpus.Store
 
 	// Admission control (see admission.go): identity, rate limits and
-	// quotas, configured before serving. maxUpload caps a corpus upload
-	// body in bytes (0 = unlimited) with an enveloped 413. rejected
-	// labels daemon_rejected_total lazily by {reason,tenant}.
-	adm       admission
-	maxUpload int64
-	rejected  func(reason, tenant string) *obs.Counter
-
-	mu sync.Mutex
-	// corpusUsed is the per-tenant ingested corpus bytes (rebuilt from
-	// entry sidecars by openData, maintained on upload) backing the
-	// corpus-bytes quota. guarded by mu
-	corpusUsed map[string]int64
+	// quotas. rejected labels daemon_rejected_total lazily by
+	// {reason,tenant}.
+	adm      admission
+	rejected func(reason, tenant string) *obs.Counter
 }
 
 const (
@@ -105,37 +93,50 @@ const (
 	rateTokensHelp = "Global request rate-limit token-bucket level."
 )
 
-// newServer builds a server executing up to concurrent jobs at once,
-// each on an engine derived from base.
-func newServer(base engine.Config, concurrent int) *server {
-	return newServerCap(base, concurrent, defaultQueueCap)
-}
-
-// newServerCap is newServer with an explicit executor-queue capacity
-// (<=0 = default); overload tests shrink it to force shedding.
-func newServerCap(base engine.Config, concurrent, queueCap int) *server {
-	if concurrent <= 0 {
-		concurrent = 2
+// newServer builds the daemon o describes, logging to log: it loads
+// the key table, opens the corpus store and then the journal under
+// o.dataDir, starts the executors and replays the journal. The server
+// it returns is ready to serve; on an error nothing is left open or
+// running.
+func newServer(o *options, log *slog.Logger) (*server, error) {
+	adm, err := newAdmission(o)
+	if err != nil {
+		return nil, err
+	}
+	store, err := corpus.Open(o.dataDir)
+	if err != nil {
+		return nil, err
+	}
+	jnl, recs, err := openJournal(filepath.Join(o.dataDir, "journal.jsonl"), log)
+	if err != nil {
+		return nil, err
+	}
+	log.Info("corpus store attached", "dir", o.dataDir, "traces", store.Len())
+	executors, queueCap := o.jobs, o.queueCap
+	if executors <= 0 {
+		executors = 2
 	}
 	if queueCap <= 0 {
 		queueCap = defaultQueueCap
 	}
 	s := &server{
-		base:       base,
-		mux:        http.NewServeMux(),
-		corpusUsed: make(map[string]int64),
-		started:    time.Now(),
-		revision:   buildRevision(),
+		opt:      *o,
+		base:     engine.Config{Workers: o.parallel, MaxShardRequests: o.maxShard},
+		mux:      http.NewServeMux(),
+		reg:      obs.NewRegistry(),
+		log:      log,
+		started:  time.Now(),
+		revision: buildRevision(),
+		store:    store,
+		adm:      adm,
 	}
-	s.reg = obs.NewRegistry()
 	s.em = obs.NewEngineMetrics(s.reg)
 	s.base.Metrics = s.em // every job engine derives from base and shares the hook
 	s.hm = obs.NewHTTPMetrics(s.reg, "daemon")
-	s.jobs = newJobs(s.reg, concurrent, queueCap, s.execute)
+	s.jobs = newJobs(s.reg, executors, queueCap, jnl, s.execute)
 	s.slowJobs = s.reg.Counter("daemon_slow_jobs_total",
 		"Jobs whose wall time crossed the slow-job threshold.", nil)
-	s.flight = obs.NewFlightRecorder(obs.DefaultFlightRecorderCapacity)
-	s.flight.SetEvictionCounter(s.reg.Counter("daemon_trace_evictions_total",
+	s.flight = obs.NewFlightRecorder(o.traceRing, s.reg.Counter("daemon_trace_evictions_total",
 		"Job timelines evicted from the trace flight recorder.", nil))
 	s.reg.GaugeFunc("daemon_trace_recorder_timelines", "Job timelines held in the trace flight recorder.", nil,
 		func() float64 { return float64(s.flight.Len()) })
@@ -160,9 +161,20 @@ func newServerCap(base engine.Config, concurrent, queueCap int) *server {
 		func() float64 { _, _, running := s.jobs.counts(); return float64(running) })
 	s.reg.GaugeFunc("daemon_uptime_seconds", "Seconds since the daemon started.", nil,
 		func() float64 { return time.Since(s.started).Seconds() })
-	s.setLogger(obs.NopLogger())
+	if b := adm.global; b != nil {
+		s.reg.GaugeFunc("daemon_rate_tokens", rateTokensHelp, obs.Labels{"scope": "global"}, b.level)
+	}
+	store.SetMetrics(obs.NewCorpusMetrics(s.reg))
+	s.reg.GaugeFunc("corpus_traces", "Traces in the corpus catalogue.", nil,
+		func() float64 { return float64(store.Len()) })
+	// The middleware chain: obs middleware (request IDs, metrics,
+	// logging), then admission (serveAdmitted), then the route mux.
+	s.handler = obs.Middleware(log, s.hm, http.HandlerFunc(s.serveAdmitted))
 	s.mountRoutes()
-	return s
+	if restored, requeued := s.jobs.Replay(recs, store); restored > 0 {
+		log.Info("journal replayed", "jobs", restored, "requeued", requeued)
+	}
+	return s, nil
 }
 
 // apiRoute is one entry in the daemon's route table.
@@ -221,36 +233,16 @@ func (s *server) mountRoutes() {
 		httpError(w, http.StatusNotFound, apicode.NotFound,
 			fmt.Errorf("no route %s %s; the API lives under /v1", r.Method, r.URL.Path))
 	})
-}
-
-// setLogger attaches the daemon logger and rebuilds the middleware
-// chain around it: obs middleware (request IDs, metrics, logging),
-// then admission (serveAdmitted), then the route mux. Call before
-// serving traffic.
-func (s *server) setLogger(log *slog.Logger) {
-	s.log = log
-	s.handler = obs.Middleware(log, s.hm, http.HandlerFunc(s.serveAdmitted))
-}
-
-// setAuth enables API-key authentication (nil keeps anonymous mode).
-// Call before serving traffic.
-func (s *server) setAuth(t *authTable) {
-	s.adm.auth = t
-}
-
-// setRateLimits configures the request-rate token buckets (req/s, 0 =
-// unlimited; bursts default to 2× the rate). Call before serving
-// traffic.
-func (s *server) setRateLimits(globalRate, tenantRate float64) {
-	if globalRate > 0 {
-		b := newTokenBucket(globalRate, 2*globalRate)
-		s.adm.global = b
-		s.reg.GaugeFunc("daemon_rate_tokens", rateTokensHelp,
-			obs.Labels{"scope": "global"}, b.level)
-	}
-	if tenantRate > 0 {
-		s.adm.tenantRate = tenantRate
-		s.adm.tenantBurst = 2 * tenantRate
+	// -pprof mounts the net/http/pprof handlers (off by default:
+	// profiles expose internals). They sit behind the same middleware
+	// as the API, so scrapes are logged and counted under
+	// route="/debug/pprof/".
+	if s.opt.pprofOn {
+		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
+		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 }
 
@@ -282,7 +274,7 @@ func (s *server) serveAdmitted(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if b := s.adm.tenantBucket(tenant); b != nil {
+	if b := s.adm.tenants.get(tenant); b != nil {
 		if ok, wait := b.take(); !ok {
 			w.Header().Set("Retry-After", retryAfterSeconds(wait))
 			s.reject(w, "rate_limited", tenant, http.StatusTooManyRequests, apicode.RateLimited,
@@ -304,18 +296,6 @@ func (s *server) reject(w http.ResponseWriter, reason, tenant string, status int
 	httpError(w, status, code, err)
 }
 
-// enablePprof mounts the net/http/pprof handlers (opt-in via -pprof:
-// profiles expose internals, so they are off by default). They sit
-// behind the same middleware as the API, so scrapes are logged and
-// counted under route="/debug/pprof/".
-func (s *server) enablePprof() {
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
 // buildRevision is the VCS revision stamped into the binary ("dev"
 // outside a git build) — surfaced in /healthz so an operator can tell
 // which build answered.
@@ -328,39 +308,6 @@ func buildRevision() string {
 		}
 	}
 	return "dev"
-}
-
-// openData attaches the corpus store, result cache and job journal
-// rooted at dir, then replays the journal. Call before serving traffic.
-func (s *server) openData(dir string) error {
-	store, err := corpus.Open(dir)
-	if err != nil {
-		return err
-	}
-	store.SetMetrics(obs.NewCorpusMetrics(s.reg))
-	s.reg.GaugeFunc("corpus_traces", "Traces in the corpus catalogue.", nil,
-		func() float64 { return float64(store.Len()) })
-	jnl, recs, err := openJournal(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		return err
-	}
-	s.store = store
-	// Rebuild the per-tenant corpus usage backing the corpus-bytes
-	// quota from the entry sidecars (entries older than tenant
-	// attribution count against the anonymous tenant).
-	s.mu.Lock()
-	for _, e := range store.Entries() {
-		tenant := e.Tenant
-		if tenant == "" {
-			tenant = anonTenant
-		}
-		s.corpusUsed[tenant] += e.Size
-	}
-	s.mu.Unlock()
-	if restored, requeued := s.jobs.Replay(recs, jnl, store); restored > 0 {
-		s.log.Info("journal replayed", "jobs", restored, "requeued", requeued)
-	}
-	return nil
 }
 
 // ServeHTTP implements http.Handler: every request passes through the
@@ -408,10 +355,10 @@ func (s *server) execute(j job) (journalRecord, string) {
 		path, rec.Cached, rec.Report = res.OutPath, hit, newJobReport(res.Report)
 		s.log.Info("job finished", "job", j.ID, "cached", hit, "duration", wall)
 	}
-	if s.slowJob > 0 && wall >= s.slowJob {
+	if s.opt.slowJob > 0 && wall >= s.opt.slowJob {
 		s.slowJobs.Inc()
 		s.log.Warn("slow job", "job", j.ID, "duration", wall,
-			"threshold", s.slowJob, "trace_id", traceID,
+			"threshold", s.opt.slowJob, "trace_id", traceID,
 			"slowest_spans", obs.SummarizeSpans(tracer.Snapshot().SlowestSpans(5)))
 	}
 	return rec, path
@@ -475,15 +422,15 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantFrom(r.Context())
 	// Quotas gate valid submits before the queue: a tenant at its own
 	// limit is that tenant's problem (403), not server overload.
-	if q := s.adm.quota.JobsPerMin; q > 0 {
-		if ok, wait := s.adm.jobBucket(tenant).take(); !ok {
+	if b := s.adm.jobs.get(tenant); b != nil {
+		if ok, wait := b.take(); !ok {
 			w.Header().Set("Retry-After", retryAfterSeconds(wait))
 			s.reject(w, "quota_jobs_per_min", tenant, http.StatusForbidden, apicode.QuotaExceeded,
-				fmt.Errorf("tenant %q exceeded its %d jobs/min quota", tenant, q))
+				fmt.Errorf("tenant %q exceeded its %d jobs/min quota", tenant, s.opt.quotaJobsPerMin))
 			return
 		}
 	}
-	j, err := s.jobs.Submit(spec, e.Digest, tenant, obs.TraceContextFrom(r.Context()), s.adm.quota.ConcurrentJobs)
+	j, err := s.jobs.Submit(spec, e.Digest, tenant, obs.TraceContextFrom(r.Context()), s.opt.quotaJobs)
 	if err != nil {
 		s.submitError(w, tenant, err)
 		return
@@ -623,15 +570,13 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleCorpusIngest(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantFrom(r.Context())
 	var body io.Reader = r.Body
-	if s.maxUpload > 0 {
+	if s.opt.maxUpload > 0 {
 		// MaxBytesReader aborts the streaming ingest mid-body; the
 		// store's staging discipline removes the partial staged file.
-		body = http.MaxBytesReader(w, r.Body, s.maxUpload)
+		body = http.MaxBytesReader(w, r.Body, s.opt.maxUpload)
 	}
-	if q := s.adm.quota.CorpusBytes; q > 0 {
-		s.mu.Lock()
-		used := s.corpusUsed[tenant]
-		s.mu.Unlock()
+	if q := s.opt.quotaCorpus; q > 0 {
+		used := s.tenantBytes(tenant)
 		if used >= q {
 			s.reject(w, "quota_corpus_bytes", tenant, http.StatusForbidden, apicode.QuotaExceeded,
 				fmt.Errorf("tenant %q has %d corpus bytes stored (quota %d)", tenant, used, q))
@@ -643,11 +588,6 @@ func (s *server) handleCorpusIngest(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.corpusIngestError(w, tenant, err)
 		return
-	}
-	if created {
-		s.mu.Lock()
-		s.corpusUsed[tenant] += entry.Size
-		s.mu.Unlock()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if created {
@@ -666,10 +606,10 @@ func (s *server) corpusIngestError(w http.ResponseWriter, tenant string, err err
 	switch {
 	case errors.As(err, &mbe):
 		s.reject(w, "payload_too_large", tenant, http.StatusRequestEntityTooLarge, apicode.PayloadTooLarge,
-			fmt.Errorf("upload exceeds the %d-byte cap", s.maxUpload))
+			fmt.Errorf("upload exceeds the %d-byte cap", s.opt.maxUpload))
 	case errors.Is(err, errCorpusQuota):
 		s.reject(w, "quota_corpus_bytes", tenant, http.StatusForbidden, apicode.QuotaExceeded,
-			fmt.Errorf("upload would take tenant %q past its corpus-bytes quota (%d)", tenant, s.adm.quota.CorpusBytes))
+			fmt.Errorf("upload would take tenant %q past its corpus-bytes quota (%d)", tenant, s.opt.quotaCorpus))
 	case errors.Is(err, corpus.ErrBadTrace):
 		// Undecodable uploads are the client's fault; anything else
 		// (disk full, unwritable store) is ours.
@@ -677,6 +617,17 @@ func (s *server) corpusIngestError(w http.ResponseWriter, tenant string, err err
 	default:
 		httpError(w, http.StatusInternalServerError, apicode.Internal, err)
 	}
+}
+
+// tenantBytes is the corpus bytes charged to tenant: the entries it
+// ingested first, and for the anonymous tenant also the entries that
+// carry no tenant.
+func (s *server) tenantBytes(tenant string) int64 {
+	n := s.store.TenantBytes(tenant)
+	if tenant == anonTenant {
+		n += s.store.TenantBytes("")
+	}
+	return n
 }
 
 func (s *server) handleCorpusList(w http.ResponseWriter, r *http.Request) {

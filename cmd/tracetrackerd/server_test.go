@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -43,15 +45,33 @@ func inputTrace(t *testing.T) ([]byte, *trace.Trace) {
 	return raw.Bytes(), want
 }
 
-// testServer builds a server executing concurrent jobs on engines
-// derived from base, with a fresh t.TempDir() as its data directory.
-func testServer(t *testing.T, base engine.Config, concurrent int) *server {
+// testOptions is the daemon's default command line with one executor
+// of two workers on small shards, on a fresh data directory.
+func testOptions(t *testing.T) *options {
+	_, o := flags("tracetrackerd")
+	o.dataDir = t.TempDir()
+	o.jobs, o.parallel, o.maxShard = 1, 2, 128
+	return o
+}
+
+// startServer builds the server o describes, silent, failing the test
+// on an error.
+func startServer(t *testing.T, o *options) *server {
 	t.Helper()
-	srv := newServer(base, concurrent)
-	if err := srv.openData(t.TempDir()); err != nil {
+	srv, err := newServer(o, obs.NopLogger())
+	if err != nil {
 		t.Fatal(err)
 	}
 	return srv
+}
+
+// testServer builds a server executing concurrent jobs on engines of
+// base's workers and shard size, on a fresh data directory.
+func testServer(t *testing.T, base engine.Config, concurrent int) *server {
+	t.Helper()
+	o := testOptions(t)
+	o.jobs, o.parallel, o.maxShard = concurrent, base.Workers, base.MaxShardRequests
+	return startServer(t, o)
 }
 
 // submitTrace uploads raw to the corpus and submits spec on it — the
@@ -400,4 +420,60 @@ func TestJobList(t *testing.T) {
 	if _, _, ok := srv.store.LookupResult(engine.CacheKey(j2.Digest, j2.Spec)); !ok {
 		t.Fatal("prune deleted a result-cache entry")
 	}
+}
+
+// TestNewServerFailureLeavesNothing builds servers that cannot start —
+// a key file that is not there, a regular file where the data
+// directory should be, a directory where the journal should be — and
+// checks that each build returns its error and leaves no executor
+// goroutine and no open file behind.
+func TestNewServerFailureLeavesNothing(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		setup func(o *options) error
+	}{
+		{"missing key file", func(o *options) error {
+			o.authKeys = filepath.Join(o.dataDir, "no-such-keys")
+			return nil
+		}},
+		{"data directory is a file", func(o *options) error {
+			o.dataDir = filepath.Join(o.dataDir, "data")
+			return os.WriteFile(o.dataDir, []byte("not a directory\n"), 0o666)
+		}},
+		{"journal is a directory", func(o *options) error {
+			return os.Mkdir(filepath.Join(o.dataDir, "journal.jsonl"), 0o777)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := testOptions(t)
+			o.jobs = 4
+			if err := c.setup(o); err != nil {
+				t.Fatal(err)
+			}
+			goroutines, files := runtime.NumGoroutine(), openFiles(t)
+			if srv, err := newServer(o, obs.NopLogger()); err == nil {
+				srv.Close()
+				t.Fatal("newServer built a server it cannot run")
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the failed build, want %d", runtime.NumGoroutine(), goroutines)
+				}
+			}
+			if n := openFiles(t); n != files {
+				t.Fatalf("%d open files after the failed build, want %d", n, files)
+			}
+		})
+	}
+}
+
+// openFiles counts the process's open file descriptors, skipping the
+// test where /proc does not list them.
+func openFiles(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	return len(fds)
 }

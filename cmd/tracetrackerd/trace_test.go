@@ -14,7 +14,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -70,11 +69,15 @@ func getTrace(t *testing.T, ts *httptest.Server, id, query string) (*http.Respon
 
 func TestTraceEndToEnd(t *testing.T) {
 	raw, _ := inputTrace(t)
-	srv := dataServer(t, filepath.Join(t.TempDir(), "data"))
-	defer srv.Close()
-	srv.slowJob = time.Nanosecond // every job counts as slow
+	o := testOptions(t)
+	o.slowJob = time.Nanosecond // every job counts as slow
+	o.traceRing = 1
 	var logBuf bytes.Buffer
-	srv.setLogger(slog.New(slog.NewTextHandler(&logBuf, nil)))
+	srv, err := newServer(o, slog.New(slog.NewTextHandler(&logBuf, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -200,12 +203,11 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("slow-job log line missing:\n%s", logs)
 	}
 
-	// Shrinking the flight recorder evicts the oldest timeline; its
-	// endpoint then answers 410, and the eviction is counted.
+	// A second job evicts the first from the ring of one; its endpoint
+	// then answers 410.
 	sub2 := submitTraced(t, ts, engine.JobSpec{In: corpusScheme + digest, Method: "dynamic"},
 		obs.NewTraceContext().Traceparent())
 	waitDone(t, ts, sub2.ID)
-	srv.flight.SetCapacity(1)
 	resp, body = getTrace(t, ts, sub.ID, "")
 	if resp.StatusCode != http.StatusGone {
 		t.Fatalf("evicted trace: status %d: %s", resp.StatusCode, body)
@@ -317,9 +319,11 @@ func TestTraceEndToEndServedBytes(t *testing.T) {
 // TestFlightRecorderBytesGauge reads daemon_trace_recorder_bytes and
 // daemon_trace_recorder_timelines after each step that parks, replaces
 // or evicts a timeline. A parked tracer's packed size is fixed, so the
-// two sizes read off a ring of one predict every later reading.
+// two sizes read off a lone timeline predict every later reading.
 func TestFlightRecorderBytesGauge(t *testing.T) {
-	srv := testServer(t, engine.Config{}, 1)
+	o := testOptions(t)
+	o.traceRing = 2
+	srv := startServer(t, o)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -348,26 +352,23 @@ func TestFlightRecorderBytesGauge(t *testing.T) {
 		t.Fatalf("empty recorder: %v B in %v timelines", b, n)
 	}
 
-	srv.flight.SetCapacity(1)
 	srv.flight.Add("job-a", small)
 	s, _ := read()
-	srv.flight.Add("job-b", big) // evicts job-a
+	srv.flight.Add("job-a", big) // replaces job-a
 	b, _ := read()
 	if s <= 0 || b <= s {
 		t.Fatalf("packed sizes read: small %v B, big %v B", s, b)
 	}
 
-	srv.flight.SetCapacity(2)
 	for _, step := range []struct {
 		name      string
 		do        func()
 		bytes     float64
 		timelines float64
 	}{
-		{"park job-a", func() { srv.flight.Add("job-a", small) }, b + s, 2},
-		{"replace job-b", func() { srv.flight.Add("job-b", small) }, 2 * s, 2},
-		{"park job-c, evicting job-b", func() { srv.flight.Add("job-c", big) }, s + b, 2},
-		{"shrink, evicting job-a", func() { srv.flight.SetCapacity(1) }, b, 1},
+		{"park job-b", func() { srv.flight.Add("job-b", small) }, b + s, 2},
+		{"replace job-a", func() { srv.flight.Add("job-a", small) }, 2 * s, 2},
+		{"park job-c, evicting job-a", func() { srv.flight.Add("job-c", big) }, s + b, 2},
 	} {
 		step.do()
 		if got, n := read(); got != step.bytes || n != step.timelines {

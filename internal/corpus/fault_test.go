@@ -276,6 +276,10 @@ func TestIngestAsRecordsTenant(t *testing.T) {
 	if e2.Tenant != "alice" {
 		t.Fatalf("dedup tenant = %q, want the original ingester", e2.Tenant)
 	}
+	// Only the ingester is charged the blob's bytes.
+	if a, b := s.TenantBytes("alice"), s.TenantBytes("bob"); a != e.Size || b != 0 {
+		t.Fatalf("TenantBytes: alice %d, bob %d; want %d, 0", a, b, e.Size)
+	}
 	// The attribution survives a catalogue rebuild (it lives in the
 	// sidecar, the source of truth).
 	if err := s.Rebuild(); err != nil {

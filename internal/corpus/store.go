@@ -711,6 +711,20 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
+// TenantBytes returns the blob bytes of the catalogued entries whose
+// Tenant is tenant: what a server charges against that tenant's quota.
+func (s *Store) TenantBytes(tenant string) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for _, e := range s.entries {
+		if e.Tenant == tenant {
+			n += e.Size
+		}
+	}
+	return n
+}
+
 // GCStats reports what GC removed.
 type GCStats struct {
 	// TmpRemoved counts abandoned staging files.

@@ -23,7 +23,7 @@ type FlightRecorder struct {
 	order   []string          // insertion order, oldest first. guarded by mu
 	byID    map[string]parked // guarded by mu
 	bytes   int               // packed bytes of the timelines held. guarded by mu
-	counter *Counter          // optional eviction metric. guarded by mu
+	counter *Counter          // eviction metric, or nil
 }
 
 // parked is one timeline held, with its packed size as it was parked.
@@ -33,32 +33,13 @@ type parked struct {
 }
 
 // NewFlightRecorder returns a recorder keeping at most capacity
-// timelines (minimum 1).
-func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &FlightRecorder{cap: capacity, byID: make(map[string]parked)}
-}
-
-// SetEvictionCounter wires a registry counter that ticks once per
+// timelines (minimum 1). evictions, when not nil, ticks once per
 // evicted timeline.
-func (f *FlightRecorder) SetEvictionCounter(c *Counter) {
-	f.mu.Lock()
-	f.counter = c
-	f.mu.Unlock()
-}
-
-// SetCapacity resizes the ring, evicting oldest entries if it
-// shrinks below the current population.
-func (f *FlightRecorder) SetCapacity(capacity int) {
+func NewFlightRecorder(capacity int, evictions *Counter) *FlightRecorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	f.mu.Lock()
-	f.cap = capacity
-	f.evictLocked()
-	f.mu.Unlock()
+	return &FlightRecorder{cap: capacity, byID: make(map[string]parked), counter: evictions}
 }
 
 // Add parks a job's tracer, which the caller has finished. Re-adding an

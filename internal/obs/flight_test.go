@@ -21,8 +21,7 @@ func flightTrace(name string) *Tracer {
 func TestFlightRecorderEviction(t *testing.T) {
 	reg := NewRegistry()
 	evictions := reg.Counter("evictions_total", "test", nil)
-	f := NewFlightRecorder(3)
-	f.SetEvictionCounter(evictions)
+	f := NewFlightRecorder(3, evictions)
 
 	for i := 0; i < 5; i++ {
 		f.Add(fmt.Sprintf("job-%d", i), flightTrace(fmt.Sprintf("t%d", i)))
@@ -52,15 +51,6 @@ func TestFlightRecorderEviction(t *testing.T) {
 	}
 	if jt, _ := f.Get("job-3"); jt.Name != "t3-replayed" {
 		t.Fatalf("replace kept the old timeline: %s", jt.Name)
-	}
-
-	// Shrinking the ring evicts down to the new bound.
-	f.SetCapacity(1)
-	if f.Len() != 1 || evictions.Value() != 4 {
-		t.Fatalf("after shrink: len %d, evictions %d", f.Len(), evictions.Value())
-	}
-	if _, ok := f.Get("job-4"); !ok {
-		t.Fatal("newest entry evicted by shrink")
 	}
 
 	// A nil timeline is ignored rather than stored.
@@ -154,7 +144,7 @@ func TestRetainedBytesPerParkedJob(t *testing.T) {
 	}
 
 	const jobs, perJob = DefaultFlightRecorderCapacity, 12 << 10
-	f := NewFlightRecorder(jobs)
+	f := NewFlightRecorder(jobs, nil)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -180,8 +170,7 @@ func TestRetainedBytesPerParkedJob(t *testing.T) {
 // finish and park new ones, evicting the oldest from a small ring.
 func TestFlightRecorderConcurrentGet(t *testing.T) {
 	evictions := NewRegistry().Counter("evictions_total", "test", nil)
-	f := NewFlightRecorder(4)
-	f.SetEvictionCounter(evictions)
+	f := NewFlightRecorder(4, evictions)
 	const writers, readers, jobs = 2, 2, 50
 	var wg sync.WaitGroup
 	for w := range writers {

@@ -46,8 +46,8 @@ func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 	}
 }
 
-// NopLogger returns a logger that discards everything — the default
-// for embedded servers until a real logger is attached.
+// NopLogger returns a logger that discards everything, for a server
+// that must stay silent, such as one built in a test.
 func NopLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 }

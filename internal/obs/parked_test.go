@@ -136,7 +136,7 @@ func TestFlightRecorderBytes(t *testing.T) {
 	if s == 0 || b <= s {
 		t.Fatalf("packed sizes: small %d B, big %d B", s, b)
 	}
-	f := NewFlightRecorder(2)
+	f := NewFlightRecorder(2, nil)
 	for _, step := range []struct {
 		do   func()
 		want int
@@ -146,7 +146,7 @@ func TestFlightRecorderBytes(t *testing.T) {
 		{func() { f.Add("job-2", big) }, s + b},
 		{func() { f.Add("job-1", big) }, 2 * b},   // replaced in place
 		{func() { f.Add("job-3", small) }, b + s}, // evicts job-1
-		{func() { f.SetCapacity(1) }, s},          // evicts job-2
+		{func() { f.Add("job-4", small) }, 2 * s}, // evicts job-2
 	} {
 		step.do()
 		if got := f.Bytes(); got != step.want {

@@ -21,6 +21,7 @@ func FuzzDecodeCSV(f *testing.F) {
 	f.Add([]byte("# tracetracker name=a workload=b set=c tsdev_known=true\n"))
 	f.Add([]byte("12.500,0,100,8,R,90.000,0\n"))
 	f.Add([]byte("0.0004,0,1,1,R,0.0005,0\n9223372036854775.8075,0,1,1,W,-0.0005,1\n"))
+	f.Add([]byte("09223372036854775.807,0,1,1,R,000.5,0\n"))
 	f.Add([]byte("1,2,3\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -166,9 +166,10 @@ const (
 // it in nanoseconds, exactly, and the number of bytes it read. Digits
 // finer than 1 ns round to the nearest nanosecond, ties away from zero.
 // At most 19 digits are kept (10^19 < 2^64), so the loops need no
-// overflow check. err is strconv.ErrRange outside time.Duration, and
-// strconv.ErrSyntax for no digits or too many integer digits (which
-// parseFixed leaves to strconv).
+// overflow check; leading zeros add nothing to v and take none of that
+// budget. err is strconv.ErrRange outside time.Duration, and
+// strconv.ErrSyntax for no digits or too many integer digits after the
+// leading zeros (which parseFixed leaves to strconv).
 func scanFixed(b []byte, places int) (d time.Duration, n int, err error) {
 	i, neg := 0, false
 	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
@@ -185,7 +186,13 @@ func scanFixed(b []byte, places int) (d time.Duration, n int, err error) {
 	}
 	digits, kept := i-start, 0
 	if digits > 19-places {
-		return 0, i, strconv.ErrSyntax
+		z := start
+		for z < i && b[z] == '0' {
+			z++
+		}
+		if i-z > 19-places {
+			return 0, i, strconv.ErrSyntax
+		}
 	}
 	if i < len(b) && b[i] == '.' {
 		frac, stop := i+1, min(len(b), i+1+places)

@@ -97,14 +97,21 @@ func TestParseFixed(t *testing.T) {
 		{"9223372036854775.807", microPlaces, math.MaxInt64, nil},
 		{"9223372036854775.8074", microPlaces, math.MaxInt64, nil},
 		{"-9223372036854775.808", microPlaces, math.MinInt64, nil},
+		// Leading zeros take none of the integer path's digit budget.
+		{"09223372036854775.807", microPlaces, math.MaxInt64, nil},
+		{"-0009223372036854775.808", microPlaces, math.MinInt64, nil},
+		{"000000000009223372036.854775807", secondPlaces, math.MaxInt64, nil},
+		{"00000000000000000001.5", microPlaces, 1_500, nil},
+		{"000", microPlaces, 0, nil},
+		{"-00.", secondPlaces, 0, nil},
 		// strconv's forms, rounded.
 		{"1e3", microPlaces, 1_000_000, nil},
 		{"1.5e-3", microPlaces, 2, nil},
 		{"0x1p4", microPlaces, 16_000, nil},
-		{"00000000000000000001.5", microPlaces, 1_500, nil},
 		// Out of range.
 		{"9223372036854775.8075", microPlaces, 0, strconv.ErrRange},
 		{"9223372036854775.808", microPlaces, 0, strconv.ErrRange},
+		{"09223372036854775.808", microPlaces, 0, strconv.ErrRange},
 		{"-9223372036854775.809", microPlaces, 0, strconv.ErrRange},
 		{"9223372036.854775808", secondPlaces, 0, strconv.ErrRange},
 		{"99999999999999999999", microPlaces, 0, strconv.ErrRange},
@@ -131,8 +138,9 @@ func TestParseFixed(t *testing.T) {
 
 // TestParseFixedExact holds the integer path to exact arithmetic over
 // random plain decimals of every length and magnitude, both units and
-// both signs, around the time.Duration bounds too: big.Rat rounds the
-// decimal's true value to the nearest nanosecond, ties away from zero.
+// both signs, around the time.Duration bounds too, each also with its
+// integer part zero-padded: big.Rat rounds the decimal's true value to
+// the nearest nanosecond, ties away from zero.
 func TestParseFixedExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for i := 0; i < 50_000; i++ {
@@ -158,12 +166,19 @@ func TestParseFixedExact(t *testing.T) {
 			}
 		}
 		want, inRange := exactNanos(string(b), places)
-		got, err := parseFixed(b, places)
-		switch {
-		case !inRange && !errors.Is(err, strconv.ErrRange):
-			t.Fatalf("parseFixed(%q, %d) = %d, %v; want a range error", b, places, got, err)
-		case inRange && (err != nil || got != want):
-			t.Fatalf("parseFixed(%q, %d) = %d, %v; want %d", b, places, got, err, want)
+		unsigned, neg := strings.CutPrefix(string(b), "-")
+		padded := strings.Repeat("0", 1+i%20) + unsigned
+		if neg {
+			padded = "-" + padded
+		}
+		for _, in := range [][]byte{b, []byte(padded)} {
+			got, err := parseFixed(in, places)
+			switch {
+			case !inRange && !errors.Is(err, strconv.ErrRange):
+				t.Fatalf("parseFixed(%q, %d) = %d, %v; want a range error", in, places, got, err)
+			case inRange && (err != nil || got != want):
+				t.Fatalf("parseFixed(%q, %d) = %d, %v; want %d", in, places, got, err, want)
+			}
 		}
 	}
 }

@@ -181,8 +181,10 @@ func EncodeTrace(enc Encoder, t *Trace) error {
 // SeqState tracks per-device end positions so sequentiality flags can
 // be computed incrementally. Flag returns the classification of each
 // request presented in trace order, and AppendFlags the flags of a
-// whole run; trace.SeqFlags delegates here, so a SeqState snapshot at a
-// shard boundary reproduces the whole-trace flags exactly.
+// whole run; trace.SeqFlags delegates here. One SeqState runs over a
+// whole stream, so flags computed run by run are the whole-trace
+// flags: the engine's planner flags every run on one, and a shard
+// carries only its boundary request and that request's flag.
 //
 // The public corpora use a handful of small device numbers, so the
 // first smallDevices devices live in a flat array — a flag on them
@@ -251,18 +253,6 @@ func (s *SeqState) flagMapped(r *Request) bool {
 	end, seen := s.lastEnd[r.Device]
 	s.lastEnd[r.Device] = r.End()
 	return seen && r.LBA == end
-}
-
-// Clone deep-copies the state, so shard planners can snapshot it.
-func (s *SeqState) Clone() *SeqState {
-	c := &SeqState{smallEnd: s.smallEnd, smallSeen: s.smallSeen}
-	if s.lastEnd != nil {
-		c.lastEnd = make(map[uint32]uint64, len(s.lastEnd))
-		for k, v := range s.lastEnd {
-			c.lastEnd[k] = v
-		}
-	}
-	return c
 }
 
 // --- text formats ---
